@@ -207,7 +207,7 @@ func (m *runtimeMem) stop() (allocs, bytes uint64) {
 // check compares a fresh N=32 run against the committed baseline and fails
 // when allocs/app regressed beyond tolerance — the CI regression gate, with
 // allocs/app as the canary (it is deterministic where ms/app is machine-
-// dependent).
+// dependent) — or when per-app allocation grows with fleet size.
 func check(baselinePath string, tolerance float64) {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -241,6 +241,22 @@ func check(baselinePath string, tolerance float64) {
 	if row.AllocsPerApp > limit {
 		fmt.Fprintf(os.Stderr, "benchjson: allocs/app regressed >%.0f%% vs %s — rerun scripts/bench.sh and justify the regression\n",
 			100*tolerance, baselinePath)
+		failed = true
+	}
+	// Growth gate: per-app cost must be flat in fleet size. allocs/app and
+	// MB/app are deterministic to within map-growth noise, so one fresh
+	// N=128 run is compared with the fresh N=32 run above rather than with
+	// a committed number from another machine.
+	const growthLimit = 1.25
+	big, err := benchFleet(128, 1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: fleet N=128: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "check growth N=32 -> N=128: allocs/app %.0f -> %.0f, MB/app %.3f -> %.3f (limit %.2fx), ms/app %.3f -> %.3f\n",
+		row.AllocsPerApp, big.AllocsPerApp, row.MBPerApp, big.MBPerApp, growthLimit, row.MsPerApp, big.MsPerApp)
+	if big.AllocsPerApp > growthLimit*row.AllocsPerApp || big.MBPerApp > growthLimit*row.MBPerApp {
+		fmt.Fprintf(os.Stderr, "benchjson: per-app allocation grows with fleet size (>%.2fx from N=32 to N=128) — something on the admission or monitoring path scales with the grid, not the app\n", growthLimit)
 		failed = true
 	}
 	// Migration fixtures (unranked and ranked): same allocs/app gate, plus
@@ -457,7 +473,7 @@ func main() {
 	out := flag.String("out", "BENCH_fleet.json", "output file ('-' for stdout)")
 	quick := flag.Bool("quick", false, "smoke mode: N=4 only, one iteration")
 	iters := flag.Int("iters", 3, "fleet scenario iterations per size point")
-	checkPath := flag.String("check", "", "compare fresh fleet N=32, (ranked) migration N=16, parallel worker-sweep, sharded shard-sweep and open-loop population-sweep runs against this committed baseline; exit non-zero if allocs/app regressed >20%, migrations/app or responses/app drifted, repairs/app differs across worker or shard counts, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
+	checkPath := flag.String("check", "", "compare fresh fleet N=32 and N=128, (ranked) migration N=16, parallel worker-sweep, sharded shard-sweep and open-loop population-sweep runs against this committed baseline; exit non-zero if allocs/app regressed >20%, allocs/app or MB/app grow >1.25x from N=32 to N=128, migrations/app or responses/app drifted, repairs/app differs across worker or shard counts, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
 	flag.Parse()
 
 	if *checkPath != "" {
@@ -465,7 +481,7 @@ func main() {
 		return
 	}
 
-	sizes := []int{4, 16, 32, 64}
+	sizes := []int{4, 16, 32, 64, 128, 256, 1024}
 	if *quick {
 		sizes = []int{4}
 		// Unless the user explicitly asked otherwise, drop to one iteration
@@ -490,13 +506,17 @@ func main() {
 		Reflow:      benchReflow(),
 	}
 	for _, n := range sizes {
-		row, err := benchFleet(n, *iters)
+		it := *iters
+		if n >= 1024 {
+			it = 1 // ~20 s a run; the row is there for the curve's far end
+		}
+		row, err := benchFleet(n, it)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: fleet N=%d: %v\n", n, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "fleet N=%-3d %7.3f ms/app  %5.2f repairs/app  %10.0f allocs/app\n",
-			n, row.MsPerApp, row.RepairsPerApp, row.AllocsPerApp)
+		fmt.Fprintf(os.Stderr, "fleet N=%-4d %7.3f ms/app  %5.2f repairs/app  %10.0f allocs/app  %6.3f MB/app\n",
+			n, row.MsPerApp, row.RepairsPerApp, row.AllocsPerApp, row.MBPerApp)
 		base.Fleet = append(base.Fleet, row)
 	}
 	migSizes := []int{16}

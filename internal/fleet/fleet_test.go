@@ -288,3 +288,33 @@ func TestFleetSpareRecruitment(t *testing.T) {
 		t.Fatalf("active servers = %d, want >=2 after recruitment", got)
 	}
 }
+
+// TestRouteStatsFlatInFleetSize pins the routing slice of the work ledger:
+// admission measures every host against the queue host, which may build one
+// BFS tree per router and nothing more, and only the pairs an application
+// sends traffic between get a materialised path — a per-app constant, not a
+// function of how many other hosts the grid has. Counters are exact under a
+// seed, so the per-app figure at 64 apps is compared with 16 directly.
+func TestRouteStatsFlatInFleetSize(t *testing.T) {
+	perApp := map[int]float64{}
+	for _, apps := range []int{16, 64} {
+		res, err := RunScenario(ScenarioOptions{
+			Apps: apps, Seed: 1, Duration: 300, Adaptive: true,
+			CrushStart: 120, CrushStagger: 2, CrushDuration: 120,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Grid.Net.RouteStats()
+		if routers := uint64(len(res.Grid.Routers)); st.TreesBuilt == 0 || st.TreesBuilt > routers {
+			t.Errorf("N=%d: %d trees built on %d routers", apps, st.TreesBuilt, routers)
+		}
+		if st.Walks == 0 || st.RelayVisits == 0 {
+			t.Errorf("N=%d: counters not running: %+v", apps, st)
+		}
+		perApp[apps] = float64(st.PathsMaterialised) / float64(apps)
+	}
+	if perApp[16] == 0 || perApp[64] > perApp[16]*1.05 {
+		t.Errorf("paths materialised per app grow with fleet size: %.1f at N=16, %.1f at N=64", perApp[16], perApp[64])
+	}
+}

@@ -51,7 +51,7 @@ type Scheduler struct {
 	// (normally the Remos substitute's warm-path measurement).
 	Predict func(src, dst netsim.NodeID) float64
 
-	load map[netsim.NodeID]int
+	load []int // committed slots, indexed by NodeID
 }
 
 // NewScheduler creates a scheduler over a grid. predict may be nil, in which
@@ -67,7 +67,7 @@ func NewScheduler(grid *netsim.Grid, hostCapacity int, predict func(src, dst net
 		Grid:         grid,
 		HostCapacity: hostCapacity,
 		Predict:      predict,
-		load:         map[netsim.NodeID]int{},
+		load:         make([]int, grid.Net.NumNodes()),
 	}
 }
 

@@ -77,9 +77,10 @@ type Grid struct {
 	// Backbone lists the chain links followed by the chords.
 	Backbone []LinkID
 
-	routerOf  map[NodeID]NodeID
-	routerIdx map[NodeID]int
-	access    map[NodeID]LinkID
+	// region and access are indexed by NodeID: a host's router index and
+	// access link, -1 for the routers.
+	region []int32
+	access []LinkID
 }
 
 // GenerateGrid builds a grid topology on a fresh network bound to k.
@@ -87,23 +88,17 @@ type Grid struct {
 // the same topology.
 func GenerateGrid(k *sim.Kernel, spec GridSpec) *Grid {
 	spec = spec.withDefaults()
-	g := &Grid{
-		Net:       New(k),
-		Spec:      spec,
-		routerOf:  map[NodeID]NodeID{},
-		routerIdx: map[NodeID]int{},
-		access:    map[NodeID]LinkID{},
-	}
+	g := &Grid{Net: New(k), Spec: spec}
 	for i := 0; i < spec.Routers; i++ {
 		g.Routers = append(g.Routers, g.Net.AddRouter(fmt.Sprintf("R%d", i+1)))
+		g.region, g.access = append(g.region, -1), append(g.access, -1)
 	}
 	for i, r := range g.Routers {
 		var hosts []NodeID
 		for j := 0; j < spec.HostsPerRouter; j++ {
 			h := g.Net.AddHost(fmt.Sprintf("R%dH%d", i+1, j+1))
-			g.access[h] = g.Net.Connect(h, r, spec.AccessBps, spec.PropDelay)
-			g.routerOf[h] = r
-			g.routerIdx[h] = i
+			g.region = append(g.region, int32(i))
+			g.access = append(g.access, g.Net.Connect(h, r, spec.AccessBps, spec.PropDelay))
 			hosts = append(hosts, h)
 			g.Hosts = append(g.Hosts, h)
 		}
@@ -134,21 +129,28 @@ func GenerateGrid(k *sim.Kernel, spec GridSpec) *Grid {
 	return g
 }
 
-// RouterOf returns the router a host hangs off.
-func (g *Grid) RouterOf(h NodeID) NodeID { return g.routerOf[h] }
+// RouterOf returns the router a host hangs off, or -1 for a node that is
+// not a grid host.
+func (g *Grid) RouterOf(h NodeID) NodeID {
+	if i := g.RouterIndex(h); i >= 0 {
+		return g.Routers[i]
+	}
+	return -1
+}
 
 // RouterIndex returns the 0-based region index of a host's router (the
 // index into Routers and HostsByRouter), or -1 for a node that is not a
 // grid host. Region-indexed structures (the fleet's region-health index)
 // key off it.
 func (g *Grid) RouterIndex(h NodeID) int {
-	if i, ok := g.routerIdx[h]; ok {
-		return i
+	if h < 0 || int(h) >= len(g.region) {
+		return -1
 	}
-	return -1
+	return int(g.region[h])
 }
 
-// AccessLink returns a host's access link (for targeted contention).
+// AccessLink returns a host's access link (for targeted contention); -1
+// for a router.
 func (g *Grid) AccessLink(h NodeID) LinkID { return g.access[h] }
 
 // NumHosts returns the host count.

@@ -90,8 +90,11 @@ func TestRouterIndex(t *testing.T) {
 			}
 		}
 	}
-	// Routers themselves are not hosts.
-	if got := g.RouterIndex(g.Routers[0]); got != -1 {
-		t.Errorf("RouterIndex(router) = %d, want -1", got)
+	// Routers themselves are not hosts, nor are ids the grid never issued;
+	// RouterOf used to answer those with the map zero value — router R1.
+	for _, n := range []NodeID{g.Routers[0], g.Routers[3], NodeID(g.Net.NumNodes()), -1} {
+		if idx, r := g.RouterIndex(n), g.RouterOf(n); idx != -1 || r != -1 {
+			t.Errorf("node %d is not a grid host: RouterIndex = %d, RouterOf = %d, want -1 and -1", n, idx, r)
+		}
 	}
 }

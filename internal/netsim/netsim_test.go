@@ -210,12 +210,21 @@ func TestNoRoutePanics(t *testing.T) {
 	n := New(k)
 	a := n.AddHost("a")
 	b := n.AddHost("b")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for partitioned nodes")
+	c := n.AddHost("c")
+	n.Connect(b, c, 10e6, 1e-3)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+		want string
+	}{
+		{"isolated source", func() { n.StartTransfer(a, b, 1, "x", nil) }, "netsim: no route a -> b"},
+		{"isolated destination", func() { n.AvailBandwidth(c, a) }, "netsim: no route c -> a"},
+		{"two-node component asked about a third", func() { n.PathHops(b, a) }, "netsim: no route b -> a"},
+	} {
+		if got := panicText(tc.fn); got != tc.want {
+			t.Errorf("%s: panic %q, want %q", tc.name, got, tc.want)
 		}
-	}()
-	n.StartTransfer(a, b, 1, "x", nil)
+	}
 }
 
 // buildRandomNet builds a connected random topology with f flows, then

@@ -96,6 +96,8 @@ type flowRef struct {
 
 func resIndex(h hop) int32 { return int32(h.link)*2 + int32(h.dir) }
 
+func unresIndex(ri int32) hop { return hop{link: LinkID(ri >> 1), dir: Dir(ri & 1)} }
+
 // markDirty queues a resource for the next solve.
 func (n *Network) markDirty(ri int32) {
 	r := &n.res[ri]

@@ -1,0 +1,274 @@
+package netsim
+
+import (
+	"fmt"
+	"testing"
+
+	"archadapt/internal/sim"
+)
+
+// oracleRoute is the routing implementation the per-relay trees replaced,
+// kept as the reference: one early-terminating BFS per (src, dst) over every
+// node, neighbours explored in Connect order. ok is false where it panicked
+// with "no route".
+func oracleRoute(n *Network, src, dst NodeID) (path []hop, ok bool) {
+	if src == dst {
+		return nil, true
+	}
+	type crumb struct {
+		prev NodeID
+		via  hop
+	}
+	seen := make([]bool, len(n.nodes))
+	from := make([]crumb, len(n.nodes))
+	queue := []NodeID{src}
+	seen[src] = true
+	found := false
+	for len(queue) > 0 && !found {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, ht := range n.adj[cur] {
+			if seen[ht.to] {
+				continue
+			}
+			seen[ht.to] = true
+			from[ht.to] = crumb{prev: cur, via: ht.h}
+			if ht.to == dst {
+				found = true
+				break
+			}
+			queue = append(queue, ht.to)
+		}
+	}
+	if !found {
+		return nil, false
+	}
+	var rev []hop
+	for at := dst; at != src; at = from[at].prev {
+		rev = append(rev, from[at].via)
+	}
+	path = make([]hop, len(rev))
+	for i := range rev {
+		path[i] = rev[len(rev)-1-i]
+	}
+	return path, true
+}
+
+// oracleAvail is AvailBandwidth as it was computed from a materialised path.
+func oracleAvail(n *Network, path []hop) float64 {
+	if len(path) == 0 {
+		return 0
+	}
+	min := -1.0
+	for _, h := range path {
+		a := n.links[h.link].availCap(h.dir)
+		if min < 0 || a < min {
+			min = a
+		}
+	}
+	if min < n.MinFlowRate {
+		min = n.MinFlowRate
+	}
+	return min
+}
+
+// panicText runs fn and returns what it panicked with ("" if it returned).
+func panicText(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// CheckRoutesAgainstOracle puts seeded background load on every link and
+// then, for every ordered node pair (src == dst included), requires the hop
+// sequence, PathHops and AvailBandwidth to equal the oracle's, and unroutable
+// pairs to panic with the oracle's message from all three entry points. The
+// entry point that meets a cold pair first rotates, so each of them is the
+// one to build trees somewhere. Exported for the external test package,
+// which can import the Figure 6 testbed.
+func CheckRoutesAgainstOracle(t testing.TB, n *Network, seed uint64) {
+	t.Helper()
+	rng := sim.NewRand(seed)
+	for _, l := range n.links {
+		n.SetBackground(l.ID, Fwd, rng.Float64()*1.2*l.Capacity)
+		n.SetBackground(l.ID, Rev, rng.Float64()*1.2*l.Capacity)
+	}
+	pair := 0
+	for s := range n.nodes {
+		for d := range n.nodes {
+			src, dst := NodeID(s), NodeID(d)
+			want, ok := oracleRoute(n, src, dst)
+			calls := []func(){
+				func() {
+					if got := n.PathHops(src, dst); got != len(want) {
+						t.Fatalf("PathHops(%d,%d) = %d, oracle %d", src, dst, got, len(want))
+					}
+				},
+				func() {
+					if got, w := n.AvailBandwidth(src, dst), oracleAvail(n, want); got != w {
+						t.Fatalf("AvailBandwidth(%d,%d) = %v, oracle %v", src, dst, got, w)
+					}
+				},
+				func() {
+					got := n.route(src, dst)
+					if len(got) != len(want) {
+						t.Fatalf("route(%d,%d) = %v, oracle %v", src, dst, got, want)
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("route(%d,%d) = %v, oracle %v", src, dst, got, want)
+						}
+					}
+				},
+			}
+			wantMsg := ""
+			if !ok {
+				wantMsg = fmt.Sprintf("netsim: no route %s -> %s", n.nodes[src].Name, n.nodes[dst].Name)
+			}
+			for i := range calls {
+				if msg := panicText(calls[(pair+i)%len(calls)]); msg != wantMsg {
+					t.Fatalf("pair (%d,%d): panic %q, want %q", src, dst, msg, wantMsg)
+				}
+			}
+			pair++
+		}
+	}
+	if st := n.RouteStats(); st.TreesBuilt > uint64(len(n.trees)) {
+		t.Fatalf("built %d trees for %d relays", st.TreesBuilt, len(n.trees))
+	}
+}
+
+func TestRouteOracleGrids(t *testing.T) {
+	rng := sim.NewRand(20020724)
+	specs := []GridSpec{
+		{Routers: 1, HostsPerRouter: 1},
+		{Routers: 1, HostsPerRouter: 4},
+		{Routers: 2, HostsPerRouter: 1},
+		{Routers: 40, HostsPerRouter: 4, CrossLinks: 12, Seed: 3},
+	}
+	for i := 0; i < 24; i++ {
+		s := GridSpec{Routers: 1 + rng.Intn(40), HostsPerRouter: 1 + rng.Intn(4), Seed: rng.Uint64()}
+		switch i % 3 {
+		case 0:
+			s.CrossLinks = -1
+		case 1:
+			s.CrossLinks = 1 + rng.Intn(s.Routers)
+		}
+		specs = append(specs, s)
+	}
+	for i, s := range specs {
+		g := GenerateGrid(sim.NewKernel(), s)
+		CheckRoutesAgainstOracle(t, g.Net, uint64(i))
+	}
+}
+
+// shape builds a hand-wired network of the given node count and links, in
+// Connect order. Routing never looks at Node.Router, so every node is a host.
+func shape(nodes int, links ...[2]int) *Network {
+	n := New(sim.NewKernel())
+	for i := 0; i < nodes; i++ {
+		n.AddHost(fmt.Sprintf("n%d", i))
+	}
+	for _, l := range links {
+		n.Connect(NodeID(l[0]), NodeID(l[1]), 10e6, 1e-3)
+	}
+	return n
+}
+
+func TestRouteOracleShapes(t *testing.T) {
+	shapes := map[string]*Network{
+		"single node":             shape(1),
+		"two nodes":               shape(2, [2]int{0, 1}),
+		"two nodes, two links":    shape(2, [2]int{0, 1}, [2]int{1, 0}),
+		"star":                    shape(6, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}, [2]int{0, 4}, [2]int{0, 5}),
+		"two leaves on a router":  shape(3, [2]int{1, 0}, [2]int{2, 0}),
+		"bare chain":              shape(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4}, [2]int{4, 5}),
+		"ring with a leaf":        shape(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4}, [2]int{4, 0}, [2]int{5, 2}),
+		"leaf into a tie":         shape(6, [2]int{0, 1}, [2]int{1, 3}, [2]int{1, 2}, [2]int{3, 4}, [2]int{2, 4}, [2]int{4, 5}),
+		"isolated node":           shape(4, [2]int{0, 1}, [2]int{1, 2}),
+		"pair apart from a chain": shape(5, [2]int{0, 1}, [2]int{2, 3}, [2]int{3, 4}),
+		"two rings apart":         shape(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 3}),
+	}
+	for name, n := range shapes {
+		t.Run(name, func(t *testing.T) { CheckRoutesAgainstOracle(t, n, 1) })
+	}
+}
+
+// TestRouteOracleRandomGraphs covers what the grid generator never builds:
+// arbitrary connected-or-not graphs with parallel links, leaves hanging off
+// leaves' neighbours and many equal-length alternatives, where only the
+// exploration order decides the route.
+func TestRouteOracleRandomGraphs(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		rng := sim.NewRand(seed)
+		nodes := 2 + rng.Intn(30)
+		var links [][2]int
+		for i := 1; i < nodes; i++ {
+			if rng.Intn(8) > 0 { // mostly a random tree, sometimes a split
+				links = append(links, [2]int{i, rng.Intn(i)})
+			}
+		}
+		for extra := rng.Intn(nodes); extra > 0; extra-- {
+			a, b := rng.Intn(nodes), rng.Intn(nodes)
+			if a != b {
+				links = append(links, [2]int{a, b})
+			}
+		}
+		CheckRoutesAgainstOracle(t, shape(nodes, links...), seed)
+	}
+}
+
+func TestConnectAfterLookupReroutes(t *testing.T) {
+	n := shape(3, [2]int{0, 1}, [2]int{1, 2})
+	if got := n.PathHops(0, 2); got != 2 {
+		t.Fatalf("A->C over B = %d hops, want 2", got)
+	}
+	if got := len(n.route(0, 2)); got != 2 {
+		t.Fatalf("materialised A->C = %d hops, want 2", got)
+	}
+	direct := n.Connect(0, 2, 10e6, 1e-3)
+	if got := n.PathHops(0, 2); got != 1 {
+		t.Fatalf("A->C after Connect(A,C) = %d hops, want 1", got)
+	}
+	if p := n.route(0, 2); len(p) != 1 || p[0].link != direct {
+		t.Fatalf("materialised A->C after Connect(A,C) = %v, want the new link", p)
+	}
+	CheckRoutesAgainstOracle(t, n, 1)
+}
+
+// Connect used to allocate a fresh path map per link; building a topology
+// must leave no routing state behind and invalidation must cost nothing.
+func TestBuildingTopologyHoldsNoRoutingState(t *testing.T) {
+	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 64, HostsPerRouter: 4})
+	if g.Net.relay != nil || g.Net.trees != nil || len(g.Net.paths) != 0 {
+		t.Fatal("generating a grid left routing state behind")
+	}
+	if got := testing.AllocsPerRun(10, g.Net.dropRoutes); got != 0 {
+		t.Fatalf("dropRoutes with nothing to drop allocates %v, want 0", got)
+	}
+}
+
+func TestWarmLookupsDoNotAllocate(t *testing.T) {
+	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 33, HostsPerRouter: 4, Seed: 5})
+	hosts := g.Hosts
+	sink := 0.0
+	sweep := func() {
+		for _, src := range hosts[:16] {
+			for _, dst := range hosts {
+				sink += g.Net.AvailBandwidth(src, dst) + float64(g.Net.PathHops(src, dst))
+			}
+		}
+	}
+	sweep() // builds the trees
+	if got := testing.AllocsPerRun(5, sweep); got != 0 {
+		t.Fatalf("warm AvailBandwidth/PathHops allocate %v per sweep, want 0", got)
+	}
+	if st := g.Net.RouteStats(); st.PathsMaterialised != 0 || st.TreesBuilt != 4 {
+		t.Fatalf("measuring built %d trees and %d paths, want 4 and 0", st.TreesBuilt, st.PathsMaterialised)
+	}
+	_ = sink
+}

@@ -100,7 +100,7 @@ func (g *Grid) AttachShards(set *sim.Shards) *ShardPlane {
 		p.shardOf[r] = int32(i % n)
 	}
 	for _, h := range g.Hosts {
-		p.shardOf[h] = int32(g.routerIdx[h] % n)
+		p.shardOf[h] = int32(g.RouterIndex(h) % n)
 	}
 	g.Net.Shard = p
 	return p
@@ -167,9 +167,9 @@ func (g *Grid) VerifyShardHosting() error {
 		}
 	}
 	for _, h := range g.Hosts {
-		if got, want := p.shard(h), g.routerIdx[h]%n; got != want {
+		if got, want := p.shard(h), g.RouterIndex(h)%n; got != want {
 			return fmt.Errorf("netsim: host %v (region %d) hosted on shard %d, want %d",
-				h, g.routerIdx[h], got, want)
+				h, g.RouterIndex(h), got, want)
 		}
 	}
 	return nil

@@ -15,6 +15,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"archadapt/internal/sim"
 )
@@ -65,9 +66,18 @@ type Network struct {
 	nodes  []*Node
 	links  []*Link
 	byName map[string]NodeID
-	adj    map[NodeID][]hopTo
+	adj    [][]hopTo // indexed by NodeID, neighbours in Connect order
 
-	paths map[pathKey][]hop // route cache, invalidated on topology change
+	// Routing state (see ends), dropped on any topology change. relay maps a
+	// node to its dense index among the relay nodes (degree ≥ 2), -1 for the
+	// rest; trees[i] is the BFS parent tree rooted at relay i, nil until a
+	// lookup needs it; paths memoises the hop slices route materialises for
+	// the pairs that carry traffic; queue is BFS scratch, as long as a tree.
+	relay  []int32
+	trees  [][]crumb
+	paths  map[pathKey][]hop
+	queue  []NodeID
+	rstats RouteStats
 
 	flows    []*Flow
 	nextFlow uint64
@@ -149,6 +159,21 @@ type SolveStats struct {
 // Stats returns a snapshot of the solver counters.
 func (n *Network) Stats() SolveStats { return n.stats }
 
+// RouteStats counts routing work since the network was created.
+type RouteStats struct {
+	// TreesBuilt is the number of per-relay BFS trees built; RelayVisits the
+	// relay nodes those builds dequeued.
+	TreesBuilt, RelayVisits uint64
+	// Walks is the number of tree lookups (every AvailBandwidth, PathHops
+	// and materialisation between distinct nodes).
+	Walks uint64
+	// PathsMaterialised is the number of hop slices built and memoised.
+	PathsMaterialised uint64
+}
+
+// RouteStats returns a snapshot of the routing counters.
+func (n *Network) RouteStats() RouteStats { return n.rstats }
+
 type hopTo struct {
 	to NodeID
 	h  hop
@@ -156,12 +181,50 @@ type hopTo struct {
 
 type pathKey struct{ src, dst NodeID }
 
+// crumb is one relay's entry in a BFS tree: the relay index of its parent
+// and the directed link (as a resIndex) from the parent to it. via is -1 at
+// the root and at relays the root does not reach.
+type crumb struct{ prev, via int32 }
+
+// walk iterates the hops of one route in dst→src order: the spliced link of
+// a degree-1 destination, the crumbs from tree[at] back to the root, the
+// spliced link of a degree-1 source (see ends).
+type walk struct {
+	tree            []crumb
+	at, first, last int32 // first/last: resIndex, -1 when absent or consumed
+}
+
+// next returns the next hop as a resIndex, or -1 when the walk is done.
+func (w *walk) next() int32 {
+	if ri := w.last; ri >= 0 {
+		w.last = -1
+		return ri
+	}
+	if c := w.tree[w.at]; c.via >= 0 {
+		w.at = c.prev
+		return c.via
+	}
+	ri := w.first
+	w.first = -1
+	return ri
+}
+
+// hops consumes a copy of the walk and returns its length.
+func (w walk) hops() (n int) {
+	for w.next() >= 0 {
+		n++
+	}
+	return n
+}
+
+// rootOnly is the tree walked when a path has no relay-to-relay segment.
+var rootOnly = []crumb{{via: -1}}
+
 // New creates an empty network bound to the kernel.
 func New(k *sim.Kernel) *Network {
 	return &Network{
 		K:                  k,
 		byName:             map[string]NodeID{},
-		adj:                map[NodeID][]hopTo{},
 		paths:              map[pathKey][]hop{},
 		MinFlowRate:        100,  // bits/sec
 		CtrlFloor:          9600, // bits/sec
@@ -181,7 +244,9 @@ func (n *Network) addNode(name string, router bool) NodeID {
 	}
 	id := NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, &Node{ID: id, Name: name, Router: router})
+	n.adj = append(n.adj, nil)
 	n.byName[name] = id
+	n.dropRoutes()
 	return id
 }
 
@@ -222,8 +287,16 @@ func (n *Network) Connect(a, b NodeID, capacity, propDelay float64) LinkID {
 	n.res = append(n.res, resource{}, resource{})
 	n.adj[a] = append(n.adj[a], hopTo{to: b, h: hop{link: id, dir: Fwd}})
 	n.adj[b] = append(n.adj[b], hopTo{to: a, h: hop{link: id, dir: Rev}})
-	n.paths = map[pathKey][]hop{} // routes may change
+	n.dropRoutes()
 	return id
+}
+
+// dropRoutes invalidates the routing state after a topology change. Building
+// a topology touches nothing: there is only something to drop once a lookup
+// has run.
+func (n *Network) dropRoutes() {
+	n.relay, n.trees = nil, nil
+	clear(n.paths)
 }
 
 // Link returns the link by id.
@@ -239,9 +312,86 @@ func (n *Network) LinkBetween(a, b NodeID) (LinkID, bool) {
 	return 0, false
 }
 
-// route returns the hop sequence of a shortest (min-hop) path src→dst,
-// computed by BFS and cached. Deterministic: neighbors are explored in
-// insertion order.
+// ends resolves src→dst (src ≠ dst) into a walk. Routes are min-hop, found
+// by BFS exploring neighbours in Connect order, which makes the BFS tree
+// rooted at src the route to every destination at once. Only relay nodes
+// (degree ≥ 2) can be interior to a path and a degree-1 node changes nobody
+// else's BFS parent, so trees span relays only: a degree-1 source prepends
+// its one link to its neighbour's tree, a degree-1 destination appends its
+// one link to the route to its neighbour.
+func (n *Network) ends(src, dst NodeID) walk {
+	n.rstats.Walks++
+	w := walk{tree: rootOnly, first: -1, last: -1}
+	a, b := src, dst
+	if adj := n.adj[a]; len(adj) == 1 {
+		w.first, a = resIndex(adj[0].h), adj[0].to
+	}
+	if adj := n.adj[b]; len(adj) == 1 && a != dst {
+		w.last, b = resIndex(adj[0].h)^1, adj[0].to
+	}
+	if a == b {
+		return w
+	}
+	if n.relay == nil {
+		n.indexRelays()
+	}
+	if ra, rb := n.relay[a], n.relay[b]; ra >= 0 && rb >= 0 {
+		if w.tree = n.trees[ra]; w.tree == nil {
+			w.tree = n.buildTree(a)
+		}
+		if w.at = rb; w.tree[rb].via >= 0 {
+			return w
+		}
+	}
+	panic(fmt.Sprintf("netsim: no route %s -> %s", n.nodes[src].Name, n.nodes[dst].Name))
+}
+
+// indexRelays numbers the relay nodes and sizes the (empty) tree table.
+func (n *Network) indexRelays() {
+	n.relay = make([]int32, len(n.nodes))
+	relays := int32(0)
+	for i, adj := range n.adj {
+		n.relay[i] = -1
+		if len(adj) >= 2 {
+			n.relay[i] = relays
+			relays++
+		}
+	}
+	n.trees = make([][]crumb, relays)
+}
+
+// buildTree runs the BFS from a relay node over the relay nodes and stores
+// its parent tree.
+func (n *Network) buildTree(root NodeID) []crumb {
+	tree := make([]crumb, len(n.trees))
+	for i := range tree {
+		tree[i].via = -1
+	}
+	ri := n.relay[root]
+	queue := append(n.queue[:0], root)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		for _, ht := range n.adj[cur] {
+			ti := n.relay[ht.to]
+			if ti < 0 || ti == ri || tree[ti].via >= 0 {
+				continue
+			}
+			tree[ti] = crumb{prev: n.relay[cur], via: resIndex(ht.h)}
+			queue = append(queue, ht.to)
+		}
+	}
+	n.rstats.TreesBuilt++
+	n.rstats.RelayVisits += uint64(len(queue))
+	n.queue = queue[:0]
+	n.trees[ri] = tree
+	return tree
+}
+
+// route returns the hop sequence src→dst as a slice, memoised per pair. It
+// is for the callers that keep or replay the path (flows, control messages);
+// measurements walk the tree instead (AvailBandwidth, PathHops), so the
+// memo grows with the pairs that carry traffic, not with the pairs asked
+// about.
 func (n *Network) route(src, dst NodeID) []hop {
 	if src == dst {
 		return nil
@@ -249,48 +399,23 @@ func (n *Network) route(src, dst NodeID) []hop {
 	if p, ok := n.paths[pathKey{src, dst}]; ok {
 		return p
 	}
-	type crumb struct {
-		prev NodeID
-		via  hop
+	w := n.ends(src, dst)
+	path := make([]hop, w.hops())
+	for i := len(path) - 1; i >= 0; i-- {
+		path[i] = unresIndex(w.next())
 	}
-	seen := make([]bool, len(n.nodes))
-	from := make([]crumb, len(n.nodes))
-	queue := []NodeID{src}
-	seen[src] = true
-	found := false
-	for len(queue) > 0 && !found {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, ht := range n.adj[cur] {
-			if seen[ht.to] {
-				continue
-			}
-			seen[ht.to] = true
-			from[ht.to] = crumb{prev: cur, via: ht.h}
-			if ht.to == dst {
-				found = true
-				break
-			}
-			queue = append(queue, ht.to)
-		}
-	}
-	if !found {
-		panic(fmt.Sprintf("netsim: no route %s -> %s", n.nodes[src].Name, n.nodes[dst].Name))
-	}
-	var rev []hop
-	for at := dst; at != src; at = from[at].prev {
-		rev = append(rev, from[at].via)
-	}
-	path := make([]hop, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
-	}
+	n.rstats.PathsMaterialised++
 	n.paths[pathKey{src, dst}] = path
 	return path
 }
 
 // PathHops returns the number of hops on the route src→dst.
-func (n *Network) PathHops(src, dst NodeID) int { return len(n.route(src, dst)) }
+func (n *Network) PathHops(src, dst NodeID) int {
+	if src == dst {
+		return 0
+	}
+	return n.ends(src, dst).hops()
+}
 
 // SetBackground sets the background (competition) load on one direction of a
 // link, in bits/sec, and reflows the elastic traffic in the link's region.
@@ -348,21 +473,15 @@ func (l *Link) availCap(d Dir) float64 {
 // substitute predicts and what the bandwidth gauges report; it corresponds to
 // the "Available Bandwidth" series of Figures 10 and 12.
 func (n *Network) AvailBandwidth(src, dst NodeID) float64 {
-	path := n.route(src, dst)
-	if len(path) == 0 {
+	if src == dst {
 		return 0
 	}
-	min := -1.0
-	for _, h := range path {
-		a := n.links[h.link].availCap(h.dir)
-		if min < 0 || a < min {
-			min = a
-		}
+	w := n.ends(src, dst)
+	bw := math.Inf(1)
+	for ri := w.next(); ri >= 0; ri = w.next() {
+		bw = min(bw, n.links[ri>>1].availCap(Dir(ri&1)))
 	}
-	if min < n.MinFlowRate {
-		min = n.MinFlowRate
-	}
-	return min
+	return max(bw, n.MinFlowRate)
 }
 
 // BottleneckShare returns the bandwidth a new elastic flow would currently

@@ -3,7 +3,7 @@
 # baseline (BENCH_fleet.json). Thin wrapper over cmd/benchjson so future PRs
 # have one entry point:
 #
-#   scripts/bench.sh                 # full sweep: N=4,16,32,64, 3 iters each
+#   scripts/bench.sh                 # full sweep: N=4..256 at 3 iters, N=1024 at 1
 #   scripts/bench.sh -quick          # CI smoke: N=4, 1 iter
 #   scripts/bench.sh -out - | jq .   # print to stdout
 #   scripts/bench.sh -profile [DIR]  # profile the N=16 migration fixture
