@@ -409,13 +409,6 @@ func FleetParallelBenchScenario(n, workers int, seed uint64) FleetScenarioOption
 	return fleet.ParallelBenchScenario(n, workers, seed)
 }
 
-// FleetShardedBenchScenario is the canonical region-sharded hosting fixture
-// (the parallel-plane workload executed on per-region shard kernels), shared
-// by BenchmarkFleetSharded and cmd/benchjson.
-func FleetShardedBenchScenario(n, shards int, seed uint64) FleetScenarioOptions {
-	return fleet.ShardedBenchScenario(n, shards, seed)
-}
-
 // FleetOpenLoopBenchScenario is the canonical open-loop fixture (constant
 // aggregate offered load per app, so cost must not scale with the modeled
 // population), shared by BenchmarkFleetOpenLoop and cmd/benchjson.

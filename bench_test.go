@@ -435,42 +435,6 @@ func BenchmarkFleetParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetSharded measures the region-sharded hosting plane on the
-// canonical sharded fixture (shared with cmd/benchjson): the parallel-plane
-// workload with event execution hosted on per-region shard kernels. Shards is
-// a pure hosting knob — repairs/app must be identical down every shards
-// column (the byte-identity contract the sharded equivalence tests and the
-// chaos sharded invariant enforce); ms/app is what the sweep actually
-// measures, and the target is roughly flat as shards are added (the window
-// driver and exchange must not dominate).
-func BenchmarkFleetSharded(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		for _, s := range []struct {
-			label  string
-			shards int
-		}{{"single", 0}, {"1", 1}, {"4", 4}, {"region", -1}} {
-			b.Run(fmt.Sprintf("N=%d/shards=%s", n, s.label), func(b *testing.B) {
-				b.ReportAllocs()
-				var repairs int
-				for i := 0; i < b.N; i++ {
-					res, err := RunFleetScenario(FleetShardedBenchScenario(n, s.shards, benchSeed(i)))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got := len(res.Summaries); got != n {
-						b.Fatalf("admitted %d apps, want %d", got, n)
-					}
-					for _, sum := range res.Summaries {
-						repairs += sum.Repairs
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*n), "ms/app")
-				b.ReportMetric(float64(repairs)/float64(b.N*n), "repairs/app")
-			})
-		}
-	}
-}
-
 // BenchmarkFleetOpenLoop measures the open-loop heavy-traffic engine on the
 // canonical fixture (shared with cmd/benchjson): every app offers a constant
 // 8 req/s aggregate regardless of the modeled population, so users is pure

@@ -37,13 +37,6 @@ type Baseline struct {
 	// fixed app count. Workers is a pure throughput knob, so repairs_per_app
 	// must be identical down the sweep — -check enforces it exactly.
 	FleetParallel []FleetRow `json:"fleet_parallel"`
-	// FleetSharded mirrors BenchmarkFleetSharded: the same simultaneous-crush
-	// fixture (fleet.ShardedBenchScenario) with event execution hosted on
-	// per-region shard kernels, swept over shard counts (0 = the single-kernel
-	// oracle, -1 = one shard per region). Shards is a pure hosting knob, so
-	// repairs_per_app must be identical down the sweep — -check enforces it
-	// exactly.
-	FleetSharded []FleetRow `json:"fleet_sharded"`
 	// FleetOpenLoop mirrors BenchmarkFleetOpenLoop: the open-loop fixture
 	// (fleet.OpenLoopBenchScenario) at a fixed app count over population
 	// sizes. Each app offers a constant 8 req/s aggregate regardless of
@@ -74,10 +67,6 @@ type FleetRow struct {
 	// Workers is set only on fleet_parallel rows: the worker-pool size the
 	// row was measured at (1 = the serial oracle).
 	Workers int `json:"workers,omitempty"`
-	// Shards is set only on fleet_sharded rows: the region shard count the
-	// row was measured at (omitted/0 = the single-kernel oracle, -1 = one
-	// shard per region).
-	Shards int `json:"shards,omitempty"`
 	// Users and ResponsesPerApp are set only on fleet_openloop rows: the
 	// modeled population per app and the deterministic synthetic-response
 	// canary (population-independent by construction).
@@ -133,16 +122,6 @@ func benchParallel(n, workers, iters int) (FleetRow, error) {
 		return fleet.ParallelBenchScenario(n, workers, uint64(i+1))
 	})
 	row.Workers = workers
-	return row, err
-}
-
-// benchSharded measures the region-sharded hosting fixture (shared with
-// BenchmarkFleetSharded) at one shard count.
-func benchSharded(n, shards, iters int) (FleetRow, error) {
-	row, err := benchScenario(n, iters, func(i int) fleet.ScenarioOptions {
-		return fleet.ShardedBenchScenario(n, shards, uint64(i+1))
-	})
-	row.Shards = shards
 	return row, err
 }
 
@@ -339,43 +318,6 @@ func check(baselinePath string, tolerance float64) {
 		}
 	}
 
-	// Sharded-plane gates: Shards is a pure hosting knob, so every
-	// fleet_sharded row — fresh and committed, single-kernel oracle and
-	// region-sharded — must report the identical repairs/app, and each fresh
-	// row's allocs/app is held to the general tolerance against its own
-	// committed shard count.
-	if len(base.FleetSharded) == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: baseline has no fleet_sharded rows — regenerate with scripts/bench.sh\n")
-		os.Exit(1)
-	}
-	shardRepairs := base.FleetSharded[0].RepairsPerApp
-	for _, committed := range base.FleetSharded {
-		if committed.RepairsPerApp != shardRepairs {
-			fmt.Fprintf(os.Stderr, "benchjson: committed fleet_sharded rows disagree on repairs/app (shards=%d: %.4f vs %.4f) — the baseline itself violates shard invariance\n",
-				committed.Shards, committed.RepairsPerApp, shardRepairs)
-			failed = true
-			continue
-		}
-		fresh, err := benchSharded(committed.Apps, committed.Shards, 1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: sharded N=%d shards=%d: %v\n", committed.Apps, committed.Shards, err)
-			os.Exit(1)
-		}
-		limit := committed.AllocsPerApp * (1 + tolerance)
-		fmt.Fprintf(os.Stderr, "check sharded N=%d shards=%d: repairs/app %.4f (committed %.4f), allocs/app %.0f (limit %.0f), ms/app %.3f\n",
-			committed.Apps, committed.Shards, fresh.RepairsPerApp, committed.RepairsPerApp, fresh.AllocsPerApp, limit, fresh.MsPerApp)
-		if fresh.RepairsPerApp != committed.RepairsPerApp {
-			fmt.Fprintf(os.Stderr, "benchjson: sharded shards=%d repairs/app drifted from the committed baseline — shard count must not change behavior; investigate before regenerating\n",
-				committed.Shards)
-			failed = true
-		}
-		if fresh.AllocsPerApp > limit {
-			fmt.Fprintf(os.Stderr, "benchjson: sharded shards=%d allocs/app regressed >%.0f%% vs %s\n",
-				committed.Shards, 100*tolerance, baselinePath)
-			failed = true
-		}
-	}
-
 	// Open-loop gates: the modeled population is pure bookkeeping — one
 	// aggregated flow class per (client-region, server-group) pair carries
 	// however many users the row models — so every committed fleet_openloop
@@ -473,7 +415,7 @@ func main() {
 	out := flag.String("out", "BENCH_fleet.json", "output file ('-' for stdout)")
 	quick := flag.Bool("quick", false, "smoke mode: N=4 only, one iteration")
 	iters := flag.Int("iters", 3, "fleet scenario iterations per size point")
-	checkPath := flag.String("check", "", "compare fresh fleet N=32 and N=128, (ranked) migration N=16, parallel worker-sweep, sharded shard-sweep and open-loop population-sweep runs against this committed baseline; exit non-zero if allocs/app regressed >20%, allocs/app or MB/app grow >1.25x from N=32 to N=128, migrations/app or responses/app drifted, repairs/app differs across worker or shard counts, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
+	checkPath := flag.String("check", "", "compare fresh fleet N=32 and N=128, (ranked) migration N=16, parallel worker-sweep and open-loop population-sweep runs against this committed baseline; exit non-zero if allocs/app regressed >20%, allocs/app or MB/app grow >1.25x from N=32 to N=128, migrations/app or responses/app drifted, repairs/app differs across worker counts, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
 	flag.Parse()
 
 	if *checkPath != "" {
@@ -562,18 +504,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "parallel N=%-3d workers=%d %7.3f ms/app  %5.2f repairs/app  %10.0f allocs/app\n",
 			parN, w, row.MsPerApp, row.RepairsPerApp, row.AllocsPerApp)
 		base.FleetParallel = append(base.FleetParallel, row)
-	}
-	// Sharded-plane sweep: one seed-1 iteration per shard count, like the
-	// parallel sweep, because repairs_per_app is exactly gated by -check.
-	for _, s := range []int{0, 1, -1} {
-		row, err := benchSharded(parN, s, 1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: sharded N=%d shards=%d: %v\n", parN, s, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sharded N=%-3d shards=%-2d %7.3f ms/app  %5.2f repairs/app  %10.0f allocs/app\n",
-			parN, s, row.MsPerApp, row.RepairsPerApp, row.AllocsPerApp)
-		base.FleetSharded = append(base.FleetSharded, row)
 	}
 	// Open-loop population sweep: one seed-1 iteration per size, because
 	// responses_per_app is exactly gated by -check (and ms_per_app must not

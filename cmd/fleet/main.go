@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	fleet [-apps N] [-mode both|control|adaptive|migrate] [-seed N] [-workers N] [-shards N]
+//	fleet [-apps N] [-mode both|control|adaptive|migrate] [-seed N] [-workers N]
 //	      [-duration S] [-routers N] [-hosts-per-router N] [-spare-routers N]
 //	      [-host-capacity N] [-admit-stagger S] [-admit-waves N] [-retire-after S]
 //	      [-crush-start S] [-crush-stagger S] [-crush-duration S]
@@ -81,7 +81,6 @@ func main() {
 	mode := flag.String("mode", "both", "control | adaptive | both | migrate")
 	seed := flag.Uint64("seed", 1, "fleet seed (drives every stochastic stream)")
 	workers := flag.Int("workers", 1, "simulation worker pool size (1 = serial oracle; results are byte-identical at any setting)")
-	shards := flag.Int("shards", 0, "host event execution on per-region shard kernels: 0 = single-kernel oracle, -1 = one shard per region, N = N shards (results are byte-identical at any setting)")
 	duration := flag.Float64("duration", 600, "run duration in simulated seconds")
 	routers := flag.Int("routers", 0, "backbone routers (0 = auto-size for -apps)")
 	hostsPerRouter := flag.Int("hosts-per-router", 0, "hosts per router (0 = auto)")
@@ -186,8 +185,6 @@ func main() {
 				base.Seed = *seed
 			case "workers":
 				base.Workers = *workers
-			case "shards":
-				base.Shards = *shards
 			case "duration":
 				base.Duration = *duration
 			case "migration":
@@ -221,7 +218,6 @@ func main() {
 			Apps:           *apps,
 			Seed:           *seed,
 			Workers:        *workers,
-			Shards:         *shards,
 			Duration:       *duration,
 			Routers:        *routers,
 			HostsPerRouter: *hostsPerRouter,

@@ -2,14 +2,12 @@
 // becomes a random-but-deterministic fleet scenario — grid shape, app mix,
 // admission churn, and a fault schedule composing the injectors into
 // overlapping, repeated, restore-racing sequences — executed in both pinned
-// and migrate modes under the eight standing invariants (same-seed
+// and migrate modes under the seven standing invariants (same-seed
 // determinism, slot/reservation ledger audits, netsim solver-vs-oracle
 // equivalence, ranked-targeting sanity, no stuck drains, parallel/serial
 // worker invariance — a pooled run must fingerprint byte-identically to the
-// single-kernel oracle — a balanced admission ledger with autoscaled replicas
-// inside the policy cap on seeds that enable the open-loop engine, and
-// sharded/single-kernel invariance — a run hosted on per-region shard kernels
-// must fingerprint byte-identically to the same run on one kernel).
+// single-kernel oracle — and, on seeds that enable the open-loop engine, a
+// balanced admission ledger with autoscaled replicas inside the policy cap).
 //
 // Usage:
 //

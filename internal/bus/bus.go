@@ -405,7 +405,7 @@ func (sh *Shard) PublishBatch(msgs []Message) {
 			}
 			d := b.getDelivery()
 			d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, msg
-			b.Net.SendPrecomputed(msg.Src, s.Host, delay, b.MsgBits, b.Priority, deliverFn, d)
+			b.Net.SendPrecomputed(delay, b.MsgBits, b.Priority, deliverFn, d)
 		}
 	}
 }

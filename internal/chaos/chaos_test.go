@@ -54,6 +54,13 @@ func TestGenerateBounds(t *testing.T) {
 				t.Fatalf("seed %d: fault schedule not sorted by At", seed)
 			}
 		}
+		// StartScenario validates its options first and reports bad input as
+		// an error; nothing the generator emits may trip it.
+		run, err := fleet.StartScenario(o)
+		if err != nil {
+			t.Fatalf("seed %d: generated scenario rejected: %v", seed, err)
+		}
+		run.Fleet.Close()
 		p := MigratePolicy(seed)
 		if !p.Enabled || p.MaxConcurrent < 1 || p.MaxConcurrent > 3 {
 			t.Fatalf("seed %d: generated policy out of bounds: %+v", seed, p)

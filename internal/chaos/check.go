@@ -24,8 +24,8 @@ type Violation struct {
 	Seed uint64
 	Mode string
 	// Invariant names the failed class: determinism, slots, netsim, ranked,
-	// drains, parallel, openloop, sharded, or run (the scenario failed to
-	// start at all).
+	// drains, parallel, openloop, or run (the scenario failed to start at
+	// all).
 	Invariant string
 	Detail    string
 }
@@ -197,25 +197,6 @@ func Check(opts fleet.ScenarioOptions) []Violation {
 				}
 			}
 		}
-	}
-
-	// (8) Sharded hosting invariance: Shards is a pure hosting knob, so a
-	// region-sharded run must be byte-identical to the single-kernel oracle
-	// (and a scenario already sharded must match its single-kernel twin). On
-	// a divergence the detail names the minimal shard count that reproduces
-	// it, found by MinimalDivergingShards.
-	sh := opts
-	if sh.Shards != 0 {
-		sh.Shards = 0
-	} else {
-		sh.Shards = -1
-	}
-	if sres, serr := run(sh, false); serr != nil {
-		add("sharded", "shards=%d twin failed to start: %v", sh.Shards, serr)
-	} else if sf := Fingerprint(sres); sf != baseFP {
-		minS := MinimalDivergingShards(opts, 8)
-		add("sharded", "shards=%d run diverges from shards=%d (minimal diverging count %d):\n--- shards=%d\n%s--- shards=%d\n%s",
-			sh.Shards, opts.Shards, minS, opts.Shards, baseFP, sh.Shards, sf)
 	}
 	return vs
 }

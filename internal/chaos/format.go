@@ -65,9 +65,6 @@ func FormatOptions(o fleet.ScenarioOptions) string {
 	if o.Workers != 0 {
 		w("Workers: %d", o.Workers)
 	}
-	if o.Shards != 0 {
-		w("Shards: %d", o.Shards)
-	}
 	if p := o.Migration; p.Enabled {
 		fmt.Fprintf(&b, "\tMigration: fleet.MigrationPolicy{Enabled: true")
 		if p.Ranked {

@@ -22,10 +22,7 @@
 //     ledger balances (Offered = Admitted + Shed + Queued; Admitted =
 //     Active + Retired, with Active matching the live population) and no
 //     server group ever carries more autoscaled replicas than the policy
-//     cap;
-//  8. sharded — a run hosted on per-region shard kernels fingerprints
-//     byte-identically to the single-kernel oracle (Shards is a pure
-//     hosting knob, exactly as Workers is a pure throughput knob).
+//     cap.
 //
 // On failure, Shrink bisects the fault schedule (ddmin) and trims the
 // scenario to a minimal reproducer, and FormatOptions renders it as a
@@ -215,14 +212,6 @@ func Generate(seed uint64) fleet.ScenarioOptions {
 					Rates: []float64{perUser * 0.5, perUser * 1.5, perUser * 0.8}}
 			}
 		}
-	}
-	// Region-sharded hosting draws from its own fork for the same reason as
-	// the open-loop block: every pre-sharding field of every seed keeps its
-	// historical value. A third of seeds host execution on per-region shard
-	// kernels; the sharded invariant then checks the other side, so both
-	// directions of the equivalence see continuous fuzz.
-	if sim.NewRand(seed).Fork("chaos:shards").Intn(3) == 0 {
-		opts.Shards = -1
 	}
 	return opts
 }

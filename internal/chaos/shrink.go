@@ -94,15 +94,6 @@ func Shrink(opts fleet.ScenarioOptions, fails func(fleet.ScenarioOptions) bool, 
 			cur = cand
 		}
 	}
-	if cur.Shards != 0 {
-		// Try moving the run back onto the single kernel: if the failure
-		// survives, it was never a sharding bug.
-		cand := cur
-		cand.Shards = 0
-		if try(cand) {
-			cur = cand
-		}
-	}
 	for cur.Duration > 120 {
 		cand := cur
 		cand.Duration = math.Round(cur.Duration * 0.7)
@@ -137,30 +128,6 @@ func MinimalDivergingWorkers(opts fleet.ScenarioOptions, max int) int {
 		res, err := fleet.RunScenario(cand)
 		if err != nil || Fingerprint(res) != want {
 			return w
-		}
-	}
-	return 0
-}
-
-// MinimalDivergingShards is MinimalDivergingWorkers for the region-sharded
-// hosting plane: it scans shard counts 1..max and returns the smallest one
-// whose run diverges (by Fingerprint) from the Shards=0 single-kernel oracle.
-// The scan starts at 1 because even a one-shard run exercises the window
-// driver and exchange; 0 means every sharded run up to max was byte-identical.
-func MinimalDivergingShards(opts fleet.ScenarioOptions, max int) int {
-	single := opts
-	single.Shards = 0
-	ref, err := fleet.RunScenario(single)
-	if err != nil {
-		return 0
-	}
-	want := Fingerprint(ref)
-	for s := 1; s <= max; s++ {
-		cand := opts
-		cand.Shards = s
-		res, err := fleet.RunScenario(cand)
-		if err != nil || Fingerprint(res) != want {
-			return s
 		}
 	}
 	return 0

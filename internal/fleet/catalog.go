@@ -282,22 +282,6 @@ func ParallelBenchScenario(n, workers int, seed uint64) ScenarioOptions {
 	}
 }
 
-// ShardedBenchScenario is the canonical region-sharded hosting fixture: the
-// same simultaneous-crush workload as ParallelBenchScenario, executed with
-// fleet event execution hosted on the given shard count (0 = the
-// single-kernel oracle, -1 = one shard per region). Shards is a pure hosting
-// knob — every summary is byte-identical across counts — so
-// BenchmarkFleetSharded and the fleet_sharded rows in BENCH_fleet.json
-// measure the window driver's overhead (ms/app should stay roughly flat as
-// shards are added), and repairs/app doubles as the cross-shard behavior
-// canary.
-func ShardedBenchScenario(n, shards int, seed uint64) ScenarioOptions {
-	o := ParallelBenchScenario(n, 0, seed)
-	o.Workers = 0
-	o.Shards = shards
-	return o
-}
-
 // RankedMigrationBenchScenario is MigrationBenchScenario with
 // measurement-driven targeting enabled — the canonical ranked-migration
 // fixture behind BenchmarkFleetRankedMigration and the

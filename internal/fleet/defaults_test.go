@@ -119,6 +119,52 @@ func TestMigrationPolicyValidate(t *testing.T) {
 	}
 }
 
+// TestScenarioOptionsValidate feeds StartScenario one bad value per
+// time-valued field (and a misspelt fault kind): each must come back as an
+// error naming the field — not a kernel panic, and not a run that never ends.
+func TestScenarioOptionsValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		frag string // the field the error must name
+		in   ScenarioOptions
+	}{
+		{"Duration", ScenarioOptions{Duration: nan}},
+		{"Duration", ScenarioOptions{Duration: inf}},
+		{"AdmitStagger", ScenarioOptions{AdmitStagger: nan}},
+		{"WavePeriod", ScenarioOptions{AdmitWaves: 2, WavePeriod: nan}},
+		{"RetireAfter", ScenarioOptions{RetireAfter: inf}},
+		{"CrushStart", ScenarioOptions{CrushStart: nan}},
+		{"CrushStagger", ScenarioOptions{CrushStagger: nan}},
+		{"CrushDuration", ScenarioOptions{CrushDuration: nan}},
+		{"BackboneCrushStart", ScenarioOptions{BackboneCrushStart: nan}},
+		{"BackboneCrushDuration", ScenarioOptions{BackboneCrushStart: 100, BackboneCrushDuration: math.Inf(-1)}},
+		{"RegionFailStart", ScenarioOptions{RegionFailStart: inf}},
+		{"RegionFailDuration", ScenarioOptions{RegionFailStart: 100, RegionFailDuration: nan}},
+		{"Faults[1].At", ScenarioOptions{Faults: []Fault{
+			{At: 10, Kind: FaultRetire}, {At: nan, Kind: FaultRetire}}}},
+		{"Faults[0].At", ScenarioOptions{Faults: []Fault{{At: -1, Kind: FaultRetire}}}},
+		{"Faults[0].Duration", ScenarioOptions{Faults: []Fault{{At: 10, Kind: FaultRegionFail, Duration: nan}}}},
+		{"Faults[0].Kind", ScenarioOptions{Faults: []Fault{{At: 10, Kind: "region-fial"}}}},
+	}
+	for _, c := range cases {
+		t.Run(c.frag, func(t *testing.T) {
+			c.in.Apps = 2
+			run, err := StartScenario(c.in)
+			if err == nil {
+				run.Fleet.Close()
+				t.Fatalf("StartScenario accepted %+v", c.in)
+			}
+			if !strings.Contains(err.Error(), c.frag) {
+				t.Errorf("error %q does not name %s", err, c.frag)
+			}
+		})
+	}
+	// The zero value and the disabling sentinels stay valid.
+	if err := (ScenarioOptions{CrushStart: -1}).validate(); err != nil {
+		t.Errorf("validate rejected a valid scenario: %v", err)
+	}
+}
+
 // TestConfigWithDefaults covers the fleet-config defaulting rules directly.
 func TestConfigWithDefaults(t *testing.T) {
 	got := Config{}.withDefaults()

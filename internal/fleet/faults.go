@@ -379,6 +379,18 @@ func (f *Fleet) applyFault(flt Fault, appName func(int) string) {
 	}
 }
 
+// known reports whether k is one of the kinds applyFault handles.
+func (k FaultKind) known() bool {
+	switch k {
+	case FaultCrushPrimary, FaultCrushAll, FaultRestoreApp,
+		FaultBackboneCrush, FaultBackboneRestore, FaultBackbonePartialRestore,
+		FaultRegionFail, FaultRegionRestore, FaultRegionPartialRestore,
+		FaultRetire, FaultMigrate:
+		return true
+	}
+	return false
+}
+
 // restoreKind returns the restore paired with an injection kind (for
 // Fault.Duration auto-scheduling), or "" when the kind has no restore.
 func (k FaultKind) restoreKind() FaultKind {

@@ -104,17 +104,6 @@ type Config struct {
 	// affinity. The kernel's (time, seq) event order stays the single source
 	// of truth, so same-seed runs are byte-identical at every worker count.
 	Workers int
-	// ShardByRegion declares that the grid carries a region shard plane
-	// (netsim.Grid.AttachShards) and the run is driven by sim.Shards windows
-	// instead of a single Kernel.Run: each region's events execute on its own
-	// shard kernel, with cross-region flow completions, bus deliveries and
-	// Remos exchanges hosted on the destination's shard. New validates the
-	// flag against the grid — a sharded fleet without a plane (or a plane
-	// without the flag) is a wiring bug, not a mode. Off (the default) the
-	// fleet is byte-identical to a build without the plane; on, the shared
-	// (time, seq) order keeps runs byte-identical to the single-kernel oracle
-	// at every shard count.
-	ShardByRegion bool
 }
 
 func (c Config) withDefaults() Config {
@@ -375,15 +364,6 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 	if cfg.Trace && cfg.PerAppMonitoring {
 		return nil, fmt.Errorf("fleet: tracing requires the fleet-shared monitoring plane (disable PerAppMonitoring)")
 	}
-	if cfg.ShardByRegion && grid.Net.Shard == nil {
-		return nil, fmt.Errorf("fleet: ShardByRegion set but the grid has no shard plane (call Grid.AttachShards first)")
-	}
-	if !cfg.ShardByRegion && grid.Net.Shard != nil {
-		return nil, fmt.Errorf("fleet: grid has a shard plane but Config.ShardByRegion is off")
-	}
-	if cfg.ShardByRegion && grid.Net.Shard.Set().Shard(0).Kernel != k {
-		return nil, fmt.Errorf("fleet: sharded fleet must run on shard 0's kernel (the control shard)")
-	}
 	f := &Fleet{
 		K: k, Grid: grid, Net: grid.Net, Cfg: cfg,
 		rng:            sim.NewRand(seed),
@@ -424,13 +404,7 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 		f.ProbeBus.Tracer = f.tracer
 		f.ReportBus.Tracer = f.tracer
 		f.Cfg.Manager.Tracer = f.tracer
-		if sp := f.Net.Shard; sp != nil {
-			// Sharded: every region kernel fires events, so the event-rate
-			// counter must observe them all (shard 0's kernel is k itself).
-			sp.ForEachKernel(func(sk *sim.Kernel) { sk.FireHook = f.tracer.KernelEvent })
-		} else {
-			k.FireHook = f.tracer.KernelEvent
-		}
+		k.FireHook = f.tracer.KernelEvent
 	}
 	f.Sch.Predict = func(src, dst netsim.NodeID) float64 {
 		if bw, ok := f.Rm.Predict(src, dst); ok {

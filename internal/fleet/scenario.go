@@ -122,17 +122,6 @@ type ScenarioOptions struct {
 	// exactly that.
 	Workers int
 
-	// Shards hosts fleet event execution on per-region shard kernels
-	// (Config.ShardByRegion): 0 (the default) runs the retained single-kernel
-	// oracle; -1 gives every grid region (router) its own shard; k >= 1 uses
-	// k shards with regions assigned round-robin (capped at the region
-	// count). The window width is the grid's conservative lookahead — the
-	// minimum backbone link latency — so intra-region events never wait on a
-	// barrier and cross-region deliveries always clear it. Same-seed runs are
-	// byte-identical at every shard count; the catalog-wide sharded
-	// equivalence test and the chaos sharded invariant enforce exactly that.
-	Shards int
-
 	// GlobalReflow forces the network's pre-incremental global solver (every
 	// flow recomputed on every change). Test/bench escape hatch: the solver
 	// equivalence test runs the same scenario both ways and requires
@@ -209,6 +198,46 @@ func (o ScenarioOptions) withDefaults() ScenarioOptions {
 	return o
 }
 
+// validate rejects options the kernel cannot schedule: a NaN or infinite
+// value in any time-valued field (a NaN horizon never ends, a NaN event time
+// panics in the kernel), a fault scheduled before t=0, and a fault kind
+// applyFault does not know (a typo would otherwise be a silent no-op).
+func (o ScenarioOptions) validate() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	times := []struct {
+		field string
+		v     float64
+	}{
+		{"Duration", o.Duration},
+		{"AdmitStagger", o.AdmitStagger},
+		{"WavePeriod", o.WavePeriod},
+		{"RetireAfter", o.RetireAfter},
+		{"CrushStart", o.CrushStart},
+		{"CrushStagger", o.CrushStagger},
+		{"CrushDuration", o.CrushDuration},
+		{"BackboneCrushStart", o.BackboneCrushStart},
+		{"BackboneCrushDuration", o.BackboneCrushDuration},
+		{"RegionFailStart", o.RegionFailStart},
+		{"RegionFailDuration", o.RegionFailDuration},
+	}
+	for _, t := range times {
+		if !finite(t.v) {
+			return fmt.Errorf("fleet: ScenarioOptions.%s = %v is not a finite time", t.field, t.v)
+		}
+	}
+	for i, flt := range o.Faults {
+		switch {
+		case !finite(flt.At) || flt.At < 0:
+			return fmt.Errorf("fleet: ScenarioOptions.Faults[%d].At = %v is not a finite non-negative time", i, flt.At)
+		case !finite(flt.Duration):
+			return fmt.Errorf("fleet: ScenarioOptions.Faults[%d].Duration = %v is not a finite time", i, flt.Duration)
+		case !flt.Kind.known():
+			return fmt.Errorf("fleet: ScenarioOptions.Faults[%d].Kind = %q is not a fault kind", i, flt.Kind)
+		}
+	}
+	return nil
+}
+
 // ScenarioResult bundles the finished fleet with its summaries.
 type ScenarioResult struct {
 	Opts      ScenarioOptions
@@ -230,9 +259,6 @@ type ScenarioRun struct {
 	K     *sim.Kernel
 	Grid  *netsim.Grid
 	Fleet *Fleet
-	// Shards is the region shard set when Opts.Shards != 0 (K is then shard
-	// 0's kernel — the control shard); nil for single-kernel runs.
-	Shards *sim.Shards
 }
 
 // ScenarioAppName returns the name RunScenario gives app index i.
@@ -242,30 +268,17 @@ func ScenarioAppName(i int) string { return fmt.Sprintf("app%02d", i) }
 // admissions, retirements, the single-event crush knobs, and the explicit
 // Faults schedule — without running any virtual time.
 func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
-	opts = opts.withDefaults()
-	var shards *sim.Shards
-	var k *sim.Kernel
-	if opts.Shards != 0 {
-		n := opts.Shards
-		if n < 0 || n > opts.Routers {
-			n = opts.Routers
-		}
-		shards = sim.NewSeqShards(n)
-		// The control shard hosts everything that is not pinned to a region:
-		// admissions, tickers, the script, and every unknown node.
-		k = shards.Shard(0).Kernel
-	} else {
-		k = sim.NewKernel()
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
+	opts = opts.withDefaults()
+	k := sim.NewKernel()
 	grid := netsim.GenerateGrid(k, netsim.GridSpec{
 		Routers:        opts.Routers,
 		HostsPerRouter: opts.HostsPerRouter,
 		Seed:           opts.Seed,
 	})
 	grid.Net.GlobalReflow = opts.GlobalReflow
-	if shards != nil {
-		grid.AttachShards(shards)
-	}
 	f, err := New(k, grid, opts.Seed, Config{
 		Manager:          opts.Manager,
 		Adaptive:         opts.Adaptive,
@@ -275,7 +288,6 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 		OpenLoop:         opts.OpenLoop,
 		Trace:            opts.Trace,
 		Workers:          opts.Workers,
-		ShardByRegion:    shards != nil,
 	})
 	if err != nil {
 		return nil, err
@@ -345,7 +357,7 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 			k.At(flt.At+flt.Duration, func() { f.applyFault(lift, ScenarioAppName) })
 		}
 	}
-	return &ScenarioRun{Opts: opts, K: k, Grid: grid, Fleet: f, Shards: shards}, nil
+	return &ScenarioRun{Opts: opts, K: k, Grid: grid, Fleet: f}, nil
 }
 
 // Finish runs a started scenario to completion: Duration seconds of
@@ -353,21 +365,9 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 // gauge churn. The fleet's worker pool (if any) is released once the final
 // summaries are taken.
 func (r *ScenarioRun) Finish() *ScenarioResult {
-	if r.Shards != nil {
-		// Region-sharded drive: lockstep windows sized by the grid's
-		// conservative lookahead (a single-region grid has no backbone and
-		// runs one unbounded window). The sequenced shard set shares one
-		// (time, seq) order, so this executes the exact event sequence
-		// K.Run would.
-		window := r.Grid.Lookahead()
-		r.Shards.Run(r.Opts.Duration, window)
-		r.Fleet.Stop()
-		r.Shards.Run(r.Opts.Duration+120, window)
-	} else {
-		r.K.Run(r.Opts.Duration)
-		r.Fleet.Stop()
-		r.K.Run(r.Opts.Duration + 120)
-	}
+	r.K.Run(r.Opts.Duration)
+	r.Fleet.Stop()
+	r.K.Run(r.Opts.Duration + 120)
 	res := &ScenarioResult{Opts: r.Opts, Grid: r.Grid, Fleet: r.Fleet, Summaries: r.Fleet.Summaries()}
 	r.Fleet.Close()
 	return res

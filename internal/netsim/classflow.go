@@ -41,7 +41,6 @@ func (n *Network) StartClassFlow(src, dst NodeID, demand float64, tag string) *F
 		last:       n.K.Now(),
 		net:        n,
 		started:    n.K.Now(),
-		k:          n.kernelFor(dst),
 		persistent: true,
 		limited:    true,
 		demand:     demand,

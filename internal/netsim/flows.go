@@ -19,12 +19,9 @@ type Flow struct {
 	prevRate  float64 // solver scratch: rate before the current solve
 	last      sim.Time
 	// completion is the pending arrival event; complete is its callback,
-	// created once per flow and reused across reschedules. k is the kernel
-	// hosting the completion: the destination node's region shard under a
-	// shard plane, the network's control kernel otherwise.
+	// created once per flow and reused across reschedules.
 	completion *sim.Event
 	complete   func()
-	k          *sim.Kernel
 	done       func(*Flow)
 	doneArg    func(any)
 	arg        any
@@ -95,12 +92,11 @@ func (n *Network) StartTransfer(src, dst NodeID, bits float64, tag string, done 
 		done:      done,
 		net:       n,
 		started:   n.K.Now(),
-		k:         n.kernelFor(dst),
 	}
 	n.nextFlow++
 	if len(f.path) == 0 {
-		// Same host: model as a fast local copy, on the host's own shard.
-		f.k.AfterAnonArg(1e-5, finishFn, f)
+		// Same host: model as a fast local copy.
+		n.K.AfterAnonArg(1e-5, finishFn, f)
 		return f
 	}
 	f.index = len(n.flows)

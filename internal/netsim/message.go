@@ -62,7 +62,7 @@ func (n *Network) SendMessage(src, dst NodeID, bits float64, prio Priority, fn f
 		n.msgStats.MaxLag = delay
 	}
 	if fn != nil {
-		n.deliver(src, dst, delay, fn, nil, nil)
+		n.K.AfterAnon(delay, fn)
 	}
 	return delay
 }
@@ -73,18 +73,16 @@ func (n *Network) SendMessage(src, dst NodeID, bits float64, prio Priority, fn f
 // are otherwise identical to SendMessage.
 func (n *Network) SendMessageTo(src, dst NodeID, bits float64, prio Priority, fn func(any), arg any) float64 {
 	delay := n.MessageDelay(src, dst, bits, prio)
-	n.SendPrecomputed(src, dst, delay, bits, prio, fn, arg)
+	n.SendPrecomputed(delay, bits, prio, fn, arg)
 	return delay
 }
 
 // SendPrecomputed records and schedules a control message whose delay the
 // caller already computed via MessageDelay — the batched-dispatch fast path,
 // which lets one dispatch pass reuse a delay across same-destination sends at
-// the same instant. src and dst identify the endpoints for region-sharded
-// event hosting (the delivery fires on dst's shard kernel); the delay is
-// taken as given. It is semantically identical to SendMessageTo with that
+// the same instant. It is semantically identical to SendMessageTo with that
 // delay.
-func (n *Network) SendPrecomputed(src, dst NodeID, delay, bits float64, prio Priority, fn func(any), arg any) {
+func (n *Network) SendPrecomputed(delay, bits float64, prio Priority, fn func(any), arg any) {
 	if n.dropRate > 0 && prio == BestEffort && n.dropRNG != nil && n.dropRNG.Float64() < n.dropRate {
 		n.msgStats.Dropped++
 		return
@@ -96,7 +94,7 @@ func (n *Network) SendPrecomputed(src, dst NodeID, delay, bits float64, prio Pri
 		n.msgStats.MaxLag = delay
 	}
 	if fn != nil {
-		n.deliver(src, dst, delay, nil, fn, arg)
+		n.K.AfterAnonArg(delay, fn, arg)
 	}
 }
 

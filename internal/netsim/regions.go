@@ -557,19 +557,12 @@ func (n *Network) rescheduleCompletion(f *Flow) {
 		f.completion.Cancel()
 		return
 	}
-	// The completion lives on the flow's hosting kernel (the destination's
-	// region shard under a shard plane); under the sequenced merged driver
-	// this cross-kernel churn is serial and oracle-ordered.
-	fk := f.k
-	if fk == nil {
-		fk = n.K
-	}
 	at := n.K.Now() + f.remaining/f.rate
-	if fk.Reschedule(f.completion, at) {
+	if n.K.Reschedule(f.completion, at) {
 		return
 	}
 	if f.complete == nil {
 		f.complete = func() { f.net.completeFlow(f) }
 	}
-	f.completion = fk.Reuse(f.completion, at, f.complete)
+	f.completion = n.K.Reuse(f.completion, at, f.complete)
 }

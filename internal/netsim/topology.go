@@ -100,12 +100,6 @@ type Network struct {
 	compSpans   []compSpan
 	stats       SolveStats
 
-	// Shard, when non-nil, is the region-sharded event-hosting plane
-	// (Grid.AttachShards): per-node events live on the owning region's
-	// sequenced shard kernel, and cross-shard deliveries ride the
-	// conservative Send/exchange protocol. Nil hosts everything on K.
-	Shard *ShardPlane
-
 	// Workers, when non-nil, fills the connected components of a multi-region
 	// solve in parallel. The fill touches only component-local state and every
 	// component's arithmetic runs in the same order at any worker count, so

@@ -78,21 +78,11 @@ func (h *eventHeap) Pop() any {
 // Kernel is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; call NewKernel.
 type Kernel struct {
-	now Time
-	seq uint64
-	// clock and seqp point at this kernel's own now/seq fields — except for
-	// kernels in a sequenced shard set (NewSeqShards), which all share shard
-	// 0's clock and sequence counter so the merged driver fires events in
-	// exactly the (time, seq) order a single kernel would.
-	clock   *Time
-	seqp    *uint64
+	now     Time
+	seq     uint64
 	queue   eventHeap
 	running bool
 	stopped bool
-	// sched, when non-nil, is called after any operation that may change the
-	// head of this kernel's queue (push, reschedule) — the sequenced shard
-	// driver's dirty notification. It must not schedule.
-	sched func()
 	// Executed counts events that have fired; useful for tests and for
 	// detecting runaway scheduling loops.
 	executed uint64
@@ -109,30 +99,11 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	k := &Kernel{}
-	k.clock = &k.now
-	k.seqp = &k.seq
-	return k
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
-func (k *Kernel) Now() Time { return *k.clock }
-
-// nextSeq consumes one sequence number from the kernel's (possibly shared)
-// counter.
-func (k *Kernel) nextSeq() uint64 {
-	s := *k.seqp
-	*k.seqp++
-	return s
-}
-
-// notify signals the sequenced shard driver that this kernel's queue head may
-// have moved.
-func (k *Kernel) notify() {
-	if k.sched != nil {
-		k.sched()
-	}
-}
+func (k *Kernel) Now() Time { return k.now }
 
 // Executed returns the number of events that have fired so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
@@ -146,12 +117,12 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 	if math.IsNaN(t) {
 		panic("sim: scheduling at NaN time")
 	}
-	if t < *k.clock {
-		panic(fmt.Sprintf("sim: scheduling in the past: at=%.9f now=%.9f", t, *k.clock))
+	if t < k.now {
+		panic(fmt.Sprintf("sim: scheduling in the past: at=%.9f now=%.9f", t, k.now))
 	}
-	e := &Event{At: t, seq: k.nextSeq(), fn: fn, idx: -1}
+	e := &Event{At: t, seq: k.seq, fn: fn, idx: -1}
+	k.seq++
 	heap.Push(&k.queue, e)
-	k.notify()
 	return e
 }
 
@@ -160,7 +131,7 @@ func (k *Kernel) After(d float64, fn func()) *Event {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(*k.clock+d, fn)
+	return k.At(k.now+d, fn)
 }
 
 // checkTime validates a scheduling time against the clock.
@@ -168,8 +139,8 @@ func (k *Kernel) checkTime(t Time) {
 	if math.IsNaN(t) {
 		panic("sim: scheduling at NaN time")
 	}
-	if t < *k.clock {
-		panic(fmt.Sprintf("sim: scheduling in the past: at=%.9f now=%.9f", t, *k.clock))
+	if t < k.now {
+		panic(fmt.Sprintf("sim: scheduling in the past: at=%.9f now=%.9f", t, k.now))
 	}
 }
 
@@ -191,9 +162,9 @@ func (k *Kernel) getFree() *Event {
 func (k *Kernel) AtAnon(t Time, fn func()) {
 	k.checkTime(t)
 	e := k.getFree()
-	e.At, e.seq, e.fn, e.anon, e.dead, e.idx = t, k.nextSeq(), fn, true, false, -1
+	e.At, e.seq, e.fn, e.anon, e.dead, e.idx = t, k.seq, fn, true, false, -1
+	k.seq++
 	heap.Push(&k.queue, e)
-	k.notify()
 }
 
 // AfterAnon is AtAnon relative to now. Negative delays are clamped to zero.
@@ -201,7 +172,7 @@ func (k *Kernel) AfterAnon(d float64, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	k.AtAnon(*k.clock+d, fn)
+	k.AtAnon(k.now+d, fn)
 }
 
 // AtAnonArg schedules fn(arg) at absolute time t on a pooled event. Passing a
@@ -211,9 +182,9 @@ func (k *Kernel) AfterAnon(d float64, fn func()) {
 func (k *Kernel) AtAnonArg(t Time, fn func(any), arg any) {
 	k.checkTime(t)
 	e := k.getFree()
-	e.At, e.seq, e.fnArg, e.arg, e.anon, e.dead, e.idx = t, k.nextSeq(), fn, arg, true, false, -1
+	e.At, e.seq, e.fnArg, e.arg, e.anon, e.dead, e.idx = t, k.seq, fn, arg, true, false, -1
+	k.seq++
 	heap.Push(&k.queue, e)
-	k.notify()
 }
 
 // AfterAnonArg is AtAnonArg relative to now. Negative delays are clamped to
@@ -222,18 +193,7 @@ func (k *Kernel) AfterAnonArg(d float64, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
 	}
-	k.AtAnonArg(*k.clock+d, fn, arg)
-}
-
-// injectAnon pushes a pooled event carrying a pre-assigned sequence number:
-// the sequenced shard exchange's seq-preserving injection. The sequence was
-// consumed from the shared counter when the Send was issued, so the merged
-// (time, seq) fire order matches the single-kernel oracle exactly.
-func (k *Kernel) injectAnon(at Time, seq uint64, fn func(), fnArg func(any), arg any) {
-	e := k.getFree()
-	e.At, e.seq, e.fn, e.fnArg, e.arg, e.anon, e.dead, e.idx = at, seq, fn, fnArg, arg, true, false, -1
-	heap.Push(&k.queue, e)
-	k.notify()
+	k.AtAnonArg(k.now+d, fn, arg)
 }
 
 // fire runs one popped event's callback, recycling anonymous events first so
@@ -269,13 +229,13 @@ func (k *Kernel) Reschedule(e *Event, t Time) bool {
 	if math.IsNaN(t) {
 		panic("sim: rescheduling at NaN time")
 	}
-	if t < *k.clock {
-		panic(fmt.Sprintf("sim: rescheduling in the past: at=%.9f now=%.9f", t, *k.clock))
+	if t < k.now {
+		panic(fmt.Sprintf("sim: rescheduling in the past: at=%.9f now=%.9f", t, k.now))
 	}
 	e.At = t
-	e.seq = k.nextSeq()
+	e.seq = k.seq
+	k.seq++
 	heap.Fix(&k.queue, e.idx)
-	k.notify()
 	return true
 }
 
@@ -289,9 +249,9 @@ func (k *Kernel) Reuse(e *Event, t Time, fn func()) *Event {
 		return k.At(t, fn)
 	}
 	k.checkTime(t)
-	e.At, e.seq, e.fn, e.dead, e.anon = t, k.nextSeq(), fn, false, false
+	e.At, e.seq, e.fn, e.dead, e.anon = t, k.seq, fn, false, false
+	k.seq++
 	heap.Push(&k.queue, e)
-	k.notify()
 	return e
 }
 
@@ -300,10 +260,15 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in order until the queue is empty or the clock would
 // pass `until`. Events scheduled exactly at `until` are executed. It returns
-// the number of events executed by this call.
+// the number of events executed by this call. A NaN horizon panics: no event
+// time compares greater than it, so self-re-arming tickers would never let
+// the loop end.
 func (k *Kernel) Run(until Time) uint64 {
 	if k.running {
 		panic("sim: Run re-entered")
+	}
+	if math.IsNaN(until) {
+		panic("sim: Run until NaN time")
 	}
 	k.running = true
 	k.stopped = false
@@ -319,16 +284,15 @@ func (k *Kernel) Run(until Time) uint64 {
 		if e.dead {
 			continue
 		}
-		*k.clock = e.At
+		k.now = e.At
 		k.fire(e)
 		n++
 	}
 	// Advance the clock to the horizon so that successive Run calls with
 	// increasing horizons behave like one continuous run.
-	if !k.stopped && *k.clock < until {
-		*k.clock = until
+	if !k.stopped && k.now < until {
+		k.now = until
 	}
-	k.notify()
 	return n
 }
 
@@ -342,17 +306,16 @@ func (k *Kernel) RunAll(maxEvents uint64) uint64 {
 	var n uint64
 	for len(k.queue) > 0 {
 		if n >= maxEvents {
-			panic(fmt.Sprintf("sim: RunAll exceeded %d events at t=%.3f", maxEvents, *k.clock))
+			panic(fmt.Sprintf("sim: RunAll exceeded %d events at t=%.3f", maxEvents, k.now))
 		}
 		e := heap.Pop(&k.queue).(*Event)
 		if e.dead {
 			continue
 		}
-		*k.clock = e.At
+		k.now = e.At
 		k.fire(e)
 		n++
 	}
-	k.notify()
 	return n
 }
 
@@ -369,7 +332,7 @@ func (k *Kernel) Ticker(start Time, period float64, fn func(Time)) (stop func())
 		if stopped {
 			return
 		}
-		fn(*k.clock)
+		fn(k.now)
 		at += period
 		k.AtAnon(at, tick)
 	}

@@ -112,6 +112,19 @@ func TestKernelPastSchedulingPanics(t *testing.T) {
 	k.At(1, func() {})
 }
 
+// A NaN horizon compares false against every event time, so a re-arming
+// ticker would keep Run looping forever; it must panic instead.
+func TestKernelRunNaNHorizonPanics(t *testing.T) {
+	k := NewKernel()
+	k.Ticker(1, 1, func(Time) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run(NaN) did not panic")
+		}
+	}()
+	k.Run(math.NaN())
+}
+
 func TestTicker(t *testing.T) {
 	k := NewKernel()
 	var ticks []float64
