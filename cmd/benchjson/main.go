@@ -21,10 +21,17 @@ import (
 // Baseline is the file schema. Fields are stable: future PRs append runs by
 // regenerating the file and comparing against the committed one.
 type Baseline struct {
-	GeneratedAt string      `json:"generated_at"`
-	GoVersion   string      `json:"go_version"`
-	Reflow      ReflowBench `json:"reflow"`
-	Fleet       []FleetRow  `json:"fleet"`
+	GeneratedAt string     `json:"generated_at"`
+	GoVersion   string     `json:"go_version"`
+	Reflow      MicroBench `json:"reflow"`
+	// KernelHold mirrors BenchmarkKernelHold (internal/sim): pop one event,
+	// push one, at a fixed number pending. TransferCycle mirrors
+	// BenchmarkTransferCycle (internal/netsim): one warm fire-and-forget
+	// reply transfer. Both are the run phase's per-event path in isolation
+	// and must not allocate — -check enforces it on fresh runs.
+	KernelHold    []MicroBench `json:"kernel_hold"`
+	TransferCycle MicroBench   `json:"transfer_cycle"`
+	Fleet         []FleetRow   `json:"fleet"`
 	// FleetMigration mirrors BenchmarkFleetMigration: the canonical
 	// region-collapse + migration fixture (fleet.MigrationBenchScenario).
 	FleetMigration []FleetRow `json:"fleet_migration"`
@@ -46,9 +53,12 @@ type Baseline struct {
 	FleetOpenLoop []FleetRow `json:"fleet_openloop"`
 }
 
-// ReflowBench mirrors BenchmarkMaxMinReflow: one background change against
-// 100 concurrent flows on a 10-host star.
-type ReflowBench struct {
+// MicroBench is one substrate benchmark row. The reflow row mirrors
+// BenchmarkMaxMinReflow: one background change against 100 concurrent flows
+// on a 10-host star.
+type MicroBench struct {
+	// Pending is set only on kernel_hold rows: the queue length held.
+	Pending     int   `json:"pending,omitempty"`
 	NsPerOp     int64 `json:"ns_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
@@ -74,20 +84,48 @@ type FleetRow struct {
 	ResponsesPerApp float64 `json:"responses_per_app,omitempty"`
 }
 
-func benchReflow() ReflowBench {
+// micro times run (set-up included; it resets the timer itself) under the
+// testing package's benchmark driver.
+func micro(run func(b *testing.B)) MicroBench {
 	res := testing.Benchmark(func(b *testing.B) {
-		op := benchfix.ReflowStar()
 		b.ReportAllocs()
+		run(b)
+	})
+	return MicroBench{
+		NsPerOp:     res.NsPerOp(),
+		AllocsPerOp: res.AllocsPerOp(),
+		BytesPerOp:  res.AllocedBytesPerOp(),
+	}
+}
+
+func benchReflow() MicroBench {
+	return micro(func(b *testing.B) {
+		op := benchfix.ReflowStar()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			op(i)
 		}
 	})
-	return ReflowBench{
-		NsPerOp:     res.NsPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-	}
+}
+
+func benchKernelHold(pending int) MicroBench {
+	row := micro(func(b *testing.B) {
+		op := benchfix.KernelHold(pending)
+		b.ResetTimer()
+		op(b.N)
+	})
+	row.Pending = pending
+	return row
+}
+
+func benchTransferCycle() MicroBench {
+	return micro(func(b *testing.B) {
+		op := benchfix.TransferCycle()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
 }
 
 func benchFleet(n, iters int) (FleetRow, error) {
@@ -220,6 +258,23 @@ func check(baselinePath string, tolerance float64) {
 	if row.AllocsPerApp > limit {
 		fmt.Fprintf(os.Stderr, "benchjson: allocs/app regressed >%.0f%% vs %s — rerun scripts/bench.sh and justify the regression\n",
 			100*tolerance, baselinePath)
+		failed = true
+	}
+	// Per-event path gates: the event queue and a warm fire-and-forget
+	// transfer recycle everything they use, so a fresh run of either that
+	// allocates at all is a regression, whatever the committed row says.
+	for _, pending := range benchfix.HoldPendings {
+		hold := benchKernelHold(pending)
+		fmt.Fprintf(os.Stderr, "check kernel hold pending=%d: %d ns/op, %d allocs/op\n", pending, hold.NsPerOp, hold.AllocsPerOp)
+		if hold.AllocsPerOp > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: the event queue allocates per event (pending=%d)\n", pending)
+			failed = true
+		}
+	}
+	cycle := benchTransferCycle()
+	fmt.Fprintf(os.Stderr, "check transfer cycle: %d ns/op, %d allocs/op\n", cycle.NsPerOp, cycle.AllocsPerOp)
+	if cycle.AllocsPerOp > 0 {
+		fmt.Fprintln(os.Stderr, "benchjson: a warm StartTransferArg cycle allocates — flow, hop index, completion event and callback must all be recycled")
 		failed = true
 	}
 	// Growth gate: per-app cost must be flat in fleet size. allocs/app and
@@ -415,7 +470,7 @@ func main() {
 	out := flag.String("out", "BENCH_fleet.json", "output file ('-' for stdout)")
 	quick := flag.Bool("quick", false, "smoke mode: N=4 only, one iteration")
 	iters := flag.Int("iters", 3, "fleet scenario iterations per size point")
-	checkPath := flag.String("check", "", "compare fresh fleet N=32 and N=128, (ranked) migration N=16, parallel worker-sweep and open-loop population-sweep runs against this committed baseline; exit non-zero if allocs/app regressed >20%, allocs/app or MB/app grow >1.25x from N=32 to N=128, migrations/app or responses/app drifted, repairs/app differs across worker counts, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
+	checkPath := flag.String("check", "", "run the kernel-hold and transfer-cycle micro-benchmarks and compare fresh fleet N=32 and N=128, (ranked) migration N=16, parallel worker-sweep and open-loop population-sweep runs against this committed baseline; exit non-zero if either micro-benchmark allocates, allocs/app regressed >20%, allocs/app or MB/app grow >1.25x from N=32 to N=128, migrations/app or responses/app drifted, repairs/app differs across worker counts, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
 	flag.Parse()
 
 	if *checkPath != "" {
@@ -447,6 +502,13 @@ func main() {
 		GoVersion:   runtime.Version(),
 		Reflow:      benchReflow(),
 	}
+	for _, pending := range benchfix.HoldPendings {
+		row := benchKernelHold(pending)
+		fmt.Fprintf(os.Stderr, "kernel hold pending=%-6d %5d ns/op  %d allocs/op\n", pending, row.NsPerOp, row.AllocsPerOp)
+		base.KernelHold = append(base.KernelHold, row)
+	}
+	base.TransferCycle = benchTransferCycle()
+	fmt.Fprintf(os.Stderr, "transfer cycle %5d ns/op  %d allocs/op\n", base.TransferCycle.NsPerOp, base.TransferCycle.AllocsPerOp)
 	for _, n := range sizes {
 		it := *iters
 		if n >= 1024 {

@@ -18,7 +18,9 @@ import (
 	"archadapt/internal/sim"
 )
 
-// Request is one client request traveling through the system.
+// Request is one client request traveling through the system. The system owns
+// the record: listeners may read it during their callback but must not keep
+// the pointer, because a delivered request's record carries a later one.
 type Request struct {
 	ID       uint64
 	Client   string
@@ -34,7 +36,8 @@ type Request struct {
 	srv *Server
 }
 
-// Response records a completed request at the client.
+// Response records a completed request at the client. Req is valid only
+// during the OnResponse callback.
 type Response struct {
 	Req     *Request
 	DoneAt  sim.Time
@@ -140,6 +143,11 @@ type System struct {
 
 	reqSeq      uint64
 	droppedReqs uint64
+	// freeReqs holds delivered requests' records for sendRequest to reuse.
+	// StopClients releases it and ends recycling (stopped), so a retired
+	// system retains no records for requests it will never send.
+	freeReqs []*Request
+	stopped  bool
 
 	// OnDrop listeners observe requests discarded by moves or missing
 	// queues (harness instrumentation; the paper's clients simply never
@@ -259,6 +267,8 @@ func (s *System) StopClients() {
 	for _, c := range s.clients {
 		c.stopped = true
 	}
+	s.stopped = true
+	s.freeReqs = nil
 }
 
 // PauseClients suspends request generation on every client without
@@ -311,7 +321,15 @@ func clientTickFn(arg any) {
 // is enqueued on arrival.
 func (s *System) sendRequest(c *Client) {
 	s.reqSeq++
-	req := &Request{
+	var req *Request
+	if last := len(s.freeReqs) - 1; last >= 0 {
+		req = s.freeReqs[last]
+		s.freeReqs[last] = nil
+		s.freeReqs = s.freeReqs[:last]
+	} else {
+		req = new(Request)
+	}
+	*req = Request{
 		ID:       s.reqSeq,
 		Client:   c.Name,
 		Group:    c.Group,
@@ -427,7 +445,9 @@ func servedFn(arg any) {
 	s.Net.StartTransferArg(srv.Host, cli.Host, req.RespBits, cli.respTag, replyDoneFn, req)
 }
 
-// replyDoneFn fires when the last reply bit lands at the client.
+// replyDoneFn fires when the last reply bit lands at the client. It is the
+// one place a request's record is recycled; dropped requests just let theirs
+// go.
 func replyDoneFn(arg any) {
 	req := arg.(*Request)
 	s, srv := req.sys, req.srv
@@ -436,6 +456,9 @@ func replyDoneFn(arg any) {
 	cli.responses++
 	for _, fn := range cli.OnResponse {
 		fn(done)
+	}
+	if !s.stopped {
+		s.freeReqs = append(s.freeReqs, req)
 	}
 	s.finishServing(srv)
 }
@@ -543,6 +566,10 @@ func (s *System) MoveClient(client, group string) error {
 	c.Group = group
 	return nil
 }
+
+// PooledRequests returns the number of free request records the system is
+// holding for reuse: zero after StopClients (leak checks).
+func (s *System) PooledRequests() int { return len(s.freeReqs) }
 
 // DroppedRequests counts requests discarded by queue removal or client
 // moves.

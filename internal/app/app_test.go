@@ -317,3 +317,74 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatalf("too few responses: %d", n1)
 	}
 }
+
+// threeHosts is the smallest network a request crosses end to end: client,
+// queue machine and server on one router.
+func threeHosts(t *testing.T) (*sim.Kernel, *System, *Client) {
+	t.Helper()
+	k := sim.NewKernel()
+	net := netsim.New(k)
+	r := net.AddRouter("r")
+	var hosts [3]netsim.NodeID
+	for i, name := range []string{"chost", "qhost", "shost"} {
+		hosts[i] = net.AddHost(name)
+		net.Connect(hosts[i], r, 10e6, 1e-3)
+	}
+	sys := New(k, net, hosts[1])
+	if err := sys.CreateQueue("G1"); err != nil {
+		t.Fatal(err)
+	}
+	sys.AddServer("S1", hosts[2], "G1", 0.05, 0)
+	if err := sys.Activate("S1"); err != nil {
+		t.Fatal(err)
+	}
+	return k, sys, sys.AddClient("C1", hosts[0], "G1", 0, sim.NewRand(1))
+}
+
+// A warm request — send, enqueue, pull, serve, reply transfer, response —
+// allocates nothing: its record, events, flow and callbacks are all recycled.
+func TestRequestCycleAllocationFree(t *testing.T) {
+	k, sys, cli := threeHosts(t)
+	answered := 0
+	var lastID uint64
+	cli.OnResponse = append(cli.OnResponse, func(r Response) {
+		answered++
+		lastID = r.Req.ID
+	})
+	cycle := func() {
+		sys.sendRequest(cli)
+		k.RunAll(0)
+	}
+	cycle()
+	if len(sys.freeReqs) != 1 {
+		t.Fatalf("delivered request was not recycled (free list %d)", len(sys.freeReqs))
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("warm request cycle allocates %v times", avg)
+	}
+	if answered != 202 || lastID != 202 {
+		t.Fatalf("answered=%d last id=%d, want 202 and 202: a recycled record must carry its new request", answered, lastID)
+	}
+}
+
+// StopClients is the end of a system's sending life: it must let go of the
+// free records and not collect the ones still in flight.
+func TestStopClientsReleasesFreeRequests(t *testing.T) {
+	k, sys, cli := threeHosts(t)
+	for i := 0; i < 4; i++ {
+		sys.sendRequest(cli)
+	}
+	k.RunAll(0)
+	if sys.PooledRequests() == 0 {
+		t.Fatal("no records recycled while running")
+	}
+	sys.sendRequest(cli) // in flight across the stop
+	sys.StopClients()
+	k.RunAll(0)
+	if cli.Responses() != 5 {
+		t.Fatalf("responses=%d, want 5", cli.Responses())
+	}
+	if n := sys.PooledRequests(); n != 0 {
+		t.Fatalf("stopped system holds %d free requests", n)
+	}
+}

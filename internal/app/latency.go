@@ -22,16 +22,17 @@ func ObserveLatency(sys *System, clients []string, windowWidth float64) *Latency
 		outstanding: map[string]map[uint64]float64{},
 	}
 	for _, name := range clients {
-		name := name
-		o.windows[name] = metrics.NewWindow(windowWidth)
-		o.outstanding[name] = map[uint64]float64{}
+		// The hooks run once per request: they capture the client's window
+		// and outstanding map instead of looking both up by name.
+		win, out := metrics.NewWindow(windowWidth), map[uint64]float64{}
+		o.windows[name], o.outstanding[name] = win, out
 		cli := sys.Client(name)
 		cli.OnSend = append(cli.OnSend, func(r *Request) {
-			o.outstanding[name][r.ID] = r.SentAt
+			out[r.ID] = r.SentAt
 		})
 		cli.OnResponse = append(cli.OnResponse, func(r Response) {
-			delete(o.outstanding[name], r.Req.ID)
-			o.windows[name].Add(r.DoneAt, r.Latency)
+			delete(out, r.Req.ID)
+			win.Add(r.DoneAt, r.Latency)
 		})
 	}
 	sys.OnDrop = append(sys.OnDrop, func(r *Request) {
@@ -55,17 +56,19 @@ func (o *LatencyObserver) Outstanding() int {
 // there is nothing to report (no completed responses in the window and no
 // outstanding requests).
 func (o *LatencyObserver) Sample(name string, now float64) (float64, bool) {
-	v, ok := o.windows[name].Avg(now)
-	if m := o.outstanding[name]; m != nil {
-		oldest := -1.0
-		for _, sentAt := range m {
-			if age := now - sentAt; age > oldest {
-				oldest = age
-			}
+	win := o.windows[name]
+	if win == nil {
+		return 0, false // never observed
+	}
+	v, ok := win.Avg(now)
+	oldest := -1.0
+	for _, sentAt := range o.outstanding[name] {
+		if age := now - sentAt; age > oldest {
+			oldest = age
 		}
-		if oldest >= 0 && oldest > v {
-			v, ok = oldest, true
-		}
+	}
+	if oldest >= 0 && oldest > v {
+		v, ok = oldest, true
 	}
 	return v, ok
 }

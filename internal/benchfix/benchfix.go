@@ -4,6 +4,8 @@
 package benchfix
 
 import (
+	"math"
+
 	"archadapt/internal/netsim"
 	"archadapt/internal/sim"
 )
@@ -13,16 +15,69 @@ import (
 // the benchmark loop applies: the i-th background-load mutation on the first
 // access link, which re-solves the (single) region those flows share.
 func ReflowStar() (op func(i int)) {
+	_, net, hosts := star(10)
+	for i := 0; i < 100; i++ {
+		net.StartTransfer(hosts[i%10], hosts[(i+1)%10], 1e12, "x", nil)
+	}
+	return func(i int) { net.SetBackgroundBoth(0, float64(i%10)*1e5) }
+}
+
+// star builds n hosts on one router with 10 Mbps access links (link i is host
+// i's), on a fresh kernel.
+func star(n int) (*sim.Kernel, *netsim.Network, []netsim.NodeID) {
 	k := sim.NewKernel()
 	net := netsim.New(k)
-	hosts := make([]netsim.NodeID, 10)
+	hosts := make([]netsim.NodeID, n)
 	r := net.AddRouter("r")
 	for i := range hosts {
 		hosts[i] = net.AddHost(string(rune('a' + i)))
 		net.Connect(hosts[i], r, 10e6, 1e-3)
 	}
-	for i := 0; i < 100; i++ {
-		net.StartTransfer(hosts[i%10], hosts[(i+1)%10], 1e12, "x", nil)
+	return k, net, hosts
+}
+
+// HoldPendings are the queue lengths BenchmarkKernelHold is run at.
+var HoldPendings = []int{1 << 10, 1 << 12, 1 << 16}
+
+// KernelHold builds the BenchmarkKernelHold fixture — the classic hold model:
+// `pending` events in the queue, each of which, when it fires, schedules its
+// successor an exponential delay ahead — and returns the op that fires exactly
+// `events` of them (pop one, push one, queue length constant). It isolates
+// the queue's cost per event from anything a callback does.
+func KernelHold(pending int) (op func(events int)) {
+	k := sim.NewKernel()
+	rng := sim.NewRand(1)
+	left := 0
+	var hold func(any)
+	hold = func(any) {
+		k.AfterAnonArg(rng.Exp(1), hold, nil)
+		if left--; left == 0 {
+			k.Stop()
+		}
 	}
-	return func(i int) { net.SetBackgroundBoth(0, float64(i%10)*1e5) }
+	for i := 0; i < pending; i++ {
+		k.AfterAnonArg(rng.Exp(1), hold, nil)
+	}
+	return func(events int) {
+		left = events
+		k.Run(math.Inf(1))
+	}
+}
+
+// TransferCycle builds the BenchmarkTransferCycle fixture — three hosts on one
+// router, warmed by one transfer — and returns the op: one fire-and-forget
+// reply-sized transfer from start to completion callback, the unit the
+// application's reply streaming repeats per request.
+func TransferCycle() (op func()) {
+	k, net, hosts := star(3)
+	i := 0
+	op = func() {
+		net.StartTransferArg(hosts[i%3], hosts[(i+1)%3], 20*8192, "x", func(any) {}, nil)
+		k.RunAll(0)
+		i++
+	}
+	for range hosts {
+		op() // one per pair: routes memoised, free lists filled
+	}
+	return op
 }

@@ -318,3 +318,64 @@ func TestRouteStatsFlatInFleetSize(t *testing.T) {
 		t.Errorf("paths materialised per app grow with fleet size: %.1f at N=16, %.1f at N=64", perApp[16], perApp[64])
 	}
 }
+
+// TestRetiredAppHoldsNoFreeRequests: an application's request free list dies
+// with its sending life. A crush builds a backlog whose replies land after
+// retirement; none of those records — nor the ones pooled while the app ran —
+// may stay on the retired System (retained per retired app, they show up as
+// live heap on churning fleets).
+func TestRetiredAppHoldsNoFreeRequests(t *testing.T) {
+	k := sim.NewKernel()
+	grid := netsim.GenerateGrid(k, netsim.GridSpec{Routers: 6, HostsPerRouter: 3, Seed: 4})
+	f, err := New(k, grid, 4, Config{HostCapacity: 1}) // control run: the backlog is left to build
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"x", "y"} {
+		if _, err := f.Admit(AppSpec{Name: name, Groups: 1, ServersPerGroup: 2, Clients: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x, y := f.App("x").Sys, f.App("y").Sys
+	var pooledBefore, backlog int
+	var answeredAtRetire uint64
+	answered := func() (n uint64) {
+		for _, c := range x.Clients() {
+			n += x.Client(c).Responses()
+		}
+		return n
+	}
+	k.At(100, func() {
+		pooledBefore = x.PooledRequests()
+		if err := f.CrushPrimary("x"); err != nil {
+			t.Error(err)
+		}
+	})
+	k.At(220, func() {
+		backlog = f.App("x").obs.Outstanding()
+		answeredAtRetire = answered()
+		if err := f.Retire("x"); err != nil {
+			t.Error(err)
+		}
+		if n := x.PooledRequests(); n != 0 {
+			t.Errorf("retirement left %d free requests on the system", n)
+		}
+	})
+	k.Run(400)
+	f.Stop()
+	k.Run(520)
+
+	if pooledBefore == 0 {
+		t.Fatal("live app pooled no request records: the test would prove nothing")
+	}
+	if backlog == 0 || answered() == answeredAtRetire {
+		t.Fatalf("no backlog drained after retirement (outstanding %d, answered %d -> %d)",
+			backlog, answeredAtRetire, answered())
+	}
+	if n := x.PooledRequests(); n != 0 {
+		t.Fatalf("retired system pooled %d requests from its drained backlog", n)
+	}
+	if n := y.PooledRequests(); n != 0 {
+		t.Fatalf("stopped fleet: live app y still holds %d free requests", n)
+	}
+}

@@ -18,19 +18,23 @@ type Flow struct {
 	rate      float64 // bits/sec currently allotted
 	prevRate  float64 // solver scratch: rate before the current solve
 	last      sim.Time
-	// completion is the pending arrival event; complete is its callback,
-	// created once per flow and reused across reschedules.
+	// completion is the arrival event (pending, or fired and kept for the
+	// next re-arm); complete is its callback, created once per Flow struct
+	// and reused across reschedules and, for recycled flows, across lives.
 	completion *sim.Event
 	complete   func()
 	done       func(*Flow)
 	doneArg    func(any)
 	arg        any
-	net        *Network
-	started    sim.Time
-	size       float64
-	cancelled  bool
-	seen       uint64 // region-visit epoch
-	frozen     uint64 // progressive-filling freeze epoch
+	// recycled marks a StartTransferArg flow: nobody outside the network
+	// holds it, so it returns to the free list once it completes.
+	recycled  bool
+	net       *Network
+	started   sim.Time
+	size      float64
+	cancelled bool
+	seen      uint64 // region-visit epoch
+	frozen    uint64 // progressive-filling freeze epoch
 
 	// Class-flow state (StartClassFlow). A persistent flow never completes:
 	// instead of draining `remaining` it accumulates `delivered` bits. A
@@ -74,51 +78,77 @@ func (f *Flow) Started() sim.Time { return f.started }
 // StartTransfer begins an elastic transfer of the given number of bits and
 // invokes done (if non-nil) when the last bit arrives. Zero-hop transfers
 // (src == dst, e.g. client C5 talking to server S5 on the shared machine)
-// complete on the next event with negligible local-IPC delay.
+// complete on the next event with negligible local-IPC delay. The returned
+// handle stays the caller's: its Flow is never recycled.
 func (n *Network) StartTransfer(src, dst NodeID, bits float64, tag string, done func(*Flow)) *Flow {
+	f := &Flow{done: done}
+	n.start(f, src, dst, bits, tag)
+	return f
+}
+
+// StartTransferArg is the fire-and-forget StartTransfer, as Kernel.AtAnonArg
+// is to At: fn is a static function and arg its pre-bound receiver, and no
+// handle is returned, so the transfer cannot be cancelled or inspected. In
+// exchange the network recycles the Flow with its crossing-index array,
+// completion event and callback once fn and the post-completion solve have
+// returned — the per-request fast path of the application's reply streaming,
+// allocation-free once warm.
+func (n *Network) StartTransferArg(src, dst NodeID, bits float64, tag string, fn func(any), arg any) {
+	var f *Flow
+	if last := len(n.freeFlows) - 1; last >= 0 {
+		f = n.freeFlows[last]
+		n.freeFlows[last] = nil
+		n.freeFlows = n.freeFlows[:last]
+	} else {
+		f = &Flow{}
+	}
+	f.doneArg, f.arg, f.recycled = fn, arg, true
+	n.start(f, src, dst, bits, tag)
+}
+
+// start launches f, a zero Flow or one off the free list with its callbacks
+// already set.
+func (n *Network) start(f *Flow, src, dst NodeID, bits float64, tag string) {
 	if bits <= 0 {
 		bits = 1
 	}
-	f := &Flow{
-		id:        n.nextFlow,
-		Src:       src,
-		Dst:       dst,
-		Tag:       tag,
-		path:      n.route(src, dst),
-		index:     -1,
-		remaining: bits,
-		size:      bits,
-		last:      n.K.Now(),
-		done:      done,
-		net:       n,
-		started:   n.K.Now(),
-	}
+	now := n.K.Now()
+	f.id = n.nextFlow
 	n.nextFlow++
+	f.Src, f.Dst, f.Tag = src, dst, tag
+	f.path = n.route(src, dst)
+	f.index = -1
+	f.remaining, f.size = bits, bits
+	f.last, f.started = now, now
+	f.net = n
 	if len(f.path) == 0 {
 		// Same host: model as a fast local copy.
 		n.K.AfterAnonArg(1e-5, finishFn, f)
-		return f
+		return
 	}
 	f.index = len(n.flows)
 	n.flows = append(n.flows, f)
 	n.linkFlow(f)
 	n.solve()
-	return f
 }
 
 // finishFn is the static local-copy completion callback.
 func finishFn(arg any) {
 	f := arg.(*Flow)
-	f.net.finish(f)
+	n := f.net
+	n.finish(f)
+	n.release(f)
 }
 
-// StartTransferArg is StartTransfer with a closure-free completion callback:
-// fn is a static function and arg its pre-bound receiver — the per-request
-// fast path of the application's reply streaming.
-func (n *Network) StartTransferArg(src, dst NodeID, bits float64, tag string, fn func(any), arg any) *Flow {
-	f := n.StartTransfer(src, dst, bits, tag, nil)
-	f.doneArg, f.arg = fn, arg
-	return f
+// release returns a completed fire-and-forget flow to the free list, keeping
+// only what the next transfer reuses. It runs last in a completion, when
+// nothing in the network refers to f any more.
+func (n *Network) release(f *Flow) {
+	if !f.recycled {
+		return
+	}
+	*f = Flow{hopIdx: f.hopIdx[:0], completion: f.completion, complete: f.complete}
+	n.freeFlows = append(n.freeFlows, f)
 }
 
 // Cancel aborts an in-progress transfer without invoking its completion
@@ -164,11 +194,12 @@ func (n *Network) BitsDelivered() float64 { return n.bitsDelivered }
 // completeFlow fires when a flow's last bit arrives: unlink it (dirtying its
 // region), run the done callback, then re-solve — the callback commonly
 // starts follow-on transfers whose solve already covers the removal dirt.
+// The fired event stays on the flow for Kernel.Reuse.
 func (n *Network) completeFlow(f *Flow) {
-	f.completion = nil
 	n.removeFlow(f)
 	n.finish(f)
 	n.solve()
+	n.release(f)
 }
 
 func (n *Network) finish(f *Flow) {

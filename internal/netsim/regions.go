@@ -110,7 +110,10 @@ func (n *Network) markDirty(ri int32) {
 // linkFlow inserts f into the crossing list of every resource on its path
 // and marks the path dirty.
 func (n *Network) linkFlow(f *Flow) {
-	f.hopIdx = make([]int32, len(f.path))
+	if cap(f.hopIdx) < len(f.path) {
+		f.hopIdx = make([]int32, len(f.path))
+	}
+	f.hopIdx = f.hopIdx[:len(f.path)]
 	for i, h := range f.path {
 		ri := resIndex(h)
 		r := &n.res[ri]

@@ -75,12 +75,14 @@ type Network struct {
 	// the pairs that carry traffic; queue is BFS scratch, as long as a tree.
 	relay  []int32
 	trees  [][]crumb
-	paths  map[pathKey][]hop
+	paths  map[uint64][]hop
 	queue  []NodeID
 	rstats RouteStats
 
 	flows    []*Flow
 	nextFlow uint64
+	// freeFlows holds completed StartTransferArg flows for reuse (flows.go).
+	freeFlows []*Flow
 
 	// Incremental-solver state (see regions.go): per-(link,dir) resources
 	// with their crossing-flow lists, the pending dirty set, batching depth,
@@ -173,7 +175,9 @@ type hopTo struct {
 	h  hop
 }
 
-type pathKey struct{ src, dst NodeID }
+// pathKey packs a host pair into the path memo's key: one word, so lookups
+// on the per-message path take the map's 64-bit fast path.
+func pathKey(src, dst NodeID) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
 
 // crumb is one relay's entry in a BFS tree: the relay index of its parent
 // and the directed link (as a resIndex) from the parent to it. via is -1 at
@@ -219,7 +223,7 @@ func New(k *sim.Kernel) *Network {
 	return &Network{
 		K:                  k,
 		byName:             map[string]NodeID{},
-		paths:              map[pathKey][]hop{},
+		paths:              map[uint64][]hop{},
 		MinFlowRate:        100,  // bits/sec
 		CtrlFloor:          9600, // bits/sec
 		CtrlPerHopOverhead: 5e-4, // 0.5 ms per hop
@@ -390,7 +394,8 @@ func (n *Network) route(src, dst NodeID) []hop {
 	if src == dst {
 		return nil
 	}
-	if p, ok := n.paths[pathKey{src, dst}]; ok {
+	key := pathKey(src, dst)
+	if p, ok := n.paths[key]; ok {
 		return p
 	}
 	w := n.ends(src, dst)
@@ -399,7 +404,7 @@ func (n *Network) route(src, dst NodeID) []hop {
 		path[i] = unresIndex(w.next())
 	}
 	n.rstats.PathsMaterialised++
-	n.paths[pathKey{src, dst}] = path
+	n.paths[key] = path
 	return path
 }
 
