@@ -402,13 +402,6 @@ func FleetRankedMigrationBenchScenario(n int, seed uint64) FleetScenarioOptions 
 	return fleet.RankedMigrationBenchScenario(n, seed)
 }
 
-// FleetParallelBenchScenario is the canonical parallel-plane fixture
-// (simultaneous crushes, Workers-count sweep), shared by
-// BenchmarkFleetParallel and cmd/benchjson.
-func FleetParallelBenchScenario(n, workers int, seed uint64) FleetScenarioOptions {
-	return fleet.ParallelBenchScenario(n, workers, seed)
-}
-
 // FleetOpenLoopBenchScenario is the canonical open-loop fixture (constant
 // aggregate offered load per app, so cost must not scale with the modeled
 // population), shared by BenchmarkFleetOpenLoop and cmd/benchjson.

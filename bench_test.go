@@ -403,38 +403,6 @@ func BenchmarkFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetParallel measures the worker-pool execution plane on the
-// canonical parallel fixture (shared with cmd/benchjson): every crush lands
-// at once, so each repair epoch dirties many disjoint network regions and
-// the solver fans the per-component fills out to the pool. Workers is a pure
-// throughput knob — repairs/app must be identical down every workers column
-// (the byte-identity contract the equivalence tests and the chaos parallel
-// invariant enforce); ms/app is what the sweep actually measures.
-func BenchmarkFleetParallel(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("N=%d/workers=%d", n, w), func(b *testing.B) {
-				b.ReportAllocs()
-				var repairs int
-				for i := 0; i < b.N; i++ {
-					res, err := RunFleetScenario(FleetParallelBenchScenario(n, w, benchSeed(i)))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got := len(res.Summaries); got != n {
-						b.Fatalf("admitted %d apps, want %d", got, n)
-					}
-					for _, s := range res.Summaries {
-						repairs += s.Repairs
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*n), "ms/app")
-				b.ReportMetric(float64(repairs)/float64(b.N*n), "repairs/app")
-			})
-		}
-	}
-}
-
 // BenchmarkFleetOpenLoop measures the open-loop heavy-traffic engine on the
 // canonical fixture (shared with cmd/benchjson): every app offers a constant
 // 8 req/s aggregate regardless of the modeled population, so users is pure

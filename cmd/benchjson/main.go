@@ -39,11 +39,6 @@ type Baseline struct {
 	// fixture with measurement-driven targeting (region health index +
 	// PlaceRanked, fleet.RankedMigrationBenchScenario).
 	FleetRankedMigration []FleetRow `json:"fleet_ranked_migration"`
-	// FleetParallel mirrors BenchmarkFleetParallel: the simultaneous-crush
-	// fixture (fleet.ParallelBenchScenario) swept over worker counts at a
-	// fixed app count. Workers is a pure throughput knob, so repairs_per_app
-	// must be identical down the sweep — -check enforces it exactly.
-	FleetParallel []FleetRow `json:"fleet_parallel"`
 	// FleetOpenLoop mirrors BenchmarkFleetOpenLoop: the open-loop fixture
 	// (fleet.OpenLoopBenchScenario) at a fixed app count over population
 	// sizes. Each app offers a constant 8 req/s aggregate regardless of
@@ -74,9 +69,6 @@ type FleetRow struct {
 	// MigrationsPerApp is set only on migration-fixture rows. Like
 	// repairs_per_app it is a deterministic behavior canary.
 	MigrationsPerApp float64 `json:"migrations_per_app,omitempty"`
-	// Workers is set only on fleet_parallel rows: the worker-pool size the
-	// row was measured at (1 = the serial oracle).
-	Workers int `json:"workers,omitempty"`
 	// Users and ResponsesPerApp are set only on fleet_openloop rows: the
 	// modeled population per app and the deterministic synthetic-response
 	// canary (population-independent by construction).
@@ -151,16 +143,6 @@ func benchRankedMigration(n, iters int) (FleetRow, error) {
 	return benchScenario(n, iters, func(i int) fleet.ScenarioOptions {
 		return fleet.RankedMigrationBenchScenario(n, uint64(i+1))
 	})
-}
-
-// benchParallel measures the parallel-plane fixture (shared with
-// BenchmarkFleetParallel) at one worker count.
-func benchParallel(n, workers, iters int) (FleetRow, error) {
-	row, err := benchScenario(n, iters, func(i int) fleet.ScenarioOptions {
-		return fleet.ParallelBenchScenario(n, workers, uint64(i+1))
-	})
-	row.Workers = workers
-	return row, err
 }
 
 // benchOpenLoop measures the open-loop fixture (shared with
@@ -336,43 +318,6 @@ func check(baselinePath string, tolerance float64) {
 			failed = true
 		}
 	}
-	// Parallel-plane gates: Workers is a pure throughput knob, so every
-	// fleet_parallel row — fresh and committed, serial oracle and pooled —
-	// must report the identical repairs/app, and each fresh row's allocs/app
-	// is held to the same tolerance as the other fixtures against its own
-	// committed worker count.
-	if len(base.FleetParallel) == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: baseline has no fleet_parallel rows — regenerate with scripts/bench.sh\n")
-		os.Exit(1)
-	}
-	oracleRepairs := base.FleetParallel[0].RepairsPerApp
-	for _, committed := range base.FleetParallel {
-		if committed.RepairsPerApp != oracleRepairs {
-			fmt.Fprintf(os.Stderr, "benchjson: committed fleet_parallel rows disagree on repairs/app (workers=%d: %.4f vs %.4f) — the baseline itself violates worker invariance\n",
-				committed.Workers, committed.RepairsPerApp, oracleRepairs)
-			failed = true
-			continue
-		}
-		fresh, err := benchParallel(committed.Apps, committed.Workers, 1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: parallel N=%d workers=%d: %v\n", committed.Apps, committed.Workers, err)
-			os.Exit(1)
-		}
-		limit := committed.AllocsPerApp * (1 + tolerance)
-		fmt.Fprintf(os.Stderr, "check parallel N=%d workers=%d: repairs/app %.4f (committed %.4f), allocs/app %.0f (limit %.0f), ms/app %.3f\n",
-			committed.Apps, committed.Workers, fresh.RepairsPerApp, committed.RepairsPerApp, fresh.AllocsPerApp, limit, fresh.MsPerApp)
-		if fresh.RepairsPerApp != committed.RepairsPerApp {
-			fmt.Fprintf(os.Stderr, "benchjson: parallel workers=%d repairs/app drifted from the committed baseline — worker count must not change behavior; investigate before regenerating\n",
-				committed.Workers)
-			failed = true
-		}
-		if fresh.AllocsPerApp > limit {
-			fmt.Fprintf(os.Stderr, "benchjson: parallel workers=%d allocs/app regressed >%.0f%% vs %s\n",
-				committed.Workers, 100*tolerance, baselinePath)
-			failed = true
-		}
-	}
-
 	// Open-loop gates: the modeled population is pure bookkeeping — one
 	// aggregated flow class per (client-region, server-group) pair carries
 	// however many users the row models — so every committed fleet_openloop
@@ -470,7 +415,7 @@ func main() {
 	out := flag.String("out", "BENCH_fleet.json", "output file ('-' for stdout)")
 	quick := flag.Bool("quick", false, "smoke mode: N=4 only, one iteration")
 	iters := flag.Int("iters", 3, "fleet scenario iterations per size point")
-	checkPath := flag.String("check", "", "run the kernel-hold and transfer-cycle micro-benchmarks and compare fresh fleet N=32 and N=128, (ranked) migration N=16, parallel worker-sweep and open-loop population-sweep runs against this committed baseline; exit non-zero if either micro-benchmark allocates, allocs/app regressed >20%, allocs/app or MB/app grow >1.25x from N=32 to N=128, migrations/app or responses/app drifted, repairs/app differs across worker counts, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
+	checkPath := flag.String("check", "", "run the kernel-hold and transfer-cycle micro-benchmarks and compare fresh fleet N=32 and N=128, (ranked) migration N=16 and open-loop population-sweep runs against this committed baseline; exit non-zero if either micro-benchmark allocates, allocs/app regressed >20%, allocs/app or MB/app grow >1.25x from N=32 to N=128, migrations/app or responses/app drifted, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
 	flag.Parse()
 
 	if *checkPath != "" {
@@ -550,22 +495,6 @@ func main() {
 				fx.label, n, row.MsPerApp, row.MigrationsPerApp, row.AllocsPerApp)
 			*fx.dst = append(*fx.dst, row)
 		}
-	}
-	// Parallel-plane sweep: one seed-1 iteration per worker count, like the
-	// migration fixtures, because repairs_per_app is exactly gated by -check.
-	parN := 16
-	if *quick {
-		parN = 4
-	}
-	for _, w := range []int{1, 2, 4} {
-		row, err := benchParallel(parN, w, 1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: parallel N=%d workers=%d: %v\n", parN, w, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "parallel N=%-3d workers=%d %7.3f ms/app  %5.2f repairs/app  %10.0f allocs/app\n",
-			parN, w, row.MsPerApp, row.RepairsPerApp, row.AllocsPerApp)
-		base.FleetParallel = append(base.FleetParallel, row)
 	}
 	// Open-loop population sweep: one seed-1 iteration per size, because
 	// responses_per_app is exactly gated by -check (and ms_per_app must not

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	fleet [-apps N] [-mode both|control|adaptive|migrate] [-seed N] [-workers N]
+//	fleet [-apps N] [-mode both|control|adaptive|migrate] [-seed N]
 //	      [-duration S] [-routers N] [-hosts-per-router N] [-spare-routers N]
 //	      [-host-capacity N] [-admit-stagger S] [-admit-waves N] [-retire-after S]
 //	      [-crush-start S] [-crush-stagger S] [-crush-duration S]
@@ -33,7 +33,9 @@
 // -users modeled users per application (autoscaling enabled), at a cost
 // independent of the population size. With -scenario it overrides the
 // entry's open-loop policy — e.g. `-scenario flash-crowd -users 1000000`
-// reruns the committed flash crowd at a million users per app.
+// reruns the committed flash crowd at a million users per app. -users alone
+// implies -openloop; an explicit -openloop=false wins either way and -users
+// is then ignored with a warning.
 //
 // -trace FILE attaches the deterministic observability plane to the run
 // under test (the adaptive run; the migrating run with -mode migrate) and
@@ -44,8 +46,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -76,115 +80,96 @@ func writeTrace(tr *archadapt.Tracer, path, format string) {
 	fmt.Fprintf(os.Stderr, "wrote %s trace (%d spans) to %s\n", format, tr.Len(), path)
 }
 
-func main() {
-	apps := flag.Int("apps", 32, "number of applications to admit")
-	mode := flag.String("mode", "both", "control | adaptive | both | migrate")
-	seed := flag.Uint64("seed", 1, "fleet seed (drives every stochastic stream)")
-	workers := flag.Int("workers", 1, "simulation worker pool size (1 = serial oracle; results are byte-identical at any setting)")
-	duration := flag.Float64("duration", 600, "run duration in simulated seconds")
-	routers := flag.Int("routers", 0, "backbone routers (0 = auto-size for -apps)")
-	hostsPerRouter := flag.Int("hosts-per-router", 0, "hosts per router (0 = auto)")
-	spareRouters := flag.Int("spare-routers", 0, "extra routers beyond the auto-sized minimum (migration headroom)")
-	hostCap := flag.Int("host-capacity", 1, "process slots per host")
-	admitStagger := flag.Float64("admit-stagger", 0, "seconds between admissions")
-	admitWaves := flag.Int("admit-waves", 0, "spread admissions into N diurnal waves")
-	retireAfter := flag.Float64("retire-after", 0, "retire each app this long after admission (0 = never)")
-	crushStart := flag.Float64("crush-start", 120, "first contention onset (<0 disables)")
-	crushStagger := flag.Float64("crush-stagger", 5, "seconds between per-app contention onsets")
-	crushDuration := flag.Float64("crush-duration", 240, "contention duration per app")
-	crushApps := flag.Int("crush-apps", 0, "crush only the first N apps (0 = all)")
-	crushAllGroups := flag.Bool("crush-all-groups", false, "crush every group's servers, not just the primary's")
-	backboneCrush := flag.Float64("backbone-crush", 0, "start correlated backbone contention at this time (0 disables)")
-	regionFail := flag.Float64("region-fail", 0, "fail one router's region at this time (0 disables)")
-	regionFailRouter := flag.Int("region-fail-router", 1, "router index for -region-fail")
-	migration := flag.Bool("migration", false, "enable the fleet-level migration controller")
-	ranked := flag.Bool("ranked", false, "measurement-driven migration targeting (region health index + PlaceRanked)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "cap on concurrently draining migrations (0 = policy default)")
-	openloop := flag.Bool("openloop", false, "drive apps with the open-loop heavy-traffic engine (autoscaling enabled)")
-	users := flag.Int("users", 0, "modeled users per app with -openloop (0 = one per client)")
-	caching := flag.Bool("caching", false, "enable gauge caching (§5.3 extension)")
-	settle := flag.Float64("settle", 0, "repair settle time in seconds")
-	scenario := flag.String("scenario", "", "run a named scenario from the catalog (see -list)")
-	list := flag.Bool("list", false, "print the scenario catalog and exit")
-	traceOut := flag.String("trace", "", "trace the run under test and write its timeline to this file")
-	traceFormat := flag.String("trace-format", "chrome", "trace export format: chrome | jsonl")
-	pprofOut := flag.String("pprof", "", "write a CPU profile to the first path (and a heap profile to an optional second, comma-separated)")
-	flag.Parse()
+// cli is what the command line resolves to: the scenario shape every run
+// starts from, plus the flags that select and export runs.
+type cli struct {
+	base                            archadapt.FleetScenarioOptions
+	mode                            string
+	list                            bool
+	traceOut, traceFormat, pprofOut string
+}
 
-	if *list {
-		for _, e := range archadapt.FleetCatalog() {
-			fmt.Printf("%-16s %s\n%16s expect: %s\n", e.Name, e.Stresses, "", e.Expect)
-		}
-		return
+// parseArgs maps the command line onto a cli. Diagnostics — parse errors and
+// "has no effect" warnings — go to stderr; a non-nil error means exit 2
+// (flag.ErrHelp: usage was asked for).
+func parseArgs(args []string, stderr io.Writer) (*cli, error) {
+	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	apps := fs.Int("apps", 32, "number of applications to admit")
+	mode := fs.String("mode", "both", "control | adaptive | both | migrate")
+	seed := fs.Uint64("seed", 1, "fleet seed (drives every stochastic stream)")
+	duration := fs.Float64("duration", 600, "run duration in simulated seconds")
+	routers := fs.Int("routers", 0, "backbone routers (0 = auto-size for -apps)")
+	hostsPerRouter := fs.Int("hosts-per-router", 0, "hosts per router (0 = auto)")
+	spareRouters := fs.Int("spare-routers", 0, "extra routers beyond the auto-sized minimum (migration headroom)")
+	hostCap := fs.Int("host-capacity", 1, "process slots per host")
+	admitStagger := fs.Float64("admit-stagger", 0, "seconds between admissions")
+	admitWaves := fs.Int("admit-waves", 0, "spread admissions into N diurnal waves")
+	retireAfter := fs.Float64("retire-after", 0, "retire each app this long after admission (0 = never)")
+	crushStart := fs.Float64("crush-start", 120, "first contention onset (<0 disables)")
+	crushStagger := fs.Float64("crush-stagger", 5, "seconds between per-app contention onsets")
+	crushDuration := fs.Float64("crush-duration", 240, "contention duration per app")
+	crushApps := fs.Int("crush-apps", 0, "crush only the first N apps (0 = all)")
+	crushAllGroups := fs.Bool("crush-all-groups", false, "crush every group's servers, not just the primary's")
+	backboneCrush := fs.Float64("backbone-crush", 0, "start correlated backbone contention at this time (0 disables)")
+	regionFail := fs.Float64("region-fail", 0, "fail one router's region at this time (0 disables)")
+	regionFailRouter := fs.Int("region-fail-router", 1, "router index for -region-fail")
+	migration := fs.Bool("migration", false, "enable the fleet-level migration controller")
+	ranked := fs.Bool("ranked", false, "measurement-driven migration targeting (region health index + PlaceRanked)")
+	maxConcurrent := fs.Int("max-concurrent", 0, "cap on concurrently draining migrations (0 = policy default)")
+	openloop := fs.Bool("openloop", false, "drive apps with the open-loop heavy-traffic engine (autoscaling enabled)")
+	users := fs.Int("users", 0, "modeled users per app; implies -openloop unless -openloop=false (0 = one per client)")
+	caching := fs.Bool("caching", false, "enable gauge caching (§5.3 extension)")
+	settle := fs.Float64("settle", 0, "repair settle time in seconds")
+	scenario := fs.String("scenario", "", "run a named scenario from the catalog (see -list)")
+	list := fs.Bool("list", false, "print the scenario catalog and exit")
+	traceOut := fs.String("trace", "", "trace the run under test and write its timeline to this file")
+	traceFormat := fs.String("trace-format", "chrome", "trace export format: chrome | jsonl")
+	pprofOut := fs.String("pprof", "", "write a CPU profile to the first path (and a heap profile to an optional second, comma-separated)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	switch *mode {
+	c := &cli{mode: *mode, list: *list, traceOut: *traceOut, traceFormat: *traceFormat, pprofOut: *pprofOut}
+	if c.list {
+		return c, nil
+	}
+	fail := func(format string, a ...any) (*cli, error) {
+		err := fmt.Errorf(format, a...)
+		fmt.Fprintf(stderr, "fleet: %v\n", err)
+		return nil, err
+	}
+	switch c.mode {
 	case "control", "adaptive", "both", "migrate":
 	default:
-		fmt.Fprintf(os.Stderr, "fleet: unknown -mode %q (want control|adaptive|both|migrate)\n", *mode)
-		os.Exit(2)
+		return fail("unknown -mode %q (want control|adaptive|both|migrate)", c.mode)
 	}
-	switch *traceFormat {
+	switch c.traceFormat {
 	case "chrome", "jsonl":
 	default:
-		fmt.Fprintf(os.Stderr, "fleet: unknown -trace-format %q (want chrome|jsonl)\n", *traceFormat)
-		os.Exit(2)
-	}
-	if *pprofOut != "" {
-		paths := strings.SplitN(*pprofOut, ",", 2)
-		cf, err := os.Create(paths[0])
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(cf); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			cf.Close()
-			if len(paths) == 2 && paths[1] != "" {
-				hf, err := os.Create(paths[1])
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-					return
-				}
-				runtime.GC()
-				if err := pprof.WriteHeapProfile(hf); err != nil {
-					fmt.Fprintf(os.Stderr, "fleet: heap profile: %v\n", err)
-				}
-				hf.Close()
-			}
-		}()
+		return fail("unknown -trace-format %q (want chrome|jsonl)", c.traceFormat)
 	}
 
 	cfg := archadapt.DefaultConfig()
 	cfg.GaugeCaching = *caching
 	cfg.SettleTime = *settle
 
-	var base archadapt.FleetScenarioOptions
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	base := &c.base
 	if *scenario != "" {
 		entry, err := archadapt.FleetScenarioByName(*scenario)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v (try -list)\n", err)
-			os.Exit(2)
+			return fail("%v (try -list)", err)
 		}
-		base = entry.Opts
+		*base = entry.Opts
 		base.Manager = cfg
-		explicitlySet := func(name string) bool {
-			set := false
-			flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-			return set
-		}
 		// Explicitly set flags override the catalog entry.
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "apps":
 				base.Apps = *apps
 			case "seed":
 				base.Seed = *seed
-			case "workers":
-				base.Workers = *workers
 			case "duration":
 				base.Duration = *duration
 			case "migration":
@@ -193,31 +178,17 @@ func main() {
 				base.Migration.Ranked = *ranked
 			case "max-concurrent":
 				base.Migration.MaxConcurrent = *maxConcurrent
-			case "openloop":
-				base.OpenLoop.Enabled = *openloop
-				if *openloop && !base.OpenLoop.Scale.Enabled {
-					base.OpenLoop.Scale.Enabled = true
-				}
-			case "users":
-				// Overriding the population implies the engine unless
-				// -openloop=false said otherwise.
-				base.OpenLoop.Users = *users
-				if !explicitlySet("openloop") {
-					base.OpenLoop.Enabled = true
-					base.OpenLoop.Scale.Enabled = true
-				}
 			case "mode", "scenario", "caching", "settle", "list",
-				"trace", "trace-format", "pprof":
-				// orthogonal to the entry's shape
+				"trace", "trace-format", "pprof", "openloop", "users":
+				// orthogonal to the entry's shape, or resolved below
 			default:
-				fmt.Fprintf(os.Stderr, "fleet: -%s has no effect together with -scenario (the entry's value is used)\n", f.Name)
+				fmt.Fprintf(stderr, "fleet: -%s has no effect together with -scenario (the entry's value is used)\n", f.Name)
 			}
 		})
 	} else {
-		base = archadapt.FleetScenarioOptions{
+		*base = archadapt.FleetScenarioOptions{
 			Apps:           *apps,
 			Seed:           *seed,
-			Workers:        *workers,
 			Duration:       *duration,
 			Routers:        *routers,
 			HostsPerRouter: *hostsPerRouter,
@@ -246,24 +217,79 @@ func main() {
 			Enabled: *migration || *ranked,
 			Ranked:  *ranked, MaxConcurrent: *maxConcurrent,
 		}
-		if *openloop || *users != 0 {
-			base.OpenLoop = archadapt.FleetOpenLoopPolicy{
-				Enabled: true,
-				Users:   *users,
-				Scale:   archadapt.FleetScalePolicy{Enabled: true},
-			}
+	}
+	// The open-loop engine, with or without -scenario: an explicit
+	// -openloop=false wins; otherwise -openloop or a -users population turns
+	// the engine (and its autoscaler) on.
+	switch {
+	case set["openloop"] && !*openloop:
+		base.OpenLoop.Enabled = false
+		if set["users"] {
+			fmt.Fprintf(stderr, "fleet: -users has no effect together with -openloop=false\n")
+		}
+	case set["openloop"] || set["users"]:
+		base.OpenLoop.Enabled = true
+		base.OpenLoop.Scale.Enabled = true
+		if set["users"] {
+			base.OpenLoop.Users = *users
 		}
 	}
 	// -mode migrate enables migration itself for the second run.
-	if !base.Migration.Enabled && *mode != "migrate" && (*ranked || *maxConcurrent != 0) {
-		fmt.Fprintf(os.Stderr, "fleet: -ranked/-max-concurrent have no effect while migration is disabled (add -migration, -mode migrate, or a migration-enabled scenario)\n")
+	if !base.Migration.Enabled && c.mode != "migrate" && (*ranked || *maxConcurrent != 0) {
+		fmt.Fprintf(stderr, "fleet: -ranked/-max-concurrent have no effect while migration is disabled (add -migration, -mode migrate, or a migration-enabled scenario)\n")
 	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if c.list {
+		for _, e := range archadapt.FleetCatalog() {
+			fmt.Printf("%-16s %s\n%16s expect: %s\n", e.Name, e.Stresses, "", e.Expect)
+		}
+		return
+	}
+	if c.pprofOut != "" {
+		paths := strings.SplitN(c.pprofOut, ",", 2)
+		cf, err := os.Create(paths[0])
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+			os.Exit(1)
+		}
+		if err := pprof.StartCPUProfile(cf); err != nil {
+			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+			os.Exit(1)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			cf.Close()
+			if len(paths) == 2 && paths[1] != "" {
+				hf, err := os.Create(paths[1])
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+					return
+				}
+				runtime.GC()
+				if err := pprof.WriteHeapProfile(hf); err != nil {
+					fmt.Fprintf(os.Stderr, "fleet: heap profile: %v\n", err)
+				}
+				hf.Close()
+			}
+		}()
+	}
+	base, mode := c.base, c.mode
 
 	run := func(kind string, adaptive, migrating, traced bool) *archadapt.FleetScenarioResult {
 		opts := base
 		opts.Adaptive = adaptive
 		opts.Migration.Enabled = migrating
-		opts.Trace = traced && *traceOut != ""
+		opts.Trace = traced && c.traceOut != ""
 		res, err := archadapt.RunFleetScenario(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fleet: %s run: %v\n", kind, err)
@@ -300,12 +326,12 @@ func main() {
 			}
 		}
 		if opts.Trace {
-			writeTrace(res.Fleet.Tracer(), *traceOut, *traceFormat)
+			writeTrace(res.Fleet.Tracer(), c.traceOut, c.traceFormat)
 		}
 		return res
 	}
 
-	if *mode == "migrate" {
+	if mode == "migrate" {
 		pinned := run("pinned", true, false, false)
 		migrating := run("migrating", true, true, true)
 		fmt.Println("=== pinned fleet (migration disabled) ===")
@@ -319,14 +345,14 @@ func main() {
 
 	migrating := base.Migration.Enabled
 	var control, adaptive *archadapt.FleetScenarioResult
-	if *mode == "control" || *mode == "both" {
-		control = run("control", false, migrating, *mode == "control")
+	if mode == "control" || mode == "both" {
+		control = run("control", false, migrating, mode == "control")
 	}
-	if *mode == "adaptive" || *mode == "both" {
+	if mode == "adaptive" || mode == "both" {
 		adaptive = run("adaptive", true, migrating, true)
 	}
 
-	if control != nil && (*mode == "control" || adaptive == nil) {
+	if control != nil && (mode == "control" || adaptive == nil) {
 		fmt.Println("=== control fleet ===")
 		fmt.Print(control.Table())
 	}

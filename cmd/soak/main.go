@@ -2,12 +2,11 @@
 // becomes a random-but-deterministic fleet scenario — grid shape, app mix,
 // admission churn, and a fault schedule composing the injectors into
 // overlapping, repeated, restore-racing sequences — executed in both pinned
-// and migrate modes under the seven standing invariants (same-seed
+// and migrate modes under the six standing invariants (same-seed
 // determinism, slot/reservation ledger audits, netsim solver-vs-oracle
-// equivalence, ranked-targeting sanity, no stuck drains, parallel/serial
-// worker invariance — a pooled run must fingerprint byte-identically to the
-// single-kernel oracle — and, on seeds that enable the open-loop engine, a
-// balanced admission ledger with autoscaled replicas inside the policy cap).
+// equivalence, ranked-targeting sanity, no stuck drains and, on seeds that
+// enable the open-loop engine, a balanced admission ledger with autoscaled
+// replicas inside the policy cap).
 //
 // Usage:
 //
@@ -96,13 +95,6 @@ func report(vs []chaos.Violation, shrink bool, budget int) {
 		fmt.Fprintf(os.Stderr, "shrinking seed %d (%s) against the %q invariant (budget %d)...\n",
 			v.Seed, v.Mode, inv, budget)
 		opts = chaos.Shrink(opts, fails, budget)
-	}
-	if v.Invariant == "parallel" {
-		if w := chaos.MinimalDivergingWorkers(opts, 8); w > 0 {
-			fmt.Fprintf(os.Stderr, "parallel divergence reproduces with as few as %d workers\n", w)
-		} else {
-			fmt.Fprintf(os.Stderr, "parallel divergence did not reproduce at workers 2..8 on the shrunk scenario\n")
-		}
 	}
 	fmt.Fprintf(os.Stderr, "minimal reproducer (re-check with chaos.Check on this literal):\n%s\n",
 		chaos.FormatOptions(opts))

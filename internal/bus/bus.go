@@ -152,13 +152,6 @@ type Shard struct {
 	// this shard. Set by the fleet at admission, cleared at Release.
 	Label string
 
-	// Affinity is the simulation worker group the shard's tenant belongs to
-	// (0 when the fleet runs serial). The fleet assigns it at admission and
-	// uses it to keep one tenant's parallelizable work — sampling, summary
-	// fan-out — on one worker group; it never affects delivery order or
-	// results. Cleared at Release.
-	Affinity int
-
 	published uint64
 	delivered uint64
 	dropped   uint64
@@ -193,7 +186,6 @@ func (sh *Shard) Release() {
 	}
 	sh.closed = true
 	sh.Label = ""
-	sh.Affinity = 0
 	sh.b.tenants--
 	for _, s := range sh.subs {
 		sh.b.recycleSub(s)

@@ -24,7 +24,7 @@ type Violation struct {
 	Seed uint64
 	Mode string
 	// Invariant names the failed class: determinism, slots, netsim, ranked,
-	// drains, parallel, openloop, or run (the scenario failed to start at
+	// drains, openloop, or run (the scenario failed to start at
 	// all).
 	Invariant string
 	Detail    string
@@ -142,26 +142,7 @@ func Check(opts fleet.ScenarioOptions) []Violation {
 		}
 	}
 
-	// (6) Parallel worker invariance: Workers is a pure throughput knob, so a
-	// pooled run must be byte-identical to the single-kernel oracle (and a
-	// scenario already carrying a pool must match its serial twin). On a
-	// divergence the detail names the minimal worker count that reproduces
-	// it, found by MinimalDivergingWorkers.
-	par := opts
-	if par.Workers > 1 {
-		par.Workers = 1
-	} else {
-		par.Workers = 2
-	}
-	if pres, perr := run(par, false); perr != nil {
-		add("parallel", "workers=%d twin failed to start: %v", par.Workers, perr)
-	} else if pf := Fingerprint(pres); pf != baseFP {
-		minW := MinimalDivergingWorkers(opts, 8)
-		add("parallel", "workers=%d run diverges from workers=%d (minimal diverging count %d):\n--- workers=%d\n%s--- workers=%d\n%s",
-			par.Workers, opts.Workers, minW, opts.Workers, baseFP, par.Workers, pf)
-	}
-
-	// (7) Open-loop books: the admission ledger balances at both levels,
+	// (6) Open-loop books: the admission ledger balances at both levels,
 	// the active count matches the live admitted population, and no server
 	// group carries more autoscaled replicas than the policy cap.
 	if led, ok := f.OpenLoopLedger(); ok {

@@ -62,9 +62,6 @@ func FormatOptions(o fleet.ScenarioOptions) string {
 	if o.Adaptive {
 		w("Adaptive: true")
 	}
-	if o.Workers != 0 {
-		w("Workers: %d", o.Workers)
-	}
 	if p := o.Migration; p.Enabled {
 		fmt.Fprintf(&b, "\tMigration: fleet.MigrationPolicy{Enabled: true")
 		if p.Ranked {

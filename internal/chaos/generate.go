@@ -16,9 +16,7 @@
 //     than its source (TargetHealth ≥ SourceHealth);
 //  5. drains — no stuck drains: every migration record reaches a cutover,
 //     a recorded abort, or a placement error;
-//  6. parallel — a pooled run fingerprints byte-identically to the
-//     single-kernel oracle (Workers is a pure throughput knob);
-//  7. openloop — when the seed enables the open-loop engine, the admission
+//  6. openloop — when the seed enables the open-loop engine, the admission
 //     ledger balances (Offered = Admitted + Shed + Queued; Admitted =
 //     Active + Retired, with Active matching the live population) and no
 //     server group ever carries more autoscaled replicas than the policy

@@ -107,28 +107,3 @@ func Shrink(opts fleet.ScenarioOptions, fails func(fleet.ScenarioOptions) bool, 
 	}
 	return cur
 }
-
-// MinimalDivergingWorkers scans worker counts 2..max and returns the smallest
-// one whose run of opts diverges (by Fingerprint) from the Workers=1 oracle —
-// the parallel-invariant analogue of ddmin's "smallest failing input". A run
-// that fails to start counts as diverging at that count. It returns 0 when
-// every pooled run up to max is byte-identical: the divergence did not
-// reproduce, or needs more workers than the scan covers.
-func MinimalDivergingWorkers(opts fleet.ScenarioOptions, max int) int {
-	serial := opts
-	serial.Workers = 1
-	ref, err := fleet.RunScenario(serial)
-	if err != nil {
-		return 0
-	}
-	want := Fingerprint(ref)
-	for w := 2; w <= max; w++ {
-		cand := opts
-		cand.Workers = w
-		res, err := fleet.RunScenario(cand)
-		if err != nil || Fingerprint(res) != want {
-			return w
-		}
-	}
-	return 0
-}

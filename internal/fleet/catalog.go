@@ -261,27 +261,6 @@ func MigrationBenchScenario(n int, seed uint64) ScenarioOptions {
 	}
 }
 
-// ParallelBenchScenario is the canonical parallel-plane benchmark fixture:
-// n apps crushed simultaneously (CrushStagger 0, so restores and repairs
-// dirty many disjoint regions in the same instant and the solver sees
-// multi-component epochs worth fanning out) over a short 300-second run,
-// executed with the given worker count. Workers is a pure throughput knob —
-// every summary is byte-identical across counts — so BenchmarkFleetParallel
-// and the fleet_parallel rows in BENCH_fleet.json measure speedup, and
-// repairs/app doubles as the cross-worker behavior canary.
-func ParallelBenchScenario(n, workers int, seed uint64) ScenarioOptions {
-	crushApps := n / 4
-	if crushApps < 1 {
-		crushApps = 1
-	}
-	return ScenarioOptions{
-		Apps: n, Seed: seed, Duration: 300, Adaptive: true, Workers: workers,
-		SpareRouters:   2 * crushApps,
-		CrushAllGroups: true, CrushApps: crushApps,
-		CrushStart: 120, CrushStagger: 0, CrushDuration: 120,
-	}
-}
-
 // RankedMigrationBenchScenario is MigrationBenchScenario with
 // measurement-driven targeting enabled — the canonical ranked-migration
 // fixture behind BenchmarkFleetRankedMigration and the

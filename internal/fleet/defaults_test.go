@@ -149,9 +149,8 @@ func TestScenarioOptionsValidate(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.frag, func(t *testing.T) {
 			c.in.Apps = 2
-			run, err := StartScenario(c.in)
+			_, err := StartScenario(c.in)
 			if err == nil {
-				run.Fleet.Close()
 				t.Fatalf("StartScenario accepted %+v", c.in)
 			}
 			if !strings.Contains(err.Error(), c.frag) {

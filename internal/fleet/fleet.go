@@ -96,14 +96,6 @@ type Config struct {
 	// and kernel event-rate counters. Requires the fleet-shared monitoring
 	// plane (not PerAppMonitoring).
 	Trace bool
-	// Workers sizes the fleet's simulation worker pool. 0 or 1 (the default)
-	// runs fully serial — the retained single-threaded oracle. Above 1 the
-	// fleet attaches the pool to the network solver (disjoint dirty
-	// components fill concurrently) and fans per-application sampling and
-	// summary aggregation out across it, grouped by each app's worker
-	// affinity. The kernel's (time, seq) event order stays the single source
-	// of truth, so same-seed runs are byte-identical at every worker count.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -237,12 +229,8 @@ type App struct {
 	obs     *app.LatencyObserver
 	crushed []netsim.LinkID
 	// admIdx is the application's admission sequence number — the
-	// coordination layer's deterministic last tie-break. affinity is the
-	// app's simulation worker group (admIdx modulo pool size; 0 when the
-	// fleet runs serial): the fleet keeps one app's parallelizable work on
-	// one worker group, and stamps it on the app's leased shards and gauges.
-	admIdx   int
-	affinity int
+	// coordination layer's deterministic last tie-break.
+	admIdx int
 	// migrating marks an in-progress drain; pending is the staged target
 	// reservation, released again if the app retires mid-drain. health is
 	// the fleet controller's view of this app (nil when migration is
@@ -265,10 +253,6 @@ type App struct {
 
 // Live reports whether the application is still running.
 func (a *App) Live() bool { return a.RetiredAt < 0 }
-
-// WorkerAffinity returns the app's simulation worker group — admission index
-// modulo the fleet's worker count, or 0 on a serial fleet.
-func (a *App) WorkerAffinity() int { return a.affinity }
 
 // Fleet multiplexes N managed applications over one shared kernel, network
 // and Remos collector. The fleet owns the monitoring plane — one sharded
@@ -325,12 +309,6 @@ type Fleet struct {
 	peakInFlight int
 	migrCands    []*App
 
-	// pool is the simulation worker pool (nil when Config.Workers <= 1 —
-	// the serial oracle). Detached and closed by Close; sampleGroups is the
-	// per-tick affinity-partition scratch.
-	pool         *sim.WorkerPool
-	sampleGroups [][]*App
-
 	// ol is the open-loop engine (openloop.go); nil unless Config.OpenLoop
 	// is enabled.
 	ol *openLoop
@@ -373,14 +351,9 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 		regionCrushed:  map[int][]netsim.LinkID{},
 		regionFailedAt: map[int]float64{},
 	}
-	f.pool = sim.NewWorkerPool(cfg.Workers)
-	f.Net.Workers = f.pool
 	f.Sch = NewScheduler(grid, cfg.HostCapacity, nil)
 	rmHost, err := f.Sch.Reserve()
 	if err != nil {
-		// The pool is already live: release its goroutines before bailing, or
-		// every failed construction leaks Workers-many of them.
-		f.Close()
 		return nil, fmt.Errorf("fleet: placing Remos collector: %w", err)
 	}
 	f.Host = rmHost
@@ -626,14 +599,9 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 		}
 		a.probe = f.ProbeBus.Acquire()
 		a.report = f.ReportBus.Acquire()
-		// The shard label names this tenant in every span the bus stamps;
-		// the affinity ties the tenant's shards to its worker group.
+		// The shard label names this tenant in every span the bus stamps.
 		a.probe.Label = spec.Name
 		a.report.Label = spec.Name
-		if f.pool != nil {
-			aff := len(f.order) % f.pool.Size()
-			a.probe.Affinity, a.report.Affinity, lease.Affinity = aff, aff, aff
-		}
 		a.Mgr = core.NewAttached(cfg, f.K, f.Net, sys, mdl, assign.ManagerHost, f.Rm,
 			core.Plane{Probe: a.probe, Report: a.report, Gauges: lease})
 	}
@@ -650,9 +618,6 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 	a.Mgr.Deploy()
 	sys.Start()
 	a.admIdx = len(f.order)
-	if f.pool != nil {
-		a.affinity = a.admIdx % f.pool.Size()
-	}
 	f.apps[spec.Name] = a
 	f.order = append(f.order, spec.Name)
 	if f.Cfg.Migration.Enabled {
@@ -733,59 +698,22 @@ func (f *Fleet) Stop() {
 	}
 }
 
-// Close releases the fleet's worker pool (no-op on a serial fleet). The
-// fleet detaches the pool first — from the network solver and its own
-// fan-outs — so later solves, samples or summaries simply run serial; with
-// byte-identical semantics at every worker count, nothing else changes.
-// Safe to call more than once. Scenario runs close their fleet after the
-// final summaries; long-lived embedders should do the same.
-func (f *Fleet) Close() {
-	if f.pool == nil {
-		return
-	}
-	pool := f.pool
-	f.pool = nil
-	f.Net.Workers = nil
-	pool.Close()
-}
+// Close is a no-op: the fleet owns no goroutines or OS resources. It is kept
+// because embedders and the frozen benchmark adapter call it (see ROADMAP).
+func (f *Fleet) Close() {}
 
-// sample records each live application's per-client ground-truth latency.
-// With a worker pool attached, live apps are partitioned by worker affinity
-// and the groups sample concurrently: one app's observer and series belong to
-// exactly one group, and samples land in per-app series, so the recorded data
-// is byte-identical to the serial walk.
+// sample records each live application's per-client ground-truth latency,
+// in admission order.
 func (f *Fleet) sample(now float64) {
-	if f.pool == nil {
-		for _, name := range f.order {
-			f.sampleApp(f.apps[name], now)
-		}
-		return
-	}
-	for len(f.sampleGroups) < f.pool.Size() {
-		f.sampleGroups = append(f.sampleGroups, nil)
-	}
-	groups := f.sampleGroups[:f.pool.Size()]
-	for g := range groups {
-		groups[g] = groups[g][:0]
-	}
 	for _, name := range f.order {
 		a := f.apps[name]
-		groups[a.affinity] = append(groups[a.affinity], a)
-	}
-	f.pool.Do(len(groups), func(g int) {
-		for _, a := range groups[g] {
-			f.sampleApp(a, now)
+		if !a.Live() {
+			continue
 		}
-	})
-}
-
-func (f *Fleet) sampleApp(a *App, now float64) {
-	if !a.Live() {
-		return
-	}
-	for _, c := range a.Opspec.Clients {
-		if v, ok := a.obs.Sample(c.Name, now); ok {
-			a.Latency[c.Name].Add(now, v)
+		for _, c := range a.Opspec.Clients {
+			if v, ok := a.obs.Sample(c.Name, now); ok {
+				a.Latency[c.Name].Add(now, v)
+			}
 		}
 	}
 }
@@ -879,18 +807,15 @@ func (a *App) Summarize() AppSummary {
 
 // Summaries aggregates every admitted application, in admission order. On a
 // traced fleet each summary additionally carries the app's phase-latency
-// distributions. With a worker pool attached the per-app aggregation fans
-// out across it — each summary reads only its own app's state and lands in
-// its own row, so the result is byte-identical to the serial walk; the
-// tracer attach stays serial (one tracer serves the whole plane).
+// distributions.
 func (f *Fleet) Summaries() []AppSummary {
 	if len(f.order) == 0 {
 		return nil
 	}
 	out := make([]AppSummary, len(f.order))
-	f.pool.Do(len(f.order), func(i int) {
-		out[i] = f.apps[f.order[i]].Summarize()
-	})
+	for i, name := range f.order {
+		out[i] = f.apps[name].Summarize()
+	}
 	if f.tracer != nil {
 		for i := range out {
 			if out[i].Phases = f.tracer.PhasesFor(out[i].Name); out[i].Phases == nil {

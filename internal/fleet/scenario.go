@@ -115,13 +115,6 @@ type ScenarioOptions struct {
 	// Off (the default) the run is byte-identical to an untraced build.
 	Trace bool
 
-	// Workers sizes the fleet's simulation worker pool (Config.Workers).
-	// 0 or 1 (the default) runs fully serial — the retained single-threaded
-	// oracle. Same-seed runs are byte-identical at every setting; the
-	// catalog-wide equivalence test and the chaos parallel invariant enforce
-	// exactly that.
-	Workers int
-
 	// GlobalReflow forces the network's pre-incremental global solver (every
 	// flow recomputed on every change). Test/bench escape hatch: the solver
 	// equivalence test runs the same scenario both ways and requires
@@ -287,7 +280,6 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 		Migration:        opts.Migration,
 		OpenLoop:         opts.OpenLoop,
 		Trace:            opts.Trace,
-		Workers:          opts.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -362,15 +354,12 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 
 // Finish runs a started scenario to completion: Duration seconds of
 // scripted time, fleet stop, then a 120 s drain of in-flight transfers and
-// gauge churn. The fleet's worker pool (if any) is released once the final
-// summaries are taken.
+// gauge churn.
 func (r *ScenarioRun) Finish() *ScenarioResult {
 	r.K.Run(r.Opts.Duration)
 	r.Fleet.Stop()
 	r.K.Run(r.Opts.Duration + 120)
-	res := &ScenarioResult{Opts: r.Opts, Grid: r.Grid, Fleet: r.Fleet, Summaries: r.Fleet.Summaries()}
-	r.Fleet.Close()
-	return res
+	return &ScenarioResult{Opts: r.Opts, Grid: r.Grid, Fleet: r.Fleet, Summaries: r.Fleet.Summaries()}
 }
 
 // RunScenario executes one fleet run to completion. Runs are deterministic:

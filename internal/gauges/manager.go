@@ -62,12 +62,6 @@ type Lease struct {
 	app  string
 	host netsim.NodeID
 
-	// Affinity is the simulation worker group the leasing tenant belongs to
-	// (0 when the fleet runs serial). Assigned by the fleet at admission,
-	// alongside the tenant's bus shards; advisory only — gauge behaviour
-	// never depends on it.
-	Affinity int
-
 	deployed                    int
 	creates, deletes, retargets uint64
 	closed                      bool

@@ -243,3 +243,27 @@ func TestIncrementalSolverEquivalenceLong(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchSolveComponentStats pins the component accounting: a batch that
+// dirties two disjoint link groups is one solve with two components.
+func TestBatchSolveComponentStats(t *testing.T) {
+	n := New(sim.NewKernel())
+	a, b := n.AddHost("a"), n.AddHost("b")
+	c, d := n.AddHost("c"), n.AddHost("d")
+	l1 := n.Connect(a, b, 1e6, 1e-3)
+	l2 := n.Connect(c, d, 1e6, 1e-3)
+	n.StartTransfer(a, b, 1e5, "s", nil)
+	n.StartTransfer(c, d, 1e5, "s", nil)
+	before := n.Stats()
+	n.Batch(func() {
+		n.SetBackgroundBoth(l1, 5e5)
+		n.SetBackgroundBoth(l2, 2.5e5)
+	})
+	st := n.Stats()
+	if got := st.Solves - before.Solves; got != 1 {
+		t.Fatalf("batch ran %d solves, want 1", got)
+	}
+	if got := st.Components - before.Components; got != 2 {
+		t.Fatalf("batch filled %d components, want 2", got)
+	}
+}

@@ -64,12 +64,9 @@ import "slices"
 //     the property the equivalence oracles assert, not merely "close".
 //
 // Because components are independent by the argument above, the solver fills
-// each dirty component separately — and, when Network.Workers is attached,
-// fills disjoint components concurrently on the worker pool. Parallelism
-// changes neither the arithmetic (each component's fill order is fixed by its
-// sorted member list) nor kernel event order (settlement and completion
-// rescheduling run serially afterwards, over all region flows in global
-// index order), so any worker count produces byte-identical runs.
+// each dirty component separately, in discovery order; settlement and
+// completion rescheduling then run over all region flows in global index
+// order.
 //
 // GlobalReflow forces a global recompute on every solve (over the same
 // lazy-settlement machinery) and anchors the equivalence tests;
@@ -299,8 +296,7 @@ const (
 
 // solveDirty collects the dirtied regions and re-runs progressive filling
 // inside them, one connected component at a time. Components share no flows
-// and no resources, so they fill independently — in parallel on n.Workers
-// when attached, serially otherwise — with byte-identical rates either way.
+// and no resources, so they fill independently.
 func (n *Network) solveDirty(mode solveMode) {
 	if len(n.dirtyRes) == 0 {
 		return
@@ -321,16 +317,8 @@ func (n *Network) solveDirty(mode solveMode) {
 		}
 		f.rate = 0
 	}
-	if n.Workers != nil && len(n.compSpans) > 1 {
-		n.stats.ParallelFills++
-		n.Workers.Do(len(n.compSpans), func(i int) {
-			sp := n.compSpans[i]
-			n.fillComponent(n.compFlows[sp.flowLo:sp.flowHi], n.compRes[sp.resLo:sp.resHi], epoch)
-		})
-	} else {
-		for _, sp := range n.compSpans {
-			n.fillComponent(n.compFlows[sp.flowLo:sp.flowHi], n.compRes[sp.resLo:sp.resHi], epoch)
-		}
+	for _, sp := range n.compSpans {
+		n.fillComponent(n.compFlows[sp.flowLo:sp.flowHi], n.compRes[sp.resLo:sp.resHi], epoch)
 	}
 	if mode == solveProbe {
 		return
@@ -375,9 +363,8 @@ func (n *Network) solveDirty(mode solveMode) {
 // without class flows byte-identical to the pre-class solver.
 //
 // The fill touches only the component's own flows (rate, frozen) and
-// resources (avail, count scratch) plus read-only network config, so disjoint
-// components may fill concurrently. Within a component the arithmetic order
-// is fixed by the sorted member order, independent of worker count.
+// resources (avail, count scratch) plus read-only network config. Within a
+// component the arithmetic order is fixed by the sorted member order.
 func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 	for _, f := range flows {
 		if f.limited {

@@ -89,7 +89,7 @@ type Network struct {
 	// the region-visit epoch, and reusable scratch buffers. compFlows/compRes
 	// hold the same region members grouped by connected component (each
 	// group sorted into global order), with compSpans marking the group
-	// boundaries — the unit of parallel filling.
+	// boundaries — the unit of filling.
 	res         []resource
 	dirtyRes    []int32
 	batching    int
@@ -101,14 +101,6 @@ type Network struct {
 	compRes     []int32
 	compSpans   []compSpan
 	stats       SolveStats
-
-	// Workers, when non-nil, fills the connected components of a multi-region
-	// solve in parallel. The fill touches only component-local state and every
-	// component's arithmetic runs in the same order at any worker count, so
-	// rates are byte-identical to the nil (serial) pool — the oracle path.
-	// Settlement and completion rescheduling stay serial, in global flow
-	// order, so kernel event sequencing never depends on the pool.
-	Workers *sim.WorkerPool
 
 	// GlobalReflow disables region partitioning and recomputes every flow on
 	// every solve — the pre-incremental behaviour. Retained as an escape
@@ -147,9 +139,6 @@ type SolveStats struct {
 	Solves uint64
 	// Components is the total number of connected components filled.
 	Components uint64
-	// ParallelFills is the number of solves whose components were filled on
-	// the worker pool (multi-component solves with Workers attached).
-	ParallelFills uint64
 }
 
 // Stats returns a snapshot of the solver counters.

@@ -384,10 +384,8 @@ func TestAnonEventPoolRecycles(t *testing.T) {
 // allocation path at once: however an event reaches the queue — fresh At, a
 // pooled AtAnon/AtAnonArg (fresh or recycled struct), Reuse of a fired
 // struct, or Reschedule of a pending one — same-time events fire in exactly
-// the order their *latest* scheduling happened. This is the ordering the
-// parallel plane's merged-injection step leans on (exchanged events are
-// injected before next-window locals and must stay ahead of them), so it is
-// pinned here as a table rather than left implicit in the pooling code.
+// the order their *latest* scheduling happened — pinned here as a table
+// rather than left implicit in the pooling code.
 func TestPooledEventTieBreakTable(t *testing.T) {
 	cases := []struct {
 		name string
