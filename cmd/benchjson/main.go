@@ -28,9 +28,12 @@ type Baseline struct {
 	// push one, at a fixed number pending. TransferCycle mirrors
 	// BenchmarkTransferCycle (internal/netsim): one warm fire-and-forget
 	// reply transfer. Both are the run phase's per-event path in isolation
-	// and must not allocate — -check enforces it on fresh runs.
+	// and must not allocate — -check enforces it on fresh runs. CheckAll
+	// mirrors BenchmarkCheckAll (internal/constraint): one warm control-loop
+	// check of a 64-client model, held to the same rule.
 	KernelHold    []MicroBench `json:"kernel_hold"`
 	TransferCycle MicroBench   `json:"transfer_cycle"`
+	CheckAll      []MicroBench `json:"check_all"`
 	Fleet         []FleetRow   `json:"fleet"`
 	// FleetMigration mirrors BenchmarkFleetMigration: the canonical
 	// region-collapse + migration fixture (fleet.MigrationBenchScenario).
@@ -52,11 +55,13 @@ type Baseline struct {
 // BenchmarkMaxMinReflow: one background change against 100 concurrent flows
 // on a 10-host star.
 type MicroBench struct {
-	// Pending is set only on kernel_hold rows: the queue length held.
-	Pending     int   `json:"pending,omitempty"`
-	NsPerOp     int64 `json:"ns_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
+	// Pending is set only on kernel_hold rows (the queue length held), Name
+	// only on check_all rows (the variant).
+	Pending     int    `json:"pending,omitempty"`
+	Name        string `json:"name,omitempty"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
 }
 
 // FleetRow mirrors one BenchmarkFleet/N=<n> size point.
@@ -118,6 +123,18 @@ func benchTransferCycle() MicroBench {
 			op()
 		}
 	})
+}
+
+func benchCheckAll(name string, changed int) MicroBench {
+	row := micro(func(b *testing.B) {
+		op := benchfix.CheckAll(changed)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op(i)
+		}
+	})
+	row.Name = name
+	return row
 }
 
 func benchFleet(n, iters int) (FleetRow, error) {
@@ -259,20 +276,33 @@ func check(baselinePath string, tolerance float64) {
 		fmt.Fprintln(os.Stderr, "benchjson: a warm StartTransferArg cycle allocates — flow, hop index, completion event and callback must all be recycled")
 		failed = true
 	}
+	for _, v := range benchfix.CheckAllVariants {
+		row := benchCheckAll(v.Name, v.Changed)
+		fmt.Fprintf(os.Stderr, "check constraint check-all %s: %d ns/op, %d allocs/op\n", v.Name, row.NsPerOp, row.AllocsPerOp)
+		if row.AllocsPerOp > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: a clean warm CheckAll allocates (%s)\n", v.Name)
+			failed = true
+		}
+	}
 	// Growth gate: per-app cost must be flat in fleet size. allocs/app and
 	// MB/app are deterministic to within map-growth noise, so one fresh
 	// N=128 run is compared with the fresh N=32 run above rather than with
-	// a committed number from another machine.
-	const growthLimit = 1.25
+	// a committed number from another machine. ms/app is wall-clock of the
+	// same two runs on the same machine, so its limit is looser.
+	const growthLimit, msGrowthLimit = 1.25, 1.4
 	big, err := benchFleet(128, 1)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: fleet N=128: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "check growth N=32 -> N=128: allocs/app %.0f -> %.0f, MB/app %.3f -> %.3f (limit %.2fx), ms/app %.3f -> %.3f\n",
-		row.AllocsPerApp, big.AllocsPerApp, row.MBPerApp, big.MBPerApp, growthLimit, row.MsPerApp, big.MsPerApp)
+	fmt.Fprintf(os.Stderr, "check growth N=32 -> N=128: allocs/app %.0f -> %.0f, MB/app %.3f -> %.3f (limit %.2fx), ms/app %.3f -> %.3f (limit %.1fx)\n",
+		row.AllocsPerApp, big.AllocsPerApp, row.MBPerApp, big.MBPerApp, growthLimit, row.MsPerApp, big.MsPerApp, msGrowthLimit)
 	if big.AllocsPerApp > growthLimit*row.AllocsPerApp || big.MBPerApp > growthLimit*row.MBPerApp {
 		fmt.Fprintf(os.Stderr, "benchjson: per-app allocation grows with fleet size (>%.2fx from N=32 to N=128) — something on the admission or monitoring path scales with the grid, not the app\n", growthLimit)
+		failed = true
+	}
+	if big.MsPerApp > msGrowthLimit*row.MsPerApp {
+		fmt.Fprintf(os.Stderr, "benchjson: ms/app grows with fleet size (>%.1fx from N=32 to N=128) — set-up or a per-event path scales with the grid, not the app\n", msGrowthLimit)
 		failed = true
 	}
 	// Migration fixtures (unranked and ranked): same allocs/app gate, plus
@@ -415,7 +445,7 @@ func main() {
 	out := flag.String("out", "BENCH_fleet.json", "output file ('-' for stdout)")
 	quick := flag.Bool("quick", false, "smoke mode: N=4 only, one iteration")
 	iters := flag.Int("iters", 3, "fleet scenario iterations per size point")
-	checkPath := flag.String("check", "", "run the kernel-hold and transfer-cycle micro-benchmarks and compare fresh fleet N=32 and N=128, (ranked) migration N=16 and open-loop population-sweep runs against this committed baseline; exit non-zero if either micro-benchmark allocates, allocs/app regressed >20%, allocs/app or MB/app grow >1.25x from N=32 to N=128, migrations/app or responses/app drifted, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
+	checkPath := flag.String("check", "", "run the kernel-hold, transfer-cycle and check-all micro-benchmarks and compare fresh fleet N=32 and N=128, (ranked) migration N=16 and open-loop population-sweep runs against this committed baseline; exit non-zero if a micro-benchmark allocates, allocs/app regressed >20%, allocs/app or MB/app grow >1.25x or ms/app >1.4x from N=32 to N=128, migrations/app or responses/app drifted, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
 	flag.Parse()
 
 	if *checkPath != "" {
@@ -454,6 +484,11 @@ func main() {
 	}
 	base.TransferCycle = benchTransferCycle()
 	fmt.Fprintf(os.Stderr, "transfer cycle %5d ns/op  %d allocs/op\n", base.TransferCycle.NsPerOp, base.TransferCycle.AllocsPerOp)
+	for _, v := range benchfix.CheckAllVariants {
+		row := benchCheckAll(v.Name, v.Changed)
+		fmt.Fprintf(os.Stderr, "check-all %-17s %5d ns/op  %d allocs/op\n", v.Name, row.NsPerOp, row.AllocsPerOp)
+		base.CheckAll = append(base.CheckAll, row)
+	}
 	for _, n := range sizes {
 		it := *iters
 		if n >= 1024 {

@@ -30,9 +30,13 @@ type Request struct {
 	QueuedAt sim.Time
 	PulledAt sim.Time
 
-	// sys and srv thread the request through its static pipeline callbacks
-	// (send → enqueue → pull → serve → reply) without per-step closures.
+	// sys, cli, q and srv thread the request through its static pipeline
+	// callbacks (send → enqueue → pull → serve → reply) without per-step
+	// closures or name lookups. q is the client's queue as of the send, nil
+	// if its group had none.
 	sys *System
+	cli *Client
+	q   *queue
 	srv *Server
 }
 
@@ -59,6 +63,7 @@ type Server struct {
 	busy    bool
 	stopped bool // deactivation requested while busy
 	served  uint64
+	q       *queue // Group's queue, nil while it has none
 	sys     *System
 }
 
@@ -103,6 +108,7 @@ type Client struct {
 	// synth is the cached synthetic request handle behind DeliverSynthetic
 	// (openloop.go); nil until the open-loop engine first delivers.
 	synth *Request
+	q     *queue // Group's queue, nil while it has none
 	sys   *System
 }
 
@@ -135,11 +141,15 @@ type System struct {
 	clients map[string]*Client
 	servers map[string]*Server
 	queues  map[string]*queue
-	order   struct {
+	// Registration order, by name (what the accessors return) and by handle
+	// (what the request pipeline and the per-tick scans walk).
+	order struct {
 		clients []string
 		servers []string
 		groups  []string
 	}
+	clientList []*Client
+	serverList []*Server
 
 	reqSeq      uint64
 	droppedReqs uint64
@@ -176,10 +186,11 @@ func (s *System) AddClient(name string, host netsim.NodeID, group string, rate f
 		Name: name, Host: host, Group: group, Rate: rate,
 		ReqBits:  func() float64 { return 0.5 * 8192 }, // 0.5 KB
 		RespBits: func() float64 { return 20 * 8192 },  // 20 KB
-		rng:      rng, sys: s, respTag: "resp:" + name,
+		rng:      rng, sys: s, respTag: "resp:" + name, q: s.queues[group],
 	}
 	s.clients[name] = c
 	s.order.clients = append(s.order.clients, name)
+	s.clientList = append(s.clientList, c)
 	return c
 }
 
@@ -193,10 +204,11 @@ func (s *System) AddServer(name string, host netsim.NodeID, group string, servic
 	srv := &Server{
 		Name: name, Host: host, Group: group,
 		ServiceBase: serviceBase, ServicePerBit: servicePerBit,
-		sys: s,
+		sys: s, q: s.queues[group],
 	}
 	s.servers[name] = srv
 	s.order.servers = append(s.order.servers, name)
+	s.serverList = append(s.serverList, srv)
 	return srv
 }
 
@@ -205,8 +217,20 @@ func (s *System) CreateQueue(group string) error {
 	if _, dup := s.queues[group]; dup {
 		return fmt.Errorf("app: queue for %s already exists", group)
 	}
-	s.queues[group] = &queue{group: group}
+	q := &queue{group: group}
+	s.queues[group] = q
 	s.order.groups = append(s.order.groups, group)
+	// Processes registered against the group before its queue existed.
+	for _, c := range s.clientList {
+		if c.Group == group {
+			c.q = q
+		}
+	}
+	for _, srv := range s.serverList {
+		if srv.Group == group {
+			srv.q = q
+		}
+	}
 	return nil
 }
 
@@ -246,25 +270,39 @@ func (s *System) MaxQueueLen(group string) int {
 // ActiveServersOf returns the names of active servers pulling from a group.
 func (s *System) ActiveServersOf(group string) []string {
 	var out []string
-	for _, name := range s.order.servers {
-		srv := s.servers[name]
+	for _, srv := range s.serverList {
 		if srv.active && srv.Group == group {
-			out = append(out, name)
+			out = append(out, srv.Name)
 		}
 	}
 	return out
 }
 
+// ActiveServers returns the first active server pulling from a group, in
+// registration order, and how many there are: ActiveServersOf for callers
+// on a timer, which need no list.
+func (s *System) ActiveServers(group string) (first *Server, n int) {
+	for _, srv := range s.serverList {
+		if srv.active && srv.Group == group {
+			if n == 0 {
+				first = srv
+			}
+			n++
+		}
+	}
+	return first, n
+}
+
 // Start begins request generation for every client.
 func (s *System) Start() {
-	for _, name := range s.order.clients {
-		s.scheduleNext(s.clients[name])
+	for _, c := range s.clientList {
+		s.scheduleNext(c)
 	}
 }
 
 // StopClients halts request generation (end of experiment).
 func (s *System) StopClients() {
-	for _, c := range s.clients {
+	for _, c := range s.clientList {
 		c.stopped = true
 	}
 	s.stopped = true
@@ -276,8 +314,8 @@ func (s *System) StopClients() {
 // their RNG streams and outstanding requests; ResumeClients restarts
 // generation where it left off.
 func (s *System) PauseClients() {
-	for _, name := range s.order.clients {
-		s.clients[name].paused = true
+	for _, c := range s.clientList {
+		c.paused = true
 	}
 }
 
@@ -285,8 +323,7 @@ func (s *System) PauseClients() {
 // whose pre-pause arrival event is still pending is left to that event, so
 // a pause/resume cycle never forks a second generator chain.
 func (s *System) ResumeClients() {
-	for _, name := range s.order.clients {
-		c := s.clients[name]
+	for _, c := range s.clientList {
 		if !c.paused {
 			continue
 		}
@@ -336,6 +373,8 @@ func (s *System) sendRequest(c *Client) {
 		RespBits: c.RespBits(),
 		SentAt:   s.K.Now(),
 		sys:      s,
+		cli:      c,
+		q:        c.q,
 	}
 	for _, fn := range c.OnSend {
 		fn(req)
@@ -351,10 +390,13 @@ func enqueueFn(arg any) {
 }
 
 func (s *System) enqueue(req *Request) {
-	q := s.queues[req.Group]
+	q := req.q
 	if q == nil {
-		// Queue vanished (misrouted request after repair churn): drop. The
-		// client will see it as a lost request.
+		q = s.queues[req.Group] // created while the request travelled?
+	}
+	if q == nil {
+		// No such queue (misrouted request): drop. The client will see it
+		// as a lost request.
 		s.droppedReqs++
 		for _, fn := range s.OnDrop {
 			fn(req)
@@ -373,7 +415,7 @@ func (s *System) enqueue(req *Request) {
 // dispatch hands queued requests to idle active servers of the group.
 func (s *System) dispatch(q *queue) {
 	for q.head < len(q.reqs) {
-		srv := s.idleServer(q.group)
+		srv := s.idleServer(q)
 		if srv == nil {
 			q.compact()
 			return
@@ -399,10 +441,9 @@ func (q *queue) compact() {
 	}
 }
 
-func (s *System) idleServer(group string) *Server {
-	for _, name := range s.order.servers {
-		srv := s.servers[name]
-		if srv.active && !srv.busy && srv.Group == group {
+func (s *System) idleServer(q *queue) *Server {
+	for _, srv := range s.serverList {
+		if srv.q == q && srv.active && !srv.busy {
 			return srv
 		}
 	}
@@ -436,13 +477,8 @@ func pulledFn(arg any) {
 // client as an elastic transfer.
 func servedFn(arg any) {
 	req := arg.(*Request)
-	s, srv := req.sys, req.srv
-	cli := s.clients[req.Client]
-	if cli == nil {
-		s.finishServing(srv)
-		return
-	}
-	s.Net.StartTransferArg(srv.Host, cli.Host, req.RespBits, cli.respTag, replyDoneFn, req)
+	srv, cli := req.srv, req.cli
+	req.sys.Net.StartTransferArg(srv.Host, cli.Host, req.RespBits, cli.respTag, replyDoneFn, req)
 }
 
 // replyDoneFn fires when the last reply bit lands at the client. It is the
@@ -450,8 +486,7 @@ func servedFn(arg any) {
 // go.
 func replyDoneFn(arg any) {
 	req := arg.(*Request)
-	s, srv := req.sys, req.srv
-	cli := s.clients[req.Client]
+	s, srv, cli := req.sys, req.srv, req.cli
 	done := Response{Req: req, DoneAt: s.K.Now(), Latency: s.K.Now() - req.SentAt}
 	cli.responses++
 	for _, fn := range cli.OnResponse {
@@ -470,10 +505,8 @@ func (s *System) finishServing(srv *Server) {
 		srv.active = false
 		srv.stopped = false
 	}
-	if srv.active {
-		if q := s.queues[srv.Group]; q != nil {
-			s.dispatch(q)
-		}
+	if srv.active && srv.q != nil {
+		s.dispatch(srv.q)
 	}
 }
 
@@ -493,8 +526,8 @@ func (s *System) Activate(server string) error {
 	}
 	srv.active = true
 	srv.stopped = false
-	if q := s.queues[srv.Group]; q != nil {
-		s.dispatch(q)
+	if srv.q != nil {
+		s.dispatch(srv.q)
 	}
 	return nil
 }
@@ -526,10 +559,11 @@ func (s *System) ConnectServer(server, group string) error {
 	if srv.active {
 		return fmt.Errorf("app: server %q is active; deactivate first", server)
 	}
-	if _, ok := s.queues[group]; !ok {
+	q := s.queues[group]
+	if q == nil {
 		return fmt.Errorf("app: no queue for group %q", group)
 	}
-	srv.Group = group
+	srv.Group, srv.q = group, q
 	return nil
 }
 
@@ -542,13 +576,14 @@ func (s *System) MoveClient(client, group string) error {
 	if c == nil {
 		return fmt.Errorf("app: no client %q", client)
 	}
-	if _, ok := s.queues[group]; !ok {
+	q := s.queues[group]
+	if q == nil {
 		return fmt.Errorf("app: no queue for group %q", group)
 	}
-	if old := s.queues[c.Group]; old != nil && c.Group != group {
+	if old := c.q; old != nil && old != q {
 		kept := old.reqs[:0]
 		for _, r := range old.reqs[old.head:] {
-			if r.Client == client {
+			if r.cli == c {
 				s.droppedReqs++
 				for _, fn := range s.OnDrop {
 					fn(r)
@@ -563,7 +598,7 @@ func (s *System) MoveClient(client, group string) error {
 		old.reqs = kept
 		old.head = 0
 	}
-	c.Group = group
+	c.Group, c.q = group, q
 	return nil
 }
 
@@ -593,11 +628,11 @@ func (s *System) Rehost(queueHost netsim.NodeID, serverHosts, clientHosts map[st
 		}
 	}
 	s.QueueHost = queueHost
-	for _, name := range s.order.servers {
-		s.servers[name].Host = serverHosts[name]
+	for _, srv := range s.serverList {
+		srv.Host = serverHosts[srv.Name]
 	}
-	for _, name := range s.order.clients {
-		s.clients[name].Host = clientHosts[name]
+	for _, c := range s.clientList {
+		c.Host = clientHosts[c.Name]
 	}
 	return nil
 }

@@ -388,3 +388,98 @@ func TestStopClientsReleasesFreeRequests(t *testing.T) {
 		t.Fatalf("stopped system holds %d free requests", n)
 	}
 }
+
+// RemoveServer while the server is mid-request: the reply completes against
+// the detached handle, which must never be handed work again, and the name
+// and handle lists stay parallel so later scans and a re-registration under
+// the same name see a consistent system.
+func TestRemoveServerWithRequestInFlight(t *testing.T) {
+	r := newRig(t)
+	s1 := r.sys.AddServer("S1", r.sHost, "G1", 1.0, 0)
+	s2 := r.sys.AddServer("S2", r.sHost, "G1", 1.0, 0)
+	s3 := r.sys.AddServer("S3", r.sHost, "G1", 1.0, 0)
+	for _, name := range []string{"S1", "S2"} {
+		if err := r.sys.Activate(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli := r.sys.AddClient("C1", r.cHost, "G1", 0, sim.NewRand(1))
+	for i := 0; i < 4; i++ {
+		r.k.At(0, func() { r.sys.sendRequest(cli) })
+	}
+	r.k.Run(0.5) // S1 and S2 each mid-service, two requests waiting
+	if !s1.Busy() || !s2.Busy() || r.sys.QueueLen("G1") != 2 {
+		t.Fatalf("setup: busy=%v,%v queue=%d", s1.Busy(), s2.Busy(), r.sys.QueueLen("G1"))
+	}
+	if err := r.sys.RemoveServer("S2"); err != nil {
+		t.Fatal(err)
+	}
+	consistent := func(want ...*Server) {
+		t.Helper()
+		names := r.sys.Servers()
+		if len(names) != len(want) || len(r.sys.serverList) != len(want) {
+			t.Fatalf("servers %v / %d handles, want %d", names, len(r.sys.serverList), len(want))
+		}
+		for i, srv := range want {
+			if names[i] != srv.Name || r.sys.serverList[i] != srv || r.sys.Server(srv.Name) != srv {
+				t.Fatalf("position %d: name %q handle %p, want %q %p", i, names[i], r.sys.serverList[i], srv.Name, srv)
+			}
+		}
+	}
+	consistent(s1, s3)
+	if first, n := r.sys.ActiveServers("G1"); first != s1 || n != 1 {
+		t.Fatalf("active after removal: %v, %d", first, n)
+	}
+	if r.sys.Server("S2") != nil || s2.Active() || !s2.Busy() {
+		t.Fatalf("detached handle: registered=%v active=%v busy=%v", r.sys.Server("S2") != nil, s2.Active(), s2.Busy())
+	}
+	// The same name comes back (the autoscaler reuses replica names) while
+	// the old handle is still replying.
+	again := r.sys.AddServer("S2", r.sHost, "G1", 1.0, 0)
+	consistent(s1, s3, again)
+	if err := r.sys.Activate("S2"); err != nil {
+		t.Fatal(err)
+	}
+	r.k.RunAll(0)
+	if cli.Responses() != 4 {
+		t.Fatalf("responses=%d, want all 4 (the in-flight one included)", cli.Responses())
+	}
+	if s2.Served() != 1 || s2.Busy() || s2.Active() {
+		t.Fatalf("detached handle served %d, busy=%v active=%v: it must finish its request and take no other", s2.Served(), s2.Busy(), s2.Active())
+	}
+	if s1.Served()+again.Served() != 3 || s3.Served() != 0 {
+		t.Fatalf("served S1=%d new S2=%d S3=%d", s1.Served(), again.Served(), s3.Served())
+	}
+	if err := r.sys.RemoveServer("S2"); err != nil {
+		t.Fatal(err)
+	}
+	consistent(s1, s3)
+	if err := r.sys.RemoveServer("S2"); err == nil {
+		t.Fatal("removing an unregistered server must fail")
+	}
+}
+
+// A client or server registered before its group's queue exists is bound to
+// the queue when it is created.
+func TestQueueCreatedAfterItsProcesses(t *testing.T) {
+	r := newRig(t)
+	cli := r.sys.AddClient("C1", r.cHost, "G2", 0, sim.NewRand(1))
+	r.sys.AddServer("S1", r.sHost, "G2", 0.05, 0)
+	r.k.At(0, func() { r.sys.sendRequest(cli) }) // no queue yet: travels, then dropped
+	r.k.RunAll(0)
+	if r.sys.DroppedRequests() != 1 {
+		t.Fatalf("dropped=%d, want 1", r.sys.DroppedRequests())
+	}
+	r.sys.sendRequest(cli) // the queue appears while this one travels
+	if err := r.sys.CreateQueue("G2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.sys.Activate("S1"); err != nil {
+		t.Fatal(err)
+	}
+	r.k.At(r.k.Now(), func() { r.sys.sendRequest(cli) })
+	r.k.RunAll(0)
+	if cli.Responses() != 2 || r.sys.DroppedRequests() != 1 {
+		t.Fatalf("responses=%d dropped=%d, want 2 and 1", cli.Responses(), r.sys.DroppedRequests())
+	}
+}

@@ -12,6 +12,7 @@ package app
 
 import (
 	"fmt"
+	"slices"
 
 	"archadapt/internal/netsim"
 )
@@ -57,8 +58,7 @@ func BuildFlowClasses(s *System, regionOf func(netsim.NodeID) int) []*FlowClass 
 	}
 	idx := map[key]*FlowClass{}
 	var out []*FlowClass
-	for _, name := range s.order.clients {
-		c := s.clients[name]
+	for _, c := range s.clientList {
 		k := key{regionOf(c.Host), c.Group}
 		fc := idx[k]
 		if fc == nil {
@@ -66,7 +66,7 @@ func BuildFlowClasses(s *System, regionOf func(netsim.NodeID) int) []*FlowClass 
 			idx[k] = fc
 			out = append(out, fc)
 		}
-		fc.Members = append(fc.Members, name)
+		fc.Members = append(fc.Members, c.Name)
 	}
 	return out
 }
@@ -74,11 +74,8 @@ func BuildFlowClasses(s *System, regionOf func(netsim.NodeID) int) []*FlowClass 
 // groupAnchor returns the host class reply traffic originates from: the
 // group's first active server, else the queue machine.
 func (s *System) groupAnchor(group string) netsim.NodeID {
-	for _, name := range s.order.servers {
-		srv := s.servers[name]
-		if srv.active && srv.Group == group {
-			return srv.Host
-		}
+	if srv, _ := s.ActiveServers(group); srv != nil {
+		return srv.Host
 	}
 	return s.QueueHost
 }
@@ -95,7 +92,7 @@ func (s *System) groupAnchor(group string) netsim.NodeID {
 func (c *Client) DeliverSynthetic(now float64, latency float64, count uint64) {
 	c.responses += count
 	if c.synth == nil {
-		c.synth = &Request{Client: c.Name, sys: c.sys}
+		c.synth = &Request{Client: c.Name, sys: c.sys, cli: c}
 	}
 	c.synth.Group = c.Group
 	c.synth.RespBits = c.RespBits()
@@ -118,11 +115,9 @@ func (s *System) RemoveServer(name string) error {
 	srv.active = false
 	srv.stopped = false
 	delete(s.servers, name)
-	for i, n := range s.order.servers {
-		if n == name {
-			s.order.servers = append(s.order.servers[:i], s.order.servers[i+1:]...)
-			break
-		}
-	}
+	// The two order lists are parallel: one index serves both.
+	i := slices.Index(s.serverList, srv)
+	s.order.servers = slices.Delete(s.order.servers, i, i+1)
+	s.serverList = slices.Delete(s.serverList, i, i+1)
 	return nil
 }

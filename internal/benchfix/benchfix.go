@@ -4,9 +4,12 @@
 package benchfix
 
 import (
+	"fmt"
 	"math"
 
+	"archadapt/internal/constraint"
 	"archadapt/internal/netsim"
+	"archadapt/internal/operators"
 	"archadapt/internal/sim"
 )
 
@@ -79,5 +82,51 @@ func TransferCycle() (op func()) {
 	for range hosts {
 		op() // one per pair: routes memoised, free lists filled
 	}
+	return op
+}
+
+// CheckAllVariants are the BenchmarkCheckAll rows: how many properties a
+// gauge rewrites between two control-loop ticks.
+var CheckAllVariants = []struct {
+	Name    string
+	Changed int
+}{{"unchanged", 0}, {"one-prop-changed", 1}}
+
+// CheckAll builds the BenchmarkCheckAll fixture — the 64-client, two-group
+// operators.Build model with every property the manager's three invariants
+// read set in bounds, checked once — and returns the op: rewrite `changed`
+// clients' latency, then CheckAll. The warm check is the control loop's unit
+// of work and must not allocate.
+func CheckAll(changed int) (op func(i int)) {
+	spec := operators.Spec{Name: "bench", MaxLatency: 2, MaxServerLoad: 6, MinBandwidth: 10e3, Groups: []operators.GroupSpec{
+		{Name: "SG1", Servers: []string{"S1_1", "S1_2", "S1_3"}, ActiveCount: 2},
+		{Name: "SG2", Servers: []string{"S2_1", "S2_2", "S2_3"}, ActiveCount: 2},
+	}}
+	for c := 1; c <= 64; c++ {
+		spec.Clients = append(spec.Clients, operators.ClientSpec{Name: fmt.Sprintf("C%d", c), Group: "SG1"})
+	}
+	sys, err := operators.Build(spec)
+	if err != nil {
+		panic(err)
+	}
+	clients := sys.ComponentsByType(operators.TClient)
+	for _, c := range clients {
+		c.Props().Set(operators.PropAvgLatency, 1.0)
+		_, _, role, _ := operators.GroupOf(sys, c)
+		role.Props().Set(operators.PropBandwidth, 5e6)
+	}
+	reg := constraint.NewRegistry()
+	reg.Add(constraint.MustInvariant(operators.InvLatency, operators.TClient, "averageLatency <= maxLatency"))
+	reg.Add(constraint.MustInvariant(operators.InvLoad, operators.TServerGroup, "load <= maxServerLoad"))
+	reg.Add(constraint.MustInvariant(operators.InvBandwidth, operators.TClientRole, "bandwidth >= minBandwidth"))
+	op = func(i int) {
+		for j := 0; j < changed; j++ {
+			clients[(i+j)%len(clients)].Props().SetFloat(operators.PropAvgLatency, 1+float64(i%8)/16)
+		}
+		if vs := reg.CheckAll(sys); vs != nil {
+			panic(fmt.Sprintf("benchfix: %d violations on an in-bounds model", len(vs)))
+		}
+	}
+	op(0)
 	return op
 }

@@ -2,7 +2,6 @@ package constraint
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -69,9 +68,6 @@ func (*Call) isExpr()   {}
 func (*Quant) isExpr()  {}
 
 func (e *Lit) String() string {
-	if e.Val.Kind == KStr {
-		return strconv.Quote(e.Val.Str)
-	}
 	return e.Val.String()
 }
 

@@ -66,7 +66,7 @@ func TestArithmeticAndPrecedence(t *testing.T) {
 		"1.5e2 + 0.5": 150.5,
 	}
 	for src, want := range cases {
-		if v := eval(t, src, env); v.Kind != KNum || v.Num != want {
+		if v := eval(t, src, env); v.Kind() != KNum || v.Num() != want {
 			t.Errorf("%q = %s, want %v", src, v, want)
 		}
 	}
@@ -88,7 +88,7 @@ func TestComparisonsAndBooleans(t *testing.T) {
 		"nil == nil":        true,
 	}
 	for src, want := range cases {
-		if v := eval(t, src, env); v.Kind != KBool || v.Bool != want {
+		if v := eval(t, src, env); v.Kind() != KBool || v.Bool() != want {
 			t.Errorf("%q = %s, want %v", src, v, want)
 		}
 	}
@@ -98,10 +98,10 @@ func TestShortCircuit(t *testing.T) {
 	// `or` must not evaluate the right side when left is true — the right
 	// side here would be an unbound-identifier error.
 	env := NewEnv(nil)
-	if v := eval(t, "true or undefinedName", env); !v.Bool {
+	if v := eval(t, "true or undefinedName", env); !v.Bool() {
 		t.Fatal("short-circuit or failed")
 	}
-	if v := eval(t, "false and undefinedName", env); v.Bool {
+	if v := eval(t, "false and undefinedName", env); v.Bool() {
 		t.Fatal("short-circuit and failed")
 	}
 }
@@ -109,17 +109,17 @@ func TestShortCircuit(t *testing.T) {
 func TestPropertyRefs(t *testing.T) {
 	s := testSystem()
 	env := NewEnv(s)
-	if v := eval(t, "self.maxLatency", env); v.Num != 2.0 {
+	if v := eval(t, "self.maxLatency", env); v.Num() != 2.0 {
 		t.Fatalf("self.maxLatency = %s", v)
 	}
 	env.Bind("cli", Elem(s.Component("User1")))
-	if v := eval(t, "cli.averageLatency", env); v.Num != 3.5 {
+	if v := eval(t, "cli.averageLatency", env); v.Num() != 3.5 {
 		t.Fatalf("cli.averageLatency = %s", v)
 	}
-	if v := eval(t, "cli.name", env); v.Str != "User1" {
+	if v := eval(t, "cli.name", env); v.Str() != "User1" {
 		t.Fatalf("cli.name = %s", v)
 	}
-	if v := eval(t, "cli.type", env); v.Str != "ClientT" {
+	if v := eval(t, "cli.type", env); v.Str() != "ClientT" {
 		t.Fatalf("cli.type = %s", v)
 	}
 }
@@ -128,11 +128,11 @@ func TestImplicitItResolution(t *testing.T) {
 	s := testSystem()
 	env := NewEnv(s).Bind("it", Elem(s.Component("User1")))
 	// averageLatency comes from `it`, maxLatency falls through to the system.
-	if v := eval(t, "averageLatency <= maxLatency", env); v.Bool {
+	if v := eval(t, "averageLatency <= maxLatency", env); v.Bool() {
 		t.Fatal("User1 violates the latency bound; expression said otherwise")
 	}
 	env2 := NewEnv(s).Bind("it", Elem(s.Component("User2")))
-	if v := eval(t, "averageLatency <= maxLatency", env2); !v.Bool {
+	if v := eval(t, "averageLatency <= maxLatency", env2); !v.Bool() {
 		t.Fatal("User2 satisfies the latency bound; expression said otherwise")
 	}
 }
@@ -141,11 +141,11 @@ func TestSelectAndSize(t *testing.T) {
 	s := testSystem()
 	env := NewEnv(s)
 	v := eval(t, "select g : ServerGroupT in self.Components | g.load > maxServerLoad", env)
-	if v.Kind != KSet || len(v.Set) != 1 || v.Set[0].Elem.Name() != "ServerGrp1" {
+	if v.Kind() != KSet || len(v.Set()) != 1 || v.Set()[0].Elem().Name() != "ServerGrp1" {
 		t.Fatalf("select = %s", v)
 	}
 	n := eval(t, "size(select g : ServerGroupT in self.Components | g.load > maxServerLoad)", env)
-	if n.Num != 1 {
+	if n.Num() != 1 {
 		t.Fatalf("size = %s", n)
 	}
 }
@@ -154,11 +154,11 @@ func TestSelectOneDeterministic(t *testing.T) {
 	s := testSystem()
 	env := NewEnv(s)
 	v := eval(t, "select one c : ClientT in self.Components | c.averageLatency > 0", env)
-	if v.Kind != KElem || v.Elem.Name() != "User1" {
+	if v.Kind() != KElem || v.Elem().Name() != "User1" {
 		t.Fatalf("select one = %s, want User1 (name order)", v)
 	}
 	nilv := eval(t, "select one c : ClientT in self.Components | c.averageLatency > 100", env)
-	if nilv.Kind != KNil {
+	if nilv.Kind() != KNil {
 		t.Fatalf("empty select one = %s, want nil", nilv)
 	}
 }
@@ -166,13 +166,13 @@ func TestSelectOneDeterministic(t *testing.T) {
 func TestExistsForall(t *testing.T) {
 	s := testSystem()
 	env := NewEnv(s)
-	if v := eval(t, "exists c : ClientT in self.Components | c.averageLatency > maxLatency", env); !v.Bool {
+	if v := eval(t, "exists c : ClientT in self.Components | c.averageLatency > maxLatency", env); !v.Bool() {
 		t.Fatal("exists should find User1")
 	}
-	if v := eval(t, "forall c : ClientT in self.Components | c.averageLatency <= maxLatency", env); v.Bool {
+	if v := eval(t, "forall c : ClientT in self.Components | c.averageLatency <= maxLatency", env); v.Bool() {
 		t.Fatal("forall should fail on User1")
 	}
-	if v := eval(t, "forall g : ServerGroupT in self.Components | g.load > 0", env); !v.Bool {
+	if v := eval(t, "forall g : ServerGroupT in self.Components | g.load > 0", env); !v.Bool() {
 		t.Fatal("forall over groups should hold")
 	}
 }
@@ -183,28 +183,28 @@ func TestConnectedAttachedFunctions(t *testing.T) {
 	env.Bind("cli", Elem(s.Component("User1")))
 	env.Bind("grp", Elem(s.Component("ServerGrp1")))
 	env.Bind("grp2", Elem(s.Component("ServerGrp2")))
-	if v := eval(t, "connected(cli, grp)", env); !v.Bool {
+	if v := eval(t, "connected(cli, grp)", env); !v.Bool() {
 		t.Fatal("connected(cli, grp)")
 	}
-	if v := eval(t, "connected(cli, grp2)", env); v.Bool {
+	if v := eval(t, "connected(cli, grp2)", env); v.Bool() {
 		t.Fatal("connected(cli, grp2) should be false")
 	}
 	// Figure 5 line 20 form, inside a quantifier.
 	v := eval(t, "select g : ServerGroupT in self.Components | connected(g, cli) and g.load > maxServerLoad", env)
-	if len(v.Set) != 1 {
+	if len(v.Set()) != 1 {
 		t.Fatalf("overloaded groups connected to cli = %s", v)
 	}
 	env.Bind("p", Elem(s.Component("User1").Port("request")))
 	env.Bind("r", Elem(s.Connector("Req1").Role("cli1")))
-	if v := eval(t, "attached(p, r)", env); !v.Bool {
+	if v := eval(t, "attached(p, r)", env); !v.Bool() {
 		t.Fatal("attached(p, r)")
 	}
-	if v := eval(t, "attached(r, p)", env); !v.Bool {
+	if v := eval(t, "attached(r, p)", env); !v.Bool() {
 		t.Fatal("attached should accept either order")
 	}
 	// exists over ports, as in Figure 5 lines 7-8.
 	env.Bind("badRole", Elem(s.Connector("Req1").Role("cli1")))
-	if v := eval(t, "exists p : RequestT in cli.Ports | attached(p, badRole)", env); !v.Bool {
+	if v := eval(t, "exists p : RequestT in cli.Ports | attached(p, badRole)", env); !v.Bool() {
 		t.Fatal("Figure 5 exists-form failed")
 	}
 }
@@ -216,7 +216,7 @@ func TestCustomFunction(t *testing.T) {
 		return Elem(s.Component("ServerGrp2")), nil
 	}
 	env.Bind("cli", Elem(s.Component("User1")))
-	if v := eval(t, "findGoodSGrp(cli, minBandwidth) != nil", env); !v.Bool {
+	if v := eval(t, "findGoodSGrp(cli, minBandwidth) != nil", env); !v.Bool() {
 		t.Fatal("custom function")
 	}
 }

@@ -11,32 +11,56 @@ import (
 // plus optional external functions (style-specific queries such as the
 // paper's findGoodSGrp, which consults the runtime layer).
 type Env struct {
-	Sys   *model.System
-	vars  map[string]Value
+	Sys *model.System
+	// vars holds the bindings innermost last; a scope has a handful, so a
+	// backwards scan resolves a name faster than hashing it would.
+	vars  []binding
 	Funcs map[string]func(args []Value) (Value, error)
+}
+
+type binding struct {
+	name string
+	val  Value
 }
 
 // NewEnv creates an environment rooted at sys with `self` bound to it.
 func NewEnv(sys *model.System) *Env {
-	e := &Env{Sys: sys, vars: map[string]Value{}, Funcs: map[string]func([]Value) (Value, error){}}
-	return e
+	return &Env{Sys: sys, Funcs: map[string]func([]Value) (Value, error){}}
 }
 
 // Bind sets a variable.
 func (e *Env) Bind(name string, v Value) *Env {
-	e.vars[name] = v
+	for i := range e.vars {
+		if e.vars[i].name == name {
+			e.vars[i].val = v
+			return e
+		}
+	}
+	e.vars = append(e.vars, binding{name, v})
 	return e
 }
 
-// child creates a scope with one extra binding.
-func (e *Env) child(name string, v Value) *Env {
-	c := &Env{Sys: e.Sys, vars: map[string]Value{}, Funcs: e.Funcs}
-	for k, vv := range e.vars {
-		c.vars[k] = vv
+// lookup returns the innermost binding of name.
+func (e *Env) lookup(name string) (Value, bool) {
+	for i := len(e.vars) - 1; i >= 0; i-- {
+		if e.vars[i].name == name {
+			return e.vars[i].val, true
+		}
 	}
-	c.vars[name] = v
-	return c
+	return Nil(), false
 }
+
+// child creates a scope with one extra binding, which shadows any outer
+// binding of the same name. The caller may rebind it through rebind.
+func (e *Env) child(name string, v Value) *Env {
+	vars := make([]binding, len(e.vars)+1)
+	copy(vars, e.vars)
+	vars[len(e.vars)] = binding{name, v}
+	return &Env{Sys: e.Sys, vars: vars, Funcs: e.Funcs}
+}
+
+// rebind replaces the value of the binding child added.
+func (e *Env) rebind(v Value) { e.vars[len(e.vars)-1].val = v }
 
 // Eval evaluates expr in env.
 func Eval(expr Expr, env *Env) (Value, error) {
@@ -73,7 +97,7 @@ func evalRef(r *Ref, env *Env) (Value, error) {
 	case head == "self":
 		cur = Elem(env.Sys)
 	default:
-		if v, ok := env.vars[head]; ok {
+		if v, ok := env.lookup(head); ok {
 			cur = v
 		} else if v, ok := lookupImplicit(head, env); ok {
 			// Bare identifiers resolve against the implicit subject (`it`),
@@ -101,9 +125,11 @@ func evalRef(r *Ref, env *Env) (Value, error) {
 // lookupImplicit resolves a bare name against `it` (the element under
 // check), then the system's properties.
 func lookupImplicit(name string, env *Env) (Value, bool) {
-	if it, ok := env.vars["it"]; ok && it.Kind == KElem {
-		if v, ok := propValue(it.Elem, name); ok {
-			return v, true
+	if it, ok := env.lookup("it"); ok {
+		if el := it.Elem(); el != nil {
+			if v, ok := propValue(el, name); ok {
+				return v, true
+			}
 		}
 	}
 	if env.Sys != nil {
@@ -115,13 +141,15 @@ func lookupImplicit(name string, env *Env) (Value, bool) {
 }
 
 func propValue(e model.Element, name string) (Value, bool) {
-	raw, ok := e.Props().Get(name)
+	p := e.Props()
+	if f, ok := p.Float(name); ok {
+		return Num(f), true // what gauges write and invariants compare
+	}
+	raw, ok := p.Get(name)
 	if !ok {
 		return Nil(), false
 	}
 	switch v := raw.(type) {
-	case float64:
-		return Num(v), true
 	case bool:
 		return Bool(v), true
 	case string:
@@ -140,10 +168,10 @@ func propValue(e model.Element, name string) (Value, bool) {
 // (Components, Connectors, Ports, Roles, Reps, name, type), then element
 // properties.
 func member(cur Value, part string, env *Env) (Value, error) {
-	if cur.Kind != KElem {
+	e := cur.Elem()
+	if e == nil {
 		return Nil(), fmt.Errorf("constraint: cannot select %q from %s", part, cur)
 	}
-	e := cur.Elem
 	switch part {
 	case "name":
 		return Str(e.Name()), nil
@@ -223,10 +251,10 @@ func evalUnary(u *Unary, env *Env) (Value, error) {
 		}
 		return Bool(!b), nil
 	case "-":
-		if v.Kind != KNum {
+		if v.ref != KNum {
 			return Nil(), fmt.Errorf("constraint: unary - on %s", v)
 		}
-		return Num(-v.Num), nil
+		return Num(-v.num), nil
 	}
 	return Nil(), fmt.Errorf("constraint: unknown unary %q", u.Op)
 }
@@ -264,35 +292,35 @@ func evalBinary(b *Binary, env *Env) (Value, error) {
 	case "!=":
 		return Bool(!equal(l, r)), nil
 	case "<", "<=", ">", ">=":
-		if l.Kind != KNum || r.Kind != KNum {
+		if l.ref != KNum || r.ref != KNum {
 			return Nil(), fmt.Errorf("constraint: %s requires numbers, got %s %s", b.Op, l, r)
 		}
 		switch b.Op {
 		case "<":
-			return Bool(l.Num < r.Num), nil
+			return Bool(l.num < r.num), nil
 		case "<=":
-			return Bool(l.Num <= r.Num), nil
+			return Bool(l.num <= r.num), nil
 		case ">":
-			return Bool(l.Num > r.Num), nil
+			return Bool(l.num > r.num), nil
 		default:
-			return Bool(l.Num >= r.Num), nil
+			return Bool(l.num >= r.num), nil
 		}
 	case "+", "-", "*", "/":
-		if l.Kind != KNum || r.Kind != KNum {
+		if l.ref != KNum || r.ref != KNum {
 			return Nil(), fmt.Errorf("constraint: %s requires numbers, got %s %s", b.Op, l, r)
 		}
 		switch b.Op {
 		case "+":
-			return Num(l.Num + r.Num), nil
+			return Num(l.num + r.num), nil
 		case "-":
-			return Num(l.Num - r.Num), nil
+			return Num(l.num - r.num), nil
 		case "*":
-			return Num(l.Num * r.Num), nil
+			return Num(l.num * r.num), nil
 		default:
-			if r.Num == 0 {
+			if r.num == 0 {
 				return Nil(), fmt.Errorf("constraint: division by zero")
 			}
-			return Num(l.Num / r.Num), nil
+			return Num(l.num / r.num), nil
 		}
 	}
 	return Nil(), fmt.Errorf("constraint: unknown operator %q", b.Op)
@@ -309,10 +337,10 @@ func evalCall(c *Call, env *Env) (Value, error) {
 	}
 	switch c.Fn {
 	case "size":
-		if len(args) != 1 || args[0].Kind != KSet {
+		if len(args) != 1 || args[0].Kind() != KSet {
 			return Nil(), fmt.Errorf("constraint: size() wants one set argument")
 		}
-		return Num(float64(len(args[0].Set))), nil
+		return Num(float64(len(args[0].Set()))), nil
 	case "connected":
 		if len(args) != 2 {
 			return Nil(), fmt.Errorf("constraint: connected() wants two arguments")
@@ -334,24 +362,24 @@ func evalCall(c *Call, env *Env) (Value, error) {
 		}
 		return Bool(env.Sys.Attached(p, r)), nil
 	case "hasProperty":
-		if len(args) != 2 || args[0].Kind != KElem || args[1].Kind != KStr {
+		if len(args) != 2 || args[0].Kind() != KElem || args[1].Kind() != KStr {
 			return Nil(), fmt.Errorf("constraint: hasProperty(elem, name)")
 		}
-		return Bool(args[0].Elem.Props().Has(args[1].Str)), nil
+		return Bool(args[0].Elem().Props().Has(args[1].Str())), nil
 	case "union":
 		var all []Value
 		for _, a := range args {
-			if a.Kind != KSet {
+			if a.Kind() != KSet {
 				return Nil(), fmt.Errorf("constraint: union() wants sets")
 			}
-			all = append(all, a.Set...)
+			all = append(all, a.Set()...)
 		}
 		return Set(all), nil
 	case "contains":
-		if len(args) != 2 || args[0].Kind != KSet {
+		if len(args) != 2 || args[0].Kind() != KSet {
 			return Nil(), fmt.Errorf("constraint: contains(set, v)")
 		}
-		for _, v := range args[0].Set {
+		for _, v := range args[0].Set() {
 			if equal(v, args[1]) {
 				return Bool(true), nil
 			}
@@ -365,27 +393,18 @@ func evalCall(c *Call, env *Env) (Value, error) {
 }
 
 func asComponent(v Value) (*model.Component, bool) {
-	if v.Kind != KElem {
-		return nil, false
-	}
-	c, ok := v.Elem.(*model.Component)
+	c, ok := v.ref.(*model.Component)
 	return c, ok
 }
 
 func asPortRole(a, b Value) (*model.Port, *model.Role) {
-	if a.Kind != KElem || b.Kind != KElem {
-		return nil, nil
+	if p, ok := a.ref.(*model.Port); ok {
+		r, _ := b.ref.(*model.Role)
+		return p, r
 	}
-	if p, ok := a.Elem.(*model.Port); ok {
-		if r, ok := b.Elem.(*model.Role); ok {
-			return p, r
-		}
-		return nil, nil
-	}
-	if r, ok := a.Elem.(*model.Role); ok {
-		if p, ok := b.Elem.(*model.Port); ok {
-			return p, r
-		}
+	if r, ok := a.ref.(*model.Role); ok {
+		p, _ := b.ref.(*model.Port)
+		return p, r
 	}
 	return nil, nil
 }
@@ -395,17 +414,19 @@ func evalQuant(q *Quant, env *Env) (Value, error) {
 	if err != nil {
 		return Nil(), err
 	}
-	if dom.Kind != KSet {
+	if dom.Kind() != KSet {
 		return Nil(), fmt.Errorf("constraint: quantifier domain is not a set: %s", dom)
 	}
 	var matches []Value
-	for _, v := range dom.Set {
+	scope := env.child(q.Var, Nil())
+	for _, v := range dom.Set() {
 		if q.Type != "" {
-			if v.Kind != KElem || v.Elem.Type() != q.Type {
+			if e := v.Elem(); e == nil || e.Type() != q.Type {
 				continue
 			}
 		}
-		ok, err := EvalBool(q.Pred, env.child(q.Var, v))
+		scope.rebind(v)
+		ok, err := EvalBool(q.Pred, scope)
 		if err != nil {
 			return Nil(), err
 		}
@@ -432,11 +453,8 @@ func evalQuant(q *Quant, env *Env) (Value, error) {
 	}
 	// select: deterministic order by element name where applicable.
 	sort.SliceStable(matches, func(i, j int) bool {
-		a, b := matches[i], matches[j]
-		if a.Kind == KElem && b.Kind == KElem {
-			return a.Elem.Name() < b.Elem.Name()
-		}
-		return false
+		ae, be := matches[i].Elem(), matches[j].Elem()
+		return ae != nil && be != nil && ae.Name() < be.Name()
 	})
 	if q.One {
 		if len(matches) == 0 {

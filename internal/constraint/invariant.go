@@ -63,33 +63,25 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s violated on %s", v.Invariant.Name, subj)
 }
 
-// scopeElements enumerates the elements an invariant quantifies over.
-func scopeElements(sys *model.System, scope string) []model.Element {
-	return scopeElementsInto(nil, sys, scope)
-}
-
-// scopeElementsInto appends the scope's elements to dst — the reusable-
-// scratch form for per-tick checking.
-func scopeElementsInto(dst []model.Element, sys *model.System, scope string) []model.Element {
-	out := dst
-	for _, c := range sys.Components() {
-		if c.Type() == scope {
-			out = append(out, c)
+// scopeElements enumerates the elements an invariant quantifies over, each
+// with no verdict yet.
+func scopeElements(sys *model.System, scope string) []verdict {
+	var out []verdict
+	add := func(el model.Element) {
+		if el.Type() == scope {
+			out = append(out, verdict{el: el})
 		}
+	}
+	for _, c := range sys.Components() {
+		add(c)
 		for _, p := range c.Ports() {
-			if p.Type() == scope {
-				out = append(out, p)
-			}
+			add(p)
 		}
 	}
 	for _, c := range sys.Connectors() {
-		if c.Type() == scope {
-			out = append(out, c)
-		}
+		add(c)
 		for _, r := range c.Roles() {
-			if r.Type() == scope {
-				out = append(out, r)
-			}
+			add(r)
 		}
 	}
 	return out
@@ -98,43 +90,24 @@ func scopeElementsInto(dst []model.Element, sys *model.System, scope string) []m
 // Check evaluates the invariant over sys and returns violations. Elements
 // lacking the referenced properties are skipped silently only when
 // `SkipIncomplete` asks for it (gauges may not have reported yet); otherwise
-// evaluation errors surface as violations with Err set.
+// evaluation errors surface as violations with Err set. It is CheckAll on a
+// registry of one with nothing cached, so every verdict is evaluated.
 func (inv *Invariant) Check(sys *model.System, funcs map[string]func([]Value) (Value, error), skipIncomplete bool) []Violation {
-	env := NewEnv(sys)
-	if funcs != nil {
-		env.Funcs = funcs
-	}
-	if inv.Scope == "" {
-		ok, err := EvalBool(inv.Expr, env)
-		if err != nil {
-			if skipIncomplete {
-				return nil
-			}
-			return []Violation{{Invariant: inv, Err: err}}
-		}
-		if !ok {
-			return []Violation{{Invariant: inv}}
-		}
-		return nil
-	}
-	var out []Violation
-	for _, el := range scopeElements(sys, inv.Scope) {
-		ok, err := EvalBool(inv.Expr, env.child("it", Elem(el)))
-		if err != nil {
-			if skipIncomplete {
-				continue
-			}
-			out = append(out, Violation{Invariant: inv, Subject: el, Err: err})
-			continue
-		}
-		if !ok {
-			out = append(out, Violation{Invariant: inv, Subject: el})
-		}
-	}
-	return out
+	r := Registry{invs: []*Invariant{inv}, Funcs: funcs, SkipIncomplete: skipIncomplete}
+	return r.CheckAll(sys)
 }
 
 // Registry is an ordered collection of invariants checked together.
+//
+// CheckAll is change-driven. The elements each invariant ranges over are
+// enumerated once per structure revision of the system, and the verdict of
+// an (invariant, element) pair is kept with the revisions of the two
+// property lists a bare identifier can resolve against — the element's and
+// the system's — and re-evaluated only when one of them has moved. That
+// holds for expressions built from literals, bare identifiers and operators
+// alone; anything that calls a function (Funcs answer from outside the
+// model), quantifies, or selects through a dotted reference reads more than
+// those two lists and is evaluated on every call.
 type Registry struct {
 	invs  []*Invariant
 	Funcs map[string]func([]Value) (Value, error)
@@ -142,15 +115,36 @@ type Registry struct {
 	// the normal mode while monitoring is still warming up.
 	SkipIncomplete bool
 
-	// Reusable evaluation scratch: CheckAll runs on every control-loop tick
-	// of every managed application, so the environments and the scope slice
-	// are kept across calls instead of being rebuilt. env/itEnv are bound to
-	// envSys and rebuilt only if CheckAll sees a different system.
-	envSys  *model.System
-	env     *Env
-	itEnv   *Env
-	scratch []model.Element
+	// sys is the one system the caches describe; checking another drops
+	// them, so nothing of a system outlives the registry's use of it.
+	sys       *model.System
+	structRev uint64
+	env       *Env
+	scopes    [][]verdict // per invariant, in scopeElements order
+	pure      []bool      // per invariant: cacheable(Expr)
+	stats     Stats
 }
+
+// verdict is one cached (invariant, element) result. el is nil for a
+// system-scoped invariant.
+type verdict struct {
+	el            model.Element
+	itRev, sysRev uint64
+	known         bool // ok/err hold the result at those revisions
+	ok            bool
+	err           error
+}
+
+// Stats counts the registry's work since it was created.
+type Stats struct {
+	// Checks is the number of CheckAll calls; Evaluated the expression
+	// evaluations they ran and Reused the verdicts they served from cache
+	// instead; ScopeRebuilds how often the scope lists were re-enumerated.
+	Checks, Evaluated, Reused, ScopeRebuilds uint64
+}
+
+// Stats returns a snapshot of the work counters.
+func (r *Registry) Stats() Stats { return r.stats }
 
 // NewRegistry returns an empty registry with SkipIncomplete set.
 func NewRegistry() *Registry {
@@ -160,50 +154,83 @@ func NewRegistry() *Registry {
 // Add appends an invariant.
 func (r *Registry) Add(inv *Invariant) *Registry {
 	r.invs = append(r.invs, inv)
+	r.sys = nil // the scope lists are one short
 	return r
 }
 
 // Invariants returns the registered invariants in order.
 func (r *Registry) Invariants() []*Invariant { return r.invs }
 
-// CheckAll evaluates every invariant and concatenates violations in
-// registration order. It is equivalent to calling Check per invariant but
-// reuses the registry's evaluation scratch, so a clean pass (no violations)
-// allocates nothing.
-func (r *Registry) CheckAll(sys *model.System) []Violation {
-	if r.envSys != sys {
-		r.envSys = sys
-		r.env = NewEnv(sys)
-		r.env.Funcs = r.Funcs
-		r.itEnv = r.env.child("it", Nil())
+// cacheable reports whether e's value is a function of the property lists
+// of `it` and the system alone.
+func cacheable(e Expr) bool {
+	switch x := e.(type) {
+	case *Lit:
+		return true
+	case *Ref:
+		return len(x.Parts) == 1
+	case *Unary:
+		return cacheable(x.X)
+	case *Binary:
+		return cacheable(x.L) && cacheable(x.R)
 	}
-	var out []Violation
-	for _, inv := range r.invs {
+	return false
+}
+
+// rescope re-enumerates every invariant's scope over sys, forgetting all
+// verdicts.
+func (r *Registry) rescope(sys *model.System) {
+	r.sys, r.structRev = sys, sys.StructRev()
+	r.env = NewEnv(sys)
+	r.scopes = make([][]verdict, len(r.invs))
+	r.pure = make([]bool, len(r.invs))
+	for i, inv := range r.invs {
+		r.pure[i] = cacheable(inv.Expr)
 		if inv.Scope == "" {
-			ok, err := EvalBool(inv.Expr, r.env)
-			if err != nil {
-				if !r.SkipIncomplete {
-					out = append(out, Violation{Invariant: inv, Err: err})
-				}
-				continue
-			}
-			if !ok {
-				out = append(out, Violation{Invariant: inv})
-			}
-			continue
+			r.scopes[i] = []verdict{{}}
+		} else {
+			r.scopes[i] = scopeElements(sys, inv.Scope)
 		}
-		r.scratch = scopeElementsInto(r.scratch[:0], sys, inv.Scope)
-		for _, el := range r.scratch {
-			r.itEnv.vars["it"] = Elem(el)
-			ok, err := EvalBool(inv.Expr, r.itEnv)
-			if err != nil {
-				if !r.SkipIncomplete {
-					out = append(out, Violation{Invariant: inv, Subject: el, Err: err})
-				}
-				continue
+	}
+	r.stats.ScopeRebuilds++
+}
+
+// CheckAll checks every invariant over its scope and concatenates the
+// violations in registration order, running the evaluator only where a
+// verdict is missing or stale. A clean warm pass allocates nothing.
+func (r *Registry) CheckAll(sys *model.System) []Violation {
+	r.stats.Checks++
+	if r.sys != sys || r.structRev != sys.StructRev() {
+		r.rescope(sys)
+	}
+	r.env.Funcs = r.Funcs
+	sysRev := sys.Props().Rev()
+	var out []Violation
+	for i, inv := range r.invs {
+		for j := range r.scopes[i] {
+			v := &r.scopes[i][j]
+			var itRev uint64
+			if v.el != nil {
+				itRev = v.el.Props().Rev()
 			}
-			if !ok {
-				out = append(out, Violation{Invariant: inv, Subject: el})
+			if v.known && v.itRev == itRev && v.sysRev == sysRev {
+				r.stats.Reused++
+			} else {
+				r.env.vars = r.env.vars[:0]
+				if v.el != nil {
+					r.env.vars = append(r.env.vars, binding{"it", Elem(v.el)})
+				}
+				r.stats.Evaluated++
+				v.ok, v.err = EvalBool(inv.Expr, r.env)
+				v.itRev, v.sysRev, v.known = itRev, sysRev, r.pure[i]
+			}
+			switch {
+			case v.err != nil:
+				if !r.SkipIncomplete {
+					out = append(out, Violation{Invariant: inv, Subject: v.el, Err: v.err})
+				}
+			case !v.ok:
+				out = append(out, Violation{Invariant: inv, Subject: v.el})
 			}
 		}
 	}

@@ -13,6 +13,7 @@ package constraint
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -20,7 +21,7 @@ import (
 )
 
 // ValueKind discriminates runtime value types.
-type ValueKind int
+type ValueKind uint8
 
 // Runtime value kinds.
 const (
@@ -32,97 +33,111 @@ const (
 	KSet
 )
 
-// Value is a constraint-language runtime value.
+// Value is a constraint-language runtime value, three words wide so the
+// evaluator passes it in registers. Numbers and booleans sit unboxed in num
+// with their kind as ref; an element is the pointer ref already is; strings
+// and sets, which no per-tick invariant produces, are boxed.
 type Value struct {
-	Kind ValueKind
-	Num  float64
-	Bool bool
-	Str  string
-	Elem model.Element
-	Set  []Value
+	num float64
+	ref any // nil, KNum, KBool, string, model.Element or []Value
 }
 
+// Kind returns the value's runtime type.
+func (v Value) Kind() ValueKind {
+	switch r := v.ref.(type) {
+	case nil:
+		return KNil
+	case ValueKind:
+		return r
+	case string:
+		return KStr
+	case []Value:
+		return KSet
+	}
+	return KElem
+}
+
+// Num returns a KNum value's number.
+func (v Value) Num() float64 { return v.num }
+
+// Bool returns a KBool value's truth.
+func (v Value) Bool() bool { return v.num != 0 }
+
+// Str returns a KStr value's string ("" for any other kind).
+func (v Value) Str() string { s, _ := v.ref.(string); return s }
+
+// Elem returns a KElem value's element (nil for any other kind).
+func (v Value) Elem() model.Element { e, _ := v.ref.(model.Element); return e }
+
+// Set returns a KSet value's members (nil for any other kind).
+func (v Value) Set() []Value { s, _ := v.ref.([]Value); return s }
+
 // Nil is the nil value.
-func Nil() Value { return Value{Kind: KNil} }
+func Nil() Value { return Value{} }
 
 // Num wraps a number.
-func Num(f float64) Value { return Value{Kind: KNum, Num: f} }
+func Num(f float64) Value { return Value{num: f, ref: KNum} }
 
 // Bool wraps a boolean.
-func Bool(b bool) Value { return Value{Kind: KBool, Bool: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{num: 1, ref: KBool}
+	}
+	return Value{ref: KBool}
+}
 
 // Str wraps a string.
-func Str(s string) Value { return Value{Kind: KStr, Str: s} }
+func Str(s string) Value { return Value{ref: s} }
 
 // Elem wraps a model element.
 func Elem(e model.Element) Value {
 	if e == nil {
 		return Nil()
 	}
-	return Value{Kind: KElem, Elem: e}
+	return Value{ref: e}
 }
 
 // Set wraps a list of values.
-func Set(vs []Value) Value { return Value{Kind: KSet, Set: vs} }
+func Set(vs []Value) Value { return Value{ref: vs} }
 
 // Truthy reports the boolean interpretation; only booleans are truthy/falsy,
 // everything else is a type error.
 func (v Value) Truthy() (bool, error) {
-	if v.Kind != KBool {
+	if v.ref != KBool {
 		return false, fmt.Errorf("constraint: %s is not a boolean", v)
 	}
-	return v.Bool, nil
+	return v.num != 0, nil
 }
 
 // String renders the value for error messages and the ADL printer.
 func (v Value) String() string {
-	switch v.Kind {
-	case KNil:
+	switch r := v.ref.(type) {
+	case nil:
 		return "nil"
-	case KNum:
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
-	case KBool:
-		return strconv.FormatBool(v.Bool)
-	case KStr:
-		return strconv.Quote(v.Str)
-	case KElem:
-		return fmt.Sprintf("<%s %s>", v.Elem.Kind(), v.Elem.Name())
-	case KSet:
-		parts := make([]string, len(v.Set))
-		for i, e := range v.Set {
+	case ValueKind:
+		if r == KBool {
+			return strconv.FormatBool(v.Bool())
+		}
+		return strconv.FormatFloat(v.num, 'g', -1, 64)
+	case string:
+		return strconv.Quote(r)
+	case []Value:
+		parts := make([]string, len(r))
+		for i, e := range r {
 			parts[i] = e.String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	}
-	return "?"
+	e := v.Elem()
+	return fmt.Sprintf("<%s %s>", e.Kind(), e.Name())
 }
 
 // equal compares two values for the == / != operators.
 func equal(a, b Value) bool {
-	if a.Kind != b.Kind {
-		return false
+	as, aSet := a.ref.([]Value)
+	bs, bSet := b.ref.([]Value)
+	if aSet || bSet {
+		return aSet && bSet && slices.EqualFunc(as, bs, equal)
 	}
-	switch a.Kind {
-	case KNil:
-		return true
-	case KNum:
-		return a.Num == b.Num
-	case KBool:
-		return a.Bool == b.Bool
-	case KStr:
-		return a.Str == b.Str
-	case KElem:
-		return a.Elem == b.Elem
-	case KSet:
-		if len(a.Set) != len(b.Set) {
-			return false
-		}
-		for i := range a.Set {
-			if !equal(a.Set[i], b.Set[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	return a.num == b.num && a.ref == b.ref
 }

@@ -193,19 +193,23 @@ func (m *Manager) Alerts() []Alert { return m.alerts }
 // Reports returns the number of gauge reports consumed.
 func (m *Manager) Reports() uint64 { return m.reports }
 
-// Checks returns the number of constraint evaluations performed.
+// Checks returns the number of control-loop ticks.
 func (m *Manager) Checks() uint64 { return m.checks }
+
+// ConstraintStats returns the registry's work counters: of the verdicts the
+// ticks asked for, how many ran the evaluator and how many were still valid.
+func (m *Manager) ConstraintStats() constraint.Stats { return m.Registry.Stats() }
 
 // ViolationsSeen returns the cumulative violation count across checks.
 func (m *Manager) ViolationsSeen() uint64 { return m.violationsN }
 
 // groupServerHost returns the host of a group's first active server.
 func (m *Manager) groupServerHost(group string) (netsim.NodeID, bool) {
-	act := m.App.ActiveServersOf(group)
-	if len(act) == 0 {
+	srv, _ := m.App.ActiveServers(group)
+	if srv == nil {
 		return 0, false
 	}
-	return m.App.Server(act[0]).Host, true
+	return srv.Host, true
 }
 
 // FindGoodSGrp is the runtime query of §3.3: the server group with the best
@@ -350,14 +354,14 @@ func (m *Manager) consumeReport(msg bus.Message) {
 	switch msg.Kind {
 	case "client":
 		if c := m.Model.Component(target); c != nil {
-			c.Props().Set(prop, value)
+			c.Props().SetFloat(prop, value)
 			if m.tr != nil {
 				m.traceModelUpdate(msg, c.Name())
 			}
 		}
 	case "group":
 		if g := m.Model.Component(target); g != nil {
-			g.Props().Set(prop, value)
+			g.Props().SetFloat(prop, value)
 			if m.tr != nil {
 				m.traceModelUpdate(msg, g.Name())
 			}
@@ -371,7 +375,7 @@ func (m *Manager) consumeReport(msg bus.Message) {
 		if err != nil {
 			return
 		}
-		role.Props().Set(prop, value)
+		role.Props().SetFloat(prop, value)
 		if m.tr != nil {
 			// Bandwidth violations subject the client's *role* element, so the
 			// update is remembered under the role's name to match.

@@ -106,9 +106,8 @@ func Run(opts Options) *Results {
 				res.Latency[name].Add(now, v)
 			}
 			cli := tb.App.Client(name)
-			if hosts := tb.App.ActiveServersOf(cli.Group); len(hosts) > 0 {
-				sh := tb.App.Server(hosts[0]).Host
-				res.Bandwidth[name].Add(now, tb.Net.AvailBandwidth(sh, cli.Host)/1e6) // Mbps
+			if srv, _ := tb.App.ActiveServers(cli.Group); srv != nil {
+				res.Bandwidth[name].Add(now, tb.Net.AvailBandwidth(srv.Host, cli.Host)/1e6) // Mbps
 			}
 		}
 		for _, g := range tb.App.Groups() {

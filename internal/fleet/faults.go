@@ -93,8 +93,12 @@ func (f *Fleet) RestorePrimary(name string) {
 func (f *Fleet) crushServersOf(a *App, groups []string) {
 	f.Net.Batch(func() {
 		for _, g := range groups {
-			for _, srv := range a.Sys.ActiveServersOf(g) {
-				link := f.Grid.AccessLink(a.Sys.Server(srv).Host)
+			for _, name := range a.Sys.Servers() {
+				srv := a.Sys.Server(name)
+				if !srv.Active() || srv.Group != g {
+					continue
+				}
+				link := f.Grid.AccessLink(srv.Host)
 				f.addCrush(link)
 				a.crushed = append(a.crushed, link)
 			}

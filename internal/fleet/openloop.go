@@ -354,7 +354,8 @@ func (f *Fleet) openLoopOffered(now float64) (lambda, capacity float64) {
 		lambda += a.ol.users * a.ol.proc.Rate(now)
 		mu := appServiceRate(a.Spec)
 		for _, g := range a.Sys.Groups() {
-			capacity += float64(len(a.Sys.ActiveServersOf(g))) * mu
+			_, active := a.Sys.ActiveServers(g)
+			capacity += float64(active) * mu
 		}
 	}
 	return lambda, capacity
@@ -568,7 +569,7 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 	// Server fluid queues and M/M/m verdicts per group.
 	for _, g := range a.Sys.Groups() {
 		lamG := ol.glam[g]
-		m := len(a.Sys.ActiveServersOf(g))
+		_, m := a.Sys.ActiveServers(g)
 		capG := float64(m) * mu
 		b := ol.backlog[g]
 		out := lamG + b/dt

@@ -56,7 +56,7 @@ func (s *System) Clone() *System {
 // slice order. Useful for clone tests and for verifying rollback restores
 // the model exactly.
 func (s *System) Equal(o *System) bool {
-	if s.name != o.name || s.typ != o.typ || !propsEqual(&s.props, &o.props) {
+	if s.name != o.name || s.typ != o.typ || !s.props.equal(&o.props) {
 		return false
 	}
 	if len(s.components) != len(o.components) || len(s.connectors) != len(o.connectors) ||
@@ -65,7 +65,7 @@ func (s *System) Equal(o *System) bool {
 	}
 	for _, c := range s.components {
 		oc := o.Component(c.name)
-		if oc == nil || c.typ != oc.typ || !propsEqual(&c.props, &oc.props) {
+		if oc == nil || c.typ != oc.typ || !c.props.equal(&oc.props) {
 			return false
 		}
 		if len(c.ports) != len(oc.ports) {
@@ -73,7 +73,7 @@ func (s *System) Equal(o *System) bool {
 		}
 		for _, p := range c.ports {
 			op := oc.Port(p.name)
-			if op == nil || p.typ != op.typ || !propsEqual(&p.props, &op.props) {
+			if op == nil || p.typ != op.typ || !p.props.equal(&op.props) {
 				return false
 			}
 		}
@@ -89,7 +89,7 @@ func (s *System) Equal(o *System) bool {
 	}
 	for _, c := range s.connectors {
 		oc := o.Connector(c.name)
-		if oc == nil || c.typ != oc.typ || !propsEqual(&c.props, &oc.props) {
+		if oc == nil || c.typ != oc.typ || !c.props.equal(&oc.props) {
 			return false
 		}
 		if len(c.roles) != len(oc.roles) {
@@ -97,7 +97,7 @@ func (s *System) Equal(o *System) bool {
 		}
 		for _, r := range c.roles {
 			or := oc.Role(r.name)
-			if or == nil || r.typ != or.typ || !propsEqual(&r.props, &or.props) {
+			if or == nil || r.typ != or.typ || !r.props.equal(&or.props) {
 				return false
 			}
 		}
@@ -112,39 +112,6 @@ func (s *System) Equal(o *System) bool {
 	}
 	for _, v := range have {
 		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func propsEqual(a, b *Props) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for _, k := range a.Names() {
-		av, _ := a.Get(k)
-		bv, ok := b.Get(k)
-		if !ok {
-			return false
-		}
-		as, aIsSlice := av.([]string)
-		bs, bIsSlice := bv.([]string)
-		if aIsSlice != bIsSlice {
-			return false
-		}
-		if aIsSlice {
-			if len(as) != len(bs) {
-				return false
-			}
-			for i := range as {
-				if as[i] != bs[i] {
-					return false
-				}
-			}
-			continue
-		}
-		if av != bv {
 			return false
 		}
 	}

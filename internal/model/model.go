@@ -123,6 +123,7 @@ func (c *Component) AddPort(name, typ string) *Port {
 	}
 	p := &Port{elem: elem{name: name, typ: typ, props: NewProps()}, Owner: c}
 	c.ports = append(c.ports, p)
+	c.parent.touch()
 	return p
 }
 
@@ -135,6 +136,7 @@ func (c *Component) RemovePort(name string) error {
 				return fmt.Errorf("model: port %s still attached", p.QName())
 			}
 			c.ports = append(c.ports[:i], c.ports[i+1:]...)
+			c.parent.touch()
 			return nil
 		}
 	}
@@ -183,6 +185,7 @@ func (c *Connector) AddRole(name, typ string) *Role {
 	}
 	r := &Role{elem: elem{name: name, typ: typ, props: NewProps()}, Owner: c}
 	c.roles = append(c.roles, r)
+	c.parent.touch()
 	return r
 }
 
@@ -195,6 +198,7 @@ func (c *Connector) RemoveRole(name string) error {
 				return fmt.Errorf("model: role %s still attached", r.QName())
 			}
 			c.roles = append(c.roles[:i], c.roles[i+1:]...)
+			c.parent.touch()
 			return nil
 		}
 	}
@@ -222,6 +226,22 @@ type System struct {
 	connectors []*Connector
 	atts       []Attachment
 	bindings   []Binding
+	rev        uint64
+}
+
+// StructRev returns the system's structure revision: it moves whenever a
+// component, connector, port, role, attachment or binding is added, removed
+// or restored, so an element enumeration taken at one StructRev (an
+// invariant's scope) still holds while it reads the same. Property writes
+// move the element's Props.Rev instead.
+func (s *System) StructRev() uint64 { return s.rev }
+
+// touch records a structure change; ports and roles of a component or
+// connector outside any system have none to record it on.
+func (s *System) touch() {
+	if s != nil {
+		s.rev++
+	}
 }
 
 // NewSystem creates an empty system with the given name and style (type).
@@ -271,6 +291,7 @@ func (s *System) AddComponent(name, typ string) *Component {
 	}
 	c := &Component{elem: elem{name: name, typ: typ, props: NewProps()}, parent: s}
 	s.components = append(s.components, c)
+	s.rev++
 	return c
 }
 
@@ -281,6 +302,7 @@ func (s *System) AddConnector(name, typ string) *Connector {
 	}
 	c := &Connector{elem: elem{name: name, typ: typ, props: NewProps()}, parent: s}
 	s.connectors = append(s.connectors, c)
+	s.rev++
 	return c
 }
 
@@ -296,6 +318,7 @@ func (s *System) RemoveComponent(name string) error {
 			}
 		}
 		s.components = append(s.components[:i], s.components[i+1:]...)
+		s.rev++
 		return nil
 	}
 	return fmt.Errorf("model: no component %q", name)
@@ -313,6 +336,7 @@ func (s *System) RemoveConnector(name string) error {
 			}
 		}
 		s.connectors = append(s.connectors[:i], s.connectors[i+1:]...)
+		s.rev++
 		return nil
 	}
 	return fmt.Errorf("model: no connector %q", name)
@@ -336,6 +360,7 @@ func (s *System) Attach(p *Port, r *Role) error {
 		}
 	}
 	s.atts = append(s.atts, Attachment{Port: p, Role: r})
+	s.rev++
 	return nil
 }
 
@@ -344,6 +369,7 @@ func (s *System) Detach(p *Port, r *Role) error {
 	for i, a := range s.atts {
 		if a.Port == p && a.Role == r {
 			s.atts = append(s.atts[:i], s.atts[i+1:]...)
+			s.rev++
 			return nil
 		}
 	}
@@ -353,6 +379,7 @@ func (s *System) Detach(p *Port, r *Role) error {
 // Bind records a representation binding inner↔outer.
 func (s *System) Bind(inner, outer *Port) {
 	s.bindings = append(s.bindings, Binding{Inner: inner, Outer: outer})
+	s.rev++
 }
 
 // Unbind removes a binding.
@@ -360,6 +387,7 @@ func (s *System) Unbind(inner *Port) error {
 	for i, b := range s.bindings {
 		if b.Inner == inner {
 			s.bindings = append(s.bindings[:i], s.bindings[i+1:]...)
+			s.rev++
 			return nil
 		}
 	}

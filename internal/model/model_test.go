@@ -283,3 +283,83 @@ func TestCloneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRevisions pins which mutators move which revision: every structure
+// edit moves the owning system's StructRev and no property revision; a
+// property write moves only its own list's Rev, and only when it changes a
+// value.
+func TestRevisions(t *testing.T) {
+	s := paperSystem()
+	cli, conn := s.Component("User1"), s.Connector("ReqConn1")
+	port, role := cli.Port("request"), conn.Role("client1")
+	var spare *Port
+	structural := []struct {
+		name string
+		do   func() error
+	}{
+		{"Detach", func() error { return s.Detach(port, role) }},
+		{"RemoveRole", func() error { return conn.RemoveRole("client1") }},
+		{"RestoreRole", func() error { return conn.RestoreRole(role) }},
+		{"Attach", func() error { return s.Attach(port, role) }},
+		{"AddRole", func() error { conn.AddRole("extra", "ClientRoleT"); return nil }},
+		{"AddPort", func() error { spare = cli.AddPort("spare", "RequestT"); return nil }},
+		{"Bind", func() error { s.Bind(spare, port); return nil }},
+		{"Unbind", func() error { return s.Unbind(spare) }},
+		{"RemovePort", func() error { return cli.RemovePort("spare") }},
+		{"RestorePort", func() error { return cli.RestorePort(spare) }},
+		{"AddComponent", func() error { s.AddComponent("late", "ClientT"); return nil }},
+		{"RemoveComponent", func() error { return s.RemoveComponent("late") }},
+		{"RestoreComponent", func() error { return s.RestoreComponent(&Component{elem: elem{name: "late"}}) }},
+		{"AddConnector", func() error { s.AddConnector("lateConn", "ReqConnT"); return nil }},
+		{"RemoveConnector", func() error { return s.RemoveConnector("lateConn") }},
+		{"RestoreConnector", func() error { return s.RestoreConnector(&Connector{elem: elem{name: "lateConn"}}) }},
+	}
+	for _, m := range structural {
+		before, props := s.StructRev(), s.Props().Rev()+cli.Props().Rev()
+		if err := m.do(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if s.StructRev() == before {
+			t.Errorf("%s left StructRev at %d", m.name, before)
+		}
+		if s.Props().Rev()+cli.Props().Rev() != props {
+			t.Errorf("%s moved a property revision", m.name)
+		}
+	}
+	before := s.StructRev()
+	if err := s.Detach(port, conn.Role("server")); err == nil || s.StructRev() != before {
+		t.Errorf("a failed Detach moved StructRev (err %v)", err)
+	}
+
+	p := cli.Props()
+	writes := []struct {
+		name  string
+		do    func()
+		moves bool
+	}{
+		{"first Set", func() { p.Set("load", 1.5) }, true},
+		{"same value", func() { p.SetFloat("load", 1.5) }, false},
+		{"new value", func() { p.Set("load", 2) }, true},
+		{"new type", func() { p.Set("load", "high") }, true},
+		{"same string", func() { p.Set("load", "high") }, false},
+		{"bool", func() { p.Set("up", true) }, true},
+		{"same bool", func() { p.Set("up", true) }, false},
+		{"list", func() { p.Set("hosts", []string{"a"}) }, true},
+		{"list again", func() { p.Set("hosts", []string{"a"}) }, true},
+		{"Delete", func() { p.Delete("load") }, true},
+		{"Delete absent", func() { p.Delete("load") }, false},
+	}
+	for _, w := range writes {
+		rev, structRev, other := p.Rev(), s.StructRev(), s.Props().Rev()
+		w.do()
+		if moved := p.Rev() != rev; moved != w.moves {
+			t.Errorf("%s: Rev moved = %v, want %v", w.name, moved, w.moves)
+		}
+		if s.StructRev() != structRev || s.Props().Rev() != other {
+			t.Errorf("%s moved another revision", w.name)
+		}
+	}
+	if v, ok := p.Get("up"); !ok || v != true || p.Has("load") || p.Len() != 2 {
+		t.Errorf("after the writes: up=%v,%v load=%v len=%d", v, ok, p.Has("load"), p.Len())
+	}
+}

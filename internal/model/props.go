@@ -2,62 +2,142 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// Props is an ordered-by-name property list attached to every architecture
-// element. Property values are dynamically typed: float64, int, bool, string,
-// or []string. The paper annotates elements with performance attributes
-// (delay, bandwidth, load) and threshold parameters (maxLatency,
-// maxServerLoad, minBandwidth); gauges write the former, the task layer the
-// latter.
+// Props is the property list attached to every architecture element.
+// Property values are dynamically typed: float64, bool, string, or []string.
+// The paper annotates elements with performance attributes (delay,
+// bandwidth, load) and threshold parameters (maxLatency, maxServerLoad,
+// minBandwidth); gauges write the former, the task layer the latter.
+//
+// Values are stored unboxed in a short slice searched by name: an element
+// carries a handful of properties, gauges overwrite them every few seconds
+// and the constraint evaluator reads them on every check, so neither side
+// should pay for a hash or an interface box. Rev counts the mutations that
+// changed the list's contents.
 type Props struct {
-	m map[string]any
+	ps  []prop
+	rev uint64
+}
+
+type propKind uint8
+
+const (
+	kindNum propKind = iota
+	kindBool
+	kindStr
+	kindStrs
+)
+
+// prop is one named value; num holds a number, or 1/0 for a boolean.
+type prop struct {
+	name string
+	kind propKind
+	num  float64
+	str  string
+	strs []string
 }
 
 // NewProps returns an empty property list.
-func NewProps() Props { return Props{m: map[string]any{}} }
+func NewProps() Props { return Props{} }
+
+func (p *Props) find(name string) *prop {
+	for i := range p.ps {
+		if p.ps[i].name == name {
+			return &p.ps[i]
+		}
+	}
+	return nil
+}
+
+// put stores v under its name. Writing the value a property already has
+// leaves Rev alone: nothing derived from the list can have changed.
+func (p *Props) put(v prop) {
+	if old := p.find(v.name); old == nil {
+		p.ps = append(p.ps, v)
+	} else if old.kind == v.kind && old.num == v.num && old.str == v.str && v.kind != kindStrs {
+		return
+	} else {
+		*old = v
+	}
+	p.rev++
+}
+
+// Rev returns the list's mutation revision. It moves on every Set or Delete
+// that changed a value, so whatever was computed from the list at one Rev
+// (a constraint verdict) still holds while Rev reads the same.
+func (p *Props) Rev() uint64 { return p.rev }
 
 // Set stores a property value. Ints are normalized to float64 so numeric
 // comparisons in the constraint language have one numeric type.
 func (p *Props) Set(name string, v any) {
-	if p.m == nil {
-		p.m = map[string]any{}
-	}
 	switch x := v.(type) {
 	case int:
-		p.m[name] = float64(x)
+		p.SetFloat(name, float64(x))
 	case int64:
-		p.m[name] = float64(x)
+		p.SetFloat(name, float64(x))
 	case float32:
-		p.m[name] = float64(x)
-	case float64, bool, string, []string:
-		p.m[name] = v
+		p.SetFloat(name, float64(x))
+	case float64:
+		p.SetFloat(name, x)
+	case bool:
+		b := prop{name: name, kind: kindBool}
+		if x {
+			b.num = 1
+		}
+		p.put(b)
+	case string:
+		p.put(prop{name: name, kind: kindStr, str: x})
+	case []string:
+		p.put(prop{name: name, kind: kindStrs, strs: x})
 	default:
 		panic(fmt.Sprintf("model: unsupported property type %T for %q", v, name))
 	}
 }
 
+// SetFloat is Set for a value already known to be a number — the gauge
+// consumer's form, which boxes nothing.
+func (p *Props) SetFloat(name string, f float64) { p.put(prop{name: name, kind: kindNum, num: f}) }
+
 // Get returns the raw value.
 func (p *Props) Get(name string) (any, bool) {
-	v, ok := p.m[name]
-	return v, ok
+	v := p.find(name)
+	if v == nil {
+		return nil, false
+	}
+	switch v.kind {
+	case kindNum:
+		return v.num, true
+	case kindBool:
+		return v.num != 0, true
+	case kindStr:
+		return v.str, true
+	}
+	return v.strs, true
 }
 
 // Has reports whether the property exists.
-func (p *Props) Has(name string) bool { _, ok := p.m[name]; return ok }
+func (p *Props) Has(name string) bool { return p.find(name) != nil }
 
 // Delete removes a property.
-func (p *Props) Delete(name string) { delete(p.m, name) }
+func (p *Props) Delete(name string) {
+	if v := p.find(name); v != nil {
+		last := len(p.ps) - 1
+		*v = p.ps[last]
+		p.ps[last] = prop{}
+		p.ps = p.ps[:last]
+		p.rev++
+	}
+}
 
 // Float returns a numeric property.
 func (p *Props) Float(name string) (float64, bool) {
-	v, ok := p.m[name]
-	if !ok {
-		return 0, false
+	if v := p.find(name); v != nil && v.kind == kindNum {
+		return v.num, true
 	}
-	f, ok := v.(float64)
-	return f, ok
+	return 0, false
 }
 
 // FloatOr returns a numeric property or def when absent.
@@ -70,12 +150,10 @@ func (p *Props) FloatOr(name string, def float64) float64 {
 
 // Bool returns a boolean property.
 func (p *Props) Bool(name string) (bool, bool) {
-	v, ok := p.m[name]
-	if !ok {
-		return false, false
+	if v := p.find(name); v != nil && v.kind == kindBool {
+		return v.num != 0, true
 	}
-	b, ok := v.(bool)
-	return b, ok
+	return false, false
 }
 
 // BoolOr returns a boolean property or def when absent.
@@ -88,12 +166,10 @@ func (p *Props) BoolOr(name string, def bool) bool {
 
 // Str returns a string property.
 func (p *Props) Str(name string) (string, bool) {
-	v, ok := p.m[name]
-	if !ok {
-		return "", false
+	if v := p.find(name); v != nil && v.kind == kindStr {
+		return v.str, true
 	}
-	s, ok := v.(string)
-	return s, ok
+	return "", false
 }
 
 // StrOr returns a string property or def when absent.
@@ -107,26 +183,37 @@ func (p *Props) StrOr(name, def string) string {
 // Names returns the property names sorted, for deterministic iteration and
 // printing.
 func (p *Props) Names() []string {
-	out := make([]string, 0, len(p.m))
-	for k := range p.m {
-		out = append(out, k)
+	out := make([]string, len(p.ps))
+	for i := range p.ps {
+		out[i] = p.ps[i].name
 	}
 	sort.Strings(out)
 	return out
 }
 
 // Len returns the number of properties.
-func (p *Props) Len() int { return len(p.m) }
+func (p *Props) Len() int { return len(p.ps) }
 
 // clone deep-copies the property list.
 func (p *Props) clone() Props {
-	c := NewProps()
-	for k, v := range p.m {
-		if ss, ok := v.([]string); ok {
-			c.m[k] = append([]string(nil), ss...)
-			continue
-		}
-		c.m[k] = v
+	c := Props{ps: slices.Clone(p.ps), rev: p.rev}
+	for i := range c.ps {
+		c.ps[i].strs = slices.Clone(c.ps[i].strs)
 	}
 	return c
+}
+
+// equal compares two lists by value, ignoring order and revision.
+func (p *Props) equal(o *Props) bool {
+	if len(p.ps) != len(o.ps) {
+		return false
+	}
+	for i := range p.ps {
+		a := &p.ps[i]
+		b := o.find(a.name)
+		if b == nil || a.kind != b.kind || a.num != b.num || a.str != b.str || !slices.Equal(a.strs, b.strs) {
+			return false
+		}
+	}
+	return true
 }

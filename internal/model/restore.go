@@ -17,6 +17,7 @@ func (s *System) RestoreComponent(c *Component) error {
 	}
 	c.parent = s
 	s.components = append(s.components, c)
+	s.rev++
 	return nil
 }
 
@@ -30,6 +31,7 @@ func (s *System) RestoreConnector(c *Connector) error {
 	}
 	c.parent = s
 	s.connectors = append(s.connectors, c)
+	s.rev++
 	return nil
 }
 
@@ -43,6 +45,7 @@ func (c *Connector) RestoreRole(r *Role) error {
 	}
 	r.Owner = c
 	c.roles = append(c.roles, r)
+	c.parent.touch()
 	return nil
 }
 
@@ -56,5 +59,6 @@ func (c *Component) RestorePort(p *Port) error {
 	}
 	p.Owner = c
 	c.ports = append(c.ports, p)
+	c.parent.touch()
 	return nil
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"archadapt/internal/sim"
@@ -238,6 +239,69 @@ func TestConnectAfterLookupReroutes(t *testing.T) {
 		t.Fatalf("materialised A->C after Connect(A,C) = %v, want the new link", p)
 	}
 	CheckRoutesAgainstOracle(t, n, 1)
+}
+
+// The same with traffic on the wire: a Connect drops the per-source memo, so
+// the next send takes the new link, while a flow already in flight keeps the
+// path it was started on and still completes.
+func TestConnectAfterTrafficReroutesNextSend(t *testing.T) {
+	n := shape(3, [2]int{0, 1}, [2]int{1, 2})
+	before := n.MessageDelay(0, 2, 4096, BestEffort)
+	done := 0
+	inflight := n.StartTransfer(0, 2, 1e6, "x", func(*Flow) { done++ })
+	old := inflight.path
+	if len(old) != 2 {
+		t.Fatalf("in-flight flow has %d hops, want 2", len(old))
+	}
+	direct := n.Connect(0, 2, 10e6, 1e-3)
+	if n.paths != nil {
+		t.Fatal("Connect left memoised routes behind")
+	}
+	if after := n.MessageDelay(0, 2, 4096, BestEffort); after >= before {
+		t.Fatalf("message delay %v after Connect(A,C), %v before: the next send must take the new link", after, before)
+	}
+	next := n.StartTransfer(0, 2, 1e6, "x", func(*Flow) { done++ })
+	if len(next.path) != 1 || next.path[0].link != direct {
+		t.Fatalf("flow started after Connect routed %v, want the new link", next.path)
+	}
+	if len(inflight.path) != 2 || &inflight.path[0] != &old[0] {
+		t.Fatalf("in-flight flow was rerouted to %v", inflight.path)
+	}
+	n.K.RunAll(0)
+	if done != 2 {
+		t.Fatalf("%d of 2 transfers completed", done)
+	}
+}
+
+// The memo keeps each source's routes sorted by destination whatever order
+// they were first asked for in, and a warm lookup returns the stored slice.
+func TestRouteMemoAnyLookupOrder(t *testing.T) {
+	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 9, HostsPerRouter: 3, Seed: 3})
+	n, rng := g.Net, sim.NewRand(11)
+	src := g.Hosts[4]
+	first := map[NodeID][]hop{}
+	for i := 0; i < 400; i++ {
+		dst := g.Hosts[rng.Intn(len(g.Hosts))]
+		got := n.route(src, dst)
+		want, _ := oracleRoute(n, src, dst)
+		if !slices.Equal(got, want) {
+			t.Fatalf("route(%d,%d) = %v, oracle %v", src, dst, got, want)
+		}
+		if prev, seen := first[dst]; seen && len(got) > 0 && &prev[0] != &got[0] {
+			t.Fatalf("warm route(%d,%d) was materialised again", src, dst)
+		}
+		first[dst] = got
+	}
+	from := n.paths[src]
+	if len(from) != len(first)-1 { // src→src is never stored
+		t.Fatalf("memo holds %d routes from the source, want %d", len(from), len(first)-1)
+	}
+	if !slices.IsSortedFunc(from, func(a, b routeTo) int { return int(a.dst - b.dst) }) {
+		t.Fatalf("memo is not sorted by destination: %v", from)
+	}
+	if got := n.RouteStats().PathsMaterialised; got != uint64(len(from)) {
+		t.Fatalf("%d paths materialised for %d pairs", got, len(from))
+	}
 }
 
 // Connect used to allocate a fresh path map per link; building a topology

@@ -16,6 +16,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"archadapt/internal/sim"
 )
@@ -72,10 +73,11 @@ type Network struct {
 	// node to its dense index among the relay nodes (degree ≥ 2), -1 for the
 	// rest; trees[i] is the BFS parent tree rooted at relay i, nil until a
 	// lookup needs it; paths memoises the hop slices route materialises for
-	// the pairs that carry traffic; queue is BFS scratch, as long as a tree.
+	// the pairs that carry traffic, per source node and sorted by destination;
+	// queue is BFS scratch, as long as a tree.
 	relay  []int32
 	trees  [][]crumb
-	paths  map[uint64][]hop
+	paths  [][]routeTo
 	queue  []NodeID
 	rstats RouteStats
 
@@ -164,9 +166,11 @@ type hopTo struct {
 	h  hop
 }
 
-// pathKey packs a host pair into the path memo's key: one word, so lookups
-// on the per-message path take the map's 64-bit fast path.
-func pathKey(src, dst NodeID) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
+// routeTo is one memoised route out of a source node.
+type routeTo struct {
+	dst  NodeID
+	hops []hop
+}
 
 // crumb is one relay's entry in a BFS tree: the relay index of its parent
 // and the directed link (as a resIndex) from the parent to it. via is -1 at
@@ -212,7 +216,6 @@ func New(k *sim.Kernel) *Network {
 	return &Network{
 		K:                  k,
 		byName:             map[string]NodeID{},
-		paths:              map[uint64][]hop{},
 		MinFlowRate:        100,  // bits/sec
 		CtrlFloor:          9600, // bits/sec
 		CtrlPerHopOverhead: 5e-4, // 0.5 ms per hop
@@ -282,8 +285,7 @@ func (n *Network) Connect(a, b NodeID, capacity, propDelay float64) LinkID {
 // a topology touches nothing: there is only something to drop once a lookup
 // has run.
 func (n *Network) dropRoutes() {
-	n.relay, n.trees = nil, nil
-	clear(n.paths)
+	n.relay, n.trees, n.paths = nil, nil, nil
 }
 
 // Link returns the link by id.
@@ -378,14 +380,27 @@ func (n *Network) buildTree(root NodeID) []crumb {
 // is for the callers that keep or replay the path (flows, control messages);
 // measurements walk the tree instead (AvailBandwidth, PathHops), so the
 // memo grows with the pairs that carry traffic, not with the pairs asked
-// about.
+// about. A warm lookup is an index by source and a binary search over the
+// destinations that source has sent to — a few for a host, the fleet's
+// tenants for a shared collector — and hashes nothing.
 func (n *Network) route(src, dst NodeID) []hop {
 	if src == dst {
 		return nil
 	}
-	key := pathKey(src, dst)
-	if p, ok := n.paths[key]; ok {
-		return p
+	if n.paths == nil {
+		n.paths = make([][]routeTo, len(n.nodes))
+	}
+	from := n.paths[src]
+	lo, hi := 0, len(from)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); from[mid].dst < dst {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(from) && from[lo].dst == dst {
+		return from[lo].hops
 	}
 	w := n.ends(src, dst)
 	path := make([]hop, w.hops())
@@ -393,7 +408,7 @@ func (n *Network) route(src, dst NodeID) []hop {
 		path[i] = unresIndex(w.next())
 	}
 	n.rstats.PathsMaterialised++
-	n.paths[key] = path
+	n.paths[src] = slices.Insert(from, lo, routeTo{dst, path})
 	return path
 }
 

@@ -14,10 +14,10 @@ import (
 // the expression-level queries roleOf and findGoodSGrp.
 func ScriptOperators(query GroupQuery) script.OperatorSet {
 	asComponent := func(v constraint.Value, what string) (*model.Component, error) {
-		if v.Kind != constraint.KElem {
+		if v.Kind() != constraint.KElem {
 			return nil, fmt.Errorf("operators: %s is not an element", what)
 		}
-		c, ok := v.Elem.(*model.Component)
+		c, ok := v.Elem().(*model.Component)
 		if !ok {
 			return nil, fmt.Errorf("operators: %s is not a component", what)
 		}
@@ -52,8 +52,8 @@ func ScriptOperators(query GroupQuery) script.OperatorSet {
 					return err
 				}
 				bw := 0.0
-				if len(args) > 1 && args[1].Kind == constraint.KNum {
-					bw = args[1].Num
+				if len(args) > 1 && args[1].Kind() == constraint.KNum {
+					bw = args[1].Num()
 				} else if query != nil {
 					// Seed the fresh role's bandwidth with the prediction,
 					// exactly as the hand-coded FixBandwidth tactic does, so
@@ -70,8 +70,8 @@ func ScriptOperators(query GroupQuery) script.OperatorSet {
 					return err
 				}
 				server := ""
-				if len(args) > 0 && args[0].Kind == constraint.KStr {
-					server = args[0].Str
+				if len(args) > 0 && args[0].Kind() == constraint.KStr {
+					server = args[0].Str()
 				}
 				return RemoveServer(ctx.Txn, grp, server)
 			},
@@ -80,10 +80,10 @@ func ScriptOperators(query GroupQuery) script.OperatorSet {
 			// roleOf(client) resolves the client's current connector role,
 			// letting scripts read role.bandwidth as Figure 5 does.
 			"roleOf": func(args []constraint.Value) (constraint.Value, error) {
-				if len(args) != 1 || args[0].Kind != constraint.KElem {
+				if len(args) != 1 || args[0].Kind() != constraint.KElem {
 					return constraint.Nil(), fmt.Errorf("operators: roleOf(client)")
 				}
-				cli, ok := args[0].Elem.(*model.Component)
+				cli, ok := args[0].Elem().(*model.Component)
 				if !ok || cli.Type() != TClient {
 					return constraint.Nil(), fmt.Errorf("operators: roleOf wants a client")
 				}
@@ -95,10 +95,10 @@ func ScriptOperators(query GroupQuery) script.OperatorSet {
 			},
 			// groupOf(client) resolves the client's current server group.
 			"groupOf": func(args []constraint.Value) (constraint.Value, error) {
-				if len(args) != 1 || args[0].Kind != constraint.KElem {
+				if len(args) != 1 || args[0].Kind() != constraint.KElem {
 					return constraint.Nil(), fmt.Errorf("operators: groupOf(client)")
 				}
-				cli, ok := args[0].Elem.(*model.Component)
+				cli, ok := args[0].Elem().(*model.Component)
 				if !ok || cli.Type() != TClient {
 					return constraint.Nil(), fmt.Errorf("operators: groupOf wants a client")
 				}
@@ -110,17 +110,17 @@ func ScriptOperators(query GroupQuery) script.OperatorSet {
 			},
 			// findGoodSGrp(client, minBW): the §3.3 runtime query.
 			"findGoodSGrp": func(args []constraint.Value) (constraint.Value, error) {
-				if len(args) != 2 || args[0].Kind != constraint.KElem || args[1].Kind != constraint.KNum {
+				if len(args) != 2 || args[0].Kind() != constraint.KElem || args[1].Kind() != constraint.KNum {
 					return constraint.Nil(), fmt.Errorf("operators: findGoodSGrp(client, minBW)")
 				}
-				cli, ok := args[0].Elem.(*model.Component)
+				cli, ok := args[0].Elem().(*model.Component)
 				if !ok {
 					return constraint.Nil(), fmt.Errorf("operators: findGoodSGrp wants a client")
 				}
 				if query == nil {
 					return constraint.Nil(), fmt.Errorf("operators: no group query configured")
 				}
-				grp, _ := query(cli.System(), cli, args[1].Num)
+				grp, _ := query(cli.System(), cli, args[1].Num())
 				if grp == nil {
 					return constraint.Nil(), nil
 				}
@@ -171,13 +171,13 @@ func CompileFixLatency(query GroupQuery) (*repair.Strategy, error) {
 	// replicasOf(set of groups): total replication count — lets the script
 	// detect whether addServer had any effect.
 	ops.Funcs["replicasOf"] = func(args []constraint.Value) (constraint.Value, error) {
-		if len(args) != 1 || args[0].Kind != constraint.KSet {
+		if len(args) != 1 || args[0].Kind() != constraint.KSet {
 			return constraint.Nil(), fmt.Errorf("operators: replicasOf(set)")
 		}
 		total := 0.0
-		for _, v := range args[0].Set {
-			if v.Kind == constraint.KElem {
-				if c, ok := v.Elem.(*model.Component); ok {
+		for _, v := range args[0].Set() {
+			if v.Kind() == constraint.KElem {
+				if c, ok := v.Elem().(*model.Component); ok {
 					total += float64(len(ActiveServers(c)))
 				}
 			}

@@ -240,11 +240,11 @@ func (f *frame) execOne(s stmt) error {
 		if err != nil {
 			return err
 		}
-		if dom.Kind != constraint.KSet {
+		if dom.Kind() != constraint.KSet {
 			return fmt.Errorf("script: foreach over non-set %s", dom)
 		}
 		saved, had := f.vars[st.varName]
-		for _, v := range dom.Set {
+		for _, v := range dom.Set() {
 			f.vars[st.varName] = v
 			if err := f.exec(st.body); err != nil {
 				return err

@@ -64,7 +64,7 @@ func TestCommitAndModelMutation(t *testing.T) {
 		Methods: map[string]Method{
 			"poke": func(ctx *repair.Context, recv constraint.Value, args []constraint.Value) error {
 				called++
-				ctx.Txn.SetProp(recv.Elem, "poked", true)
+				ctx.Txn.SetProp(recv.Elem(), "poked", true)
 				return nil
 			},
 		},
@@ -102,7 +102,7 @@ func TestAbortRollsBack(t *testing.T) {
 	ops := OperatorSet{
 		Methods: map[string]Method{
 			"poke": func(ctx *repair.Context, recv constraint.Value, args []constraint.Value) error {
-				ctx.Txn.SetProp(recv.Elem, "poked", true)
+				ctx.Txn.SetProp(recv.Elem(), "poked", true)
 				return nil
 			},
 		},
@@ -139,7 +139,7 @@ func TestForeachIteratesSelect(t *testing.T) {
 	ops := OperatorSet{
 		Methods: map[string]Method{
 			"mark": func(ctx *repair.Context, recv constraint.Value, args []constraint.Value) error {
-				poked = append(poked, recv.Elem.Name())
+				poked = append(poked, recv.Elem().Name())
 				return nil
 			},
 		},
