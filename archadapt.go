@@ -324,6 +324,9 @@ type FleetScenarioOptions = fleet.ScenarioOptions
 // FleetScenarioResult bundles a finished fleet run with its summaries.
 type FleetScenarioResult = fleet.ScenarioResult
 
+// FleetScenarioRun is a fleet run that has been set up and not yet run.
+type FleetScenarioRun = fleet.ScenarioRun
+
 // NewFleet creates a fleet control plane over a generated grid.
 func NewFleet(k *Kernel, grid *Grid, seed uint64, cfg FleetConfig) (*Fleet, error) {
 	return fleet.New(k, grid, seed, cfg)
@@ -332,6 +335,14 @@ func NewFleet(k *Kernel, grid *Grid, seed uint64, cfg FleetConfig) (*Fleet, erro
 // RunFleetScenario executes one canned fleet run to completion.
 func RunFleetScenario(opts FleetScenarioOptions) (*FleetScenarioResult, error) {
 	return fleet.RunScenario(opts)
+}
+
+// StartFleetScenario builds a fleet run — grid, fleet, every admission placed
+// and the whole script scheduled — without running it; Finish on the result
+// runs it to completion. RunFleetScenario is the two back to back; callers
+// that time set-up and run apart (cmd/fleet) use this.
+func StartFleetScenario(opts FleetScenarioOptions) (*FleetScenarioRun, error) {
+	return fleet.StartScenario(opts)
 }
 
 // FleetTable renders per-app summaries as a fixed-width table.

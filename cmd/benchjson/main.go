@@ -71,6 +71,11 @@ type FleetRow struct {
 	RepairsPerApp float64 `json:"repairs_per_app"`
 	AllocsPerApp  float64 `json:"allocs_per_app"`
 	MBPerApp      float64 `json:"mb_per_app"`
+	// RouteWalksPerApp is the route walks per app (netsim RouteStats.Walks)
+	// of the first, seed-1 iteration alone, so -check's single seed-1 run
+	// reproduces the committed figure exactly however many iterations the
+	// sweep timed. -check gates it on the fleet rows.
+	RouteWalksPerApp float64 `json:"route_walks_per_app"`
 	// MigrationsPerApp is set only on migration-fixture rows. Like
 	// repairs_per_app it is a deterministic behavior canary.
 	MigrationsPerApp float64 `json:"migrations_per_app,omitempty"`
@@ -192,6 +197,9 @@ func benchScenario(n, iters int, opts func(i int) fleet.ScenarioOptions) (FleetR
 			migrations += s.Migrations
 			responses += s.Responses
 		}
+		if i == 0 {
+			row.RouteWalksPerApp = float64(res.Grid.Net.RouteStats().Walks) / float64(n)
+		}
 	}
 	elapsed := time.Since(begin)
 	allocs, bytes := ms.stop()
@@ -254,6 +262,11 @@ func check(baselinePath string, tolerance float64) {
 	fmt.Fprintf(os.Stderr, "check N=32: allocs/app %.0f (committed %.0f, limit %.0f), ms/app %.3f (committed %.3f)\n",
 		row.AllocsPerApp, committed.AllocsPerApp, limit, row.MsPerApp, committed.MsPerApp)
 	failed := false
+	if row.RouteWalksPerApp != committed.RouteWalksPerApp {
+		fmt.Fprintf(os.Stderr, "benchjson: route walks/app %.4f, committed %.4f — the counter is deterministic; placement or routing asks for more (or fewer) routes than it did, investigate before regenerating\n",
+			row.RouteWalksPerApp, committed.RouteWalksPerApp)
+		failed = true
+	}
 	if row.AllocsPerApp > limit {
 		fmt.Fprintf(os.Stderr, "benchjson: allocs/app regressed >%.0f%% vs %s — rerun scripts/bench.sh and justify the regression\n",
 			100*tolerance, baselinePath)
@@ -299,6 +312,11 @@ func check(baselinePath string, tolerance float64) {
 		row.AllocsPerApp, big.AllocsPerApp, row.MBPerApp, big.MBPerApp, growthLimit, row.MsPerApp, big.MsPerApp, msGrowthLimit)
 	if big.AllocsPerApp > growthLimit*row.AllocsPerApp || big.MBPerApp > growthLimit*row.MBPerApp {
 		fmt.Fprintf(os.Stderr, "benchjson: per-app allocation grows with fleet size (>%.2fx from N=32 to N=128) — something on the admission or monitoring path scales with the grid, not the app\n", growthLimit)
+		failed = true
+	}
+	fmt.Fprintf(os.Stderr, "check growth N=32 -> N=128: route walks/app %.1f -> %.1f (limit %.2fx)\n", row.RouteWalksPerApp, big.RouteWalksPerApp, growthLimit)
+	if big.RouteWalksPerApp > growthLimit*row.RouteWalksPerApp {
+		fmt.Fprintf(os.Stderr, "benchjson: route walks/app grow with fleet size (>%.2fx from N=32 to N=128) — admission is measuring the grid again, not the candidates its bounds leave in contention\n", growthLimit)
 		failed = true
 	}
 	if big.MsPerApp > msGrowthLimit*row.MsPerApp {
@@ -445,7 +463,7 @@ func main() {
 	out := flag.String("out", "BENCH_fleet.json", "output file ('-' for stdout)")
 	quick := flag.Bool("quick", false, "smoke mode: N=4 only, one iteration")
 	iters := flag.Int("iters", 3, "fleet scenario iterations per size point")
-	checkPath := flag.String("check", "", "run the kernel-hold, transfer-cycle and check-all micro-benchmarks and compare fresh fleet N=32 and N=128, (ranked) migration N=16 and open-loop population-sweep runs against this committed baseline; exit non-zero if a micro-benchmark allocates, allocs/app regressed >20%, allocs/app or MB/app grow >1.25x or ms/app >1.4x from N=32 to N=128, migrations/app or responses/app drifted, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
+	checkPath := flag.String("check", "", "run the kernel-hold, transfer-cycle and check-all micro-benchmarks and compare fresh fleet N=32 and N=128, (ranked) migration N=16 and open-loop population-sweep runs against this committed baseline; exit non-zero if a micro-benchmark allocates, allocs/app regressed >20%, route walks/app at N=32 drifted, allocs/app, MB/app or route walks/app grow >1.25x or ms/app >1.4x from N=32 to N=128, migrations/app or responses/app drifted, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
 	flag.Parse()
 
 	if *checkPath != "" {
@@ -499,8 +517,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: fleet N=%d: %v\n", n, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "fleet N=%-4d %7.3f ms/app  %5.2f repairs/app  %10.0f allocs/app  %6.3f MB/app\n",
-			n, row.MsPerApp, row.RepairsPerApp, row.AllocsPerApp, row.MBPerApp)
+		fmt.Fprintf(os.Stderr, "fleet N=%-4d %7.3f ms/app  %5.2f repairs/app  %10.0f allocs/app  %6.3f MB/app  %6.1f route walks/app\n",
+			n, row.MsPerApp, row.RepairsPerApp, row.AllocsPerApp, row.MBPerApp, row.RouteWalksPerApp)
 		base.Fleet = append(base.Fleet, row)
 	}
 	migSizes := []int{16}

@@ -54,6 +54,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"archadapt"
 )
@@ -249,22 +250,30 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
+	os.Exit(execute(c, os.Stdout, os.Stderr))
+}
+
+// execute performs the runs a command line resolved to and returns the exit
+// status. The tables go to stdout and are a function of the options alone;
+// everything that may differ between two invocations — progress, host
+// timings, trace and profile notices — goes to stderr.
+func execute(c *cli, stdout, stderr io.Writer) int {
 	if c.list {
 		for _, e := range archadapt.FleetCatalog() {
-			fmt.Printf("%-16s %s\n%16s expect: %s\n", e.Name, e.Stresses, "", e.Expect)
+			fmt.Fprintf(stdout, "%-16s %s\n%16s expect: %s\n", e.Name, e.Stresses, "", e.Expect)
 		}
-		return
+		return 0
 	}
 	if c.pprofOut != "" {
 		paths := strings.SplitN(c.pprofOut, ",", 2)
 		cf, err := os.Create(paths[0])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fleet: %v\n", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(cf); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fleet: %v\n", err)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -272,12 +281,12 @@ func main() {
 			if len(paths) == 2 && paths[1] != "" {
 				hf, err := os.Create(paths[1])
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+					fmt.Fprintf(stderr, "fleet: %v\n", err)
 					return
 				}
 				runtime.GC()
 				if err := pprof.WriteHeapProfile(hf); err != nil {
-					fmt.Fprintf(os.Stderr, "fleet: heap profile: %v\n", err)
+					fmt.Fprintf(stderr, "fleet: heap profile: %v\n", err)
 				}
 				hf.Close()
 			}
@@ -285,23 +294,29 @@ func main() {
 	}
 	base, mode := c.base, c.mode
 
+	// run performs one fleet run and reports it on stderr; nil after a
+	// failure it has already reported.
 	run := func(kind string, adaptive, migrating, traced bool) *archadapt.FleetScenarioResult {
 		opts := base
 		opts.Adaptive = adaptive
 		opts.Migration.Enabled = migrating
 		opts.Trace = traced && c.traceOut != ""
-		res, err := archadapt.RunFleetScenario(opts)
+		t0 := time.Now()
+		started, err := archadapt.StartFleetScenario(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %s run: %v\n", kind, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fleet: %s run: %v\n", kind, err)
+			return nil
 		}
-		fmt.Fprintf(os.Stderr, "ran %s fleet: %s, %d apps admitted, %d rejected\n",
-			kind, res.Grid, len(res.Summaries), len(res.Fleet.Rejections()))
+		setup := time.Since(t0)
+		res := started.Finish()
+		fmt.Fprintf(stderr, "ran %s fleet: %s, %d apps admitted, %d rejected, set-up %.3fs, run %.3fs\n",
+			kind, res.Grid, len(res.Summaries), len(res.Fleet.Rejections()),
+			setup.Seconds(), (time.Since(t0) - setup).Seconds())
 		for _, rej := range res.Fleet.Rejections() {
-			fmt.Fprintf(os.Stderr, "  rejected %s at t=%.0f: %v\n", rej.Name, rej.Time, rej.Err)
+			fmt.Fprintf(stderr, "  rejected %s at t=%.0f: %v\n", rej.Name, rej.Time, rej.Err)
 		}
 		if led, ok := res.Fleet.OpenLoopLedger(); ok && led != (archadapt.FleetAdmissionLedger{}) {
-			fmt.Fprintf(os.Stderr, "  open-loop admission: offered %d admitted %d shed %d queued %d (active %d, retired %d)\n",
+			fmt.Fprintf(stderr, "  open-loop admission: offered %d admitted %d shed %d queued %d (active %d, retired %d)\n",
 				led.Offered, led.Admitted, led.Shed, led.Queued, led.Active, led.Retired)
 		}
 		var ups, downs int
@@ -310,17 +325,17 @@ func main() {
 			downs += s.ScaleDowns
 		}
 		if ups+downs > 0 {
-			fmt.Fprintf(os.Stderr, "  autoscaler: %d scale-ups, %d scale-downs\n", ups, downs)
+			fmt.Fprintf(stderr, "  autoscaler: %d scale-ups, %d scale-downs\n", ups, downs)
 		}
 		for _, name := range res.Fleet.Apps() {
 			for _, m := range res.Fleet.App(name).Migrations {
 				switch {
 				case m.Err != nil:
-					fmt.Fprintf(os.Stderr, "  %s migration at t=%.0f failed: %v\n", name, m.DecidedAt, m.Err)
+					fmt.Fprintf(stderr, "  %s migration at t=%.0f failed: %v\n", name, m.DecidedAt, m.Err)
 				case !m.Completed():
-					fmt.Fprintf(os.Stderr, "  %s migration at t=%.0f aborted\n", name, m.DecidedAt)
+					fmt.Fprintf(stderr, "  %s migration at t=%.0f aborted\n", name, m.DecidedAt)
 				default:
-					fmt.Fprintf(os.Stderr, "  %s migrated t=%.0f→%.0f (drained=%v)\n",
+					fmt.Fprintf(stderr, "  %s migrated t=%.0f→%.0f (drained=%v)\n",
 						name, m.DecidedAt, m.CompletedAt, m.Drained)
 				}
 			}
@@ -333,35 +348,46 @@ func main() {
 
 	if mode == "migrate" {
 		pinned := run("pinned", true, false, false)
+		if pinned == nil {
+			return 1
+		}
 		migrating := run("migrating", true, true, true)
-		fmt.Println("=== pinned fleet (migration disabled) ===")
-		fmt.Print(pinned.Table())
-		fmt.Println("=== migrating fleet ===")
-		fmt.Print(migrating.Table())
-		fmt.Println("=== per-app pinned vs migrating ===")
-		fmt.Print(archadapt.FleetCompareTable(pinned.Summaries, migrating.Summaries))
-		return
+		if migrating == nil {
+			return 1
+		}
+		fmt.Fprintln(stdout, "=== pinned fleet (migration disabled) ===")
+		fmt.Fprint(stdout, pinned.Table())
+		fmt.Fprintln(stdout, "=== migrating fleet ===")
+		fmt.Fprint(stdout, migrating.Table())
+		fmt.Fprintln(stdout, "=== per-app pinned vs migrating ===")
+		fmt.Fprint(stdout, archadapt.FleetCompareTable(pinned.Summaries, migrating.Summaries))
+		return 0
 	}
 
 	migrating := base.Migration.Enabled
 	var control, adaptive *archadapt.FleetScenarioResult
 	if mode == "control" || mode == "both" {
-		control = run("control", false, migrating, mode == "control")
+		if control = run("control", false, migrating, mode == "control"); control == nil {
+			return 1
+		}
 	}
 	if mode == "adaptive" || mode == "both" {
-		adaptive = run("adaptive", true, migrating, true)
+		if adaptive = run("adaptive", true, migrating, true); adaptive == nil {
+			return 1
+		}
 	}
 
 	if control != nil && (mode == "control" || adaptive == nil) {
-		fmt.Println("=== control fleet ===")
-		fmt.Print(control.Table())
+		fmt.Fprintln(stdout, "=== control fleet ===")
+		fmt.Fprint(stdout, control.Table())
 	}
 	if adaptive != nil {
-		fmt.Println("=== adaptive fleet ===")
-		fmt.Print(adaptive.Table())
+		fmt.Fprintln(stdout, "=== adaptive fleet ===")
+		fmt.Fprint(stdout, adaptive.Table())
 	}
 	if control != nil && adaptive != nil {
-		fmt.Println("=== per-app control vs adaptive ===")
-		fmt.Print(archadapt.FleetCompareTable(control.Summaries, adaptive.Summaries))
+		fmt.Fprintln(stdout, "=== per-app control vs adaptive ===")
+		fmt.Fprint(stdout, archadapt.FleetCompareTable(control.Summaries, adaptive.Summaries))
 	}
+	return 0
 }

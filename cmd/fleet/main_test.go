@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -69,6 +70,36 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		want := "flag provided but not defined: " + strings.Fields(args)[0]
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%q: err = %v, want %q", args, err, want)
+		}
+	}
+}
+
+// TestStdoutIsAFunctionOfTheSeed: two invocations of one command line print
+// byte-identical tables, and the host timings — set-up (StartScenario) and
+// run (Finish), the split a profiler would otherwise be needed for — ride
+// the stderr summary line, where they cannot disturb that.
+func TestStdoutIsAFunctionOfTheSeed(t *testing.T) {
+	summary := regexp.MustCompile(`^ran adaptive fleet: grid\{[^}]*\}, 4 apps admitted, 0 rejected, set-up \d+\.\d{3}s, run \d+\.\d{3}s\n`)
+	var first string
+	for i := 0; i < 2; i++ {
+		var stdout, stderr bytes.Buffer
+		c, err := parseArgs(strings.Fields("-apps 4 -mode adaptive -seed 3 -duration 200"), &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := execute(c, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr.String())
+		}
+		if !summary.MatchString(stderr.String()) {
+			t.Errorf("stderr = %q, want a line matching %v", stderr.String(), summary)
+		}
+		if !strings.HasPrefix(stdout.String(), "=== adaptive fleet ===\n") {
+			t.Fatalf("stdout = %q", stdout.String())
+		}
+		if i == 0 {
+			first = stdout.String()
+		} else if stdout.String() != first {
+			t.Errorf("same command line, different stdout:\n%s\n---\n%s", first, stdout.String())
 		}
 	}
 }

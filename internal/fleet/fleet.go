@@ -5,8 +5,9 @@
 //
 //   - Placement (placement.go): a slot-capacity scheduler (Scheduler) that
 //     decides *where* an application's processes run — at admission it
-//     spreads replicas across routers and ranks candidate hosts by Remos
-//     bandwidth predictions; the same machinery re-places applications
+//     spreads replicas across routers and ranks candidate hosts by the
+//     network's available-bandwidth estimate (what a warm Remos pair
+//     reports); the same machinery re-places applications
 //     later (PlaceAvoiding) when the migration controller needs a healthy
 //     region. Placement is a pure spatial decision: it commits slots and
 //     produces an Assignment, and never touches a running process.
@@ -379,14 +380,6 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 		f.Cfg.Manager.Tracer = f.tracer
 		k.FireHook = f.tracer.KernelEvent
 	}
-	f.Sch.Predict = func(src, dst netsim.NodeID) float64 {
-		if bw, ok := f.Rm.Predict(src, dst); ok {
-			return bw
-		}
-		// Cold pair: fall back to the instantaneous estimate; the admission
-		// path cannot block for a multi-minute collection.
-		return f.Net.AvailBandwidth(src, dst)
-	}
 	f.stopSample = k.Ticker(k.Now()+cfg.SamplePeriod, cfg.SamplePeriod, f.sample)
 	if cfg.Migration.Enabled {
 		p := cfg.Migration
@@ -441,11 +434,16 @@ func (f *Fleet) Rejections() []Rejection { return f.rejections }
 // AuditSlots cross-checks the scheduler's slot ledger against the fleet's
 // own books: the Remos collector's reserved slot, every live application's
 // assignment and every staged mid-drain reservation must account for exactly
-// the difference between grid capacity and FreeSlots, and no host may be
-// loaded outside [0, HostCapacity]. Any drift means a leaked or double-booked
-// reservation somewhere in the admit/retire/migrate machinery — the chaos
-// soak harness calls this after every run and on a mid-run ticker.
+// the difference between grid capacity and FreeSlots, no host may be loaded
+// outside [0, HostCapacity], and the index the scheduler picks from must be
+// what its per-host loads recompute to. Any drift means a leaked or
+// double-booked reservation somewhere in the admit/retire/migrate machinery
+// — the chaos soak harness calls this after every run and on a mid-run
+// ticker.
 func (f *Fleet) AuditSlots() error {
+	if err := f.Sch.audit(); err != nil {
+		return err
+	}
 	used := 1 // the Remos collector's reserved slot
 	for _, name := range f.order {
 		a := f.apps[name]
@@ -463,12 +461,6 @@ func (f *Fleet) AuditSlots() error {
 	if free := f.Sch.FreeSlots(); free != total-used {
 		return fmt.Errorf("fleet: slot ledger drift: %d free, want %d (%d of %d slots accounted for)",
 			free, total-used, used, total)
-	}
-	for _, h := range f.Grid.Hosts {
-		if l := f.Sch.Load(h); l < 0 || l > f.Sch.HostCapacity {
-			return fmt.Errorf("fleet: host %v carries %d committed slots, outside [0,%d]",
-				h, l, f.Sch.HostCapacity)
-		}
 	}
 	return nil
 }

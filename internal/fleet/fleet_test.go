@@ -290,13 +290,15 @@ func TestFleetSpareRecruitment(t *testing.T) {
 }
 
 // TestRouteStatsFlatInFleetSize pins the routing slice of the work ledger:
-// admission measures every host against the queue host, which may build one
-// BFS tree per router and nothing more, and only the pairs an application
-// sends traffic between get a materialised path — a per-app constant, not a
-// function of how many other hosts the grid has. Counters are exact under a
-// seed, so the per-app figure at 64 apps is compared with 16 directly.
+// a run may build one BFS tree per router and nothing more; admission walks
+// a route only for the hosts whose end links leave them in contention for a
+// server slot (Scheduler.pick), not for every host on the grid; and only the
+// pairs an application sends traffic between get a materialised path — all
+// per-app constants, not functions of how many other hosts the grid has.
+// Counters are exact under a seed, so the per-app figures at 64 apps are
+// compared with 16 directly.
 func TestRouteStatsFlatInFleetSize(t *testing.T) {
-	perApp := map[int]float64{}
+	perApp, walksPerApp := map[int]float64{}, map[int]float64{}
 	for _, apps := range []int{16, 64} {
 		res, err := RunScenario(ScenarioOptions{
 			Apps: apps, Seed: 1, Duration: 300, Adaptive: true,
@@ -313,6 +315,10 @@ func TestRouteStatsFlatInFleetSize(t *testing.T) {
 			t.Errorf("N=%d: counters not running: %+v", apps, st)
 		}
 		perApp[apps] = float64(st.PathsMaterialised) / float64(apps)
+		walksPerApp[apps] = float64(st.Walks) / float64(apps)
+	}
+	if walksPerApp[64] > walksPerApp[16]*1.25 {
+		t.Errorf("route walks per app grow with fleet size: %.1f at N=16, %.1f at N=64", walksPerApp[16], walksPerApp[64])
 	}
 	if perApp[16] == 0 || perApp[64] > perApp[16]*1.05 {
 		t.Errorf("paths materialised per app grow with fleet size: %.1f at N=16, %.1f at N=64", perApp[16], perApp[64])

@@ -487,6 +487,31 @@ func (n *Network) AvailBandwidth(src, dst NodeID) float64 {
 	return max(bw, n.MinFlowRate)
 }
 
+// EndBandwidth bounds AvailBandwidth(src, dst) from above without resolving
+// the route: it reads only the links every route between the two must cross,
+// a degree-1 source's one link outbound and a degree-1 destination's one link
+// inbound (+Inf where neither end has one). A negative src stands for any
+// source, which bounds everything that can reach dst at once. The bound goes
+// through the same min and floor as AvailBandwidth over a subset of its
+// links, so it is never below it, bit for bit — what lets a caller ranking
+// many sources against one destination skip the walk for those whose bound
+// already loses.
+func (n *Network) EndBandwidth(src, dst NodeID) float64 {
+	if src == dst {
+		return 0
+	}
+	bw := math.Inf(1)
+	if src >= 0 && len(n.adj[src]) == 1 {
+		ri := resIndex(n.adj[src][0].h)
+		bw = n.links[ri>>1].availCap(Dir(ri & 1))
+	}
+	if len(n.adj[dst]) == 1 {
+		ri := resIndex(n.adj[dst][0].h) ^ 1
+		bw = min(bw, n.links[ri>>1].availCap(Dir(ri&1)))
+	}
+	return max(bw, n.MinFlowRate)
+}
+
 // BottleneckShare returns the bandwidth a new elastic flow would currently
 // obtain on src→dst: the max–min fair share given present flows and
 // background load. The probe is solved in rates-only mode: real flows'
