@@ -25,7 +25,8 @@ type Baseline struct {
 	GoVersion   string     `json:"go_version"`
 	Reflow      MicroBench `json:"reflow"`
 	// KernelHold mirrors BenchmarkKernelHold (internal/sim): pop one event,
-	// push one, at a fixed number pending. TransferCycle mirrors
+	// push one, at a fixed number pending, under Exp(1) delays and (name
+	// "fleet-mix") the fleet's delays and reschedules. TransferCycle mirrors
 	// BenchmarkTransferCycle (internal/netsim): one warm fire-and-forget
 	// reply transfer. Both are the run phase's per-event path in isolation
 	// and must not allocate — -check enforces it on fresh runs. CheckAll
@@ -56,7 +57,7 @@ type Baseline struct {
 // on a 10-host star.
 type MicroBench struct {
 	// Pending is set only on kernel_hold rows (the queue length held), Name
-	// only on check_all rows (the variant).
+	// on check_all rows (the variant) and the fleet-mix kernel_hold rows.
 	Pending     int    `json:"pending,omitempty"`
 	Name        string `json:"name,omitempty"`
 	NsPerOp     int64  `json:"ns_per_op"`
@@ -110,14 +111,23 @@ func benchReflow() MicroBench {
 	})
 }
 
-func benchKernelHold(pending int) MicroBench {
+func benchKernelHold(mix string, pending int) MicroBench {
 	row := micro(func(b *testing.B) {
-		op := benchfix.KernelHold(pending)
+		op := benchfix.KernelHold(mix, pending)
 		b.ResetTimer()
 		op(b.N)
 	})
-	row.Pending = pending
+	row.Name, row.Pending = mix, pending
 	return row
+}
+
+// eachHold runs every kernel-hold row: each delay mix at each queue length.
+func eachHold(visit func(row MicroBench)) {
+	for _, mix := range benchfix.HoldMixes {
+		for _, pending := range benchfix.HoldPendings {
+			visit(benchKernelHold(mix, pending))
+		}
+	}
 }
 
 func benchTransferCycle() MicroBench {
@@ -149,6 +159,20 @@ func benchFleet(n, iters int) (FleetRow, error) {
 			CrushStart: 120, CrushStagger: 5, CrushDuration: 240,
 		}
 	})
+}
+
+// bestFleet is -check's fleet row: the seed-1 iteration, run three times, with
+// the least ms/app of the three. Wall-clock on a shared host only ever errs
+// upward, and the growth gate divides one such reading by another; everything
+// else in the row is deterministic and read from the first run.
+func bestFleet(n int) (FleetRow, error) {
+	row, err := benchFleet(n, 1)
+	for i := 1; i < 3 && err == nil; i++ {
+		var again FleetRow
+		again, err = benchFleet(n, 1)
+		row.MsPerApp = min(row.MsPerApp, again.MsPerApp)
+	}
+	return row, err
 }
 
 // benchMigration measures the canonical migration fixture (shared with
@@ -253,7 +277,7 @@ func check(baselinePath string, tolerance float64) {
 		fmt.Fprintf(os.Stderr, "benchjson: baseline has no N=32 row\n")
 		os.Exit(1)
 	}
-	row, err := benchFleet(32, 1)
+	row, err := bestFleet(32)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: fleet N=32: %v\n", err)
 		os.Exit(1)
@@ -275,14 +299,13 @@ func check(baselinePath string, tolerance float64) {
 	// Per-event path gates: the event queue and a warm fire-and-forget
 	// transfer recycle everything they use, so a fresh run of either that
 	// allocates at all is a regression, whatever the committed row says.
-	for _, pending := range benchfix.HoldPendings {
-		hold := benchKernelHold(pending)
-		fmt.Fprintf(os.Stderr, "check kernel hold pending=%d: %d ns/op, %d allocs/op\n", pending, hold.NsPerOp, hold.AllocsPerOp)
+	eachHold(func(hold MicroBench) {
+		fmt.Fprintf(os.Stderr, "check kernel hold %s pending=%d: %d ns/op, %d allocs/op\n", hold.Name, hold.Pending, hold.NsPerOp, hold.AllocsPerOp)
 		if hold.AllocsPerOp > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: the event queue allocates per event (pending=%d)\n", pending)
+			fmt.Fprintf(os.Stderr, "benchjson: the event queue allocates per event (%s pending=%d)\n", hold.Name, hold.Pending)
 			failed = true
 		}
-	}
+	})
 	cycle := benchTransferCycle()
 	fmt.Fprintf(os.Stderr, "check transfer cycle: %d ns/op, %d allocs/op\n", cycle.NsPerOp, cycle.AllocsPerOp)
 	if cycle.AllocsPerOp > 0 {
@@ -300,15 +323,15 @@ func check(baselinePath string, tolerance float64) {
 	// Growth gate: per-app cost must be flat in fleet size. allocs/app and
 	// MB/app are deterministic to within map-growth noise, so one fresh
 	// N=128 run is compared with the fresh N=32 run above rather than with
-	// a committed number from another machine. ms/app is wall-clock of the
-	// same two runs on the same machine, so its limit is looser.
+	// a committed number from another machine. ms/app is wall-clock on the
+	// same machine, the best of three runs a side, so its limit is looser.
 	const growthLimit, msGrowthLimit = 1.25, 1.4
-	big, err := benchFleet(128, 1)
+	big, err := bestFleet(128)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: fleet N=128: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "check growth N=32 -> N=128: allocs/app %.0f -> %.0f, MB/app %.3f -> %.3f (limit %.2fx), ms/app %.3f -> %.3f (limit %.1fx)\n",
+	fmt.Fprintf(os.Stderr, "check growth N=32 -> N=128: allocs/app %.0f -> %.0f, MB/app %.3f -> %.3f (limit %.2fx), ms/app %.3f -> %.3f (best of 3, limit %.1fx)\n",
 		row.AllocsPerApp, big.AllocsPerApp, row.MBPerApp, big.MBPerApp, growthLimit, row.MsPerApp, big.MsPerApp, msGrowthLimit)
 	if big.AllocsPerApp > growthLimit*row.AllocsPerApp || big.MBPerApp > growthLimit*row.MBPerApp {
 		fmt.Fprintf(os.Stderr, "benchjson: per-app allocation grows with fleet size (>%.2fx from N=32 to N=128) — something on the admission or monitoring path scales with the grid, not the app\n", growthLimit)
@@ -463,7 +486,7 @@ func main() {
 	out := flag.String("out", "BENCH_fleet.json", "output file ('-' for stdout)")
 	quick := flag.Bool("quick", false, "smoke mode: N=4 only, one iteration")
 	iters := flag.Int("iters", 3, "fleet scenario iterations per size point")
-	checkPath := flag.String("check", "", "run the kernel-hold, transfer-cycle and check-all micro-benchmarks and compare fresh fleet N=32 and N=128, (ranked) migration N=16 and open-loop population-sweep runs against this committed baseline; exit non-zero if a micro-benchmark allocates, allocs/app regressed >20%, route walks/app at N=32 drifted, allocs/app, MB/app or route walks/app grow >1.25x or ms/app >1.4x from N=32 to N=128, migrations/app or responses/app drifted, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
+	checkPath := flag.String("check", "", "run the kernel-hold, transfer-cycle and check-all micro-benchmarks and compare fresh fleet N=32 and N=128, (ranked) migration N=16 and open-loop population-sweep runs against this committed baseline; exit non-zero if a micro-benchmark allocates, allocs/app regressed >20%, route walks/app at N=32 drifted, allocs/app, MB/app or route walks/app grow >1.25x or ms/app (best of three runs a side) >1.4x from N=32 to N=128, migrations/app or responses/app drifted, open-loop ms/app scales with users, disabled tracing costs >2% allocs, or tracing changes behavior")
 	flag.Parse()
 
 	if *checkPath != "" {
@@ -495,11 +518,10 @@ func main() {
 		GoVersion:   runtime.Version(),
 		Reflow:      benchReflow(),
 	}
-	for _, pending := range benchfix.HoldPendings {
-		row := benchKernelHold(pending)
-		fmt.Fprintf(os.Stderr, "kernel hold pending=%-6d %5d ns/op  %d allocs/op\n", pending, row.NsPerOp, row.AllocsPerOp)
+	eachHold(func(row MicroBench) {
+		fmt.Fprintf(os.Stderr, "kernel hold %-9s pending=%-6d %5d ns/op  %d allocs/op\n", row.Name, row.Pending, row.NsPerOp, row.AllocsPerOp)
 		base.KernelHold = append(base.KernelHold, row)
-	}
+	})
 	base.TransferCycle = benchTransferCycle()
 	fmt.Fprintf(os.Stderr, "transfer cycle %5d ns/op  %d allocs/op\n", base.TransferCycle.NsPerOp, base.TransferCycle.AllocsPerOp)
 	for _, v := range benchfix.CheckAllVariants {

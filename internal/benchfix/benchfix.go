@@ -39,27 +39,85 @@ func star(n int) (*sim.Kernel, *netsim.Network, []netsim.NodeID) {
 	return k, net, hosts
 }
 
-// HoldPendings are the queue lengths BenchmarkKernelHold is run at.
-var HoldPendings = []int{1 << 10, 1 << 12, 1 << 16}
+// HoldPendings are the queue lengths BenchmarkKernelHold is run at, and
+// HoldMixes the delay distributions: the classic Exp(1), and the fleet's.
+var (
+	HoldPendings = []int{1 << 10, 1 << 12, 1 << 16}
+	HoldMixes    = []string{"", FleetMix}
+)
+
+// FleetMix names the hold variant that looks like a fleet run's queue traffic.
+const FleetMix = "fleet-mix"
+
+// fleetMix is the spread of scheduling delays measured in a 64-app fleet run,
+// as the share of pushes per band: six decades, from the one-tick hand-offs of
+// the request pipeline to the control loops' multi-second timers. The queue
+// contract test in internal/sim keeps its own copy with a longer last band.
+var fleetMix = []struct{ share, lo, hi float64 }{
+	{0.08, 1e-5, 1e-5}, {0.05, 1e-5, 1e-4}, {0.29, 1e-3, 1e-2}, {0.22, 1e-2, 1e-1},
+	{0.18, 0.1, 1}, {0.17, 1, 10}, {0.01, 10, 100},
+}
+
+// fleetMixDelay draws one delay from fleetMix, log-uniform within its band.
+func fleetMixDelay(rng *sim.Rand) float64 {
+	u := rng.Float64()
+	for _, m := range fleetMix {
+		if u < m.share {
+			return m.lo * math.Pow(m.hi/m.lo, rng.Float64())
+		}
+		u -= m.share
+	}
+	return 100
+}
 
 // KernelHold builds the BenchmarkKernelHold fixture — the classic hold model:
 // `pending` events in the queue, each of which, when it fires, schedules its
-// successor an exponential delay ahead — and returns the op that fires exactly
+// successor a random delay ahead — and returns the op that fires exactly
 // `events` of them (pop one, push one, queue length constant). It isolates
-// the queue's cost per event from anything a callback does.
-func KernelHold(pending int) (op func(events int)) {
+// the queue's cost per event from anything a callback does. Under mix ""
+// delays are Exp(1) and every event anonymous; under FleetMix delays follow
+// the fleet's histogram, an eighth of the events carry handles (the flow
+// completions) and one of those is rescheduled per eight fires — far more
+// often than the fleet does (one per 220 fires at N=64), so that the heap's
+// Reschedule path shows in the row.
+func KernelHold(mix string, pending int) (op func(events int)) {
 	k := sim.NewKernel()
 	rng := sim.NewRand(1)
-	left := 0
-	var hold func(any)
-	hold = func(any) {
-		k.AfterAnonArg(rng.Exp(1), hold, nil)
+	delay := func() float64 { return rng.Exp(1) }
+	var handles []*sim.Event
+	if mix == FleetMix {
+		// Drawn ahead, so the timed loop pays for the queue and not for Pow.
+		drawn, next := make([]float64, 1<<13), 0
+		for i := range drawn {
+			drawn[i] = fleetMixDelay(rng)
+		}
+		delay = func() float64 { next++; return drawn[next%len(drawn)] }
+		handles = make([]*sim.Event, pending/8)
+	}
+	left, fires := 0, 0
+	fired := func() {
+		if fires++; fires%8 == 0 && handles != nil {
+			k.Reschedule(handles[rng.Intn(len(handles))], k.Now()+delay())
+		}
 		if left--; left == 0 {
 			k.Stop()
 		}
 	}
-	for i := 0; i < pending; i++ {
-		k.AfterAnonArg(rng.Exp(1), hold, nil)
+	var hold func(any)
+	hold = func(any) {
+		k.AfterAnonArg(delay(), hold, nil)
+		fired()
+	}
+	for i := range handles {
+		var rearm func()
+		rearm = func() {
+			handles[i] = k.Reuse(handles[i], k.Now()+delay(), rearm)
+			fired()
+		}
+		handles[i] = k.At(delay(), rearm)
+	}
+	for i := len(handles); i < pending; i++ {
+		k.AfterAnonArg(delay(), hold, nil)
 	}
 	return func(events int) {
 		left = events

@@ -6,10 +6,9 @@ import (
 	"archadapt/internal/constraint"
 )
 
-// fleetConstraintStats runs the benchmark fleet script (the BenchmarkFleet
-// and BENCH_fleet.json scenario) at n apps, seed 1, and sums the constraint
-// registries' work counters over the fleet.
-func fleetConstraintStats(t *testing.T, n int) (sum constraint.Stats, ticks uint64) {
+// runBenchScript runs the benchmark fleet script (the BenchmarkFleet and
+// BENCH_fleet.json scenario) at n apps, seed 1.
+func runBenchScript(t *testing.T, n int) *ScenarioResult {
 	t.Helper()
 	res, err := RunScenario(ScenarioOptions{
 		Apps: n, Seed: 1, Duration: 600, Adaptive: true,
@@ -18,6 +17,14 @@ func fleetConstraintStats(t *testing.T, n int) (sum constraint.Stats, ticks uint
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// fleetConstraintStats sums the constraint registries' work counters over the
+// fleet after the benchmark script.
+func fleetConstraintStats(t *testing.T, n int) (sum constraint.Stats, ticks uint64) {
+	t.Helper()
+	res := runBenchScript(t, n)
 	for _, name := range res.Fleet.Apps() {
 		mgr := res.Fleet.App(name).Mgr
 		st := mgr.ConstraintStats()

@@ -8,14 +8,21 @@ import (
 )
 
 // BenchmarkKernelHold measures the event queue alone: pop one, push one, at a
-// fixed number pending (fixture shared with cmd/benchjson).
+// fixed number pending, under Exp(1) delays and under the fleet's mix of
+// delays and reschedules (fixture shared with cmd/benchjson).
 func BenchmarkKernelHold(b *testing.B) {
-	for _, pending := range benchfix.HoldPendings {
-		b.Run(fmt.Sprintf("pending=%dk", pending>>10), func(b *testing.B) {
-			op := benchfix.KernelHold(pending)
-			b.ReportAllocs()
-			b.ResetTimer()
-			op(b.N)
-		})
+	for _, mix := range benchfix.HoldMixes {
+		for _, pending := range benchfix.HoldPendings {
+			name := fmt.Sprintf("pending=%dk", pending>>10)
+			if mix != "" {
+				name = mix + "/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				op := benchfix.KernelHold(mix, pending)
+				b.ReportAllocs()
+				b.ResetTimer()
+				op(b.N)
+			})
+		}
 	}
 }

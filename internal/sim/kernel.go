@@ -18,19 +18,24 @@ type Time = float64
 // Event is a scheduled callback. Events with equal times fire in the order
 // they were scheduled (FIFO tie-break on a monotonic sequence number).
 type Event struct {
-	At   Time
-	fn   func()
-	dead bool
-	idx  int // heap index, -1 when not queued
-
+	At Time
+	fn func()
 	// Anonymous events (AtAnon/AfterAnon/AtAnonArg) never hand their handle
 	// to the caller, so the kernel recycles the Event struct after it fires.
 	// fnArg+arg is the closure-free form: a static function plus its
 	// receiver, so high-rate schedulers (the monitoring plane's message
 	// dispatch) allocate nothing per event.
-	anon  bool
 	fnArg func(any)
 	arg   any
+	// Anonymous events queue in the calendar (calendar.go), which keeps the
+	// sequence number in the event and chains a bucket through next.
+	seq  uint64
+	next *Event
+	idx  int32 // heap index, -1 when not queued
+	dead bool
+	anon bool
+	// 64 bytes: one cache line, so draining a chain, which is a walk through
+	// cold events, misses once per event.
 }
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
@@ -74,11 +79,11 @@ func (h eventHeap) up(i int) {
 			break
 		}
 		h[i] = h[p]
-		h[i].e.idx = i
+		h[i].e.idx = int32(i)
 		i = p
 	}
 	h[i] = ent
-	ent.e.idx = i
+	ent.e.idx = int32(i)
 }
 
 // down sifts the entry at i towards the leaves.
@@ -99,24 +104,35 @@ func (h eventHeap) down(i int) {
 			break
 		}
 		h[i] = h[m]
-		h[i].e.idx = i
+		h[i].e.idx = int32(i)
 		i = m
 	}
 	h[i] = ent
-	ent.e.idx = i
+	ent.e.idx = int32(i)
 }
 
 // Kernel is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; call NewKernel.
 type Kernel struct {
 	now     Time
-	seq     uint64
+	seq     uint64 // one counter across both queues
 	queue   eventHeap
 	running bool
 	stopped bool
-	// Executed counts events that have fired; useful for tests and for
-	// detecting runaway scheduling loops.
-	executed uint64
+
+	// The calendar: see calendar.go for what each field holds.
+	heads        []*Event
+	width, inv   float64
+	cur, horizon int64
+	bottom       []entry
+	far          *Event
+	farMin       Time
+	ringN, farN  int
+	// The retune window: refill steps and inserts into a long bottom since it
+	// opened, and the pops counted by then.
+	winSteps, winLong, winPops uint64
+
+	stats Stats
 	// free is the recycle pool for anonymous events. Only events whose
 	// handles never escaped the kernel land here, so reuse cannot alias a
 	// handle someone might still Cancel or Reschedule.
@@ -130,19 +146,52 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	k := &Kernel{}
+	k.initCalendar()
+	return k
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Executed returns the number of events that have fired so far.
-func (k *Kernel) Executed() uint64 { return k.executed }
+// Executed returns the number of events that have fired so far; useful for
+// tests and for detecting runaway scheduling loops.
+func (k *Kernel) Executed() uint64 { return k.stats.Fired }
 
 // Pending returns the number of queue slots in use. A cancelled event keeps
 // its slot until the clock reaches it, so cancelled-but-unpopped events are
 // counted.
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel) Pending() int { return len(k.queue) + k.calN() }
+
+// Stats counts the work the two event queues have done: plain increments,
+// deterministic under a seed, free when unread.
+type Stats struct {
+	HeapScheduled     uint64 // At, After, Reuse
+	CalendarScheduled uint64 // the anonymous calls, Ticker steps included
+	Fired             uint64
+	Skipped           uint64 // cancelled events discarded when the clock reached them
+	Reschedules       uint64
+
+	CalendarPops    uint64 // events that left the calendar by way of bottom
+	BucketsDrained  uint64 // non-empty calendar buckets sorted into bottom
+	BottomInserts   uint64 // pushes that landed in an already drained bucket
+	FarRescans      uint64 // times the far chain was re-examined
+	Jumps           uint64 // of those, with the whole ring empty and buckets skipped
+	RetunesNarrower uint64
+	RetunesWider    uint64
+	HeadGrowths     uint64
+
+	PeakPending int
+}
+
+// Stats returns the kernel's work counters so far.
+func (k *Kernel) Stats() Stats { return k.stats }
+
+func (k *Kernel) notePeak() {
+	if p := k.Pending(); p > k.stats.PeakPending {
+		k.stats.PeakPending = p
+	}
+}
 
 // checkTime validates a scheduling time against the clock; verb names the
 // operation in the panic.
@@ -155,15 +204,17 @@ func (k *Kernel) checkTime(t Time, verb string) {
 	}
 }
 
-// push queues e at t under the next sequence number.
+// push queues handle-carrying event e at t under the next sequence number.
 func (k *Kernel) push(e *Event, t Time) {
 	e.At = t
 	k.queue = append(k.queue, entry{at: t, seq: k.seq, e: e})
 	k.seq++
 	k.queue.up(len(k.queue) - 1)
+	k.stats.HeapScheduled++
+	k.notePeak()
 }
 
-// pop removes and returns the earliest event.
+// pop removes and returns the heap's earliest event.
 func (k *Kernel) pop() *Event {
 	h := k.queue
 	e := h[0].e
@@ -214,7 +265,7 @@ func (k *Kernel) AtAnon(t Time, fn func()) {
 	k.checkTime(t, "scheduling")
 	e := k.getFree()
 	e.fn, e.anon, e.dead = fn, true, false
-	k.push(e, t)
+	k.pushCal(e, t)
 }
 
 // AfterAnon is AtAnon relative to now. Negative delays are clamped to zero.
@@ -233,7 +284,7 @@ func (k *Kernel) AtAnonArg(t Time, fn func(any), arg any) {
 	k.checkTime(t, "scheduling")
 	e := k.getFree()
 	e.fnArg, e.arg, e.anon, e.dead = fn, arg, true, false
-	k.push(e, t)
+	k.pushCal(e, t)
 }
 
 // AfterAnonArg is AtAnonArg relative to now. Negative delays are clamped to
@@ -261,7 +312,34 @@ func (k *Kernel) fire(e *Event) {
 	} else {
 		fn()
 	}
-	k.executed++
+	k.stats.Fired++
+}
+
+// next removes and returns the earliest event due at or before until, nil when
+// there is none. The heap root and bottom's tail are the two candidates; the
+// calendar is drained only as far as the earlier of the heap root and until.
+func (k *Kernel) next(until Time) *Event {
+	if len(k.bottom) == 0 && k.ringN+k.farN > 0 {
+		limit := until
+		if len(k.queue) > 0 && k.queue[0].at < limit {
+			limit = k.queue[0].at
+		}
+		k.refill(limit)
+	}
+	if n := len(k.bottom) - 1; n >= 0 {
+		if ent := k.bottom[n]; len(k.queue) == 0 || ent.before(k.queue[0]) {
+			if ent.at > until {
+				return nil
+			}
+			k.bottom = k.bottom[:n]
+			k.stats.CalendarPops++
+			return ent.e
+		}
+	}
+	if len(k.queue) > 0 && k.queue[0].at <= until {
+		return k.pop()
+	}
+	return nil
 }
 
 // Reschedule moves a pending event to absolute time t, reusing its queue slot
@@ -276,14 +354,15 @@ func (k *Kernel) Reschedule(e *Event, t Time) bool {
 		return false
 	}
 	k.checkTime(t, "rescheduling")
-	i := e.idx
+	i := int(e.idx)
 	e.At = t
 	k.queue[i].at, k.queue[i].seq = t, k.seq
 	k.seq++
 	k.queue.up(i)
-	if e.idx == i { // did not rise: it may have to sink
+	if int(e.idx) == i { // did not rise: it may have to sink
 		k.queue.down(i)
 	}
+	k.stats.Reschedules++
 	return true
 }
 
@@ -322,12 +401,13 @@ func (k *Kernel) Run(until Time) uint64 {
 	defer func() { k.running = false }()
 
 	var n uint64
-	for len(k.queue) > 0 && !k.stopped {
-		if k.queue[0].at > until {
+	for !k.stopped {
+		e := k.next(until)
+		if e == nil {
 			break
 		}
-		e := k.pop()
 		if e.dead {
+			k.stats.Skipped++
 			continue
 		}
 		k.now = e.At
@@ -350,12 +430,13 @@ func (k *Kernel) RunAll(maxEvents uint64) uint64 {
 		maxEvents = 100_000_000
 	}
 	var n uint64
-	for len(k.queue) > 0 {
+	for k.Pending() > 0 {
 		if n >= maxEvents {
 			panic(fmt.Sprintf("sim: RunAll exceeded %d events at t=%.3f", maxEvents, k.now))
 		}
-		e := k.pop()
+		e := k.next(math.Inf(1))
 		if e.dead {
+			k.stats.Skipped++
 			continue
 		}
 		k.now = e.At

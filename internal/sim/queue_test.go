@@ -1,17 +1,30 @@
 package sim
 
 import (
-	"fmt"
-	"sort"
+	"math"
 	"testing"
+	"unsafe"
 )
 
-// checkQueue verifies the two structural invariants of the event queue: every
-// slot's event knows its position, and no entry sorts before its parent.
+// checkQueue audits both event queues. The heap: every slot's event knows its
+// position, and no entry sorts before its parent. The calendar: bottom is
+// sorted latest-first and holds only drained buckets, every chained event
+// sits in the chain its time maps to, after the drained mark and before the
+// horizon, every far event is at or beyond the horizon with the cached
+// minimum exact, the counts add up to Pending, no event is linked twice, and
+// nothing on the free list is queued or still chained.
 func checkQueue(t *testing.T, k *Kernel) {
 	t.Helper()
+	seen := make(map[*Event]string, k.Pending())
+	link := func(e *Event, where string) {
+		if was, dup := seen[e]; dup {
+			t.Fatalf("event at t=%v linked twice: %s and %s", e.At, was, where)
+		}
+		seen[e] = where
+	}
 	for i, ent := range k.queue {
-		if ent.e.idx != i {
+		link(ent.e, "heap")
+		if int(ent.e.idx) != i {
 			t.Fatalf("slot %d holds an event with idx=%d", i, ent.e.idx)
 		}
 		if ent.e.At != ent.at {
@@ -21,171 +34,381 @@ func checkQueue(t *testing.T, k *Kernel) {
 			t.Fatalf("slot %d sorts before its parent", i)
 		}
 	}
+	for i, ent := range k.bottom {
+		link(ent.e, "bottom")
+		if ent.e.At != ent.at || ent.e.seq != ent.seq || ent.e.next != nil {
+			t.Fatalf("bottom[%d] key (%v, %d), event (%v, %d, next=%p)", i, ent.at, ent.seq, ent.e.At, ent.e.seq, ent.e.next)
+		}
+		if b := k.bucketOf(ent.at); b > k.cur {
+			t.Fatalf("bottom[%d] is of bucket %d, past the drained mark %d", i, b, k.cur)
+		}
+		if i > 0 && !ent.before(k.bottom[i-1]) {
+			t.Fatalf("bottom[%d] does not fire before bottom[%d]", i, i-1)
+		}
+	}
+	ring := 0
+	for slot, e := range k.heads {
+		for ; e != nil; e = e.next {
+			link(e, "ring")
+			ring++
+			b := k.bucketOf(e.At)
+			if int(b&int64(len(k.heads)-1)) != slot || b <= k.cur || b >= k.horizon {
+				t.Fatalf("chain %d holds t=%v of bucket %d (mark %d, horizon %d, %d heads)", slot, e.At, b, k.cur, k.horizon, len(k.heads))
+			}
+		}
+	}
+	far, farMin := 0, math.Inf(1)
+	for e := k.far; e != nil; e = e.next {
+		link(e, "far")
+		far++
+		farMin = min(farMin, e.At)
+		if b := k.bucketOf(e.At); b < k.horizon {
+			t.Fatalf("far holds t=%v of bucket %d, inside the horizon %d", e.At, b, k.horizon)
+		}
+	}
+	if farMin != k.farMin {
+		t.Fatalf("cached far minimum %v, far chain's is %v", k.farMin, farMin)
+	}
+	if ring != k.ringN || far != k.farN {
+		t.Fatalf("calendar counts: ring %d (ringN %d), far %d (farN %d)", ring, k.ringN, far, k.farN)
+	}
+	if st := k.Stats(); st.CalendarScheduled-st.CalendarPops != uint64(k.calN()) {
+		t.Fatalf("calendar took %d events and gave up %d, yet holds %d", st.CalendarScheduled, st.CalendarPops, k.calN())
+	}
+	if k.Pending() != len(seen) {
+		t.Fatalf("Pending() = %d, %d events are queued", k.Pending(), len(seen))
+	}
+	for _, e := range k.free {
+		if where, queued := seen[e]; queued || e.next != nil {
+			t.Fatalf("free list holds an event that is queued (%q) or chained (next=%p)", where, e.next)
+		}
+	}
+}
+
+// TestEventIsOneCacheLine holds Event to 64 bytes: draining a calendar chain
+// walks events nothing has touched since they were pushed, and an 80-byte
+// struct put At and next on different lines.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 64 {
+		t.Fatalf("Event is %d bytes, want 64", size)
+	}
+}
+
+// fleetMix is the spread of scheduling delays in a 64-app fleet run, as the
+// share of pushes per band: six decades, which no single bucket width suits.
+// It is a second copy of the table in benchfix (which imports this package, so
+// a test inside it cannot import benchfix back) and differs from it on
+// purpose in the last band: the fleet's "beyond 10 s" stops at 100 s there
+// and runs out to a day here, so a quiet stretch leaves events waiting beyond
+// any ring's horizon.
+var fleetMix = []struct{ share, lo, hi float64 }{
+	{0.08, 1e-5, 1e-5}, {0.05, 1e-5, 1e-4}, {0.29, 1e-3, 1e-2}, {0.22, 1e-2, 1e-1},
+	{0.18, 0.1, 1}, {0.17, 1, 10}, {0.01, 10, 1e5},
+}
+
+func mixDelay(rng *Rand) float64 {
+	u := rng.Float64()
+	for _, m := range fleetMix {
+		if u < m.share {
+			return m.lo * math.Pow(m.hi/m.lo, rng.Float64())
+		}
+		u -= m.share
+	}
+	return 1e5
+}
+
+// churnPhase is one stretch of a queue-churn case.
+type churnPhase struct {
+	prefill      int       // anonymous events spread evenly over the next 1.25 s, scheduled first
+	ops, pending int       // operations, and the live schedulings the queue fills to
+	runEvery     int       // a Run comes about once per this many operations
+	spans        []float64 // how far a Run moves the horizon, one drawn per Run
 }
 
 // TestQueueChurnMatchesSortedReference drives the queue through every way an
 // event can enter, move in or leave it — At, AtAnon, AtAnonArg, Cancel,
-// Reschedule, Reuse of fired structs — with many equal times, and compares
-// what fires, in order, with the live schedule sorted on (time, scheduling
-// order). That sort is the queue's whole contract; the typed heap is one way
-// to meet it.
+// Reschedule, Reuse of fired structs, events scheduled by events — with many
+// equal times, and holds what fires to the live schedule sorted on (time,
+// scheduling order): each Run fires exactly the schedulings due, in that
+// order. That sort is the queue's whole contract; the typed heap and the
+// calendar beside it are one way to meet it.
+//
+// The grid cases draw times from a quarter-second grid eight slots wide, so
+// most collide. The fleet-mix cases draw delays from the fleet's six-decade
+// histogram with exact ties across anonymous and handle events, have a fired
+// event schedule a successor a tick or so ahead one time in three, and pass
+// through a burst, quiet stretches that leave only far events and a dense
+// stretch whose Runs cross many buckets, under horizons that fall inside a
+// bucket and are then extended; they must reach every path of the calendar.
 func TestQueueChurnMatchesSortedReference(t *testing.T) {
-	// sched is the reference's record of one live scheduling.
+	// sched is the reference's record of one scheduling.
 	type sched struct {
-		at  Time
-		seq int // the test's own scheduling counter
-		id  int
-		e   *Event // nil for anonymous events
+		at   Time
+		seq  int    // the test's own scheduling counter
+		e    *Event // nil for anonymous events
+		pos  int    // index in handles, for a live handle-carrying scheduling
+		live bool   // scheduled, not cancelled, not fired
 	}
+	grid := []float64{0, 0.25, 0.5}
+	burst := churnPhase{prefill: 4800, ops: 12000, pending: 2000, runEvery: 300, spans: []float64{0.001, 0.004, 0.016, 0.05}}
+	sparse := churnPhase{ops: 5000, pending: 48, runEvery: 12, spans: []float64{0.002, 0.05, 0.4, 3, 40, 4000}}
+	dense := churnPhase{ops: 4000, pending: 3000, runEvery: 60, spans: []float64{0.01, 0.1, 0.5}}
+	mixPhases := []churnPhase{burst, sparse, dense, sparse, dense}
 	for _, tc := range []struct {
-		seed         uint64
-		pending, ops int
+		name   string
+		seed   uint64
+		mix    bool
+		phases []churnPhase
 	}{
-		{seed: 1, pending: 64, ops: 4000},
-		{seed: 2, pending: 700, ops: 6000},
-		{seed: 3, pending: 10_000, ops: 30_000},
+		{name: "seed=1/pending=64", seed: 1, phases: []churnPhase{{0, 4000, 64, 64, grid}}},
+		{name: "seed=2/pending=700", seed: 2, phases: []churnPhase{{0, 6000, 700, 700, grid}}},
+		{name: "seed=3/pending=10000", seed: 3, phases: []churnPhase{{0, 30_000, 10_000, 10_000, grid}}},
+		{name: "fleet-mix/seed=4", seed: 4, mix: true, phases: mixPhases},
+		{name: "fleet-mix/seed=5", seed: 5, mix: true, phases: mixPhases},
 	} {
-		t.Run(fmt.Sprintf("seed=%d/pending=%d", tc.seed, tc.pending), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			k := NewKernel()
 			rng := NewRand(tc.seed)
 			var (
-				live    []sched  // scheduled, not cancelled, not fired
+				table   []sched  // every scheduling, by id
+				ids     []int    // the live ones, and those that left since the last Run
+				handles []int    // ids of the live handle-carrying ones
 				spent   []*Event // fired handles, for Reuse
-				got     []int
+				got     []int    // ids in the order they fired
 				seq     int
-				nextID  int
-				deepest int
+				nLive   int
+				target  int // the current phase's pending
+				lastAt  Time
 			)
-			argFn := func(arg any) { got = append(got, arg.(int)) }
-			// A quarter-second grid eight slots wide: most times collide.
-			when := func() Time { return k.Now() + float64(rng.Intn(8))/4 }
-			add := func(at Time, e *Event) {
-				live = append(live, sched{at: at, seq: seq, id: nextID, e: e})
-				seq++
-				nextID++
-			}
-			// sortLive puts the reference schedule in firing order.
-			sortLive := func() {
-				sort.SliceStable(live, func(a, b int) bool {
-					if live[a].at != live[b].at {
-						return live[a].at < live[b].at
-					}
-					return live[a].seq < live[b].seq
-				})
-			}
-			// named picks a random live handle-carrying scheduling.
-			named := func() int {
-				for tries := 0; tries < 8 && len(live) > 0; tries++ {
-					if i := rng.Intn(len(live)); live[i].e != nil {
-						return i
-					}
-				}
-				return -1
-			}
-			for op := 0; op < tc.ops; op++ {
-				var touched *Event
-				// Schedulings outnumber cancellations, so the queue fills to
-				// tc.pending; a run, which empties the near end of the time
-				// grid, comes about once per tc.pending operations.
-				kind := rng.Intn(9)
-				if len(live) >= tc.pending && kind < 6 {
-					kind = 6 + rng.Intn(3) // full: only cancel or move
-				}
-				if rng.Intn(tc.pending) == 0 {
-					kind = 9
-				}
-				deepest = max(deepest, len(live))
+			// when draws the time of a scheduling. In the fleet mix a handle
+			// event, like the flow completions it stands for, is a tenth of a
+			// second to ten ahead, so the heap root is rarely the next event.
+			when := func(handle bool) Time {
 				switch {
-				case kind < 2:
-					at, id := when(), nextID
-					touched = k.At(at, func() { got = append(got, id) })
-					add(at, touched)
-				case kind < 4:
-					at, id := when(), nextID
-					k.AtAnon(at, func() { got = append(got, id) })
-					add(at, nil)
-				case kind < 5:
-					at := when()
-					k.AtAnonArg(at, argFn, nextID)
-					add(at, nil)
-				case kind < 6:
-					if len(spent) == 0 {
-						continue
-					}
-					e := spent[len(spent)-1]
-					spent = spent[:len(spent)-1]
-					at, id := when(), nextID
-					if k.Reuse(e, at, func() { got = append(got, id) }) != e {
-						t.Fatal("Reuse did not recycle a fired event")
-					}
-					touched = e
-					add(at, e)
-				case kind < 7:
-					i := named()
-					if i < 0 {
-						continue
-					}
-					live[i].e.Cancel()
-					live = append(live[:i], live[i+1:]...)
-				case kind < 9:
-					i := named()
-					if i < 0 {
-						continue
-					}
-					touched = live[i].e
-					at := when()
-					if !k.Reschedule(touched, at) {
-						t.Fatal("Reschedule refused a pending event")
-					}
-					live[i].at, live[i].seq = at, seq
-					seq++
+				case !tc.mix:
+					// A quarter-second grid eight slots wide: most times collide.
+					return k.Now() + float64(rng.Intn(8))/4
+				case lastAt >= k.Now() && rng.Intn(8) == 0:
+					return lastAt // an exact tie with whatever was scheduled last
+				case handle:
+					lastAt = k.Now() + 0.1*math.Pow(100, rng.Float64())
 				default:
-					// Fire the earliest slice of the schedule and compare.
-					until := k.Now() + float64(rng.Intn(3))/4
-					sortLive()
-					due := sort.Search(len(live), func(i int) bool { return live[i].at > until })
-					got = got[:0]
-					if n := k.Run(until); int(n) != due {
-						t.Fatalf("op %d: Run(%v) fired %d events, reference has %d due", op, until, n, due)
+					lastAt = k.Now() + mixDelay(rng)
+				}
+				return lastAt
+			}
+			// add records the scheduling about to be made and returns its id.
+			add := func(at Time) int {
+				table = append(table, sched{at: at, seq: seq, live: true})
+				ids = append(ids, len(table)-1)
+				seq++
+				nLive++
+				return len(table) - 1
+			}
+			hold := func(id int, e *Event) {
+				table[id].e, table[id].pos = e, len(handles)
+				handles = append(handles, id)
+			}
+			// drop takes id, cancelled or fired, out of the live schedule.
+			drop := func(id int) {
+				s := &table[id]
+				s.live = false
+				nLive--
+				if s.e != nil {
+					last := handles[len(handles)-1]
+					handles[s.pos], table[last].pos = last, s.pos
+					handles = handles[:len(handles)-1]
+				}
+			}
+			var fire func(id int)
+			argFn := func(arg any) { fire(arg.(int)) }
+			fire = func(id int) {
+				got = append(got, id)
+				if tc.mix && nLive-len(got) < target {
+					// Events schedule events, as in the fleet, so a Run works
+					// through a standing population of half the phase's
+					// pending: one time in three the request pipeline's
+					// hand-off, a tick or a few ahead.
+					at := k.Now() + mixDelay(rng)
+					if rng.Intn(3) == 0 {
+						at = k.Now() + 1e-5*float64(1+rng.Intn(40))
 					}
-					for i, s := range live[:due] {
-						if got[i] != s.id {
-							t.Fatalf("op %d: firing %d was event %d, reference says %d (t=%v)", op, i, got[i], s.id, s.at)
-						}
-						if s.e != nil {
-							if s.e.idx != -1 || s.e.Pending() {
-								t.Fatalf("op %d: fired event %d still claims a slot (idx=%d)", op, s.id, s.e.idx)
-							}
-							spent = append(spent, s.e)
-						}
+					k.AtAnonArg(at, argFn, add(at))
+				}
+			}
+			// ran checks one Run against the schedule: it fired, in (time,
+			// scheduling order), exactly what was due.
+			ran := func(op int, until Time, n uint64) {
+				if int(n) != len(got) {
+					t.Fatalf("op %d: Run(%v) returned %d, %d callbacks ran", op, until, n, len(got))
+				}
+				prev := -1
+				for i, id := range got {
+					s := &table[id]
+					if !s.live {
+						t.Fatalf("op %d: firing %d was scheduling %d, which is not live", op, i, id)
 					}
-					live = append(live[:0], live[due:]...)
+					if p := table[max(prev, 0)]; prev >= 0 && (s.at < p.at || s.at == p.at && s.seq < p.seq) {
+						t.Fatalf("op %d: firing %d was (t=%v, #%d) after (t=%v, #%d)", op, i, s.at, s.seq, p.at, p.seq)
+					}
+					if s.at > until {
+						t.Fatalf("op %d: Run(%v) fired an event at %v", op, until, s.at)
+					}
+					if s.e != nil {
+						if s.e.idx != -1 || s.e.Pending() {
+							t.Fatalf("op %d: fired event %d still claims a slot (idx=%d)", op, id, s.e.idx)
+						}
+						spent = append(spent, s.e)
+					}
+					drop(id)
+					prev = id
 				}
-				if touched != nil && k.queue[touched.idx].e != touched {
-					t.Fatalf("op %d: event idx=%d does not point at its slot", op, touched.idx)
+				keep := ids[:0]
+				for _, id := range ids {
+					if s := &table[id]; s.live {
+						if s.at <= until {
+							t.Fatalf("op %d: Run(%v) left scheduling %d, due at %v, unfired", op, until, id, s.at)
+						}
+						keep = append(keep, id)
+					}
 				}
-				if len(k.queue) <= 512 || op%128 == 0 {
-					checkQueue(t, k)
+				ids, got = keep, got[:0]
+			}
+			op := 0
+			for _, ph := range tc.phases {
+				for i := 0; i < ph.prefill; i++ {
+					at := k.Now() + 1.25*rng.Float64()
+					k.AtAnonArg(at, argFn, add(at))
+				}
+				deepest := 0
+				target = ph.pending / 2
+				for end := op + ph.ops; op < end; op++ {
+					var touched *Event
+					// Schedulings outnumber cancellations, so the queue fills
+					// to ph.pending; a run empties the near end of the schedule.
+					kind := rng.Intn(9)
+					if nLive >= ph.pending && kind < 6 {
+						kind = 6 + rng.Intn(3) // full: only cancel or move
+					}
+					if rng.Intn(ph.runEvery) == 0 {
+						kind = 9
+					}
+					deepest = max(deepest, nLive)
+					switch {
+					case kind < 2:
+						at := when(true)
+						id := add(at)
+						touched = k.At(at, func() { fire(id) })
+						hold(id, touched)
+					case kind < 4:
+						at := when(false)
+						id := add(at)
+						k.AtAnon(at, func() { fire(id) })
+					case kind < 5:
+						at := when(false)
+						k.AtAnonArg(at, argFn, add(at))
+					case kind < 6:
+						if len(spent) == 0 {
+							continue
+						}
+						e := spent[len(spent)-1]
+						spent = spent[:len(spent)-1]
+						at := when(true)
+						id := add(at)
+						if k.Reuse(e, at, func() { fire(id) }) != e {
+							t.Fatal("Reuse did not recycle a fired event")
+						}
+						touched = e
+						hold(id, e)
+					case kind < 7:
+						if len(handles) == 0 {
+							continue
+						}
+						id := handles[rng.Intn(len(handles))]
+						table[id].e.Cancel()
+						drop(id)
+					case kind < 9:
+						if len(handles) == 0 {
+							continue
+						}
+						s := &table[handles[rng.Intn(len(handles))]]
+						touched = s.e
+						s.at = when(true)
+						if !k.Reschedule(touched, s.at) {
+							t.Fatal("Reschedule refused a pending event")
+						}
+						s.seq = seq
+						seq++
+					default:
+						until := k.Now() + ph.spans[rng.Intn(len(ph.spans))]
+						ran(op, until, k.Run(until))
+					}
+					if touched != nil && k.queue[touched.idx].e != touched {
+						t.Fatalf("op %d: event idx=%d does not point at its slot", op, touched.idx)
+					}
+					if k.Pending() <= 64 || op%32 == 0 {
+						checkQueue(t, k)
+					}
+				}
+				want := ph.pending
+				if tc.mix {
+					want = target // what Runs sustain; operations add to it between them
+				}
+				if deepest < want {
+					t.Fatalf("queue only reached %d pending, want %d", deepest, want)
 				}
 			}
-			// Drain: everything still live fires, in reference order.
-			sortLive()
-			got = got[:0]
-			k.RunAll(0)
-			if len(got) != len(live) {
-				t.Fatalf("drain fired %d events, reference has %d", len(got), len(live))
+			// Drain: everything still live fires, in order.
+			target = 0
+			ran(op, math.Inf(1), k.RunAll(0))
+			if k.Pending() != 0 || nLive != 0 {
+				t.Fatalf("%d slots and %d live schedulings left after RunAll", k.Pending(), nLive)
 			}
-			for i, s := range live {
-				if got[i] != s.id {
-					t.Fatalf("drain: firing %d was event %d, reference says %d", i, got[i], s.id)
-				}
-			}
-			if k.Pending() != 0 {
-				t.Fatalf("%d slots left after RunAll", k.Pending())
-			}
-			if deepest < tc.pending {
-				t.Fatalf("queue only reached %d pending, want %d", deepest, tc.pending)
+			checkQueue(t, k)
+			if st := k.Stats(); tc.mix && (st.RetunesNarrower == 0 || st.RetunesWider == 0 || st.HeadGrowths == 0 ||
+				st.Jumps == 0 || st.FarRescans == 0 || st.BottomInserts == 0) {
+				t.Fatalf("a calendar path was never taken — narrower, wider, head growth, ring-empty jump, far re-scan, bottom insert: %+v", st)
 			}
 		})
+	}
+}
+
+// TestUnrepresentableTimesWaitOnFar pins what happens to a time whose bucket
+// number does not fit an int64: it is not converted. Such events wait on the
+// far chain, count as pending, never fire under a finite horizon and fire
+// last, in scheduling order, when everything is run.
+func TestUnrepresentableTimesWaitOnFar(t *testing.T) {
+	k := NewKernel()
+	var got []int
+	log := func(arg any) { got = append(got, arg.(int)) }
+	k.AtAnonArg(math.Inf(1), log, 4)
+	k.AtAnonArg(1e300, log, 2)
+	k.AtAnonArg(math.Inf(1), log, 5)
+	k.AtAnonArg(1e300, log, 3)
+	k.AtAnonArg(5, log, 1)
+	k.At(math.Inf(1), func() { got = append(got, 6) })
+	k.AtAnonArg(0.5, log, 0)
+	checkQueue(t, k)
+	if n := k.Run(1e9); n != 2 || k.Pending() != 5 || k.farN != 4 {
+		t.Fatalf("Run(1e9) fired %d, %d pending, %d on far; want 2, 5, 4", n, k.Pending(), k.farN)
+	}
+	checkQueue(t, k)
+	k.AtAnonArg(math.Inf(1), log, 7)
+	if n := k.RunAll(0); n != 6 || k.Pending() != 0 {
+		t.Fatalf("RunAll fired %d, %d pending; want 6, 0", n, k.Pending())
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("fired in order %v", got)
+		}
+	}
+	if !math.IsInf(k.Now(), 1) {
+		t.Fatalf("clock at %v after the +Inf events", k.Now())
+	}
+	// With the clock at +Inf the only time left to schedule at is +Inf.
+	k.AtAnonArg(math.Inf(1), log, 8)
+	checkQueue(t, k)
+	if k.RunAll(0) != 1 || got[8] != 8 {
+		t.Fatalf("event scheduled at +Inf with the clock at +Inf did not fire: %v", got)
 	}
 }
