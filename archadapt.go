@@ -400,26 +400,6 @@ func FleetScenarioByName(name string) (FleetCatalogEntry, error) {
 	return fleet.ScenarioByName(name)
 }
 
-// FleetMigrationBenchScenario is the canonical migration benchmark fixture
-// shared by BenchmarkFleetMigration and cmd/benchjson.
-func FleetMigrationBenchScenario(n int, seed uint64) FleetScenarioOptions {
-	return fleet.MigrationBenchScenario(n, seed)
-}
-
-// FleetRankedMigrationBenchScenario is the measurement-driven variant of
-// the migration fixture (region health index + PlaceRanked), shared by
-// BenchmarkFleetRankedMigration and cmd/benchjson.
-func FleetRankedMigrationBenchScenario(n int, seed uint64) FleetScenarioOptions {
-	return fleet.RankedMigrationBenchScenario(n, seed)
-}
-
-// FleetOpenLoopBenchScenario is the canonical open-loop fixture (constant
-// aggregate offered load per app, so cost must not scale with the modeled
-// population), shared by BenchmarkFleetOpenLoop and cmd/benchjson.
-func FleetOpenLoopBenchScenario(n, users int, seed uint64) FleetScenarioOptions {
-	return fleet.OpenLoopBenchScenario(n, users, seed)
-}
-
 // FleetRegionRank is a measured health score per grid region, consumed by
 // FleetScheduler.PlaceRanked.
 type FleetRegionRank = fleet.RegionRank

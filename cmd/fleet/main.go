@@ -42,7 +42,7 @@
 // exports its causal span timeline — chrome format loads directly into
 // chrome://tracing or Perfetto, jsonl is one span per line for scripting.
 // -pprof writes a CPU profile (and optionally a heap profile) of the whole
-// invocation for scripts/bench.sh -profile.
+// invocation, for `go tool pprof`.
 package main
 
 import (

@@ -103,3 +103,21 @@ func TestStdoutIsAFunctionOfTheSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestMistypedRegionIsAnError: a -region-fail aimed at a router the grid does
+// not have is refused with exit status 1, not run as a healthy fleet with
+// nothing injected.
+func TestMistypedRegionIsAnError(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	c, err := parseArgs(strings.Fields("-mode adaptive -apps 2 -duration 50 -region-fail 10 -region-fail-router 99"), &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := execute(c, &stdout, &stderr); code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	const want = "fleet: adaptive run: fleet: ScenarioOptions.RegionFailRouter = 99 is not a router of the 5-router grid\n"
+	if stderr.String() != want || stdout.Len() != 0 {
+		t.Errorf("stderr = %q, stdout = %q; want stderr %q and no table", stderr.String(), stdout.String(), want)
+	}
+}

@@ -335,26 +335,36 @@ func TestCheckAllStats(t *testing.T) {
 	want("structure", constraint.Stats{Checks: 6, Evaluated: 20, Reused: 17, ScopeRebuilds: 2})
 }
 
-// TestCheckAllAllocationFree: a clean warm pass allocates nothing, whether
-// every verdict is reused or a gauge has just rewritten some.
-func TestCheckAllAllocationFree(t *testing.T) {
-	sys := cacheModel(t, 16)
-	reg := constraint.NewRegistry()
-	reg.Add(constraint.MustInvariant("latency", operators.TClient, "averageLatency <= maxLatency"))
-	reg.Add(constraint.MustInvariant("load", operators.TServerGroup, "load <= maxServerLoad"))
-	reg.Add(constraint.MustInvariant("bandwidth", operators.TClientRole, "bandwidth >= minBandwidth"))
-	clients := sys.ComponentsByType(operators.TClient)
+// inBoundsModel builds the warm control-loop fixture: a cacheModel with every
+// property the manager's three invariants read set in bounds, a registry
+// holding those invariants, and clean — one CheckAll that fails the test on any
+// violation. It has run once, so every verdict is cached.
+func inBoundsModel(t testing.TB, n int) (sys *model.System, reg *constraint.Registry, clients []*model.Component, clean func()) {
+	t.Helper()
+	sys = cacheModel(t, n)
+	reg = constraint.NewRegistry()
+	reg.Add(constraint.MustInvariant(operators.InvLatency, operators.TClient, "averageLatency <= maxLatency"))
+	reg.Add(constraint.MustInvariant(operators.InvLoad, operators.TServerGroup, "load <= maxServerLoad"))
+	reg.Add(constraint.MustInvariant(operators.InvBandwidth, operators.TClientRole, "bandwidth >= minBandwidth"))
+	clients = sys.ComponentsByType(operators.TClient)
 	for _, c := range clients {
 		c.Props().Set(operators.PropAvgLatency, 1.0)
 		_, _, role, _ := operators.GroupOf(sys, c)
 		role.Props().Set(operators.PropBandwidth, 5e6)
 	}
-	clean := func() {
+	clean = func() {
 		if vs := reg.CheckAll(sys); vs != nil {
 			t.Fatalf("violations on an in-bounds model: %v", vs)
 		}
 	}
 	clean()
+	return sys, reg, clients, clean
+}
+
+// TestCheckAllAllocationFree: a clean warm pass allocates nothing, whether
+// every verdict is reused or a gauge has just rewritten some.
+func TestCheckAllAllocationFree(t *testing.T) {
+	sys, reg, clients, clean := inBoundsModel(t, 16)
 	if avg := testing.AllocsPerRun(100, clean); avg != 0 {
 		t.Errorf("unchanged model: %v allocs per CheckAll, want 0", avg)
 	}

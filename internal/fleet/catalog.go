@@ -241,51 +241,3 @@ func ScenarioByName(name string) (CatalogEntry, error) {
 	}
 	return CatalogEntry{}, fmt.Errorf("fleet: no scenario %q in the catalog", name)
 }
-
-// MigrationBenchScenario is the canonical migration benchmark fixture:
-// n apps, region-collapse contention (all groups crushed) on the first
-// quarter of them, migration enabled, spare-router headroom to migrate
-// into. Shared by BenchmarkFleetMigration and cmd/benchjson so the
-// committed BENCH_fleet.json baseline measures the same workload.
-func MigrationBenchScenario(n int, seed uint64) ScenarioOptions {
-	crushApps := n / 4
-	if crushApps < 1 {
-		crushApps = 1
-	}
-	return ScenarioOptions{
-		Apps: n, Seed: seed, Duration: 600, Adaptive: true,
-		SpareRouters:   2 * crushApps,
-		CrushAllGroups: true, CrushApps: crushApps,
-		CrushStart: 120, CrushStagger: 20, CrushDuration: 360,
-		Migration: MigrationPolicy{Enabled: true},
-	}
-}
-
-// RankedMigrationBenchScenario is MigrationBenchScenario with
-// measurement-driven targeting enabled — the canonical ranked-migration
-// fixture behind BenchmarkFleetRankedMigration and the
-// fleet_ranked_migration row in BENCH_fleet.json. It exercises the region
-// health index (batched Remos probes every decision tick), PlaceRanked and
-// the reservation/coordination layer on the same region-collapse workload
-// the unranked fixture measures.
-func RankedMigrationBenchScenario(n int, seed uint64) ScenarioOptions {
-	opts := MigrationBenchScenario(n, seed)
-	opts.Migration.Ranked = true
-	return opts
-}
-
-// OpenLoopBenchScenario is the canonical open-loop benchmark fixture: n
-// apps, users modeled users each, Poisson arrivals sized so every app
-// offers the same aggregate load regardless of population (8 req/s) — the
-// engine's cost is per class, not per user, so ms/app across the users axis
-// is the aggregation-efficiency canary behind BenchmarkFleetOpenLoop and
-// the fleet_openloop rows in BENCH_fleet.json.
-func OpenLoopBenchScenario(n, users int, seed uint64) ScenarioOptions {
-	return ScenarioOptions{
-		Apps: n, Seed: seed, Duration: 300, Adaptive: true,
-		CrushStart: -1,
-		App:        AppSpec{Arrivals: ArrivalSpec{Lambda: 8.0 / float64(users)}},
-		OpenLoop: OpenLoopPolicy{Enabled: true, Users: users,
-			Scale: ScalePolicy{Enabled: true}},
-	}
-}

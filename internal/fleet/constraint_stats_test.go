@@ -6,14 +6,19 @@ import (
 	"archadapt/internal/constraint"
 )
 
-// runBenchScript runs the benchmark fleet script (the BenchmarkFleet and
-// BENCH_fleet.json scenario) at n apps, seed 1.
-func runBenchScript(t *testing.T, n int) *ScenarioResult {
-	t.Helper()
-	res, err := RunScenario(ScenarioOptions{
+// benchScript is the benchmark fleet script (BenchmarkFleet's scenario) at n
+// apps, seed 1.
+func benchScript(n int) ScenarioOptions {
+	return ScenarioOptions{
 		Apps: n, Seed: 1, Duration: 600, Adaptive: true,
 		CrushStart: 120, CrushStagger: 5, CrushDuration: 240,
-	})
+	}
+}
+
+// runBenchScript runs benchScript(n).
+func runBenchScript(t *testing.T, n int) *ScenarioResult {
+	t.Helper()
+	res, err := RunScenario(benchScript(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,8 +120,9 @@ func TestMigrationPolicyValidate(t *testing.T) {
 }
 
 // TestScenarioOptionsValidate feeds StartScenario one bad value per
-// time-valued field (and a misspelt fault kind): each must come back as an
-// error naming the field — not a kernel panic, and not a run that never ends.
+// time-valued field (and a misspelt fault kind, and region failures aimed off
+// the grid): each must come back as an error naming the field — not a kernel
+// panic, not a run that never ends, and not a healthy run with nothing injected.
 func TestScenarioOptionsValidate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -145,6 +146,13 @@ func TestScenarioOptionsValidate(t *testing.T) {
 		{"Faults[0].At", ScenarioOptions{Faults: []Fault{{At: -1, Kind: FaultRetire}}}},
 		{"Faults[0].Duration", ScenarioOptions{Faults: []Fault{{At: 10, Kind: FaultRegionFail, Duration: nan}}}},
 		{"Faults[0].Kind", ScenarioOptions{Faults: []Fault{{At: 10, Kind: "region-fial"}}}},
+		// Two default apps auto-size to five routers; an explicit size wins.
+		{"RegionFailRouter = 5", ScenarioOptions{RegionFailStart: 10, RegionFailRouter: 5}},
+		{"RegionFailRouter = -1", ScenarioOptions{RegionFailStart: 10, RegionFailRouter: -1}},
+		{"RegionFailRouter = 6", ScenarioOptions{Routers: 6, HostsPerRouter: 4, RegionFailStart: 10, RegionFailRouter: 6}},
+		{"Faults[1].Router = 5", ScenarioOptions{Faults: []Fault{
+			{At: 10, Kind: FaultRegionFail, Router: 4}, {At: 20, Kind: FaultRegionRestore, Router: 5}}}},
+		{"Faults[0].Router = -2", ScenarioOptions{Faults: []Fault{{At: 10, Kind: FaultRegionPartialRestore, Router: -2}}}},
 	}
 	for _, c := range cases {
 		t.Run(c.frag, func(t *testing.T) {
@@ -158,9 +166,17 @@ func TestScenarioOptionsValidate(t *testing.T) {
 			}
 		})
 	}
-	// The zero value and the disabling sentinels stay valid.
+	// The zero value and the disabling sentinels stay valid, and so do the last
+	// router of the grid, a router index no region kind reads and a fault
+	// aimed at an app the scenario does not have.
 	if err := (ScenarioOptions{CrushStart: -1}).validate(); err != nil {
 		t.Errorf("validate rejected a valid scenario: %v", err)
+	}
+	if _, err := StartScenario(ScenarioOptions{Apps: 2, RegionFailRouter: 99, Faults: []Fault{
+		{At: 10, Kind: FaultRegionFail, Router: 4, Duration: 5},
+		{At: 10, Kind: FaultRetire, App: 7, Router: 99},
+	}}); err != nil {
+		t.Errorf("StartScenario rejected a valid scenario: %v", err)
 	}
 }
 

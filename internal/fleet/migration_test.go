@@ -80,7 +80,7 @@ func TestMigrationRescuesRegionCollapse(t *testing.T) {
 // cutovers all run on the shared kernel, so same-seed migrating runs must be
 // identical — including the recorded migration times.
 func TestMigrationScenarioDeterministic(t *testing.T) {
-	opts := MigrationBenchScenario(8, 3)
+	opts := migrationBenchScenario(8, 3)
 	r1, err := RunScenario(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -231,6 +231,27 @@ func (o ScenarioOptions) validate() error {
 	return nil
 }
 
+// validateRegions rejects a region failure aimed at a router the grid does not
+// have: FailRegion would refuse it and the run would go on healthy, having
+// injected nothing. It needs the grid's size, so it runs on defaulted options.
+// Fault.App is left unchecked on purpose: the chaos shrinker lowers Apps under
+// a fixed schedule and relies on a fault aimed at a missing app being a no-op.
+func (o ScenarioOptions) validateRegions() error {
+	onGrid := func(r int) bool { return r >= 0 && r < o.Routers }
+	if o.RegionFailStart > 0 && !onGrid(o.RegionFailRouter) {
+		return fmt.Errorf("fleet: ScenarioOptions.RegionFailRouter = %d is not a router of the %d-router grid", o.RegionFailRouter, o.Routers)
+	}
+	for i, flt := range o.Faults {
+		switch flt.Kind {
+		case FaultRegionFail, FaultRegionRestore, FaultRegionPartialRestore:
+			if !onGrid(flt.Router) {
+				return fmt.Errorf("fleet: ScenarioOptions.Faults[%d].Router = %d is not a router of the %d-router grid", i, flt.Router, o.Routers)
+			}
+		}
+	}
+	return nil
+}
+
 // ScenarioResult bundles the finished fleet with its summaries.
 type ScenarioResult struct {
 	Opts      ScenarioOptions
@@ -265,6 +286,9 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
+	if err := opts.validateRegions(); err != nil {
+		return nil, err
+	}
 	k := sim.NewKernel()
 	grid := netsim.GenerateGrid(k, netsim.GridSpec{
 		Routers:        opts.Routers,

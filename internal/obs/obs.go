@@ -17,7 +17,8 @@
 // so a run with tracing off executes the exact same event sequence, allocates
 // nothing extra on the monitoring hot path, and produces byte-identical
 // summaries — the same retained-oracle discipline as PerAppMonitoring and
-// LegacyTargeting, gated by tests and the benchjson trace-off gate.
+// LegacyTargeting, held by TestTraceOffIsByteIdentical and the 2 % allocation
+// margin of TestMigrationFixturesCost (internal/fleet).
 //
 // Determinism: the tracer reads time only from the injected clock (the
 // kernel's virtual clock), never the wall clock, so same-seed runs produce

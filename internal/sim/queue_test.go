@@ -94,28 +94,9 @@ func TestEventIsOneCacheLine(t *testing.T) {
 	}
 }
 
-// fleetMix is the spread of scheduling delays in a 64-app fleet run, as the
-// share of pushes per band: six decades, which no single bucket width suits.
-// It is a second copy of the table in benchfix (which imports this package, so
-// a test inside it cannot import benchfix back) and differs from it on
-// purpose in the last band: the fleet's "beyond 10 s" stops at 100 s there
-// and runs out to a day here, so a quiet stretch leaves events waiting beyond
-// any ring's horizon.
-var fleetMix = []struct{ share, lo, hi float64 }{
-	{0.08, 1e-5, 1e-5}, {0.05, 1e-5, 1e-4}, {0.29, 1e-3, 1e-2}, {0.22, 1e-2, 1e-1},
-	{0.18, 0.1, 1}, {0.17, 1, 10}, {0.01, 10, 1e5},
-}
-
-func mixDelay(rng *Rand) float64 {
-	u := rng.Float64()
-	for _, m := range fleetMix {
-		if u < m.share {
-			return m.lo * math.Pow(m.hi/m.lo, rng.Float64())
-		}
-		u -= m.share
-	}
-	return 1e5
-}
+// churnTail is where the churn test's fleet mix ends: a day, not the fleet's
+// 100 s, so a quiet stretch leaves events waiting beyond any ring's horizon.
+const churnTail = 1e5
 
 // churnPhase is one stretch of a queue-churn case.
 type churnPhase struct {
@@ -193,7 +174,7 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 				case handle:
 					lastAt = k.Now() + 0.1*math.Pow(100, rng.Float64())
 				default:
-					lastAt = k.Now() + mixDelay(rng)
+					lastAt = k.Now() + fleetMixDelay(rng, churnTail)
 				}
 				return lastAt
 			}
@@ -229,7 +210,7 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 					// through a standing population of half the phase's
 					// pending: one time in three the request pipeline's
 					// hand-off, a tick or a few ahead.
-					at := k.Now() + mixDelay(rng)
+					at := k.Now() + fleetMixDelay(rng, churnTail)
 					if rng.Intn(3) == 0 {
 						at = k.Now() + 1e-5*float64(1+rng.Intn(40))
 					}
