@@ -20,7 +20,10 @@ import (
 
 // Request is one client request traveling through the system. The system owns
 // the record: listeners may read it during their callback but must not keep
-// the pointer, because a delivered request's record carries a later one.
+// the pointer, because a delivered request's record carries a later one. The
+// one exception is the client's LatencyObserver, which links the record into
+// its outstanding list at the send and unlinks it at the response or drop —
+// before the record can be reused.
 type Request struct {
 	ID       uint64
 	Client   string
@@ -38,6 +41,11 @@ type Request struct {
 	cli *Client
 	q   *queue
 	srv *Server
+
+	// older and newer are the record's neighbours in its client's list of
+	// outstanding requests while watched is set (latency.go).
+	older, newer *Request
+	watched      bool
 }
 
 // Response records a completed request at the client. Req is valid only
@@ -90,7 +98,6 @@ type Client struct {
 	RespBits func() float64
 
 	rng     *sim.Rand
-	nextID  uint64
 	stopped bool
 	paused  bool
 	pending bool // an arrival event is scheduled
@@ -103,6 +110,8 @@ type Client struct {
 	// OnSend listeners observe request emission (for outstanding-request
 	// tracking in the harness).
 	OnSend []func(*Request)
+	// watch is the client's latency observer state, nil while unobserved.
+	watch *ClientLatency
 
 	responses uint64
 	// synth is the cached synthetic request handle behind DeliverSynthetic

@@ -343,27 +343,48 @@ func threeHosts(t *testing.T) (*sim.Kernel, *System, *Client) {
 
 // A warm request — send, enqueue, pull, serve, reply transfer, response —
 // allocates nothing: its record, events, flow and callbacks are all recycled.
+// Nor does it with a latency observer attached and sampling: the outstanding
+// list lives in the request records, and the averaging window reuses its
+// array once it has held a window's worth of samples (here 1 s, about 17).
 func TestRequestCycleAllocationFree(t *testing.T) {
-	k, sys, cli := threeHosts(t)
-	answered := 0
-	var lastID uint64
-	cli.OnResponse = append(cli.OnResponse, func(r Response) {
-		answered++
-		lastID = r.Req.ID
-	})
-	cycle := func() {
-		sys.sendRequest(cli)
-		k.RunAll(0)
-	}
-	cycle()
-	if len(sys.freeReqs) != 1 {
-		t.Fatalf("delivered request was not recycled (free list %d)", len(sys.freeReqs))
-	}
-	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-		t.Fatalf("warm request cycle allocates %v times", avg)
-	}
-	if answered != 202 || lastID != 202 {
-		t.Fatalf("answered=%d last id=%d, want 202 and 202: a recycled record must carry its new request", answered, lastID)
+	for _, observed := range []bool{false, true} {
+		k, sys, cli := threeHosts(t)
+		answered := 0
+		var lastID uint64
+		cli.OnResponse = append(cli.OnResponse, func(r Response) {
+			answered++
+			lastID = r.Req.ID
+		})
+		cycle := func() {
+			sys.sendRequest(cli)
+			k.RunAll(0)
+		}
+		if observed {
+			obs := ObserveLatency(sys, []string{"C1"}, 1)
+			cycle = func() {
+				sys.sendRequest(cli)
+				if obs.Outstanding() != 1 {
+					t.Fatalf("mid-flight: outstanding %d", obs.Outstanding())
+				}
+				k.RunAll(0)
+				if v, ok := obs.Sample("C1", k.Now()); obs.Outstanding() != 0 || !ok || v <= 0 {
+					t.Fatalf("answered: sample (%v, %v), outstanding %d", v, ok, obs.Outstanding())
+				}
+			}
+		}
+		const warm = 49
+		for i := 0; i < warm; i++ {
+			cycle()
+		}
+		if len(sys.freeReqs) != 1 {
+			t.Fatalf("observed=%v: delivered request was not recycled (free list %d)", observed, len(sys.freeReqs))
+		}
+		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+			t.Fatalf("observed=%v: warm request cycle allocates %v times", observed, avg)
+		}
+		if want := warm + 201; answered != want || lastID != uint64(want) {
+			t.Fatalf("observed=%v: answered=%d last id=%d, want %d twice: a recycled record must carry its new request", observed, answered, lastID, want)
+		}
 	}
 }
 

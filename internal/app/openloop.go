@@ -87,8 +87,8 @@ func (s *System) groupAnchor(group string) netsim.NodeID {
 // zero — during a total outage the gauges must still see the (terrible)
 // latency, exactly as the closed-loop observer reports the age of the
 // oldest outstanding request. The synthetic Request is cached per client
-// (ID 0, never outstanding), so listener bookkeeping keyed by request ID
-// treats every delivery as the same no-op entry.
+// (ID 0, never sent), so it is never in the latency observer's outstanding
+// list and every delivery is a no-op for that bookkeeping.
 func (c *Client) DeliverSynthetic(now float64, latency float64, count uint64) {
 	c.responses += count
 	if c.synth == nil {

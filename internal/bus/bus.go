@@ -58,22 +58,55 @@ type Message struct {
 	Span, Parent obs.SpanID
 }
 
-// Str reads a string field by its wire name (see the slot table above).
-func (m Message) Str(name string) string {
+// slot names one of a Message's string fields. Wire names are resolved to
+// slots once — by Str, and by TopicAndField when a filter is built — so
+// matching a message never compares field names.
+type slot uint8
+
+const (
+	slotNone slot = iota // no such field
+	slotName
+	slotGroup
+	slotTarget
+	slotKind
+	slotProp
+)
+
+// slotOf resolves a string field's wire name (see the slot table above).
+func slotOf(name string) slot {
 	switch name {
 	case "client", "server", "gauge", "name":
-		return m.Name
+		return slotName
 	case "group":
-		return m.Group
+		return slotGroup
 	case "target":
-		return m.Target
+		return slotTarget
 	case "kind":
-		return m.Kind
+		return slotKind
 	case "prop":
+		return slotProp
+	}
+	return slotNone
+}
+
+func (m *Message) str(f slot) string {
+	switch f {
+	case slotName:
+		return m.Name
+	case slotGroup:
+		return m.Group
+	case slotTarget:
+		return m.Target
+	case slotKind:
+		return m.Kind
+	case slotProp:
 		return m.Prop
 	}
 	return ""
 }
+
+// Str reads a string field by its wire name; an unknown name reads "".
+func (m Message) Str(name string) string { return m.str(slotOf(name)) }
 
 // Num reads a numeric field by its wire name.
 func (m Message) Num(name string) float64 {
@@ -87,17 +120,32 @@ func (m Message) Num(name string) float64 {
 }
 
 // Filter decides whether a subscription matches a message (content-based
-// routing).
-type Filter func(Message) bool
+// routing). It is data, not code — a topic, optionally with one string field
+// that must hold a given value — so the dispatch loops match it inline
+// against a *Message instead of calling out with a copy. The zero Filter
+// matches nothing.
+type Filter struct {
+	topic string
+	field slot // slotNone: the topic alone decides
+	value string
+	live  bool // false: matches nothing
+}
 
 // TopicIs matches messages by exact topic.
 func TopicIs(topic string) Filter {
-	return func(m Message) bool { return m.Topic == topic }
+	return Filter{topic: topic, live: true}
 }
 
-// TopicAndField matches topic plus one string field value.
+// TopicAndField matches topic plus one string field value. field is a wire
+// name from the Message slot table, resolved here, once; a name that is not
+// in the table makes a filter that matches nothing, whatever the value.
 func TopicAndField(topic, field, value string) Filter {
-	return func(m Message) bool { return m.Topic == topic && m.Str(field) == value }
+	f := slotOf(field)
+	return Filter{topic: topic, field: f, value: value, live: f != slotNone}
+}
+
+func (f *Filter) matches(m *Message) bool {
+	return f.live && m.Topic == f.topic && (f.field == slotNone || m.str(f.field) == f.value)
 }
 
 // Subscription is a registered consumer. Subscription structs are pooled
@@ -290,10 +338,13 @@ type delivery struct {
 	msg Message
 }
 
-// deliverFn is the static delivery callback — no per-send closures.
+// deliverFn is the static delivery callback — no per-send closures. The
+// record is pooled before the handler runs (a handler may publish), which is
+// safe because the handler's by-value argument is copied out of the record
+// as the call is made: the one copy a delivery costs after the send.
 func deliverFn(arg any) {
 	d := arg.(*delivery)
-	sub, sh, msg := d.sub, d.sh, d.msg
+	sub, sh := d.sub, d.sh
 	stale := d.gen != sub.gen || sub.dead
 	d.sh, d.sub = nil, nil
 	sh.b.dlvPool = append(sh.b.dlvPool, d)
@@ -301,7 +352,7 @@ func deliverFn(arg any) {
 		return
 	}
 	sh.delivered++
-	sub.handler(msg)
+	sub.handler(d.msg)
 }
 
 func (b *Bus) getDelivery() *delivery {
@@ -329,7 +380,7 @@ func (b *Bus) getSub() *Subscription {
 func (b *Bus) recycleSub(s *Subscription) {
 	s.dead = true
 	s.gen++
-	s.filter, s.handler = nil, nil
+	s.filter, s.handler = Filter{}, nil
 	b.subPool = append(b.subPool, s)
 }
 
@@ -343,15 +394,16 @@ func (sh *Shard) Publish(msg Message) {
 	if sh.b.Tracer != nil {
 		sh.traceMsg(&msg)
 	}
-	sh.dispatch(msg)
+	sh.dispatch(&msg)
 }
 
 // PublishBatch routes a slice of same-tick, same-source messages in one
-// dispatch pass, equivalent to calling Publish on each in order. Because no
-// other event can run mid-pass, the network state is frozen: the pass reuses
-// one delay computation per destination host instead of re-walking the route
-// for every message (the queue probe publishes one sample per server group
-// per tick — the fleet's highest-rate same-tick burst).
+// dispatch pass, equivalent to calling Publish on each in order; msgs itself
+// is only read. Because no other event can run mid-pass, the network state is
+// frozen: the pass reuses one delay computation per destination host instead
+// of re-walking the route for every message (the queue probe publishes one
+// sample per server group per tick — the fleet's highest-rate same-tick
+// burst).
 func (sh *Shard) PublishBatch(msgs []Message) {
 	if len(msgs) == 0 {
 		return
@@ -365,18 +417,16 @@ func (sh *Shard) PublishBatch(msgs []Message) {
 	}
 	var memo [8]hostDelay
 	nmemo := 0
-	for _, msg := range msgs {
+	for i := range msgs {
+		// Stamped on a copy: the caller's slice stays as it was handed in.
+		msg := msgs[i]
 		msg.Time = now
 		if b.Tracer != nil {
 			sh.traceMsg(&msg)
 		}
 		sh.published++
 		for _, s := range sh.subs {
-			if s.dead || !s.filter(msg) {
-				continue
-			}
-			if sh.dropRate > 0 && sh.dropRNG != nil && sh.dropRNG.Float64() < sh.dropRate {
-				sh.dropped++
+			if s.dead || !s.filter.matches(&msg) || sh.lost() {
 				continue
 			}
 			delay, found := 0.0, false
@@ -402,20 +452,28 @@ func (sh *Shard) PublishBatch(msgs []Message) {
 	}
 }
 
-// dispatch fans one stamped message out to the shard's subscribers.
-func (sh *Shard) dispatch(msg Message) {
+// lost reports whether the injected fault eats one notification. The
+// dispatch loops ask once per matching subscriber, in subscription order, so
+// that is also the order of the drop-RNG draws.
+func (sh *Shard) lost() bool {
+	if sh.dropRate > 0 && sh.dropRNG != nil && sh.dropRNG.Float64() < sh.dropRate {
+		sh.dropped++
+		return true
+	}
+	return false
+}
+
+// dispatch fans one stamped message out to the shard's subscribers. The
+// message is copied once per delivery, into the pooled record.
+func (sh *Shard) dispatch(msg *Message) {
 	b := sh.b
 	sh.published++
 	for _, s := range sh.subs {
-		if s.dead || !s.filter(msg) {
-			continue
-		}
-		if sh.dropRate > 0 && sh.dropRNG != nil && sh.dropRNG.Float64() < sh.dropRate {
-			sh.dropped++
+		if s.dead || !s.filter.matches(msg) || sh.lost() {
 			continue
 		}
 		d := b.getDelivery()
-		d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, msg
+		d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, *msg
 		b.Net.SendMessageTo(msg.Src, s.Host, b.MsgBits, b.Priority, deliverFn, d)
 	}
 }

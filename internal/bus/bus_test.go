@@ -2,9 +2,11 @@ package bus
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"archadapt/internal/netsim"
+	"archadapt/internal/obs"
 	"archadapt/internal/sim"
 )
 
@@ -51,6 +53,30 @@ func TestContentFilter(t *testing.T) {
 	}
 }
 
+// A field name that is not in the slot table reads "" from every message, so
+// a filter on it used to match everything (value "") or nothing (any other
+// value) without a word. It now matches nothing, either way.
+func TestTopicAndFieldUnknownFieldMatchesNothing(t *testing.T) {
+	k, n, a, bHost, _ := rig()
+	b := New(k, n)
+	var empty, other, known int
+	b.Subscribe(bHost, TopicAndField("probe", "clinet", ""), func(Message) { empty++ })
+	b.Subscribe(bHost, TopicAndField("probe", "clinet", "C3"), func(Message) { other++ })
+	b.Subscribe(bHost, TopicAndField("probe", "client", ""), func(Message) { known++ })
+	b.Publish(Message{Topic: "probe", Src: a, Name: "C3"})
+	b.Publish(Message{Topic: "probe", Src: a}) // every string field ""
+	k.RunAll(0)
+	if empty != 0 || other != 0 {
+		t.Fatalf("filters on an unknown field matched %d (value \"\") and %d (value C3) messages, want none", empty, other)
+	}
+	if known != 1 {
+		t.Fatalf("filter on a known field with value \"\" matched %d messages, want the one with an empty name", known)
+	}
+	if got := (Message{Name: "C3", Group: "G"}).Str("clinet"); got != "" {
+		t.Fatalf("Str of an unknown field = %q", got)
+	}
+}
+
 func TestMultipleSubscribersOrdered(t *testing.T) {
 	k, n, a, bHost, _ := rig()
 	b := New(k, n)
@@ -92,9 +118,15 @@ func TestUnsubscribeDropsInFlight(t *testing.T) {
 	sub2 := b.Subscribe(bHost, TopicIs("x"), func(Message) {})
 	_ = sub2
 	b.Unsubscribe(sub)
+	// The pooled struct goes straight to the next subscriber: the delivery
+	// still on the wire is addressed to it by pointer, and must not reach it.
+	reissued := 0
+	if again := b.Subscribe(bHost, TopicIs("x"), func(Message) { reissued++ }); again != sub {
+		t.Fatal("subscription struct was not recycled")
+	}
 	k.RunAll(0)
-	if cnt != 0 {
-		t.Fatalf("in-flight delivery after unsubscribe: %d", cnt)
+	if cnt != 0 || reissued != 0 {
+		t.Fatalf("in-flight delivery after unsubscribe: %d to the old handler, %d to the struct's next owner", cnt, reissued)
 	}
 }
 
@@ -208,42 +240,167 @@ func TestShardReleaseDropsInFlightAndRecycles(t *testing.T) {
 
 func TestPublishBatchMatchesSequentialPublish(t *testing.T) {
 	// PublishBatch must be observationally identical to publishing each
-	// message in order: same matches, same delivery order, same timing.
-	run := func(batch bool) (order []string, times []float64) {
+	// message in order — same matches, same delivery order, same timing, same
+	// counters, traced or not — and must hand the caller's slice back as it
+	// got it, although every delivered copy is stamped.
+	type got struct {
+		order     []string
+		times     []float64
+		stamps    []float64
+		delivered uint64
+		published uint64
+	}
+	run := func(batch, traced bool) (g got) {
 		k, n, a, bHost, _ := rig()
 		b := New(k, n)
+		if traced {
+			b.Tracer = obs.New(k.Now)
+		}
 		sh := b.Acquire()
-		sh.Subscribe(bHost, TopicAndField("q", "group", "G1"), func(m Message) {
-			order = append(order, "G1")
-			times = append(times, k.Now())
-		})
-		sh.Subscribe(bHost, TopicIs("q"), func(m Message) {
-			order = append(order, "any:"+m.Group)
-			times = append(times, k.Now())
-		})
+		see := func(who string) func(Message) {
+			return func(m Message) {
+				g.order = append(g.order, who+":"+m.Group)
+				g.times = append(g.times, k.Now())
+				g.stamps = append(g.stamps, m.Time)
+				if traced == (m.Span == 0) {
+					t.Errorf("traced=%v but delivered span %d", traced, m.Span)
+				}
+			}
+		}
+		sh.Subscribe(bHost, TopicAndField("q", "group", "G1"), see("G1"))
+		sh.Subscribe(bHost, TopicIs("q"), see("any"))
+		sh.Subscribe(a, TopicIs("q"), see("local"))
 		msgs := []Message{
 			{Topic: "q", Src: a, Group: "G1", V1: 3},
 			{Topic: "q", Src: a, Group: "G2", V1: 5},
+			{Topic: "q", Src: bHost, Group: "G1", V1: 7}, // another source: outside the delay memo
+			{Topic: "r", Src: a, Group: "G1"},
 		}
-		if batch {
-			sh.PublishBatch(msgs)
-		} else {
-			for _, m := range msgs {
-				sh.Publish(m)
+		before := slices.Clone(msgs)
+		k.At(4, func() {
+			if batch {
+				sh.PublishBatch(msgs)
+			} else {
+				for _, m := range msgs {
+					sh.Publish(m)
+				}
+			}
+		})
+		k.RunAll(0)
+		if !reflect.DeepEqual(msgs, before) {
+			t.Fatalf("batch=%v traced=%v: publishing changed the caller's messages: %+v", batch, traced, msgs)
+		}
+		g.delivered, g.published = sh.Delivered(), sh.Published()
+		return g
+	}
+	for _, traced := range []bool{false, true} {
+		seq, bat := run(false, traced), run(true, traced)
+		if !reflect.DeepEqual(seq, bat) {
+			t.Fatalf("traced=%v: batch diverged from sequential publishes:\n%+v\n%+v", traced, seq, bat)
+		}
+		if len(seq.order) != 8 || seq.delivered != 8 || seq.published != 4 {
+			t.Fatalf("traced=%v: %d deliveries seen, %d counted, %d published; want 8, 8, 4", traced, len(seq.order), seq.delivered, seq.published)
+		}
+		for _, stamp := range seq.stamps {
+			if stamp != 4 {
+				t.Fatalf("delivered publish times %v, want all 4", seq.stamps)
 			}
 		}
+	}
+}
+
+// Filters of both kinds share a shard: each message goes to its matching
+// subscribers in subscription order, and the injected fault draws once per
+// matching subscriber in that same order — never for one the filter already
+// turned away. The expectation is replayed from an identically seeded RNG.
+func TestMixedFiltersDeliverInOrderWithOneDrawPerMatch(t *testing.T) {
+	k, n, a, bHost, _ := rig()
+	b := New(k, n)
+	sh := b.Acquire()
+	const rate = 0.4
+	rng, replay := sim.NewRand(42), sim.NewRand(42)
+	sh.SetDrop(rate, rng)
+	subs := []struct {
+		filter  Filter
+		matches func(Message) bool
+	}{
+		{TopicIs("t"), func(m Message) bool { return m.Topic == "t" }},
+		{TopicAndField("t", "group", "G1"), func(m Message) bool { return m.Topic == "t" && m.Group == "G1" }},
+		{TopicIs("u"), func(m Message) bool { return m.Topic == "u" }},
+		{TopicAndField("t", "client", "C1"), func(m Message) bool { return m.Topic == "t" && m.Name == "C1" }},
+		{TopicAndField("u", "prop", "load"), func(m Message) bool { return m.Topic == "u" && m.Prop == "load" }},
+		{TopicIs("t"), func(m Message) bool { return m.Topic == "t" }},
+	}
+	type hit struct {
+		sub int
+		msg float64 // the message's V1, its serial number here
+	}
+	var got, want []hit
+	for i, s := range subs {
+		sh.Subscribe(bHost, s.filter, func(m Message) { got = append(got, hit{i, m.V1}) })
+	}
+	var dropped uint64
+	for i := 0; i < 200; i++ {
+		m := Message{
+			Src: a, V1: float64(i),
+			Topic: []string{"t", "u", "v"}[i%3],
+			Group: []string{"G1", "G2"}[i%2],
+			Name:  []string{"C1", "C2", "C3"}[i/3%3],
+			Prop:  []string{"load", "latency"}[i/2%2],
+		}
+		for j, s := range subs {
+			if !s.matches(m) {
+				continue
+			}
+			if replay.Float64() < rate {
+				dropped++
+				continue
+			}
+			want = append(want, hit{j, m.V1})
+		}
+		if i%5 == 4 {
+			sh.PublishBatch([]Message{m})
+		} else {
+			sh.Publish(m)
+		}
+	}
+	k.RunAll(0)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("deliveries diverged from the replay:\n got %v\nwant %v", got, want)
+	}
+	if sh.Dropped() != dropped || dropped == 0 || len(want) == 0 {
+		t.Fatalf("dropped %d, replay dropped %d, delivered %d", sh.Dropped(), dropped, len(want))
+	}
+	if rng.Uint64() != replay.Uint64() {
+		t.Fatal("the shard drew from the drop RNG a different number of times than there were matching subscribers")
+	}
+}
+
+// Steady-state publish → match → deliver allocates nothing: filters are
+// values, delivery records and events are pooled.
+func TestPublishDeliverAllocationFree(t *testing.T) {
+	k, n, a, bHost, _ := rig()
+	b := New(k, n)
+	sh := b.Acquire()
+	delivered := 0
+	count := func(Message) { delivered++ }
+	sh.Subscribe(bHost, TopicIs("q"), count)
+	sh.Subscribe(bHost, TopicAndField("q", "group", "G1"), count)
+	sh.Subscribe(a, TopicAndField("q", "group", "G2"), count)
+	batch := []Message{
+		{Topic: "q", Src: a, Group: "G1"},
+		{Topic: "q", Src: a, Group: "G2"},
+	}
+	cycle := func() {
+		sh.Publish(batch[0])
+		sh.PublishBatch(batch)
 		k.RunAll(0)
-		return
 	}
-	seqOrder, seqTimes := run(false)
-	batchOrder, batchTimes := run(true)
-	if !reflect.DeepEqual(seqOrder, batchOrder) {
-		t.Fatalf("order diverged: %v vs %v", seqOrder, batchOrder)
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("warm publish/deliver cycle allocates %v times", avg)
 	}
-	if !reflect.DeepEqual(seqTimes, batchTimes) {
-		t.Fatalf("timing diverged: %v vs %v", seqTimes, batchTimes)
-	}
-	if len(seqOrder) != 3 {
-		t.Fatalf("deliveries=%d, want 3", len(seqOrder))
+	if delivered != 102*6 {
+		t.Fatalf("delivered %d, want %d", delivered, 102*6)
 	}
 }

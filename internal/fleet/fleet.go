@@ -227,7 +227,10 @@ type App struct {
 	// failed and aborted attempts alike), in decision order.
 	Migrations []Migration
 
-	obs     *app.LatencyObserver
+	obs *app.LatencyObserver
+	// sampled pairs each client's observer handle with its Latency series, in
+	// Opspec.Clients order, resolved once at admission for the sampler.
+	sampled []sampledClient
 	crushed []netsim.LinkID
 	// admIdx is the application's admission sequence number — the
 	// coordination layer's deterministic last tie-break.
@@ -282,6 +285,7 @@ type Fleet struct {
 	rng        *sim.Rand
 	apps       map[string]*App
 	order      []string
+	admitted   []*App // order, by handle: what the per-tick sampler walks
 	rejections []Rejection
 	crushes    map[netsim.LinkID]int // contention refcount per link (apps may share hosts)
 	stopSample func()
@@ -603,15 +607,20 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 	var clientNames []string
 	for _, c := range opspec.Clients {
 		clientNames = append(clientNames, c.Name)
-		a.Latency[c.Name] = metrics.NewSeries(spec.Name + "/latency:" + c.Name)
 	}
 	a.obs = app.ObserveLatency(sys, clientNames, 30)
+	for _, name := range clientNames {
+		ser := metrics.NewSeries(spec.Name + "/latency:" + name)
+		a.Latency[name] = ser
+		a.sampled = append(a.sampled, sampledClient{a.obs.Client(name), ser})
+	}
 
 	a.Mgr.Deploy()
 	sys.Start()
 	a.admIdx = len(f.order)
 	f.apps[spec.Name] = a
 	f.order = append(f.order, spec.Name)
+	f.admitted = append(f.admitted, a)
 	if f.Cfg.Migration.Enabled {
 		f.attachHealth(a)
 	}
@@ -697,17 +706,22 @@ func (f *Fleet) Close() {}
 // sample records each live application's per-client ground-truth latency,
 // in admission order.
 func (f *Fleet) sample(now float64) {
-	for _, name := range f.order {
-		a := f.apps[name]
+	for _, a := range f.admitted {
 		if !a.Live() {
 			continue
 		}
-		for _, c := range a.Opspec.Clients {
-			if v, ok := a.obs.Sample(c.Name, now); ok {
-				a.Latency[c.Name].Add(now, v)
+		for _, c := range a.sampled {
+			if v, ok := c.lat.Sample(now); ok {
+				c.series.Add(now, v)
 			}
 		}
 	}
+}
+
+// sampledClient is one client as the sampler sees it.
+type sampledClient struct {
+	lat    *app.ClientLatency
+	series *metrics.Series
 }
 
 // AppSummary is one application's aggregate row.
