@@ -13,7 +13,7 @@
 //	      [-migration] [-ranked] [-max-concurrent N] [-caching] [-settle S]
 //	      [-openloop] [-users N]
 //	      [-trace FILE] [-trace-format chrome|jsonl] [-pprof CPU[,HEAP]]
-//	fleet -scenario NAME [-mode ...] [-seed N]
+//	fleet -scenario NAME [-mode ...] [any flag above, overriding the entry]
 //	fleet -list
 //
 // With -mode both (the default) it runs the same fleet twice — once as pure
@@ -23,10 +23,11 @@
 // controller — and prints the pinned-vs-migrating comparison.
 //
 // -scenario runs a named entry from the scenario catalog (SCENARIOS.md);
-// -list prints the catalog. Explicitly set flags (-apps, -seed, -duration,
-// -migration, -ranked, -max-concurrent) override the entry's values —
-// e.g. `-scenario backbone-rescue -ranked=false` runs the avoid-set-only
-// control against the committed ranked entry.
+// -list prints the catalog. Every shape flag is bound to its
+// FleetScenarioOptions field (bind), so a flag you set overrides the entry's
+// value and the rest keep it — e.g. `-scenario backbone-rescue -ranked=false`
+// runs the avoid-set-only control against the committed ranked entry, and
+// `-scenario baseline -crush-stagger 10` the baseline with slower onsets.
 //
 // -openloop replaces the closed-loop request generators with the open-loop
 // heavy-traffic engine: arrival-driven aggregated flow classes carrying
@@ -85,52 +86,84 @@ func writeTrace(tr *archadapt.Tracer, path, format string) {
 // starts from, plus the flags that select and export runs.
 type cli struct {
 	base                            archadapt.FleetScenarioOptions
-	mode                            string
+	mode, scenario                  string
 	list                            bool
 	traceOut, traceFormat, pprofOut string
+	// -openloop and -users are resolved against each other after parsing.
+	openloop bool
+	users    int
+}
+
+// bind declares every scenario-shape flag, each bound to its field of o with
+// the field's current value as the default: parsing overrides exactly the
+// fields whose flags were set, whatever o started as. A new scalar knob is
+// its ScenarioOptions field and one line here.
+func bind(fs *flag.FlagSet, o *archadapt.FleetScenarioOptions) {
+	fs.IntVar(&o.Apps, "apps", o.Apps, "number of applications to admit")
+	fs.Uint64Var(&o.Seed, "seed", o.Seed, "fleet seed (drives every stochastic stream)")
+	fs.Float64Var(&o.Duration, "duration", o.Duration, "run duration in simulated seconds")
+	fs.IntVar(&o.Routers, "routers", o.Routers, "backbone routers (0 = auto-size for -apps)")
+	fs.IntVar(&o.HostsPerRouter, "hosts-per-router", o.HostsPerRouter, "hosts per router (0 = auto)")
+	fs.IntVar(&o.SpareRouters, "spare-routers", o.SpareRouters, "extra routers beyond the auto-sized minimum (migration headroom)")
+	fs.IntVar(&o.HostCapacity, "host-capacity", o.HostCapacity, "process slots per host")
+	fs.Float64Var(&o.AdmitStagger, "admit-stagger", o.AdmitStagger, "seconds between admissions")
+	fs.IntVar(&o.AdmitWaves, "admit-waves", o.AdmitWaves, "spread admissions into N diurnal waves")
+	fs.Float64Var(&o.RetireAfter, "retire-after", o.RetireAfter, "retire each app this long after admission (0 = never)")
+	fs.Float64Var(&o.CrushStart, "crush-start", o.CrushStart, "first contention onset (<0 disables)")
+	fs.Float64Var(&o.CrushStagger, "crush-stagger", o.CrushStagger, "seconds between per-app contention onsets")
+	fs.Float64Var(&o.CrushDuration, "crush-duration", o.CrushDuration, "contention duration per app")
+	fs.IntVar(&o.CrushApps, "crush-apps", o.CrushApps, "crush only the first N apps (0 = all)")
+	fs.BoolVar(&o.CrushAllGroups, "crush-all-groups", o.CrushAllGroups, "crush every group's servers, not just the primary's")
+	fs.Float64Var(&o.BackboneCrushStart, "backbone-crush", o.BackboneCrushStart, "start correlated backbone contention at this time (0 disables)")
+	fs.Float64Var(&o.RegionFailStart, "region-fail", o.RegionFailStart, "fail one router's region at this time (0 disables)")
+	fs.IntVar(&o.RegionFailRouter, "region-fail-router", o.RegionFailRouter, "router index for -region-fail")
+	fs.BoolVar(&o.Migration.Enabled, "migration", o.Migration.Enabled, "enable the fleet-level migration controller")
+	fs.BoolVar(&o.Migration.Ranked, "ranked", o.Migration.Ranked, "measurement-driven migration targeting (region health index + PlaceRanked)")
+	fs.IntVar(&o.Migration.MaxConcurrent, "max-concurrent", o.Migration.MaxConcurrent, "cap on concurrently draining migrations (0 = policy default)")
+	fs.BoolVar(&o.Manager.GaugeCaching, "caching", o.Manager.GaugeCaching, "enable gauge caching (§5.3 extension)")
+	fs.Float64Var(&o.Manager.SettleTime, "settle", o.Manager.SettleTime, "repair settle time in seconds")
+}
+
+// cliDefaults is the shape a command line without -scenario starts from.
+// RegionFailRouter is read only once -region-fail sets a start time.
+var cliDefaults = archadapt.FleetScenarioOptions{
+	Apps: 32, Seed: 1, Duration: 600, HostCapacity: 1,
+	CrushStart: 120, CrushStagger: 5, CrushDuration: 240,
+	RegionFailRouter: 1,
+}
+
+// parseOver parses args into a cli whose shape flags are bound over base, and
+// reports which flags were set.
+func parseOver(base archadapt.FleetScenarioOptions, args []string, stderr io.Writer) (*cli, map[string]bool, error) {
+	c := &cli{base: base}
+	c.base.Manager = archadapt.DefaultConfig()
+	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bind(fs, &c.base)
+	fs.StringVar(&c.mode, "mode", "both", "control | adaptive | both | migrate")
+	fs.BoolVar(&c.openloop, "openloop", false, "drive apps with the open-loop heavy-traffic engine (autoscaling enabled)")
+	fs.IntVar(&c.users, "users", 0, "modeled users per app; implies -openloop unless -openloop=false (0 = one per client)")
+	fs.StringVar(&c.scenario, "scenario", "", "run a named scenario from the catalog (see -list); flags you set override the entry")
+	fs.BoolVar(&c.list, "list", false, "print the scenario catalog and exit")
+	fs.StringVar(&c.traceOut, "trace", "", "trace the run under test and write its timeline to this file")
+	fs.StringVar(&c.traceFormat, "trace-format", "chrome", "trace export format: chrome | jsonl")
+	fs.StringVar(&c.pprofOut, "pprof", "", "write a CPU profile to the first path (and a heap profile to an optional second, comma-separated)")
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	return c, set, nil
 }
 
 // parseArgs maps the command line onto a cli. Diagnostics — parse errors and
 // "has no effect" warnings — go to stderr; a non-nil error means exit 2
 // (flag.ErrHelp: usage was asked for).
 func parseArgs(args []string, stderr io.Writer) (*cli, error) {
-	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	apps := fs.Int("apps", 32, "number of applications to admit")
-	mode := fs.String("mode", "both", "control | adaptive | both | migrate")
-	seed := fs.Uint64("seed", 1, "fleet seed (drives every stochastic stream)")
-	duration := fs.Float64("duration", 600, "run duration in simulated seconds")
-	routers := fs.Int("routers", 0, "backbone routers (0 = auto-size for -apps)")
-	hostsPerRouter := fs.Int("hosts-per-router", 0, "hosts per router (0 = auto)")
-	spareRouters := fs.Int("spare-routers", 0, "extra routers beyond the auto-sized minimum (migration headroom)")
-	hostCap := fs.Int("host-capacity", 1, "process slots per host")
-	admitStagger := fs.Float64("admit-stagger", 0, "seconds between admissions")
-	admitWaves := fs.Int("admit-waves", 0, "spread admissions into N diurnal waves")
-	retireAfter := fs.Float64("retire-after", 0, "retire each app this long after admission (0 = never)")
-	crushStart := fs.Float64("crush-start", 120, "first contention onset (<0 disables)")
-	crushStagger := fs.Float64("crush-stagger", 5, "seconds between per-app contention onsets")
-	crushDuration := fs.Float64("crush-duration", 240, "contention duration per app")
-	crushApps := fs.Int("crush-apps", 0, "crush only the first N apps (0 = all)")
-	crushAllGroups := fs.Bool("crush-all-groups", false, "crush every group's servers, not just the primary's")
-	backboneCrush := fs.Float64("backbone-crush", 0, "start correlated backbone contention at this time (0 disables)")
-	regionFail := fs.Float64("region-fail", 0, "fail one router's region at this time (0 disables)")
-	regionFailRouter := fs.Int("region-fail-router", 1, "router index for -region-fail")
-	migration := fs.Bool("migration", false, "enable the fleet-level migration controller")
-	ranked := fs.Bool("ranked", false, "measurement-driven migration targeting (region health index + PlaceRanked)")
-	maxConcurrent := fs.Int("max-concurrent", 0, "cap on concurrently draining migrations (0 = policy default)")
-	openloop := fs.Bool("openloop", false, "drive apps with the open-loop heavy-traffic engine (autoscaling enabled)")
-	users := fs.Int("users", 0, "modeled users per app; implies -openloop unless -openloop=false (0 = one per client)")
-	caching := fs.Bool("caching", false, "enable gauge caching (§5.3 extension)")
-	settle := fs.Float64("settle", 0, "repair settle time in seconds")
-	scenario := fs.String("scenario", "", "run a named scenario from the catalog (see -list)")
-	list := fs.Bool("list", false, "print the scenario catalog and exit")
-	traceOut := fs.String("trace", "", "trace the run under test and write its timeline to this file")
-	traceFormat := fs.String("trace-format", "chrome", "trace export format: chrome | jsonl")
-	pprofOut := fs.String("pprof", "", "write a CPU profile to the first path (and a heap profile to an optional second, comma-separated)")
-	if err := fs.Parse(args); err != nil {
+	c, set, err := parseOver(cliDefaults, args, stderr)
+	if err != nil {
 		return nil, err
 	}
-	c := &cli{mode: *mode, list: *list, traceOut: *traceOut, traceFormat: *traceFormat, pprofOut: *pprofOut}
 	if c.list {
 		return c, nil
 	}
@@ -149,81 +182,26 @@ func parseArgs(args []string, stderr io.Writer) (*cli, error) {
 	default:
 		return fail("unknown -trace-format %q (want chrome|jsonl)", c.traceFormat)
 	}
-
-	cfg := archadapt.DefaultConfig()
-	cfg.GaugeCaching = *caching
-	cfg.SettleTime = *settle
-
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	base := &c.base
-	if *scenario != "" {
-		entry, err := archadapt.FleetScenarioByName(*scenario)
+	if c.scenario != "" {
+		entry, err := archadapt.FleetScenarioByName(c.scenario)
 		if err != nil {
 			return fail("%v (try -list)", err)
 		}
-		*base = entry.Opts
-		base.Manager = cfg
-		// Explicitly set flags override the catalog entry.
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "apps":
-				base.Apps = *apps
-			case "seed":
-				base.Seed = *seed
-			case "duration":
-				base.Duration = *duration
-			case "migration":
-				base.Migration.Enabled = *migration
-			case "ranked":
-				base.Migration.Ranked = *ranked
-			case "max-concurrent":
-				base.Migration.MaxConcurrent = *maxConcurrent
-			case "mode", "scenario", "caching", "settle", "list",
-				"trace", "trace-format", "pprof", "openloop", "users":
-				// orthogonal to the entry's shape, or resolved below
-			default:
-				fmt.Fprintf(stderr, "fleet: -%s has no effect together with -scenario (the entry's value is used)\n", f.Name)
-			}
-		})
-	} else {
-		*base = archadapt.FleetScenarioOptions{
-			Apps:           *apps,
-			Seed:           *seed,
-			Duration:       *duration,
-			Routers:        *routers,
-			HostsPerRouter: *hostsPerRouter,
-			SpareRouters:   *spareRouters,
-			HostCapacity:   *hostCap,
-			AdmitStagger:   *admitStagger,
-			AdmitWaves:     *admitWaves,
-			RetireAfter:    *retireAfter,
-			CrushStart:     *crushStart,
-			CrushStagger:   *crushStagger,
-			CrushDuration:  *crushDuration,
-			CrushApps:      *crushApps,
-			CrushAllGroups: *crushAllGroups,
-			Manager:        cfg,
+		// The same command line again, over the entry instead of the CLI
+		// defaults: every flag that was set overrides the entry's value.
+		if c, set, err = parseOver(entry.Opts, args, io.Discard); err != nil {
+			return nil, err
 		}
-		if *backboneCrush > 0 {
-			base.BackboneCrushStart = *backboneCrush
-		}
-		if *regionFail > 0 {
-			base.RegionFailStart = *regionFail
-			base.RegionFailRouter = *regionFailRouter
-		}
-		base.Migration = archadapt.FleetMigrationPolicy{
-			// -mode migrate enables migration for its second run even when
-			// -migration is unset, so the targeting knobs are always carried.
-			Enabled: *migration || *ranked,
-			Ranked:  *ranked, MaxConcurrent: *maxConcurrent,
-		}
+	} else if c.base.Migration.Ranked {
+		// Without an entry to say otherwise, -ranked implies -migration.
+		c.base.Migration.Enabled = true
 	}
+	base := &c.base
 	// The open-loop engine, with or without -scenario: an explicit
 	// -openloop=false wins; otherwise -openloop or a -users population turns
 	// the engine (and its autoscaler) on.
 	switch {
-	case set["openloop"] && !*openloop:
+	case set["openloop"] && !c.openloop:
 		base.OpenLoop.Enabled = false
 		if set["users"] {
 			fmt.Fprintf(stderr, "fleet: -users has no effect together with -openloop=false\n")
@@ -232,11 +210,12 @@ func parseArgs(args []string, stderr io.Writer) (*cli, error) {
 		base.OpenLoop.Enabled = true
 		base.OpenLoop.Scale.Enabled = true
 		if set["users"] {
-			base.OpenLoop.Users = *users
+			base.OpenLoop.Users = c.users
 		}
 	}
 	// -mode migrate enables migration itself for the second run.
-	if !base.Migration.Enabled && c.mode != "migrate" && (*ranked || *maxConcurrent != 0) {
+	if p := base.Migration; !p.Enabled && c.mode != "migrate" &&
+		(set["ranked"] && p.Ranked || set["max-concurrent"] && p.MaxConcurrent != 0) {
 		fmt.Fprintf(stderr, "fleet: -ranked/-max-concurrent have no effect while migration is disabled (add -migration, -mode migrate, or a migration-enabled scenario)\n")
 	}
 	return c, nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -58,6 +59,61 @@ func TestOpenLoopFlagMapping(t *testing.T) {
 		if stderr.String() != tc.stderr {
 			t.Errorf("%q: stderr = %q, want %q", tc.args, stderr.String(), tc.stderr)
 		}
+	}
+}
+
+// TestShapeFlagsBindToTheOptions pins what a command line resolves to now that
+// every shape flag is bound to its FleetScenarioOptions field: with none set,
+// the CLI defaults (or the named entry) come through untouched, and a flag
+// that is set overrides its one field — of an entry too, silently — and
+// nothing else.
+func TestShapeFlagsBindToTheOptions(t *testing.T) {
+	resolve := func(args string) archadapt.FleetScenarioOptions {
+		t.Helper()
+		var stderr bytes.Buffer
+		c, err := parseArgs(strings.Fields(args), &stderr)
+		if err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		if stderr.Len() != 0 {
+			t.Errorf("%q: stderr = %q, want none", args, stderr.String())
+		}
+		return c.base
+	}
+	// What the struct literal in parseArgs used to spell out. RegionFailRouter
+	// was filled in only beside -region-fail; its default now sits in the
+	// field, unread while RegionFailStart is zero.
+	defaults := archadapt.FleetScenarioOptions{
+		Apps: 32, Seed: 1, Duration: 600, HostCapacity: 1,
+		CrushStart: 120, CrushStagger: 5, CrushDuration: 240,
+		RegionFailRouter: 1, Manager: archadapt.DefaultConfig(),
+	}
+	if got := resolve(""); !reflect.DeepEqual(got, defaults) {
+		t.Errorf("no flags:\n got %+v\nwant %+v", got, defaults)
+	}
+	want := defaults
+	want.RegionFailStart, want.RegionFailRouter, want.Manager.SettleTime = 100, 2, 30
+	want.Migration = archadapt.FleetMigrationPolicy{Enabled: true, Ranked: true}
+	if got := resolve("-region-fail 100 -region-fail-router 2 -ranked -settle 30"); !reflect.DeepEqual(got, want) {
+		t.Errorf("flags over the defaults:\n got %+v\nwant %+v", got, want)
+	}
+
+	for _, e := range archadapt.FleetCatalog() {
+		want := e.Opts
+		want.Manager = archadapt.DefaultConfig()
+		if got := resolve("-scenario " + e.Name); !reflect.DeepEqual(got, want) {
+			t.Errorf("-scenario %s:\n got %+v\nwant %+v", e.Name, got, want)
+		}
+	}
+	entry, err := archadapt.FleetScenarioByName("baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = entry.Opts
+	want.Manager = archadapt.DefaultConfig()
+	want.CrushStagger, want.HostCapacity = 10, 2
+	if got := resolve("-scenario baseline -crush-stagger 10 -host-capacity 2"); !reflect.DeepEqual(got, want) {
+		t.Errorf("flags over an entry:\n got %+v\nwant %+v", got, want)
 	}
 }
 

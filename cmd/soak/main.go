@@ -97,7 +97,7 @@ func report(vs []chaos.Violation, shrink bool, budget int) {
 		opts = chaos.Shrink(opts, fails, budget)
 	}
 	fmt.Fprintf(os.Stderr, "minimal reproducer (re-check with chaos.Check on this literal):\n%s\n",
-		chaos.FormatOptions(opts))
+		fleet.FormatOptions(opts))
 }
 
 // parseRange parses "START:END" (half-open); "START:" leaves END at the

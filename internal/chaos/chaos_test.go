@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"go/parser"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 32; seed++ {
 		a, b := Generate(seed), Generate(seed)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: Generate not deterministic:\n%s\nvs\n%s", seed, FormatOptions(a), FormatOptions(b))
+			t.Fatalf("seed %d: Generate not deterministic:\n%s\nvs\n%s", seed, fleet.FormatOptions(a), fleet.FormatOptions(b))
 		}
 		if pa, pb := MigratePolicy(seed), MigratePolicy(seed); pa != pb {
 			t.Fatalf("seed %d: MigratePolicy not deterministic: %+v vs %+v", seed, pa, pb)
@@ -139,7 +140,7 @@ func TestScenarioOptionsJSONRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(opts, decoded) {
 			t.Fatalf("seed %d: options changed across the JSON round-trip:\n%s\nvs\n%s",
-				seed, FormatOptions(opts), FormatOptions(decoded))
+				seed, fleet.FormatOptions(opts), fleet.FormatOptions(decoded))
 		}
 
 		orig, err := fleet.RunScenario(opts)
@@ -224,10 +225,9 @@ func TestShrinkRespectsBudget(t *testing.T) {
 	}
 }
 
-// TestFormatOptionsLiteral checks the reproducer emitter: non-zero fields
-// appear with their fleet-qualified identifiers, zero fields are omitted,
-// and the output parses as the scenario it came from (spot-checked by
-// substring since we cannot compile it here).
+// TestFormatOptionsLiteral pins the reproducer's spelling on one hand-built
+// scenario: non-zero fields appear under fleet-qualified types, kinds as the
+// quoted constants a typed literal accepts, and zero fields are omitted.
 func TestFormatOptionsLiteral(t *testing.T) {
 	opts := fleet.ScenarioOptions{
 		Apps: 2, Seed: 7, Duration: 240, CrushStart: -1, Adaptive: true,
@@ -244,16 +244,16 @@ func TestFormatOptionsLiteral(t *testing.T) {
 			{At: 80, Kind: fleet.FaultBackbonePartialRestore, Fraction: 0.5},
 		},
 	}
-	got := FormatOptions(opts)
+	got := fleet.FormatOptions(opts)
 	for _, want := range []string{
 		"Apps: 2", "Seed: 7", "Duration: 240", "CrushStart: -1", "Adaptive: true",
-		"Migration: fleet.MigrationPolicy{Enabled: true, Ranked: true, CheckPeriod: 10}",
-		"Arrivals: fleet.ArrivalSpec{Kind: fleet.ArrivalDiurnal, Base: 0.002, Swing: 0.4, Period: 120}",
+		"Migration: fleet.MigrationPolicy{Enabled: true, CheckPeriod: 10, Ranked: true}",
+		"Arrivals: fleet.ArrivalSpec{Kind: \"diurnal\", Base: 0.002, Swing: 0.4, Period: 120}",
 		"OpenLoop: fleet.OpenLoopPolicy{Enabled: true, Users: 5000, " +
 			"Scale: fleet.ScalePolicy{Enabled: true, MaxReplicas: 3}, " +
 			"Admission: fleet.AdmissionPolicy{Enabled: true, Queue: true}}",
-		"{At: 50, Kind: fleet.FaultRegionFail, Router: 3, Duration: 60}",
-		"{At: 80, Kind: fleet.FaultBackbonePartialRestore, Fraction: 0.5}",
+		"{At: 50, Kind: \"region-fail\", Router: 3, Duration: 60}",
+		"{At: 80, Kind: \"backbone-partial-restore\", Fraction: 0.5}",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("literal missing %q:\n%s", want, got)
@@ -262,6 +262,40 @@ func TestFormatOptionsLiteral(t *testing.T) {
 	for _, absent := range []string{"Routers:", "AdmitStagger:", "App: 0", "LeaveBps:"} {
 		if strings.Contains(got, absent) {
 			t.Errorf("literal carries zero-valued field %q:\n%s", absent, got)
+		}
+	}
+}
+
+// TestFormatOptionsDistinguishesScenarios runs the reproducer printer over
+// everything that is ever handed to it — the first 32 generated scenarios,
+// pinned and with their migrate-mode policy, and every catalog entry: each
+// literal parses as a Go expression, and two scenarios print the same text
+// exactly when they are the same scenario, so nothing a run depends on is
+// dropped on the way to the report.
+func TestFormatOptionsDistinguishesScenarios(t *testing.T) {
+	var all []fleet.ScenarioOptions
+	for seed := uint64(0); seed < 32; seed++ {
+		o := Generate(seed)
+		all = append(all, o)
+		o.Migration = MigratePolicy(seed)
+		all = append(all, o)
+	}
+	for _, e := range fleet.Catalog() {
+		all = append(all, e.Opts)
+	}
+	lits := make([]string, len(all))
+	for i, o := range all {
+		lits[i] = fleet.FormatOptions(o)
+		if _, err := parser.ParseExpr(lits[i]); err != nil {
+			t.Errorf("literal does not parse: %v\n%s", err, lits[i])
+		}
+	}
+	for i := range all {
+		for j := i + 1; j < len(all); j++ {
+			if same := reflect.DeepEqual(all[i], all[j]); same != (lits[i] == lits[j]) {
+				t.Errorf("scenarios %d and %d: DeepEqual = %v, but their literals say otherwise:\n%s\nvs\n%s",
+					i, j, same, lits[i], lits[j])
+			}
 		}
 	}
 }

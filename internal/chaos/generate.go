@@ -23,7 +23,7 @@
 //     cap.
 //
 // On failure, Shrink bisects the fault schedule (ddmin) and trims the
-// scenario to a minimal reproducer, and FormatOptions renders it as a
+// scenario to a minimal reproducer, and fleet.FormatOptions renders it as a
 // ready-to-paste ScenarioOptions literal. cmd/soak is the driver.
 package chaos
 

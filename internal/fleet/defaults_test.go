@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"archadapt/internal/core"
 	"archadapt/internal/netsim"
 	"archadapt/internal/sim"
 )
@@ -74,8 +75,8 @@ func TestMigrationPolicyWithDefaults(t *testing.T) {
 }
 
 // TestMigrationPolicyValidate rejects the nonsensical policies withDefaults
-// used to silently "fix": negative knobs, NaNs, out-of-range fractions and
-// contradictory flags all fail, and fleet construction surfaces the error.
+// used to silently "fix": negative knobs, NaNs and out-of-range fractions
+// all fail, and fleet construction surfaces the error.
 func TestMigrationPolicyValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -96,7 +97,6 @@ func TestMigrationPolicyValidate(t *testing.T) {
 		{"negative max concurrent", MigrationPolicy{MaxConcurrent: -3}, "MaxConcurrent"},
 		{"negative region floor", MigrationPolicy{RegionFloorBps: -10}, "RegionFloorBps"},
 		{"NaN region floor", MigrationPolicy{RegionFloorBps: math.NaN()}, "RegionFloorBps"},
-		{"legacy oracle with ranking", MigrationPolicy{LegacyTargeting: true, Ranked: true}, "LegacyTargeting"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -120,9 +120,11 @@ func TestMigrationPolicyValidate(t *testing.T) {
 }
 
 // TestScenarioOptionsValidate feeds StartScenario one bad value per
-// time-valued field (and a misspelt fault kind, and region failures aimed off
-// the grid): each must come back as an error naming the field — not a kernel
-// panic, not a run that never ends, and not a healthy run with nothing injected.
+// time-valued field, a non-finite rate, size, period or fraction at every
+// nesting the options have (and a misspelt fault kind, and region failures
+// aimed off the grid): each must come back as a one-line error naming the
+// field — not a kernel panic, not a run that never ends, and not a healthy run
+// with nothing injected.
 func TestScenarioOptionsValidate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -146,6 +148,15 @@ func TestScenarioOptionsValidate(t *testing.T) {
 		{"Faults[0].At", ScenarioOptions{Faults: []Fault{{At: -1, Kind: FaultRetire}}}},
 		{"Faults[0].Duration", ScenarioOptions{Faults: []Fault{{At: 10, Kind: FaultRegionFail, Duration: nan}}}},
 		{"Faults[0].Kind", ScenarioOptions{Faults: []Fault{{At: 10, Kind: "region-fial"}}}},
+		// Past the time fields: each of these scheduled an event at NaN and
+		// panicked in the kernel, and the infinite rate never returned.
+		{"App.ClientRate", ScenarioOptions{App: AppSpec{ClientRate: nan}}},
+		{"App.ClientRate", ScenarioOptions{App: AppSpec{ClientRate: inf}}},
+		{"App.RespBits", ScenarioOptions{App: AppSpec{RespBits: nan}}},
+		{"Manager.GaugePeriod", ScenarioOptions{Manager: core.Config{GaugePeriod: nan}}},
+		{"BackboneLeaveBps", ScenarioOptions{BackboneCrushStart: 50, BackboneLeaveBps: nan}},
+		{"Faults[0].Fraction", ScenarioOptions{Faults: []Fault{{Kind: FaultBackboneCrush, Fraction: nan, LeaveBps: nan}}}},
+		{"AppMix[1].ClientRate", ScenarioOptions{AppMix: []AppSpec{{}, {ClientRate: nan}}}},
 		// Two default apps auto-size to five routers; an explicit size wins.
 		{"RegionFailRouter = 5", ScenarioOptions{RegionFailStart: 10, RegionFailRouter: 5}},
 		{"RegionFailRouter = -1", ScenarioOptions{RegionFailStart: 10, RegionFailRouter: -1}},
@@ -161,8 +172,8 @@ func TestScenarioOptionsValidate(t *testing.T) {
 			if err == nil {
 				t.Fatalf("StartScenario accepted %+v", c.in)
 			}
-			if !strings.Contains(err.Error(), c.frag) {
-				t.Errorf("error %q does not name %s", err, c.frag)
+			if !strings.Contains(err.Error(), c.frag) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("error %q is not one line naming %s", err, c.frag)
 			}
 		})
 	}

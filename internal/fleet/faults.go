@@ -280,8 +280,8 @@ func (f *Fleet) RestoreRegionFraction(r int, fraction float64) error {
 // a region whose current failure began after the given decision time — the
 // drain-race check: a migration must not cut over into a region that failed
 // underneath it, but a failure that predates the decision was already priced
-// in by targeting (LegacyTargeting deliberately places into failed regions;
-// the ranked index steers around them).
+// in by targeting (the avoid-set path may place into a failed region; the
+// ranked index steers around them).
 func (f *Fleet) targetFailedSince(asg *Assignment, decidedAt float64) (int, bool) {
 	failed, region := false, -1
 	asg.hosts(func(h netsim.NodeID) {

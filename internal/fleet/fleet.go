@@ -28,8 +28,8 @@
 //     shards and gauge lease (core.Plane); retirement detaches them
 //     completely — probes silenced, subscriptions removed, gauges torn
 //     down — and returns the shards to the bus pools. The pre-sharding
-//     one-plane-per-app design is retained behind Config.PerAppMonitoring
-//     as the byte-identical reference oracle.
+//     one-plane-per-app design survives as the in-package reference the
+//     monitoring equivalence tests compare against (Config.perAppMonitoring).
 //   - Workload and measurement: targeted bandwidth contention
 //     (CrushPrimary/CrushServers, refcounted across apps), correlated
 //     backbone contention and region-wide failure injection
@@ -73,15 +73,8 @@ type Config struct {
 	HostCapacity int
 	// SamplePeriod of the fleet's ground-truth latency sampler (default 5 s).
 	SamplePeriod float64
-	// PerAppMonitoring gives every application its own private event buses
-	// and gauge manager, the pre-sharding design. It is the reference oracle
-	// for the fleet-shared monitoring plane (the default), mirroring
-	// ScenarioOptions.GlobalReflow: equivalence tests run the same scenario
-	// both ways and require byte-identical summaries.
-	PerAppMonitoring bool
 	// Migration enables and tunes the fleet-level migration controller
-	// (migration.go). The zero value disables it; enabling it requires the
-	// fleet-shared monitoring plane (not PerAppMonitoring).
+	// (migration.go). The zero value disables it.
 	Migration MigrationPolicy
 	// OpenLoop enables and tunes the open-loop heavy-traffic engine
 	// (openloop.go): aggregated flow classes driven by arrival processes,
@@ -94,9 +87,16 @@ type Config struct {
 	// deterministic observability tracer (internal/obs). Off (the default)
 	// no tracer exists and runs are byte-identical to a build without the
 	// plane; on, Fleet.Tracer() exposes the collected spans, phase latencies
-	// and kernel event-rate counters. Requires the fleet-shared monitoring
-	// plane (not PerAppMonitoring).
+	// and kernel event-rate counters.
 	Trace bool
+
+	// perAppMonitoring gives every application its own private event buses
+	// and gauge manager, the pre-sharding design. It is the reference for the
+	// fleet-shared monitoring plane: the two monitoring equivalence tests run
+	// one script both ways and require byte-identical summaries. Only they
+	// set it; migration and tracing read the shared plane and are not
+	// supported under it.
+	perAppMonitoring bool
 }
 
 func (c Config) withDefaults() Config {
@@ -246,7 +246,7 @@ type App struct {
 	// Config.OpenLoop is enabled.
 	ol *openApp
 	// probe/report are the app's leased shards on the fleet monitoring
-	// plane (nil under PerAppMonitoring); released back to the bus pools at
+	// plane (nil under perAppMonitoring); released back to the bus pools at
 	// retirement.
 	probe, report *bus.Shard
 	// traceDrain is the open drain span of an in-progress migration (zero
@@ -277,7 +277,7 @@ type Fleet struct {
 	Host netsim.NodeID
 
 	// ProbeBus, ReportBus and Gauges are the fleet-shared monitoring plane
-	// (nil under Config.PerAppMonitoring, where every app builds its own).
+	// (nil under Config.perAppMonitoring, where every app builds its own).
 	ProbeBus  *bus.Bus
 	ReportBus *bus.Bus
 	Gauges    *gauges.Manager
@@ -341,12 +341,6 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 	if cfg.OpenLoop.Enabled {
 		cfg.OpenLoop = cfg.OpenLoop.withDefaults()
 	}
-	if cfg.Migration.Enabled && cfg.PerAppMonitoring {
-		return nil, fmt.Errorf("fleet: migration requires the fleet-shared monitoring plane (disable PerAppMonitoring)")
-	}
-	if cfg.Trace && cfg.PerAppMonitoring {
-		return nil, fmt.Errorf("fleet: tracing requires the fleet-shared monitoring plane (disable PerAppMonitoring)")
-	}
 	f := &Fleet{
 		K: k, Grid: grid, Net: grid.Net, Cfg: cfg,
 		rng:            sim.NewRand(seed),
@@ -363,7 +357,7 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 	}
 	f.Host = rmHost
 	f.Rm = remos.New(k, grid.Net, rmHost)
-	if !cfg.PerAppMonitoring {
+	if !cfg.perAppMonitoring {
 		f.ProbeBus = bus.New(k, grid.Net)
 		f.ProbeBus.Priority = cfg.Manager.MonitoringPriority
 		f.ReportBus = bus.New(k, grid.Net)
@@ -411,7 +405,7 @@ func (f *Fleet) MigrationsInFlight() int { return f.inFlight }
 
 // PeakConcurrentMigrations returns the high-water mark of concurrently
 // draining migrations over the run — never above the policy's
-// MaxConcurrent unless LegacyTargeting disabled the cap.
+// MaxConcurrent.
 func (f *Fleet) PeakConcurrentMigrations() int { return f.peakInFlight }
 
 // Apps returns admitted application names in admission order (including
@@ -585,7 +579,7 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 	a.Model = mdl
 	cfg := f.Cfg.Manager
 	cfg.DisableRepairs = !f.Cfg.Adaptive
-	if f.Cfg.PerAppMonitoring {
+	if f.Cfg.perAppMonitoring {
 		a.Mgr = core.New(cfg, f.K, f.Net, sys, mdl, assign.ManagerHost, f.Rm)
 	} else {
 		// Lease the app a slice of the fleet-shared monitoring plane.
@@ -647,7 +641,7 @@ func (f *Fleet) Retire(name string) error {
 		// stops; the clients stay paused — they are being retired.
 		f.abortDrain(a, nil, false)
 	}
-	if f.Cfg.PerAppMonitoring {
+	if f.Cfg.perAppMonitoring {
 		a.Mgr.Stop()
 	} else {
 		// Full detach from the shared plane: probes silenced, report

@@ -40,8 +40,7 @@ import (
 // disables migration entirely (no subscriptions, no ticker — the default
 // fleet behaves exactly as before the controller existed).
 type MigrationPolicy struct {
-	// Enabled turns the controller on. Requires the fleet-shared monitoring
-	// plane; New rejects Enabled together with Config.PerAppMonitoring.
+	// Enabled turns the controller on.
 	Enabled bool
 	// CheckPeriod is the interval between fleet health-decision ticks
 	// (default 15 s).
@@ -89,20 +88,16 @@ type MigrationPolicy struct {
 	// coordination layer. Eligible applications beyond the cap keep their
 	// unhealthy streaks and are reconsidered next tick; when the cap
 	// forces a choice, the fairness tie-break prefers the longest streak,
-	// then the fewest completed migrations, then admission order.
+	// then the fewest completed migrations, then admission order. A cap no
+	// run can reach (with Ranked off) is the uncoordinated avoid-set
+	// controller the migration equivalence test compares against.
 	MaxConcurrent int
-	// LegacyTargeting forces the PR 4 reference controller: staged
-	// avoid-set targeting with no concurrency cap and no region
-	// measurements. It is the retained byte-identical oracle for the
-	// migration equivalence tests, mirroring PerAppMonitoring and
-	// GlobalReflow; it cannot be combined with Ranked.
-	LegacyTargeting bool
 }
 
 // validate rejects nonsensical policies before defaulting fills the zero
-// fields: negative knobs, NaNs, out-of-range fractions, and contradictory
-// combinations all fail fleet construction instead of being silently
-// "fixed" into something the caller did not ask for.
+// fields: negative knobs, NaNs and out-of-range fractions all fail fleet
+// construction instead of being silently "fixed" into something the caller
+// did not ask for.
 func (p MigrationPolicy) validate() error {
 	bad := func(field string, v float64) error {
 		return fmt.Errorf("fleet: MigrationPolicy.%s = %v is invalid (zero means default)", field, v)
@@ -124,8 +119,6 @@ func (p MigrationPolicy) validate() error {
 		return fmt.Errorf("fleet: MigrationPolicy.MaxConcurrent = %d is invalid (zero means default)", p.MaxConcurrent)
 	case p.RegionFloorBps < 0 || math.IsNaN(p.RegionFloorBps):
 		return bad("RegionFloorBps", p.RegionFloorBps)
-	case p.LegacyTargeting && p.Ranked:
-		return fmt.Errorf("fleet: MigrationPolicy.LegacyTargeting (the avoid-set oracle) cannot be combined with Ranked")
 	}
 	return nil
 }
@@ -325,27 +318,25 @@ func (f *Fleet) migrationTick(now float64) {
 	}
 	f.migrCands = cands
 
-	// Coordination: at most MaxConcurrent drains in flight fleet-wide
-	// (legacy oracle: unbounded). Deferred candidates keep their streaks —
-	// still unhealthy next tick, they compete again. When the cap forces a
-	// choice, fairness prefers the longest streak (waited longest), then
-	// the fewest completed migrations (least served so far), then admission
-	// order; the chosen set is then processed in admission order so
-	// placement stays a pure function of scheduler state.
-	if !p.LegacyTargeting {
-		if room := p.MaxConcurrent - f.inFlight; len(cands) > room {
-			if room < 0 {
-				room = 0
-			}
-			sort.SliceStable(cands, func(i, j int) bool {
-				if cands[i].health.streak != cands[j].health.streak {
-					return cands[i].health.streak > cands[j].health.streak
-				}
-				return f.completedMigrations(cands[i]) < f.completedMigrations(cands[j])
-			})
-			cands = cands[:room]
-			sort.Slice(cands, func(i, j int) bool { return cands[i].admIdx < cands[j].admIdx })
+	// Coordination: at most MaxConcurrent drains in flight fleet-wide.
+	// Deferred candidates keep their streaks — still unhealthy next tick,
+	// they compete again. When the cap forces a choice, fairness prefers
+	// the longest streak (waited longest), then the fewest completed
+	// migrations (least served so far), then admission order; the chosen
+	// set is then processed in admission order so placement stays a pure
+	// function of scheduler state.
+	if room := p.MaxConcurrent - f.inFlight; len(cands) > room {
+		if room < 0 {
+			room = 0
 		}
+		sort.SliceStable(cands, func(i, j int) bool {
+			if cands[i].health.streak != cands[j].health.streak {
+				return cands[i].health.streak > cands[j].health.streak
+			}
+			return f.completedMigrations(cands[i]) < f.completedMigrations(cands[j])
+		})
+		cands = cands[:room]
+		sort.Slice(cands, func(i, j int) bool { return cands[i].admIdx < cands[j].admIdx })
 	}
 	for _, a := range cands {
 		a.health.streak = 0
@@ -395,12 +386,9 @@ func (f *Fleet) Migrate(name string) error {
 	if a.migrating {
 		return fmt.Errorf("fleet: application %q is already migrating", name)
 	}
-	if f.Cfg.PerAppMonitoring {
-		return fmt.Errorf("fleet: migration requires the fleet-shared monitoring plane")
-	}
 	// The operator path is coordinated like the ticker path: a manual
 	// migration may not exceed the concurrent-drain cap either.
-	if p := f.Cfg.Migration; !p.LegacyTargeting && p.MaxConcurrent > 0 && f.inFlight >= p.MaxConcurrent {
+	if p := f.Cfg.Migration; p.MaxConcurrent > 0 && f.inFlight >= p.MaxConcurrent {
 		return fmt.Errorf("fleet: %d migrations already draining (MaxConcurrent=%d)", f.inFlight, p.MaxConcurrent)
 	}
 	return f.beginMigration(a, f.K.Now())

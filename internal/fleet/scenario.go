@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"archadapt/internal/core"
 	"archadapt/internal/netsim"
@@ -114,17 +115,6 @@ type ScenarioOptions struct {
 	// phase latencies and kernel counters, and summaries carry PhaseSets.
 	// Off (the default) the run is byte-identical to an untraced build.
 	Trace bool
-
-	// GlobalReflow forces the network's pre-incremental global solver (every
-	// flow recomputed on every change). Test/bench escape hatch: the solver
-	// equivalence test runs the same scenario both ways and requires
-	// identical summaries.
-	GlobalReflow bool
-	// PerAppMonitoring forces the pre-sharding monitoring design (a private
-	// bus pair and gauge manager per application) instead of the fleet-shared
-	// plane. Same contract as GlobalReflow: the monitoring equivalence test
-	// runs both ways and requires identical summaries.
-	PerAppMonitoring bool
 }
 
 // specFor returns the (defaulted) spec for app index i.
@@ -192,43 +182,52 @@ func (o ScenarioOptions) withDefaults() ScenarioOptions {
 }
 
 // validate rejects options the kernel cannot schedule: a NaN or infinite
-// value in any time-valued field (a NaN horizon never ends, a NaN event time
-// panics in the kernel), a fault scheduled before t=0, and a fault kind
-// applyFault does not know (a typo would otherwise be a silent no-op).
+// value in any float64 reachable from the options (a NaN horizon never ends,
+// a NaN event time panics in the kernel, an infinite request rate never lets
+// time advance), a fault scheduled before t=0, and a fault kind applyFault
+// does not know (a typo would otherwise be a silent no-op).
 func (o ScenarioOptions) validate() error {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	times := []struct {
-		field string
-		v     float64
-	}{
-		{"Duration", o.Duration},
-		{"AdmitStagger", o.AdmitStagger},
-		{"WavePeriod", o.WavePeriod},
-		{"RetireAfter", o.RetireAfter},
-		{"CrushStart", o.CrushStart},
-		{"CrushStagger", o.CrushStagger},
-		{"CrushDuration", o.CrushDuration},
-		{"BackboneCrushStart", o.BackboneCrushStart},
-		{"BackboneCrushDuration", o.BackboneCrushDuration},
-		{"RegionFailStart", o.RegionFailStart},
-		{"RegionFailDuration", o.RegionFailDuration},
-	}
-	for _, t := range times {
-		if !finite(t.v) {
-			return fmt.Errorf("fleet: ScenarioOptions.%s = %v is not a finite time", t.field, t.v)
-		}
+	if path, v, found := nonFinite(reflect.ValueOf(&o).Elem()); found {
+		return fmt.Errorf("fleet: ScenarioOptions%s = %v is not finite", path, v)
 	}
 	for i, flt := range o.Faults {
 		switch {
-		case !finite(flt.At) || flt.At < 0:
-			return fmt.Errorf("fleet: ScenarioOptions.Faults[%d].At = %v is not a finite non-negative time", i, flt.At)
-		case !finite(flt.Duration):
-			return fmt.Errorf("fleet: ScenarioOptions.Faults[%d].Duration = %v is not a finite time", i, flt.Duration)
+		case flt.At < 0:
+			return fmt.Errorf("fleet: ScenarioOptions.Faults[%d].At = %v is not a non-negative time", i, flt.At)
 		case !flt.Kind.known():
 			return fmt.Errorf("fleet: ScenarioOptions.Faults[%d].Kind = %q is not a fault kind", i, flt.Kind)
 		}
 	}
 	return nil
+}
+
+// nonFinite finds the first NaN or infinite float64 reachable from v through
+// exported struct fields and slices, in declaration order, and returns its
+// value and its path below v (".App.ClientRate", ".Faults[2].At"). Walking the
+// type keeps the check complete as fields are added; the path is put together
+// on the way back up, so a valid scenario pays for no strings.
+func nonFinite(v reflect.Value) (path string, bad float64, found bool) {
+	switch v.Kind() {
+	case reflect.Float64:
+		f := v.Float()
+		return "", f, math.IsNaN(f) || math.IsInf(f, 0)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			// CanInterface is false exactly for unexported fields.
+			if fv := v.Field(i); fv.CanInterface() {
+				if p, f, ok := nonFinite(fv); ok {
+					return "." + v.Type().Field(i).Name + p, f, true
+				}
+			}
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if p, f, ok := nonFinite(v.Index(i)); ok {
+				return fmt.Sprintf("[%d]%s", i, p), f, true
+			}
+		}
+	}
+	return "", 0, false
 }
 
 // validateRegions rejects a region failure aimed at a router the grid does not
@@ -295,15 +294,13 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 		HostsPerRouter: opts.HostsPerRouter,
 		Seed:           opts.Seed,
 	})
-	grid.Net.GlobalReflow = opts.GlobalReflow
 	f, err := New(k, grid, opts.Seed, Config{
-		Manager:          opts.Manager,
-		Adaptive:         opts.Adaptive,
-		HostCapacity:     opts.HostCapacity,
-		PerAppMonitoring: opts.PerAppMonitoring,
-		Migration:        opts.Migration,
-		OpenLoop:         opts.OpenLoop,
-		Trace:            opts.Trace,
+		Manager:      opts.Manager,
+		Adaptive:     opts.Adaptive,
+		HostCapacity: opts.HostCapacity,
+		Migration:    opts.Migration,
+		OpenLoop:     opts.OpenLoop,
+		Trace:        opts.Trace,
 	})
 	if err != nil {
 		return nil, err

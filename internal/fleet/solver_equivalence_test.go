@@ -6,9 +6,12 @@ import (
 )
 
 // TestSolverEquivalenceFleetSummaries runs the same fleet scenario with the
-// incremental region solver and with the global solve forced (GlobalReflow),
-// and requires byte-identical summaries: region partitioning must not change
-// simulation results, only their cost. (Byte-identity against the actual
+// incremental region solver and with the global solve forced
+// (netsim.Network.GlobalReflow, set on the run handle between StartScenario
+// and Finish — before the first flow and the first solve, so the whole run
+// is solved globally), and requires byte-identical summaries: region
+// partitioning must not change simulation results, only their cost.
+// (Byte-identity against the actual
 // pre-rewrite PR 1 tree was established by diffing cmd/fleet and
 // cmd/archadapt output during the rewrite; this test is the in-tree
 // regression guard for the partitioning itself.)
@@ -21,12 +24,16 @@ func TestSolverEquivalenceFleetSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	globOpts := base
-	globOpts.GlobalReflow = true
-	glob, err := RunScenario(globOpts)
+	run, err := StartScenario(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if net := run.Grid.Net; net.ActiveFlows() != 0 || net.Stats().Solves != 0 {
+		t.Fatalf("StartScenario returned with %d active flows and %d solves: part of the run was already solved incrementally",
+			net.ActiveFlows(), net.Stats().Solves)
+	}
+	run.Grid.Net.GlobalReflow = true
+	glob := run.Finish()
 	if !reflect.DeepEqual(incr.Summaries, glob.Summaries) {
 		t.Fatalf("summaries diverged between solvers:\nincremental:\n%s\nglobal:\n%s",
 			Table(incr.Summaries), Table(glob.Summaries))

@@ -77,7 +77,7 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 		if minShare < n.MinFlowRate {
 			minShare = n.MinFlowRate
 		}
-		// Demand pre-pass, mirroring fillComponentDemand: class flows whose
+		// Demand pre-pass, mirroring fillComponent: class flows whose
 		// demand is within the fair share freeze at exactly their demand.
 		// Skipped entirely when no class flows exist so the oracle's
 		// arithmetic matches the original algorithm bit-for-bit.

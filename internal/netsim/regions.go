@@ -358,24 +358,29 @@ func (n *Network) solveDirty(mode solveMode) {
 // Saturated links still grant MinFlowRate so transfers always trickle (the
 // paper's control run bottoms out near 1e-4 Mbps rather than zero).
 //
-// Components containing demand-capped class flows take the demand-aware
-// variant; all others run the original arithmetic unchanged, keeping runs
-// without class flows byte-identical to the pre-class solver.
+// Demand-capped class flows get the standard max–min treatment of
+// rate-limited sources: each round first freezes every unfrozen class flow
+// whose demand is at or below the current fair share at exactly its demand —
+// it wants no more — returning the residual capacity to the pool before the
+// share is re-derived. Class flows whose demand exceeds the share behave like
+// elastic flows and freeze at the bottleneck share. Freezing a flow at ≤ the
+// minimum share can only raise the remaining resources' shares, so the
+// batched freeze is order-independent within a round and the loop terminates
+// (every round freezes at least one flow). A component without class flows
+// skips that pass, keeping runs without them byte-identical to the pre-class
+// solver.
 //
 // The fill touches only the component's own flows (rate, frozen) and
 // resources (avail, count scratch) plus read-only network config. Within a
 // component the arithmetic order is fixed by the sorted member order.
 func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
+	hasLimited := false
 	for _, f := range flows {
 		if f.limited {
-			n.fillComponentDemand(flows, resIdx, epoch)
-			return
+			hasLimited = true
+			break
 		}
 	}
-	n.fillComponentElastic(flows, resIdx, epoch)
-}
-
-func (n *Network) fillComponentElastic(flows []*Flow, resIdx []int32, epoch uint64) {
 	unfrozen := len(flows)
 	for unfrozen > 0 {
 		minShare := -1.0
@@ -395,99 +400,28 @@ func (n *Network) fillComponentElastic(flows []*Flow, resIdx []int32, epoch uint
 		if minShare < n.MinFlowRate {
 			minShare = n.MinFlowRate
 		}
-		progressed := false
-		for _, f := range flows {
-			if f.frozen == epoch {
-				continue
-			}
-			// Freeze f if any of its resources is at the bottleneck share.
-			bottled := false
-			for _, h := range f.path {
-				r := &n.res[resIndex(h)]
-				if r.count > 0 && r.avail/float64(r.count) <= minShare+1e-12 {
-					bottled = true
-					break
-				}
-			}
-			if !bottled {
-				continue
-			}
-			f.rate = minShare
-			f.frozen = epoch
-			unfrozen--
-			progressed = true
-			for _, h := range f.path {
-				r := &n.res[resIndex(h)]
-				r.avail -= minShare
-				if r.avail < 0 {
-					r.avail = 0
-				}
-				r.count--
-			}
-		}
-		if !progressed {
-			// Numerical corner: give every remaining flow the floor rate.
+		if hasLimited {
+			capped := false
 			for _, f := range flows {
-				if f.frozen != epoch {
-					f.rate = n.MinFlowRate
-					f.frozen = epoch
-					unfrozen--
+				if f.frozen == epoch || !f.limited || f.demand > minShare {
+					continue
+				}
+				f.rate = f.demand
+				f.frozen = epoch
+				unfrozen--
+				capped = true
+				for _, h := range f.path {
+					r := &n.res[resIndex(h)]
+					r.avail -= f.demand
+					if r.avail < 0 {
+						r.avail = 0
+					}
+					r.count--
 				}
 			}
-		}
-	}
-}
-
-// fillComponentDemand is progressive filling extended with demand caps: the
-// standard max–min treatment of rate-limited sources. Each round first
-// freezes every unfrozen class flow whose demand is at or below the current
-// fair share at exactly its demand — it wants no more — returning the
-// residual capacity to the pool before the share is re-derived. Class flows
-// whose demand exceeds the share behave like elastic flows and freeze at
-// the bottleneck share. Freezing a flow at ≤ the minimum share can only
-// raise the remaining resources' shares, so the batched freeze is
-// order-independent within a round and the loop terminates (every round
-// freezes at least one flow).
-func (n *Network) fillComponentDemand(flows []*Flow, resIdx []int32, epoch uint64) {
-	unfrozen := len(flows)
-	for unfrozen > 0 {
-		minShare := -1.0
-		for _, ri := range resIdx {
-			r := &n.res[ri]
-			if r.count == 0 {
-				continue
+			if capped {
+				continue // re-derive the share over the freed capacity
 			}
-			share := r.avail / float64(r.count)
-			if minShare < 0 || share < minShare {
-				minShare = share
-			}
-		}
-		if minShare < 0 {
-			break // no constrained resources left
-		}
-		if minShare < n.MinFlowRate {
-			minShare = n.MinFlowRate
-		}
-		capped := false
-		for _, f := range flows {
-			if f.frozen == epoch || !f.limited || f.demand > minShare {
-				continue
-			}
-			f.rate = f.demand
-			f.frozen = epoch
-			unfrozen--
-			capped = true
-			for _, h := range f.path {
-				r := &n.res[resIndex(h)]
-				r.avail -= f.demand
-				if r.avail < 0 {
-					r.avail = 0
-				}
-				r.count--
-			}
-		}
-		if capped {
-			continue // re-derive the share over the freed capacity
 		}
 		progressed := false
 		for _, f := range flows {

@@ -16,9 +16,10 @@
 // in the kernel, bus, gauges, manager and fleet guards on Enabled() (nil-safe)
 // so a run with tracing off executes the exact same event sequence, allocates
 // nothing extra on the monitoring hot path, and produces byte-identical
-// summaries — the same retained-oracle discipline as PerAppMonitoring and
-// LegacyTargeting, held by TestTraceOffIsByteIdentical and the 2 % allocation
-// margin of TestMigrationFixturesCost (internal/fleet).
+// summaries — the same discipline as the fleet's retained references (the
+// per-app monitoring plane, the global solver), held by
+// TestTraceOffIsByteIdentical and the 2 % allocation margin of
+// TestMigrationFixturesCost (internal/fleet).
 //
 // Determinism: the tracer reads time only from the injected clock (the
 // kernel's virtual clock), never the wall clock, so same-seed runs produce
