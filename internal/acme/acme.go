@@ -27,9 +27,6 @@ package acme
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
-	"unicode"
 
 	"archadapt/internal/constraint"
 	"archadapt/internal/model"
@@ -41,152 +38,45 @@ type Description struct {
 	Invariants []*constraint.Invariant
 }
 
-// ---- lexer ----
-
-type tkind int
-
-const (
-	tkEOF tkind = iota
-	tkWord
-	tkNumber
-	tkString
-	tkPunct // { } = ; : .
-)
-
-type tok struct {
-	kind tkind
-	text string
-	num  float64
-	line int
-}
-
-func (t tok) String() string {
-	if t.kind == tkEOF {
-		return "end of file"
-	}
-	return strconv.Quote(t.text)
-}
-
-type lexer struct {
-	src  string
-	i    int
-	line int
-	toks []tok
-}
-
-func lexAll(src string) ([]tok, error) {
-	l := &lexer{src: src, line: 1}
-	n := len(src)
-	for l.i < n {
-		c := src[l.i]
-		switch {
-		case c == '\n':
-			l.line++
-			l.i++
-		case c == ' ' || c == '\t' || c == '\r':
-			l.i++
-		case c == '/' && l.i+1 < n && src[l.i+1] == '/':
-			for l.i < n && src[l.i] != '\n' {
-				l.i++
-			}
-		case unicode.IsDigit(rune(c)) || ((c == '-' || c == '.') && l.i+1 < n && unicode.IsDigit(rune(src[l.i+1]))):
-			j := l.i + 1
-			for j < n && (unicode.IsDigit(rune(src[j])) || src[j] == '.' || src[j] == 'e' || src[j] == 'E' ||
-				((src[j] == '+' || src[j] == '-') && (src[j-1] == 'e' || src[j-1] == 'E'))) {
-				j++
-			}
-			f, err := strconv.ParseFloat(src[l.i:j], 64)
-			if err != nil {
-				return nil, fmt.Errorf("acme:%d: bad number %q", l.line, src[l.i:j])
-			}
-			l.toks = append(l.toks, tok{kind: tkNumber, text: src[l.i:j], num: f, line: l.line})
-			l.i = j
-		case c == '"':
-			j := l.i + 1
-			var sb []byte
-			for j < n && src[j] != '"' {
-				if src[j] == '\n' {
-					return nil, fmt.Errorf("acme:%d: newline in string", l.line)
-				}
-				if src[j] == '\\' && j+1 < n {
-					j++
-				}
-				sb = append(sb, src[j])
-				j++
-			}
-			if j >= n {
-				return nil, fmt.Errorf("acme:%d: unterminated string", l.line)
-			}
-			l.toks = append(l.toks, tok{kind: tkString, text: string(sb), line: l.line})
-			l.i = j + 1
-		case unicode.IsLetter(rune(c)) || c == '_':
-			j := l.i
-			for j < n && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_') {
-				j++
-			}
-			l.toks = append(l.toks, tok{kind: tkWord, text: src[l.i:j], line: l.line})
-			l.i = j
-		case c == '<' || c == '>' || c == '!' || c == '=':
-			// Expression operators appear inside invariant bodies; `==` must
-			// stay distinct from the declaration-level `=`.
-			if l.i+1 < n && src[l.i+1] == '=' {
-				l.toks = append(l.toks, tok{kind: tkPunct, text: src[l.i : l.i+2], line: l.line})
-				l.i += 2
-			} else {
-				l.toks = append(l.toks, tok{kind: tkPunct, text: string(c), line: l.line})
-				l.i++
-			}
-		case strings.ContainsRune("{}=;:.,|()+-*/", rune(c)):
-			l.toks = append(l.toks, tok{kind: tkPunct, text: string(c), line: l.line})
-			l.i++
-		default:
-			return nil, fmt.Errorf("acme:%d: unexpected character %q", l.line, c)
-		}
-	}
-	l.toks = append(l.toks, tok{kind: tkEOF, line: l.line})
-	return l.toks, nil
-}
-
-// ---- parser ----
-
+// parser walks the token stream of the constraint lexer; an invariant's
+// expression is parsed where it stands, on the same tokens. The words of this
+// grammar (`system`, `property`, `to`, `on`, ...) and of the expression grammar
+// (`in`, `one`, ...) are reserved only where they are expected, so any of them
+// can also name an element.
 type parser struct {
-	toks []tok
+	toks []constraint.Token
 	i    int
 }
 
-func (p *parser) peek() tok { return p.toks[p.i] }
-func (p *parser) next() tok { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) peek() constraint.Token { return p.toks[p.i] }
 
-func (p *parser) acceptPunct(s string) bool {
-	if p.peek().kind == tkPunct && p.peek().text == s {
+func (p *parser) accept(text string) bool {
+	if p.peek().Is(text) {
 		p.i++
 		return true
 	}
 	return false
 }
 
-func (p *parser) acceptWord(s string) bool {
-	if p.peek().kind == tkWord && p.peek().text == s {
-		p.i++
-		return true
-	}
-	return false
+// errorf reports a message at the line of the current token.
+func (p *parser) errorf(format string, args ...any) error {
+	return fmt.Errorf("acme:%d: %s", p.peek().Line, fmt.Sprintf(format, args...))
 }
 
-func (p *parser) expectPunct(s string) error {
-	if !p.acceptPunct(s) {
-		return fmt.Errorf("acme:%d: expected %q, found %s", p.peek().line, s, p.peek())
+func (p *parser) expect(text string) error {
+	if !p.accept(text) {
+		return p.errorf("expected %q, found %s", text, p.peek())
 	}
 	return nil
 }
 
 func (p *parser) expectWord() (string, error) {
 	t := p.peek()
-	if t.kind != tkWord {
-		return "", fmt.Errorf("acme:%d: expected identifier, found %s", t.line, t)
+	if t.Kind != constraint.Ident {
+		return "", p.errorf("expected identifier, found %s", t)
 	}
 	p.i++
-	return t.text, nil
+	return t.Text, nil
 }
 
 // Parse parses an ADL source text.
@@ -199,34 +89,30 @@ func Parse(src string) (d *Description, err error) {
 			err = fmt.Errorf("acme: %v", r)
 		}
 	}()
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	if !p.acceptWord("system") {
-		return nil, fmt.Errorf("acme:%d: expected 'system', found %s", p.peek().line, p.peek())
+	p := &parser{toks: constraint.Lex(src)}
+	if !p.accept("system") {
+		return nil, p.errorf("expected 'system', found %s", p.peek())
 	}
 	name, err := p.expectWord()
 	if err != nil {
 		return nil, err
 	}
 	style := ""
-	if p.acceptPunct(":") {
+	if p.accept(":") {
 		style, err = p.expectWord()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expectPunct("="); err != nil {
+	if err := p.expect("="); err != nil {
 		return nil, err
 	}
 	d = &Description{System: model.NewSystem(name, style)}
 	if err := p.parseSystemBody(d, d.System); err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tkEOF {
-		return nil, fmt.Errorf("acme:%d: trailing input %s", p.peek().line, p.peek())
+	if p.peek().Kind != constraint.EOF {
+		return nil, p.errorf("trailing input %s", p.peek())
 	}
 	if err := d.System.Validate(); err != nil {
 		return nil, err
@@ -250,45 +136,36 @@ type attSpec struct {
 }
 
 func (p *parser) parseSystemBody(d *Description, sys *model.System) error {
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expect("{"); err != nil {
 		return err
 	}
 	var atts []attSpec
-	for !p.acceptPunct("}") {
-		t := p.peek()
-		if t.kind != tkWord {
-			return fmt.Errorf("acme:%d: expected declaration, found %s", t.line, t)
-		}
-		switch t.text {
-		case "property":
-			p.i++
+	for !p.accept("}") {
+		switch {
+		case p.accept("property"):
 			if err := p.parseProperty(sys.Props()); err != nil {
 				return err
 			}
-		case "component":
-			p.i++
+		case p.accept("component"):
 			if err := p.parseComponent(d, sys); err != nil {
 				return err
 			}
-		case "connector":
-			p.i++
+		case p.accept("connector"):
 			if err := p.parseConnector(sys); err != nil {
 				return err
 			}
-		case "attachment":
-			p.i++
+		case p.accept("attachment"):
 			a, err := p.parseAttachment()
 			if err != nil {
 				return err
 			}
 			atts = append(atts, a)
-		case "invariant":
-			p.i++
+		case p.accept("invariant"):
 			if err := p.parseInvariant(d); err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("acme:%d: unknown declaration %q", t.line, t.text)
+			return p.errorf("expected declaration, found %s", p.peek())
 		}
 	}
 	// Resolve attachments after all declarations.
@@ -321,25 +198,26 @@ func (p *parser) parseProperty(props *model.Props) error {
 	if err != nil {
 		return err
 	}
-	if err := p.expectPunct("="); err != nil {
+	if err := p.expect("="); err != nil {
 		return err
 	}
-	t := p.next()
 	var v any
-	switch {
-	case t.kind == tkNumber:
-		v = t.num
-	case t.kind == tkString:
-		v = t.text
-	case t.kind == tkWord && t.text == "true":
-		v = true
-	case t.kind == tkWord && t.text == "false":
-		v = false
+	switch t := p.peek(); {
+	case t.Kind == constraint.Number:
+		v = t.Num
+	case t.Is("-") && p.toks[p.i+1].Kind == constraint.Number:
+		p.i++
+		v = -p.peek().Num
+	case t.Kind == constraint.String:
+		v = t.Text
+	case t.Is("true") || t.Is("false"):
+		v = t.Text == "true"
 	default:
-		return fmt.Errorf("acme:%d: bad property value %s", t.line, t)
+		return p.errorf("bad property value %s", t)
 	}
+	p.i++
 	props.Set(name, v)
-	return p.expectPunct(";")
+	return p.expect(";")
 }
 
 func (p *parser) parseComponent(d *Description, sys *model.System) error {
@@ -348,60 +226,56 @@ func (p *parser) parseComponent(d *Description, sys *model.System) error {
 		return err
 	}
 	typ := ""
-	if p.acceptPunct(":") {
+	if p.accept(":") {
 		if typ, err = p.expectWord(); err != nil {
 			return err
 		}
 	}
 	c := sys.AddComponent(name, typ)
-	if p.acceptPunct(";") {
+	if p.accept(";") {
 		return nil
 	}
-	if err := p.expectPunct("="); err != nil {
+	if err := p.expect("="); err != nil {
 		return err
 	}
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expect("{"); err != nil {
 		return err
 	}
-	for !p.acceptPunct("}") {
-		t := p.peek()
+	for !p.accept("}") {
 		switch {
-		case t.kind == tkWord && t.text == "property":
-			p.i++
+		case p.accept("property"):
 			if err := p.parseProperty(c.Props()); err != nil {
 				return err
 			}
-		case t.kind == tkWord && t.text == "port":
-			p.i++
+		case p.accept("port"):
 			pn, err := p.expectWord()
 			if err != nil {
 				return err
 			}
 			pt := ""
-			if p.acceptPunct(":") {
+			if p.accept(":") {
 				if pt, err = p.expectWord(); err != nil {
 					return err
 				}
 			}
 			port := c.AddPort(pn, pt)
-			if p.acceptPunct("=") {
-				if err := p.expectPunct("{"); err != nil {
+			if p.accept("=") {
+				if err := p.expect("{"); err != nil {
 					return err
 				}
-				for !p.acceptPunct("}") {
-					if !p.acceptWord("property") {
-						return fmt.Errorf("acme:%d: expected property in port body", p.peek().line)
+				for !p.accept("}") {
+					if !p.accept("property") {
+						return p.errorf("expected property in port body")
 					}
 					if err := p.parseProperty(port.Props()); err != nil {
 						return err
 					}
 				}
-			} else if err := p.expectPunct(";"); err != nil {
+			} else if err := p.expect(";"); err != nil {
 				return err
 			}
-		case t.kind == tkWord && t.text == "representation":
-			p.i++
-			if err := p.expectPunct("="); err != nil {
+		case p.accept("representation"):
+			if err := p.expect("="); err != nil {
 				return err
 			}
 			rep := c.EnsureRep()
@@ -409,7 +283,7 @@ func (p *parser) parseComponent(d *Description, sys *model.System) error {
 				return err
 			}
 		default:
-			return fmt.Errorf("acme:%d: unexpected %s in component body", t.line, t)
+			return p.errorf("unexpected %s in component body", p.peek())
 		}
 	}
 	return nil
@@ -421,59 +295,56 @@ func (p *parser) parseConnector(sys *model.System) error {
 		return err
 	}
 	typ := ""
-	if p.acceptPunct(":") {
+	if p.accept(":") {
 		if typ, err = p.expectWord(); err != nil {
 			return err
 		}
 	}
 	c := sys.AddConnector(name, typ)
-	if p.acceptPunct(";") {
+	if p.accept(";") {
 		return nil
 	}
-	if err := p.expectPunct("="); err != nil {
+	if err := p.expect("="); err != nil {
 		return err
 	}
-	if err := p.expectPunct("{"); err != nil {
+	if err := p.expect("{"); err != nil {
 		return err
 	}
-	for !p.acceptPunct("}") {
-		t := p.peek()
+	for !p.accept("}") {
 		switch {
-		case t.kind == tkWord && t.text == "property":
-			p.i++
+		case p.accept("property"):
 			if err := p.parseProperty(c.Props()); err != nil {
 				return err
 			}
-		case t.kind == tkWord && t.text == "role":
-			p.i++
+		case p.accept("role"):
 			rn, err := p.expectWord()
 			if err != nil {
 				return err
 			}
 			rt := ""
-			if p.acceptPunct(":") {
+			if p.accept(":") {
 				if rt, err = p.expectWord(); err != nil {
 					return err
 				}
 			}
 			role := c.AddRole(rn, rt)
-			if p.acceptPunct("=") {
-				if err := p.expectPunct("{"); err != nil {
+			if p.accept("=") {
+				if err := p.expect("{"); err != nil {
 					return err
 				}
-				for !p.acceptPunct("}") {
-					if !p.acceptWord("property") {
-						return fmt.Errorf("acme:%d: expected property in role body", p.peek().line)
+				for !p.accept("}") {
+					if !p.accept("property") {
+						return p.errorf("expected property in role body")
 					}
 					if err := p.parseProperty(role.Props()); err != nil {
 						return err
 					}
 				}
-			} else if err := p.expectPunct(";"); err != nil {
+			} else if err := p.expect(";"); err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("acme:%d: unexpected %s in connector body", t.line, t)
+			return p.errorf("unexpected %s in connector body", p.peek())
 		}
 	}
 	return nil
@@ -481,80 +352,52 @@ func (p *parser) parseConnector(sys *model.System) error {
 
 func (p *parser) parseAttachment() (attSpec, error) {
 	var a attSpec
-	a.line = p.peek().line
+	a.line = p.peek().Line
 	var err error
 	if a.compOrConn, err = p.expectWord(); err != nil {
 		return a, err
 	}
-	if err = p.expectPunct("."); err != nil {
+	if err = p.expect("."); err != nil {
 		return a, err
 	}
 	if a.portOrRole, err = p.expectWord(); err != nil {
 		return a, err
 	}
-	if !p.acceptWord("to") {
-		return a, fmt.Errorf("acme:%d: expected 'to' in attachment", p.peek().line)
+	if !p.accept("to") {
+		return a, p.errorf("expected 'to' in attachment")
 	}
 	if a.toConn, err = p.expectWord(); err != nil {
 		return a, err
 	}
-	if err = p.expectPunct("."); err != nil {
+	if err = p.expect("."); err != nil {
 		return a, err
 	}
 	if a.toRole, err = p.expectWord(); err != nil {
 		return a, err
 	}
-	return a, p.expectPunct(";")
+	return a, p.expect(";")
 }
 
-// parseInvariant parses `invariant NAME [on TYPE] : <expr-to-semicolon>;`.
-// The expression is handed to the constraint package verbatim.
+// parseInvariant parses `invariant NAME [on TYPE] : expr;`.
 func (p *parser) parseInvariant(d *Description) error {
 	name, err := p.expectWord()
 	if err != nil {
 		return err
 	}
 	scope := ""
-	if p.acceptWord("on") {
+	if p.accept("on") {
 		if scope, err = p.expectWord(); err != nil {
 			return err
 		}
 	}
-	if err := p.expectPunct(":"); err != nil {
+	if err := p.expect(":"); err != nil {
 		return err
 	}
-	// Collect raw tokens until the terminating semicolon.
-	var sb strings.Builder
-	depth := 0
-	for {
-		t := p.peek()
-		if t.kind == tkEOF {
-			return fmt.Errorf("acme:%d: unterminated invariant %q", t.line, name)
-		}
-		if t.kind == tkPunct && t.text == ";" && depth == 0 {
-			p.i++
-			break
-		}
-		if t.kind == tkPunct && t.text == "{" {
-			depth++
-		}
-		if t.kind == tkPunct && t.text == "}" {
-			depth--
-		}
-		if sb.Len() > 0 {
-			sb.WriteByte(' ')
-		}
-		if t.kind == tkString {
-			sb.WriteString(strconv.Quote(t.text))
-		} else {
-			sb.WriteString(t.text)
-		}
-		p.i++
-	}
-	inv, err := constraint.NewInvariant(name, scope, sb.String())
+	e, next, err := constraint.ParsePrefix(p.toks, p.i)
+	p.i = next
 	if err != nil {
-		return err
+		return p.errorf("invariant %s: %v", name, err)
 	}
-	d.Invariants = append(d.Invariants, inv)
-	return nil
+	d.Invariants = append(d.Invariants, &constraint.Invariant{Name: name, Scope: scope, Expr: e})
+	return p.expect(";")
 }

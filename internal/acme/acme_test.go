@@ -85,22 +85,47 @@ func TestParsePaperADL(t *testing.T) {
 	}
 }
 
+// stringsADL holds what the printer must escape and the parser read back: a
+// raw tab (the source may hold one; Print spells it \t), a quote, a backslash
+// and a rune outside ASCII, in a property and in an invariant's literal.
+const stringsADL = "system s = {\n" +
+	"    component c : T = { property label = \"tab\there \\\"quoted\\\" back\\\\slash \u00e9\"; }\n" +
+	"    invariant labelled on T : label == \"tab\there \\\"quoted\\\" back\\\\slash \u00e9\";\n" +
+	"    invariant spelled on T : label == \"tab\\there \\\"quoted\\\" back\\\\slash \\u00e9\";\n" +
+	"}\n"
+
 func TestRoundTrip(t *testing.T) {
-	d := MustParse(paperADL)
-	printed := Print(d)
-	d2, err := Parse(printed)
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, printed)
+	for _, src := range []string{paperADL, stringsADL} {
+		d := MustParse(src)
+		printed := Print(d)
+		d2, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("reparse: %v\n%s", err, printed)
+		}
+		if !d.System.Equal(d2.System) {
+			t.Fatalf("round-trip model mismatch:\n%s\nvs\n%s", printed, Print(d2))
+		}
+		if len(d2.Invariants) != len(d.Invariants) {
+			t.Fatalf("invariants lost: %d vs %d", len(d2.Invariants), len(d.Invariants))
+		}
+		// Second print is a fixpoint.
+		if Print(d2) != printed {
+			t.Fatalf("print not canonical:\n%s\nvs\n%s", printed, Print(d2))
+		}
 	}
-	if !d.System.Equal(d2.System) {
-		t.Fatalf("round-trip model mismatch:\n%s\nvs\n%s", printed, Print(d2))
+}
+
+// A literal means the same string in an invariant as in a property, however
+// it is spelled.
+func TestInvariantStringLiteralMatchesProperty(t *testing.T) {
+	d := MustParse(stringsADL)
+	if got := d.System.Component("c").Props().StrOr("label", ""); got != "tab\there \"quoted\" back\\slash é" {
+		t.Fatalf("label=%q", got)
 	}
-	if len(d2.Invariants) != len(d.Invariants) {
-		t.Fatalf("invariants lost: %d vs %d", len(d2.Invariants), len(d.Invariants))
-	}
-	// Second print is a fixpoint.
-	if Print(d2) != printed {
-		t.Fatal("print not canonical")
+	for _, inv := range d.Invariants {
+		if vs := inv.Check(d.System, nil, false); len(vs) != 0 {
+			t.Errorf("%s should hold: %v", inv.Name, vs)
+		}
 	}
 }
 
@@ -117,11 +142,44 @@ func TestParseErrors(t *testing.T) {
 		"bad char":       `system s = { @ }`,
 		"newline string": "system s = { property p = \"a\nb\"; }",
 		"dup component":  `system s = { component a; component a; }`,
+		"bad escape":     `system s = { property p = "a\qb"; }`,
+		"open invariant": `system s = { invariant x : 1 + 1 }`,
+		"minus string":   `system s = { property p = -"a"; }`,
 	}
 	for name, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("%s: Parse(%q) should fail", name, src)
 		}
+	}
+}
+
+// An error names the line it was found on, whichever layer found it.
+func TestParseErrorsCarryTheLine(t *testing.T) {
+	for name, src := range map[string]string{
+		"declaration": "system s = {\n  component a;\n  widget b;\n}",
+		"expression":  "system s = {\n  component a;\n  invariant x : size(a, ;\n}",
+		"token":       "system s = {\n  // comment\n  property p = 1e;\n}",
+		"attachment":  "system s = {\n  component a;\n  attachment a.p to c.r;\n}",
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.HasPrefix(err.Error(), "acme:3: ") {
+			t.Errorf("%s: error %v, want it to start with acme:3:", name, err)
+		}
+	}
+}
+
+// The words of the expression grammar are not reserved here.
+func TestExpressionKeywordsNameElements(t *testing.T) {
+	d := MustParse(`system in : one = { component select : not = { property forall = -5; port or; } }`)
+	c := d.System.Component("select")
+	if c == nil || c.Type() != "not" || c.Port("or") == nil {
+		t.Fatalf("keyword-named elements missing:\n%s", Print(d))
+	}
+	if v, _ := c.Props().Float("forall"); v != -5 {
+		t.Fatalf("forall=%v", v)
+	}
+	if _, err := Parse(Print(d)); err != nil {
+		t.Fatal(err)
 	}
 }
 

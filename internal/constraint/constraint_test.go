@@ -64,6 +64,8 @@ func TestArithmeticAndPrecedence(t *testing.T) {
 		"2 - 3 - 4":   -5,
 		"-2 * 3":      -6,
 		"1.5e2 + 0.5": 150.5,
+		// A comment runs to the end of its line on every surface.
+		"1 + // one\n 2": 3,
 	}
 	for src, want := range cases {
 		if v := eval(t, src, env); v.Kind() != KNum || v.Num() != want {
@@ -86,6 +88,10 @@ func TestComparisonsAndBooleans(t *testing.T) {
 		`"a" != "b"`:        true,
 		"true and false":    false,
 		"nil == nil":        true,
+		// Escapes are read by the rule that inverts what Value.String writes:
+		// the left literal spells the tab, the right one holds it raw.
+		"\"a\\tb\" == \"a\tb\"":   true,
+		`"\"\\\u00e9" == "\"\\é"`: true,
 	}
 	for src, want := range cases {
 		if v := eval(t, src, env); v.Kind() != KBool || v.Bool() != want {
@@ -256,11 +262,27 @@ func TestParseErrors(t *testing.T) {
 		`"unterminated`,
 		"1 2",
 		"@",
+		`"a\qb"`,    // an escape strconv.Quote never writes
+		"\"a\nb\"",  // raw newline in a string
+		"x == // 1", // the comment takes the right operand
+		"1 + ; 2",   // punctuation of the surfaces that embed expressions
+		"1e999",     // out of float64 range
+		"a.in",      // a keyword names nothing
+		// Nesting is bounded, whichever production recurses.
+		strings.Repeat("(", 2*maxNesting),
+		strings.Repeat("not ", 2*maxNesting) + "x",
+		strings.Repeat("-", 2*maxNesting) + "1",
+		strings.Repeat("f(", 2*maxNesting),
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
-			t.Errorf("%q should fail to parse", src)
+			t.Errorf("%.40q should fail to parse", src)
 		}
+	}
+	// ... and the bound is far from any expression a person writes.
+	deep := strings.Repeat("(", 100) + "1" + strings.Repeat(")", 100)
+	if _, err := Parse(deep); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -335,20 +357,24 @@ func TestViolationString(t *testing.T) {
 	}
 }
 
+// fixpointSrcs are the rows of TestPrintParseFixpoint and seeds of FuzzParse.
+var fixpointSrcs = []string{
+	"averageLatency <= maxLatency",
+	"size(loadedServerGroups) == 0",
+	"exists p : RequestT in cli.Ports | attached(p, badRole)",
+	"select g : ServerGroupT in self.Components | connected(g, cli) and g.load > maxServerLoad",
+	"select one s : ServerGroupT in self.Components | connected(cli, s)",
+	"role.bandwidth >= minBandwidth or fallback == true",
+	"not (a == b) and c < d + 2 * e",
+	"-x + 3 > 0",
+	"name == \"tab\t(raw) \\t(spelled) \\\" \\\\ é\" // and a comment",
+	"1e21 > .5 and nil != f()",
+}
+
 // Property: parse(print(e)) == print(e) — printing is a fixpoint for parsed
 // expressions.
 func TestPrintParseFixpoint(t *testing.T) {
-	srcs := []string{
-		"averageLatency <= maxLatency",
-		"size(loadedServerGroups) == 0",
-		"exists p : RequestT in cli.Ports | attached(p, badRole)",
-		"select g : ServerGroupT in self.Components | connected(g, cli) and g.load > maxServerLoad",
-		"select one s : ServerGroupT in self.Components | connected(cli, s)",
-		"role.bandwidth >= minBandwidth or fallback == true",
-		"not (a == b) and c < d + 2 * e",
-		"-x + 3 > 0",
-	}
-	for _, src := range srcs {
+	for _, src := range fixpointSrcs {
 		e1, err := Parse(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)

@@ -3,52 +3,75 @@ package constraint
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"unicode"
 )
 
-// tokKind enumerates token types.
-type tokKind int
+// Kind classifies a Token.
+type Kind int
 
 const (
-	tEOF tokKind = iota
-	tIdent
-	tNumber
-	tString
-	tOp    // < <= > >= == != + - * / !
-	tPunct // ( ) . , : | { }
-	tKeyword
+	EOF    Kind = iota // always the last token
+	Ident              // a word; which words are reserved is each grammar's business
+	Number             // Num holds the value
+	String             // Text holds the unquoted value
+	Punct              // < <= > >= == != = ! + - * / ( ) { } ; , . | :
+	Bad                // Text holds the diagnostic; lexing stops here, only EOF follows
 )
 
-var keywords = map[string]bool{
-	"and": true, "or": true, "not": true,
-	"exists": true, "forall": true, "select": true, "one": true,
-	"in": true, "true": true, "false": true, "nil": true,
+// Token is one lexical element. The constraint language, the repair scripts
+// and the Acme descriptions that embed it all read the stream Lex produces.
+type Token struct {
+	Kind Kind
+	Text string
+	Num  float64
+	Pos  int // byte offset in the source
+	Line int // 1-based
 }
 
-type token struct {
-	kind tokKind
-	text string
-	num  float64
-	pos  int
-}
-
-func (t token) String() string {
-	if t.kind == tEOF {
+// String renders the token for a diagnostic.
+func (t Token) String() string {
+	switch t.Kind {
+	case EOF:
 		return "end of input"
+	case Bad:
+		return t.Text
 	}
-	return strconv.Quote(t.text)
+	return strconv.Quote(t.Text)
 }
 
-// lex tokenizes src; errors carry byte offsets.
-func lex(src string) ([]token, error) {
-	var toks []token
-	i := 0
-	n := len(src)
+// Is reports whether the token is the word or punctuation text; a string
+// literal spelled the same is not.
+func (t Token) Is(text string) bool {
+	return t.Text == text && (t.Kind == Punct || t.Kind == Ident)
+}
+
+// Lex tokenizes src. It does not fail: what cannot be a token becomes a Bad
+// token, which no grammar accepts, so the parser that meets it reports it
+// with its line like any other unexpected token. `//` starts a comment that
+// runs to the end of the line. A string literal is read by the rule that
+// inverts strconv.Quote, which is what Value.String and the Acme printer
+// write; an escape Go does not know is Bad, and so is a raw newline.
+func Lex(src string) []Token {
+	toks := make([]Token, 0, len(src)/8+2) // a token per eight bytes: one allocation for a typical invariant
+	line := 1
+	emit := func(k Kind, text string, pos int) {
+		toks = append(toks, Token{Kind: k, Text: text, Pos: pos, Line: line})
+	}
+	i, n := 0, len(src)
+scan:
 	for i < n {
 		c := src[i]
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+		case c == '\n':
+			line++
 			i++
+		case c == ' ' || c == '\t' || c == '\r':
+			i++
+		case c == '/' && i+1 < n && src[i+1] == '/':
+			for i < n && src[i] != '\n' {
+				i++
+			}
 		case unicode.IsDigit(rune(c)) || (c == '.' && i+1 < n && unicode.IsDigit(rune(src[i+1]))):
 			j := i
 			seenDot, seenExp := false, false
@@ -63,7 +86,7 @@ func lex(src string) ([]token, error) {
 					j++
 					continue
 				}
-				if (d == 'e' || d == 'E') && !seenExp && j > i {
+				if (d == 'e' || d == 'E') && !seenExp {
 					seenExp = true
 					j++
 					if j < n && (src[j] == '+' || src[j] == '-') {
@@ -75,58 +98,48 @@ func lex(src string) ([]token, error) {
 			}
 			f, err := strconv.ParseFloat(src[i:j], 64)
 			if err != nil {
-				return nil, fmt.Errorf("constraint: bad number %q at %d", src[i:j], i)
+				emit(Bad, fmt.Sprintf("bad number %q", src[i:j]), i)
+				break scan
 			}
-			toks = append(toks, token{kind: tNumber, text: src[i:j], num: f, pos: i})
+			toks = append(toks, Token{Kind: Number, Text: src[i:j], Num: f, Pos: i, Line: line})
 			i = j
 		case c == '"':
 			j := i + 1
-			var sb []byte
-			for j < n && src[j] != '"' {
-				if src[j] == '\\' && j+1 < n {
+			for j < n && src[j] != '"' && src[j] != '\n' {
+				if src[j] == '\\' {
 					j++
 				}
-				sb = append(sb, src[j])
 				j++
 			}
-			if j >= n {
-				return nil, fmt.Errorf("constraint: unterminated string at %d", i)
+			if j >= n || src[j] != '"' {
+				emit(Bad, "unterminated string", i)
+				break scan
 			}
-			toks = append(toks, token{kind: tString, text: string(sb), pos: i})
+			s, err := strconv.Unquote(src[i : j+1])
+			if err != nil {
+				emit(Bad, "bad escape in string "+src[i:j+1], i)
+				break scan
+			}
+			emit(String, s, i)
 			i = j + 1
 		case unicode.IsLetter(rune(c)) || c == '_':
 			j := i
 			for j < n && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_') {
 				j++
 			}
-			word := src[i:j]
-			k := tIdent
-			if keywords[word] {
-				k = tKeyword
-			}
-			toks = append(toks, token{kind: k, text: word, pos: i})
+			emit(Ident, src[i:j], i)
 			i = j
-		case c == '<' || c == '>' || c == '=' || c == '!':
-			if i+1 < n && src[i+1] == '=' {
-				toks = append(toks, token{kind: tOp, text: src[i : i+2], pos: i})
-				i += 2
-			} else {
-				if c == '=' {
-					return nil, fmt.Errorf("constraint: single '=' at %d (use '==')", i)
-				}
-				toks = append(toks, token{kind: tOp, text: string(c), pos: i})
-				i++
-			}
-		case c == '+' || c == '-' || c == '*' || c == '/':
-			toks = append(toks, token{kind: tOp, text: string(c), pos: i})
-			i++
-		case c == '(' || c == ')' || c == '.' || c == ',' || c == ':' || c == '|' || c == '{' || c == '}':
-			toks = append(toks, token{kind: tPunct, text: string(c), pos: i})
+		case (c == '<' || c == '>' || c == '=' || c == '!') && i+1 < n && src[i+1] == '=':
+			emit(Punct, src[i:i+2], i)
+			i += 2
+		case strings.IndexByte("<>=!+-*/(){};,.|:", c) >= 0:
+			emit(Punct, src[i:i+1], i)
 			i++
 		default:
-			return nil, fmt.Errorf("constraint: unexpected character %q at %d", c, i)
+			emit(Bad, fmt.Sprintf("unexpected character %q", c), i)
+			break scan
 		}
 	}
-	toks = append(toks, token{kind: tEOF, pos: n})
-	return toks, nil
+	emit(EOF, "", n)
+	return toks
 }

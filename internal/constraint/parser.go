@@ -2,21 +2,31 @@ package constraint
 
 import "fmt"
 
-// Parse parses a constraint expression.
+// Parse parses a constraint expression that is the whole of src.
 func Parse(src string) (Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+	toks := Lex(src)
+	e, i, err := ParsePrefix(toks, 0)
+	if err == nil && toks[i].Is("=") {
+		err = fmt.Errorf("single '=' (use '==')")
+	} else if err == nil && toks[i].Kind != EOF {
+		err = fmt.Errorf("trailing input at %s", toks[i])
 	}
-	p := &parser{toks: toks, src: src}
-	e, err := p.parseOr()
 	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tEOF {
-		return nil, fmt.Errorf("constraint: trailing input at %s in %q", p.peek(), src)
+		return nil, fmt.Errorf("constraint: %v at %d in %q", err, toks[i].Pos, src)
 	}
 	return e, nil
+}
+
+// ParsePrefix parses the one expression that starts at toks[i], which must
+// come from Lex, and returns it with the index of the first token it did not
+// consume. The grammar uses none of `; { } =`, so an expression embedded in a
+// script or an Acme description ends by itself at whatever closes the
+// statement around it. On error the index is that of the offending token,
+// whose Line and Pos place the message; the message itself carries neither.
+func ParsePrefix(toks []Token, i int) (Expr, int, error) {
+	p := parser{toks: toks, i: i}
+	e, err := p.parseOr()
+	return e, p.i, err
 }
 
 // MustParse is Parse that panics; for statically known expressions.
@@ -28,29 +38,46 @@ func MustParse(src string) Expr {
 	return e
 }
 
-type parser struct {
-	toks []token
-	i    int
-	src  string
+// keywords are the words of the expression grammar; none can name a
+// variable, a type or a property.
+var keywords = map[string]bool{
+	"and": true, "or": true, "not": true,
+	"exists": true, "forall": true, "select": true, "one": true,
+	"in": true, "true": true, "false": true, "nil": true,
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+type parser struct {
+	toks  []Token
+	i     int
+	depth int
+}
 
-func (p *parser) accept(kind tokKind, text string) bool {
-	t := p.peek()
-	if t.kind == kind && t.text == text {
+func (p *parser) peek() Token { return p.toks[p.i] }
+
+func (p *parser) accept(text string) bool {
+	if p.peek().Is(text) {
 		p.i++
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(kind tokKind, text string) error {
-	if !p.accept(kind, text) {
-		return fmt.Errorf("constraint: expected %q, found %s in %q", text, p.peek(), p.src)
+func (p *parser) expect(text string) error {
+	if !p.accept(text) {
+		return fmt.Errorf("expected %q, found %s", text, p.peek())
 	}
 	return nil
+}
+
+// ident consumes an identifier that is not a keyword; what names the thing
+// expected in the error.
+func (p *parser) ident(what string) (string, error) {
+	t := p.peek()
+	if t.Kind != Ident || keywords[t.Text] {
+		return "", fmt.Errorf("expected %s, found %s", what, t)
+	}
+	p.i++
+	return t.Text, nil
 }
 
 func (p *parser) parseOr() (Expr, error) {
@@ -58,7 +85,7 @@ func (p *parser) parseOr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(tKeyword, "or") {
+	for p.accept("or") {
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -73,7 +100,7 @@ func (p *parser) parseAnd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(tKeyword, "and") {
+	for p.accept("and") {
 		r, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -83,8 +110,29 @@ func (p *parser) parseAnd() (Expr, error) {
 	return l, nil
 }
 
+// maxNesting bounds how deep an expression may nest, so that text from
+// outside the program cannot grow the stack until the runtime kills the
+// process: a megabyte of "(" did.
+const maxNesting = 10000
+
+// descend counts one level of nesting, which the caller defers p.ascend to
+// take off again. Every cycle of the descent passes through parseNot, except
+// parseUnary's own.
+func (p *parser) descend() error {
+	if p.depth++; p.depth > maxNesting {
+		return fmt.Errorf("expression nested deeper than %d", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) ascend() { p.depth-- }
+
 func (p *parser) parseNot() (Expr, error) {
-	if p.accept(tKeyword, "not") || p.accept(tOp, "!") {
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	defer p.ascend()
+	if p.accept("not") || p.accept("!") {
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -102,13 +150,13 @@ func (p *parser) parseCmp() (Expr, error) {
 		return nil, err
 	}
 	t := p.peek()
-	if t.kind == tOp && cmpOps[t.text] {
+	if t.Kind == Punct && cmpOps[t.Text] {
 		p.i++
 		r, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		return &Binary{Op: t.text, L: l, R: r}, nil
+		return &Binary{Op: t.Text, L: l, R: r}, nil
 	}
 	return l, nil
 }
@@ -120,13 +168,13 @@ func (p *parser) parseAdd() (Expr, error) {
 	}
 	for {
 		t := p.peek()
-		if t.kind == tOp && (t.text == "+" || t.text == "-") {
+		if t.Is("+") || t.Is("-") {
 			p.i++
 			r, err := p.parseMul()
 			if err != nil {
 				return nil, err
 			}
-			l = &Binary{Op: t.text, L: l, R: r}
+			l = &Binary{Op: t.Text, L: l, R: r}
 			continue
 		}
 		return l, nil
@@ -140,13 +188,13 @@ func (p *parser) parseMul() (Expr, error) {
 	}
 	for {
 		t := p.peek()
-		if t.kind == tOp && (t.text == "*" || t.text == "/") {
+		if t.Is("*") || t.Is("/") {
 			p.i++
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			l = &Binary{Op: t.text, L: l, R: r}
+			l = &Binary{Op: t.Text, L: l, R: r}
 			continue
 		}
 		return l, nil
@@ -154,7 +202,11 @@ func (p *parser) parseMul() (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.accept(tOp, "-") {
+	if p.accept("-") {
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -167,91 +219,77 @@ func (p *parser) parseUnary() (Expr, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch {
-	case t.kind == tNumber:
+	case t.Kind == Number:
 		p.i++
-		return &Lit{Val: Num(t.num)}, nil
-	case t.kind == tString:
+		return &Lit{Val: Num(t.Num)}, nil
+	case t.Kind == String:
 		p.i++
-		return &Lit{Val: Str(t.text)}, nil
-	case t.kind == tKeyword && t.text == "true":
+		return &Lit{Val: Str(t.Text)}, nil
+	case t.Is("true") || t.Is("false"):
 		p.i++
-		return &Lit{Val: Bool(true)}, nil
-	case t.kind == tKeyword && t.text == "false":
-		p.i++
-		return &Lit{Val: Bool(false)}, nil
-	case t.kind == tKeyword && t.text == "nil":
+		return &Lit{Val: Bool(t.Text == "true")}, nil
+	case t.Is("nil"):
 		p.i++
 		return &Lit{Val: Nil()}, nil
-	case t.kind == tKeyword && (t.text == "exists" || t.text == "forall" || t.text == "select"):
+	case t.Is("exists") || t.Is("forall") || t.Is("select"):
 		return p.parseQuant()
-	case t.kind == tPunct && t.text == "(":
+	case t.Is("("):
 		p.i++
 		e, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tPunct, ")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case t.kind == tIdent:
+		return e, p.expect(")")
+	case t.Kind == Ident && !keywords[t.Text]:
 		return p.parseRefOrCall()
 	}
-	return nil, fmt.Errorf("constraint: unexpected %s in %q", t, p.src)
+	return nil, fmt.Errorf("unexpected %s", t)
 }
 
 func (p *parser) parseQuant() (Expr, error) {
-	mode := p.next().text
-	one := false
-	if mode == "select" && p.accept(tKeyword, "one") {
-		one = true
-	}
-	v := p.peek()
-	if v.kind != tIdent {
-		return nil, fmt.Errorf("constraint: expected variable after %q, found %s", mode, v)
-	}
+	q := &Quant{Mode: p.peek().Text}
 	p.i++
-	typ := ""
-	if p.accept(tPunct, ":") {
-		tt := p.peek()
-		if tt.kind != tIdent {
-			return nil, fmt.Errorf("constraint: expected type after ':', found %s", tt)
+	q.One = q.Mode == "select" && p.accept("one")
+	var err error
+	if q.Var, err = p.ident("variable after " + q.Mode); err != nil {
+		return nil, err
+	}
+	if p.accept(":") {
+		if q.Type, err = p.ident("type after ':'"); err != nil {
+			return nil, err
 		}
-		typ = tt.text
-		p.i++
 	}
-	if err := p.expect(tKeyword, "in"); err != nil {
+	if err = p.expect("in"); err != nil {
 		return nil, err
 	}
-	dom, err := p.parseOr()
-	if err != nil {
+	if q.Dom, err = p.parseOr(); err != nil {
 		return nil, err
 	}
-	if err := p.expect(tPunct, "|"); err != nil {
+	if err = p.expect("|"); err != nil {
 		return nil, err
 	}
-	pred, err := p.parseOr()
-	if err != nil {
+	if q.Pred, err = p.parseOr(); err != nil {
 		return nil, err
 	}
-	return &Quant{Mode: mode, One: one, Var: v.text, Type: typ, Dom: dom, Pred: pred}, nil
+	return q, nil
 }
 
 func (p *parser) parseRefOrCall() (Expr, error) {
-	name := p.next().text
-	if p.accept(tPunct, "(") {
+	name := p.peek().Text
+	p.i++
+	if p.accept("(") {
 		var args []Expr
-		if !p.accept(tPunct, ")") {
+		if !p.accept(")") {
 			for {
 				a, err := p.parseOr()
 				if err != nil {
 					return nil, err
 				}
 				args = append(args, a)
-				if p.accept(tPunct, ",") {
+				if p.accept(",") {
 					continue
 				}
-				if err := p.expect(tPunct, ")"); err != nil {
+				if err := p.expect(")"); err != nil {
 					return nil, err
 				}
 				break
@@ -260,13 +298,12 @@ func (p *parser) parseRefOrCall() (Expr, error) {
 		return &Call{Fn: name, Args: args}, nil
 	}
 	parts := []string{name}
-	for p.accept(tPunct, ".") {
-		t := p.peek()
-		if t.kind != tIdent {
-			return nil, fmt.Errorf("constraint: expected identifier after '.', found %s", t)
+	for p.accept(".") {
+		part, err := p.ident("identifier after '.'")
+		if err != nil {
+			return nil, err
 		}
-		parts = append(parts, t.text)
-		p.i++
+		parts = append(parts, part)
 	}
 	return &Ref{Parts: parts}, nil
 }

@@ -40,7 +40,6 @@ func (n *Network) StartClassFlow(src, dst NodeID, demand float64, tag string) *F
 		index:      -1,
 		last:       n.K.Now(),
 		net:        n,
-		started:    n.K.Now(),
 		persistent: true,
 		limited:    true,
 		demand:     demand,
@@ -59,9 +58,6 @@ func (n *Network) StartClassFlow(src, dst NodeID, demand float64, tag string) *F
 
 // Demand returns the flow's current offered rate cap in bits/sec.
 func (f *Flow) Demand() float64 { return f.demand }
-
-// Persistent reports whether this is a class flow (never completes).
-func (f *Flow) Persistent() bool { return f.persistent }
 
 // SetDemand changes a class flow's offered rate. The flow's path is dirtied
 // and re-solved (or deferred to the enclosing Batch), settling delivered

@@ -30,7 +30,6 @@ type Flow struct {
 	// holds it, so it returns to the free list once it completes.
 	recycled  bool
 	net       *Network
-	started   sim.Time
 	size      float64
 	cancelled bool
 	seen      uint64 // region-visit epoch
@@ -71,9 +70,6 @@ func (f *Flow) Remaining() float64 {
 
 // Size returns the flow's total size in bits.
 func (f *Flow) Size() float64 { return f.size }
-
-// Started returns the start time of the flow.
-func (f *Flow) Started() sim.Time { return f.started }
 
 // StartTransfer begins an elastic transfer of the given number of bits and
 // invokes done (if non-nil) when the last bit arrives. Zero-hop transfers
@@ -119,7 +115,7 @@ func (n *Network) start(f *Flow, src, dst NodeID, bits float64, tag string) {
 	f.path = n.route(src, dst)
 	f.index = -1
 	f.remaining, f.size = bits, bits
-	f.last, f.started = now, now
+	f.last = now
 	f.net = n
 	if len(f.path) == 0 {
 		// Same host: model as a fast local copy.
@@ -188,9 +184,6 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 // CompletedFlows returns the number of finished transfers.
 func (n *Network) CompletedFlows() uint64 { return n.completedFlows }
 
-// BitsDelivered returns total bits delivered by completed transfers.
-func (n *Network) BitsDelivered() float64 { return n.bitsDelivered }
-
 // completeFlow fires when a flow's last bit arrives: unlink it (dirtying its
 // region), run the done callback, then re-solve — the callback commonly
 // starts follow-on transfers whose solve already covers the removal dirt.
@@ -209,7 +202,6 @@ func (n *Network) finish(f *Flow) {
 	f.remaining = 0
 	f.last = n.K.Now()
 	n.completedFlows++
-	n.bitsDelivered += f.size
 	if f.done != nil {
 		f.done(f)
 	}

@@ -121,7 +121,6 @@ type Network struct {
 
 	// Stats
 	completedFlows uint64
-	bitsDelivered  float64
 	msgStats       MsgStats
 
 	// Failure injection for control messages.

@@ -92,9 +92,6 @@ func (e *Engine) Bind(invariantName string, s *Strategy) {
 	e.strategies[invariantName] = s
 }
 
-// StrategyFor returns the strategy bound to an invariant.
-func (e *Engine) StrategyFor(invariantName string) *Strategy { return e.strategies[invariantName] }
-
 // Records returns the repair history.
 func (e *Engine) Records() []Record { return e.records }
 

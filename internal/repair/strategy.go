@@ -30,15 +30,6 @@ func (c *Context) Query(src string) (constraint.Value, error) {
 	return constraint.Eval(e, c.Env)
 }
 
-// QueryBool is Query for boolean expressions.
-func (c *Context) QueryBool(src string) (bool, error) {
-	v, err := c.Query(src)
-	if err != nil {
-		return false, err
-	}
-	return v.Truthy()
-}
-
 // Tactic is one guarded repair (Fig. 5: fixServerLoad, fixBandwidth). Its
 // precondition pinpoints the cause; its script mutates the model through the
 // transaction. Script returning (false, nil) means the tactic examined the

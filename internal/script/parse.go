@@ -2,28 +2,22 @@ package script
 
 import (
 	"fmt"
-	"strings"
 
 	"archadapt/internal/constraint"
 )
 
-// parser walks the token stream; embedded expressions are sliced out of the
-// raw source by byte offsets and handed to the constraint parser.
+// parser walks the token stream of the constraint lexer; an embedded
+// expression is parsed where it stands, on the same tokens.
 type parser struct {
-	src  string
-	toks []tok
+	toks []constraint.Token
 	i    int
 }
 
 // ParseDefs parses a script source into strategy/tactic definitions.
 func ParseDefs(src string) ([]*Def, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{src: src, toks: toks}
+	p := &parser{toks: constraint.Lex(src)}
 	var defs []*Def
-	for !p.eof() {
+	for p.peek().Kind != constraint.EOF {
 		d, err := p.parseDef()
 		if err != nil {
 			return nil, err
@@ -36,86 +30,106 @@ func ParseDefs(src string) ([]*Def, error) {
 	return defs, nil
 }
 
-func (p *parser) eof() bool { return p.i >= len(p.toks) }
+func (p *parser) peek() constraint.Token { return p.toks[p.i] }
 
-func (p *parser) peek() string {
-	if p.eof() {
-		return "<eof>"
+// next consumes any token but the closing EOF, so a parse that runs off the
+// end of the source keeps meeting it.
+func (p *parser) next() constraint.Token {
+	t := p.toks[p.i]
+	if t.Kind != constraint.EOF {
+		p.i++
 	}
-	return p.toks[p.i].text
-}
-
-func (p *parser) next() string {
-	t := p.peek()
-	p.i++
 	return t
 }
 
-func (p *parser) expect(text string) error {
-	if p.peek() != text {
-		return fmt.Errorf("script: expected %q, found %q near offset %d", text, p.peek(), p.pos())
+func (p *parser) accept(text string) bool {
+	if p.peek().Is(text) {
+		p.i++
+		return true
 	}
-	p.i++
+	return false
+}
+
+// errorf reports a message at the line of the current token.
+func (p *parser) errorf(format string, args ...any) error {
+	return fmt.Errorf("script:%d: %s", p.peek().Line, fmt.Sprintf(format, args...))
+}
+
+func (p *parser) expect(text string) error {
+	if !p.accept(text) {
+		return p.errorf("expected %q, found %s", text, p.peek())
+	}
 	return nil
 }
 
-func (p *parser) pos() int {
-	if p.eof() {
-		return len(p.src)
+// word consumes an identifier; what names the thing expected in the error.
+func (p *parser) word(what string) (string, error) {
+	t := p.peek()
+	if t.Kind != constraint.Ident {
+		return "", p.errorf("expected %s, found %s", what, t)
 	}
-	return p.toks[p.i].pos
+	p.i++
+	return t.Text, nil
 }
 
-func isIdent(s string) bool {
-	if s == "" {
-		return false
+// expr parses the constraint expression that starts at the current token
+// and stops at the first token that cannot continue it.
+func (p *parser) expr() (constraint.Expr, error) {
+	e, next, err := constraint.ParsePrefix(p.toks, p.i)
+	p.i = next
+	if err != nil {
+		return nil, p.errorf("%v", err)
 	}
-	c := s[0]
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+	return e, nil
+}
+
+// exprThen parses an expression and the token that closes it.
+func (p *parser) exprThen(closer string) (constraint.Expr, error) {
+	e, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	return e, p.expect(closer)
 }
 
 func (p *parser) parseDef() (*Def, error) {
-	kind := p.next()
-	if kind != "strategy" && kind != "tactic" {
-		return nil, fmt.Errorf("script: expected 'strategy' or 'tactic', found %q", kind)
+	kind := p.peek()
+	if !kind.Is("strategy") && !kind.Is("tactic") {
+		return nil, p.errorf("expected 'strategy' or 'tactic', found %s", kind)
 	}
-	name := p.next()
-	if !isIdent(name) {
-		return nil, fmt.Errorf("script: bad %s name %q", kind, name)
+	p.i++
+	name, err := p.word(kind.Text + " name")
+	if err != nil {
+		return nil, err
 	}
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
 	var params []param
-	for p.peek() != ")" {
-		pn := p.next()
-		if !isIdent(pn) {
-			return nil, fmt.Errorf("script: bad parameter %q in %s", pn, name)
+	for !p.accept(")") {
+		pn, err := p.word("parameter of " + name)
+		if err != nil {
+			return nil, err
 		}
 		pt := ""
-		if p.peek() == ":" {
-			p.i++
-			pt = p.next()
+		if p.accept(":") {
+			pt = p.next().Text
 		}
 		params = append(params, param{name: pn, typ: pt})
-		if p.peek() == "," {
-			p.i++
-		}
+		p.accept(",")
 	}
-	p.i++ // ")"
 	// Optional result-type annotation: `: boolean`.
-	if p.peek() == ":" {
-		p.i++
-		p.i++ // type name, ignored
+	if p.accept(":") {
+		p.next() // type name, ignored
 	}
 	if err := p.expect("="); err != nil {
 		return nil, err
 	}
 	body, err := p.parseBlock()
 	if err != nil {
-		return nil, fmt.Errorf("script: in %s %s: %w", kind, name, err)
+		return nil, err
 	}
-	return &Def{Kind: kind, Name: name, params: params, body: body}, nil
+	return &Def{Kind: kind.Text, Name: name, params: params, body: body}, nil
 }
 
 func (p *parser) parseBlock() ([]stmt, error) {
@@ -123,50 +137,44 @@ func (p *parser) parseBlock() ([]stmt, error) {
 		return nil, err
 	}
 	var out []stmt
-	for p.peek() != "}" {
-		if p.eof() {
-			return nil, fmt.Errorf("unterminated block")
-		}
+	for !p.accept("}") {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, s)
 	}
-	p.i++ // "}"
 	return out, nil
 }
 
 func (p *parser) parseStmt() (stmt, error) {
-	switch p.peek() {
-	case "let":
-		p.i++
-		name := p.next()
-		if !isIdent(name) {
-			return nil, fmt.Errorf("bad let variable %q", name)
+	switch {
+	case p.accept("let"):
+		name, err := p.word("let variable")
+		if err != nil {
+			return nil, err
 		}
-		if p.peek() == ":" { // optional type annotation: `: set{...}` or ident
-			p.i++
+		if p.accept(":") { // optional type annotation: a word or `set{T}`
 			p.next()
-			// allow `set { T }`-style annotations
-			if p.peek() == "{" {
-				for p.peek() != "}" && !p.eof() {
+			if p.accept("{") {
+				for !p.accept("}") && p.peek().Kind != constraint.EOF {
 					p.i++
 				}
-				p.i++
 			}
 		}
 		if err := p.expect("="); err != nil {
 			return nil, err
 		}
-		e, err := p.exprUntilSemicolon()
+		e, err := p.exprThen(";")
 		if err != nil {
 			return nil, err
 		}
 		return &letStmt{name: name, expr: e}, nil
-	case "if":
-		p.i++
-		cond, err := p.parenExpr()
+	case p.accept("if"):
+		if err := p.expect("("); err != nil {
+			return nil, err
+		}
+		cond, err := p.exprThen(")")
 		if err != nil {
 			return nil, err
 		}
@@ -175,32 +183,27 @@ func (p *parser) parseStmt() (stmt, error) {
 			return nil, err
 		}
 		var els []stmt
-		if p.peek() == "else" {
-			p.i++
-			if p.peek() == "if" {
+		if p.accept("else") {
+			if p.peek().Is("if") {
 				s, err := p.parseStmt()
 				if err != nil {
 					return nil, err
 				}
 				els = []stmt{s}
-			} else {
-				els, err = p.parseBlock()
-				if err != nil {
-					return nil, err
-				}
+			} else if els, err = p.parseBlock(); err != nil {
+				return nil, err
 			}
 		}
 		return &ifStmt{cond: cond, then: then, els: els}, nil
-	case "foreach":
-		p.i++
-		v := p.next()
-		if !isIdent(v) {
-			return nil, fmt.Errorf("bad foreach variable %q", v)
+	case p.accept("foreach"):
+		v, err := p.word("foreach variable")
+		if err != nil {
+			return nil, err
 		}
 		if err := p.expect("in"); err != nil {
 			return nil, err
 		}
-		dom, err := p.exprUntilBrace()
+		dom, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
@@ -209,128 +212,47 @@ func (p *parser) parseStmt() (stmt, error) {
 			return nil, err
 		}
 		return &foreachStmt{varName: v, domain: dom, body: body}, nil
-	case "return":
-		p.i++
-		e, err := p.exprUntilSemicolon()
+	case p.accept("return"):
+		e, err := p.exprThen(";")
 		if err != nil {
 			return nil, err
 		}
 		return &returnStmt{expr: e}, nil
-	case "commit":
-		p.i++
-		if p.peek() == "repair" {
-			p.i++
-		}
-		if err := p.expect(";"); err != nil {
+	case p.accept("commit"):
+		p.accept("repair")
+		return &commitStmt{}, p.expect(";")
+	case p.accept("abort"):
+		reason, err := p.word("abort reason")
+		if err != nil {
 			return nil, err
 		}
-		return &commitStmt{}, nil
-	case "abort":
-		p.i++
-		reason := p.next()
-		if !isIdent(reason) {
-			return nil, fmt.Errorf("bad abort reason %q", reason)
-		}
-		if err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return &abortStmt{reason: reason}, nil
+		return &abortStmt{reason: reason}, p.expect(";")
 	}
 	// Method or procedure call: recv.method(args); or proc(args);
-	name := p.next()
-	if !isIdent(name) {
-		return nil, fmt.Errorf("unexpected token %q", name)
+	name, err := p.word("statement")
+	if err != nil {
+		return nil, err
 	}
 	recv, method := "", name
-	if p.peek() == "." {
-		p.i++
-		recv, method = name, p.next()
-		if !isIdent(method) {
-			return nil, fmt.Errorf("bad method name %q", method)
+	if p.accept(".") {
+		recv = name
+		if method, err = p.word("method name"); err != nil {
+			return nil, err
 		}
 	}
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
 	var args []constraint.Expr
-	for p.peek() != ")" {
-		a, err := p.exprUntil(func(t string, depth int) bool {
-			return depth == 0 && (t == "," || t == ")")
-		})
+	for !p.accept(")") {
+		a, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
 		args = append(args, a)
-		if p.peek() == "," {
-			p.i++
+		if !p.accept(",") && !p.peek().Is(")") {
+			return nil, p.errorf("expected \",\" or \")\", found %s", p.peek())
 		}
 	}
-	p.i++ // ")"
-	if err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return &callStmt{recv: recv, method: method, args: args}, nil
-}
-
-// parenExpr parses "(" expr ")".
-func (p *parser) parenExpr() (constraint.Expr, error) {
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	e, err := p.exprUntil(func(t string, depth int) bool { return depth == 0 && t == ")" })
-	if err != nil {
-		return nil, err
-	}
-	p.i++ // ")"
-	return e, nil
-}
-
-func (p *parser) exprUntilSemicolon() (constraint.Expr, error) {
-	e, err := p.exprUntil(func(t string, depth int) bool { return depth == 0 && t == ";" })
-	if err != nil {
-		return nil, err
-	}
-	p.i++ // ";"
-	return e, nil
-}
-
-func (p *parser) exprUntilBrace() (constraint.Expr, error) {
-	return p.exprUntil(func(t string, depth int) bool { return depth == 0 && t == "{" })
-}
-
-// exprUntil slices raw source from the current token up to (exclusive) the
-// first token satisfying stop, and hands it to the constraint parser.
-// depth tracks parentheses so stops inside nested calls don't trigger.
-func (p *parser) exprUntil(stop func(t string, depth int) bool) (constraint.Expr, error) {
-	if p.eof() {
-		return nil, fmt.Errorf("expected expression, found end of input")
-	}
-	start := p.toks[p.i].pos
-	depth := 0
-	j := p.i
-	for ; j < len(p.toks); j++ {
-		t := p.toks[j].text
-		if stop(t, depth) {
-			break
-		}
-		switch t {
-		case "(":
-			depth++
-		case ")":
-			depth--
-			if depth < 0 {
-				return nil, fmt.Errorf("unbalanced ')' in expression")
-			}
-		}
-	}
-	if j >= len(p.toks) {
-		return nil, fmt.Errorf("unterminated expression near offset %d", start)
-	}
-	raw := strings.TrimSpace(p.src[start:p.toks[j].pos])
-	e, err := constraint.Parse(raw)
-	if err != nil {
-		return nil, err
-	}
-	p.i = j
-	return e, nil
+	return &callStmt{recv: recv, method: method, args: args}, p.expect(";")
 }

@@ -29,79 +29,7 @@
 // move, remove) are supplied by an OperatorSet.
 package script
 
-import (
-	"fmt"
-	"strings"
-	"unicode"
-
-	"archadapt/internal/constraint"
-)
-
-// ---- tokens ----
-
-type tok struct {
-	text string
-	pos  int // byte offset in source
-	end  int
-}
-
-func lex(src string) ([]tok, error) {
-	var toks []tok
-	i, n := 0, len(src)
-	for i < n {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				i++
-			}
-		case unicode.IsLetter(rune(c)) || c == '_':
-			j := i
-			for j < n && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_') {
-				j++
-			}
-			toks = append(toks, tok{text: src[i:j], pos: i, end: j})
-			i = j
-		case unicode.IsDigit(rune(c)):
-			j := i
-			for j < n && (unicode.IsDigit(rune(src[j])) || src[j] == '.' || src[j] == 'e' || src[j] == 'E' ||
-				((src[j] == '+' || src[j] == '-') && j > i && (src[j-1] == 'e' || src[j-1] == 'E'))) {
-				j++
-			}
-			toks = append(toks, tok{text: src[i:j], pos: i, end: j})
-			i = j
-		case c == '"':
-			j := i + 1
-			for j < n && src[j] != '"' {
-				j++
-			}
-			if j >= n {
-				return nil, fmt.Errorf("script: unterminated string at %d", i)
-			}
-			toks = append(toks, tok{text: src[i : j+1], pos: i, end: j + 1})
-			i = j + 1
-		case strings.ContainsRune("{}();,.|:", rune(c)):
-			toks = append(toks, tok{text: string(c), pos: i, end: i + 1})
-			i++
-		case c == '<' || c == '>' || c == '=' || c == '!':
-			if i+1 < n && src[i+1] == '=' {
-				toks = append(toks, tok{text: src[i : i+2], pos: i, end: i + 2})
-				i += 2
-			} else {
-				toks = append(toks, tok{text: string(c), pos: i, end: i + 1})
-				i++
-			}
-		case strings.ContainsRune("+-*/", rune(c)):
-			toks = append(toks, tok{text: string(c), pos: i, end: i + 1})
-			i++
-		default:
-			return nil, fmt.Errorf("script: unexpected character %q at %d", c, i)
-		}
-	}
-	return toks, nil
-}
+import "archadapt/internal/constraint"
 
 // ---- AST ----
 

@@ -205,11 +205,62 @@ func TestParseErrors(t *testing.T) {
 		`strategy f() = { 5; }`,
 		`tactic only() : boolean = { return true; }`, // no strategy
 		`strategy f() = { unterminated`,
+		`strategy f() = { x.y(a b); }`,       // arguments need the comma
+		`strategy f() = { let s = "a\qb"; }`, // an escape strconv.Quote never writes
 	}
 	for _, src := range bad {
 		if _, err := Compile(src, OperatorSet{}); err == nil {
 			t.Errorf("Compile(%q) should fail", src)
 		}
+	}
+}
+
+// An error names the line it was found on, whichever layer found it.
+func TestParseErrorsCarryTheLine(t *testing.T) {
+	for name, src := range map[string]string{
+		"statement":  "strategy f() = {\n  let x = 1;\n  abort;\n}",
+		"expression": "strategy f() = {\n  let x = 1;\n  let y = (1 + ;\n}",
+		"token":      "strategy f() = {\n  // comment\n  let s = \"open;\n}",
+	} {
+		_, err := ParseDefs(src)
+		if err == nil || !strings.HasPrefix(err.Error(), "script:3: ") {
+			t.Errorf("%s: error %v, want it to start with script:3:", name, err)
+		}
+	}
+}
+
+// Expressions are parsed on the script's own tokens, so a comment or an
+// escaped quote inside one reads as it does anywhere else in the script.
+func TestCommentsAndEscapesInsideExpressions(t *testing.T) {
+	s := testModel()
+	var noted []string
+	ops := OperatorSet{
+		Methods: map[string]Method{
+			"note": func(ctx *repair.Context, recv constraint.Value, args []constraint.Value) error {
+				noted = append(noted, recv.Elem().Name()+"="+args[0].Str())
+				return nil
+			},
+		},
+	}
+	out := run(t, `
+        strategy fix(cli : ClientT) = {
+            let two = 1 + // one
+                1;
+            foreach g in select x : ServerGroupT in self.Components | // every group
+                    x.load > 0 {
+                g.note("a\"b\\c", two); // not a comment: "//"
+            }
+            if (isTwo(two)) { commit repair; }
+        }
+        tactic isTwo(n) : boolean = {
+            return n == // the right operand is on the next line
+                2;
+        }`, ops, s)
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if len(noted) != 1 || noted[0] != `G1=a"b\c` {
+		t.Fatalf("noted=%q", noted)
 	}
 }
 
