@@ -44,8 +44,9 @@ type Description struct {
 // (`in`, `one`, ...) are reserved only where they are expected, so any of them
 // can also name an element.
 type parser struct {
-	toks []constraint.Token
-	i    int
+	toks  []constraint.Token
+	i     int
+	depth int // system bodies open around the current one
 }
 
 func (p *parser) peek() constraint.Token { return p.toks[p.i] }
@@ -135,7 +136,14 @@ type attSpec struct {
 	line                   int
 }
 
+// parseSystemBody parses a system's or a representation's `{ ... }`. A
+// representation nests one inside a component, so this is where nesting is
+// bounded, at the depth the expression parser allows.
 func (p *parser) parseSystemBody(d *Description, sys *model.System) error {
+	if p.depth++; p.depth > constraint.MaxNesting {
+		return p.errorf("representations nested deeper than %d", constraint.MaxNesting)
+	}
+	defer func() { p.depth-- }()
 	if err := p.expect("{"); err != nil {
 		return err
 	}

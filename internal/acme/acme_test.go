@@ -1,10 +1,13 @@
 package acme
 
 import (
+	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"archadapt/internal/constraint"
 	"archadapt/internal/model"
 	"archadapt/internal/sim"
 )
@@ -165,6 +168,27 @@ func TestParseErrorsCarryTheLine(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), "acme:3: ") {
 			t.Errorf("%s: error %v, want it to start with acme:3:", name, err)
 		}
+	}
+}
+
+// Representation nesting is bounded at constraint.MaxNesting and reported at
+// its line. The stack limit is lowered so that an unbounded parser dies here
+// on a stack overflow: this input needs over 64 MB of stack unbounded and
+// stays under 16 MB bounded.
+func TestRepresentationNestingIsBounded(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(32 << 20))
+	src := "system s = {\n" + strings.Repeat("component c = { representation = {", 8*constraint.MaxNesting)
+	_, err := Parse(src)
+	if want := fmt.Sprintf("acme:2: representations nested deeper than %d", constraint.MaxNesting); err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
+	// ... and the bound is far from any architecture a person writes.
+	d, err := Parse("system s = {" + strings.Repeat("component c = { representation = {", 50) + strings.Repeat("} }", 50) + "}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(Print(d)); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -382,4 +382,19 @@ func TestCheckAllAllocationFree(t *testing.T) {
 	if ran := reg.Stats().Evaluated - before; ran < 100 || ran > 2*101 {
 		t.Errorf("changed model: %d evaluations over 101 passes, want one or two per pass", ran)
 	}
+
+	// A standing violation — the tick on which no repair applies — is
+	// reported into the registry's own slice, not a fresh one.
+	clients[0].Props().SetFloat(operators.PropAvgLatency, 9)
+	standing := func() {
+		if vs := reg.CheckAll(sys); len(vs) != 1 || vs[0].Subject != model.Element(clients[0]) {
+			t.Fatalf("want the one standing violation on %s, got %v", clients[0].Name(), vs)
+		}
+	}
+	standing()
+	if avg := testing.AllocsPerRun(100, standing); avg != 0 {
+		t.Errorf("standing violation: %v allocs per CheckAll, want 0", avg)
+	}
+	clients[0].Props().SetFloat(operators.PropAvgLatency, 1)
+	clean()
 }

@@ -269,10 +269,10 @@ func TestParseErrors(t *testing.T) {
 		"1e999",     // out of float64 range
 		"a.in",      // a keyword names nothing
 		// Nesting is bounded, whichever production recurses.
-		strings.Repeat("(", 2*maxNesting),
-		strings.Repeat("not ", 2*maxNesting) + "x",
-		strings.Repeat("-", 2*maxNesting) + "1",
-		strings.Repeat("f(", 2*maxNesting),
+		strings.Repeat("(", 2*MaxNesting),
+		strings.Repeat("not ", 2*MaxNesting) + "x",
+		strings.Repeat("-", 2*MaxNesting) + "1",
+		strings.Repeat("f(", 2*MaxNesting),
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -40,6 +40,9 @@ func (e *Env) Bind(name string, v Value) *Env {
 	return e
 }
 
+// Reset drops every binding, keeping their storage for the next Bind.
+func (e *Env) Reset() { e.vars = e.vars[:0] }
+
 // lookup returns the innermost binding of name.
 func (e *Env) lookup(name string) (Value, bool) {
 	for i := len(e.vars) - 1; i >= 0; i-- {

@@ -122,6 +122,7 @@ type Registry struct {
 	env       *Env
 	scopes    [][]verdict // per invariant, in scopeElements order
 	pure      []bool      // per invariant: cacheable(Expr)
+	out       []Violation // what CheckAll returns, reused call to call
 	stats     Stats
 }
 
@@ -182,6 +183,7 @@ func cacheable(e Expr) bool {
 func (r *Registry) rescope(sys *model.System) {
 	r.sys, r.structRev = sys, sys.StructRev()
 	r.env = NewEnv(sys)
+	clear(r.out[:cap(r.out)])
 	r.scopes = make([][]verdict, len(r.invs))
 	r.pure = make([]bool, len(r.invs))
 	for i, inv := range r.invs {
@@ -197,7 +199,10 @@ func (r *Registry) rescope(sys *model.System) {
 
 // CheckAll checks every invariant over its scope and concatenates the
 // violations in registration order, running the evaluator only where a
-// verdict is missing or stale. A clean warm pass allocates nothing.
+// verdict is missing or stale. It returns nil when nothing is violated.
+// Otherwise the slice is the registry's own and valid until the next
+// CheckAll, which overwrites it: a caller that keeps violations longer
+// copies them. A warm pass allocates nothing, violations or not.
 func (r *Registry) CheckAll(sys *model.System) []Violation {
 	r.stats.Checks++
 	if r.sys != sys || r.structRev != sys.StructRev() {
@@ -205,7 +210,7 @@ func (r *Registry) CheckAll(sys *model.System) []Violation {
 	}
 	r.env.Funcs = r.Funcs
 	sysRev := sys.Props().Rev()
-	var out []Violation
+	out := r.out[:0]
 	for i, inv := range r.invs {
 		for j := range r.scopes[i] {
 			v := &r.scopes[i][j]
@@ -216,7 +221,7 @@ func (r *Registry) CheckAll(sys *model.System) []Violation {
 			if v.known && v.itRev == itRev && v.sysRev == sysRev {
 				r.stats.Reused++
 			} else {
-				r.env.vars = r.env.vars[:0]
+				r.env.Reset()
 				if v.el != nil {
 					r.env.vars = append(r.env.vars, binding{"it", Elem(v.el)})
 				}
@@ -233,6 +238,10 @@ func (r *Registry) CheckAll(sys *model.System) []Violation {
 				out = append(out, Violation{Invariant: inv, Subject: v.el})
 			}
 		}
+	}
+	r.out = out
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

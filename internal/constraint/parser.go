@@ -110,17 +110,18 @@ func (p *parser) parseAnd() (Expr, error) {
 	return l, nil
 }
 
-// maxNesting bounds how deep an expression may nest, so that text from
+// MaxNesting bounds how deep an expression may nest, so that text from
 // outside the program cannot grow the stack until the runtime kills the
-// process: a megabyte of "(" did.
-const maxNesting = 10000
+// process: a megabyte of "(" did. The script and ADL parsers bound their own
+// recursion (statement blocks, representations) at the same depth.
+const MaxNesting = 10000
 
 // descend counts one level of nesting, which the caller defers p.ascend to
 // take off again. Every cycle of the descent passes through parseNot, except
 // parseUnary's own.
 func (p *parser) descend() error {
-	if p.depth++; p.depth > maxNesting {
-		return fmt.Errorf("expression nested deeper than %d", maxNesting)
+	if p.depth++; p.depth > MaxNesting {
+		return fmt.Errorf("expression nested deeper than %d", MaxNesting)
 	}
 	return nil
 }

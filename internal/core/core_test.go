@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"archadapt/internal/app"
+	"archadapt/internal/constraint"
 	"archadapt/internal/netsim"
 	"archadapt/internal/operators"
 	"archadapt/internal/remos"
@@ -225,6 +226,7 @@ func TestAlertsOnUnrepairable(t *testing.T) {
 	// Crush the path but make GB unattractive too (no better group): the
 	// engine should escalate rather than thrash.
 	r := newRig(t, Config{})
+	failed := failedSpans(r.mgr)
 	r.mgr.Deploy()
 	r.a.Start()
 	r.k.At(150, func() {
@@ -241,16 +243,18 @@ func TestAlertsOnUnrepairable(t *testing.T) {
 	if r.a.Client("C1").Group != "GA" {
 		t.Fatal("client moved with nowhere to go")
 	}
-	if len(r.mgr.Alerts())+failedSpans(r.mgr) == 0 {
+	if len(r.mgr.Alerts())+*failed == 0 {
 		t.Fatal("no escalation recorded")
 	}
 }
 
-func failedSpans(m *Manager) int {
-	n := 0
-	for _, rec := range m.Engine.Records() {
+// failedSpans counts, from the engine's observer on, the repair attempts that
+// resolved with an error.
+func failedSpans(m *Manager) *int {
+	n := new(int)
+	m.Engine.Observer = func(rec *repair.Record, _ constraint.Violation, _ float64) {
 		if rec.Err != nil {
-			n++
+			*n++
 		}
 	}
 	return n

@@ -402,35 +402,31 @@ func (m *Manager) check(now float64) {
 	if m.Cfg.SmartSelection {
 		sort.SliceStable(vs, func(i, j int) bool { return severity(vs[i]) > severity(vs[j]) })
 	}
-	recs := m.Engine.HandleAll(vs, now)
-	for _, rec := range recs {
-		if rec.Err != nil || len(rec.Ops) == 0 {
-			continue
-		}
-		m.busy = true
-		span := RepairSpan{
-			Start:    now,
-			Strategy: rec.Strategy,
-			Subject:  rec.Subject,
-			Tactics:  rec.Applied,
-			Ops:      rec.Ops,
-		}
-		var repairSpan obs.SpanID
-		if m.tr != nil {
-			repairSpan = m.traceRepairBegin(rec, now)
-		}
-		rec := rec
-		m.churnGauges(rec.Ops, func() {
-			span.End = m.K.Now()
-			rec.Duration = span.Duration()
-			m.spans = append(m.spans, span)
-			m.busy = false
-			if m.tr != nil {
-				m.traceRepairDone(rec, repairSpan, span.Start)
-			}
-		})
-		break
+	committed := m.Engine.HandleAll(vs, now)
+	if committed == nil || len(committed.Ops) == 0 {
+		return
 	}
+	rec := *committed // the engine rewrites its record on its next attempt
+	m.busy = true
+	span := RepairSpan{
+		Start:    now,
+		Strategy: rec.Strategy,
+		Subject:  rec.Subject,
+		Tactics:  rec.Applied,
+		Ops:      rec.Ops,
+	}
+	var repairSpan obs.SpanID
+	if m.tr != nil {
+		repairSpan = m.traceRepairBegin(&rec, now)
+	}
+	m.churnGauges(rec.Ops, func() {
+		span.End = m.K.Now()
+		m.spans = append(m.spans, span)
+		m.busy = false
+		if m.tr != nil {
+			m.traceRepairDone(&rec, repairSpan, span.Start)
+		}
+	})
 }
 
 // severity orders violations for SmartSelection: worst latency overrun

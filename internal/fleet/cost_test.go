@@ -97,8 +97,8 @@ func TestFleetCostIsFlatPerApp(t *testing.T) {
 	if small.walks != 287.5 {
 		t.Errorf("N=32 seed 1: %.4f route walks per app, want 287.5", small.walks)
 	}
-	if small.allocs > 2228 {
-		t.Errorf("N=32 seed 1: %.0f allocations per app, limit 2228", small.allocs)
+	if small.allocs > 2106 {
+		t.Errorf("N=32 seed 1: %.0f allocations per app, limit 2106", small.allocs)
 	}
 	if testing.Short() {
 		return

@@ -15,7 +15,8 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Kind discriminates element categories.
@@ -227,6 +228,17 @@ type System struct {
 	atts       []Attachment
 	bindings   []Binding
 	rev        uint64
+	byType     *typeList // ComponentsByType answers, one per type asked for
+}
+
+// typeList is one cached ComponentsByType answer, current while the system's
+// structure revision reads rev. A system is asked for a type or two, so the
+// answers form a list; one pointer keeps System in its size class.
+type typeList struct {
+	typ  string
+	rev  uint64
+	list []*Component
+	next *typeList
 }
 
 // StructRev returns the system's structure revision: it moves whenever a
@@ -445,11 +457,15 @@ func (s *System) Attached(p *Port, r *Role) bool {
 }
 
 // Connected reports whether two components share a connector — the paper's
-// connected(sgrp, client) predicate (Fig. 5 line 20).
+// connected(sgrp, client) predicate (Fig. 5 line 20). It scans the
+// attachments in place: a repair tactic asks it once per group per tick.
 func (s *System) Connected(a, b *Component) bool {
-	for _, conn := range s.ConnectorsOf(a) {
-		for _, other := range s.ComponentsOn(conn) {
-			if other == b {
+	for _, x := range s.atts {
+		if x.Port.Owner != a {
+			continue
+		}
+		for _, y := range s.atts {
+			if y.Port.Owner == b && y.Role.Owner == x.Role.Owner {
 				return true
 			}
 		}
@@ -484,16 +500,33 @@ func (s *System) ComponentsOn(conn *Connector) []*Component {
 }
 
 // ComponentsByType returns components whose type equals typ, sorted by name
-// for deterministic iteration in repair scripts.
+// for deterministic iteration in repair scripts. The list is built once per
+// structure revision and shared, so callers must not modify it; its capacity
+// equals its length, so a caller's append copies instead of writing into it.
 func (s *System) ComponentsByType(typ string) []*Component {
+	for t := s.byType; t != nil; t = t.next {
+		if t.typ == typ {
+			if t.rev != s.rev {
+				t.list, t.rev = s.componentsOfType(typ), s.rev
+			}
+			return t.list
+		}
+	}
+	s.byType = &typeList{typ: typ, rev: s.rev, list: s.componentsOfType(typ), next: s.byType}
+	return s.byType.list
+}
+
+// componentsOfType builds a fresh ComponentsByType answer, so a list handed
+// out at an older revision is never written to again.
+func (s *System) componentsOfType(typ string) []*Component {
 	var out []*Component
 	for _, c := range s.components {
 		if c.typ == typ {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	slices.SortFunc(out, func(a, b *Component) int { return strings.Compare(a.name, b.name) })
+	return slices.Clip(out)
 }
 
 // Validate checks structural integrity: attachment endpoints belong to this

@@ -68,6 +68,46 @@ func TestConnectedPredicate(t *testing.T) {
 	}
 }
 
+// Connected scans attachments in place; it must agree with walking
+// ConnectorsOf and ComponentsOn on any attachment graph.
+func TestConnectedMatchesConnectorWalk(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := sim.NewRand(seed)
+		s := NewSystem("rand", "Fam")
+		for i := 0; i < 5; i++ {
+			c := s.AddComponent("c"+string(rune('a'+i)), "T")
+			c.AddPort("p", "PT")
+			c.AddPort("q", "PT")
+		}
+		for i := 0; i < 3; i++ {
+			conn := s.AddConnector("k"+string(rune('0'+i)), "CT")
+			for j := 0; j < 3; j++ {
+				if rng.Intn(2) == 0 {
+					comp := s.Components()[rng.Intn(5)]
+					_ = s.Attach(comp.Ports()[rng.Intn(2)], conn.AddRole("r"+string(rune('0'+j)), "RT"))
+				}
+			}
+		}
+		for _, a := range s.Components() {
+			for _, b := range s.Components() {
+				walk := false
+				for _, conn := range s.ConnectorsOf(a) {
+					for _, other := range s.ComponentsOn(conn) {
+						walk = walk || other == b
+					}
+				}
+				if s.Connected(a, b) != walk {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAttachedPredicate(t *testing.T) {
 	s := paperSystem()
 	conn := s.Connector("ReqConn1")
@@ -230,6 +270,62 @@ func TestComponentsOnAndConnectorsOf(t *testing.T) {
 	conns := s.ConnectorsOf(s.Component("User3"))
 	if len(conns) != 1 || conns[0] != conn {
 		t.Fatalf("connectorsOf wrong: %v", conns)
+	}
+}
+
+// TestComponentsByTypeFollowsStructure: the cached answer tracks adds,
+// removes and restores; a list handed out earlier is never rewritten; and a
+// caller appending to the answer cannot reach the cache.
+func TestComponentsByTypeFollowsStructure(t *testing.T) {
+	s := paperSystem()
+	names := func(cs []*Component) string {
+		var out []string
+		for _, c := range cs {
+			out = append(out, c.Name())
+		}
+		return strings.Join(out, ",")
+	}
+	const six = "User1,User2,User3,User4,User5,User6"
+	first := s.ComponentsByType("ClientT")
+	if got := names(first); got != six {
+		t.Fatalf("clients %s", got)
+	}
+	if again := s.ComponentsByType("ClientT"); &again[0] != &first[0] {
+		t.Error("an unchanged structure rebuilt the list")
+	}
+	if cap(first) != len(first) {
+		t.Errorf("cap %d, len %d: an append would write into the cache", cap(first), len(first))
+	}
+	grown := append(first, s.Component("ServerGrp1"))
+	grown[0] = grown[6]
+	if got := names(s.ComponentsByType("ClientT")); got != six {
+		t.Fatalf("a caller's append changed the answer: %s", got)
+	}
+
+	late := s.AddComponent("User0", "ClientT")
+	if got := names(s.ComponentsByType("ClientT")); got != "User0,"+six {
+		t.Errorf("after add: %s", got)
+	}
+	if got := names(first); got != six {
+		t.Errorf("the list handed out before the add became %s", got)
+	}
+	if err := s.RemoveComponent("User0"); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(s.ComponentsByType("ClientT")); got != six {
+		t.Errorf("after remove: %s", got)
+	}
+	if err := s.RestoreComponent(late); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(s.ComponentsByType("ClientT")); got != "User0,"+six {
+		t.Errorf("after restore: %s", got)
+	}
+	if got := names(s.ComponentsByType("ServerGroupT")); got != "ServerGrp1,ServerGrp2" {
+		t.Errorf("groups: %s", got)
+	}
+	if got := s.ComponentsByType("NoSuchT"); got != nil {
+		t.Errorf("no such type: %v", got)
 	}
 }
 

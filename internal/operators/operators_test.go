@@ -361,6 +361,63 @@ func TestFixUnderutilizationShrinks(t *testing.T) {
 	}
 }
 
+// TestDeclinedRepairAllocationFree: the openloop-surge tick. A client on an
+// overloaded group that has no spare left, with healthy role bandwidth,
+// violates the latency bound; the Figure 5 strategy declines both tactics and
+// the engine alerts. Re-checking and re-deciding that standing violation
+// allocates nothing.
+func TestDeclinedRepairAllocationFree(t *testing.T) {
+	sys := build(t)
+	sg1 := sys.Component("ServerGrp1")
+	if _, err := AddServer(repair.NewTxn(sys), sg1); err != nil { // S4, the last spare
+		t.Fatal(err)
+	}
+	sg1.Props().Set(PropLoad, 9.0)
+	sys.Component("ServerGrp2").Props().Set(PropLoad, 1.0)
+	for _, c := range sys.ComponentsByType(TClient) {
+		c.Props().Set(PropAvgLatency, 1.0)
+		_, _, role, _ := GroupOf(sys, c)
+		role.Props().Set(PropBandwidth, 5e6) // ≥ minBandwidth: fixBandwidth declines
+	}
+	sys.Component("C3").Props().Set(PropAvgLatency, 10.0)
+
+	reg := constraint.NewRegistry()
+	reg.Add(constraint.MustInvariant(InvLatency, TClient, "averageLatency <= maxLatency"))
+	reg.Add(constraint.MustInvariant(InvLoad, TServerGroup, "load <= maxServerLoad"))
+	reg.Add(constraint.MustInvariant(InvBandwidth, TClientRole, "bandwidth >= minBandwidth"))
+	eng := repair.NewEngine(sys, repair.TranslatorFunc(func(op repair.Op) error {
+		t.Fatalf("declined repair translated %v", op)
+		return nil
+	}))
+	eng.Bind(InvLatency, FixLatency(func(*model.System, *model.Component, float64) (*model.Component, float64) {
+		t.Fatal("group query ran with healthy bandwidth")
+		return nil, 0
+	}))
+	alerts := 0
+	eng.AlertFn = func(constraint.Violation, string) { alerts++ }
+
+	snap := sys.Clone()
+	tick := func() {
+		vs := reg.CheckAll(sys)
+		if len(vs) != 2 { // C3's latency, SG1's load
+			t.Fatalf("violations %v, want C3 latency and ServerGrp1 load", vs)
+		}
+		if rec := eng.HandleAll(vs, 100); rec != nil {
+			t.Fatalf("committed %+v", *rec)
+		}
+	}
+	tick()
+	if avg := testing.AllocsPerRun(1000, tick); avg != 0 {
+		t.Errorf("%v allocations per declined check tick, want 0", avg)
+	}
+	if alerts != 1002 || eng.Alerts() != 1002 {
+		t.Errorf("alerts %d (engine %d), want one per tick: 1002", alerts, eng.Alerts())
+	}
+	if !sys.Equal(snap) {
+		t.Error("declined repairs changed the model")
+	}
+}
+
 func TestEngineEndToEndWithOperators(t *testing.T) {
 	// Full loop: violation → engine → fixLatency → ops to translator.
 	sys := build(t)

@@ -24,12 +24,11 @@ func AddServer(txn *repair.Txn, grp *model.Component) (string, error) {
 	if grp.Type() != TServerGroup {
 		return "", fmt.Errorf("operators: addServer on %s (%s)", grp.Name(), grp.Type())
 	}
-	spares := SpareServers(grp)
-	if len(spares) == 0 {
+	srv := firstSpare(grp)
+	if srv == nil {
 		return "", fmt.Errorf("operators: no spare server in %s", grp.Name())
 	}
-	name := spares[0]
-	srv := grp.Rep.Component(name)
+	name := srv.Name()
 	txn.SetProp(srv, PropActive, true)
 	txn.SetProp(grp, PropReplication, grp.Props().FloatOr(PropReplication, 0)+1)
 	txn.Record(repair.Op{Kind: repair.OpAddServer, Group: grp.Name(), Server: name})

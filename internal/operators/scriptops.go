@@ -30,7 +30,7 @@ func ScriptOperators(query GroupQuery) script.OperatorSet {
 				if err != nil {
 					return err
 				}
-				if len(SpareServers(grp)) == 0 {
+				if firstSpare(grp) == nil {
 					// Figure 5 calls addServer on every overloaded group; a
 					// group with no spare is a no-op, not an abort — the
 					// script detects overall effect via replicasOf.

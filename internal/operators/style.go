@@ -160,6 +160,20 @@ func ActiveServers(grp *model.Component) []string {
 	return out
 }
 
+// firstSpare returns the first inactive server in a group, or nil when none
+// is left — the head of SpareServers without building the list.
+func firstSpare(grp *model.Component) *model.Component {
+	if grp.Rep == nil {
+		return nil
+	}
+	for _, s := range grp.Rep.Components() {
+		if !s.Props().BoolOr(PropActive, false) {
+			return s
+		}
+	}
+	return nil
+}
+
 // SpareServers returns the names of inactive servers in a group.
 func SpareServers(grp *model.Component) []string {
 	var out []string

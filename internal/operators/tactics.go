@@ -40,7 +40,8 @@ func subjectClient(ctx *repair.Context) (*model.Component, error) {
 // group connected to the client is overloaded, activate a server in each.
 // It declines (false) when no group is overloaded, or when every overloaded
 // group is out of spares — in the paper's run that is exactly when "the only
-// repair possible was to move clients".
+// repair possible was to move clients". Declining builds no list: it runs on
+// every check tick while such a violation stands.
 func FixServerLoad() *repair.Tactic {
 	return &repair.Tactic{
 		Name: "fixServerLoad",
@@ -50,25 +51,16 @@ func FixServerLoad() *repair.Tactic {
 				return false, err
 			}
 			maxLoad := ctx.Sys.Props().FloatOr(PropMaxServerLoad, 6)
-			var loaded []*model.Component
+			activated := false
 			for _, grp := range ctx.Sys.ComponentsByType(TServerGroup) {
-				if !ctx.Sys.Connected(grp, cli) {
+				if grp.Props().FloatOr(PropLoad, 0) <= maxLoad || !ctx.Sys.Connected(grp, cli) || firstSpare(grp) == nil {
 					continue
 				}
-				if grp.Props().FloatOr(PropLoad, 0) > maxLoad {
-					loaded = append(loaded, grp)
-				}
-			}
-			if len(loaded) == 0 {
-				return false, nil
-			}
-			activated := 0
-			for _, grp := range loaded {
 				if _, err := AddServer(ctx.Txn, grp); err == nil {
-					activated++
+					activated = true
 				}
 			}
-			return activated > 0, nil
+			return activated, nil
 		},
 	}
 }

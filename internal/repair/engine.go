@@ -2,6 +2,7 @@ package repair
 
 import (
 	"fmt"
+	"slices"
 
 	"archadapt/internal/constraint"
 	"archadapt/internal/model"
@@ -19,12 +20,14 @@ type TranslatorFunc func(op Op) error
 // Apply implements Translator.
 func (f TranslatorFunc) Apply(op Op) error { return f(op) }
 
-// Record is one engine-level repair attempt, kept for the repair history
-// (drawn as the interval bars atop Figures 11–13) and for oscillation
-// analysis.
+// Record is one engine-level repair attempt: what HandleViolation returns
+// and the Observer receives. The engine keeps one record and rewrites it on
+// every attempt, so a *Record is valid until the next HandleViolation; a
+// caller that keeps it longer copies it. The Applied and Ops of a committed
+// record are its own and outlive the rewrite. The repair history drawn atop
+// Figures 11–13 is the manager's spans, not the engine's records.
 type Record struct {
 	Time     float64
-	Duration float64 // filled in by the manager once runtime effects land
 	Strategy string
 	Subject  string
 	Applied  []string
@@ -57,9 +60,10 @@ type Engine struct {
 	OscillationMoves  int
 	DampFactor        float64
 	AlertFn           func(v constraint.Violation, reason string)
-	// Observer, when non-nil, receives every appended record — successful,
-	// failed and damped attempts alike — the moment the attempt resolves.
-	// The observability plane hangs its repair-decision spans off this hook;
+	// Observer, when non-nil, receives the record of every attempt —
+	// successful, failed and damped alike — the moment the attempt resolves,
+	// under the same validity rule as HandleViolation's result. The
+	// observability plane hangs its repair-decision spans off this hook;
 	// nil (the default) costs one comparison per attempt.
 	Observer func(rec *Record, v constraint.Violation, now float64)
 
@@ -67,8 +71,12 @@ type Engine struct {
 	order      []string
 	cooldown   map[string]float64   // subject -> earliest next repair time
 	moveTimes  map[string][]float64 // client -> recent move times
-	records    []Record
 	alerts     int
+	// scratch is the transaction, environment, context and record every
+	// attempt reuses, so an attempt that repairs nothing allocates nothing.
+	// It is made on the first attempt: an engine that never decides pays
+	// for none of it.
+	scratch *scratch
 }
 
 // NewEngine creates an engine over sys that pushes operations through tr.
@@ -92,20 +100,8 @@ func (e *Engine) Bind(invariantName string, s *Strategy) {
 	e.strategies[invariantName] = s
 }
 
-// Records returns the repair history.
-func (e *Engine) Records() []Record { return e.records }
-
 // Alerts returns how many times the engine escalated to a human.
 func (e *Engine) Alerts() int { return e.alerts }
-
-// LastRecord returns a pointer to the most recent record (nil if none), so
-// the manager can annotate durations.
-func (e *Engine) LastRecord() *Record {
-	if len(e.records) == 0 {
-		return nil
-	}
-	return &e.records[len(e.records)-1]
-}
 
 func subjectName(v constraint.Violation) string {
 	if v.Subject == nil {
@@ -114,9 +110,9 @@ func subjectName(v constraint.Violation) string {
 	return v.Subject.Name()
 }
 
-// finish notifies the observer of the just-appended record and returns it.
+// finish notifies the observer of the attempt's record and returns it.
 func (e *Engine) finish(v constraint.Violation, now float64) *Record {
-	rec := e.LastRecord()
+	rec := &e.scratch.rec
 	if e.Observer != nil {
 		e.Observer(rec, v, now)
 	}
@@ -124,8 +120,9 @@ func (e *Engine) finish(v constraint.Violation, now float64) *Record {
 }
 
 // HandleViolation runs the bound strategy for one violation at time now.
-// It returns the record of the attempt, or nil when the violation was
-// suppressed (cooldown) or had no bound strategy.
+// It returns the record of the attempt, valid until the next call (see
+// Record), or nil when the violation was suppressed (cooldown) or had no
+// bound strategy.
 func (e *Engine) HandleViolation(v constraint.Violation, now float64) *Record {
 	if v.Invariant == nil {
 		return nil
@@ -139,41 +136,20 @@ func (e *Engine) HandleViolation(v constraint.Violation, now float64) *Record {
 		return nil
 	}
 
-	txn := NewTxn(e.Sys)
-	env := constraint.NewEnv(e.Sys)
-	env.Funcs = e.Funcs
-	if v.Subject != nil {
-		env.Bind("it", constraint.Elem(v.Subject))
+	if e.scratch == nil {
+		e.scratch = &scratch{}
 	}
-	ctx := &Context{Sys: e.Sys, Violation: v, Txn: txn, Env: env, Now: now}
-
-	rec := Record{Time: now, Strategy: s.Name, Subject: subj}
-	for _, tac := range s.Tactics {
-		applied, err := tac.Script(ctx)
-		if err != nil {
-			if rbErr := txn.Abort(); rbErr != nil {
-				err = fmt.Errorf("%w (and %v)", err, rbErr)
+	ctx := e.scratch.open(e.Sys, v, e.Funcs, now)
+	rec := &e.scratch.rec
+	*rec = Record{Time: now, Strategy: s.Name, Subject: subj}
+	applied, err := s.run(ctx)
+	if err != nil {
+		rec.Err = err
+		if err == ErrNoTacticApplied {
+			e.alerts++
+			if e.AlertFn != nil {
+				e.AlertFn(v, "no applicable tactic")
 			}
-			rec.Err = fmt.Errorf("repair: tactic %s: %w", tac.Name, err)
-			rec.Applied = nil
-			e.records = append(e.records, rec)
-			return e.finish(v, now)
-		}
-		if !applied {
-			continue
-		}
-		rec.Applied = append(rec.Applied, tac.Name)
-		if s.Policy == FirstSuccess {
-			break
-		}
-	}
-	if len(rec.Applied) == 0 {
-		_ = txn.Abort()
-		rec.Err = ErrNoTacticApplied
-		e.records = append(e.records, rec)
-		e.alerts++
-		if e.AlertFn != nil {
-			e.AlertFn(v, "no applicable tactic")
 		}
 		return e.finish(v, now)
 	}
@@ -181,17 +157,16 @@ func (e *Engine) HandleViolation(v constraint.Violation, now float64) *Record {
 	// Propagate to the runtime layer; any failure aborts the model change so
 	// model and system stay consistent.
 	if e.Translator != nil {
-		for _, op := range txn.Ops() {
+		for _, op := range ctx.Txn.Ops() {
 			if err := e.Translator.Apply(op); err != nil {
-				_ = txn.Abort()
+				_ = ctx.Txn.Abort()
 				rec.Err = fmt.Errorf("repair: translate %s: %w", op, err)
-				rec.Applied = nil
-				e.records = append(e.records, rec)
 				return e.finish(v, now)
 			}
 		}
 	}
-	rec.Ops = txn.Ops()
+	rec.Applied = applied
+	rec.Ops = slices.Clone(ctx.Txn.Ops()) // the transaction is reused
 
 	// Settling & oscillation damping.
 	cool := e.SettleTime
@@ -226,25 +201,20 @@ func (e *Engine) HandleViolation(v constraint.Violation, now float64) *Record {
 	if cool > 0 {
 		e.cooldown[subj] = now + cool
 	}
-	e.records = append(e.records, rec)
 	return e.finish(v, now)
 }
 
 // HandleAll processes violations in order, stopping after the first
 // successful repair (the paper's prototype "simply chose to repair the first
-// client that reported an error"). Sorting/prioritizing happens upstream in
+// client that reported an error"), and returns that repair's record — valid
+// until the next HandleViolation — or nil when none succeeded. Failed
+// attempts reach the Observer only. Sorting/prioritizing happens upstream in
 // the manager when the smarter selection extension is enabled.
-func (e *Engine) HandleAll(vs []constraint.Violation, now float64) []*Record {
-	var out []*Record
+func (e *Engine) HandleAll(vs []constraint.Violation, now float64) *Record {
 	for _, v := range vs {
-		r := e.HandleViolation(v, now)
-		if r == nil {
-			continue
-		}
-		out = append(out, r)
-		if r.Err == nil {
-			break
+		if r := e.HandleViolation(v, now); r != nil && r.Err == nil {
+			return r
 		}
 	}
-	return out
+	return nil
 }

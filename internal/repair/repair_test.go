@@ -209,6 +209,13 @@ func TestEngineTranslatesOps(t *testing.T) {
 			return true, nil
 		}}},
 	})
+	var observed []*Record
+	eng.Observer = func(rec *Record, _ constraint.Violation, now float64) {
+		if now != 10 {
+			t.Errorf("observer called at %v", now)
+		}
+		observed = append(observed, rec)
+	}
 	rec := eng.HandleViolation(latencyViolation(s), 10)
 	if rec == nil || rec.Err != nil {
 		t.Fatalf("record %+v", rec)
@@ -216,8 +223,39 @@ func TestEngineTranslatesOps(t *testing.T) {
 	if len(applied) != 1 || applied[0].Kind != OpMoveClient {
 		t.Fatalf("applied=%v", applied)
 	}
-	if len(eng.Records()) != 1 {
-		t.Fatal("history missing")
+	if len(observed) != 1 || observed[0] != rec || len(rec.Ops) != 1 || rec.Ops[0] != applied[0] {
+		t.Fatalf("observer saw %d records, want the returned one with the translated op", len(observed))
+	}
+}
+
+// A committed record's Applied and Ops are its own: the engine's next attempt
+// rewrites the record and reuses the transaction, but not them.
+func TestCommittedRecordOutlivesTheNextAttempt(t *testing.T) {
+	s := small()
+	eng := NewEngine(s, nil)
+	next := 0
+	eng.Bind("latencyBound", &Strategy{
+		Name:   "fix",
+		Policy: FirstSuccess,
+		Tactics: []*Tactic{{Name: "t", Script: func(ctx *Context) (bool, error) {
+			next++
+			ctx.Txn.Record(Op{Kind: OpAddServer, Group: "grp", Server: fmt.Sprint(next)})
+			return next < 3, nil
+		}}},
+	})
+	v := latencyViolation(s)
+	first := *eng.HandleViolation(v, 0)
+	second := eng.HandleViolation(v, 1)
+	if first.Err != nil || second.Err != nil || first.Ops[0].Server != "1" || second.Ops[0].Server != "2" ||
+		first.Applied[0] != "t" {
+		t.Fatalf("first %+v, second %+v", first, *second)
+	}
+	ops := second.Ops
+	if third := eng.HandleViolation(v, 2); !errors.Is(third.Err, ErrNoTacticApplied) || third.Ops != nil || third.Applied != nil {
+		t.Fatalf("declined attempt: %+v", *third)
+	}
+	if len(ops) != 1 || ops[0].Server != "2" {
+		t.Fatalf("the committed ops changed under a later attempt: %v", ops)
 	}
 }
 
@@ -344,18 +382,28 @@ func TestHandleAllStopsAfterSuccess(t *testing.T) {
 		t.Fatalf("violations=%d", len(vs))
 	}
 	fixed := []string{}
+	declines := map[string]bool{"cli": true}
 	eng := NewEngine(s, nil)
 	eng.Bind("latencyBound", &Strategy{
 		Name:   "fix",
 		Policy: FirstSuccess,
 		Tactics: []*Tactic{{Name: "t", Script: func(ctx *Context) (bool, error) {
 			fixed = append(fixed, ctx.Violation.Subject.Name())
-			return true, nil
+			return !declines[ctx.Violation.Subject.Name()], nil
 		}}},
 	})
-	recs := eng.HandleAll(vs, 0)
-	if len(recs) != 1 || len(fixed) != 1 {
-		t.Fatalf("recs=%d fixed=%v — should stop after first success", len(recs), fixed)
+	// The first subject's attempt declines; the second commits and is the
+	// record returned.
+	if rec := eng.HandleAll(vs, 0); rec == nil || rec.Subject != "cli2" || len(fixed) != 2 {
+		t.Fatalf("rec=%+v fixed=%v — want cli2's committed record after cli declined", rec, fixed)
+	}
+	fixed, declines = nil, map[string]bool{}
+	if rec := eng.HandleAll(vs, 1); rec == nil || rec.Subject != "cli" || len(fixed) != 1 {
+		t.Fatalf("rec=%+v fixed=%v — should stop after first success", rec, fixed)
+	}
+	declines = map[string]bool{"cli": true, "cli2": true}
+	if rec := eng.HandleAll(vs, 2); rec != nil {
+		t.Fatalf("nothing committed, got %+v", rec)
 	}
 }
 

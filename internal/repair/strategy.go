@@ -77,39 +77,62 @@ type Outcome struct {
 // Execute runs the strategy transactionally: on success the transaction's
 // ops are returned for translation; on failure the model is rolled back.
 func (s *Strategy) Execute(sys *model.System, v constraint.Violation, funcs map[string]func([]constraint.Value) (constraint.Value, error), now float64) Outcome {
-	txn := NewTxn(sys)
-	env := constraint.NewEnv(sys)
-	if funcs != nil {
-		env.Funcs = funcs
-	}
-	if v.Subject != nil {
-		env.Bind("it", constraint.Elem(v.Subject))
-	}
-	ctx := &Context{Sys: sys, Violation: v, Txn: txn, Env: env, Now: now}
+	var sc scratch
+	ctx := sc.open(sys, v, funcs, now)
 	out := Outcome{Strategy: s.Name}
+	if out.Applied, out.Err = s.run(ctx); out.Err == nil {
+		out.Ops = ctx.Txn.Ops()
+	}
+	return out
+}
+
+// run sequences the tactics in ctx under the strategy's policy and returns
+// the names of those that applied. A script error, or no tactic applying
+// (ErrNoTacticApplied), rolls the transaction back. Nothing is allocated
+// until a tactic applies.
+func (s *Strategy) run(ctx *Context) (applied []string, err error) {
 	for _, tac := range s.Tactics {
-		applied, err := tac.Script(ctx)
+		ok, err := tac.Script(ctx)
 		if err != nil {
-			if rbErr := txn.Abort(); rbErr != nil {
+			if rbErr := ctx.Txn.Abort(); rbErr != nil {
 				err = fmt.Errorf("%w (and %v)", err, rbErr)
 			}
-			out.Err = fmt.Errorf("repair: tactic %s: %w", tac.Name, err)
-			out.Applied = nil
-			return out
+			return nil, fmt.Errorf("repair: tactic %s: %w", tac.Name, err)
 		}
-		if !applied {
+		if !ok {
 			continue
 		}
-		out.Applied = append(out.Applied, tac.Name)
+		applied = append(applied, tac.Name)
 		if s.Policy == FirstSuccess {
 			break
 		}
 	}
-	if len(out.Applied) == 0 {
-		_ = txn.Abort()
-		out.Err = ErrNoTacticApplied
-		return out
+	if len(applied) == 0 {
+		_ = ctx.Txn.Abort()
+		return nil, ErrNoTacticApplied
 	}
-	out.Ops = txn.Ops()
-	return out
+	return applied, nil
+}
+
+// scratch is what one strategy execution works in: its transaction,
+// expression environment and tactic context, plus the engine's record of the
+// attempt. The engine keeps one and reopens it for every attempt.
+type scratch struct {
+	txn Txn
+	env constraint.Env
+	ctx Context
+	rec Record
+}
+
+// open resets the scratch for one execution against v and returns its
+// context, with `it` bound to the violation subject.
+func (sc *scratch) open(sys *model.System, v constraint.Violation, funcs map[string]func([]constraint.Value) (constraint.Value, error), now float64) *Context {
+	sc.txn.reset(sys)
+	sc.env.Reset()
+	sc.env.Sys, sc.env.Funcs = sys, funcs
+	if v.Subject != nil {
+		sc.env.Bind("it", constraint.Elem(v.Subject))
+	}
+	sc.ctx = Context{Sys: sys, Violation: v, Txn: &sc.txn, Env: &sc.env, Now: now}
+	return &sc.ctx
 }

@@ -79,6 +79,13 @@ func NewTxn(sys *model.System) *Txn {
 	return &Txn{Sys: sys}
 }
 
+// reset reopens the transaction on sys with nothing recorded, keeping the
+// storage of the last one.
+func (t *Txn) reset(sys *model.System) {
+	clear(t.undo)
+	t.Sys, t.undo, t.ops, t.aborted = sys, t.undo[:0], t.ops[:0], false
+}
+
 // Ops returns the semantic operations recorded so far.
 func (t *Txn) Ops() []Op { return t.ops }
 

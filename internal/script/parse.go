@@ -9,8 +9,9 @@ import (
 // parser walks the token stream of the constraint lexer; an embedded
 // expression is parsed where it stands, on the same tokens.
 type parser struct {
-	toks []constraint.Token
-	i    int
+	toks  []constraint.Token
+	i     int
+	depth int // statements open around the current one
 }
 
 // ParseDefs parses a script source into strategy/tactic definitions.
@@ -147,7 +148,14 @@ func (p *parser) parseBlock() ([]stmt, error) {
 	return out, nil
 }
 
+// parseStmt parses one statement. Every cycle of the descent — a block
+// inside `if` or `foreach`, an `else if` chain — passes through here, so this
+// is where nesting is bounded, at the depth the expression parser allows.
 func (p *parser) parseStmt() (stmt, error) {
+	if p.depth++; p.depth > constraint.MaxNesting {
+		return nil, p.errorf("statements nested deeper than %d", constraint.MaxNesting)
+	}
+	defer func() { p.depth-- }()
 	switch {
 	case p.accept("let"):
 		name, err := p.word("let variable")

@@ -2,6 +2,8 @@ package script
 
 import (
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -226,6 +228,29 @@ func TestParseErrorsCarryTheLine(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), "script:3: ") {
 			t.Errorf("%s: error %v, want it to start with script:3:", name, err)
 		}
+	}
+}
+
+// Statement nesting is bounded at constraint.MaxNesting, whichever statement
+// recurses, and reported at its line. The stack limit is lowered so that an
+// unbounded parser dies here on a stack overflow: the if/foreach rows need
+// about 64 MB of stack unbounded and stay under 16 MB bounded.
+func TestStatementNestingIsBounded(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(32 << 20))
+	deep := 8 * constraint.MaxNesting
+	for name, src := range map[string]string{
+		"if":      "strategy f() = {\n" + strings.Repeat("if (x) {", deep),
+		"foreach": "strategy f() = {\n" + strings.Repeat("foreach g in x {", deep),
+		"else if": "strategy f() = {\nif (x) { }" + strings.Repeat(" else if (x) { }", 2*constraint.MaxNesting) + "\n}",
+	} {
+		_, err := ParseDefs(src)
+		if want := fmt.Sprintf("script:2: statements nested deeper than %d", constraint.MaxNesting); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+	}
+	// ... and the bound is far from any script a person writes.
+	if _, err := ParseDefs("strategy f() = {" + strings.Repeat("if (x) {", 100) + strings.Repeat("}", 101)); err != nil {
+		t.Error(err)
 	}
 }
 
