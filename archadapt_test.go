@@ -3,10 +3,12 @@ package archadapt
 import (
 	"strings"
 	"testing"
+
+	"archadapt/internal/experiment"
 )
 
-// The facade tests exercise the public API end to end, the way the examples
-// and external users do.
+// The facade tests exercise the public API end to end, the way the commands
+// do; example_test.go runs Deploy the way a caller would.
 
 func TestFacadeExperimentRoundTrip(t *testing.T) {
 	control := RunExperiment(ExperimentOptions{Seed: 3, Duration: 700})
@@ -21,54 +23,8 @@ func TestFacadeExperimentRoundTrip(t *testing.T) {
 	if !strings.Contains(out, "adaptive") {
 		t.Fatalf("comparison:\n%s", out)
 	}
-	if plot := RenderFigure(Figure8, control); len(plot) < 100 {
+	if plot := RenderFigure(experiment.Figure8, control); len(plot) < 100 {
 		t.Fatal("figure render failed")
-	}
-}
-
-func TestFacadeDeployAndRepair(t *testing.T) {
-	k := NewKernel()
-	net := NewNetwork(k)
-	cHost := net.AddHost("client")
-	r1 := net.AddRouter("r1")
-	r2 := net.AddRouter("r2")
-	r3 := net.AddRouter("r3")
-	hostA := net.AddHost("hostA")
-	hostB := net.AddHost("hostB")
-	mgrHost := net.AddHost("mgr")
-	net.Connect(cHost, r1, 10e6, 1e-3)
-	linkA := net.Connect(r1, r2, 10e6, 1e-3)
-	net.Connect(r2, hostA, 10e6, 1e-3)
-	net.Connect(r1, r3, 10e6, 1e-3)
-	net.Connect(r3, hostB, 10e6, 1e-3)
-	net.Connect(r1, mgrHost, 10e6, 1e-3)
-
-	spec := Spec{
-		Name: "t",
-		Groups: []GroupSpec{
-			{Name: "GroupA", Servers: []string{"A1"}, ActiveCount: 1},
-			{Name: "GroupB", Servers: []string{"B1"}, ActiveCount: 1},
-		},
-		Clients:       []ClientSpec{{Name: "C1", Group: "GroupA"}},
-		MaxLatency:    2.0,
-		MaxServerLoad: 6,
-		MinBandwidth:  10e3,
-	}
-	dep, err := Deploy(k, net, spec, Placement{
-		ServerHosts: map[string]NodeID{"A1": hostA, "B1": hostB},
-		ClientHosts: map[string]NodeID{"C1": cHost},
-		QueueHost:   mgrHost,
-		ManagerHost: mgrHost,
-	}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := dep.Manage(DefaultConfig())
-	dep.App.Start()
-	k.At(60, func() { net.SetBackgroundBoth(linkA, 10e6-5e3) })
-	k.Run(300)
-	if dep.App.Client("C1").Group != "GroupB" {
-		t.Fatalf("client not moved; spans=%+v alerts=%d", mgr.Spans(), len(mgr.Alerts()))
 	}
 }
 
@@ -92,55 +48,5 @@ func TestFacadeDeployErrors(t *testing.T) {
 		QueueHost:   h, ManagerHost: h,
 	}, 1); err == nil {
 		t.Fatal("missing client host should fail")
-	}
-}
-
-func TestFacadeACME(t *testing.T) {
-	src := `system s : ClientServerFam = {
-        property maxLatency = 2.0;
-        component c : ClientT = { port p : RequestT; property averageLatency = 1.0; }
-        invariant lat on ClientT : averageLatency <= maxLatency;
-    }`
-	d, err := ParseACME(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	printed := PrintACME(d)
-	d2, err := ParseACME(printed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.System.Equal(d2.System) {
-		t.Fatal("ACME round trip failed")
-	}
-	if len(d.Invariants[0].Check(d.System, nil, false)) != 0 {
-		t.Fatal("invariant should hold")
-	}
-}
-
-func TestFacadeQueueingAnalysis(t *testing.T) {
-	m, q, ok := ServersFor(6, 3, 2.0, 10)
-	if !ok || m != 3 {
-		t.Fatalf("sizing=%d %v ok=%v", m, q, ok)
-	}
-	if bw := MinBandwidth(20*8192, 2.0); bw < 80e3 || bw > 82e3 {
-		t.Fatalf("MinBandwidth=%v", bw)
-	}
-}
-
-func TestFacadeConstraintAndModel(t *testing.T) {
-	m := NewModel("demo", "Fam")
-	m.Props().Set("limit", 5.0)
-	c := m.AddComponent("x", "T")
-	c.Props().Set("v", 7.0)
-	inv, err := NewInvariant("bound", "T", "v <= limit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := inv.Check(m, nil, false); len(vs) != 1 {
-		t.Fatalf("violations=%v", vs)
-	}
-	if _, err := ParseConstraint("exists p : T in self.Components | p.v > 0"); err != nil {
-		t.Fatal(err)
 	}
 }

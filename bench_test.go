@@ -17,19 +17,23 @@ package archadapt
 //	§7 selection     BenchmarkAblationSmartSelection
 //	§5 sizing        BenchmarkQueueingAnalysis
 //
-// Shape expectations (not absolute numbers) are recorded in EXPERIMENTS.md.
+// EXPERIMENTS.md records the seed-1 and seed-7 numbers, which
+// internal/experiment pins as golden text, and the shape expectations.
 
 import (
 	"fmt"
 	"testing"
 
+	"archadapt/internal/constraint"
 	"archadapt/internal/envmgr"
 	"archadapt/internal/experiment"
+	"archadapt/internal/fleet"
 	"archadapt/internal/netsim"
 	"archadapt/internal/queueing"
 	"archadapt/internal/remos"
 	"archadapt/internal/repair"
 	"archadapt/internal/sim"
+	"archadapt/internal/workload"
 )
 
 func benchSeed(i int) uint64 { return uint64(i + 1) }
@@ -45,8 +49,8 @@ func runAdaptive(i int, cfg ManagerConfig) *ExperimentResults {
 // BenchmarkFigure7Workload builds and installs the Figure 7 schedule.
 func BenchmarkFigure7Workload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb := NewTestbed(benchSeed(i))
-		sched := PaperWorkload(tb.Net, tb.App, tb.Links, NewRand(benchSeed(i)))
+		tb := experiment.NewTestbed(benchSeed(i))
+		sched := workload.Paper(tb.Net, tb.App, tb.Links, sim.NewRand(benchSeed(i)))
 		sched.Install(tb.K)
 		if len(sched.Steps) < 5 {
 			b.Fatal("workload schedule incomplete")
@@ -123,11 +127,11 @@ func BenchmarkFigure13RepairLoad(b *testing.B) {
 // BenchmarkTable1Operators micro-benchmarks every environment-manager
 // operator of Table 1 on a fresh testbed.
 func BenchmarkTable1Operators(b *testing.B) {
-	bench := func(name string, op func(m *envmgr.Manager, tb *Testbed) error) {
+	bench := func(name string, op func(m *envmgr.Manager, tb *experiment.Testbed) error) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				tb := NewTestbed(1)
+				tb := experiment.NewTestbed(1)
 				m := envmgr.New(tb.K, tb.Net, tb.App, tb.Hosts["mS4"], tb.Rm)
 				tb.Rm.PrequeryAll(
 					[]netsim.NodeID{tb.Hosts["mS4"], tb.Hosts["mS7"]},
@@ -140,26 +144,26 @@ func BenchmarkTable1Operators(b *testing.B) {
 			}
 		})
 	}
-	bench("createReqQueue", func(m *envmgr.Manager, tb *Testbed) error {
+	bench("createReqQueue", func(m *envmgr.Manager, tb *experiment.Testbed) error {
 		return m.CreateReqQueue("G3")
 	})
-	bench("findServer", func(m *envmgr.Manager, tb *Testbed) error {
+	bench("findServer", func(m *envmgr.Manager, tb *experiment.Testbed) error {
 		_, err := m.FindServer("C3", 1e3)
 		return err
 	})
-	bench("moveClient", func(m *envmgr.Manager, tb *Testbed) error {
+	bench("moveClient", func(m *envmgr.Manager, tb *experiment.Testbed) error {
 		return m.MoveClient("C3", experiment.SG2)
 	})
-	bench("connectServer", func(m *envmgr.Manager, tb *Testbed) error {
+	bench("connectServer", func(m *envmgr.Manager, tb *experiment.Testbed) error {
 		return m.ConnectServer("S4", experiment.SG2)
 	})
-	bench("activateServer", func(m *envmgr.Manager, tb *Testbed) error {
+	bench("activateServer", func(m *envmgr.Manager, tb *experiment.Testbed) error {
 		return m.ActivateServer("S4")
 	})
-	bench("deactivateServer", func(m *envmgr.Manager, tb *Testbed) error {
+	bench("deactivateServer", func(m *envmgr.Manager, tb *experiment.Testbed) error {
 		return m.DeactivateServer("S1")
 	})
-	bench("remosGetFlow", func(m *envmgr.Manager, tb *Testbed) error {
+	bench("remosGetFlow", func(m *envmgr.Manager, tb *experiment.Testbed) error {
 		return m.RemosGetFlow("C3", "S4", func(float64) {})
 	})
 }
@@ -196,7 +200,7 @@ func BenchmarkAblationGaugeCaching(b *testing.B) {
 // BenchmarkAblationMonitoringQoS compares best-effort monitoring (the
 // paper's deployment) against QoS-prioritized monitoring traffic.
 func BenchmarkAblationMonitoringQoS(b *testing.B) {
-	for _, prio := range []Priority{BestEffort, Prioritized} {
+	for _, prio := range []netsim.Priority{netsim.BestEffort, Prioritized} {
 		name := "best-effort"
 		if prio == Prioritized {
 			name = "prioritized"
@@ -342,8 +346,8 @@ func BenchmarkMaxMinReflow(b *testing.B) {
 // BenchmarkConstraintCheck measures invariant evaluation over the paper
 // model.
 func BenchmarkConstraintCheck(b *testing.B) {
-	tb := NewTestbed(1)
-	inv, err := NewInvariant("lat", "ClientT", "averageLatency <= maxLatency")
+	tb := experiment.NewTestbed(1)
+	inv, err := constraint.NewInvariant("lat", "ClientT", "averageLatency <= maxLatency")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -395,7 +399,7 @@ func BenchmarkFleet(b *testing.B) {
 			b.ReportAllocs()
 			var repairs int
 			for i := 0; i < b.N; i++ {
-				res, err := RunFleetScenario(FleetScenarioOptions{
+				res, err := fleet.RunScenario(FleetScenarioOptions{
 					Apps: n, Seed: benchSeed(i), Duration: 600, Adaptive: true,
 					CrushStart: 120, CrushStagger: 5, CrushDuration: 240,
 				})

@@ -9,84 +9,138 @@
 //
 // With -fig 0 (default) it prints run summaries and the comparison table;
 // with -fig N it prints the requested figure (7–13) as an ASCII plot or CSV.
+// A flag value it cannot honour — an unknown mode or figure, a figure whose
+// run -mode leaves out, a negative or non-finite time — is a one-line error
+// and exit status 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"archadapt"
 )
 
-func main() {
-	mode := flag.String("mode", "both", "control | adaptive | both")
-	fig := flag.Int("fig", 0, "figure to regenerate (7-13); 0 = summaries")
-	csv := flag.Bool("csv", false, "emit CSV instead of ASCII plots")
-	seed := flag.Uint64("seed", 1, "experiment seed")
-	caching := flag.Bool("caching", false, "enable gauge caching (§5.3 extension)")
-	qos := flag.Bool("qos", false, "prioritize monitoring traffic (§5.3 extension)")
-	coldRemos := flag.Bool("cold-remos", false, "skip Remos pre-querying (exposes cold-query lag)")
-	settle := flag.Float64("settle", 0, "repair settle time in seconds (§5.3 extension)")
-	smart := flag.Bool("smart", false, "worst-latency-first repair selection (§7 extension)")
-	oscillate := flag.Bool("oscillate", false, "alternating-competition oscillation scenario")
-	duration := flag.Float64("duration", 0, "run duration in seconds (default 1800)")
-	flag.Parse()
+// cli is what the command line resolves to.
+type cli struct {
+	mode string
+	fig  archadapt.Figure
+	csv  bool
+	base archadapt.ExperimentOptions
+}
 
-	cfg := archadapt.DefaultConfig()
-	cfg.GaugeCaching = *caching
-	cfg.SkipRemosPrequery = *coldRemos
-	cfg.SettleTime = *settle
-	cfg.SmartSelection = *smart
+// parseArgs maps the command line onto a cli. Diagnostics go to stderr; a
+// non-nil error means exit 2 (flag.ErrHelp: usage was asked for).
+func parseArgs(args []string, stderr io.Writer) (*cli, error) {
+	c := &cli{base: archadapt.ExperimentOptions{Cfg: archadapt.DefaultConfig()}}
+	cfg := &c.base.Cfg
+	fs := flag.NewFlagSet("archadapt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.mode, "mode", "both", "control | adaptive | both")
+	fig := fs.Int("fig", 0, "figure to regenerate (7-13); 0 = summaries")
+	fs.BoolVar(&c.csv, "csv", false, "emit CSV instead of ASCII plots")
+	fs.Uint64Var(&c.base.Seed, "seed", 1, "experiment seed")
+	fs.BoolVar(&cfg.GaugeCaching, "caching", false, "enable gauge caching (§5.3 extension)")
+	qos := fs.Bool("qos", false, "prioritize monitoring traffic (§5.3 extension)")
+	fs.BoolVar(&cfg.SkipRemosPrequery, "cold-remos", false, "skip Remos pre-querying (exposes cold-query lag)")
+	fs.Float64Var(&cfg.SettleTime, "settle", 0, "repair settle time in seconds (§5.3 extension)")
+	fs.BoolVar(&cfg.SmartSelection, "smart", false, "worst-latency-first repair selection (§7 extension)")
+	fs.BoolVar(&c.base.Oscillate, "oscillate", false, "alternating-competition oscillation scenario")
+	fs.Float64Var(&c.base.Duration, "duration", 0, "run duration in seconds (default 1800)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 	if *qos {
 		cfg.MonitoringPriority = archadapt.Prioritized
 	}
-	base := archadapt.ExperimentOptions{
-		Seed: *seed, Cfg: cfg, Duration: *duration, Oscillate: *oscillate,
-	}
+	c.fig = archadapt.Figure(*fig)
 
-	var control, adaptive *archadapt.ExperimentResults
-	if *mode == "control" || *mode == "both" {
-		fmt.Fprintln(os.Stderr, "running control (1800 simulated seconds)...")
-		opts := base
-		opts.Adaptive = false
-		control = archadapt.RunExperiment(opts)
+	fail := func(format string, a ...any) (*cli, error) {
+		err := fmt.Errorf(format, a...)
+		fmt.Fprintf(stderr, "archadapt: %v\n", err)
+		return nil, err
 	}
-	if *mode == "adaptive" || *mode == "both" {
-		fmt.Fprintln(os.Stderr, "running adaptive (1800 simulated seconds)...")
-		opts := base
+	switch c.mode {
+	case "control", "adaptive", "both":
+	default:
+		return fail("unknown -mode %q (want control|adaptive|both)", c.mode)
+	}
+	if *fig != 0 && (*fig < 7 || *fig > 13) {
+		return fail("unknown -fig %d (want 7-13, or 0 for the summaries)", *fig)
+	}
+	// Figure 7 is the workload and draws on no run.
+	if *fig > 7 && c.mode != "both" {
+		need := "control"
+		if c.fig.Adaptive() {
+			need = "adaptive"
+		}
+		if c.mode != need {
+			return fail("figure %d needs the %s run (-mode %s or both)", *fig, need, need)
+		}
+	}
+	for _, t := range []struct {
+		flag string
+		v    float64
+	}{{"duration", c.base.Duration}, {"settle", cfg.SettleTime}} {
+		if math.IsNaN(t.v) || math.IsInf(t.v, 0) || t.v < 0 {
+			return fail("-%s %v: want a finite number of seconds >= 0", t.flag, t.v)
+		}
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	execute(c, os.Stdout, os.Stderr)
+}
+
+// execute performs the runs a command line resolved to. What it prints on
+// stdout is a function of the options alone; progress goes to stderr.
+func execute(c *cli, stdout, stderr io.Writer) {
+	var control, adaptive *archadapt.ExperimentResults
+	if c.mode == "control" || c.mode == "both" {
+		fmt.Fprintln(stderr, "running control (1800 simulated seconds)...")
+		control = archadapt.RunExperiment(c.base)
+	}
+	if c.mode == "adaptive" || c.mode == "both" {
+		fmt.Fprintln(stderr, "running adaptive (1800 simulated seconds)...")
+		opts := c.base
 		opts.Adaptive = true
 		adaptive = archadapt.RunExperiment(opts)
 	}
 
-	if *fig != 0 {
-		f := archadapt.Figure(*fig)
+	if c.fig != 0 {
 		res := control
-		if f.Adaptive() || (control == nil && adaptive != nil) {
+		if c.fig.Adaptive() || control == nil {
 			res = adaptive
 		}
-		if res == nil {
-			fmt.Fprintf(os.Stderr, "figure %d needs the %s run; adjust -mode\n", *fig,
-				map[bool]string{true: "adaptive", false: "control"}[f.Adaptive()])
-			os.Exit(2)
-		}
-		if *csv {
-			fmt.Println("#", f.Title())
-			fmt.Print(archadapt.FigureCSV(f, res))
+		if c.csv {
+			fmt.Fprintln(stdout, "#", c.fig.Title())
+			fmt.Fprint(stdout, archadapt.FigureCSV(c.fig, res))
 			return
 		}
-		fmt.Print(archadapt.RenderFigure(f, res))
+		fmt.Fprint(stdout, archadapt.RenderFigure(c.fig, res))
 		return
 	}
 
 	if control != nil {
-		fmt.Println(control.Summarize())
+		fmt.Fprintln(stdout, control.Summarize())
 	}
 	if adaptive != nil {
-		fmt.Println(adaptive.Summarize())
+		fmt.Fprintln(stdout, adaptive.Summarize())
 	}
 	if control != nil && adaptive != nil {
-		fmt.Println("=== control vs adaptive ===")
-		fmt.Print(archadapt.CompareRuns(control, adaptive))
+		fmt.Fprintln(stdout, "=== control vs adaptive ===")
+		fmt.Fprint(stdout, archadapt.CompareRuns(control, adaptive))
 	}
 }

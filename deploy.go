@@ -3,7 +3,11 @@ package archadapt
 import (
 	"fmt"
 
+	"archadapt/internal/app"
+	"archadapt/internal/core"
 	"archadapt/internal/operators"
+	"archadapt/internal/remos"
+	"archadapt/internal/sim"
 )
 
 // Placement maps the logical deployment (a Spec) onto simulated machines.
@@ -58,8 +62,8 @@ func Deploy(k *Kernel, net *Network, spec Spec, pl Placement, seed uint64) (*Dep
 		pl.ClientRespBits = 8 * 8192
 	}
 
-	a := NewApp(k, net, pl.QueueHost)
-	rng := NewRand(seed)
+	a := app.New(k, net, pl.QueueHost)
+	rng := sim.NewRand(seed)
 	for _, g := range spec.Groups {
 		if err := a.CreateQueue(g.Name); err != nil {
 			return nil, err
@@ -94,14 +98,14 @@ func Deploy(k *Kernel, net *Network, spec Spec, pl Placement, seed uint64) (*Dep
 	}
 	return &Deployment{
 		K: k, Net: net, App: a, Model: mdl,
-		Rm:        NewRemos(k, net, pl.ManagerHost),
+		Rm:        remos.New(k, net, pl.ManagerHost),
 		placement: pl,
 	}, nil
 }
 
 // Manage attaches the architecture manager and deploys its monitoring.
 func (d *Deployment) Manage(cfg ManagerConfig) *Manager {
-	d.Mgr = NewManager(cfg, d.K, d.Net, d.App, d.Model, d.placement.ManagerHost, d.Rm)
+	d.Mgr = core.New(cfg, d.K, d.Net, d.App, d.Model, d.placement.ManagerHost, d.Rm)
 	d.Mgr.Deploy()
 	return d.Mgr
 }

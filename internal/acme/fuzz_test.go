@@ -9,6 +9,7 @@ func FuzzParse(f *testing.F) {
 	f.Add(stringsADL)
 	f.Add(`system s = { component a; connector c; property x = -2.5; invariant i : exists c in self.Components | c.x != nil; }`)
 	f.Add(`system s = { component a = { port p = { property q = "` + "\x00\xff" + `"; } representation = { invariant deep on T : 1 < 2; } } }`)
+	f.Add(`system café = { component naïve; }`) // a name is ASCII
 	f.Fuzz(func(t *testing.T, src string) {
 		d, err := Parse(src)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 // Kind classifies a Token.
@@ -48,7 +47,9 @@ func (t Token) Is(text string) bool {
 
 // Lex tokenizes src. It does not fail: what cannot be a token becomes a Bad
 // token, which no grammar accepts, so the parser that meets it reports it
-// with its line like any other unexpected token. `//` starts a comment that
+// with its line like any other unexpected token. Words and numbers are ASCII:
+// a word is [A-Za-z_][A-Za-z0-9_]*, a digit is 0-9, and outside strings and
+// comments the first byte above 0x7f is Bad. `//` starts a comment that
 // runs to the end of the line. A string literal is read by the rule that
 // inverts strconv.Quote, which is what Value.String and the Acme printer
 // write; an escape Go does not know is Bad, and so is a raw newline.
@@ -72,12 +73,12 @@ scan:
 			for i < n && src[i] != '\n' {
 				i++
 			}
-		case unicode.IsDigit(rune(c)) || (c == '.' && i+1 < n && unicode.IsDigit(rune(src[i+1]))):
+		case isDigit(c) || (c == '.' && i+1 < n && isDigit(src[i+1])):
 			j := i
 			seenDot, seenExp := false, false
 			for j < n {
 				d := src[j]
-				if unicode.IsDigit(rune(d)) {
+				if isDigit(d) {
 					j++
 					continue
 				}
@@ -122,9 +123,9 @@ scan:
 			}
 			emit(String, s, i)
 			i = j + 1
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case isLetter(c):
 			j := i
-			for j < n && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_') {
+			for j < n && (isLetter(src[j]) || isDigit(src[j])) {
 				j++
 			}
 			emit(Ident, src[i:j], i)
@@ -136,10 +137,15 @@ scan:
 			emit(Punct, src[i:i+1], i)
 			i++
 		default:
-			emit(Bad, fmt.Sprintf("unexpected character %q", c), i)
+			emit(Bad, fmt.Sprintf("unexpected byte %q", src[i:i+1]), i)
 			break scan
 		}
 	}
 	emit(EOF, "", n)
 	return toks
 }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// isLetter reports whether c may start a word: an ASCII letter or '_'.
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' }

@@ -11,16 +11,32 @@ import (
 )
 
 // The integration tests run the full 30-minute experiment (a fraction of a
-// second of wall time) and assert the paper's qualitative claims.
+// second of wall time) and assert the paper's qualitative claims;
+// golden_test.go pins its numbers.
+
+// seedRuns holds the default-option runs, made once per test binary and
+// shared by every test that reads them (none writes to a Results).
+var seedRuns = map[Options]*Results{}
+
+// seedRun is the run with default options at a seed.
+func seedRun(adaptive bool, seed uint64) *Results {
+	opts := Options{Adaptive: adaptive, Seed: seed}
+	if r, ok := seedRuns[opts]; ok {
+		return r
+	}
+	r := Run(opts)
+	seedRuns[opts] = r
+	return r
+}
 
 func controlRun(t *testing.T) *Results {
 	t.Helper()
-	return Run(Options{Adaptive: false, Seed: 1})
+	return seedRun(false, 1)
 }
 
 func adaptiveRun(t *testing.T) *Results {
 	t.Helper()
-	return Run(Options{Adaptive: true, Seed: 1})
+	return seedRun(true, 1)
 }
 
 func TestTestbedTopology(t *testing.T) {
@@ -160,7 +176,7 @@ func TestMatchedSeeding(t *testing.T) {
 func TestGaugeCachingAblation(t *testing.T) {
 	// §5.3: "caching gauges or relocating them ... should see our repair
 	// speed improve dramatically."
-	slow := Run(Options{Adaptive: true, Seed: 1})
+	slow := adaptiveRun(t)
 	fast := Run(Options{Adaptive: true, Seed: 1, Cfg: core.Config{GaugeCaching: true}})
 	ss, fs := slow.Summarize(), fast.Summarize()
 	if fs.Repairs == 0 || ss.Repairs == 0 {
@@ -176,7 +192,7 @@ func TestMonitoringQoSAblation(t *testing.T) {
 	// §5.3: prioritizing monitoring traffic removes the detection lag when
 	// the shared network is congested. With QoS the first repair lands no
 	// later than without it.
-	be := Run(Options{Adaptive: true, Seed: 1})
+	be := adaptiveRun(t)
 	qos := Run(Options{Adaptive: true, Seed: 1,
 		Cfg: core.Config{MonitoringPriority: netsim.Prioritized}})
 	if len(be.Spans) == 0 || len(qos.Spans) == 0 {
@@ -195,7 +211,7 @@ func TestMonitoringQoSAblation(t *testing.T) {
 func TestRemosPrequeryAblation(t *testing.T) {
 	// §5.3: without pre-querying, the first bandwidth queries take minutes,
 	// delaying the move repairs.
-	warm := Run(Options{Adaptive: true, Seed: 1})
+	warm := adaptiveRun(t)
 	cold := Run(Options{Adaptive: true, Seed: 1, Cfg: core.Config{SkipRemosPrequery: true}})
 	firstMove := func(r *Results) float64 {
 		for _, sp := range r.Spans {
@@ -219,7 +235,7 @@ func TestRemosPrequeryAblation(t *testing.T) {
 func TestSettlingReducesRepairChurn(t *testing.T) {
 	// §5.3 extension: with settle time, fewer repair attempts/alerts fire
 	// while a repair's effect is still landing.
-	raw := Run(Options{Adaptive: true, Seed: 1})
+	raw := adaptiveRun(t)
 	settled := Run(Options{Adaptive: true, Seed: 1, Cfg: core.Config{SettleTime: 60}})
 	rs, ss := raw.Summarize(), settled.Summarize()
 	if ss.Alerts > rs.Alerts {
@@ -275,7 +291,7 @@ func TestOscillationDampingAblation(t *testing.T) {
 func TestScriptedRepairsMatchHandCoded(t *testing.T) {
 	// The Figure 5 script, compiled and bound in place of the hand-coded
 	// tactics, must produce the same repair sequence on the full run.
-	hand := Run(Options{Adaptive: true, Seed: 1})
+	hand := adaptiveRun(t)
 	scripted := Run(Options{Adaptive: true, Seed: 1, Cfg: core.Config{ScriptedRepairs: true}})
 	hs, ss := hand.Summarize(), scripted.Summarize()
 	if hs.Repairs != ss.Repairs || hs.Moves != ss.Moves {

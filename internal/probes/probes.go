@@ -90,8 +90,9 @@ func (p *QueueProbe) Stop() {
 	}
 }
 
-// ServerProbe samples server busyness — used by utilization analyses and
-// the webfarm example.
+// ServerProbe samples server busyness for utilization analyses. No manager
+// deploys it: the scale-down repair (ExampleDeploy_scaleDown) reads a group's
+// load from the QueueProbe.
 type ServerProbe struct {
 	stop func()
 }

@@ -107,9 +107,15 @@ func TestPaperSizing(t *testing.T) {
 	if m != 3 {
 		t.Fatalf("ServersFor=%d (%s), want 3 (the paper's initial deployment)", m, q)
 	}
-	// And the 10 Kbps floor: a 2.5 KB reply in 2 s needs 10 Kbps.
-	if bw := MinBandwidth(2.5*8192, 2.0); math.Abs(bw-10240) > 1 {
-		t.Fatalf("MinBandwidth=%v, want ~10Kbps", bw)
+	// And the bandwidth floors: a 2.5 KB reply in 2 s needs the paper's
+	// 10 Kbps, a 20 KB one (the load phase's replies) 80 Kbps.
+	for _, tc := range []struct{ respBits, want float64 }{
+		{2.5 * 8192, 10240},
+		{20 * 8192, 81920},
+	} {
+		if bw := MinBandwidth(tc.respBits, 2.0); math.Abs(bw-tc.want) > 1 {
+			t.Errorf("MinBandwidth(%v, 2)=%v, want %v", tc.respBits, bw, tc.want)
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ func FuzzParseDefs(f *testing.F) {
 		`strategy f() = { x.y(; }`,
 		`strategy f() = { 5; }`,
 		`strategy f(a : = { let s : set{ = "open`,
+		`strategy réparer(c : ClientT) = { commit repair; }`, // a name is ASCII
 	} {
 		f.Add(src)
 	}
