@@ -83,14 +83,12 @@ type ClientSpec = operators.ClientSpec
 // Remos is the bandwidth-prediction service (remos_get_flow).
 type Remos = remos.Service
 
-// ManagerConfig tunes the architecture manager.
+// ManagerConfig tunes the architecture manager; the zero value is the
+// paper's configuration.
 type ManagerConfig = core.Config
 
 // Manager is the architecture manager: the framework's model layer.
 type Manager = core.Manager
-
-// DefaultConfig returns the paper-faithful manager configuration.
-func DefaultConfig() ManagerConfig { return core.Defaults() }
 
 // --- the paper's experiment (§5) ---
 

@@ -36,7 +36,7 @@ type cli struct {
 // parseArgs maps the command line onto a cli. Diagnostics go to stderr; a
 // non-nil error means exit 2 (flag.ErrHelp: usage was asked for).
 func parseArgs(args []string, stderr io.Writer) (*cli, error) {
-	c := &cli{base: archadapt.ExperimentOptions{Cfg: archadapt.DefaultConfig()}}
+	c := &cli{}
 	cfg := &c.base.Cfg
 	fs := flag.NewFlagSet("archadapt", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -48,12 +48,11 @@ func TestFlagsMapOntoTheOptions(t *testing.T) {
 		return c
 	}
 	c := parse("")
-	if c.mode != "both" || c.fig != 0 || c.csv || c.base != (archadapt.ExperimentOptions{Seed: 1, Cfg: archadapt.DefaultConfig()}) {
+	if c.mode != "both" || c.fig != 0 || c.csv || c.base != (archadapt.ExperimentOptions{Seed: 1}) {
 		t.Errorf("no flags: %+v", c)
 	}
-	want := archadapt.DefaultConfig()
-	want.GaugeCaching, want.SkipRemosPrequery, want.SmartSelection = true, true, true
-	want.SettleTime, want.MonitoringPriority = 60, archadapt.Prioritized
+	want := archadapt.ManagerConfig{GaugeCaching: true, SkipRemosPrequery: true, SmartSelection: true,
+		SettleTime: 60, MonitoringPriority: archadapt.Prioritized}
 	c = parse("-caching -cold-remos -smart -settle 60 -qos -seed 7 -duration 900 -oscillate -fig 7 -mode adaptive")
 	if c.base != (archadapt.ExperimentOptions{Seed: 7, Duration: 900, Oscillate: true, Cfg: want}) || c.fig != 7 || c.mode != "adaptive" {
 		t.Errorf("every flag: %+v", c)

@@ -136,7 +136,6 @@ var cliDefaults = archadapt.FleetScenarioOptions{
 // reports which flags were set.
 func parseOver(base archadapt.FleetScenarioOptions, args []string, stderr io.Writer) (*cli, map[string]bool, error) {
 	c := &cli{base: base}
-	c.base.Manager = archadapt.DefaultConfig()
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	bind(fs, &c.base)

@@ -86,7 +86,7 @@ func TestShapeFlagsBindToTheOptions(t *testing.T) {
 	defaults := archadapt.FleetScenarioOptions{
 		Apps: 32, Seed: 1, Duration: 600, HostCapacity: 1,
 		CrushStart: 120, CrushStagger: 5, CrushDuration: 240,
-		RegionFailRouter: 1, Manager: archadapt.DefaultConfig(),
+		RegionFailRouter: 1,
 	}
 	if got := resolve(""); !reflect.DeepEqual(got, defaults) {
 		t.Errorf("no flags:\n got %+v\nwant %+v", got, defaults)
@@ -100,7 +100,6 @@ func TestShapeFlagsBindToTheOptions(t *testing.T) {
 
 	for _, e := range archadapt.FleetCatalog() {
 		want := e.Opts
-		want.Manager = archadapt.DefaultConfig()
 		if got := resolve("-scenario " + e.Name); !reflect.DeepEqual(got, want) {
 			t.Errorf("-scenario %s:\n got %+v\nwant %+v", e.Name, got, want)
 		}
@@ -110,7 +109,6 @@ func TestShapeFlagsBindToTheOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = entry.Opts
-	want.Manager = archadapt.DefaultConfig()
 	want.CrushStagger, want.HostCapacity = 10, 2
 	if got := resolve("-scenario baseline -crush-stagger 10 -host-capacity 2"); !reflect.DeepEqual(got, want) {
 		t.Errorf("flags over an entry:\n got %+v\nwant %+v", got, want)

@@ -51,7 +51,7 @@ func ExampleDeploy() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr := dep.Manage(archadapt.DefaultConfig())
+	mgr := dep.Manage(archadapt.ManagerConfig{})
 	dep.App.Start()
 
 	// At t=60 s, competition starves the path to GroupA (5 Kbps left).
@@ -169,9 +169,7 @@ func ExampleDeploy_selfHeal() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := archadapt.DefaultConfig()
-	cfg.SettleTime = 30
-	mgr := dep.Manage(cfg)
+	mgr := dep.Manage(archadapt.ManagerConfig{SettleTime: 30})
 	dep.App.Start()
 
 	k.At(200, func() {
@@ -269,11 +267,11 @@ func ExampleDeploy_scaleDown() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := archadapt.DefaultConfig()
-	cfg.ScaleDown = true
-	cfg.SettleTime = 90      // let each scaling action take effect
-	cfg.LoadSmoothing = 0.15 // hysteresis against add/remove flapping
-	mgr := dep.Manage(cfg)
+	mgr := dep.Manage(archadapt.ManagerConfig{
+		ScaleDown:     true,
+		SettleTime:    90,   // let each scaling action take effect
+		LoadSmoothing: 0.15, // hysteresis against add/remove flapping
+	})
 	dep.Model.Props().Set("minServerLoad", 0.5)
 	dep.Model.Props().Set("minReplicas", 2.0)
 	dep.App.Start()

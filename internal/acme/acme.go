@@ -81,15 +81,7 @@ func (p *parser) expectWord() (string, error) {
 }
 
 // Parse parses an ADL source text.
-func Parse(src string) (d *Description, err error) {
-	// The model layer panics on structural misuse (duplicate names); surface
-	// those as parse errors rather than crashing the caller.
-	defer func() {
-		if r := recover(); r != nil {
-			d = nil
-			err = fmt.Errorf("acme: %v", r)
-		}
-	}()
+func Parse(src string) (*Description, error) {
 	p := &parser{toks: constraint.Lex(src)}
 	if !p.accept("system") {
 		return nil, p.errorf("expected 'system', found %s", p.peek())
@@ -108,7 +100,7 @@ func Parse(src string) (d *Description, err error) {
 	if err := p.expect("="); err != nil {
 		return nil, err
 	}
-	d = &Description{System: model.NewSystem(name, style)}
+	d := &Description{System: model.NewSystem(name, style)}
 	if err := p.parseSystemBody(d, d.System); err != nil {
 		return nil, err
 	}
@@ -229,6 +221,11 @@ func (p *parser) parseProperty(props *model.Props) error {
 }
 
 func (p *parser) parseComponent(d *Description, sys *model.System) error {
+	// The model panics on a duplicate name, so each declaration is checked
+	// against its scope before it is added.
+	if t := p.peek(); t.Kind == constraint.Ident && sys.Component(t.Text) != nil {
+		return p.errorf("duplicate component %q", t.Text)
+	}
 	name, err := p.expectWord()
 	if err != nil {
 		return err
@@ -256,6 +253,9 @@ func (p *parser) parseComponent(d *Description, sys *model.System) error {
 				return err
 			}
 		case p.accept("port"):
+			if t := p.peek(); t.Kind == constraint.Ident && c.Port(t.Text) != nil {
+				return p.errorf("duplicate port %s.%s", name, t.Text)
+			}
 			pn, err := p.expectWord()
 			if err != nil {
 				return err
@@ -298,6 +298,9 @@ func (p *parser) parseComponent(d *Description, sys *model.System) error {
 }
 
 func (p *parser) parseConnector(sys *model.System) error {
+	if t := p.peek(); t.Kind == constraint.Ident && sys.Connector(t.Text) != nil {
+		return p.errorf("duplicate connector %q", t.Text)
+	}
 	name, err := p.expectWord()
 	if err != nil {
 		return err
@@ -325,6 +328,9 @@ func (p *parser) parseConnector(sys *model.System) error {
 				return err
 			}
 		case p.accept("role"):
+			if t := p.peek(); t.Kind == constraint.Ident && c.Role(t.Text) != nil {
+				return p.errorf("duplicate role %s.%s", name, t.Text)
+			}
 			rn, err := p.expectWord()
 			if err != nil {
 				return err

@@ -207,14 +207,20 @@ func TestExpressionKeywordsNameElements(t *testing.T) {
 	}
 }
 
-func TestDuplicateComponentPanicsWrapped(t *testing.T) {
-	// model.AddComponent panics on duplicates; the parser should convert
-	// that into an error, not crash. (Currently the panic propagates — this
-	// test documents that Parse recovers.)
-	defer func() { recover() }()
-	_, err := Parse(`system s = { component a; component a; }`)
-	if err == nil {
-		t.Skip("duplicate rejected via panic")
+// A name declared twice in one scope is a parse error at the second
+// declaration's line.
+func TestDuplicateNamesAreLineErrors(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"component", "system s = {\n component a;\n component a;\n}", `acme:3: duplicate component "a"`},
+		{"connector", "system s = {\n connector k;\n\n connector k = { }\n}", `acme:4: duplicate connector "k"`},
+		{"port", "system s = {\n component c = {\n  port p;\n  port p : PT;\n }\n}", `acme:4: duplicate port c.p`},
+		{"role", "system s = {\n connector k = { role r; role x; role r; }\n}", `acme:2: duplicate role k.r`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Parse(tc.src); err == nil || err.Error() != tc.want {
+				t.Errorf("error %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

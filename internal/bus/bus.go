@@ -160,14 +160,15 @@ type Subscription struct {
 	gen     uint64
 }
 
+// msgBits is the on-wire size of one notification (2 KB).
+const msgBits = 2 * 8192
+
 // Bus routes published messages to matching subscribers over the network.
 // It owns the shared infrastructure — pools and dispatch — while Shards own
 // the per-tenant routing state.
 type Bus struct {
 	K   *sim.Kernel
 	Net *netsim.Network
-	// MsgBits is the on-wire size of one notification (default 2 KB).
-	MsgBits float64
 	// Priority applies to all bus traffic; BestEffort reproduces the
 	// paper's monitoring lag, Prioritized is the QoS ablation.
 	Priority netsim.Priority
@@ -186,7 +187,7 @@ type Bus struct {
 
 // New creates a bus on the network.
 func New(k *sim.Kernel, net *netsim.Network) *Bus {
-	return &Bus{K: k, Net: net, MsgBits: 2 * 8192}
+	return &Bus{K: k, Net: net}
 }
 
 // Shard is one tenant's isolated routing domain on a shared Bus. The zero
@@ -439,7 +440,7 @@ func (sh *Shard) PublishBatch(msgs []Message) {
 				}
 			}
 			if !found {
-				delay = b.Net.MessageDelay(msg.Src, s.Host, b.MsgBits, b.Priority)
+				delay = b.Net.MessageDelay(msg.Src, s.Host, msgBits, b.Priority)
 				if msg.Src == src && nmemo < len(memo) {
 					memo[nmemo] = hostDelay{s.Host, delay}
 					nmemo++
@@ -447,7 +448,7 @@ func (sh *Shard) PublishBatch(msgs []Message) {
 			}
 			d := b.getDelivery()
 			d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, msg
-			b.Net.SendPrecomputed(delay, b.MsgBits, b.Priority, deliverFn, d)
+			b.Net.SendPrecomputed(delay, msgBits, b.Priority, deliverFn, d)
 		}
 	}
 }
@@ -474,7 +475,7 @@ func (sh *Shard) dispatch(msg *Message) {
 		}
 		d := b.getDelivery()
 		d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, *msg
-		b.Net.SendMessageTo(msg.Src, s.Host, b.MsgBits, b.Priority, deliverFn, d)
+		b.Net.SendMessageTo(msg.Src, s.Host, msgBits, b.Priority, deliverFn, d)
 	}
 }
 

@@ -11,15 +11,20 @@ import (
 	"archadapt/internal/obs"
 )
 
-// Config tunes the architecture manager. Zero value fields fall back to the
-// defaults in Defaults(), which mirror the paper's deployment.
+// The control loop's timings, as in the paper's deployment.
+const (
+	// checkPeriod is how often constraints are evaluated against the model.
+	checkPeriod = 2.0
+	// gaugePeriod is the reporting period of all gauges.
+	gaugePeriod = 5.0
+	// latencyWindow is the latency gauge's sliding window.
+	latencyWindow = 20.0
+)
+
+// Config tunes the architecture manager. The zero value is the paper's
+// configuration: best-effort monitoring, destroy/recreate gauge churn, no
+// settling, no damping, first-reporter repair selection and pre-queried Remos.
 type Config struct {
-	// CheckPeriod is how often constraints are evaluated against the model.
-	CheckPeriod float64
-	// GaugePeriod is the reporting period of all gauges.
-	GaugePeriod float64
-	// LatencyWindow is the latency gauge's sliding window.
-	LatencyWindow float64
 	// LoadSmoothing is the load gauge's EWMA coefficient in (0,1]; 1 (the
 	// default) reports raw queue samples as the paper did. Lower values add
 	// hysteresis, damping scale-up/scale-down flapping.
@@ -75,29 +80,8 @@ type Config struct {
 	DampFactor        float64
 }
 
-// Defaults returns the paper-faithful configuration: best-effort monitoring,
-// destroy/recreate gauge churn, no settling, no damping, first-reporter
-// repair selection, pre-queried Remos (the paper pre-queried for its runs).
-func Defaults() Config {
-	return Config{
-		CheckPeriod:   2,
-		GaugePeriod:   5,
-		LatencyWindow: 20,
-	}
-}
-
-// withDefaults fills zero fields from Defaults().
+// withDefaults clamps LoadSmoothing into (0,1], where 1 is raw samples.
 func (c Config) withDefaults() Config {
-	d := Defaults()
-	if c.CheckPeriod <= 0 {
-		c.CheckPeriod = d.CheckPeriod
-	}
-	if c.GaugePeriod <= 0 {
-		c.GaugePeriod = d.GaugePeriod
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = d.LatencyWindow
-	}
 	if c.LoadSmoothing <= 0 || c.LoadSmoothing > 1 {
 		c.LoadSmoothing = 1
 	}

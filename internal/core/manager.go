@@ -250,7 +250,7 @@ func (m *Manager) Deploy() {
 	for _, name := range m.App.Clients() {
 		m.probeDetach = append(m.probeDetach, probes.AttachResponseProbe(m.ProbeBus, m.App.Client(name)))
 	}
-	m.queueProbe = probes.StartQueueProbe(m.K, m.ProbeBus, m.App, m.Cfg.GaugePeriod)
+	m.queueProbe = probes.StartQueueProbe(m.K, m.ProbeBus, m.App, gaugePeriod)
 
 	// Remos pre-querying (paper §5.3 mitigation).
 	if !m.Cfg.SkipRemosPrequery {
@@ -268,12 +268,12 @@ func (m *Manager) Deploy() {
 	for _, name := range m.App.Clients() {
 		cli := m.App.Client(name)
 		lg := gauges.NewLatencyGauge(m.K, m.ProbeBus, m.ReportBus, cli.Host, name,
-			m.Cfg.LatencyWindow, m.Cfg.GaugePeriod)
+			latencyWindow, gaugePeriod)
 		_ = m.GaugeMgr.Create(lg, nil)
 		m.createBandwidthGauge(name)
 	}
 	for _, g := range m.App.Groups() {
-		lg := gauges.NewLoadGauge(m.K, m.ProbeBus, m.ReportBus, m.App.QueueHost, g, m.Cfg.GaugePeriod)
+		lg := gauges.NewLoadGauge(m.K, m.ProbeBus, m.ReportBus, m.App.QueueHost, g, gaugePeriod)
 		lg.Smooth = m.Cfg.LoadSmoothing
 		_ = m.GaugeMgr.Create(lg, nil)
 	}
@@ -282,7 +282,7 @@ func (m *Manager) Deploy() {
 	m.reportSub = m.ReportBus.Subscribe(m.Host, bus.TopicIs(gauges.TopicReport), m.consumeReport)
 
 	// Control loop.
-	m.stopCheck = m.K.Ticker(m.K.Now()+m.Cfg.CheckPeriod, m.Cfg.CheckPeriod, func(now sim.Time) {
+	m.stopCheck = m.K.Ticker(m.K.Now()+checkPeriod, checkPeriod, func(now sim.Time) {
 		m.check(now)
 	})
 }
@@ -340,7 +340,7 @@ func (m *Manager) createBandwidthGauge(client string) {
 	cli := m.App.Client(client)
 	bg := gauges.NewBandwidthGauge(m.K, m.ReportBus, m.Rm, cli.Host, client, cli.Host,
 		func() (netsim.NodeID, bool) { return m.groupServerHost(cli.Group) },
-		m.Cfg.GaugePeriod)
+		gaugePeriod)
 	_ = m.GaugeMgr.Create(bg, nil)
 }
 
@@ -352,21 +352,21 @@ func (m *Manager) consumeReport(msg bus.Message) {
 	prop := msg.Prop
 	value := msg.V1
 	switch msg.Kind {
-	case "client":
+	case gauges.KindClient:
 		if c := m.Model.Component(target); c != nil {
 			c.Props().SetFloat(prop, value)
 			if m.tr != nil {
 				m.traceModelUpdate(msg, c.Name())
 			}
 		}
-	case "group":
+	case gauges.KindGroup:
 		if g := m.Model.Component(target); g != nil {
 			g.Props().SetFloat(prop, value)
 			if m.tr != nil {
 				m.traceModelUpdate(msg, g.Name())
 			}
 		}
-	case "clientRole":
+	case gauges.KindClientRole:
 		cli := m.Model.Component(target)
 		if cli == nil {
 			return
@@ -474,17 +474,17 @@ func (m *Manager) churnGauges(ops []repair.Op, done func()) {
 			}
 			add("latency:"+client, func() gauges.Gauge {
 				return gauges.NewLatencyGauge(m.K, m.ProbeBus, m.ReportBus, cli.Host, client,
-					m.Cfg.LatencyWindow, m.Cfg.GaugePeriod)
+					latencyWindow, gaugePeriod)
 			})
 			add("bandwidth:"+client, func() gauges.Gauge {
 				return gauges.NewBandwidthGauge(m.K, m.ReportBus, m.Rm, cli.Host, client, cli.Host,
 					func() (netsim.NodeID, bool) { return m.groupServerHost(cli.Group) },
-					m.Cfg.GaugePeriod)
+					gaugePeriod)
 			})
 		case repair.OpAddServer, repair.OpRemoveServer:
 			group := op.Group
 			add("load:"+group, func() gauges.Gauge {
-				lg := gauges.NewLoadGauge(m.K, m.ProbeBus, m.ReportBus, m.App.QueueHost, group, m.Cfg.GaugePeriod)
+				lg := gauges.NewLoadGauge(m.K, m.ProbeBus, m.ReportBus, m.App.QueueHost, group, gaugePeriod)
 				lg.Smooth = m.Cfg.LoadSmoothing
 				return lg
 			})

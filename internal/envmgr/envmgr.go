@@ -15,6 +15,9 @@ import (
 	"archadapt/internal/sim"
 )
 
+// rpcBits is the size of one invocation message (1 KB).
+const rpcBits = 8192
+
 // OpStats counts operator invocations, for Table 1 benchmarks and tests.
 type OpStats struct {
 	CreateReqQueue   uint64
@@ -35,11 +38,6 @@ type Manager struct {
 	Host netsim.NodeID // repair-infrastructure machine
 	Rm   *remos.Service
 
-	// RPCBits is the size of one invocation message (default 1 KB).
-	RPCBits float64
-	// Priority of control-plane traffic.
-	Priority netsim.Priority
-
 	stats OpStats
 	// FailNext, when set, makes the next mutating operator fail — failure
 	// injection for translator abort paths.
@@ -48,7 +46,7 @@ type Manager struct {
 
 // New creates a manager on host.
 func New(k *sim.Kernel, net *netsim.Network, a *app.System, host netsim.NodeID, rm *remos.Service) *Manager {
-	return &Manager{K: k, Net: net, App: a, Host: host, Rm: rm, RPCBits: 8192}
+	return &Manager{K: k, Net: net, App: a, Host: host, Rm: rm}
 }
 
 // Stats returns operator invocation counts.
@@ -65,9 +63,10 @@ func (m *Manager) injected() error {
 }
 
 // rpc schedules effect after a round trip to target and returns the modeled
-// one-way delay.
+// one-way delay. Operator calls ride best effort whatever the monitoring
+// priority.
 func (m *Manager) rpc(target netsim.NodeID, effect func()) float64 {
-	return m.Net.SendMessage(m.Host, target, m.RPCBits, m.Priority, effect)
+	return m.Net.SendMessage(m.Host, target, rpcBits, netsim.BestEffort, effect)
 }
 
 // CreateReqQueue adds a logical request queue for a group on the queue

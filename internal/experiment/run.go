@@ -13,6 +13,9 @@ import (
 	"archadapt/internal/workload"
 )
 
+// samplePeriod is the period of the ground-truth series.
+const samplePeriod = 5.0
+
 // Options configures one experimental run.
 type Options struct {
 	// Adaptive enables the framework's repairs; false is the control run.
@@ -25,8 +28,6 @@ type Options struct {
 	Seed uint64
 	// Duration of the run (default: the paper's 1800 s).
 	Duration float64
-	// SamplePeriod of the ground-truth series (default 5 s).
-	SamplePeriod float64
 	// Oscillate replaces the Figure 7 schedule's middle phase with
 	// alternating competition (the §5.3 oscillation scenario).
 	Oscillate bool
@@ -61,9 +62,6 @@ type Results struct {
 func Run(opts Options) *Results {
 	if opts.Duration <= 0 {
 		opts.Duration = workload.RunEnd
-	}
-	if opts.SamplePeriod <= 0 {
-		opts.SamplePeriod = 5
 	}
 	tb := NewTestbed(opts.Seed)
 	cfg := opts.Cfg
@@ -100,7 +98,7 @@ func Run(opts Options) *Results {
 		res.Queue[g] = metrics.NewSeries("queue:" + g)
 	}
 
-	tb.K.Ticker(opts.SamplePeriod, opts.SamplePeriod, func(now float64) {
+	tb.K.Ticker(samplePeriod, samplePeriod, func(now float64) {
 		for _, name := range tb.App.Clients() {
 			if v, ok := obs.Sample(name, now); ok {
 				res.Latency[name].Add(now, v)

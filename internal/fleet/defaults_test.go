@@ -13,53 +13,48 @@ import (
 
 // TestMigrationPolicyWithDefaults is the direct table-driven test of the
 // policy defaulting rules: zero fields fill in, explicit fields survive,
-// and the DrainTimeout-below-CheckPeriod combination is clamped up (the
+// and a drain timeout below the check period is clamped up to it (the
 // controller cannot re-evaluate faster than it measures).
 func TestMigrationPolicyWithDefaults(t *testing.T) {
 	cases := []struct {
-		name string
-		in   MigrationPolicy
-		want MigrationPolicy
+		name  string
+		in    MigrationPolicy
+		want  MigrationPolicy
+		drain float64
 	}{
 		{
-			name: "zero fills every default",
-			in:   MigrationPolicy{},
-			want: MigrationPolicy{
-				CheckPeriod: 15, Patience: 4, ViolFrac: 0.5, Cooldown: 300,
-				DrainTimeout: 30, MaxPerApp: 3, MaxConcurrent: 2, RegionFloorBps: 100e3,
-			},
+			name:  "zero fills every default",
+			in:    MigrationPolicy{},
+			want:  MigrationPolicy{CheckPeriod: 15, Patience: 4, Cooldown: 300, MaxConcurrent: 2},
+			drain: 30,
 		},
 		{
 			name: "explicit fields survive, the rest default",
 			in:   MigrationPolicy{Enabled: true, Patience: 2, Cooldown: 60, MaxConcurrent: 5},
 			want: MigrationPolicy{
-				Enabled: true, CheckPeriod: 15, Patience: 2, ViolFrac: 0.5, Cooldown: 60,
-				DrainTimeout: 30, MaxPerApp: 3, MaxConcurrent: 5, RegionFloorBps: 100e3,
+				Enabled: true, CheckPeriod: 15, Patience: 2, Cooldown: 60, MaxConcurrent: 5,
 			},
+			drain: 30,
 		},
 		{
-			name: "drain timeout below the check period is clamped up",
-			in:   MigrationPolicy{CheckPeriod: 20, DrainTimeout: 5},
-			want: MigrationPolicy{
-				CheckPeriod: 20, Patience: 4, ViolFrac: 0.5, Cooldown: 300,
-				DrainTimeout: 20, MaxPerApp: 3, MaxConcurrent: 2, RegionFloorBps: 100e3,
-			},
+			name:  "drain timeout below the check period is clamped up",
+			in:    MigrationPolicy{CheckPeriod: 45},
+			want:  MigrationPolicy{CheckPeriod: 45, Patience: 4, Cooldown: 300, MaxConcurrent: 2},
+			drain: 45,
 		},
 		{
-			name: "default drain timeout clamps to a long check period",
-			in:   MigrationPolicy{CheckPeriod: 60},
-			want: MigrationPolicy{
-				CheckPeriod: 60, Patience: 4, ViolFrac: 0.5, Cooldown: 300,
-				DrainTimeout: 60, MaxPerApp: 3, MaxConcurrent: 2, RegionFloorBps: 100e3,
-			},
+			name:  "default drain timeout clamps to a long check period",
+			in:    MigrationPolicy{CheckPeriod: 60},
+			want:  MigrationPolicy{CheckPeriod: 60, Patience: 4, Cooldown: 300, MaxConcurrent: 2},
+			drain: 60,
 		},
 		{
 			name: "ranked knobs survive",
-			in:   MigrationPolicy{Enabled: true, Ranked: true, RegionFloorBps: 50e3},
+			in:   MigrationPolicy{Enabled: true, Ranked: true},
 			want: MigrationPolicy{
-				Enabled: true, Ranked: true, CheckPeriod: 15, Patience: 4, ViolFrac: 0.5,
-				Cooldown: 300, DrainTimeout: 30, MaxPerApp: 3, MaxConcurrent: 2, RegionFloorBps: 50e3,
+				Enabled: true, Ranked: true, CheckPeriod: 15, Patience: 4, Cooldown: 300, MaxConcurrent: 2,
 			},
+			drain: 30,
 		},
 	}
 	for _, c := range cases {
@@ -67,8 +62,12 @@ func TestMigrationPolicyWithDefaults(t *testing.T) {
 			if err := c.in.validate(); err != nil {
 				t.Fatalf("validate rejected a valid policy: %v", err)
 			}
-			if got := c.in.withDefaults(); got != c.want {
+			got := c.in.withDefaults()
+			if got != c.want {
 				t.Errorf("withDefaults:\n got %+v\nwant %+v", got, c.want)
+			}
+			if d := got.drainBound(); d != c.drain {
+				t.Errorf("drainBound = %v, want %v", d, c.drain)
 			}
 		})
 	}
@@ -86,17 +85,9 @@ func TestMigrationPolicyValidate(t *testing.T) {
 		{"negative check period", MigrationPolicy{CheckPeriod: -1}, "CheckPeriod"},
 		{"NaN check period", MigrationPolicy{CheckPeriod: math.NaN()}, "CheckPeriod"},
 		{"negative patience", MigrationPolicy{Patience: -2}, "Patience"},
-		{"violfrac above one", MigrationPolicy{ViolFrac: 1.5}, "ViolFrac"},
-		{"negative violfrac", MigrationPolicy{ViolFrac: -0.1}, "ViolFrac"},
-		{"NaN violfrac", MigrationPolicy{ViolFrac: math.NaN()}, "ViolFrac"},
 		{"negative cooldown", MigrationPolicy{Cooldown: -5}, "Cooldown"},
 		{"NaN cooldown", MigrationPolicy{Cooldown: math.NaN()}, "Cooldown"},
-		{"negative drain timeout", MigrationPolicy{DrainTimeout: -1}, "DrainTimeout"},
-		{"NaN drain timeout", MigrationPolicy{DrainTimeout: math.NaN()}, "DrainTimeout"},
-		{"negative max per app", MigrationPolicy{MaxPerApp: -1}, "MaxPerApp"},
 		{"negative max concurrent", MigrationPolicy{MaxConcurrent: -3}, "MaxConcurrent"},
-		{"negative region floor", MigrationPolicy{RegionFloorBps: -10}, "RegionFloorBps"},
-		{"NaN region floor", MigrationPolicy{RegionFloorBps: math.NaN()}, "RegionFloorBps"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -153,7 +144,7 @@ func TestScenarioOptionsValidate(t *testing.T) {
 		{"App.ClientRate", ScenarioOptions{App: AppSpec{ClientRate: nan}}},
 		{"App.ClientRate", ScenarioOptions{App: AppSpec{ClientRate: inf}}},
 		{"App.RespBits", ScenarioOptions{App: AppSpec{RespBits: nan}}},
-		{"Manager.GaugePeriod", ScenarioOptions{Manager: core.Config{GaugePeriod: nan}}},
+		{"Manager.SettleTime", ScenarioOptions{Manager: core.Config{SettleTime: nan}}},
 		{"BackboneLeaveBps", ScenarioOptions{BackboneCrushStart: 50, BackboneLeaveBps: nan}},
 		{"Faults[0].Fraction", ScenarioOptions{Faults: []Fault{{Kind: FaultBackboneCrush, Fraction: nan, LeaveBps: nan}}}},
 		{"AppMix[1].ClientRate", ScenarioOptions{AppMix: []AppSpec{{}, {ClientRate: nan}}}},
@@ -194,15 +185,15 @@ func TestScenarioOptionsValidate(t *testing.T) {
 // TestConfigWithDefaults covers the fleet-config defaulting rules directly.
 func TestConfigWithDefaults(t *testing.T) {
 	got := Config{}.withDefaults()
-	if got.HostCapacity != 4 || got.SamplePeriod != 5 {
+	if got.HostCapacity != 4 {
 		t.Errorf("zero Config defaulted to %+v", got)
 	}
-	got = Config{HostCapacity: -2, SamplePeriod: -1}.withDefaults()
-	if got.HostCapacity != 4 || got.SamplePeriod != 5 {
+	got = Config{HostCapacity: -2}.withDefaults()
+	if got.HostCapacity != 4 {
 		t.Errorf("negative Config fields not clamped: %+v", got)
 	}
-	kept := Config{HostCapacity: 2, SamplePeriod: 1}.withDefaults()
-	if kept.HostCapacity != 2 || kept.SamplePeriod != 1 {
+	kept := Config{HostCapacity: 2}.withDefaults()
+	if kept.HostCapacity != 2 {
 		t.Errorf("explicit Config fields overwritten: %+v", kept)
 	}
 }

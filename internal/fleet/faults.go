@@ -111,7 +111,7 @@ func (f *Fleet) crushServersOf(a *App, groups []string) {
 func (f *Fleet) addCrush(link netsim.LinkID) {
 	f.crushes[link]++
 	if f.crushes[link] == 1 {
-		f.Net.SetBackgroundBoth(link, f.Grid.Spec.AccessBps-5e3)
+		f.Net.SetBackgroundBoth(link, netsim.AccessBps-5e3)
 	}
 }
 
@@ -145,7 +145,7 @@ func (f *Fleet) CrushBackbone(fraction, leaveBps float64) {
 	if n > len(f.Grid.Backbone) {
 		n = len(f.Grid.Backbone)
 	}
-	bg := f.Grid.Spec.BackboneBps - leaveBps
+	bg := netsim.BackboneBps - leaveBps
 	if bg < 0 {
 		bg = 0
 	}

@@ -62,6 +62,9 @@ import (
 	"archadapt/internal/sim"
 )
 
+// samplePeriod is the period of the fleet's ground-truth latency sampler.
+const samplePeriod = 5.0
+
 // Config tunes the fleet control plane.
 type Config struct {
 	// Manager is the per-application architecture-manager configuration.
@@ -71,8 +74,6 @@ type Config struct {
 	Adaptive bool
 	// HostCapacity is the number of process slots per grid host (default 4).
 	HostCapacity int
-	// SamplePeriod of the fleet's ground-truth latency sampler (default 5 s).
-	SamplePeriod float64
 	// Migration enables and tunes the fleet-level migration controller
 	// (migration.go). The zero value disables it.
 	Migration MigrationPolicy
@@ -102,9 +103,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.HostCapacity < 1 {
 		c.HostCapacity = 4
-	}
-	if c.SamplePeriod <= 0 {
-		c.SamplePeriod = 5
 	}
 	return c
 }
@@ -378,7 +376,7 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 		f.Cfg.Manager.Tracer = f.tracer
 		k.FireHook = f.tracer.KernelEvent
 	}
-	f.stopSample = k.Ticker(k.Now()+cfg.SamplePeriod, cfg.SamplePeriod, f.sample)
+	f.stopSample = k.Ticker(k.Now()+samplePeriod, samplePeriod, f.sample)
 	if cfg.Migration.Enabled {
 		p := cfg.Migration
 		if p.Ranked {

@@ -12,7 +12,7 @@
 //	decision  a sustained-unhealthy streak longer than a repair attempt
 //	          (Patience × CheckPeriod > the paper's ~30 s repair time)
 //	drain     pause the clients, let in-flight requests finish (bounded
-//	          by DrainTimeout)
+//	          by drainTimeout)
 //	re-place  reserve a new Assignment away from the degraded region
 //	          (Scheduler.PlaceAvoiding), re-point every process, detach
 //	          and re-attach the app's monitoring-plane shards and gauge
@@ -34,6 +34,30 @@ import (
 	"archadapt/internal/gauges"
 	"archadapt/internal/netsim"
 	"archadapt/internal/obs"
+	"archadapt/internal/operators"
+)
+
+// The migration controller's fixed thresholds.
+const (
+	// unhealthyFrac makes a tick unhealthy when at least this fraction of the
+	// latency reports received since the previous tick were above the
+	// application's bound. A tick is also unhealthy when every bandwidth
+	// report since the previous tick was below the application's floor — the
+	// region-bandwidth-collapse signal, which keeps firing even when a wedged
+	// app completes no requests at all.
+	unhealthyFrac = 0.5
+	// drainTimeout bounds the pre-cutover drain: if in-flight requests have
+	// not completed this long after the decision, the cutover proceeds anyway
+	// — a wedged region must not pin the app forever. A CheckPeriod longer
+	// than it raises the bound to CheckPeriod (drainBound): the controller
+	// cannot re-evaluate faster than it measures.
+	drainTimeout = 30.0
+	// maxMigrationsPerApp caps completed migrations per application.
+	maxMigrationsPerApp = 3
+	// regionFloorBps is the measured region bandwidth below which a region
+	// counts as degraded for the ranked controller's proactive backbone
+	// verdict.
+	regionFloorBps = 100e3
 )
 
 // MigrationPolicy tunes the fleet-level migration controller. The zero value
@@ -51,38 +75,19 @@ type MigrationPolicy struct {
 	// degradation — comfortably longer than one ~30 s repair attempt, so
 	// the app's own manager always gets its chance first.
 	Patience int
-	// ViolFrac makes a tick unhealthy when at least this fraction of the
-	// latency reports received since the previous tick were above the
-	// application's bound (default 0.5). A tick is also unhealthy when
-	// every bandwidth report since the previous tick was below the
-	// application's floor — the region-bandwidth-collapse signal, which
-	// keeps firing even when a wedged app completes no requests at all.
-	ViolFrac float64
 	// Cooldown is the minimum time after a completed migration before the
 	// same application may migrate again (default 300 s).
 	Cooldown float64
-	// DrainTimeout bounds the pre-cutover drain: if in-flight requests have
-	// not completed this long after the decision, the cutover proceeds
-	// anyway (default 30 s) — a wedged region must not pin the app forever.
-	// A timeout shorter than CheckPeriod is clamped up to it: the
-	// controller cannot re-evaluate faster than it measures.
-	DrainTimeout float64
-	// MaxPerApp caps completed migrations per application (default 3).
-	MaxPerApp int
 
 	// Ranked enables measurement-driven targeting: the fleet maintains a
 	// per-region health index (RegionHealth) from batched Remos probes and
 	// fleet-wide report statistics, migrations land via
 	// Scheduler.PlaceRanked in the measurably best region (falling back to
 	// the avoid-set path when the index has nothing admissible), and
-	// backbone degradation measured below RegionFloorBps becomes a
+	// backbone degradation measured below regionFloorBps becomes a
 	// proactive unhealthy verdict. Off (the default), no region probes are
 	// issued and targeting is exactly the avoid-set path.
 	Ranked bool
-	// RegionFloorBps is the measured region bandwidth below which a region
-	// counts as degraded for the proactive backbone verdict (default
-	// 100 Kbps). Read only when Ranked.
-	RegionFloorBps float64
 	// MaxConcurrent caps how many migrations may be draining at once
 	// across the fleet (default 2) — the admission half of the
 	// coordination layer. Eligible applications beyond the cap keep their
@@ -107,18 +112,10 @@ func (p MigrationPolicy) validate() error {
 		return bad("CheckPeriod", p.CheckPeriod)
 	case p.Patience < 0:
 		return fmt.Errorf("fleet: MigrationPolicy.Patience = %d is invalid (zero means default)", p.Patience)
-	case p.ViolFrac < 0 || p.ViolFrac > 1 || math.IsNaN(p.ViolFrac):
-		return bad("ViolFrac", p.ViolFrac)
 	case p.Cooldown < 0 || math.IsNaN(p.Cooldown):
 		return bad("Cooldown", p.Cooldown)
-	case p.DrainTimeout < 0 || math.IsNaN(p.DrainTimeout):
-		return bad("DrainTimeout", p.DrainTimeout)
-	case p.MaxPerApp < 0:
-		return fmt.Errorf("fleet: MigrationPolicy.MaxPerApp = %d is invalid (zero means default)", p.MaxPerApp)
 	case p.MaxConcurrent < 0:
 		return fmt.Errorf("fleet: MigrationPolicy.MaxConcurrent = %d is invalid (zero means default)", p.MaxConcurrent)
-	case p.RegionFloorBps < 0 || math.IsNaN(p.RegionFloorBps):
-		return bad("RegionFloorBps", p.RegionFloorBps)
 	}
 	return nil
 }
@@ -130,29 +127,18 @@ func (p MigrationPolicy) withDefaults() MigrationPolicy {
 	if p.Patience < 1 {
 		p.Patience = 4
 	}
-	if p.ViolFrac <= 0 {
-		p.ViolFrac = 0.5
-	}
 	if p.Cooldown <= 0 {
 		p.Cooldown = 300
-	}
-	if p.DrainTimeout <= 0 {
-		p.DrainTimeout = 30
-	}
-	if p.DrainTimeout < p.CheckPeriod {
-		p.DrainTimeout = p.CheckPeriod
-	}
-	if p.MaxPerApp < 1 {
-		p.MaxPerApp = 3
 	}
 	if p.MaxConcurrent < 1 {
 		p.MaxConcurrent = 2
 	}
-	if p.RegionFloorBps <= 0 {
-		p.RegionFloorBps = 100e3
-	}
 	return p
 }
+
+// drainBound is how long a drain may wait for in-flight requests before the
+// cutover proceeds: drainTimeout, or one decision period when that is longer.
+func (p MigrationPolicy) drainBound() float64 { return max(drainTimeout, p.CheckPeriod) }
 
 // Migration records one re-placement of an application, or the attempt.
 type Migration struct {
@@ -169,7 +155,7 @@ type Migration struct {
 	// (then Err carries the reason); -1 otherwise.
 	AbortedAt float64
 	// Drained reports whether every in-flight request completed before the
-	// cutover (false: DrainTimeout forced it).
+	// cutover (false: the drain bound forced it).
 	Drained bool
 	// FromManager/ToManager anchor the move for logs: the manager host
 	// before and after.
@@ -229,13 +215,13 @@ func (f *Fleet) attachHealth(a *App) {
 	maxLat, minBW := a.Spec.MaxLatency, a.Spec.MinBandwidth
 	h.sub = a.report.Subscribe(f.Host, bus.TopicIs(gauges.TopicReport), func(msg bus.Message) {
 		switch {
-		case msg.Kind == "client" && msg.Prop == "averageLatency":
+		case msg.Kind == gauges.KindClient && msg.Prop == operators.PropAvgLatency:
 			h.latReports++
 			if msg.V1 > maxLat {
 				h.latViol++
 				h.lastViolSpan = msg.Span // zero (free) when tracing is off
 			}
-		case msg.Kind == "clientRole" && msg.Prop == "bandwidth":
+		case msg.Kind == gauges.KindClientRole && msg.Prop == operators.PropBandwidth:
 			h.bwReports++
 			if msg.V1 < minBW {
 				h.bwBelow++
@@ -273,7 +259,7 @@ func (f *Fleet) migrationTick(now float64) {
 			h.latReports, h.latViol, h.bwReports, h.bwBelow = 0, 0, 0, 0
 			continue
 		}
-		unhealthy := (h.latReports > 0 && float64(h.latViol) >= p.ViolFrac*float64(h.latReports)) ||
+		unhealthy := (h.latReports > 0 && float64(h.latViol) >= unhealthyFrac*float64(h.latReports)) ||
 			(h.bwReports > 0 && h.bwBelow == h.bwReports) ||
 			(f.rh != nil && f.rh.appDegraded(a))
 		hadReports := h.latReports+h.bwReports > 0
@@ -308,7 +294,7 @@ func (f *Fleet) migrationTick(now float64) {
 		if h.streak < p.Patience {
 			continue
 		}
-		if f.completedMigrations(a) >= p.MaxPerApp {
+		if f.completedMigrations(a) >= maxMigrationsPerApp {
 			continue
 		}
 		if h.lastMigrated >= 0 && now-h.lastMigrated < p.Cooldown {
@@ -371,7 +357,7 @@ func (f *Fleet) completedMigrations(a *App) int {
 // Migrate immediately re-places a live application — the operator override;
 // the policy ticker drives the same path. It reserves a new assignment away
 // from the application's current region, pauses the clients, drains
-// in-flight requests (bounded by the policy's DrainTimeout) and cuts over.
+// in-flight requests (bounded by the policy's drainBound) and cuts over.
 // The returned error reports placement failure (no healthy capacity) or a
 // bad target; the drain and cutover themselves proceed asynchronously on
 // the kernel.
@@ -474,7 +460,7 @@ func (f *Fleet) beginMigration(a *App, now float64) error {
 }
 
 // pollDrain waits for the paused application's in-flight requests to finish
-// (or for DrainTimeout) and then cuts over. Retirement mid-drain, the end of
+// (or for the drain bound) and then cuts over. Retirement mid-drain, the end of
 // the run, or a failure of the staged target's region after the decision
 // aborts the migration cleanly (a region already failed when the target was
 // chosen does not — that tradeoff was priced into the decision).
@@ -494,7 +480,7 @@ func (f *Fleet) pollDrain(a *App, decidedAt float64) {
 			return
 		}
 		drained := a.obs.Outstanding() == 0
-		if !drained && now < decidedAt+f.Cfg.Migration.DrainTimeout {
+		if !drained && now < decidedAt+f.Cfg.Migration.drainBound() {
 			f.K.At(now+pollPeriod, poll)
 			return
 		}

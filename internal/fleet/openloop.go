@@ -54,6 +54,23 @@ const (
 // every latency bound that matters.
 const verdictCeiling = 3600.0
 
+// The engine's tick and the fixed thresholds of its two controllers.
+const (
+	// adjustPeriod is the engine tick: demands recomputed, verdicts
+	// delivered, scale decisions taken.
+	adjustPeriod = 5.0
+	// scaleUpAt and scaleDownAt are the autoscaler's ρ thresholds; scaling
+	// up requires free grid capacity, and a full grid silently defers.
+	scaleUpAt, scaleDownAt = 0.8, 0.3
+	// scaleCooldown is the minimum time between scale actions on the same
+	// group.
+	scaleCooldown = 30.0
+	// maxUtilization is the admission gate's fleet ρ ceiling.
+	maxUtilization = 0.95
+	// admissionRetryPeriod is the admission queue's retry interval.
+	admissionRetryPeriod = 30.0
+)
+
 // Arrival process kinds for ArrivalSpec.Kind.
 const (
 	ArrivalPoisson = "poisson"
@@ -74,11 +91,10 @@ type ArrivalSpec struct {
 	// Lambda is the Poisson rate (default: the app's ClientRate).
 	Lambda float64
 
-	// Diurnal envelope: Base (default ClientRate), Swing in [0,1], Period
-	// seconds per cycle, Phase as a fraction of a period — plus one
-	// optional flash-crowd burst multiplying the rate by BurstFactor during
-	// [BurstAt, BurstAt+BurstDuration).
-	Base, Swing, Period, Phase          float64
+	// Diurnal envelope: Base (default ClientRate), Swing in [0,1] and Period
+	// seconds per cycle — plus one optional flash-crowd burst multiplying
+	// the rate by BurstFactor during [BurstAt, BurstAt+BurstDuration).
+	Base, Swing, Period                 float64
 	BurstAt, BurstDuration, BurstFactor float64
 
 	// Trace-driven step schedule (right-continuous; zero before Times[0]).
@@ -100,7 +116,7 @@ func (s ArrivalSpec) process(defaultRate float64) (arrivals.Process, error) {
 		if base <= 0 {
 			base = defaultRate
 		}
-		d := arrivals.Diurnal{Base: base, Swing: s.Swing, Period: s.Period, Phase: s.Phase}
+		d := arrivals.Diurnal{Base: base, Swing: s.Swing, Period: s.Period}
 		if s.BurstFactor > 0 && s.BurstDuration > 0 {
 			d.Bursts = []arrivals.Burst{{At: s.BurstAt, Duration: s.BurstDuration, Factor: s.BurstFactor}}
 		}
@@ -117,33 +133,24 @@ func (s ArrivalSpec) process(defaultRate float64) (arrivals.Process, error) {
 }
 
 // ScalePolicy tunes the open-loop replica autoscaler: per server group, the
-// engine compares offered utilization ρ = λ/(m·μ) against the thresholds
-// every adjust tick and grows or shrinks the group one autoscaled replica
-// at a time, reserving/releasing scheduler slots as it goes.
+// engine compares offered utilization ρ = λ/(m·μ) against scaleUpAt and
+// scaleDownAt every adjust tick and grows or shrinks the group one
+// autoscaled replica at a time, reserving/releasing scheduler slots as it
+// goes.
 type ScalePolicy struct {
 	Enabled bool
-	// UpAt/DownAt are the ρ thresholds (defaults 0.8 and 0.3). Scaling up
-	// requires free grid capacity; a full grid silently defers.
-	UpAt, DownAt float64
-	// Cooldown is the minimum time between scale actions on the same group
-	// (default 30 s).
-	Cooldown float64
 	// MaxReplicas caps autoscaled replicas per group (default 8).
 	MaxReplicas int
 }
 
 // AdmissionPolicy tunes the fleet admission controller: when the aggregate
 // open-loop offered load (including the candidate) would push fleet
-// utilization past MaxUtilization, the candidate is shed — or queued, and
-// retried every RetryPeriod as capacity frees up.
+// utilization past maxUtilization, the candidate is shed — or queued, and
+// retried every admissionRetryPeriod as capacity frees up.
 type AdmissionPolicy struct {
 	Enabled bool
-	// MaxUtilization is the fleet ρ ceiling (default 0.95).
-	MaxUtilization float64
 	// Queue holds rejected candidates for retry instead of shedding them.
 	Queue bool
-	// RetryPeriod is the queue retry interval (default 30 s).
-	RetryPeriod float64
 }
 
 // OpenLoopPolicy enables and tunes the open-loop engine. The zero value
@@ -154,62 +161,24 @@ type OpenLoopPolicy struct {
 	// Users is the modeled population per application (default: one user
 	// per client, making the open-loop run the load-equivalent of the
 	// closed-loop one).
-	Users int
-	// AdjustPeriod is the engine tick: demands recomputed, verdicts
-	// delivered, scale decisions taken (default 5 s).
-	AdjustPeriod float64
-	Scale        ScalePolicy
-	Admission    AdmissionPolicy
+	Users     int
+	Scale     ScalePolicy
+	Admission AdmissionPolicy
 }
 
 func (p OpenLoopPolicy) validate() error {
-	bad := func(field string, v float64) error {
-		return fmt.Errorf("fleet: OpenLoopPolicy.%s = %v is invalid (zero means default)", field, v)
-	}
 	switch {
 	case p.Users < 0:
 		return fmt.Errorf("fleet: OpenLoopPolicy.Users = %d is invalid (zero means one per client)", p.Users)
-	case p.AdjustPeriod < 0 || math.IsNaN(p.AdjustPeriod):
-		return bad("AdjustPeriod", p.AdjustPeriod)
-	case p.Scale.UpAt < 0 || math.IsNaN(p.Scale.UpAt):
-		return bad("Scale.UpAt", p.Scale.UpAt)
-	case p.Scale.DownAt < 0 || math.IsNaN(p.Scale.DownAt):
-		return bad("Scale.DownAt", p.Scale.DownAt)
-	case p.Scale.UpAt > 0 && p.Scale.DownAt > 0 && p.Scale.DownAt >= p.Scale.UpAt:
-		return fmt.Errorf("fleet: OpenLoopPolicy.Scale.DownAt %v must be below UpAt %v", p.Scale.DownAt, p.Scale.UpAt)
-	case p.Scale.Cooldown < 0 || math.IsNaN(p.Scale.Cooldown):
-		return bad("Scale.Cooldown", p.Scale.Cooldown)
 	case p.Scale.MaxReplicas < 0:
 		return fmt.Errorf("fleet: OpenLoopPolicy.Scale.MaxReplicas = %d is invalid (zero means default)", p.Scale.MaxReplicas)
-	case p.Admission.MaxUtilization < 0 || p.Admission.MaxUtilization > 1 || math.IsNaN(p.Admission.MaxUtilization):
-		return bad("Admission.MaxUtilization", p.Admission.MaxUtilization)
-	case p.Admission.RetryPeriod < 0 || math.IsNaN(p.Admission.RetryPeriod):
-		return bad("Admission.RetryPeriod", p.Admission.RetryPeriod)
 	}
 	return nil
 }
 
 func (p OpenLoopPolicy) withDefaults() OpenLoopPolicy {
-	if p.AdjustPeriod <= 0 {
-		p.AdjustPeriod = 5
-	}
-	if p.Scale.UpAt <= 0 {
-		p.Scale.UpAt = 0.8
-	}
-	if p.Scale.DownAt <= 0 {
-		p.Scale.DownAt = 0.3
-	}
-	if p.Scale.Cooldown <= 0 {
-		p.Scale.Cooldown = 30
-	}
 	if p.Scale.MaxReplicas < 1 {
 		p.Scale.MaxReplicas = 8
-	}
-	if p.Admission.MaxUtilization <= 0 {
-		p.Admission.MaxUtilization = 0.95
-	}
-	if p.Admission.RetryPeriod <= 0 {
-		p.Admission.RetryPeriod = 30
 	}
 	return p
 }
@@ -296,9 +265,9 @@ func appServiceRate(spec AppSpec) float64 {
 func (f *Fleet) startOpenLoop() {
 	p := f.Cfg.OpenLoop
 	f.ol = &openLoop{p: p}
-	f.ol.stopTick = f.K.Ticker(f.K.Now()+p.AdjustPeriod, p.AdjustPeriod, f.openLoopTick)
+	f.ol.stopTick = f.K.Ticker(f.K.Now()+adjustPeriod, adjustPeriod, f.openLoopTick)
 	if p.Admission.Enabled && p.Admission.Queue {
-		f.ol.stopRetry = f.K.Ticker(f.K.Now()+p.Admission.RetryPeriod, p.Admission.RetryPeriod, f.openLoopRetry)
+		f.ol.stopRetry = f.K.Ticker(f.K.Now()+admissionRetryPeriod, admissionRetryPeriod, f.openLoopRetry)
 	}
 }
 
@@ -362,7 +331,7 @@ func (f *Fleet) openLoopOffered(now float64) (lambda, capacity float64) {
 }
 
 // openLoopAdmissible applies the admission gate: would the fleet's offered
-// utilization, candidate included, stay within MaxUtilization?
+// utilization, candidate included, stay within maxUtilization?
 func (f *Fleet) openLoopAdmissible(spec AppSpec, proc arrivals.Process, users, now float64) bool {
 	lambda, capacity := f.openLoopOffered(now)
 	lambda += users * proc.Rate(now)
@@ -370,7 +339,7 @@ func (f *Fleet) openLoopAdmissible(spec AppSpec, proc arrivals.Process, users, n
 	if capacity <= 0 {
 		return false
 	}
-	return lambda/capacity <= f.ol.p.Admission.MaxUtilization
+	return lambda/capacity <= maxUtilization
 }
 
 // openLoopRetry re-offers queued specs; still-saturated ones stay queued.
@@ -488,7 +457,6 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 	}
 	respBits := a.Spec.RespBits
 	mu := appServiceRate(a.Spec)
-	adjust := f.ol.p.AdjustPeriod
 
 	// (1) Reconcile classes: repairs move clients between groups and
 	// migrations re-place hosts, so membership and anchors are recomputed
@@ -618,7 +586,7 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 				share = ol.lam[i] / gl
 			}
 			fc.EmitRate = share * ol.gout[fc.Group] * respBits
-			demand := fc.EmitRate + fc.NetBacklog/adjust
+			demand := fc.EmitRate + fc.NetBacklog/adjustPeriod
 			if fc.Flow == nil {
 				fc.Flow = f.Net.StartClassFlow(fc.Src, fc.Dst, demand, a.Name+":"+fc.Group)
 			} else {
@@ -661,11 +629,11 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 }
 
 // openLoopScale applies the scale policy to one group: one replica up on
-// sustained ρ above UpAt (slot permitting), one down below DownAt.
+// sustained ρ above scaleUpAt (slot permitting), one down below scaleDownAt.
 func (f *Fleet) openLoopScale(a *App, g string, lamG, capG, now float64) {
 	ol := a.ol
 	p := f.ol.p.Scale
-	if last, ok := ol.lastScale[g]; ok && now-last < p.Cooldown {
+	if last, ok := ol.lastScale[g]; ok && now-last < scaleCooldown {
 		return
 	}
 	rho := math.Inf(1)
@@ -674,7 +642,7 @@ func (f *Fleet) openLoopScale(a *App, g string, lamG, capG, now float64) {
 	}
 	reps := ol.scaled[g]
 	switch {
-	case rho > p.UpAt && len(reps) < p.MaxReplicas:
+	case rho > scaleUpAt && len(reps) < p.MaxReplicas:
 		h, err := f.Sch.Reserve()
 		if err != nil {
 			return // grid full: nothing to scale into, retry next tick
@@ -690,7 +658,7 @@ func (f *Fleet) openLoopScale(a *App, g string, lamG, capG, now float64) {
 		ol.scaled[g] = append(reps, scaledReplica{name: name, host: h})
 		ol.ups++
 		ol.lastScale[g] = now
-	case rho < p.DownAt && len(reps) > 0:
+	case rho < scaleDownAt && len(reps) > 0:
 		rep := reps[len(reps)-1]
 		ol.scaled[g] = reps[:len(reps)-1]
 		_ = a.Sys.RemoveServer(rep.name)

@@ -7,27 +7,18 @@ import (
 )
 
 // TestOpenLoopPolicyValidate covers the policy validation and defaulting
-// rules: zero fills in, negatives and inverted thresholds reject.
+// rules: zero fills in, negatives reject.
 func TestOpenLoopPolicyValidate(t *testing.T) {
 	if err := (OpenLoopPolicy{}).validate(); err != nil {
 		t.Fatalf("zero policy rejected: %v", err)
 	}
 	def := OpenLoopPolicy{Enabled: true}.withDefaults()
-	if def.AdjustPeriod != 5 || def.Scale.UpAt != 0.8 || def.Scale.DownAt != 0.3 ||
-		def.Scale.Cooldown != 30 || def.Scale.MaxReplicas != 8 ||
-		def.Admission.MaxUtilization != 0.95 || def.Admission.RetryPeriod != 30 {
+	if def.Scale.MaxReplicas != 8 {
 		t.Fatalf("defaults wrong: %+v", def)
 	}
 	bad := []OpenLoopPolicy{
 		{Users: -1},
-		{AdjustPeriod: -1},
-		{AdjustPeriod: math.NaN()},
-		{Scale: ScalePolicy{UpAt: -0.1}},
-		{Scale: ScalePolicy{UpAt: 0.5, DownAt: 0.6}},
 		{Scale: ScalePolicy{MaxReplicas: -2}},
-		{Admission: AdmissionPolicy{MaxUtilization: 1.5}},
-		{Admission: AdmissionPolicy{MaxUtilization: -0.5}},
-		{Admission: AdmissionPolicy{RetryPeriod: -3}},
 	}
 	for i, p := range bad {
 		if err := p.validate(); err == nil {
@@ -69,9 +60,9 @@ func TestArrivalSpecProcess(t *testing.T) {
 // everything is gated on Enabled alone.
 func dirtyDisabledOpenLoop() OpenLoopPolicy {
 	return OpenLoopPolicy{
-		Users: 424242, AdjustPeriod: 1,
-		Scale:     ScalePolicy{Enabled: true, UpAt: 0.5, DownAt: 0.1, Cooldown: 1, MaxReplicas: 3},
-		Admission: AdmissionPolicy{Enabled: true, MaxUtilization: 0.5, Queue: true, RetryPeriod: 1},
+		Users:     424242,
+		Scale:     ScalePolicy{Enabled: true, MaxReplicas: 3},
+		Admission: AdmissionPolicy{Enabled: true, Queue: true},
 	}
 }
 

@@ -16,6 +16,10 @@ import (
 	"archadapt/internal/obs"
 )
 
+// refBps normalizes measured bandwidth: the tighter of the grid's access and
+// backbone capacities (a probe can never measure more).
+const refBps = min(netsim.AccessBps, netsim.BackboneBps)
+
 // RegionHealth maintains a measured health score per grid region (router),
 // refreshed every migration decision tick from two live signals:
 //
@@ -35,7 +39,7 @@ import (
 // approaches −1. Scores feed Scheduler.PlaceRanked (where they dominate
 // every per-host preference) and the controller's proactive
 // backbone-degradation verdict (measured bandwidth below
-// MigrationPolicy.RegionFloorBps counts as unhealthy before gauge evidence
+// regionFloorBps counts as unhealthy before gauge evidence
 // accumulates).
 //
 // The measurements are honest: probes ride the simulated network through
@@ -58,9 +62,6 @@ type RegionHealth struct {
 	// violFrac[r] is this tick's report-violation fraction attributed to
 	// region r; viol/reports are its fold scratch.
 	violFrac, viol, reports []float64
-	// refBps normalizes measured bandwidth: the tighter of the grid's
-	// access and backbone capacities (a probe can never measure more).
-	refBps float64
 
 	rank     []float64 // RankFor scratch
 	cur      []bool    // RankFor scratch: regions the app occupies
@@ -69,7 +70,7 @@ type RegionHealth struct {
 
 // newRegionHealth builds the index over the fleet's grid and pre-queries
 // every probe pair so the first decision ticks after the Remos cold
-// collections (~ColdDelay) see a live index.
+// collections (~remos.ColdDelay) see a live index.
 func newRegionHealth(f *Fleet) *RegionHealth {
 	n := len(f.Grid.HostsByRouter)
 	rh := &RegionHealth{
@@ -79,7 +80,6 @@ func newRegionHealth(f *Fleet) *RegionHealth {
 		viol:     make([]float64, n),
 		reports:  make([]float64, n),
 		cur:      make([]bool, n),
-		refBps:   math.Min(f.Grid.Spec.AccessBps, f.Grid.Spec.BackboneBps),
 	}
 	for r := 0; r < n; r++ {
 		rh.reps = append(rh.reps, f.Grid.HostsByRouter[r][0])
@@ -188,7 +188,7 @@ func (rh *RegionHealth) Score(r int) (float64, bool) {
 	if r < 0 || r >= len(rh.bw) || rh.bw[r] < 0 {
 		return 0, false
 	}
-	n := rh.bw[r] / rh.refBps
+	n := rh.bw[r] / refBps
 	if n > 1 {
 		n = 1
 	}
@@ -198,9 +198,9 @@ func (rh *RegionHealth) Score(r int) (float64, bool) {
 // Regions returns the number of regions the index covers.
 func (rh *RegionHealth) Regions() int { return len(rh.bw) }
 
-// degraded reports whether region r measures below the policy's floor.
+// degraded reports whether region r measures below regionFloorBps.
 func (rh *RegionHealth) degraded(r int) bool {
-	return rh.bw[r] >= 0 && rh.bw[r] < rh.f.Cfg.Migration.RegionFloorBps
+	return rh.bw[r] >= 0 && rh.bw[r] < regionFloorBps
 }
 
 // appDegraded is the proactive backbone-degradation verdict: every measured

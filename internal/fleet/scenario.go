@@ -305,6 +305,17 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	// schedule places one fault, and its paired restore when it has a
+	// Duration, on the kernel. Every injection goes through it, the
+	// single-event knobs too, at the point in the script where it is built:
+	// events due at the same time fire in the order they were scheduled.
+	schedule := func(flt Fault) {
+		k.At(flt.At, func() { f.applyFault(flt, ScenarioAppName) })
+		if restore := flt.Kind.restoreKind(); restore != "" && flt.Duration > 0 {
+			lift := Fault{Kind: restore, App: flt.App, Router: flt.Router}
+			k.At(flt.At+flt.Duration, func() { f.applyFault(lift, ScenarioAppName) })
+		}
+	}
 	appsPerWave := opts.Apps
 	if opts.AdmitWaves > 1 {
 		appsPerWave = (opts.Apps + opts.AdmitWaves - 1) / opts.AdmitWaves
@@ -339,36 +350,24 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 			if min := admitAt + 100; crushAt < min {
 				crushAt = min
 			}
-			crush := f.CrushPrimary
+			kind := FaultCrushPrimary
 			if opts.CrushAllGroups {
-				crush = f.CrushServers
+				kind = FaultCrushAll
 			}
-			k.At(crushAt, func() { _ = crush(name) })
-			k.At(crushAt+opts.CrushDuration, func() { f.RestorePrimary(name) })
+			schedule(Fault{At: crushAt, Kind: kind, App: i, Duration: opts.CrushDuration})
 		}
 	}
 	if opts.BackboneCrushStart > 0 {
-		k.At(opts.BackboneCrushStart, func() {
-			f.CrushBackbone(opts.BackboneFraction, opts.BackboneLeaveBps)
-		})
-		k.At(opts.BackboneCrushStart+opts.BackboneCrushDuration, func() { _ = f.RestoreBackbone() })
+		schedule(Fault{At: opts.BackboneCrushStart, Kind: FaultBackboneCrush,
+			Fraction: opts.BackboneFraction, LeaveBps: opts.BackboneLeaveBps, Duration: opts.BackboneCrushDuration})
 	}
 	if opts.RegionFailStart > 0 {
-		k.At(opts.RegionFailStart, func() { _ = f.FailRegion(opts.RegionFailRouter) })
-		k.At(opts.RegionFailStart+opts.RegionFailDuration, func() {
-			_ = f.RestoreRegion(opts.RegionFailRouter)
-		})
+		schedule(Fault{At: opts.RegionFailStart, Kind: FaultRegionFail,
+			Router: opts.RegionFailRouter, Duration: opts.RegionFailDuration})
 	}
-	// The explicit fault schedule, in list order (the kernel preserves
-	// insertion order at equal times). An injection with Duration > 0
-	// schedules its paired restore too.
+	// The explicit fault schedule, in list order.
 	for _, flt := range opts.Faults {
-		flt := flt
-		k.At(flt.At, func() { f.applyFault(flt, ScenarioAppName) })
-		if restore := flt.Kind.restoreKind(); restore != "" && flt.Duration > 0 {
-			lift := Fault{Kind: restore, App: flt.App, Router: flt.Router}
-			k.At(flt.At+flt.Duration, func() { f.applyFault(lift, ScenarioAppName) })
-		}
+		schedule(flt)
 	}
 	return &ScenarioRun{Opts: opts, K: k, Grid: grid, Fleet: f}, nil
 }

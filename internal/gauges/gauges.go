@@ -25,15 +25,27 @@ import (
 	"archadapt/internal/bus"
 	"archadapt/internal/netsim"
 	"archadapt/internal/obs"
+	"archadapt/internal/operators"
 	"archadapt/internal/probes"
 	"archadapt/internal/remos"
 	"archadapt/internal/sim"
 )
 
 // TopicReport is the gauge-reporting-bus topic. Slots: Name=gauge,
-// Target (client or group name), Kind ("client" | "group" | "clientRole"),
+// Target (client or group name), Kind (one of the report kinds below),
 // Prop and V1=value.
 const TopicReport = "gauge.report"
+
+// Report kinds: which model element a report's property belongs to.
+const (
+	// KindClient reports a client's own property (averageLatency).
+	KindClient = "client"
+	// KindGroup reports a server group's property (load).
+	KindGroup = "group"
+	// KindClientRole reports a property of the role connecting the Target
+	// client to its group (bandwidth).
+	KindClientRole = "clientRole"
+)
 
 // Gauge is a deployed gauge instance.
 type Gauge interface {
@@ -144,7 +156,7 @@ func (g *LatencyGauge) start() {
 		if len(g.samples) == 0 {
 			return
 		}
-		report(g.Report, g.host, g.name, g.client, "client", "averageLatency", g.Average(), g.lastUpd)
+		report(g.Report, g.host, g.name, g.client, KindClient, operators.PropAvgLatency, g.Average(), g.lastUpd)
 	})
 }
 
@@ -223,7 +235,7 @@ func (g *LoadGauge) start() {
 		if !g.seen {
 			return
 		}
-		report(g.Report, g.host, g.name, g.group, "group", "load", g.value, g.lastUpd)
+		report(g.Report, g.host, g.name, g.group, KindGroup, operators.PropLoad, g.value, g.lastUpd)
 	})
 }
 
@@ -291,7 +303,7 @@ func (g *BandwidthGauge) start() {
 		if g.inFlight {
 			// A lost query or reply must not wedge the gauge: give a cold
 			// collection ample time, then retry.
-			if now-g.sentAt < g.Rm.ColdDelay+4*g.Period {
+			if now-g.sentAt < remos.ColdDelay+4*g.Period {
 				return
 			}
 			g.inFlight = false
@@ -322,7 +334,7 @@ func (g *BandwidthGauge) start() {
 			if tr := g.Report.Tracer(); tr != nil {
 				parent = tr.Instant(obs.KindGaugeUpdate, 0, g.Report.Label, g.name, bw, 0)
 			}
-			report(g.Report, g.host, g.name, g.client, "clientRole", "bandwidth", bw, parent)
+			report(g.Report, g.host, g.name, g.client, KindClientRole, operators.PropBandwidth, bw, parent)
 		})
 	})
 }

@@ -8,22 +8,38 @@ import (
 	"archadapt/internal/sim"
 )
 
+// The gauge protocol's fixed costs.
+const (
+	// createMsgs and deleteMsgs are the round trips of a creation and a
+	// deletion handshake.
+	createMsgs, deleteMsgs = 4, 2
+	// msgBits is the size of one protocol message.
+	msgBits = 8192
+	// protocolDelay pads each round trip: deployment, class loading,
+	// subscription setup.
+	protocolDelay = 2.5
+	// retryTimeout bounds each handshake leg: a lost message is
+	// retransmitted after this long, so gauge deployment survives lossy
+	// monitoring networks.
+	retryTimeout = 15
+)
+
 // Manager owns gauge lifecycles and implements the gauge protocol the paper
 // defines "for gauge creation, communication, and deletion".
 //
-// Creating a gauge costs CreateMsgs sequential control-message round trips
+// Creating a gauge costs createMsgs sequential control-message round trips
 // between the owning application's manager host and the gauge host, each
-// padded by ProtocolDelay (deployment, class loading, subscription setup —
+// padded by protocolDelay (deployment, class loading, subscription setup —
 // the costs that made the paper's repairs average 30 seconds). Deletion
-// costs DeleteMsgs round trips. With Caching enabled, a re-target after a
+// costs deleteMsgs round trips. With Caching enabled, a re-target after a
 // repair is a single reconfiguration round trip instead of delete+create —
 // the paper's §5.3 proposal ("caching gauges or relocating them ... should
 // see our repair speed improve dramatically").
 //
 // One Manager serves a whole fleet: applications attach through Leases,
 // which scope gauge names and anchor the protocol exchanges at the leasing
-// application's manager host. The Manager's protocol parameters and
-// lifecycle counters are fleet-wide; per-application counters live on the
+// application's manager host. The Manager's lifecycle counters are
+// fleet-wide; per-application counters live on the
 // Lease. A Manager used directly (Create/Delete/Recreate on the Manager)
 // operates through a default lease anchored at Host — the single-tenant
 // configuration of the per-application reference oracle.
@@ -32,16 +48,8 @@ type Manager struct {
 	Net  *netsim.Network
 	Host netsim.NodeID
 
-	CreateMsgs    int
-	DeleteMsgs    int
-	MsgBits       float64
-	ProtocolDelay float64
-	// RetryTimeout bounds each handshake leg: a lost message is
-	// retransmitted after this long, so gauge deployment survives lossy
-	// monitoring networks.
-	RetryTimeout float64
-	Priority     netsim.Priority
-	Caching      bool
+	Priority netsim.Priority
+	Caching  bool
 
 	gauges map[gaugeKey]Gauge
 	leases map[string]*Lease
@@ -72,12 +80,8 @@ type Lease struct {
 func NewManager(k *sim.Kernel, net *netsim.Network, host netsim.NodeID) *Manager {
 	return &Manager{
 		K: k, Net: net, Host: host,
-		CreateMsgs: 4, DeleteMsgs: 2,
-		MsgBits:       8192,
-		ProtocolDelay: 2.5,
-		RetryTimeout:  15,
-		gauges:        map[gaugeKey]Gauge{},
-		leases:        map[string]*Lease{},
+		gauges: map[gaugeKey]Gauge{},
+		leases: map[string]*Lease{},
 	}
 }
 
@@ -138,7 +142,7 @@ func (m *Manager) Gauge(name string) Gauge { return m.defLease().Gauge(name) }
 
 // sendReliable delivers one protocol message with retransmission: if the
 // network drops it (lossy monitoring plane), it is resent after
-// RetryTimeout until it lands.
+// retryTimeout until it lands.
 func (m *Manager) sendReliable(from, to netsim.NodeID, cb func()) {
 	delivered := false
 	var attempt func()
@@ -146,19 +150,17 @@ func (m *Manager) sendReliable(from, to netsim.NodeID, cb func()) {
 		if delivered {
 			return
 		}
-		m.Net.SendMessage(from, to, m.MsgBits, m.Priority, func() {
+		m.Net.SendMessage(from, to, msgBits, m.Priority, func() {
 			if !delivered {
 				delivered = true
 				cb()
 			}
 		})
-		if m.RetryTimeout > 0 {
-			m.K.AfterAnon(m.RetryTimeout, func() {
-				if !delivered {
-					attempt()
-				}
-			})
-		}
+		m.K.AfterAnon(retryTimeout, func() {
+			if !delivered {
+				attempt()
+			}
+		})
 	}
 	attempt()
 }
@@ -166,10 +168,6 @@ func (m *Manager) sendReliable(from, to netsim.NodeID, cb func()) {
 // handshake runs n sequential round trips between anchor and host and calls
 // done.
 func (m *Manager) handshake(anchor, host netsim.NodeID, n int, done func()) {
-	if n <= 0 {
-		m.K.AfterAnon(0, done)
-		return
-	}
 	start := m.K.Now()
 	var step func(remaining int)
 	step = func(remaining int) {
@@ -180,7 +178,7 @@ func (m *Manager) handshake(anchor, host netsim.NodeID, n int, done func()) {
 		}
 		// Request leg, then protocol work, then ack leg.
 		m.sendReliable(anchor, host, func() {
-			m.K.AfterAnon(m.ProtocolDelay, func() {
+			m.K.AfterAnon(protocolDelay, func() {
 				m.sendReliable(host, anchor, func() {
 					step(remaining - 1)
 				})
@@ -219,7 +217,7 @@ func (l *Lease) Create(g Gauge, done func()) error {
 	l.m.creates++
 	l.m.gauges[key] = g
 	l.deployed++
-	l.m.handshake(l.host, g.Host(), l.m.CreateMsgs, func() {
+	l.m.handshake(l.host, g.Host(), createMsgs, func() {
 		if l.m.gauges[key] == g { // not deleted meanwhile
 			g.start()
 		}
@@ -243,7 +241,7 @@ func (l *Lease) Delete(name string, done func()) error {
 	delete(l.m.gauges, key)
 	l.deployed--
 	g.stop()
-	l.m.handshake(l.host, g.Host(), l.m.DeleteMsgs, func() {
+	l.m.handshake(l.host, g.Host(), deleteMsgs, func() {
 		if done != nil {
 			done()
 		}
@@ -324,7 +322,7 @@ func (l *Lease) Close(done func()) {
 			}
 			return
 		}
-		l.m.handshake(l.host, hosts[i], l.m.DeleteMsgs, func() { step(i + 1) })
+		l.m.handshake(l.host, hosts[i], deleteMsgs, func() { step(i + 1) })
 	}
 	step(0)
 }

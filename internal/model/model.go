@@ -117,7 +117,9 @@ func (c *Component) Port(name string) *Port {
 	return nil
 }
 
-// AddPort declares a new port of the given type.
+// AddPort declares a new port of the given type. A duplicate name panics; a
+// caller whose names come from input checks them first, as acme.Parse and
+// repair.Txn do.
 func (c *Component) AddPort(name, typ string) *Port {
 	if c.Port(name) != nil {
 		panic(fmt.Sprintf("model: duplicate port %s.%s", c.name, name))
@@ -179,7 +181,8 @@ func (c *Connector) Role(name string) *Role {
 	return nil
 }
 
-// AddRole declares a new role of the given type.
+// AddRole declares a new role of the given type. A duplicate name panics, as
+// in AddPort.
 func (c *Connector) AddRole(name, typ string) *Role {
 	if c.Role(name) != nil {
 		panic(fmt.Sprintf("model: duplicate role %s.%s", c.name, name))
@@ -296,7 +299,8 @@ func (s *System) Connector(name string) *Connector {
 	return nil
 }
 
-// AddComponent creates a component of the given type.
+// AddComponent creates a component of the given type. A duplicate name
+// panics, as in AddPort.
 func (s *System) AddComponent(name, typ string) *Component {
 	if s.Component(name) != nil {
 		panic(fmt.Sprintf("model: duplicate component %q", name))
@@ -307,7 +311,8 @@ func (s *System) AddComponent(name, typ string) *Component {
 	return c
 }
 
-// AddConnector creates a connector of the given type.
+// AddConnector creates a connector of the given type. A duplicate name
+// panics, as in AddPort.
 func (s *System) AddConnector(name, typ string) *Connector {
 	if s.Connector(name) != nil {
 		panic(fmt.Sprintf("model: duplicate connector %q", name))

@@ -6,6 +6,14 @@ import (
 	"archadapt/internal/sim"
 )
 
+// A generated grid's links all have the testbed's wiring: 10 Mbps per
+// direction and 1 ms per traversal.
+const (
+	BackboneBps = 10e6
+	AccessBps   = 10e6
+	propDelay   = 1e-3
+)
+
 // GridSpec parameterizes a generated grid topology. It scales the paper's
 // Figure 6 testbed — a chain of routers with a cross link and a handful of
 // hosts per router — up to arbitrary sizes: Routers routers in a chain, each
@@ -17,14 +25,6 @@ type GridSpec struct {
 	// HostsPerRouter is the number of hosts attached to each router
 	// (Figure 6 averages ≈2). Minimum 1.
 	HostsPerRouter int
-
-	// BackboneBps and AccessBps are per-direction link capacities; zero
-	// defaults to the testbed's 10 Mbps.
-	BackboneBps float64
-	AccessBps   float64
-	// PropDelay is the per-traversal propagation delay; zero defaults to
-	// 1 ms, matching the testbed wiring.
-	PropDelay float64
 
 	// CrossLinks is the number of extra backbone chords beyond the chain
 	// (Figure 6 has one, R2–R4). Zero defaults to Routers/4; negative means
@@ -42,15 +42,6 @@ func (s GridSpec) withDefaults() GridSpec {
 	}
 	if s.HostsPerRouter < 1 {
 		s.HostsPerRouter = 1
-	}
-	if s.BackboneBps <= 0 {
-		s.BackboneBps = 10e6
-	}
-	if s.AccessBps <= 0 {
-		s.AccessBps = 10e6
-	}
-	if s.PropDelay <= 0 {
-		s.PropDelay = 1e-3
 	}
 	if s.CrossLinks == 0 {
 		s.CrossLinks = s.Routers / 4
@@ -98,7 +89,7 @@ func GenerateGrid(k *sim.Kernel, spec GridSpec) *Grid {
 		for j := 0; j < spec.HostsPerRouter; j++ {
 			h := g.Net.AddHost(fmt.Sprintf("R%dH%d", i+1, j+1))
 			g.region = append(g.region, int32(i))
-			g.access = append(g.access, g.Net.Connect(h, r, spec.AccessBps, spec.PropDelay))
+			g.access = append(g.access, g.Net.Connect(h, r, AccessBps, propDelay))
 			hosts = append(hosts, h)
 			g.Hosts = append(g.Hosts, h)
 		}
@@ -107,7 +98,7 @@ func GenerateGrid(k *sim.Kernel, spec GridSpec) *Grid {
 	// Backbone chain R1–R2–…–Rn.
 	for i := 0; i+1 < spec.Routers; i++ {
 		g.Backbone = append(g.Backbone,
-			g.Net.Connect(g.Routers[i], g.Routers[i+1], spec.BackboneBps, spec.PropDelay))
+			g.Net.Connect(g.Routers[i], g.Routers[i+1], BackboneBps, propDelay))
 	}
 	// Seeded chords (skipping chain-adjacent and duplicate pairs).
 	if spec.Routers >= 4 && spec.CrossLinks > 0 {
@@ -122,7 +113,7 @@ func GenerateGrid(k *sim.Kernel, spec GridSpec) *Grid {
 			}
 			used[[2]int{i, j}] = true
 			g.Backbone = append(g.Backbone,
-				g.Net.Connect(g.Routers[i], g.Routers[j], spec.BackboneBps, spec.PropDelay))
+				g.Net.Connect(g.Routers[i], g.Routers[j], BackboneBps, propDelay))
 			placed++
 		}
 	}

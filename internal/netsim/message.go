@@ -17,6 +17,16 @@ const (
 	Prioritized
 )
 
+// The control-message delay model's fixed costs.
+const (
+	// ctrlFloor bounds control-message delay when the network is saturated:
+	// a best-effort message sees at least this much bandwidth (bits/sec).
+	ctrlFloor = 9600
+	// ctrlPerHopOverhead is fixed per-hop processing time for control
+	// messages (0.5 ms).
+	ctrlPerHopOverhead = 5e-4
+)
+
 // MsgStats accumulates control-message accounting.
 type MsgStats struct {
 	Sent     uint64
@@ -111,11 +121,11 @@ func (n *Network) MessageDelay(src, dst NodeID, bits float64, prio Priority) flo
 		bw := l.Capacity
 		if prio == BestEffort {
 			bw = l.availCap(h.dir)
-			if bw < n.CtrlFloor {
-				bw = n.CtrlFloor
+			if bw < ctrlFloor {
+				bw = ctrlFloor
 			}
 		}
-		delay += l.PropDelay + n.CtrlPerHopOverhead + bits/bw
+		delay += l.PropDelay + ctrlPerHopOverhead + bits/bw
 	}
 	return delay
 }

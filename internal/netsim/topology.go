@@ -113,11 +113,6 @@ type Network struct {
 	// consumed a link entirely; the paper's Figure 10 bottoms out around
 	// 1e-4 Mbps (100 bps), which is the default here.
 	MinFlowRate float64
-	// CtrlFloor bounds control-message delay when the network is saturated.
-	CtrlFloor float64
-	// CtrlPerHopOverhead is fixed per-hop processing time for control
-	// messages.
-	CtrlPerHopOverhead float64
 
 	// Stats
 	completedFlows uint64
@@ -213,11 +208,9 @@ var rootOnly = []crumb{{via: -1}}
 // New creates an empty network bound to the kernel.
 func New(k *sim.Kernel) *Network {
 	return &Network{
-		K:                  k,
-		byName:             map[string]NodeID{},
-		MinFlowRate:        100,  // bits/sec
-		CtrlFloor:          9600, // bits/sec
-		CtrlPerHopOverhead: 5e-4, // 0.5 ms per hop
+		K:           k,
+		byName:      map[string]NodeID{},
+		MinFlowRate: 100, // bits/sec
 	}
 }
 

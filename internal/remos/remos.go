@@ -15,6 +15,17 @@ import (
 	"archadapt/internal/sim"
 )
 
+// The service's fixed costs.
+const (
+	// ColdDelay is the collection time for the first query about a host
+	// pair. The paper reports "several minutes".
+	ColdDelay = 90.0
+	// warmDelay is the processing time for subsequent queries.
+	warmDelay = 0.05
+	// queryBits is the size of the query/response messages.
+	queryBits = 8192.0
+)
+
 type pairKey struct{ src, dst netsim.NodeID }
 
 // Service is a Remos collector running on a host.
@@ -22,16 +33,6 @@ type Service struct {
 	K    *sim.Kernel
 	Net  *netsim.Network
 	Host netsim.NodeID
-
-	// ColdDelay is the collection time for the first query about a host
-	// pair. The paper reports "several minutes"; default 90 s.
-	ColdDelay float64
-	// WarmDelay is the processing time for subsequent queries.
-	WarmDelay float64
-	// QueryBits is the size of the query/response messages.
-	QueryBits float64
-	// Priority of Remos control traffic.
-	Priority netsim.Priority
 
 	warm       map[pairKey]bool
 	pending    map[pairKey][]func(float64)
@@ -77,7 +78,7 @@ func serveFn(arg any) {
 func warmReplyFn(arg any) {
 	q := arg.(*query)
 	q.bw = q.s.measure(q.src, q.dst)
-	q.s.Net.SendMessageTo(q.s.Host, q.caller, q.s.QueryBits, q.s.Priority, callbackFn, q)
+	q.s.Net.SendMessageTo(q.s.Host, q.caller, queryBits, netsim.BestEffort, callbackFn, q)
 }
 
 func callbackFn(arg any) {
@@ -91,7 +92,6 @@ func callbackFn(arg any) {
 func New(k *sim.Kernel, net *netsim.Network, host netsim.NodeID) *Service {
 	return &Service{
 		K: k, Net: net, Host: host,
-		ColdDelay: 90, WarmDelay: 0.05, QueryBits: 8192,
 		warm:       map[pairKey]bool{},
 		pending:    map[pairKey][]func(float64){},
 		collecting: map[pairKey]bool{},
@@ -119,14 +119,14 @@ func (s *Service) measure(src, dst netsim.NodeID) float64 {
 func (s *Service) GetFlow(caller, src, dst netsim.NodeID, cb func(bw float64)) {
 	q := s.getQuery()
 	q.caller, q.src, q.dst, q.cb = caller, src, dst, cb
-	s.Net.SendMessageTo(caller, s.Host, s.QueryBits, s.Priority, serveFn, q)
+	s.Net.SendMessageTo(caller, s.Host, queryBits, netsim.BestEffort, serveFn, q)
 }
 
 func (s *Service) serve(q *query) {
 	s.queries++
 	key := pairKey{q.src, q.dst}
 	if s.warm[key] {
-		s.K.AfterAnonArg(s.WarmDelay, warmReplyFn, q)
+		s.K.AfterAnonArg(warmDelay, warmReplyFn, q)
 		return
 	}
 	// Cold: start (or join) a collection for this pair. The cold path is
@@ -134,7 +134,7 @@ func (s *Service) serve(q *query) {
 	caller, src, dst, cb := q.caller, q.src, q.dst, q.cb
 	s.putQuery(q)
 	reply := func(bw float64) {
-		s.Net.SendMessage(s.Host, caller, s.QueryBits, s.Priority, func() { cb(bw) })
+		s.Net.SendMessage(s.Host, caller, queryBits, netsim.BestEffort, func() { cb(bw) })
 	}
 	s.pending[key] = append(s.pending[key], reply)
 	if s.collecting[key] {
@@ -172,7 +172,7 @@ func (s *Service) Prequery(src, dst netsim.NodeID) {
 func (s *Service) startCollection(key pairKey, src, dst netsim.NodeID) {
 	s.collecting[key] = true
 	s.coldQueries++
-	s.K.AfterAnon(s.ColdDelay, func() {
+	s.K.AfterAnon(ColdDelay, func() {
 		s.warm[key] = true
 		delete(s.collecting, key)
 		bw := s.measure(src, dst)
@@ -186,7 +186,7 @@ func (s *Service) startCollection(key pairKey, src, dst netsim.NodeID) {
 
 // GetFlowBatch resolves the predicted available bandwidth for len(srcs)
 // (src, dst) pairs in one query/response exchange: one query message
-// caller→collector, one WarmDelay for the whole batch, one response message
+// caller→collector, one warmDelay for the whole batch, one response message
 // back (sized per pair), then cb(out). The pairs need not involve the
 // caller — like GetFlow, the collector answers about arbitrary host pairs.
 //
@@ -199,9 +199,9 @@ func (s *Service) GetFlowBatch(caller netsim.NodeID, srcs, dsts []netsim.NodeID,
 	if len(srcs) != len(dsts) || len(out) != len(srcs) {
 		panic("remos: GetFlowBatch srcs/dsts/out length mismatch")
 	}
-	s.Net.SendMessage(caller, s.Host, s.QueryBits, s.Priority, func() {
+	s.Net.SendMessage(caller, s.Host, queryBits, netsim.BestEffort, func() {
 		s.queries++
-		s.K.AfterAnon(s.WarmDelay, func() {
+		s.K.AfterAnon(warmDelay, func() {
 			for i := range srcs {
 				if s.warm[pairKey{srcs[i], dsts[i]}] {
 					out[i] = s.measure(srcs[i], dsts[i])
@@ -210,8 +210,8 @@ func (s *Service) GetFlowBatch(caller netsim.NodeID, srcs, dsts []netsim.NodeID,
 					s.Prequery(srcs[i], dsts[i])
 				}
 			}
-			bits := s.QueryBits + 64*float64(len(srcs))
-			s.Net.SendMessage(s.Host, caller, bits, s.Priority, func() { cb(out) })
+			bits := queryBits + 64*float64(len(srcs))
+			s.Net.SendMessage(s.Host, caller, bits, netsim.BestEffort, func() { cb(out) })
 		})
 	})
 }

@@ -26,8 +26,8 @@ func TestColdQueryTakesMinutes(t *testing.T) {
 	var answered float64 = -1
 	s.GetFlow(s.Host, a, b, func(bw float64) { answered = k.Now() })
 	k.RunAll(0)
-	if answered < s.ColdDelay {
-		t.Fatalf("cold query answered at %v, want >= %v", answered, s.ColdDelay)
+	if answered < ColdDelay {
+		t.Fatalf("cold query answered at %v, want >= %v", answered, ColdDelay)
 	}
 	if s.ColdQueries() != 1 || s.Queries() != 1 {
 		t.Fatalf("stats: %d/%d", s.ColdQueries(), s.Queries())

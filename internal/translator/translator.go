@@ -15,8 +15,6 @@ import (
 // Translator applies model-level ops through the environment manager.
 type Translator struct {
 	Env *envmgr.Manager
-	// Applied records the expansion trace for tests and the repair log.
-	Applied []string
 }
 
 // New creates a translator over an environment manager.
@@ -38,31 +36,14 @@ func (t *Translator) Apply(op repair.Op) error {
 			if err := t.Env.ConnectServer(op.Server, op.Group); err != nil {
 				return err
 			}
-			t.Applied = append(t.Applied, fmt.Sprintf("connectServer(%s,%s)", op.Server, op.Group))
 		}
-		if err := t.Env.ActivateServer(op.Server); err != nil {
-			return err
-		}
-		t.Applied = append(t.Applied, fmt.Sprintf("activateServer(%s)", op.Server))
-		return nil
+		return t.Env.ActivateServer(op.Server)
 	case repair.OpRemoveServer:
-		if err := t.Env.DeactivateServer(op.Server); err != nil {
-			return err
-		}
-		t.Applied = append(t.Applied, fmt.Sprintf("deactivateServer(%s)", op.Server))
-		return nil
+		return t.Env.DeactivateServer(op.Server)
 	case repair.OpMoveClient:
-		if err := t.Env.MoveClient(op.Client, op.Group); err != nil {
-			return err
-		}
-		t.Applied = append(t.Applied, fmt.Sprintf("moveClient(%s,%s)", op.Client, op.Group))
-		return nil
+		return t.Env.MoveClient(op.Client, op.Group)
 	case repair.OpCreateQueue:
-		if err := t.Env.CreateReqQueue(op.Group); err != nil {
-			return err
-		}
-		t.Applied = append(t.Applied, fmt.Sprintf("createReqQueue(%s)", op.Group))
-		return nil
+		return t.Env.CreateReqQueue(op.Group)
 	}
 	return fmt.Errorf("translator: unknown op kind %v", op.Kind)
 }

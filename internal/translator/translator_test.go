@@ -1,7 +1,6 @@
 package translator
 
 import (
-	"strings"
 	"testing"
 
 	"archadapt/internal/app"
@@ -47,9 +46,8 @@ func TestAddServerExpandsToConnectPlusActivate(t *testing.T) {
 	if !srv.Active() || srv.Group != "G1" {
 		t.Fatalf("SP active=%v group=%s", srv.Active(), srv.Group)
 	}
-	trace := strings.Join(tr.Applied, ";")
-	if !strings.Contains(trace, "connectServer(SP,G1)") || !strings.Contains(trace, "activateServer(SP)") {
-		t.Fatalf("trace %q", trace)
+	if st := tr.Env.Stats(); st.ConnectServer != 1 || st.ActivateServer != 1 {
+		t.Fatalf("stats %+v, want one connect and one activate", st)
 	}
 }
 
@@ -62,10 +60,8 @@ func TestAddServerSkipsConnectWhenParkedOnGroup(t *testing.T) {
 	if !a.Server("SP").Active() {
 		t.Fatal("SP inactive")
 	}
-	for _, step := range tr.Applied {
-		if strings.HasPrefix(step, "connectServer") {
-			t.Fatalf("unnecessary connect: %v", tr.Applied)
-		}
+	if st := tr.Env.Stats(); st.ConnectServer != 0 || st.ActivateServer != 1 {
+		t.Fatalf("stats %+v, want one activate and no connect", st)
 	}
 }
 
@@ -77,6 +73,9 @@ func TestRemoveServer(t *testing.T) {
 	k.RunAll(0)
 	if a.Server("S1").Active() {
 		t.Fatal("S1 still active")
+	}
+	if st := tr.Env.Stats(); st.DeactivateServer != 1 {
+		t.Fatalf("stats %+v, want one deactivate", st)
 	}
 }
 
@@ -100,6 +99,9 @@ func TestMoveClientAndCreateQueue(t *testing.T) {
 	}
 	if !has {
 		t.Fatal("queue not created")
+	}
+	if st := tr.Env.Stats(); st.MoveClient != 1 || st.CreateReqQueue != 1 {
+		t.Fatalf("stats %+v, want one move and one queue creation", st)
 	}
 }
 
