@@ -167,6 +167,10 @@ type System struct {
 	// system retains no records for requests it will never send.
 	freeReqs []*Request
 	stopped  bool
+	// memberRev advances whenever a flow class's key, members or anchor can
+	// have changed: a process registered, re-pointed, re-hosted, activated
+	// or deactivated (MemberRev).
+	memberRev uint64
 
 	// OnDrop listeners observe requests discarded by moves or missing
 	// queues (harness instrumentation; the paper's clients simply never
@@ -200,6 +204,7 @@ func (s *System) AddClient(name string, host netsim.NodeID, group string, rate f
 	s.clients[name] = c
 	s.order.clients = append(s.order.clients, name)
 	s.clientList = append(s.clientList, c)
+	s.memberRev++
 	return c
 }
 
@@ -218,6 +223,7 @@ func (s *System) AddServer(name string, host netsim.NodeID, group string, servic
 	s.servers[name] = srv
 	s.order.servers = append(s.order.servers, name)
 	s.serverList = append(s.serverList, srv)
+	s.memberRev++
 	return srv
 }
 
@@ -229,6 +235,7 @@ func (s *System) CreateQueue(group string) error {
 	q := &queue{group: group}
 	s.queues[group] = q
 	s.order.groups = append(s.order.groups, group)
+	s.memberRev++
 	// Processes registered against the group before its queue existed.
 	for _, c := range s.clientList {
 		if c.Group == group {
@@ -255,8 +262,15 @@ func (s *System) Clients() []string { return s.order.clients }
 // Servers returns all server names in registration order.
 func (s *System) Servers() []string { return s.order.servers }
 
-// Groups returns all group names in queue-creation order.
+// Groups returns all group names in queue-creation order. Groups are never
+// removed, so a group's position in the list is stable.
 func (s *System) Groups() []string { return s.order.groups }
+
+// MemberRev returns the membership revision: it advances on every change
+// that can move a client's (region, group) key, a class's members or a
+// group's anchor host, so a caller holding flow classes built at one
+// revision may keep them for as long as it reads the same value.
+func (s *System) MemberRev() uint64 { return s.memberRev }
 
 // QueueLen returns the number of waiting requests in a group's queue.
 func (s *System) QueueLen(group string) int {
@@ -513,6 +527,7 @@ func (s *System) finishServing(srv *Server) {
 	if srv.stopped {
 		srv.active = false
 		srv.stopped = false
+		s.memberRev++ // a deferred Deactivate takes effect
 	}
 	if srv.active && srv.q != nil {
 		s.dispatch(srv.q)
@@ -535,6 +550,7 @@ func (s *System) Activate(server string) error {
 	}
 	srv.active = true
 	srv.stopped = false
+	s.memberRev++
 	if srv.q != nil {
 		s.dispatch(srv.q)
 	}
@@ -555,6 +571,7 @@ func (s *System) Deactivate(server string) error {
 	} else {
 		srv.active = false
 	}
+	s.memberRev++
 	return nil
 }
 
@@ -573,6 +590,7 @@ func (s *System) ConnectServer(server, group string) error {
 		return fmt.Errorf("app: no queue for group %q", group)
 	}
 	srv.Group, srv.q = group, q
+	s.memberRev++
 	return nil
 }
 
@@ -608,6 +626,7 @@ func (s *System) MoveClient(client, group string) error {
 		old.head = 0
 	}
 	c.Group, c.q = group, q
+	s.memberRev++
 	return nil
 }
 
@@ -643,6 +662,7 @@ func (s *System) Rehost(queueHost netsim.NodeID, serverHosts, clientHosts map[st
 	for _, c := range s.clientList {
 		c.Host = clientHosts[c.Name]
 	}
+	s.memberRev++
 	return nil
 }
 
@@ -656,5 +676,6 @@ func (s *System) CrashServer(server string) error {
 	srv.active = false
 	srv.busy = false
 	srv.stopped = false
+	s.memberRev++
 	return nil
 }

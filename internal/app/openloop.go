@@ -26,11 +26,14 @@ import (
 type FlowClass struct {
 	Region int
 	Group  string
-	Src    netsim.NodeID
-	Dst    netsim.NodeID
-	// Members are the client names aggregated into this class, in
-	// registration order.
-	Members []string
+	// GroupPos is Group's position in System.Groups(), -1 while the group
+	// has no queue.
+	GroupPos int
+	Src      netsim.NodeID
+	Dst      netsim.NodeID
+	// Members are the clients aggregated into this class, in registration
+	// order.
+	Members []*Client
 
 	// Flow is the class's demand-capped reply flow on the shared network
 	// (nil until the engine starts it; nil forever for Src == Dst classes
@@ -52,24 +55,84 @@ type FlowClass struct {
 // order — deterministic for a deterministic client set. regionOf maps a
 // host to its region index (the fleet passes Grid.RouterIndex).
 func BuildFlowClasses(s *System, regionOf func(netsim.NodeID) int) []*FlowClass {
-	type key struct {
-		region int
-		group  string
-	}
-	idx := map[key]*FlowClass{}
 	var out []*FlowClass
 	for _, c := range s.clientList {
-		k := key{regionOf(c.Host), c.Group}
-		fc := idx[k]
-		if fc == nil {
-			fc = &FlowClass{Region: k.region, Group: c.Group, Src: c.Host, Dst: s.groupAnchor(c.Group)}
-			idx[k] = fc
-			out = append(out, fc)
+		region := regionOf(c.Host)
+		i := findClass(out, region, c.Group)
+		if i < 0 {
+			i = len(out)
+			out = append(out, &FlowClass{
+				Region: region, Group: c.Group, GroupPos: slices.Index(s.order.groups, c.Group),
+				Src: c.Host, Dst: s.groupAnchor(c.Group),
+			})
 		}
-		fc.Members = append(fc.Members, c.Name)
+		out[i].Members = append(out[i].Members, c)
 	}
 	return out
 }
+
+// findClass returns the index of the class keyed (region, group), -1 if
+// there is none; nil entries are skipped. An application's clients span a
+// handful of classes, so a scan beats a map.
+func findClass(classes []*FlowClass, region int, group string) int {
+	for i, fc := range classes {
+		if fc != nil && fc.Region == region && fc.Group == group {
+			return i
+		}
+	}
+	return -1
+}
+
+// FlowClasses is one system's class set, kept current by Sync. The zero
+// value holds no classes and rebuilds on its first Sync.
+type FlowClasses struct {
+	List   []*FlowClass
+	rev    uint64 // the MemberRev List was built at
+	synced bool
+}
+
+// Sync brings List up to date with the system's membership and reports
+// whether it changed anything. While MemberRev holds still the classes
+// BuildFlowClasses would return are the ones List has, so Sync returns at
+// once. Otherwise it rebuilds, carrying each old class's accounting over to
+// the new class with the same (region, group) key, and its flow too as long
+// as both endpoints held still. A class whose endpoints moved restarts its
+// flow, and a class that no longer exists loses it: both are cancelled (bits
+// in flight at the switch are dropped — the fluid model's cost of a
+// re-anchoring, not worth tracking).
+func (fs *FlowClasses) Sync(s *System, regionOf func(netsim.NodeID) int) bool {
+	if fs.synced && fs.rev == s.memberRev {
+		return false
+	}
+	fresh := BuildFlowClasses(s, regionOf)
+	old := fs.List
+	for _, fc := range fresh {
+		i := findClass(old, fc.Region, fc.Group)
+		if i < 0 {
+			continue
+		}
+		prev := old[i]
+		old[i] = nil // matched: keys are unique, so nothing else claims it
+		fc.NetBacklog, fc.EmitRate, fc.Credit = prev.NetBacklog, prev.EmitRate, prev.Credit
+		if prev.Src == fc.Src && prev.Dst == fc.Dst {
+			fc.Flow = prev.Flow
+			fc.LastDelivered = prev.LastDelivered
+		} else if prev.Flow != nil {
+			prev.Flow.Cancel()
+		}
+	}
+	for _, prev := range old {
+		if prev != nil && prev.Flow != nil {
+			prev.Flow.Cancel()
+		}
+	}
+	fs.List, fs.rev, fs.synced = fresh, s.memberRev, true
+	return true
+}
+
+// Reset forgets the classes without touching their flows (the caller has
+// cancelled them); the next Sync rebuilds from scratch.
+func (fs *FlowClasses) Reset() { fs.List, fs.synced = nil, false }
 
 // groupAnchor returns the host class reply traffic originates from: the
 // group's first active server, else the queue machine.
@@ -119,5 +182,6 @@ func (s *System) RemoveServer(name string) error {
 	i := slices.Index(s.serverList, srv)
 	s.order.servers = slices.Delete(s.order.servers, i, i+1)
 	s.serverList = slices.Delete(s.serverList, i, i+1)
+	s.memberRev++
 	return nil
 }

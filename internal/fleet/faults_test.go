@@ -70,6 +70,51 @@ func TestRestoreWithoutFailErrors(t *testing.T) {
 	}
 }
 
+// TestFailuresNeverDisconnectTheGrid tries to reach netsim's "no route"
+// panic the way a scenario could: fail every region and crush the whole
+// backbone to nothing on generated grids of every shape up to 6 routers
+// (one router and no backbone included, chords on), then route every
+// ordered node pair through the three entry points that walk a route.
+// Failures load links rather than remove them, so each pair must still
+// route, over as many hops as before the failures, and measure at least
+// the network's bandwidth floor.
+func TestFailuresNeverDisconnectTheGrid(t *testing.T) {
+	for routers := 1; routers <= 6; routers++ {
+		for hosts := 1; hosts <= 3; hosts++ {
+			k := sim.NewKernel()
+			grid := netsim.GenerateGrid(k, netsim.GridSpec{Routers: routers, HostsPerRouter: hosts, CrossLinks: 2, Seed: uint64(routers*10 + hosts)})
+			f, err := New(k, grid, 1, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := grid.Net
+			hops := make([]int, n.NumNodes()*n.NumNodes())
+			for p := range hops {
+				hops[p] = n.PathHops(netsim.NodeID(p/n.NumNodes()), netsim.NodeID(p%n.NumNodes()))
+			}
+			for r := 0; r < routers; r++ {
+				if err := f.FailRegion(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.CrushBackbone(1, 0)
+			for p := range hops {
+				src, dst := netsim.NodeID(p/n.NumNodes()), netsim.NodeID(p%n.NumNodes())
+				if src == dst {
+					continue
+				}
+				if got := n.PathHops(src, dst); got != hops[p] || got == 0 {
+					t.Fatalf("grid %dx%d: %d→%d routes over %d hops under failure, %d before", routers, hosts, src, dst, got, hops[p])
+				}
+				if bw := n.AvailBandwidth(src, dst); bw < n.MinFlowRate {
+					t.Fatalf("grid %dx%d: %d→%d measures %v under failure", routers, hosts, src, dst, bw)
+				}
+				n.StartTransfer(src, dst, 1, "probe", nil).Cancel()
+			}
+		}
+	}
+}
+
 // TestNestedRegionFailureHoldsUntilBalanced pins the refcount semantics: a
 // region failed twice stays failed after one restore and recovers only when
 // every failure is balanced; same for the backbone.

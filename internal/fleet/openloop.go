@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"archadapt/internal/app"
 	"archadapt/internal/arrivals"
@@ -222,15 +223,17 @@ type openApp struct {
 	users float64
 	gated bool // admitted through the admission gate (ledger accounting)
 
-	classes  []*app.FlowClass
+	classes  app.FlowClasses
 	assign   *Assignment // assignment identity at the last tick (cutover detection)
 	lastTick float64
 
-	// backlog is the per-group server fluid queue in requests; lastScale
-	// the per-group cooldown anchor; scaled the live autoscaled replicas.
-	backlog   map[string]float64
-	lastScale map[string]float64
-	scaled    map[string][]scaledReplica
+	// Per-group state, indexed by position in Sys.Groups() (groups are
+	// never removed): backlog is the server fluid queue in requests;
+	// lastScale the cooldown anchor (-Inf before the first action); scaled
+	// the live autoscaled replicas.
+	backlog   []float64
+	lastScale []float64
+	scaled    [][]scaledReplica
 	seq       int
 	ups       int
 	downs     int
@@ -240,9 +243,21 @@ type openApp struct {
 	rates  []float64
 	lam    []float64
 	counts []uint64
-	glam   map[string]float64
-	gout   map[string]float64
-	gwait  map[string]float64
+	glam   []float64
+	gout   []float64
+	gwait  []float64
+}
+
+// growGroups extends the per-group state to n groups.
+func (ol *openApp) growGroups(n int) {
+	for len(ol.backlog) < n {
+		ol.backlog = append(ol.backlog, 0)
+		ol.lastScale = append(ol.lastScale, math.Inf(-1))
+		ol.scaled = append(ol.scaled, nil)
+		ol.glam = append(ol.glam, 0)
+		ol.gout = append(ol.gout, 0)
+		ol.gwait = append(ol.gwait, 0)
+	}
 }
 
 // scaledSlots returns the scheduler slots the app's autoscaled replicas
@@ -309,7 +324,10 @@ func (a *App) AutoscaledOf(group string) int {
 	if a.ol == nil {
 		return 0
 	}
-	return len(a.ol.scaled[group])
+	if g := slices.Index(a.Sys.Groups(), group); g >= 0 && g < len(a.ol.scaled) {
+		return len(a.ol.scaled[g])
+	}
+	return 0
 }
 
 // openLoopOffered returns the fleet's aggregate open-loop offered load and
@@ -361,13 +379,8 @@ func (f *Fleet) openLoopRegister(a *App, proc arrivals.Process, users float64, g
 	a.ol = &openApp{
 		proc: proc, users: users, gated: gated,
 		assign: a.Assign, lastTick: f.K.Now(),
-		backlog:   map[string]float64{},
-		lastScale: map[string]float64{},
-		scaled:    map[string][]scaledReplica{},
-		glam:      map[string]float64{},
-		gout:      map[string]float64{},
-		gwait:     map[string]float64{},
 	}
+	a.ol.growGroups(len(a.Sys.Groups()))
 	if gated {
 		f.ol.ledger.Admitted++
 		f.ol.ledger.Active++
@@ -387,21 +400,21 @@ func (f *Fleet) openLoopTeardown(a *App, removeServers bool) {
 		return
 	}
 	f.Net.Batch(func() {
-		for _, fc := range ol.classes {
+		for _, fc := range ol.classes.List {
 			if fc.Flow != nil {
 				fc.Flow.Cancel()
 			}
 		}
 	})
-	ol.classes = nil
-	for _, g := range a.Sys.Groups() {
-		for _, rep := range ol.scaled[g] {
+	ol.classes.Reset()
+	for g, reps := range ol.scaled {
+		for _, rep := range reps {
 			if removeServers {
 				_ = a.Sys.RemoveServer(rep.name)
 			}
 			f.Sch.ReleaseHost(rep.host)
 		}
-		delete(ol.scaled, g)
+		ol.scaled[g] = nil
 	}
 }
 
@@ -430,8 +443,8 @@ func (f *Fleet) openLoopTick(now float64) {
 
 // openLoopApp is one adjust tick for one application:
 //
-//  1. settle the past interval's network accounting per class,
-//  2. reconcile classes with current membership and anchors,
+//  1. reconcile classes with current membership and anchors,
+//  2. settle the past interval's network accounting per class,
 //  3. aggregate offered load per group, advance the server fluid queues,
 //     and compute each group's M/M/m latency verdict,
 //  4. take scale decisions,
@@ -444,7 +457,7 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 		// old flows and replicas were torn down at decision time. Rebuild
 		// from the new placement.
 		ol.assign = a.Assign
-		ol.classes = nil
+		ol.classes.Reset()
 	}
 	// Closed-loop generation stays off. PauseClients is idempotent, and
 	// re-asserting it here re-pauses clients a cutover's ResumeClients
@@ -458,47 +471,19 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 	respBits := a.Spec.RespBits
 	mu := appServiceRate(a.Spec)
 
-	// (1) Reconcile classes: repairs move clients between groups and
-	// migrations re-place hosts, so membership and anchors are recomputed
-	// every tick; accounting state and flows carry over by (region, group)
-	// as long as the endpoints held still. A class whose endpoints moved
-	// restarts its flow (bits in flight at the switch are dropped — the
-	// fluid model's cost of a re-anchoring, not worth tracking).
-	type ckey struct {
-		region int
-		group  string
-	}
-	fresh := app.BuildFlowClasses(a.Sys, f.Grid.RouterIndex)
-	prev := make(map[ckey]*app.FlowClass, len(ol.classes))
-	for _, fc := range ol.classes {
-		prev[ckey{fc.Region, fc.Group}] = fc
-	}
-	for _, fc := range fresh {
-		k := ckey{fc.Region, fc.Group}
-		old, ok := prev[k]
-		if !ok {
-			continue
-		}
-		delete(prev, k)
-		fc.NetBacklog, fc.EmitRate, fc.Credit = old.NetBacklog, old.EmitRate, old.Credit
-		if old.Src == fc.Src && old.Dst == fc.Dst {
-			fc.Flow = old.Flow
-			fc.LastDelivered = old.LastDelivered
-		} else if old.Flow != nil {
-			old.Flow.Cancel()
-		}
-	}
-	for _, fc := range ol.classes {
-		if prev[ckey{fc.Region, fc.Group}] == fc && fc.Flow != nil {
-			fc.Flow.Cancel()
-		}
-	}
-	ol.classes = fresh
+	// (1) Reconcile classes: repairs move clients between groups, scaling
+	// changes a group's first active server and migrations re-place hosts.
+	// Each of those advances the system's membership revision; between
+	// them the classes stand as they are.
+	ol.classes.Sync(a.Sys, f.Grid.RouterIndex)
+	classes := ol.classes.List
+	groups := a.Sys.Groups()
+	ol.growGroups(len(groups))
 
 	// (2) Settle the past interval per class: bits the network delivered
 	// against bits the servers emitted, and the completed-response count.
 	ol.counts = ol.counts[:0]
-	for _, fc := range ol.classes {
+	for _, fc := range classes {
 		delta := 0.0
 		if fc.Flow != nil {
 			d := fc.Flow.Delivered()
@@ -516,30 +501,32 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 	}
 	counts := ol.counts
 
-	// (3) Offered load per class (compensated member sum) and per group.
+	// (3) Offered load per class (compensated member sum) and per group. A
+	// class whose group has no queue offers load nobody serves: it adds to
+	// no group, and below its servers emit nothing and its wait is zero.
 	perUser := ol.proc.Rate(now)
 	usersPerClient := ol.users / float64(len(a.Opspec.Clients))
 	perMember := usersPerClient * perUser
 	ol.lam = ol.lam[:0]
-	for g := range ol.glam {
-		delete(ol.glam, g)
-	}
-	for _, fc := range ol.classes {
+	clear(ol.glam)
+	for _, fc := range classes {
 		ol.rates = ol.rates[:0]
 		for range fc.Members {
 			ol.rates = append(ol.rates, perMember)
 		}
 		lam := arrivals.SumExact(ol.rates)
 		ol.lam = append(ol.lam, lam)
-		ol.glam[fc.Group] += lam
+		if fc.GroupPos >= 0 {
+			ol.glam[fc.GroupPos] += lam
+		}
 	}
 
 	// Server fluid queues and M/M/m verdicts per group.
-	for _, g := range a.Sys.Groups() {
-		lamG := ol.glam[g]
+	for gi, g := range groups {
+		lamG := ol.glam[gi]
 		_, m := a.Sys.ActiveServers(g)
 		capG := float64(m) * mu
-		b := ol.backlog[g]
+		b := ol.backlog[gi]
 		out := lamG + b/dt
 		if out > capG {
 			out = capG
@@ -548,8 +535,8 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 		if b < 1e-9 {
 			b = 0
 		}
-		ol.backlog[g] = b
-		ol.gout[g] = out
+		ol.backlog[gi] = b
+		ol.gout[gi] = out
 
 		var w float64
 		q := queueing.MMm{Lambda: lamG, Mu: mu, M: m}
@@ -568,11 +555,11 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 			// and scale loops need to see.
 			w = 1/mu + b/capG
 		}
-		ol.gwait[g] = w
+		ol.gwait[gi] = w
 
 		// (4) Scale decisions against offered utilization.
 		if f.ol.p.Scale.Enabled {
-			f.openLoopScale(a, g, lamG, capG, now)
+			f.openLoopScale(a, gi, g, lamG, capG, now)
 		}
 	}
 
@@ -580,12 +567,11 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 	// shared within the group in proportion to offered load) plus a
 	// backlog-draining term, pushed in one batched solve.
 	f.Net.Batch(func() {
-		for i, fc := range ol.classes {
-			share := 0.0
-			if gl := ol.glam[fc.Group]; gl > 0 {
-				share = ol.lam[i] / gl
+		for i, fc := range classes {
+			fc.EmitRate = 0
+			if g := fc.GroupPos; g >= 0 && ol.glam[g] > 0 {
+				fc.EmitRate = ol.lam[i] / ol.glam[g] * ol.gout[g] * respBits
 			}
-			fc.EmitRate = share * ol.gout[fc.Group] * respBits
 			demand := fc.EmitRate + fc.NetBacklog/adjustPeriod
 			if fc.Flow == nil {
 				fc.Flow = f.Net.StartClassFlow(fc.Src, fc.Dst, demand, a.Name+":"+fc.Group)
@@ -598,7 +584,7 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 	// (6) Verdicts: group wait + network time along the class's real path,
 	// delivered through the ordinary response pipeline. Counts spread
 	// evenly over members (remainder to the earliest-registered).
-	for i, fc := range ol.classes {
+	for i, fc := range classes {
 		tnet := 1e-5
 		if fc.Src != fc.Dst {
 			avail := f.Net.AvailBandwidth(fc.Src, fc.Dst)
@@ -611,18 +597,21 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 			}
 			tnet = respBits/avail + fc.NetBacklog/rate
 		}
-		verdict := ol.gwait[fc.Group] + tnet
+		verdict := tnet
+		if fc.GroupPos >= 0 {
+			verdict += ol.gwait[fc.GroupPos]
+		}
 		if verdict > verdictCeiling {
 			verdict = verdictCeiling
 		}
 		members := uint64(len(fc.Members))
 		base, rem := counts[i]/members, counts[i]%members
-		for mi, name := range fc.Members {
+		for mi, c := range fc.Members {
 			n := base
 			if uint64(mi) < rem {
 				n++
 			}
-			a.Sys.Client(name).DeliverSynthetic(now, verdict, n)
+			c.DeliverSynthetic(now, verdict, n)
 		}
 	}
 	ol.counts = counts
@@ -630,17 +619,17 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 
 // openLoopScale applies the scale policy to one group: one replica up on
 // sustained ρ above scaleUpAt (slot permitting), one down below scaleDownAt.
-func (f *Fleet) openLoopScale(a *App, g string, lamG, capG, now float64) {
+func (f *Fleet) openLoopScale(a *App, gi int, g string, lamG, capG, now float64) {
 	ol := a.ol
 	p := f.ol.p.Scale
-	if last, ok := ol.lastScale[g]; ok && now-last < scaleCooldown {
+	if now-ol.lastScale[gi] < scaleCooldown {
 		return
 	}
 	rho := math.Inf(1)
 	if capG > 0 {
 		rho = lamG / capG
 	}
-	reps := ol.scaled[g]
+	reps := ol.scaled[gi]
 	switch {
 	case rho > scaleUpAt && len(reps) < p.MaxReplicas:
 		h, err := f.Sch.Reserve()
@@ -655,15 +644,15 @@ func (f *Fleet) openLoopScale(a *App, g string, lamG, capG, now float64) {
 			f.Sch.ReleaseHost(h)
 			return
 		}
-		ol.scaled[g] = append(reps, scaledReplica{name: name, host: h})
+		ol.scaled[gi] = append(reps, scaledReplica{name: name, host: h})
 		ol.ups++
-		ol.lastScale[g] = now
+		ol.lastScale[gi] = now
 	case rho < scaleDownAt && len(reps) > 0:
 		rep := reps[len(reps)-1]
-		ol.scaled[g] = reps[:len(reps)-1]
+		ol.scaled[gi] = reps[:len(reps)-1]
 		_ = a.Sys.RemoveServer(rep.name)
 		f.Sch.ReleaseHost(rep.host)
 		ol.downs++
-		ol.lastScale[g] = now
+		ol.lastScale[gi] = now
 	}
 }

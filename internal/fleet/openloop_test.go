@@ -323,3 +323,31 @@ func TestOpenLoopAutoscaleRace(t *testing.T) {
 		t.Fatalf("rejections: %+v", rej)
 	}
 }
+
+// TestOpenLoopTickAllocationFree holds a steady open-loop period at zero
+// allocations: the tick itself (classes standing at an unchanged membership
+// revision, per-group state in slices, verdicts delivered to member
+// handles) and everything it sets off before the next one — probe
+// messages, gauge reports, bandwidth queries and the repair loop's declined
+// checks. The fixture is uncontended, so nothing repairs, scales or
+// migrates while it is measured.
+func TestOpenLoopTickAllocationFree(t *testing.T) {
+	run, err := StartScenario(openLoopSmallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.K.Run(300) // past the Remos cold collections: classes built, flows started
+	a := run.Fleet.App(ScenarioAppName(0))
+	rev, ups, downs := a.Sys.MemberRev(), a.ol.ups, a.ol.downs
+	responses := a.Sys.Client(a.Sys.Clients()[0]).Responses()
+	period := func() { run.K.Run(run.K.Now() + adjustPeriod) }
+	if avg := testing.AllocsPerRun(40, period); avg != 0 {
+		t.Fatalf("%v allocations per steady open-loop period, want 0", avg)
+	}
+	if a.Sys.MemberRev() != rev || a.ol.ups != ups || a.ol.downs != downs || a.Assign != a.ol.assign {
+		t.Fatal("the fixture repaired, scaled or migrated while measured: not a steady tick")
+	}
+	if a.Sys.Client(a.Sys.Clients()[0]).Responses() == responses {
+		t.Fatal("no responses delivered while measured: the engine did not tick")
+	}
+}

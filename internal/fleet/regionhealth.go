@@ -63,9 +63,10 @@ type RegionHealth struct {
 	// region r; viol/reports are its fold scratch.
 	violFrac, viol, reports []float64
 
-	rank     []float64 // RankFor scratch
-	cur      []bool    // RankFor scratch: regions the app occupies
-	inFlight bool      // at most one batch outstanding
+	rank     []float64       // RankFor scratch
+	cur      []bool          // RankFor scratch: regions the app occupies
+	inFlight bool            // at most one batch outstanding
+	foldFn   func([]float64) // fold, bound once rather than per batch
 }
 
 // newRegionHealth builds the index over the fleet's grid and pre-queries
@@ -81,6 +82,7 @@ func newRegionHealth(f *Fleet) *RegionHealth {
 		reports:  make([]float64, n),
 		cur:      make([]bool, n),
 	}
+	rh.foldFn = rh.fold
 	for r := 0; r < n; r++ {
 		rh.reps = append(rh.reps, f.Grid.HostsByRouter[r][0])
 		rh.bw[r] = -1
@@ -160,7 +162,7 @@ func (rh *RegionHealth) tick() {
 	}
 	if !rh.inFlight && len(rh.srcs) > 0 {
 		rh.inFlight = true
-		rh.f.Rm.GetFlowBatch(rh.f.Host, rh.srcs, rh.dsts, rh.out, rh.fold)
+		rh.f.Rm.GetFlowBatch(rh.f.Host, rh.srcs, rh.dsts, rh.out, rh.foldFn)
 	}
 }
 

@@ -275,8 +275,11 @@ type BandwidthGauge struct {
 	stopped  bool
 	inFlight bool
 	sentAt   sim.Time
-	last     float64
-	seen     bool
+	// seq numbers the gauge's queries; a reply tagged with an older one was
+	// superseded by a retry.
+	seq  uint64
+	last float64
+	seen bool
 }
 
 // NewBandwidthGauge creates a bandwidth gauge for client, running on host.
@@ -314,29 +317,33 @@ func (g *BandwidthGauge) start() {
 		}
 		g.inFlight = true
 		g.sentAt = now
-		sent := now
-		g.Rm.GetFlow(g.host, sh, g.ClientHost, func(bw float64) {
-			if g.stopped {
-				// The gauge was torn down while the query was in flight
-				// (e.g. its app retired): the report shard may already be
-				// leased to another tenant, so the late reply must not
-				// publish.
-				return
-			}
-			if g.sentAt != sent {
-				return // a retry superseded this query
-			}
-			g.inFlight = false
-			g.last, g.seen = bw, true
-			// The bandwidth gauge's input is a Remos query, not a probe
-			// message, so its update span is a root (no probe parent).
-			var parent obs.SpanID
-			if tr := g.Report.Tracer(); tr != nil {
-				parent = tr.Instant(obs.KindGaugeUpdate, 0, g.Report.Label, g.name, bw, 0)
-			}
-			report(g.Report, g.host, g.name, g.client, KindClientRole, operators.PropBandwidth, bw, parent)
-		})
+		g.seq++
+		g.Rm.GetFlowArg(g.host, sh, g.ClientHost, bandwidthReplyFn, g, g.seq)
 	})
+}
+
+// bandwidthReplyFn lands a Remos reply on the gauge that asked (arg), for
+// its query number tag.
+func bandwidthReplyFn(arg any, tag uint64, bw float64) {
+	g := arg.(*BandwidthGauge)
+	if g.stopped {
+		// The gauge was torn down while the query was in flight (e.g. its
+		// app retired): the report shard may already be leased to another
+		// tenant, so the late reply must not publish.
+		return
+	}
+	if tag != g.seq {
+		return // a retry superseded this query
+	}
+	g.inFlight = false
+	g.last, g.seen = bw, true
+	// The bandwidth gauge's input is a Remos query, not a probe message, so
+	// its update span is a root (no probe parent).
+	var parent obs.SpanID
+	if tr := g.Report.Tracer(); tr != nil {
+		parent = tr.Instant(obs.KindGaugeUpdate, 0, g.Report.Label, g.name, bw, 0)
+	}
+	report(g.Report, g.host, g.name, g.client, KindClientRole, operators.PropBandwidth, bw, parent)
 }
 
 func (g *BandwidthGauge) stop() {

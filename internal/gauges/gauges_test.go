@@ -135,6 +135,39 @@ func TestBandwidthGaugeQueriesRemos(t *testing.T) {
 	}
 }
 
+// TestBandwidthGaugeQueryAllocationFree holds the warm measurement cycle —
+// gauge tick, query message, Remos serve, reply message, report — at zero
+// allocations: the gauge hands Remos itself and a query number instead of a
+// closure, and the query rides a pooled record.
+func TestBandwidthGaugeQueryAllocationFree(t *testing.T) {
+	r := newRig(t)
+	r.rm.Prequery(r.mHost, r.gHost)
+	r.k.RunAll(0)
+	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1", r.gHost,
+		func() (netsim.NodeID, bool) { return r.mHost, true }, 5)
+	if err := r.mgr.Create(g, nil); err != nil {
+		t.Fatal(err)
+	}
+	r.k.Run(r.k.Now() + 60)
+	if len(r.reports) == 0 {
+		t.Fatal("no bandwidth reports before measuring")
+	}
+	const periods = 100
+	r.reports = make([]bus.Message, 0, 2*periods) // the rig's own sink must not grow
+	queries := r.rm.Queries()
+	period := func() { r.k.Run(r.k.Now() + 5) }
+	if avg := testing.AllocsPerRun(periods, period); avg != 0 {
+		t.Fatalf("%v allocations per warm gauge period, want 0", avg)
+	}
+	// AllocsPerRun adds one warm-up call: one query and one report each.
+	if got := r.rm.Queries() - queries; got != periods+1 {
+		t.Fatalf("%d Remos queries in %d periods", got, periods+1)
+	}
+	if got := len(r.reports); got != periods+1 {
+		t.Fatalf("%d reports in %d periods", got, periods+1)
+	}
+}
+
 func TestBandwidthGaugeSkipsWhenNoServer(t *testing.T) {
 	r := newRig(t)
 	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1", r.gHost,

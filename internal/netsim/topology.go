@@ -222,6 +222,9 @@ func (n *Network) AddRouter(name string) NodeID { return n.addNode(name, true) }
 
 func (n *Network) addNode(name string, router bool) NodeID {
 	if _, dup := n.byName[name]; dup {
+		// Invariant: node names are the builder's own, never input.
+		// GenerateGrid numbers them (R<i>, R<i>H<j>) and the Figure 6
+		// testbed spells them out, so a duplicate is a wiring bug.
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
 	id := NodeID(len(n.nodes))
@@ -245,6 +248,8 @@ func (n *Network) Lookup(name string) (NodeID, bool) {
 func (n *Network) MustLookup(name string) NodeID {
 	id, ok := n.byName[name]
 	if !ok {
+		// Invariant: callers pass names they wired themselves; a name
+		// that comes from outside goes through Lookup.
 		panic("netsim: unknown node " + name)
 	}
 	return id
@@ -258,6 +263,10 @@ func (n *Network) NumLinks() int { return len(n.links) }
 
 // Connect adds a duplex link; capacity in bits/sec per direction.
 func (n *Network) Connect(a, b NodeID, capacity, propDelay float64) LinkID {
+	// Invariants: no spec reaches a link's ends or capacity. GenerateGrid
+	// links a host to its router, chain neighbours, and chord ends at least
+	// two routers apart, all at the positive constants AccessBps and
+	// BackboneBps; the testbed's links are literals.
 	if a == b {
 		panic("netsim: self link")
 	}
@@ -324,6 +333,12 @@ func (n *Network) ends(src, dst NodeID) walk {
 			return w
 		}
 	}
+	// Invariant: the topology is connected. A generated grid is (its chain
+	// reaches every router, every host hangs off one), and no fault removes
+	// a link: region and backbone failures load links to capacity, which
+	// floors a path's bandwidth but keeps its route (the fleet's
+	// TestFailuresNeverDisconnectTheGrid). Only a hand-wired network with
+	// two components gets here (TestNoRoutePanics).
 	panic(fmt.Sprintf("netsim: no route %s -> %s", n.nodes[src].Name, n.nodes[dst].Name))
 }
 

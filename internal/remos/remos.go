@@ -35,7 +35,7 @@ type Service struct {
 	Host netsim.NodeID
 
 	warm       map[pairKey]bool
-	pending    map[pairKey][]func(float64)
+	pending    map[pairKey][]*query // callers waiting on a cold collection
 	collecting map[pairKey]bool
 
 	queries     uint64
@@ -44,14 +44,21 @@ type Service struct {
 	queryPool []*query
 }
 
-// query is one in-flight remos_get_flow exchange. Records are pooled: the
-// warm path (every bandwidth gauge tick, fleet-wide) runs query → serve →
-// reply → callback without allocating.
+// query is one in-flight remos_get_flow exchange, or one GetFlowBatch
+// exchange. Records are pooled: the warm path (every bandwidth gauge tick,
+// fleet-wide) runs query → serve → reply → callback without allocating.
 type query struct {
 	s                *Service
 	caller, src, dst netsim.NodeID
-	cb               func(float64)
+	fn               func(arg any, tag uint64, bw float64)
+	arg              any
+	tag              uint64
 	bw               float64
+
+	// A batch exchange's pairs, reply buffer and callback.
+	srcs, dsts []netsim.NodeID
+	out        []float64
+	batchCb    func([]float64)
 }
 
 func (s *Service) getQuery() *query {
@@ -65,7 +72,7 @@ func (s *Service) getQuery() *query {
 }
 
 func (s *Service) putQuery(q *query) {
-	q.cb = nil
+	*q = query{s: s}
 	s.queryPool = append(s.queryPool, q)
 }
 
@@ -83,9 +90,40 @@ func warmReplyFn(arg any) {
 
 func callbackFn(arg any) {
 	q := arg.(*query)
-	cb, bw := q.cb, q.bw
+	fn, a, tag, bw := q.fn, q.arg, q.tag, q.bw
 	q.s.putQuery(q)
-	cb(bw)
+	fn(a, tag, bw)
+}
+
+// callFn adapts GetFlow's plain callback, carried as the arg.
+func callFn(arg any, _ uint64, bw float64) { arg.(func(float64))(bw) }
+
+func batchServeFn(arg any) {
+	q := arg.(*query)
+	q.s.queries++
+	q.s.K.AfterAnonArg(warmDelay, batchMeasureFn, q)
+}
+
+func batchMeasureFn(arg any) {
+	q := arg.(*query)
+	s := q.s
+	for i := range q.srcs {
+		if s.warm[pairKey{q.srcs[i], q.dsts[i]}] {
+			q.out[i] = s.measure(q.srcs[i], q.dsts[i])
+		} else {
+			q.out[i] = math.NaN()
+			s.Prequery(q.srcs[i], q.dsts[i])
+		}
+	}
+	bits := queryBits + 64*float64(len(q.srcs))
+	s.Net.SendMessageTo(s.Host, q.caller, bits, netsim.BestEffort, batchReplyFn, q)
+}
+
+func batchReplyFn(arg any) {
+	q := arg.(*query)
+	cb, out := q.batchCb, q.out
+	q.s.putQuery(q)
+	cb(out)
 }
 
 // New creates a Remos service on host.
@@ -93,7 +131,7 @@ func New(k *sim.Kernel, net *netsim.Network, host netsim.NodeID) *Service {
 	return &Service{
 		K: k, Net: net, Host: host,
 		warm:       map[pairKey]bool{},
-		pending:    map[pairKey][]func(float64){},
+		pending:    map[pairKey][]*query{},
 		collecting: map[pairKey]bool{},
 	}
 }
@@ -117,8 +155,15 @@ func (s *Service) measure(src, dst netsim.NodeID) float64 {
 // collection if the pair is new, response message back, then cb. This is
 // Table 1's remos_get_flow.
 func (s *Service) GetFlow(caller, src, dst netsim.NodeID, cb func(bw float64)) {
+	s.GetFlowArg(caller, src, dst, callFn, cb, 0)
+}
+
+// GetFlowArg is GetFlow with a closure-free callback: fn is a static
+// function called as fn(arg, tag, bw), so a periodic caller passes itself as
+// arg and a sequence number as tag and a warm exchange allocates nothing.
+func (s *Service) GetFlowArg(caller, src, dst netsim.NodeID, fn func(arg any, tag uint64, bw float64), arg any, tag uint64) {
 	q := s.getQuery()
-	q.caller, q.src, q.dst, q.cb = caller, src, dst, cb
+	q.caller, q.src, q.dst, q.fn, q.arg, q.tag = caller, src, dst, fn, arg, tag
 	s.Net.SendMessageTo(caller, s.Host, queryBits, netsim.BestEffort, serveFn, q)
 }
 
@@ -129,18 +174,13 @@ func (s *Service) serve(q *query) {
 		s.K.AfterAnonArg(warmDelay, warmReplyFn, q)
 		return
 	}
-	// Cold: start (or join) a collection for this pair. The cold path is
-	// rare (once per pair), so it trades the pooled record for a closure.
-	caller, src, dst, cb := q.caller, q.src, q.dst, q.cb
-	s.putQuery(q)
-	reply := func(bw float64) {
-		s.Net.SendMessage(s.Host, caller, queryBits, netsim.BestEffort, func() { cb(bw) })
-	}
-	s.pending[key] = append(s.pending[key], reply)
+	// Cold: the record waits on the pair's collection (started here unless
+	// one is already running).
+	s.pending[key] = append(s.pending[key], q)
 	if s.collecting[key] {
 		return
 	}
-	s.startCollection(key, src, dst)
+	s.startCollection(key, q.src, q.dst)
 }
 
 // Predict returns the cached-path prediction synchronously when the pair is
@@ -178,8 +218,9 @@ func (s *Service) startCollection(key pairKey, src, dst netsim.NodeID) {
 		bw := s.measure(src, dst)
 		waiters := s.pending[key]
 		delete(s.pending, key)
-		for _, w := range waiters {
-			w(bw)
+		for _, q := range waiters {
+			q.bw = bw
+			s.Net.SendMessageTo(s.Host, q.caller, queryBits, netsim.BestEffort, callbackFn, q)
 		}
 	})
 }
@@ -199,21 +240,9 @@ func (s *Service) GetFlowBatch(caller netsim.NodeID, srcs, dsts []netsim.NodeID,
 	if len(srcs) != len(dsts) || len(out) != len(srcs) {
 		panic("remos: GetFlowBatch srcs/dsts/out length mismatch")
 	}
-	s.Net.SendMessage(caller, s.Host, queryBits, netsim.BestEffort, func() {
-		s.queries++
-		s.K.AfterAnon(warmDelay, func() {
-			for i := range srcs {
-				if s.warm[pairKey{srcs[i], dsts[i]}] {
-					out[i] = s.measure(srcs[i], dsts[i])
-				} else {
-					out[i] = math.NaN()
-					s.Prequery(srcs[i], dsts[i])
-				}
-			}
-			bits := queryBits + 64*float64(len(srcs))
-			s.Net.SendMessage(s.Host, caller, bits, netsim.BestEffort, func() { cb(out) })
-		})
-	})
+	q := s.getQuery()
+	q.caller, q.srcs, q.dsts, q.out, q.batchCb = caller, srcs, dsts, out, cb
+	s.Net.SendMessageTo(caller, s.Host, queryBits, netsim.BestEffort, batchServeFn, q)
 }
 
 // PrequeryAll warms every (src, dst) pair.
