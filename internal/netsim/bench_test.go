@@ -22,3 +22,22 @@ func BenchmarkTransferCycle(b *testing.B) {
 		op()
 	}
 }
+
+// BenchmarkSolveLoneFlow measures a reply flow alone on its path while a
+// class flow holds another pair of the star: the start fills a one-flow
+// component, and the solve after the completion finds no flow on the path it
+// leaves, so it reads no link.
+func BenchmarkSolveLoneFlow(b *testing.B) {
+	k, n, hosts, _ := star(4)
+	n.StartClassFlow(hosts[2], hosts[3], 2e6, "class")
+	op := func() {
+		n.StartTransferArg(hosts[0], hosts[1], 20*8192, "reply", func(any) {}, nil)
+		k.RunAll(0)
+	}
+	op() // route memoised, free list filled
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}

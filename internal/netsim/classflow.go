@@ -23,12 +23,12 @@ package netsim
 
 // StartClassFlow opens a persistent, demand-capped flow carrying the
 // aggregate offered load of an open-loop class between two endpoints.
-// demand is the offered rate in bits/sec (≥ 0; a zero-demand class stays
-// registered but idle). Same-host classes bypass the solver entirely: local
-// IPC is modeled as infinitely fast, so they deliver at exactly their
-// offered demand.
+// demand is the offered rate in bits/sec (≥ 0, a negative or NaN demand
+// counts as zero; a zero-demand class stays registered but idle). Same-host
+// classes bypass the solver entirely: local IPC is modeled as infinitely
+// fast, so they deliver at exactly their offered demand.
 func (n *Network) StartClassFlow(src, dst NodeID, demand float64, tag string) *Flow {
-	if demand < 0 {
+	if !(demand > 0) { // negative, zero or NaN
 		demand = 0
 	}
 	f := &Flow{
@@ -67,7 +67,7 @@ func (f *Flow) SetDemand(demand float64) {
 	if !f.limited || f.cancelled {
 		return
 	}
-	if demand < 0 {
+	if !(demand > 0) { // negative, zero or NaN
 		demand = 0
 	}
 	if demand == f.demand {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -265,5 +266,116 @@ func TestBatchSolveComponentStats(t *testing.T) {
 	}
 	if got := st.Components - before.Components; got != 2 {
 		t.Fatalf("batch filled %d components, want 2", got)
+	}
+}
+
+// TestFillIgnoresResourceOrder: fillComponent reads a component's resources
+// only for the minimum fair share, so the solver leaves them in discovery
+// order. Seeded random networks carry elastic transfers and demand-capped
+// class flows on shared links, under background load that saturates some
+// links (the rate floor) and on capacities from a small set (exact ties among
+// shares). Every component the solver collects fills to the same rate bits
+// with its resources sorted, reversed and in eight shuffled orders, and the
+// sorted fill matches the rates the solve itself assigned.
+func TestFillIgnoresResourceOrder(t *testing.T) {
+	var shared, capped, floored int // what the seeds reached, checked at the end
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := sim.NewRand(seed)
+		n := New(sim.NewKernel())
+		var hosts []NodeID
+		for i := 0; i < 4+rng.Intn(6); i++ {
+			hosts = append(hosts, n.AddHost(string(rune('a'+i))))
+		}
+		var links []LinkID
+		connect := func(i, j int) {
+			links = append(links, n.Connect(hosts[i], hosts[j], 1e6*float64(int(1)<<rng.Intn(3)), 1e-3))
+		}
+		for i := 1; i < len(hosts); i++ {
+			connect(i-1, i)
+		}
+		for e := 0; e < rng.Intn(6); e++ {
+			i, j := rng.Intn(len(hosts)), rng.Intn(len(hosts))
+			if _, dup := n.LinkBetween(hosts[i], hosts[j]); i != j && !dup {
+				connect(i, j)
+			}
+		}
+		n.Batch(func() {
+			for i := 0; i < 6+rng.Intn(24); i++ {
+				s, d := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+				if rng.Intn(3) == 0 {
+					n.StartClassFlow(s, d, 2e6*rng.Float64(), "class")
+				} else {
+					n.StartTransfer(s, d, 1e6, "bulk", nil)
+				}
+			}
+			for _, l := range links {
+				switch rng.Intn(4) {
+				case 0:
+					n.SetBackground(l, Dir(rng.Intn(2)), n.Link(l).Capacity)
+				case 1:
+					n.SetBackgroundBoth(l, n.Link(l).Capacity*rng.Float64())
+				}
+			}
+		})
+		solved := make(map[*Flow]float64, len(n.flows))
+		for _, f := range n.flows {
+			solved[f] = f.rate
+		}
+
+		for ri := range n.res {
+			n.markDirty(int32(ri))
+		}
+		n.collectRegion()
+		for c, sp := range n.compSpans {
+			flows := n.compFlows[sp.flowLo:sp.flowHi]
+			fill := func(order []int32) []uint64 {
+				for _, ri := range order {
+					n.res[ri].avail = n.links[ri>>1].availCap(Dir(ri & 1))
+					n.res[ri].count = int32(len(n.res[ri].flows))
+				}
+				n.epoch++
+				n.fillComponent(flows, order, n.epoch)
+				bits := make([]uint64, len(flows))
+				for i, f := range flows {
+					bits[i] = math.Float64bits(f.rate)
+				}
+				return bits
+			}
+			order := slices.Clone(n.compRes[sp.resLo:sp.resHi])
+			slices.Sort(order)
+			want := fill(order)
+			for _, f := range flows {
+				if f.rate != solved[f] {
+					t.Fatalf("seed %d component %d: flow %d fills to %v sorted, the solve gave %v", seed, c, f.id, f.rate, solved[f])
+				}
+				if f.limited && f.rate == f.demand {
+					capped++
+				}
+				if f.rate == n.MinFlowRate {
+					floored++
+				}
+			}
+			if len(flows) > 1 {
+				shared++
+			}
+			slices.Reverse(order)
+			orders := [][]int32{slices.Clone(order)}
+			for range 8 {
+				for i := len(order) - 1; i > 0; i-- {
+					j := rng.Intn(i + 1)
+					order[i], order[j] = order[j], order[i]
+				}
+				orders = append(orders, slices.Clone(order))
+			}
+			for _, o := range orders {
+				if got := fill(o); !slices.Equal(got, want) {
+					t.Fatalf("seed %d component %d: resources in order %v fill to rate bits %x, sorted to %x", seed, c, o, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("%d components shared by several flows, %d class flows held to demand, %d flows on the floor", shared, capped, floored)
+	if shared == 0 || capped == 0 || floored == 0 {
+		t.Fatal("the seeds no longer reach shared components, demand caps and the rate floor")
 	}
 }

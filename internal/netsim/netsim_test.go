@@ -104,6 +104,35 @@ func TestDirectionalBackground(t *testing.T) {
 	}
 }
 
+// The fair shares the solver takes a minimum over stay finite whatever a
+// caller passes: a NaN background load or class demand counts as zero, and
+// Connect refuses a capacity that is not positive and finite. (A NaN share
+// would make the minimum depend on the order resources are scanned in.)
+func TestNonFiniteInputsKeepSharesFinite(t *testing.T) {
+	k, n, a, b, l1, l2 := line(t)
+	n.SetBackground(l1, Fwd, math.NaN())
+	n.SetBackgroundBoth(l2, math.NaN())
+	class := n.StartClassFlow(b, a, math.NaN(), "class")
+	f := n.StartTransfer(a, b, 10e6, "x", nil)
+	if bg := n.Background(l1, Fwd) + n.Background(l2, Rev); bg != 0 {
+		t.Fatalf("NaN background reads as %v, want 0", bg)
+	}
+	if class.Demand() != 0 || class.Rate() != 0 {
+		t.Fatalf("NaN demand: demand %v, rate %v, want 0 and 0", class.Demand(), class.Rate())
+	}
+	class.SetDemand(math.NaN())
+	if f.Rate() != 10e6 || class.Demand() != 0 {
+		t.Fatalf("rates after NaN inputs: transfer %v, class demand %v", f.Rate(), class.Demand())
+	}
+	k.RunAll(0)
+	for _, capacity := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		msg := panicText(func() { n.Connect(a, b, capacity, 1e-3) })
+		if msg != "netsim: capacity must be positive and finite" {
+			t.Fatalf("Connect with capacity %v panicked with %q", capacity, msg)
+		}
+	}
+}
+
 func TestAvailBandwidth(t *testing.T) {
 	_, n, a, b, l1, l2 := line(t)
 	if got := n.AvailBandwidth(a, b); math.Abs(got-10e6) > 1 {

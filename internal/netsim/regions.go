@@ -57,11 +57,16 @@ import "slices"
 //     closure shares no resource, transitively, with anything dirtied — by
 //     the argument above its rates are already at the global fixed point and
 //     must not be recomputed (their completion events stay put).
-//   - Bit-identical arithmetic. Region members are sorted into global
-//     (index) order before filling, so the floating-point operations inside
-//     a component happen in the same order as a global recompute restricted
-//     to that component. Same order ⇒ same rounding ⇒ byte-identical rates —
-//     the property the equivalence oracles assert, not merely "close".
+//   - Bit-identical arithmetic. A component's flows are sorted into global
+//     (index) order before filling: the freeze loops subtract each frozen
+//     flow's share from its links in flow order, and settlement re-sequences
+//     completion events in flow order, so the floating-point operations and
+//     the events' tie-breaking match a global recompute restricted to that
+//     component. Same order ⇒ same rounding ⇒ byte-identical rates — the
+//     property the equivalence oracles assert, not merely "close". Resources
+//     are not sorted: the fill reads them only to take the minimum fair
+//     share, and a minimum over finite, non-negative shares is the same
+//     value whatever order it is taken in (TestFillIgnoresResourceOrder).
 //
 // Because components are independent by the argument above, the solver fills
 // each dirty component separately, in discovery order; settlement and
@@ -181,48 +186,43 @@ func (n *Network) flushDirty() {
 	}
 }
 
-// collectRegion expands the dirty set to its connected components. It fills
-// two views of the same membership: n.compFlows / n.compRes grouped by
-// component (each group sorted into global order, boundaries in n.compSpans)
-// for per-component filling, and n.regionFlows / n.regionRes sorted into one
-// global order for settlement. With GlobalReflow set, every flow and resource
+// collectRegion expands the dirty set to its connected components, grouped
+// in n.compFlows / n.compRes with boundaries in n.compSpans: the unit of
+// filling. Only a component that carries flows is kept; a dirtied resource no
+// flow crosses (e.g. the unused direction of a changed link) has nothing to
+// fill, so a solve that finds no flows reads no Link at all. Each group's
+// flows are sorted into global order, its resources are left in discovery
+// order (see fillComponent). With GlobalReflow set, every flow and resource
 // is collected into a single component regardless of dirt.
 func (n *Network) collectRegion() {
 	n.epoch++
-	n.regionFlows = n.regionFlows[:0]
-	n.regionRes = n.regionRes[:0]
 	n.compFlows = n.compFlows[:0]
 	n.compRes = n.compRes[:0]
 	n.compSpans = n.compSpans[:0]
+	for _, ri := range n.dirtyRes {
+		n.res[ri].dirty = false
+	}
 	if n.GlobalReflow {
-		for _, ri := range n.dirtyRes {
-			n.res[ri].dirty = false
-		}
 		n.dirtyRes = n.dirtyRes[:0]
 		for ri := range n.res {
 			if len(n.res[ri].flows) > 0 {
-				n.regionRes = append(n.regionRes, int32(ri))
+				n.compRes = append(n.compRes, int32(ri))
 			}
 		}
-		n.regionFlows = append(n.regionFlows, n.flows...)
 		// One component covering everything, filled in the historical
 		// (unsorted) global-reflow order.
-		n.compFlows = append(n.compFlows, n.regionFlows...)
-		n.compRes = append(n.compRes, n.regionRes...)
+		n.compFlows = append(n.compFlows, n.flows...)
 		n.compSpans = append(n.compSpans, compSpan{
 			flowLo: 0, flowHi: int32(len(n.compFlows)),
 			resLo: 0, resHi: int32(len(n.compRes)),
 		})
 		return
 	}
-	for _, ri := range n.dirtyRes {
-		n.res[ri].dirty = false
-	}
 	// Walk each dirty seed to its component's closure. Seeds landing in an
 	// already-collected component are skipped by the epoch check, so each
 	// component is collected exactly once, contiguously.
 	for _, seed := range n.dirtyRes {
-		if n.res[seed].seen == n.epoch {
+		if r := &n.res[seed]; r.seen == n.epoch || len(r.flows) == 0 {
 			continue
 		}
 		flowLo, resLo := int32(len(n.compFlows)), int32(len(n.compRes))
@@ -250,27 +250,31 @@ func (n *Network) collectRegion() {
 				}
 			}
 		}
-		if int32(len(n.compFlows)) == flowLo {
-			// A dirtied resource with no crossing flows (e.g. the unused
-			// direction of a changed link): nothing to fill, no span. Its
-			// resources stay collected so scratch init covers them.
-			continue
-		}
-		// Sort the component's members into global order so the fill's
+		// Sort the component's flows into global order so the fill's
 		// floating-point operations run in the same order as a global
 		// recompute restricted to this component — byte-identical rates.
-		slices.Sort(n.compRes[resLo:])
-		slices.SortFunc(n.compFlows[flowLo:], func(a, b *Flow) int { return a.index - b.index })
+		slices.SortFunc(n.compFlows[flowLo:], byIndex)
 		n.compSpans = append(n.compSpans, compSpan{
 			flowLo: flowLo, flowHi: int32(len(n.compFlows)),
 			resLo: resLo, resHi: int32(len(n.compRes)),
 		})
 	}
 	n.dirtyRes = n.dirtyRes[:0]
-	n.regionFlows = append(n.regionFlows, n.compFlows...)
-	n.regionRes = append(n.regionRes, n.compRes...)
-	slices.Sort(n.regionRes)
-	slices.SortFunc(n.regionFlows, func(a, b *Flow) int { return a.index - b.index })
+}
+
+func byIndex(a, b *Flow) int { return a.index - b.index }
+
+// settleOrder returns the solve's flows in global index order, the order
+// settlement reschedules completions in. One component's flows are already
+// sorted (and GlobalReflow's one component is n.flows itself); only flows
+// gathered from several components are merged into n.regionFlows and sorted.
+func (n *Network) settleOrder() []*Flow {
+	if len(n.compSpans) <= 1 {
+		return n.compFlows
+	}
+	n.regionFlows = append(n.regionFlows[:0], n.compFlows...)
+	slices.SortFunc(n.regionFlows, byIndex)
+	return n.regionFlows
 }
 
 // solveMode selects how solveDirty treats flow state around the recompute.
@@ -304,14 +308,15 @@ func (n *Network) solveDirty(mode solveMode) {
 	n.collectRegion()
 	n.stats.Solves++
 	n.stats.Components += uint64(len(n.compSpans))
-	for _, ri := range n.regionRes {
+	for _, ri := range n.compRes {
 		r := &n.res[ri]
 		l := n.links[ri>>1]
 		r.avail = l.availCap(Dir(ri & 1))
 		r.count = int32(len(r.flows))
 	}
 	epoch := n.epoch
-	for _, f := range n.regionFlows {
+	flows := n.settleOrder()
+	for _, f := range flows {
 		if mode != solveRestore {
 			f.prevRate = f.rate
 		}
@@ -329,7 +334,7 @@ func (n *Network) solveDirty(mode solveMode) {
 	// rate in effect since `last` — the probe's transient rates existed for
 	// zero simulated time.)
 	now := n.K.Now()
-	for _, f := range n.regionFlows {
+	for _, f := range flows {
 		if f.rate == f.prevRate {
 			continue
 		}
@@ -372,7 +377,11 @@ func (n *Network) solveDirty(mode solveMode) {
 //
 // The fill touches only the component's own flows (rate, frozen) and
 // resources (avail, count scratch) plus read-only network config. Within a
-// component the arithmetic order is fixed by the sorted member order.
+// component the arithmetic order is fixed by the sorted flow order. resIdx may
+// come in any order: it feeds only the min-share scan, whose shares are finite
+// and never -0, so the minimum is one value bit for bit. Capacities are
+// finite, background load is clamped into [0, capacity], a demand is frozen
+// only at or below a finite share, and avail is clamped at +0.
 func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 	hasLimited := false
 	for _, f := range flows {

@@ -89,15 +89,15 @@ type Network struct {
 	// Incremental-solver state (see regions.go): per-(link,dir) resources
 	// with their crossing-flow lists, the pending dirty set, batching depth,
 	// the region-visit epoch, and reusable scratch buffers. compFlows/compRes
-	// hold the same region members grouped by connected component (each
-	// group sorted into global order), with compSpans marking the group
-	// boundaries — the unit of filling.
+	// hold the solve's members grouped by connected component (each group's
+	// flows sorted into global order), with compSpans marking the group
+	// boundaries — the unit of filling. regionFlows merges the flows of a
+	// solve that spans several components back into global order.
 	res         []resource
 	dirtyRes    []int32
 	batching    int
 	epoch       uint64
 	regionFlows []*Flow
-	regionRes   []int32
 	stack       []int32
 	compFlows   []*Flow
 	compRes     []int32
@@ -266,12 +266,13 @@ func (n *Network) Connect(a, b NodeID, capacity, propDelay float64) LinkID {
 	// Invariants: no spec reaches a link's ends or capacity. GenerateGrid
 	// links a host to its router, chain neighbours, and chord ends at least
 	// two routers apart, all at the positive constants AccessBps and
-	// BackboneBps; the testbed's links are literals.
+	// BackboneBps; the testbed's links are literals. A finite capacity keeps
+	// every fair share the solver compares finite (regions.go).
 	if a == b {
 		panic("netsim: self link")
 	}
-	if capacity <= 0 {
-		panic("netsim: non-positive capacity")
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		panic("netsim: capacity must be positive and finite")
 	}
 	id := LinkID(len(n.links))
 	n.links = append(n.links, &Link{ID: id, A: a, B: b, Capacity: capacity, PropDelay: propDelay})
@@ -429,11 +430,11 @@ func (n *Network) PathHops(src, dst NodeID) int {
 
 // SetBackground sets the background (competition) load on one direction of a
 // link, in bits/sec, and reflows the elastic traffic in the link's region.
-// Loads above capacity are clamped to capacity; setting the load it already
-// has is a no-op.
+// Loads above capacity are clamped to capacity and a NaN load counts as none;
+// setting the load it already has is a no-op.
 func (n *Network) SetBackground(id LinkID, d Dir, load float64) {
 	l := n.links[int(id)]
-	if load < 0 {
+	if !(load > 0) { // negative, zero or NaN
 		load = 0
 	}
 	if load > l.Capacity {
@@ -450,7 +451,7 @@ func (n *Network) SetBackground(id LinkID, d Dir, load float64) {
 // SetBackgroundBoth sets the same background load on both directions.
 func (n *Network) SetBackgroundBoth(id LinkID, load float64) {
 	l := n.links[int(id)]
-	if load < 0 {
+	if !(load > 0) { // negative, zero or NaN
 		load = 0
 	}
 	if load > l.Capacity {

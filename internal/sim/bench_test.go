@@ -128,3 +128,20 @@ func TestKernelHoldAllocationFree(t *testing.T) {
 		})
 	})
 }
+
+// BenchmarkCalendarDrain measures moving one calendar bucket into bottom and
+// sorting it, for each of drainCases.
+func BenchmarkCalendarDrain(b *testing.B) {
+	for _, c := range drainCases {
+		b.Run(c.name, func(b *testing.B) {
+			k := NewKernel()
+			evs := drainEvents(NewRand(1), c.n, c.clump)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.bottom = k.bottom[:0]
+				k.drain(chainBucket(k, evs))
+			}
+		})
+	}
+}

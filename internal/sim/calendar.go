@@ -21,8 +21,8 @@ import (
 //     happens at least once per rotation.
 //
 // Only when the clock reaches a bucket is its chain copied into bottom and
-// sorted on the heap's own (at, seq) key, so which queue holds an event never
-// shows in the order events fire.
+// sorted on the heap's own (at, seq) key (sortLatestFirst), so which queue
+// holds an event never shows in the order events fire.
 const (
 	initHeads = 256
 	initWidth = 1.0 / 64 // seconds; widths stay powers of two, so t*inv is exact
@@ -45,6 +45,9 @@ const (
 	longBottom, longShare = 64, 4
 	widthStep             = 4
 	headLoad, headStep    = 16, 4
+
+	// smallBucket is the longest drained bucket sortLatestFirst insertion-sorts.
+	smallBucket = 16
 )
 
 func (k *Kernel) initCalendar() {
@@ -162,15 +165,36 @@ func (k *Kernel) drain(h **Event) {
 	k.bottom = b
 	k.ringN -= len(b)
 	k.stats.BucketsDrained++
-	slices.SortFunc(b, func(x, y entry) int {
-		switch {
-		case y.before(x):
-			return -1
-		case x.before(y):
-			return 1
+	sortLatestFirst(b)
+}
+
+// sortLatestFirst sorts b on (at, seq), latest first. Most drained buckets
+// hold a handful of events (10.5 on average at N=64), where a comparator
+// closure per comparison is the cost, so up to smallBucket entries are
+// insertion-sorted with entry.before inlined. (at, seq) is a strict total
+// order, so either sort leaves the one same order.
+func sortLatestFirst(b []entry) {
+	if len(b) > smallBucket {
+		slices.SortFunc(b, latestFirst)
+		return
+	}
+	for i := 1; i < len(b); i++ {
+		x, j := b[i], i
+		for ; j > 0 && b[j-1].before(x); j-- {
+			b[j] = b[j-1]
 		}
-		return 0
-	})
+		b[j] = x
+	}
+}
+
+func latestFirst(x, y entry) int {
+	switch {
+	case y.before(x):
+		return -1
+	case x.before(y):
+		return 1
+	}
+	return 0
 }
 
 // rescanFar sets the horizon one ring ahead of the mark and moves every far

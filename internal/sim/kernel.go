@@ -195,6 +195,14 @@ func (k *Kernel) notePeak() {
 
 // checkTime validates a scheduling time against the clock; verb names the
 // operation in the panic.
+//
+// Invariants, both: every scheduling time is the clock plus a delay the
+// caller computed. fleet's validate and cmd/archadapt's flag parsing reject
+// every non-finite option float, and Ticker every non-finite period, so no
+// input yields a NaN; delays come from positive constants, Rand draws and
+// flow ETAs (remaining/rate with rate > 0), and After* clamp negatives, so
+// nothing lands in the past. Either panic is a bug in the caller's
+// arithmetic, and scheduling on would fire it out of order.
 func (k *Kernel) checkTime(t Time, verb string) {
 	if math.IsNaN(t) {
 		panic("sim: " + verb + " at NaN time")
@@ -390,6 +398,9 @@ func (k *Kernel) Stop() { k.stopped = true }
 // time compares greater than it, so self-re-arming tickers would never let
 // the loop end.
 func (k *Kernel) Run(until Time) uint64 {
+	// Invariants: one driver loop owns the kernel, and callbacks schedule
+	// rather than run it, so nothing re-enters Run. A horizon is a validated
+	// duration (as above) plus a drain constant.
 	if k.running {
 		panic("sim: Run re-entered")
 	}
@@ -432,6 +443,9 @@ func (k *Kernel) RunAll(maxEvents uint64) uint64 {
 	var n uint64
 	for k.Pending() > 0 {
 		if n >= maxEvents {
+			// Invariant: RunAll drives bounded test and set-up work; the
+			// simulations run under Run's horizon. Reaching the cap means
+			// something re-arms for ever, which returning would hide.
 			panic(fmt.Sprintf("sim: RunAll exceeded %d events at t=%.3f", maxEvents, k.now))
 		}
 		e := k.next(math.Inf(1))
@@ -447,9 +461,14 @@ func (k *Kernel) RunAll(maxEvents uint64) uint64 {
 }
 
 // Ticker invokes fn every period seconds, starting at start, until the
-// returned stop function is called. fn receives the tick time.
+// returned stop function is called. fn receives the tick time. The period must
+// be positive and finite: a NaN one would panic at the first re-arm, inside a
+// callback, and a +Inf one would re-arm at +Inf for ever.
 func (k *Kernel) Ticker(start Time, period float64, fn func(Time)) (stop func()) {
-	if period <= 0 {
+	// Invariant: periods are package constants or validated option fields
+	// (validate rejects non-finite floats), so only a caller's bug gets here;
+	// it panics at the call rather than later, in the kernel's loop.
+	if !(period > 0) || math.IsInf(period, 1) {
 		panic("sim: Ticker period must be positive")
 	}
 	stopped := false

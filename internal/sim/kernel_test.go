@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -139,6 +140,29 @@ func TestTicker(t *testing.T) {
 		if ticks[i] != want[i] {
 			t.Fatalf("ticks=%v, want %v", ticks, want)
 		}
+	}
+}
+
+// TestTickerRejectsBadPeriods: a period that is not positive and finite
+// panics at the call. A NaN period used to fire its first tick and then panic
+// re-arming, inside the callback; a +Inf one re-armed at +Inf until RunAll hit
+// its event cap.
+func TestTickerRejectsBadPeriods(t *testing.T) {
+	for _, period := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(period), func(t *testing.T) {
+			k := NewKernel()
+			got := func() (msg any) {
+				defer func() { msg = recover() }()
+				k.Ticker(1, period, func(Time) {})
+				return nil
+			}()
+			if got != "sim: Ticker period must be positive" {
+				t.Fatalf("Ticker(1, %v) panicked with %v", period, got)
+			}
+			if k.Pending() != 0 {
+				t.Fatalf("a rejected Ticker left %d events queued", k.Pending())
+			}
+		})
 	}
 }
 

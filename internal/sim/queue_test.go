@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -91,6 +93,102 @@ func checkQueue(t *testing.T, k *Kernel) {
 func TestEventIsOneCacheLine(t *testing.T) {
 	if size := unsafe.Sizeof(Event{}); size != 64 {
 		t.Fatalf("Event is %d bytes, want 64", size)
+	}
+}
+
+// drainEvents makes the events of one calendar bucket: n at four instants a
+// quarter-bucket apart, so many tie and seq decides, and clump more at one of
+// those instants, as a fleet tick's same-instant burst. Positions and
+// sequence numbers are shuffled apart: a chain re-linked by a retune is in no
+// particular order.
+func drainEvents(rng *Rand, n, clump int) []*Event {
+	evs := make([]*Event, n+clump)
+	for i := range evs {
+		at := 1 + float64(rng.Intn(4))/1024
+		if i < clump {
+			at = 1 + 2.0/1024
+		}
+		evs[i] = &Event{At: at}
+	}
+	seqs := make([]uint64, len(evs))
+	for i := range seqs {
+		seqs[i] = uint64(i)
+	}
+	for i := len(evs) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		evs[i], evs[j] = evs[j], evs[i]
+		k := rng.Intn(i + 1)
+		seqs[i], seqs[k] = seqs[k], seqs[i]
+	}
+	for i, e := range evs {
+		e.seq = seqs[i]
+	}
+	return evs
+}
+
+// drainCases are the drains held to zero allocations and timed by
+// BenchmarkCalendarDrain: about the mean bucket at N=64, insertion-sorted,
+// and a same-instant clump, which goes to slices.SortFunc.
+var drainCases = []struct {
+	name     string
+	n, clump int
+}{{"bucket=10", 10, 0}, {"clump=600", 0, 600}}
+
+// chainBucket links evs into one calendar chain, each at the head as a push
+// does, and returns the chain's head for drain.
+func chainBucket(k *Kernel, evs []*Event) **Event {
+	h := &k.heads[0]
+	for _, e := range evs {
+		e.next, *h = *h, e
+	}
+	k.ringN += len(evs)
+	return h
+}
+
+// TestDrainSortMatchesReference holds drain's sort, insertion sort up to
+// smallBucket entries and slices.SortFunc past it, to a reference sort on
+// (at, seq), latest first: random buckets of 0 to 40 entries either side of
+// the cut-over, and 600-entry same-instant clumps among nearby times. A
+// drain into a warm bottom allocates nothing.
+func TestDrainSortMatchesReference(t *testing.T) {
+	rng := NewRand(29)
+	k := NewKernel()
+	check := func(what string, evs []*Event) {
+		t.Helper()
+		k.bottom = k.bottom[:0]
+		k.drain(chainBucket(k, evs))
+		want := make([]entry, len(evs))
+		for i, e := range evs {
+			want[i] = entry{at: e.At, seq: e.seq, e: e}
+		}
+		slices.SortFunc(want, func(x, y entry) int {
+			return cmp.Or(cmp.Compare(y.at, x.at), cmp.Compare(y.seq, x.seq))
+		})
+		if !slices.Equal(k.bottom, want) {
+			t.Fatalf("%s: drained %v, want %v", what, k.bottom, want)
+		}
+		if k.ringN != 0 || k.heads[0] != nil {
+			t.Fatalf("%s: drain left %d events counted on the ring", what, k.ringN)
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 50; trial++ {
+			check("bucket", drainEvents(rng, n, 0))
+		}
+	}
+	for trial := 0; trial < 5; trial++ {
+		check("clump", drainEvents(rng, 200, 600))
+	}
+
+	for _, c := range drainCases {
+		evs := drainEvents(rng, c.n, c.clump)
+		drain := func() {
+			k.bottom = k.bottom[:0]
+			k.drain(chainBucket(k, evs))
+		}
+		if avg := testing.AllocsPerRun(20, drain); avg != 0 {
+			t.Fatalf("%s: a drain allocates %v times", c.name, avg)
+		}
 	}
 }
 

@@ -46,6 +46,9 @@ func (r *Rand) Float64() float64 {
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
+		// Invariant: every caller's bound is a positive constant or one it
+		// has just checked (a non-empty collection; GenerateGrid's chords,
+		// drawn only with 4 or more routers). There is no value to return.
 		panic("sim: Intn with non-positive bound")
 	}
 	return int(r.Uint64() % uint64(n))
