@@ -129,11 +129,9 @@ func (c *Client) Responses() uint64 { return c.responses }
 // queue drains (or compacted when the dead prefix dominates), so the backing
 // array is reused instead of re-allocated as the slice walks forward.
 type queue struct {
-	group    string
-	reqs     []*Request
-	head     int
-	maxSeen  int
-	enqueued uint64
+	group string
+	reqs  []*Request
+	head  int
 }
 
 // waiting returns the number of queued requests.
@@ -281,15 +279,6 @@ func (s *System) QueueLen(group string) int {
 	return q.waiting()
 }
 
-// MaxQueueLen returns the high-water mark of a group's queue.
-func (s *System) MaxQueueLen(group string) int {
-	q := s.queues[group]
-	if q == nil {
-		return 0
-	}
-	return q.maxSeen
-}
-
 // ActiveServersOf returns the names of active servers pulling from a group.
 func (s *System) ActiveServersOf(group string) []string {
 	var out []string
@@ -428,10 +417,6 @@ func (s *System) enqueue(req *Request) {
 	}
 	req.QueuedAt = s.K.Now()
 	q.reqs = append(q.reqs, req)
-	q.enqueued++
-	if q.waiting() > q.maxSeen {
-		q.maxSeen = q.waiting()
-	}
 	s.dispatch(q)
 }
 

@@ -97,9 +97,6 @@ func TestFIFOOrderAndQueueGrowth(t *testing.T) {
 	if srv.Served() != 5 {
 		t.Fatalf("served=%d", srv.Served())
 	}
-	if r.sys.MaxQueueLen("G1") < 3 {
-		t.Fatal("high-water mark not tracked")
-	}
 }
 
 func TestTwoServersShareQueue(t *testing.T) {

@@ -16,10 +16,8 @@
 // subscribers), so N applications share one bus's dispatch machinery,
 // subscription pool and delivery-record pool instead of owning N private
 // buses. Shards released at retirement are recycled for the next admission;
-// steady-state publish→deliver cycles allocate nothing. A Bus used directly
-// (Publish/Subscribe on the Bus itself) operates on its default shard, which
-// is the single-tenant configuration the per-application reference oracle
-// runs.
+// steady-state publish→deliver cycles allocate nothing. Bus.Default is the
+// single-tenant shard the per-application reference configuration runs.
 package bus
 
 import (
@@ -36,7 +34,6 @@ import (
 //
 //	probe.response  Name=client  Group=group            V1=latency
 //	probe.queue     Group=group                         V1=len
-//	probe.server    Name=server                         V1=busy  V2=served
 //	gauge.report    Name=gauge   Target, Kind, Prop     V1=value
 type Message struct {
 	Topic string
@@ -48,7 +45,7 @@ type Message struct {
 	Kind   string
 	Prop   string
 	Group  string
-	V1, V2 float64
+	V1     float64
 
 	// Span is the message's own trace span, stamped by the bus at publish
 	// time when the observability plane is enabled; Parent is the causal
@@ -59,8 +56,8 @@ type Message struct {
 }
 
 // slot names one of a Message's string fields. Wire names are resolved to
-// slots once — by Str, and by TopicAndField when a filter is built — so
-// matching a message never compares field names.
+// slots once, by TopicAndField when a filter is built, so matching a message
+// never compares field names.
 type slot uint8
 
 const (
@@ -103,20 +100,6 @@ func (m *Message) str(f slot) string {
 		return m.Prop
 	}
 	return ""
-}
-
-// Str reads a string field by its wire name; an unknown name reads "".
-func (m Message) Str(name string) string { return m.str(slotOf(name)) }
-
-// Num reads a numeric field by its wire name.
-func (m Message) Num(name string) float64 {
-	switch name {
-	case "latency", "len", "busy", "value":
-		return m.V1
-	case "served":
-		return m.V2
-	}
-	return 0
 }
 
 // Filter decides whether a subscription matches a message (content-based
@@ -191,8 +174,7 @@ func New(k *sim.Kernel, net *netsim.Network) *Bus {
 }
 
 // Shard is one tenant's isolated routing domain on a shared Bus. The zero
-// value is not usable; obtain shards from Bus.Acquire (or use the Bus
-// directly for its default shard).
+// value is not usable; obtain shards from Bus.Acquire (or Bus.Default).
 type Shard struct {
 	b    *Bus
 	subs []*Subscription
@@ -250,14 +232,6 @@ func (b *Bus) Tenants() int { return b.tenants }
 // shard-reuse observability for admission/retirement tests.
 func (b *Bus) ShardsAcquired() uint64 { return b.acquired }
 
-// defShard lazily creates the default (single-tenant) shard.
-func (b *Bus) defShard() *Shard {
-	if b.def == nil {
-		b.def = &Shard{b: b}
-	}
-	return b.def
-}
-
 // Published returns the number of Publish calls on this shard.
 func (sh *Shard) Published() uint64 { return sh.published }
 
@@ -302,7 +276,7 @@ func (sh *Shard) traceMsg(msg *Message) {
 	if name == "" {
 		name = msg.Group
 	}
-	msg.Span = sh.b.Tracer.Instant(traceKind(msg.Topic), msg.Parent, sh.Label, name, msg.V1, msg.V2)
+	msg.Span = sh.b.Tracer.Instant(traceKind(msg.Topic), msg.Parent, sh.Label, name, msg.V1, 0)
 }
 
 // Subscribe registers a handler running on host for messages matching f.
@@ -479,30 +453,11 @@ func (sh *Shard) dispatch(msg *Message) {
 	}
 }
 
-// --- default-shard convenience: a Bus used directly is a single tenant ---
-
-// Default returns the bus's default shard (the single-tenant endpoint).
-func (b *Bus) Default() *Shard { return b.defShard() }
-
-// Published returns the default shard's Publish count.
-func (b *Bus) Published() uint64 { return b.defShard().published }
-
-// Delivered returns the default shard's delivery count.
-func (b *Bus) Delivered() uint64 { return b.defShard().delivered }
-
-// Dropped returns the default shard's injected-fault loss count.
-func (b *Bus) Dropped() uint64 { return b.defShard().dropped }
-
-// SetDrop configures fault injection on the default shard.
-func (b *Bus) SetDrop(rate float64, rng *sim.Rand) { b.defShard().SetDrop(rate, rng) }
-
-// Subscribe registers a subscription on the default shard.
-func (b *Bus) Subscribe(host netsim.NodeID, f Filter, handler func(Message)) *Subscription {
-	return b.defShard().Subscribe(host, f, handler)
+// Default returns the bus's default shard (the single-tenant endpoint),
+// creating it on first use.
+func (b *Bus) Default() *Shard {
+	if b.def == nil {
+		b.def = &Shard{b: b}
+	}
+	return b.def
 }
-
-// Unsubscribe removes a default-shard subscription.
-func (b *Bus) Unsubscribe(s *Subscription) { b.defShard().Unsubscribe(s) }
-
-// Publish routes msg on the default shard.
-func (b *Bus) Publish(msg Message) { b.defShard().Publish(msg) }

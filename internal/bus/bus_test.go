@@ -25,9 +25,9 @@ func TestPublishDelivers(t *testing.T) {
 	k, n, a, bHost, _ := rig()
 	b := New(k, n)
 	var got []Message
-	b.Subscribe(bHost, TopicIs("x"), func(m Message) { got = append(got, m) })
-	b.Publish(Message{Topic: "x", Src: a, V1: 1.5, Name: "hi"})
-	b.Publish(Message{Topic: "y", Src: a})
+	b.Default().Subscribe(bHost, TopicIs("x"), func(m Message) { got = append(got, m) })
+	b.Default().Publish(Message{Topic: "x", Src: a, V1: 1.5, Name: "hi"})
+	b.Default().Publish(Message{Topic: "y", Src: a})
 	k.RunAll(0)
 	if len(got) != 1 {
 		t.Fatalf("delivered=%d, want 1 (topic filter)", len(got))
@@ -35,8 +35,8 @@ func TestPublishDelivers(t *testing.T) {
 	if got[0].V1 != 1.5 || got[0].Name != "hi" {
 		t.Fatalf("fields corrupted: %+v", got[0])
 	}
-	if b.Published() != 2 || b.Delivered() != 1 {
-		t.Fatalf("stats: pub=%d del=%d", b.Published(), b.Delivered())
+	if b.Default().Published() != 2 || b.Default().Delivered() != 1 {
+		t.Fatalf("stats: pub=%d del=%d", b.Default().Published(), b.Default().Delivered())
 	}
 }
 
@@ -44,9 +44,9 @@ func TestContentFilter(t *testing.T) {
 	k, n, a, bHost, _ := rig()
 	b := New(k, n)
 	cnt := 0
-	b.Subscribe(bHost, TopicAndField("probe", "client", "C3"), func(Message) { cnt++ })
-	b.Publish(Message{Topic: "probe", Src: a, Name: "C3"})
-	b.Publish(Message{Topic: "probe", Src: a, Name: "C4"})
+	b.Default().Subscribe(bHost, TopicAndField("probe", "client", "C3"), func(Message) { cnt++ })
+	b.Default().Publish(Message{Topic: "probe", Src: a, Name: "C3"})
+	b.Default().Publish(Message{Topic: "probe", Src: a, Name: "C4"})
 	k.RunAll(0)
 	if cnt != 1 {
 		t.Fatalf("content filter matched %d, want 1", cnt)
@@ -60,11 +60,11 @@ func TestTopicAndFieldUnknownFieldMatchesNothing(t *testing.T) {
 	k, n, a, bHost, _ := rig()
 	b := New(k, n)
 	var empty, other, known int
-	b.Subscribe(bHost, TopicAndField("probe", "clinet", ""), func(Message) { empty++ })
-	b.Subscribe(bHost, TopicAndField("probe", "clinet", "C3"), func(Message) { other++ })
-	b.Subscribe(bHost, TopicAndField("probe", "client", ""), func(Message) { known++ })
-	b.Publish(Message{Topic: "probe", Src: a, Name: "C3"})
-	b.Publish(Message{Topic: "probe", Src: a}) // every string field ""
+	b.Default().Subscribe(bHost, TopicAndField("probe", "clinet", ""), func(Message) { empty++ })
+	b.Default().Subscribe(bHost, TopicAndField("probe", "clinet", "C3"), func(Message) { other++ })
+	b.Default().Subscribe(bHost, TopicAndField("probe", "client", ""), func(Message) { known++ })
+	b.Default().Publish(Message{Topic: "probe", Src: a, Name: "C3"})
+	b.Default().Publish(Message{Topic: "probe", Src: a}) // every string field ""
 	k.RunAll(0)
 	if empty != 0 || other != 0 {
 		t.Fatalf("filters on an unknown field matched %d (value \"\") and %d (value C3) messages, want none", empty, other)
@@ -72,18 +72,15 @@ func TestTopicAndFieldUnknownFieldMatchesNothing(t *testing.T) {
 	if known != 1 {
 		t.Fatalf("filter on a known field with value \"\" matched %d messages, want the one with an empty name", known)
 	}
-	if got := (Message{Name: "C3", Group: "G"}).Str("clinet"); got != "" {
-		t.Fatalf("Str of an unknown field = %q", got)
-	}
 }
 
 func TestMultipleSubscribersOrdered(t *testing.T) {
 	k, n, a, bHost, _ := rig()
 	b := New(k, n)
 	var order []int
-	b.Subscribe(bHost, TopicIs("x"), func(Message) { order = append(order, 1) })
-	b.Subscribe(bHost, TopicIs("x"), func(Message) { order = append(order, 2) })
-	b.Publish(Message{Topic: "x", Src: a})
+	b.Default().Subscribe(bHost, TopicIs("x"), func(Message) { order = append(order, 1) })
+	b.Default().Subscribe(bHost, TopicIs("x"), func(Message) { order = append(order, 2) })
+	b.Default().Publish(Message{Topic: "x", Src: a})
 	k.RunAll(0)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("delivery order %v", order)
@@ -94,17 +91,17 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	k, n, a, bHost, _ := rig()
 	b := New(k, n)
 	cnt := 0
-	sub := b.Subscribe(bHost, TopicIs("x"), func(Message) { cnt++ })
-	b.Publish(Message{Topic: "x", Src: a})
+	sub := b.Default().Subscribe(bHost, TopicIs("x"), func(Message) { cnt++ })
+	b.Default().Publish(Message{Topic: "x", Src: a})
 	k.RunAll(0)
-	b.Unsubscribe(sub)
-	b.Publish(Message{Topic: "x", Src: a})
+	b.Default().Unsubscribe(sub)
+	b.Default().Publish(Message{Topic: "x", Src: a})
 	k.RunAll(0)
 	if cnt != 1 {
 		t.Fatalf("cnt=%d, want 1", cnt)
 	}
-	b.Unsubscribe(sub) // double unsubscribe is a no-op
-	b.Unsubscribe(nil)
+	b.Default().Unsubscribe(sub) // double unsubscribe is a no-op
+	b.Default().Unsubscribe(nil)
 }
 
 func TestUnsubscribeDropsInFlight(t *testing.T) {
@@ -113,15 +110,15 @@ func TestUnsubscribeDropsInFlight(t *testing.T) {
 	k, n, a, bHost, _ := rig()
 	b := New(k, n)
 	cnt := 0
-	sub := b.Subscribe(bHost, TopicIs("x"), func(Message) { cnt++ })
-	b.Publish(Message{Topic: "x", Src: a})
-	sub2 := b.Subscribe(bHost, TopicIs("x"), func(Message) {})
+	sub := b.Default().Subscribe(bHost, TopicIs("x"), func(Message) { cnt++ })
+	b.Default().Publish(Message{Topic: "x", Src: a})
+	sub2 := b.Default().Subscribe(bHost, TopicIs("x"), func(Message) {})
 	_ = sub2
-	b.Unsubscribe(sub)
+	b.Default().Unsubscribe(sub)
 	// The pooled struct goes straight to the next subscriber: the delivery
 	// still on the wire is addressed to it by pointer, and must not reach it.
 	reissued := 0
-	if again := b.Subscribe(bHost, TopicIs("x"), func(Message) { reissued++ }); again != sub {
+	if again := b.Default().Subscribe(bHost, TopicIs("x"), func(Message) { reissued++ }); again != sub {
 		t.Fatal("subscription struct was not recycled")
 	}
 	k.RunAll(0)
@@ -134,8 +131,8 @@ func TestSameHostDeliveryFast(t *testing.T) {
 	k, n, a, _, _ := rig()
 	b := New(k, n)
 	at := -1.0
-	b.Subscribe(a, TopicIs("x"), func(Message) { at = k.Now() })
-	b.Publish(Message{Topic: "x", Src: a})
+	b.Default().Subscribe(a, TopicIs("x"), func(Message) { at = k.Now() })
+	b.Default().Publish(Message{Topic: "x", Src: a})
 	k.RunAll(0)
 	if at < 0 || at > 1e-3 {
 		t.Fatalf("local delivery at %v", at)
@@ -146,10 +143,10 @@ func TestCongestionDelaysDelivery(t *testing.T) {
 	k, n, a, bHost, l1 := rig()
 	b := New(k, n)
 	var times []float64
-	b.Subscribe(bHost, TopicIs("x"), func(Message) { times = append(times, k.Now()) })
-	k.At(0, func() { b.Publish(Message{Topic: "x", Src: a}) })
+	b.Default().Subscribe(bHost, TopicIs("x"), func(Message) { times = append(times, k.Now()) })
+	k.At(0, func() { b.Default().Publish(Message{Topic: "x", Src: a}) })
 	k.At(10, func() { n.SetBackgroundBoth(l1, 10e6) }) // saturate
-	k.At(10.1, func() { b.Publish(Message{Topic: "x", Src: a}) })
+	k.At(10.1, func() { b.Default().Publish(Message{Topic: "x", Src: a}) })
 	k.RunAll(0)
 	if len(times) != 2 {
 		t.Fatalf("deliveries=%d", len(times))
@@ -162,7 +159,7 @@ func TestCongestionDelaysDelivery(t *testing.T) {
 	// Prioritized traffic ignores congestion.
 	b.Priority = netsim.Prioritized
 	t0 := k.Now()
-	b.Publish(Message{Topic: "x", Src: a})
+	b.Default().Publish(Message{Topic: "x", Src: a})
 	k.RunAll(0)
 	if d := times[2] - t0; d > 2*idle+1e-6 {
 		t.Fatalf("prioritized delivery %v should match idle %v", d, idle)
@@ -173,8 +170,8 @@ func TestMessageTimeStamped(t *testing.T) {
 	k, n, a, bHost, _ := rig()
 	b := New(k, n)
 	var stamp float64
-	b.Subscribe(bHost, TopicIs("x"), func(m Message) { stamp = m.Time })
-	k.At(5, func() { b.Publish(Message{Topic: "x", Src: a}) })
+	b.Default().Subscribe(bHost, TopicIs("x"), func(m Message) { stamp = m.Time })
+	k.At(5, func() { b.Default().Publish(Message{Topic: "x", Src: a}) })
 	k.RunAll(0)
 	if stamp != 5 {
 		t.Fatalf("publish time %v, want 5", stamp)

@@ -20,6 +20,7 @@ type rig struct {
 	a         *app.System
 	mgr       *Manager
 	crushLink netsim.LinkID
+	gbLink    netsim.LinkID // r1-r3, the path to group GB
 }
 
 func newRig(t *testing.T, cfg Config) *rig {
@@ -39,7 +40,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	net.Connect(aHost, r2, 10e6, 1e-3)
 	net.Connect(spareHost, r2, 10e6, 1e-3)
 	r3 := net.AddRouter("r3")
-	net.Connect(r1, r3, 10e6, 1e-3)
+	gb := net.Connect(r1, r3, 10e6, 1e-3)
 	net.Connect(bHost, r3, 10e6, 1e-3)
 	net.Connect(mHost, r3, 10e6, 1e-3)
 	net.Connect(qHost, r3, 10e6, 1e-3)
@@ -70,7 +71,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	}
 	rm := remos.New(k, net, mHost)
 	mgr := New(cfg, k, net, a, mdl, mHost, rm)
-	return &rig{k: k, net: net, a: a, mgr: mgr, crushLink: crush}
+	return &rig{k: k, net: net, a: a, mgr: mgr, crushLink: crush, gbLink: gb}
 }
 
 func TestDeployCreatesMonitoring(t *testing.T) {
@@ -232,12 +233,7 @@ func TestAlertsOnUnrepairable(t *testing.T) {
 	r.k.At(150, func() {
 		r.net.SetBackgroundBoth(r.crushLink, 10e6-5e3)
 		// Also crush the GB path.
-		id, ok := r.net.LinkBetween(r.net.MustLookup("r1"), r.net.MustLookup("r3"))
-		if !ok {
-			t.Error("no r1-r3 link")
-			return
-		}
-		r.net.SetBackgroundBoth(id, 10e6-5e3)
+		r.net.SetBackgroundBoth(r.gbLink, 10e6-5e3)
 	})
 	r.k.Run(500)
 	if r.a.Client("C1").Group != "GA" {

@@ -154,6 +154,9 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 	if cfg.ScriptedRepairs {
 		strat, err := operators.CompileFixLatency(m.FindGoodSGrp)
 		if err != nil {
+			// Invariant: the script compiled is the constant
+			// operators.FixLatencyScript, never input, and the operators
+			// tests compile it; only an edit that breaks it gets here.
 			panic("core: compiling Figure 5 script: " + err.Error())
 		}
 		m.Engine.Bind(operators.InvLatency, strat)
@@ -195,10 +198,6 @@ func (m *Manager) Reports() uint64 { return m.reports }
 
 // Checks returns the number of control-loop ticks.
 func (m *Manager) Checks() uint64 { return m.checks }
-
-// ConstraintStats returns the registry's work counters: of the verdicts the
-// ticks asked for, how many ran the evaluator and how many were still valid.
-func (m *Manager) ConstraintStats() constraint.Stats { return m.Registry.Stats() }
 
 // ViolationsSeen returns the cumulative violation count across checks.
 func (m *Manager) ViolationsSeen() uint64 { return m.violationsN }

@@ -32,7 +32,7 @@ func fleetConstraintStats(t *testing.T, n int) (sum constraint.Stats, ticks uint
 	res := runBenchScript(t, n)
 	for _, name := range res.Fleet.Apps() {
 		mgr := res.Fleet.App(name).Mgr
-		st := mgr.ConstraintStats()
+		st := mgr.Registry.Stats()
 		sum.Checks += st.Checks
 		sum.Evaluated += st.Evaluated
 		sum.Reused += st.Reused

@@ -23,6 +23,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"archadapt/internal/netsim"
 )
@@ -99,19 +100,23 @@ func (f *Fleet) crushServersOf(a *App, groups []string) {
 					continue
 				}
 				link := f.Grid.AccessLink(srv.Host)
-				f.addCrush(link)
+				f.addCrush(link, starvedBg)
 				a.crushed = append(a.crushed, link)
 			}
 		}
 	})
 }
 
-// addCrush refcounts contention on one access link, installing the
-// background load on the first reference.
-func (f *Fleet) addCrush(link netsim.LinkID) {
+// starvedBg is the background load that starves an access link, leaving
+// ≈5 Kbps available: below the 10 Kbps floor.
+const starvedBg = netsim.AccessBps - 5e3
+
+// addCrush refcounts contention on one link, installing the background load
+// bg on the first reference.
+func (f *Fleet) addCrush(link netsim.LinkID, bg float64) {
 	f.crushes[link]++
 	if f.crushes[link] == 1 {
-		f.Net.SetBackgroundBoth(link, netsim.AccessBps-5e3)
+		f.Net.SetBackgroundBoth(link, bg)
 	}
 }
 
@@ -124,6 +129,59 @@ func (f *Fleet) dropCrush(link netsim.LinkID) {
 	}
 }
 
+// outage is one standing backbone or region failure: refs nests repeated
+// injections, links holds what is still crushed (partial restores shrink
+// it), and since records when the failure began — the drain-race check
+// compares it against a migration's decision time.
+type outage struct {
+	refs  int
+	links []netsim.LinkID
+	since float64
+}
+
+// hold takes one reference on o; the first crushes links, which o then
+// owns, down to bg.
+func (f *Fleet) hold(o *outage, links []netsim.LinkID, bg float64) {
+	o.refs++
+	if o.refs > 1 {
+		return // already failed; the matching restore just unnests
+	}
+	o.since, o.links = f.K.Now(), links
+	f.Net.Batch(func() {
+		for _, link := range links {
+			f.addCrush(link, bg)
+		}
+	})
+}
+
+// release balances one reference on o; the last lifts the links still
+// crushed and reports true.
+func (f *Fleet) release(o *outage) bool {
+	o.refs--
+	if o.refs > 0 {
+		return false // still nested inside an outer failure
+	}
+	f.Net.Batch(func() {
+		for _, link := range o.links {
+			f.dropCrush(link)
+		}
+	})
+	o.links = nil
+	return true
+}
+
+// liftFraction lifts the given fraction of o's still-crushed links (rounded
+// up, in crush order) without balancing the failure itself.
+func (f *Fleet) liftFraction(o *outage, fraction float64) {
+	n := min(max(int(math.Ceil(fraction*float64(len(o.links)))), 0), len(o.links))
+	f.Net.Batch(func() {
+		for _, link := range o.links[:n] {
+			f.dropCrush(link)
+		}
+	})
+	o.links = append([]netsim.LinkID(nil), o.links[n:]...)
+}
+
 // --- backbone contention ---
 
 // CrushBackbone loads a fraction of the backbone links with background
@@ -134,27 +192,8 @@ func (f *Fleet) dropCrush(link netsim.LinkID) {
 // first call's fraction and leaveBps stay in force, and the contention lifts
 // only when RestoreBackbone has balanced every call.
 func (f *Fleet) CrushBackbone(fraction, leaveBps float64) {
-	f.backboneRefs++
-	if f.backboneRefs > 1 {
-		return // already crushed; the matching restore just unnests
-	}
-	n := int(fraction * float64(len(f.Grid.Backbone)))
-	if n < 1 {
-		n = 1
-	}
-	if n > len(f.Grid.Backbone) {
-		n = len(f.Grid.Backbone)
-	}
-	bg := netsim.BackboneBps - leaveBps
-	if bg < 0 {
-		bg = 0
-	}
-	f.Net.Batch(func() {
-		for _, link := range f.Grid.Backbone[:n] {
-			f.Net.SetBackgroundBoth(link, bg)
-			f.backboneCrushed = append(f.backboneCrushed, link)
-		}
-	})
+	n := min(max(int(fraction*float64(len(f.Grid.Backbone))), 1), len(f.Grid.Backbone))
+	f.hold(&f.backbone, slices.Clone(f.Grid.Backbone[:n]), max(netsim.BackboneBps-leaveBps, 0))
 }
 
 // RestoreBackbone balances one CrushBackbone call, lifting the remaining
@@ -162,19 +201,10 @@ func (f *Fleet) CrushBackbone(fraction, leaveBps float64) {
 // was never crushed is an error and changes nothing — an unbalanced restore
 // must not clear link state some other injector still owns.
 func (f *Fleet) RestoreBackbone() error {
-	if f.backboneRefs == 0 {
+	if f.backbone.refs == 0 {
 		return fmt.Errorf("fleet: backbone is not crushed")
 	}
-	f.backboneRefs--
-	if f.backboneRefs > 0 {
-		return nil // still nested inside an outer crush
-	}
-	f.Net.Batch(func() {
-		for _, link := range f.backboneCrushed {
-			f.Net.SetBackgroundBoth(link, 0)
-		}
-	})
-	f.backboneCrushed = nil
+	f.release(&f.backbone)
 	return nil
 }
 
@@ -183,22 +213,10 @@ func (f *Fleet) RestoreBackbone() error {
 // itself — a partial recovery mid-failure. The remaining links stay loaded
 // until RestoreBackbone balances every CrushBackbone call.
 func (f *Fleet) RestoreBackboneFraction(fraction float64) error {
-	if f.backboneRefs == 0 {
+	if f.backbone.refs == 0 {
 		return fmt.Errorf("fleet: backbone is not crushed")
 	}
-	n := int(math.Ceil(fraction * float64(len(f.backboneCrushed))))
-	if n < 0 {
-		n = 0
-	}
-	if n > len(f.backboneCrushed) {
-		n = len(f.backboneCrushed)
-	}
-	f.Net.Batch(func() {
-		for _, link := range f.backboneCrushed[:n] {
-			f.Net.SetBackgroundBoth(link, 0)
-		}
-	})
-	f.backboneCrushed = append([]netsim.LinkID(nil), f.backboneCrushed[n:]...)
+	f.liftFraction(&f.backbone, fraction)
 	return nil
 }
 
@@ -214,18 +232,16 @@ func (f *Fleet) FailRegion(r int) error {
 	if r < 0 || r >= len(f.Grid.HostsByRouter) {
 		return fmt.Errorf("fleet: no router %d", r)
 	}
-	f.regionFailRefs[r]++
-	if f.regionFailRefs[r] > 1 {
-		return nil // already failed; the matching restore just unnests
+	o := f.regions[r]
+	if o == nil {
+		o = &outage{}
+		f.regions[r] = o
 	}
-	f.regionFailedAt[r] = f.K.Now()
-	f.Net.Batch(func() {
-		for _, h := range f.Grid.HostsByRouter[r] {
-			link := f.Grid.AccessLink(h)
-			f.addCrush(link)
-			f.regionCrushed[r] = append(f.regionCrushed[r], link)
-		}
-	})
+	var links []netsim.LinkID
+	for _, h := range f.Grid.HostsByRouter[r] {
+		links = append(links, f.Grid.AccessLink(h))
+	}
+	f.hold(o, links, starvedBg)
 	return nil
 }
 
@@ -233,21 +249,13 @@ func (f *Fleet) FailRegion(r int) error {
 // crushed links when every failure has been matched. Restoring a region that
 // is not failed is an error and changes nothing.
 func (f *Fleet) RestoreRegion(r int) error {
-	if f.regionFailRefs[r] == 0 {
+	o := f.regions[r]
+	if o == nil {
 		return fmt.Errorf("fleet: region %d is not failed", r)
 	}
-	f.regionFailRefs[r]--
-	if f.regionFailRefs[r] > 0 {
-		return nil // still nested inside an outer failure
+	if f.release(o) {
+		delete(f.regions, r)
 	}
-	f.Net.Batch(func() {
-		for _, link := range f.regionCrushed[r] {
-			f.dropCrush(link)
-		}
-	})
-	delete(f.regionCrushed, r)
-	delete(f.regionFailRefs, r)
-	delete(f.regionFailedAt, r)
 	return nil
 }
 
@@ -256,23 +264,11 @@ func (f *Fleet) RestoreRegion(r int) error {
 // balancing the failure itself — a half-recovered region. The rest stay
 // starved until RestoreRegion balances every FailRegion call.
 func (f *Fleet) RestoreRegionFraction(r int, fraction float64) error {
-	if f.regionFailRefs[r] == 0 {
+	o := f.regions[r]
+	if o == nil {
 		return fmt.Errorf("fleet: region %d is not failed", r)
 	}
-	links := f.regionCrushed[r]
-	n := int(math.Ceil(fraction * float64(len(links))))
-	if n < 0 {
-		n = 0
-	}
-	if n > len(links) {
-		n = len(links)
-	}
-	f.Net.Batch(func() {
-		for _, link := range links[:n] {
-			f.dropCrush(link)
-		}
-	})
-	f.regionCrushed[r] = append([]netsim.LinkID(nil), links[n:]...)
+	f.liftFraction(o, fraction)
 	return nil
 }
 
@@ -289,7 +285,7 @@ func (f *Fleet) targetFailedSince(asg *Assignment, decidedAt float64) (int, bool
 			return
 		}
 		r := f.Grid.RouterIndex(h)
-		if r >= 0 && f.regionFailRefs[r] > 0 && f.regionFailedAt[r] > decidedAt {
+		if o := f.regions[r]; o != nil && o.since > decidedAt {
 			failed, region = true, r
 		}
 	})

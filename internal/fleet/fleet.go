@@ -283,23 +283,17 @@ type Fleet struct {
 	rng        *sim.Rand
 	apps       map[string]*App
 	order      []string
-	admitted   []*App // order, by handle: what the per-tick sampler walks
+	admitted   []*App // order, by handle: what the per-tick loops walk
 	rejections []Rejection
 	crushes    map[netsim.LinkID]int // contention refcount per link (apps may share hosts)
 	stopSample func()
 
 	stopMigrate func()
 	stopped     bool
-	// Backbone/region failure bookkeeping (faults.go): refcounts nest
-	// repeated injections, the link lists hold what is still crushed (partial
-	// restores shrink them), and regionFailedAt records when each standing
-	// region failure began — the drain-race check compares it against a
-	// migration's decision time.
-	backboneRefs    int
-	backboneCrushed []netsim.LinkID
-	regionFailRefs  map[int]int
-	regionCrushed   map[int][]netsim.LinkID
-	regionFailedAt  map[int]float64
+	// Backbone and region failures (faults.go), the regions keyed by router
+	// index while they stand.
+	backbone outage
+	regions  map[int]*outage
 
 	// tracer is the fleet's observability plane (nil unless Config.Trace).
 	tracer *obs.Tracer
@@ -341,12 +335,10 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 	}
 	f := &Fleet{
 		K: k, Grid: grid, Net: grid.Net, Cfg: cfg,
-		rng:            sim.NewRand(seed),
-		apps:           map[string]*App{},
-		crushes:        map[netsim.LinkID]int{},
-		regionFailRefs: map[int]int{},
-		regionCrushed:  map[int][]netsim.LinkID{},
-		regionFailedAt: map[int]float64{},
+		rng:     sim.NewRand(seed),
+		apps:    map[string]*App{},
+		crushes: map[netsim.LinkID]int{},
+		regions: map[int]*outage{},
 	}
 	f.Sch = NewScheduler(grid, cfg.HostCapacity, nil)
 	rmHost, err := f.Sch.Reserve()
@@ -416,8 +408,8 @@ func (f *Fleet) App(name string) *App { return f.apps[name] }
 // Live returns the number of currently running applications.
 func (f *Fleet) Live() int {
 	n := 0
-	for _, name := range f.order {
-		if f.apps[name].Live() {
+	for _, a := range f.admitted {
+		if a.Live() {
 			n++
 		}
 	}
@@ -441,8 +433,7 @@ func (f *Fleet) AuditSlots() error {
 		return err
 	}
 	used := 1 // the Remos collector's reserved slot
-	for _, name := range f.order {
-		a := f.apps[name]
+	for _, a := range f.admitted {
 		if a.Live() {
 			used += a.Assign.slots()
 			if a.ol != nil {
@@ -679,8 +670,7 @@ func (f *Fleet) Stop() {
 		f.stopMigrate = nil
 	}
 	f.stopOpenLoop()
-	for _, name := range f.order {
-		a := f.apps[name]
+	for _, a := range f.admitted {
 		if a.Live() {
 			if a.migrating {
 				f.abortDrain(a, nil, false)
@@ -807,12 +797,12 @@ func (a *App) Summarize() AppSummary {
 // traced fleet each summary additionally carries the app's phase-latency
 // distributions.
 func (f *Fleet) Summaries() []AppSummary {
-	if len(f.order) == 0 {
+	if len(f.admitted) == 0 {
 		return nil
 	}
-	out := make([]AppSummary, len(f.order))
-	for i, name := range f.order {
-		out[i] = f.apps[name].Summarize()
+	out := make([]AppSummary, len(f.admitted))
+	for i, a := range f.admitted {
+		out[i] = a.Summarize()
 	}
 	if f.tracer != nil {
 		for i := range out {

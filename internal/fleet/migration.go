@@ -246,8 +246,7 @@ func (f *Fleet) migrationTick(now float64) {
 		f.rh.tick()
 	}
 	cands := f.migrCands[:0]
-	for _, name := range f.order {
-		a := f.apps[name]
+	for _, a := range f.admitted {
 		if !a.Live() || a.health == nil {
 			continue
 		}
@@ -537,13 +536,19 @@ func (f *Fleet) cutover(a *App, drained bool) {
 	a.Assign = a.pending.Commit()
 	a.pending = nil
 	if err := a.Sys.Rehost(a.Assign.QueueHost, a.Assign.ServerHosts, a.Assign.ClientHosts); err != nil {
-		panic("fleet: rehost after placement: " + err.Error()) // placement covers every process
+		// Invariant: Rehost fails only on a process with no host, and the
+		// placement was computed from this application's spec, so it names
+		// a host for every server and client.
+		panic("fleet: rehost after placement: " + err.Error())
 	}
 
 	// Re-attach at the new anchor. The lease name freed synchronously in
 	// Shutdown, so re-leasing under the same application name cannot fail.
 	lease, err := f.Gauges.Lease(a.Name, a.Assign.ManagerHost)
 	if err != nil {
+		// Invariant: Lease fails only on a name already leased, and
+		// Shutdown closed this application's lease above, which frees the
+		// name before it returns.
 		panic("fleet: re-lease after shutdown: " + err.Error())
 	}
 	a.probe = f.ProbeBus.Acquire()

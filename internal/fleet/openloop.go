@@ -333,8 +333,7 @@ func (a *App) AutoscaledOf(group string) int {
 // openLoopOffered returns the fleet's aggregate open-loop offered load and
 // service capacity in requests/sec, over live open-loop applications.
 func (f *Fleet) openLoopOffered(now float64) (lambda, capacity float64) {
-	for _, name := range f.order {
-		a := f.apps[name]
+	for _, a := range f.admitted {
 		if !a.Live() || a.ol == nil {
 			continue
 		}
@@ -433,8 +432,7 @@ func (f *Fleet) openLoopTick(now float64) {
 	if f.stopped {
 		return
 	}
-	for _, name := range f.order {
-		a := f.apps[name]
+	for _, a := range f.admitted {
 		if a.Live() && !a.migrating {
 			f.openLoopApp(a, now)
 		}

@@ -438,6 +438,9 @@ func (r *Reservation) Release() {
 // a bug — the slots may already be someone else's.
 func (r *Reservation) Commit() *Assignment {
 	if r.released {
+		// Invariant: the one Commit (cutover) runs only while the drain
+		// still holds its reservation; abortDrain releases it and clears
+		// a.pending, so no path commits after Release.
 		panic("fleet: committing a released reservation")
 	}
 	r.committed = true

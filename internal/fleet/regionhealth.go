@@ -118,8 +118,7 @@ func (rh *RegionHealth) tick() {
 	for r := range rh.viol {
 		rh.viol[r], rh.reports[r] = 0, 0
 	}
-	for _, name := range rh.f.order {
-		a := rh.f.apps[name]
+	for _, a := range rh.f.admitted {
 		if !a.Live() || a.health == nil {
 			continue
 		}
@@ -196,9 +195,6 @@ func (rh *RegionHealth) Score(r int) (float64, bool) {
 	}
 	return n - rh.violFrac[r], true
 }
-
-// Regions returns the number of regions the index covers.
-func (rh *RegionHealth) Regions() int { return len(rh.bw) }
 
 // degraded reports whether region r measures below regionFloorBps.
 func (rh *RegionHealth) degraded(r int) bool {

@@ -18,6 +18,7 @@ type rig struct {
 	report  *bus.Shard
 	mgr     *Manager
 	gHost   netsim.NodeID
+	gLink   netsim.LinkID // the gauge host's access link
 	mHost   netsim.NodeID
 	rm      *remos.Service
 	reports []bus.Message
@@ -30,14 +31,14 @@ func newRig(t *testing.T) *rig {
 	gHost := net.AddHost("gauge")
 	r := net.AddRouter("r")
 	mHost := net.AddHost("mgr")
-	net.Connect(gHost, r, 10e6, 1e-3)
+	gLink := net.Connect(gHost, r, 10e6, 1e-3)
 	net.Connect(mHost, r, 10e6, 1e-3)
 	rg := &rig{
 		k: k, net: net,
 		probe:  bus.New(k, net).Default(),
 		report: bus.New(k, net).Default(),
 		mgr:    NewManager(k, net, mHost),
-		gHost:  gHost, mHost: mHost,
+		gHost:  gHost, gLink: gLink, mHost: mHost,
 		rm: remos.New(k, net, mHost),
 	}
 	rg.report.Subscribe(mHost, bus.TopicIs(TopicReport), func(m bus.Message) {
@@ -59,7 +60,7 @@ func (r *rig) pubResponse(client string, latency float64) {
 func TestLatencyGaugeWindowedAverage(t *testing.T) {
 	r := newRig(t)
 	g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
-	if err := r.mgr.Create(g, nil); err != nil {
+	if err := r.mgr.DefaultLease().Create(g, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Deployment handshake first; then samples at t=30.
@@ -71,10 +72,10 @@ func TestLatencyGaugeWindowedAverage(t *testing.T) {
 		t.Fatal("no gauge reports")
 	}
 	last := r.reports[len(r.reports)-1]
-	if last.Str("target") != "C1" || last.Str("prop") != "averageLatency" || last.Str("kind") != "client" {
+	if last.Target != "C1" || last.Prop != "averageLatency" || last.Kind != "client" {
 		t.Fatalf("report fields %+v", last)
 	}
-	if v := last.Num("value"); math.Abs(v-2.0) > 1e-9 {
+	if v := last.V1; math.Abs(v-2.0) > 1e-9 {
 		t.Fatalf("avg=%v, want 2.0", v)
 	}
 	// Old samples age out of the window.
@@ -90,7 +91,7 @@ func TestLoadGaugeSmoothing(t *testing.T) {
 	r := newRig(t)
 	g := NewLoadGauge(r.k, r.probe, r.report, r.gHost, "G", 5)
 	g.Smooth = 0.5
-	if err := r.mgr.Create(g, nil); err != nil {
+	if err := r.mgr.DefaultLease().Create(g, nil); err != nil {
 		t.Fatal(err)
 	}
 	pub := func(at, v float64) {
@@ -116,7 +117,7 @@ func TestBandwidthGaugeQueriesRemos(t *testing.T) {
 	r.k.RunAll(0) // advances the clock past the 90 s collection
 	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1", r.gHost,
 		func() (netsim.NodeID, bool) { return r.mHost, true }, 5)
-	if err := r.mgr.Create(g, nil); err != nil {
+	if err := r.mgr.DefaultLease().Create(g, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.k.Run(r.k.Now() + 60)
@@ -124,13 +125,13 @@ func TestBandwidthGaugeQueriesRemos(t *testing.T) {
 		t.Fatal("no bandwidth reports")
 	}
 	last := r.reports[len(r.reports)-1]
-	if last.Str("kind") != "clientRole" || last.Str("prop") != "bandwidth" {
+	if last.Kind != "clientRole" || last.Prop != "bandwidth" {
 		t.Fatalf("fields %+v", last)
 	}
-	if v := last.Num("value"); math.Abs(v-10e6) > 1 {
+	if v := last.V1; math.Abs(v-10e6) > 1 {
 		t.Fatalf("bw=%v", v)
 	}
-	if v, ok := g.Last(); !ok || v != last.Num("value") {
+	if v, ok := g.Last(); !ok || v != last.V1 {
 		t.Fatal("Last() mismatch")
 	}
 }
@@ -145,7 +146,7 @@ func TestBandwidthGaugeQueryAllocationFree(t *testing.T) {
 	r.k.RunAll(0)
 	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1", r.gHost,
 		func() (netsim.NodeID, bool) { return r.mHost, true }, 5)
-	if err := r.mgr.Create(g, nil); err != nil {
+	if err := r.mgr.DefaultLease().Create(g, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.k.Run(r.k.Now() + 60)
@@ -172,7 +173,7 @@ func TestBandwidthGaugeSkipsWhenNoServer(t *testing.T) {
 	r := newRig(t)
 	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1", r.gHost,
 		func() (netsim.NodeID, bool) { return 0, false }, 5)
-	_ = r.mgr.Create(g, nil)
+	_ = r.mgr.DefaultLease().Create(g, nil)
 	r.k.Run(60)
 	if len(r.reports) != 0 {
 		t.Fatal("gauge reported with no measurement endpoint")
@@ -183,7 +184,7 @@ func TestCreationHandshakeCost(t *testing.T) {
 	r := newRig(t)
 	g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
 	live := -1.0
-	if err := r.mgr.Create(g, func() { live = r.k.Now() }); err != nil {
+	if err := r.mgr.DefaultLease().Create(g, func() { live = r.k.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	r.k.Run(120)
@@ -205,9 +206,9 @@ func TestCreationHandshakeCost(t *testing.T) {
 func TestDuplicateCreateRejected(t *testing.T) {
 	r := newRig(t)
 	g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
-	_ = r.mgr.Create(g, nil)
+	_ = r.mgr.DefaultLease().Create(g, nil)
 	g2 := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
-	if err := r.mgr.Create(g2, nil); err == nil {
+	if err := r.mgr.DefaultLease().Create(g2, nil); err == nil {
 		t.Fatal("duplicate create should fail")
 	}
 }
@@ -215,7 +216,7 @@ func TestDuplicateCreateRejected(t *testing.T) {
 func TestDeleteStopsReporting(t *testing.T) {
 	r := newRig(t)
 	g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 60, 5)
-	_ = r.mgr.Create(g, nil)
+	_ = r.mgr.DefaultLease().Create(g, nil)
 	r.k.At(30, func() { r.pubResponse("C1", 1.0) })
 	r.k.Run(45)
 	n := len(r.reports)
@@ -223,7 +224,7 @@ func TestDeleteStopsReporting(t *testing.T) {
 		t.Fatal("no reports before delete")
 	}
 	done := false
-	if err := r.mgr.Delete(g.Name(), func() { done = true }); err != nil {
+	if err := r.mgr.DefaultLease().Delete(g.Name(), func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	r.k.Run(200)
@@ -236,7 +237,7 @@ func TestDeleteStopsReporting(t *testing.T) {
 	if r.mgr.Deployed() != 0 {
 		t.Fatal("gauge still deployed")
 	}
-	if err := r.mgr.Delete(g.Name(), nil); err == nil {
+	if err := r.mgr.DefaultLease().Delete(g.Name(), nil); err == nil {
 		t.Fatal("double delete should fail")
 	}
 }
@@ -246,19 +247,19 @@ func TestRecreateVsCachedCost(t *testing.T) {
 		r := newRig(t)
 		r.mgr.Caching = caching
 		g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
-		_ = r.mgr.Create(g, nil)
+		_ = r.mgr.DefaultLease().Create(g, nil)
 		r.k.Run(60)
 		start := r.k.Now()
 		doneAt := -1.0
 		repl := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1x", 20, 5)
-		if err := r.mgr.Recreate(g.Name(), repl, func() { doneAt = r.k.Now() }); err != nil {
+		if err := r.mgr.DefaultLease().Recreate(g.Name(), repl, func() { doneAt = r.k.Now() }); err != nil {
 			t.Fatal(err)
 		}
 		r.k.Run(600)
 		if doneAt < 0 {
 			t.Fatal("recreate never completed")
 		}
-		if r.mgr.Gauge("C1x") == nil && r.mgr.Gauge(repl.Name()) == nil {
+		if r.mgr.DefaultLease().Gauge("C1x") == nil && r.mgr.DefaultLease().Gauge(repl.Name()) == nil {
 			t.Fatal("replacement not deployed")
 		}
 		return doneAt - start
@@ -274,7 +275,7 @@ func TestRecreateVsCachedCost(t *testing.T) {
 func TestRecreateUnknownGauge(t *testing.T) {
 	r := newRig(t)
 	g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
-	if err := r.mgr.Recreate("nope", g, nil); err == nil {
+	if err := r.mgr.DefaultLease().Recreate("nope", g, nil); err == nil {
 		t.Fatal("recreate of unknown gauge should fail")
 	}
 }
@@ -285,15 +286,11 @@ func TestChurnUnderCongestionIsSlower(t *testing.T) {
 	measure := func(congest bool) float64 {
 		r := newRig(t)
 		if congest {
-			id, ok := r.net.LinkBetween(r.gHost, r.net.MustLookup("r"))
-			if !ok {
-				t.Fatal("no link")
-			}
-			r.net.SetBackgroundBoth(id, 10e6)
+			r.net.SetBackgroundBoth(r.gLink, 10e6)
 		}
 		g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
 		done := -1.0
-		_ = r.mgr.Create(g, func() { done = r.k.Now() })
+		_ = r.mgr.DefaultLease().Create(g, func() { done = r.k.Now() })
 		r.k.Run(3000)
 		if done < 0 {
 			t.Fatal("create never completed")

@@ -40,9 +40,8 @@ const (
 // which scope gauge names and anchor the protocol exchanges at the leasing
 // application's manager host. The Manager's lifecycle counters are
 // fleet-wide; per-application counters live on the
-// Lease. A Manager used directly (Create/Delete/Recreate on the Manager)
-// operates through a default lease anchored at Host — the single-tenant
-// configuration of the per-application reference oracle.
+// Lease. DefaultLease, anchored at Host, is the single-tenant configuration
+// of the per-application reference oracle.
 type Manager struct {
 	K    *sim.Kernel
 	Net  *netsim.Network
@@ -113,32 +112,15 @@ func (m *Manager) ProtocolTime() float64 { return m.protocolBusy }
 // Deployed returns the number of live gauges across every lease.
 func (m *Manager) Deployed() int { return len(m.gauges) }
 
-// defLease lazily creates the default single-tenant lease.
-func (m *Manager) defLease() *Lease {
+// DefaultLease returns the manager's default lease, anchored at Host — the
+// handle single-tenant owners (the per-application reference configuration)
+// operate through. It is created on first use.
+func (m *Manager) DefaultLease() *Lease {
 	if m.def == nil {
 		m.def = &Lease{m: m, app: "", host: m.Host}
 	}
 	return m.def
 }
-
-// DefaultLease returns the manager's default lease, anchored at Host — the
-// handle single-tenant owners (the per-application reference configuration)
-// operate through.
-func (m *Manager) DefaultLease() *Lease { return m.defLease() }
-
-// Create deploys a gauge under the default lease.
-func (m *Manager) Create(g Gauge, done func()) error { return m.defLease().Create(g, done) }
-
-// Delete tears down a default-lease gauge.
-func (m *Manager) Delete(name string, done func()) error { return m.defLease().Delete(name, done) }
-
-// Recreate churns a default-lease gauge.
-func (m *Manager) Recreate(old string, replacement Gauge, done func()) error {
-	return m.defLease().Recreate(old, replacement, done)
-}
-
-// Gauge returns a default-lease gauge by name.
-func (m *Manager) Gauge(name string) Gauge { return m.defLease().Gauge(name) }
 
 // sendReliable delivers one protocol message with retransmission: if the
 // network drops it (lossy monitoring plane), it is resent after

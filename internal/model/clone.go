@@ -1,7 +1,7 @@
 package model
 
-// Clone deep-copies the system: elements, properties, attachments, bindings,
-// and nested representations. The copy shares nothing with the original, so
+// Clone deep-copies the system: elements, properties, attachments and nested
+// representations. The copy shares nothing with the original, so
 // repair tactics can run what-if analyses (and tests can diff before/after
 // states) without touching the live model.
 func (s *System) Clone() *System {
@@ -37,30 +37,20 @@ func (s *System) Clone() *System {
 			panic("model: clone attach: " + err.Error())
 		}
 	}
-	for _, b := range s.bindings {
-		// Bindings can cross the representation boundary; only same-level
-		// bindings are cloned here. Representation-internal ports live in the
-		// cloned Rep and are re-linked by name.
-		inner, outer := portMap[b.Inner], portMap[b.Outer]
-		if inner != nil && outer != nil {
-			c.Bind(inner, outer)
-		}
-	}
 	return c
 }
 
 // Equal reports whether two systems are structurally identical: same element
-// names/types/properties (by value), same attachments and bindings by
-// qualified name. Element declaration order is ignored — architectures are
-// graphs, and transactional rollback may restore elements in a different
-// slice order. Useful for clone tests and for verifying rollback restores
-// the model exactly.
+// names/types/properties (by value), same attachments by qualified name.
+// Element declaration order is ignored — architectures are graphs, and
+// transactional rollback may restore elements in a different slice order.
+// Useful for clone tests and for verifying rollback restores the model
+// exactly.
 func (s *System) Equal(o *System) bool {
 	if s.name != o.name || s.typ != o.typ || !s.props.equal(&o.props) {
 		return false
 	}
-	if len(s.components) != len(o.components) || len(s.connectors) != len(o.connectors) ||
-		len(s.atts) != len(o.atts) || len(s.bindings) != len(o.bindings) {
+	if len(s.components) != len(o.components) || len(s.connectors) != len(o.connectors) || len(s.atts) != len(o.atts) {
 		return false
 	}
 	for _, c := range s.components {

@@ -5,8 +5,7 @@
 //
 // Components expose Ports; connectors expose Roles; an Attachment binds a
 // port to a role. A component may carry a Representation — a nested
-// sub-architecture (the paper's ServerGrpRep holding the replicated servers)
-// — together with Bindings that map inner ports to outer ports.
+// sub-architecture (the paper's ServerGrpRep holding the replicated servers).
 //
 // The model is a plain data structure mutated only from kernel context; the
 // repair package layers transactional undo on top of the mutation methods
@@ -215,13 +214,6 @@ type Attachment struct {
 	Role *Role
 }
 
-// Binding maps a port of an inner (representation) component to a port of
-// the outer component.
-type Binding struct {
-	Inner *Port
-	Outer *Port
-}
-
 // System is an architecture graph: components, connectors, attachments.
 // A System may also serve as a component representation.
 type System struct {
@@ -229,7 +221,6 @@ type System struct {
 	components []*Component
 	connectors []*Connector
 	atts       []Attachment
-	bindings   []Binding
 	rev        uint64
 	byType     *typeList // ComponentsByType answers, one per type asked for
 }
@@ -245,8 +236,8 @@ type typeList struct {
 }
 
 // StructRev returns the system's structure revision: it moves whenever a
-// component, connector, port, role, attachment or binding is added, removed
-// or restored, so an element enumeration taken at one StructRev (an
+// component, connector, port, role or attachment is added, removed or
+// restored, so an element enumeration taken at one StructRev (an
 // invariant's scope) still holds while it reads the same. Property writes
 // move the element's Props.Rev instead.
 func (s *System) StructRev() uint64 { return s.rev }
@@ -275,9 +266,6 @@ func (s *System) Connectors() []*Connector { return s.connectors }
 
 // Attachments returns all attachments.
 func (s *System) Attachments() []Attachment { return s.atts }
-
-// Bindings returns all representation bindings.
-func (s *System) Bindings() []Binding { return s.bindings }
 
 // Component returns the named component, or nil.
 func (s *System) Component(name string) *Component {
@@ -341,24 +329,6 @@ func (s *System) RemoveComponent(name string) error {
 	return fmt.Errorf("model: no component %q", name)
 }
 
-// RemoveConnector deletes a connector and fails if it still has attachments.
-func (s *System) RemoveConnector(name string) error {
-	for i, c := range s.connectors {
-		if c.name != name {
-			continue
-		}
-		for _, r := range c.roles {
-			if len(s.AttachmentsOfRole(r)) > 0 {
-				return fmt.Errorf("model: connector %q still attached via %s", name, r.QName())
-			}
-		}
-		s.connectors = append(s.connectors[:i], s.connectors[i+1:]...)
-		s.rev++
-		return nil
-	}
-	return fmt.Errorf("model: no connector %q", name)
-}
-
 // Attach binds port to role. Both must belong to this system, and a role can
 // hold at most one attachment (a port may attach to several roles).
 func (s *System) Attach(p *Port, r *Role) error {
@@ -391,24 +361,6 @@ func (s *System) Detach(p *Port, r *Role) error {
 		}
 	}
 	return fmt.Errorf("model: no attachment %s -> %s", p.QName(), r.QName())
-}
-
-// Bind records a representation binding inner↔outer.
-func (s *System) Bind(inner, outer *Port) {
-	s.bindings = append(s.bindings, Binding{Inner: inner, Outer: outer})
-	s.rev++
-}
-
-// Unbind removes a binding.
-func (s *System) Unbind(inner *Port) error {
-	for i, b := range s.bindings {
-		if b.Inner == inner {
-			s.bindings = append(s.bindings[:i], s.bindings[i+1:]...)
-			s.rev++
-			return nil
-		}
-	}
-	return fmt.Errorf("model: no binding for %s", inner.QName())
 }
 
 // AttachmentsOfPort returns attachments involving p.
@@ -535,7 +487,7 @@ func (s *System) componentsOfType(typ string) []*Component {
 }
 
 // Validate checks structural integrity: attachment endpoints belong to this
-// system, no dangling references, representation bindings are well-formed.
+// system, no dangling references, representations valid in turn.
 func (s *System) Validate() error {
 	inComps := map[*Component]bool{}
 	for _, c := range s.components {

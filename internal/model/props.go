@@ -172,14 +172,6 @@ func (p *Props) Str(name string) (string, bool) {
 	return "", false
 }
 
-// StrOr returns a string property or def when absent.
-func (p *Props) StrOr(name, def string) string {
-	if s, ok := p.Str(name); ok {
-		return s
-	}
-	return def
-}
-
 // Names returns the property names sorted, for deterministic iteration and
 // printing.
 func (p *Props) Names() []string {

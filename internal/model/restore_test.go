@@ -31,7 +31,7 @@ func TestRestoreComponentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRestoreConnectorAndRole(t *testing.T) {
+func TestRestoreRole(t *testing.T) {
 	s := paperSystem()
 	conn := s.Connector("ReqConn1")
 	role := conn.Role("client1")
@@ -51,43 +51,6 @@ func TestRestoreConnectorAndRole(t *testing.T) {
 		t.Fatal("duplicate role restore should fail")
 	}
 
-	// Whole connector: detach everything first.
-	for _, a := range s.AttachmentsOfRole(conn.Role("server")) {
-		_ = s.Detach(a.Port, a.Role)
-	}
-	for i := 2; i <= 6; i++ {
-		r := conn.Role("client" + string(rune('0'+i)))
-		for _, a := range s.AttachmentsOfRole(r) {
-			_ = s.Detach(a.Port, a.Role)
-		}
-	}
-	if err := s.RemoveConnector("ReqConn1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RestoreConnector(conn); err != nil {
-		t.Fatal(err)
-	}
-	if s.Connector("ReqConn1") != conn {
-		t.Fatal("connector pointer lost")
-	}
-}
-
-func TestRestorePort(t *testing.T) {
-	s := paperSystem()
-	c := s.Component("ServerGrp2")
-	p := c.Port("provide")
-	if err := c.RemovePort("provide"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestorePort(p); err != nil {
-		t.Fatal(err)
-	}
-	if c.Port("provide") != p {
-		t.Fatal("port pointer lost")
-	}
-	if err := c.RestorePort(p); err == nil {
-		t.Fatal("duplicate port restore should fail")
-	}
 }
 
 func TestRemovePortGuardedByAttachment(t *testing.T) {

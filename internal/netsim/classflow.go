@@ -32,17 +32,16 @@ func (n *Network) StartClassFlow(src, dst NodeID, demand float64, tag string) *F
 		demand = 0
 	}
 	f := &Flow{
-		id:         n.nextFlow,
-		Src:        src,
-		Dst:        dst,
-		Tag:        tag,
-		path:       n.route(src, dst),
-		index:      -1,
-		last:       n.K.Now(),
-		net:        n,
-		persistent: true,
-		limited:    true,
-		demand:     demand,
+		id:     n.nextFlow,
+		Src:    src,
+		Dst:    dst,
+		Tag:    tag,
+		path:   n.route(src, dst),
+		index:  -1,
+		last:   n.K.Now(),
+		net:    n,
+		class:  true,
+		demand: demand,
 	}
 	n.nextFlow++
 	if len(f.path) == 0 {
@@ -64,7 +63,7 @@ func (f *Flow) Demand() float64 { return f.demand }
 // bits for every flow whose allocation shifts. Calling SetDemand on a
 // cancelled flow or a non-class flow is a no-op.
 func (f *Flow) SetDemand(demand float64) {
-	if !f.limited || f.cancelled {
+	if !f.class || f.cancelled {
 		return
 	}
 	if !(demand > 0) { // negative, zero or NaN

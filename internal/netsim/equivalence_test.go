@@ -13,7 +13,7 @@ import (
 // The incremental solver must be observationally equivalent to the retained
 // global one. The driver below builds two identical random networks on one
 // kernel — one incremental, one with GlobalReflow forced — and pushes the
-// same random event sequence (starts, cancels, background changes, probes)
+// same random event sequence (starts, cancels, background changes)
 // through both, comparing flow rates after every step against each other and
 // against ReferenceRates, the retained PR 1 algorithm.
 
@@ -51,7 +51,7 @@ func buildTwins(rng *sim.Rand) *twinNets {
 		if i == j {
 			continue
 		}
-		if _, dup := tw.inc.LinkBetween(tw.nodes[i], tw.nodes[j]); dup {
+		if linked(tw.inc, tw.nodes[i], tw.nodes[j]) {
 			continue
 		}
 		connect(i, j, 1e6*float64(1+rng.Intn(10)))
@@ -113,7 +113,7 @@ func solverEquivalence(t testingT, seed uint64) bool {
 	nHosts := len(tw.nodes)
 	for step := 0; step < 40; step++ {
 		at += rng.Float64() * 0.4
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0, 1: // start a transfer (sized so some complete mid-run)
 			s, d := rng.Intn(nHosts), rng.Intn(nHosts)
 			bits := 1e4 * float64(1+rng.Intn(500))
@@ -151,16 +151,6 @@ func solverEquivalence(t testingT, seed uint64) bool {
 				} else {
 					tw.inc.SetBackground(tw.links[li], dir, load)
 					tw.glob.SetBackground(tw.links[li], dir, load)
-				}
-			})
-		case 4: // probe: must not disturb real flows in either solver
-			s, d := rng.Intn(nHosts), rng.Intn(nHosts)
-			tw.k.At(at, func() {
-				a := tw.inc.BottleneckShare(tw.nodes[s], tw.nodes[d])
-				b := tw.glob.BottleneckShare(tw.nodes[s], tw.nodes[d])
-				if !relClose(a, b, 1e-9) {
-					t.Logf("probe share diverged: %v vs %v", a, b)
-					ok = false
 				}
 			})
 		}
@@ -295,7 +285,7 @@ func TestFillIgnoresResourceOrder(t *testing.T) {
 		}
 		for e := 0; e < rng.Intn(6); e++ {
 			i, j := rng.Intn(len(hosts)), rng.Intn(len(hosts))
-			if _, dup := n.LinkBetween(hosts[i], hosts[j]); i != j && !dup {
+			if i != j && !linked(n, hosts[i], hosts[j]) {
 				connect(i, j)
 			}
 		}
@@ -348,7 +338,7 @@ func TestFillIgnoresResourceOrder(t *testing.T) {
 				if f.rate != solved[f] {
 					t.Fatalf("seed %d component %d: flow %d fills to %v sorted, the solve gave %v", seed, c, f.id, f.rate, solved[f])
 				}
-				if f.limited && f.rate == f.demand {
+				if f.class && f.rate == f.demand {
 					capped++
 				}
 				if f.rate == n.MinFlowRate {

@@ -35,15 +35,13 @@ type Flow struct {
 	seen      uint64 // region-visit epoch
 	frozen    uint64 // progressive-filling freeze epoch
 
-	// Class-flow state (StartClassFlow). A persistent flow never completes:
-	// instead of draining `remaining` it accumulates `delivered` bits. A
-	// limited flow's max–min allocation is capped at `demand` bits/sec, with
-	// the residual capacity redistributed to the elastic flows sharing its
-	// links.
-	persistent bool
-	limited    bool
-	demand     float64
-	delivered  float64 // bits delivered as of `last` (settled lazily)
+	// Class-flow state (StartClassFlow). A class flow never completes:
+	// instead of draining `remaining` it accumulates `delivered` bits, and its
+	// max–min allocation is capped at `demand` bits/sec, with the residual
+	// capacity redistributed to the elastic flows sharing its links.
+	class     bool
+	demand    float64
+	delivered float64 // bits delivered as of `last` (settled lazily)
 }
 
 // ID returns the flow's unique id (creation order).
@@ -159,7 +157,7 @@ func (f *Flow) Cancel() {
 	// extrapolating.
 	now := f.net.K.Now()
 	if dt := now - f.last; dt > 0 {
-		if f.persistent {
+		if f.class {
 			f.delivered += f.rate * dt
 		} else {
 			f.remaining -= f.rate * dt

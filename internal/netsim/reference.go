@@ -53,7 +53,7 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 			continue
 		}
 		active = append(active, f)
-		hasLimited = hasLimited || f.limited
+		hasLimited = hasLimited || f.class
 		for _, h := range f.path {
 			resources[int(h.link)*2+int(h.dir)].count++
 		}
@@ -84,7 +84,7 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 		if hasLimited {
 			capped := false
 			for _, f := range active {
-				if frozen[f] || !f.limited || f.demand > minShare {
+				if frozen[f] || !f.class || f.demand > minShare {
 					continue
 				}
 				rates[f] = f.demand
@@ -138,7 +138,7 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 			for _, f := range active {
 				if !frozen[f] {
 					rate := n.MinFlowRate
-					if f.limited && f.demand < rate {
+					if f.class && f.demand < rate {
 						rate = f.demand
 					}
 					rates[f] = rate

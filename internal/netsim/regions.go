@@ -175,15 +175,7 @@ func (n *Network) solve() {
 	if n.batching > 0 || len(n.dirtyRes) == 0 {
 		return
 	}
-	n.solveDirty(solveNormal)
-}
-
-// flushDirty forces pending dirt to settle even inside a batch; used before
-// probe solves so they cannot swallow real pending work.
-func (n *Network) flushDirty() {
-	if len(n.dirtyRes) > 0 {
-		n.solveDirty(solveNormal)
-	}
+	n.solveDirty()
 }
 
 // collectRegion expands the dirty set to its connected components, grouped
@@ -277,34 +269,11 @@ func (n *Network) settleOrder() []*Flow {
 	return n.regionFlows
 }
 
-// solveMode selects how solveDirty treats flow state around the recompute.
-type solveMode int
-
-const (
-	// solveNormal saves each region flow's previous rate, recomputes, then
-	// settles progress and moves completions for flows whose rate changed.
-	solveNormal solveMode = iota
-	// solveProbe saves previous rates and recomputes rates only — no
-	// settlement, no completion maintenance. Used while a BottleneckShare
-	// probe is inserted; time does not advance, so the perturbed rates are
-	// transient.
-	solveProbe
-	// solveRestore recomputes after the probe is removed, comparing against
-	// the rates saved by the preceding solveProbe (not the transient ones).
-	// When restoration is exact — the overwhelmingly common case — nothing
-	// is settled or rescheduled; if floating-point tie-breaking across
-	// briefly-bridged regions restores a rate inexactly, the flow settles
-	// and its completion moves, keeping rate and event consistent.
-	solveRestore
-)
-
 // solveDirty collects the dirtied regions and re-runs progressive filling
 // inside them, one connected component at a time. Components share no flows
-// and no resources, so they fill independently.
-func (n *Network) solveDirty(mode solveMode) {
-	if len(n.dirtyRes) == 0 {
-		return
-	}
+// and no resources, so they fill independently. Its one caller, solve, has
+// checked that there is dirt.
+func (n *Network) solveDirty() {
 	n.collectRegion()
 	n.stats.Solves++
 	n.stats.Components += uint64(len(n.compSpans))
@@ -317,29 +286,21 @@ func (n *Network) solveDirty(mode solveMode) {
 	epoch := n.epoch
 	flows := n.settleOrder()
 	for _, f := range flows {
-		if mode != solveRestore {
-			f.prevRate = f.rate
-		}
+		f.prevRate = f.rate
 		f.rate = 0
 	}
 	for _, sp := range n.compSpans {
 		n.fillComponent(n.compFlows[sp.flowLo:sp.flowHi], n.compRes[sp.resLo:sp.resHi], epoch)
 	}
-	if mode == solveProbe {
-		return
-	}
 	// Settle progress and move completions only for flows whose rate actually
 	// changed; stable flows keep their event and their lazily-settled state.
-	// (In solveRestore, prevRate is the pre-probe rate, which was also the
-	// rate in effect since `last` — the probe's transient rates existed for
-	// zero simulated time.)
 	now := n.K.Now()
 	for _, f := range flows {
 		if f.rate == f.prevRate {
 			continue
 		}
 		if dt := now - f.last; dt > 0 {
-			if f.persistent {
+			if f.class {
 				f.delivered += f.prevRate * dt
 			} else {
 				f.remaining -= f.prevRate * dt
@@ -349,7 +310,7 @@ func (n *Network) solveDirty(mode solveMode) {
 			}
 		}
 		f.last = now
-		if f.persistent {
+		if f.class {
 			// Class flows never complete; there is no event to move.
 			continue
 		}
@@ -385,7 +346,7 @@ func (n *Network) solveDirty(mode solveMode) {
 func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 	hasLimited := false
 	for _, f := range flows {
-		if f.limited {
+		if f.class {
 			hasLimited = true
 			break
 		}
@@ -412,7 +373,7 @@ func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 		if hasLimited {
 			capped := false
 			for _, f := range flows {
-				if f.frozen == epoch || !f.limited || f.demand > minShare {
+				if f.frozen == epoch || !f.class || f.demand > minShare {
 					continue
 				}
 				f.rate = f.demand
@@ -468,7 +429,7 @@ func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 			for _, f := range flows {
 				if f.frozen != epoch {
 					rate := n.MinFlowRate
-					if f.limited && f.demand < rate {
+					if f.class && f.demand < rate {
 						rate = f.demand
 					}
 					f.rate = rate

@@ -238,23 +238,6 @@ func (n *Network) addNode(name string, router bool) NodeID {
 // Node returns the node by id.
 func (n *Network) Node(id NodeID) *Node { return n.nodes[int(id)] }
 
-// Lookup returns a node id by name.
-func (n *Network) Lookup(name string) (NodeID, bool) {
-	id, ok := n.byName[name]
-	return id, ok
-}
-
-// MustLookup is Lookup that panics on unknown names (for experiment wiring).
-func (n *Network) MustLookup(name string) NodeID {
-	id, ok := n.byName[name]
-	if !ok {
-		// Invariant: callers pass names they wired themselves; a name
-		// that comes from outside goes through Lookup.
-		panic("netsim: unknown node " + name)
-	}
-	return id
-}
-
 // NumNodes returns the node count.
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
@@ -292,16 +275,6 @@ func (n *Network) dropRoutes() {
 
 // Link returns the link by id.
 func (n *Network) Link(id LinkID) *Link { return n.links[int(id)] }
-
-// LinkBetween returns the link connecting a and b directly, if any.
-func (n *Network) LinkBetween(a, b NodeID) (LinkID, bool) {
-	for _, ht := range n.adj[a] {
-		if ht.to == b {
-			return ht.h.link, true
-		}
-	}
-	return 0, false
-}
 
 // ends resolves src→dst (src ≠ dst) into a walk. Routes are min-hop, found
 // by BFS exploring neighbours in Connect order, which makes the BFS tree
@@ -518,25 +491,4 @@ func (n *Network) EndBandwidth(src, dst NodeID) float64 {
 		bw = min(bw, n.links[ri>>1].availCap(Dir(ri&1)))
 	}
 	return max(bw, n.MinFlowRate)
-}
-
-// BottleneckShare returns the bandwidth a new elastic flow would currently
-// obtain on src→dst: the max–min fair share given present flows and
-// background load. The probe is solved in rates-only mode: real flows'
-// rates are perturbed and then restored exactly, without touching their
-// progress or completion events.
-func (n *Network) BottleneckShare(src, dst NodeID) float64 {
-	path := n.route(src, dst)
-	if len(path) == 0 {
-		return 0
-	}
-	n.flushDirty() // pending real dirt must settle normally, not via the probe
-	probe := &Flow{path: path, remaining: 1, size: 1, net: n, index: len(n.flows)}
-	n.flows = append(n.flows, probe)
-	n.linkFlow(probe)
-	n.solveDirty(solveProbe)
-	share := probe.rate
-	n.removeFlow(probe)
-	n.solveDirty(solveRestore)
-	return share
 }

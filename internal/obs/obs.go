@@ -155,16 +155,6 @@ func (s *PhaseSet) Merge(o *PhaseSet) {
 	}
 }
 
-// Empty reports whether no phase holds any sample.
-func (s *PhaseSet) Empty() bool {
-	for i := range s.D {
-		if s.D[i].N() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // KernelBucketWidth is the width in virtual seconds of the tracer's kernel
 // event-rate buckets.
 const KernelBucketWidth = 10.0
@@ -282,20 +272,6 @@ func (t *Tracer) Ancestor(id SpanID, kinds ...Kind) (Span, bool) {
 		}
 	}
 	return Span{}, false
-}
-
-// CountKind returns how many recorded spans have the given kind.
-func (t *Tracer) CountKind(k Kind) int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for i := range t.spans {
-		if t.spans[i].Kind == k {
-			n++
-		}
-	}
-	return n
 }
 
 // KernelEvent counts one fired kernel event at virtual time at into the

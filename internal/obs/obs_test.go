@@ -69,9 +69,6 @@ func TestSpanTreeAndAncestor(t *testing.T) {
 	if _, ok := tr.Ancestor(probe, KindProbeSample); ok {
 		t.Fatal("Ancestor matched the span itself")
 	}
-	if n := tr.CountKind(KindGaugeUpdate); n != 1 {
-		t.Fatalf("CountKind(gauge.update) = %d", n)
-	}
 	// A forward/bogus parent is clamped to root rather than recorded.
 	bogus := tr.Instant(KindVerdict, SpanID(99), "app00", "unhealthy", 1, 0)
 	if sp, _ := tr.Get(bogus); sp.Parent != 0 {
@@ -138,11 +135,8 @@ func TestPhases(t *testing.T) {
 	merged := &PhaseSet{}
 	merged.Merge(tr.PhasesFor("a"))
 	merged.Merge(tr.PhasesFor("b"))
-	if merged.Dist(PhaseDetect).N() != 3 || merged.Empty() {
+	if merged.Dist(PhaseDetect).N() != 3 {
 		t.Fatalf("merged detect N = %d", merged.Dist(PhaseDetect).N())
-	}
-	if !new(PhaseSet).Empty() {
-		t.Fatal("zero PhaseSet not empty")
 	}
 	// Negative samples and out-of-range phases are dropped, not recorded.
 	tr.RecordPhase("a", PhaseDecide, -1)

@@ -47,8 +47,8 @@ func TestBuildShape(t *testing.T) {
 	if got := ActiveServers(g1); len(got) != 3 {
 		t.Fatalf("active=%v", got)
 	}
-	if got := SpareServers(g1); len(got) != 1 || got[0] != "S4" {
-		t.Fatalf("spares=%v", got)
+	if got := firstSpare(g1); got == nil || got.Name() != "S4" {
+		t.Fatalf("first spare=%v", got)
 	}
 	if v, _ := g1.Props().Float(PropReplication); v != 3 {
 		t.Fatalf("replication=%v", v)

@@ -161,7 +161,7 @@ func ActiveServers(grp *model.Component) []string {
 }
 
 // firstSpare returns the first inactive server in a group, or nil when none
-// is left — the head of SpareServers without building the list.
+// is left.
 func firstSpare(grp *model.Component) *model.Component {
 	if grp.Rep == nil {
 		return nil
@@ -172,18 +172,4 @@ func firstSpare(grp *model.Component) *model.Component {
 		}
 	}
 	return nil
-}
-
-// SpareServers returns the names of inactive servers in a group.
-func SpareServers(grp *model.Component) []string {
-	var out []string
-	if grp.Rep == nil {
-		return out
-	}
-	for _, s := range grp.Rep.Components() {
-		if !s.Props().BoolOr(PropActive, false) {
-			out = append(out, s.Name())
-		}
-	}
-	return out
 }

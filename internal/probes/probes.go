@@ -27,9 +27,6 @@ const (
 	// TopicQueue carries periodic queue-length samples:
 	// Group=group, V1=len.
 	TopicQueue = "probe.queue"
-	// TopicServer carries server activity samples:
-	// Name=server, V1=busy (0/1), V2=served.
-	TopicServer = "probe.server"
 )
 
 // AttachResponseProbe instruments a client so every completed response is
@@ -85,42 +82,6 @@ func StartQueueProbe(k *sim.Kernel, sh *bus.Shard, sys *app.System, period float
 
 // Stop halts sampling.
 func (p *QueueProbe) Stop() {
-	if p.stop != nil {
-		p.stop()
-	}
-}
-
-// ServerProbe samples server busyness for utilization analyses. No manager
-// deploys it: the scale-down repair (ExampleDeploy_scaleDown) reads a group's
-// load from the QueueProbe.
-type ServerProbe struct {
-	stop func()
-}
-
-// StartServerProbe begins sampling all servers on a period.
-func StartServerProbe(k *sim.Kernel, sh *bus.Shard, sys *app.System, period float64) *ServerProbe {
-	p := &ServerProbe{}
-	p.stop = k.Ticker(k.Now()+period, period, func(now sim.Time) {
-		for _, name := range sys.Servers() {
-			srv := sys.Server(name)
-			busy := 0.0
-			if srv.Busy() {
-				busy = 1.0
-			}
-			sh.Publish(bus.Message{
-				Topic: TopicServer,
-				Src:   srv.Host,
-				Name:  name,
-				V1:    busy,
-				V2:    float64(srv.Served()),
-			})
-		}
-	})
-	return p
-}
-
-// Stop halts sampling.
-func (p *ServerProbe) Stop() {
 	if p.stop != nil {
 		p.stop()
 	}

@@ -41,10 +41,10 @@ func TestResponseProbePublishes(t *testing.T) {
 		t.Fatalf("observations=%d, want ~60", len(msgs))
 	}
 	m := msgs[0]
-	if m.Str("client") != "C" || m.Str("group") != "G" {
+	if m.Name != "C" || m.Group != "G" {
 		t.Fatalf("fields %+v", m)
 	}
-	if m.Num("latency") <= 0 {
+	if m.V1 <= 0 {
 		t.Fatal("latency missing")
 	}
 }
@@ -53,7 +53,7 @@ func TestQueueProbeSamples(t *testing.T) {
 	k, a, b, qh := rig(t)
 	var lens []float64
 	b.Subscribe(qh, bus.TopicAndField(TopicQueue, "group", "G"), func(m bus.Message) {
-		lens = append(lens, m.Num("len"))
+		lens = append(lens, m.V1)
 	})
 	p := StartQueueProbe(k, b, a, 5)
 	// Deactivate the server so the queue backs up.
@@ -72,25 +72,5 @@ func TestQueueProbeSamples(t *testing.T) {
 	k.Run(62)
 	if len(lens) != n {
 		t.Fatal("probe kept sampling after Stop")
-	}
-}
-
-func TestServerProbeSamples(t *testing.T) {
-	k, a, b, qh := rig(t)
-	var served []float64
-	b.Subscribe(qh, bus.TopicAndField(TopicServer, "server", "S"), func(m bus.Message) {
-		served = append(served, m.Num("served"))
-	})
-	p := StartServerProbe(k, b, a, 5)
-	a.Start()
-	k.Run(60)
-	p.Stop()
-	a.StopClients()
-	k.RunAll(0)
-	if len(served) < 5 {
-		t.Fatalf("samples=%d", len(served))
-	}
-	if served[len(served)-1] <= served[0] {
-		t.Fatalf("served counter should grow: %v", served)
 	}
 }

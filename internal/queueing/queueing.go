@@ -40,12 +40,6 @@ func (q MMm) Utilization() float64 {
 	return q.Lambda / (float64(q.M) * q.Mu)
 }
 
-// Saturated reports whether the group cannot drain its offered load
-// (ρ ≥ 1, or a degenerate m/μ). Saturated groups have infinite mean wait.
-func (q MMm) Saturated() bool {
-	return q.Lambda > 0 && !q.Valid()
-}
-
 // ErlangC returns the probability an arriving request waits (all servers
 // busy). An empty system (λ=0) never waits; a saturated one always does.
 func (q MMm) ErlangC() float64 {

@@ -50,24 +50,21 @@ func TestEdgeCases(t *testing.T) {
 	cases := []struct {
 		name            string
 		q               MMm
-		valid, sat      bool
+		valid           bool
 		rho, wq, w, erc float64 // expected; NaN entries are disallowed outputs
 	}{
-		{"empty system", MMm{Lambda: 0, Mu: 2, M: 3}, true, false, 0, 0, 0.5, 0},
-		{"exactly critical", MMm{Lambda: 6, Mu: 2, M: 3}, false, true, 1, inf, inf, 1},
-		{"overloaded", MMm{Lambda: 10, Mu: 1, M: 3}, false, true, 10.0 / 3, inf, inf, 1},
-		{"zero servers", MMm{Lambda: 1, Mu: 2, M: 0}, false, true, inf, inf, inf, 1},
-		{"zero service rate", MMm{Lambda: 1, Mu: 0, M: 3}, false, true, inf, inf, inf, 1},
-		{"all zero", MMm{}, false, false, inf, inf, inf, 0},
-		{"negative lambda", MMm{Lambda: -1, Mu: 2, M: 3}, false, false, -1.0 / 6, inf, inf, 0},
+		{"empty system", MMm{Lambda: 0, Mu: 2, M: 3}, true, 0, 0, 0.5, 0},
+		{"exactly critical", MMm{Lambda: 6, Mu: 2, M: 3}, false, 1, inf, inf, 1},
+		{"overloaded", MMm{Lambda: 10, Mu: 1, M: 3}, false, 10.0 / 3, inf, inf, 1},
+		{"zero servers", MMm{Lambda: 1, Mu: 2, M: 0}, false, inf, inf, inf, 1},
+		{"zero service rate", MMm{Lambda: 1, Mu: 0, M: 3}, false, inf, inf, inf, 1},
+		{"all zero", MMm{}, false, inf, inf, inf, 0},
+		{"negative lambda", MMm{Lambda: -1, Mu: 2, M: 3}, false, -1.0 / 6, inf, inf, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if got := c.q.Valid(); got != c.valid {
 				t.Errorf("Valid=%v, want %v", got, c.valid)
-			}
-			if got := c.q.Saturated(); got != c.sat {
-				t.Errorf("Saturated=%v, want %v", got, c.sat)
 			}
 			checks := []struct {
 				label     string

@@ -238,6 +238,9 @@ func (s *Service) startCollection(key pairKey, src, dst netsim.NodeID) {
 // caller can reuse one buffer across batches.
 func (s *Service) GetFlowBatch(caller netsim.NodeID, srcs, dsts []netsim.NodeID, out []float64, cb func(bws []float64)) {
 	if len(srcs) != len(dsts) || len(out) != len(srcs) {
+		// Invariant: the one fleet caller, RegionHealth, sizes all three
+		// slices together when it builds its probe pairs; a mismatch is a
+		// caller bug, not input.
 		panic("remos: GetFlowBatch srcs/dsts/out length mismatch")
 	}
 	q := s.getQuery()

@@ -96,10 +96,9 @@ func TestPredictionTracksNetworkState(t *testing.T) {
 }
 
 func TestPrequeryAllWarmsAllPairs(t *testing.T) {
-	k, n, s, a, b, _ := rig()
+	k, n, s, a, b, l1 := rig()
 	c := n.AddHost("c")
-	r2, _ := n.Lookup("r")
-	n.Connect(c, r2, 10e6, 1e-3)
+	n.Connect(c, n.Link(l1).B, 10e6, 1e-3)
 	s.PrequeryAll([]netsim.NodeID{a, b}, []netsim.NodeID{b, c})
 	k.RunAll(0)
 	for _, pair := range [][2]netsim.NodeID{{a, b}, {a, c}, {b, c}} {

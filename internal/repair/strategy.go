@@ -20,16 +20,6 @@ type Context struct {
 	Now       float64
 }
 
-// Query evaluates a constraint-language expression against the model with
-// `it` bound to the violation subject.
-func (c *Context) Query(src string) (constraint.Value, error) {
-	e, err := constraint.Parse(src)
-	if err != nil {
-		return constraint.Nil(), err
-	}
-	return constraint.Eval(e, c.Env)
-}
-
 // Tactic is one guarded repair (Fig. 5: fixServerLoad, fixBandwidth). Its
 // precondition pinpoints the cause; its script mutates the model through the
 // transaction. Script returning (false, nil) means the tactic examined the

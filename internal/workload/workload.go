@@ -132,34 +132,6 @@ func Paper(net *netsim.Network, sys *app.System, links Links, rng *sim.Rand) *Sc
 	return s
 }
 
-// PaperClients is the testbed's client count (C1..C6), the population the
-// paper's aggregate offered load is quoted against.
-const PaperClients = 6
-
-// OpenLoopTrace maps the Figure 7 request-rate phases onto an open-loop
-// arrival step trace for a modeled population of `users`: the aggregate
-// offered load reproduces the paper's six clients (6×1 req/s baseline,
-// 6×2 req/s during the 10–20 min load phase, quiet after minute 30), spread
-// evenly as per-user rates. Feed the result to a trace-kind arrival spec —
-// the open-loop engine then drives the paper's workload envelope at any
-// population size for the same simulation cost.
-func OpenLoopTrace(users int) (times, rates []float64) {
-	if users < 1 {
-		users = 1
-	}
-	phases := []struct{ at, aggregate float64 }{
-		{0, PaperClients * BaselineRate},
-		{PhaseBWEnd, PaperClients * StressRate},
-		{PhaseLoadEnd, PaperClients * BaselineRate},
-		{RunEnd, 0},
-	}
-	for _, p := range phases {
-		times = append(times, p.at)
-		rates = append(rates, p.aggregate/float64(users))
-	}
-	return times, rates
-}
-
 // Oscillator is a synthetic §5.3 scenario: competition alternates between
 // the two paths every `period` seconds during [from, to), making the
 // bandwidth tactic ping-pong clients between groups — the oscillation the

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"archadapt/internal/app"
-	"archadapt/internal/arrivals"
 	"archadapt/internal/netsim"
 	"archadapt/internal/sim"
 )
@@ -132,36 +131,6 @@ func TestMatchedSequences(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds should differ")
-	}
-}
-
-func TestOpenLoopTracePhases(t *testing.T) {
-	const users = 50_000
-	times, rates := OpenLoopTrace(users)
-	if len(times) != 4 || len(rates) != 4 {
-		t.Fatalf("got %d/%d points, want 4/4", len(times), len(rates))
-	}
-	// The aggregate envelope is the paper's: 6 req/s baseline, 12 req/s
-	// during the load phase, quiet after minute 30 — at any population.
-	wantAgg := []float64{6, 12, 6, 0}
-	wantAt := []float64{0, PhaseBWEnd, PhaseLoadEnd, RunEnd}
-	for i := range rates {
-		if times[i] != wantAt[i] {
-			t.Fatalf("times[%d]=%v, want %v", i, times[i], wantAt[i])
-		}
-		if agg := rates[i] * users; math.Abs(agg-wantAgg[i]) > 1e-9 {
-			t.Fatalf("phase %d aggregate %v req/s, want %v", i, agg, wantAgg[i])
-		}
-	}
-	// As an arrivals.Trace the schedule integrates to the paper's offered
-	// request count over the 30-minute run: 600s·6 + 600s·12 + 600s·6.
-	tr := arrivals.Trace{Times: times, Rates: rates}
-	got := arrivals.Integrate(tr, 0, RunEnd, 1800) * users
-	if want := 600.0*6 + 600*12 + 600*6; math.Abs(got-want) > want*1e-3 {
-		t.Fatalf("offered requests %v, want %v", got, want)
-	}
-	if tr.Rate(RunEnd+1) != 0 {
-		t.Fatal("rate should be zero after RunEnd")
 	}
 }
 
