@@ -9,12 +9,18 @@ import (
 
 // Env is an evaluation environment: variable bindings layered over a system,
 // plus optional external functions (style-specific queries such as the
-// paper's findGoodSGrp, which consults the runtime layer).
+// paper's findGoodSGrp, which consults the runtime layer). An Env reused
+// across evaluations keeps its storage, so a warm evaluation that builds no
+// set allocates nothing.
 type Env struct {
 	Sys *model.System
 	// vars holds the bindings innermost last; a scope has a handful, so a
-	// backwards scan resolves a name faster than hashing it would.
-	vars  []binding
+	// backwards scan resolves a name faster than hashing it would. A
+	// quantifier pushes its variable here and pops it when done.
+	vars []binding
+	// args is the argument stack calls evaluate onto; a function sees its
+	// arguments as a slice of it, valid only during the call.
+	args  []Value
 	Funcs map[string]func(args []Value) (Value, error)
 }
 
@@ -28,7 +34,7 @@ func NewEnv(sys *model.System) *Env {
 	return &Env{Sys: sys, Funcs: map[string]func([]Value) (Value, error){}}
 }
 
-// Bind sets a variable.
+// Bind sets a variable, in place when it is already bound.
 func (e *Env) Bind(name string, v Value) *Env {
 	for i := range e.vars {
 		if e.vars[i].name == name {
@@ -52,18 +58,6 @@ func (e *Env) lookup(name string) (Value, bool) {
 	}
 	return Nil(), false
 }
-
-// child creates a scope with one extra binding, which shadows any outer
-// binding of the same name. The caller may rebind it through rebind.
-func (e *Env) child(name string, v Value) *Env {
-	vars := make([]binding, len(e.vars)+1)
-	copy(vars, e.vars)
-	vars[len(e.vars)] = binding{name, v}
-	return &Env{Sys: e.Sys, vars: vars, Funcs: e.Funcs}
-}
-
-// rebind replaces the value of the binding child added.
-func (e *Env) rebind(v Value) { e.vars[len(e.vars)-1].val = v }
 
 // Eval evaluates expr in env.
 func Eval(expr Expr, env *Env) (Value, error) {
@@ -185,38 +179,23 @@ func member(cur Value, part string, env *Env) (Value, error) {
 	case *model.System:
 		switch part {
 		case "Components":
-			return elemSet(componentsAsElements(el.Components())), nil
+			return elems(el.Components()), nil
 		case "Connectors":
-			conns := el.Connectors()
-			out := make([]model.Element, len(conns))
-			for i, c := range conns {
-				out[i] = c
-			}
-			return elemSet(out), nil
+			return elems(el.Connectors()), nil
 		}
 	case *model.Component:
 		switch part {
 		case "Ports":
-			ports := el.Ports()
-			out := make([]model.Element, len(ports))
-			for i, p := range ports {
-				out[i] = p
-			}
-			return elemSet(out), nil
+			return elems(el.Ports()), nil
 		case "Reps":
 			if el.Rep == nil {
 				return Set(nil), nil
 			}
-			return elemSet(componentsAsElements(el.Rep.Components())), nil
+			return elems(el.Rep.Components()), nil
 		}
 	case *model.Connector:
 		if part == "Roles" {
-			roles := el.Roles()
-			out := make([]model.Element, len(roles))
-			for i, r := range roles {
-				out[i] = r
-			}
-			return elemSet(out), nil
+			return elems(el.Roles()), nil
 		}
 	}
 	if v, ok := propValue(e, part); ok {
@@ -225,15 +204,8 @@ func member(cur Value, part string, env *Env) (Value, error) {
 	return Nil(), fmt.Errorf("constraint: %s %q has no property %q", e.Kind(), e.Name(), part)
 }
 
-func componentsAsElements(cs []*model.Component) []model.Element {
-	out := make([]model.Element, len(cs))
-	for i, c := range cs {
-		out[i] = c
-	}
-	return out
-}
-
-func elemSet(es []model.Element) Value {
+// elems is the set of a list of model elements.
+func elems[E model.Element](es []E) Value {
 	vs := make([]Value, len(es))
 	for i, e := range es {
 		vs[i] = Elem(e)
@@ -254,7 +226,7 @@ func evalUnary(u *Unary, env *Env) (Value, error) {
 		}
 		return Bool(!b), nil
 	case "-":
-		if v.ref != KNum {
+		if v.Kind() != KNum {
 			return Nil(), fmt.Errorf("constraint: unary - on %s", v)
 		}
 		return Num(-v.num), nil
@@ -263,27 +235,19 @@ func evalUnary(u *Unary, env *Env) (Value, error) {
 }
 
 func evalBinary(b *Binary, env *Env) (Value, error) {
-	// Short-circuit boolean operators.
-	if b.Op == "and" || b.Op == "or" {
-		l, err := EvalBool(b.L, env)
-		if err != nil {
-			return Nil(), err
-		}
-		if b.Op == "and" && !l {
-			return Bool(false), nil
-		}
-		if b.Op == "or" && l {
-			return Bool(true), nil
-		}
-		r, err := EvalBool(b.R, env)
-		if err != nil {
-			return Nil(), err
-		}
-		return Bool(r), nil
-	}
 	l, err := Eval(b.L, env)
 	if err != nil {
 		return Nil(), err
+	}
+	switch b.Op {
+	case "and", "or":
+		// Short-circuit: the right operand runs only when it decides.
+		lb, err := l.Truthy()
+		if err != nil || lb == (b.Op == "or") {
+			return Bool(lb), err
+		}
+		rb, err := EvalBool(b.R, env)
+		return Bool(rb), err
 	}
 	r, err := Eval(b.R, env)
 	if err != nil {
@@ -294,51 +258,52 @@ func evalBinary(b *Binary, env *Env) (Value, error) {
 		return Bool(equal(l, r)), nil
 	case "!=":
 		return Bool(!equal(l, r)), nil
-	case "<", "<=", ">", ">=":
-		if l.ref != KNum || r.ref != KNum {
-			return Nil(), fmt.Errorf("constraint: %s requires numbers, got %s %s", b.Op, l, r)
+	}
+	if l.Kind() != KNum || r.Kind() != KNum {
+		return Nil(), fmt.Errorf("constraint: %s requires numbers, got %s %s", b.Op, l, r)
+	}
+	switch b.Op {
+	case "<":
+		return Bool(l.num < r.num), nil
+	case "<=":
+		return Bool(l.num <= r.num), nil
+	case ">":
+		return Bool(l.num > r.num), nil
+	case ">=":
+		return Bool(l.num >= r.num), nil
+	case "+":
+		return Num(l.num + r.num), nil
+	case "-":
+		return Num(l.num - r.num), nil
+	case "*":
+		return Num(l.num * r.num), nil
+	case "/":
+		if r.num == 0 {
+			return Nil(), fmt.Errorf("constraint: division by zero")
 		}
-		switch b.Op {
-		case "<":
-			return Bool(l.num < r.num), nil
-		case "<=":
-			return Bool(l.num <= r.num), nil
-		case ">":
-			return Bool(l.num > r.num), nil
-		default:
-			return Bool(l.num >= r.num), nil
-		}
-	case "+", "-", "*", "/":
-		if l.ref != KNum || r.ref != KNum {
-			return Nil(), fmt.Errorf("constraint: %s requires numbers, got %s %s", b.Op, l, r)
-		}
-		switch b.Op {
-		case "+":
-			return Num(l.num + r.num), nil
-		case "-":
-			return Num(l.num - r.num), nil
-		case "*":
-			return Num(l.num * r.num), nil
-		default:
-			if r.num == 0 {
-				return Nil(), fmt.Errorf("constraint: division by zero")
-			}
-			return Num(l.num / r.num), nil
-		}
+		return Num(l.num / r.num), nil
 	}
 	return Nil(), fmt.Errorf("constraint: unknown operator %q", b.Op)
 }
 
 func evalCall(c *Call, env *Env) (Value, error) {
-	args := make([]Value, len(c.Args))
-	for i, a := range c.Args {
+	base := len(env.args)
+	for _, a := range c.Args {
 		v, err := Eval(a, env)
 		if err != nil {
+			env.args = env.args[:base]
 			return Nil(), err
 		}
-		args[i] = v
+		env.args = append(env.args, v)
 	}
-	switch c.Fn {
+	v, err := call(c.Fn, env.args[base:], env)
+	env.args = env.args[:base]
+	return v, err
+}
+
+// call applies a builtin or an env function to evaluated arguments.
+func call(fn string, args []Value, env *Env) (Value, error) {
+	switch fn {
 	case "size":
 		if len(args) != 1 || args[0].Kind() != KSet {
 			return Nil(), fmt.Errorf("constraint: size() wants one set argument")
@@ -389,10 +354,10 @@ func evalCall(c *Call, env *Env) (Value, error) {
 		}
 		return Bool(false), nil
 	}
-	if fn, ok := env.Funcs[c.Fn]; ok {
-		return fn(args)
+	if f, ok := env.Funcs[fn]; ok {
+		return f(args)
 	}
-	return Nil(), fmt.Errorf("constraint: unknown function %q", c.Fn)
+	return Nil(), fmt.Errorf("constraint: unknown function %q", fn)
 }
 
 func asComponent(v Value) (*model.Component, bool) {
@@ -413,52 +378,65 @@ func asPortRole(a, b Value) (*model.Port, *model.Role) {
 }
 
 func evalQuant(q *Quant, env *Env) (Value, error) {
-	dom, err := Eval(q.Dom, env)
-	if err != nil {
-		return Nil(), err
+	// A typed quantifier over self.Components walks the system's cached,
+	// name-sorted list of that type instead of building the set.
+	var typed []*model.Component
+	var dom []Value
+	if r, ok := q.Dom.(*Ref); ok && q.Type != "" && env.Sys != nil && len(r.Parts) == 2 && r.Parts[0] == "self" && r.Parts[1] == "Components" {
+		typed = env.Sys.ComponentsByType(q.Type)
+	} else {
+		d, err := Eval(q.Dom, env)
+		if err != nil {
+			return Nil(), err
+		}
+		if d.Kind() != KSet {
+			return Nil(), fmt.Errorf("constraint: quantifier domain is not a set: %s", d)
+		}
+		dom = d.Set()
 	}
-	if dom.Kind() != KSet {
-		return Nil(), fmt.Errorf("constraint: quantifier domain is not a set: %s", dom)
-	}
+	n := len(typed) + len(dom)
+	top := len(env.vars)
+	env.vars = append(env.vars, binding{name: q.Var})
+	// found is the exists/forall verdict: exists holds once a member
+	// satisfies the predicate, forall until one does not.
+	found := q.Mode == "forall"
 	var matches []Value
-	scope := env.child(q.Var, Nil())
-	for _, v := range dom.Set() {
-		if q.Type != "" {
+	for i := 0; i < n; i++ {
+		var v Value
+		if typed != nil {
+			v = Elem(typed[i])
+		} else if v = dom[i]; q.Type != "" {
 			if e := v.Elem(); e == nil || e.Type() != q.Type {
 				continue
 			}
 		}
-		scope.rebind(v)
-		ok, err := EvalBool(q.Pred, scope)
+		env.vars[top].val = v
+		ok, err := EvalBool(q.Pred, env)
 		if err != nil {
+			env.vars = env.vars[:top]
 			return Nil(), err
 		}
-		switch q.Mode {
-		case "exists":
-			if ok {
-				return Bool(true), nil
-			}
-		case "forall":
-			if !ok {
-				return Bool(false), nil
-			}
-		case "select":
+		if q.Mode == "select" {
 			if ok {
 				matches = append(matches, v)
 			}
+		} else if ok != (q.Mode == "forall") {
+			found = ok
+			break
 		}
 	}
-	switch q.Mode {
-	case "exists":
-		return Bool(false), nil
-	case "forall":
-		return Bool(true), nil
+	env.vars = env.vars[:top]
+	if q.Mode != "select" {
+		return Bool(found), nil
 	}
-	// select: deterministic order by element name where applicable.
-	sort.SliceStable(matches, func(i, j int) bool {
-		ae, be := matches[i].Elem(), matches[j].Elem()
-		return ae != nil && be != nil && ae.Name() < be.Name()
-	})
+	// select: deterministic order by element name where applicable; the
+	// typed walk is in name order already.
+	if typed == nil && len(matches) > 1 {
+		sort.SliceStable(matches, func(i, j int) bool {
+			ae, be := matches[i].Elem(), matches[j].Elem()
+			return ae != nil && be != nil && ae.Name() < be.Name()
+		})
+	}
 	if q.One {
 		if len(matches) == 0 {
 			return Nil(), nil

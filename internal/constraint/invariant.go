@@ -35,6 +35,8 @@ func NewInvariant(name, scope, src string) (*Invariant, error) {
 func MustInvariant(name, scope, src string) *Invariant {
 	inv, err := NewInvariant(name, scope, src)
 	if err != nil {
+		// Invariant: every caller passes a constant source (core.NewAttached,
+		// the benchmark, the tests); input goes through NewInvariant.
 		panic(err)
 	}
 	return inv
@@ -49,6 +51,15 @@ type Violation struct {
 	// Err is non-nil when the expression itself failed to evaluate (missing
 	// property, type error); the paper treats these as model errors.
 	Err error
+}
+
+// SubjectName is the subject's name, or "system" for a system-scoped
+// violation.
+func (v Violation) SubjectName() string {
+	if v.Subject == nil {
+		return "system"
+	}
+	return v.Subject.Name()
 }
 
 // String renders the violation.

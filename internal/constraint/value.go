@@ -103,7 +103,7 @@ func Set(vs []Value) Value { return Value{ref: vs} }
 // Truthy reports the boolean interpretation; only booleans are truthy/falsy,
 // everything else is a type error.
 func (v Value) Truthy() (bool, error) {
-	if v.ref != KBool {
+	if v.Kind() != KBool {
 		return false, fmt.Errorf("constraint: %s is not a boolean", v)
 	}
 	return v.num != 0, nil

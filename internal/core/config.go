@@ -24,6 +24,10 @@ const (
 // Config tunes the architecture manager. The zero value is the paper's
 // configuration: best-effort monitoring, destroy/recreate gauge churn, no
 // settling, no damping, first-reporter repair selection and pre-queried Remos.
+// The latency repair is the hand-coded Figure 5 strategy (operators.FixLatency),
+// which the compiled script operators.FixLatencyScript reproduces exactly; the
+// shrink repair is the compiled operators.ShrinkScript. No field selects
+// another implementation.
 type Config struct {
 	// LoadSmoothing is the load gauge's EWMA coefficient in (0,1]; 1 (the
 	// default) reports raw queue samples as the paper did. Lower values add
@@ -50,17 +54,10 @@ type Config struct {
 	// monitoring and constraint checking proceed, repairs never execute.
 	DisableRepairs bool
 
-	// ScriptedRepairs drives adaptation through the Figure 5 repair script
-	// compiled by internal/script, instead of the hand-coded Go tactics.
-	// Both implementations make identical decisions (asserted by tests);
-	// the scripted path demonstrates the "could be generated from the
-	// repair strategies in Figure 5" form the paper describes.
-	ScriptedRepairs bool
-
 	// ScaleDown enables the paper's third (unshown) repair: deactivate
 	// servers in underutilized groups to "keep the set of currently active
 	// servers to a minimum" (§1). Registers the utilizationFloor invariant
-	// and binds the shrink strategy.
+	// and binds the shrink script (operators.ShrinkScript).
 	ScaleDown bool
 
 	// Tracer, when non-nil, attaches the manager to the observability plane:

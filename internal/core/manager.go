@@ -132,6 +132,8 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 	m.Trans = translator.New(m.Env)
 
 	m.Registry = constraint.NewRegistry()
+	// Invariant: MustInvariant panics only on a source that does not parse,
+	// and these are constants the core tests parse on every run.
 	m.Registry.Add(constraint.MustInvariant(operators.InvLatency, operators.TClient,
 		"averageLatency <= maxLatency"))
 	m.Registry.Add(constraint.MustInvariant(operators.InvLoad, operators.TServerGroup,
@@ -145,24 +147,13 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 	m.Engine.OscillationMoves = cfg.OscillationMoves
 	m.Engine.DampFactor = cfg.DampFactor
 	m.Engine.AlertFn = func(v constraint.Violation, reason string) {
-		m.alerts = append(m.alerts, Alert{Time: k.Now(), Subject: subjectName(v), Reason: reason})
+		m.alerts = append(m.alerts, Alert{Time: k.Now(), Subject: v.SubjectName(), Reason: reason})
 		if m.tr != nil {
-			m.tr.Instant(obs.KindAlert, m.trState.violSpan[subjectName(v)], m.trApp,
-				subjectName(v)+": "+reason, 0, 0)
+			m.tr.Instant(obs.KindAlert, m.trState.violSpan[v.SubjectName()], m.trApp,
+				v.SubjectName()+": "+reason, 0, 0)
 		}
 	}
-	if cfg.ScriptedRepairs {
-		strat, err := operators.CompileFixLatency(m.FindGoodSGrp)
-		if err != nil {
-			// Invariant: the script compiled is the constant
-			// operators.FixLatencyScript, never input, and the operators
-			// tests compile it; only an edit that breaks it gets here.
-			panic("core: compiling Figure 5 script: " + err.Error())
-		}
-		m.Engine.Bind(operators.InvLatency, strat)
-	} else {
-		m.Engine.Bind(operators.InvLatency, operators.FixLatency(m.FindGoodSGrp))
-	}
+	m.Engine.Bind(operators.InvLatency, operators.FixLatency(m.FindGoodSGrp))
 	if cfg.ScaleDown {
 		if !mdl.Props().Has(operators.PropMinServerLoad) {
 			mdl.Props().Set(operators.PropMinServerLoad, 1.0)
@@ -170,21 +161,22 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 		if !mdl.Props().Has(operators.PropMinReplicas) {
 			mdl.Props().Set(operators.PropMinReplicas, 1.0)
 		}
+		// Invariant: a constant source, as above.
 		m.Registry.Add(constraint.MustInvariant(operators.InvUtilization, operators.TServerGroup,
 			"load >= minServerLoad or replicationCount <= minReplicas"))
-		m.Engine.Bind(operators.InvUtilization, operators.ShrinkStrategy())
+		shrink, err := operators.CompileShrink()
+		if err != nil {
+			// Invariant: the shrink strategy is bound from the constant
+			// script the operators package compiles once per process, which
+			// its tests bind; only an edit that renames it gets here.
+			panic("core: " + err.Error())
+		}
+		m.Engine.Bind(operators.InvUtilization, shrink)
 	}
 	if cfg.Tracer != nil {
 		m.traceInit(m.GaugeMgr.App())
 	}
 	return m
-}
-
-func subjectName(v constraint.Violation) string {
-	if v.Subject == nil {
-		return "system"
-	}
-	return v.Subject.Name()
 }
 
 // Spans returns completed repair spans.

@@ -98,7 +98,7 @@ func (m *Manager) traceCheck(vs []constraint.Violation, now float64) {
 		delete(st.scratch, k)
 	}
 	for _, v := range vs {
-		subj := subjectName(v)
+		subj := v.SubjectName()
 		st.scratch[subj] = true
 		if _, open := st.violSince[subj]; open {
 			continue

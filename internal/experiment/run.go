@@ -59,7 +59,11 @@ type Results struct {
 }
 
 // Run executes one full experiment.
-func Run(opts Options) *Results {
+func Run(opts Options) *Results { return run(opts, nil) }
+
+// run is Run with bind, when non-nil, applied to the manager before it
+// deploys: the seam the tests rebind a reference strategy through.
+func run(opts Options, bind func(*core.Manager)) *Results {
 	if opts.Duration <= 0 {
 		opts.Duration = workload.RunEnd
 	}
@@ -67,6 +71,9 @@ func Run(opts Options) *Results {
 	cfg := opts.Cfg
 	cfg.DisableRepairs = !opts.Adaptive
 	mgr := tb.Manage(cfg)
+	if bind != nil {
+		bind(mgr)
+	}
 	mgr.Deploy()
 
 	// Workload (its RNG stream is isolated from the clients').

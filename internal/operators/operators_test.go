@@ -185,7 +185,7 @@ func TestFixServerLoadTactic(t *testing.T) {
 	sys := build(t)
 	sys.Component("ServerGrp1").Props().Set(PropLoad, 9.0) // overloaded
 	strat := &repair.Strategy{Name: "s", Policy: repair.FirstSuccess, Tactics: []*repair.Tactic{FixServerLoad()}}
-	out := strat.Execute(sys, violationFor(sys, "C1"), nil, 0)
+	out := strat.Execute(sys, violationFor(sys, "C1"))
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -193,7 +193,7 @@ func TestFixServerLoadTactic(t *testing.T) {
 		t.Fatalf("ops=%v", out.Ops)
 	}
 	// Second violation: spares exhausted → tactic declines.
-	out2 := strat.Execute(sys, violationFor(sys, "C2"), nil, 0)
+	out2 := strat.Execute(sys, violationFor(sys, "C2"))
 	if !errors.Is(out2.Err, repair.ErrNoTacticApplied) {
 		t.Fatalf("err=%v", out2.Err)
 	}
@@ -204,7 +204,7 @@ func TestFixServerLoadIgnoresUnconnectedGroups(t *testing.T) {
 	// Overload SG2, which C1 is NOT connected to: tactic must decline.
 	sys.Component("ServerGrp2").Props().Set(PropLoad, 99.0)
 	strat := &repair.Strategy{Name: "s", Policy: repair.FirstSuccess, Tactics: []*repair.Tactic{FixServerLoad()}}
-	out := strat.Execute(sys, violationFor(sys, "C1"), nil, 0)
+	out := strat.Execute(sys, violationFor(sys, "C1"))
 	if !errors.Is(out.Err, repair.ErrNoTacticApplied) {
 		t.Fatalf("err=%v", out.Err)
 	}
@@ -219,7 +219,7 @@ func TestFixBandwidthMovesClient(t *testing.T) {
 		return s.Component("ServerGrp2"), 5e6
 	}
 	strat := &repair.Strategy{Name: "s", Policy: repair.FirstSuccess, Tactics: []*repair.Tactic{FixBandwidth(query)}}
-	out := strat.Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := strat.Execute(sys, violationFor(sys, "C3"))
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -241,7 +241,7 @@ func TestFixBandwidthDeclinesWhenHealthy(t *testing.T) {
 			t.Fatal("query should not run when bandwidth is healthy")
 			return nil, 0
 		})}}
-	out := strat.Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := strat.Execute(sys, violationFor(sys, "C3"))
 	if !errors.Is(out.Err, repair.ErrNoTacticApplied) {
 		t.Fatalf("err=%v", out.Err)
 	}
@@ -255,7 +255,7 @@ func TestFixBandwidthAbortsWhenNoGroup(t *testing.T) {
 	snap = sys.Clone() // include the property
 	query := func(*model.System, *model.Component, float64) (*model.Component, float64) { return nil, 0 }
 	strat := &repair.Strategy{Name: "s", Policy: repair.FirstSuccess, Tactics: []*repair.Tactic{FixBandwidth(query)}}
-	out := strat.Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := strat.Execute(sys, violationFor(sys, "C3"))
 	if out.Err == nil || !errors.Is(out.Err, ErrNoServerGroupFound) {
 		t.Fatalf("err=%v", out.Err)
 	}
@@ -274,7 +274,7 @@ func TestFixBandwidthDeclinesWhenBestIsCurrent(t *testing.T) {
 		return s.Component("ServerGrp1"), 1e6 // current group
 	}
 	strat := &repair.Strategy{Name: "s", Policy: repair.FirstSuccess, Tactics: []*repair.Tactic{FixBandwidth(query)}}
-	out := strat.Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := strat.Execute(sys, violationFor(sys, "C3"))
 	if !errors.Is(out.Err, repair.ErrNoTacticApplied) {
 		t.Fatalf("err=%v", out.Err)
 	}
@@ -290,7 +290,7 @@ func TestFixLatencyPrefersServerLoadOverMove(t *testing.T) {
 	query := func(s *model.System, cli *model.Component, minBW float64) (*model.Component, float64) {
 		return s.Component("ServerGrp2"), 5e6
 	}
-	out := FixLatency(query).Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := FixLatency(query).Execute(sys, violationFor(sys, "C3"))
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -316,7 +316,7 @@ func TestFixLatencyFallsBackToMove(t *testing.T) {
 	query := func(s *model.System, cli *model.Component, minBW float64) (*model.Component, float64) {
 		return s.Component("ServerGrp2"), 5e6
 	}
-	out := FixLatency(query).Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := FixLatency(query).Execute(sys, violationFor(sys, "C3"))
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -347,17 +347,31 @@ func TestFixUnderutilizationShrinks(t *testing.T) {
 			g2v = v
 		}
 	}
-	out := ShrinkStrategy().Execute(sys, g2v, nil, 0)
+	shrink, err := CompileShrink()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := shrink.Execute(sys, g2v)
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
-	if got := ActiveServers(g2); len(got) != 1 {
-		t.Fatalf("active after shrink=%v", got)
+	if got := ActiveServers(g2); len(got) != 1 || len(out.Applied) != 1 || out.Applied[0] != "fixUnderutilization" {
+		t.Fatalf("active after shrink=%v, applied %v", got, out.Applied)
 	}
-	// At the floor now: strategy declines.
-	out2 := ShrinkStrategy().Execute(sys, g2v, nil, 0)
-	if !errors.Is(out2.Err, repair.ErrNoTacticApplied) {
-		t.Fatalf("err=%v", out2.Err)
+	if len(out.Ops) != 1 || out.Ops[0] != (repair.Op{Kind: repair.OpRemoveServer, Group: "ServerGrp2", Server: "S6"}) {
+		t.Fatalf("ops=%v", out.Ops)
+	}
+	// At the floor now: strategy declines. With the floor below one
+	// server it still declines, rather than fail on a remove that refuses
+	// to empty the group.
+	for _, minReplicas := range []float64{1, 0} {
+		sys.Props().Set(PropMinReplicas, minReplicas)
+		if out := shrink.Execute(sys, g2v); !errors.Is(out.Err, repair.ErrNoTacticApplied) {
+			t.Fatalf("minReplicas %v: err=%v", minReplicas, out.Err)
+		}
+	}
+	if got := ActiveServers(g2); len(got) != 1 {
+		t.Fatalf("active after declined shrinks=%v", got)
 	}
 }
 
@@ -367,7 +381,34 @@ func TestFixUnderutilizationShrinks(t *testing.T) {
 // the engine alerts. Re-checking and re-deciding that standing violation
 // allocates nothing.
 func TestDeclinedRepairAllocationFree(t *testing.T) {
-	sys := build(t)
+	checkDeclinedTick(t, FixLatency(noQuery(t)))
+}
+
+// The same for the compiled Figure 5 script.
+func TestScriptedDeclinedRepairAllocationFree(t *testing.T) {
+	strat, err := CompileFixLatency(noQuery(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDeclinedTick(t, strat)
+}
+
+// noQuery is a group query that fails the test if it runs: in the declined
+// fixture the bandwidth is healthy.
+func noQuery(t testing.TB) GroupQuery {
+	return func(*model.System, *model.Component, float64) (*model.Component, float64) {
+		t.Fatal("group query ran with healthy bandwidth")
+		return nil, 0
+	}
+}
+
+// declinedTick builds the declined fixture with strat bound to the latency
+// invariant and returns one check tick over it, and the engine.
+func declinedTick(t testing.TB, strat *repair.Strategy) (*model.System, *repair.Engine, func()) {
+	sys, err := Build(paperSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	sg1 := sys.Component("ServerGrp1")
 	if _, err := AddServer(repair.NewTxn(sys), sg1); err != nil { // S4, the last spare
 		t.Fatal(err)
@@ -389,15 +430,8 @@ func TestDeclinedRepairAllocationFree(t *testing.T) {
 		t.Fatalf("declined repair translated %v", op)
 		return nil
 	}))
-	eng.Bind(InvLatency, FixLatency(func(*model.System, *model.Component, float64) (*model.Component, float64) {
-		t.Fatal("group query ran with healthy bandwidth")
-		return nil, 0
-	}))
-	alerts := 0
-	eng.AlertFn = func(constraint.Violation, string) { alerts++ }
-
-	snap := sys.Clone()
-	tick := func() {
+	eng.Bind(InvLatency, strat)
+	return sys, eng, func() {
 		vs := reg.CheckAll(sys)
 		if len(vs) != 2 { // C3's latency, SG1's load
 			t.Fatalf("violations %v, want C3 latency and ServerGrp1 load", vs)
@@ -406,6 +440,13 @@ func TestDeclinedRepairAllocationFree(t *testing.T) {
 			t.Fatalf("committed %+v", *rec)
 		}
 	}
+}
+
+func checkDeclinedTick(t *testing.T, strat *repair.Strategy) {
+	sys, eng, tick := declinedTick(t, strat)
+	alerts := 0
+	eng.AlertFn = func(constraint.Violation, string) { alerts++ }
+	snap := sys.Clone()
 	tick()
 	if avg := testing.AllocsPerRun(1000, tick); avg != 0 {
 		t.Errorf("%v allocations per declined check tick, want 0", avg)
@@ -415,6 +456,27 @@ func TestDeclinedRepairAllocationFree(t *testing.T) {
 	}
 	if !sys.Equal(snap) {
 		t.Error("declined repairs changed the model")
+	}
+}
+
+// BenchmarkDeclinedRepair prices one declined check tick (CheckAll and
+// HandleAll) under the hand-coded strategy and under the compiled script.
+func BenchmarkDeclinedRepair(b *testing.B) {
+	script, err := CompileFixLatency(noQuery(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name  string
+		strat *repair.Strategy
+	}{{"hand", FixLatency(noQuery(b))}, {"script", script}} {
+		b.Run(bc.name, func(b *testing.B) {
+			_, _, tick := declinedTick(b, bc.strat)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tick()
+			}
+		})
 	}
 }
 

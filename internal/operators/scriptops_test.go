@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func compiled(t *testing.T, query GroupQuery) *repair.Strategy {
 func TestScriptedFixServerLoad(t *testing.T) {
 	sys := build(t)
 	sys.Component("ServerGrp1").Props().Set(PropLoad, 9.0)
-	out := compiled(t, nil).Execute(sys, violationFor(sys, "C1"), nil, 0)
+	out := compiled(t, nil).Execute(sys, violationFor(sys, "C1"))
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -42,7 +43,7 @@ func TestScriptedFixBandwidthMove(t *testing.T) {
 	query := func(s *model.System, cli *model.Component, minBW float64) (*model.Component, float64) {
 		return s.Component("ServerGrp2"), 5e6
 	}
-	out := compiled(t, query).Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := compiled(t, query).Execute(sys, violationFor(sys, "C3"))
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -64,7 +65,7 @@ func TestScriptedAbortNoServerGroupFound(t *testing.T) {
 	snap = sys.Clone()
 	snap.Component("C3").Props().Set(PropAvgLatency, 10.0)
 	query := func(*model.System, *model.Component, float64) (*model.Component, float64) { return nil, 0 }
-	out := compiled(t, query).Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := compiled(t, query).Execute(sys, violationFor(sys, "C3"))
 	if out.Err == nil || !strings.Contains(out.Err.Error(), "NoServerGroupFound") {
 		t.Fatalf("err=%v", out.Err)
 	}
@@ -79,9 +80,9 @@ func TestScriptedAbortModelErrorWhenNothingApplies(t *testing.T) {
 	sys := build(t)
 	_, _, role, _ := GroupOf(sys, sys.Component("C1"))
 	role.Props().Set(PropBandwidth, 5e6)
-	out := compiled(t, nil).Execute(sys, violationFor(sys, "C1"), nil, 0)
-	if out.Err == nil || !strings.Contains(out.Err.Error(), "ModelError") {
-		t.Fatalf("err=%v", out.Err)
+	out := compiled(t, nil).Execute(sys, violationFor(sys, "C1"))
+	if !errors.Is(out.Err, repair.ErrNoTacticApplied) {
+		t.Fatalf("err=%v, want ModelError after every tactic declined to be ErrNoTacticApplied", out.Err)
 	}
 }
 
@@ -93,7 +94,7 @@ func TestScriptedPrefersLoadOverMove(t *testing.T) {
 	query := func(s *model.System, cli *model.Component, minBW float64) (*model.Component, float64) {
 		return s.Component("ServerGrp2"), 5e6
 	}
-	out := compiled(t, query).Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := compiled(t, query).Execute(sys, violationFor(sys, "C3"))
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -117,7 +118,7 @@ func TestScriptedSpareExhaustionFallsThrough(t *testing.T) {
 	query := func(s *model.System, cli *model.Component, minBW float64) (*model.Component, float64) {
 		return s.Component("ServerGrp2"), 5e6
 	}
-	out := compiled(t, query).Execute(sys, violationFor(sys, "C3"), nil, 0)
+	out := compiled(t, query).Execute(sys, violationFor(sys, "C3"))
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -152,23 +153,40 @@ func TestScriptedMatchesHandCodedAcrossScenarios(t *testing.T) {
 			_, _, role, _ := GroupOf(sys, sys.Component("C1"))
 			role.Props().Set(PropBandwidth, 5e3)
 		}, nilQuery},
+		{"no-bandwidth-yet", func(sys *model.System) {}, sg2Query},
+		{"overload-no-spare", func(sys *model.System) {
+			if _, err := AddServer(repair.NewTxn(sys), sys.Component("ServerGrp1")); err != nil {
+				t.Fatal(err)
+			}
+			sys.Component("ServerGrp1").Props().Set(PropLoad, 9.0)
+			_, _, role, _ := GroupOf(sys, sys.Component("C1"))
+			role.Props().Set(PropBandwidth, 5e3)
+		}, sg2Query},
+		{"starved-best-is-current", func(sys *model.System) {
+			_, _, role, _ := GroupOf(sys, sys.Component("C1"))
+			role.Props().Set(PropBandwidth, 5e3)
+		}, func(s *model.System, _ *model.Component, _ float64) (*model.Component, float64) {
+			return s.Component("ServerGrp1"), 5e6
+		}},
 	}
 	for _, sc := range scenarios {
 		handSys := build(t)
 		sc.setup(handSys)
-		hand := FixLatency(sc.query).Execute(handSys, violationFor(handSys, "C1"), nil, 0)
+		hand := FixLatency(sc.query).Execute(handSys, violationFor(handSys, "C1"))
 
 		scriptSys := build(t)
 		sc.setup(scriptSys)
-		script := compiled(t, sc.query).Execute(scriptSys, violationFor(scriptSys, "C1"), nil, 0)
+		script := compiled(t, sc.query).Execute(scriptSys, violationFor(scriptSys, "C1"))
 
-		if (hand.Err == nil) != (script.Err == nil) {
+		if (hand.Err == nil) != (script.Err == nil) ||
+			errors.Is(hand.Err, repair.ErrNoTacticApplied) != errors.Is(script.Err, repair.ErrNoTacticApplied) {
 			t.Fatalf("%s: hand err=%v script err=%v", sc.name, hand.Err, script.Err)
 		}
 		if hand.Err != nil {
-			// Both failed; the scripted ModelError corresponds to the
-			// engine's ErrNoTacticApplied in the hand-coded version.
 			continue
+		}
+		if strings.Join(hand.Applied, ",") != strings.Join(script.Applied, ",") {
+			t.Fatalf("%s: applied %v vs %v", sc.name, hand.Applied, script.Applied)
 		}
 		if len(hand.Ops) != len(script.Ops) {
 			t.Fatalf("%s: ops %v vs %v", sc.name, hand.Ops, script.Ops)
@@ -185,18 +203,32 @@ func TestScriptedMatchesHandCodedAcrossScenarios(t *testing.T) {
 }
 
 func TestScriptOperatorSetComplete(t *testing.T) {
-	ops := ScriptOperators(nil)
+	ops := styleOps(nil)
 	for _, m := range []string{"addServer", "move", "remove"} {
 		if ops.Methods[m] == nil {
 			t.Fatalf("method %s missing", m)
 		}
 	}
-	for _, f := range []string{"roleOf", "groupOf", "findGoodSGrp"} {
+	for _, f := range []string{"roleOf", "groupOf", "hasSpare", "findGoodSGrp"} {
 		if ops.Funcs[f] == nil {
 			t.Fatalf("func %s missing", f)
 		}
 	}
 	if _, err := CompileFixLatency(nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Binding the library compiled once per process costs a manager its operator
+// set, function table and frames, 16 allocations; compiling it costs well
+// over a hundred.
+func TestBindingIsCheap(t *testing.T) {
+	query := func(*model.System, *model.Component, float64) (*model.Component, float64) { return nil, 0 }
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := CompileFixLatency(query); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 16 {
+		t.Errorf("%v allocations to bind fixLatency, want at most 16", avg)
 	}
 }

@@ -1,7 +1,8 @@
 // Package operators defines the client-server architectural style of the
 // paper's example — type vocabulary, a model builder, the style-specific
 // adaptation operators of §3.3 (addServer, move, remove, findGoodSGrp), and
-// the Figure 5 repair tactics built from them.
+// the repairs built from them: Figure 5 hand-coded and as a script, and the
+// §1 shrink as a script.
 package operators
 
 import (

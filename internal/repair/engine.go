@@ -53,7 +53,6 @@ type Record struct {
 type Engine struct {
 	Sys        *model.System
 	Translator Translator
-	Funcs      map[string]func([]constraint.Value) (constraint.Value, error)
 
 	SettleTime        float64
 	OscillationWindow float64
@@ -72,7 +71,7 @@ type Engine struct {
 	cooldown   map[string]float64   // subject -> earliest next repair time
 	moveTimes  map[string][]float64 // client -> recent move times
 	alerts     int
-	// scratch is the transaction, environment, context and record every
+	// scratch is the transaction, context and record every
 	// attempt reuses, so an attempt that repairs nothing allocates nothing.
 	// It is made on the first attempt: an engine that never decides pays
 	// for none of it.
@@ -84,7 +83,6 @@ func NewEngine(sys *model.System, tr Translator) *Engine {
 	return &Engine{
 		Sys:        sys,
 		Translator: tr,
-		Funcs:      map[string]func([]constraint.Value) (constraint.Value, error){},
 		strategies: map[string]*Strategy{},
 		cooldown:   map[string]float64{},
 		moveTimes:  map[string][]float64{},
@@ -102,13 +100,6 @@ func (e *Engine) Bind(invariantName string, s *Strategy) {
 
 // Alerts returns how many times the engine escalated to a human.
 func (e *Engine) Alerts() int { return e.alerts }
-
-func subjectName(v constraint.Violation) string {
-	if v.Subject == nil {
-		return "system"
-	}
-	return v.Subject.Name()
-}
 
 // finish notifies the observer of the attempt's record and returns it.
 func (e *Engine) finish(v constraint.Violation, now float64) *Record {
@@ -131,7 +122,7 @@ func (e *Engine) HandleViolation(v constraint.Violation, now float64) *Record {
 	if s == nil {
 		return nil
 	}
-	subj := subjectName(v)
+	subj := v.SubjectName()
 	if until, ok := e.cooldown[subj]; ok && now < until {
 		return nil
 	}
@@ -139,7 +130,7 @@ func (e *Engine) HandleViolation(v constraint.Violation, now float64) *Record {
 	if e.scratch == nil {
 		e.scratch = &scratch{}
 	}
-	ctx := e.scratch.open(e.Sys, v, e.Funcs, now)
+	ctx := e.scratch.open(e.Sys, v)
 	rec := &e.scratch.rec
 	*rec = Record{Time: now, Strategy: s.Name, Subject: subj}
 	applied, err := s.run(ctx)

@@ -118,7 +118,7 @@ func TestStrategyFirstSuccess(t *testing.T) {
 			{Name: "c", Script: func(ctx *Context) (bool, error) { ran = append(ran, "c"); return true, nil }},
 		},
 	}
-	out := strat.Execute(s, latencyViolation(s), nil, 0)
+	out := strat.Execute(s, latencyViolation(s))
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -149,7 +149,7 @@ func TestStrategyTryAll(t *testing.T) {
 			}},
 		},
 	}
-	out := strat.Execute(s, latencyViolation(s), nil, 0)
+	out := strat.Execute(s, latencyViolation(s))
 	if out.Err != nil || len(out.Applied) != 2 {
 		t.Fatalf("outcome %+v", out)
 	}
@@ -171,7 +171,7 @@ func TestStrategyAbortRollsBack(t *testing.T) {
 			}},
 		},
 	}
-	out := strat.Execute(s, latencyViolation(s), nil, 0)
+	out := strat.Execute(s, latencyViolation(s))
 	if out.Err == nil {
 		t.Fatal("want error")
 	}
@@ -187,7 +187,7 @@ func TestStrategyNoTacticApplied(t *testing.T) {
 		Policy:  FirstSuccess,
 		Tactics: []*Tactic{{Name: "a", Script: func(ctx *Context) (bool, error) { return false, nil }}},
 	}
-	out := strat.Execute(s, latencyViolation(s), nil, 0)
+	out := strat.Execute(s, latencyViolation(s))
 	if !errors.Is(out.Err, ErrNoTacticApplied) {
 		t.Fatalf("err=%v", out.Err)
 	}

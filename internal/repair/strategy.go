@@ -8,16 +8,12 @@ import (
 	"archadapt/internal/model"
 )
 
-// Context is what a tactic sees: the live model (via the transaction), the
-// triggering violation, and an expression environment for architecture
-// queries (select/connected/attached plus style-specific functions such as
-// findGoodSGrp).
+// Context is what a tactic sees: the live model (via the transaction) and
+// the triggering violation.
 type Context struct {
 	Sys       *model.System
 	Violation constraint.Violation
 	Txn       *Txn
-	Env       *constraint.Env
-	Now       float64
 }
 
 // Tactic is one guarded repair (Fig. 5: fixServerLoad, fixBandwidth). Its
@@ -41,11 +37,17 @@ const (
 	TryAll
 )
 
-// Strategy is an ordered list of tactics bound to a constraint.
+// Strategy is a repair bound to a constraint: an ordered list of tactics
+// sequenced under a policy, or a script.
 type Strategy struct {
 	Name    string
 	Policy  Policy
 	Tactics []*Tactic
+	// Script, when set, is the whole strategy — a compiled Figure 5 body
+	// that calls tactics of its own — and Policy and Tactics are unused. It
+	// returns the names of the tactics that applied, or an error:
+	// ErrNoTacticApplied when none did.
+	Script func(ctx *Context) (applied []string, err error)
 }
 
 // ErrNoTacticApplied reports that every tactic declined: the situation the
@@ -53,40 +55,42 @@ type Strategy struct {
 // observer", §7).
 var ErrNoTacticApplied = errors.New("repair: no applicable tactic")
 
-// Outcome describes one strategy execution.
-type Outcome struct {
-	Strategy string
-	// Applied lists the names of tactics whose scripts ran to completion.
-	Applied []string
-	// Ops are the committed semantic operations (empty when aborted).
-	Ops []Op
-	// Err is nil on commit; ErrNoTacticApplied or a script error on abort.
-	Err error
-}
-
-// Execute runs the strategy transactionally: on success the transaction's
-// ops are returned for translation; on failure the model is rolled back.
-func (s *Strategy) Execute(sys *model.System, v constraint.Violation, funcs map[string]func([]constraint.Value) (constraint.Value, error), now float64) Outcome {
+// Execute runs the strategy transactionally outside an engine: on success
+// the record holds the transaction's ops for translation; on failure (Err is
+// ErrNoTacticApplied or the script's error) the model is rolled back.
+func (s *Strategy) Execute(sys *model.System, v constraint.Violation) Record {
 	var sc scratch
-	ctx := sc.open(sys, v, funcs, now)
-	out := Outcome{Strategy: s.Name}
-	if out.Applied, out.Err = s.run(ctx); out.Err == nil {
-		out.Ops = ctx.Txn.Ops()
+	ctx := sc.open(sys, v)
+	rec := Record{Strategy: s.Name, Subject: v.SubjectName()}
+	if rec.Applied, rec.Err = s.run(ctx); rec.Err == nil {
+		rec.Ops = ctx.Txn.Ops()
 	}
-	return out
+	return rec
 }
 
-// run sequences the tactics in ctx under the strategy's policy and returns
-// the names of those that applied. A script error, or no tactic applying
-// (ErrNoTacticApplied), rolls the transaction back. Nothing is allocated
-// until a tactic applies.
+// run executes the strategy in ctx and returns the names of the tactics
+// that applied. A script error, or no tactic applying (ErrNoTacticApplied),
+// rolls the transaction back. Nothing is allocated until a tactic applies.
 func (s *Strategy) run(ctx *Context) (applied []string, err error) {
+	if s.Script != nil {
+		applied, err = s.Script(ctx)
+	} else {
+		applied, err = s.sequence(ctx)
+	}
+	if err != nil {
+		if rbErr := ctx.Txn.Abort(); rbErr != nil && err != ErrNoTacticApplied {
+			err = fmt.Errorf("%w (and %v)", err, rbErr)
+		}
+		return nil, err
+	}
+	return applied, nil
+}
+
+// sequence runs the tactics under the strategy's policy.
+func (s *Strategy) sequence(ctx *Context) (applied []string, err error) {
 	for _, tac := range s.Tactics {
 		ok, err := tac.Script(ctx)
 		if err != nil {
-			if rbErr := ctx.Txn.Abort(); rbErr != nil {
-				err = fmt.Errorf("%w (and %v)", err, rbErr)
-			}
 			return nil, fmt.Errorf("repair: tactic %s: %w", tac.Name, err)
 		}
 		if !ok {
@@ -98,31 +102,24 @@ func (s *Strategy) run(ctx *Context) (applied []string, err error) {
 		}
 	}
 	if len(applied) == 0 {
-		_ = ctx.Txn.Abort()
 		return nil, ErrNoTacticApplied
 	}
 	return applied, nil
 }
 
-// scratch is what one strategy execution works in: its transaction,
-// expression environment and tactic context, plus the engine's record of the
-// attempt. The engine keeps one and reopens it for every attempt.
+// scratch is what one strategy execution works in: its transaction and
+// tactic context, plus the engine's record of the attempt. The engine keeps
+// one and reopens it for every attempt.
 type scratch struct {
 	txn Txn
-	env constraint.Env
 	ctx Context
 	rec Record
 }
 
 // open resets the scratch for one execution against v and returns its
-// context, with `it` bound to the violation subject.
-func (sc *scratch) open(sys *model.System, v constraint.Violation, funcs map[string]func([]constraint.Value) (constraint.Value, error), now float64) *Context {
+// context.
+func (sc *scratch) open(sys *model.System, v constraint.Violation) *Context {
 	sc.txn.reset(sys)
-	sc.env.Reset()
-	sc.env.Sys, sc.env.Funcs = sys, funcs
-	if v.Subject != nil {
-		sc.env.Bind("it", constraint.Elem(v.Subject))
-	}
-	sc.ctx = Context{Sys: sys, Violation: v, Txn: &sc.txn, Env: &sc.env, Now: now}
+	sc.ctx = Context{Sys: sys, Violation: v, Txn: &sc.txn}
 	return &sc.ctx
 }

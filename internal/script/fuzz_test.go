@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzParseDefs: ParseDefs answers any text with definitions or an error,
-// never a panic. The seeds are the Figure 5 strategy the operators package
-// compiles (reached from an external test package: operators imports script)
-// and the statement forms and error rows of script_test.go.
+// never a panic, and so does Compile. The seeds are the two scripts the
+// operators package compiles (reached from an external test package:
+// operators imports script) and the statement forms and error rows of
+// script_test.go.
 func FuzzParseDefs(f *testing.F) {
 	f.Add(operators.FixLatencyScript)
 	for _, src := range []string{
@@ -34,6 +35,7 @@ func FuzzParseDefs(f *testing.F) {
 		`strategy f() = { 5; }`,
 		`strategy f(a : = { let s : set{ = "open`,
 		`strategy réparer(c : ClientT) = { commit repair; }`, // a name is ASCII
+		operators.ShrinkScript,
 	} {
 		f.Add(src)
 	}
@@ -41,6 +43,9 @@ func FuzzParseDefs(f *testing.F) {
 		defs, err := script.ParseDefs(src)
 		if err == nil && len(defs) == 0 {
 			t.Fatalf("ParseDefs(%q) returned neither definitions nor an error", src)
+		}
+		if lib, err := script.Compile(src, script.OperatorSet{}); err == nil && lib == nil {
+			t.Fatalf("Compile(%q) returned neither a library nor an error", src)
 		}
 	})
 }

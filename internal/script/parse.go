@@ -9,9 +9,11 @@ import (
 // parser walks the token stream of the constraint lexer; an embedded
 // expression is parsed where it stands, on the same tokens.
 type parser struct {
-	toks  []constraint.Token
-	i     int
-	depth int // statements open around the current one
+	toks   []constraint.Token
+	i      int
+	depth  int     // statements open around the current one
+	params []param // of the definition being parsed
+	calls  []call  // of the definition being parsed
 }
 
 // ParseDefs parses a script source into strategy/tactic definitions.
@@ -73,15 +75,51 @@ func (p *parser) word(what string) (string, error) {
 	return t.Text, nil
 }
 
+// local consumes a let or foreach variable. A definition's variables share
+// one scope, so a variable named like a parameter or `it` would overwrite it
+// for the rest of the definition: that is refused.
+func (p *parser) local(what string) (string, error) {
+	t := p.peek()
+	taken := t.Text == "it"
+	for _, pr := range p.params {
+		taken = taken || pr.name == t.Text
+	}
+	if t.Kind == constraint.Ident && taken {
+		return "", p.errorf("%s %s would rebind a parameter", what, t.Text)
+	}
+	return p.word(what)
+}
+
 // expr parses the constraint expression that starts at the current token
 // and stops at the first token that cannot continue it.
 func (p *parser) expr() (constraint.Expr, error) {
+	line := p.peek().Line
 	e, next, err := constraint.ParsePrefix(p.toks, p.i)
 	p.i = next
 	if err != nil {
 		return nil, p.errorf("%v", err)
 	}
+	p.noteCalls(line, e)
 	return e, nil
+}
+
+// noteCalls records every function call inside e, at the line e starts on.
+func (p *parser) noteCalls(line int, e constraint.Expr) {
+	switch x := e.(type) {
+	case *constraint.Unary:
+		p.noteCalls(line, x.X)
+	case *constraint.Binary:
+		p.noteCalls(line, x.L)
+		p.noteCalls(line, x.R)
+	case *constraint.Quant:
+		p.noteCalls(line, x.Dom)
+		p.noteCalls(line, x.Pred)
+	case *constraint.Call:
+		p.calls = append(p.calls, call{line: line, name: x.Fn, nargs: len(x.Args)})
+		for _, a := range x.Args {
+			p.noteCalls(line, a)
+		}
+	}
 }
 
 // exprThen parses an expression and the token that closes it.
@@ -95,6 +133,7 @@ func (p *parser) exprThen(closer string) (constraint.Expr, error) {
 
 func (p *parser) parseDef() (*Def, error) {
 	kind := p.peek()
+	line := kind.Line
 	if !kind.Is("strategy") && !kind.Is("tactic") {
 		return nil, p.errorf("expected 'strategy' or 'tactic', found %s", kind)
 	}
@@ -126,11 +165,12 @@ func (p *parser) parseDef() (*Def, error) {
 	if err := p.expect("="); err != nil {
 		return nil, err
 	}
+	p.params, p.calls = params, nil
 	body, err := p.parseBlock()
 	if err != nil {
 		return nil, err
 	}
-	return &Def{Kind: kind.Text, Name: name, params: params, body: body}, nil
+	return &Def{Kind: kind.Text, Name: name, line: line, params: params, body: body, calls: p.calls}, nil
 }
 
 func (p *parser) parseBlock() ([]stmt, error) {
@@ -156,9 +196,10 @@ func (p *parser) parseStmt() (stmt, error) {
 		return nil, p.errorf("statements nested deeper than %d", constraint.MaxNesting)
 	}
 	defer func() { p.depth-- }()
+	line := p.peek().Line
 	switch {
 	case p.accept("let"):
-		name, err := p.word("let variable")
+		name, err := p.local("let variable")
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +245,7 @@ func (p *parser) parseStmt() (stmt, error) {
 		}
 		return &ifStmt{cond: cond, then: then, els: els}, nil
 	case p.accept("foreach"):
-		v, err := p.word("foreach variable")
+		v, err := p.local("foreach variable")
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +260,7 @@ func (p *parser) parseStmt() (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &foreachStmt{varName: v, domain: dom, body: body}, nil
+		return &foreachStmt{line: line, varName: v, domain: dom, body: body}, nil
 	case p.accept("return"):
 		e, err := p.exprThen(";")
 		if err != nil {
@@ -234,16 +275,17 @@ func (p *parser) parseStmt() (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &abortStmt{reason: reason}, p.expect(";")
+		return &abortStmt{reason: reason, err: fmt.Errorf("script:%d: abort %s", line, reason)}, p.expect(";")
 	}
 	// Method or procedure call: recv.method(args); or proc(args);
 	name, err := p.word("statement")
 	if err != nil {
 		return nil, err
 	}
-	recv, method := "", name
+	var recv *constraint.Ref
+	method := name
 	if p.accept(".") {
-		recv = name
+		recv = &constraint.Ref{Parts: []string{name}}
 		if method, err = p.word("method name"); err != nil {
 			return nil, err
 		}
@@ -262,5 +304,6 @@ func (p *parser) parseStmt() (stmt, error) {
 			return nil, p.errorf("expected \",\" or \")\", found %s", p.peek())
 		}
 	}
+	p.calls = append(p.calls, call{line: line, name: method, nargs: len(args), method: recv != nil, stmt: true})
 	return &callStmt{recv: recv, method: method, args: args}, p.expect(";")
 }

@@ -1,19 +1,12 @@
 // Package script implements the repair-script language of Figure 5: an
 // imperative layer over the constraint expression language in which repair
-// strategies and tactics are written:
+// strategies and tactics are written (operators.FixLatencyScript is the
+// figure itself):
 //
 //	strategy fixLatency(badClient : ClientT) = {
 //	    if (fixServerLoad(badClient)) { commit repair; }
-//	    else { if (fixBandwidth(badClient)) { commit repair; }
-//	           else { abort ModelError; } }
-//	}
-//
-//	tactic fixServerLoad(client : ClientT) : boolean = {
-//	    let loaded : set = select sgrp : ServerGroupT in self.Components |
-//	        connected(sgrp, client) and sgrp.load > maxServerLoad;
-//	    if (size(loaded) == 0) { return false; }
-//	    foreach sGrp in loaded { sGrp.addServer(); }
-//	    return size(loaded) > 0;
+//	    else if (fixBandwidth(badClient)) { commit repair; }
+//	    else { abort ModelError; }
 //	}
 //
 // The paper's prototype hand-coded its repairs "using a form that could be
@@ -26,7 +19,10 @@
 // `abort Name;`, and method/procedure calls `recv.method(args);`.
 // Expressions are exactly the constraint language (select/exists/forall,
 // connected, attached, size, style functions). Style operators (addServer,
-// move, remove) are supplied by an OperatorSet.
+// move, remove) and queries (findGoodSGrp, hasSpare, ...) are supplied by an
+// OperatorSet. Variables live in one scope per definition: `let` and
+// `foreach` bind in place, a foreach variable keeps its last member, and
+// neither may rebind a parameter or `it`.
 package script
 
 import "archadapt/internal/constraint"
@@ -46,6 +42,7 @@ type ifStmt struct {
 }
 
 type foreachStmt struct {
+	line    int
 	varName string
 	domain  constraint.Expr
 	body    []stmt
@@ -55,10 +52,13 @@ type returnStmt struct{ expr constraint.Expr }
 
 type commitStmt struct{}
 
-type abortStmt struct{ reason string }
+type abortStmt struct {
+	reason string
+	err    error // what the abort fails the strategy with, made once
+}
 
 type callStmt struct {
-	recv   string // "" for plain procedure calls
+	recv   *constraint.Ref // nil for plain procedure calls
 	method string
 	args   []constraint.Expr
 }
@@ -77,10 +77,23 @@ type param struct {
 	typ  string
 }
 
+// call is one call a definition makes, noted where it is parsed so that
+// Compile can check it.
+type call struct {
+	line   int
+	name   string
+	nargs  int
+	method bool // `recv.name(...)`: a style method
+	stmt   bool // a statement, so name must be callable as a procedure
+}
+
 // Def is one parsed strategy or tactic definition.
 type Def struct {
 	Kind   string // "strategy" or "tactic"
 	Name   string
+	line   int
+	index  int // position in its library, which keeps a frame per definition
 	params []param
 	body   []stmt
+	calls  []call
 }

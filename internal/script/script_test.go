@@ -45,18 +45,29 @@ func violation(s *model.System) constraint.Violation {
 	return vs[0]
 }
 
-// run compiles src with ops and executes strategy `name` on the model.
-func run(t *testing.T, src string, ops OperatorSet, s *model.System) repair.Outcome {
+// bind compiles src with ops and binds its one strategy.
+func bind(t *testing.T, src string, ops OperatorSet) *repair.Strategy {
 	t.Helper()
 	lib, err := Compile(src, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var strat *repair.Strategy
-	for _, st := range lib.Strategies {
-		strat = st
+	for _, d := range lib.byName {
+		if d.Kind == "strategy" {
+			strat, err := lib.Bind(d.Name, ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return strat
+		}
 	}
-	return strat.Execute(s, violation(s), nil, 0)
+	panic("Compile accepted a script without a strategy")
+}
+
+// run compiles src with ops and executes its strategy on the model.
+func run(t *testing.T, src string, ops OperatorSet, s *model.System) repair.Record {
+	t.Helper()
+	return bind(t, src, ops).Execute(s, violation(s))
 }
 
 func TestCommitAndModelMutation(t *testing.T) {
@@ -112,9 +123,9 @@ func TestAbortRollsBack(t *testing.T) {
 	out := run(t, `
         strategy fix(cli : ClientT) = {
             cli.poke();
-            abort ModelError;
+            abort Unrepairable;
         }`, ops, s)
-	if out.Err == nil || !strings.Contains(out.Err.Error(), "ModelError") {
+	if out.Err == nil || out.Err.Error() != "script:4: abort Unrepairable" {
 		t.Fatalf("err=%v", out.Err)
 	}
 	if !s.Equal(snap) {
@@ -292,24 +303,81 @@ func TestCommentsAndEscapesInsideExpressions(t *testing.T) {
 func TestRuntimeErrors(t *testing.T) {
 	s := testModel()
 	cases := map[string]string{
-		"unknown method":   `strategy f(c : ClientT) = { c.nosuch(); }`,
 		"unknown receiver": `strategy f(c : ClientT) = { ghost.move(c); }`,
-		"unknown proc":     `strategy f(c : ClientT) = { nosuch(); }`,
 		"foreach non-set":  `strategy f(c : ClientT) = { foreach x in 5 { commit repair; } }`,
 		"bad condition":    `strategy f(c : ClientT) = { if (5) { commit repair; } }`,
+		"recursion":        `strategy f(c : ClientT) = { if (t(c)) { commit repair; } } tactic t(c) = { return t(c); }`,
 	}
+	ops := OperatorSet{Methods: map[string]Method{"move": func(*repair.Context, constraint.Value, []constraint.Value) error { return nil }}}
 	for name, src := range cases {
-		out := run(t, src, OperatorSet{}, s)
-		if out.Err == nil {
-			t.Errorf("%s: expected runtime error", name)
+		out := run(t, src, ops, s)
+		if out.Err == nil || errors.Is(out.Err, repair.ErrNoTacticApplied) {
+			t.Errorf("%s: expected runtime error, got %v", name, out.Err)
 		}
 	}
 }
 
+// A call a run could only fail on is rejected by Compile, at its line.
+func TestCompileChecksCalls(t *testing.T) {
+	ops := OperatorSet{
+		Methods: map[string]Method{"poke": func(*repair.Context, constraint.Value, []constraint.Value) error { return nil }},
+		Funcs:   map[string]func([]constraint.Value) (constraint.Value, error){"answer": func([]constraint.Value) (constraint.Value, error) { return constraint.Num(42), nil }},
+	}
+	const tactic = "\ntactic t(a, b) : boolean = { return true; }"
+	for src, want := range map[string]string{
+		"strategy f(c) = {\n  c.nosuch();\n}":                                                                              `script:2: unknown method "nosuch"`,
+		"strategy f(c) = {\n  nosuch(c);\n}":                                                                               `script:2: unknown procedure "nosuch"`,
+		"strategy f(c) = {\n  if (true) {\n    tt(c, c);\n  }\n}" + tactic:                                                 `script:3: unknown procedure "tt"`,
+		"strategy f(c) = {\n  t(c);\n}" + tactic:                                                                           "script:2: tactic t takes 2 arguments, not 1",
+		"strategy f(c) = {\n  if (t(c, c, c)) { commit repair; }\n}" + tactic:                                              "script:2: tactic t takes 2 arguments, not 3",
+		"strategy f(c) = {\n\n  let s = select x in self.Components | t(x);\n}" + tactic:                                   "script:3: tactic t takes 2 arguments, not 1",
+		"strategy f(c) = { commit repair; }\ntactic u() = {\n  foreach g in self.Components { g.poke(t(g)); }\n}" + tactic: "script:3: tactic t takes 2 arguments, not 1",
+		"\nstrategy f(a, b) = { commit repair; }":                                                                          "script:2: strategy f takes one parameter, the violation subject, not 2",
+		"strategy f(c) = { commit repair; }\ntactic f() = { return true; }":                                                `script:2: duplicate definition of "f"`,
+		"strategy f(c) = {\n  let c = 1;\n}":                                                                               "script:2: let variable c would rebind a parameter",
+		"strategy f(c) = { commit repair; }" + tactic + "\ntactic u(g) = {\n  foreach g in self.Components { }\n}":         "script:4: foreach variable g would rebind a parameter",
+		"strategy f(c) = {\n  foreach it in self.Components { }\n}":                                                        "script:2: foreach variable it would rebind a parameter",
+	} {
+		if _, err := Compile(src, ops); err == nil || err.Error() != want {
+			t.Errorf("Compile(%q): error %v, want %q", src, err, want)
+		}
+	}
+	// Procedures resolve to tactics and style funcs alike.
+	if _, err := Compile("strategy f(c) = { t(c, c); answer(); commit repair; }"+tactic, ops); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTwoParamStrategyRejected(t *testing.T) {
-	s := testModel()
-	out := run(t, `strategy f(a : ClientT, b : ClientT) = { commit repair; }`, OperatorSet{}, s)
-	if out.Err == nil {
-		t.Fatal("two-parameter strategy should fail at runtime")
+	_, err := Compile(`strategy f(a : ClientT, b : ClientT) = { commit repair; }`, OperatorSet{})
+	if err == nil || !strings.HasPrefix(err.Error(), "script:1: ") {
+		t.Fatalf("two-parameter strategy: error %v, want a script:1: compile error", err)
+	}
+}
+
+// Only `abort ModelError` with no tactic applied yet is the engine's
+// no-applicable-tactic outcome (the paper's escalation case); after a tactic
+// applied it is a failure like any other abort. Applied names the tactics
+// that returned true, in call order.
+func TestModelErrorAndApplied(t *testing.T) {
+	const tactics = `
+        tactic yes(c) : boolean = { return true; }
+        tactic no(c) : boolean = { return false; }
+        tactic commits(c) : boolean = { commit repair; }`
+	for src, want := range map[string]string{
+		`strategy f(c) = { if (no(c)) { commit repair; } else { abort ModelError; } }`:    "err=repair: no applicable tactic",
+		`strategy f(c) = { if (yes(c)) { abort ModelError; } }`:                           "err=script:1: abort ModelError",
+		`strategy f(c) = { if (no(c) or commits(c)) { if (yes(c)) { commit repair; } } }`: "applied=[commits yes]",
+		`strategy f(c) = { commits(c); no(c); return yes(c) and no(c); }`:                 "err=repair: no applicable tactic",
+		`strategy f(c) = { commits(c); return true; }`:                                    "applied=[commits]",
+	} {
+		out := run(t, src+tactics, OperatorSet{}, testModel())
+		got := fmt.Sprintf("applied=%v", out.Applied)
+		if out.Err != nil {
+			got = "err=" + out.Err.Error()
+		}
+		if got != want {
+			t.Errorf("%s: %s, want %s", src, got, want)
+		}
 	}
 }

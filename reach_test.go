@@ -46,7 +46,6 @@ var reachAllowed = map[string]string{
 	"archadapt/internal/model.System.ComponentsOn":    "reference walk TestConnectedMatchesConnectorWalk checks Connected against",
 	"archadapt/internal/netsim.Network.SetBackground": "one-direction load the solver equivalence tests apply to both solvers",
 	"archadapt/internal/repair.Strategy.Execute":      "runs a hand-coded strategy, the reference the operators tests compare compiled scripts against",
-	"archadapt/internal/repair.Outcome":               "the result Strategy.Execute returns",
 
 	// Message-loss injectors: sendReliable and the control loop recover from
 	// the losses they cause, and the fault tests prove it.
