@@ -7,9 +7,10 @@
 // graph with property lists) of a running system, monitors the system
 // through a probe→gauge→consumer pipeline riding a content-based event bus,
 // checks declarative architectural constraints against the model, and on
-// violation executes repair strategies — ordered, guarded tactics — whose
-// committed operations a translator propagates to the running system via the
-// environment manager's runtime operators (the paper's Table 1).
+// violation executes repair strategies — each one function that calls its
+// guarded tactics in its own order — whose committed operations the
+// environment manager translates into its runtime operators (the paper's
+// Table 1) on the running system.
 //
 // Everything the paper's evaluation depends on is implemented here: a
 // discrete-event kernel, a fluid-flow network simulator standing in for the

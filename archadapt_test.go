@@ -50,3 +50,37 @@ func TestFacadeDeployErrors(t *testing.T) {
 		t.Fatal("missing client host should fail")
 	}
 }
+
+// A spec that repeats a name is an error from Deploy, not a panic from the
+// process layer or the model.
+func TestFacadeDeployRejectsRepeatedNames(t *testing.T) {
+	k := NewKernel()
+	net := NewNetwork(k)
+	h := net.AddHost("h")
+	pl := Placement{
+		ServerHosts: map[string]NodeID{"S1": h, "S2": h},
+		ClientHosts: map[string]NodeID{"C1": h, "G": h},
+		QueueHost:   h, ManagerHost: h,
+	}
+	for name, spec := range map[string]Spec{
+		"repeated client": {
+			Groups:  []GroupSpec{{Name: "G", Servers: []string{"S1"}, ActiveCount: 1}},
+			Clients: []ClientSpec{{Name: "C1", Group: "G"}, {Name: "C1", Group: "G"}},
+		},
+		"server in two groups": {
+			Groups: []GroupSpec{
+				{Name: "G", Servers: []string{"S1"}, ActiveCount: 1},
+				{Name: "G2", Servers: []string{"S1", "S2"}, ActiveCount: 1},
+			},
+			Clients: []ClientSpec{{Name: "C1", Group: "G"}},
+		},
+		"client named like a group": {
+			Groups:  []GroupSpec{{Name: "G", Servers: []string{"S1"}, ActiveCount: 1}},
+			Clients: []ClientSpec{{Name: "G", Group: "G"}},
+		},
+	} {
+		if _, err := Deploy(k, net, spec, pl, 1); err == nil || !strings.HasPrefix(err.Error(), "operators: ") {
+			t.Errorf("%s: err %v, want an operators: error", name, err)
+		}
+	}
+}

@@ -47,8 +47,13 @@ type Deployment struct {
 // Deploy instantiates a Spec on a network: creates the request queues, the
 // server and client processes, activates each group's initial servers, and
 // builds the matching architectural model. The returned Deployment is ready
-// for Manage plus App.Start.
+// for Manage plus App.Start. The model is built first, so a spec that Build
+// rejects (a repeated name, say) creates no process.
 func Deploy(k *Kernel, net *Network, spec Spec, pl Placement, seed uint64) (*Deployment, error) {
+	mdl, err := operators.Build(spec)
+	if err != nil {
+		return nil, err
+	}
 	if pl.ServiceBase == 0 {
 		pl.ServiceBase = 0.05
 	}
@@ -92,10 +97,6 @@ func Deploy(k *Kernel, net *Network, spec Spec, pl Placement, seed uint64) (*Dep
 		cli.RespBits = func() float64 { return r.LogNormalAround(respBits, 0.35) }
 	}
 
-	mdl, err := operators.Build(spec)
-	if err != nil {
-		return nil, err
-	}
 	return &Deployment{
 		K: k, Net: net, App: a, Model: mdl,
 		Rm:        remos.New(k, net, pl.ManagerHost),

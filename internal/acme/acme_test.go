@@ -74,7 +74,7 @@ func TestParsePaperADL(t *testing.T) {
 	if act := grp.Rep.Component("Server1").Props().BoolOr("active", false); !act {
 		t.Fatal("Server1.active")
 	}
-	if proto, _ := s.Connector("Req1").Props().Str("protocol"); proto != "fifo-queue" {
+	if proto, _ := s.Connector("Req1").Props().Get("protocol"); proto != "fifo-queue" {
 		t.Fatalf("protocol=%q", proto)
 	}
 	if len(s.Attachments()) != 3 {
@@ -122,7 +122,7 @@ func TestRoundTrip(t *testing.T) {
 // it is spelled.
 func TestInvariantStringLiteralMatchesProperty(t *testing.T) {
 	d := MustParse(stringsADL)
-	if got, _ := d.System.Component("c").Props().Str("label"); got != "tab\there \"quoted\" back\\slash é" {
+	if got, _ := d.System.Component("c").Props().Get("label"); got != "tab\there \"quoted\" back\\slash é" {
 		t.Fatalf("label=%q", got)
 	}
 	for _, inv := range d.Invariants {

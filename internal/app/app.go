@@ -191,6 +191,9 @@ func New(k *sim.Kernel, net *netsim.Network, queueHost netsim.NodeID) *System {
 // AddClient registers a client on a host, initially routed to group.
 func (s *System) AddClient(name string, host netsim.NodeID, group string, rate float64, rng *sim.Rand) *Client {
 	if _, dup := s.clients[name]; dup {
+		// Invariant: every caller's names are unique before they get here:
+		// Deploy's spec has passed operators.Build, the fleet's come from
+		// fleet.AppSpec.Spec, and the experiment testbed's are constants.
 		panic("app: duplicate client " + name)
 	}
 	c := &Client{
@@ -211,6 +214,9 @@ func (s *System) AddClient(name string, host netsim.NodeID, group string, rate f
 // S4 and S7 sat idle until repairs recruited them.
 func (s *System) AddServer(name string, host netsim.NodeID, group string, serviceBase, servicePerBit float64) *Server {
 	if _, dup := s.servers[name]; dup {
+		// Invariant: as for AddClient; the autoscaler's replicas are named
+		// GROUP_autoN from a per-application counter, which no
+		// fleet.AppSpec.Spec server name (S<g>_<j>) matches.
 		panic("app: duplicate server " + name)
 	}
 	srv := &Server{

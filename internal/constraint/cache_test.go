@@ -135,8 +135,9 @@ func sameViolations(t *testing.T, step int, what string, got, want []constraint.
 
 // TestCheckAllMatchesFreshEvaluation drives one registry, alternated between
 // a system and its clone, through random model mutations — property writes
-// and deletes, structure edits, client moves in committed and aborted
-// transactions, and an external function whose answer moves on its own — and
+// and deletes, added clients, client moves (the role and attachment edits)
+// in committed and aborted transactions, and an external function whose
+// answer moves on its own — and
 // requires after every step that the cached CheckAll reports exactly what an
 // evaluation from scratch does, under both SkipIncomplete settings.
 func TestCheckAllMatchesFreshEvaluation(t *testing.T) {
@@ -191,22 +192,14 @@ func TestCheckAllMatchesFreshEvaluation(t *testing.T) {
 				extra++
 				c := sys.AddComponent(fmt.Sprintf("X%d", extra), operators.TClient)
 				c.AddPort("request", operators.TRequestPort)
-			case 8:
-				what = "remove and restore client"
-				if c := sys.Component(fmt.Sprintf("X%d", extra)); c != nil {
-					if err := sys.RemoveComponent(c.Name()); err != nil {
-						t.Fatal(err)
-					}
-					sameViolations(t, step, "removed", reg.CheckAll(sys), oracle(reg, sys))
-					if rng.Intn(2) == 0 {
-						if err := sys.RestoreComponent(c); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			case 9, 10:
+			case 8, 9, 10:
+				// The structure edits: a move removes the client's role,
+				// adds one on the target connector and re-attaches; an
+				// abort restores the role and the attachment.
 				what = "move client"
-				if cli.Port("request") == nil || len(sys.AttachmentsOfPort(cli.Port("request"))) == 0 {
+				if p := cli.Port("request"); p == nil {
+					break
+				} else if _, n := sys.PortAttachment(p); n == 0 {
 					break
 				}
 				cur, _, _, err := operators.GroupOf(sys, cli)

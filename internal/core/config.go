@@ -1,9 +1,10 @@
 // Package core implements the model layer of Figure 1: the architecture
 // manager. It consumes gauge reports, maintains the architectural model's
 // properties, checks the architectural constraints, and — on violation —
-// drives the repair engine, whose committed operations the translator
-// propagates to the environment manager. It also owns the repair-time gauge
-// churn that dominated the paper's measured 30-second repairs.
+// drives the repair engine, whose committed operations the environment
+// manager (the translator of Figure 1, arrow 5) propagates to the running
+// system. It also owns the repair-time gauge churn that dominated the
+// paper's measured 30-second repairs.
 package core
 
 import (

@@ -17,7 +17,6 @@ import (
 	"archadapt/internal/remos"
 	"archadapt/internal/repair"
 	"archadapt/internal/sim"
-	"archadapt/internal/translator"
 )
 
 // RepairSpan is one completed repair with its wall-clock extent, the
@@ -55,7 +54,6 @@ type Manager struct {
 	Model    *model.System
 	Registry *constraint.Registry
 	Engine   *repair.Engine
-	Trans    *translator.Translator
 
 	// ProbeBus and ReportBus are this application's routing domains on the
 	// monitoring plane; GaugeMgr is its lease on the gauge manager. In the
@@ -129,7 +127,6 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 	m.GaugeMgr = plane.Gauges
 
 	m.Env = envmgr.New(k, net, a, host, rm)
-	m.Trans = translator.New(m.Env)
 
 	m.Registry = constraint.NewRegistry()
 	// Invariant: MustInvariant panics only on a source that does not parse,
@@ -141,7 +138,7 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 	m.Registry.Add(constraint.MustInvariant(operators.InvBandwidth, operators.TClientRole,
 		"bandwidth >= minBandwidth"))
 
-	m.Engine = repair.NewEngine(mdl, m.Trans)
+	m.Engine = repair.NewEngine(mdl, m.Env)
 	m.Engine.SettleTime = cfg.SettleTime
 	m.Engine.OscillationWindow = cfg.OscillationWindow
 	m.Engine.OscillationMoves = cfg.OscillationMoves

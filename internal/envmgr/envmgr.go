@@ -3,7 +3,11 @@
 // running system. Every call is a remote invocation from the repair
 // infrastructure host — restricted in the paper's testbed to the machine
 // running Server 4 — so each op pays a control-message round trip on the
-// simulated network before its effect lands.
+// simulated network before its effect lands. Manager.Apply is also the
+// translator of Figure 1, arrow 5: it expands each committed model-level
+// repair operation into the Table 1 calls that realize it. The paper notes
+// that component was hand-tailored per platform; here it is hand-tailored
+// to the simulated grid testbed.
 package envmgr
 
 import (
@@ -12,6 +16,7 @@ import (
 	"archadapt/internal/app"
 	"archadapt/internal/netsim"
 	"archadapt/internal/remos"
+	"archadapt/internal/repair"
 	"archadapt/internal/sim"
 )
 
@@ -40,7 +45,7 @@ type Manager struct {
 
 	stats OpStats
 	// FailNext, when set, makes the next mutating operator fail — failure
-	// injection for translator abort paths.
+	// injection for the repair engine's abort path when Apply fails.
 	FailNext error
 }
 
@@ -60,6 +65,31 @@ func (m *Manager) injected() error {
 		return err
 	}
 	return nil
+}
+
+// Apply implements repair.Translator: it realizes one committed model-level
+// operation through the Table 1 operators.
+func (m *Manager) Apply(op repair.Op) error {
+	switch op.Kind {
+	case repair.OpAddServer:
+		// The model chose the spare; realize it as connect (if the server is
+		// parked on another queue) + activate.
+		srv := m.App.Server(op.Server)
+		if srv == nil {
+			return fmt.Errorf("envmgr: no server %q", op.Server)
+		}
+		if srv.Group != op.Group {
+			if err := m.ConnectServer(op.Server, op.Group); err != nil {
+				return err
+			}
+		}
+		return m.ActivateServer(op.Server)
+	case repair.OpRemoveServer:
+		return m.DeactivateServer(op.Server)
+	case repair.OpMoveClient:
+		return m.MoveClient(op.Client, op.Group)
+	}
+	return fmt.Errorf("envmgr: unknown op kind %v", op.Kind)
 }
 
 // rpc schedules effect after a round trip to target and returns the modeled

@@ -7,6 +7,7 @@ import (
 	"archadapt/internal/app"
 	"archadapt/internal/netsim"
 	"archadapt/internal/remos"
+	"archadapt/internal/repair"
 	"archadapt/internal/sim"
 )
 
@@ -204,5 +205,77 @@ func TestStatsCount(t *testing.T) {
 	st := r.m.Stats()
 	if st.ActivateServer != 1 || st.MoveClient != 1 || st.FindServer != 1 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// Apply realizes a model-level addServer for a spare parked on another
+// group's queue as connect, then activate.
+func TestApplyAddServerConnectsThenActivates(t *testing.T) {
+	r := newRig(t)
+	if err := r.m.Apply(repair.Op{Kind: repair.OpAddServer, Group: "G2", Server: "SP"}); err != nil {
+		t.Fatal(err)
+	}
+	r.k.RunAll(0)
+	srv := r.a.Server("SP")
+	if !srv.Active() || srv.Group != "G2" {
+		t.Fatalf("SP active=%v group=%s", srv.Active(), srv.Group)
+	}
+	if st := r.m.Stats(); st.ConnectServer != 1 || st.ActivateServer != 1 {
+		t.Fatalf("stats %+v, want one connect and one activate", st)
+	}
+}
+
+func TestApplyAddServerSkipsConnectWhenParkedOnGroup(t *testing.T) {
+	r := newRig(t)
+	if err := r.m.Apply(repair.Op{Kind: repair.OpAddServer, Group: "G1", Server: "SP"}); err != nil {
+		t.Fatal(err)
+	}
+	r.k.RunAll(0)
+	if !r.a.Server("SP").Active() {
+		t.Fatal("SP inactive")
+	}
+	if st := r.m.Stats(); st.ConnectServer != 0 || st.ActivateServer != 1 {
+		t.Fatalf("stats %+v, want one activate and no connect", st)
+	}
+}
+
+func TestApplyRemoveServer(t *testing.T) {
+	r := newRig(t)
+	if err := r.m.Apply(repair.Op{Kind: repair.OpRemoveServer, Group: "G1", Server: "S1"}); err != nil {
+		t.Fatal(err)
+	}
+	r.k.RunAll(0)
+	if r.a.Server("S1").Active() {
+		t.Fatal("S1 still active")
+	}
+	if st := r.m.Stats(); st.DeactivateServer != 1 {
+		t.Fatalf("stats %+v, want one deactivate", st)
+	}
+}
+
+func TestApplyMoveClient(t *testing.T) {
+	r := newRig(t)
+	if err := r.m.Apply(repair.Op{Kind: repair.OpMoveClient, Client: "C1", Group: "G2"}); err != nil {
+		t.Fatal(err)
+	}
+	r.k.RunAll(0)
+	if r.a.Client("C1").Group != "G2" {
+		t.Fatal("client not moved")
+	}
+	if st := r.m.Stats(); st.MoveClient != 1 {
+		t.Fatalf("stats %+v, want one move", st)
+	}
+}
+
+func TestApplyUnknownFails(t *testing.T) {
+	r := newRig(t)
+	if err := r.m.Apply(repair.Op{Kind: repair.OpAddServer, Group: "G1", Server: "nope"}); err == nil {
+		t.Fatal("unknown server should fail")
+	}
+	if err := r.m.Apply(repair.Op{Kind: repair.OpMoveClient, Client: "C1", Group: "nope"}); err == nil {
+		t.Fatal("unknown group should fail")
+	}
+	if err := r.m.Apply(repair.Op{Kind: repair.OpKind(99)}); err == nil {
+		t.Fatal("unknown op kind should fail")
 	}
 }

@@ -405,17 +405,6 @@ func (f *Fleet) Apps() []string { return f.order }
 // App returns an application handle by name.
 func (f *Fleet) App(name string) *App { return f.apps[name] }
 
-// Live returns the number of currently running applications.
-func (f *Fleet) Live() int {
-	n := 0
-	for _, a := range f.admitted {
-		if a.Live() {
-			n++
-		}
-	}
-	return n
-}
-
 // Rejections returns failed admissions.
 func (f *Fleet) Rejections() []Rejection { return f.rejections }
 

@@ -172,9 +172,6 @@ func (g *LatencyGauge) stop() {
 	g.samples = nil
 }
 
-// Reset clears the window (used when a gauge is re-targeted under caching).
-func (g *LatencyGauge) Reset() { g.samples = g.samples[:0] }
-
 // --- Load gauge ---
 
 // LoadGauge tracks one server group's queue length from probe samples and

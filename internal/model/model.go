@@ -117,32 +117,18 @@ func (c *Component) Port(name string) *Port {
 }
 
 // AddPort declares a new port of the given type. A duplicate name panics; a
-// caller whose names come from input checks them first, as acme.Parse and
-// repair.Txn do.
+// caller whose names come from input checks them first, as acme.Parse does.
 func (c *Component) AddPort(name, typ string) *Port {
 	if c.Port(name) != nil {
+		// Invariant: operators.Build gives each new component its one
+		// fixed port, acme.Parse rejects a repeated port, and Clone copies
+		// a system that already holds.
 		panic(fmt.Sprintf("model: duplicate port %s.%s", c.name, name))
 	}
 	p := &Port{elem: elem{name: name, typ: typ, props: NewProps()}, Owner: c}
 	c.ports = append(c.ports, p)
 	c.parent.touch()
 	return p
-}
-
-// RemovePort deletes a port; attachments referencing it must be removed
-// first.
-func (c *Component) RemovePort(name string) error {
-	for i, p := range c.ports {
-		if p.name == name {
-			if c.parent != nil && len(c.parent.AttachmentsOfPort(p)) > 0 {
-				return fmt.Errorf("model: port %s still attached", p.QName())
-			}
-			c.ports = append(c.ports[:i], c.ports[i+1:]...)
-			c.parent.touch()
-			return nil
-		}
-	}
-	return fmt.Errorf("model: no port %s.%s", c.name, name)
 }
 
 // EnsureRep returns the component's representation, creating an empty one if
@@ -184,6 +170,9 @@ func (c *Connector) Role(name string) *Role {
 // in AddPort.
 func (c *Connector) AddRole(name, typ string) *Role {
 	if c.Role(name) != nil {
+		// Invariant: operators.Build names roles after clients it has
+		// checked are unique, acme.Parse and repair.Txn.AddRole check
+		// first, and Clone copies a system that already holds.
 		panic(fmt.Sprintf("model: duplicate role %s.%s", c.name, name))
 	}
 	r := &Role{elem: elem{name: name, typ: typ, props: NewProps()}, Owner: c}
@@ -291,6 +280,9 @@ func (s *System) Connector(name string) *Connector {
 // panics, as in AddPort.
 func (s *System) AddComponent(name, typ string) *Component {
 	if s.Component(name) != nil {
+		// Invariant: operators.Build, which Deploy and the fleet's
+		// fleet.AppSpec.Spec specs pass through, and acme.Parse check
+		// names first, and Clone copies a system that already holds.
 		panic(fmt.Sprintf("model: duplicate component %q", name))
 	}
 	c := &Component{elem: elem{name: name, typ: typ, props: NewProps()}, parent: s}
@@ -303,30 +295,15 @@ func (s *System) AddComponent(name, typ string) *Component {
 // panics, as in AddPort.
 func (s *System) AddConnector(name, typ string) *Connector {
 	if s.Connector(name) != nil {
+		// Invariant: operators.Build names connectors after groups it has
+		// checked are unique, acme.Parse checks first, and Clone copies a
+		// system that already holds.
 		panic(fmt.Sprintf("model: duplicate connector %q", name))
 	}
 	c := &Connector{elem: elem{name: name, typ: typ, props: NewProps()}, parent: s}
 	s.connectors = append(s.connectors, c)
 	s.rev++
 	return c
-}
-
-// RemoveComponent deletes a component and fails if it still has attachments.
-func (s *System) RemoveComponent(name string) error {
-	for i, c := range s.components {
-		if c.name != name {
-			continue
-		}
-		for _, p := range c.ports {
-			if len(s.AttachmentsOfPort(p)) > 0 {
-				return fmt.Errorf("model: component %q still attached via %s", name, p.QName())
-			}
-		}
-		s.components = append(s.components[:i], s.components[i+1:]...)
-		s.rev++
-		return nil
-	}
-	return fmt.Errorf("model: no component %q", name)
 }
 
 // Attach binds port to role. Both must belong to this system, and a role can
@@ -361,17 +338,6 @@ func (s *System) Detach(p *Port, r *Role) error {
 		}
 	}
 	return fmt.Errorf("model: no attachment %s -> %s", p.QName(), r.QName())
-}
-
-// AttachmentsOfPort returns attachments involving p.
-func (s *System) AttachmentsOfPort(p *Port) []Attachment {
-	var out []Attachment
-	for _, a := range s.atts {
-		if a.Port == p {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // PortAttachment returns the first attachment involving p and how many

@@ -164,14 +164,6 @@ func (p *Props) BoolOr(name string, def bool) bool {
 	return def
 }
 
-// Str returns a string property.
-func (p *Props) Str(name string) (string, bool) {
-	if v := p.find(name); v != nil && v.kind == kindStr {
-		return v.str, true
-	}
-	return "", false
-}
-
 // Names returns the property names sorted, for deterministic iteration and
 // printing.
 func (p *Props) Names() []string {

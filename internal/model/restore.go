@@ -2,26 +2,10 @@ package model
 
 import "fmt"
 
-// The Restore* methods re-insert a previously removed element pointer, with
-// all its ports/roles/properties intact. They exist for transactional undo in
-// the repair layer: Remove followed by Restore of the same pointer is an
-// exact inverse.
-
-// RestoreComponent re-adds a component removed from this system.
-func (s *System) RestoreComponent(c *Component) error {
-	if c == nil {
-		return fmt.Errorf("model: restore nil component")
-	}
-	if s.Component(c.name) != nil {
-		return fmt.Errorf("model: restore: component %q already present", c.name)
-	}
-	c.parent = s
-	s.components = append(s.components, c)
-	s.rev++
-	return nil
-}
-
-// RestoreRole re-adds a role removed from this connector.
+// RestoreRole re-inserts a previously removed role pointer, with all its
+// properties intact. It exists for transactional undo in the repair layer:
+// RemoveRole followed by RestoreRole of the same pointer is an exact
+// inverse.
 func (c *Connector) RestoreRole(r *Role) error {
 	if r == nil {
 		return fmt.Errorf("model: restore nil role")

@@ -81,16 +81,28 @@ func RoleName(client string) string { return client + "Role" }
 // Build constructs the architectural model for a spec: one component per
 // group (with a representation holding its replicated servers), one
 // connector per group (the request queue), one component per client, and the
-// attachments wiring clients to their group's connector.
+// attachments wiring clients to their group's connector. Groups and clients
+// share one namespace and every server name is used once, across groups
+// too: a spec that repeats a name is an error, not a panic.
 func Build(spec Spec) (*model.System, error) {
 	sys := model.NewSystem(spec.Name, FamClientServer)
 	sys.Props().Set(PropMaxLatency, spec.MaxLatency)
 	sys.Props().Set(PropMaxServerLoad, spec.MaxServerLoad)
 	sys.Props().Set(PropMinBandwidth, spec.MinBandwidth)
 
+	servers := map[string]bool{}
 	for _, g := range spec.Groups {
-		if g.ActiveCount > len(g.Servers) {
-			return nil, fmt.Errorf("operators: group %s: %d active > %d servers", g.Name, g.ActiveCount, len(g.Servers))
+		switch {
+		case g.ActiveCount < 0 || g.ActiveCount > len(g.Servers):
+			return nil, fmt.Errorf("operators: group %s: %d active of %d servers", g.Name, g.ActiveCount, len(g.Servers))
+		case sys.Component(g.Name) != nil:
+			return nil, fmt.Errorf("operators: group %s: name already used", g.Name)
+		}
+		for _, srv := range g.Servers {
+			if servers[srv] {
+				return nil, fmt.Errorf("operators: group %s: server %s listed twice", g.Name, srv)
+			}
+			servers[srv] = true
 		}
 		grp := sys.AddComponent(g.Name, TServerGroup)
 		grp.AddPort("provide", TProvidePort)
@@ -109,6 +121,9 @@ func Build(spec Spec) (*model.System, error) {
 		}
 	}
 	for _, c := range spec.Clients {
+		if sys.Component(c.Name) != nil {
+			return nil, fmt.Errorf("operators: client %s: name already used", c.Name)
+		}
 		cli := sys.AddComponent(c.Name, TClient)
 		cli.AddPort("request", TRequestPort)
 		conn := sys.Connector(ConnName(c.Group))

@@ -9,7 +9,8 @@ import (
 )
 
 // Translator propagates a committed model-level operation to the running
-// system (Figure 1, arrow 5). Implementations live in internal/translator.
+// system (Figure 1, arrow 5). The environment manager (envmgr.Manager)
+// implements it.
 type Translator interface {
 	Apply(op Op) error
 }
@@ -33,7 +34,6 @@ type Record struct {
 	Applied  []string
 	Ops      []Op
 	Err      error
-	Damped   bool
 }
 
 // Engine matches violations to strategies and executes them with commit /
@@ -70,7 +70,6 @@ type Engine struct {
 	order      []string
 	cooldown   map[string]float64   // subject -> earliest next repair time
 	moveTimes  map[string][]float64 // client -> recent move times
-	alerts     int
 	// scratch is the transaction, context and record every
 	// attempt reuses, so an attempt that repairs nothing allocates nothing.
 	// It is made on the first attempt: an engine that never decides pays
@@ -97,9 +96,6 @@ func (e *Engine) Bind(invariantName string, s *Strategy) {
 	}
 	e.strategies[invariantName] = s
 }
-
-// Alerts returns how many times the engine escalated to a human.
-func (e *Engine) Alerts() int { return e.alerts }
 
 // finish notifies the observer of the attempt's record and returns it.
 func (e *Engine) finish(v constraint.Violation, now float64) *Record {
@@ -136,11 +132,8 @@ func (e *Engine) HandleViolation(v constraint.Violation, now float64) *Record {
 	applied, err := s.run(ctx)
 	if err != nil {
 		rec.Err = err
-		if err == ErrNoTacticApplied {
-			e.alerts++
-			if e.AlertFn != nil {
-				e.AlertFn(v, "no applicable tactic")
-			}
+		if err == ErrNoTacticApplied && e.AlertFn != nil {
+			e.AlertFn(v, "no applicable tactic")
 		}
 		return e.finish(v, now)
 	}
@@ -175,7 +168,6 @@ func (e *Engine) HandleViolation(v constraint.Violation, now float64) *Record {
 		}
 		e.moveTimes[op.Client] = kept
 		if len(kept) >= e.OscillationMoves {
-			rec.Damped = true
 			factor := e.DampFactor
 			if factor < 1 {
 				factor = 1

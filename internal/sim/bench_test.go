@@ -58,9 +58,7 @@ func kernelHold(fleet bool, pending int) (op func(events int)) {
 		if fires++; fires%8 == 0 && handles != nil {
 			k.Reschedule(handles[rng.Intn(len(handles))], k.Now()+delay())
 		}
-		if left--; left == 0 {
-			k.Stop()
-		}
+		left--
 	}
 	var hold func(any)
 	hold = func(any) {
@@ -79,8 +77,13 @@ func kernelHold(fleet bool, pending int) (op func(events int)) {
 		k.AfterAnonArg(delay(), hold, nil)
 	}
 	return func(events int) {
-		left = events
-		k.Run(math.Inf(1))
+		// Run's loop, ended after `events` fires.
+		for left = events; left > 0; {
+			if e := k.next(math.Inf(1)); !e.dead {
+				k.now = e.At
+				k.fire(e)
+			}
+		}
 	}
 }
 

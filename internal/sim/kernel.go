@@ -118,7 +118,6 @@ type Kernel struct {
 	seq     uint64 // one counter across both queues
 	queue   eventHeap
 	running bool
-	stopped bool
 
 	// The calendar: see calendar.go for what each field holds.
 	heads        []*Event
@@ -389,9 +388,6 @@ func (k *Kernel) Reuse(e *Event, t Time, fn func()) *Event {
 	return e
 }
 
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // Run executes events in order until the queue is empty or the clock would
 // pass `until`. Events scheduled exactly at `until` are executed. It returns
 // the number of events executed by this call. A NaN horizon panics: no event
@@ -408,11 +404,10 @@ func (k *Kernel) Run(until Time) uint64 {
 		panic("sim: Run until NaN time")
 	}
 	k.running = true
-	k.stopped = false
 	defer func() { k.running = false }()
 
 	var n uint64
-	for !k.stopped {
+	for {
 		e := k.next(until)
 		if e == nil {
 			break
@@ -427,7 +422,7 @@ func (k *Kernel) Run(until Time) uint64 {
 	}
 	// Advance the clock to the horizon so that successive Run calls with
 	// increasing horizons behave like one continuous run.
-	if !k.stopped && k.now < until {
+	if k.now < until {
 		k.now = until
 	}
 	return n

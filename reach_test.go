@@ -2,13 +2,14 @@ package archadapt
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"path"
+	"maps"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,9 @@ var reachAllowed = map[string]string{
 	"archadapt/internal/metrics.Series.FracAbove":        "metrics summary",
 	"archadapt/internal/metrics.Series.FracAboveBetween": "metrics summary",
 	"archadapt/internal/metrics.Series.LastAbove":        "metrics summary",
+	"archadapt/internal/metrics.Series.Percentile":       "metrics summary",
+	"archadapt/internal/metrics.Dist.Min":                "metrics summary",
+	"archadapt/internal/metrics.Dist.Max":                "metrics summary",
 
 	// References the equivalence tests compare against.
 	"archadapt/internal/model.System.ConnectorsOf":    "reference walk TestConnectedMatchesConnectorWalk checks Connected against",
@@ -53,11 +57,11 @@ var reachAllowed = map[string]string{
 	"archadapt/internal/netsim.Network.SetDrop": "message-loss injector for control messages",
 
 	// The paper's operators and policies.
-	"archadapt/internal/envmgr.Manager.FindServer":   "Table 1 findServer",
-	"archadapt/internal/envmgr.Manager.RemosGetFlow": "Table 1 remos_get_flow",
-	"archadapt/internal/repair.TryAll":               "§3.2 strategy policy: sequence through all tactics",
-	"archadapt/internal/queueing.ServersFor":         "§5 design-time sizing: the paper's three servers per group",
-	"archadapt/internal/queueing.MinBandwidth":       "§5 design-time sizing: the paper's 10 Kbps floor",
+	"archadapt/internal/envmgr.Manager.FindServer":     "Table 1 findServer",
+	"archadapt/internal/envmgr.Manager.RemosGetFlow":   "Table 1 remos_get_flow",
+	"archadapt/internal/envmgr.Manager.CreateReqQueue": "Table 1 createReqQueue",
+	"archadapt/internal/queueing.ServersFor":           "§5 design-time sizing: the paper's three servers per group",
+	"archadapt/internal/queueing.MinBandwidth":         "§5 design-time sizing: the paper's 10 Kbps floor",
 }
 
 // runtimeMethods are called through interfaces the standard library declares
@@ -69,44 +73,25 @@ var runtimeMethods = map[string]bool{
 
 // TestProductionCodeIsReached is the "pay or go" guard for non-test code: a
 // declaration earns its place only if a command, the benchmark, an Example or
-// the root package's exported surface reaches it. Reachability is by name:
-// an identifier reaches the package-level declaration of that name in its
-// own package, pkg.Name the one in the imported package, and x.Name every
-// method called Name in the module. That over-approximates what runs, so a
-// report is never a false alarm. One-statement accessors, methods the
-// runtime calls and the reachAllowed entries are exempt.
+// the root package's exported surface reaches it. The module is type-checked
+// (the standard library from source), and a reached declaration reaches every
+// package-level declaration and method its identifiers denote. A call through
+// an interface method reaches that method on every module type that
+// implements the interface, so a report is never a false alarm. One-statement
+// accessors, methods the runtime calls and the reachAllowed entries are
+// exempt.
 func TestProductionCodeIsReached(t *testing.T) {
 	const module = "archadapt"
 	type decl struct {
 		key  string // importpath.Name or importpath.Recv.Name
-		pkg  string
 		node ast.Node
-		file *ast.File
+		info *types.Info
 		pos  token.Pos
 		// exempt from the report: an accessor or a runtime-called method
 		exempt bool
 	}
 	fset := token.NewFileSet()
-	var all []*decl
-	pkgDecls := map[string]*decl{}  // importpath.Name → func, type, var or const
-	methods := map[string][]*decl{} // method name → every method of that name
-	fileImports := map[*ast.File]map[string]string{}
-	var roots []*decl
-	addDecl := func(d *decl, name string, isMethod, root bool) {
-		if name == "_" {
-			return
-		}
-		all = append(all, d)
-		if isMethod {
-			methods[name] = append(methods[name], d)
-		} else {
-			pkgDecls[d.pkg+"."+name] = d
-		}
-		if root {
-			roots = append(roots, d)
-		}
-	}
-	parsed := 0
+	pkgs := map[string]*modulePkg{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -125,61 +110,82 @@ func TestProductionCodeIsReached(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		parsed++
 		dir := filepath.ToSlash(filepath.Dir(p))
-		pkg := module
+		ip := module
 		if dir != "." {
-			pkg = module + "/" + dir
+			ip = module + "/" + dir
 		}
 		if isExample {
-			pkg += "_test"
+			ip += "_test"
 		}
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			name := path.Base(ip)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = ip
+		if pkgs[ip] == nil {
+			pkgs[ip] = &modulePkg{}
 		}
-		fileImports[f] = imports
-		isMain := f.Name.Name == "main"
-		isRootPkg := dir == "."
-		for _, gd := range f.Decls {
-			switch gd := gd.(type) {
-			case *ast.FuncDecl:
-				name := gd.Name.Name
-				key := pkg + "." + name
-				if gd.Recv != nil {
-					key = pkg + "." + recvName(gd.Recv.List[0].Type) + "." + name
-				}
-				d := &decl{key: key, pkg: pkg, node: gd, file: f, pos: gd.Pos()}
-				d.exempt = gd.Recv != nil && (runtimeMethods[name] || isAccessor(gd))
-				root := isMain || isExample || name == "init" || (isRootPkg && ast.IsExported(name))
-				addDecl(d, name, gd.Recv != nil, root)
-			case *ast.GenDecl:
-				for _, spec := range gd.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						d := &decl{key: pkg + "." + s.Name.Name, pkg: pkg, node: s, file: f, pos: s.Pos()}
-						addDecl(d, s.Name.Name, false, isMain || isExample || (isRootPkg && ast.IsExported(s.Name.Name)))
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							d := &decl{key: pkg + "." + n.Name, pkg: pkg, node: s, file: f, pos: n.Pos()}
-							addDecl(d, n.Name, false, isMain || isExample || (isRootPkg && ast.IsExported(n.Name)))
-						}
-					}
-				}
-			}
-		}
+		pkgs[ip].files = append(pkgs[ip].files, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed < 50 {
-		t.Fatalf("only %d files parsed — run from the module root", parsed)
+	if len(pkgs) < 20 {
+		t.Fatalf("only %d packages parsed — run from the module root", len(pkgs))
+	}
+	imp := &moduleImporter{pkgs: pkgs, std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom), fset: fset}
+	paths := slices.Sorted(maps.Keys(pkgs))
+	for _, ip := range paths {
+		if _, err := imp.Import(ip); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var all []*decl
+	byObj := map[types.Object]*decl{}
+	var roots []*decl
+	var named []*types.Named // every module type that could implement an interface
+	for _, ip := range paths {
+		mp := pkgs[ip]
+		// A command's, the benchmark's and the Examples' declarations are
+		// roots, and so is the root package's exported surface.
+		allRoots := mp.pkg.Name() == "main" || strings.HasSuffix(ip, "_test")
+		add := func(id *ast.Ident, key string, node ast.Node, exempt, root bool) {
+			if id.Name == "_" {
+				return
+			}
+			d := &decl{key: key, node: node, info: mp.info, pos: id.Pos(), exempt: exempt}
+			all = append(all, d)
+			byObj[mp.info.Defs[id]] = d
+			if root || allRoots || (ip == module && ast.IsExported(id.Name)) {
+				roots = append(roots, d)
+			}
+		}
+		for _, f := range mp.files {
+			for _, gd := range f.Decls {
+				switch gd := gd.(type) {
+				case *ast.FuncDecl:
+					name := gd.Name.Name
+					key := ip + "." + name
+					if gd.Recv != nil {
+						key = ip + "." + recvName(gd.Recv.List[0].Type) + "." + name
+					}
+					exempt := gd.Recv != nil && (runtimeMethods[name] || isAccessor(gd))
+					add(gd.Name, key, gd, exempt, gd.Recv == nil && name == "init")
+				case *ast.GenDecl:
+					for _, spec := range gd.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, ip+"."+s.Name.Name, s, false, false)
+							if n, ok := mp.info.Defs[s.Name].Type().(*types.Named); ok && !types.IsInterface(n) {
+								named = append(named, n)
+							}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								add(n, ip+"."+n.Name, s, false, false)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 
 	reached := map[*decl]bool{}
@@ -187,8 +193,31 @@ func TestProductionCodeIsReached(t *testing.T) {
 	for _, d := range roots {
 		reached[d] = true
 	}
-	reach := func(d *decl) {
-		if d != nil && !reached[d] {
+	dispatched := map[*types.Func]bool{}
+	var reach func(obj types.Object)
+	reach = func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+			recv := o.Signature().Recv()
+			if recv == nil || !types.IsInterface(recv.Type()) || dispatched[o] {
+				break
+			}
+			// A call through the interface reaches every implementation.
+			dispatched[o] = true
+			iface := recv.Type().Underlying().(*types.Interface)
+			for _, n := range named {
+				if n.TypeParams().Len() == 0 && !types.Implements(n, iface) && !types.Implements(types.NewPointer(n), iface) {
+					continue
+				}
+				if m, _, _ := types.LookupFieldOrMethod(types.NewPointer(n), false, o.Pkg(), o.Name()); m != nil {
+					reach(m)
+				}
+			}
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if d := byObj[obj]; d != nil && !reached[d] {
 			reached[d] = true
 			work = append(work, d)
 		}
@@ -196,23 +225,10 @@ func TestProductionCodeIsReached(t *testing.T) {
 	for len(work) > 0 {
 		d := work[len(work)-1]
 		work = work[:len(work)-1]
-		imports := fileImports[d.file]
 		ast.Inspect(d.node, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if ip, ok := imports[x.Name]; ok {
-						reach(pkgDecls[ip+"."+n.Sel.Name])
-						return false
-					}
-				}
-				for _, m := range methods[n.Sel.Name] {
-					reach(m)
-				}
-			case *ast.Ident:
-				reach(pkgDecls[d.pkg+"."+n.Name])
-				if strings.HasSuffix(d.pkg, "_test") {
-					reach(pkgDecls[strings.TrimSuffix(d.pkg, "_test")+"."+n.Name])
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := d.info.Uses[id]; obj != nil {
+					reach(obj)
 				}
 			}
 			return true
@@ -236,6 +252,41 @@ func TestProductionCodeIsReached(t *testing.T) {
 			t.Errorf("reachAllowed lists %s, which is not declared: drop the entry", key)
 		}
 	}
+}
+
+// modulePkg is one package of the module as the reach guard loads it: its
+// non-test files (or, for archadapt_test, example_test.go), type-checked on
+// first import.
+type modulePkg struct {
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+}
+
+// moduleImporter type-checks the module's packages from the parsed files and
+// hands every other import to the standard library's source importer, so
+// each module object has one identity across the packages that use it.
+type moduleImporter struct {
+	pkgs map[string]*modulePkg
+	std  types.ImporterFrom
+	fset *token.FileSet
+}
+
+func (im *moduleImporter) Import(path string) (*types.Package, error) {
+	mp := im.pkgs[path]
+	if mp == nil {
+		return im.std.ImportFrom(path, ".", 0)
+	}
+	if mp.pkg == nil {
+		mp.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: im}
+		pkg, err := conf.Check(path, im.fset, mp.files, mp.info)
+		if err != nil {
+			return nil, err
+		}
+		mp.pkg = pkg
+	}
+	return mp.pkg, nil
 }
 
 // recvName is the type name of a method receiver: T, *T, T[P] or *T[P].
