@@ -39,6 +39,10 @@ func ObserveLatency(sys *System, clients []string, windowWidth float64) *Latency
 	for _, name := range clients {
 		cli := sys.Client(name)
 		if cli.watch != nil {
+			// Invariant: every caller observes a freshly built system once:
+			// experiment.Run and the benchmark's traced paper run right
+			// after building the testbed, Fleet.admit right after building
+			// the application, each over its own client names.
 			panic("app: latency of client " + name + " is already observed")
 		}
 		w := &ClientLatency{o: o, win: metrics.NewWindow(windowWidth)}

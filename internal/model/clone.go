@@ -34,6 +34,10 @@ func (s *System) Clone() *System {
 	}
 	for _, a := range s.atts {
 		if err := c.Attach(portMap[a.Port], roleMap[a.Role]); err != nil {
+			// Invariant: the source model is consistent. Every attachment
+			// in s.atts went through s.Attach, which checked that both ends
+			// belong to s and that the role was free; both ends were copied
+			// above, so their copies pass the same checks in c.
 			panic("model: clone attach: " + err.Error())
 		}
 	}

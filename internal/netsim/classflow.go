@@ -84,8 +84,8 @@ func (f *Flow) SetDemand(demand float64) {
 		f.rate = demand
 		return
 	}
-	for _, h := range f.path {
-		f.net.markDirty(resIndex(h))
+	for _, ri := range f.path {
+		f.net.markDirty(ri)
 	}
 	f.net.solve()
 }

@@ -11,7 +11,7 @@ type Flow struct {
 	id        uint64
 	Src, Dst  NodeID
 	Tag       string
-	path      []hop
+	path      []int32 // hops, as resource indexes
 	hopIdx    []int32 // position in each path resource's crossing list
 	index     int     // position in net.flows; -1 once removed
 	remaining float64 // bits still to deliver as of `last`

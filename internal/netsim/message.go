@@ -116,11 +116,11 @@ func (n *Network) MessageDelay(src, dst NodeID, bits float64, prio Priority) flo
 	}
 	path := n.route(src, dst)
 	delay := 0.0
-	for _, h := range path {
-		l := n.links[h.link]
+	for _, ri := range path {
+		l := n.links[ri>>1]
 		bw := l.Capacity
 		if prio == BestEffort {
-			bw = l.availCap(h.dir)
+			bw = l.availCap(Dir(ri & 1))
 			if bw < ctrlFloor {
 				bw = ctrlFloor
 			}

@@ -314,20 +314,16 @@ func maxMinInvariants(seed uint64) bool {
 	}
 	// Invariant 2: no (link,dir) oversubscribed beyond avail + per-flow floor
 	// slack (floor rates may legitimately exceed a saturated link's avail).
-	type key struct {
-		l LinkID
-		d Dir
-	}
-	sum := map[key]float64{}
-	cnt := map[key]int{}
+	sum := map[int32]float64{}
+	cnt := map[int32]int{}
 	for _, f := range flows {
-		for _, h := range f.path {
-			sum[key{h.link, h.dir}] += f.Rate()
-			cnt[key{h.link, h.dir}]++
+		for _, ri := range f.path {
+			sum[ri] += f.Rate()
+			cnt[ri]++
 		}
 	}
 	for kk, s := range sum {
-		avail := n.Link(kk.l).availCap(kk.d)
+		avail := n.Link(LinkID(kk >> 1)).availCap(Dir(kk & 1))
 		slack := float64(cnt[kk]) * n.MinFlowRate
 		if s > avail+slack+1e-6 {
 			return false
@@ -337,9 +333,8 @@ func maxMinInvariants(seed uint64) bool {
 	// link where its rate is >= every other flow's rate on that link.
 	for _, f := range flows {
 		ok := false
-		for _, h := range f.path {
-			kk := key{h.link, h.dir}
-			avail := n.Link(kk.l).availCap(kk.d)
+		for _, kk := range f.path {
+			avail := n.Link(LinkID(kk >> 1)).availCap(Dir(kk & 1))
 			saturated := sum[kk] >= avail-1e-6 || avail < n.MinFlowRate*float64(cnt[kk])
 			if !saturated {
 				continue
@@ -347,7 +342,7 @@ func maxMinInvariants(seed uint64) bool {
 			isMax := true
 			for _, g := range flows {
 				for _, hh := range g.path {
-					if hh.link == kk.l && hh.dir == kk.d && g.Rate() > f.Rate()+1e-6 {
+					if hh == kk && g.Rate() > f.Rate()+1e-6 {
 						isMax = false
 					}
 				}

@@ -54,8 +54,8 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 		}
 		active = append(active, f)
 		hasLimited = hasLimited || f.class
-		for _, h := range f.path {
-			resources[int(h.link)*2+int(h.dir)].count++
+		for _, ri := range f.path {
+			resources[ri].count++
 		}
 	}
 	frozen := make(map[*Flow]bool, len(active))
@@ -90,13 +90,12 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 				rates[f] = f.demand
 				frozen[f] = true
 				capped = true
-				for _, h := range f.path {
-					idx := int(h.link)*2 + int(h.dir)
-					resources[idx].avail -= f.demand
-					if resources[idx].avail < 0 {
-						resources[idx].avail = 0
+				for _, ri := range f.path {
+					resources[ri].avail -= f.demand
+					if resources[ri].avail < 0 {
+						resources[ri].avail = 0
 					}
-					resources[idx].count--
+					resources[ri].count--
 				}
 			}
 			if capped {
@@ -110,8 +109,8 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 			}
 			// Freeze f if any of its resources is at the bottleneck share.
 			bottled := false
-			for _, h := range f.path {
-				r := resources[int(h.link)*2+int(h.dir)]
+			for _, ri := range f.path {
+				r := resources[ri]
 				if r.count > 0 && r.avail/float64(r.count) <= minShare+1e-12 {
 					bottled = true
 					break
@@ -123,13 +122,12 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 			rates[f] = minShare
 			frozen[f] = true
 			progressed = true
-			for _, h := range f.path {
-				idx := int(h.link)*2 + int(h.dir)
-				resources[idx].avail -= minShare
-				if resources[idx].avail < 0 {
-					resources[idx].avail = 0
+			for _, ri := range f.path {
+				resources[ri].avail -= minShare
+				if resources[ri].avail < 0 {
+					resources[ri].avail = 0
 				}
-				resources[idx].count--
+				resources[ri].count--
 			}
 		}
 		if !progressed {

@@ -96,10 +96,6 @@ type flowRef struct {
 	hop int32
 }
 
-func resIndex(h hop) int32 { return int32(h.link)*2 + int32(h.dir) }
-
-func unresIndex(ri int32) hop { return hop{link: LinkID(ri >> 1), dir: Dir(ri & 1)} }
-
 // markDirty queues a resource for the next solve.
 func (n *Network) markDirty(ri int32) {
 	r := &n.res[ri]
@@ -116,8 +112,7 @@ func (n *Network) linkFlow(f *Flow) {
 		f.hopIdx = make([]int32, len(f.path))
 	}
 	f.hopIdx = f.hopIdx[:len(f.path)]
-	for i, h := range f.path {
-		ri := resIndex(h)
+	for i, ri := range f.path {
 		r := &n.res[ri]
 		f.hopIdx[i] = int32(len(r.flows))
 		r.flows = append(r.flows, flowRef{f: f, hop: int32(i)})
@@ -140,8 +135,7 @@ func (n *Network) removeFlow(f *Flow) {
 	n.flows[last] = nil
 	n.flows = n.flows[:last]
 	f.index = -1
-	for hi, h := range f.path {
-		ri := resIndex(h)
+	for hi, ri := range f.path {
 		r := &n.res[ri]
 		j := int(f.hopIdx[hi])
 		lastj := len(r.flows) - 1
@@ -231,8 +225,7 @@ func (n *Network) collectRegion() {
 				}
 				f.seen = n.epoch
 				n.compFlows = append(n.compFlows, f)
-				for _, h := range f.path {
-					rj := resIndex(h)
+				for _, rj := range f.path {
 					r := &n.res[rj]
 					if r.seen != n.epoch {
 						r.seen = n.epoch
@@ -380,8 +373,8 @@ func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 				f.frozen = epoch
 				unfrozen--
 				capped = true
-				for _, h := range f.path {
-					r := &n.res[resIndex(h)]
+				for _, ri := range f.path {
+					r := &n.res[ri]
 					r.avail -= f.demand
 					if r.avail < 0 {
 						r.avail = 0
@@ -400,8 +393,8 @@ func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 			}
 			// Freeze f if any of its resources is at the bottleneck share.
 			bottled := false
-			for _, h := range f.path {
-				r := &n.res[resIndex(h)]
+			for _, ri := range f.path {
+				r := &n.res[ri]
 				if r.count > 0 && r.avail/float64(r.count) <= minShare+1e-12 {
 					bottled = true
 					break
@@ -414,8 +407,8 @@ func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 			f.frozen = epoch
 			unfrozen--
 			progressed = true
-			for _, h := range f.path {
-				r := &n.res[resIndex(h)]
+			for _, ri := range f.path {
+				r := &n.res[ri]
 				r.avail -= minShare
 				if r.avail < 0 {
 					r.avail = 0

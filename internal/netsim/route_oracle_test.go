@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -12,16 +13,16 @@ import (
 // kept as the reference: one early-terminating BFS per (src, dst) over every
 // node, neighbours explored in Connect order. ok is false where it panicked
 // with "no route".
-func oracleRoute(n *Network, src, dst NodeID) (path []hop, ok bool) {
+func oracleRoute(n *Network, src, dst NodeID) (path []int32, ok bool) {
 	if src == dst {
 		return nil, true
 	}
-	type crumb struct {
+	type step struct {
 		prev NodeID
-		via  hop
+		via  int32
 	}
 	seen := make([]bool, len(n.nodes))
-	from := make([]crumb, len(n.nodes))
+	from := make([]step, len(n.nodes))
 	queue := []NodeID{src}
 	seen[src] = true
 	found := false
@@ -33,7 +34,7 @@ func oracleRoute(n *Network, src, dst NodeID) (path []hop, ok bool) {
 				continue
 			}
 			seen[ht.to] = true
-			from[ht.to] = crumb{prev: cur, via: ht.h}
+			from[ht.to] = step{prev: cur, via: ht.ri}
 			if ht.to == dst {
 				found = true
 				break
@@ -44,11 +45,11 @@ func oracleRoute(n *Network, src, dst NodeID) (path []hop, ok bool) {
 	if !found {
 		return nil, false
 	}
-	var rev []hop
+	var rev []int32
 	for at := dst; at != src; at = from[at].prev {
 		rev = append(rev, from[at].via)
 	}
-	path = make([]hop, len(rev))
+	path = make([]int32, len(rev))
 	for i := range rev {
 		path[i] = rev[len(rev)-1-i]
 	}
@@ -56,13 +57,13 @@ func oracleRoute(n *Network, src, dst NodeID) (path []hop, ok bool) {
 }
 
 // oracleAvail is AvailBandwidth as it was computed from a materialised path.
-func oracleAvail(n *Network, path []hop) float64 {
+func oracleAvail(n *Network, path []int32) float64 {
 	if len(path) == 0 {
 		return 0
 	}
 	min := -1.0
-	for _, h := range path {
-		a := n.links[h.link].availCap(h.dir)
+	for _, ri := range path {
+		a := n.links[ri>>1].availCap(Dir(ri & 1))
 		if min < 0 || a < min {
 			min = a
 		}
@@ -138,8 +139,8 @@ func CheckRoutesAgainstOracle(t testing.TB, n *Network, seed uint64) {
 			pair++
 		}
 	}
-	if st := n.RouteStats(); st.TreesBuilt > uint64(len(n.trees)) {
-		t.Fatalf("built %d trees for %d relays", st.TreesBuilt, len(n.trees))
+	if st := n.RouteStats(); st.TreesBuilt > uint64(n.relays) {
+		t.Fatalf("built %d trees for %d relays", st.TreesBuilt, n.relays)
 	}
 }
 
@@ -235,7 +236,7 @@ func TestConnectAfterLookupReroutes(t *testing.T) {
 	if got := n.PathHops(0, 2); got != 1 {
 		t.Fatalf("A->C after Connect(A,C) = %d hops, want 1", got)
 	}
-	if p := n.route(0, 2); len(p) != 1 || p[0].link != direct {
+	if p := n.route(0, 2); len(p) != 1 || LinkID(p[0]>>1) != direct {
 		t.Fatalf("materialised A->C after Connect(A,C) = %v, want the new link", p)
 	}
 	CheckRoutesAgainstOracle(t, n, 1)
@@ -261,7 +262,7 @@ func TestConnectAfterTrafficReroutesNextSend(t *testing.T) {
 		t.Fatalf("message delay %v after Connect(A,C), %v before: the next send must take the new link", after, before)
 	}
 	next := n.StartTransfer(0, 2, 1e6, "x", func(*Flow) { done++ })
-	if len(next.path) != 1 || next.path[0].link != direct {
+	if len(next.path) != 1 || LinkID(next.path[0]>>1) != direct {
 		t.Fatalf("flow started after Connect routed %v, want the new link", next.path)
 	}
 	if len(inflight.path) != 2 || &inflight.path[0] != &old[0] {
@@ -279,7 +280,7 @@ func TestRouteMemoAnyLookupOrder(t *testing.T) {
 	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 9, HostsPerRouter: 3, Seed: 3})
 	n, rng := g.Net, sim.NewRand(11)
 	src := g.Hosts[4]
-	first := map[NodeID][]hop{}
+	first := map[NodeID][]int32{}
 	for i := 0; i < 400; i++ {
 		dst := g.Hosts[rng.Intn(len(g.Hosts))]
 		got := n.route(src, dst)
@@ -308,11 +309,31 @@ func TestRouteMemoAnyLookupOrder(t *testing.T) {
 // must leave no routing state behind and invalidation must cost nothing.
 func TestBuildingTopologyHoldsNoRoutingState(t *testing.T) {
 	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 64, HostsPerRouter: 4})
-	if g.Net.relay != nil || g.Net.trees != nil || len(g.Net.paths) != 0 {
+	if g.Net.tail != nil || g.Net.trees != nil || len(g.Net.paths) != 0 {
 		t.Fatal("generating a grid left routing state behind")
 	}
 	if got := testing.AllocsPerRun(10, g.Net.dropRoutes); got != 0 {
 		t.Fatalf("dropRoutes with nothing to drop allocates %v, want 0", got)
+	}
+}
+
+// TestRouteTreeBytes holds a BFS tree to its four bytes a relay. Building
+// every router's tree on fleet-scale's grid, the relay index and BFS scratch
+// included, may allocate at most 4 bytes per relay plus 64 per tree.
+func TestRouteTreeBytes(t *testing.T) {
+	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, r := range g.Routers {
+		g.Net.PathHops(r, g.Routers[(i+1)%len(g.Routers)])
+	}
+	runtime.ReadMemStats(&after)
+	relays, trees := uint64(len(g.Routers)), g.Net.RouteStats().TreesBuilt
+	if trees != relays {
+		t.Fatalf("built %d trees for %d routers", trees, relays)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / trees; per > 4*relays+64 {
+		t.Fatalf("%d B allocated per tree over %d relays, want at most %d", per, relays, 4*relays+64)
 	}
 }
 

@@ -54,12 +54,6 @@ type Link struct {
 	bg        [2]float64
 }
 
-// hop is one directed traversal of a link.
-type hop struct {
-	link LinkID
-	dir  Dir
-}
-
 // Network is the simulated network. All methods must be called from kernel
 // context (the simulation is single-threaded).
 type Network struct {
@@ -69,14 +63,17 @@ type Network struct {
 	byName map[string]NodeID
 	adj    [][]hopTo // indexed by NodeID, neighbours in Connect order
 
-	// Routing state (see ends), dropped on any topology change. relay maps a
-	// node to its dense index among the relay nodes (degree ≥ 2), -1 for the
-	// rest; trees[i] is the BFS parent tree rooted at relay i, nil until a
-	// lookup needs it; paths memoises the hop slices route materialises for
-	// the pairs that carry traffic, per source node and sorted by destination;
-	// queue is BFS scratch, as long as a tree.
-	relay  []int32
-	trees  [][]crumb
+	// Routing state (see ends), dropped on any topology change. A hop is its
+	// resource index 2·link + dir. tail maps a hop to the index of the relay
+	// node (degree ≥ 2) it leaves, -1 for other nodes. Row i of trees is the
+	// BFS tree rooted at relay i: each entry the hop into that relay, -1 where
+	// the root does not reach and at the root, whose 0 marks an unbuilt row.
+	// paths memoises the hop slices route materialises for the pairs that
+	// carry traffic, per source node and sorted by destination; queue is BFS
+	// scratch, as long as a tree.
+	tail   []int32
+	trees  []int32
+	relays int32
 	paths  [][]routeTo
 	queue  []NodeID
 	rstats RouteStats
@@ -157,53 +154,55 @@ func (n *Network) RouteStats() RouteStats { return n.rstats }
 
 type hopTo struct {
 	to NodeID
-	h  hop
+	ri int32
 }
 
 // routeTo is one memoised route out of a source node.
 type routeTo struct {
 	dst  NodeID
-	hops []hop
+	hops []int32
 }
-
-// crumb is one relay's entry in a BFS tree: the relay index of its parent
-// and the directed link (as a resIndex) from the parent to it. via is -1 at
-// the root and at relays the root does not reach.
-type crumb struct{ prev, via int32 }
 
 // walk iterates the hops of one route in dst→src order: the spliced link of
-// a degree-1 destination, the crumbs from tree[at] back to the root, the
+// a degree-1 destination, the tree's hops from relay at back to the root, the
 // spliced link of a degree-1 source (see ends).
 type walk struct {
-	tree            []crumb
-	at, first, last int32 // first/last: resIndex, -1 when absent or consumed
+	tree, tail      []int32
+	at, first, last int32 // first/last: hops, -1 when absent or consumed
 }
 
-// next returns the next hop as a resIndex, or -1 when the walk is done.
+// next returns the next hop, or -1 when the walk is done.
 func (w *walk) next() int32 {
 	if ri := w.last; ri >= 0 {
 		w.last = -1
 		return ri
 	}
-	if c := w.tree[w.at]; c.via >= 0 {
-		w.at = c.prev
-		return c.via
+	if ri := w.tree[w.at]; ri >= 0 {
+		w.at = w.tail[ri]
+		return ri
 	}
 	ri := w.first
 	w.first = -1
 	return ri
 }
 
-// hops consumes a copy of the walk and returns its length.
-func (w walk) hops() (n int) {
-	for w.next() >= 0 {
+// hops returns the walk's length, leaving it unconsumed.
+func (w walk) hops() int {
+	n := 0
+	if w.first >= 0 {
+		n++
+	}
+	if w.last >= 0 {
+		n++
+	}
+	for ri := w.tree[w.at]; ri >= 0; ri = w.tree[w.tail[ri]] {
 		n++
 	}
 	return n
 }
 
 // rootOnly is the tree walked when a path has no relay-to-relay segment.
-var rootOnly = []crumb{{via: -1}}
+var rootOnly = []int32{-1}
 
 // New creates an empty network bound to the kernel.
 func New(k *sim.Kernel) *Network {
@@ -260,8 +259,8 @@ func (n *Network) Connect(a, b NodeID, capacity, propDelay float64) LinkID {
 	id := LinkID(len(n.links))
 	n.links = append(n.links, &Link{ID: id, A: a, B: b, Capacity: capacity, PropDelay: propDelay})
 	n.res = append(n.res, resource{}, resource{})
-	n.adj[a] = append(n.adj[a], hopTo{to: b, h: hop{link: id, dir: Fwd}})
-	n.adj[b] = append(n.adj[b], hopTo{to: a, h: hop{link: id, dir: Rev}})
+	n.adj[a] = append(n.adj[a], hopTo{to: b, ri: int32(id)*2 + int32(Fwd)})
+	n.adj[b] = append(n.adj[b], hopTo{to: a, ri: int32(id)*2 + int32(Rev)})
 	n.dropRoutes()
 	return id
 }
@@ -270,7 +269,7 @@ func (n *Network) Connect(a, b NodeID, capacity, propDelay float64) LinkID {
 // a topology touches nothing: there is only something to drop once a lookup
 // has run.
 func (n *Network) dropRoutes() {
-	n.relay, n.trees, n.paths = nil, nil, nil
+	n.tail, n.trees, n.relays, n.paths = nil, nil, 0, nil
 }
 
 // Link returns the link by id.
@@ -288,22 +287,23 @@ func (n *Network) ends(src, dst NodeID) walk {
 	w := walk{tree: rootOnly, first: -1, last: -1}
 	a, b := src, dst
 	if adj := n.adj[a]; len(adj) == 1 {
-		w.first, a = resIndex(adj[0].h), adj[0].to
+		w.first, a = adj[0].ri, adj[0].to
 	}
 	if adj := n.adj[b]; len(adj) == 1 && a != dst {
-		w.last, b = resIndex(adj[0].h)^1, adj[0].to
+		w.last, b = adj[0].ri^1, adj[0].to
 	}
 	if a == b {
 		return w
 	}
-	if n.relay == nil {
+	if n.tail == nil {
 		n.indexRelays()
 	}
-	if ra, rb := n.relay[a], n.relay[b]; ra >= 0 && rb >= 0 {
-		if w.tree = n.trees[ra]; w.tree == nil {
-			w.tree = n.buildTree(a)
+	if ra, rb := n.relayOf(a, w.first^1), n.relayOf(b, w.last); ra >= 0 && rb >= 0 {
+		w.tree, w.tail, w.at = n.trees[int(ra)*int(n.relays):][:n.relays], n.tail, rb
+		if w.tree[ra] == 0 {
+			n.buildTree(a, ra, w.tree)
 		}
-		if w.at = rb; w.tree[rb].via >= 0 {
+		if w.tree[rb] >= 0 {
 			return w
 		}
 	}
@@ -316,45 +316,54 @@ func (n *Network) ends(src, dst NodeID) walk {
 	panic(fmt.Sprintf("netsim: no route %s -> %s", n.nodes[src].Name, n.nodes[dst].Name))
 }
 
-// indexRelays numbers the relay nodes and sizes the (empty) tree table.
+// indexRelays numbers the relays into tail and allocates all tree rows in one
+// block: a row apiece would round up to its size class, 12 % over at 513.
 func (n *Network) indexRelays() {
-	n.relay = make([]int32, len(n.nodes))
-	relays := int32(0)
-	for i, adj := range n.adj {
-		n.relay[i] = -1
+	n.tail = make([]int32, 2*len(n.links))
+	for _, adj := range n.adj {
+		r := int32(-1)
 		if len(adj) >= 2 {
-			n.relay[i] = relays
-			relays++
+			r, n.relays = n.relays, n.relays+1
+		}
+		for _, ht := range adj {
+			n.tail[ht.ri] = r
 		}
 	}
-	n.trees = make([][]crumb, relays)
+	n.trees = make([]int32, int(n.relays)*int(n.relays))
+	n.queue = make([]NodeID, 0, n.relays)
 }
 
-// buildTree runs the BFS from a relay node over the relay nodes and stores
-// its parent tree.
-func (n *Network) buildTree(root NodeID) []crumb {
-	tree := make([]crumb, len(n.trees))
-	for i := range tree {
-		tree[i].via = -1
+// relayOf returns v's relay index, -1 for a node of degree < 2. out is a hop
+// leaving v, which a spliced endpoint has at hand, or negative.
+func (n *Network) relayOf(v NodeID, out int32) int32 {
+	if out >= 0 {
+		return n.tail[out]
 	}
-	ri := n.relay[root]
+	if adj := n.adj[v]; len(adj) >= 2 {
+		return n.tail[adj[0].ri]
+	}
+	return -1
+}
+
+// buildTree fills tree, relay ri's row, with the BFS from its node root over
+// the relay nodes.
+func (n *Network) buildTree(root NodeID, ri int32, tree []int32) {
+	for i := range tree {
+		tree[i] = -1
+	}
 	queue := append(n.queue[:0], root)
 	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for _, ht := range n.adj[cur] {
-			ti := n.relay[ht.to]
-			if ti < 0 || ti == ri || tree[ti].via >= 0 {
+		for _, ht := range n.adj[queue[head]] {
+			ti := n.tail[ht.ri^1]
+			if ti < 0 || ti == ri || tree[ti] >= 0 {
 				continue
 			}
-			tree[ti] = crumb{prev: n.relay[cur], via: resIndex(ht.h)}
+			tree[ti] = ht.ri
 			queue = append(queue, ht.to)
 		}
 	}
 	n.rstats.TreesBuilt++
 	n.rstats.RelayVisits += uint64(len(queue))
-	n.queue = queue[:0]
-	n.trees[ri] = tree
-	return tree
 }
 
 // route returns the hop sequence src→dst as a slice, memoised per pair. It
@@ -364,7 +373,7 @@ func (n *Network) buildTree(root NodeID) []crumb {
 // about. A warm lookup is an index by source and a binary search over the
 // destinations that source has sent to — a few for a host, the fleet's
 // tenants for a shared collector — and hashes nothing.
-func (n *Network) route(src, dst NodeID) []hop {
+func (n *Network) route(src, dst NodeID) []int32 {
 	if src == dst {
 		return nil
 	}
@@ -384,9 +393,9 @@ func (n *Network) route(src, dst NodeID) []hop {
 		return from[lo].hops
 	}
 	w := n.ends(src, dst)
-	path := make([]hop, w.hops())
+	path := make([]int32, w.hops())
 	for i := len(path) - 1; i >= 0; i-- {
-		path[i] = unresIndex(w.next())
+		path[i] = w.next()
 	}
 	n.rstats.PathsMaterialised++
 	n.paths[src] = slices.Insert(from, lo, routeTo{dst, path})
@@ -483,11 +492,11 @@ func (n *Network) EndBandwidth(src, dst NodeID) float64 {
 	}
 	bw := math.Inf(1)
 	if src >= 0 && len(n.adj[src]) == 1 {
-		ri := resIndex(n.adj[src][0].h)
+		ri := n.adj[src][0].ri
 		bw = n.links[ri>>1].availCap(Dir(ri & 1))
 	}
 	if len(n.adj[dst]) == 1 {
-		ri := resIndex(n.adj[dst][0].h) ^ 1
+		ri := n.adj[dst][0].ri ^ 1
 		bw = min(bw, n.links[ri>>1].availCap(Dir(ri&1)))
 	}
 	return max(bw, n.MinFlowRate)

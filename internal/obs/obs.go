@@ -176,6 +176,8 @@ type Tracer struct {
 // kernel's Now).
 func New(clock func() float64) *Tracer {
 	if clock == nil {
+		// Invariant: both callers, fleet.New (when tracing) and the
+		// benchmark's traced paper run, pass their kernel's K.Now.
 		panic("obs: New requires a clock")
 	}
 	return &Tracer{clock: clock, phases: map[string]*PhaseSet{}}
