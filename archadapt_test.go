@@ -1,6 +1,7 @@
 package archadapt
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -48,6 +49,27 @@ func TestFacadeDeployErrors(t *testing.T) {
 		QueueHost:   h, ManagerHost: h,
 	}, 1); err == nil {
 		t.Fatal("missing client host should fail")
+	}
+	// A non-finite or negative number in the placement is an error, not a
+	// kernel panic at the first event or a run that never returns.
+	for name, set := range map[string]func(*Placement){
+		"NaN ClientRate":          func(pl *Placement) { pl.ClientRate = math.NaN() },
+		"+Inf ClientRate":         func(pl *Placement) { pl.ClientRate = math.Inf(1) },
+		"negative ClientRate":     func(pl *Placement) { pl.ClientRate = -1 },
+		"NaN ServiceBase":         func(pl *Placement) { pl.ServiceBase = math.NaN() },
+		"-Inf ServicePerBit":      func(pl *Placement) { pl.ServicePerBit = math.Inf(-1) },
+		"NaN ClientRespBits":      func(pl *Placement) { pl.ClientRespBits = math.NaN() },
+		"negative ClientRespBits": func(pl *Placement) { pl.ClientRespBits = -8192 },
+	} {
+		pl := Placement{
+			ServerHosts: map[string]NodeID{"S1": h},
+			ClientHosts: map[string]NodeID{"C1": h},
+			QueueHost:   h, ManagerHost: h,
+		}
+		set(&pl)
+		if _, err := Deploy(k, net, spec, pl, 1); err == nil || !strings.HasPrefix(err.Error(), "operators: ") {
+			t.Errorf("%s: err %v, want an operators: error", name, err)
+		}
 	}
 }
 

@@ -117,6 +117,9 @@ func Parse(src string) (*Description, error) {
 func MustParse(src string) *Description {
 	d, err := Parse(src)
 	if err != nil {
+		// Invariant: only tests call MustParse, on literal ADL fixtures (it
+		// is allowlisted as a test helper in the root reach_test.go); input
+		// goes through Parse.
 		panic(err)
 	}
 	return d

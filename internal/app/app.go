@@ -192,8 +192,8 @@ func New(k *sim.Kernel, net *netsim.Network, queueHost netsim.NodeID) *System {
 func (s *System) AddClient(name string, host netsim.NodeID, group string, rate float64, rng *sim.Rand) *Client {
 	if _, dup := s.clients[name]; dup {
 		// Invariant: every caller's names are unique before they get here:
-		// Deploy's spec has passed operators.Build, the fleet's come from
-		// fleet.AppSpec.Spec, and the experiment testbed's are constants.
+		// outside this package the only caller is operators.Deploy, which
+		// builds the spec's model first, and Build rejects a repeated name.
 		panic("app: duplicate client " + name)
 	}
 	c := &Client{

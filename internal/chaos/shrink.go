@@ -75,7 +75,7 @@ func Shrink(opts fleet.ScenarioOptions, fails func(fleet.ScenarioOptions) bool, 
 	}
 	if cur.AdmitWaves > 0 || cur.AdmitStagger > 0 || cur.RetireAfter > 0 {
 		cand := cur
-		cand.AdmitWaves, cand.WavePeriod, cand.AdmitStagger, cand.RetireAfter = 0, 0, 0, 0
+		cand.AdmitWaves, cand.AdmitStagger, cand.RetireAfter = 0, 0, 0
 		if try(cand) {
 			cur = cand
 		}

@@ -33,6 +33,9 @@ func ParsePrefix(toks []Token, i int) (Expr, int, error) {
 func MustParse(src string) Expr {
 	e, err := Parse(src)
 	if err != nil {
+		// Invariant: only tests call MustParse, on literal sources (it is
+		// allowlisted as a test helper in the root reach_test.go); input
+		// goes through Parse.
 		panic(err)
 	}
 	return e

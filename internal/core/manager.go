@@ -254,16 +254,11 @@ func (m *Manager) Deploy() {
 
 	// Gauges.
 	for _, name := range m.App.Clients() {
-		cli := m.App.Client(name)
-		lg := gauges.NewLatencyGauge(m.K, m.ProbeBus, m.ReportBus, cli.Host, name,
-			latencyWindow, gaugePeriod)
-		_ = m.GaugeMgr.Create(lg, nil)
-		m.createBandwidthGauge(name)
+		_ = m.GaugeMgr.Create(m.newGauge("latency:", name), nil)
+		_ = m.GaugeMgr.Create(m.newGauge("bandwidth:", name), nil)
 	}
 	for _, g := range m.App.Groups() {
-		lg := gauges.NewLoadGauge(m.K, m.ProbeBus, m.ReportBus, m.App.QueueHost, g, gaugePeriod)
-		lg.Smooth = m.Cfg.LoadSmoothing
-		_ = m.GaugeMgr.Create(lg, nil)
+		_ = m.GaugeMgr.Create(m.newGauge("load:", g), nil)
 	}
 
 	// Gauge consumer: reports update the model.
@@ -324,12 +319,24 @@ func (m *Manager) Reattach(host netsim.NodeID, plane Plane) {
 	m.Deploy()
 }
 
-func (m *Manager) createBandwidthGauge(client string) {
-	cli := m.App.Client(client)
-	bg := gauges.NewBandwidthGauge(m.K, m.ReportBus, m.Rm, cli.Host, client, cli.Host,
+// newGauge builds the gauge named kind+target: kind "latency:" or
+// "bandwidth:" on a client, "load:" on a group. Deploy and churnGauges both
+// build through it; a client's host and group are read when its gauge is
+// built.
+func (m *Manager) newGauge(kind, target string) gauges.Gauge {
+	if kind == "load:" {
+		lg := gauges.NewLoadGauge(m.K, m.ProbeBus, m.ReportBus, m.App.QueueHost, target, gaugePeriod)
+		lg.Smooth = m.Cfg.LoadSmoothing
+		return lg
+	}
+	cli := m.App.Client(target)
+	if kind == "latency:" {
+		return gauges.NewLatencyGauge(m.K, m.ProbeBus, m.ReportBus, cli.Host, target,
+			latencyWindow, gaugePeriod)
+	}
+	return gauges.NewBandwidthGauge(m.K, m.ReportBus, m.Rm, cli.Host, target, cli.Host,
 		func() (netsim.NodeID, bool) { return m.groupServerHost(cli.Group) },
 		gaugePeriod)
-	_ = m.GaugeMgr.Create(bg, nil)
 }
 
 // consumeReport applies one gauge report to the model (Figure 4's
@@ -439,43 +446,27 @@ func severity(v constraint.Violation) float64 {
 // repairs average 30 seconds. done fires when all affected gauges are live
 // again.
 func (m *Manager) churnGauges(ops []repair.Op, done func()) {
-	type churnItem struct {
-		old string
-		mk  func() gauges.Gauge
-	}
+	type churnItem struct{ old, kind, target string }
 	var items []churnItem
 	seen := map[string]bool{}
-	add := func(old string, mk func() gauges.Gauge) {
+	add := func(kind, target string) {
+		old := kind + target
 		if seen[old] {
 			return
 		}
 		seen[old] = true
-		items = append(items, churnItem{old: old, mk: mk})
+		items = append(items, churnItem{old, kind, target})
 	}
 	for _, op := range ops {
 		switch op.Kind {
 		case repair.OpMoveClient:
-			client := op.Client
-			cli := m.App.Client(client)
-			if cli == nil {
+			if m.App.Client(op.Client) == nil {
 				continue
 			}
-			add("latency:"+client, func() gauges.Gauge {
-				return gauges.NewLatencyGauge(m.K, m.ProbeBus, m.ReportBus, cli.Host, client,
-					latencyWindow, gaugePeriod)
-			})
-			add("bandwidth:"+client, func() gauges.Gauge {
-				return gauges.NewBandwidthGauge(m.K, m.ReportBus, m.Rm, cli.Host, client, cli.Host,
-					func() (netsim.NodeID, bool) { return m.groupServerHost(cli.Group) },
-					gaugePeriod)
-			})
+			add("latency:", op.Client)
+			add("bandwidth:", op.Client)
 		case repair.OpAddServer, repair.OpRemoveServer:
-			group := op.Group
-			add("load:"+group, func() gauges.Gauge {
-				lg := gauges.NewLoadGauge(m.K, m.ProbeBus, m.ReportBus, m.App.QueueHost, group, gaugePeriod)
-				lg.Smooth = m.Cfg.LoadSmoothing
-				return lg
-			})
+			add("load:", op.Group)
 		}
 	}
 	if len(items) == 0 {
@@ -489,7 +480,7 @@ func (m *Manager) churnGauges(ops []repair.Op, done func()) {
 			return
 		}
 		it := items[i]
-		if err := m.GaugeMgr.Recreate(it.old, it.mk(), func() { step(i + 1) }); err != nil {
+		if err := m.GaugeMgr.Recreate(it.old, m.newGauge(it.kind, it.target), func() { step(i + 1) }); err != nil {
 			// Gauge missing (already churned): skip.
 			step(i + 1)
 		}

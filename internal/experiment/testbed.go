@@ -20,14 +20,6 @@ const (
 	SG2 = "ServerGrp2"
 )
 
-// Service-time model: base CPU cost plus per-bit disk/CPU cost, tuned so a
-// 20 KB stress reply costs ≈0.45 s (three servers ≈ 6.7 req/s — overwhelmed
-// by the 12 req/s stress phase, comfortable at the 6 req/s baseline).
-const (
-	ServiceBase   = 0.05
-	ServicePerBit = 0.4 / (20 * 8192)
-)
-
 // Testbed is the experimental installation: network, application, model,
 // and (for adaptive runs) the architecture manager.
 type Testbed struct {
@@ -49,7 +41,9 @@ type Testbed struct {
 //
 // Routers form the chain R1–R2–R3–R4–R5 plus the R2–R4 cross link, so the
 // contested C3,C4↔SG1 and C3,C4↔SG2 paths (Figure 7) are isolated from the
-// other clients' paths. All links run at 10 Mbps.
+// other clients' paths. All links run at 10 Mbps. The clients' request and
+// reply sizes are the Figure 7 workload's (workload.Paper sets them at t=0,
+// before the first request).
 func NewTestbed(seed uint64) *Testbed {
 	k := sim.NewKernel()
 	net := netsim.New(k)
@@ -86,35 +80,10 @@ func NewTestbed(seed uint64) *Testbed {
 	net.Connect(r2, r4, workload.LinkCapacity, 1e-3) // cross link
 	tb.Links = workload.Links{SG1Path: sg1Path, SG2Path: sg2Path}
 
-	// Application: queues on the S5 machine, servers, clients.
-	a := app.New(k, net, mS5RQ)
-	must(a.CreateQueue(SG1))
-	must(a.CreateQueue(SG2))
-	serverHosts := map[string]netsim.NodeID{
-		"S1": mS1, "S2": mS2, "S3": mS3, "S4": mS4,
-		"S5": mS5RQ, "S6": mS6, "S7": mS7,
-	}
-	groupOf := map[string]string{
-		"S1": SG1, "S2": SG1, "S3": SG1, "S4": SG1,
-		"S5": SG2, "S6": SG2, "S7": SG2,
-	}
-	for _, s := range []string{"S1", "S2", "S3", "S4", "S5", "S6", "S7"} {
-		a.AddServer(s, serverHosts[s], groupOf[s], ServiceBase, ServicePerBit)
-	}
-	for _, s := range []string{"S1", "S2", "S3", "S5", "S6"} {
-		must(a.Activate(s)) // S4 and S7 are the spares
-	}
-	clientHosts := map[string]netsim.NodeID{
-		"C1": mC12, "C2": mC12, "C3": mC3, "C4": mC4, "C5": mC56, "C6": mC56,
-	}
-	rng := sim.NewRand(seed)
-	for _, c := range []string{"C1", "C2", "C3", "C4", "C5", "C6"} {
-		a.AddClient(c, clientHosts[c], SG1, workload.BaselineRate, rng.Fork("client:"+c))
-	}
-	tb.App = a
-
-	// Architecture model mirroring the deployment.
-	mdl, err := operators.Build(operators.Spec{
+	// The application and its architectural model, deployed from one spec:
+	// request queues on the S5 machine, Remos and the repair infrastructure
+	// on S4's.
+	a, mdl, err := operators.Deploy(k, net, operators.Spec{
 		Name: "storage",
 		Groups: []operators.GroupSpec{
 			{Name: SG1, Servers: []string{"S1", "S2", "S3", "S4"}, ActiveCount: 3},
@@ -128,11 +97,25 @@ func NewTestbed(seed uint64) *Testbed {
 		MaxLatency:    2.0,
 		MaxServerLoad: 6.0,
 		MinBandwidth:  10e3,
-	})
-	must(err)
-	tb.Model = mdl
-
-	// Remos and the repair infrastructure live on S4's machine.
+	}, operators.Placement{
+		ServerHosts: map[string]netsim.NodeID{
+			"S1": mS1, "S2": mS2, "S3": mS3, "S4": mS4,
+			"S5": mS5RQ, "S6": mS6, "S7": mS7,
+		},
+		ClientHosts: map[string]netsim.NodeID{
+			"C1": mC12, "C2": mC12, "C3": mC3, "C4": mC4, "C5": mC56, "C6": mC56,
+		},
+		QueueHost:   mS5RQ,
+		ManagerHost: mS4,
+		ClientRate:  workload.BaselineRate,
+	}, sim.NewRand(seed), "")
+	if err != nil {
+		// Invariant: the spec and placement above are constants that name
+		// a host for every process, and the golden tests build them on
+		// every run.
+		panic(err)
+	}
+	tb.App, tb.Model = a, mdl
 	tb.Rm = remos.New(k, net, mS4)
 	return tb
 }
@@ -142,10 +125,4 @@ func NewTestbed(seed uint64) *Testbed {
 func (tb *Testbed) Manage(cfg core.Config) *core.Manager {
 	tb.Mgr = core.New(cfg, tb.K, tb.Net, tb.App, tb.Model, tb.Hosts["mS4"], tb.Rm)
 	return tb.Mgr
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

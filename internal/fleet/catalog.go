@@ -49,7 +49,7 @@ func Catalog() []CatalogEntry {
 			Expect:   "all waves admit onto the same (small) grid; retired apps free slots, shards and gauge leases for their successors",
 			Opts: ScenarioOptions{
 				Apps: 12, Seed: 5, Duration: 900, Adaptive: true,
-				AdmitWaves: 3, WavePeriod: 300, RetireAfter: 280,
+				AdmitWaves: 3, RetireAfter: 280,
 				Routers: 12, HostsPerRouter: 4,
 				CrushStart: 60, CrushStagger: 20, CrushDuration: 120,
 			},

@@ -125,7 +125,6 @@ func TestScenarioOptionsValidate(t *testing.T) {
 		{"Duration", ScenarioOptions{Duration: nan}},
 		{"Duration", ScenarioOptions{Duration: inf}},
 		{"AdmitStagger", ScenarioOptions{AdmitStagger: nan}},
-		{"WavePeriod", ScenarioOptions{AdmitWaves: 2, WavePeriod: nan}},
 		{"RetireAfter", ScenarioOptions{RetireAfter: inf}},
 		{"CrushStart", ScenarioOptions{CrushStart: nan}},
 		{"CrushStagger", ScenarioOptions{CrushStagger: nan}},

@@ -525,53 +525,27 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 		return nil, err
 	}
 
-	// Application processes on the shared network.
-	sys := app.New(f.K, f.Net, assign.QueueHost)
-	for _, g := range opspec.Groups {
-		if err := sys.CreateQueue(g.Name); err != nil {
-			return fail(err)
-		}
-		for i, srv := range g.Servers {
-			sys.AddServer(srv, assign.ServerHosts[srv], g.Name, olServiceBase, olServicePerBit)
-			if i < g.ActiveCount {
-				if err := sys.Activate(srv); err != nil {
-					return fail(err)
-				}
-			}
-		}
-	}
-	for _, c := range opspec.Clients {
-		cli := sys.AddClient(c.Name, assign.ClientHosts[c.Name], c.Group, spec.ClientRate,
-			f.rng.Fork("app:"+spec.Name+":client:"+c.Name))
-		r := f.rng.Fork("app:" + spec.Name + ":resp:" + c.Name)
-		median := spec.RespBits
-		cli.RespBits = func() float64 { return r.LogNormalAround(median, 0.35) }
-	}
-	a.Sys = sys
-
-	// Private architectural model and manager over the shared kernel/Remos.
-	mdl, err := operators.Build(opspec)
+	// Application processes on the shared network, with their private
+	// architectural model; the manager runs over the shared kernel/Remos.
+	sys, mdl, err := operators.Deploy(f.K, f.Net, opspec, operators.Placement{
+		ServerHosts: assign.ServerHosts, ClientHosts: assign.ClientHosts,
+		QueueHost: assign.QueueHost, ManagerHost: assign.ManagerHost,
+		ClientRate: spec.ClientRate, ClientRespBits: spec.RespBits,
+	}, f.rng, "app:"+spec.Name+":")
 	if err != nil {
 		return fail(err)
 	}
-	a.Model = mdl
+	a.Sys, a.Model = sys, mdl
 	cfg := f.Cfg.Manager
 	cfg.DisableRepairs = !f.Cfg.Adaptive
 	if f.Cfg.perAppMonitoring {
 		a.Mgr = core.New(cfg, f.K, f.Net, sys, mdl, assign.ManagerHost, f.Rm)
 	} else {
-		// Lease the app a slice of the fleet-shared monitoring plane.
-		lease, err := f.Gauges.Lease(spec.Name, assign.ManagerHost)
+		plane, err := f.lease(a)
 		if err != nil {
 			return fail(err)
 		}
-		a.probe = f.ProbeBus.Acquire()
-		a.report = f.ReportBus.Acquire()
-		// The shard label names this tenant in every span the bus stamps.
-		a.probe.Label = spec.Name
-		a.report.Label = spec.Name
-		a.Mgr = core.NewAttached(cfg, f.K, f.Net, sys, mdl, assign.ManagerHost, f.Rm,
-			core.Plane{Probe: a.probe, Report: a.report, Gauges: lease})
+		a.Mgr = core.NewAttached(cfg, f.K, f.Net, sys, mdl, assign.ManagerHost, f.Rm, plane)
 	}
 
 	// Ground-truth latency sampling (window average, or the age of the
@@ -626,10 +600,7 @@ func (f *Fleet) Retire(name string) error {
 		// subscription removed, gauges torn down — then the app's shards go
 		// back to the bus pools for the next admission. The fleet's health
 		// subscription (migration controller) dies with the report shard.
-		a.Mgr.Shutdown()
-		a.probe.Release()
-		a.report.Release()
-		a.probe, a.report = nil, nil
+		f.unlease(a)
 		a.health = nil
 	}
 	a.Sys.StopClients()
@@ -641,6 +612,30 @@ func (f *Fleet) Retire(name string) error {
 	f.Sch.Release(a.Assign)
 	a.RetiredAt = f.K.Now()
 	return nil
+}
+
+// lease leases a its slice of the fleet-shared monitoring plane at its
+// manager host: a gauge lease, then a probe and a report shard, both
+// labelled with the application's name (the label names this tenant in every
+// span the bus stamps).
+func (f *Fleet) lease(a *App) (core.Plane, error) {
+	gl, err := f.Gauges.Lease(a.Name, a.Assign.ManagerHost)
+	if err != nil {
+		return core.Plane{}, err
+	}
+	a.probe, a.report = f.ProbeBus.Acquire(), f.ReportBus.Acquire()
+	a.probe.Label, a.report.Label = a.Name, a.Name
+	return core.Plane{Probe: a.probe, Report: a.report, Gauges: gl}, nil
+}
+
+// unlease fully detaches a's manager from the shared plane (probes
+// silenced, report subscription removed, gauge lease closed) and returns
+// its shards to the bus pools.
+func (f *Fleet) unlease(a *App) {
+	a.Mgr.Shutdown()
+	a.probe.Release()
+	a.report.Release()
+	a.probe, a.report = nil, nil
 }
 
 // Stop halts every live application and the fleet sampler (end of run).

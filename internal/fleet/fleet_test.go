@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"archadapt/internal/netsim"
@@ -95,6 +97,40 @@ func TestFleetAdmissionRetirement(t *testing.T) {
 	}
 	if epsilon := sums[3]; epsilon.AdmittedAt != 200 {
 		t.Fatalf("epsilon.AdmittedAt = %v, want 200", epsilon.AdmittedAt)
+	}
+}
+
+// TestAdmitRejectsNonFiniteTraffic: a NaN or infinite client rate or reply
+// size is an error from Admit, not a kernel panic or a run that never ends,
+// and the placement it had taken goes back to the scheduler.
+func TestAdmitRejectsNonFiniteTraffic(t *testing.T) {
+	k := sim.NewKernel()
+	grid := netsim.GenerateGrid(k, netsim.GridSpec{Routers: 4, HostsPerRouter: 3, Seed: 3})
+	f, err := New(k, grid, 3, Config{HostCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []AppSpec{
+		{Name: "nan-rate", ClientRate: math.NaN()},
+		{Name: "inf-rate", ClientRate: math.Inf(1)},
+		{Name: "nan-resp", RespBits: math.NaN()},
+	} {
+		if _, err := f.Admit(spec); err == nil || !strings.HasPrefix(err.Error(), "operators: ") {
+			t.Errorf("%s: err %v, want an operators: error", spec.Name, err)
+		}
+		if err := f.AuditSlots(); err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+	}
+	if len(f.Apps()) != 0 {
+		t.Fatalf("apps = %v, want none", f.Apps())
+	}
+	if _, err := f.Admit(AppSpec{Name: "ok"}); err != nil {
+		t.Fatalf("a valid spec after the rejections: %v", err)
+	}
+	k.Run(100)
+	if got := f.App("ok").Sys.Client("C1").Responses(); got == 0 {
+		t.Fatal("the valid application served no responses")
 	}
 }
 

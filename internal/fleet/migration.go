@@ -30,7 +30,6 @@ import (
 	"sort"
 
 	"archadapt/internal/bus"
-	"archadapt/internal/core"
 	"archadapt/internal/gauges"
 	"archadapt/internal/netsim"
 	"archadapt/internal/obs"
@@ -523,9 +522,7 @@ func (f *Fleet) cutover(a *App, drained bool) {
 	// removed, gauge lease closed (teardown handshakes drain in the
 	// background from the old manager host), shards recycled. The fleet's
 	// own health subscription dies with the report shard.
-	a.Mgr.Shutdown()
-	a.probe.Release()
-	a.report.Release()
+	f.unlease(a)
 	if a.health != nil {
 		a.health.sub = nil
 	}
@@ -544,18 +541,14 @@ func (f *Fleet) cutover(a *App, drained bool) {
 
 	// Re-attach at the new anchor. The lease name freed synchronously in
 	// Shutdown, so re-leasing under the same application name cannot fail.
-	lease, err := f.Gauges.Lease(a.Name, a.Assign.ManagerHost)
+	plane, err := f.lease(a)
 	if err != nil {
 		// Invariant: Lease fails only on a name already leased, and
 		// Shutdown closed this application's lease above, which frees the
 		// name before it returns.
 		panic("fleet: re-lease after shutdown: " + err.Error())
 	}
-	a.probe = f.ProbeBus.Acquire()
-	a.report = f.ReportBus.Acquire()
-	a.probe.Label = a.Name
-	a.report.Label = a.Name
-	a.Mgr.Reattach(a.Assign.ManagerHost, core.Plane{Probe: a.probe, Report: a.report, Gauges: lease})
+	a.Mgr.Reattach(a.Assign.ManagerHost, plane)
 	if a.health != nil {
 		f.attachHealth(a)
 		a.health.streak = 0

@@ -40,14 +40,8 @@ import (
 	"archadapt/internal/app"
 	"archadapt/internal/arrivals"
 	"archadapt/internal/netsim"
+	"archadapt/internal/operators"
 	"archadapt/internal/queueing"
-)
-
-// Server service-time constants shared with Admit's closed-loop servers:
-// base + perBit·respBits seconds per request.
-const (
-	olServiceBase   = 0.05
-	olServicePerBit = 0.4 / (20 * 8192)
 )
 
 // verdictCeiling bounds synthetic latency verdicts (an hour) so summaries
@@ -273,7 +267,7 @@ func (ol *openApp) scaledSlots() int {
 // appServiceRate returns μ, a server's request service rate under the
 // spec's median reply size.
 func appServiceRate(spec AppSpec) float64 {
-	return 1 / (olServiceBase + olServicePerBit*spec.RespBits)
+	return 1 / (operators.ServiceBase + operators.ServicePerBit*spec.RespBits)
 }
 
 // startOpenLoop wires the engine into a freshly constructed fleet.
@@ -636,7 +630,7 @@ func (f *Fleet) openLoopScale(a *App, gi int, g string, lamG, capG, now float64)
 		}
 		ol.seq++
 		name := fmt.Sprintf("%s_auto%d", g, ol.seq)
-		a.Sys.AddServer(name, h, g, olServiceBase, olServicePerBit)
+		a.Sys.AddServer(name, h, g, operators.ServiceBase, operators.ServicePerBit)
 		if err := a.Sys.Activate(name); err != nil {
 			_ = a.Sys.RemoveServer(name)
 			f.Sch.ReleaseHost(h)

@@ -41,10 +41,9 @@ type ScenarioOptions struct {
 	// AdmitStagger spaces admissions (default 0: all admitted at t=0).
 	AdmitStagger float64
 	// AdmitWaves > 1 spreads admissions into that many diurnal waves: wave w
-	// starts at w*WavePeriod (default Duration/AdmitWaves), with
-	// AdmitStagger applied within each wave.
+	// starts at w*Duration/AdmitWaves, with AdmitStagger applied within each
+	// wave.
 	AdmitWaves int
-	WavePeriod float64
 	// RetireAfter retires each application this long after its admission
 	// (0: apps run to the end). With waves, later waves reuse the slots
 	// earlier waves freed.
@@ -138,9 +137,6 @@ func (o ScenarioOptions) withDefaults() ScenarioOptions {
 	}
 	if o.CrushDuration <= 0 {
 		o.CrushDuration = 240
-	}
-	if o.AdmitWaves > 1 && o.WavePeriod <= 0 {
-		o.WavePeriod = o.Duration / float64(o.AdmitWaves)
 	}
 	if o.BackboneCrushStart > 0 {
 		if o.BackboneCrushDuration <= 0 {
@@ -325,7 +321,7 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 		spec.Name = ScenarioAppName(i)
 		admitAt := float64(i%appsPerWave) * opts.AdmitStagger
 		if opts.AdmitWaves > 1 {
-			admitAt += float64(i/appsPerWave) * opts.WavePeriod
+			admitAt += float64(i/appsPerWave) * (opts.Duration / float64(opts.AdmitWaves))
 		}
 		admit := func() {
 			// Rejections are recorded on the fleet; the run continues with

@@ -93,6 +93,10 @@ func (p *Props) Set(name string, v any) {
 	case []string:
 		p.put(prop{name: name, kind: kindStrs, strs: x})
 	default:
+		// Invariant: every caller passes a type handled above. acme's
+		// parseProperty yields only float64, bool or string; Build,
+		// core.NewAttached and the operators' Txn.SetProp calls pass float64
+		// or bool; Txn.SetProp's undo restores a value Get returned.
 		panic(fmt.Sprintf("model: unsupported property type %T for %q", v, name))
 	}
 }

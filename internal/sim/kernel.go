@@ -197,8 +197,9 @@ func (k *Kernel) notePeak() {
 //
 // Invariants, both: every scheduling time is the clock plus a delay the
 // caller computed. fleet's validate and cmd/archadapt's flag parsing reject
-// every non-finite option float, and Ticker every non-finite period, so no
-// input yields a NaN; delays come from positive constants, Rand draws and
+// every non-finite option float, operators.Deploy every non-finite or
+// negative Placement number, and Ticker every non-finite period, so no input
+// yields a NaN; delays come from positive constants, Rand draws and
 // flow ETAs (remaining/rate with rate > 0), and After* clamp negatives, so
 // nothing lands in the past. Either panic is a bug in the caller's
 // arithmetic, and scheduling on would fire it out of order.
