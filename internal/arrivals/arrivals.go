@@ -52,14 +52,13 @@ type Burst struct {
 // Diurnal is a sinusoidal day/night envelope around a base rate, with
 // optional flash-crowd bursts layered on top:
 //
-//	rate(t) = Base · (1 + Swing·sin(2π(t/Period + Phase))) · Π active bursts
+//	rate(t) = Base · (1 + Swing·sin(2π·t/Period)) · Π active bursts
 //
 // Overlapping bursts compound. The envelope is clamped at zero.
 type Diurnal struct {
 	Base   float64
 	Swing  float64 // amplitude as a fraction of Base, in [0, 1]
 	Period float64 // seconds per cycle (a scenario "day")
-	Phase  float64 // fraction of a period
 	Bursts []Burst
 }
 
@@ -69,7 +68,7 @@ func (d Diurnal) Rate(t float64) float64 {
 	if period <= 0 {
 		period = 86400
 	}
-	r := d.Base * (1 + d.Swing*math.Sin(2*math.Pi*(t/period+d.Phase)))
+	r := d.Base * (1 + d.Swing*math.Sin(2*math.Pi*(t/period)))
 	for _, b := range d.Bursts {
 		if t >= b.At && t < b.At+b.Duration {
 			r *= b.Factor

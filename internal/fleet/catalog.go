@@ -62,7 +62,6 @@ func Catalog() []CatalogEntry {
 				Apps: 12, Seed: 7, Duration: 600, Adaptive: true,
 				CrushStart:         -1, // no per-app crushes; the backbone is the event
 				BackboneCrushStart: 180, BackboneCrushDuration: 240,
-				BackboneFraction: 0.5, BackboneLeaveBps: 50e3,
 			},
 		},
 		{
@@ -94,10 +93,12 @@ func Catalog() []CatalogEntry {
 			Opts: ScenarioOptions{
 				Apps: 10, Seed: 13, Duration: 900, Adaptive: true,
 				Routers: 35, HostsPerRouter: 4,
-				CrushStart:         -1, // the backbone + failed spare are the event
-				BackboneCrushStart: 150, BackboneCrushDuration: 600,
-				BackboneFraction: 0.3, BackboneLeaveBps: 30e3,
-				RegionFailStart: 150, RegionFailDuration: 600, RegionFailRouter: 21,
+				CrushStart: -1, // the backbone + failed spare are the event
+				// Listed crush first: the two events at t=150 fire in this order.
+				Faults: []Fault{
+					{At: 150, Kind: FaultBackboneCrush, Fraction: 0.3, LeaveBps: 30e3, Duration: 600},
+					{At: 150, Kind: FaultRegionFail, Router: 21, Duration: 600},
+				},
 				Migration: MigrationPolicy{Enabled: true, Ranked: true},
 			},
 		},

@@ -144,9 +144,11 @@ func TestScenarioOptionsValidate(t *testing.T) {
 		{"App.ClientRate", ScenarioOptions{App: AppSpec{ClientRate: inf}}},
 		{"App.RespBits", ScenarioOptions{App: AppSpec{RespBits: nan}}},
 		{"Manager.SettleTime", ScenarioOptions{Manager: core.Config{SettleTime: nan}}},
-		{"BackboneLeaveBps", ScenarioOptions{BackboneCrushStart: 50, BackboneLeaveBps: nan}},
 		{"Faults[0].Fraction", ScenarioOptions{Faults: []Fault{{Kind: FaultBackboneCrush, Fraction: nan, LeaveBps: nan}}}},
 		{"AppMix[1].ClientRate", ScenarioOptions{AppMix: []AppSpec{{}, {ClientRate: nan}}}},
+		// A negative count shrank the auto-sized grid to one router and
+		// rejected every app as "grid full".
+		{"SpareRouters", ScenarioOptions{SpareRouters: -4}},
 		// Two default apps auto-size to five routers; an explicit size wins.
 		{"RegionFailRouter = 5", ScenarioOptions{RegionFailStart: 10, RegionFailRouter: 5}},
 		{"RegionFailRouter = -1", ScenarioOptions{RegionFailStart: 10, RegionFailRouter: -1}},

@@ -106,7 +106,7 @@ func TestFailuresNeverDisconnectTheGrid(t *testing.T) {
 				if got := n.PathHops(src, dst); got != hops[p] || got == 0 {
 					t.Fatalf("grid %dx%d: %d→%d routes over %d hops under failure, %d before", routers, hosts, src, dst, got, hops[p])
 				}
-				if bw := n.AvailBandwidth(src, dst); bw < n.MinFlowRate {
+				if bw := n.AvailBandwidth(src, dst); bw < netsim.MinFlowRate {
 					t.Fatalf("grid %dx%d: %d→%d measures %v under failure", routers, hosts, src, dst, bw)
 				}
 				n.StartTransfer(src, dst, 1, "probe", nil).Cancel()

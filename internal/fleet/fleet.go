@@ -95,8 +95,8 @@ type Config struct {
 	// and gauge manager, the pre-sharding design. It is the reference for the
 	// fleet-shared monitoring plane: the two monitoring equivalence tests run
 	// one script both ways and require byte-identical summaries. Only they
-	// set it; migration and tracing read the shared plane and are not
-	// supported under it.
+	// set it, and only lease and unlease read it; migration and tracing
+	// read the shared plane and are not supported under it.
 	perAppMonitoring bool
 }
 
@@ -244,8 +244,7 @@ type App struct {
 	// Config.OpenLoop is enabled.
 	ol *openApp
 	// probe/report are the app's leased shards on the fleet monitoring
-	// plane (nil under perAppMonitoring); released back to the bus pools at
-	// retirement.
+	// plane; released back to the bus pools at retirement.
 	probe, report *bus.Shard
 	// traceDrain is the open drain span of an in-progress migration (zero
 	// when tracing is off or no drain is running); closed at cutover or when
@@ -274,8 +273,7 @@ type Fleet struct {
 	// collector); the migration controller's health subscriptions land here.
 	Host netsim.NodeID
 
-	// ProbeBus, ReportBus and Gauges are the fleet-shared monitoring plane
-	// (nil under Config.perAppMonitoring, where every app builds its own).
+	// ProbeBus, ReportBus and Gauges are the fleet-shared monitoring plane.
 	ProbeBus  *bus.Bus
 	ReportBus *bus.Bus
 	Gauges    *gauges.Manager
@@ -347,15 +345,13 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 	}
 	f.Host = rmHost
 	f.Rm = remos.New(k, grid.Net, rmHost)
-	if !cfg.perAppMonitoring {
-		f.ProbeBus = bus.New(k, grid.Net)
-		f.ProbeBus.Priority = cfg.Manager.MonitoringPriority
-		f.ReportBus = bus.New(k, grid.Net)
-		f.ReportBus.Priority = cfg.Manager.MonitoringPriority
-		f.Gauges = gauges.NewManager(k, grid.Net, rmHost)
-		f.Gauges.Caching = cfg.Manager.GaugeCaching
-		f.Gauges.Priority = cfg.Manager.MonitoringPriority
-	}
+	f.ProbeBus = bus.New(k, grid.Net)
+	f.ProbeBus.Priority = cfg.Manager.MonitoringPriority
+	f.ReportBus = bus.New(k, grid.Net)
+	f.ReportBus.Priority = cfg.Manager.MonitoringPriority
+	f.Gauges = gauges.NewManager(k, grid.Net, rmHost)
+	f.Gauges.Caching = cfg.Manager.GaugeCaching
+	f.Gauges.Priority = cfg.Manager.MonitoringPriority
 	if cfg.Trace {
 		// One tracer spans the whole plane: the buses stamp probe samples and
 		// gauge reports, each admitted manager chains model updates through
@@ -538,15 +534,11 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 	a.Sys, a.Model = sys, mdl
 	cfg := f.Cfg.Manager
 	cfg.DisableRepairs = !f.Cfg.Adaptive
-	if f.Cfg.perAppMonitoring {
-		a.Mgr = core.New(cfg, f.K, f.Net, sys, mdl, assign.ManagerHost, f.Rm)
-	} else {
-		plane, err := f.lease(a)
-		if err != nil {
-			return fail(err)
-		}
-		a.Mgr = core.NewAttached(cfg, f.K, f.Net, sys, mdl, assign.ManagerHost, f.Rm, plane)
+	plane, err := f.lease(a)
+	if err != nil {
+		return fail(err)
 	}
+	a.Mgr = core.NewAttached(cfg, f.K, f.Net, sys, mdl, assign.ManagerHost, f.Rm, plane)
 
 	// Ground-truth latency sampling (window average, or the age of the
 	// oldest outstanding request while a client is wedged).
@@ -593,16 +585,10 @@ func (f *Fleet) Retire(name string) error {
 		// stops; the clients stay paused — they are being retired.
 		f.abortDrain(a, nil, false)
 	}
-	if f.Cfg.perAppMonitoring {
-		a.Mgr.Stop()
-	} else {
-		// Full detach from the shared plane: probes silenced, report
-		// subscription removed, gauges torn down — then the app's shards go
-		// back to the bus pools for the next admission. The fleet's health
-		// subscription (migration controller) dies with the report shard.
-		f.unlease(a)
-		a.health = nil
-	}
+	// The fleet's health subscription (migration controller) dies with the
+	// report shard.
+	f.unlease(a)
+	a.health = nil
 	a.Sys.StopClients()
 	if a.ol != nil {
 		f.openLoopTeardown(a, false)
@@ -617,8 +603,13 @@ func (f *Fleet) Retire(name string) error {
 // lease leases a its slice of the fleet-shared monitoring plane at its
 // manager host: a gauge lease, then a probe and a report shard, both
 // labelled with the application's name (the label names this tenant in every
-// span the bus stamps).
+// span the bus stamps). Under perAppMonitoring it leases nothing, and the
+// zero plane makes core.NewAttached build the app's private buses and gauge
+// manager.
 func (f *Fleet) lease(a *App) (core.Plane, error) {
+	if f.Cfg.perAppMonitoring {
+		return core.Plane{}, nil
+	}
 	gl, err := f.Gauges.Lease(a.Name, a.Assign.ManagerHost)
 	if err != nil {
 		return core.Plane{}, err
@@ -630,8 +621,14 @@ func (f *Fleet) lease(a *App) (core.Plane, error) {
 
 // unlease fully detaches a's manager from the shared plane (probes
 // silenced, report subscription removed, gauge lease closed) and returns
-// its shards to the bus pools.
+// its shards to the bus pools for the next admission. Under
+// perAppMonitoring it only stops the manager: the reference keeps its
+// private monitoring running after retirement.
 func (f *Fleet) unlease(a *App) {
+	if f.Cfg.perAppMonitoring {
+		a.Mgr.Stop()
+		return
+	}
 	a.Mgr.Shutdown()
 	a.probe.Release()
 	a.report.Release()

@@ -580,12 +580,12 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 		tnet := 1e-5
 		if fc.Src != fc.Dst {
 			avail := f.Net.AvailBandwidth(fc.Src, fc.Dst)
-			if avail < f.Net.MinFlowRate {
-				avail = f.Net.MinFlowRate
+			if avail < netsim.MinFlowRate {
+				avail = netsim.MinFlowRate
 			}
 			rate := fc.Flow.Rate()
-			if rate < f.Net.MinFlowRate {
-				rate = f.Net.MinFlowRate
+			if rate < netsim.MinFlowRate {
+				rate = netsim.MinFlowRate
 			}
 			tnet = respBits/avail + fc.NetBacklog/rate
 		}

@@ -67,13 +67,11 @@ type ScenarioOptions struct {
 	CrushAllGroups bool
 
 	// BackboneCrushStart > 0 schedules correlated backbone contention: from
-	// that time, for BackboneCrushDuration seconds (default 240),
-	// BackboneFraction of the backbone links (default 0.5, chain first) are
-	// loaded down to BackboneLeaveBps available (default 50 Kbps).
+	// that time, for BackboneCrushDuration seconds (default 240), half the
+	// backbone links (chain first) are loaded down to 50 Kbps available. A
+	// FaultBackboneCrush in Faults states any other fraction or level.
 	BackboneCrushStart    float64
 	BackboneCrushDuration float64
-	BackboneFraction      float64
-	BackboneLeaveBps      float64
 
 	// RegionFailStart > 0 schedules a region-wide failure: every access
 	// link under router RegionFailRouter is starved from RegionFailStart
@@ -138,16 +136,8 @@ func (o ScenarioOptions) withDefaults() ScenarioOptions {
 	if o.CrushDuration <= 0 {
 		o.CrushDuration = 240
 	}
-	if o.BackboneCrushStart > 0 {
-		if o.BackboneCrushDuration <= 0 {
-			o.BackboneCrushDuration = 240
-		}
-		if o.BackboneFraction <= 0 {
-			o.BackboneFraction = 0.5
-		}
-		if o.BackboneLeaveBps <= 0 {
-			o.BackboneLeaveBps = 50e3
-		}
+	if o.BackboneCrushStart > 0 && o.BackboneCrushDuration <= 0 {
+		o.BackboneCrushDuration = 240
 	}
 	if o.RegionFailStart > 0 && o.RegionFailDuration <= 0 {
 		o.RegionFailDuration = 240
@@ -180,11 +170,15 @@ func (o ScenarioOptions) withDefaults() ScenarioOptions {
 // validate rejects options the kernel cannot schedule: a NaN or infinite
 // value in any float64 reachable from the options (a NaN horizon never ends,
 // a NaN event time panics in the kernel, an infinite request rate never lets
-// time advance), a fault scheduled before t=0, and a fault kind applyFault
-// does not know (a typo would otherwise be a silent no-op).
+// time advance), a negative SpareRouters (it would shrink the auto-sized
+// grid below what the apps need), a fault scheduled before t=0, and a fault
+// kind applyFault does not know (a typo would otherwise be a silent no-op).
 func (o ScenarioOptions) validate() error {
 	if path, v, found := nonFinite(reflect.ValueOf(&o).Elem()); found {
 		return fmt.Errorf("fleet: ScenarioOptions%s = %v is not finite", path, v)
+	}
+	if o.SpareRouters < 0 {
+		return fmt.Errorf("fleet: ScenarioOptions.SpareRouters = %d is negative", o.SpareRouters)
 	}
 	for i, flt := range o.Faults {
 		switch {
@@ -355,7 +349,7 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 	}
 	if opts.BackboneCrushStart > 0 {
 		schedule(Fault{At: opts.BackboneCrushStart, Kind: FaultBackboneCrush,
-			Fraction: opts.BackboneFraction, LeaveBps: opts.BackboneLeaveBps, Duration: opts.BackboneCrushDuration})
+			Fraction: 0.5, LeaveBps: 50e3, Duration: opts.BackboneCrushDuration})
 	}
 	if opts.RegionFailStart > 0 {
 		schedule(Fault{At: opts.RegionFailStart, Kind: FaultRegionFail,

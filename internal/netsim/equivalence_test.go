@@ -12,7 +12,7 @@ import (
 
 // The incremental solver must be observationally equivalent to the retained
 // global one. The driver below builds two identical random networks on one
-// kernel — one incremental, one with GlobalReflow forced — and pushes the
+// kernel — one incremental, one with globalReflow forced — and pushes the
 // same random event sequence (starts, cancels, background changes)
 // through both, comparing flow rates after every step against each other and
 // against ReferenceRates, the retained PR 1 algorithm.
@@ -30,7 +30,7 @@ func buildTwins(rng *sim.Rand) *twinNets {
 	tw := &twinNets{k: sim.NewKernel(), live: map[uint64][2]*Flow{}}
 	tw.inc = New(tw.k)
 	tw.glob = New(tw.k)
-	tw.glob.GlobalReflow = true
+	tw.glob.globalReflow = true
 	nHosts := 3 + rng.Intn(6)
 	for i := 0; i < nHosts; i++ {
 		tw.nodes = append(tw.nodes, tw.inc.AddHost(string(rune('a'+i))))
@@ -341,7 +341,7 @@ func TestFillIgnoresResourceOrder(t *testing.T) {
 				if f.class && f.rate == f.demand {
 					capped++
 				}
-				if f.rate == n.MinFlowRate {
+				if f.rate == n.minFlowRate {
 					floored++
 				}
 			}

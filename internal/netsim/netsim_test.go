@@ -145,8 +145,8 @@ func TestAvailBandwidth(t *testing.T) {
 		t.Fatalf("avail=%v, want bottleneck 3e6", got)
 	}
 	n.SetBackgroundBoth(l2, 10e6)
-	if got := n.AvailBandwidth(a, b); got != n.MinFlowRate {
-		t.Fatalf("avail=%v, want floor %v", got, n.MinFlowRate)
+	if got := n.AvailBandwidth(a, b); got != n.minFlowRate {
+		t.Fatalf("avail=%v, want floor %v", got, n.minFlowRate)
 	}
 }
 
@@ -324,7 +324,7 @@ func maxMinInvariants(seed uint64) bool {
 	}
 	for kk, s := range sum {
 		avail := n.Link(LinkID(kk >> 1)).availCap(Dir(kk & 1))
-		slack := float64(cnt[kk]) * n.MinFlowRate
+		slack := float64(cnt[kk]) * n.minFlowRate
 		if s > avail+slack+1e-6 {
 			return false
 		}
@@ -335,7 +335,7 @@ func maxMinInvariants(seed uint64) bool {
 		ok := false
 		for _, kk := range f.path {
 			avail := n.Link(LinkID(kk >> 1)).availCap(Dir(kk & 1))
-			saturated := sum[kk] >= avail-1e-6 || avail < n.MinFlowRate*float64(cnt[kk])
+			saturated := sum[kk] >= avail-1e-6 || avail < n.minFlowRate*float64(cnt[kk])
 			if !saturated {
 				continue
 			}

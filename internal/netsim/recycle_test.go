@@ -65,7 +65,7 @@ func TestTransferArgCycleAllocationFree(t *testing.T) {
 func TestRecycledFlowsNeverAliasHandles(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		k, n, h, links := star(4)
-		n.MinFlowRate = 0 // a fully loaded link stalls its flows outright
+		n.minFlowRate = 0 // a fully loaded link stalls its flows outright
 		rng := sim.NewRand(seed)
 
 		type kept struct {

@@ -74,8 +74,8 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 		if minShare < 0 {
 			break // no constrained resources left
 		}
-		if minShare < n.MinFlowRate {
-			minShare = n.MinFlowRate
+		if minShare < n.minFlowRate {
+			minShare = n.minFlowRate
 		}
 		// Demand pre-pass, mirroring fillComponent: class flows whose
 		// demand is within the fair share freeze at exactly their demand.
@@ -135,7 +135,7 @@ func (n *Network) ReferenceRates() map[*Flow]float64 {
 			// (capped at demand for class flows).
 			for _, f := range active {
 				if !frozen[f] {
-					rate := n.MinFlowRate
+					rate := n.minFlowRate
 					if f.class && f.demand < rate {
 						rate = f.demand
 					}

@@ -73,7 +73,7 @@ import "slices"
 // completion rescheduling then run over all region flows in global index
 // order.
 //
-// GlobalReflow forces a global recompute on every solve (over the same
+// globalReflow forces a global recompute on every solve (over the same
 // lazy-settlement machinery) and anchors the equivalence tests;
 // ReferenceRates retains the original algorithm itself.
 
@@ -178,7 +178,7 @@ func (n *Network) solve() {
 // flow crosses (e.g. the unused direction of a changed link) has nothing to
 // fill, so a solve that finds no flows reads no Link at all. Each group's
 // flows are sorted into global order, its resources are left in discovery
-// order (see fillComponent). With GlobalReflow set, every flow and resource
+// order (see fillComponent). With globalReflow set, every flow and resource
 // is collected into a single component regardless of dirt.
 func (n *Network) collectRegion() {
 	n.epoch++
@@ -188,7 +188,7 @@ func (n *Network) collectRegion() {
 	for _, ri := range n.dirtyRes {
 		n.res[ri].dirty = false
 	}
-	if n.GlobalReflow {
+	if n.globalReflow {
 		n.dirtyRes = n.dirtyRes[:0]
 		for ri := range n.res {
 			if len(n.res[ri].flows) > 0 {
@@ -251,7 +251,7 @@ func byIndex(a, b *Flow) int { return a.index - b.index }
 
 // settleOrder returns the solve's flows in global index order, the order
 // settlement reschedules completions in. One component's flows are already
-// sorted (and GlobalReflow's one component is n.flows itself); only flows
+// sorted (and globalReflow's one component is n.flows itself); only flows
 // gathered from several components are merged into n.regionFlows and sorted.
 func (n *Network) settleOrder() []*Flow {
 	if len(n.compSpans) <= 1 {
@@ -360,8 +360,8 @@ func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 		if minShare < 0 {
 			break // no constrained resources left
 		}
-		if minShare < n.MinFlowRate {
-			minShare = n.MinFlowRate
+		if minShare < n.minFlowRate {
+			minShare = n.minFlowRate
 		}
 		if hasLimited {
 			capped := false
@@ -421,7 +421,7 @@ func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 			// (capped at demand for class flows).
 			for _, f := range flows {
 				if f.frozen != epoch {
-					rate := n.MinFlowRate
+					rate := n.minFlowRate
 					if f.class && f.demand < rate {
 						rate = f.demand
 					}

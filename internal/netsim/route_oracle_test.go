@@ -68,8 +68,8 @@ func oracleAvail(n *Network, path []int32) float64 {
 			min = a
 		}
 	}
-	if min < n.MinFlowRate {
-		min = n.MinFlowRate
+	if min < n.minFlowRate {
+		min = n.minFlowRate
 	}
 	return min
 }

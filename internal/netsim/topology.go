@@ -101,15 +101,15 @@ type Network struct {
 	compSpans   []compSpan
 	stats       SolveStats
 
-	// GlobalReflow disables region partitioning and recomputes every flow on
-	// every solve — the pre-incremental behaviour. Retained as an escape
-	// hatch for the solver-equivalence tests and benchmarks.
-	GlobalReflow bool
+	// globalReflow disables region partitioning and recomputes every flow on
+	// every solve — the pre-incremental behaviour, retained as the reference
+	// the solver-equivalence tests compare against (set through
+	// ForceGlobalReflow in export_test.go).
+	globalReflow bool
 
-	// MinFlowRate is the floor rate for an elastic flow when competition has
-	// consumed a link entirely; the paper's Figure 10 bottoms out around
-	// 1e-4 Mbps (100 bps), which is the default here.
-	MinFlowRate float64
+	// minFlowRate is this network's elastic-flow floor: MinFlowRate, except
+	// where a test zeroes it so a fully loaded link stalls its flows.
+	minFlowRate float64
 
 	// Stats
 	completedFlows uint64
@@ -204,12 +204,17 @@ func (w walk) hops() int {
 // rootOnly is the tree walked when a path has no relay-to-relay segment.
 var rootOnly = []int32{-1}
 
+// MinFlowRate (bits/sec) is the floor rate for an elastic flow when
+// competition has consumed a link entirely; the paper's Figure 10 bottoms
+// out around 1e-4 Mbps (100 bps).
+const MinFlowRate = 100
+
 // New creates an empty network bound to the kernel.
 func New(k *sim.Kernel) *Network {
 	return &Network{
 		K:           k,
 		byName:      map[string]NodeID{},
-		MinFlowRate: 100, // bits/sec
+		minFlowRate: MinFlowRate,
 	}
 }
 
@@ -474,7 +479,7 @@ func (n *Network) AvailBandwidth(src, dst NodeID) float64 {
 	for ri := w.next(); ri >= 0; ri = w.next() {
 		bw = min(bw, n.links[ri>>1].availCap(Dir(ri&1)))
 	}
-	return max(bw, n.MinFlowRate)
+	return max(bw, n.minFlowRate)
 }
 
 // EndBandwidth bounds AvailBandwidth(src, dst) from above without resolving
@@ -499,5 +504,5 @@ func (n *Network) EndBandwidth(src, dst NodeID) float64 {
 		ri := n.adj[dst][0].ri ^ 1
 		bw = min(bw, n.links[ri>>1].availCap(Dir(ri&1)))
 	}
-	return max(bw, n.MinFlowRate)
+	return max(bw, n.minFlowRate)
 }

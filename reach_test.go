@@ -81,7 +81,6 @@ var runtimeMethods = map[string]bool{
 // accessors, methods the runtime calls and the reachAllowed entries are
 // exempt.
 func TestProductionCodeIsReached(t *testing.T) {
-	const module = "archadapt"
 	type decl struct {
 		key  string // importpath.Name or importpath.Recv.Name
 		node ast.Node
@@ -90,53 +89,7 @@ func TestProductionCodeIsReached(t *testing.T) {
 		// exempt from the report: an accessor or a runtime-called method
 		exempt bool
 	}
-	fset := token.NewFileSet()
-	pkgs := map[string]*modulePkg{}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		isExample := p == "example_test.go"
-		if !strings.HasSuffix(p, ".go") || (strings.HasSuffix(p, "_test.go") && !isExample) {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		ip := module
-		if dir != "." {
-			ip = module + "/" + dir
-		}
-		if isExample {
-			ip += "_test"
-		}
-		if pkgs[ip] == nil {
-			pkgs[ip] = &modulePkg{}
-		}
-		pkgs[ip].files = append(pkgs[ip].files, f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("only %d packages parsed — run from the module root", len(pkgs))
-	}
-	imp := &moduleImporter{pkgs: pkgs, std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom), fset: fset}
-	paths := slices.Sorted(maps.Keys(pkgs))
-	for _, ip := range paths {
-		if _, err := imp.Import(ip); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fset, pkgs, paths := loadModule(t)
 
 	var all []*decl
 	byObj := map[types.Object]*decl{}
@@ -254,6 +207,211 @@ func TestProductionCodeIsReached(t *testing.T) {
 	}
 }
 
+// fieldsAllowed lists the exported fields of library types that no non-test
+// code writes and that stay anyway, keyed "importpath.Type.Field", each with
+// its reason.
+var fieldsAllowed = map[string]string{}
+
+// TestExportedFieldsAreWritten is the same guard for settable values: an
+// exported field of a type a library package declares is a value a caller
+// can set, so some non-test code (a command, the benchmark, an Example or a
+// library itself) must set it. A field that only tests write is a
+// test-only switch on a production type: make it a constant, or unexport it
+// behind an export_test.go hook. A write is an assignment, ++ or --, &x.F,
+// or a composite-literal element; it also writes every field its target is
+// nested in, as o.Manager.X = v writes Manager. Embedded fields and types
+// declared in main packages are out of scope.
+func TestExportedFieldsAreWritten(t *testing.T) {
+	fset, pkgs, paths := loadModule(t)
+
+	written := map[*types.Var]bool{}
+	for _, ip := range paths {
+		info := pkgs[ip].info
+		field := func(id *ast.Ident) {
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+				written[v.Origin()] = true
+			}
+		}
+		// target marks the field a write lands in and every field around it.
+		target := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					field(x.Sel)
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range pkgs[ip].files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						target(l)
+					}
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						target(n.Key)
+						target(n.Value)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				case *ast.CompositeLit:
+					typ := info.Types[n].Type
+					if p, ok := typ.(*types.Pointer); ok {
+						typ = p.Elem()
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							field(kv.Key.(*ast.Ident))
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	declared := map[string]bool{}
+	// check reports the unwritten exported fields of st, and of every
+	// unnamed struct type a field of st holds, under the key prefix.
+	var check func(prefix string, st *types.Struct)
+	check = func(prefix string, st *types.Struct) {
+		for i := 0; i < st.NumFields(); i++ {
+			v := st.Field(i)
+			if v.Embedded() || !v.Exported() {
+				continue
+			}
+			key := prefix + "." + v.Name()
+			declared[key] = true
+			_, allowed := fieldsAllowed[key]
+			switch {
+			case written[v] && allowed:
+				t.Errorf("fieldsAllowed lists %s, which non-test code writes now: drop the entry", key)
+			case !written[v] && !allowed:
+				t.Errorf("%s: %s is written only by tests: make it a constant or an export_test.go hook, or list it in fieldsAllowed with the reason it stays",
+					fset.Position(v.Pos()), strings.TrimPrefix(key, module+"/"))
+			}
+			if inner, ok := unnamedStruct(v.Type()); ok {
+				check(key, inner)
+			}
+		}
+	}
+	for _, ip := range paths {
+		pkg := pkgs[ip].pkg
+		if pkg.Name() == "main" {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					check(ip+"."+name, st)
+				}
+			}
+		}
+	}
+	for key := range fieldsAllowed {
+		if !declared[key] {
+			t.Errorf("fieldsAllowed lists %s, which is not declared: drop the entry", key)
+		}
+	}
+}
+
+// unnamedStruct strips pointers, slices and arrays off typ and returns the
+// struct type left underneath, if it is an unnamed one.
+func unnamedStruct(typ types.Type) (*types.Struct, bool) {
+	for {
+		switch x := typ.(type) {
+		case *types.Pointer:
+			typ = x.Elem()
+		case *types.Slice:
+			typ = x.Elem()
+		case *types.Array:
+			typ = x.Elem()
+		default:
+			st, ok := typ.(*types.Struct)
+			return st, ok
+		}
+	}
+}
+
+// module is the import path of the module's root package.
+const module = "archadapt"
+
+// loadModule parses the module's non-test files, plus example_test.go as
+// package archadapt_test, and type-checks every package (the standard
+// library from source). It returns the packages by import path and those
+// paths sorted.
+func loadModule(t *testing.T) (*token.FileSet, map[string]*modulePkg, []string) {
+	fset := token.NewFileSet()
+	pkgs := map[string]*modulePkg{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		isExample := p == "example_test.go"
+		if !strings.HasSuffix(p, ".go") || (strings.HasSuffix(p, "_test.go") && !isExample) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		ip := module
+		if dir != "." {
+			ip = module + "/" + dir
+		}
+		if isExample {
+			ip += "_test"
+		}
+		if pkgs[ip] == nil {
+			pkgs[ip] = &modulePkg{}
+		}
+		pkgs[ip].files = append(pkgs[ip].files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 20 {
+		t.Fatalf("only %d packages parsed — run from the module root", len(pkgs))
+	}
+	imp := &moduleImporter{pkgs: pkgs, std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom), fset: fset}
+	paths := slices.Sorted(maps.Keys(pkgs))
+	for _, ip := range paths {
+		if _, err := imp.Import(ip); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	return fset, pkgs, paths
+}
+
 // modulePkg is one package of the module as the reach guard loads it: its
 // non-test files (or, for archadapt_test, example_test.go), type-checked on
 // first import.
@@ -278,7 +436,11 @@ func (im *moduleImporter) Import(path string) (*types.Package, error) {
 		return im.std.ImportFrom(path, ".", 0)
 	}
 	if mp.pkg == nil {
-		mp.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		mp.info = &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
 		conf := types.Config{Importer: im}
 		pkg, err := conf.Check(path, im.fset, mp.files, mp.info)
 		if err != nil {
