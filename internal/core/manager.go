@@ -94,6 +94,18 @@ type Plane struct {
 	Gauges *gauges.Lease
 }
 
+// NewMonitoring builds a monitoring plane configured from cfg: a probe bus
+// and a gauge-report bus carrying cfg.MonitoringPriority, and a gauge
+// manager anchored at host with cfg's priority and cfg.GaugeCaching. The
+// fleet builds its shared plane through it, and NewAttached a private one.
+func NewMonitoring(cfg Config, k *sim.Kernel, net *netsim.Network, host netsim.NodeID) (probeBus, reportBus *bus.Bus, gm *gauges.Manager) {
+	probeBus, reportBus = bus.New(k, net), bus.New(k, net)
+	probeBus.Priority, reportBus.Priority = cfg.MonitoringPriority, cfg.MonitoringPriority
+	gm = gauges.NewManager(k, net, host)
+	gm.Caching, gm.Priority = cfg.GaugeCaching, cfg.MonitoringPriority
+	return probeBus, reportBus, gm
+}
+
 // New wires a manager over an already-built model and application, with
 // private monitoring infrastructure. Hosts: the manager (and gauge manager)
 // run on host — in the paper's testbed, the machine running Server 4.
@@ -113,13 +125,7 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 		Cfg: cfg, K: k, Net: net, App: a, Model: mdl, Host: host, Rm: rm,
 	}
 	if plane.Probe == nil {
-		probeBus := bus.New(k, net)
-		probeBus.Priority = cfg.MonitoringPriority
-		reportBus := bus.New(k, net)
-		reportBus.Priority = cfg.MonitoringPriority
-		gm := gauges.NewManager(k, net, host)
-		gm.Caching = cfg.GaugeCaching
-		gm.Priority = cfg.MonitoringPriority
+		probeBus, reportBus, gm := NewMonitoring(cfg, k, net, host)
 		plane = Plane{Probe: probeBus.Default(), Report: reportBus.Default(), Gauges: gm.DefaultLease()}
 	}
 	m.ProbeBus = plane.Probe
@@ -334,7 +340,7 @@ func (m *Manager) newGauge(kind, target string) gauges.Gauge {
 		return gauges.NewLatencyGauge(m.K, m.ProbeBus, m.ReportBus, cli.Host, target,
 			latencyWindow, gaugePeriod)
 	}
-	return gauges.NewBandwidthGauge(m.K, m.ReportBus, m.Rm, cli.Host, target, cli.Host,
+	return gauges.NewBandwidthGauge(m.K, m.ReportBus, m.Rm, cli.Host, target,
 		func() (netsim.NodeID, bool) { return m.groupServerHost(cli.Group) },
 		gaugePeriod)
 }
@@ -347,18 +353,11 @@ func (m *Manager) consumeReport(msg bus.Message) {
 	prop := msg.Prop
 	value := msg.V1
 	switch msg.Kind {
-	case gauges.KindClient:
+	case gauges.KindClient, gauges.KindGroup:
 		if c := m.Model.Component(target); c != nil {
 			c.Props().SetFloat(prop, value)
 			if m.tr != nil {
 				m.traceModelUpdate(msg, c.Name())
-			}
-		}
-	case gauges.KindGroup:
-		if g := m.Model.Component(target); g != nil {
-			g.Props().SetFloat(prop, value)
-			if m.tr != nil {
-				m.traceModelUpdate(msg, g.Name())
 			}
 		}
 	case gauges.KindClientRole:

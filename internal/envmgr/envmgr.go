@@ -44,9 +44,10 @@ type Manager struct {
 	Rm   *remos.Service
 
 	stats OpStats
-	// FailNext, when set, makes the next mutating operator fail — failure
-	// injection for the repair engine's abort path when Apply fails.
-	FailNext error
+	// failNext, when set, makes the next mutating operator fail — failure
+	// injection for the repair engine's abort path when Apply fails, set
+	// through the FailNext test hook.
+	failNext error
 }
 
 // New creates a manager on host.
@@ -58,9 +59,9 @@ func New(k *sim.Kernel, net *netsim.Network, a *app.System, host netsim.NodeID, 
 func (m *Manager) Stats() OpStats { return m.stats }
 
 func (m *Manager) injected() error {
-	if m.FailNext != nil {
-		err := m.FailNext
-		m.FailNext = nil
+	if m.failNext != nil {
+		err := m.failNext
+		m.failNext = nil
 		m.stats.Failures++
 		return err
 	}

@@ -184,7 +184,7 @@ func TestRemosGetFlowRoundTrip(t *testing.T) {
 func TestFailureInjection(t *testing.T) {
 	r := newRig(t)
 	boom := errors.New("rmi boom")
-	r.m.FailNext = boom
+	FailNext(r.m, boom)
 	if err := r.m.ActivateServer("SP"); !errors.Is(err, boom) {
 		t.Fatalf("err=%v", err)
 	}

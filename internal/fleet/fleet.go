@@ -345,13 +345,7 @@ func New(k *sim.Kernel, grid *netsim.Grid, seed uint64, cfg Config) (*Fleet, err
 	}
 	f.Host = rmHost
 	f.Rm = remos.New(k, grid.Net, rmHost)
-	f.ProbeBus = bus.New(k, grid.Net)
-	f.ProbeBus.Priority = cfg.Manager.MonitoringPriority
-	f.ReportBus = bus.New(k, grid.Net)
-	f.ReportBus.Priority = cfg.Manager.MonitoringPriority
-	f.Gauges = gauges.NewManager(k, grid.Net, rmHost)
-	f.Gauges.Caching = cfg.Manager.GaugeCaching
-	f.Gauges.Priority = cfg.Manager.MonitoringPriority
+	f.ProbeBus, f.ReportBus, f.Gauges = core.NewMonitoring(cfg.Manager, k, grid.Net, rmHost)
 	if cfg.Trace {
 		// One tracer spans the whole plane: the buses stamp probe samples and
 		// gauge reports, each admitted manager chains model updates through

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"archadapt/internal/core"
 	"archadapt/internal/netsim"
 	"archadapt/internal/sim"
 )
@@ -72,14 +73,22 @@ func TestMonitoringEquivalenceFleetSummaries(t *testing.T) {
 // mid-run retirement: the shared plane fully detaches a retired app (probes,
 // subscriptions, gauges) while the per-app reference leaves its private
 // monitoring running — the summaries must still be byte-identical, because
-// post-retirement monitoring must have no observable effect.
+// post-retirement monitoring must have no observable effect. The comparison
+// holds under each monitoring-plane setting (gauge caching, prioritized
+// monitoring, both), the shared plane carries the configured setting, and
+// caching reaches it: alpha's repairs speed up on both planes alike.
 func TestMonitoringEquivalenceWithRetirement(t *testing.T) {
-	run := func(perApp bool) []AppSummary {
+	run := func(mgr core.Config, perApp bool) []AppSummary {
 		k := sim.NewKernel()
 		grid := netsim.GenerateGrid(k, netsim.GridSpec{Routers: 9, HostsPerRouter: 3, Seed: 21})
-		f, err := New(k, grid, 21, Config{Adaptive: true, HostCapacity: 1, perAppMonitoring: perApp})
+		f, err := New(k, grid, 21, Config{Adaptive: true, HostCapacity: 1, Manager: mgr, perAppMonitoring: perApp})
 		if err != nil {
 			t.Fatal(err)
+		}
+		p := mgr.MonitoringPriority
+		if f.ProbeBus.Priority != p || f.ReportBus.Priority != p || f.Gauges.Priority != p || f.Gauges.Caching != mgr.GaugeCaching {
+			t.Fatalf("shared plane priorities %v/%v/%v caching %v, want %v and %v",
+				f.ProbeBus.Priority, f.ReportBus.Priority, f.Gauges.Priority, f.Gauges.Caching, p, mgr.GaugeCaching)
 		}
 		spec := AppSpec{Groups: 2, ServersPerGroup: 2, Clients: 2}
 		for _, name := range []string{"alpha", "beta", "gamma"} {
@@ -106,11 +115,32 @@ func TestMonitoringEquivalenceWithRetirement(t *testing.T) {
 		k.Run(520)
 		return f.Summaries()
 	}
-	shared := run(false)
-	perApp := run(true)
-	if !reflect.DeepEqual(shared, perApp) {
-		t.Fatalf("summaries diverged with retirement:\nshared:\n%s\nper-app:\n%s",
-			Table(shared), Table(perApp))
+	settings := []struct {
+		name string
+		mgr  core.Config
+	}{
+		{"default", core.Config{}},
+		{"caching", core.Config{GaugeCaching: true}},
+		{"prioritized", core.Config{MonitoringPriority: netsim.Prioritized}},
+		{"caching+prioritized", core.Config{GaugeCaching: true, MonitoringPriority: netsim.Prioritized}},
+	}
+	alphaRepair := map[string]float64{}
+	for _, st := range settings {
+		shared := run(st.mgr, false)
+		perApp := run(st.mgr, true)
+		if !reflect.DeepEqual(shared, perApp) {
+			t.Fatalf("%s: summaries diverged with retirement:\nshared:\n%s\nper-app:\n%s",
+				st.name, Table(shared), Table(perApp))
+		}
+		if shared[0].Name != "alpha" || shared[0].Repairs == 0 {
+			t.Fatalf("%s: alpha did not repair: %+v", st.name, shared[0])
+		}
+		alphaRepair[st.name] = shared[0].MeanRepairSeconds
+	}
+	// Destroy/recreate churn makes the paper's 30 s repairs; a cached
+	// re-target is one round trip.
+	if def, cached := alphaRepair["default"], alphaRepair["caching"]; cached > def/3 {
+		t.Fatalf("alpha's mean repair %.3f s with caching, %.3f s without: caching did not reach the shared plane", cached, def)
 	}
 }
 

@@ -4,7 +4,11 @@
 //
 // Three gauge types cover the paper's example: AverageLatency (per client),
 // Load (queue length per server group) and Bandwidth (per client↔group
-// connection, via the Remos substitute).
+// connection, via the Remos substitute). They share one embedded core —
+// identity, report shard, reporting ticker, teardown and the report itself
+// — and each adds only its measurement: the latency gauge feeds a
+// metrics.Window (the same sliding window the harness's ground truth
+// uses), the load gauge an EWMA, the bandwidth gauge a Remos query.
 //
 // The gauge *protocol* — creation, communication, deletion — is modeled with
 // explicit per-message costs, because the paper measured that repair time
@@ -23,6 +27,7 @@ package gauges
 
 import (
 	"archadapt/internal/bus"
+	"archadapt/internal/metrics"
 	"archadapt/internal/netsim"
 	"archadapt/internal/obs"
 	"archadapt/internal/operators"
@@ -59,19 +64,79 @@ type Gauge interface {
 	stop()
 }
 
-// report publishes one gauge report on the app's reporting shard. parent is
-// the causal predecessor span (the gauge update that last fed the value);
-// zero when tracing is off.
-func report(sh *bus.Shard, src netsim.NodeID, gauge, target, kind, prop string, value float64, parent obs.SpanID) {
-	sh.Publish(bus.Message{
+// base is the plumbing every gauge shares: its identity, the kernel, its
+// input and report shards, its reporting ticker and the report itself.
+// Each gauge embeds one and adds only its own measurement.
+type base struct {
+	name   string
+	host   netsim.NodeID
+	target string // the client or group the reports are about
+
+	k      *sim.Kernel
+	probe  *bus.Shard // probe input; nil for a gauge that queries instead
+	report *bus.Shard
+	period float64
+
+	sub      *bus.Subscription
+	stopTick func()
+	// lastUpd is the gauge-update span of the newest input value; the next
+	// report parents on it (zero when tracing is off).
+	lastUpd obs.SpanID
+}
+
+// Name implements Gauge.
+func (b *base) Name() string { return b.name }
+
+// Host implements Gauge.
+func (b *base) Host() netsim.NodeID { return b.host }
+
+// listen feeds the probe samples f selects into g's fold, recording each
+// sample's gauge-update span first.
+func (b *base) listen(f bus.Filter, g interface{ fold(v float64) }) {
+	b.sub = b.probe.Subscribe(b.host, f, func(m bus.Message) {
+		b.updated(b.probe, m.Span, m.V1)
+		g.fold(m.V1)
+	})
+}
+
+// updated records one input value's gauge-update span on sh's tracer,
+// parented on the input's own span (zero for a gauge's own query).
+func (b *base) updated(sh *bus.Shard, parent obs.SpanID, v float64) {
+	if tr := sh.Tracer(); tr != nil {
+		b.lastUpd = tr.Instant(obs.KindGaugeUpdate, parent, sh.Label, b.name, v, 0)
+	}
+}
+
+// tick starts the reporting ticker: fn runs every period from one period
+// on.
+func (b *base) tick(fn func(now sim.Time)) {
+	b.stopTick = b.k.Ticker(b.k.Now()+b.period, b.period, fn)
+}
+
+// halt drops the probe subscription and stops the ticker.
+func (b *base) halt() {
+	if b.sub != nil {
+		b.probe.Unsubscribe(b.sub)
+		b.sub = nil
+	}
+	if b.stopTick != nil {
+		b.stopTick()
+		b.stopTick = nil
+	}
+}
+
+// publish sends one report of the target's prop, of the given kind, on the
+// app's reporting shard, parented on the last gauge update.
+func (b *base) publish(kind, prop string, value float64) {
+	b.report.Publish(bus.Message{
 		Topic:  TopicReport,
-		Src:    src,
-		Name:   gauge,
-		Target: target,
+		Src:    b.host,
+		Name:   b.name,
+		Target: b.target,
 		Kind:   kind,
 		Prop:   prop,
 		V1:     value,
-		Parent: parent,
+		Parent: b.lastUpd,
 	})
 }
 
@@ -81,95 +146,36 @@ func report(sh *bus.Shard, src netsim.NodeID, gauge, target, kind, prop string, 
 // request-response latency and reports it periodically as the
 // averageLatency property.
 type LatencyGauge struct {
-	name   string
-	host   netsim.NodeID
-	client string
-
-	K      *sim.Kernel
-	Probe  *bus.Shard // probe shard (input)
-	Report *bus.Shard // gauge reporting shard (output)
-
-	// Window is the sliding-window width in seconds; Period the reporting
-	// interval.
-	Window float64
-	Period float64
-
-	sub      *bus.Subscription
-	stopTick func()
-	samples  []latSample
-	// lastUpd is the gauge-update span of the newest folded probe sample;
-	// the next report parents on it (zero when tracing is off).
-	lastUpd obs.SpanID
-}
-
-type latSample struct {
-	t   sim.Time
-	lat float64
+	base
+	window metrics.Window
 }
 
 // NewLatencyGauge creates (but does not start) a latency gauge for client,
-// running on host (typically the client's machine).
+// running on host (typically the client's machine), averaging over window
+// seconds and reporting every period.
 func NewLatencyGauge(k *sim.Kernel, probeBus, reportBus *bus.Shard, host netsim.NodeID, client string, window, period float64) *LatencyGauge {
 	return &LatencyGauge{
-		name: "latency:" + client, host: host, client: client,
-		K: k, Probe: probeBus, Report: reportBus,
-		Window: window, Period: period,
+		base: base{name: "latency:" + client, host: host, target: client,
+			k: k, probe: probeBus, report: reportBus, period: period},
+		window: metrics.Window{Width: window},
 	}
-}
-
-// Name implements Gauge.
-func (g *LatencyGauge) Name() string { return g.name }
-
-// Host implements Gauge.
-func (g *LatencyGauge) Host() netsim.NodeID { return g.host }
-
-// Average returns the current windowed average (0 when no samples).
-func (g *LatencyGauge) Average() float64 {
-	if len(g.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range g.samples {
-		sum += s.lat
-	}
-	return sum / float64(len(g.samples))
 }
 
 func (g *LatencyGauge) start() {
-	g.sub = g.Probe.Subscribe(g.host,
-		bus.TopicAndField(probes.TopicResponse, "client", g.client),
-		func(m bus.Message) {
-			if tr := g.Probe.Tracer(); tr != nil {
-				g.lastUpd = tr.Instant(obs.KindGaugeUpdate, m.Span, g.Probe.Label, g.name, m.V1, 0)
-			}
-			g.samples = append(g.samples, latSample{t: g.K.Now(), lat: m.V1})
-		})
-	g.stopTick = g.K.Ticker(g.K.Now()+g.Period, g.Period, func(now sim.Time) {
-		cutoff := now - g.Window
-		kept := g.samples[:0]
-		for _, s := range g.samples {
-			if s.t >= cutoff {
-				kept = append(kept, s)
-			}
+	g.listen(bus.TopicAndField(probes.TopicResponse, "client", g.target), g)
+	g.tick(func(now sim.Time) {
+		if avg, ok := g.window.Avg(now); ok {
+			g.publish(KindClient, operators.PropAvgLatency, avg)
 		}
-		g.samples = kept
-		if len(g.samples) == 0 {
-			return
-		}
-		report(g.Report, g.host, g.name, g.client, KindClient, operators.PropAvgLatency, g.Average(), g.lastUpd)
 	})
 }
 
+// fold adds one latency sample to the window.
+func (g *LatencyGauge) fold(v float64) { g.window.Add(g.k.Now(), v) }
+
 func (g *LatencyGauge) stop() {
-	if g.sub != nil {
-		g.Probe.Unsubscribe(g.sub)
-		g.sub = nil
-	}
-	if g.stopTick != nil {
-		g.stopTick()
-		g.stopTick = nil
-	}
-	g.samples = nil
+	g.halt()
+	g.window = metrics.Window{Width: g.window.Width}
 }
 
 // --- Load gauge ---
@@ -177,98 +183,61 @@ func (g *LatencyGauge) stop() {
 // LoadGauge tracks one server group's queue length from probe samples and
 // reports it as the load property.
 type LoadGauge struct {
-	name  string
-	host  netsim.NodeID
-	group string
-
-	K      *sim.Kernel
-	Probe  *bus.Shard
-	Report *bus.Shard
-	Period float64
+	base
 	// Smooth is the EWMA coefficient in (0,1]; 1 reports raw samples.
 	Smooth float64
 
-	sub      *bus.Subscription
-	stopTick func()
-	value    float64
-	seen     bool
-	lastUpd  obs.SpanID
+	value float64
+	seen  bool
 }
 
 // NewLoadGauge creates a load gauge for a group, running on host (the queue
 // machine).
 func NewLoadGauge(k *sim.Kernel, probeBus, reportBus *bus.Shard, host netsim.NodeID, group string, period float64) *LoadGauge {
 	return &LoadGauge{
-		name: "load:" + group, host: host, group: group,
-		K: k, Probe: probeBus, Report: reportBus, Period: period, Smooth: 1.0,
+		base: base{name: "load:" + group, host: host, target: group,
+			k: k, probe: probeBus, report: reportBus, period: period},
+		Smooth: 1.0,
 	}
 }
-
-// Name implements Gauge.
-func (g *LoadGauge) Name() string { return g.name }
-
-// Host implements Gauge.
-func (g *LoadGauge) Host() netsim.NodeID { return g.host }
 
 // Value returns the current (smoothed) load.
 func (g *LoadGauge) Value() float64 { return g.value }
 
 func (g *LoadGauge) start() {
-	g.sub = g.Probe.Subscribe(g.host,
-		bus.TopicAndField(probes.TopicQueue, "group", g.group),
-		func(m bus.Message) {
-			if tr := g.Probe.Tracer(); tr != nil {
-				g.lastUpd = tr.Instant(obs.KindGaugeUpdate, m.Span, g.Probe.Label, g.name, m.V1, 0)
-			}
-			v := m.V1
-			if !g.seen || g.Smooth >= 1 {
-				g.value = v
-				g.seen = true
-				return
-			}
-			g.value = g.Smooth*v + (1-g.Smooth)*g.value
-		})
-	g.stopTick = g.K.Ticker(g.K.Now()+g.Period, g.Period, func(sim.Time) {
-		if !g.seen {
-			return
+	g.listen(bus.TopicAndField(probes.TopicQueue, "group", g.target), g)
+	g.tick(func(sim.Time) {
+		if g.seen {
+			g.publish(KindGroup, operators.PropLoad, g.value)
 		}
-		report(g.Report, g.host, g.name, g.group, KindGroup, operators.PropLoad, g.value, g.lastUpd)
 	})
 }
 
-func (g *LoadGauge) stop() {
-	if g.sub != nil {
-		g.Probe.Unsubscribe(g.sub)
-		g.sub = nil
+// fold folds one queue sample into the EWMA; the first sample seeds it.
+func (g *LoadGauge) fold(v float64) {
+	if !g.seen || g.Smooth >= 1 {
+		g.value = v
+		g.seen = true
+		return
 	}
-	if g.stopTick != nil {
-		g.stopTick()
-		g.stopTick = nil
-	}
+	g.value = g.Smooth*v + (1-g.Smooth)*g.value
 }
+
+func (g *LoadGauge) stop() { g.halt() }
 
 // --- Bandwidth gauge ---
 
 // BandwidthGauge periodically queries Remos for the available bandwidth
-// between a client and its server group and reports it as the client role's
-// bandwidth property. Re-targeting after a move repair goes through the
-// Manager (destroy/recreate, or Retarget under caching).
+// between its client's host and the client's server group and reports it as
+// the client role's bandwidth property. Re-targeting after a move repair
+// goes through the Manager (destroy/recreate, or Retarget under caching).
 type BandwidthGauge struct {
-	name   string
-	host   netsim.NodeID
-	client string
-
-	K      *sim.Kernel
-	Report *bus.Shard
-	Rm     *remos.Service
-	Period float64
-
-	// ServerHost yields the measurement endpoint for the client's current
+	base
+	rm *remos.Service
+	// serverHost yields the measurement endpoint for the client's current
 	// group (the first active server's machine).
-	ServerHost func() (netsim.NodeID, bool)
-	ClientHost netsim.NodeID
+	serverHost func() (netsim.NodeID, bool)
 
-	stopTick func()
 	stopped  bool
 	inFlight bool
 	sentAt   sim.Time
@@ -279,43 +248,38 @@ type BandwidthGauge struct {
 	seen bool
 }
 
-// NewBandwidthGauge creates a bandwidth gauge for client, running on host.
-func NewBandwidthGauge(k *sim.Kernel, reportBus *bus.Shard, rm *remos.Service, host netsim.NodeID, client string, clientHost netsim.NodeID, serverHost func() (netsim.NodeID, bool), period float64) *BandwidthGauge {
+// NewBandwidthGauge creates a bandwidth gauge for client, running on host
+// (the client's machine, which is also the measured path's client end).
+func NewBandwidthGauge(k *sim.Kernel, reportBus *bus.Shard, rm *remos.Service, host netsim.NodeID, client string, serverHost func() (netsim.NodeID, bool), period float64) *BandwidthGauge {
 	return &BandwidthGauge{
-		name: "bandwidth:" + client, host: host, client: client,
-		K: k, Report: reportBus, Rm: rm, Period: period,
-		ServerHost: serverHost, ClientHost: clientHost,
+		base: base{name: "bandwidth:" + client, host: host, target: client,
+			k: k, report: reportBus, period: period},
+		rm: rm, serverHost: serverHost,
 	}
 }
-
-// Name implements Gauge.
-func (g *BandwidthGauge) Name() string { return g.name }
-
-// Host implements Gauge.
-func (g *BandwidthGauge) Host() netsim.NodeID { return g.host }
 
 // Last returns the last reported value.
 func (g *BandwidthGauge) Last() (float64, bool) { return g.last, g.seen }
 
 func (g *BandwidthGauge) start() {
 	g.stopped = false
-	g.stopTick = g.K.Ticker(g.K.Now()+g.Period, g.Period, func(now sim.Time) {
+	g.tick(func(now sim.Time) {
 		if g.inFlight {
 			// A lost query or reply must not wedge the gauge: give a cold
 			// collection ample time, then retry.
-			if now-g.sentAt < remos.ColdDelay+4*g.Period {
+			if now-g.sentAt < remos.ColdDelay+4*g.period {
 				return
 			}
 			g.inFlight = false
 		}
-		sh, ok := g.ServerHost()
+		sh, ok := g.serverHost()
 		if !ok {
 			return
 		}
 		g.inFlight = true
 		g.sentAt = now
 		g.seq++
-		g.Rm.GetFlowArg(g.host, sh, g.ClientHost, bandwidthReplyFn, g, g.seq)
+		g.rm.GetFlowArg(g.host, sh, g.host, bandwidthReplyFn, g, g.seq)
 	})
 }
 
@@ -336,19 +300,13 @@ func bandwidthReplyFn(arg any, tag uint64, bw float64) {
 	g.last, g.seen = bw, true
 	// The bandwidth gauge's input is a Remos query, not a probe message, so
 	// its update span is a root (no probe parent).
-	var parent obs.SpanID
-	if tr := g.Report.Tracer(); tr != nil {
-		parent = tr.Instant(obs.KindGaugeUpdate, 0, g.Report.Label, g.name, bw, 0)
-	}
-	report(g.Report, g.host, g.name, g.client, KindClientRole, operators.PropBandwidth, bw, parent)
+	g.updated(g.report, 0, bw)
+	g.publish(KindClientRole, operators.PropBandwidth, bw)
 }
 
 func (g *BandwidthGauge) stop() {
 	g.stopped = true
-	if g.stopTick != nil {
-		g.stopTick()
-		g.stopTick = nil
-	}
+	g.halt()
 }
 
 var _ Gauge = (*LatencyGauge)(nil)

@@ -115,7 +115,7 @@ func TestBandwidthGaugeQueriesRemos(t *testing.T) {
 	r := newRig(t)
 	r.rm.Prequery(r.mHost, r.gHost)
 	r.k.RunAll(0) // advances the clock past the 90 s collection
-	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1", r.gHost,
+	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1",
 		func() (netsim.NodeID, bool) { return r.mHost, true }, 5)
 	if err := r.mgr.DefaultLease().Create(g, nil); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestBandwidthGaugeQueryAllocationFree(t *testing.T) {
 	r := newRig(t)
 	r.rm.Prequery(r.mHost, r.gHost)
 	r.k.RunAll(0)
-	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1", r.gHost,
+	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1",
 		func() (netsim.NodeID, bool) { return r.mHost, true }, 5)
 	if err := r.mgr.DefaultLease().Create(g, nil); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestBandwidthGaugeQueryAllocationFree(t *testing.T) {
 
 func TestBandwidthGaugeSkipsWhenNoServer(t *testing.T) {
 	r := newRig(t)
-	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1", r.gHost,
+	g := NewBandwidthGauge(r.k, r.report, r.rm, r.gHost, "C1",
 		func() (netsim.NodeID, bool) { return 0, false }, 5)
 	_ = r.mgr.DefaultLease().Create(g, nil)
 	r.k.Run(60)

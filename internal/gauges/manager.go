@@ -39,13 +39,13 @@ const (
 // One Manager serves a whole fleet: applications attach through Leases,
 // which scope gauge names and anchor the protocol exchanges at the leasing
 // application's manager host. The Manager's lifecycle counters are
-// fleet-wide; per-application counters live on the
-// Lease. DefaultLease, anchored at Host, is the single-tenant configuration
-// of the per-application reference oracle.
+// fleet-wide; per-application counters live on the Lease. DefaultLease,
+// anchored at the manager's own host, is the single-tenant configuration of
+// the per-application reference oracle.
 type Manager struct {
-	K    *sim.Kernel
-	Net  *netsim.Network
-	Host netsim.NodeID
+	k    *sim.Kernel
+	net  *netsim.Network
+	host netsim.NodeID
 
 	Priority netsim.Priority
 	Caching  bool
@@ -78,7 +78,7 @@ type Lease struct {
 // single-tenant configuration); fleet tenants anchor their own leases.
 func NewManager(k *sim.Kernel, net *netsim.Network, host netsim.NodeID) *Manager {
 	return &Manager{
-		K: k, Net: net, Host: host,
+		k: k, net: net, host: host,
 		gauges: map[gaugeKey]Gauge{},
 		leases: map[string]*Lease{},
 	}
@@ -112,12 +112,12 @@ func (m *Manager) ProtocolTime() float64 { return m.protocolBusy }
 // Deployed returns the number of live gauges across every lease.
 func (m *Manager) Deployed() int { return len(m.gauges) }
 
-// DefaultLease returns the manager's default lease, anchored at Host — the
-// handle single-tenant owners (the per-application reference configuration)
-// operate through. It is created on first use.
+// DefaultLease returns the manager's default lease, anchored at the
+// manager's host — the handle single-tenant owners (the per-application
+// reference configuration) operate through. It is created on first use.
 func (m *Manager) DefaultLease() *Lease {
 	if m.def == nil {
-		m.def = &Lease{m: m, app: "", host: m.Host}
+		m.def = &Lease{m: m, app: "", host: m.host}
 	}
 	return m.def
 }
@@ -132,13 +132,13 @@ func (m *Manager) sendReliable(from, to netsim.NodeID, cb func()) {
 		if delivered {
 			return
 		}
-		m.Net.SendMessage(from, to, msgBits, m.Priority, func() {
+		m.net.SendMessage(from, to, msgBits, m.Priority, func() {
 			if !delivered {
 				delivered = true
 				cb()
 			}
 		})
-		m.K.AfterAnon(retryTimeout, func() {
+		m.k.AfterAnon(retryTimeout, func() {
 			if !delivered {
 				attempt()
 			}
@@ -150,17 +150,17 @@ func (m *Manager) sendReliable(from, to netsim.NodeID, cb func()) {
 // handshake runs n sequential round trips between anchor and host and calls
 // done.
 func (m *Manager) handshake(anchor, host netsim.NodeID, n int, done func()) {
-	start := m.K.Now()
+	start := m.k.Now()
 	var step func(remaining int)
 	step = func(remaining int) {
 		if remaining == 0 {
-			m.protocolBusy += m.K.Now() - start
+			m.protocolBusy += m.k.Now() - start
 			done()
 			return
 		}
 		// Request leg, then protocol work, then ack leg.
 		m.sendReliable(anchor, host, func() {
-			m.K.AfterAnon(protocolDelay, func() {
+			m.k.AfterAnon(protocolDelay, func() {
 				m.sendReliable(host, anchor, func() {
 					step(remaining - 1)
 				})

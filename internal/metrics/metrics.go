@@ -228,9 +228,9 @@ func (s *Series) CSV() string {
 	return b.String()
 }
 
-// Window is a sliding-window average over (time, value) samples — the same
-// computation the latency gauge performs, reused by the harness for
-// ground-truth series.
+// Window is a sliding-window average over (time, value) samples: the latency
+// gauge's averageLatency and the harness's ground-truth latency series are
+// both computed by it.
 type Window struct {
 	Width   float64
 	samples []struct{ t, v float64 }

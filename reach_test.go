@@ -2,6 +2,7 @@ package archadapt
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -219,8 +220,10 @@ var fieldsAllowed = map[string]string{}
 // test-only switch on a production type: make it a constant, or unexport it
 // behind an export_test.go hook. A write is an assignment, ++ or --, &x.F,
 // or a composite-literal element; it also writes every field its target is
-// nested in, as o.Manager.X = v writes Manager. Embedded fields and types
-// declared in main packages are out of scope.
+// nested in, as o.Manager.X = v writes Manager. Assigning a literal nil,
+// false, 0 or "" is a reset, not a write: a field that production code only
+// clears is still set by tests alone. Embedded fields and types declared in
+// main packages are out of scope.
 func TestExportedFieldsAreWritten(t *testing.T) {
 	fset, pkgs, paths := loadModule(t)
 
@@ -250,11 +253,30 @@ func TestExportedFieldsAreWritten(t *testing.T) {
 				}
 			}
 		}
+		// reset reports a literal zero value: nil, false, 0 or "".
+		reset := func(e ast.Expr) bool {
+			switch e := ast.Unparen(e).(type) {
+			case *ast.Ident:
+				_, isNil := info.Uses[e].(*types.Nil)
+				return isNil || info.Uses[e] == types.Universe.Lookup("false")
+			case *ast.BasicLit:
+				switch e.Kind {
+				case token.INT, token.FLOAT:
+					return constant.Sign(constant.MakeFromLiteral(e.Value, e.Kind, 0)) == 0
+				case token.STRING:
+					return e.Value == `""` || e.Value == "``"
+				}
+			}
+			return false
+		}
 		for _, f := range pkgs[ip].files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for _, l := range n.Lhs {
+					for i, l := range n.Lhs {
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && reset(n.Rhs[i]) {
+							continue
+						}
 						target(l)
 					}
 				case *ast.RangeStmt:
