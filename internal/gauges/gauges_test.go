@@ -303,3 +303,72 @@ func TestChurnUnderCongestionIsSlower(t *testing.T) {
 		t.Fatalf("congested churn %v should exceed idle %v", congested, idle)
 	}
 }
+
+// TestHandshakeSurvivesLostLegs drives the retransmission path: on a
+// monitoring plane that drops 30 % or 60 % of best-effort messages, five
+// concurrent creations and then one deletion still complete. Every live
+// time, the deletion time, the protocol time, the fired events and the drop
+// count are pinned exactly, so any change to the order of the protocol's
+// messages, retry timers, protocol delays or drop draws shows here.
+func TestHandshakeSurvivesLostLegs(t *testing.T) {
+	for _, tc := range []struct {
+		rate     float64
+		live     [5]float64
+		deleted  float64
+		protocol float64
+		executed uint64
+		dropped  uint64
+	}{
+		{
+			rate:     0.3,
+			live:     [5]float64{25.037107200000005, 25.037107200000005, 55.0371072, 70.03710720000002, 55.03710719999998},
+			deleted:  60.05566079999999,
+			protocol: 235.20408960000003,
+			executed: 1684,
+			dropped:  12,
+		},
+		{
+			rate:     0.6,
+			live:     [5]float64{115.03710720000002, 175.0371072, 70.03710720000001, 85.03710720000001, 190.03710720000004},
+			deleted:  180.05566080000003,
+			protocol: 745.2040896000001,
+			executed: 1640,
+			dropped:  46,
+		},
+	} {
+		r := newRig(t)
+		r.net.SetDrop(tc.rate, sim.NewRand(11))
+		l := r.mgr.DefaultLease()
+		var live [5]float64
+		deleted := -1.0
+		for i := range live {
+			g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C"+string(rune('1'+i)), 20, 5)
+			if err := l.Create(g, func() {
+				live[i] = r.k.Now()
+				if i != 2 {
+					return
+				}
+				// The deletion's legs interleave with the creations still
+				// in flight.
+				if err := l.Delete(g.Name(), func() { deleted = r.k.Now() }); err != nil {
+					t.Error(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.k.Run(2000)
+		if live != tc.live || deleted != tc.deleted {
+			t.Errorf("rate %v: live at %v, deleted at %v; want %v, %v", tc.rate, live, deleted, tc.live, tc.deleted)
+		}
+		if got := r.mgr.ProtocolTime(); got != tc.protocol {
+			t.Errorf("rate %v: protocol time %v, want %v", tc.rate, got, tc.protocol)
+		}
+		if got := r.k.Executed(); got != tc.executed {
+			t.Errorf("rate %v: %d events fired, want %d", tc.rate, got, tc.executed)
+		}
+		if got := r.net.MessageStats().Dropped; got != tc.dropped {
+			t.Errorf("rate %v: %d messages dropped, want %d", tc.rate, got, tc.dropped)
+		}
+	}
+}
