@@ -24,7 +24,7 @@ type rig struct {
 	reports []bus.Message
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	k := sim.NewKernel()
 	net := netsim.New(k)
@@ -280,6 +280,38 @@ func TestRecreateUnknownGauge(t *testing.T) {
 	}
 }
 
+// TestRecreateOntoLiveNameRejected: re-creating a gauge under a name another
+// live gauge holds fails up front and tears nothing down. Neither gauge is
+// orphaned, replaced or stopped, and done never fires.
+func TestRecreateOntoLiveNameRejected(t *testing.T) {
+	for _, caching := range []bool{false, true} {
+		r := newRig(t)
+		r.mgr.Caching = caching
+		l := r.mgr.DefaultLease()
+		a := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
+		b := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C2", 20, 5)
+		for _, g := range []Gauge{a, b} {
+			if err := l.Create(g, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.k.Run(60)
+		repl := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C2", 20, 5)
+		err := l.Recreate(a.Name(), repl, func() { t.Errorf("caching %v: done fired for a rejected recreate", caching) })
+		if err == nil {
+			t.Errorf("caching %v: recreate onto a live gauge's name should fail", caching)
+		}
+		r.k.Run(600)
+		if l.Gauge(a.Name()) != a || l.Gauge(b.Name()) != b || l.Deployed() != 2 || r.mgr.Deployed() != 2 {
+			t.Errorf("caching %v: deployed %d, %s %p, %s %p; want the two originals", caching,
+				r.mgr.Deployed(), a.Name(), l.Gauge(a.Name()), b.Name(), l.Gauge(b.Name()))
+		}
+		if c, d, rt := l.Counts(); c != 2 || d != 0 || rt != 0 {
+			t.Errorf("caching %v: counts %d/%d/%d, want 2 creates only", caching, c, d, rt)
+		}
+	}
+}
+
 func TestChurnUnderCongestionIsSlower(t *testing.T) {
 	// The gauge protocol rides the shared network: churn during congestion
 	// takes longer — the §5.3 monitoring-lag pathology at repair time.
@@ -370,5 +402,48 @@ func TestHandshakeSurvivesLostLegs(t *testing.T) {
 		if got := r.net.MessageStats().Dropped; got != tc.dropped {
 			t.Errorf("rate %v: %d messages dropped, want %d", tc.rate, got, tc.dropped)
 		}
+	}
+}
+
+// TestHandshakeAllocatesOnce: a creation handshake, all eight legs of it,
+// allocates its exchange record and nothing else on a warmed manager.
+func TestHandshakeAllocatesOnce(t *testing.T) {
+	r := newRig(t)
+	done := 0
+	count := func() { done++ }
+	run := func() {
+		r.mgr.handshake(&exchange{anchor: r.mHost, host: r.gHost, rounds: createMsgs, done: count})
+		r.k.Run(r.k.Now() + 60)
+	}
+	run()
+	if avg := testing.AllocsPerRun(100, run); avg != 1 {
+		t.Errorf("%v allocations per handshake, want 1", avg)
+	}
+	if done != 102 {
+		t.Errorf("%d handshakes completed, want 102", done)
+	}
+}
+
+// BenchmarkGaugeLifecycle prices one gauge's create, live and delete on a
+// warmed lease: both handshakes run to the end.
+func BenchmarkGaugeLifecycle(b *testing.B) {
+	r := newRig(b)
+	l := r.mgr.DefaultLease()
+	g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
+	cycle := func() {
+		if err := l.Create(g, nil); err != nil {
+			b.Fatal(err)
+		}
+		r.k.Run(r.k.Now() + 60)
+		if err := l.Delete(g.Name(), nil); err != nil {
+			b.Fatal(err)
+		}
+		r.k.Run(r.k.Now() + 60)
+	}
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }

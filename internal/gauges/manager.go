@@ -122,52 +122,106 @@ func (m *Manager) DefaultLease() *Lease {
 	return m.def
 }
 
-// sendReliable delivers one protocol message with retransmission: if the
-// network drops it (lossy monitoring plane), it is resent after
-// retryTimeout until it lands.
-func (m *Manager) sendReliable(from, to netsim.NodeID, cb func()) {
-	delivered := false
-	var attempt func()
-	attempt = func() {
-		if delivered {
-			return
-		}
-		m.net.SendMessage(from, to, msgBits, m.Priority, func() {
-			if !delivered {
-				delivered = true
-				cb()
-			}
-		})
-		m.k.AfterAnon(retryTimeout, func() {
-			if !delivered {
-				attempt()
-			}
-		})
-	}
-	attempt()
+// exchange is one handshake in flight: rounds sequential round trips
+// between anchor and host, each a request leg, protocolDelay of work and an
+// ack leg, then the continuation. Its legs live inline and static callbacks
+// drive them, so a handshake allocates this record and nothing else.
+type exchange struct {
+	m            *Manager
+	anchor, host netsim.NodeID
+	rounds       int // round trips still to start
+	start        sim.Time
+
+	// The continuation: start g if it is still deployed under app (a
+	// creation), then run the teardowns queued at rest (Close), then done.
+	app  string
+	g    Gauge
+	rest []netsim.NodeID
+	done func()
+
+	sent int // legs sent so far
+	legs [2 * createMsgs]leg
 }
 
-// handshake runs n sequential round trips between anchor and host and calls
-// done.
-func (m *Manager) handshake(anchor, host netsim.NodeID, n int, done func()) {
-	start := m.k.Now()
-	var step func(remaining int)
-	step = func(remaining int) {
-		if remaining == 0 {
-			m.protocolBusy += m.k.Now() - start
-			done()
-			return
-		}
-		// Request leg, then protocol work, then ack leg.
-		m.sendReliable(anchor, host, func() {
-			m.k.AfterAnon(protocolDelay, func() {
-				m.sendReliable(host, anchor, func() {
-					step(remaining - 1)
-				})
-			})
-		})
+// leg is one protocol message, retransmitted after retryTimeout until it
+// lands: the request (anchor to host) or the ack (host to anchor).
+type leg struct {
+	x              *exchange
+	ack, delivered bool
+}
+
+// handshake starts x's round trips now.
+func (m *Manager) handshake(x *exchange) {
+	x.m, x.start = m, m.k.Now()
+	x.step()
+}
+
+// step starts the next round trip, or finishes the exchange.
+func (x *exchange) step() {
+	if x.rounds == 0 {
+		x.finish()
+		return
 	}
-	step(n)
+	x.rounds--
+	x.send(false)
+}
+
+// send sends the exchange's next leg.
+func (x *exchange) send(ack bool) {
+	l := &x.legs[x.sent]
+	x.sent++
+	l.x, l.ack = x, ack
+	attempt(l)
+}
+
+// attempt sends leg a's message and arms its retransmission; a delivered leg
+// sends nothing more.
+func attempt(a any) {
+	l := a.(*leg)
+	if l.delivered {
+		return
+	}
+	x := l.x
+	from, to := x.anchor, x.host
+	if l.ack {
+		from, to = to, from
+	}
+	x.m.net.SendMessageTo(from, to, msgBits, x.m.Priority, deliver, l)
+	x.m.k.AfterAnonArg(retryTimeout, attempt, l)
+}
+
+// deliver lands leg a's first copy: a request is followed by the protocol
+// work and the ack, an ack by the next round trip.
+func deliver(a any) {
+	l := a.(*leg)
+	if l.delivered {
+		return
+	}
+	l.delivered = true
+	if l.ack {
+		l.x.step()
+		return
+	}
+	l.x.m.k.AfterAnonArg(protocolDelay, sendAck, l.x)
+}
+
+// sendAck sends exchange a's ack leg once the protocol work is done.
+func sendAck(a any) { a.(*exchange).send(true) }
+
+// finish accounts the exchange's protocol time and runs its continuation.
+func (x *exchange) finish() {
+	m := x.m
+	m.protocolBusy += m.k.Now() - x.start
+	if x.g != nil && m.gauges[gaugeKey{x.app, x.g.Name()}] == x.g { // not deleted meanwhile
+		x.g.start()
+	}
+	if len(x.rest) > 0 {
+		m.handshake(&exchange{anchor: x.anchor, host: x.rest[0], rounds: deleteMsgs, rest: x.rest[1:], done: x.done})
+		return
+	}
+	if x.done != nil {
+		x.done()
+	}
 }
 
 // App returns the lease's application name.
@@ -199,14 +253,7 @@ func (l *Lease) Create(g Gauge, done func()) error {
 	l.m.creates++
 	l.m.gauges[key] = g
 	l.deployed++
-	l.m.handshake(l.host, g.Host(), createMsgs, func() {
-		if l.m.gauges[key] == g { // not deleted meanwhile
-			g.start()
-		}
-		if done != nil {
-			done()
-		}
-	})
+	l.m.handshake(&exchange{anchor: l.host, host: g.Host(), rounds: createMsgs, app: l.app, g: g, done: done})
 	return nil
 }
 
@@ -223,11 +270,7 @@ func (l *Lease) Delete(name string, done func()) error {
 	delete(l.m.gauges, key)
 	l.deployed--
 	g.stop()
-	l.m.handshake(l.host, g.Host(), deleteMsgs, func() {
-		if done != nil {
-			done()
-		}
-	})
+	l.m.handshake(&exchange{anchor: l.host, host: g.Host(), rounds: deleteMsgs, done: done})
 	return nil
 }
 
@@ -235,30 +278,29 @@ func (l *Lease) Delete(name string, done func()) error {
 // caching it is Delete followed by Create of the replacement; with caching
 // it is a single reconfiguration round trip (the replacement gauge reuses
 // the deployed instance's slot). done fires when the gauge is live again.
+// A replacement whose name another live gauge holds is rejected before
+// anything is torn down.
 func (l *Lease) Recreate(old string, replacement Gauge, done func()) error {
 	oldKey := gaugeKey{l.app, old}
 	g, ok := l.m.gauges[oldKey]
 	if !ok {
 		return fmt.Errorf("gauges: no gauge %s", old)
 	}
+	if cur, held := l.m.gauges[gaugeKey{l.app, replacement.Name()}]; held && cur != g {
+		return fmt.Errorf("gauges: %s already deployed", replacement.Name())
+	}
 	if l.m.Caching {
 		l.retargets++
 		l.m.retargets++
 		g.stop()
 		delete(l.m.gauges, oldKey)
-		newKey := gaugeKey{l.app, replacement.Name()}
-		l.m.gauges[newKey] = replacement
-		l.m.handshake(l.host, replacement.Host(), 1, func() {
-			if l.m.gauges[newKey] == replacement {
-				replacement.start()
-			}
-			if done != nil {
-				done()
-			}
-		})
+		l.m.gauges[gaugeKey{l.app, replacement.Name()}] = replacement
+		l.m.handshake(&exchange{anchor: l.host, host: replacement.Host(), rounds: 1, app: l.app, g: replacement, done: done})
 		return nil
 	}
 	return l.Delete(old, func() {
+		// Refused only if the lease closed or the name was taken during
+		// the teardown.
 		_ = l.Create(replacement, done)
 	})
 }
@@ -295,16 +337,7 @@ func (l *Lease) Close(done func()) {
 		g.stop()
 	}
 
-	// One dispatch pass over the teardown handshakes.
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(hosts) {
-			if done != nil {
-				done()
-			}
-			return
-		}
-		l.m.handshake(l.host, hosts[i], deleteMsgs, func() { step(i + 1) })
-	}
-	step(0)
+	// One dispatch pass over the teardown handshakes: an exchange of no
+	// round trips whose continuation runs them.
+	l.m.handshake(&exchange{anchor: l.host, rest: hosts, done: done})
 }

@@ -421,6 +421,31 @@ func TestScriptedDeclinedRepairAllocationFree(t *testing.T) {
 	checkDeclinedTick(t, strat)
 }
 
+// TestAbortingRepairAllocationFree: while no group can take a starved
+// client, FixLatency aborts with ErrNoServerGroupFound on every check tick.
+// The abort keeps its wrapped text and allocates nothing.
+func TestAbortingRepairAllocationFree(t *testing.T) {
+	sys, eng, _ := declinedTick(t, FixLatency(func(*model.System, *model.Component, float64) (*model.Component, float64) {
+		return nil, 0
+	}))
+	_, _, role, _ := GroupOf(sys, sys.Component("C3"))
+	role.Props().Set(PropBandwidth, 5e3)
+	v := violationFor(sys, "C3")
+	decide := func() {
+		rec := eng.HandleViolation(v, 100)
+		if rec == nil || !errors.Is(rec.Err, ErrNoServerGroupFound) {
+			t.Fatalf("record %+v, want the NoServerGroupFound abort", rec)
+		}
+		if got, want := rec.Err.Error(), "repair: tactic fixBandwidth: operators: no server group with sufficient bandwidth"; got != want {
+			t.Fatalf("error %q, want %q", got, want)
+		}
+	}
+	decide()
+	if avg := testing.AllocsPerRun(1000, decide); avg != 0 {
+		t.Errorf("%v allocations per aborting decision, want 0", avg)
+	}
+}
+
 // noQuery is a group query that fails the test if it runs: in the declined
 // fixture the bandwidth is healthy.
 func noQuery(t testing.TB) GroupQuery {

@@ -21,6 +21,10 @@ type GroupQuery func(sys *model.System, cli *model.Component, minBW float64) (*m
 // line 41).
 var ErrNoServerGroupFound = fmt.Errorf("operators: no server group with sufficient bandwidth")
 
+// errBandwidthAbort is FixLatency's abort, wrapped once: the strategy
+// returns it on every check tick while the abort stands.
+var errBandwidthAbort = fmt.Errorf("repair: tactic fixBandwidth: %w", ErrNoServerGroupFound)
+
 // subjectClient resolves the violation subject to a ClientT component. The
 // latency invariant is scoped to clients, mirroring Fig. 5 lines 5-8 where
 // the strategy selects the client attached to the violated role.
@@ -48,7 +52,9 @@ func FixLatency(query GroupQuery) *repair.Strategy {
 		} else if ok {
 			return []string{"fixServerLoad"}, nil
 		}
-		if ok, err := fixBandwidth(ctx, query); err != nil {
+		if ok, err := fixBandwidth(ctx, query); err == ErrNoServerGroupFound {
+			return nil, errBandwidthAbort
+		} else if err != nil {
 			return nil, fmt.Errorf("repair: tactic fixBandwidth: %w", err)
 		} else if ok {
 			return []string{"fixBandwidth"}, nil

@@ -467,17 +467,31 @@ func (k *Kernel) Ticker(start Time, period float64, fn func(Time)) (stop func())
 	if !(period > 0) || math.IsInf(period, 1) {
 		panic("sim: Ticker period must be positive")
 	}
-	stopped := false
-	var tick func()
-	at := start
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn(k.now)
-		at += period
-		k.AtAnon(at, tick)
-	}
-	k.AtAnon(start, tick)
-	return func() { stopped = true }
+	t := &ticker{k: k, at: start, period: period, fn: fn}
+	k.AtAnonArg(start, tickerStep, t)
+	return t.stop
 }
+
+// ticker is one Ticker's state. It re-arms itself through AtAnonArg with the
+// static tickerStep, so a ticker allocates this record and its stop method
+// value, and each tick nothing.
+type ticker struct {
+	k       *Kernel
+	at      Time
+	period  float64
+	fn      func(Time)
+	stopped bool
+}
+
+// tickerStep fires ticker a's tick and arms the next one.
+func tickerStep(a any) {
+	t := a.(*ticker)
+	if t.stopped {
+		return
+	}
+	t.fn(t.k.now)
+	t.at += t.period
+	t.k.AtAnonArg(t.at, tickerStep, t)
+}
+
+func (t *ticker) stop() { t.stopped = true }

@@ -143,6 +143,26 @@ func TestTicker(t *testing.T) {
 	}
 }
 
+// TestTickerAllocatesTwice: starting a ticker allocates its record and its
+// stop function; its ticks and its stop allocate nothing.
+func TestTickerAllocatesTwice(t *testing.T) {
+	k := NewKernel()
+	ticks := 0
+	fn := func(Time) { ticks++ }
+	run := func() {
+		stop := k.Ticker(k.Now()+1, 1, fn)
+		k.Run(k.Now() + 3.5)
+		stop()
+	}
+	run()
+	if avg := testing.AllocsPerRun(100, run); avg > 2 {
+		t.Errorf("%v allocations per ticker, want at most 2", avg)
+	}
+	if ticks != 3*102 {
+		t.Errorf("%d ticks, want %d", ticks, 3*102)
+	}
+}
+
 // TestTickerRejectsBadPeriods: a period that is not positive and finite
 // panics at the call. A NaN period used to fire its first tick and then panic
 // re-arming, inside the callback; a +Inf one re-armed at +Inf until RunAll hit

@@ -52,8 +52,9 @@ var reachAllowed = map[string]string{
 	"archadapt/internal/netsim.Network.SetBackground": "one-direction load the solver equivalence tests apply to both solvers",
 	"archadapt/internal/repair.Strategy.Execute":      "runs a hand-coded strategy, the reference the operators tests compare compiled scripts against",
 
-	// Message-loss injectors: sendReliable and the control loop recover from
-	// the losses they cause, and the fault tests prove it.
+	// Message-loss injectors: the gauge protocol's retransmission and the
+	// control loop recover from the losses they cause, and the fault tests
+	// prove it.
 	"archadapt/internal/bus.Shard.SetDrop":      "message-loss injector for the monitoring buses",
 	"archadapt/internal/netsim.Network.SetDrop": "message-loss injector for control messages",
 
