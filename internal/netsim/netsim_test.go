@@ -415,3 +415,80 @@ func TestCancelFreezesRemaining(t *testing.T) {
 func linked(n *Network, a, b NodeID) bool {
 	return slices.ContainsFunc(n.adj[a], func(ht hopTo) bool { return ht.to == b })
 }
+
+// TestSendMessageMatchesSendMessageTo: the closure form and the closure-free
+// form of a control-message send are one model. The same run of messages,
+// with drops drawn from identically seeded generators and a background load
+// change mid-run, must arrive at the same times in the same order, drop the
+// same messages and leave the same MessageStats; and a warm SendMessage with
+// a pre-built closure allocates nothing.
+func TestSendMessageMatchesSendMessageTo(t *testing.T) {
+	type arrival struct {
+		i  int
+		at float64
+	}
+	run := func(closure bool) ([]arrival, []float64, MsgStats) {
+		k, n, a, b, l1, _ := line(t)
+		n.SetDrop(0.5, sim.NewRand(5))
+		var log []arrival
+		var delays []float64
+		deliver := func(arg any) { log = append(log, arrival{arg.(int), k.Now()}) }
+		for i := 0; i < 64; i++ {
+			src, dst := a, b
+			switch i % 3 {
+			case 1:
+				src, dst = b, a
+			case 2:
+				dst = a
+			}
+			prio := BestEffort
+			if i%5 == 4 {
+				prio = Prioritized
+			}
+			bits := float64(1000 + 700*(i%7))
+			k.AtAnon(float64(i)*0.01, func() {
+				if i == 32 {
+					n.SetBackgroundBoth(l1, 9e6)
+				}
+				var d float64
+				if closure {
+					d = n.SendMessage(src, dst, bits, prio, func() { deliver(i) })
+				} else {
+					d = n.SendMessageTo(src, dst, bits, prio, deliver, i)
+				}
+				delays = append(delays, d)
+			})
+		}
+		k.RunAll(0)
+		return log, delays, n.MessageStats()
+	}
+	logA, delA, stA := run(true)
+	logB, delB, stB := run(false)
+	if !slices.Equal(logA, logB) {
+		t.Fatalf("arrivals differ:\nSendMessage:   %v\nSendMessageTo: %v", logA, logB)
+	}
+	if !slices.Equal(delA, delB) {
+		t.Fatalf("returned delays differ:\n%v\n%v", delA, delB)
+	}
+	if stA != stB {
+		t.Fatalf("stats differ: %+v vs %+v", stA, stB)
+	}
+	if stA.Dropped == 0 || int(stA.Sent) != len(logA) {
+		t.Fatalf("drop pattern not exercised: %+v, %d arrivals", stA, len(logA))
+	}
+
+	k, n, a, b, _, _ := line(t)
+	got := 0
+	fn := func() { got++ }
+	n.SendMessage(a, b, 8000, BestEffort, fn)
+	k.RunAll(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.SendMessage(a, b, 8000, BestEffort, fn)
+		k.RunAll(0)
+	}); allocs != 0 {
+		t.Fatalf("warm SendMessage allocates %v per send, want 0", allocs)
+	}
+	if got != 102 {
+		t.Fatalf("%d deliveries, want 102", got)
+	}
+}
