@@ -104,7 +104,7 @@ func (m *Message) str(f slot) string {
 
 // Filter decides whether a subscription matches a message (content-based
 // routing). It is data, not code — a topic, optionally with one string field
-// that must hold a given value — so the dispatch loops match it inline
+// that must hold a given value — so the dispatch loop matches it inline
 // against a *Message instead of calling out with a copy. The zero Filter
 // matches nothing.
 type Filter struct {
@@ -363,72 +363,35 @@ func (b *Bus) recycleSub(s *Subscription) {
 // a subscriber on the same host is immediate (next event); remote deliveries
 // traverse the network with the bus priority. One publish is one dispatch
 // pass: matching, drop sampling and scheduling reuse pooled records, so the
-// steady state allocates nothing.
+// steady state allocates nothing. The message is copied once per delivery,
+// into the pooled record.
 func (sh *Shard) Publish(msg Message) {
-	msg.Time = sh.b.K.Now()
-	if sh.b.Tracer != nil {
+	b := sh.b
+	msg.Time = b.K.Now()
+	if b.Tracer != nil {
 		sh.traceMsg(&msg)
 	}
-	sh.dispatch(&msg)
+	sh.published++
+	for _, s := range sh.subs {
+		if s.dead || !s.filter.matches(&msg) || sh.lost() {
+			continue
+		}
+		d := b.getDelivery()
+		d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, msg
+		b.Net.SendMessageTo(msg.Src, s.Host, msgBits, b.Priority, deliverFn, d)
+	}
 }
 
-// PublishBatch routes a slice of same-tick, same-source messages in one
-// dispatch pass, equivalent to calling Publish on each in order; msgs itself
-// is only read. Because no other event can run mid-pass, the network state is
-// frozen: the pass reuses one delay computation per destination host instead
-// of re-walking the route for every message (the queue probe publishes one
-// sample per server group per tick — the fleet's highest-rate same-tick
-// burst).
+// PublishBatch publishes each message in order, exactly as Publish would;
+// msgs itself is only read.
 func (sh *Shard) PublishBatch(msgs []Message) {
-	if len(msgs) == 0 {
-		return
-	}
-	b := sh.b
-	now := b.K.Now()
-	src := msgs[0].Src
-	type hostDelay struct {
-		host  netsim.NodeID
-		delay float64
-	}
-	var memo [8]hostDelay
-	nmemo := 0
 	for i := range msgs {
-		// Stamped on a copy: the caller's slice stays as it was handed in.
-		msg := msgs[i]
-		msg.Time = now
-		if b.Tracer != nil {
-			sh.traceMsg(&msg)
-		}
-		sh.published++
-		for _, s := range sh.subs {
-			if s.dead || !s.filter.matches(&msg) || sh.lost() {
-				continue
-			}
-			delay, found := 0.0, false
-			if msg.Src == src {
-				for i := 0; i < nmemo; i++ {
-					if memo[i].host == s.Host {
-						delay, found = memo[i].delay, true
-						break
-					}
-				}
-			}
-			if !found {
-				delay = b.Net.MessageDelay(msg.Src, s.Host, msgBits, b.Priority)
-				if msg.Src == src && nmemo < len(memo) {
-					memo[nmemo] = hostDelay{s.Host, delay}
-					nmemo++
-				}
-			}
-			d := b.getDelivery()
-			d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, msg
-			b.Net.SendPrecomputed(delay, msgBits, b.Priority, deliverFn, d)
-		}
+		sh.Publish(msgs[i])
 	}
 }
 
 // lost reports whether the injected fault eats one notification. The
-// dispatch loops ask once per matching subscriber, in subscription order, so
+// dispatch loop asks once per matching subscriber, in subscription order, so
 // that is also the order of the drop-RNG draws.
 func (sh *Shard) lost() bool {
 	if sh.dropRate > 0 && sh.dropRNG != nil && sh.dropRNG.Float64() < sh.dropRate {
@@ -436,21 +399,6 @@ func (sh *Shard) lost() bool {
 		return true
 	}
 	return false
-}
-
-// dispatch fans one stamped message out to the shard's subscribers. The
-// message is copied once per delivery, into the pooled record.
-func (sh *Shard) dispatch(msg *Message) {
-	b := sh.b
-	sh.published++
-	for _, s := range sh.subs {
-		if s.dead || !s.filter.matches(msg) || sh.lost() {
-			continue
-		}
-		d := b.getDelivery()
-		d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, *msg
-		b.Net.SendMessageTo(msg.Src, s.Host, msgBits, b.Priority, deliverFn, d)
-	}
 }
 
 // Default returns the bus's default shard (the single-tenant endpoint),

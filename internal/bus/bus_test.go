@@ -270,7 +270,7 @@ func TestPublishBatchMatchesSequentialPublish(t *testing.T) {
 		msgs := []Message{
 			{Topic: "q", Src: a, Group: "G1", V1: 3},
 			{Topic: "q", Src: a, Group: "G2", V1: 5},
-			{Topic: "q", Src: bHost, Group: "G1", V1: 7}, // another source: outside the delay memo
+			{Topic: "q", Src: bHost, Group: "G1", V1: 7}, // another source
 			{Topic: "r", Src: a, Group: "G1"},
 		}
 		before := slices.Clone(msgs)

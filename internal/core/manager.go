@@ -418,7 +418,7 @@ func (m *Manager) check(now float64) {
 		m.spans = append(m.spans, span)
 		m.busy = false
 		if m.tr != nil {
-			m.traceRepairDone(&rec, repairSpan, span.Start)
+			m.traceRepairDone(&rec, repairSpan)
 		}
 	})
 }

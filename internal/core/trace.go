@@ -23,29 +23,15 @@ import (
 //
 // Phase samples: detect = probe sample (or model update) → first violating
 // check; decide = episode open → repair commit; drain = gauge-churn extent;
-// recover = churn done → first healthy check.
-
-// reportRef remembers the newest model.update span per model subject, so a
-// violation can parent on the observation that triggered it.
-type reportRef struct {
-	span obs.SpanID
-	at   float64
-}
-
-// recoverRef is an open recovery span awaiting the subject's first healthy
-// check.
-type recoverRef struct {
-	span obs.SpanID
-	at   float64
-}
+// recover = churn done → first healthy check. Each sample reads its start
+// from a recorded span's Start; the spans are the only timestamps kept.
 
 // traceState is the manager's per-episode bookkeeping. Allocated only when a
 // tracer is configured.
 type traceState struct {
-	lastReport     map[string]reportRef  // model subject -> newest model.update
+	lastReport     map[string]obs.SpanID // model subject -> newest model.update
 	violSpan       map[string]obs.SpanID // open episode -> violation span
-	violSince      map[string]float64    // open episode -> first violating check
-	pendingRecover map[string]recoverRef // repaired subject -> open recover span
+	pendingRecover map[string]obs.SpanID // repaired subject -> open recover span
 	lastDecision   obs.SpanID            // newest repair.decide (engine observer)
 	scratch        map[string]bool       // per-check violating-subject set
 }
@@ -56,10 +42,9 @@ func (m *Manager) traceInit(app string) {
 	m.tr = m.Cfg.Tracer
 	m.trApp = app
 	m.trState = &traceState{
-		lastReport:     map[string]reportRef{},
+		lastReport:     map[string]obs.SpanID{},
 		violSpan:       map[string]obs.SpanID{},
-		violSince:      map[string]float64{},
-		pendingRecover: map[string]recoverRef{},
+		pendingRecover: map[string]obs.SpanID{},
 		scratch:        map[string]bool{},
 	}
 	m.Engine.Observer = func(rec *repair.Record, v constraint.Violation, now float64) {
@@ -84,8 +69,7 @@ func (m *Manager) traceInit(app string) {
 // model.update span parented on the report's bus span, remembered per model
 // subject so the next violation on that subject can chain to it.
 func (m *Manager) traceModelUpdate(msg bus.Message, subject string) {
-	upd := m.tr.Instant(obs.KindModelUpdate, msg.Span, m.trApp, subject+"/"+msg.Prop, msg.V1, 0)
-	m.trState.lastReport[subject] = reportRef{span: upd, at: m.K.Now()}
+	m.trState.lastReport[subject] = m.tr.Instant(obs.KindModelUpdate, msg.Span, m.trApp, subject+"/"+msg.Prop, msg.V1, 0)
 }
 
 // traceCheck reconciles episode state against one check's violation set:
@@ -100,41 +84,32 @@ func (m *Manager) traceCheck(vs []constraint.Violation, now float64) {
 	for _, v := range vs {
 		subj := v.SubjectName()
 		st.scratch[subj] = true
-		if _, open := st.violSince[subj]; open {
+		if _, open := st.violSpan[subj]; open {
 			continue
 		}
-		st.violSince[subj] = now
-		ref := st.lastReport[subj]
+		report := st.lastReport[subj]
 		inv := "?"
 		if v.Invariant != nil {
 			inv = v.Invariant.Name
 		}
-		st.violSpan[subj] = m.tr.Instant(obs.KindViolation, ref.span, m.trApp, subj+"/"+inv, 0, 0)
-		if ref.span != 0 {
-			// Detect latency runs from the observation's origin — the probe
-			// sample when one exists (bandwidth updates are rooted at the
-			// Remos reply) — to this first violating check.
-			start := ref.at
-			if anc, ok := m.tr.Ancestor(ref.span, obs.KindProbeSample); ok {
-				start = anc.Start
-			}
+		st.violSpan[subj] = m.tr.Instant(obs.KindViolation, report, m.trApp, subj+"/"+inv, 0, 0)
+		if start, ok := m.tr.Origin(report); ok {
 			m.tr.RecordPhase(m.trApp, obs.PhaseDetect, now-start)
 		}
 	}
 	var closed []string
-	for subj := range st.violSince {
+	for subj := range st.violSpan {
 		if !st.scratch[subj] {
 			closed = append(closed, subj)
 		}
 	}
 	sort.Strings(closed)
 	for _, subj := range closed {
-		delete(st.violSince, subj)
 		delete(st.violSpan, subj)
-		if pr, ok := st.pendingRecover[subj]; ok {
+		if rc, ok := st.pendingRecover[subj]; ok {
 			delete(st.pendingRecover, subj)
-			m.tr.EndSpan(pr.span)
-			m.tr.RecordPhase(m.trApp, obs.PhaseRecover, now-pr.at)
+			m.tr.EndSpan(rc)
+			m.tr.RecordPhase(m.trApp, obs.PhaseRecover, now-m.tr.StartOf(rc))
 		}
 	}
 }
@@ -144,8 +119,8 @@ func (m *Manager) traceCheck(vs []constraint.Violation, now float64) {
 // decision span, that traceRepairDone closes when gauge churn completes.
 func (m *Manager) traceRepairBegin(rec *repair.Record, now float64) obs.SpanID {
 	st := m.trState
-	if since, ok := st.violSince[rec.Subject]; ok {
-		m.tr.RecordPhase(m.trApp, obs.PhaseDecide, now-since)
+	if viol, ok := st.violSpan[rec.Subject]; ok {
+		m.tr.RecordPhase(m.trApp, obs.PhaseDecide, now-m.tr.StartOf(viol))
 	}
 	return m.tr.Begin(obs.KindRepair, st.lastDecision, m.trApp, rec.Strategy+"/"+rec.Subject, 0, 0)
 }
@@ -153,16 +128,15 @@ func (m *Manager) traceRepairBegin(rec *repair.Record, now float64) obs.SpanID {
 // traceRepairDone closes the repair span at churn completion, records the
 // drain phase, and opens the recovery span that the first post-repair healthy
 // check will close.
-func (m *Manager) traceRepairDone(rec *repair.Record, span obs.SpanID, start float64) {
+func (m *Manager) traceRepairDone(rec *repair.Record, span obs.SpanID) {
 	now := m.K.Now()
 	m.tr.EndSpan(span)
-	m.tr.RecordPhase(m.trApp, obs.PhaseDrain, now-start)
+	m.tr.RecordPhase(m.trApp, obs.PhaseDrain, now-m.tr.StartOf(span))
 	st := m.trState
 	if old, ok := st.pendingRecover[rec.Subject]; ok {
 		// A repeat repair superseded an unresolved recovery: close the stale
 		// span at the new repair's completion.
-		m.tr.EndSpan(old.span)
+		m.tr.EndSpan(old)
 	}
-	rc := m.tr.Begin(obs.KindRecover, span, m.trApp, "recover/"+rec.Subject, 0, 0)
-	st.pendingRecover[rec.Subject] = recoverRef{span: rc, at: now}
+	st.pendingRecover[rec.Subject] = m.tr.Begin(obs.KindRecover, span, m.trApp, "recover/"+rec.Subject, 0, 0)
 }

@@ -108,10 +108,8 @@ func (m *Manager) CreateReqQueue(group string) error {
 	}
 	m.stats.CreateReqQueue++
 	// Validate synchronously; the queue materializes after the RPC delay.
-	for _, g := range m.App.Groups() {
-		if g == group {
-			return fmt.Errorf("envmgr: queue for %s already exists", group)
-		}
+	if m.hasQueue(group) {
+		return fmt.Errorf("envmgr: queue for %s already exists", group)
 	}
 	m.rpc(m.App.QueueHost, func() {
 		_ = m.App.CreateQueue(group)

@@ -190,15 +190,14 @@ type appHealth struct {
 
 	// Observability-plane state (all zero when tracing is off):
 	// lastViolSpan is the bus span of the newest violating report, the causal
-	// parent of the next unhealthy verdict; streakStart anchors the fleet's
-	// decide-phase latency; recoverSpan/recoverAt watch a completed
-	// migration's recovery, resolved at the first healthy verdict that saw
-	// reports.
+	// parent of the next unhealthy verdict; streakStart, the streak's first
+	// verdict, anchors the fleet's decide-phase latency; recoverSpan watches
+	// a completed migration's recovery, resolved at the first healthy verdict
+	// that saw reports.
 	lastViolSpan obs.SpanID
 	lastVerdict  obs.SpanID
-	streakStart  float64
+	streakStart  obs.SpanID
 	recoverSpan  obs.SpanID
-	recoverAt    float64
 }
 
 // attachHealth subscribes the fleet to an application's gauge reports at the
@@ -268,26 +267,22 @@ func (f *Fleet) migrationTick(now float64) {
 				// First healthy verdict backed by fresh reports: the migrated
 				// app has demonstrably recovered.
 				f.tracer.EndSpan(h.recoverSpan)
-				f.tracer.RecordPhase(a.Name, obs.PhaseRecover, now-h.recoverAt)
+				f.tracer.RecordPhase(a.Name, obs.PhaseRecover, now-f.tracer.StartOf(h.recoverSpan))
 				h.recoverSpan = 0
 			}
 			continue
 		}
 		h.streak++
 		if f.tracer != nil {
+			h.lastVerdict = f.tracer.Instant(obs.KindVerdict, h.lastViolSpan, a.Name, "unhealthy", float64(h.streak), 0)
 			if h.streak == 1 {
-				h.streakStart = now
-				// Fleet-level detect latency: observation origin (probe sample
-				// when the chain has one) → first unhealthy verdict.
-				if sp, ok := f.tracer.Get(h.lastViolSpan); ok {
-					start := sp.Start
-					if anc, ok := f.tracer.Ancestor(h.lastViolSpan, obs.KindProbeSample); ok {
-						start = anc.Start
-					}
+				h.streakStart = h.lastVerdict
+				// Fleet-level detect latency: observation origin → first
+				// unhealthy verdict.
+				if start, ok := f.tracer.Origin(h.lastViolSpan); ok {
 					f.tracer.RecordPhase(a.Name, obs.PhaseDetect, now-start)
 				}
 			}
-			h.lastVerdict = f.tracer.Instant(obs.KindVerdict, h.lastViolSpan, a.Name, "unhealthy", float64(h.streak), 0)
 		}
 		if h.streak < p.Patience {
 			continue
@@ -372,7 +367,7 @@ func (f *Fleet) Migrate(name string) error {
 	}
 	// The operator path is coordinated like the ticker path: a manual
 	// migration may not exceed the concurrent-drain cap either.
-	if p := f.Cfg.Migration; p.MaxConcurrent > 0 && f.inFlight >= p.MaxConcurrent {
+	if p := f.Cfg.Migration; f.inFlight >= p.MaxConcurrent {
 		return fmt.Errorf("fleet: %d migrations already draining (MaxConcurrent=%d)", f.inFlight, p.MaxConcurrent)
 	}
 	return f.beginMigration(a, f.K.Now())
@@ -435,9 +430,9 @@ func (f *Fleet) beginMigration(a *App, now float64) error {
 			rec.SourceHealth, rec.TargetHealth)
 		f.tracer.Instant(obs.KindReserve, dec, a.Name, fmt.Sprintf("mgr@%v", rec.ToManager), 0, 0)
 		a.traceDrain = f.tracer.Begin(obs.KindDrain, dec, a.Name, "drain", 0, 0)
-		if h := a.health; h != nil && h.streakStart > 0 {
+		if h := a.health; h != nil && h.streakStart != 0 {
 			// Decide latency: first unhealthy verdict → migration commit.
-			f.tracer.RecordPhase(a.Name, obs.PhaseDecide, now-h.streakStart)
+			f.tracer.RecordPhase(a.Name, obs.PhaseDecide, now-f.tracer.StartOf(h.streakStart))
 		}
 	}
 	if a.ol != nil {
@@ -577,7 +572,6 @@ func (f *Fleet) cutover(a *App, drained bool) {
 				f.tracer.EndSpan(h.recoverSpan)
 			}
 			h.recoverSpan = f.tracer.Begin(obs.KindRecover, cut, a.Name, "recover/migration", 0, 0)
-			h.recoverAt = now
 		}
 	}
 }

@@ -218,7 +218,6 @@ type openApp struct {
 	gated bool // admitted through the admission gate (ledger accounting)
 
 	classes  app.FlowClasses
-	assign   *Assignment // assignment identity at the last tick (cutover detection)
 	lastTick float64
 
 	// Per-group state, indexed by position in Sys.Groups() (groups are
@@ -370,8 +369,7 @@ func (f *Fleet) openLoopRetry(now float64) {
 // openLoopRegister attaches per-app engine state at admission.
 func (f *Fleet) openLoopRegister(a *App, proc arrivals.Process, users float64, gated bool) {
 	a.ol = &openApp{
-		proc: proc, users: users, gated: gated,
-		assign: a.Assign, lastTick: f.K.Now(),
+		proc: proc, users: users, gated: gated, lastTick: f.K.Now(),
 	}
 	a.ol.growGroups(len(a.Sys.Groups()))
 	if gated {
@@ -444,13 +442,6 @@ func (f *Fleet) openLoopTick(now float64) {
 //  6. deliver per-class verdicts and completion counts to the members.
 func (f *Fleet) openLoopApp(a *App, now float64) {
 	ol := a.ol
-	if ol.assign != a.Assign {
-		// A migration cutover re-placed the app since the last tick; the
-		// old flows and replicas were torn down at decision time. Rebuild
-		// from the new placement.
-		ol.assign = a.Assign
-		ol.classes.Reset()
-	}
 	// Closed-loop generation stays off. PauseClients is idempotent, and
 	// re-asserting it here re-pauses clients a cutover's ResumeClients
 	// briefly woke.

@@ -338,13 +338,13 @@ func TestOpenLoopTickAllocationFree(t *testing.T) {
 	}
 	run.K.Run(300) // past the Remos cold collections: classes built, flows started
 	a := run.Fleet.App(ScenarioAppName(0))
-	rev, ups, downs := a.Sys.MemberRev(), a.ol.ups, a.ol.downs
+	rev, ups, downs, asg := a.Sys.MemberRev(), a.ol.ups, a.ol.downs, a.Assign
 	responses := a.Sys.Client(a.Sys.Clients()[0]).Responses()
 	period := func() { run.K.Run(run.K.Now() + adjustPeriod) }
 	if avg := testing.AllocsPerRun(40, period); avg != 0 {
 		t.Fatalf("%v allocations per steady open-loop period, want 0", avg)
 	}
-	if a.Sys.MemberRev() != rev || a.ol.ups != ups || a.ol.downs != downs || a.Assign != a.ol.assign {
+	if a.Sys.MemberRev() != rev || a.ol.ups != ups || a.ol.downs != downs || a.Assign != asg {
 		t.Fatal("the fixture repaired, scaled or migrated while measured: not a steady tick")
 	}
 	if a.Sys.Client(a.Sys.Clients()[0]).Responses() == responses {

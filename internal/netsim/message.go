@@ -36,13 +36,10 @@ type MsgStats struct {
 	Dropped  uint64
 }
 
-// msgStats is exported via Network.MessageStats.
-var _ = MsgStats{}
-
 // MessageStats returns cumulative control-plane statistics.
 func (n *Network) MessageStats() MsgStats { return n.msgStats }
 
-// DropRate (0..1) drops that fraction of best-effort control messages,
+// SetDrop drops that fraction (0..1) of best-effort control messages,
 // deterministically via the supplied RNG. Used for failure-injection tests of
 // the monitoring stack.
 func (n *Network) SetDrop(rate float64, rng *sim.Rand) {
@@ -60,7 +57,22 @@ func (n *Network) SetDrop(rate float64, rng *sim.Rand) {
 // bandwidth actually rises and the time it is noticed" comes from exactly
 // this coupling.
 func (n *Network) SendMessage(src, dst NodeID, bits float64, prio Priority, fn func()) float64 {
-	delay := n.MessageDelay(src, dst, bits, prio)
+	if fn == nil {
+		return n.SendMessageTo(src, dst, bits, prio, nil, nil)
+	}
+	return n.SendMessageTo(src, dst, bits, prio, callFn, fn)
+}
+
+// callFn is SendMessage's trampoline: a func value is pointer-shaped, so
+// passing it as arg costs no allocation.
+func callFn(fn any) { fn.(func())() }
+
+// SendMessageTo is SendMessage with a closure-free callback: fn is a static
+// function and arg its pre-bound receiver, so high-rate senders (the event
+// bus's dispatch) schedule deliveries without allocating. Every control
+// message is delayed, dropped and counted here.
+func (n *Network) SendMessageTo(src, dst NodeID, bits float64, prio Priority, fn func(any), arg any) float64 {
+	delay := n.messageDelay(src, dst, bits, prio)
 	if n.dropRate > 0 && prio == BestEffort && n.dropRNG != nil && n.dropRNG.Float64() < n.dropRate {
 		n.msgStats.Dropped++
 		return delay
@@ -72,45 +84,14 @@ func (n *Network) SendMessage(src, dst NodeID, bits float64, prio Priority, fn f
 		n.msgStats.MaxLag = delay
 	}
 	if fn != nil {
-		n.K.AfterAnon(delay, fn)
-	}
-	return delay
-}
-
-// SendMessageTo is SendMessage with a closure-free callback: fn is a static
-// function and arg its pre-bound receiver, so high-rate senders (the event
-// bus's batched dispatch) schedule deliveries without allocating. Semantics
-// are otherwise identical to SendMessage.
-func (n *Network) SendMessageTo(src, dst NodeID, bits float64, prio Priority, fn func(any), arg any) float64 {
-	delay := n.MessageDelay(src, dst, bits, prio)
-	n.SendPrecomputed(delay, bits, prio, fn, arg)
-	return delay
-}
-
-// SendPrecomputed records and schedules a control message whose delay the
-// caller already computed via MessageDelay — the batched-dispatch fast path,
-// which lets one dispatch pass reuse a delay across same-destination sends at
-// the same instant. It is semantically identical to SendMessageTo with that
-// delay.
-func (n *Network) SendPrecomputed(delay, bits float64, prio Priority, fn func(any), arg any) {
-	if n.dropRate > 0 && prio == BestEffort && n.dropRNG != nil && n.dropRNG.Float64() < n.dropRate {
-		n.msgStats.Dropped++
-		return
-	}
-	n.msgStats.Sent++
-	n.msgStats.Bits += bits
-	n.msgStats.TotalLag += delay
-	if delay > n.msgStats.MaxLag {
-		n.msgStats.MaxLag = delay
-	}
-	if fn != nil {
 		n.K.AfterAnonArg(delay, fn, arg)
 	}
+	return delay
 }
 
-// MessageDelay computes the current delivery delay for a control message
+// messageDelay computes the current delivery delay for a control message
 // without sending it.
-func (n *Network) MessageDelay(src, dst NodeID, bits float64, prio Priority) float64 {
+func (n *Network) messageDelay(src, dst NodeID, bits float64, prio Priority) float64 {
 	if src == dst {
 		return 1e-5
 	}

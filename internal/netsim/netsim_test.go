@@ -164,13 +164,13 @@ func TestSameHostTransfer(t *testing.T) {
 
 func TestMessageDelayGrowsUnderCongestion(t *testing.T) {
 	_, n, a, b, l1, _ := line(t)
-	fast := n.MessageDelay(a, b, 8000, BestEffort)
+	fast := n.messageDelay(a, b, 8000, BestEffort)
 	n.SetBackgroundBoth(l1, 10e6)
-	slow := n.MessageDelay(a, b, 8000, BestEffort)
+	slow := n.messageDelay(a, b, 8000, BestEffort)
 	if slow < 100*fast {
 		t.Fatalf("congested delay %v not much larger than idle %v", slow, fast)
 	}
-	prio := n.MessageDelay(a, b, 8000, Prioritized)
+	prio := n.messageDelay(a, b, 8000, Prioritized)
 	if math.Abs(prio-fast) > 1e-6 {
 		t.Fatalf("prioritized delay %v should match idle %v", prio, fast)
 	}

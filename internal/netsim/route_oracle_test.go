@@ -247,7 +247,7 @@ func TestConnectAfterLookupReroutes(t *testing.T) {
 // path it was started on and still completes.
 func TestConnectAfterTrafficReroutesNextSend(t *testing.T) {
 	n := shape(3, [2]int{0, 1}, [2]int{1, 2})
-	before := n.MessageDelay(0, 2, 4096, BestEffort)
+	before := n.messageDelay(0, 2, 4096, BestEffort)
 	done := 0
 	inflight := n.StartTransfer(0, 2, 1e6, "x", func(*Flow) { done++ })
 	old := inflight.path
@@ -258,7 +258,7 @@ func TestConnectAfterTrafficReroutesNextSend(t *testing.T) {
 	if n.paths != nil {
 		t.Fatal("Connect left memoised routes behind")
 	}
-	if after := n.MessageDelay(0, 2, 4096, BestEffort); after >= before {
+	if after := n.messageDelay(0, 2, 4096, BestEffort); after >= before {
 		t.Fatalf("message delay %v after Connect(A,C), %v before: the next send must take the new link", after, before)
 	}
 	next := n.StartTransfer(0, 2, 1e6, "x", func(*Flow) { done++ })

@@ -276,6 +276,27 @@ func (t *Tracer) Ancestor(id SpanID, kinds ...Kind) (Span, bool) {
 	return Span{}, false
 }
 
+// StartOf returns a span's start time (0 for an unknown span).
+func (t *Tracer) StartOf(id SpanID) float64 {
+	sp, _ := t.Get(id)
+	return sp.Start
+}
+
+// Origin returns when the observation behind span id was made: the start of
+// its nearest probe-sample ancestor, else the span's own start (a bandwidth
+// report is rooted at the Remos reply, not a probe). It is the start of every
+// detect-phase sample. ok is false for an unknown span.
+func (t *Tracer) Origin(id SpanID) (start float64, ok bool) {
+	sp, ok := t.Get(id)
+	if !ok {
+		return 0, false
+	}
+	if anc, found := t.Ancestor(id, KindProbeSample); found {
+		return anc.Start, true
+	}
+	return sp.Start, true
+}
+
 // KernelEvent counts one fired kernel event at virtual time at into the
 // event-rate buckets. Called from the kernel's fire hook, so it must stay
 // allocation-free in the steady state (the bucket slice grows monotonically).

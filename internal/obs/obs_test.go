@@ -74,6 +74,21 @@ func TestSpanTreeAndAncestor(t *testing.T) {
 	if sp, _ := tr.Get(bogus); sp.Parent != 0 {
 		t.Fatalf("bogus parent kept: %d", sp.Parent)
 	}
+
+	// Origin: the probe sample's start when the chain has one, else the
+	// span's own start; an unknown span has none.
+	if at, ok := tr.Origin(viol); !ok || at != 0 {
+		t.Fatalf("Origin(viol) = %v ok=%v, want the probe's 0", at, ok)
+	}
+	if at, ok := tr.Origin(bogus); !ok || at != 3 {
+		t.Fatalf("Origin(bogus) = %v ok=%v, want its own start 3", at, ok)
+	}
+	if _, ok := tr.Origin(0); ok {
+		t.Fatal("Origin of no span reported a start")
+	}
+	if at := tr.StartOf(rep); at != 2 {
+		t.Fatalf("StartOf(rep) = %v, want 2", at)
+	}
 }
 
 func TestBeginEndSpan(t *testing.T) {

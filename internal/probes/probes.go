@@ -55,27 +55,23 @@ func AttachResponseProbe(sh *bus.Shard, c *app.Client) (detach func()) {
 // measure ("we measure server load by measuring the size of the queue of
 // waiting client requests").
 type QueueProbe struct {
-	stop    func()
-	scratch []bus.Message
+	stop func()
 }
 
 // StartQueueProbe begins sampling. Samples start after one period (probes
 // need deployment time; the paper's first two minutes are quiescent for
-// exactly this reason). All of a tick's per-group samples go out in one
-// batched dispatch pass.
+// exactly this reason).
 func StartQueueProbe(k *sim.Kernel, sh *bus.Shard, sys *app.System, period float64) *QueueProbe {
 	p := &QueueProbe{}
 	p.stop = k.Ticker(k.Now()+period, period, func(now sim.Time) {
-		p.scratch = p.scratch[:0]
 		for _, g := range sys.Groups() {
-			p.scratch = append(p.scratch, bus.Message{
+			sh.Publish(bus.Message{
 				Topic: TopicQueue,
 				Src:   sys.QueueHost,
 				Group: g,
 				V1:    float64(sys.QueueLen(g)),
 			})
 		}
-		sh.PublishBatch(p.scratch)
 	})
 	return p
 }

@@ -287,7 +287,7 @@ func (k *Kernel) AfterAnon(d float64, fn func()) {
 // AtAnonArg schedules fn(arg) at absolute time t on a pooled event. Passing a
 // static function plus its receiver instead of a closure makes the whole
 // schedule-fire cycle allocation-free when arg is a pointer — the fast path
-// for the event bus's batched dispatch.
+// for the event bus's dispatch.
 func (k *Kernel) AtAnonArg(t Time, fn func(any), arg any) {
 	k.checkTime(t, "scheduling")
 	e := k.getFree()
