@@ -31,7 +31,6 @@ type Request struct {
 	RespBits float64 // reply size requested
 	SentAt   sim.Time
 	QueuedAt sim.Time
-	PulledAt sim.Time
 
 	// sys, cli, q and srv thread the request through its static pipeline
 	// callbacks (send → enqueue → pull → serve → reply) without per-step
@@ -72,7 +71,6 @@ type Server struct {
 	stopped bool // deactivation requested while busy
 	served  uint64
 	q       *queue // Group's queue, nil while it has none
-	sys     *System
 }
 
 // Active reports whether the server is pulling requests.
@@ -129,9 +127,8 @@ func (c *Client) Responses() uint64 { return c.responses }
 // queue drains (or compacted when the dead prefix dominates), so the backing
 // array is reused instead of re-allocated as the slice walks forward.
 type queue struct {
-	group string
-	reqs  []*Request
-	head  int
+	reqs []*Request
+	head int
 }
 
 // waiting returns the number of queued requests.
@@ -222,7 +219,7 @@ func (s *System) AddServer(name string, host netsim.NodeID, group string, servic
 	srv := &Server{
 		Name: name, Host: host, Group: group,
 		ServiceBase: serviceBase, ServicePerBit: servicePerBit,
-		sys: s, q: s.queues[group],
+		q: s.queues[group],
 	}
 	s.servers[name] = srv
 	s.order.servers = append(s.order.servers, name)
@@ -236,7 +233,7 @@ func (s *System) CreateQueue(group string) error {
 	if _, dup := s.queues[group]; dup {
 		return fmt.Errorf("app: queue for %s already exists", group)
 	}
-	q := &queue{group: group}
+	q := &queue{}
 	s.queues[group] = q
 	s.order.groups = append(s.order.groups, group)
 	s.memberRev++
@@ -473,7 +470,6 @@ func (s *System) idleServer(q *queue) *Server {
 func (s *System) serve(srv *Server, req *Request) {
 	srv.busy = true
 	req.srv = srv
-	req.PulledAt = s.K.Now()
 	pullBits := 0.5 * 8192 // the request payload forwarded to the server
 	s.Net.SendMessageTo(s.QueueHost, srv.Host, pullBits, netsim.BestEffort, pulledFn, req)
 }

@@ -187,23 +187,3 @@ func Integrate(p Process, t0, t1 float64, steps int) float64 {
 	}
 	return sum * h / 3
 }
-
-// SumExact returns the compensated (Neumaier) sum of per-user rates. An
-// aggregated class replaces up to 10^6 individual users with one number;
-// naive left-to-right float64 summation loses low-order bits at that
-// scale, so the class's offered load would drift from the population it
-// models. Compensated summation keeps the aggregate faithful to the sum to
-// within one ulp.
-func SumExact(xs []float64) float64 {
-	sum, comp := 0.0, 0.0
-	for _, x := range xs {
-		t := sum + x
-		if math.Abs(sum) >= math.Abs(x) {
-			comp += (sum - t) + x
-		} else {
-			comp += (x - t) + sum
-		}
-		sum = t
-	}
-	return sum + comp
-}

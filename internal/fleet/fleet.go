@@ -53,7 +53,6 @@ import (
 	"archadapt/internal/core"
 	"archadapt/internal/gauges"
 	"archadapt/internal/metrics"
-	"archadapt/internal/model"
 	"archadapt/internal/netsim"
 	"archadapt/internal/obs"
 	"archadapt/internal/operators"
@@ -202,16 +201,16 @@ func (s AppSpec) Spec() operators.Spec {
 }
 
 // App is one managed application running under the fleet: its processes, its
-// private architectural model and manager, and its ground-truth series.
+// manager (which holds its private architectural model), and its
+// ground-truth series.
 type App struct {
 	Name   string
 	Spec   AppSpec
 	Opspec operators.Spec
 	Assign *Assignment
 
-	Sys   *app.System
-	Model *model.System
-	Mgr   *core.Manager
+	Sys *app.System
+	Mgr *core.Manager
 
 	// Latency holds one ground-truth series per client, sampled by the
 	// fleet's sampler (the per-app Figure 8/11 equivalent).
@@ -233,13 +232,16 @@ type App struct {
 	// admIdx is the application's admission sequence number — the
 	// coordination layer's deterministic last tie-break.
 	admIdx int
-	// migrating marks an in-progress drain; pending is the staged target
-	// reservation, released again if the app retires mid-drain. health is
-	// the fleet controller's view of this app (nil when migration is
-	// disabled).
-	migrating bool
-	pending   *Reservation
-	health    *appHealth
+	// pending is the staged target of an in-progress migration, non-nil
+	// from the decision until the cutover or abort. Its slots were taken
+	// from the scheduler when it was placed, so a later placement can
+	// never hand the same last slots to a second drain; that
+	// commit-at-decision serializes migrations competing for the same
+	// spare capacity. The cutover makes it the live assignment; an abort
+	// releases its slots. health is the fleet controller's view of this
+	// app (nil when migration is disabled).
+	pending *Assignment
+	health  *appHealth
 	// ol is the app's open-loop engine state (openloop.go); nil unless
 	// Config.OpenLoop is enabled.
 	ol *openApp
@@ -420,7 +422,7 @@ func (f *Fleet) AuditSlots() error {
 			}
 		}
 		if a.pending != nil {
-			used += a.pending.Assignment().slots()
+			used += a.pending.slots()
 		}
 	}
 	total := len(f.Grid.Hosts) * f.Sch.HostCapacity
@@ -525,7 +527,7 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 	if err != nil {
 		return fail(err)
 	}
-	a.Sys, a.Model = sys, mdl
+	a.Sys = sys
 	cfg := f.Cfg.Manager
 	cfg.DisableRepairs = !f.Cfg.Adaptive
 	plane, err := f.lease(a)
@@ -573,9 +575,9 @@ func (f *Fleet) Retire(name string) error {
 	if !a.Live() {
 		return fmt.Errorf("fleet: application %q already retired", name)
 	}
-	if a.migrating {
+	if a.pending != nil {
 		// Retired mid-drain: abort the migration and return the staged
-		// reservation's slots. The drain poller sees migrating=false and
+		// target's slots. The drain poller sees no pending target and
 		// stops; the clients stay paused — they are being retired.
 		f.abortDrain(a, nil, false)
 	}
@@ -632,7 +634,7 @@ func (f *Fleet) unlease(a *App) {
 // Stop halts every live application and the fleet sampler (end of run).
 // Unlike Retire it does not release a live application's slots — the run
 // is over. In-progress migration drains are aborted: their staged
-// reservations are returned so the scheduler ledger and the in-flight
+// targets' slots are returned so the scheduler ledger and the in-flight
 // counter stay consistent for post-run inspection.
 func (f *Fleet) Stop() {
 	f.stopped = true
@@ -647,7 +649,7 @@ func (f *Fleet) Stop() {
 	f.stopOpenLoop()
 	for _, a := range f.admitted {
 		if a.Live() {
-			if a.migrating {
+			if a.pending != nil {
 				f.abortDrain(a, nil, false)
 			}
 			a.Mgr.Stop()

@@ -182,11 +182,9 @@ func (m Migration) Aborted() bool { return m.AbortedAt >= 0 }
 // a fleet subscription on the app's report shard and consumed by the
 // decision ticker. Counters cover the reports since the last tick.
 type appHealth struct {
-	sub                 *bus.Subscription
 	latReports, latViol int
 	bwReports, bwBelow  int
 	streak              int
-	lastMigrated        float64
 
 	// Observability-plane state (all zero when tracing is off):
 	// lastViolSpan is the bus span of the newest violating report, the causal
@@ -206,12 +204,12 @@ type appHealth struct {
 // the same honesty costs as everything else.
 func (f *Fleet) attachHealth(a *App) {
 	if a.health == nil {
-		a.health = &appHealth{lastMigrated: -1}
+		a.health = &appHealth{}
 	}
 	h := a.health
 	h.latReports, h.latViol, h.bwReports, h.bwBelow = 0, 0, 0, 0
 	maxLat, minBW := a.Spec.MaxLatency, a.Spec.MinBandwidth
-	h.sub = a.report.Subscribe(f.Host, bus.TopicIs(gauges.TopicReport), func(msg bus.Message) {
+	a.report.Subscribe(f.Host, bus.TopicIs(gauges.TopicReport), func(msg bus.Message) {
 		switch {
 		case msg.Kind == gauges.KindClient && msg.Prop == operators.PropAvgLatency:
 			h.latReports++
@@ -249,7 +247,7 @@ func (f *Fleet) migrationTick(now float64) {
 			continue
 		}
 		h := a.health
-		if a.migrating {
+		if a.pending != nil {
 			// Mid-drain: the region statistics above consumed this tick's
 			// reports; zero the counters so they are not folded again next
 			// tick, but hold no verdict — health re-attaches at cutover.
@@ -287,10 +285,7 @@ func (f *Fleet) migrationTick(now float64) {
 		if h.streak < p.Patience {
 			continue
 		}
-		if f.completedMigrations(a) >= maxMigrationsPerApp {
-			continue
-		}
-		if h.lastMigrated >= 0 && now-h.lastMigrated < p.Cooldown {
+		if n, last := completed(a); n >= maxMigrationsPerApp || (n > 0 && now-last < p.Cooldown) {
 			continue
 		}
 		cands = append(cands, a)
@@ -312,7 +307,9 @@ func (f *Fleet) migrationTick(now float64) {
 			if cands[i].health.streak != cands[j].health.streak {
 				return cands[i].health.streak > cands[j].health.streak
 			}
-			return f.completedMigrations(cands[i]) < f.completedMigrations(cands[j])
+			ni, _ := completed(cands[i])
+			nj, _ := completed(cands[j])
+			return ni < nj
 		})
 		cands = cands[:room]
 		sort.Slice(cands, func(i, j int) bool { return cands[i].admIdx < cands[j].admIdx })
@@ -337,14 +334,18 @@ func (f *Fleet) migrateParent(a *App) obs.SpanID {
 	return h.lastViolSpan
 }
 
-func (f *Fleet) completedMigrations(a *App) int {
-	n := 0
+// completed counts a's completed migrations and returns the newest one's
+// cutover time (-1 when there is none): the cap, the cooldown and the
+// fairness tie-break all read the records.
+func completed(a *App) (n int, last float64) {
+	last = -1
 	for _, m := range a.Migrations {
 		if m.Completed() {
 			n++
+			last = m.CompletedAt
 		}
 	}
-	return n
+	return n, last
 }
 
 // Migrate immediately re-places a live application — the operator override;
@@ -362,7 +363,7 @@ func (f *Fleet) Migrate(name string) error {
 	if !a.Live() {
 		return fmt.Errorf("fleet: application %q is retired", name)
 	}
-	if a.migrating {
+	if a.pending != nil {
 		return fmt.Errorf("fleet: application %q is already migrating", name)
 	}
 	// The operator path is coordinated like the ticker path: a manual
@@ -373,8 +374,8 @@ func (f *Fleet) Migrate(name string) error {
 	return f.beginMigration(a, f.K.Now())
 }
 
-// beginMigration reserves the new placement as a staged Reservation and
-// starts the drain. With ranking enabled the target comes from the region
+// beginMigration places the new target, stages it as a.pending and starts
+// the drain. With ranking enabled the target comes from the region
 // health index via PlaceRanked — only regions measurably at least as
 // healthy as the source qualify. Without it (or when the index has nothing
 // admissible) the avoid set is staged as before: first every router the
@@ -441,8 +442,7 @@ func (f *Fleet) beginMigration(a *App, now float64) error {
 		// the engine rebuilds classes against the new placement afterwards.
 		f.openLoopTeardown(a, true)
 	}
-	a.migrating = true
-	a.pending = f.Sch.Stage(newAssign)
+	a.pending = newAssign
 	f.inFlight++
 	if f.inFlight > f.peakInFlight {
 		f.peakInFlight = f.inFlight
@@ -461,14 +461,14 @@ func (f *Fleet) pollDrain(a *App, decidedAt float64) {
 	const pollPeriod = 1.0
 	var poll func()
 	poll = func() {
-		if f.stopped || !a.Live() || !a.migrating {
-			return // aborted: Retire or Stop released the staged reservation
+		if f.stopped || !a.Live() || a.pending == nil {
+			return // aborted: Retire or Stop released the staged target
 		}
 		now := f.K.Now()
-		if r, failed := f.targetFailedSince(a.pending.Assignment(), decidedAt); failed {
+		if r, failed := f.targetFailedSince(a.pending, decidedAt); failed {
 			// The staged target's region failed after the decision: cutting
 			// over would move the app into the outage. Abort, release the
-			// reservation, resume on the old placement.
+			// staged target, resume on the old placement.
 			f.abortDrain(a, fmt.Errorf("fleet: target region %d failed mid-drain", r), true)
 			return
 		}
@@ -482,14 +482,13 @@ func (f *Fleet) pollDrain(a *App, decidedAt float64) {
 	f.K.At(f.K.Now()+pollPeriod, poll)
 }
 
-// abortDrain abandons an in-progress drain: the staged reservation is
+// abortDrain abandons an in-progress drain: the staged target's slots are
 // released, the record is stamped aborted (reason, when there is one, lands
 // in Err), and with resume the clients continue on the old placement — the
 // mid-drain-failure path. Retirement and Stop abort without resuming.
 func (f *Fleet) abortDrain(a *App, reason error, resume bool) {
-	a.pending.Release()
+	f.Sch.Release(a.pending)
 	a.pending = nil
-	a.migrating = false
 	f.inFlight--
 	rec := &a.Migrations[len(a.Migrations)-1]
 	rec.AbortedAt = f.K.Now()
@@ -518,15 +517,11 @@ func (f *Fleet) cutover(a *App, drained bool) {
 	// background from the old manager host), shards recycled. The fleet's
 	// own health subscription dies with the report shard.
 	f.unlease(a)
-	if a.health != nil {
-		a.health.sub = nil
-	}
 
-	// Swap placements and re-point the processes. Committing the
-	// reservation transfers slot ownership to the live assignment.
+	// Swap placements and re-point the processes: the staged target's
+	// slots now belong to the live assignment.
 	f.Sch.Release(a.Assign)
-	a.Assign = a.pending.Commit()
-	a.pending = nil
+	a.Assign, a.pending = a.pending, nil
 	if err := a.Sys.Rehost(a.Assign.QueueHost, a.Assign.ServerHosts, a.Assign.ClientHosts); err != nil {
 		// Invariant: Rehost fails only on a process with no host, and the
 		// placement was computed from this application's spec, so it names
@@ -547,10 +542,8 @@ func (f *Fleet) cutover(a *App, drained bool) {
 	if a.health != nil {
 		f.attachHealth(a)
 		a.health.streak = 0
-		a.health.lastMigrated = now
 	}
 	a.Sys.ResumeClients()
-	a.migrating = false
 	f.inFlight--
 
 	rec := &a.Migrations[len(a.Migrations)-1]

@@ -163,7 +163,7 @@ func TestMigrateThenRetireNoLeaks(t *testing.T) {
 	if a.Assign.ManagerHost == oldManager {
 		t.Error("manager host unchanged after migration")
 	}
-	if a.migrating || a.pending != nil {
+	if a.pending != nil {
 		t.Error("migration state not cleared after cutover")
 	}
 	if got := f.Gauges.Deployed(); got != gaugesBefore {
@@ -225,7 +225,7 @@ func TestRetireWhileDraining(t *testing.T) {
 		if err := f.Migrate("x"); err != nil {
 			t.Errorf("migrate: %v", err)
 		}
-		if !a.migrating {
+		if a.pending == nil {
 			t.Error("migrate did not enter the draining state")
 		}
 	})
@@ -243,7 +243,7 @@ func TestRetireWhileDraining(t *testing.T) {
 	if a.Migrations[0].Completed() {
 		t.Error("migration completed despite mid-drain retirement")
 	}
-	if a.migrating || a.pending != nil {
+	if a.pending != nil {
 		t.Error("migration state not cleared by retirement")
 	}
 	if got := f.Gauges.Deployed(); got != 0 {

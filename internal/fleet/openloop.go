@@ -231,9 +231,8 @@ type openApp struct {
 	ups       int
 	downs     int
 
-	// Tick scratch, reused across ticks: per-class member rates, per-class
-	// offered load, per-class completion counts, per-group aggregates.
-	rates  []float64
+	// Tick scratch, reused across ticks: per-class offered load, per-class
+	// completion counts, per-group aggregates.
 	lam    []float64
 	counts []uint64
 	glam   []float64
@@ -425,7 +424,7 @@ func (f *Fleet) openLoopTick(now float64) {
 		return
 	}
 	for _, a := range f.admitted {
-		if a.Live() && !a.migrating {
+		if a.Live() && a.pending == nil {
 			f.openLoopApp(a, now)
 		}
 	}
@@ -484,7 +483,7 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 	}
 	counts := ol.counts
 
-	// (3) Offered load per class (compensated member sum) and per group. A
+	// (3) Offered load per class (members × per-member rate) and per group. A
 	// class whose group has no queue offers load nobody serves: it adds to
 	// no group, and below its servers emit nothing and its wait is zero.
 	perUser := ol.proc.Rate(now)
@@ -493,11 +492,7 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 	ol.lam = ol.lam[:0]
 	clear(ol.glam)
 	for _, fc := range classes {
-		ol.rates = ol.rates[:0]
-		for range fc.Members {
-			ol.rates = append(ol.rates, perMember)
-		}
-		lam := arrivals.SumExact(ol.rates)
+		lam := float64(len(fc.Members)) * perMember
 		ol.lam = append(ol.lam, lam)
 		if fc.GroupPos >= 0 {
 			ol.glam[fc.GroupPos] += lam

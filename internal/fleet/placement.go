@@ -397,58 +397,9 @@ func (s *Scheduler) placeWhere(spec operators.Spec, allowed func(netsim.NodeID) 
 	return a, nil
 }
 
-// Reservation stages a committed assignment for a migration in flight. The
-// slots were taken from the scheduler the moment the assignment was placed
-// — a later placement can never hand the same last slots to a second drain;
-// that commit-at-decision is what serializes concurrent migrations
-// competing for the same spare capacity. The reservation then has exactly
-// two exits: Commit hands the slots to the cutover, Release returns them to
-// the pool (retirement mid-drain, placement abandoned). Release is
-// idempotent and a no-op after Commit, so every abort path can call it
-// unconditionally; Scheduler.FreeSlots round-trips exactly either way.
-type Reservation struct {
-	sch       *Scheduler
-	assign    *Assignment
-	released  bool
-	committed bool
-}
-
-// Stage wraps an assignment whose slots this scheduler already committed
-// (Place/PlaceAvoiding/PlaceRanked) into a staged reservation.
-func (s *Scheduler) Stage(a *Assignment) *Reservation {
-	return &Reservation{sch: s, assign: a}
-}
-
-// Assignment returns the staged target without transferring ownership.
-func (r *Reservation) Assignment() *Assignment { return r.assign }
-
-// Release returns the staged slots to the scheduler. Idempotent; no-op
-// after Commit (the slots then belong to the live assignment).
-func (r *Reservation) Release() {
-	if r == nil || r.released || r.committed {
-		return
-	}
-	r.released = true
-	r.sch.Release(r.assign)
-}
-
-// Commit finalizes the reservation and hands the assignment to the caller,
-// which now owns the slots (they are freed later by Scheduler.Release at
-// retirement or the next migration). Committing a released reservation is
-// a bug — the slots may already be someone else's.
-func (r *Reservation) Commit() *Assignment {
-	if r.released {
-		// Invariant: the one Commit (cutover) runs only while the drain
-		// still holds its reservation; abortDrain releases it and clears
-		// a.pending, so no path commits after Release.
-		panic("fleet: committing a released reservation")
-	}
-	r.committed = true
-	return r.assign
-}
-
 // Release returns an assignment's slots to the pool (application
-// retirement).
+// retirement, a migration's old placement at cutover, or its staged target
+// when the drain aborts).
 func (s *Scheduler) Release(a *Assignment) {
 	if a == nil {
 		return

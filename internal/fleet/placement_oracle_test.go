@@ -270,13 +270,10 @@ func TestPickMatchesExhaustiveOracle(t *testing.T) {
 			return g.Net.RouteStats().Walks - before
 		}
 
+		// A staged hold is a migration's target between decision and
+		// cutover or abort: placed, its slots taken, not yet a tenant.
 		type tenant struct{ got, want *Assignment }
-		type hold struct {
-			res  *Reservation
-			want *Assignment
-		}
-		var tenants []tenant
-		var staged []hold
+		var tenants, staged []tenant
 		var reserved []netsim.NodeID
 		for step := 0; step < 120; step++ {
 			at := fmt.Sprintf("seed %d step %d", seed, step)
@@ -302,7 +299,7 @@ func TestPickMatchesExhaustiveOracle(t *testing.T) {
 				}
 				placed++
 				if rng.Intn(4) == 0 {
-					staged = append(staged, hold{s.Stage(got), want})
+					staged = append(staged, tenant{got, want})
 				} else {
 					tenants = append(tenants, tenant{got, want})
 				}
@@ -343,16 +340,15 @@ func TestPickMatchesExhaustiveOracle(t *testing.T) {
 				o.releaseHost(reserved[i])
 				reserved = append(reserved[:i], reserved[i+1:]...)
 			case op < 10 && len(staged) > 0:
-				// Both exits of a reservation; Release is idempotent and a no-op
-				// after Commit, where the slots pass to a tenant.
+				// Both exits of a hold: the cutover hands its slots to a
+				// tenant, an abort returns them.
 				i := rng.Intn(len(staged))
 				if rng.Intn(2) == 0 {
-					tenants = append(tenants, tenant{staged[i].res.Commit(), staged[i].want})
+					tenants = append(tenants, staged[i])
 				} else {
-					staged[i].res.Release()
+					s.Release(staged[i].got)
 					o.release(staged[i].want)
 				}
-				staged[i].res.Release()
 				staged = append(staged[:i], staged[i+1:]...)
 			case op < 11 && len(tenants) > 0:
 				i := rng.Intn(len(tenants))

@@ -49,8 +49,6 @@ const refBps = min(netsim.AccessBps, netsim.BackboneBps)
 // the same measurement lag every other control loop in the system pays.
 type RegionHealth struct {
 	f *Fleet
-	// reps[r] is region r's representative host (its first host).
-	reps []netsim.NodeID
 	// srcs/dsts are the probe pairs, two per region, flattened so region
 	// r's probes are indices 2r and 2r+1; out is the reusable batch-reply
 	// buffer.
@@ -83,8 +81,10 @@ func newRegionHealth(f *Fleet) *RegionHealth {
 		cur:      make([]bool, n),
 	}
 	rh.foldFn = rh.fold
-	for r := 0; r < n; r++ {
-		rh.reps = append(rh.reps, f.Grid.HostsByRouter[r][0])
+	// reps[r] is region r's representative host (its first host).
+	reps := make([]netsim.NodeID, n)
+	for r := range reps {
+		reps[r] = f.Grid.HostsByRouter[r][0]
 		rh.bw[r] = -1
 	}
 	if n >= 2 {
@@ -99,8 +99,8 @@ func newRegionHealth(f *Fleet) *RegionHealth {
 					far = next
 				}
 			}
-			rh.srcs = append(rh.srcs, rh.reps[r], rh.reps[r])
-			rh.dsts = append(rh.dsts, rh.reps[next], rh.reps[far])
+			rh.srcs = append(rh.srcs, reps[r], reps[r])
+			rh.dsts = append(rh.dsts, reps[next], reps[far])
 		}
 		rh.out = make([]float64, len(rh.srcs))
 		for i := range rh.srcs {

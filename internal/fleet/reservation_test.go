@@ -7,51 +7,6 @@ import (
 	"archadapt/internal/sim"
 )
 
-// TestReservationRoundTrip unit-tests the staged-reservation lifecycle
-// against Scheduler.FreeSlots: staging holds the slots, Release returns
-// them exactly once (idempotent), and Commit transfers ownership so a late
-// Release cannot double-free.
-func TestReservationRoundTrip(t *testing.T) {
-	k := sim.NewKernel()
-	grid := netsim.GenerateGrid(k, netsim.GridSpec{Routers: 6, HostsPerRouter: 4, Seed: 1})
-	sch := NewScheduler(grid, 1, nil)
-	free0 := sch.FreeSlots()
-	spec := AppSpec{Name: "x"}.withDefaults().Spec()
-
-	asg, err := sch.Place(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sch.Stage(asg)
-	held := free0 - sch.FreeSlots()
-	if held != asg.slots() {
-		t.Fatalf("staged reservation holds %d slots, want %d", held, asg.slots())
-	}
-	if res.Assignment() != asg {
-		t.Fatal("Assignment did not return the staged target")
-	}
-	res.Release()
-	res.Release() // idempotent
-	if got := sch.FreeSlots(); got != free0 {
-		t.Fatalf("free slots after double release = %d, want %d", got, free0)
-	}
-
-	asg2, err := sch.Place(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2 := sch.Stage(asg2)
-	committed := res2.Commit()
-	res2.Release() // must be a no-op: the cutover owns the slots now
-	if got, want := sch.FreeSlots(), free0-asg2.slots(); got != want {
-		t.Fatalf("free slots after commit+release = %d, want %d", got, want)
-	}
-	sch.Release(committed)
-	if got := sch.FreeSlots(); got != free0 {
-		t.Fatalf("free slots after final release = %d, want %d", got, free0)
-	}
-}
-
 // TestThunderingHerdReservationsRoundTrip is the coordination-layer leak
 // test: eight applications degrade at the same instant and compete for
 // spare capacity sized for two. The MaxConcurrent cap must hold at every
@@ -184,7 +139,7 @@ func TestMigrationPlacementFailureHoldsNothing(t *testing.T) {
 	if got := f.Sch.FreeSlots(); got != freeBefore {
 		t.Errorf("free slots changed across a failed placement: %d -> %d", freeBefore, got)
 	}
-	if a.migrating || a.pending != nil {
+	if a.pending != nil {
 		t.Error("failed placement left drain state behind")
 	}
 	if got := len(a.Migrations); got != 1 || a.Migrations[0].Err == nil {

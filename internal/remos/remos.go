@@ -34,9 +34,11 @@ type Service struct {
 	Net  *netsim.Network
 	Host netsim.NodeID
 
-	warm       map[pairKey]bool
-	pending    map[pairKey][]*query // callers waiting on a cold collection
-	collecting map[pairKey]bool
+	warm map[pairKey]bool
+	// pending holds the callers waiting on each cold collection in flight:
+	// a pair is collecting exactly when it has an entry (a Prequery's is
+	// nil).
+	pending map[pairKey][]*query
 
 	queries     uint64
 	coldQueries uint64
@@ -130,9 +132,8 @@ func batchReplyFn(arg any) {
 func New(k *sim.Kernel, net *netsim.Network, host netsim.NodeID) *Service {
 	return &Service{
 		K: k, Net: net, Host: host,
-		warm:       map[pairKey]bool{},
-		pending:    map[pairKey][]*query{},
-		collecting: map[pairKey]bool{},
+		warm:    map[pairKey]bool{},
+		pending: map[pairKey][]*query{},
 	}
 }
 
@@ -176,11 +177,11 @@ func (s *Service) serve(q *query) {
 	}
 	// Cold: the record waits on the pair's collection (started here unless
 	// one is already running).
-	s.pending[key] = append(s.pending[key], q)
-	if s.collecting[key] {
-		return
+	waiters, collecting := s.pending[key]
+	s.pending[key] = append(waiters, q)
+	if !collecting {
+		s.startCollection(key, q.src, q.dst)
 	}
-	s.startCollection(key, q.src, q.dst)
 }
 
 // Predict returns the cached-path prediction synchronously when the pair is
@@ -198,23 +199,20 @@ func (s *Service) Predict(src, dst netsim.NodeID) (bw float64, ok bool) {
 // "we pre-queried Remos so that subsequent queries were much faster").
 func (s *Service) Prequery(src, dst netsim.NodeID) {
 	key := pairKey{src, dst}
-	if s.warm[key] {
+	if _, collecting := s.pending[key]; s.warm[key] || collecting {
 		return
 	}
-	if s.collecting[key] {
-		return
-	}
+	s.pending[key] = nil
 	s.startCollection(key, src, dst)
 }
 
-// startCollection begins the cold data-collection pass for a pair; when it
-// completes, every pending waiter gets the fresh measurement.
+// startCollection begins the cold data-collection pass for a pair whose
+// pending entry the caller has made; when it completes, every pending
+// waiter gets the fresh measurement.
 func (s *Service) startCollection(key pairKey, src, dst netsim.NodeID) {
-	s.collecting[key] = true
 	s.coldQueries++
 	s.K.AfterAnon(ColdDelay, func() {
 		s.warm[key] = true
-		delete(s.collecting, key)
 		bw := s.measure(src, dst)
 		waiters := s.pending[key]
 		delete(s.pending, key)

@@ -67,7 +67,6 @@ type Engine struct {
 	Observer func(rec *Record, v constraint.Violation, now float64)
 
 	strategies map[string]*Strategy
-	order      []string
 	cooldown   map[string]float64   // subject -> earliest next repair time
 	moveTimes  map[string][]float64 // client -> recent move times
 	// scratch is the transaction, context and record every
@@ -91,9 +90,6 @@ func NewEngine(sys *model.System, tr Translator) *Engine {
 // Bind associates a strategy with an invariant name, the runtime analogue of
 // the paper's `invariant r : ... !→ fixLatency(r)`.
 func (e *Engine) Bind(invariantName string, s *Strategy) {
-	if _, dup := e.strategies[invariantName]; !dup {
-		e.order = append(e.order, invariantName)
-	}
 	e.strategies[invariantName] = s
 }
 

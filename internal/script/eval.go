@@ -203,7 +203,7 @@ func (b *binding) invoke(d *Def, args []constraint.Value) (bool, constraint.Valu
 		f.env.Bind("it", constraint.Elem(subj))
 	}
 	for i, p := range d.params {
-		f.env.Bind(p.name, args[i])
+		f.env.Bind(p, args[i])
 	}
 	returned, err := b.exec(f, d.body)
 	f.busy = false

@@ -11,9 +11,9 @@ import (
 type parser struct {
 	toks   []constraint.Token
 	i      int
-	depth  int     // statements open around the current one
-	params []param // of the definition being parsed
-	calls  []call  // of the definition being parsed
+	depth  int      // statements open around the current one
+	params []string // of the definition being parsed
+	calls  []call   // of the definition being parsed
 }
 
 // ParseDefs parses a script source into strategy/tactic definitions.
@@ -82,7 +82,7 @@ func (p *parser) local(what string) (string, error) {
 	t := p.peek()
 	taken := t.Text == "it"
 	for _, pr := range p.params {
-		taken = taken || pr.name == t.Text
+		taken = taken || pr == t.Text
 	}
 	if t.Kind == constraint.Ident && taken {
 		return "", p.errorf("%s %s would rebind a parameter", what, t.Text)
@@ -145,17 +145,16 @@ func (p *parser) parseDef() (*Def, error) {
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
-	var params []param
+	var params []string
 	for !p.accept(")") {
 		pn, err := p.word("parameter of " + name)
 		if err != nil {
 			return nil, err
 		}
-		pt := ""
 		if p.accept(":") {
-			pt = p.next().Text
+			p.next() // type name, ignored
 		}
-		params = append(params, param{name: pn, typ: pt})
+		params = append(params, pn)
 		p.accept(",")
 	}
 	// Optional result-type annotation: `: boolean`.

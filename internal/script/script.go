@@ -71,12 +71,6 @@ func (*commitStmt) isStmt()  {}
 func (*abortStmt) isStmt()   {}
 func (*callStmt) isStmt()    {}
 
-// param is a declared strategy/tactic parameter.
-type param struct {
-	name string
-	typ  string
-}
-
 // call is one call a definition makes, noted where it is parsed so that
 // Compile can check it.
 type call struct {
@@ -92,8 +86,8 @@ type Def struct {
 	Kind   string // "strategy" or "tactic"
 	Name   string
 	line   int
-	index  int // position in its library, which keeps a frame per definition
-	params []param
+	index  int      // position in its library, which keeps a frame per definition
+	params []string // parameter names; a `: Type` annotation is parsed, not checked
 	body   []stmt
 	calls  []call
 }
