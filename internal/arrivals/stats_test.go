@@ -85,3 +85,27 @@ func PoissonPMF(k int, mean float64) float64 {
 	}
 	return math.Exp(logp)
 }
+
+// Integrate returns ∫ p.Rate dt over [t0, t1] by composite Simpson's rule —
+// the expected arrival count on the interval. steps is rounded up to even.
+func Integrate(p Process, t0, t1 float64, steps int) float64 {
+	if t1 <= t0 {
+		return 0
+	}
+	if steps < 2 {
+		steps = 2
+	}
+	if steps%2 == 1 {
+		steps++
+	}
+	h := (t1 - t0) / float64(steps)
+	sum := p.Rate(t0) + p.Rate(t1)
+	for i := 1; i < steps; i++ {
+		w := 2.0
+		if i%2 == 1 {
+			w = 4.0
+		}
+		sum += w * p.Rate(t0+float64(i)*h)
+	}
+	return sum * h / 3
+}

@@ -6,18 +6,19 @@ import (
 	"archadapt/internal/sim"
 )
 
-// TestFleetKernelWorkIsFlatPerApp pins the event queues' work counters on the
-// benchmark script. Nine in ten schedulings are anonymous and take the
-// calendar; the heap keeps the flow completions. The counters are
-// deterministic: a change that moves Fired changed what the simulation does,
-// one that moves the others changed how the queue is tuned, and either says so
-// here. Per app the events fired must not grow with the fleet.
+// TestFleetKernelWorkIsFlatPerApp pins the event queue's work counters on the
+// benchmark script. The counters are deterministic: a change that moves
+// Scheduled, Fired, Reschedules or PeakPending changed what the simulation
+// does, one that moves the others changed how the calendar is tuned, and
+// either says so here. Per app the events fired must not grow with the fleet,
+// and the calendar's width settles: at N=64 it retunes at most four times, at
+// N=256 it narrows exactly once.
 func TestFleetKernelWorkIsFlatPerApp(t *testing.T) {
 	got := runBenchScript(t, 16).Fleet.K.Stats()
 	want := sim.Stats{
-		HeapScheduled: 18294, CalendarScheduled: 144658, Fired: 162856, Reschedules: 737,
-		CalendarPops: 144562, BucketsDrained: 10638, BottomInserts: 71145,
-		FarRescans: 47, RetunesWider: 1, PeakPending: 1104,
+		Scheduled: 162952, Fired: 162856, Reschedules: 737,
+		BucketsDrained: 34451, BottomInserts: 52296,
+		FarRescans: 178, Jumps: 9, PeakPending: 1104,
 	}
 	if got != want {
 		t.Errorf("N=16 seed 1: kernel stats\n got %+v\nwant %+v", got, want)
@@ -31,5 +32,8 @@ func TestFleetKernelWorkIsFlatPerApp(t *testing.T) {
 	}
 	if retunes := big.RetunesNarrower + big.RetunesWider; retunes > 4 {
 		t.Errorf("N=64: the calendar retuned %d times in one run; every retune re-links the whole queue", retunes)
+	}
+	if huge := runBenchScript(t, 256).Fleet.K.Stats(); huge.RetunesNarrower != 1 {
+		t.Errorf("N=256: the calendar narrowed %d times, want exactly 1 (stats %+v)", huge.RetunesNarrower, huge)
 	}
 }

@@ -168,10 +168,8 @@ func (f *Flow) Cancel() {
 	}
 	f.last = now
 	f.rate = 0
-	if f.completion != nil {
-		f.completion.Cancel()
-		f.completion = nil
-	}
+	f.net.K.Cancel(f.completion)
+	f.completion = nil
 	f.net.removeFlow(f)
 	f.net.solve()
 }

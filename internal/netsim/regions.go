@@ -441,7 +441,7 @@ func (n *Network) rescheduleCompletion(f *Flow) {
 		// Fully stalled; rescheduled when a later solve restores a rate. The
 		// cancelled event struct stays on the flow so the resume can re-arm
 		// it instead of allocating (kernel Reuse).
-		f.completion.Cancel()
+		n.K.Cancel(f.completion)
 		return
 	}
 	at := n.K.Now() + f.remaining/f.rate

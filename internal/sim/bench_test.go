@@ -38,7 +38,7 @@ func fleetMixDelay(rng *Rand, tail float64) float64 {
 // with fleet set, delays follow the fleet's histogram, an eighth of the events
 // carry handles (the flow completions) and one of those is rescheduled per
 // eight fires — far more often than the fleet does (one per 220 fires at
-// N=64), so that the heap's Reschedule path shows in the row.
+// N=64), so that Reschedule's unlink and re-link show in the row.
 func kernelHold(fleet bool, pending int) (op func(events int)) {
 	k := NewKernel()
 	rng := NewRand(1)
@@ -79,10 +79,9 @@ func kernelHold(fleet bool, pending int) (op func(events int)) {
 	return func(events int) {
 		// Run's loop, ended after `events` fires.
 		for left = events; left > 0; {
-			if e := k.next(math.Inf(1)); !e.dead {
-				k.now = e.At
-				k.fire(e)
-			}
+			e := k.next(math.Inf(1))
+			k.now = e.At
+			k.fire(e)
 		}
 	}
 }
@@ -117,7 +116,7 @@ func BenchmarkKernelHold(b *testing.B) {
 
 // TestKernelHoldAllocationFree: the queue recycles everything it uses. Once
 // every pending event has been replaced twice over, firing one and scheduling
-// its successor allocates nothing — on the calendar, on the heap, through
+// its successor allocates nothing — anonymous or handle-carrying, through
 // Reuse and Reschedule, at every queue length.
 func TestKernelHoldAllocationFree(t *testing.T) {
 	eachHold(func(name string, fleet bool, pending int) {

@@ -5,11 +5,10 @@ import (
 	"slices"
 )
 
-// The calendar is the queue for anonymous events — the nine in ten that no
-// handle can reach, so nothing will ever cancel, move or ask after them and
-// the heap's Event.idx bookkeeping buys nothing. It owns no storage of its
-// own: a bucket is a chain threaded through Event.next from one head in a
-// small ring, and a push is a multiply, a conversion and a link.
+// The calendar is the kernel's one event queue. It owns no storage of its
+// own: a bucket is a chain threaded through Event.next and Event.prev from
+// one head in a small ring, and a push is a multiply, a conversion and a
+// link.
 //
 // Bucket b covers times [b·width, (b+1)·width). With cur the drained mark:
 //
@@ -21,8 +20,9 @@ import (
 //     happens at least once per rotation.
 //
 // Only when the clock reaches a bucket is its chain copied into bottom and
-// sorted on the heap's own (at, seq) key (sortLatestFirst), so which queue
-// holds an event never shows in the order events fire.
+// sorted on (at, seq) (sortLatestFirst). The bucket an event's time maps to
+// says which of the three holds it, so Reschedule and Cancel unlink it from
+// there at once: from a chain through prev, from bottom by a binary search.
 const (
 	initHeads = 256
 	initWidth = 1.0 / 64 // seconds; widths stay powers of two, so t*inv is exact
@@ -37,18 +37,33 @@ const (
 	// events re-examined: past stepHigh of them per pop the width grows by
 	// widthStep. Too wide shows as inserts into a bottom already longBottom
 	// long, each shifting a sorted array: past one per longShare pops it
-	// shrinks. Either way every queued event is re-linked, which the window
-	// (at least as many pops as events are queued) pays for. The ring grows
-	// by headStep when more than headLoad events per head are queued.
+	// shrinks; at one per four, the benchmark's 256-app fleet never narrows
+	// and inserts twice as many pushes into bottom. Either way every queued
+	// event is re-linked, which the window (at least as many pops as events
+	// are queued) pays for. The ring grows by headStep when more than
+	// headLoad events per head are queued.
 	retunePops            = 1024
 	stepHigh              = 2
-	longBottom, longShare = 64, 4
+	longBottom, longShare = 64, 5
 	widthStep             = 4
 	headLoad, headStep    = 16, 4
 
 	// smallBucket is the longest drained bucket sortLatestFirst insertion-sorts.
 	smallBucket = 16
 )
+
+// entry is one slot of bottom. The ordering key (at, seq) sits in the slot
+// itself so a search compares array elements: no load through the *Event,
+// which at 10^5 pending events is a cache miss per comparison.
+type entry struct {
+	at  Time
+	seq uint64
+	e   *Event
+}
+
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
 func (k *Kernel) initCalendar() {
 	k.heads = make([]*Event, initHeads)
@@ -67,66 +82,102 @@ func (k *Kernel) bucketOf(t Time) int64 {
 	return int64(q)
 }
 
-// pushCal queues anonymous event e at t under the next sequence number.
-func (k *Kernel) pushCal(e *Event, t Time) {
-	e.At, e.seq = t, k.seq
-	k.seq++
-	k.stats.CalendarScheduled++
-	k.place(e)
-	k.notePeak()
-}
-
 // place files e, keyed already, where its bucket belongs.
 func (k *Kernel) place(e *Event) {
+	e.queued = true
 	switch b := k.bucketOf(e.At); {
 	case b >= k.horizon:
-		e.next, k.far = k.far, e
+		link(&k.far, e)
 		k.farN++
 		k.farMin = min(k.farMin, e.At)
 	case b > k.cur:
-		h := &k.heads[b&int64(len(k.heads)-1)]
-		e.next, *h = *h, e
+		link(&k.heads[b&int64(len(k.heads)-1)], e)
 		k.ringN++
 	default:
 		k.insertBottom(e)
 	}
 }
 
-// insertBottom places e, whose bucket is already drained, into bottom. It
-// carries the newest sequence number, so it goes ahead of (fires after) every
-// entry of equal time.
-func (k *Kernel) insertBottom(e *Event) {
-	b := k.bottom
-	if len(b) >= longBottom {
-		k.winLong++
+// link puts e at the head of the chain at h.
+func link(h **Event, e *Event) {
+	e.next, e.prev = *h, nil
+	if *h != nil {
+		(*h).prev = e
 	}
+	*h = e
+}
+
+// unlink takes queued event e out of bottom, its chain or far, wherever its
+// bucket puts it: from bottom by a binary search, from a chain through prev.
+func (k *Kernel) unlink(e *Event) {
+	e.queued = false
+	b := k.bucketOf(e.At)
+	if b <= k.cur {
+		i := k.search(entry{at: e.At, seq: e.seq})
+		k.bottom = slices.Delete(k.bottom, i, i+1)
+		return
+	}
+	h := &k.far
+	if b < k.horizon {
+		h = &k.heads[b&int64(len(k.heads)-1)]
+		k.ringN--
+	} else {
+		k.farN--
+	}
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		*h = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.next, e.prev = nil, nil
+	if b >= k.horizon && e.At == k.farMin {
+		k.farMin = math.Inf(1)
+		for f := k.far; f != nil; f = f.next {
+			k.farMin = min(k.farMin, f.At)
+		}
+	}
+}
+
+// search returns where key belongs in bottom, which is sorted latest-first:
+// every entry before the index fires after key, every one from it on before.
+func (k *Kernel) search(key entry) int {
+	b := k.bottom
 	lo, hi := 0, len(b)
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); b[m].at > e.At {
+		if m := int(uint(lo+hi) >> 1); key.before(b[m]) {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	b = append(b, entry{})
-	copy(b[lo+1:], b[lo:])
-	b[lo] = entry{at: e.At, seq: e.seq, e: e}
+	return lo
+}
+
+// insertBottom places e, whose bucket is already drained, into bottom.
+func (k *Kernel) insertBottom(e *Event) {
+	if len(k.bottom) >= longBottom {
+		k.winLong++
+	}
+	ent := entry{at: e.At, seq: e.seq, e: e}
+	i := k.search(ent)
+	b := append(k.bottom, entry{})
+	copy(b[i+1:], b[i:])
+	b[i] = ent
 	k.bottom = b
 	k.stats.BottomInserts++
 }
 
-// calN is the number of events the calendar holds.
-func (k *Kernel) calN() int { return len(k.bottom) + k.ringN + k.farN }
-
 // refill drains buckets into the empty bottom until it holds something or the
-// next bucket starts after limit — min(heap root, until) — so bottom never
-// runs ahead of the heap into a long sorted array.
-func (k *Kernel) refill(limit Time) {
-	n, pops := k.calN(), k.stats.CalendarPops-k.winPops
+// next bucket starts after until.
+func (k *Kernel) refill(until Time) {
+	n, pops := k.Pending(), k.stats.Fired-k.winPops
 	if due := pops >= max(retunePops, uint64(n)); due || n > headLoad*len(k.heads) {
 		k.retune(pops, due)
 	}
-	lim := k.bucketOf(limit) // after the retune: a bucket number means nothing across widths
+	lim := k.bucketOf(until) // after the retune: a bucket number means nothing across widths
 	for len(k.bottom) == 0 {
 		if k.ringN == 0 {
 			// Everything queued is on far: go straight to its earliest bucket.
@@ -157,7 +208,7 @@ func (k *Kernel) drain(h **Event) {
 	b := k.bottom
 	for e := *h; e != nil; {
 		next := e.next
-		e.next = nil
+		e.next, e.prev = nil, nil
 		b = append(b, entry{at: e.At, seq: e.seq, e: e})
 		e = next
 	}
@@ -169,7 +220,7 @@ func (k *Kernel) drain(h **Event) {
 }
 
 // sortLatestFirst sorts b on (at, seq), latest first. Most drained buckets
-// hold a handful of events (10.5 on average at N=64), where a comparator
+// hold a handful of events (5.2 on average at N=64), where a comparator
 // closure per comparison is the cost, so up to smallBucket entries are
 // insertion-sorted with entry.before inlined. (at, seq) is a strict total
 // order, so either sort leaves the one same order.
@@ -226,15 +277,17 @@ func (k *Kernel) retune(pops uint64, due bool) {
 		}
 		k.openWindow()
 	}
-	if k.calN() > headLoad*heads {
+	if k.Pending() > headLoad*heads {
 		heads *= headStep
 		k.stats.HeadGrowths++
 	}
 	if width == k.width && heads == len(k.heads) {
 		return
 	}
-	// Re-link every calendar event from the clock: nothing queued is earlier
-	// than now, so the mark restarts just before now's bucket.
+	// Re-link every queued event from the clock: nothing queued is earlier
+	// than now, so the mark restarts just before now's bucket. The chains are
+	// strung onto far through next alone; rescanFar places each event anew,
+	// back link included.
 	for i, e := range k.heads {
 		for e != nil {
 			next := e.next
@@ -254,5 +307,5 @@ func (k *Kernel) retune(pops uint64, due bool) {
 }
 
 func (k *Kernel) openWindow() {
-	k.winSteps, k.winLong, k.winPops = 0, 0, k.stats.CalendarPops
+	k.winSteps, k.winLong, k.winPops = 0, 0, k.stats.Fired
 }

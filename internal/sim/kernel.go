@@ -19,104 +19,36 @@ type Time = float64
 // they were scheduled (FIFO tie-break on a monotonic sequence number).
 type Event struct {
 	At Time
-	fn func()
+	// The callback is fn(arg). At, AtAnon and Reuse pass their func() as arg
+	// under callFunc, and high-rate schedulers (the monitoring plane's
+	// message dispatch) pass a static function plus its receiver, so neither
+	// allocates per event: a func value or a pointer fits in an interface.
+	fn  func(any)
+	arg any
+	// The calendar (calendar.go) keys the event on (At, seq) and chains a
+	// bucket through next and prev.
+	seq        uint64
+	next, prev *Event
+	queued     bool // in bottom, a chain or far
 	// Anonymous events (AtAnon/AfterAnon/AtAnonArg) never hand their handle
 	// to the caller, so the kernel recycles the Event struct after it fires.
-	// fnArg+arg is the closure-free form: a static function plus its
-	// receiver, so high-rate schedulers (the monitoring plane's message
-	// dispatch) allocate nothing per event.
-	fnArg func(any)
-	arg   any
-	// Anonymous events queue in the calendar (calendar.go), which keeps the
-	// sequence number in the event and chains a bucket through next.
-	seq  uint64
-	next *Event
-	idx  int32 // heap index, -1 when not queued
-	dead bool
 	anon bool
 	// 64 bytes: one cache line, so draining a chain, which is a walk through
 	// cold events, misses once per event.
 }
 
-// Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.dead = true
-	}
-}
+// Pending reports whether the event is queued: scheduled, and neither fired
+// nor cancelled.
+func (e *Event) Pending() bool { return e != nil && e.queued }
 
-// Pending reports whether the event is still queued and not cancelled.
-func (e *Event) Pending() bool { return e != nil && !e.dead && e.idx >= 0 }
-
-// entry is one queue slot. The ordering key (at, seq) sits in the slot itself
-// so sifting compares neighbouring array elements: no interface call and no
-// load through the *Event, which at 10^5 pending events is a cache miss per
-// comparison.
-type entry struct {
-	at  Time
-	seq uint64
-	e   *Event
-}
-
-func (a entry) before(b entry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// eventHeap is a 4-ary min-heap on (at, seq): half the depth of a binary
-// heap, and the four children of a node share a cache line or two. Every
-// move keeps Event.idx equal to the entry's position.
-type eventHeap []entry
-
-const arity = 4
-
-// up sifts the entry at i towards the root.
-func (h eventHeap) up(i int) {
-	ent := h[i]
-	for i > 0 {
-		p := (i - 1) / arity
-		if !ent.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].e.idx = int32(i)
-		i = p
-	}
-	h[i] = ent
-	ent.e.idx = int32(i)
-}
-
-// down sifts the entry at i towards the leaves.
-func (h eventHeap) down(i int) {
-	ent := h[i]
-	for {
-		c := arity*i + 1
-		if c >= len(h) {
-			break
-		}
-		m := c
-		for j, end := c+1, min(c+arity, len(h)); j < end; j++ {
-			if h[j].before(h[m]) {
-				m = j
-			}
-		}
-		if !h[m].before(ent) {
-			break
-		}
-		h[i] = h[m]
-		h[i].e.idx = int32(i)
-		i = m
-	}
-	h[i] = ent
-	ent.e.idx = int32(i)
-}
+// callFunc is the static callback under which a func() event runs.
+func callFunc(fn any) { fn.(func())() }
 
 // Kernel is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; call NewKernel.
 type Kernel struct {
 	now     Time
-	seq     uint64 // one counter across both queues
-	queue   eventHeap
+	seq     uint64
 	running bool
 
 	// The calendar: see calendar.go for what each field holds.
@@ -128,7 +60,7 @@ type Kernel struct {
 	farMin       Time
 	ringN, farN  int
 	// The retune window: refill steps and inserts into a long bottom since it
-	// opened, and the pops counted by then.
+	// opened, and the events fired by then.
 	winSteps, winLong, winPops uint64
 
 	stats Stats
@@ -157,21 +89,16 @@ func (k *Kernel) Now() Time { return k.now }
 // tests and for detecting runaway scheduling loops.
 func (k *Kernel) Executed() uint64 { return k.stats.Fired }
 
-// Pending returns the number of queue slots in use. A cancelled event keeps
-// its slot until the clock reaches it, so cancelled-but-unpopped events are
-// counted.
-func (k *Kernel) Pending() int { return len(k.queue) + k.calN() }
+// Pending returns the number of events queued.
+func (k *Kernel) Pending() int { return len(k.bottom) + k.ringN + k.farN }
 
-// Stats counts the work the two event queues have done: plain increments,
+// Stats counts the work the event queue has done: plain increments,
 // deterministic under a seed, free when unread.
 type Stats struct {
-	HeapScheduled     uint64 // At, After, Reuse
-	CalendarScheduled uint64 // the anonymous calls, Ticker steps included
-	Fired             uint64
-	Skipped           uint64 // cancelled events discarded when the clock reached them
-	Reschedules       uint64
+	Scheduled   uint64 // every At, After, Reuse and anonymous call, Ticker steps included
+	Fired       uint64
+	Reschedules uint64
 
-	CalendarPops    uint64 // events that left the calendar by way of bottom
 	BucketsDrained  uint64 // non-empty calendar buckets sorted into bottom
 	BottomInserts   uint64 // pushes that landed in an already drained bucket
 	FarRescans      uint64 // times the far chain was re-examined
@@ -212,37 +139,21 @@ func (k *Kernel) checkTime(t Time, verb string) {
 	}
 }
 
-// push queues handle-carrying event e at t under the next sequence number.
-func (k *Kernel) push(e *Event, t Time) {
-	e.At = t
-	k.queue = append(k.queue, entry{at: t, seq: k.seq, e: e})
+// schedule queues e at t under the next sequence number.
+func (k *Kernel) schedule(e *Event, t Time) {
+	e.At, e.seq = t, k.seq
 	k.seq++
-	k.queue.up(len(k.queue) - 1)
-	k.stats.HeapScheduled++
+	k.stats.Scheduled++
+	k.place(e)
 	k.notePeak()
-}
-
-// pop removes and returns the heap's earliest event.
-func (k *Kernel) pop() *Event {
-	h := k.queue
-	e := h[0].e
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = entry{}
-	k.queue = h[:n]
-	if n > 0 {
-		k.queue.down(0)
-	}
-	e.idx = -1
-	return e
 }
 
 // At schedules fn at absolute time t. Scheduling in the past (t < Now) is a
 // programming error and panics: the kernel cannot rewind its clock.
 func (k *Kernel) At(t Time, fn func()) *Event {
 	k.checkTime(t, "scheduling")
-	e := &Event{fn: fn}
-	k.push(e, t)
+	e := &Event{fn: callFunc, arg: fn}
+	k.schedule(e, t)
 	return e
 }
 
@@ -270,10 +181,7 @@ func (k *Kernel) getFree() *Event {
 // Event structs are recycled after they fire. This is the allocation-free
 // path for fire-and-forget scheduling (message deliveries, ticker steps).
 func (k *Kernel) AtAnon(t Time, fn func()) {
-	k.checkTime(t, "scheduling")
-	e := k.getFree()
-	e.fn, e.anon, e.dead = fn, true, false
-	k.pushCal(e, t)
+	k.AtAnonArg(t, callFunc, fn)
 }
 
 // AfterAnon is AtAnon relative to now. Negative delays are clamped to zero.
@@ -291,8 +199,8 @@ func (k *Kernel) AfterAnon(d float64, fn func()) {
 func (k *Kernel) AtAnonArg(t Time, fn func(any), arg any) {
 	k.checkTime(t, "scheduling")
 	e := k.getFree()
-	e.fnArg, e.arg, e.anon, e.dead = fn, arg, true, false
-	k.pushCal(e, t)
+	e.fn, e.arg, e.anon = fn, arg, true
+	k.schedule(e, t)
 }
 
 // AfterAnonArg is AtAnonArg relative to now. Negative delays are clamped to
@@ -310,82 +218,72 @@ func (k *Kernel) fire(e *Event) {
 	if k.FireHook != nil {
 		k.FireHook(e.At)
 	}
-	fn, fnArg, arg := e.fn, e.fnArg, e.arg
+	fn, arg := e.fn, e.arg
 	if e.anon {
-		e.fn, e.fnArg, e.arg, e.anon = nil, nil, nil, false
+		e.fn, e.arg, e.anon = nil, nil, false
 		k.free = append(k.free, e)
 	}
-	if fnArg != nil {
-		fnArg(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 	k.stats.Fired++
 }
 
 // next removes and returns the earliest event due at or before until, nil when
-// there is none. The heap root and bottom's tail are the two candidates; the
-// calendar is drained only as far as the earlier of the heap root and until.
+// there is none: bottom's tail, once the calendar has been drained up to until.
 func (k *Kernel) next(until Time) *Event {
 	if len(k.bottom) == 0 && k.ringN+k.farN > 0 {
-		limit := until
-		if len(k.queue) > 0 && k.queue[0].at < limit {
-			limit = k.queue[0].at
-		}
-		k.refill(limit)
+		k.refill(until)
 	}
-	if n := len(k.bottom) - 1; n >= 0 {
-		if ent := k.bottom[n]; len(k.queue) == 0 || ent.before(k.queue[0]) {
-			if ent.at > until {
-				return nil
-			}
-			k.bottom = k.bottom[:n]
-			k.stats.CalendarPops++
-			return ent.e
-		}
+	n := len(k.bottom) - 1
+	if n < 0 || k.bottom[n].at > until {
+		return nil
 	}
-	if len(k.queue) > 0 && k.queue[0].at <= until {
-		return k.pop()
-	}
-	return nil
+	e := k.bottom[n].e
+	k.bottom = k.bottom[:n]
+	e.queued = false
+	return e
 }
 
-// Reschedule moves a pending event to absolute time t, reusing its queue slot
-// and callback — the fast path for completion-event churn in the fluid-flow
-// solver, which previously cancelled and reallocated an event on every rate
-// change. The event is re-sequenced as if newly scheduled, so FIFO
-// tie-breaking at equal times matches a Cancel+At pair. It returns false when
-// the event is nil, cancelled, or no longer queued (it already fired); the
-// caller must then schedule a fresh event.
+// Cancel takes a pending event out of the queue at once: it will not fire,
+// and Reuse may recycle its struct. Cancelling nil, or an event that has
+// already fired or been cancelled, is a no-op.
+func (k *Kernel) Cancel(e *Event) {
+	if e.Pending() {
+		k.unlink(e)
+	}
+}
+
+// Reschedule moves a pending event to absolute time t, keeping its struct and
+// callback — the fast path for completion-event churn in the fluid-flow
+// solver, whose every rate change moves a flow's ETA. The event is
+// re-sequenced as if newly scheduled, so FIFO tie-breaking at equal times
+// matches a Cancel+At pair. It returns false when the event is nil or no
+// longer queued (it fired, or was cancelled); the caller must then schedule
+// a fresh event.
 func (k *Kernel) Reschedule(e *Event, t Time) bool {
-	if e == nil || e.dead || e.idx < 0 {
+	if !e.Pending() {
 		return false
 	}
 	k.checkTime(t, "rescheduling")
-	i := int(e.idx)
-	e.At = t
-	k.queue[i].at, k.queue[i].seq = t, k.seq
+	k.unlink(e)
+	e.At, e.seq = t, k.seq
 	k.seq++
-	k.queue.up(i)
-	if int(e.idx) == i { // did not rise: it may have to sink
-		k.queue.down(i)
-	}
+	k.place(e)
 	k.stats.Reschedules++
 	return true
 }
 
-// Reuse schedules fn at absolute time t, recycling e's struct when e is no
-// longer queued (it fired, or was cancelled and already popped). The caller
-// must be the event's sole owner — the netsim flow-completion pattern, where
-// a stalled flow's cancelled event is re-armed when its rate returns. When e
-// cannot be recycled (still queued, or nil) a fresh event is allocated.
+// Reuse schedules fn at absolute time t, recycling e's struct when e is not
+// queued (it fired, or was cancelled). The caller must be the event's sole
+// owner — the netsim flow-completion pattern, where a stalled flow's
+// cancelled event is re-armed when its rate returns. When e cannot be
+// recycled (still queued, or nil) a fresh event is allocated.
 func (k *Kernel) Reuse(e *Event, t Time, fn func()) *Event {
-	if e == nil || e.idx >= 0 {
+	if e == nil || e.queued {
 		return k.At(t, fn)
 	}
 	k.checkTime(t, "scheduling")
-	e.fn, e.dead, e.anon = fn, false, false
-	k.push(e, t)
+	e.fn, e.arg = callFunc, fn
+	k.schedule(e, t)
 	return e
 }
 
@@ -412,10 +310,6 @@ func (k *Kernel) Run(until Time) uint64 {
 		e := k.next(until)
 		if e == nil {
 			break
-		}
-		if e.dead {
-			k.stats.Skipped++
-			continue
 		}
 		k.now = e.At
 		k.fire(e)
@@ -445,10 +339,6 @@ func (k *Kernel) RunAll(maxEvents uint64) uint64 {
 			panic(fmt.Sprintf("sim: RunAll exceeded %d events at t=%.3f", maxEvents, k.now))
 		}
 		e := k.next(math.Inf(1))
-		if e.dead {
-			k.stats.Skipped++
-			continue
-		}
 		k.now = e.At
 		k.fire(e)
 		n++

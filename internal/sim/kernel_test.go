@@ -71,7 +71,11 @@ func TestKernelCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	e := k.At(1, func() { fired = true })
-	e.Cancel()
+	k.Cancel(e)
+	if e.Pending() || k.Pending() != 0 {
+		t.Fatalf("a cancelled event still queued: Pending()=%v, %d queued", e.Pending(), k.Pending())
+	}
+	k.Cancel(e) // a second Cancel is a no-op
 	k.Run(10)
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -355,7 +359,7 @@ func TestRescheduleRejectsDeadOrFired(t *testing.T) {
 		t.Fatal("rescheduled nil event")
 	}
 	e := k.At(1, func() {})
-	e.Cancel()
+	k.Cancel(e)
 	if k.Reschedule(e, 2) {
 		t.Fatal("rescheduled a cancelled event")
 	}
@@ -533,5 +537,14 @@ func TestReuseRecyclesFiredEvent(t *testing.T) {
 	pending := k.At(5, func() {})
 	if got := k.Reuse(pending, 6, func() {}); got == pending {
 		t.Fatal("Reuse recycled a still-queued event")
+	}
+	// A cancelled one left the queue at once, so Reuse recycles it.
+	k.Cancel(pending)
+	if got := k.Reuse(pending, 7, func() { n += 100 }); got != pending {
+		t.Fatal("Reuse did not recycle a cancelled event")
+	}
+	k.RunAll(0)
+	if n != 111 {
+		t.Fatalf("n=%d, want 111", n)
 	}
 }

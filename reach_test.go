@@ -27,14 +27,6 @@ var reachAllowed = map[string]string{
 	"archadapt/internal/repair.NewTxn":         "a standalone transaction, so operator tests drive Table 1 operators outside an engine",
 	"archadapt/internal/netsim.Flow.Remaining": "a transfer's lazily settled progress, what the netsim tests check Cancel and recycling against",
 
-	// The arrivals statistics battery the arrival-process tests run.
-	"archadapt/internal/arrivals.Integrate":         "expected arrival counts for the chi-square battery",
-	"archadapt/internal/arrivals.KSExponential":     "statistics battery: Kolmogorov–Smirnov against Exp",
-	"archadapt/internal/arrivals.KSCritical":        "statistics battery: KS critical value",
-	"archadapt/internal/arrivals.ChiSquare":         "statistics battery: chi-square statistic",
-	"archadapt/internal/arrivals.ChiSquareCritical": "statistics battery: chi-square critical value",
-	"archadapt/internal/arrivals.PoissonPMF":        "statistics battery: Poisson bin expectations",
-
 	// Series and distribution summaries, kept with their types; the metrics
 	// tests pin them.
 	"archadapt/internal/metrics.Series.Mean":             "metrics summary",
