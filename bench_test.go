@@ -23,6 +23,7 @@ package archadapt
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"archadapt/internal/constraint"
 	"archadapt/internal/envmgr"
@@ -389,23 +390,31 @@ func BenchmarkRemosQueries(b *testing.B) {
 // grows: N managed applications, each with its own architecture manager,
 // multiplexed over one shared kernel and grid under staggered contention.
 // ms/app is the per-application wall-clock overhead of a 600-second run; its
-// curve over N is the one tabled in EXPERIMENTS.md "Fleet cost curve". The
-// deterministic half of that curve (allocations, route walks and fired events
-// per app) is held by tests in internal/fleet; paired wall-clock claims are
-// made with ./benchmark.
+// curve over N is the one tabled in EXPERIMENTS.md "Fleet cost curve".
+// setup-ms/app is the share of it StartScenario takes (grid, fleet and every
+// admission), and relay-visits/app the relays admission's routing BFS runs
+// dequeue. The deterministic half of that curve (allocations, route walks,
+// relay visits and fired events per app) is held by tests in internal/fleet;
+// paired wall-clock claims are made with ./benchmark.
 func BenchmarkFleet(b *testing.B) {
 	for _, n := range []int{4, 16, 32, 64, 128, 256, 1024} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var repairs int
+			var setup time.Duration
+			var visits uint64
 			for i := 0; i < b.N; i++ {
-				res, err := fleet.RunScenario(FleetScenarioOptions{
+				t0 := time.Now()
+				run, err := fleet.StartScenario(FleetScenarioOptions{
 					Apps: n, Seed: benchSeed(i), Duration: 600, Adaptive: true,
 					CrushStart: 120, CrushStagger: 5, CrushDuration: 240,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
+				setup += time.Since(t0)
+				visits += run.Grid.Net.RouteStats().RelayVisits
+				res := run.Finish()
 				if got := len(res.Summaries); got != n {
 					b.Fatalf("admitted %d apps, want %d", got, n)
 				}
@@ -413,8 +422,11 @@ func BenchmarkFleet(b *testing.B) {
 					repairs += s.Repairs
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*n), "ms/app")
-			b.ReportMetric(float64(repairs)/float64(b.N*n), "repairs/app")
+			apps := float64(b.N * n)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/apps, "ms/app")
+			b.ReportMetric(float64(setup.Microseconds())/1e3/apps, "setup-ms/app")
+			b.ReportMetric(float64(visits)/apps, "relay-visits/app")
+			b.ReportMetric(float64(repairs)/apps, "repairs/app")
 		})
 	}
 }

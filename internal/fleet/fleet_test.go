@@ -337,32 +337,62 @@ func TestFleetSpareRecruitment(t *testing.T) {
 }
 
 // TestRouteStatsFlatInFleetSize pins the routing slice of the work ledger:
-// a run may build one BFS tree per router and nothing more; admission walks
-// a route only for the hosts whose end links leave them in contention for a
-// server slot (Scheduler.pick), not for every host on the grid; and only the
-// pairs an application sends traffic between get a materialised path — all
-// per-app constants, not functions of how many other hosts the grid has.
-// Counters are exact under a seed, so the per-app figures at 64 apps are
-// compared with 16 directly.
+// a run may build one BFS tree per router and nothing more; admission grows
+// each tree only as far as the relays its lookups ask for, so the relays its
+// BFS runs dequeue per app stay flat in fleet size; admission walks a route
+// only for the hosts whose end links leave them in contention for a server
+// slot (Scheduler.pick), not for every host on the grid; and only the pairs
+// an application sends traffic between get a materialised path — all per-app
+// constants, not functions of how many other hosts the grid has. Counters
+// are exact under a seed, so the per-app figures at 64 apps are compared
+// with 16 directly, and the whole-run counts are pinned: walks and
+// materialised paths exactly, relay visits as a ceiling (the full-tree
+// builds' count, which stopping early may only undercut).
 func TestRouteStatsFlatInFleetSize(t *testing.T) {
-	perApp, walksPerApp := map[int]float64{}, map[int]float64{}
-	for _, apps := range []int{16, 64} {
-		res, err := RunScenario(ScenarioOptions{
+	type pin struct{ walks, paths, visits uint64 }
+	pins := map[int]pin{
+		16:  {walks: 2680, paths: 384, visits: 1089},
+		64:  {walks: 10720, paths: 1536, visits: 16641},
+		256: {walks: 42152, paths: 5053, visits: 263169},
+	}
+	sizes := []int{16, 64}
+	if !testing.Short() {
+		sizes = append(sizes, 256)
+	}
+	perApp, walksPerApp, setupPerApp := map[int]float64{}, map[int]float64{}, map[int]float64{}
+	for _, apps := range sizes {
+		run, err := StartScenario(ScenarioOptions{
 			Apps: apps, Seed: 1, Duration: 300, Adaptive: true,
 			CrushStart: 120, CrushStagger: 2, CrushDuration: 120,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		setupPerApp[apps] = float64(run.Grid.Net.RouteStats().RelayVisits) / float64(apps)
+		res := run.Finish()
 		st := res.Grid.Net.RouteStats()
+		t.Logf("N=%d: %+v; set-up relay visits/app %.1f", apps, st, setupPerApp[apps])
 		if routers := uint64(len(res.Grid.Routers)); st.TreesBuilt == 0 || st.TreesBuilt > routers {
 			t.Errorf("N=%d: %d trees built on %d routers", apps, st.TreesBuilt, routers)
 		}
 		if st.Walks == 0 || st.RelayVisits == 0 {
 			t.Errorf("N=%d: counters not running: %+v", apps, st)
 		}
+		want := pins[apps]
+		if st.Walks != want.walks || st.PathsMaterialised != want.paths {
+			t.Errorf("N=%d: %d walks and %d paths materialised, want exactly %d and %d",
+				apps, st.Walks, st.PathsMaterialised, want.walks, want.paths)
+		}
+		if st.RelayVisits > want.visits {
+			t.Errorf("N=%d: %d relay visits over the run, above the full-tree ceiling %d", apps, st.RelayVisits, want.visits)
+		}
 		perApp[apps] = float64(st.PathsMaterialised) / float64(apps)
 		walksPerApp[apps] = float64(st.Walks) / float64(apps)
+	}
+	for _, apps := range sizes[1:] {
+		if setupPerApp[apps] > setupPerApp[16]*1.25 {
+			t.Errorf("admission's relay visits per app grow with fleet size: %.1f at N=16, %.1f at N=%d", setupPerApp[16], setupPerApp[apps], apps)
+		}
 	}
 	if walksPerApp[64] > walksPerApp[16]*1.25 {
 		t.Errorf("route walks per app grow with fleet size: %.1f at N=16, %.1f at N=64", walksPerApp[16], walksPerApp[64])

@@ -47,24 +47,41 @@ func BenchmarkSolveLoneFlow(b *testing.B) {
 }
 
 // BenchmarkRoute measures routing on fleet-scale's grid: 513 routers with 4
-// hosts each. cold generates the grid untimed and walks once from every
-// router, so its B/op is the tree bytes with the relay index and BFS
-// scratch. warm/PathHops and warm/AvailBandwidth look up one of 1 800 fixed
-// host pairs per op, every tree already built.
+// hosts each. The cold cases generate the grid untimed and then walk from
+// every router: cold to its chain neighbour, which a tree row reaches after
+// a few relays; cold/full to its farthest relay, which builds the whole row
+// (its B/op is the tree bytes with the relay index and BFS scratch); extend
+// to the neighbour and then the farthest relay, so every row is built short
+// and then again in full. warm/PathHops and warm/AvailBandwidth look up one
+// of 1 800 fixed host pairs per op, every row they need already built.
 func BenchmarkRoute(b *testing.B) {
 	spec := GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1}
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			g := GenerateGrid(sim.NewKernel(), spec)
-			b.StartTimer()
-			for j, r := range g.Routers {
-				routeSink += g.Net.PathHops(r, g.Routers[(j+1)%len(g.Routers)])
-			}
-		}
-	})
 	g := GenerateGrid(sim.NewKernel(), spec)
+	far := make([]NodeID, len(g.Routers))
+	for i, r := range g.Routers {
+		far[i] = farthestRelay(g.Net, r)
+	}
+	cold := func(name string, near, full bool) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := GenerateGrid(sim.NewKernel(), spec)
+				b.StartTimer()
+				for j, r := range fresh.Routers {
+					if near {
+						routeSink += fresh.Net.PathHops(r, fresh.Routers[(j+1)%len(fresh.Routers)])
+					}
+					if full {
+						routeSink += fresh.Net.PathHops(r, far[j])
+					}
+				}
+			}
+		})
+	}
+	cold("cold", true, false)
+	cold("cold/full", false, true)
+	cold("extend", true, true)
 	rng := sim.NewRand(1)
 	const pairs = 1800
 	var src, dst [pairs]NodeID

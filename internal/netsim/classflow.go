@@ -91,8 +91,8 @@ func (f *Flow) SetDemand(demand float64) {
 }
 
 // Delivered returns the total bits this class flow has delivered so far.
-// Like Remaining, progress is settled lazily; the accessor folds in time
-// elapsed at the current rate.
+// Progress is settled lazily inside the solver, so the accessor folds in
+// time elapsed at the current rate.
 func (f *Flow) Delivered() float64 {
 	d := f.delivered
 	if f.net != nil && !f.cancelled {

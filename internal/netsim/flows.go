@@ -50,22 +50,6 @@ func (f *Flow) ID() uint64 { return f.id }
 // Rate returns the flow's current max–min allocation in bits/sec.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Remaining returns unsent bits at the current instant. Progress is settled
-// lazily inside the solver, so the accessor folds in time elapsed at the
-// current rate.
-func (f *Flow) Remaining() float64 {
-	rem := f.remaining
-	if f.net != nil {
-		if dt := f.net.K.Now() - f.last; dt > 0 {
-			rem -= f.rate * dt
-		}
-	}
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
-
 // Size returns the flow's total size in bits.
 func (f *Flow) Size() float64 { return f.size }
 
@@ -153,7 +137,7 @@ func (f *Flow) Cancel() {
 	}
 	f.cancelled = true
 	// Freeze the handle's progress at the cancellation instant: once the
-	// flow leaves the network, Remaining()/Delivered() must stop
+	// flow leaves the network, its remaining and delivered bits must stop
 	// extrapolating.
 	now := f.net.K.Now()
 	if dt := now - f.last; dt > 0 {

@@ -395,6 +395,22 @@ func TestMaxMinDeterminism(t *testing.T) {
 	}
 }
 
+// Remaining returns a transfer's unsent bits at the current instant.
+// Progress is settled lazily inside the solver, so it folds in the time
+// elapsed at the current rate.
+func (f *Flow) Remaining() float64 {
+	rem := f.remaining
+	if f.net != nil {
+		if dt := f.net.K.Now() - f.last; dt > 0 {
+			rem -= f.rate * dt
+		}
+	}
+	if rem < 0 {
+		rem = 0
+	}
+	return rem
+}
+
 func TestCancelFreezesRemaining(t *testing.T) {
 	k, n, a, b, _, _ := line(t)
 	f := n.StartTransfer(a, b, 10e6, "x", nil)

@@ -317,15 +317,41 @@ func TestBuildingTopologyHoldsNoRoutingState(t *testing.T) {
 	}
 }
 
+// farthestRelay returns the relay a BFS from src over every node, exploring
+// neighbours in Connect order, labels last: the lookup out of src that grows
+// its tree row to the end.
+func farthestRelay(n *Network, src NodeID) NodeID {
+	seen := make([]bool, len(n.nodes))
+	seen[src] = true
+	far := src
+	for queue := []NodeID{src}; len(queue) > 0; queue = queue[1:] {
+		for _, ht := range n.adj[queue[0]] {
+			if !seen[ht.to] {
+				seen[ht.to] = true
+				queue = append(queue, ht.to)
+				if len(n.adj[ht.to]) >= 2 {
+					far = ht.to
+				}
+			}
+		}
+	}
+	return far
+}
+
 // TestRouteTreeBytes holds a BFS tree to its four bytes a relay. Building
-// every router's tree on fleet-scale's grid, the relay index and BFS scratch
-// included, may allocate at most 4 bytes per relay plus 64 per tree.
+// every router's whole row on fleet-scale's grid (each router looks up its
+// farthest relay), the relay index and BFS scratch included, may allocate at
+// most 4 bytes per relay plus 64 per tree.
 func TestRouteTreeBytes(t *testing.T) {
 	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1})
+	far := make([]NodeID, len(g.Routers))
+	for i, r := range g.Routers {
+		far[i] = farthestRelay(g.Net, r)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i, r := range g.Routers {
-		g.Net.PathHops(r, g.Routers[(i+1)%len(g.Routers)])
+		g.Net.PathHops(r, far[i])
 	}
 	runtime.ReadMemStats(&after)
 	relays, trees := uint64(len(g.Routers)), g.Net.RouteStats().TreesBuilt
@@ -334,6 +360,57 @@ func TestRouteTreeBytes(t *testing.T) {
 	}
 	if per := (after.TotalAlloc - before.TotalAlloc) / trees; per > 4*relays+64 {
 		t.Fatalf("%d B allocated per tree over %d relays, want at most %d", per, relays, 4*relays+64)
+	}
+}
+
+// TestTreeRowsStopEarly holds a tree row to the relays its lookups reach, on
+// fleet-scale's grid: a lookup to a chain neighbour dequeues a few relays, a
+// farther lookup out of the same row builds it again from the root (still the
+// oracle's route, and the near route unchanged), and a lookup whose relay the
+// stopped row already labels builds nothing.
+func TestTreeRowsStopEarly(t *testing.T) {
+	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1})
+	n, relays := g.Net, uint64(len(g.Routers))
+	src, near := g.Routers[200], g.Routers[201]
+	far := farthestRelay(n, src)
+	same := func(src, dst NodeID) {
+		t.Helper()
+		want, _ := oracleRoute(n, src, dst)
+		if got := n.route(src, dst); !slices.Equal(got, want) {
+			t.Fatalf("route(%d,%d) = %v, oracle %v", src, dst, got, want)
+		}
+	}
+
+	same(src, near)
+	st := n.RouteStats()
+	if st.TreesBuilt != 1 || st.RelayVisits*20 >= relays {
+		t.Fatalf("near lookup built %d trees dequeuing %d of %d relays, want 1 tree and under 5 %%", st.TreesBuilt, st.RelayVisits, relays)
+	}
+	same(src, far)
+	st2 := n.RouteStats()
+	if st2.TreesBuilt != 1 || st2.RelayVisits <= st.RelayVisits {
+		t.Fatalf("far lookup after a near one: %+v then %+v, want the row rebuilt, not a second tree", st, st2)
+	}
+	n.paths = nil // materialise the near route again out of the grown row
+	same(src, near)
+	if st3 := n.RouteStats(); st3.RelayVisits != st2.RelayVisits {
+		t.Fatalf("near lookup on a grown row dequeued %d relays, want 0", st3.RelayVisits-st2.RelayVisits)
+	}
+
+	// A row stopped at its farthest relay labels every other relay, so
+	// lookups to any of them read the partial row as it is.
+	src2 := g.Routers[400]
+	far2 := farthestRelay(n, src2)
+	same(src2, far2)
+	before := n.RouteStats()
+	if ri := int(n.relayOf(src2, -1)); n.trees[ri*int(n.relays)+ri] != partial {
+		t.Fatalf("a row stopped at its last relay has state %d, want partial", n.trees[ri*int(n.relays)+ri])
+	}
+	for _, dst := range []NodeID{g.Routers[401], g.Routers[399], g.Routers[0]} {
+		same(src2, dst)
+	}
+	if after := n.RouteStats(); after.RelayVisits != before.RelayVisits || after.TreesBuilt != before.TreesBuilt {
+		t.Fatalf("lookups into a row's labelled prefix rebuilt it: %+v then %+v", before, after)
 	}
 }
 

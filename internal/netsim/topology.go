@@ -66,9 +66,11 @@ type Network struct {
 	// Routing state (see ends), dropped on any topology change. A hop is its
 	// resource index 2·link + dir. tail maps a hop to the index of the relay
 	// node (degree ≥ 2) it leaves, -1 for other nodes. Row i of trees is the
-	// BFS tree rooted at relay i: each entry the hop into that relay, -1 where
-	// the root does not reach and at the root, whose 0 marks an unbuilt row.
-	// paths memoises the hop slices route materialises for the pairs that
+	// BFS tree rooted at relay i, grown only as far as a lookup has needed:
+	// each entry the hop into that relay, -1 where the BFS has not reached.
+	// The root's own entry is the row's state: 0 unbuilt, -1 finished,
+	// partial where the BFS stopped at the relay it was built for. paths
+	// memoises the hop slices route materialises for the pairs that
 	// carry traffic, per source node and sorted by destination; queue is BFS
 	// scratch, as long as a tree.
 	tail   []int32
@@ -139,8 +141,9 @@ func (n *Network) Stats() SolveStats { return n.stats }
 
 // RouteStats counts routing work since the network was created.
 type RouteStats struct {
-	// TreesBuilt is the number of per-relay BFS trees built; RelayVisits the
-	// relay nodes those builds dequeued.
+	// TreesBuilt is the number of per-relay BFS trees built, each counted
+	// the first time; RelayVisits the relay nodes every build, first or
+	// again past a row's stop, dequeued.
 	TreesBuilt, RelayVisits uint64
 	// Walks is the number of tree lookups (every AvailBandwidth, PathHops
 	// and materialisation between distinct nodes).
@@ -203,6 +206,11 @@ func (w walk) hops() int {
 
 // rootOnly is the tree walked when a path has no relay-to-relay segment.
 var rootOnly = []int32{-1}
+
+// partial is a tree row's root entry while its BFS has stopped early; 0 marks
+// an unbuilt row and -1 a finished one. Every state is negative at the root,
+// where walk.next and hops stop.
+const partial = -2
 
 // MinFlowRate (bits/sec) is the floor rate for an elastic flow when
 // competition has consumed a link entirely; the paper's Figure 10 bottoms
@@ -305,8 +313,8 @@ func (n *Network) ends(src, dst NodeID) walk {
 	}
 	if ra, rb := n.relayOf(a, w.first^1), n.relayOf(b, w.last); ra >= 0 && rb >= 0 {
 		w.tree, w.tail, w.at = n.trees[int(ra)*int(n.relays):][:n.relays], n.tail, rb
-		if w.tree[ra] == 0 {
-			n.buildTree(a, ra, w.tree)
+		if st := w.tree[ra]; st == 0 || st == partial && w.tree[rb] < 0 {
+			n.buildTree(a, ra, rb, w.tree)
 		}
 		if w.tree[rb] >= 0 {
 			return w
@@ -351,8 +359,15 @@ func (n *Network) relayOf(v NodeID, out int32) int32 {
 }
 
 // buildTree fills tree, relay ri's row, with the BFS from its node root over
-// the relay nodes.
-func (n *Network) buildTree(root NodeID, ri int32, tree []int32) {
+// the relay nodes, stopping as soon as relay want is labelled. BFS order does
+// not depend on where the search stops, so a row stopped early holds a prefix
+// of the finished row's entries, hop for hop, and a later lookup past it
+// builds the row again from the root. A search that runs dry without
+// labelling want leaves the row finished.
+func (n *Network) buildTree(root NodeID, ri, want int32, tree []int32) {
+	if tree[ri] == 0 {
+		n.rstats.TreesBuilt++
+	}
 	for i := range tree {
 		tree[i] = -1
 	}
@@ -364,10 +379,14 @@ func (n *Network) buildTree(root NodeID, ri int32, tree []int32) {
 				continue
 			}
 			tree[ti] = ht.ri
+			if ti == want {
+				tree[ri] = partial
+				n.rstats.RelayVisits += uint64(head + 1)
+				return
+			}
 			queue = append(queue, ht.to)
 		}
 	}
-	n.rstats.TreesBuilt++
 	n.rstats.RelayVisits += uint64(len(queue))
 }
 

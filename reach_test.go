@@ -20,12 +20,11 @@ import (
 // "importpath.Recv.Name", each with its reason.
 var reachAllowed = map[string]string{
 	// Test helpers that live beside the code they wrap.
-	"archadapt/internal/acme.MustParse":        "test helper: parses a literal ADL fixture or fails",
-	"archadapt/internal/constraint.MustParse":  "test helper: parses a literal constraint or fails",
-	"archadapt/internal/acme.Print":            "the full printer (invariants too) that FuzzParse's print → parse fixpoint runs over",
-	"archadapt/internal/fleet.RunScenario":     "StartScenario + Finish in one call, the form the fleet, chaos and root benchmark tests drive",
-	"archadapt/internal/repair.NewTxn":         "a standalone transaction, so operator tests drive Table 1 operators outside an engine",
-	"archadapt/internal/netsim.Flow.Remaining": "a transfer's lazily settled progress, what the netsim tests check Cancel and recycling against",
+	"archadapt/internal/acme.MustParse":       "test helper: parses a literal ADL fixture or fails",
+	"archadapt/internal/constraint.MustParse": "test helper: parses a literal constraint or fails",
+	"archadapt/internal/acme.Print":           "the full printer (invariants too) that FuzzParse's print → parse fixpoint runs over",
+	"archadapt/internal/fleet.RunScenario":    "StartScenario + Finish in one call, the form the fleet, chaos and netsim tests drive",
+	"archadapt/internal/repair.NewTxn":        "a standalone transaction, so operator tests drive Table 1 operators outside an engine",
 
 	// Series and distribution summaries, kept with their types; the metrics
 	// tests pin them.
