@@ -16,6 +16,10 @@ import (
 // samplePeriod is the period of the ground-truth series.
 const samplePeriod = 5.0
 
+// drainSeconds is how long a run goes on after the clients stop, so that
+// in-flight transfers and gauge churn finish.
+const drainSeconds = 300
+
 // Options configures one experimental run.
 type Options struct {
 	// Adaptive enables the framework's repairs; false is the control run.
@@ -96,13 +100,18 @@ func run(opts Options, bind func(*core.Manager)) *Results {
 
 	// Ground-truth samplers (window average, or age of the oldest
 	// outstanding request while a client is wedged — see app.ObserveLatency).
+	// The sampler ticks until the drain's end, so no series outgrows samples.
 	obs := app.ObserveLatency(tb.App, tb.App.Clients(), 30)
+	samples := int((opts.Duration + drainSeconds) / samplePeriod)
+	series := func(name string) *metrics.Series {
+		return &metrics.Series{Name: name, T: make([]float64, 0, samples), V: make([]float64, 0, samples)}
+	}
 	for _, name := range tb.App.Clients() {
-		res.Latency[name] = metrics.NewSeries("latency:" + name)
-		res.Bandwidth[name] = metrics.NewSeries("bandwidth:" + name)
+		res.Latency[name] = series("latency:" + name)
+		res.Bandwidth[name] = series("bandwidth:" + name)
 	}
 	for _, g := range tb.App.Groups() {
-		res.Queue[g] = metrics.NewSeries("queue:" + g)
+		res.Queue[g] = series("queue:" + g)
 	}
 
 	tb.K.Ticker(samplePeriod, samplePeriod, func(now float64) {
@@ -125,7 +134,7 @@ func run(opts Options, bind func(*core.Manager)) *Results {
 	tb.K.Run(opts.Duration)
 	mgr.Stop()
 	tb.App.StopClients()
-	tb.K.Run(opts.Duration + 300)
+	tb.K.Run(opts.Duration + drainSeconds)
 
 	res.Spans = mgr.Spans()
 	res.Alerts = mgr.Alerts()

@@ -137,11 +137,11 @@ func BenchmarkCalendarDrain(b *testing.B) {
 	for _, c := range drainCases {
 		b.Run(c.name, func(b *testing.B) {
 			k := NewKernel()
-			evs := drainEvents(NewRand(1), c.n, c.clump)
+			evs := c.evs(NewRand(1))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.bottom = k.bottom[:0]
+				emptyBottom(k)
 				k.drain(chainBucket(k, evs))
 			}
 		})

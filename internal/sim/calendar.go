@@ -6,23 +6,26 @@ import (
 )
 
 // The calendar is the kernel's one event queue. It owns no storage of its
-// own: a bucket is a chain threaded through Event.next and Event.prev from
-// one head in a small ring, and a push is a multiply, a conversion and a
-// link.
+// own but bottom: a bucket is a chain threaded through Event.next and
+// Event.prev from one head in a small ring, and a push is a multiply, a
+// conversion and a link.
 //
 // Bucket b covers times [b·width, (b+1)·width). With cur the drained mark:
 //
-//   - bottom holds the queued events of bucket <= cur, sorted so the earliest
-//     (at, seq) is at the tail. A push that lands there is binary-inserted.
+//   - bottom[first:] holds the queued events of bucket <= cur, sorted so the
+//     earliest (at, seq) is at first; every slot outside it is clear. A pop
+//     takes bottom[first] and advances first. A push that lands there is
+//     binary-inserted, shifting whichever side of its place is shorter.
 //   - heads[b&mask] chains, unsorted, the events of bucket b, cur < b < horizon.
 //   - far chains, unsorted, the events of bucket >= horizon; farMin is their
 //     earliest time. It is re-examined only when the ring has run empty, which
 //     happens at least once per rotation.
 //
 // Only when the clock reaches a bucket is its chain copied into bottom and
-// sorted on (at, seq) (sortLatestFirst). The bucket an event's time maps to
-// says which of the three holds it, so Reschedule and Cancel unlink it from
-// there at once: from a chain through prev, from bottom by a binary search.
+// sorted on (at, seq), by merging the runs the chain already holds
+// (sortRuns). The bucket an event's time maps to says which of the three
+// holds it, so Reschedule and Cancel unlink it from there at once: from a
+// chain through prev, from bottom by a binary search.
 const (
 	initHeads = 256
 	initWidth = 1.0 / 64 // seconds; widths stay powers of two, so t*inv is exact
@@ -36,7 +39,7 @@ const (
 	// Too narrow shows as steps that fire nothing — empty buckets passed, far
 	// events re-examined: past stepHigh of them per pop the width grows by
 	// widthStep. Too wide shows as inserts into a bottom already longBottom
-	// long, each shifting a sorted array: past one per longShare pops it
+	// long, each shifting part of a sorted array: past one per longShare pops it
 	// shrinks; at one per four, the benchmark's 256-app fleet never narrows
 	// and inserts twice as many pushes into bottom. Either way every queued
 	// event is re-linked, which the window (at least as many pops as events
@@ -48,7 +51,8 @@ const (
 	widthStep             = 4
 	headLoad, headStep    = 16, 4
 
-	// smallBucket is the longest drained bucket sortLatestFirst insertion-sorts.
+	// smallBucket is the longest drained bucket sortRuns insertion-sorts
+	// once its runs are turned ascending, rather than merge them.
 	smallBucket = 16
 )
 
@@ -113,8 +117,7 @@ func (k *Kernel) unlink(e *Event) {
 	e.queued = false
 	b := k.bucketOf(e.At)
 	if b <= k.cur {
-		i := k.search(entry{at: e.At, seq: e.seq})
-		k.bottom = slices.Delete(k.bottom, i, i+1)
+		k.removeBottom(k.search(entry{at: e.At, seq: e.seq}))
 		return
 	}
 	h := &k.far
@@ -141,13 +144,19 @@ func (k *Kernel) unlink(e *Event) {
 	}
 }
 
-// search returns where key belongs in bottom, which is sorted latest-first:
-// every entry before the index fires after key, every one from it on before.
+// search returns where key belongs in bottom's queued entries, which are
+// sorted earliest-first: every entry before the index fires before key, every
+// one from it on after (or is key itself).
 func (k *Kernel) search(key entry) int {
-	b := k.bottom
-	lo, hi := 0, len(b)
+	return k.first + countBefore(k.bottom[k.first:], key)
+}
+
+// countBefore returns how many entries of s, sorted earliest-first, fire
+// before key.
+func countBefore(s []entry, key entry) int {
+	lo, hi := 0, len(s)
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); key.before(b[m]) {
+		if m := int(uint(lo+hi) >> 1); s[m].before(key) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -156,18 +165,64 @@ func (k *Kernel) search(key entry) int {
 	return lo
 }
 
-// insertBottom places e, whose bucket is already drained, into bottom.
+// insertBottom places e, whose bucket is already drained, into bottom,
+// shifting whichever side of its place is shorter: a push earlier than
+// everything queued takes the slot the last pop freed, one later than
+// everything is appended.
 func (k *Kernel) insertBottom(e *Event) {
-	if len(k.bottom) >= longBottom {
+	live := len(k.bottom) - k.first
+	if live >= longBottom {
 		k.winLong++
 	}
+	k.stats.BottomInserts++
 	ent := entry{at: e.At, seq: e.seq, e: e}
 	i := k.search(ent)
-	b := append(k.bottom, entry{})
+	b := k.bottom
+	if left := i - k.first; k.first > 0 && left < len(b)-i {
+		copy(b[k.first-1:i-1], b[k.first:i])
+		k.first--
+		b[i-1] = ent
+		k.stats.BottomShifts += uint64(left)
+		return
+	}
+	if len(b) == cap(b) && k.first > 0 {
+		// The array is full up to popped slots: slide the queue down into
+		// them rather than grow it.
+		copy(b, b[k.first:])
+		clear(b[live:])
+		b, i = b[:live], i-k.first
+		k.first = 0
+		k.stats.BottomShifts += uint64(live)
+	}
+	b = append(b, entry{})
 	copy(b[i+1:], b[i:])
 	b[i] = ent
 	k.bottom = b
-	k.stats.BottomInserts++
+	k.stats.BottomShifts += uint64(len(b) - 1 - i)
+}
+
+// removeBottom takes bottom[i] out, shifting whichever side is shorter.
+func (k *Kernel) removeBottom(i int) {
+	b := k.bottom
+	if left := i - k.first; left < len(b)-1-i {
+		copy(b[k.first+1:i+1], b[k.first:i])
+		b[k.first] = entry{}
+		k.first++
+		k.stats.BottomShifts += uint64(left)
+	} else {
+		copy(b[i:], b[i+1:])
+		b[len(b)-1] = entry{}
+		k.bottom = b[:len(b)-1]
+		k.stats.BottomShifts += uint64(len(b) - 1 - i)
+	}
+	k.trimBottom()
+}
+
+// trimBottom rewinds bottom to its start once nothing in it is queued.
+func (k *Kernel) trimBottom() {
+	if k.first == len(k.bottom) {
+		k.bottom, k.first = k.bottom[:0], 0
+	}
 }
 
 // refill drains buckets into the empty bottom until it holds something or the
@@ -203,7 +258,8 @@ func (k *Kernel) refill(until Time) {
 }
 
 // drain moves the chain at h, the bucket the mark just reached, into the
-// empty bottom and sorts it latest-first.
+// empty bottom and sorts it earliest-first by its runs, with bottom's spare
+// capacity to merge through.
 func (k *Kernel) drain(h **Event) {
 	b := k.bottom
 	for e := *h; e != nil; {
@@ -216,36 +272,139 @@ func (k *Kernel) drain(h **Event) {
 	k.bottom = b
 	k.ringN -= len(b)
 	k.stats.BucketsDrained++
-	sortLatestFirst(b)
+	k.stats.RunsMerged += uint64(sortRuns(b, b[len(b):cap(b)]))
 }
 
-// sortLatestFirst sorts b on (at, seq), latest first. Most drained buckets
-// hold a handful of events (5.2 on average at N=64), where a comparator
-// closure per comparison is the cost, so up to smallBucket entries are
-// insertion-sorted with entry.before inlined. (at, seq) is a strict total
-// order, so either sort leaves the one same order.
-func sortLatestFirst(b []entry) {
-	if len(b) > smallBucket {
-		slices.SortFunc(b, latestFirst)
-		return
+// sortRuns sorts b earliest-first on (at, seq) and returns the number of
+// maximal monotone runs it cut b into. A chain is linked LIFO, and a far
+// rescan or a retune re-links it the other way round, so a drained bucket is
+// a few runs in either direction: a fleet tick's same-instant clump is one.
+// The first pass turns the descending runs round and merges neighbours in
+// pairs; each later pass merges neighbouring ascending runs, until one is
+// left. A bucket of n entries in r runs costs O(n log r) comparisons. What
+// the merges leave in tmp is cleared. Most buckets hold a handful of entries
+// (5.2 on average at N=64), where a merge's set-up is the cost, so up to
+// smallBucket entries are insertion-sorted once their runs are turned.
+func sortRuns(b, tmp []entry) (runs int) {
+	if len(b) <= smallBucket {
+		for lo := 0; lo < len(b); runs++ {
+			lo = cutRun(b, lo, true)
+		}
+		if runs > 1 {
+			insertionSort(b)
+		}
+		return runs
 	}
+	for pass := 0; ; pass++ {
+		pieces := 0
+		for lo := 0; lo < len(b); {
+			mid := cutRun(b, lo, pass == 0)
+			pieces++
+			if mid == len(b) {
+				break
+			}
+			hi := cutRun(b, mid, pass == 0)
+			pieces++
+			merge(b[lo:hi], mid-lo, tmp)
+			lo = hi
+		}
+		if pass == 0 {
+			runs = pieces
+		}
+		if pieces <= 2 {
+			break
+		}
+	}
+	if runs > 1 {
+		clear(tmp[:min(len(tmp), len(b)/2)]) // no merge's shorter side is longer
+	}
+	return runs
+}
+
+// insertionSort sorts b earliest-first on (at, seq), with entry.before
+// inlined; it costs a comparison per entry plus one per inversion.
+func insertionSort(b []entry) {
 	for i := 1; i < len(b); i++ {
 		x, j := b[i], i
-		for ; j > 0 && b[j-1].before(x); j-- {
+		for ; j > 0 && x.before(b[j-1]); j-- {
 			b[j] = b[j-1]
 		}
 		b[j] = x
 	}
 }
 
-func latestFirst(x, y entry) int {
-	switch {
-	case y.before(x):
-		return -1
-	case x.before(y):
-		return 1
+// cutRun returns the end of the maximal run that starts at b[lo]: ascending,
+// or, when turn is set, descending and then reversed.
+func cutRun(b []entry, lo int, turn bool) int {
+	hi := lo + 1
+	if turn && hi < len(b) && b[hi].before(b[lo]) {
+		for hi++; hi < len(b) && b[hi].before(b[hi-1]); hi++ {
+		}
+		slices.Reverse(b[lo:hi])
+		return hi
 	}
-	return 0
+	for ; hi < len(b) && b[hi-1].before(b[hi]); hi++ {
+	}
+	return hi
+}
+
+// merge merges s[:mid] and s[mid:], each earliest-first: through tmp when
+// the shorter of the two fits there, and otherwise in place, by splitting the
+// merge in two about the middle entry of the longer one and rotating the
+// parts that cross it, until the pieces fit.
+func merge(s []entry, mid int, tmp []entry) {
+	for mid > 0 && mid < len(s) && !s[mid-1].before(s[mid]) {
+		if min(mid, len(s)-mid) <= len(tmp) {
+			mergeThrough(s, mid, tmp)
+			return
+		}
+		// s[i:mid] and s[mid:j] cross the pivot and trade places.
+		i, j := mid/2, mid
+		if mid >= len(s)-mid {
+			j += countBefore(s[mid:], s[i])
+		} else {
+			j += (len(s) - mid) / 2
+			i = countBefore(s[:mid], s[j])
+		}
+		slices.Reverse(s[i:mid])
+		slices.Reverse(s[mid:j])
+		slices.Reverse(s[i:j])
+		m := i + j - mid
+		merge(s[:m], i, tmp)
+		s, mid = s[m:], mid-i
+	}
+}
+
+// mergeThrough merges s[:mid] and s[mid:], each earliest-first, copying the
+// shorter of the two into tmp first.
+func mergeThrough(s []entry, mid int, tmp []entry) {
+	if mid <= len(s)-mid {
+		t := tmp[:copy(tmp, s[:mid])]
+		i, j, k := 0, mid, 0
+		for ; i < len(t) && j < len(s); k++ {
+			if s[j].before(t[i]) {
+				s[k] = s[j]
+				j++
+			} else {
+				s[k] = t[i]
+				i++
+			}
+		}
+		copy(s[k:], t[i:])
+		return
+	}
+	t := tmp[:copy(tmp, s[mid:])]
+	i, j, k := mid-1, len(t)-1, len(s)-1
+	for ; i >= 0 && j >= 0; k-- {
+		if t[j].before(s[i]) {
+			s[k] = s[i]
+			i--
+		} else {
+			s[k] = t[j]
+			j--
+		}
+	}
+	copy(s[:j+1], t[:j+1])
 }
 
 // rescanFar sets the horizon one ring ahead of the mark and moves every far

@@ -56,6 +56,7 @@ type Kernel struct {
 	width, inv   float64
 	cur, horizon int64
 	bottom       []entry
+	first        int // bottom's earliest queued entry; 0 when bottom is empty
 	far          *Event
 	farMin       Time
 	ringN, farN  int
@@ -90,7 +91,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Executed() uint64 { return k.stats.Fired }
 
 // Pending returns the number of events queued.
-func (k *Kernel) Pending() int { return len(k.bottom) + k.ringN + k.farN }
+func (k *Kernel) Pending() int { return len(k.bottom) - k.first + k.ringN + k.farN }
 
 // Stats counts the work the event queue has done: plain increments,
 // deterministic under a seed, free when unread.
@@ -100,7 +101,9 @@ type Stats struct {
 	Reschedules uint64
 
 	BucketsDrained  uint64 // non-empty calendar buckets sorted into bottom
+	RunsMerged      uint64 // monotone runs those buckets' chains were cut into, then merged or insertion-sorted
 	BottomInserts   uint64 // pushes that landed in an already drained bucket
+	BottomShifts    uint64 // entries of bottom moved by those inserts and by unlinks
 	FarRescans      uint64 // times the far chain was re-examined
 	Jumps           uint64 // of those, with the whole ring empty and buckets skipped
 	RetunesNarrower uint64
@@ -228,17 +231,20 @@ func (k *Kernel) fire(e *Event) {
 }
 
 // next removes and returns the earliest event due at or before until, nil when
-// there is none: bottom's tail, once the calendar has been drained up to until.
+// there is none: bottom's first entry, once the calendar has been drained up
+// to until. The slot it leaves is cleared.
 func (k *Kernel) next(until Time) *Event {
 	if len(k.bottom) == 0 && k.ringN+k.farN > 0 {
 		k.refill(until)
 	}
-	n := len(k.bottom) - 1
-	if n < 0 || k.bottom[n].at > until {
+	if len(k.bottom) == 0 || k.bottom[k.first].at > until {
 		return nil
 	}
-	e := k.bottom[n].e
-	k.bottom = k.bottom[:n]
+	ent := &k.bottom[k.first]
+	e := ent.e
+	*ent = entry{}
+	k.first++
+	k.trimBottom()
 	e.queued = false
 	return e
 }

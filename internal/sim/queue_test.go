@@ -8,13 +8,14 @@ import (
 	"unsafe"
 )
 
-// checkQueue audits the event queue: bottom is sorted latest-first and holds
-// only drained buckets, every chained event sits in the chain its time maps
-// to, after the drained mark and before the horizon, and links back to its
-// predecessor through prev; every far event is at or beyond the horizon with
-// the cached minimum exact; the counts add up to Pending; no event is linked
-// twice; the queued flag is set on every one of them; and nothing on the free
-// list is queued or still linked.
+// checkQueue audits the event queue: bottom[first:] is sorted earliest-first
+// and holds only drained buckets, every other slot of bottom's array is clear
+// and first is 0 when nothing is in it; every chained event sits in the chain
+// its time maps to, after the drained mark and before the horizon, and links
+// back to its predecessor through prev; every far event is at or beyond the
+// horizon with the cached minimum exact; the counts add up to Pending; no
+// event is linked twice; the queued flag is set on every one of them; and
+// nothing on the free list is queued or still linked.
 func checkQueue(t *testing.T, k *Kernel) {
 	t.Helper()
 	seen := make(map[*Event]string, k.Pending())
@@ -38,7 +39,16 @@ func checkQueue(t *testing.T, k *Kernel) {
 			each(e)
 		}
 	}
-	for i, ent := range k.bottom {
+	if k.first >= len(k.bottom) && k.first != 0 {
+		t.Fatalf("bottom is empty with first at %d, not rewound to 0", k.first)
+	}
+	for i, ent := range k.bottom[:cap(k.bottom)] {
+		if i < k.first || i >= len(k.bottom) {
+			if ent != (entry{}) {
+				t.Fatalf("bottom slot %d, outside the queued [%d, %d), is not clear: %+v", i, k.first, len(k.bottom), ent)
+			}
+			continue
+		}
 		link(ent.e, "bottom")
 		if ent.e.At != ent.at || ent.e.seq != ent.seq || ent.e.next != nil || ent.e.prev != nil {
 			t.Fatalf("bottom[%d] key (%v, %d), event (%v, %d, next=%p, prev=%p)", i, ent.at, ent.seq, ent.e.At, ent.e.seq, ent.e.next, ent.e.prev)
@@ -46,8 +56,8 @@ func checkQueue(t *testing.T, k *Kernel) {
 		if b := k.bucketOf(ent.at); b > k.cur {
 			t.Fatalf("bottom[%d] is of bucket %d, past the drained mark %d", i, b, k.cur)
 		}
-		if i > 0 && !ent.before(k.bottom[i-1]) {
-			t.Fatalf("bottom[%d] does not fire before bottom[%d]", i, i-1)
+		if i > k.first && !k.bottom[i-1].before(ent) {
+			t.Fatalf("bottom[%d] does not fire after bottom[%d]", i, i-1)
 		}
 	}
 	ring := 0
@@ -123,13 +133,48 @@ func drainEvents(rng *Rand, n, clump int) []*Event {
 	return evs
 }
 
+// pushed makes one bucket's events as the calendar receives them: one per
+// time of ats, sequenced in that order. chainBucket links them LIFO, as
+// pushes do; reversed first, they are the chain a far rescan or a retune
+// re-links, ascending in push order.
+func pushed(ats []Time) []*Event {
+	evs := make([]*Event, len(ats))
+	for i, at := range ats {
+		evs[i] = &Event{At: at, seq: uint64(i)}
+	}
+	return evs
+}
+
+// blocks returns the times of clumps pushed one after another: sizes[i]
+// events at 1 + at[i]/1024 each.
+func blocks(at, sizes []int) []Time {
+	var ats []Time
+	for i, n := range sizes {
+		for range n {
+			ats = append(ats, 1+float64(at[i])/1024)
+		}
+	}
+	return ats
+}
+
+// surgeBucket is shaped like openloop-surge's drained buckets past 16
+// entries, which average 34 entries in 2.7 runs: four same-instant clumps at
+// three instants pushed in turn, which a LIFO chain holds as three
+// descending runs.
+var surgeBucket = blocks([]int{1, 0, 2, 1}, []int{9, 8, 9, 8})
+
 // drainCases are the drains held to zero allocations and timed by
-// BenchmarkCalendarDrain: about the mean bucket at N=64, insertion-sorted,
-// and a same-instant clump, which goes to slices.SortFunc.
+// BenchmarkCalendarDrain: about the mean bucket at N=64; a same-instant clump
+// among shuffled positions and sequence numbers, the worst order a chain can
+// hold; and surgeBucket.
 var drainCases = []struct {
-	name     string
-	n, clump int
-}{{"bucket=10", 10, 0}, {"clump=600", 0, 600}}
+	name string
+	evs  func(rng *Rand) []*Event
+}{
+	{"bucket=10", func(rng *Rand) []*Event { return drainEvents(rng, 10, 0) }},
+	{"clump=600", func(rng *Rand) []*Event { return drainEvents(rng, 0, 600) }},
+	{"runs=3", func(*Rand) []*Event { return pushed(surgeBucket) }},
+}
 
 // chainBucket links evs into one calendar chain, each at the head as a push
 // does, and returns the chain's head for drain.
@@ -142,31 +187,69 @@ func chainBucket(k *Kernel, evs []*Event) **Event {
 	return h
 }
 
-// TestDrainSortMatchesReference holds drain's sort, insertion sort up to
-// smallBucket entries and slices.SortFunc past it, to a reference sort on
-// (at, seq), latest first: random buckets of 0 to 40 entries either side of
-// the cut-over, and 600-entry same-instant clumps among nearby times. A
-// drain into a warm bottom allocates nothing.
+// emptyBottom leaves bottom as the last pop out of it does: every slot clear
+// and first rewound.
+func emptyBottom(k *Kernel) {
+	clear(k.bottom)
+	k.bottom, k.first = k.bottom[:0], 0
+}
+
+// TestDrainSortMatchesReference holds drain's sort, runs turned and then
+// insertion-sorted up to smallBucket entries and merged past it, to a
+// reference sort on (at, seq), earliest first, and to the layout checkQueue
+// audits: the entries from slot 0 and every spare slot clear. Shuffled buckets of 0 to 40 entries
+// and 600-entry same-instant clumps among nearby times are the orders a chain
+// has no reason to hold; the run-shaped ones are those it does, each linked
+// LIFO and re-linked ascending: same-instant clumps pushed in turn,
+// interleaved equal-time runs, a single run, all-distinct times. Merging by
+// time alone, or leaving a descending run as it came, fails here. Each is
+// also sorted with less spare capacity than its merges want, which merges in
+// place. A drain into a warm bottom allocates nothing.
 func TestDrainSortMatchesReference(t *testing.T) {
 	rng := NewRand(29)
 	k := NewKernel()
-	check := func(what string, evs []*Event) {
+	check := func(what string, evs []*Event) (runs uint64) {
 		t.Helper()
-		k.bottom = k.bottom[:0]
+		emptyBottom(k)
+		before := k.stats.RunsMerged
 		k.drain(chainBucket(k, evs))
 		want := make([]entry, len(evs))
 		for i, e := range evs {
 			want[i] = entry{at: e.At, seq: e.seq, e: e}
 		}
 		slices.SortFunc(want, func(x, y entry) int {
-			return cmp.Or(cmp.Compare(y.at, x.at), cmp.Compare(y.seq, x.seq))
+			return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.seq, y.seq))
 		})
-		if !slices.Equal(k.bottom, want) {
-			t.Fatalf("%s: drained %v, want %v", what, k.bottom, want)
+		if !slices.Equal(k.bottom, want) || k.first != 0 {
+			t.Fatalf("%s: drained %v from %d, want %v from 0", what, k.bottom, k.first, want)
+		}
+		if spare := k.bottom[len(k.bottom):cap(k.bottom)]; slices.ContainsFunc(spare, func(e entry) bool { return e != entry{} }) {
+			t.Fatalf("%s: drain left its merge scratch uncleared", what)
 		}
 		if k.ringN != 0 || k.heads[0] != nil {
 			t.Fatalf("%s: drain left %d events counted on the ring", what, k.ringN)
 		}
+		// With less spare capacity than a merge's shorter side, the merge
+		// splits and rotates in place: the same order, and nothing allocated.
+		for _, spare := range []int{0, 1, 3} {
+			in := make([]entry, len(evs))
+			for i, e := range evs {
+				in[len(evs)-1-i] = entry{at: e.At, seq: e.seq, e: e} // the chain's order
+			}
+			tmp := make([]entry, spare)
+			if sortRuns(in, tmp); !slices.Equal(in, want) || slices.ContainsFunc(tmp, func(e entry) bool { return e != entry{} }) {
+				t.Fatalf("%s: merged through %d spare slots to %v, want %v (scratch left %v)", what, spare, in, want, tmp)
+			}
+		}
+		return k.stats.RunsMerged - before
+	}
+	// both checks the events of ats linked LIFO and re-linked ascending.
+	both := func(what string, ats []Time) {
+		t.Helper()
+		evs := pushed(ats)
+		check(what+"/lifo", evs)
+		slices.Reverse(evs)
+		check(what+"/ascending", evs)
 	}
 	for n := 0; n <= 40; n++ {
 		for trial := 0; trial < 50; trial++ {
@@ -176,11 +259,47 @@ func TestDrainSortMatchesReference(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		check("clump", drainEvents(rng, 200, 600))
 	}
+	for trial := 0; trial < 200; trial++ {
+		at, sizes := make([]int, 1+rng.Intn(6)), make([]int, 0, 6)
+		for i := range at {
+			at[i] = rng.Intn(4)
+			sizes = append(sizes, 1+rng.Intn(40))
+		}
+		both("clumps", blocks(at, sizes))
+		ats := make([]Time, 2+rng.Intn(60))
+		width := 2 + rng.Intn(3)
+		for i := range ats {
+			ats[i] = 1 + float64(i%width)/1024
+			if rng.Intn(4) == 0 {
+				ats[i] = 1 + float64(rng.Intn(width))/1024
+			}
+		}
+		both("interleaved", ats)
+		ats = ats[:0]
+		for i := range 1 + rng.Intn(60) {
+			ats = append(ats, 1+float64(i)/1024)
+			j := rng.Intn(i + 1)
+			ats[i], ats[j] = ats[j], ats[i]
+		}
+		both("distinct", ats)
+	}
+	for _, n := range []int{1, 2, 17, 600} {
+		if runs := check("one clump", pushed(blocks([]int{2}, []int{n}))); runs != 1 {
+			t.Fatalf("a %d-event same-instant clump linked LIFO was cut into %d runs, want 1", n, runs)
+		}
+		ats := blocks([]int{0, 1, 2, 3}, []int{n, n, n, n})
+		if runs := check("one run", pushed(ats)); runs != 1 {
+			t.Fatalf("%d events in push order, linked LIFO, were cut into %d runs, want 1", len(ats), runs)
+		}
+	}
+	if runs := check("surge", pushed(surgeBucket)); runs != 3 {
+		t.Fatalf("surgeBucket was cut into %d runs, want 3", runs)
+	}
 
 	for _, c := range drainCases {
-		evs := drainEvents(rng, c.n, c.clump)
+		evs := c.evs(rng)
 		drain := func() {
-			k.bottom = k.bottom[:0]
+			emptyBottom(k)
 			k.drain(chainBucket(k, evs))
 		}
 		if avg := testing.AllocsPerRun(20, drain); avg != 0 {
@@ -518,4 +637,129 @@ func TestUnrepresentableTimesWaitOnFar(t *testing.T) {
 	if k.RunAll(0) != 1 || got[8] != 8 {
 		t.Fatalf("event scheduled at +Inf with the clock at +Inf did not fire: %v", got)
 	}
+}
+
+// FuzzKernelQueue decodes queue operations from its input, two bytes each —
+// At, AtAnon, Cancel, Reschedule, Reuse and Run, and what each takes — over
+// eight time offsets from the clock, so clumps of equal times and equal-time
+// runs dominate. A fired event schedules a successor one time in three, so
+// pushes also land in a bottom that is being popped. After every step the
+// queue must hold exactly the live schedulings, each under its (at, seq), and
+// pass checkQueue; each Run must fire exactly those due, in (at, seq) order.
+func FuzzKernelQueue(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 2, 5, 3, 3, 9, 2, 1, 5, 7})
+	f.Add([]byte{1, 3, 1, 3, 1, 4, 1, 3, 0, 3, 0, 4, 5, 2, 4, 0, 4, 1, 3, 26, 5, 3, 1, 1, 5, 7})
+	f.Add([]byte{0, 6, 0, 7, 1, 7, 0, 2, 5, 5, 3, 40, 3, 17, 2, 2, 4, 2, 5, 6, 5, 7})
+	f.Add([]byte{0, 2, 5, 0, 0, 0, 5, 7}) // a push earlier than a drained bucket nothing has popped
+	offsets := [8]Time{0, 0, 1.0 / 1024, 1.0 / 64, 1.0/64 + 1.0/1024, 0.25, 4, 1000}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 1024 {
+			ops = ops[:1024]
+		}
+		k := NewKernel()
+		live := map[uint64]Time{} // seq → at of every live scheduling
+		var (
+			handles []*Event
+			fired   []uint64 // by the current Run, in order
+			seq     uint64
+		)
+		var fire func(s uint64)
+		// add records the scheduling about to be made at at.
+		add := func(at Time) uint64 {
+			live[seq] = at
+			seq++
+			return seq - 1
+		}
+		fire = func(s uint64) {
+			if at, ok := live[s]; !ok || at != k.Now() {
+				t.Fatalf("scheduling %d fired at %v; live %v, due at %v", s, k.Now(), ok, at)
+			}
+			fired = append(fired, s)
+			if s%3 == 0 {
+				at := k.Now() + offsets[s%8]
+				next := add(at)
+				k.AtAnon(at, func() { fire(next) })
+			}
+		}
+		// handle schedules through sched, whose callback reports the
+		// event's own sequence number, which Reschedule moves.
+		handle := func(sched func(fn func()) *Event, at Time) {
+			add(at)
+			var e *Event
+			e = sched(func() { fire(e.seq) })
+			if e.seq != seq-1 {
+				t.Fatalf("the kernel sequenced a scheduling %d, the reference %d", e.seq, seq-1)
+			}
+			handles = append(handles, e)
+		}
+		for step := 0; step+1 < len(ops); step += 2 {
+			op, arg := ops[step]%6, int(ops[step+1])
+			at := k.Now() + offsets[arg%8]
+			var h *Event
+			if len(handles) > 0 {
+				h = handles[arg%len(handles)]
+			}
+			switch {
+			case op == 0:
+				handle(func(fn func()) *Event { return k.At(at, fn) }, at)
+			case op == 1:
+				s := add(at)
+				k.AtAnon(at, func() { fire(s) })
+			case op == 2 && h != nil:
+				if h.Pending() {
+					delete(live, h.seq)
+				}
+				k.Cancel(h)
+			case op == 3 && h != nil:
+				at = k.Now() + offsets[arg/8%8]
+				if h.Pending() {
+					delete(live, h.seq)
+					add(at)
+				}
+				k.Reschedule(h, at)
+			case op == 4 && h != nil:
+				handle(func(fn func()) *Event { return k.Reuse(h, at, fn) }, at)
+			case op == 5:
+				fired = fired[:0]
+				k.Run(at)
+				for i, s := range fired {
+					sAt := live[s]
+					if i > 0 {
+						p := fired[i-1]
+						if pAt := live[p]; sAt < pAt || sAt == pAt && s < p {
+							t.Fatalf("step %d: fired (%v, %d) after (%v, %d)", step, sAt, s, pAt, p)
+						}
+					}
+				}
+				for _, s := range fired {
+					delete(live, s)
+				}
+				for s, sAt := range live {
+					if sAt <= at {
+						t.Fatalf("step %d: Run(%v) left scheduling %d, due at %v, unfired", step, at, s, sAt)
+					}
+				}
+			}
+			checkQueue(t, k)
+			if k.Pending() != len(live) {
+				t.Fatalf("step %d: %d events queued, %d schedulings live", step, k.Pending(), len(live))
+			}
+			for _, ent := range queued(k) {
+				if sAt, ok := live[ent.seq]; !ok || sAt != ent.at {
+					t.Fatalf("step %d: queued (%v, %d), live at %v (%v)", step, ent.at, ent.seq, sAt, ok)
+				}
+			}
+		}
+	})
+}
+
+// queued returns the key of every event queued in bottom, the ring and far.
+func queued(k *Kernel) []entry {
+	out := slices.Clone(k.bottom[k.first:])
+	for _, head := range append(slices.Clone(k.heads), k.far) {
+		for e := head; e != nil; e = e.next {
+			out = append(out, entry{at: e.At, seq: e.seq, e: e})
+		}
+	}
+	return out
 }
