@@ -160,7 +160,7 @@ type System struct {
 	// freeReqs holds delivered requests' records for sendRequest to reuse.
 	// StopClients releases it and ends recycling (stopped), so a retired
 	// system retains no records for requests it will never send.
-	freeReqs []*Request
+	freeReqs sim.Pool[Request]
 	stopped  bool
 	// memberRev advances whenever a flow class's key, members or anchor can
 	// have changed: a process registered, re-pointed, re-hosted, activated
@@ -373,14 +373,7 @@ func clientTickFn(arg any) {
 // is enqueued on arrival.
 func (s *System) sendRequest(c *Client) {
 	s.reqSeq++
-	var req *Request
-	if last := len(s.freeReqs) - 1; last >= 0 {
-		req = s.freeReqs[last]
-		s.freeReqs[last] = nil
-		s.freeReqs = s.freeReqs[:last]
-	} else {
-		req = new(Request)
-	}
+	req := s.freeReqs.Get()
 	*req = Request{
 		ID:       s.reqSeq,
 		Client:   c.Name,
@@ -503,7 +496,7 @@ func replyDoneFn(arg any) {
 		fn(done)
 	}
 	if !s.stopped {
-		s.freeReqs = append(s.freeReqs, req)
+		s.freeReqs.Put(req)
 	}
 	s.finishServing(srv)
 }

@@ -161,9 +161,9 @@ type Bus struct {
 	Tracer *obs.Tracer
 
 	def      *Shard
-	free     []*Shard
-	subPool  []*Subscription
-	dlvPool  []*delivery
+	free     sim.Pool[Shard]
+	subPool  sim.Pool[Subscription]
+	dlvPool  sim.Pool[delivery]
 	tenants  int
 	acquired uint64
 }
@@ -196,16 +196,9 @@ type Shard struct {
 func (b *Bus) Acquire() *Shard {
 	b.tenants++
 	b.acquired++
-	if n := len(b.free); n > 0 {
-		sh := b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-		sh.closed = false
-		sh.published, sh.delivered, sh.dropped = 0, 0, 0
-		sh.dropRate, sh.dropRNG = 0, nil
-		return sh
-	}
-	return &Shard{b: b}
+	sh := b.free.Get()
+	*sh = Shard{b: b, subs: sh.subs}
+	return sh
 }
 
 // Release detaches every remaining subscription and returns the shard to the
@@ -222,7 +215,7 @@ func (sh *Shard) Release() {
 		sh.b.recycleSub(s)
 	}
 	sh.subs = sh.subs[:0]
-	sh.b.free = append(sh.b.free, sh)
+	sh.b.free.Put(sh)
 }
 
 // Tenants returns the number of live shards (excluding the default shard).
@@ -281,8 +274,8 @@ func (sh *Shard) traceMsg(msg *Message) {
 
 // Subscribe registers a handler running on host for messages matching f.
 func (sh *Shard) Subscribe(host netsim.NodeID, f Filter, handler func(Message)) *Subscription {
-	s := sh.b.getSub()
-	s.Host, s.filter, s.handler = host, f, handler
+	s := sh.b.subPool.Get()
+	s.Host, s.filter, s.handler, s.dead = host, f, handler, false
 	sh.subs = append(sh.subs, s)
 	return s
 }
@@ -322,7 +315,7 @@ func deliverFn(arg any) {
 	sub, sh := d.sub, d.sh
 	stale := d.gen != sub.gen || sub.dead
 	d.sh, d.sub = nil, nil
-	sh.b.dlvPool = append(sh.b.dlvPool, d)
+	sh.b.dlvPool.Put(d)
 	if stale {
 		return
 	}
@@ -330,33 +323,12 @@ func deliverFn(arg any) {
 	sub.handler(d.msg)
 }
 
-func (b *Bus) getDelivery() *delivery {
-	if n := len(b.dlvPool); n > 0 {
-		d := b.dlvPool[n-1]
-		b.dlvPool[n-1] = nil
-		b.dlvPool = b.dlvPool[:n-1]
-		return d
-	}
-	return &delivery{}
-}
-
-func (b *Bus) getSub() *Subscription {
-	if n := len(b.subPool); n > 0 {
-		s := b.subPool[n-1]
-		b.subPool[n-1] = nil
-		b.subPool = b.subPool[:n-1]
-		s.dead = false
-		return s
-	}
-	return &Subscription{}
-}
-
 // recycleSub invalidates in-flight deliveries and pools the subscription.
 func (b *Bus) recycleSub(s *Subscription) {
 	s.dead = true
 	s.gen++
 	s.filter, s.handler = Filter{}, nil
-	b.subPool = append(b.subPool, s)
+	b.subPool.Put(s)
 }
 
 // Publish routes msg to every matching subscriber on the shard. Delivery to
@@ -376,7 +348,7 @@ func (sh *Shard) Publish(msg Message) {
 		if s.dead || !s.filter.matches(&msg) || sh.lost() {
 			continue
 		}
-		d := b.getDelivery()
+		d := b.dlvPool.Get()
 		d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, msg
 		b.Net.SendMessageTo(msg.Src, s.Host, msgBits, b.Priority, deliverFn, d)
 	}

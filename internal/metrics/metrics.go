@@ -166,52 +166,10 @@ func (d *Dist) sort() {
 	}
 }
 
-// FracAbove returns the fraction of samples strictly above threshold.
-func (s *Series) FracAbove(threshold float64) float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range s.V {
-		if v > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.V))
-}
-
-// FracAboveBetween is FracAbove restricted to samples with t in [t0, t1).
-func (s *Series) FracAboveBetween(threshold, t0, t1 float64) float64 {
-	n, total := 0, 0
-	for i, v := range s.V {
-		if s.T[i] < t0 || s.T[i] >= t1 {
-			continue
-		}
-		total++
-		if v > threshold {
-			n++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(n) / float64(total)
-}
-
 // FirstAbove returns the first time the series exceeds threshold, or -1.
 func (s *Series) FirstAbove(threshold float64) float64 {
 	for i, v := range s.V {
 		if v > threshold {
-			return s.T[i]
-		}
-	}
-	return -1
-}
-
-// LastAbove returns the last time the series exceeds threshold, or -1.
-func (s *Series) LastAbove(threshold float64) float64 {
-	for i := len(s.V) - 1; i >= 0; i-- {
-		if s.V[i] > threshold {
 			return s.T[i]
 		}
 	}

@@ -26,14 +26,8 @@ func TestSeriesStats(t *testing.T) {
 	if got := s.Percentile(100); got != 5 {
 		t.Fatalf("p100=%v", got)
 	}
-	if got := s.FracAbove(3); got != 0.4 {
-		t.Fatalf("fracAbove=%v", got)
-	}
 	if got := s.FirstAbove(3.5); got != 3 {
 		t.Fatalf("firstAbove=%v", got)
-	}
-	if got := s.LastAbove(3.5); got != 4 {
-		t.Fatalf("lastAbove=%v", got)
 	}
 	if got := s.FirstAbove(100); got != -1 {
 		t.Fatalf("firstAbove(100)=%v", got)
@@ -45,18 +39,8 @@ func TestEmptySeries(t *testing.T) {
 	if s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty series stats should be zero")
 	}
-	if s.FracAbove(1) != 0 || s.FirstAbove(1) != -1 {
+	if s.FirstAbove(1) != -1 {
 		t.Fatal("empty series predicates")
-	}
-}
-
-func TestFracAboveBetween(t *testing.T) {
-	s := series(0, 10, 10, 0, 10) // t = 0..4
-	if got := s.FracAboveBetween(5, 1, 4); got != 2.0/3.0 {
-		t.Fatalf("got %v", got)
-	}
-	if got := s.FracAboveBetween(5, 10, 20); got != 0 {
-		t.Fatal("empty range should be 0")
 	}
 }
 
@@ -104,8 +88,7 @@ func TestASCIIPlot(t *testing.T) {
 	}
 }
 
-// Property: Percentile is monotone in p, bounded by Min/Max; FracAbove is
-// antitone in the threshold.
+// Property: Percentile is monotone in p, bounded by Min/Max.
 func TestSeriesProperties(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
@@ -129,8 +112,7 @@ func TestSeriesProperties(t *testing.T) {
 				return false
 			}
 		}
-		below := math.Nextafter(s.Min(), math.Inf(-1))
-		return s.FracAbove(below) == 1 && s.FracAbove(s.Max()) == 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -396,32 +396,6 @@ func (s *System) Connected(a, b *Component) bool {
 	return false
 }
 
-// ConnectorsOf returns the connectors some port of c attaches to.
-func (s *System) ConnectorsOf(c *Component) []*Connector {
-	seen := map[*Connector]bool{}
-	var out []*Connector
-	for _, a := range s.atts {
-		if a.Port.Owner == c && !seen[a.Role.Owner] {
-			seen[a.Role.Owner] = true
-			out = append(out, a.Role.Owner)
-		}
-	}
-	return out
-}
-
-// ComponentsOn returns the components attached to connector conn.
-func (s *System) ComponentsOn(conn *Connector) []*Component {
-	seen := map[*Component]bool{}
-	var out []*Component
-	for _, a := range s.atts {
-		if a.Role.Owner == conn && !seen[a.Port.Owner] {
-			seen[a.Port.Owner] = true
-			out = append(out, a.Port.Owner)
-		}
-	}
-	return out
-}
-
 // ComponentsByType returns components whose type equals typ, sorted by name
 // for deterministic iteration in repair scripts. The list is built once per
 // structure revision and shared, so callers must not modify it; its capacity

@@ -68,6 +68,32 @@ func TestConnectedPredicate(t *testing.T) {
 	}
 }
 
+// ConnectorsOf returns the connectors some port of c attaches to.
+func (s *System) ConnectorsOf(c *Component) []*Connector {
+	seen := map[*Connector]bool{}
+	var out []*Connector
+	for _, a := range s.atts {
+		if a.Port.Owner == c && !seen[a.Role.Owner] {
+			seen[a.Role.Owner] = true
+			out = append(out, a.Role.Owner)
+		}
+	}
+	return out
+}
+
+// ComponentsOn returns the components attached to connector conn.
+func (s *System) ComponentsOn(conn *Connector) []*Component {
+	seen := map[*Component]bool{}
+	var out []*Component
+	for _, a := range s.atts {
+		if a.Role.Owner == conn && !seen[a.Port.Owner] {
+			seen[a.Port.Owner] = true
+			out = append(out, a.Port.Owner)
+		}
+	}
+	return out
+}
+
 // Connected scans attachments in place; it must agree with walking
 // ConnectorsOf and ComponentsOn on any attachment graph.
 func TestConnectedMatchesConnectorWalk(t *testing.T) {

@@ -18,11 +18,10 @@ type Flow struct {
 	rate      float64 // bits/sec currently allotted
 	prevRate  float64 // solver scratch: rate before the current solve
 	last      sim.Time
-	// completion is the arrival event (pending, or fired and kept for the
-	// next re-arm); complete is its callback, created once per Flow struct
-	// and reused across reschedules and, for recycled flows, across lives.
+	// completion is the arrival event (pending, or fired or cancelled and
+	// kept for the next re-arm). It and its callback are made on the first
+	// arm and reused across reschedules and, for recycled flows, across lives.
 	completion *sim.Event
-	complete   func()
 	done       func(*Flow)
 	doneArg    func(any)
 	arg        any
@@ -56,7 +55,8 @@ func (f *Flow) Size() float64 { return f.size }
 // StartTransfer begins an elastic transfer of the given number of bits and
 // invokes done (if non-nil) when the last bit arrives. Zero-hop transfers
 // (src == dst, e.g. client C5 talking to server S5 on the shared machine)
-// complete on the next event with negligible local-IPC delay. The returned
+// complete after a negligible local-IPC delay, through the same completion
+// event as a transfer that crosses the network. The returned
 // handle stays the caller's: its Flow is never recycled.
 func (n *Network) StartTransfer(src, dst NodeID, bits float64, tag string, done func(*Flow)) *Flow {
 	f := &Flow{done: done}
@@ -72,14 +72,7 @@ func (n *Network) StartTransfer(src, dst NodeID, bits float64, tag string, done 
 // returned — the per-request fast path of the application's reply streaming,
 // allocation-free once warm.
 func (n *Network) StartTransferArg(src, dst NodeID, bits float64, tag string, fn func(any), arg any) {
-	var f *Flow
-	if last := len(n.freeFlows) - 1; last >= 0 {
-		f = n.freeFlows[last]
-		n.freeFlows[last] = nil
-		n.freeFlows = n.freeFlows[:last]
-	} else {
-		f = &Flow{}
-	}
+	f := n.freeFlows.Get()
 	f.doneArg, f.arg, f.recycled = fn, arg, true
 	n.start(f, src, dst, bits, tag)
 }
@@ -100,22 +93,15 @@ func (n *Network) start(f *Flow, src, dst NodeID, bits float64, tag string) {
 	f.last = now
 	f.net = n
 	if len(f.path) == 0 {
-		// Same host: model as a fast local copy.
-		n.K.AfterAnonArg(1e-5, finishFn, f)
+		// Same host: model as a fast local copy. The flow is never linked,
+		// so completeFlow's unlink and solve find nothing to do.
+		n.arm(f, now+1e-5)
 		return
 	}
 	f.index = len(n.flows)
 	n.flows = append(n.flows, f)
 	n.linkFlow(f)
 	n.solve()
-}
-
-// finishFn is the static local-copy completion callback.
-func finishFn(arg any) {
-	f := arg.(*Flow)
-	n := f.net
-	n.finish(f)
-	n.release(f)
 }
 
 // release returns a completed fire-and-forget flow to the free list, keeping
@@ -125,8 +111,8 @@ func (n *Network) release(f *Flow) {
 	if !f.recycled {
 		return
 	}
-	*f = Flow{hopIdx: f.hopIdx[:0], completion: f.completion, complete: f.complete}
-	n.freeFlows = append(n.freeFlows, f)
+	*f = Flow{hopIdx: f.hopIdx[:0], completion: f.completion}
+	n.freeFlows.Put(f)
 }
 
 // Cancel aborts an in-progress transfer without invoking its completion
@@ -164,10 +150,18 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 // CompletedFlows returns the number of finished transfers.
 func (n *Network) CompletedFlows() uint64 { return n.completedFlows }
 
+// arm aims f's completion event at at: the event is moved, or re-armed once
+// it has fired or been cancelled, or made on the flow's first arm.
+func (n *Network) arm(f *Flow, at sim.Time) {
+	if !n.K.Reschedule(f.completion, at) {
+		f.completion = n.K.At(at, func() { n.completeFlow(f) })
+	}
+}
+
 // completeFlow fires when a flow's last bit arrives: unlink it (dirtying its
 // region), run the done callback, then re-solve — the callback commonly
 // starts follow-on transfers whose solve already covers the removal dirt.
-// The fired event stays on the flow for Kernel.Reuse.
+// The fired event stays on the flow for the next arm.
 func (n *Network) completeFlow(f *Flow) {
 	n.removeFlow(f)
 	n.finish(f)

@@ -303,11 +303,16 @@ func (n *Network) solveDirty() {
 			}
 		}
 		f.last = now
-		if f.class {
+		switch {
+		case f.class:
 			// Class flows never complete; there is no event to move.
-			continue
+		case f.rate <= 0:
+			// Fully stalled: a later solve that restores a rate re-arms the
+			// cancelled event.
+			n.K.Cancel(f.completion)
+		default:
+			n.arm(f, now+f.remaining/f.rate)
 		}
-		n.rescheduleCompletion(f)
 	}
 }
 
@@ -432,24 +437,4 @@ func (n *Network) fillComponent(flows []*Flow, resIdx []int32, epoch uint64) {
 			}
 		}
 	}
-}
-
-// rescheduleCompletion re-aims f's completion event at the ETA under its new
-// rate, reusing the queued event (and its closure) when possible.
-func (n *Network) rescheduleCompletion(f *Flow) {
-	if f.rate <= 0 {
-		// Fully stalled; rescheduled when a later solve restores a rate. The
-		// cancelled event struct stays on the flow so the resume can re-arm
-		// it instead of allocating (kernel Reuse).
-		n.K.Cancel(f.completion)
-		return
-	}
-	at := n.K.Now() + f.remaining/f.rate
-	if n.K.Reschedule(f.completion, at) {
-		return
-	}
-	if f.complete == nil {
-		f.complete = func() { f.net.completeFlow(f) }
-	}
-	f.completion = n.K.Reuse(f.completion, at, f.complete)
 }

@@ -83,7 +83,7 @@ type Network struct {
 	flows    []*Flow
 	nextFlow uint64
 	// freeFlows holds completed StartTransferArg flows for reuse (flows.go).
-	freeFlows []*Flow
+	freeFlows sim.Pool[Flow]
 
 	// Incremental-solver state (see regions.go): per-(link,dir) resources
 	// with their crossing-flow lists, the pending dirty set, batching depth,

@@ -115,13 +115,3 @@ func ServersFor(lambda, mu, maxLatency float64, maxServers int) (int, MMm, bool)
 	}
 	return 0, MMm{}, false
 }
-
-// MinBandwidth returns the minimum connection bandwidth (bits/sec) that
-// keeps the transfer time of a reply of respBits under budget seconds —
-// the analysis that produced the paper's 10 Kbps floor.
-func MinBandwidth(respBits, budget float64) float64 {
-	if budget <= 0 {
-		return math.Inf(1)
-	}
-	return respBits / budget
-}

@@ -150,3 +150,13 @@ func TestMonotonicityProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MinBandwidth returns the minimum connection bandwidth (bits/sec) that
+// keeps the transfer time of a reply of respBits under budget seconds —
+// the analysis that produced the paper's 10 Kbps floor.
+func MinBandwidth(respBits, budget float64) float64 {
+	if budget <= 0 {
+		return math.Inf(1)
+	}
+	return respBits / budget
+}

@@ -43,7 +43,7 @@ type Service struct {
 	queries     uint64
 	coldQueries uint64
 
-	queryPool []*query
+	queryPool sim.Pool[query]
 }
 
 // query is one in-flight remos_get_flow exchange, or one GetFlowBatch
@@ -64,18 +64,14 @@ type query struct {
 }
 
 func (s *Service) getQuery() *query {
-	if n := len(s.queryPool); n > 0 {
-		q := s.queryPool[n-1]
-		s.queryPool[n-1] = nil
-		s.queryPool = s.queryPool[:n-1]
-		return q
-	}
-	return &query{s: s}
+	q := s.queryPool.Get()
+	q.s = s
+	return q
 }
 
 func (s *Service) putQuery(q *query) {
 	*q = query{s: s}
-	s.queryPool = append(s.queryPool, q)
+	s.queryPool.Put(q)
 }
 
 // Static callbacks for the pooled query path (no per-query closures).

@@ -68,7 +68,7 @@ func kernelHold(fleet bool, pending int) (op func(events int)) {
 	for i := range handles {
 		var rearm func()
 		rearm = func() {
-			handles[i] = k.Reuse(handles[i], k.Now()+delay(), rearm)
+			k.Reschedule(handles[i], k.Now()+delay())
 			fired()
 		}
 		handles[i] = k.At(delay(), rearm)
@@ -117,7 +117,7 @@ func BenchmarkKernelHold(b *testing.B) {
 // TestKernelHoldAllocationFree: the queue recycles everything it uses. Once
 // every pending event has been replaced twice over, firing one and scheduling
 // its successor allocates nothing — anonymous or handle-carrying, through
-// Reuse and Reschedule, at every queue length.
+// Reschedule's re-arms and moves, at every queue length.
 func TestKernelHoldAllocationFree(t *testing.T) {
 	eachHold(func(name string, fleet bool, pending int) {
 		t.Run(name, func(t *testing.T) {

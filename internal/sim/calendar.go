@@ -2,13 +2,14 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
 // The calendar is the kernel's one event queue. It owns no storage of its
-// own but bottom: a bucket is a chain threaded through Event.next and
-// Event.prev from one head in a small ring, and a push is a multiply, a
-// conversion and a link.
+// own but bottom and the merge scratch: a bucket is a chain threaded through
+// Event.next and Event.prev from one head in a small ring, and a push is a
+// multiply, a conversion and a link.
 //
 // Bucket b covers times [b·width, (b+1)·width). With cur the drained mark:
 //
@@ -258,8 +259,8 @@ func (k *Kernel) refill(until Time) {
 }
 
 // drain moves the chain at h, the bucket the mark just reached, into the
-// empty bottom and sorts it earliest-first by its runs, with bottom's spare
-// capacity to merge through.
+// empty bottom and sorts it earliest-first by its runs, merging through the
+// kernel's scratch, which it first grows, doubling, to half the bucket.
 func (k *Kernel) drain(h **Event) {
 	b := k.bottom
 	for e := *h; e != nil; {
@@ -272,7 +273,10 @@ func (k *Kernel) drain(h **Event) {
 	k.bottom = b
 	k.ringN -= len(b)
 	k.stats.BucketsDrained++
-	k.stats.RunsMerged += uint64(sortRuns(b, b[len(b):cap(b)]))
+	if half := len(b) / 2; len(b) > smallBucket && half > len(k.scratch) {
+		k.scratch = make([]entry, max(half, 2*len(k.scratch)))
+	}
+	k.stats.RunsMerged += uint64(sortRuns(b, k.scratch))
 }
 
 // sortRuns sorts b earliest-first on (at, seq) and returns the number of
@@ -281,10 +285,13 @@ func (k *Kernel) drain(h **Event) {
 // a few runs in either direction: a fleet tick's same-instant clump is one.
 // The first pass turns the descending runs round and merges neighbours in
 // pairs; each later pass merges neighbouring ascending runs, until one is
-// left. A bucket of n entries in r runs costs O(n log r) comparisons. What
-// the merges leave in tmp is cleared. Most buckets hold a handful of entries
-// (5.2 on average at N=64), where a merge's set-up is the cost, so up to
-// smallBucket entries are insertion-sorted once their runs are turned.
+// left, which takes at most bits.Len(r)+1 passes over r runs: a merge that
+// breaks the order leaves it broken rather than loop. A bucket of n entries
+// in r runs costs O(n log r) comparisons. Past smallBucket entries tmp must
+// hold half of b; what the merges leave there is cleared. Most buckets hold a
+// handful of entries (5.2 on average at N=64), where a merge's set-up is the
+// cost, so up to smallBucket entries are insertion-sorted once their runs are
+// turned.
 func sortRuns(b, tmp []entry) (runs int) {
 	if len(b) <= smallBucket {
 		for lo := 0; lo < len(b); runs++ {
@@ -295,7 +302,7 @@ func sortRuns(b, tmp []entry) (runs int) {
 		}
 		return runs
 	}
-	for pass := 0; ; pass++ {
+	for pass, passes := 0, 1; pass < passes; pass++ {
 		pieces := 0
 		for lo := 0; lo < len(b); {
 			mid := cutRun(b, lo, pass == 0)
@@ -309,14 +316,14 @@ func sortRuns(b, tmp []entry) (runs int) {
 			lo = hi
 		}
 		if pass == 0 {
-			runs = pieces
+			runs, passes = pieces, bits.Len(uint(pieces))+1
 		}
 		if pieces <= 2 {
 			break
 		}
 	}
 	if runs > 1 {
-		clear(tmp[:min(len(tmp), len(b)/2)]) // no merge's shorter side is longer
+		clear(tmp[:len(b)/2]) // no merge's shorter side is longer
 	}
 	return runs
 }
@@ -348,36 +355,12 @@ func cutRun(b []entry, lo int, turn bool) int {
 	return hi
 }
 
-// merge merges s[:mid] and s[mid:], each earliest-first: through tmp when
-// the shorter of the two fits there, and otherwise in place, by splitting the
-// merge in two about the middle entry of the longer one and rotating the
-// parts that cross it, until the pieces fit.
+// merge merges s[:mid] and s[mid:], each earliest-first, copying the
+// shorter of the two into tmp first; two that are already in order are left.
 func merge(s []entry, mid int, tmp []entry) {
-	for mid > 0 && mid < len(s) && !s[mid-1].before(s[mid]) {
-		if min(mid, len(s)-mid) <= len(tmp) {
-			mergeThrough(s, mid, tmp)
-			return
-		}
-		// s[i:mid] and s[mid:j] cross the pivot and trade places.
-		i, j := mid/2, mid
-		if mid >= len(s)-mid {
-			j += countBefore(s[mid:], s[i])
-		} else {
-			j += (len(s) - mid) / 2
-			i = countBefore(s[:mid], s[j])
-		}
-		slices.Reverse(s[i:mid])
-		slices.Reverse(s[mid:j])
-		slices.Reverse(s[i:j])
-		m := i + j - mid
-		merge(s[:m], i, tmp)
-		s, mid = s[m:], mid-i
+	if s[mid-1].before(s[mid]) {
+		return
 	}
-}
-
-// mergeThrough merges s[:mid] and s[mid:], each earliest-first, copying the
-// shorter of the two into tmp first.
-func mergeThrough(s []entry, mid int, tmp []entry) {
 	if mid <= len(s)-mid {
 		t := tmp[:copy(tmp, s[:mid])]
 		i, j, k := 0, mid, 0

@@ -19,7 +19,7 @@ type Time = float64
 // they were scheduled (FIFO tie-break on a monotonic sequence number).
 type Event struct {
 	At Time
-	// The callback is fn(arg). At, AtAnon and Reuse pass their func() as arg
+	// The callback is fn(arg). At and AtAnon pass their func() as arg
 	// under callFunc, and high-rate schedulers (the monitoring plane's
 	// message dispatch) pass a static function plus its receiver, so neither
 	// allocates per event: a func value or a pointer fits in an interface.
@@ -64,11 +64,15 @@ type Kernel struct {
 	// opened, and the events fired by then.
 	winSteps, winLong, winPops uint64
 
+	// scratch is drain's merge buffer, at least half the largest bucket past
+	// smallBucket drained so far; every slot is clear between drains.
+	scratch []entry
+
 	stats Stats
 	// free is the recycle pool for anonymous events. Only events whose
 	// handles never escaped the kernel land here, so reuse cannot alias a
 	// handle someone might still Cancel or Reschedule.
-	free []*Event
+	free Pool[Event]
 
 	// FireHook, when non-nil, observes every fired event at its virtual
 	// time, before the callback runs — the observability plane's
@@ -96,7 +100,7 @@ func (k *Kernel) Pending() int { return len(k.bottom) - k.first + k.ringN + k.fa
 // Stats counts the work the event queue has done: plain increments,
 // deterministic under a seed, free when unread.
 type Stats struct {
-	Scheduled   uint64 // every At, After, Reuse and anonymous call, Ticker steps included
+	Scheduled   uint64 // every At, After and anonymous call, Ticker steps included, and every Reschedule that re-arms
 	Fired       uint64
 	Reschedules uint64
 
@@ -168,17 +172,6 @@ func (k *Kernel) After(d float64, fn func()) *Event {
 	return k.At(k.now+d, fn)
 }
 
-// getFree returns a recycled anonymous event, or a fresh one.
-func (k *Kernel) getFree() *Event {
-	if n := len(k.free); n > 0 {
-		e := k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		return e
-	}
-	return &Event{}
-}
-
 // AtAnon schedules fn at absolute time t on a pooled event. No handle is
 // returned: anonymous events cannot be cancelled or rescheduled, and their
 // Event structs are recycled after they fire. This is the allocation-free
@@ -201,7 +194,7 @@ func (k *Kernel) AfterAnon(d float64, fn func()) {
 // for the event bus's dispatch.
 func (k *Kernel) AtAnonArg(t Time, fn func(any), arg any) {
 	k.checkTime(t, "scheduling")
-	e := k.getFree()
+	e := k.free.Get()
 	e.fn, e.arg, e.anon = fn, arg, true
 	k.schedule(e, t)
 }
@@ -224,7 +217,7 @@ func (k *Kernel) fire(e *Event) {
 	fn, arg := e.fn, e.arg
 	if e.anon {
 		e.fn, e.arg, e.anon = nil, nil, false
-		k.free = append(k.free, e)
+		k.free.Put(e)
 	}
 	fn(arg)
 	k.stats.Fired++
@@ -250,24 +243,30 @@ func (k *Kernel) next(until Time) *Event {
 }
 
 // Cancel takes a pending event out of the queue at once: it will not fire,
-// and Reuse may recycle its struct. Cancelling nil, or an event that has
-// already fired or been cancelled, is a no-op.
+// and Reschedule may re-arm it. Cancelling nil, or an event that has already
+// fired or been cancelled, is a no-op.
 func (k *Kernel) Cancel(e *Event) {
 	if e.Pending() {
 		k.unlink(e)
 	}
 }
 
-// Reschedule moves a pending event to absolute time t, keeping its struct and
-// callback — the fast path for completion-event churn in the fluid-flow
-// solver, whose every rate change moves a flow's ETA. The event is
-// re-sequenced as if newly scheduled, so FIFO tie-breaking at equal times
-// matches a Cancel+At pair. It returns false when the event is nil or no
-// longer queued (it fired, or was cancelled); the caller must then schedule
-// a fresh event.
+// Reschedule moves handle event e to absolute time t, keeping its struct and
+// callback: a queued event is moved, one that fired or was cancelled is
+// queued again — the fast path for completion-event churn in the fluid-flow
+// solver, whose every rate change moves a flow's ETA and whose stalled flows
+// re-arm their cancelled event when the rate returns. Either way the event
+// is sequenced as if newly scheduled, so FIFO tie-breaking at equal times
+// matches a fresh At. A move counts in Stats.Reschedules, a re-arm in
+// Stats.Scheduled. It returns false, scheduling nothing, only for nil.
 func (k *Kernel) Reschedule(e *Event, t Time) bool {
-	if !e.Pending() {
+	if e == nil {
 		return false
+	}
+	if !e.queued {
+		k.checkTime(t, "scheduling")
+		k.schedule(e, t)
+		return true
 	}
 	k.checkTime(t, "rescheduling")
 	k.unlink(e)
@@ -276,21 +275,6 @@ func (k *Kernel) Reschedule(e *Event, t Time) bool {
 	k.place(e)
 	k.stats.Reschedules++
 	return true
-}
-
-// Reuse schedules fn at absolute time t, recycling e's struct when e is not
-// queued (it fired, or was cancelled). The caller must be the event's sole
-// owner — the netsim flow-completion pattern, where a stalled flow's
-// cancelled event is re-armed when its rate returns. When e cannot be
-// recycled (still queued, or nil) a fresh event is allocated.
-func (k *Kernel) Reuse(e *Event, t Time, fn func()) *Event {
-	if e == nil || e.queued {
-		return k.At(t, fn)
-	}
-	k.checkTime(t, "scheduling")
-	e.fn, e.arg = callFunc, fn
-	k.schedule(e, t)
-	return e
 }
 
 // Run executes events in order until the queue is empty or the clock would

@@ -353,20 +353,38 @@ func TestRescheduleTieBreaksLikeFreshSchedule(t *testing.T) {
 	}
 }
 
-func TestRescheduleRejectsDeadOrFired(t *testing.T) {
+// TestRescheduleRearmsCancelledOrFired: Reschedule refuses nil alone. A
+// cancelled and a fired handle are queued again on their own structs, each
+// fires once with its own callback, each re-arm counts as a scheduling rather
+// than a move, and each ties like a fresh At.
+func TestRescheduleRearmsCancelledOrFired(t *testing.T) {
 	k := NewKernel()
-	if k.Reschedule(nil, 1) {
-		t.Fatal("rescheduled nil event")
+	if k.Reschedule(nil, 1) || k.Pending() != 0 || k.Stats() != (Stats{}) {
+		t.Fatalf("Reschedule(nil) returned true or scheduled something: %+v", k.Stats())
 	}
-	e := k.At(1, func() {})
-	k.Cancel(e)
-	if k.Reschedule(e, 2) {
-		t.Fatal("rescheduled a cancelled event")
+	var got []string
+	log := func(s string) func() { return func() { got = append(got, s) } }
+	cancelled := k.At(1, log("cancelled"))
+	k.Cancel(cancelled)
+	fired := k.At(0.5, log("fired"))
+	k.Run(1)
+	got = got[:0]
+	before := k.Stats()
+	k.At(2, log("before"))
+	if !k.Reschedule(cancelled, 2) || !k.Reschedule(fired, 2) {
+		t.Fatal("Reschedule refused a cancelled or a fired event")
 	}
-	fired := k.At(0.5, func() {})
+	if !cancelled.Pending() || !fired.Pending() {
+		t.Fatal("a re-armed event is not pending")
+	}
+	k.At(2, log("after"))
+	if st := k.Stats(); st.Scheduled-before.Scheduled != 4 || st.Reschedules != before.Reschedules {
+		t.Fatalf("4 schedulings, 2 of them re-arms, counted as %d scheduled and %d rescheduled",
+			st.Scheduled-before.Scheduled, st.Reschedules-before.Reschedules)
+	}
 	k.RunAll(0)
-	if k.Reschedule(fired, 1) {
-		t.Fatal("rescheduled an event that already fired")
+	if want := []string{"before", "cancelled", "fired", "after"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
 	}
 }
 
@@ -430,8 +448,8 @@ func TestAnonEventPoolRecycles(t *testing.T) {
 
 // TestPooledEventTieBreakTable pins the (time, seq) contract across every
 // allocation path at once: however an event reaches the queue — fresh At, a
-// pooled AtAnon/AtAnonArg (fresh or recycled struct), Reuse of a fired
-// struct, or Reschedule of a pending one — same-time events fire in exactly
+// pooled AtAnon/AtAnonArg (fresh or recycled struct), Reschedule re-arming a
+// fired struct or moving a pending one — same-time events fire in exactly
 // the order their *latest* scheduling happened — pinned here as a table
 // rather than left implicit in the pooling code.
 func TestPooledEventTieBreakTable(t *testing.T) {
@@ -457,14 +475,17 @@ func TestPooledEventTieBreakTable(t *testing.T) {
 			want: []string{"warm1", "warm2", "a", "b", "c", "d"},
 		},
 		{
-			// A fired named event recycled via Reuse slots in by its Reuse
-			// call order, between the At before it and the AtAnon after it.
+			// A fired named event re-armed by Reschedule slots in by its
+			// Reschedule call order, between the At before it and the AtAnon
+			// after it.
 			name: "reuse after fire re-enters FIFO at reuse time",
 			build: func(k *Kernel, log func(string)) {
-				e := k.At(1, func() { log("first-life") })
+				label := "first-life"
+				e := k.At(1, func() { log(label) })
 				k.Run(1)
 				k.At(10, func() { log("x") })
-				k.Reuse(e, 10, func() { log("y") })
+				label = "y"
+				k.Reschedule(e, 10)
 				k.AtAnon(10, func() { log("z") })
 			},
 			want: []string{"first-life", "x", "y", "z"},
@@ -484,18 +505,20 @@ func TestPooledEventTieBreakTable(t *testing.T) {
 			want: []string{"a", "b", "moved", "c"},
 		},
 		{
-			// The full churn cycle: schedule, reschedule, fire, then Reuse the
+			// The full churn cycle: schedule, move, fire, then re-arm the
 			// same struct onto a contested time. The second life's position
-			// comes from the Reuse call alone; the earlier Reschedule must
-			// leave no trace in the tie-break.
+			// comes from the re-arm alone; the earlier move must leave no
+			// trace in the tie-break.
 			name: "reuse after reschedule carries no stale sequence",
 			build: func(k *Kernel, log func(string)) {
-				e := k.At(1, func() { log("second") })
+				label := "second"
+				e := k.At(1, func() { log(label) })
 				k.Reschedule(e, 2)
 				k.Run(2) // fires at 2, struct now free
 				late := k.At(12, func() { log("tail") })
 				k.AtAnon(10, func() { log("head") })
-				k.Reuse(e, 10, func() { log("mid") })
+				label = "mid"
+				k.Reschedule(e, 10)
 				k.Reschedule(late, 10)
 			},
 			want: []string{"second", "head", "mid", "tail"},
@@ -516,35 +539,5 @@ func TestPooledEventTieBreakTable(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestReuseRecyclesFiredEvent(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	e := k.At(1, func() { n++ })
-	k.Run(1)
-	// e fired and was popped: Reuse must recycle the same struct.
-	e2 := k.Reuse(e, 2, func() { n += 10 })
-	if e2 != e {
-		t.Fatal("Reuse did not recycle the fired event struct")
-	}
-	k.Run(2)
-	if n != 11 {
-		t.Fatalf("n=%d, want 11", n)
-	}
-	// A queued event cannot be recycled; Reuse must allocate.
-	pending := k.At(5, func() {})
-	if got := k.Reuse(pending, 6, func() {}); got == pending {
-		t.Fatal("Reuse recycled a still-queued event")
-	}
-	// A cancelled one left the queue at once, so Reuse recycles it.
-	k.Cancel(pending)
-	if got := k.Reuse(pending, 7, func() { n += 100 }); got != pending {
-		t.Fatal("Reuse did not recycle a cancelled event")
-	}
-	k.RunAll(0)
-	if n != 111 {
-		t.Fatalf("n=%d, want 111", n)
 	}
 }

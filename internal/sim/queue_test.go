@@ -14,8 +14,9 @@ import (
 // its time maps to, after the drained mark and before the horizon, and links
 // back to its predecessor through prev; every far event is at or beyond the
 // horizon with the cached minimum exact; the counts add up to Pending; no
-// event is linked twice; the queued flag is set on every one of them; and
-// nothing on the free list is queued or still linked.
+// event is linked twice; the queued flag is set on every one of them;
+// nothing on the free list is queued or still linked; and every slot of the
+// merge scratch is clear.
 func checkQueue(t *testing.T, k *Kernel) {
 	t.Helper()
 	seen := make(map[*Event]string, k.Pending())
@@ -90,6 +91,11 @@ func checkQueue(t *testing.T, k *Kernel) {
 	for _, e := range k.free {
 		if where, queued := seen[e]; queued || e.queued || e.next != nil || e.prev != nil {
 			t.Fatalf("free list holds an event that is queued (%q, flag %v) or linked (next=%p, prev=%p)", where, e.queued, e.next, e.prev)
+		}
+	}
+	for i, ent := range k.scratch {
+		if ent != (entry{}) {
+			t.Fatalf("merge scratch slot %d of %d is not clear: %+v", i, len(k.scratch), ent)
 		}
 	}
 }
@@ -197,14 +203,14 @@ func emptyBottom(k *Kernel) {
 // TestDrainSortMatchesReference holds drain's sort, runs turned and then
 // insertion-sorted up to smallBucket entries and merged past it, to a
 // reference sort on (at, seq), earliest first, and to the layout checkQueue
-// audits: the entries from slot 0 and every spare slot clear. Shuffled buckets of 0 to 40 entries
-// and 600-entry same-instant clumps among nearby times are the orders a chain
-// has no reason to hold; the run-shaped ones are those it does, each linked
-// LIFO and re-linked ascending: same-instant clumps pushed in turn,
-// interleaved equal-time runs, a single run, all-distinct times. Merging by
-// time alone, or leaving a descending run as it came, fails here. Each is
-// also sorted with less spare capacity than its merges want, which merges in
-// place. A drain into a warm bottom allocates nothing.
+// audits: the entries from slot 0, and every spare slot of bottom and of the
+// merge scratch clear. Shuffled buckets of 0 to 40 entries and 600-entry
+// same-instant clumps among nearby times are the orders a chain has no reason
+// to hold; the run-shaped ones are those it does, each linked LIFO and
+// re-linked ascending: same-instant clumps pushed in turn, interleaved
+// equal-time runs, a single run, all-distinct times. Merging by time alone,
+// or leaving a descending run as it came, fails here. A drain into a warm
+// bottom allocates nothing.
 func TestDrainSortMatchesReference(t *testing.T) {
 	rng := NewRand(29)
 	k := NewKernel()
@@ -223,23 +229,12 @@ func TestDrainSortMatchesReference(t *testing.T) {
 		if !slices.Equal(k.bottom, want) || k.first != 0 {
 			t.Fatalf("%s: drained %v from %d, want %v from 0", what, k.bottom, k.first, want)
 		}
-		if spare := k.bottom[len(k.bottom):cap(k.bottom)]; slices.ContainsFunc(spare, func(e entry) bool { return e != entry{} }) {
-			t.Fatalf("%s: drain left its merge scratch uncleared", what)
+		notClear := func(e entry) bool { return e != entry{} }
+		if slices.ContainsFunc(k.bottom[len(k.bottom):cap(k.bottom)], notClear) || slices.ContainsFunc(k.scratch, notClear) {
+			t.Fatalf("%s: drain left bottom's spare slots or its merge scratch uncleared", what)
 		}
 		if k.ringN != 0 || k.heads[0] != nil {
 			t.Fatalf("%s: drain left %d events counted on the ring", what, k.ringN)
-		}
-		// With less spare capacity than a merge's shorter side, the merge
-		// splits and rotates in place: the same order, and nothing allocated.
-		for _, spare := range []int{0, 1, 3} {
-			in := make([]entry, len(evs))
-			for i, e := range evs {
-				in[len(evs)-1-i] = entry{at: e.At, seq: e.seq, e: e} // the chain's order
-			}
-			tmp := make([]entry, spare)
-			if sortRuns(in, tmp); !slices.Equal(in, want) || slices.ContainsFunc(tmp, func(e entry) bool { return e != entry{} }) {
-				t.Fatalf("%s: merged through %d spare slots to %v, want %v (scratch left %v)", what, spare, in, want, tmp)
-			}
 		}
 		return k.stats.RunsMerged - before
 	}
@@ -322,10 +317,10 @@ type churnPhase struct {
 
 // TestQueueChurnMatchesSortedReference drives the queue through every way an
 // event can enter, move in or leave it — At, AtAnon, AtAnonArg, Cancel,
-// Reschedule, Reuse of fired and cancelled structs, events scheduled by
-// events — with many equal times, and holds what fires to the live schedule
-// sorted on (time, scheduling order): each Run fires exactly the schedulings
-// due, in that order. That sort is the queue's whole contract; the calendar
+// Reschedule moving pending events and re-arming fired and cancelled ones,
+// events scheduled by events — with many equal times, and holds what fires to
+// the live schedule sorted on (time, scheduling order): each Run fires exactly
+// the schedulings due, in that order. That sort is the queue's whole contract; the calendar
 // is one way to meet it.
 //
 // The grid cases draw times from a quarter-second grid eight slots wide, so
@@ -367,11 +362,12 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 			k := NewKernel()
 			rng := NewRand(tc.seed)
 			var (
-				table   []sched  // every scheduling, by id
-				ids     []int    // the live ones, and those that left since the last Run
-				handles []int    // ids of the live handle-carrying ones
-				spent   []*Event // fired and cancelled handles, for Reuse
-				got     []int    // ids in the order they fired
+				table   []sched            // every scheduling, by id
+				ids     []int              // the live ones, and those that left since the last Run
+				handles []int              // ids of the live handle-carrying ones
+				idOf    = map[*Event]int{} // a handle's current scheduling, which its callback fires
+				spent   []*Event           // fired and cancelled handles, for Reschedule to re-arm
+				got     []int              // ids in the order they fired
 				seq     int
 				nLive   int
 				target  int // the current phase's pending
@@ -403,6 +399,7 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 				return len(table) - 1
 			}
 			hold := func(id int, e *Event) {
+				idOf[e] = id
 				table[id].e, table[id].pos = e, len(handles)
 				handles = append(handles, id)
 			}
@@ -508,8 +505,10 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 					case kind < 2:
 						at := when(true)
 						id := add(at)
-						touched = k.At(at, func() { fire(id) })
-						hold(id, touched)
+						var e *Event
+						e = k.At(at, func() { fire(idOf[e]) })
+						touched = e
+						hold(id, e)
 					case kind < 4:
 						at := when(false)
 						id := add(at)
@@ -524,12 +523,11 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 						e := spent[len(spent)-1]
 						spent = spent[:len(spent)-1]
 						at := when(true)
-						id := add(at)
-						if k.Reuse(e, at, func() { fire(id) }) != e {
-							t.Fatal("Reuse did not recycle a fired or cancelled event")
+						hold(add(at), e)
+						if !k.Reschedule(e, at) {
+							t.Fatal("Reschedule refused a fired or cancelled event")
 						}
 						touched = e
-						hold(id, e)
 					case kind < 7:
 						if len(handles) == 0 {
 							continue
@@ -640,9 +638,9 @@ func TestUnrepresentableTimesWaitOnFar(t *testing.T) {
 }
 
 // FuzzKernelQueue decodes queue operations from its input, two bytes each —
-// At, AtAnon, Cancel, Reschedule, Reuse and Run, and what each takes — over
-// eight time offsets from the clock, so clumps of equal times and equal-time
-// runs dominate. A fired event schedules a successor one time in three, so
+// At, AtAnon, Cancel, Reschedule, a re-arm of a fired or cancelled handle and
+// Run, and what each takes — over eight time offsets from the clock, so clumps
+// of equal times and equal-time runs dominate. A fired event schedules a successor one time in three, so
 // pushes also land in a bottom that is being popped. After every step the
 // queue must hold exactly the live schedulings, each under its (at, seq), and
 // pass checkQueue; each Run must fire exactly those due, in (at, seq) order.
@@ -681,17 +679,6 @@ func FuzzKernelQueue(f *testing.F) {
 				k.AtAnon(at, func() { fire(next) })
 			}
 		}
-		// handle schedules through sched, whose callback reports the
-		// event's own sequence number, which Reschedule moves.
-		handle := func(sched func(fn func()) *Event, at Time) {
-			add(at)
-			var e *Event
-			e = sched(func() { fire(e.seq) })
-			if e.seq != seq-1 {
-				t.Fatalf("the kernel sequenced a scheduling %d, the reference %d", e.seq, seq-1)
-			}
-			handles = append(handles, e)
-		}
 		for step := 0; step+1 < len(ops); step += 2 {
 			op, arg := ops[step]%6, int(ops[step+1])
 			at := k.Now() + offsets[arg%8]
@@ -701,7 +688,15 @@ func FuzzKernelQueue(f *testing.F) {
 			}
 			switch {
 			case op == 0:
-				handle(func(fn func()) *Event { return k.At(at, fn) }, at)
+				// The callback reports the event's own sequence number,
+				// which Reschedule moves.
+				add(at)
+				var e *Event
+				e = k.At(at, func() { fire(e.seq) })
+				if e.seq != seq-1 {
+					t.Fatalf("the kernel sequenced a scheduling %d, the reference %d", e.seq, seq-1)
+				}
+				handles = append(handles, e)
 			case op == 1:
 				s := add(at)
 				k.AtAnon(at, func() { fire(s) })
@@ -714,11 +709,18 @@ func FuzzKernelQueue(f *testing.F) {
 				at = k.Now() + offsets[arg/8%8]
 				if h.Pending() {
 					delete(live, h.seq)
-					add(at)
 				}
+				add(at)
 				k.Reschedule(h, at)
 			case op == 4 && h != nil:
-				handle(func(fn func()) *Event { return k.Reuse(h, at, fn) }, at)
+				// The first handle from h on that fired or was cancelled.
+				for i := range handles {
+					if r := handles[(arg+i)%len(handles)]; !r.Pending() {
+						add(at)
+						k.Reschedule(r, at)
+						break
+					}
+				}
 			case op == 5:
 				fired = fired[:0]
 				k.Run(at)

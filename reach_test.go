@@ -28,18 +28,13 @@ var reachAllowed = map[string]string{
 
 	// Series and distribution summaries, kept with their types; the metrics
 	// tests pin them.
-	"archadapt/internal/metrics.Series.Mean":             "metrics summary",
-	"archadapt/internal/metrics.Dist.Mean":               "metrics summary",
-	"archadapt/internal/metrics.Series.FracAbove":        "metrics summary",
-	"archadapt/internal/metrics.Series.FracAboveBetween": "metrics summary",
-	"archadapt/internal/metrics.Series.LastAbove":        "metrics summary",
-	"archadapt/internal/metrics.Series.Percentile":       "metrics summary",
-	"archadapt/internal/metrics.Dist.Min":                "metrics summary",
-	"archadapt/internal/metrics.Dist.Max":                "metrics summary",
+	"archadapt/internal/metrics.Series.Mean":       "metrics summary",
+	"archadapt/internal/metrics.Dist.Mean":         "metrics summary",
+	"archadapt/internal/metrics.Series.Percentile": "metrics summary",
+	"archadapt/internal/metrics.Dist.Min":          "metrics summary",
+	"archadapt/internal/metrics.Dist.Max":          "metrics summary",
 
 	// References the equivalence tests compare against.
-	"archadapt/internal/model.System.ConnectorsOf":    "reference walk TestConnectedMatchesConnectorWalk checks Connected against",
-	"archadapt/internal/model.System.ComponentsOn":    "reference walk TestConnectedMatchesConnectorWalk checks Connected against",
 	"archadapt/internal/netsim.Network.SetBackground": "one-direction load the solver equivalence tests apply to both solvers",
 	"archadapt/internal/repair.Strategy.Execute":      "runs a hand-coded strategy, the reference the operators tests compare compiled scripts against",
 
@@ -54,7 +49,6 @@ var reachAllowed = map[string]string{
 	"archadapt/internal/envmgr.Manager.RemosGetFlow":   "Table 1 remos_get_flow",
 	"archadapt/internal/envmgr.Manager.CreateReqQueue": "Table 1 createReqQueue",
 	"archadapt/internal/queueing.ServersFor":           "§5 design-time sizing: the paper's three servers per group",
-	"archadapt/internal/queueing.MinBandwidth":         "§5 design-time sizing: the paper's 10 Kbps floor",
 }
 
 // runtimeMethods are called through interfaces the standard library declares
