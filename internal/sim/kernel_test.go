@@ -388,6 +388,35 @@ func TestRescheduleRearmsCancelledOrFired(t *testing.T) {
 	}
 }
 
+// TestReuseRecyclesFiredEvent: re-arming a handle event recycles its struct.
+// A fired and a cancelled event are queued again on that same struct with
+// their own callback; a still-queued one is moved, never copied.
+func TestReuseRecyclesFiredEvent(t *testing.T) {
+	k := NewKernel()
+	n := 0
+	e := k.At(1, func() { n++ })
+	k.Run(1)
+	if !k.Reschedule(e, 2) || !e.Pending() || e.At != 2 {
+		t.Fatal("Reschedule did not re-arm the fired event on its own struct")
+	}
+	k.Run(2)
+	if n != 2 {
+		t.Fatalf("n=%d, want 2", n)
+	}
+	pending := k.At(5, func() { n += 10 })
+	if !k.Reschedule(pending, 6) || k.Pending() != 1 || pending.At != 6 {
+		t.Fatalf("moving a queued event left %d pending at t=%v, want 1 at 6", k.Pending(), pending.At)
+	}
+	k.Cancel(pending)
+	if !k.Reschedule(pending, 7) || !pending.Pending() || pending.At != 7 {
+		t.Fatal("Reschedule did not re-arm the cancelled event on its own struct")
+	}
+	k.RunAll(0)
+	if n != 12 {
+		t.Fatalf("n=%d, want 12", n)
+	}
+}
+
 func TestReschedulePastPanics(t *testing.T) {
 	k := NewKernel()
 	k.At(1, func() {})
