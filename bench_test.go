@@ -314,10 +314,10 @@ func BenchmarkKernelEvents(b *testing.B) {
 	next = func() {
 		n++
 		if n < b.N {
-			k.After(1, next)
+			k.At(k.Now()+1, next)
 		}
 	}
-	k.After(1, next)
+	k.At(1, next)
 	b.ResetTimer()
 	k.RunAll(uint64(b.N) + 1)
 }

@@ -355,7 +355,7 @@ func (s *System) scheduleNext(c *Client) {
 	}
 	gap := c.rng.Exp(1 / c.Rate)
 	c.pending = true
-	s.K.AfterAnonArg(gap, clientTickFn, c)
+	s.K.AtAnonArg(s.K.Now()+gap, clientTickFn, c)
 }
 
 // clientTickFn fires one client arrival and schedules the next.
@@ -473,7 +473,7 @@ func pulledFn(arg any) {
 	req := arg.(*Request)
 	s, srv := req.sys, req.srv
 	service := srv.ServiceBase + srv.ServicePerBit*req.RespBits
-	s.K.AfterAnonArg(service, servedFn, req)
+	s.K.AtAnonArg(s.K.Now()+service, servedFn, req)
 }
 
 // servedFn fires when processing completes and streams the reply to the

@@ -469,7 +469,7 @@ func (m *Manager) churnGauges(ops []repair.Op, done func()) {
 		}
 	}
 	if len(items) == 0 {
-		m.K.After(0, done)
+		m.K.At(m.K.Now(), done)
 		return
 	}
 	var step func(i int)

@@ -9,12 +9,12 @@ import (
 // TestFleetKernelWorkIsFlatPerApp pins the event queue's work counters on the
 // benchmark script. The counters are deterministic: a change that moves
 // Scheduled, Fired, Reschedules or PeakPending changed what the simulation
-// does, one that moves the others changed how the calendar is tuned, and
-// either says so here. Per app the events fired must not grow with the fleet,
-// and the calendar's width settles: at N=64 it retunes at most four times, at
-// N=256 it narrows exactly once. At N=256 an insert into bottom shifts at most
-// 8.53 entries on average, a tenth of what a latest-first bottom shifted
-// there (85.3; it reads 4.1).
+// does, one that moves the others changed how the calendar is sized, and
+// either says so here. Per app the events fired must not grow with the fleet.
+// The ring grows by four, and the width shrinks by as much, once at N=64 and
+// twice at N=256, which keeps the calendar's work per event flat: at N=256
+// the entries shifted per insert into bottom and the runs per drained bucket
+// are each within twice N=16's.
 func TestFleetKernelWorkIsFlatPerApp(t *testing.T) {
 	got := runBenchScript(t, 16).Fleet.K.Stats()
 	want := sim.Stats{
@@ -33,14 +33,21 @@ func TestFleetKernelWorkIsFlatPerApp(t *testing.T) {
 	if perApp16, perApp64 := float64(got.Fired)/16, float64(big.Fired)/64; perApp64 > 1.02*perApp16 {
 		t.Errorf("events fired per app grow with the fleet: %.0f at N=16, %.0f at N=64", perApp16, perApp64)
 	}
-	if retunes := big.RetunesNarrower + big.RetunesWider; retunes > 4 {
-		t.Errorf("N=64: the calendar retuned %d times in one run; every retune re-links the whole queue", retunes)
+	if big.HeadGrowths != 1 {
+		t.Errorf("N=64: the ring grew %d times, want exactly 1 (stats %+v)", big.HeadGrowths, big)
 	}
 	huge := runBenchScript(t, 256).Fleet.K.Stats()
-	if huge.RetunesNarrower != 1 {
-		t.Errorf("N=256: the calendar narrowed %d times, want exactly 1 (stats %+v)", huge.RetunesNarrower, huge)
+	if huge.HeadGrowths != 2 {
+		t.Errorf("N=256: the ring grew %d times, want exactly 2 (stats %+v)", huge.HeadGrowths, huge)
 	}
-	if perInsert := float64(huge.BottomShifts) / float64(huge.BottomInserts); perInsert > 8.53 {
-		t.Errorf("N=256: %.1f entries shifted per insert into bottom, want at most 8.53 (stats %+v)", perInsert, huge)
+	perInsert := func(s sim.Stats) float64 { return float64(s.BottomShifts) / float64(s.BottomInserts) }
+	perDrain := func(s sim.Stats) float64 { return float64(s.RunsMerged) / float64(s.BucketsDrained) }
+	if a, b := perInsert(got), perInsert(huge); b > 2*a {
+		t.Errorf("entries shifted per insert into bottom: %.2f at N=16, %.2f at N=256, want within 2x", a, b)
 	}
+	if a, b := perDrain(got), perDrain(huge); b > 2*a {
+		t.Errorf("runs per drained bucket: %.2f at N=16, %.2f at N=256, want within 2x", a, b)
+	}
+	t.Logf("N=16/64/256: shifts per insert %.2f/%.2f/%.2f, runs per drained bucket %.2f/%.2f/%.2f",
+		perInsert(got), perInsert(big), perInsert(huge), perDrain(got), perDrain(big), perDrain(huge))
 }

@@ -186,8 +186,9 @@ func attempt(a any) {
 	if l.ack {
 		from, to = to, from
 	}
-	x.m.net.SendMessageTo(from, to, msgBits, x.m.Priority, deliver, l)
-	x.m.k.AfterAnonArg(retryTimeout, attempt, l)
+	m := x.m
+	m.net.SendMessageTo(from, to, msgBits, m.Priority, deliver, l)
+	m.k.AtAnonArg(m.k.Now()+retryTimeout, attempt, l)
 }
 
 // deliver lands leg a's first copy: a request is followed by the protocol
@@ -202,7 +203,8 @@ func deliver(a any) {
 		l.x.step()
 		return
 	}
-	l.x.m.k.AfterAnonArg(protocolDelay, sendAck, l.x)
+	k := l.x.m.k
+	k.AtAnonArg(k.Now()+protocolDelay, sendAck, l.x)
 }
 
 // sendAck sends exchange a's ack leg once the protocol work is done.

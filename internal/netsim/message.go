@@ -84,7 +84,7 @@ func (n *Network) SendMessageTo(src, dst NodeID, bits float64, prio Priority, fn
 		n.msgStats.MaxLag = delay
 	}
 	if fn != nil {
-		n.K.AfterAnonArg(delay, fn, arg)
+		n.K.AtAnonArg(n.K.Now()+delay, fn, arg)
 	}
 	return delay
 }

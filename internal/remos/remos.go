@@ -99,7 +99,7 @@ func callFn(arg any, _ uint64, bw float64) { arg.(func(float64))(bw) }
 func batchServeFn(arg any) {
 	q := arg.(*query)
 	q.s.queries++
-	q.s.K.AfterAnonArg(warmDelay, batchMeasureFn, q)
+	q.s.K.AtAnonArg(q.s.K.Now()+warmDelay, batchMeasureFn, q)
 }
 
 func batchMeasureFn(arg any) {
@@ -168,7 +168,7 @@ func (s *Service) serve(q *query) {
 	s.queries++
 	key := pairKey{q.src, q.dst}
 	if s.warm[key] {
-		s.K.AfterAnonArg(warmDelay, warmReplyFn, q)
+		s.K.AtAnonArg(s.K.Now()+warmDelay, warmReplyFn, q)
 		return
 	}
 	// Cold: the record waits on the pair's collection (started here unless
@@ -207,7 +207,7 @@ func (s *Service) Prequery(src, dst netsim.NodeID) {
 // waiter gets the fresh measurement.
 func (s *Service) startCollection(key pairKey, src, dst netsim.NodeID) {
 	s.coldQueries++
-	s.K.AfterAnon(ColdDelay, func() {
+	s.K.AtAnon(s.K.Now()+ColdDelay, func() {
 		s.warm[key] = true
 		bw := s.measure(src, dst)
 		waiters := s.pending[key]

@@ -62,7 +62,7 @@ func kernelHold(fleet bool, pending int) (op func(events int)) {
 	}
 	var hold func(any)
 	hold = func(any) {
-		k.AfterAnonArg(delay(), hold, nil)
+		k.AtAnonArg(k.Now()+delay(), hold, nil)
 		fired()
 	}
 	for i := range handles {
@@ -74,7 +74,7 @@ func kernelHold(fleet bool, pending int) (op func(events int)) {
 		handles[i] = k.At(delay(), rearm)
 	}
 	for i := len(handles); i < pending; i++ {
-		k.AfterAnonArg(delay(), hold, nil)
+		k.AtAnonArg(delay(), hold, nil)
 	}
 	return func(events int) {
 		// Run's loop, ended after `events` fires.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -30,27 +31,15 @@ import (
 const (
 	initHeads = 256
 	initWidth = 1.0 / 64 // seconds; widths stay powers of two, so t*inv is exact
-	minWidth  = 1.0 / (1 << 30)
-	maxWidth  = 1
 	// maxBucket stands for every time whose bucket number does not fit: such
 	// events wait on far until nothing earlier is left.
 	maxBucket = 1 << 62
 
-	// The retune rule, in the costs it bounds, judged over a window of pops.
-	// Too narrow shows as steps that fire nothing — empty buckets passed, far
-	// events re-examined: past stepHigh of them per pop the width grows by
-	// widthStep. Too wide shows as inserts into a bottom already longBottom
-	// long, each shifting part of a sorted array: past one per longShare pops it
-	// shrinks; at one per four, the benchmark's 256-app fleet never narrows
-	// and inserts twice as many pushes into bottom. Either way every queued
-	// event is re-linked, which the window (at least as many pops as events
-	// are queued) pays for. The ring grows by headStep when more than
-	// headLoad events per head are queued.
-	retunePops            = 1024
-	stepHigh              = 2
-	longBottom, longShare = 64, 5
-	widthStep             = 4
-	headLoad, headStep    = 16, 4
+	// The sizing rule (Brown's calendar queue, resized on queue length):
+	// when more than headLoad events per head are queued, the ring grows by
+	// headStep and the width shrinks by as much, so the ring always spans
+	// initHeads·initWidth = 4 s and a denser queue is cut finer.
+	headLoad, headStep = 16, 4
 
 	// smallBucket is the longest drained bucket sortRuns insertion-sorts
 	// once its runs are turned ascending, rather than merge them.
@@ -72,7 +61,7 @@ func (a entry) before(b entry) bool {
 
 func (k *Kernel) initCalendar() {
 	k.heads = make([]*Event, initHeads)
-	k.width, k.inv = initWidth, 1/initWidth
+	k.inv = 1 / initWidth
 	k.cur, k.horizon = -1, initHeads
 	k.farMin = math.Inf(1)
 }
@@ -139,7 +128,8 @@ func (k *Kernel) unlink(e *Event) {
 	e.next, e.prev = nil, nil
 	if b >= k.horizon && e.At == k.farMin {
 		k.farMin = math.Inf(1)
-		for f := k.far; f != nil; f = f.next {
+		for f, n := k.far, 0; f != nil; f, n = f.next, n+1 {
+			walked(n, k.farN)
 			k.farMin = min(k.farMin, f.At)
 		}
 	}
@@ -172,9 +162,6 @@ func countBefore(s []entry, key entry) int {
 // everything is appended.
 func (k *Kernel) insertBottom(e *Event) {
 	live := len(k.bottom) - k.first
-	if live >= longBottom {
-		k.winLong++
-	}
 	k.stats.BottomInserts++
 	ent := entry{at: e.At, seq: e.seq, e: e}
 	i := k.search(ent)
@@ -229,11 +216,10 @@ func (k *Kernel) trimBottom() {
 // refill drains buckets into the empty bottom until it holds something or the
 // next bucket starts after until.
 func (k *Kernel) refill(until Time) {
-	n, pops := k.Pending(), k.stats.Fired-k.winPops
-	if due := pops >= max(retunePops, uint64(n)); due || n > headLoad*len(k.heads) {
-		k.retune(pops, due)
+	if k.Pending() > headLoad*len(k.heads) {
+		k.grow()
 	}
-	lim := k.bucketOf(until) // after the retune: a bucket number means nothing across widths
+	lim := k.bucketOf(until) // after the growth: a bucket number means nothing across widths
 	for len(k.bottom) == 0 {
 		if k.ringN == 0 {
 			// Everything queued is on far: go straight to its earliest bucket.
@@ -251,7 +237,6 @@ func (k *Kernel) refill(until Time) {
 			return
 		}
 		k.cur++
-		k.winSteps++
 		if h := &k.heads[k.cur&int64(len(k.heads)-1)]; *h != nil {
 			k.drain(h)
 		}
@@ -264,6 +249,7 @@ func (k *Kernel) refill(until Time) {
 func (k *Kernel) drain(h **Event) {
 	b := k.bottom
 	for e := *h; e != nil; {
+		walked(len(b), k.ringN)
 		next := e.next
 		e.next, e.prev = nil, nil
 		b = append(b, entry{at: e.At, seq: e.seq, e: e})
@@ -281,7 +267,7 @@ func (k *Kernel) drain(h **Event) {
 
 // sortRuns sorts b earliest-first on (at, seq) and returns the number of
 // maximal monotone runs it cut b into. A chain is linked LIFO, and a far
-// rescan or a retune re-links it the other way round, so a drained bucket is
+// rescan or a growth re-links it the other way round, so a drained bucket is
 // a few runs in either direction: a fleet tick's same-instant clump is one.
 // The first pass turns the descending runs round and merges neighbours in
 // pairs; each later pass merges neighbouring ascending runs, until one is
@@ -394,60 +380,50 @@ func merge(s []entry, mid int, tmp []entry) {
 // event that now falls inside it to its chain.
 func (k *Kernel) rescanFar() {
 	k.horizon = k.cur + 1 + int64(len(k.heads))
-	e := k.far
+	e, n := k.far, k.farN
 	k.far, k.farN, k.farMin = nil, 0, math.Inf(1)
-	for e != nil {
+	for i := 0; e != nil; i++ {
+		walked(i, n)
 		next := e.next
-		k.winSteps++
 		k.place(e) // every caller has left the mark before all of far
 		e = next
 	}
 }
 
-// retune applies the retune rule, pops into a window that is or is not yet
-// due for judging; refill calls it with bottom empty.
-func (k *Kernel) retune(pops uint64, due bool) {
-	width, heads := k.width, len(k.heads)
-	if due {
-		switch {
-		case k.winSteps > stepHigh*pops && width < maxWidth:
-			width *= widthStep
-			k.stats.RetunesWider++
-		case k.winLong > pops/longShare && width > minWidth:
-			width /= widthStep
-			k.stats.RetunesNarrower++
-		}
-		k.openWindow()
-	}
-	if k.Pending() > headLoad*heads {
-		heads *= headStep
-		k.stats.HeadGrowths++
-	}
-	if width == k.width && heads == len(k.heads) {
-		return
-	}
-	// Re-link every queued event from the clock: nothing queued is earlier
-	// than now, so the mark restarts just before now's bucket. The chains are
-	// strung onto far through next alone; rescanFar places each event anew,
-	// back link included.
+// grow applies the sizing rule; refill calls it with bottom empty. Every
+// queued event is re-linked from the clock: nothing queued is earlier than
+// now, so the mark restarts just before now's bucket. The chains are strung
+// onto far through next alone; rescanFar places each event anew, back link
+// included.
+func (k *Kernel) grow() {
+	n := 0
 	for i, e := range k.heads {
 		for e != nil {
+			walked(n, k.ringN)
+			n++
 			next := e.next
 			e.next, k.far = k.far, e
 			e = next
 		}
 		k.heads[i] = nil
 	}
+	k.farN += k.ringN
 	k.ringN = 0
-	if heads != len(k.heads) {
-		k.heads = make([]*Event, heads)
-	}
-	k.width, k.inv = width, 1/width
+	k.heads = make([]*Event, headStep*len(k.heads))
+	k.inv *= headStep
+	k.stats.HeadGrowths++
 	k.cur = k.bucketOf(k.now) - 1
 	k.rescanFar()
-	k.openWindow()
 }
 
-func (k *Kernel) openWindow() {
-	k.winSteps, k.winLong, k.winPops = 0, 0, k.stats.Fired
+// walked panics once a walk has passed i events of a chain that the kernel
+// counts n long: a chain that closes on itself would otherwise loop for
+// ever.
+func walked(i, n int) {
+	// Invariant: ringN and farN count exactly the chained events, so only a
+	// corrupted chain — an event linked twice, after a broken sort let an
+	// unlink take out the wrong entry — gets here.
+	if i >= n {
+		panic(fmt.Sprintf("sim: calendar chain longer than the %d events it holds", n))
+	}
 }

@@ -30,8 +30,8 @@ type Event struct {
 	seq        uint64
 	next, prev *Event
 	queued     bool // in bottom, a chain or far
-	// Anonymous events (AtAnon/AfterAnon/AtAnonArg) never hand their handle
-	// to the caller, so the kernel recycles the Event struct after it fires.
+	// Anonymous events (AtAnon/AtAnonArg) never hand their handle to the
+	// caller, so the kernel recycles the Event struct after it fires.
 	anon bool
 	// 64 bytes: one cache line, so draining a chain, which is a walk through
 	// cold events, misses once per event.
@@ -53,16 +53,13 @@ type Kernel struct {
 
 	// The calendar: see calendar.go for what each field holds.
 	heads        []*Event
-	width, inv   float64
+	inv          float64 // 1/width, the width a power of two
 	cur, horizon int64
 	bottom       []entry
 	first        int // bottom's earliest queued entry; 0 when bottom is empty
 	far          *Event
 	farMin       Time
 	ringN, farN  int
-	// The retune window: refill steps and inserts into a long bottom since it
-	// opened, and the events fired by then.
-	winSteps, winLong, winPops uint64
 
 	// scratch is drain's merge buffer, at least half the largest bucket past
 	// smallBucket drained so far; every slot is clear between drains.
@@ -100,19 +97,17 @@ func (k *Kernel) Pending() int { return len(k.bottom) - k.first + k.ringN + k.fa
 // Stats counts the work the event queue has done: plain increments,
 // deterministic under a seed, free when unread.
 type Stats struct {
-	Scheduled   uint64 // every At, After and anonymous call, Ticker steps included, and every Reschedule that re-arms
+	Scheduled   uint64 // every At, AtAnon and AtAnonArg call, Ticker steps included, and every Reschedule that re-arms
 	Fired       uint64
 	Reschedules uint64
 
-	BucketsDrained  uint64 // non-empty calendar buckets sorted into bottom
-	RunsMerged      uint64 // monotone runs those buckets' chains were cut into, then merged or insertion-sorted
-	BottomInserts   uint64 // pushes that landed in an already drained bucket
-	BottomShifts    uint64 // entries of bottom moved by those inserts and by unlinks
-	FarRescans      uint64 // times the far chain was re-examined
-	Jumps           uint64 // of those, with the whole ring empty and buckets skipped
-	RetunesNarrower uint64
-	RetunesWider    uint64
-	HeadGrowths     uint64
+	BucketsDrained uint64 // non-empty calendar buckets sorted into bottom
+	RunsMerged     uint64 // monotone runs those buckets' chains were cut into, then merged or insertion-sorted
+	BottomInserts  uint64 // pushes that landed in an already drained bucket
+	BottomShifts   uint64 // entries of bottom moved by those inserts and by unlinks
+	FarRescans     uint64 // times the far chain was re-examined
+	Jumps          uint64 // of those, with the whole ring empty and buckets skipped
+	HeadGrowths    uint64 // times the ring grew by headStep and the width shrank by as much
 
 	PeakPending int
 }
@@ -133,10 +128,11 @@ func (k *Kernel) notePeak() {
 // caller computed. fleet's validate and cmd/archadapt's flag parsing reject
 // every non-finite option float, operators.Deploy every non-finite or
 // negative Placement number, and Ticker every non-finite period, so no input
-// yields a NaN; delays come from positive constants, Rand draws and
-// flow ETAs (remaining/rate with rate > 0), and After* clamp negatives, so
-// nothing lands in the past. Either panic is a bug in the caller's
-// arithmetic, and scheduling on would fire it out of order.
+// yields a NaN; delays come from non-negative constants, Rand draws, the
+// service times Deploy validates, message delays and flow ETAs
+// (remaining/rate with rate > 0), so nothing lands in the past. Either panic
+// is a bug in the caller's arithmetic, and scheduling on would fire it out of
+// order.
 func (k *Kernel) checkTime(t Time, verb string) {
 	if math.IsNaN(t) {
 		panic("sim: " + verb + " at NaN time")
@@ -164,28 +160,12 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 	return e
 }
 
-// After schedules fn d seconds from now. Negative delays are clamped to zero.
-func (k *Kernel) After(d float64, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return k.At(k.now+d, fn)
-}
-
 // AtAnon schedules fn at absolute time t on a pooled event. No handle is
 // returned: anonymous events cannot be cancelled or rescheduled, and their
 // Event structs are recycled after they fire. This is the allocation-free
 // path for fire-and-forget scheduling (message deliveries, ticker steps).
 func (k *Kernel) AtAnon(t Time, fn func()) {
 	k.AtAnonArg(t, callFunc, fn)
-}
-
-// AfterAnon is AtAnon relative to now. Negative delays are clamped to zero.
-func (k *Kernel) AfterAnon(d float64, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	k.AtAnon(k.now+d, fn)
 }
 
 // AtAnonArg schedules fn(arg) at absolute time t on a pooled event. Passing a
@@ -197,15 +177,6 @@ func (k *Kernel) AtAnonArg(t Time, fn func(any), arg any) {
 	e := k.free.Get()
 	e.fn, e.arg, e.anon = fn, arg, true
 	k.schedule(e, t)
-}
-
-// AfterAnonArg is AtAnonArg relative to now. Negative delays are clamped to
-// zero.
-func (k *Kernel) AfterAnonArg(d float64, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
-	k.AtAnonArg(k.now+d, fn, arg)
 }
 
 // fire runs one popped event's callback, recycling anonymous events first so

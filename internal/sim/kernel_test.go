@@ -92,7 +92,7 @@ func TestKernelEventsScheduleEvents(t *testing.T) {
 	recur = func() {
 		depth++
 		if depth < 100 {
-			k.After(0.5, recur)
+			k.At(k.Now()+0.5, recur)
 		}
 	}
 	k.At(0, recur)
@@ -459,10 +459,10 @@ func TestAnonEventPoolRecycles(t *testing.T) {
 	step = func() {
 		n++
 		if n < 1000 {
-			k.AfterAnon(1, step)
+			k.AtAnon(k.Now()+1, step)
 		}
 	}
-	k.AfterAnon(1, step)
+	k.AtAnon(1, step)
 	k.RunAll(0)
 	if n != 1000 {
 		t.Fatalf("fired %d, want 1000", n)

@@ -112,7 +112,7 @@ func TestEventIsOneCacheLine(t *testing.T) {
 // drainEvents makes the events of one calendar bucket: n at four instants a
 // quarter-bucket apart, so many tie and seq decides, and clump more at one of
 // those instants, as a fleet tick's same-instant burst. Positions and
-// sequence numbers are shuffled apart: a chain re-linked by a retune is in no
+// sequence numbers are shuffled apart: a chain re-linked by a growth is in no
 // particular order.
 func drainEvents(rng *Rand, n, clump int) []*Event {
 	evs := make([]*Event, n+clump)
@@ -141,7 +141,7 @@ func drainEvents(rng *Rand, n, clump int) []*Event {
 
 // pushed makes one bucket's events as the calendar receives them: one per
 // time of ats, sequenced in that order. chainBucket links them LIFO, as
-// pushes do; reversed first, they are the chain a far rescan or a retune
+// pushes do; reversed first, they are the chain a far rescan or a growth
 // re-links, ascending in push order.
 func pushed(ats []Time) []*Event {
 	evs := make([]*Event, len(ats))
@@ -327,8 +327,9 @@ type churnPhase struct {
 // most collide. The fleet-mix cases draw delays from the fleet's six-decade
 // histogram with exact ties across anonymous and handle events, have a fired
 // event schedule a successor a tick or so ahead one time in three, and pass
-// through a burst, quiet stretches that leave only far events and a dense
-// stretch whose Runs cross many buckets, under horizons that fall inside a
+// through a burst, quiet stretches that leave only far events, a dense
+// stretch whose Runs cross many buckets and a flood that grows the ring
+// inside a Run of a few milliseconds, under horizons that fall inside a
 // bucket and are then extended; they must reach every path of the calendar,
 // and Cancel and Reschedule must each unlink from bottom, a ring chain and
 // far.
@@ -345,7 +346,10 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 	burst := churnPhase{prefill: 4800, ops: 12000, pending: 2000, runEvery: 300, spans: []float64{0.001, 0.004, 0.016, 0.05}}
 	sparse := churnPhase{ops: 5000, pending: 48, runEvery: 12, spans: []float64{0.002, 0.05, 0.4, 3, 40, 4000}}
 	dense := churnPhase{ops: 4000, pending: 3000, runEvery: 60, spans: []float64{0.01, 0.1, 0.5}}
-	mixPhases := []churnPhase{burst, sparse, dense, sparse, dense}
+	// flood queues past 16 events per head of the ring the burst grew, so the
+	// ring grows again inside a Run a few milliseconds long, far from time 0.
+	flood := churnPhase{prefill: 17_000, ops: 2000, pending: 18_000, runEvery: 100, spans: []float64{0.002, 0.01}}
+	mixPhases := []churnPhase{burst, sparse, dense, sparse, dense, flood}
 	for _, tc := range []struct {
 		name   string
 		seed   uint64
@@ -468,6 +472,10 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 				}
 				ids, got = keep, got[:0]
 			}
+			// lateGrowths counts the ring growths inside a finite Run that
+			// started after time 0: the growth renumbers every bucket, so a
+			// Run that kept the limit's old number would stop early.
+			var lateGrowths uint64
 			// unlinked counts, per operation, the events Cancel and Reschedule
 			// took out of bottom, a ring chain and far, as the bucket of the
 			// event's time placed it before the call.
@@ -556,7 +564,11 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 						seq++
 					default:
 						until := k.Now() + ph.spans[rng.Intn(len(ph.spans))]
+						late, grown := k.Now() > 0, k.Stats().HeadGrowths
 						ran(op, until, k.Run(until))
+						if late {
+							lateGrowths += k.Stats().HeadGrowths - grown
+						}
 					}
 					if touched != nil && !touched.Pending() {
 						t.Fatalf("op %d: a scheduled event is not pending", op)
@@ -580,9 +592,8 @@ func TestQueueChurnMatchesSortedReference(t *testing.T) {
 				t.Fatalf("%d slots and %d live schedulings left after RunAll", k.Pending(), nLive)
 			}
 			checkQueue(t, k)
-			if st := k.Stats(); tc.mix && (st.RetunesNarrower == 0 || st.RetunesWider == 0 || st.HeadGrowths == 0 ||
-				st.Jumps == 0 || st.FarRescans == 0 || st.BottomInserts == 0) {
-				t.Fatalf("a calendar path was never taken — narrower, wider, head growth, ring-empty jump, far re-scan, bottom insert: %+v", st)
+			if st := k.Stats(); tc.mix && (lateGrowths == 0 || st.Jumps == 0 || st.FarRescans == 0 || st.BottomInserts == 0) {
+				t.Fatalf("a calendar path was never taken — head growth inside a late Run (%d), ring-empty jump, far re-scan, bottom insert: %+v", lateGrowths, st)
 			}
 			if tc.mix {
 				for i, op := range []string{"Cancel", "Reschedule"} {
