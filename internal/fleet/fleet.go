@@ -52,7 +52,6 @@ import (
 	"archadapt/internal/bus"
 	"archadapt/internal/core"
 	"archadapt/internal/gauges"
-	"archadapt/internal/metrics"
 	"archadapt/internal/netsim"
 	"archadapt/internal/obs"
 	"archadapt/internal/operators"
@@ -202,7 +201,7 @@ func (s AppSpec) Spec() operators.Spec {
 
 // App is one managed application running under the fleet: its processes, its
 // manager (which holds its private architectural model), and its
-// ground-truth series.
+// ground-truth latency tally.
 type App struct {
 	Name   string
 	Spec   AppSpec
@@ -211,10 +210,6 @@ type App struct {
 
 	Sys *app.System
 	Mgr *core.Manager
-
-	// Latency holds one ground-truth series per client, sampled by the
-	// fleet's sampler (the per-app Figure 8/11 equivalent).
-	Latency map[string]*metrics.Series
 
 	AdmittedAt float64
 	// RetiredAt is -1 while the application is live.
@@ -225,9 +220,14 @@ type App struct {
 	Migrations []Migration
 
 	obs *app.LatencyObserver
-	// sampled pairs each client's observer handle with its Latency series, in
-	// Opspec.Clients order, resolved once at admission for the sampler.
-	sampled []sampledClient
+	// sampled holds each client's observer handle, in Opspec.Clients order,
+	// resolved once at admission for the sampler.
+	sampled []*app.ClientLatency
+	// samples, above and peak tally the sampler's ground-truth points over
+	// all clients: how many, how many above Spec.MaxLatency, and the worst.
+	samples, above int
+	peak           float64
+
 	crushed []netsim.LinkID
 	// admIdx is the application's admission sequence number — the
 	// coordination layer's deterministic last tie-break.
@@ -502,7 +502,6 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 
 	a := &App{
 		Name: spec.Name, Spec: spec, Opspec: opspec, Assign: assign,
-		Latency:    map[string]*metrics.Series{},
 		AdmittedAt: f.K.Now(),
 		RetiredAt:  -1,
 	}
@@ -544,9 +543,7 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 	}
 	a.obs = app.ObserveLatency(sys, clientNames, 30)
 	for _, name := range clientNames {
-		ser := metrics.NewSeries(spec.Name + "/latency:" + name)
-		a.Latency[name] = ser
-		a.sampled = append(a.sampled, sampledClient{a.obs.Client(name), ser})
+		a.sampled = append(a.sampled, a.obs.Client(name))
 	}
 
 	a.Mgr.Deploy()
@@ -565,8 +562,8 @@ func (f *Fleet) admit(spec AppSpec, retry bool) (*App, error) {
 }
 
 // Retire stops an application and returns its slots to the scheduler.
-// In-flight transfers drain naturally; the handle (and its series) survive
-// for fleet summaries.
+// In-flight transfers drain naturally; the handle (and its latency tally)
+// survive for fleet summaries.
 func (f *Fleet) Retire(name string) error {
 	a := f.apps[name]
 	if a == nil {
@@ -662,7 +659,7 @@ func (f *Fleet) Stop() {
 // because embedders and the frozen benchmark adapter call it (see ROADMAP).
 func (f *Fleet) Close() {}
 
-// sample records each live application's per-client ground-truth latency,
+// sample tallies each live application's per-client ground-truth latency,
 // in admission order.
 func (f *Fleet) sample(now float64) {
 	for _, a := range f.admitted {
@@ -670,17 +667,17 @@ func (f *Fleet) sample(now float64) {
 			continue
 		}
 		for _, c := range a.sampled {
-			if v, ok := c.lat.Sample(now); ok {
-				c.series.Add(now, v)
+			if v, ok := c.Sample(now); ok {
+				a.samples++
+				if v > a.Spec.MaxLatency {
+					a.above++
+				}
+				if v > a.peak {
+					a.peak = v
+				}
 			}
 		}
 	}
-}
-
-// sampledClient is one client as the sampler sees it.
-type sampledClient struct {
-	lat    *app.ClientLatency
-	series *metrics.Series
 }
 
 // AppSummary is one application's aggregate row.
@@ -728,22 +725,9 @@ func (a *App) Summarize() AppSummary {
 	for _, c := range a.Opspec.Clients {
 		s.Responses += a.Sys.Client(c.Name).Responses()
 	}
-	var above, total float64
-	for _, c := range a.Opspec.Clients {
-		ser := a.Latency[c.Name]
-		for i := 0; i < ser.Len(); i++ {
-			_, v := ser.At(i)
-			total++
-			if v > a.Spec.MaxLatency {
-				above++
-			}
-			if v > s.PeakLatency {
-				s.PeakLatency = v
-			}
-		}
-	}
-	if total > 0 {
-		s.FracAboveBound = above / total
+	s.PeakLatency = a.peak
+	if a.samples > 0 {
+		s.FracAboveBound = float64(a.above) / float64(a.samples)
 	}
 	spans := a.Mgr.Spans()
 	s.Repairs = len(spans)

@@ -100,6 +100,54 @@ func TestFleetAdmissionRetirement(t *testing.T) {
 	}
 }
 
+// TestRetiredAppTallyStops: the sampler skips retired applications, so a
+// retired app's ground truth stays as it was at Retire — its clients' windows
+// would otherwise go on reporting for a while after they stop — while the
+// live app keeps being sampled.
+func TestRetiredAppTallyStops(t *testing.T) {
+	k := sim.NewKernel()
+	grid := netsim.GenerateGrid(k, netsim.GridSpec{Routers: 6, HostsPerRouter: 3, Seed: 1})
+	f, err := New(k, grid, 1, Config{HostCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := AppSpec{Groups: 1, ServersPerGroup: 2, Clients: 2}
+	for _, name := range []string{"kept", "gone"} {
+		s := spec
+		s.Name = name
+		if _, err := f.Admit(s); err != nil {
+			t.Fatalf("admitting %s: %v", name, err)
+		}
+	}
+	kept, gone := f.App("kept"), f.App("gone")
+	var atRetire AppSummary
+	var goneSamples, keptSamples int
+	k.At(200, func() {
+		if err := f.Retire("gone"); err != nil {
+			t.Errorf("retiring gone: %v", err)
+		}
+		atRetire, goneSamples, keptSamples = gone.Summarize(), gone.samples, kept.samples
+	})
+	k.Run(500)
+	f.Stop()
+	k.Run(620)
+
+	if goneSamples == 0 || keptSamples == 0 {
+		t.Fatalf("samples at Retire: gone %d, kept %d; want both > 0", goneSamples, keptSamples)
+	}
+	if gone.samples != goneSamples {
+		t.Errorf("retired app's sample count moved after Retire: %d -> %d", goneSamples, gone.samples)
+	}
+	got := gone.Summarize()
+	if got.FracAboveBound != atRetire.FracAboveBound || got.PeakLatency != atRetire.PeakLatency {
+		t.Errorf("retired app's summary moved after Retire: >bound %v -> %v, peak %v -> %v",
+			atRetire.FracAboveBound, got.FracAboveBound, atRetire.PeakLatency, got.PeakLatency)
+	}
+	if kept.samples <= keptSamples {
+		t.Errorf("live app stopped being sampled: %d samples at 200, %d at the end", keptSamples, kept.samples)
+	}
+}
+
 // TestAdmitRejectsNonFiniteTraffic: a NaN or infinite client rate or reply
 // size is an error from Admit, not a kernel panic or a run that never ends,
 // and the placement it had taken goes back to the scheduler.
@@ -253,7 +301,7 @@ func TestFleetNewOnAdvancedKernel(t *testing.T) {
 	if a.AdmittedAt != 50 {
 		t.Fatalf("AdmittedAt = %v, want 50", a.AdmittedAt)
 	}
-	if a.Latency["C1"].Len() == 0 {
+	if a.samples == 0 {
 		t.Fatal("sampler recorded nothing on an advanced kernel")
 	}
 }

@@ -69,35 +69,9 @@ func (s *Series) Mean() float64 {
 	return sum / float64(len(s.V))
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100).
-func (s *Series) Percentile(p float64) float64 {
-	sorted := append([]float64(nil), s.V...)
-	sort.Float64s(sorted)
-	return PercentileSorted(sorted, p)
-}
-
-// PercentileSorted returns the p-th percentile (0 ≤ p ≤ 100) of an
-// ascending-sorted sample slice using the nearest-rank method, 0 for an
-// empty slice. Shared by Series.Percentile and Dist.Percentile so every
-// percentile in the repo means the same thing.
-func PercentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // Dist is an order-free sample distribution with lazily sorted percentile
-// queries — the summary-statistics core shared by the experiment harness and
-// the observability plane's phase-latency histograms. The zero value is an
-// empty distribution ready for use.
+// queries — the observability plane's phase-latency histograms. The zero
+// value is an empty distribution ready for use.
 type Dist struct {
 	vs     []float64
 	sorted bool
@@ -121,49 +95,25 @@ func (d *Dist) Merge(o *Dist) {
 // N returns the sample count.
 func (d *Dist) N() int { return len(d.vs) }
 
-// Mean returns the sample mean (0 when empty).
-func (d *Dist) Mean() float64 {
-	if len(d.vs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range d.vs {
-		sum += v
-	}
-	return sum / float64(len(d.vs))
-}
-
-// Min returns the smallest sample (0 when empty).
-func (d *Dist) Min() float64 {
-	d.sort()
-	if len(d.vs) == 0 {
-		return 0
-	}
-	return d.vs[0]
-}
-
-// Max returns the largest sample (0 when empty).
-func (d *Dist) Max() float64 {
-	d.sort()
-	if len(d.vs) == 0 {
-		return 0
-	}
-	return d.vs[len(d.vs)-1]
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) by nearest rank,
 // 0 when empty. Sorting is amortized: samples are sorted in place on the
 // first query after an Add.
 func (d *Dist) Percentile(p float64) float64 {
-	d.sort()
-	return PercentileSorted(d.vs, p)
-}
-
-func (d *Dist) sort() {
+	if len(d.vs) == 0 {
+		return 0
+	}
 	if !d.sorted {
 		sort.Float64s(d.vs)
 		d.sorted = true
 	}
+	idx := int(math.Ceil(p/100*float64(len(d.vs)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(d.vs) {
+		idx = len(d.vs) - 1
+	}
+	return d.vs[idx]
 }
 
 // FirstAbove returns the first time the series exceeds threshold, or -1.

@@ -20,12 +20,6 @@ func TestSeriesStats(t *testing.T) {
 	if s.Min() != 1 || s.Max() != 5 || s.Mean() != 3 {
 		t.Fatalf("min=%v max=%v mean=%v", s.Min(), s.Max(), s.Mean())
 	}
-	if got := s.Percentile(50); got != 3 {
-		t.Fatalf("p50=%v", got)
-	}
-	if got := s.Percentile(100); got != 5 {
-		t.Fatalf("p100=%v", got)
-	}
 	if got := s.FirstAbove(3.5); got != 3 {
 		t.Fatalf("firstAbove=%v", got)
 	}
@@ -36,7 +30,7 @@ func TestSeriesStats(t *testing.T) {
 
 func TestEmptySeries(t *testing.T) {
 	s := NewSeries("e")
-	if s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.Percentile(50) != 0 {
+	if s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 {
 		t.Fatal("empty series stats should be zero")
 	}
 	if s.FirstAbove(1) != -1 {
@@ -88,27 +82,29 @@ func TestASCIIPlot(t *testing.T) {
 	}
 }
 
-// Property: Percentile is monotone in p, bounded by Min/Max.
-func TestSeriesProperties(t *testing.T) {
+// Property: Percentile is monotone in p and within the sample range.
+func TestDistPercentileProperties(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewSeries("p")
-		for i, v := range raw {
+		var d Dist
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, v := range raw {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return true
 			}
-			s.Add(float64(i), v)
+			d.Add(v)
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 10 {
-			v := s.Percentile(p)
-			if v < prev-1e-12 {
+			v := d.Percentile(p)
+			if v < prev {
 				return false
 			}
 			prev = v
-			if v < s.Min()-1e-12 || v > s.Max()+1e-12 {
+			if v < lo || v > hi {
 				return false
 			}
 		}
@@ -121,24 +117,21 @@ func TestSeriesProperties(t *testing.T) {
 
 func TestDistEmpty(t *testing.T) {
 	var d Dist
-	if d.N() != 0 || d.Mean() != 0 || d.Min() != 0 || d.Max() != 0 {
-		t.Fatalf("empty Dist: N=%d mean=%v min=%v max=%v", d.N(), d.Mean(), d.Min(), d.Max())
+	if d.N() != 0 {
+		t.Fatalf("empty Dist: N=%d", d.N())
 	}
 	for _, p := range []float64{0, 50, 95, 99, 100} {
 		if got := d.Percentile(p); got != 0 {
 			t.Fatalf("empty Percentile(%v) = %v", p, got)
 		}
 	}
-	if got := PercentileSorted(nil, 50); got != 0 {
-		t.Fatalf("PercentileSorted(nil) = %v", got)
-	}
 }
 
 func TestDistSingleSample(t *testing.T) {
 	var d Dist
 	d.Add(7.5)
-	if d.N() != 1 || d.Mean() != 7.5 || d.Min() != 7.5 || d.Max() != 7.5 {
-		t.Fatalf("single Dist: N=%d mean=%v", d.N(), d.Mean())
+	if d.N() != 1 {
+		t.Fatalf("single Dist: N=%d", d.N())
 	}
 	for _, p := range []float64{0, 50, 95, 99, 100} {
 		if got := d.Percentile(p); got != 7.5 {
@@ -147,17 +140,19 @@ func TestDistSingleSample(t *testing.T) {
 	}
 }
 
-func TestDistMatchesSeriesPercentile(t *testing.T) {
-	vals := []float64{5, 1, 9, 3, 3, 8, 2, 7, 4, 6}
-	s := NewSeries("x")
+// TestDistPercentileNearestRank: the p-th percentile of n samples is the
+// ceil(p/100·n)-th smallest, clamped to the first and the last.
+func TestDistPercentileNearestRank(t *testing.T) {
 	var d Dist
-	for i, v := range vals {
-		s.Add(float64(i), v)
+	for _, v := range []float64{5, 1, 9, 3, 3, 8, 2, 7, 4, 6} {
 		d.Add(v)
 	}
-	for p := 0.0; p <= 100; p += 5 {
-		if sv, dv := s.Percentile(p), d.Percentile(p); sv != dv {
-			t.Fatalf("p%v: Series=%v Dist=%v", p, sv, dv)
+	// Sorted: 1 2 3 3 4 5 6 7 8 9.
+	for _, c := range []struct{ p, want float64 }{
+		{0, 1}, {5, 1}, {10, 1}, {15, 2}, {30, 3}, {40, 3}, {50, 4}, {95, 9}, {100, 9},
+	} {
+		if got := d.Percentile(c.p); got != c.want {
+			t.Fatalf("p%v = %v, want %v", c.p, got, c.want)
 		}
 	}
 	// Adding after a (sorting) query keeps later queries correct.

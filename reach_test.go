@@ -26,13 +26,8 @@ var reachAllowed = map[string]string{
 	"archadapt/internal/fleet.RunScenario":    "StartScenario + Finish in one call, the form the fleet, chaos and netsim tests drive",
 	"archadapt/internal/repair.NewTxn":        "a standalone transaction, so operator tests drive Table 1 operators outside an engine",
 
-	// Series and distribution summaries, kept with their types; the metrics
-	// tests pin them.
-	"archadapt/internal/metrics.Series.Mean":       "metrics summary",
-	"archadapt/internal/metrics.Dist.Mean":         "metrics summary",
-	"archadapt/internal/metrics.Series.Percentile": "metrics summary",
-	"archadapt/internal/metrics.Dist.Min":          "metrics summary",
-	"archadapt/internal/metrics.Dist.Max":          "metrics summary",
+	// A series summary the experiment golden test prints beside Min and Max.
+	"archadapt/internal/metrics.Series.Mean": "metrics summary",
 
 	// References the equivalence tests compare against.
 	"archadapt/internal/netsim.Network.SetBackground": "one-direction load the solver equivalence tests apply to both solvers",
