@@ -22,6 +22,7 @@ package archadapt
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -392,8 +393,10 @@ func BenchmarkRemosQueries(b *testing.B) {
 // ms/app is the per-application wall-clock overhead of a 600-second run; its
 // curve over N is the one tabled in EXPERIMENTS.md "Fleet cost curve".
 // setup-ms/app is the share of it StartScenario takes (grid, fleet and every
-// admission), and relay-visits/app the relays admission's routing BFS runs
-// dequeue. The deterministic half of that curve (allocations, route walks,
+// admission), relay-visits/app the relays admission's routing BFS runs
+// dequeue, and live-KB/app the heap the finished run still holds (HeapAlloc
+// after a collection, the run referenced, less the same before it started;
+// both collections are untimed). The deterministic half of that curve (allocations, route walks,
 // relay visits and fired events per app) is held by tests in internal/fleet;
 // paired wall-clock claims are made with ./benchmark.
 func BenchmarkFleet(b *testing.B) {
@@ -403,7 +406,13 @@ func BenchmarkFleet(b *testing.B) {
 			var repairs int
 			var setup time.Duration
 			var visits uint64
+			var live float64
+			var before, after runtime.MemStats
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
 				t0 := time.Now()
 				run, err := fleet.StartScenario(FleetScenarioOptions{
 					Apps: n, Seed: benchSeed(i), Duration: 600, Adaptive: true,
@@ -421,11 +430,18 @@ func BenchmarkFleet(b *testing.B) {
 				for _, s := range res.Summaries {
 					repairs += s.Repairs
 				}
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(run)
+				live += float64(after.HeapAlloc) - float64(before.HeapAlloc)
+				b.StartTimer()
 			}
 			apps := float64(b.N * n)
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/apps, "ms/app")
 			b.ReportMetric(float64(setup.Microseconds())/1e3/apps, "setup-ms/app")
 			b.ReportMetric(float64(visits)/apps, "relay-visits/app")
+			b.ReportMetric(live/1e3/apps, "live-KB/app")
 			b.ReportMetric(float64(repairs)/apps, "repairs/app")
 		})
 	}

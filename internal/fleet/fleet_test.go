@@ -395,7 +395,10 @@ func TestFleetSpareRecruitment(t *testing.T) {
 // are exact under a seed, so the per-app figures at 64 apps are compared
 // with 16 directly, and the whole-run counts are pinned: walks and
 // materialised paths exactly, relay visits as a ceiling (the full-tree
-// builds' count, which stopping early may only undercut).
+// builds' count, which stopping early may only undercut). The labels the
+// retained rows hold at the end of the run stay flat per app too: only
+// measurement walks grow a row, and route's materialisations toward the
+// collector search outside them.
 func TestRouteStatsFlatInFleetSize(t *testing.T) {
 	type pin struct{ walks, paths, visits uint64 }
 	pins := map[int]pin{
@@ -407,7 +410,7 @@ func TestRouteStatsFlatInFleetSize(t *testing.T) {
 	if !testing.Short() {
 		sizes = append(sizes, 256)
 	}
-	perApp, walksPerApp, setupPerApp := map[int]float64{}, map[int]float64{}, map[int]float64{}
+	perApp, walksPerApp, setupPerApp, labelsPerApp := map[int]float64{}, map[int]float64{}, map[int]float64{}, map[int]float64{}
 	for _, apps := range sizes {
 		run, err := StartScenario(ScenarioOptions{
 			Apps: apps, Seed: 1, Duration: 300, Adaptive: true,
@@ -416,10 +419,13 @@ func TestRouteStatsFlatInFleetSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		setupPerApp[apps] = float64(run.Grid.Net.RouteStats().RelayVisits) / float64(apps)
+		setup := run.Grid.Net.RouteStats()
+		setupPerApp[apps] = float64(setup.RelayVisits) / float64(apps)
 		res := run.Finish()
 		st := res.Grid.Net.RouteStats()
-		t.Logf("N=%d: %+v; set-up relay visits/app %.1f", apps, st, setupPerApp[apps])
+		labelsPerApp[apps] = float64(st.TableEntries) / float64(apps)
+		t.Logf("N=%d: %+v; set-up relay visits/app %.1f, labels/app %.2f after set-up and %.2f after the run",
+			apps, st, setupPerApp[apps], float64(setup.TableEntries)/float64(apps), labelsPerApp[apps])
 		if routers := uint64(len(res.Grid.Routers)); st.TreesBuilt == 0 || st.TreesBuilt > routers {
 			t.Errorf("N=%d: %d trees built on %d routers", apps, st.TreesBuilt, routers)
 		}
@@ -440,6 +446,9 @@ func TestRouteStatsFlatInFleetSize(t *testing.T) {
 	for _, apps := range sizes[1:] {
 		if setupPerApp[apps] > setupPerApp[16]*1.25 {
 			t.Errorf("admission's relay visits per app grow with fleet size: %.1f at N=16, %.1f at N=%d", setupPerApp[16], setupPerApp[apps], apps)
+		}
+		if labelsPerApp[apps] > labelsPerApp[16]*1.25 {
+			t.Errorf("retained row labels per app grow with fleet size: %.2f at N=16, %.2f at N=%d", labelsPerApp[16], labelsPerApp[apps], apps)
 		}
 	}
 	if walksPerApp[64] > walksPerApp[16]*1.25 {

@@ -48,12 +48,13 @@ func BenchmarkSolveLoneFlow(b *testing.B) {
 
 // BenchmarkRoute measures routing on fleet-scale's grid: 513 routers with 4
 // hosts each. The cold cases generate the grid untimed and then walk from
-// every router: cold to its chain neighbour, which a tree row reaches after
-// a few relays; cold/full to its farthest relay, which builds the whole row
-// (its B/op is the tree bytes with the relay index and BFS scratch); extend
-// to the neighbour and then the farthest relay, so every row is built short
-// and then again in full. warm/PathHops and warm/AvailBandwidth look up one
-// of 1 800 fixed host pairs per op, every row they need already built.
+// every router: cold to its chain neighbour, which a sparse row reaches
+// after a few relays; cold/full to its farthest relay, which builds the
+// whole row dense (its B/op is the tree bytes with the relay index and the
+// search); extend to the neighbour and then the farthest relay, so every
+// row is built short and then extended, its search resumed. warm/PathHops
+// and warm/AvailBandwidth look up one of 1 800 fixed host pairs per op,
+// every row they need already built.
 func BenchmarkRoute(b *testing.B) {
 	spec := GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1}
 	g := GenerateGrid(sim.NewKernel(), spec)

@@ -86,6 +86,7 @@ type resource struct {
 	seen  uint64 // region-visit epoch
 	avail float64
 	count int32
+	from  int32 // relay index of the node this direction leaves (see indexRelays)
 }
 
 // flowRef locates a flow inside a resource's crossing list together with the

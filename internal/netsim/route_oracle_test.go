@@ -309,7 +309,7 @@ func TestRouteMemoAnyLookupOrder(t *testing.T) {
 // must leave no routing state behind and invalidation must cost nothing.
 func TestBuildingTopologyHoldsNoRoutingState(t *testing.T) {
 	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 64, HostsPerRouter: 4})
-	if g.Net.tail != nil || g.Net.trees != nil || len(g.Net.paths) != 0 {
+	if g.Net.rows != nil || g.Net.scr.row != nil || len(g.Net.paths) != 0 {
 		t.Fatal("generating a grid left routing state behind")
 	}
 	if got := testing.AllocsPerRun(10, g.Net.dropRoutes); got != 0 {
@@ -341,41 +341,87 @@ func farthestRelay(n *Network, src NodeID) NodeID {
 // TestRouteTreeBytes holds a BFS tree to its four bytes a relay. Building
 // every router's whole row on fleet-scale's grid (each router looks up its
 // farthest relay), the relay index and BFS scratch included, may allocate at
-// most 4 bytes per relay plus 64 per tree.
+// most 4 bytes per relay plus 64 per tree: the rows are dense, carved from
+// shared blocks. Near lookups (each router to its chain neighbour) leave
+// sparse rows, which may allocate at most 24 bytes per label they hold (8
+// for the label itself), the same index and scratch included, where dense
+// rows would take 2 052 bytes a row.
 func TestRouteTreeBytes(t *testing.T) {
-	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1})
+	spec := GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1}
+	g := GenerateGrid(sim.NewKernel(), spec)
 	far := make([]NodeID, len(g.Routers))
 	for i, r := range g.Routers {
 		far[i] = farthestRelay(g.Net, r)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i, r := range g.Routers {
-		g.Net.PathHops(r, far[i])
+	bytes := grown(func() {
+		for i, r := range g.Routers {
+			g.Net.PathHops(r, far[i])
+		}
+	})
+	relays, st := uint64(len(g.Routers)), g.Net.RouteStats()
+	if st.TreesBuilt != relays || st.TableEntries != relays*relays {
+		t.Fatalf("built %d trees holding %d labels for %d routers, want %d and %d", st.TreesBuilt, st.TableEntries, relays, relays, relays*relays)
 	}
-	runtime.ReadMemStats(&after)
-	relays, trees := uint64(len(g.Routers)), g.Net.RouteStats().TreesBuilt
-	if trees != relays {
-		t.Fatalf("built %d trees for %d routers", trees, relays)
-	}
-	if per := (after.TotalAlloc - before.TotalAlloc) / trees; per > 4*relays+64 {
+	if per := bytes / st.TreesBuilt; per > 4*relays+64 {
 		t.Fatalf("%d B allocated per tree over %d relays, want at most %d", per, relays, 4*relays+64)
 	}
+
+	near := GenerateGrid(sim.NewKernel(), spec)
+	bytes = grown(func() {
+		for i, r := range near.Routers {
+			near.Net.PathHops(r, near.Routers[(i+1)%len(near.Routers)])
+		}
+	})
+	st = near.Net.RouteStats()
+	if st.TreesBuilt != relays || st.TableEntries*20 >= relays*relays {
+		t.Fatalf("near lookups built %d trees holding %d labels for %d routers, want %d and under 5 %% of dense", st.TreesBuilt, st.TableEntries, relays, relays)
+	}
+	if per := bytes / st.TableEntries; per > 24 {
+		t.Fatalf("near lookups allocated %d B per label held, want at most 24", per)
+	}
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(near)
 }
 
-// TestTreeRowsStopEarly holds a tree row to the relays its lookups reach, on
-// fleet-scale's grid: a lookup to a chain neighbour dequeues a few relays, a
-// farther lookup out of the same row builds it again from the root (still the
-// oracle's route, and the near route unchanged), and a lookup whose relay the
-// stopped row already labels builds nothing.
+// grown returns the bytes fn allocates. Under the race detector, which
+// allocates the temporary of every append(s, make(...)...) (slices.Grow
+// among them) that a normal build elides, it returns what fn leaves live
+// after a collection instead.
+func grown(fn func()) uint64 {
+	var before, after runtime.MemStats
+	if raceBuild {
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&before)
+	fn()
+	if raceBuild {
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return after.HeapAlloc - before.HeapAlloc
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestTreeRowsStopEarly holds a retained row to the relays the measurement
+// walks out of its root reach, on fleet-scale's grid: a lookup to a chain
+// neighbour dequeues a few relays and keeps a few labels; a farther lookup
+// out of the same row extends it, resuming the search where it stopped
+// (still the oracle's route, and the near route unchanged); lookups whose
+// relay a row already labels search nothing; and route, which materialises
+// paths, never grows a row.
 func TestTreeRowsStopEarly(t *testing.T) {
-	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1})
+	spec := GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1}
+	g := GenerateGrid(sim.NewKernel(), spec)
 	n, relays := g.Net, uint64(len(g.Routers))
 	src, near := g.Routers[200], g.Routers[201]
 	far := farthestRelay(n, src)
 	same := func(src, dst NodeID) {
 		t.Helper()
 		want, _ := oracleRoute(n, src, dst)
+		if got := n.PathHops(src, dst); got != len(want) {
+			t.Fatalf("PathHops(%d,%d) = %d, oracle %d", src, dst, got, len(want))
+		}
 		if got := n.route(src, dst); !slices.Equal(got, want) {
 			t.Fatalf("route(%d,%d) = %v, oracle %v", src, dst, got, want)
 		}
@@ -383,13 +429,16 @@ func TestTreeRowsStopEarly(t *testing.T) {
 
 	same(src, near)
 	st := n.RouteStats()
-	if st.TreesBuilt != 1 || st.RelayVisits*20 >= relays {
-		t.Fatalf("near lookup built %d trees dequeuing %d of %d relays, want 1 tree and under 5 %%", st.TreesBuilt, st.RelayVisits, relays)
+	if st.TreesBuilt != 1 || st.RelayVisits*20 >= relays || st.TableEntries*20 >= relays {
+		t.Fatalf("near lookup: %+v, want 1 tree, under 5 %% of %d relays dequeued and labelled", st, relays)
 	}
 	same(src, far)
 	st2 := n.RouteStats()
-	if st2.TreesBuilt != 1 || st2.RelayVisits <= st.RelayVisits {
-		t.Fatalf("far lookup after a near one: %+v then %+v, want the row rebuilt, not a second tree", st, st2)
+	whole := GenerateGrid(sim.NewKernel(), spec).Net
+	whole.PathHops(src, far)
+	if st2.TreesBuilt != 1 || st2.TableEntries != relays || st2.RelayVisits != whole.RouteStats().RelayVisits {
+		t.Fatalf("far lookup after a near one: %+v then %+v, want the one row extended to all %d relays, dequeuing %d in all as the far lookup alone does",
+			st, st2, relays, whole.RouteStats().RelayVisits)
 	}
 	n.paths = nil // materialise the near route again out of the grown row
 	same(src, near)
@@ -398,20 +447,109 @@ func TestTreeRowsStopEarly(t *testing.T) {
 	}
 
 	// A row stopped at its farthest relay labels every other relay, so
-	// lookups to any of them read the partial row as it is.
+	// lookups to any of them read it as it is, whatever the search has
+	// moved on to since.
 	src2 := g.Routers[400]
-	far2 := farthestRelay(n, src2)
-	same(src2, far2)
+	same(src2, farthestRelay(n, src2))
+	n.PathHops(g.Routers[10], g.Routers[300]) // the search moves to another root
 	before := n.RouteStats()
-	if ri := int(n.relayOf(src2, -1)); n.trees[ri*int(n.relays)+ri] != partial {
-		t.Fatalf("a row stopped at its last relay has state %d, want partial", n.trees[ri*int(n.relays)+ri])
+	r2 := n.relayOf(src2)
+	if row := n.rows[r2]; label(row, len(row) == int(n.relays), r2) != partial {
+		t.Fatalf("a row stopped at its last relay has state %d, want partial", label(row, len(row) == int(n.relays), r2))
 	}
 	for _, dst := range []NodeID{g.Routers[401], g.Routers[399], g.Routers[0]} {
 		same(src2, dst)
 	}
-	if after := n.RouteStats(); after.RelayVisits != before.RelayVisits || after.TreesBuilt != before.TreesBuilt {
-		t.Fatalf("lookups into a row's labelled prefix rebuilt it: %+v then %+v", before, after)
+	if after := n.RouteStats(); after.RelayVisits != before.RelayVisits || after.TreesBuilt != before.TreesBuilt || after.TableEntries != before.TableEntries {
+		t.Fatalf("lookups into a row's labels searched: %+v then %+v", before, after)
 	}
+
+	// route alone builds no row: it searches outside them.
+	fresh := GenerateGrid(sim.NewKernel(), spec).Net
+	if got, want := fresh.route(src, far), mustOracle(t, fresh, src, far); !slices.Equal(got, want) {
+		t.Fatalf("route(%d,%d) = %v, oracle %v", src, far, got, want)
+	}
+	if st := fresh.RouteStats(); st.TreesBuilt != 0 || st.TableEntries != 0 || fresh.rows[fresh.relayOf(src)] != nil {
+		t.Fatalf("a route materialisation built a row: %+v", st)
+	}
+}
+
+// TestFarRouteLeavesRowUntouched: after near measurement walks out of a
+// source, materialising far routes out of it (a host's control messages to
+// a collector across the grid) reads no row past its labels and writes none:
+// the source relay's retained row stays byte for byte what the walks left,
+// in the same backing, and the routes are still the oracle's. A walk a
+// little farther afterwards grows the row exactly as it would have grown
+// without the routes, though the search they left warm labels far more.
+func TestFarRouteLeavesRowUntouched(t *testing.T) {
+	spec := GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1}
+	g, twin := GenerateGrid(sim.NewKernel(), spec), GenerateGrid(sim.NewKernel(), spec)
+	n := g.Net
+	src := g.Hosts[4*200]
+	for _, dst := range g.Hosts[4*199 : 4*203] {
+		if dst != src {
+			for _, net := range []*Network{n, twin.Net} {
+				net.AvailBandwidth(src, dst)
+				net.PathHops(src, dst)
+			}
+		}
+	}
+	ra := n.relayOf(g.RouterOf(src))
+	row := n.rows[ra]
+	kept, st := slices.Clone(row), n.RouteStats()
+	if len(row) == 0 || len(row) >= int(n.relays) {
+		t.Fatalf("near walks left a row of %d entries, want a sparse one", len(row))
+	}
+	for _, dst := range []NodeID{g.Hosts[1], g.Hosts[len(g.Hosts)-1], g.Hosts[4*203+2]} {
+		if got, want := n.route(src, dst), mustOracle(t, n, src, dst); !slices.Equal(got, want) {
+			t.Fatalf("route(%d,%d) = %v, oracle %v", src, dst, got, want)
+		}
+	}
+	if got := n.rows[ra]; !slices.Equal(got, kept) || &got[0] != &row[0] || cap(got) != cap(row) {
+		t.Fatalf("far routes rewrote the source's row: %v, was %v", got, kept)
+	}
+	if after := n.RouteStats(); after.TableEntries != st.TableEntries || after.TreesBuilt != st.TreesBuilt {
+		t.Fatalf("far routes changed the retained rows: %+v then %+v", st, after)
+	}
+	if n.scr.root != ra || len(n.scr.order) <= int(n.relays)/2 {
+		t.Fatalf("the far routes left the search at relay %d with %d labels, want the source's relay %d and most of the grid", n.scr.root, len(n.scr.order), ra)
+	}
+	n.PathHops(src, g.Routers[205])
+	twin.Net.PathHops(src, g.Routers[205])
+	if got, want := n.rows[ra], twin.Net.rows[ra]; !slices.Equal(got, want) {
+		t.Fatalf("a walk past the row after far routes left %d entries, %d without the routes", len(got), len(want))
+	}
+}
+
+// TestSiblingRoutes: a far route the search would have to start over for is
+// copied from a memoised route through the same tree segment, from another
+// host on the source's router or to another host on the destination's, with
+// its own end link; each must still be the oracle's route.
+func TestSiblingRoutes(t *testing.T) {
+	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 64, HostsPerRouter: 4, Seed: 2})
+	n := g.Net
+	hub := g.Hosts[1]
+	for i, h := range g.Hosts {
+		n.PathHops(g.Routers[(i*7)%len(g.Routers)], g.Routers[(i*11+5)%len(g.Routers)]) // the search moves away
+		for _, pair := range [][2]NodeID{{h, hub}, {hub, h}} {
+			if pair[0] == pair[1] {
+				continue
+			}
+			if got, want := n.route(pair[0], pair[1]), mustOracle(t, n, pair[0], pair[1]); !slices.Equal(got, want) {
+				t.Fatalf("route(%d,%d) = %v, oracle %v", pair[0], pair[1], got, want)
+			}
+		}
+	}
+}
+
+// mustOracle is oracleRoute for a pair that has a route.
+func mustOracle(t *testing.T, n *Network, src, dst NodeID) []int32 {
+	t.Helper()
+	path, ok := oracleRoute(n, src, dst)
+	if !ok {
+		t.Fatalf("no oracle route %d -> %d", src, dst)
+	}
+	return path
 }
 
 func TestWarmLookupsDoNotAllocate(t *testing.T) {

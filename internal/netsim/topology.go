@@ -64,20 +64,21 @@ type Network struct {
 	adj    [][]hopTo // indexed by NodeID, neighbours in Connect order
 
 	// Routing state (see ends), dropped on any topology change. A hop is its
-	// resource index 2·link + dir. tail maps a hop to the index of the relay
-	// node (degree ≥ 2) it leaves, -1 for other nodes. Row i of trees is the
-	// BFS tree rooted at relay i, grown only as far as a lookup has needed:
-	// each entry the hop into that relay, -1 where the BFS has not reached.
-	// The root's own entry is the row's state: 0 unbuilt, -1 finished,
-	// partial where the BFS stopped at the relay it was built for. paths
-	// memoises the hop slices route materialises for the pairs that
-	// carry traffic, per source node and sorted by destination; queue is BFS
-	// scratch, as long as a tree.
-	tail   []int32
-	trees  []int32
+	// resource index 2·link + dir; resource.from numbers the relay node
+	// (degree ≥ 2) each hop leaves and hopTo.rel the relay an adjacency
+	// entry reaches, -1 for other nodes. rows[i] is the retained BFS tree
+	// rooted at relay i, grown only as far as the measurement walks out of
+	// it have needed (see label); dense rows are carved from shared blocks,
+	// slab the uncarved rest of the last and carved their count. scr is the
+	// one search in progress, shared by route and the row builds. paths
+	// memoises the hop slices route materialises for the pairs that carry
+	// traffic, per source node and sorted by destination.
 	relays int32
+	rows   [][]int32
+	slab   []int32
+	carved int32
+	scr    search
 	paths  [][]routeTo
-	queue  []NodeID
 	rstats RouteStats
 
 	flows    []*Flow
@@ -141,23 +142,28 @@ func (n *Network) Stats() SolveStats { return n.stats }
 
 // RouteStats counts routing work since the network was created.
 type RouteStats struct {
-	// TreesBuilt is the number of per-relay BFS trees built, each counted
-	// the first time; RelayVisits the relay nodes every build, first or
-	// again past a row's stop, dequeued.
+	// TreesBuilt is the number of retained BFS trees (rows) the
+	// measurement walks built, each counted the first time; RelayVisits the
+	// relay nodes every search, for a row or for route, dequeued.
 	TreesBuilt, RelayVisits uint64
 	// Walks is the number of tree lookups (every AvailBandwidth, PathHops
 	// and materialisation between distinct nodes).
 	Walks uint64
 	// PathsMaterialised is the number of hop slices built and memoised.
 	PathsMaterialised uint64
+	// TableEntries is the number of labels the retained rows hold now, the
+	// root's state label included and a dense row counting as one label
+	// per relay.
+	TableEntries uint64
 }
 
 // RouteStats returns a snapshot of the routing counters.
 func (n *Network) RouteStats() RouteStats { return n.rstats }
 
 type hopTo struct {
-	to NodeID
-	ri int32
+	to  NodeID
+	ri  int32
+	rel int32 // relay index of to, -1 for a node of degree < 2 (see indexRelays)
 }
 
 // routeTo is one memoised route out of a source node.
@@ -166,11 +172,48 @@ type routeTo struct {
 	hops []int32
 }
 
+// A row is one BFS tree over the relays, in one of two encodings: dense,
+// one entry per relay, the hop into that relay (-1 where the BFS has not
+// reached); or sparse, (relay, hop) pairs sorted by relay, for what a dense
+// row would mostly leave at -1. A row of len relays is dense, a shorter one
+// sparse: it holds fewer than half the relays' labels, so it is also the
+// smaller. Either way the root's own label is the row's state, finished or
+// partial, and a nil row is unbuilt.
+const (
+	finished = -1
+	partial  = -2
+)
+
+// label returns row's hop into relay r: -1 where the row does not reach, the
+// row's state at its root.
+func label(row []int32, dense bool, r int32) int32 {
+	if dense {
+		return row[r]
+	}
+	base, n := 0, len(row)/2
+	if n == 0 {
+		return -1
+	}
+	for n > 1 {
+		half := n / 2
+		if row[2*(base+half)] <= r {
+			base += half
+		}
+		n -= half
+	}
+	if row[2*base] == r {
+		return row[2*base+1]
+	}
+	return -1
+}
+
 // walk iterates the hops of one route in dst→src order: the spliced link of
 // a degree-1 destination, the tree's hops from relay at back to the root, the
 // spliced link of a degree-1 source (see ends).
 type walk struct {
-	tree, tail      []int32
+	row             []int32
+	dense           bool
+	res             []resource
 	at, first, last int32 // first/last: hops, -1 when absent or consumed
 }
 
@@ -180,8 +223,8 @@ func (w *walk) next() int32 {
 		w.last = -1
 		return ri
 	}
-	if ri := w.tree[w.at]; ri >= 0 {
-		w.at = w.tail[ri]
+	if ri := label(w.row, w.dense, w.at); ri >= 0 {
+		w.at = w.res[ri].from
 		return ri
 	}
 	ri := w.first
@@ -198,7 +241,7 @@ func (w walk) hops() int {
 	if w.last >= 0 {
 		n++
 	}
-	for ri := w.tree[w.at]; ri >= 0; ri = w.tree[w.tail[ri]] {
+	for ri := label(w.row, w.dense, w.at); ri >= 0; ri = label(w.row, w.dense, w.res[ri].from) {
 		n++
 	}
 	return n
@@ -207,10 +250,20 @@ func (w walk) hops() int {
 // rootOnly is the tree walked when a path has no relay-to-relay segment.
 var rootOnly = []int32{-1}
 
-// partial is a tree row's root entry while its BFS has stopped early; 0 marks
-// an unbuilt row and -1 a finished one. Every state is negative at the root,
-// where walk.next and hops stop.
-const partial = -2
+// search is the one BFS over the relays in progress, kept warm for its root:
+// a later search from the same root resumes where it stopped, since BFS order
+// does not depend on where it stops. row holds the hop into each relay it has
+// labelled, -1 elsewhere and at the root; order the root and then the relays
+// in the order it labelled them, so a search from another root clears only
+// those. order[head] is the relay being expanded, from its adjacency entry
+// next. node maps a relay index to its node.
+type search struct {
+	root       int32 // -1 when none
+	row        []int32
+	order      []int32
+	head, next int
+	node       []int32
+}
 
 // MinFlowRate (bits/sec) is the floor rate for an elastic flow when
 // competition has consumed a link entirely; the paper's Figure 10 bottoms
@@ -282,22 +335,24 @@ func (n *Network) Connect(a, b NodeID, capacity, propDelay float64) LinkID {
 // a topology touches nothing: there is only something to drop once a lookup
 // has run.
 func (n *Network) dropRoutes() {
-	n.tail, n.trees, n.relays, n.paths = nil, nil, 0, nil
+	n.relays, n.rows, n.slab, n.carved, n.scr, n.paths = 0, nil, nil, 0, search{}, nil
+	n.rstats.TableEntries = 0
 }
 
 // Link returns the link by id.
 func (n *Network) Link(id LinkID) *Link { return n.links[int(id)] }
 
-// ends resolves src→dst (src ≠ dst) into a walk. Routes are min-hop, found
-// by BFS exploring neighbours in Connect order, which makes the BFS tree
-// rooted at src the route to every destination at once. Only relay nodes
-// (degree ≥ 2) can be interior to a path and a degree-1 node changes nobody
-// else's BFS parent, so trees span relays only: a degree-1 source prepends
-// its one link to its neighbour's tree, a degree-1 destination appends its
-// one link to the route to its neighbour.
-func (n *Network) ends(src, dst NodeID) walk {
-	n.rstats.Walks++
-	w := walk{tree: rootOnly, first: -1, last: -1}
+// splice resolves src→dst (src ≠ dst) into a walk with no tree yet, and the
+// relays ra, rb between which the route runs through the tree rooted at ra;
+// ra is -1 where the route has no relay-to-relay segment. Routes are
+// min-hop, found by BFS exploring neighbours in Connect order, which makes
+// the BFS tree rooted at src the route to every destination at once. Only
+// relay nodes (degree ≥ 2) can be interior to a path and a degree-1 node
+// changes nobody else's BFS parent, so trees span relays only: a degree-1
+// source prepends its one link to its neighbour's tree, a degree-1
+// destination appends its one link to the route to its neighbour.
+func (n *Network) splice(src, dst NodeID) (w walk, ra, rb int32) {
+	w = walk{row: rootOnly, dense: true, res: n.res, first: -1, last: -1}
 	a, b := src, dst
 	if adj := n.adj[a]; len(adj) == 1 {
 		w.first, a = adj[0].ri, adj[0].to
@@ -306,20 +361,19 @@ func (n *Network) ends(src, dst NodeID) walk {
 		w.last, b = adj[0].ri^1, adj[0].to
 	}
 	if a == b {
-		return w
+		return w, -1, -1
 	}
-	if n.tail == nil {
+	if n.rows == nil {
 		n.indexRelays()
 	}
-	if ra, rb := n.relayOf(a, w.first^1), n.relayOf(b, w.last); ra >= 0 && rb >= 0 {
-		w.tree, w.tail, w.at = n.trees[int(ra)*int(n.relays):][:n.relays], n.tail, rb
-		if st := w.tree[ra]; st == 0 || st == partial && w.tree[rb] < 0 {
-			n.buildTree(a, ra, rb, w.tree)
-		}
-		if w.tree[rb] >= 0 {
-			return w
-		}
+	if ra, rb = n.relayOf(a), n.relayOf(b); ra < 0 || rb < 0 {
+		n.noRoute(src, dst)
 	}
+	return w, ra, rb
+}
+
+// noRoute panics for an unroutable pair.
+func (n *Network) noRoute(src, dst NodeID) {
 	// Invariant: the topology is connected. A generated grid is (its chain
 	// reaches every router, every host hangs off one), and no fault removes
 	// a link: region and backbone failures load links to capacity, which
@@ -329,65 +383,182 @@ func (n *Network) ends(src, dst NodeID) walk {
 	panic(fmt.Sprintf("netsim: no route %s -> %s", n.nodes[src].Name, n.nodes[dst].Name))
 }
 
-// indexRelays numbers the relays into tail and allocates all tree rows in one
-// block: a row apiece would round up to its size class, 12 % over at 513.
-func (n *Network) indexRelays() {
-	n.tail = make([]int32, 2*len(n.links))
-	for _, adj := range n.adj {
-		r := int32(-1)
-		if len(adj) >= 2 {
-			r, n.relays = n.relays, n.relays+1
-		}
-		for _, ht := range adj {
-			n.tail[ht.ri] = r
-		}
+// ends resolves src→dst (src ≠ dst) into a walk for a measurement
+// (AvailBandwidth, PathHops), over the retained row of the tree rooted at
+// the source's relay. It grows that row only where the row does not yet
+// label the destination's relay, so a row holds what the measurements out
+// of its root have reached and nothing more.
+func (n *Network) ends(src, dst NodeID) walk {
+	n.rstats.Walks++
+	w, ra, rb := n.splice(src, dst)
+	if ra < 0 {
+		return w
 	}
-	n.trees = make([]int32, int(n.relays)*int(n.relays))
-	n.queue = make([]NodeID, 0, n.relays)
+	row := n.rows[ra]
+	if label(row, len(row) == int(n.relays), rb) < 0 {
+		if !n.grow(ra, rb) {
+			n.noRoute(src, dst)
+		}
+		row = n.rows[ra]
+	}
+	w.row, w.dense, w.at = row, len(row) == int(n.relays), rb
+	return w
 }
 
-// relayOf returns v's relay index, -1 for a node of degree < 2. out is a hop
-// leaving v, which a spliced endpoint has at hand, or negative.
-func (n *Network) relayOf(v NodeID, out int32) int32 {
-	if out >= 0 {
-		return n.tail[out]
+// indexRelays numbers the relays into Link.from and hopTo.rel and sets up
+// the rows and the search.
+func (n *Network) indexRelays() {
+	for _, adj := range n.adj {
+		if len(adj) >= 2 {
+			n.relays++
+		}
 	}
+	node := make([]int32, 0, n.relays)
+	for v, adj := range n.adj {
+		r := int32(-1)
+		if len(adj) >= 2 {
+			r, node = int32(len(node)), append(node, int32(v))
+		}
+		for _, ht := range adj {
+			n.res[ht.ri].from = r
+		}
+	}
+	for _, adj := range n.adj {
+		for i, ht := range adj {
+			adj[i].rel = n.res[ht.ri^1].from
+		}
+	}
+	n.rows = make([][]int32, n.relays)
+	n.scr = search{root: -1, row: make([]int32, n.relays), order: make([]int32, 0, n.relays), node: node}
+	for i := range n.scr.row {
+		n.scr.row[i] = -1
+	}
+}
+
+// relayOf returns v's relay index, -1 for a node of degree < 2.
+func (n *Network) relayOf(v NodeID) int32 {
 	if adj := n.adj[v]; len(adj) >= 2 {
-		return n.tail[adj[0].ri]
+		return n.res[adj[0].ri].from
 	}
 	return -1
 }
 
-// buildTree fills tree, relay ri's row, with the BFS from its node root over
-// the relay nodes, stopping as soon as relay want is labelled. BFS order does
-// not depend on where the search stops, so a row stopped early holds a prefix
-// of the finished row's entries, hop for hop, and a later lookup past it
-// builds the row again from the root. A search that runs dry without
-// labelling want leaves the row finished.
-func (n *Network) buildTree(root NodeID, ri, want int32, tree []int32) {
-	if tree[ri] == 0 {
-		n.rstats.TreesBuilt++
+// searchTo runs the search from relay root until relay want is labelled,
+// reporting false where it runs dry first, and counts the relays it
+// dequeues in RelayVisits. It resumes a search from root where it stopped;
+// a search from another root is cleared, label by label, and started again
+// from root.
+func (n *Network) searchTo(root, want int32) bool {
+	s := &n.scr
+	if s.root != root {
+		for _, r := range s.order {
+			s.row[r] = -1
+		}
+		s.root, s.order, s.head, s.next = root, append(s.order[:0], root), 0, 0
 	}
-	for i := range tree {
-		tree[i] = -1
+	if s.row[want] >= 0 {
+		return true
 	}
-	queue := append(n.queue[:0], root)
-	for head := 0; head < len(queue); head++ {
-		for _, ht := range n.adj[queue[head]] {
-			ti := n.tail[ht.ri^1]
-			if ti < 0 || ti == ri || tree[ti] >= 0 {
+	row, order, head, next := s.row, s.order, s.head, s.next
+	for ; head < len(order); head, next = head+1, 0 {
+		if next == 0 {
+			n.rstats.RelayVisits++
+		}
+		adj := n.adj[NodeID(s.node[order[head]])]
+		for i := next; i < len(adj); i++ {
+			ht := adj[i]
+			if ht.rel < 0 || ht.rel == root || row[ht.rel] >= 0 {
 				continue
 			}
-			tree[ti] = ht.ri
-			if ti == want {
-				tree[ri] = partial
-				n.rstats.RelayVisits += uint64(head + 1)
-				return
+			row[ht.rel] = ht.ri
+			order = append(order, ht.rel)
+			if ht.rel == want {
+				s.order, s.head, s.next = order, head, i+1
+				return true
 			}
-			queue = append(queue, ht.to)
 		}
 	}
-	n.rstats.RelayVisits += uint64(len(queue))
+	s.order, s.head, s.next = order, head, 0
+	return false
+}
+
+// grow extends relay ra's retained row until it labels relay rb, reporting
+// false where rb is unreachable. The search from ra labels rb, and the row
+// becomes its labels up to rb: BFS order does not depend on where a search
+// stops, so that is a prefix of the finished tree, hop for hop, and holds
+// every label the row had. A search that runs dry leaves the row finished.
+// The row is rewritten sparse while it holds fewer than half the relays,
+// in the old row's backing where that is large enough, and dense past that.
+func (n *Network) grow(ra, rb int32) bool {
+	old := n.rows[ra]
+	dense := len(old) == int(n.relays)
+	if old == nil {
+		n.rstats.TreesBuilt++
+	} else if label(old, dense, ra) == finished {
+		return false
+	}
+	found := n.searchTo(ra, rb)
+	s := &n.scr
+	k, state := len(s.order), int32(finished)
+	if found {
+		k, state = slices.Index(s.order, rb)+1, partial
+	}
+	row := old
+	if 2*k < int(n.relays) {
+		if cap(old) < 2*k {
+			row = slices.Grow([]int32(nil), 2*k)
+		}
+		row = row[:2*k]
+		copy(row, s.order[:k])
+		slices.Sort(row[:k])
+		for i := k - 1; i >= 0; i-- {
+			r := row[i]
+			hop := s.row[r]
+			if r == ra {
+				hop = state
+			}
+			row[2*i], row[2*i+1] = r, hop
+		}
+	} else {
+		if !dense {
+			row = n.carve()
+		}
+		for _, r := range s.order[1:k] {
+			row[r] = s.row[r]
+		}
+		row[ra] = state
+	}
+	n.rstats.TableEntries += n.entries(row) - n.entries(old)
+	n.rows[ra] = row
+	return found
+}
+
+// entries is the number of labels row holds, a dense row one per relay.
+func (n *Network) entries(row []int32) uint64 {
+	if len(row) == int(n.relays) {
+		return uint64(n.relays)
+	}
+	return uint64(len(row) / 2)
+}
+
+// carve returns a dense row, every entry -1, cut from a block shared with
+// other dense rows: a row apiece would round up to its allocator size class,
+// 12 % over at 513 relays. A block holds twice the rows carved before it,
+// at least one and no more than are left uncarved, plus what else fits in
+// its size class.
+func (n *Network) carve() []int32 {
+	m, left := int(n.relays), int(n.relays-n.carved)
+	if len(n.slab) < m {
+		n.slab = slices.Grow([]int32(nil), min(max(2*int(n.carved), 1), left)*m)
+		n.slab = n.slab[:min(cap(n.slab)/m, left)*m]
+	}
+	row := n.slab[:m:m]
+	n.slab = n.slab[m:]
+	n.carved++
+	for i := range row {
+		row[i] = -1
+	}
+	return row
 }
 
 // route returns the hop sequence src→dst as a slice, memoised per pair. It
@@ -405,6 +576,18 @@ func (n *Network) route(src, dst NodeID) []int32 {
 		n.paths = make([][]routeTo, len(n.nodes))
 	}
 	from := n.paths[src]
+	lo := find(from, dst)
+	if lo < len(from) && from[lo].dst == dst {
+		return from[lo].hops
+	}
+	path := n.materialise(src, dst)
+	n.rstats.PathsMaterialised++
+	n.paths[src] = slices.Insert(from, lo, routeTo{dst, path})
+	return path
+}
+
+// find returns where dst is, or would go, in a source's sorted memo.
+func find(from []routeTo, dst NodeID) int {
 	lo, hi := 0, len(from)
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); from[mid].dst < dst {
@@ -413,17 +596,71 @@ func (n *Network) route(src, dst NodeID) []int32 {
 			hi = mid
 		}
 	}
-	if lo < len(from) && from[lo].dst == dst {
-		return from[lo].hops
+	return lo
+}
+
+// materialise builds the hop slice src→dst (src ≠ dst). It never writes a
+// retained row: it reads the source relay's row only where that already
+// labels the destination's relay, and otherwise walks the search, resumed
+// where a search from the same root stopped. Where the search would start
+// over from another root, a memoised route that differs only in a degree-1
+// end is spliced instead (see sibling).
+func (n *Network) materialise(src, dst NodeID) []int32 {
+	n.rstats.Walks++
+	w, ra, rb := n.splice(src, dst)
+	if ra >= 0 {
+		w.at = rb
+		if row := n.rows[ra]; label(row, len(row) == int(n.relays), rb) >= 0 {
+			w.row, w.dense = row, len(row) == int(n.relays)
+		} else if path := n.sibling(src, dst, w, ra); path != nil {
+			return path
+		} else if n.searchTo(ra, rb) {
+			w.row = n.scr.row
+		} else {
+			n.noRoute(src, dst)
+		}
 	}
-	w := n.ends(src, dst)
 	path := make([]int32, w.hops())
 	for i := len(path) - 1; i >= 0; i-- {
 		path[i] = w.next()
 	}
-	n.rstats.PathsMaterialised++
-	n.paths[src] = slices.Insert(from, lo, routeTo{dst, path})
 	return path
+}
+
+// sibling returns src→dst copied from a memoised route through the same
+// tree segment: the route to dst from another degree-1 node on src's relay
+// with w's first hop in place of its own, or the route from src to another
+// degree-1 node on dst's relay with w's last hop in place of its own. It
+// returns nil where the search is already rooted at ra, which answers
+// without starting over, or where no such route is memoised.
+func (n *Network) sibling(src, dst NodeID, w walk, ra int32) []int32 {
+	if n.scr.root == ra {
+		return nil
+	}
+	if w.first >= 0 {
+		for _, ht := range n.adj[n.adj[src][0].to] {
+			if from := n.paths[ht.to]; ht.to != src && len(n.adj[ht.to]) == 1 {
+				if i := find(from, dst); i < len(from) && from[i].dst == dst {
+					path := slices.Clone(from[i].hops)
+					path[0] = w.first
+					return path
+				}
+			}
+		}
+	}
+	if w.last >= 0 {
+		from := n.paths[src]
+		for _, ht := range n.adj[n.adj[dst][0].to] {
+			if ht.to != dst && len(n.adj[ht.to]) == 1 {
+				if i := find(from, ht.to); i < len(from) && from[i].dst == ht.to {
+					path := slices.Clone(from[i].hops)
+					path[len(path)-1] = w.last
+					return path
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // PathHops returns the number of hops on the route src→dst.
