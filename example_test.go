@@ -188,7 +188,7 @@ func ExampleDeploy_selfHeal() {
 		fmt.Printf("  [%5.0f..%5.0f] subject=%s %v %v\n", sp.Start, sp.End, sp.Subject, sp.Tactics, sp.Ops)
 	}
 	fmt.Printf("\nfinal active servers: %v\n", dep.App.ActiveServersOf("G"))
-	fmt.Printf("alerts (situations no tactic could repair): %d\n", len(mgr.Alerts()))
+	fmt.Printf("alerts (situations no tactic could repair): %d\n", mgr.AlertCount())
 	// Output:
 	// t=60    active=[S1 S2 S3] queue=3
 	// t=120   active=[S1 S2 S3] queue=0

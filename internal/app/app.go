@@ -24,18 +24,20 @@ import (
 // one exception is the client's LatencyObserver, which links the record into
 // its outstanding list at the send and unlinks it at the response or drop —
 // before the record can be reused.
+//
+// The record is 96 bytes, one size class, and holds what the pipeline reads;
+// the client is cli, reached through the handle rather than named.
 type Request struct {
 	ID       uint64
-	Client   string
 	Group    string  // queue it was routed to
 	RespBits float64 // reply size requested
 	SentAt   sim.Time
-	QueuedAt sim.Time
 
 	// sys, cli, q and srv thread the request through its static pipeline
 	// callbacks (send → enqueue → pull → serve → reply) without per-step
-	// closures or name lookups. q is the client's queue as of the send, nil
-	// if its group had none.
+	// closures or name lookups. q is the client's queue as of the send, or
+	// the one its group had by the arrival, which enqueue stores; it is nil
+	// only on a request that found no queue.
 	sys *System
 	cli *Client
 	q   *queue
@@ -122,17 +124,43 @@ type Client struct {
 // Responses returns the number of replies received.
 func (c *Client) Responses() uint64 { return c.responses }
 
-// queue is one FIFO request queue on the queue machine. reqs[head:] are the
-// waiting requests: dispatch advances head and the array is reset when the
-// queue drains (or compacted when the dead prefix dominates), so the backing
-// array is reused instead of re-allocated as the slice walks forward.
+// queue is one FIFO request queue on the queue machine: a ring whose size is
+// a power of two. The n waiting requests sit at ring[(head+i)&(len-1)], oldest
+// first; every other slot is nil. The ring doubles only when it is full, so
+// its size follows the deepest backlog, not the number of requests that have
+// passed through.
 type queue struct {
-	reqs []*Request
-	head int
+	ring    []*Request
+	head, n int
 }
 
 // waiting returns the number of queued requests.
-func (q *queue) waiting() int { return len(q.reqs) - q.head }
+func (q *queue) waiting() int { return q.n }
+
+// at returns the i-th waiting request, 0 the oldest.
+func (q *queue) at(i int) *Request { return q.ring[(q.head+i)&(len(q.ring)-1)] }
+
+// push appends a request at the tail.
+func (q *queue) push(req *Request) {
+	if q.n == len(q.ring) {
+		grown := make([]*Request, max(1, 2*len(q.ring)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.at(i)
+		}
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = req
+	q.n++
+}
+
+// pop removes and returns the oldest request; the queue must not be empty.
+func (q *queue) pop() *Request {
+	req := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return req
+}
 
 // System is the running application.
 type System struct {
@@ -376,7 +404,6 @@ func (s *System) sendRequest(c *Client) {
 	req := s.freeReqs.Get()
 	*req = Request{
 		ID:       s.reqSeq,
-		Client:   c.Name,
 		Group:    c.Group,
 		RespBits: c.RespBits(),
 		SentAt:   s.K.Now(),
@@ -411,37 +438,19 @@ func (s *System) enqueue(req *Request) {
 		}
 		return
 	}
-	req.QueuedAt = s.K.Now()
-	q.reqs = append(q.reqs, req)
+	req.q = q
+	q.push(req)
 	s.dispatch(q)
 }
 
 // dispatch hands queued requests to idle active servers of the group.
 func (s *System) dispatch(q *queue) {
-	for q.head < len(q.reqs) {
+	for q.n > 0 {
 		srv := s.idleServer(q)
 		if srv == nil {
-			q.compact()
 			return
 		}
-		req := q.reqs[q.head]
-		q.reqs[q.head] = nil
-		q.head++
-		s.serve(srv, req)
-	}
-	q.reqs = q.reqs[:0]
-	q.head = 0
-}
-
-// compact reclaims the dispatched prefix once it dominates the array.
-func (q *queue) compact() {
-	if q.head >= 64 && q.head*2 >= len(q.reqs) {
-		n := copy(q.reqs, q.reqs[q.head:])
-		for i := n; i < len(q.reqs); i++ {
-			q.reqs[i] = nil
-		}
-		q.reqs = q.reqs[:n]
-		q.head = 0
+		s.serve(srv, q.pop())
 	}
 }
 
@@ -588,8 +597,10 @@ func (s *System) MoveClient(client, group string) error {
 		return fmt.Errorf("app: no queue for group %q", group)
 	}
 	if old := c.q; old != nil && old != q {
-		kept := old.reqs[:0]
-		for _, r := range old.reqs[old.head:] {
+		// Filter the ring in place, keeping the others' order.
+		mask, kept := len(old.ring)-1, 0
+		for i := 0; i < old.n; i++ {
+			r := old.at(i)
 			if r.cli == c {
 				s.droppedReqs++
 				for _, fn := range s.OnDrop {
@@ -597,13 +608,13 @@ func (s *System) MoveClient(client, group string) error {
 				}
 				continue
 			}
-			kept = append(kept, r)
+			old.ring[(old.head+kept)&mask] = r
+			kept++
 		}
-		for i := len(kept); i < len(old.reqs); i++ {
-			old.reqs[i] = nil
+		for i := kept; i < old.n; i++ {
+			old.ring[(old.head+i)&mask] = nil
 		}
-		old.reqs = kept
-		old.head = 0
+		old.n = kept
 	}
 	c.Group, c.q = group, q
 	s.memberRev++

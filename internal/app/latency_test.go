@@ -104,7 +104,7 @@ func observeWithMaps(sys *System, clients []string, windowWidth float64) *mapObs
 		})
 	}
 	sys.OnDrop = append(sys.OnDrop, func(r *Request) {
-		delete(o.outstanding[r.Client], r.ID)
+		delete(o.outstanding[r.cli.Name], r.ID)
 	})
 	return o
 }
@@ -184,7 +184,7 @@ func TestLatencyObserverMatchesMapOracle(t *testing.T) {
 			})
 		}
 		sys.OnDrop = append(sys.OnDrop, func(req *Request) {
-			if req.QueuedAt == 0 {
+			if req.q == nil { // no queue at the arrival
 				vanishedDrops++
 			} else {
 				movedDrops++

@@ -155,7 +155,7 @@ func (s *System) groupAnchor(group string) netsim.NodeID {
 func (c *Client) DeliverSynthetic(now float64, latency float64, count uint64) {
 	c.responses += count
 	if c.synth == nil {
-		c.synth = &Request{Client: c.Name, sys: c.sys, cli: c}
+		c.synth = &Request{sys: c.sys, cli: c}
 	}
 	c.synth.Group = c.Group
 	c.synth.RespBits = c.RespBits()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"archadapt/internal/app"
@@ -280,5 +282,79 @@ func TestManagerString(t *testing.T) {
 	r := newRig(t, Config{})
 	if s := r.mgr.String(); s == "" {
 		t.Fatal("empty string")
+	}
+}
+
+// The alert log hands back exactly the escalations the engine raised, in
+// order, with their times, subjects and reason. A strategy that never
+// applies is bound to the latency invariant, whose subjects are client
+// components, to the bandwidth invariant, whose subjects are roles, and to
+// a system-scoped invariant that always fails, whose subject is "system",
+// so the log holds subjects inside and outside the model's components.
+func TestAlertLogMatchesEngine(t *testing.T) {
+	r := newRig(t, Config{})
+	never := &repair.Strategy{Name: "never",
+		Script: func(*repair.Context) ([]string, error) { return nil, repair.ErrNoTacticApplied }}
+	r.mgr.Engine.Bind(operators.InvLatency, never)
+	r.mgr.Engine.Bind(operators.InvBandwidth, never)
+	r.mgr.Registry.Add(constraint.MustInvariant("unsatisfiable", "", "false"))
+	r.mgr.Engine.Bind("unsatisfiable", never)
+	var want []Alert
+	inner := r.mgr.Engine.AlertFn
+	r.mgr.Engine.AlertFn = func(v constraint.Violation) {
+		want = append(want, Alert{Time: r.k.Now(), Subject: v.SubjectName(), Reason: repair.AlertReason})
+		inner(v)
+	}
+	r.mgr.Deploy()
+	r.a.Start()
+	r.k.At(150, func() {
+		r.net.SetBackgroundBoth(r.crushLink, 10e6-5e3)
+		r.net.SetBackgroundBoth(r.gbLink, 10e6-5e3)
+	})
+	r.k.Run(1200)
+	got := r.mgr.Alerts()
+	subjects := map[string]bool{}
+	for _, a := range want {
+		subjects[a.Subject] = true
+	}
+	// More than the first two chunks, on a client, a role and the system.
+	if len(want) <= firstAlertChunk*3 || len(subjects) < 3 {
+		t.Fatalf("%d escalations on %v: too few to cross a chunk or to mix subjects", len(want), subjects)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Alerts() = %v\nengine raised %v", got, want)
+	}
+	if n := r.mgr.AlertCount(); n != len(got) {
+		t.Fatalf("AlertCount() = %d, Alerts() holds %d", n, len(got))
+	}
+}
+
+// An escalation costs its 16-byte record and the chunk's slack, not a grown
+// and copied slice: 10 000 alerts stay within 20 B each, and allocate no more
+// often than once a chunk plus the chunk list's growth.
+func TestAlertLogBytes(t *testing.T) {
+	r := newRig(t, Config{})
+	v := constraint.Violation{Subject: r.mgr.Model.Component("C1")}
+	const n = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		r.mgr.Engine.AlertFn(v)
+	}
+	runtime.ReadMemStats(&after)
+	chunks := len(r.mgr.alerts.chunks)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("%d alerts: %d B (%.1f B each), %d mallocs, %d chunks", n, bytes, float64(bytes)/n, mallocs, chunks)
+	if bytes > 20*n {
+		t.Fatalf("%d alerts cost %d B, over 20 B each", n, bytes)
+	}
+	if mallocs > uint64(chunks)+8 {
+		t.Fatalf("%d alerts took %d mallocs for %d chunks", n, mallocs, chunks)
+	}
+	if got := r.mgr.AlertCount(); got != n {
+		t.Fatalf("AlertCount() = %d, want %d", got, n)
+	}
+	if a := r.mgr.Alerts(); len(a) != n || a[n-1] != (Alert{Subject: "C1", Reason: repair.AlertReason}) {
+		t.Fatalf("Alerts() holds %d, last %+v", len(a), a[len(a)-1])
 	}
 }

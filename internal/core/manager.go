@@ -33,14 +33,6 @@ type RepairSpan struct {
 // Duration returns End-Start.
 func (r RepairSpan) Duration() float64 { return r.End - r.Start }
 
-// Alert is a human-escalation event (§7: "alert a human observer for manual
-// intervention").
-type Alert struct {
-	Time    float64
-	Subject string
-	Reason  string
-}
-
 // Manager is the architecture manager: the model layer of the framework.
 type Manager struct {
 	Cfg  Config
@@ -77,7 +69,7 @@ type Manager struct {
 
 	busy        bool
 	spans       []RepairSpan
-	alerts      []Alert
+	alerts      alertLog
 	reports     uint64
 	checks      uint64
 	violationsN uint64
@@ -149,11 +141,11 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 	m.Engine.OscillationWindow = cfg.OscillationWindow
 	m.Engine.OscillationMoves = cfg.OscillationMoves
 	m.Engine.DampFactor = cfg.DampFactor
-	m.Engine.AlertFn = func(v constraint.Violation, reason string) {
-		m.alerts = append(m.alerts, Alert{Time: k.Now(), Subject: v.SubjectName(), Reason: reason})
+	m.Engine.AlertFn = func(v constraint.Violation) {
+		m.alerts.add(k.Now(), m.Model, v)
 		if m.tr != nil {
 			m.tr.Instant(obs.KindAlert, m.trState.violSpan[v.SubjectName()], m.trApp,
-				v.SubjectName()+": "+reason, 0, 0)
+				v.SubjectName()+": "+repair.AlertReason, 0, 0)
 		}
 	}
 	m.Engine.Bind(operators.InvLatency, operators.FixLatency(m.FindGoodSGrp))
@@ -185,8 +177,11 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 // Spans returns completed repair spans.
 func (m *Manager) Spans() []RepairSpan { return m.spans }
 
-// Alerts returns human-escalation events.
-func (m *Manager) Alerts() []Alert { return m.alerts }
+// Alerts returns the human-escalation events in order, built on each call.
+func (m *Manager) Alerts() []Alert { return m.alerts.list(m.Model) }
+
+// AlertCount returns the number of human-escalation events.
+func (m *Manager) AlertCount() int { return m.alerts.n }
 
 // Reports returns the number of gauge reports consumed.
 func (m *Manager) Reports() uint64 { return m.reports }
@@ -490,5 +485,5 @@ func (m *Manager) churnGauges(ops []repair.Op, done func()) {
 // String summarizes manager state for logs.
 func (m *Manager) String() string {
 	return fmt.Sprintf("core.Manager{checks=%d reports=%d repairs=%d alerts=%d}",
-		m.checks, m.reports, len(m.spans), len(m.alerts))
+		m.checks, m.reports, len(m.spans), m.AlertCount())
 }

@@ -742,7 +742,7 @@ func (a *App) Summarize() AppSummary {
 	if s.Repairs > 0 {
 		s.MeanRepairSeconds /= float64(s.Repairs)
 	}
-	s.Alerts = len(a.Mgr.Alerts())
+	s.Alerts = a.Mgr.AlertCount()
 	for _, m := range a.Migrations {
 		if m.Completed() {
 			s.Migrations++

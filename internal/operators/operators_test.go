@@ -498,7 +498,7 @@ func declinedTick(t testing.TB, strat *repair.Strategy) (*model.System, *repair.
 func checkDeclinedTick(t *testing.T, strat *repair.Strategy) {
 	sys, eng, tick := declinedTick(t, strat)
 	alerts := 0
-	eng.AlertFn = func(constraint.Violation, string) { alerts++ }
+	eng.AlertFn = func(constraint.Violation) { alerts++ }
 	snap := sys.Clone()
 	tick()
 	if avg := testing.AllocsPerRun(1000, tick); avg != 0 {

@@ -45,8 +45,9 @@ type Record struct {
 //   - oscillation damping: a client moved OscillationMoves times within
 //     OscillationWindow gets an extended cooldown (the client ping-pong the
 //     paper observed between 600 s and 1200 s);
-//   - escalation: when no tactic applies, AlertFn is invoked instead of
-//     thrashing ("alert a human observer for manual intervention").
+//   - escalation: when no tactic applies, AlertFn is invoked with the
+//     violation instead of thrashing ("alert a human observer for manual
+//     intervention"); the escalation's reason is always AlertReason.
 //
 // All three default off (zero values) so the baseline engine behaves exactly
 // like the paper's prototype.
@@ -58,7 +59,7 @@ type Engine struct {
 	OscillationWindow float64
 	OscillationMoves  int
 	DampFactor        float64
-	AlertFn           func(v constraint.Violation, reason string)
+	AlertFn           func(v constraint.Violation)
 	// Observer, when non-nil, receives the record of every attempt —
 	// successful, failed and damped alike — the moment the attempt resolves,
 	// under the same validity rule as HandleViolation's result. The
@@ -129,7 +130,7 @@ func (e *Engine) HandleViolation(v constraint.Violation, now float64) *Record {
 	if err != nil {
 		rec.Err = err
 		if err == ErrNoTacticApplied && e.AlertFn != nil {
-			e.AlertFn(v, "no applicable tactic")
+			e.AlertFn(v)
 		}
 		return e.finish(v, now)
 	}

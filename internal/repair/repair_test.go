@@ -321,7 +321,7 @@ func TestEngineAlertOnNoTactic(t *testing.T) {
 	s := small()
 	alerted := 0
 	eng := NewEngine(s, nil)
-	eng.AlertFn = func(v constraint.Violation, reason string) { alerted++ }
+	eng.AlertFn = func(v constraint.Violation) { alerted++ }
 	eng.Bind("latencyBound", &Strategy{Name: "fix", Script: func(ctx *Context) ([]string, error) {
 		return nil, ErrNoTacticApplied
 	}})

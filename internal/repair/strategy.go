@@ -31,7 +31,10 @@ type Strategy struct {
 // ErrNoTacticApplied reports that every tactic declined: the situation the
 // paper flags for human escalation ("it may be necessary to alert a human
 // observer", §7).
-var ErrNoTacticApplied = errors.New("repair: no applicable tactic")
+var ErrNoTacticApplied = errors.New("repair: " + AlertReason)
+
+// AlertReason is the reason of every escalation an Engine raises.
+const AlertReason = "no applicable tactic"
 
 // Execute runs the strategy transactionally outside an engine: on success
 // the record holds the transaction's ops for translation; on failure (Err is
