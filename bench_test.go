@@ -394,7 +394,9 @@ func BenchmarkRemosQueries(b *testing.B) {
 // curve over N is the one tabled in EXPERIMENTS.md "Fleet cost curve".
 // setup-ms/app is the share of it StartScenario takes (grid, fleet and every
 // admission), relay-visits/app the relays admission's routing BFS runs
-// dequeue, and live-KB/app the heap the finished run still holds (HeapAlloc
+// dequeue, paths/app the routes the memo holds after the run (every pair
+// that carried traffic or was measured, the one routing state kept), and
+// live-KB/app the heap the finished run still holds (HeapAlloc
 // after a collection, the run referenced, less the same before it started;
 // both collections are untimed). The deterministic half of that curve (allocations, route walks,
 // relay visits and fired events per app) is held by tests in internal/fleet;
@@ -405,7 +407,7 @@ func BenchmarkFleet(b *testing.B) {
 			b.ReportAllocs()
 			var repairs int
 			var setup time.Duration
-			var visits uint64
+			var visits, paths uint64
 			var live float64
 			var before, after runtime.MemStats
 			for i := 0; i < b.N; i++ {
@@ -424,6 +426,7 @@ func BenchmarkFleet(b *testing.B) {
 				setup += time.Since(t0)
 				visits += run.Grid.Net.RouteStats().RelayVisits
 				res := run.Finish()
+				paths += res.Grid.Net.RouteStats().PathsMaterialised
 				if got := len(res.Summaries); got != n {
 					b.Fatalf("admitted %d apps, want %d", got, n)
 				}
@@ -441,6 +444,7 @@ func BenchmarkFleet(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/apps, "ms/app")
 			b.ReportMetric(float64(setup.Microseconds())/1e3/apps, "setup-ms/app")
 			b.ReportMetric(float64(visits)/apps, "relay-visits/app")
+			b.ReportMetric(float64(paths)/apps, "paths/app")
 			b.ReportMetric(live/1e3/apps, "live-KB/app")
 			b.ReportMetric(float64(repairs)/apps, "repairs/app")
 		})

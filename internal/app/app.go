@@ -44,9 +44,11 @@ type Request struct {
 	srv *Server
 
 	// older and newer are the record's neighbours in its client's list of
-	// outstanding requests while watched is set (latency.go).
+	// outstanding requests while watched is set (latency.go). crash is srv's
+	// crash count when srv took the request: a later crash drops it.
 	older, newer *Request
 	watched      bool
+	crash        uint32
 }
 
 // Response records a completed request at the client. Req is valid only
@@ -70,7 +72,8 @@ type Server struct {
 
 	active  bool
 	busy    bool
-	stopped bool // deactivation requested while busy
+	stopped bool   // deactivation requested while busy
+	crashes uint32 // CrashServer calls; see Request.crash
 	served  uint64
 	q       *queue // Group's queue, nil while it has none
 }
@@ -432,10 +435,7 @@ func (s *System) enqueue(req *Request) {
 	if q == nil {
 		// No such queue (misrouted request): drop. The client will see it
 		// as a lost request.
-		s.droppedReqs++
-		for _, fn := range s.OnDrop {
-			fn(req)
-		}
+		s.drop(req)
 		return
 	}
 	req.q = q
@@ -471,15 +471,37 @@ func (s *System) idleServer(q *queue) *Server {
 // the control "never recovers" until the competing traffic relents).
 func (s *System) serve(srv *Server, req *Request) {
 	srv.busy = true
-	req.srv = srv
+	req.srv, req.crash = srv, srv.crashes
 	pullBits := 0.5 * 8192 // the request payload forwarded to the server
 	s.Net.SendMessageTo(s.QueueHost, srv.Host, pullBits, netsim.BestEffort, pulledFn, req)
+}
+
+// lost reports whether req's server crashed after taking it, and drops it if
+// so: the pipeline step that finds it lost goes no further.
+func (req *Request) lost() bool {
+	if req.crash == req.srv.crashes {
+		return false
+	}
+	req.sys.drop(req)
+	return true
+}
+
+// drop discards a request: it counts in DroppedRequests and the OnDrop
+// listeners see it.
+func (s *System) drop(req *Request) {
+	s.droppedReqs++
+	for _, fn := range s.OnDrop {
+		fn(req)
+	}
 }
 
 // pulledFn fires when the server has pulled the request off the queue
 // machine; the server then processes it for its service time.
 func pulledFn(arg any) {
 	req := arg.(*Request)
+	if req.lost() {
+		return
+	}
 	s, srv := req.sys, req.srv
 	service := srv.ServiceBase + srv.ServicePerBit*req.RespBits
 	s.K.AtAnonArg(s.K.Now()+service, servedFn, req)
@@ -489,6 +511,9 @@ func pulledFn(arg any) {
 // client as an elastic transfer.
 func servedFn(arg any) {
 	req := arg.(*Request)
+	if req.lost() {
+		return
+	}
 	srv, cli := req.srv, req.cli
 	req.sys.Net.StartTransferArg(srv.Host, cli.Host, req.RespBits, cli.respTag, replyDoneFn, req)
 }
@@ -498,6 +523,9 @@ func servedFn(arg any) {
 // go.
 func replyDoneFn(arg any) {
 	req := arg.(*Request)
+	if req.lost() {
+		return
+	}
 	s, srv, cli := req.sys, req.srv, req.cli
 	done := Response{Req: req, DoneAt: s.K.Now(), Latency: s.K.Now() - req.SentAt}
 	cli.responses++
@@ -602,10 +630,7 @@ func (s *System) MoveClient(client, group string) error {
 		for i := 0; i < old.n; i++ {
 			r := old.at(i)
 			if r.cli == c {
-				s.droppedReqs++
-				for _, fn := range s.OnDrop {
-					fn(r)
-				}
+				s.drop(r)
 				continue
 			}
 			old.ring[(old.head+kept)&mask] = r
@@ -625,8 +650,8 @@ func (s *System) MoveClient(client, group string) error {
 // holding for reuse: zero after StopClients (leak checks).
 func (s *System) PooledRequests() int { return len(s.freeReqs) }
 
-// DroppedRequests counts requests discarded by queue removal or client
-// moves.
+// DroppedRequests counts requests discarded for want of a queue, by client
+// moves and by server crashes.
 func (s *System) DroppedRequests() uint64 { return s.droppedReqs }
 
 // Rehost moves every process of the system onto a new host set: the request
@@ -658,7 +683,8 @@ func (s *System) Rehost(queueHost netsim.NodeID, serverHosts, clientHosts map[st
 }
 
 // CrashServer abruptly deactivates a server, dropping its current request
-// (failure injection for the self-healing example and tests).
+// (failure injection for the self-healing example and tests): the request's
+// next pipeline step (pull, service end or reply) drops it instead.
 func (s *System) CrashServer(server string) error {
 	srv := s.servers[server]
 	if srv == nil {
@@ -667,6 +693,7 @@ func (s *System) CrashServer(server string) error {
 	srv.active = false
 	srv.busy = false
 	srv.stopped = false
+	srv.crashes++
 	s.memberRev++
 	return nil
 }

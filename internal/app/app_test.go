@@ -260,6 +260,12 @@ func TestCongestionRaisesLatency(t *testing.T) {
 	}
 }
 
+// TestCrashServerDropsWork: a crash loses the request the server had taken.
+// S1 serves for 1 s; the first request is taken at once, S1 crashes at 0.1
+// and is reactivated at 0.2, and two more requests follow at 0.3 and 0.4.
+// The first is dropped when its service would have ended, not answered, and
+// S1 serves the other two one after the other: still busy with the third at
+// 1.6, where a server freed by the lost request's reply would read idle.
 func TestCrashServerDropsWork(t *testing.T) {
 	r := newRig(t)
 	srv := r.sys.AddServer("S1", r.sHost, "G1", 1.0, 0)
@@ -269,15 +275,35 @@ func TestCrashServerDropsWork(t *testing.T) {
 	cli := r.sys.AddClient("C1", r.cHost, "G1", 0, sim.NewRand(1))
 	n := 0
 	cli.OnResponse = append(cli.OnResponse, func(Response) { n++ })
+	var dropped []uint64
+	r.sys.OnDrop = append(r.sys.OnDrop, func(req *Request) { dropped = append(dropped, req.ID) })
 	r.k.At(0, func() { r.sys.sendRequest(cli) })
 	r.k.At(0.1, func() {
 		if err := r.sys.CrashServer("S1"); err != nil {
 			t.Error(err)
 		}
+		if srv.Active() || srv.Busy() {
+			t.Error("crashed server still active or busy")
+		}
 	})
-	r.k.Run(30)
-	if srv.Active() {
-		t.Fatal("crashed server still active")
+	r.k.At(0.2, func() {
+		if err := r.sys.Activate("S1"); err != nil {
+			t.Error(err)
+		}
+	})
+	r.k.At(0.3, func() { r.sys.sendRequest(cli) })
+	r.k.At(0.4, func() { r.sys.sendRequest(cli) })
+	r.k.At(1.6, func() {
+		if !srv.Busy() {
+			t.Error("S1 idle at 1.6 with a request still in service")
+		}
+	})
+	r.k.Run(10)
+	if n != 2 || srv.Served() != 2 {
+		t.Fatalf("%d responses and %d served after the crash, want 2 and 2", n, srv.Served())
+	}
+	if got := r.sys.DroppedRequests(); got != 1 || len(dropped) != 1 || dropped[0] != 1 {
+		t.Fatalf("DroppedRequests = %d, OnDrop saw %v; want the crashed request 1 alone", got, dropped)
 	}
 }
 

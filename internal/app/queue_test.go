@@ -20,7 +20,7 @@ func TestRequestRecordSize(t *testing.T) {
 const (
 	qopSend       = iota // client arg%4 sends a request (it travels)
 	qopArrive            // in-flight request arg%len arrives at the queue machine
-	qopFinish            // server arg%4 completes its request's reply
+	qopFinish            // server arg%4's oldest crashed request's reply lands, else its request's
 	qopActivate          // Activate server arg%4
 	qopDeactivate        // Deactivate server arg%4
 	qopCrash             // CrashServer server arg%4
@@ -44,7 +44,11 @@ func qop(op, arg int) byte { return byte(op + 8*arg) }
 //     outside that span nil, and its size is a power of two;
 //   - QueueLen of every group, DroppedRequests and the dropped requests, in
 //     order, match; a request dropped for want of a queue has q nil, one
-//     dropped by a move has its queue.
+//     dropped by a move or a crash has its queue.
+//
+// A crashed server's request is not forgotten: its reply still lands, on a
+// later finish of that server, and is dropped there without touching the
+// server, which may be serving again by then.
 func FuzzRequestQueue(f *testing.F) {
 	// burst is n requests sent and arrived at once, from clis in turn.
 	burst := func(n int, clis ...int) []byte {
@@ -81,6 +85,15 @@ func FuzzRequestQueue(f *testing.F) {
 	f.Add(move)
 	// A queue created while a request travels, which a move then drops
 	// from it; requests in flight across a move; server churn.
+	// A crash with the server's request in service, the server reactivated
+	// and two more requests taken one at a time: the crashed request's
+	// reply lands while the second is in service and is dropped, leaving
+	// the server busy.
+	f.Add([]byte{
+		qop(qopActivate, 0), qop(qopBurst, 0), qop(qopCrash, 0), qop(qopActivate, 0),
+		qop(qopBurst, 0), qop(qopBurst, 0), qop(qopFinish, 0), qop(qopFinish, 0),
+		qop(qopFinish, 0),
+	})
 	f.Add([]byte{
 		qop(qopSend, 3), qop(qopSend, 3), qop(qopArrive, 0), qop(qopBurst, 31),
 		qop(qopArrive, 0), qop(qopMove, 3), qop(qopMove, 3+4*2), qop(qopSend, 3),
@@ -128,6 +141,7 @@ func FuzzRequestQueue(f *testing.F) {
 		type refServer struct {
 			active, busy, stopped bool
 			req                   *Request
+			crashed               []*Request // taken before a crash, replies yet to land
 		}
 		ref := map[*Server]*refServer{}
 		for _, srv := range srvs {
@@ -135,10 +149,10 @@ func FuzzRequestQueue(f *testing.F) {
 		}
 		fifo := map[string][]*Request{}
 		var (
-			inflight     []*Request
-			served       []*Request // handed to a server this step
-			refDropped   []*Request
-			movedDropped = map[*Request]bool{}
+			inflight    []*Request
+			served      []*Request // handed to a server this step
+			refDropped  []*Request
+			queuedDrops = map[*Request]bool{} // dropped after reaching a queue
 		)
 		dispatch := func(g string) {
 			for len(fifo[g]) > 0 {
@@ -200,6 +214,14 @@ func FuzzRequestQueue(f *testing.F) {
 			case qopFinish:
 				srv := srvs[arg%4]
 				rs := ref[srv]
+				if len(rs.crashed) > 0 {
+					req := rs.crashed[0]
+					rs.crashed = rs.crashed[1:]
+					refDropped = append(refDropped, req)
+					queuedDrops[req] = true
+					replyDoneFn(req)
+					break
+				}
 				if !rs.busy {
 					break
 				}
@@ -240,10 +262,13 @@ func FuzzRequestQueue(f *testing.F) {
 					t.Fatalf("step %d: Deactivate(%s) = %v, reference active=%v", step, srv.Name, err, !wantErr)
 				}
 			case qopCrash:
-				// The crashed request's reply never completes: the kernel
-				// that would carry it never runs.
 				srv := srvs[arg%4]
-				*ref[srv] = refServer{}
+				rs := ref[srv]
+				crashed := rs.crashed
+				if rs.busy {
+					crashed = append(crashed, rs.req)
+				}
+				*rs = refServer{crashed: crashed}
 				if err := sys.CrashServer(srv.Name); err != nil {
 					t.Fatal(err)
 				}
@@ -255,7 +280,7 @@ func FuzzRequestQueue(f *testing.F) {
 					for _, req := range fifo[old] {
 						if req.cli == c {
 							refDropped = append(refDropped, req)
-							movedDropped[req] = true
+							queuedDrops[req] = true
 							continue
 						}
 						kept = append(kept, req)
@@ -303,8 +328,8 @@ func FuzzRequestQueue(f *testing.F) {
 				t.Fatalf("step %d (op %d): DroppedRequests = %d (%d seen), reference %d", step, op, got, len(dropped), len(refDropped))
 			}
 			for i, req := range refDropped {
-				if dropped[i] != req || (req.q == nil) == movedDropped[req] {
-					t.Fatalf("step %d (op %d): drop %d is request %d (q %p), reference %d (moved %v)", step, op, i, dropped[i].ID, dropped[i].q, req.ID, movedDropped[req])
+				if dropped[i] != req || (req.q == nil) == queuedDrops[req] {
+					t.Fatalf("step %d (op %d): drop %d is request %d (q %p), reference %d (queued %v)", step, op, i, dropped[i].ID, dropped[i].q, req.ID, queuedDrops[req])
 				}
 			}
 		}

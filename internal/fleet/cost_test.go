@@ -87,15 +87,15 @@ func measure(t *testing.T, opts ScenarioOptions) runCost {
 
 // TestFleetCostIsFlatPerApp holds the benchmark script's per-app cost at N=32
 // and its growth to N=128. Route walks are exact under a seed: a change that
-// moves them changed what placement or routing asks for. Allocations move with
+// moves them changed what placement or monitoring measures. Allocations move with
 // map growth, so they get a ceiling. From N=32 to N=128 neither may grow by a
 // quarter: something on the admission or monitoring path would be scaling with
 // the grid, not the app. (Fired events per app are held flat by
 // TestFleetKernelWorkIsFlatPerApp.)
 func TestFleetCostIsFlatPerApp(t *testing.T) {
 	small := measure(t, benchScript(32))
-	if small.walks != 287.5 {
-		t.Errorf("N=32 seed 1: %.4f route walks per app, want 287.5", small.walks)
+	if small.walks != 263.5 {
+		t.Errorf("N=32 seed 1: %.4f route walks per app, want 263.5", small.walks)
 	}
 	if small.allocs > 2106 {
 		t.Errorf("N=32 seed 1: %.0f allocations per app, limit 2106", small.allocs)

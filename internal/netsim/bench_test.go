@@ -47,14 +47,14 @@ func BenchmarkSolveLoneFlow(b *testing.B) {
 }
 
 // BenchmarkRoute measures routing on fleet-scale's grid: 513 routers with 4
-// hosts each. The cold cases generate the grid untimed and then walk from
-// every router: cold to its chain neighbour, which a sparse row reaches
-// after a few relays; cold/full to its farthest relay, which builds the
-// whole row dense (its B/op is the tree bytes with the relay index and the
-// search); extend to the neighbour and then the farthest relay, so every
-// row is built short and then extended, its search resumed. warm/PathHops
-// and warm/AvailBandwidth look up one of 1 800 fixed host pairs per op,
-// every row they need already built.
+// hosts each. The cold cases generate the grid untimed and then look up one
+// pair from every router, each a first lookup that searches and memoises its
+// path: cold to its chain neighbour, which the search reaches after a few
+// relays; cold/full to its farthest relay, which runs the search to the end
+// (its B/op is the memoised paths with the relay index and the search);
+// extend to the neighbour and then the farthest relay, so every search stops
+// short and is then resumed. warm/PathHops and warm/AvailBandwidth look up
+// one of 1 800 fixed host pairs per op, every one a memo hit.
 func BenchmarkRoute(b *testing.B) {
 	spec := GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1}
 	g := GenerateGrid(sim.NewKernel(), spec)

@@ -13,10 +13,9 @@ import (
 // against oracleRoute: the hops, the hop count and the bottleneck, or the
 // "no route" panic. Interleaving reaches the states one lookup leaves the
 // next: a search kept warm for one root and resumed, or cleared for another;
-// a row grown sparse, then rewritten in place or switched to dense; a route
-// read off a row, off the search or off a sibling's memoised route; and all
-// of it dropped by a Connect. After every call the retained rows must be
-// well formed and TableEntries must count their labels.
+// a route read off the memo, off the search or off a sibling's memoised
+// route; and all of it dropped by a Connect. After every call the memo must
+// pass checkMemo.
 func FuzzRouteLookups(f *testing.F) {
 	f.Add([]byte{6, 5, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 0, 5, 2, 5, 0, 1, 0, 4, 3, 1, 5})
 	f.Add([]byte{9, 8, 0, 1, 1, 2, 2, 0, 3, 0, 4, 1, 5, 2, 6, 2, 7, 5, 1, 3, 6, 0, 4, 7, 2, 6, 3, 3, 7, 8, 0, 3, 8})
@@ -31,9 +30,11 @@ func FuzzRouteLookups(f *testing.F) {
 		for i := 0; i < nodes; i++ {
 			n.AddHost(fmt.Sprintf("n%d", i))
 		}
+		var dropped uint64 // PathsMaterialised when the memo was last dropped
 		connect := func(a, b byte) {
 			if a, b := NodeID(int(a)%nodes), NodeID(int(b)%nodes); a != b {
 				l := n.Connect(a, b, 10e6, 1e-3)
+				dropped = n.RouteStats().PathsMaterialised
 				n.SetBackground(l, Fwd, float64(int(l)*7%10)*1e6)
 				n.SetBackground(l, Rev, float64(int(l)*3%10)*1e6)
 			}
@@ -72,59 +73,30 @@ func FuzzRouteLookups(f *testing.F) {
 			if msg != wantMsg {
 				t.Fatalf("op %d (%d,%d): panic %q, want %q", op, src, dst, msg, wantMsg)
 			}
-			checkRows(t, n)
+			checkMemo(t, n, n.RouteStats().PathsMaterialised-dropped)
 		}
 	})
 }
 
-// checkRows audits the retained rows: each nil, dense (one entry per relay,
-// at least half of them labels) or sparse (fewer than half the relays'
-// labels, sorted by relay without repeats), its root labelled with a state
-// and every other label a hop into that relay; and TableEntries the sum of
-// their labels.
-func checkRows(t *testing.T, n *Network) {
+// checkMemo audits the route memo: each source's routes sorted by
+// destination without repeats, each the oracle's route, and paths (the
+// materialisations since the memo was last dropped) the number of routes it
+// holds.
+func checkMemo(t *testing.T, n *Network, paths uint64) {
 	t.Helper()
 	var entries uint64
-	for ra, row := range n.rows {
-		if row == nil {
-			continue
-		}
-		dense := len(row) == int(n.relays)
-		if !dense && (len(row)%2 != 0 || len(row) >= int(n.relays)) {
-			t.Fatalf("row %d has %d entries over %d relays", ra, len(row), n.relays)
-		}
-		labels := 0
-		for r := int32(0); r < n.relays; r++ {
-			hop := label(row, dense, r)
-			if hop != -1 || r == int32(ra) {
-				labels++
+	for src, from := range n.paths {
+		for i, rt := range from {
+			if i > 0 && rt.dst <= from[i-1].dst {
+				t.Fatalf("memo of %d is not sorted by destination without repeats: %v", src, from)
 			}
-			switch {
-			case r == int32(ra):
-				if hop != partial && hop != finished {
-					t.Fatalf("row %d: root state %d", ra, hop)
-				}
-			case hop >= 0:
-				if ri := hop ^ 1; n.res[ri].from != r {
-					t.Fatalf("row %d: label %d of relay %d leaves relay %d", ra, hop, r, n.res[ri].from)
-				}
-			case hop != -1:
-				t.Fatalf("row %d: relay %d labelled %d", ra, r, hop)
+			if want, ok := oracleRoute(n, NodeID(src), rt.dst); !ok || !slices.Equal(rt.hops, want) {
+				t.Fatalf("memoised route(%d,%d) = %v, oracle %v", src, rt.dst, rt.hops, want)
 			}
 		}
-		if dense && 2*labels < int(n.relays) {
-			t.Fatalf("dense row %d holds %d labels over %d relays, want at least half", ra, labels, n.relays)
-		}
-		if !dense {
-			for i := 2; i < len(row); i += 2 {
-				if row[i] <= row[i-2] {
-					t.Fatalf("sparse row %d is not sorted by relay: %v", ra, row)
-				}
-			}
-		}
-		entries += n.entries(row)
+		entries += uint64(len(from))
 	}
-	if got := n.RouteStats().TableEntries; got != entries {
-		t.Fatalf("TableEntries = %d, rows hold %d", got, entries)
+	if entries != paths {
+		t.Fatalf("memo holds %d routes, %d materialised since it was dropped", entries, paths)
 	}
 }

@@ -90,7 +90,7 @@ func panicText(fn func()) (msg string) {
 // sequence, PathHops and AvailBandwidth to equal the oracle's, and unroutable
 // pairs to panic with the oracle's message from all three entry points. The
 // entry point that meets a cold pair first rotates, so each of them is the
-// one to build trees somewhere. Exported for the external test package,
+// one to materialise routes somewhere. Exported for the external test package,
 // which can import the Figure 6 testbed.
 func CheckRoutesAgainstOracle(t testing.TB, n *Network, seed uint64) {
 	t.Helper()
@@ -138,9 +138,6 @@ func CheckRoutesAgainstOracle(t testing.TB, n *Network, seed uint64) {
 			}
 			pair++
 		}
-	}
-	if st := n.RouteStats(); st.TreesBuilt > uint64(n.relays) {
-		t.Fatalf("built %d trees for %d relays", st.TreesBuilt, n.relays)
 	}
 }
 
@@ -309,7 +306,7 @@ func TestRouteMemoAnyLookupOrder(t *testing.T) {
 // must leave no routing state behind and invalidation must cost nothing.
 func TestBuildingTopologyHoldsNoRoutingState(t *testing.T) {
 	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 64, HostsPerRouter: 4})
-	if g.Net.rows != nil || g.Net.scr.row != nil || len(g.Net.paths) != 0 {
+	if g.Net.scr.row != nil || len(g.Net.paths) != 0 {
 		t.Fatal("generating a grid left routing state behind")
 	}
 	if got := testing.AllocsPerRun(10, g.Net.dropRoutes); got != 0 {
@@ -318,8 +315,8 @@ func TestBuildingTopologyHoldsNoRoutingState(t *testing.T) {
 }
 
 // farthestRelay returns the relay a BFS from src over every node, exploring
-// neighbours in Connect order, labels last: the lookup out of src that grows
-// its tree row to the end.
+// neighbours in Connect order, labels last: the lookup out of src that runs
+// its search to the end.
 func farthestRelay(n *Network, src NodeID) NodeID {
 	seen := make([]bool, len(n.nodes))
 	seen[src] = true
@@ -338,78 +335,56 @@ func farthestRelay(n *Network, src NodeID) NodeID {
 	return far
 }
 
-// TestRouteTreeBytes holds a BFS tree to its four bytes a relay. Building
-// every router's whole row on fleet-scale's grid (each router looks up its
-// farthest relay), the relay index and BFS scratch included, may allocate at
-// most 4 bytes per relay plus 64 per tree: the rows are dense, carved from
-// shared blocks. Near lookups (each router to its chain neighbour) leave
-// sparse rows, which may allocate at most 24 bytes per label they hold (8
-// for the label itself), the same index and scratch included, where dense
-// rows would take 2 052 bytes a row.
-func TestRouteTreeBytes(t *testing.T) {
-	spec := GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1}
-	g := GenerateGrid(sim.NewKernel(), spec)
-	far := make([]NodeID, len(g.Routers))
-	for i, r := range g.Routers {
-		far[i] = farthestRelay(g.Net, r)
-	}
-	bytes := grown(func() {
-		for i, r := range g.Routers {
-			g.Net.PathHops(r, far[i])
-		}
-	})
-	relays, st := uint64(len(g.Routers)), g.Net.RouteStats()
-	if st.TreesBuilt != relays || st.TableEntries != relays*relays {
-		t.Fatalf("built %d trees holding %d labels for %d routers, want %d and %d", st.TreesBuilt, st.TableEntries, relays, relays, relays*relays)
-	}
-	if per := bytes / st.TreesBuilt; per > 4*relays+64 {
-		t.Fatalf("%d B allocated per tree over %d relays, want at most %d", per, relays, 4*relays+64)
-	}
+// liveHeap returns the heap still in use after a collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
 
-	near := GenerateGrid(sim.NewKernel(), spec)
-	bytes = grown(func() {
-		for i, r := range near.Routers {
-			near.Net.PathHops(r, near.Routers[(i+1)%len(near.Routers)])
+// TestRouteTreeBytes holds a memoised pair to what its hops and its memo
+// entry need. Measuring 1 800 random host pairs on fleet-scale's grid (the
+// ./benchmark probe's lookups), the heap the lookups leave live — the memo,
+// the relay index and the search included — may come to at most 144 bytes
+// per pair memoised: a route of about 12 hops is a 48-byte slice and its
+// entry 32 bytes in its source's list. It reads about 108 bytes, 129 under
+// the race detector; a route slice cut with twice its length in capacity
+// reads over 150.
+func TestRouteTreeBytes(t *testing.T) {
+	g := GenerateGrid(sim.NewKernel(), GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1})
+	rng := sim.NewRand(1)
+	const pairs = 1800
+	src, dst := make([]NodeID, pairs), make([]NodeID, pairs)
+	for i := range src {
+		src[i] = g.Hosts[rng.Intn(len(g.Hosts))]
+		for dst[i] = src[i]; dst[i] == src[i]; {
+			dst[i] = g.Hosts[rng.Intn(len(g.Hosts))]
 		}
-	})
-	st = near.Net.RouteStats()
-	if st.TreesBuilt != relays || st.TableEntries*20 >= relays*relays {
-		t.Fatalf("near lookups built %d trees holding %d labels for %d routers, want %d and under 5 %% of dense", st.TreesBuilt, st.TableEntries, relays, relays)
 	}
-	if per := bytes / st.TableEntries; per > 24 {
-		t.Fatalf("near lookups allocated %d B per label held, want at most 24", per)
+	before := liveHeap()
+	for i := range src {
+		g.Net.PathHops(src[i], dst[i])
+	}
+	bytes := liveHeap() - before
+	st := g.Net.RouteStats()
+	if st.PathsMaterialised == 0 || st.PathsMaterialised > pairs {
+		t.Fatalf("%d lookups memoised %d paths", pairs, st.PathsMaterialised)
+	}
+	per := bytes / st.PathsMaterialised
+	t.Logf("%d B live per memoised pair over %d pairs", per, st.PathsMaterialised)
+	if per > 144 {
+		t.Fatalf("%d B live per memoised pair, want at most 144", per)
 	}
 	runtime.KeepAlive(g)
-	runtime.KeepAlive(near)
 }
 
-// grown returns the bytes fn allocates. Under the race detector, which
-// allocates the temporary of every append(s, make(...)...) (slices.Grow
-// among them) that a normal build elides, it returns what fn leaves live
-// after a collection instead.
-func grown(fn func()) uint64 {
-	var before, after runtime.MemStats
-	if raceBuild {
-		runtime.GC()
-	}
-	runtime.ReadMemStats(&before)
-	fn()
-	if raceBuild {
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		return after.HeapAlloc - before.HeapAlloc
-	}
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
-// TestTreeRowsStopEarly holds a retained row to the relays the measurement
-// walks out of its root reach, on fleet-scale's grid: a lookup to a chain
-// neighbour dequeues a few relays and keeps a few labels; a farther lookup
-// out of the same row extends it, resuming the search where it stopped
-// (still the oracle's route, and the near route unchanged); lookups whose
-// relay a row already labels search nothing; and route, which materialises
-// paths, never grows a row.
+// TestTreeRowsStopEarly holds the search to the relays a lookup needs, on
+// fleet-scale's grid: a lookup to a chain neighbour dequeues a few relays; a
+// farther lookup from the same source resumes the search where it stopped,
+// dequeuing in all what the far lookup alone does (still the oracle's route,
+// and the near route unchanged); and a lookup of a memoised pair searches
+// nothing, wherever the search has moved on to since.
 func TestTreeRowsStopEarly(t *testing.T) {
 	spec := GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1}
 	g := GenerateGrid(sim.NewKernel(), spec)
@@ -425,99 +400,31 @@ func TestTreeRowsStopEarly(t *testing.T) {
 		if got := n.route(src, dst); !slices.Equal(got, want) {
 			t.Fatalf("route(%d,%d) = %v, oracle %v", src, dst, got, want)
 		}
+		if got, w := n.AvailBandwidth(src, dst), oracleAvail(n, want); got != w {
+			t.Fatalf("AvailBandwidth(%d,%d) = %v, oracle %v", src, dst, got, w)
+		}
 	}
 
 	same(src, near)
 	st := n.RouteStats()
-	if st.TreesBuilt != 1 || st.RelayVisits*20 >= relays || st.TableEntries*20 >= relays {
-		t.Fatalf("near lookup: %+v, want 1 tree, under 5 %% of %d relays dequeued and labelled", st, relays)
+	if st.PathsMaterialised != 1 || st.RelayVisits*20 >= relays {
+		t.Fatalf("near lookup: %+v, want 1 path and under 5 %% of %d relays dequeued", st, relays)
 	}
 	same(src, far)
 	st2 := n.RouteStats()
 	whole := GenerateGrid(sim.NewKernel(), spec).Net
 	whole.PathHops(src, far)
-	if st2.TreesBuilt != 1 || st2.TableEntries != relays || st2.RelayVisits != whole.RouteStats().RelayVisits {
-		t.Fatalf("far lookup after a near one: %+v then %+v, want the one row extended to all %d relays, dequeuing %d in all as the far lookup alone does",
-			st, st2, relays, whole.RouteStats().RelayVisits)
-	}
-	n.paths = nil // materialise the near route again out of the grown row
-	same(src, near)
-	if st3 := n.RouteStats(); st3.RelayVisits != st2.RelayVisits {
-		t.Fatalf("near lookup on a grown row dequeued %d relays, want 0", st3.RelayVisits-st2.RelayVisits)
+	if st2.PathsMaterialised != 2 || st2.RelayVisits != whole.RouteStats().RelayVisits {
+		t.Fatalf("far lookup after a near one: %+v then %+v, want the search resumed, dequeuing %d in all as the far lookup alone does",
+			st, st2, whole.RouteStats().RelayVisits)
 	}
 
-	// A row stopped at its farthest relay labels every other relay, so
-	// lookups to any of them read it as it is, whatever the search has
-	// moved on to since.
-	src2 := g.Routers[400]
-	same(src2, farthestRelay(n, src2))
 	n.PathHops(g.Routers[10], g.Routers[300]) // the search moves to another root
 	before := n.RouteStats()
-	r2 := n.relayOf(src2)
-	if row := n.rows[r2]; label(row, len(row) == int(n.relays), r2) != partial {
-		t.Fatalf("a row stopped at its last relay has state %d, want partial", label(row, len(row) == int(n.relays), r2))
-	}
-	for _, dst := range []NodeID{g.Routers[401], g.Routers[399], g.Routers[0]} {
-		same(src2, dst)
-	}
-	if after := n.RouteStats(); after.RelayVisits != before.RelayVisits || after.TreesBuilt != before.TreesBuilt || after.TableEntries != before.TableEntries {
-		t.Fatalf("lookups into a row's labels searched: %+v then %+v", before, after)
-	}
-
-	// route alone builds no row: it searches outside them.
-	fresh := GenerateGrid(sim.NewKernel(), spec).Net
-	if got, want := fresh.route(src, far), mustOracle(t, fresh, src, far); !slices.Equal(got, want) {
-		t.Fatalf("route(%d,%d) = %v, oracle %v", src, far, got, want)
-	}
-	if st := fresh.RouteStats(); st.TreesBuilt != 0 || st.TableEntries != 0 || fresh.rows[fresh.relayOf(src)] != nil {
-		t.Fatalf("a route materialisation built a row: %+v", st)
-	}
-}
-
-// TestFarRouteLeavesRowUntouched: after near measurement walks out of a
-// source, materialising far routes out of it (a host's control messages to
-// a collector across the grid) reads no row past its labels and writes none:
-// the source relay's retained row stays byte for byte what the walks left,
-// in the same backing, and the routes are still the oracle's. A walk a
-// little farther afterwards grows the row exactly as it would have grown
-// without the routes, though the search they left warm labels far more.
-func TestFarRouteLeavesRowUntouched(t *testing.T) {
-	spec := GridSpec{Routers: 513, HostsPerRouter: 4, Seed: 1}
-	g, twin := GenerateGrid(sim.NewKernel(), spec), GenerateGrid(sim.NewKernel(), spec)
-	n := g.Net
-	src := g.Hosts[4*200]
-	for _, dst := range g.Hosts[4*199 : 4*203] {
-		if dst != src {
-			for _, net := range []*Network{n, twin.Net} {
-				net.AvailBandwidth(src, dst)
-				net.PathHops(src, dst)
-			}
-		}
-	}
-	ra := n.relayOf(g.RouterOf(src))
-	row := n.rows[ra]
-	kept, st := slices.Clone(row), n.RouteStats()
-	if len(row) == 0 || len(row) >= int(n.relays) {
-		t.Fatalf("near walks left a row of %d entries, want a sparse one", len(row))
-	}
-	for _, dst := range []NodeID{g.Hosts[1], g.Hosts[len(g.Hosts)-1], g.Hosts[4*203+2]} {
-		if got, want := n.route(src, dst), mustOracle(t, n, src, dst); !slices.Equal(got, want) {
-			t.Fatalf("route(%d,%d) = %v, oracle %v", src, dst, got, want)
-		}
-	}
-	if got := n.rows[ra]; !slices.Equal(got, kept) || &got[0] != &row[0] || cap(got) != cap(row) {
-		t.Fatalf("far routes rewrote the source's row: %v, was %v", got, kept)
-	}
-	if after := n.RouteStats(); after.TableEntries != st.TableEntries || after.TreesBuilt != st.TreesBuilt {
-		t.Fatalf("far routes changed the retained rows: %+v then %+v", st, after)
-	}
-	if n.scr.root != ra || len(n.scr.order) <= int(n.relays)/2 {
-		t.Fatalf("the far routes left the search at relay %d with %d labels, want the source's relay %d and most of the grid", n.scr.root, len(n.scr.order), ra)
-	}
-	n.PathHops(src, g.Routers[205])
-	twin.Net.PathHops(src, g.Routers[205])
-	if got, want := n.rows[ra], twin.Net.rows[ra]; !slices.Equal(got, want) {
-		t.Fatalf("a walk past the row after far routes left %d entries, %d without the routes", len(got), len(want))
+	same(src, near)
+	same(src, far)
+	if after := n.RouteStats(); after.RelayVisits != before.RelayVisits || after.PathsMaterialised != before.PathsMaterialised {
+		t.Fatalf("memo hits searched: %+v then %+v", before, after)
 	}
 }
 
@@ -563,12 +470,12 @@ func TestWarmLookupsDoNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	sweep() // builds the trees
+	sweep() // memoises one path per swept pair
+	if st, want := g.Net.RouteStats(), uint64(16*(len(hosts)-1)); st.PathsMaterialised != want {
+		t.Fatalf("measuring materialised %d paths, want one per swept pair, %d", st.PathsMaterialised, want)
+	}
 	if got := testing.AllocsPerRun(5, sweep); got != 0 {
 		t.Fatalf("warm AvailBandwidth/PathHops allocate %v per sweep, want 0", got)
-	}
-	if st := g.Net.RouteStats(); st.PathsMaterialised != 0 || st.TreesBuilt != 4 {
-		t.Fatalf("measuring built %d trees and %d paths, want 4 and 0", st.TreesBuilt, st.PathsMaterialised)
 	}
 	_ = sink
 }

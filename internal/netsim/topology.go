@@ -63,20 +63,13 @@ type Network struct {
 	byName map[string]NodeID
 	adj    [][]hopTo // indexed by NodeID, neighbours in Connect order
 
-	// Routing state (see ends), dropped on any topology change. A hop is its
-	// resource index 2·link + dir; resource.from numbers the relay node
+	// Routing state (see route), dropped on any topology change. A hop is
+	// its resource index 2·link + dir; resource.from numbers the relay node
 	// (degree ≥ 2) each hop leaves and hopTo.rel the relay an adjacency
-	// entry reaches, -1 for other nodes. rows[i] is the retained BFS tree
-	// rooted at relay i, grown only as far as the measurement walks out of
-	// it have needed (see label); dense rows are carved from shared blocks,
-	// slab the uncarved rest of the last and carved their count. scr is the
-	// one search in progress, shared by route and the row builds. paths
-	// memoises the hop slices route materialises for the pairs that carry
-	// traffic, per source node and sorted by destination.
-	relays int32
-	rows   [][]int32
-	slab   []int32
-	carved int32
+	// entry reaches, -1 for other nodes. scr is the one search in progress.
+	// paths memoises the hop slices route materialises, for the pairs that
+	// carry traffic and the pairs measured alike, per source node and sorted
+	// by destination.
 	scr    search
 	paths  [][]routeTo
 	rstats RouteStats
@@ -142,19 +135,13 @@ func (n *Network) Stats() SolveStats { return n.stats }
 
 // RouteStats counts routing work since the network was created.
 type RouteStats struct {
-	// TreesBuilt is the number of retained BFS trees (rows) the
-	// measurement walks built, each counted the first time; RelayVisits the
-	// relay nodes every search, for a row or for route, dequeued.
-	TreesBuilt, RelayVisits uint64
-	// Walks is the number of tree lookups (every AvailBandwidth, PathHops
-	// and materialisation between distinct nodes).
+	// RelayVisits is the number of relay nodes the searches dequeued.
+	RelayVisits uint64
+	// Walks is the number of measurement lookups (every AvailBandwidth and
+	// PathHops between distinct nodes), memo hits included.
 	Walks uint64
 	// PathsMaterialised is the number of hop slices built and memoised.
 	PathsMaterialised uint64
-	// TableEntries is the number of labels the retained rows hold now, the
-	// root's state label included and a dense row counting as one label
-	// per relay.
-	TableEntries uint64
 }
 
 // RouteStats returns a snapshot of the routing counters.
@@ -172,47 +159,11 @@ type routeTo struct {
 	hops []int32
 }
 
-// A row is one BFS tree over the relays, in one of two encodings: dense,
-// one entry per relay, the hop into that relay (-1 where the BFS has not
-// reached); or sparse, (relay, hop) pairs sorted by relay, for what a dense
-// row would mostly leave at -1. A row of len relays is dense, a shorter one
-// sparse: it holds fewer than half the relays' labels, so it is also the
-// smaller. Either way the root's own label is the row's state, finished or
-// partial, and a nil row is unbuilt.
-const (
-	finished = -1
-	partial  = -2
-)
-
-// label returns row's hop into relay r: -1 where the row does not reach, the
-// row's state at its root.
-func label(row []int32, dense bool, r int32) int32 {
-	if dense {
-		return row[r]
-	}
-	base, n := 0, len(row)/2
-	if n == 0 {
-		return -1
-	}
-	for n > 1 {
-		half := n / 2
-		if row[2*(base+half)] <= r {
-			base += half
-		}
-		n -= half
-	}
-	if row[2*base] == r {
-		return row[2*base+1]
-	}
-	return -1
-}
-
 // walk iterates the hops of one route in dst→src order: the spliced link of
-// a degree-1 destination, the tree's hops from relay at back to the root, the
-// spliced link of a degree-1 source (see ends).
+// a degree-1 destination, the search's hops from relay at back to its root,
+// the spliced link of a degree-1 source (see splice).
 type walk struct {
 	row             []int32
-	dense           bool
 	res             []resource
 	at, first, last int32 // first/last: hops, -1 when absent or consumed
 }
@@ -223,7 +174,7 @@ func (w *walk) next() int32 {
 		w.last = -1
 		return ri
 	}
-	if ri := label(w.row, w.dense, w.at); ri >= 0 {
+	if ri := w.row[w.at]; ri >= 0 {
 		w.at = w.res[ri].from
 		return ri
 	}
@@ -241,13 +192,13 @@ func (w walk) hops() int {
 	if w.last >= 0 {
 		n++
 	}
-	for ri := label(w.row, w.dense, w.at); ri >= 0; ri = label(w.row, w.dense, w.res[ri].from) {
+	for ri := w.row[w.at]; ri >= 0; ri = w.row[w.res[ri].from] {
 		n++
 	}
 	return n
 }
 
-// rootOnly is the tree walked when a path has no relay-to-relay segment.
+// rootOnly is the row walked when a path has no relay-to-relay segment.
 var rootOnly = []int32{-1}
 
 // search is the one BFS over the relays in progress, kept warm for its root:
@@ -335,15 +286,14 @@ func (n *Network) Connect(a, b NodeID, capacity, propDelay float64) LinkID {
 // a topology touches nothing: there is only something to drop once a lookup
 // has run.
 func (n *Network) dropRoutes() {
-	n.relays, n.rows, n.slab, n.carved, n.scr, n.paths = 0, nil, nil, 0, search{}, nil
-	n.rstats.TableEntries = 0
+	n.scr, n.paths = search{}, nil
 }
 
 // Link returns the link by id.
 func (n *Network) Link(id LinkID) *Link { return n.links[int(id)] }
 
 // splice resolves src→dst (src ≠ dst) into a walk with no tree yet, and the
-// relays ra, rb between which the route runs through the tree rooted at ra;
+// relays ra, rb between which the route runs through the BFS tree rooted at ra;
 // ra is -1 where the route has no relay-to-relay segment. Routes are
 // min-hop, found by BFS exploring neighbours in Connect order, which makes
 // the BFS tree rooted at src the route to every destination at once. Only
@@ -352,7 +302,7 @@ func (n *Network) Link(id LinkID) *Link { return n.links[int(id)] }
 // source prepends its one link to its neighbour's tree, a degree-1
 // destination appends its one link to the route to its neighbour.
 func (n *Network) splice(src, dst NodeID) (w walk, ra, rb int32) {
-	w = walk{row: rootOnly, dense: true, res: n.res, first: -1, last: -1}
+	w = walk{row: rootOnly, res: n.res, first: -1, last: -1}
 	a, b := src, dst
 	if adj := n.adj[a]; len(adj) == 1 {
 		w.first, a = adj[0].ri, adj[0].to
@@ -363,7 +313,7 @@ func (n *Network) splice(src, dst NodeID) (w walk, ra, rb int32) {
 	if a == b {
 		return w, -1, -1
 	}
-	if n.rows == nil {
+	if n.scr.row == nil {
 		n.indexRelays()
 	}
 	if ra, rb = n.relayOf(a), n.relayOf(b); ra < 0 || rb < 0 {
@@ -383,37 +333,16 @@ func (n *Network) noRoute(src, dst NodeID) {
 	panic(fmt.Sprintf("netsim: no route %s -> %s", n.nodes[src].Name, n.nodes[dst].Name))
 }
 
-// ends resolves src→dst (src ≠ dst) into a walk for a measurement
-// (AvailBandwidth, PathHops), over the retained row of the tree rooted at
-// the source's relay. It grows that row only where the row does not yet
-// label the destination's relay, so a row holds what the measurements out
-// of its root have reached and nothing more.
-func (n *Network) ends(src, dst NodeID) walk {
-	n.rstats.Walks++
-	w, ra, rb := n.splice(src, dst)
-	if ra < 0 {
-		return w
-	}
-	row := n.rows[ra]
-	if label(row, len(row) == int(n.relays), rb) < 0 {
-		if !n.grow(ra, rb) {
-			n.noRoute(src, dst)
-		}
-		row = n.rows[ra]
-	}
-	w.row, w.dense, w.at = row, len(row) == int(n.relays), rb
-	return w
-}
-
 // indexRelays numbers the relays into Link.from and hopTo.rel and sets up
-// the rows and the search.
+// the search.
 func (n *Network) indexRelays() {
+	relays := 0
 	for _, adj := range n.adj {
 		if len(adj) >= 2 {
-			n.relays++
+			relays++
 		}
 	}
-	node := make([]int32, 0, n.relays)
+	node := make([]int32, 0, relays)
 	for v, adj := range n.adj {
 		r := int32(-1)
 		if len(adj) >= 2 {
@@ -428,8 +357,7 @@ func (n *Network) indexRelays() {
 			adj[i].rel = n.res[ht.ri^1].from
 		}
 	}
-	n.rows = make([][]int32, n.relays)
-	n.scr = search{root: -1, row: make([]int32, n.relays), order: make([]int32, 0, n.relays), node: node}
+	n.scr = search{root: -1, row: make([]int32, relays), order: make([]int32, 0, relays), node: node}
 	for i := range n.scr.row {
 		n.scr.row[i] = -1
 	}
@@ -482,91 +410,12 @@ func (n *Network) searchTo(root, want int32) bool {
 	return false
 }
 
-// grow extends relay ra's retained row until it labels relay rb, reporting
-// false where rb is unreachable. The search from ra labels rb, and the row
-// becomes its labels up to rb: BFS order does not depend on where a search
-// stops, so that is a prefix of the finished tree, hop for hop, and holds
-// every label the row had. A search that runs dry leaves the row finished.
-// The row is rewritten sparse while it holds fewer than half the relays,
-// in the old row's backing where that is large enough, and dense past that.
-func (n *Network) grow(ra, rb int32) bool {
-	old := n.rows[ra]
-	dense := len(old) == int(n.relays)
-	if old == nil {
-		n.rstats.TreesBuilt++
-	} else if label(old, dense, ra) == finished {
-		return false
-	}
-	found := n.searchTo(ra, rb)
-	s := &n.scr
-	k, state := len(s.order), int32(finished)
-	if found {
-		k, state = slices.Index(s.order, rb)+1, partial
-	}
-	row := old
-	if 2*k < int(n.relays) {
-		if cap(old) < 2*k {
-			row = slices.Grow([]int32(nil), 2*k)
-		}
-		row = row[:2*k]
-		copy(row, s.order[:k])
-		slices.Sort(row[:k])
-		for i := k - 1; i >= 0; i-- {
-			r := row[i]
-			hop := s.row[r]
-			if r == ra {
-				hop = state
-			}
-			row[2*i], row[2*i+1] = r, hop
-		}
-	} else {
-		if !dense {
-			row = n.carve()
-		}
-		for _, r := range s.order[1:k] {
-			row[r] = s.row[r]
-		}
-		row[ra] = state
-	}
-	n.rstats.TableEntries += n.entries(row) - n.entries(old)
-	n.rows[ra] = row
-	return found
-}
-
-// entries is the number of labels row holds, a dense row one per relay.
-func (n *Network) entries(row []int32) uint64 {
-	if len(row) == int(n.relays) {
-		return uint64(n.relays)
-	}
-	return uint64(len(row) / 2)
-}
-
-// carve returns a dense row, every entry -1, cut from a block shared with
-// other dense rows: a row apiece would round up to its allocator size class,
-// 12 % over at 513 relays. A block holds twice the rows carved before it,
-// at least one and no more than are left uncarved, plus what else fits in
-// its size class.
-func (n *Network) carve() []int32 {
-	m, left := int(n.relays), int(n.relays-n.carved)
-	if len(n.slab) < m {
-		n.slab = slices.Grow([]int32(nil), min(max(2*int(n.carved), 1), left)*m)
-		n.slab = n.slab[:min(cap(n.slab)/m, left)*m]
-	}
-	row := n.slab[:m:m]
-	n.slab = n.slab[m:]
-	n.carved++
-	for i := range row {
-		row[i] = -1
-	}
-	return row
-}
-
-// route returns the hop sequence src→dst as a slice, memoised per pair. It
-// is for the callers that keep or replay the path (flows, control messages);
-// measurements walk the tree instead (AvailBandwidth, PathHops), so the
-// memo grows with the pairs that carry traffic, not with the pairs asked
-// about. A warm lookup is an index by source and a binary search over the
-// destinations that source has sent to — a few for a host, the fleet's
+// route returns the hop sequence src→dst as a slice, memoised per pair: the
+// one routing lookup, for the callers that keep or replay the path (flows,
+// control messages) and for the measurements (AvailBandwidth, PathHops)
+// alike, so the memo holds the pairs that carry traffic or are
+// measured. A warm lookup is an index by source and a binary search over the
+// destinations that source has reached — a few for a host, the fleet's
 // tenants for a shared collector — and hashes nothing.
 func (n *Network) route(src, dst NodeID) []int32 {
 	if src == dst {
@@ -599,20 +448,15 @@ func find(from []routeTo, dst NodeID) int {
 	return lo
 }
 
-// materialise builds the hop slice src→dst (src ≠ dst). It never writes a
-// retained row: it reads the source relay's row only where that already
-// labels the destination's relay, and otherwise walks the search, resumed
-// where a search from the same root stopped. Where the search would start
-// over from another root, a memoised route that differs only in a degree-1
-// end is spliced instead (see sibling).
+// materialise builds the hop slice src→dst (src ≠ dst) off the search,
+// resumed where a search from the same root stopped. Where the search would
+// start over from another root, a memoised route that differs only in a
+// degree-1 end is spliced instead (see sibling).
 func (n *Network) materialise(src, dst NodeID) []int32 {
-	n.rstats.Walks++
 	w, ra, rb := n.splice(src, dst)
 	if ra >= 0 {
 		w.at = rb
-		if row := n.rows[ra]; label(row, len(row) == int(n.relays), rb) >= 0 {
-			w.row, w.dense = row, len(row) == int(n.relays)
-		} else if path := n.sibling(src, dst, w, ra); path != nil {
+		if path := n.sibling(src, dst, w, ra); path != nil {
 			return path
 		} else if n.searchTo(ra, rb) {
 			w.row = n.scr.row
@@ -668,7 +512,8 @@ func (n *Network) PathHops(src, dst NodeID) int {
 	if src == dst {
 		return 0
 	}
-	return n.ends(src, dst).hops()
+	n.rstats.Walks++
+	return len(n.route(src, dst))
 }
 
 // SetBackground sets the background (competition) load on one direction of a
@@ -730,9 +575,9 @@ func (n *Network) AvailBandwidth(src, dst NodeID) float64 {
 	if src == dst {
 		return 0
 	}
-	w := n.ends(src, dst)
+	n.rstats.Walks++
 	bw := math.Inf(1)
-	for ri := w.next(); ri >= 0; ri = w.next() {
+	for _, ri := range n.route(src, dst) {
 		bw = min(bw, n.links[ri>>1].availCap(Dir(ri&1)))
 	}
 	return max(bw, n.minFlowRate)
