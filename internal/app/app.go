@@ -19,26 +19,25 @@ import (
 )
 
 // Request is one client request traveling through the system. The system owns
-// the record: listeners may read it during their callback but must not keep
-// the pointer, because a delivered request's record carries a later one. The
-// one exception is the client's LatencyObserver, which links the record into
-// its outstanding list at the send and unlinks it at the response or drop —
+// the record and reuses it once the request is answered or dropped: listeners
+// (OnSend, OnResponse, OnDrop) may read it during their callback but must not
+// keep the pointer, because the record then carries a later request. The one
+// exception is the client's LatencyObserver, which links the record into its
+// outstanding list at the send and unlinks it at the response or drop —
 // before the record can be reused.
 //
-// The record is 96 bytes, one size class, and holds what the pipeline reads;
-// the client is cli, reached through the handle rather than named.
+// The record is 64 bytes, one cache line, and holds what the pipeline reads:
+// the client, its group and the server are reached through handles rather
+// than named.
 type Request struct {
-	ID       uint64
-	Group    string  // queue it was routed to
 	RespBits float64 // reply size requested
 	SentAt   sim.Time
 
-	// sys, cli, q and srv thread the request through its static pipeline
-	// callbacks (send → enqueue → pull → serve → reply) without per-step
-	// closures or name lookups. q is the client's queue as of the send, or
-	// the one its group had by the arrival, which enqueue stores; it is nil
-	// only on a request that found no queue.
-	sys *System
+	// cli, q and srv thread the request through its static pipeline
+	// callbacks (send → enqueue → serve → reply) without per-step closures
+	// or name lookups. q is the record of the group the client was routed to
+	// at the send, whether or not CreateQueue has provisioned its queue yet:
+	// a queue created while the request travels is the one it joins.
 	cli *Client
 	q   *queue
 	srv *Server
@@ -50,6 +49,9 @@ type Request struct {
 	watched      bool
 	crash        uint32
 }
+
+// Group returns the name of the group the request was routed to.
+func (r *Request) Group() string { return r.q.group }
 
 // Response records a completed request at the client. Req is valid only
 // during the OnResponse callback.
@@ -120,39 +122,47 @@ type Client struct {
 	// synth is the cached synthetic request handle behind DeliverSynthetic
 	// (openloop.go); nil until the open-loop engine first delivers.
 	synth *Request
-	q     *queue // Group's queue, nil while it has none
+	q     *queue // Group's record, provisioned or not
 	sys   *System
 }
 
 // Responses returns the number of replies received.
 func (c *Client) Responses() uint64 { return c.responses }
 
-// queue is one FIFO request queue on the queue machine: a ring whose size is
-// a power of two. The n waiting requests sit at ring[(head+i)&(len-1)], oldest
+// queue is one group's record on the queue machine, made when a client or
+// CreateQueue first names the group and kept for the life of the system. Once
+// provisioned it is the group's FIFO request queue: a ring whose size is a
+// power of two. The n waiting requests sit at ring[(head+i)&(len-1)], oldest
 // first; every other slot is nil. The ring doubles only when it is full, so
 // its size follows the deepest backlog, not the number of requests that have
-// passed through.
+// passed through. An unprovisioned record has a nil ring and holds no
+// requests; CreateQueue gives it an empty one. head and n are int32 so that
+// the record, its group's name included, stays in the 48-byte size class.
 type queue struct {
 	ring    []*Request
-	head, n int
+	head, n int32
+	group   string
 }
 
+// provisioned reports whether CreateQueue has run for the group.
+func (q *queue) provisioned() bool { return q.ring != nil }
+
 // waiting returns the number of queued requests.
-func (q *queue) waiting() int { return q.n }
+func (q *queue) waiting() int { return int(q.n) }
 
 // at returns the i-th waiting request, 0 the oldest.
-func (q *queue) at(i int) *Request { return q.ring[(q.head+i)&(len(q.ring)-1)] }
+func (q *queue) at(i int) *Request { return q.ring[(int(q.head)+i)&(len(q.ring)-1)] }
 
 // push appends a request at the tail.
 func (q *queue) push(req *Request) {
-	if q.n == len(q.ring) {
+	if int(q.n) == len(q.ring) {
 		grown := make([]*Request, max(1, 2*len(q.ring)))
-		for i := 0; i < q.n; i++ {
+		for i := 0; i < int(q.n); i++ {
 			grown[i] = q.at(i)
 		}
 		q.ring, q.head = grown, 0
 	}
-	q.ring[(q.head+q.n)&(len(q.ring)-1)] = req
+	q.ring[int(q.head+q.n)&(len(q.ring)-1)] = req
 	q.n++
 }
 
@@ -160,7 +170,7 @@ func (q *queue) push(req *Request) {
 func (q *queue) pop() *Request {
 	req := q.ring[q.head]
 	q.ring[q.head] = nil
-	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.head = (q.head + 1) & int32(len(q.ring)-1)
 	q.n--
 	return req
 }
@@ -175,7 +185,7 @@ type System struct {
 
 	clients map[string]*Client
 	servers map[string]*Server
-	queues  map[string]*queue
+	queues  map[string]*queue // every named group's record, provisioned or not
 	// Registration order, by name (what the accessors return) and by handle
 	// (what the request pipeline and the per-tick scans walk).
 	order struct {
@@ -186,11 +196,10 @@ type System struct {
 	clientList []*Client
 	serverList []*Server
 
-	reqSeq      uint64
 	droppedReqs uint64
-	// freeReqs holds delivered requests' records for sendRequest to reuse.
-	// StopClients releases it and ends recycling (stopped), so a retired
-	// system retains no records for requests it will never send.
+	// freeReqs holds answered and dropped requests' records for sendRequest
+	// to reuse. StopClients releases it and ends recycling (stopped), so a
+	// retired system retains no records for requests it will never send.
 	freeReqs sim.Pool[Request]
 	stopped  bool
 	// memberRev advances whenever a flow class's key, members or anchor can
@@ -198,9 +207,10 @@ type System struct {
 	// or deactivated (MemberRev).
 	memberRev uint64
 
-	// OnDrop listeners observe requests discarded by moves or missing
-	// queues (harness instrumentation; the paper's clients simply never
-	// hear back).
+	// OnDrop listeners observe requests discarded by moves, missing queues
+	// and server crashes (harness instrumentation; the paper's clients simply
+	// never hear back). As with OnResponse, the request is valid only during
+	// the callback: its record is reused after it.
 	OnDrop []func(*Request)
 }
 
@@ -228,7 +238,7 @@ func (s *System) AddClient(name string, host netsim.NodeID, group string, rate f
 		Name: name, Host: host, Group: group, Rate: rate,
 		ReqBits:  func() float64 { return 0.5 * 8192 }, // 0.5 KB
 		RespBits: func() float64 { return 20 * 8192 },  // 20 KB
-		rng:      rng, sys: s, respTag: "resp:" + name, q: s.queues[group],
+		rng:      rng, sys: s, respTag: "resp:" + name, q: s.groupRecord(group),
 	}
 	s.clients[name] = c
 	s.order.clients = append(s.order.clients, name)
@@ -250,7 +260,7 @@ func (s *System) AddServer(name string, host netsim.NodeID, group string, servic
 	srv := &Server{
 		Name: name, Host: host, Group: group,
 		ServiceBase: serviceBase, ServicePerBit: servicePerBit,
-		q: s.queues[group],
+		q: s.queueOf(group),
 	}
 	s.servers[name] = srv
 	s.order.servers = append(s.order.servers, name)
@@ -259,21 +269,37 @@ func (s *System) AddServer(name string, host netsim.NodeID, group string, servic
 	return srv
 }
 
+// groupRecord returns group's record, making an unprovisioned one the first
+// time the group is named.
+func (s *System) groupRecord(group string) *queue {
+	q := s.queues[group]
+	if q == nil {
+		q = &queue{group: group}
+		s.queues[group] = q
+	}
+	return q
+}
+
+// queueOf returns group's queue, nil while CreateQueue has not provisioned
+// it.
+func (s *System) queueOf(group string) *queue {
+	if q := s.queues[group]; q != nil && q.provisioned() {
+		return q
+	}
+	return nil
+}
+
 // CreateQueue provisions a FIFO queue for a group (Table 1 createReqQueue).
 func (s *System) CreateQueue(group string) error {
-	if _, dup := s.queues[group]; dup {
+	q := s.groupRecord(group)
+	if q.provisioned() {
 		return fmt.Errorf("app: queue for %s already exists", group)
 	}
-	q := &queue{}
-	s.queues[group] = q
+	q.ring = []*Request{}
 	s.order.groups = append(s.order.groups, group)
 	s.memberRev++
-	// Processes registered against the group before its queue existed.
-	for _, c := range s.clientList {
-		if c.Group == group {
-			c.q = q
-		}
-	}
+	// Servers registered against the group before its queue existed; its
+	// clients hold the record already.
 	for _, srv := range s.serverList {
 		if srv.Group == group {
 			srv.q = q
@@ -403,17 +429,8 @@ func clientTickFn(arg any) {
 // sendRequest emits one request: a small message to the queue machine that
 // is enqueued on arrival.
 func (s *System) sendRequest(c *Client) {
-	s.reqSeq++
 	req := s.freeReqs.Get()
-	*req = Request{
-		ID:       s.reqSeq,
-		Group:    c.Group,
-		RespBits: c.RespBits(),
-		SentAt:   s.K.Now(),
-		sys:      s,
-		cli:      c,
-		q:        c.q,
-	}
+	*req = Request{RespBits: c.RespBits(), SentAt: s.K.Now(), cli: c, q: c.q}
 	for _, fn := range c.OnSend {
 		fn(req)
 	}
@@ -424,21 +441,17 @@ func (s *System) sendRequest(c *Client) {
 // enqueueFn fires when a request message reaches the queue machine.
 func enqueueFn(arg any) {
 	req := arg.(*Request)
-	req.sys.enqueue(req)
+	req.cli.sys.enqueue(req)
 }
 
 func (s *System) enqueue(req *Request) {
 	q := req.q
-	if q == nil {
-		q = s.queues[req.Group] // created while the request travelled?
-	}
-	if q == nil {
+	if !q.provisioned() {
 		// No such queue (misrouted request): drop. The client will see it
 		// as a lost request.
 		s.drop(req)
 		return
 	}
-	req.q = q
 	q.push(req)
 	s.dispatch(q)
 }
@@ -469,12 +482,24 @@ func (s *System) idleServer(q *queue) *Server {
 // matching the paper's Java servers, whose synchronous reply writes are
 // exactly why slow clients starve a server group in the control run (and why
 // the control "never recovers" until the competing traffic relents).
+//
+// Service starts when the pull lands, so one event at the end of service
+// covers both: at the pull's arrival time plus the service time, summed in
+// that order. A pull lost to message drops schedules nothing; the request and
+// its server wait for it forever.
 func (s *System) serve(srv *Server, req *Request) {
 	srv.busy = true
 	req.srv, req.crash = srv, srv.crashes
-	pullBits := 0.5 * 8192 // the request payload forwarded to the server
-	s.Net.SendMessageTo(s.QueueHost, srv.Host, pullBits, netsim.BestEffort, pulledFn, req)
+	delay, delivered := s.Net.Transmit(s.QueueHost, srv.Host, pullBits, netsim.BestEffort)
+	if !delivered {
+		return
+	}
+	service := srv.ServiceBase + float64(srv.ServicePerBit*req.RespBits)
+	s.K.AtAnonArg((s.K.Now()+delay)+service, servedFn, req)
 }
+
+// pullBits is the request payload the queue machine forwards to a server.
+const pullBits = 0.5 * 8192
 
 // lost reports whether req's server crashed after taking it, and drops it if
 // so: the pipeline step that finds it lost goes no further.
@@ -482,29 +507,27 @@ func (req *Request) lost() bool {
 	if req.crash == req.srv.crashes {
 		return false
 	}
-	req.sys.drop(req)
+	req.cli.sys.drop(req)
 	return true
 }
 
-// drop discards a request: it counts in DroppedRequests and the OnDrop
-// listeners see it.
+// drop discards a request: it counts in DroppedRequests, the OnDrop listeners
+// see it, and its record is reused. Every caller holds the request's last
+// reference: no queue holds it and no pending event carries it.
 func (s *System) drop(req *Request) {
 	s.droppedReqs++
 	for _, fn := range s.OnDrop {
 		fn(req)
 	}
+	s.recycle(req)
 }
 
-// pulledFn fires when the server has pulled the request off the queue
-// machine; the server then processes it for its service time.
-func pulledFn(arg any) {
-	req := arg.(*Request)
-	if req.lost() {
-		return
+// recycle keeps an answered or dropped request's record for a later send,
+// until StopClients ends sending.
+func (s *System) recycle(req *Request) {
+	if !s.stopped {
+		s.freeReqs.Put(req)
 	}
-	s, srv := req.sys, req.srv
-	service := srv.ServiceBase + srv.ServicePerBit*req.RespBits
-	s.K.AtAnonArg(s.K.Now()+service, servedFn, req)
 }
 
 // servedFn fires when processing completes and streams the reply to the
@@ -515,26 +538,23 @@ func servedFn(arg any) {
 		return
 	}
 	srv, cli := req.srv, req.cli
-	req.sys.Net.StartTransferArg(srv.Host, cli.Host, req.RespBits, cli.respTag, replyDoneFn, req)
+	cli.sys.Net.StartTransferArg(srv.Host, cli.Host, req.RespBits, cli.respTag, replyDoneFn, req)
 }
 
-// replyDoneFn fires when the last reply bit lands at the client. It is the
-// one place a request's record is recycled; dropped requests just let theirs
-// go.
+// replyDoneFn fires when the last reply bit lands at the client.
 func replyDoneFn(arg any) {
 	req := arg.(*Request)
 	if req.lost() {
 		return
 	}
-	s, srv, cli := req.sys, req.srv, req.cli
+	srv, cli := req.srv, req.cli
+	s := cli.sys
 	done := Response{Req: req, DoneAt: s.K.Now(), Latency: s.K.Now() - req.SentAt}
 	cli.responses++
 	for _, fn := range cli.OnResponse {
 		fn(done)
 	}
-	if !s.stopped {
-		s.freeReqs.Put(req)
-	}
+	s.recycle(req)
 	s.finishServing(srv)
 }
 
@@ -602,7 +622,7 @@ func (s *System) ConnectServer(server, group string) error {
 	if srv.active {
 		return fmt.Errorf("app: server %q is active; deactivate first", server)
 	}
-	q := s.queues[group]
+	q := s.queueOf(group)
 	if q == nil {
 		return fmt.Errorf("app: no queue for group %q", group)
 	}
@@ -620,26 +640,26 @@ func (s *System) MoveClient(client, group string) error {
 	if c == nil {
 		return fmt.Errorf("app: no client %q", client)
 	}
-	q := s.queues[group]
+	q := s.queueOf(group)
 	if q == nil {
 		return fmt.Errorf("app: no queue for group %q", group)
 	}
-	if old := c.q; old != nil && old != q {
+	if old := c.q; old != q {
 		// Filter the ring in place, keeping the others' order.
 		mask, kept := len(old.ring)-1, 0
-		for i := 0; i < old.n; i++ {
+		for i := 0; i < int(old.n); i++ {
 			r := old.at(i)
 			if r.cli == c {
 				s.drop(r)
 				continue
 			}
-			old.ring[(old.head+kept)&mask] = r
+			old.ring[(int(old.head)+kept)&mask] = r
 			kept++
 		}
-		for i := kept; i < old.n; i++ {
-			old.ring[(old.head+i)&mask] = nil
+		for i := kept; i < int(old.n); i++ {
+			old.ring[(int(old.head)+i)&mask] = nil
 		}
-		old.n = kept
+		old.n = int32(kept)
 	}
 	c.Group, c.q = group, q
 	s.memberRev++
@@ -684,7 +704,7 @@ func (s *System) Rehost(queueHost netsim.NodeID, serverHosts, clientHosts map[st
 
 // CrashServer abruptly deactivates a server, dropping its current request
 // (failure injection for the self-healing example and tests): the request's
-// next pipeline step (pull, service end or reply) drops it instead.
+// next pipeline step (service end or reply) drops it instead.
 func (s *System) CrashServer(server string) error {
 	srv := s.servers[server]
 	if srv == nil {

@@ -101,9 +101,10 @@ func TestFIFOUnderServerChurn(t *testing.T) {
 		sys.AddServer("S", h2, "G", 0.05, 0)
 		_ = sys.Activate("S")
 		cli := sys.AddClient("C", h3, "G", 0, rng.Fork("cli"))
+		id := numberSends(sys)
 		var pulls []uint64
 		cli.OnResponse = append(cli.OnResponse, func(resp Response) {
-			pulls = append(pulls, resp.Req.ID)
+			pulls = append(pulls, id(resp.Req))
 		})
 		for i := 0; i < 20; i++ {
 			at := rng.Float64() * 5
@@ -114,7 +115,7 @@ func TestFIFOUnderServerChurn(t *testing.T) {
 		k.At(4.0, func() { _ = sys.Activate("S") })
 		k.RunAll(0)
 		// Served-completion order can interleave with transfers, but pull
-		// order must respect queue order: request IDs are assigned in send
+		// order must respect queue order: requests are numbered in send
 		// order and arrive in near-send order on one path; we check the
 		// pulled sequence is sorted.
 		for i := 1; i < len(pulls); i++ {

@@ -37,6 +37,22 @@ func newRig(t *testing.T) *rig {
 	return &rig{k: k, net: net, sys: sys, cHost: cHost, qHost: qHost, sHost: sHost, l1: l1, l2: l2}
 }
 
+// numberSends numbers the requests sys's clients send, from 1 in send order,
+// and returns the number a record carries. Records are reused, so a request
+// is known by the number its record took at the send, read while a callback
+// holds it.
+func numberSends(sys *System) func(*Request) uint64 {
+	ids := map[*Request]uint64{}
+	var n uint64
+	for _, c := range sys.clientList {
+		c.OnSend = append(c.OnSend, func(r *Request) {
+			n++
+			ids[r] = n
+		})
+	}
+	return func(r *Request) uint64 { return ids[r] }
+}
+
 func (r *rig) addActiveServer(t *testing.T, name string) *Server {
 	t.Helper()
 	srv := r.sys.AddServer(name, r.sHost, "G1", 0.05, 0)
@@ -75,8 +91,9 @@ func TestFIFOOrderAndQueueGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli := r.sys.AddClient("C1", r.cHost, "G1", 0, sim.NewRand(1))
+	id := numberSends(r.sys)
 	var order []uint64
-	cli.OnResponse = append(cli.OnResponse, func(resp Response) { order = append(order, resp.Req.ID) })
+	cli.OnResponse = append(cli.OnResponse, func(resp Response) { order = append(order, id(resp.Req)) })
 	for i := 0; i < 5; i++ {
 		r.k.At(0.001*float64(i), func() { r.sys.sendRequest(cli) })
 	}
@@ -275,8 +292,9 @@ func TestCrashServerDropsWork(t *testing.T) {
 	cli := r.sys.AddClient("C1", r.cHost, "G1", 0, sim.NewRand(1))
 	n := 0
 	cli.OnResponse = append(cli.OnResponse, func(Response) { n++ })
+	id := numberSends(r.sys)
 	var dropped []uint64
-	r.sys.OnDrop = append(r.sys.OnDrop, func(req *Request) { dropped = append(dropped, req.ID) })
+	r.sys.OnDrop = append(r.sys.OnDrop, func(req *Request) { dropped = append(dropped, id(req)) })
 	r.k.At(0, func() { r.sys.sendRequest(cli) })
 	r.k.At(0.1, func() {
 		if err := r.sys.CrashServer("S1"); err != nil {
@@ -304,6 +322,71 @@ func TestCrashServerDropsWork(t *testing.T) {
 	}
 	if got := r.sys.DroppedRequests(); got != 1 || len(dropped) != 1 || dropped[0] != 1 {
 		t.Fatalf("DroppedRequests = %d, OnDrop saw %v; want the crashed request 1 alone", got, dropped)
+	}
+}
+
+// A crash while the pull is on its way to the server: the pull and the
+// service are one event, so the request is dropped at the end of its service
+// time, once. S1 is reactivated at once and takes request 2 while request 3
+// waits; the lost request's drop leaves S1 busy with request 2 and request 3
+// queued, its record goes back on the free list, and the latency observer
+// counts it answered no longer.
+func TestCrashServerDuringPull(t *testing.T) {
+	r := newRig(t)
+	srv := r.sys.AddServer("S1", r.sHost, "G1", 1.0, 0)
+	if err := r.sys.Activate("S1"); err != nil {
+		t.Fatal(err)
+	}
+	cli := r.sys.AddClient("C1", r.cHost, "G1", 0, sim.NewRand(1))
+	obs := ObserveLatency(r.sys, []string{"C1"}, 30)
+	id := numberSends(r.sys)
+	type drop struct {
+		id                  uint64
+		at                  float64
+		busy                bool
+		queued, outstanding int
+	}
+	var drops []drop
+	pooledBefore, pooledAfter := -1, -1
+	r.sys.OnDrop = append(r.sys.OnDrop, func(req *Request) {
+		drops = append(drops, drop{id(req), r.k.Now(), srv.Busy(), r.sys.QueueLen("G1"), obs.Outstanding()})
+		pooledBefore = r.sys.PooledRequests()
+		r.k.At(r.k.Now(), func() { pooledAfter = r.sys.PooledRequests() })
+	})
+	r.sys.sendRequest(cli)
+	// The server is booked when the request reaches the queue machine, and
+	// the pull leaves then: a few milliseconds of flight.
+	for !srv.Busy() {
+		r.k.Run(r.k.Now() + 1e-4)
+	}
+	took := r.k.Now()
+	if err := r.sys.CrashServer("S1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.sys.Activate("S1"); err != nil {
+		t.Fatal(err)
+	}
+	r.sys.sendRequest(cli)
+	r.sys.sendRequest(cli)
+	if n := obs.Outstanding(); n != 3 {
+		t.Fatalf("outstanding %d after three sends, want 3", n)
+	}
+	r.k.Run(10)
+	if got := r.sys.DroppedRequests(); got != 1 || len(drops) != 1 {
+		t.Fatalf("DroppedRequests = %d, OnDrop saw %v; want one drop", got, drops)
+	}
+	d := drops[0]
+	if d.id != 1 || d.at < took+1.0 || d.at > took+1.1 {
+		t.Fatalf("drop %+v: want request 1 at the end of its service, about %v", d, took+1.0)
+	}
+	if !d.busy || d.queued != 1 || d.outstanding != 2 {
+		t.Fatalf("at the drop S1 busy=%v, %d queued, %d outstanding; want S1 busy with request 2, request 3 queued, 2 outstanding", d.busy, d.queued, d.outstanding)
+	}
+	if pooledAfter != pooledBefore+1 {
+		t.Fatalf("free records %d before the drop and %d after, want one more", pooledBefore, pooledAfter)
+	}
+	if cli.Responses() != 2 || srv.Served() != 2 || srv.Busy() || obs.Outstanding() != 0 {
+		t.Fatalf("%d responses, %d served, busy=%v, %d outstanding; want 2, 2, idle, 0", cli.Responses(), srv.Served(), srv.Busy(), obs.Outstanding())
 	}
 }
 
@@ -364,19 +447,23 @@ func threeHosts(t *testing.T) (*sim.Kernel, *System, *Client) {
 	return k, sys, sys.AddClient("C1", hosts[0], "G1", 0, sim.NewRand(1))
 }
 
-// A warm request — send, enqueue, pull, serve, reply transfer, response —
-// allocates nothing: its record, events, flow and callbacks are all recycled.
-// Nor does it with a latency observer attached and sampling: the outstanding
-// list lives in the request records, and the averaging window reuses its
-// array once it has held a window's worth of samples (here 1 s, about 17).
+// A warm request — send, enqueue, pull and service, reply transfer, response
+// — allocates nothing: its record, events, flow and callbacks are all
+// recycled. Nor does it with a latency observer attached and sampling: the
+// outstanding list lives in the request records, and the averaging window
+// reuses its array once it has held a window's worth of samples (here 1 s,
+// about 17). Nor does a steady cycle whose requests are all dropped: a
+// backlog queued where no server pulls, dropped by moving the client to
+// another such group and back.
 func TestRequestCycleAllocationFree(t *testing.T) {
 	for _, observed := range []bool{false, true} {
 		k, sys, cli := threeHosts(t)
+		id := numberSends(sys)
 		answered := 0
 		var lastID uint64
 		cli.OnResponse = append(cli.OnResponse, func(r Response) {
 			answered++
-			lastID = r.Req.ID
+			lastID = id(r.Req)
 		})
 		cycle := func() {
 			sys.sendRequest(cli)
@@ -407,6 +494,57 @@ func TestRequestCycleAllocationFree(t *testing.T) {
 		}
 		if want := warm + 201; answered != want || lastID != uint64(want) {
 			t.Fatalf("observed=%v: answered=%d last id=%d, want %d twice: a recycled record must carry its new request", observed, answered, lastID, want)
+		}
+	}
+
+	for _, observed := range []bool{false, true} {
+		k, sys, cli := threeHosts(t)
+		for _, g := range []string{"G2", "G3"} {
+			if err := sys.CreateQueue(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var obs *LatencyObserver
+		if observed {
+			obs = ObserveLatency(sys, []string{"C1"}, 1)
+		}
+		const backlog = 4
+		// fill queues a backlog on the client's group and moves the client
+		// to group to, dropping it.
+		fill := func(to string) {
+			for i := 0; i < backlog; i++ {
+				sys.sendRequest(cli)
+			}
+			k.RunAll(0)
+			if n := sys.QueueLen(cli.Group); n != backlog {
+				t.Fatalf("observed=%v: %d queued on %s, want %d", observed, n, cli.Group, backlog)
+			}
+			if err := sys.MoveClient("C1", to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle := func() {
+			fill("G3")
+			fill("G2")
+		}
+		if err := sys.MoveClient("C1", "G2"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			cycle()
+		}
+		if n := sys.PooledRequests(); n != backlog {
+			t.Fatalf("observed=%v: %d free records after the warm-up, want the backlog's %d", observed, n, backlog)
+		}
+		dropped := sys.DroppedRequests()
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Fatalf("observed=%v: warm drop cycle allocates %v times", observed, avg)
+		}
+		if got, want := sys.DroppedRequests()-dropped, uint64(101*2*backlog); got != want || cli.Responses() != 0 {
+			t.Fatalf("observed=%v: %d dropped and %d answered in the timed cycles, want %d and 0", observed, got, cli.Responses(), want)
+		}
+		if observed && obs.Outstanding() != 0 {
+			t.Fatalf("dropped requests still outstanding: %d", obs.Outstanding())
 		}
 	}
 }

@@ -79,14 +79,15 @@ func TestLatencyObserverSample(t *testing.T) {
 
 // mapObserver is LatencyObserver as it was before the outstanding requests
 // were threaded through their records: one map of send times per client,
-// walked in full by every Sample. It is the oracle the list is checked
-// against; it hooks the same listener chains ObserveLatency does.
+// keyed by the request's number (id), walked in full by every Sample. It is
+// the oracle the list is checked against; it hooks the same listener chains
+// ObserveLatency does.
 type mapObserver struct {
 	windows     map[string]*metrics.Window
 	outstanding map[string]map[uint64]float64
 }
 
-func observeWithMaps(sys *System, clients []string, windowWidth float64) *mapObserver {
+func observeWithMaps(sys *System, clients []string, windowWidth float64, id func(*Request) uint64) *mapObserver {
 	o := &mapObserver{
 		windows:     map[string]*metrics.Window{},
 		outstanding: map[string]map[uint64]float64{},
@@ -96,15 +97,15 @@ func observeWithMaps(sys *System, clients []string, windowWidth float64) *mapObs
 		o.windows[name], o.outstanding[name] = win, out
 		cli := sys.Client(name)
 		cli.OnSend = append(cli.OnSend, func(r *Request) {
-			out[r.ID] = r.SentAt
+			out[id(r)] = r.SentAt
 		})
 		cli.OnResponse = append(cli.OnResponse, func(r Response) {
-			delete(out, r.Req.ID)
+			delete(out, id(r.Req))
 			win.Add(r.DoneAt, r.Latency)
 		})
 	}
 	sys.OnDrop = append(sys.OnDrop, func(r *Request) {
-		delete(o.outstanding[r.cli.Name], r.ID)
+		delete(o.outstanding[r.cli.Name], id(r))
 	})
 	return o
 }
@@ -172,19 +173,20 @@ func TestLatencyObserverMatchesMapOracle(t *testing.T) {
 		sys.AddClient("bystander", r.cHost, "G1", 1, rng.Fork("bystander"))
 
 		obs := ObserveLatency(sys, names, 5)
-		oracle := observeWithMaps(sys, names, 5)
+		id := numberSends(sys)
+		oracle := observeWithMaps(sys, names, 5, id)
 		for _, name := range names {
 			lastID := uint64(0)
 			cli := sys.Client(name)
 			cli.OnResponse = append(cli.OnResponse, func(resp Response) {
-				if resp.Req.ID < lastID {
+				if id(resp.Req) < lastID {
 					outOfOrder++
 				}
-				lastID = max(lastID, resp.Req.ID)
+				lastID = max(lastID, id(resp.Req))
 			})
 		}
 		sys.OnDrop = append(sys.OnDrop, func(req *Request) {
-			if req.q == nil { // no queue at the arrival
+			if !req.q.provisioned() { // no queue at the arrival
 				vanishedDrops++
 			} else {
 				movedDrops++

@@ -150,14 +150,14 @@ func (s *System) groupAnchor(group string) netsim.NodeID {
 // zero — during a total outage the gauges must still see the (terrible)
 // latency, exactly as the closed-loop observer reports the age of the
 // oldest outstanding request. The synthetic Request is cached per client
-// (ID 0, never sent), so it is never in the latency observer's outstanding
+// (never sent), so it is never in the latency observer's outstanding
 // list and every delivery is a no-op for that bookkeeping.
 func (c *Client) DeliverSynthetic(now float64, latency float64, count uint64) {
 	c.responses += count
 	if c.synth == nil {
-		c.synth = &Request{sys: c.sys, cli: c}
+		c.synth = &Request{cli: c}
 	}
-	c.synth.Group = c.Group
+	c.synth.q = c.q
 	c.synth.RespBits = c.RespBits()
 	done := Response{Req: c.synth, DoneAt: now, Latency: latency}
 	for _, fn := range c.OnResponse {

@@ -8,11 +8,15 @@ import (
 	"archadapt/internal/sim"
 )
 
-// A request record fits the 96-byte size class: every request the
-// application sends allocates or recycles one.
+// A request record fits one 64-byte cache line: every request the
+// application sends allocates or recycles one. A group's record, which
+// carries the group's name for its requests, stays in the 48-byte size class.
 func TestRequestRecordSize(t *testing.T) {
-	if size := unsafe.Sizeof(Request{}); size > 96 {
-		t.Fatalf("Request is %d bytes, over the 96-byte size class", size)
+	if size := unsafe.Sizeof(Request{}); size > 64 {
+		t.Fatalf("Request is %d bytes, over a 64-byte cache line", size)
+	}
+	if size := unsafe.Sizeof(queue{}); size > 48 {
+		t.Fatalf("queue is %d bytes, over the 48-byte size class", size)
 	}
 }
 
@@ -43,12 +47,17 @@ func qop(op, arg int) byte { return byte(op + 8*arg) }
 //   - each ring holds the reference's FIFO, oldest at head, with every slot
 //     outside that span nil, and its size is a power of two;
 //   - QueueLen of every group, DroppedRequests and the dropped requests, in
-//     order, match; a request dropped for want of a queue has q nil, one
-//     dropped by a move or a crash has its queue.
+//     order, match; a request dropped for want of a queue finds its group's
+//     record unprovisioned, one dropped by a move or a crash its queue.
 //
 // A crashed server's request is not forgotten: its reply still lands, on a
 // later finish of that server, and is dropped there without touching the
 // server, which may be serving again by then.
+//
+// Records are reused once answered or dropped, so the reference knows a
+// request by the number it was given at the send (numberSends) and records a
+// drop as that number and whether the request had reached a queue, read
+// while the callback holds the record.
 func FuzzRequestQueue(f *testing.F) {
 	// burst is n requests sent and arrived at once, from clis in turn.
 	burst := func(n int, clis ...int) []byte {
@@ -134,8 +143,13 @@ func FuzzRequestQueue(f *testing.F) {
 			sys.AddClient("C3", hosts[0], "G2", 0, sim.NewRand(3)),
 			sys.AddClient("C4", hosts[0], "G3", 0, sim.NewRand(4)),
 		}
-		var dropped []*Request
-		sys.OnDrop = append(sys.OnDrop, func(req *Request) { dropped = append(dropped, req) })
+		id := numberSends(sys)
+		type dropRec struct {
+			id     uint64
+			queued bool // dropped after reaching a queue
+		}
+		var dropped []dropRec
+		sys.OnDrop = append(sys.OnDrop, func(req *Request) { dropped = append(dropped, dropRec{id(req), req.q.provisioned()}) })
 
 		// The reference.
 		type refServer struct {
@@ -148,11 +162,14 @@ func FuzzRequestQueue(f *testing.F) {
 			ref[srv] = &refServer{}
 		}
 		fifo := map[string][]*Request{}
+		type sent struct {
+			req   *Request
+			group string // the client's group at the send
+		}
 		var (
-			inflight    []*Request
-			served      []*Request // handed to a server this step
-			refDropped  []*Request
-			queuedDrops = map[*Request]bool{} // dropped after reaching a queue
+			inflight   []sent
+			served     []*Request // handed to a server this step
+			refDropped []dropRec
 		)
 		dispatch := func(g string) {
 			for len(fifo[g]) > 0 {
@@ -172,9 +189,9 @@ func FuzzRequestQueue(f *testing.F) {
 				served = append(served, req)
 			}
 		}
-		hasQueue := func(g string) bool { return sys.queues[g] != nil }
+		hasQueue := func(g string) bool { return sys.queueOf(g) != nil }
 		for _, c := range clis {
-			c.OnSend = append(c.OnSend, func(req *Request) { inflight = append(inflight, req) })
+			c.OnSend = append(c.OnSend, func(req *Request) { inflight = append(inflight, sent{req, c.Group}) })
 		}
 
 		for step, b := range ops {
@@ -201,11 +218,13 @@ func FuzzRequestQueue(f *testing.F) {
 					break
 				}
 				i := arg % len(inflight)
-				req := inflight[i]
+				req, g := inflight[i].req, inflight[i].group
 				inflight = append(inflight[:i], inflight[i+1:]...)
-				g := req.Group
-				if req.q == nil && !hasQueue(g) {
-					refDropped = append(refDropped, req)
+				if req.Group() != g {
+					t.Fatalf("step %d: request %d routed to %s, sent to %s", step, id(req), req.Group(), g)
+				}
+				if !hasQueue(g) {
+					refDropped = append(refDropped, dropRec{id(req), false})
 				} else {
 					fifo[g] = append(fifo[g], req)
 					dispatch(g)
@@ -217,8 +236,7 @@ func FuzzRequestQueue(f *testing.F) {
 				if len(rs.crashed) > 0 {
 					req := rs.crashed[0]
 					rs.crashed = rs.crashed[1:]
-					refDropped = append(refDropped, req)
-					queuedDrops[req] = true
+					refDropped = append(refDropped, dropRec{id(req), true})
 					replyDoneFn(req)
 					break
 				}
@@ -279,8 +297,7 @@ func FuzzRequestQueue(f *testing.F) {
 					kept := fifo[old][:0:0]
 					for _, req := range fifo[old] {
 						if req.cli == c {
-							refDropped = append(refDropped, req)
-							queuedDrops[req] = true
+							refDropped = append(refDropped, dropRec{id(req), true})
 							continue
 						}
 						kept = append(kept, req)
@@ -294,7 +311,7 @@ func FuzzRequestQueue(f *testing.F) {
 
 			for _, req := range served {
 				if req.srv == nil || ref[req.srv] == nil || ref[req.srv].req != req {
-					t.Fatalf("step %d (op %d): request %d served by %v, not the server the reference picked", step, op, req.ID, req.srv)
+					t.Fatalf("step %d (op %d): request %d served by %v, not the server the reference picked", step, op, id(req), req.srv)
 				}
 			}
 			for _, srv := range srvs {
@@ -306,30 +323,30 @@ func FuzzRequestQueue(f *testing.F) {
 				if got, want := sys.QueueLen(g), len(fifo[g]); got != want {
 					t.Fatalf("step %d (op %d): QueueLen(%s) = %d, reference %d", step, op, g, got, want)
 				}
-				q := sys.queues[g]
+				q := sys.queueOf(g)
 				if q == nil {
 					continue
 				}
-				if size := len(q.ring); size&(size-1) != 0 || q.n > size {
+				if size := len(q.ring); size&(size-1) != 0 || q.waiting() > size {
 					t.Fatalf("step %d: %s ring of %d holds %d", step, g, size, q.n)
 				}
 				for i, req := range fifo[g] {
 					if q.at(i) != req || req.srv != nil {
-						t.Fatalf("step %d (op %d): %s position %d holds request %v, reference %d (served by %v)", step, op, g, i, q.at(i), req.ID, req.srv)
+						t.Fatalf("step %d (op %d): %s position %d holds request %v, reference %d (served by %v)", step, op, g, i, q.at(i), id(req), req.srv)
 					}
 				}
-				for i := q.n; i < len(q.ring); i++ {
-					if q.ring[(q.head+i)&(len(q.ring)-1)] != nil {
-						t.Fatalf("step %d (op %d): %s slot %d outside the %d waiting is not nil", step, op, g, (q.head+i)&(len(q.ring)-1), q.n)
+				for i := q.waiting(); i < len(q.ring); i++ {
+					if slot := (int(q.head) + i) & (len(q.ring) - 1); q.ring[slot] != nil {
+						t.Fatalf("step %d (op %d): %s slot %d outside the %d waiting is not nil", step, op, g, slot, q.n)
 					}
 				}
 			}
 			if got := sys.DroppedRequests(); got != uint64(len(refDropped)) || len(dropped) != len(refDropped) {
 				t.Fatalf("step %d (op %d): DroppedRequests = %d (%d seen), reference %d", step, op, got, len(dropped), len(refDropped))
 			}
-			for i, req := range refDropped {
-				if dropped[i] != req || (req.q == nil) == queuedDrops[req] {
-					t.Fatalf("step %d (op %d): drop %d is request %d (q %p), reference %d (queued %v)", step, op, i, dropped[i].ID, dropped[i].q, req.ID, queuedDrops[req])
+			for i, want := range refDropped {
+				if dropped[i] != want {
+					t.Fatalf("step %d (op %d): drop %d is %+v, reference %+v", step, op, i, dropped[i], want)
 				}
 			}
 		}

@@ -68,7 +68,7 @@ func (d Diurnal) Rate(t float64) float64 {
 	if period <= 0 {
 		period = 86400
 	}
-	r := d.Base * (1 + d.Swing*math.Sin(2*math.Pi*(t/period)))
+	r := d.Base * (1 + float64(d.Swing*math.Sin(2*math.Pi*(t/period))))
 	for _, b := range d.Bursts {
 		if t >= b.At && t < b.At+b.Duration {
 			r *= b.Factor

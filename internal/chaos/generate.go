@@ -54,7 +54,7 @@ func Generate(seed uint64) fleet.ScenarioOptions {
 			ServersPerGroup: 1 + rng.Intn(2),
 			SparesPerGroup:  rng.Intn(2),
 			Clients:         1 + rng.Intn(3),
-			ClientRate:      0.5 + 0.25*float64(rng.Intn(7)),
+			ClientRate:      0.5 + float64(0.25*float64(rng.Intn(7))),
 		})
 	}
 	apps := 2 + rng.Intn(5)
@@ -102,8 +102,8 @@ func Generate(seed uint64) fleet.ScenarioOptions {
 	// compositions, every window clamped inside the scripted duration so
 	// the end state must be clean.
 	window := func() (at, dur float64) {
-		at = math.Round(40 + rng.Float64()*(duration-160))
-		dur = math.Round(30 + rng.Float64()*120)
+		at = math.Round(40 + float64(rng.Float64()*(duration-160)))
+		dur = math.Round(30 + float64(rng.Float64()*120))
 		if at+dur > duration {
 			dur = duration - at
 		}
@@ -125,21 +125,21 @@ func Generate(seed uint64) fleet.ScenarioOptions {
 			faults = append(faults, flt)
 			if rng.Intn(2) == 0 {
 				faults = append(faults, fleet.Fault{
-					At:       math.Round(at + rng.Float64()*dur),
+					At:       math.Round(at + float64(rng.Float64()*dur)),
 					Kind:     fleet.FaultRegionPartialRestore,
 					Router:   flt.Router,
-					Fraction: 0.25 + 0.25*float64(rng.Intn(3)),
+					Fraction: 0.25 + float64(0.25*float64(rng.Intn(3))),
 				})
 			}
 		case 4, 5: // backbone contention, sometimes partially lifted early
 			faults = append(faults, fleet.Fault{
 				At: at, Kind: fleet.FaultBackboneCrush, Duration: dur,
-				Fraction: 0.2 + 0.1*float64(rng.Intn(5)),
+				Fraction: 0.2 + float64(0.1*float64(rng.Intn(5))),
 				LeaveBps: float64(20+10*rng.Intn(7)) * 1e3,
 			})
 			if rng.Intn(3) == 0 {
 				faults = append(faults, fleet.Fault{
-					At:       math.Round(at + rng.Float64()*dur),
+					At:       math.Round(at + float64(rng.Float64()*dur)),
 					Kind:     fleet.FaultBackbonePartialRestore,
 					Fraction: 0.5,
 				})
@@ -150,7 +150,7 @@ func Generate(seed uint64) fleet.ScenarioOptions {
 			faults = append(faults, fleet.Fault{At: at, Kind: fleet.FaultRetire, App: rng.Intn(apps)})
 		case 8: // nested failure of the same region (refcount stress)
 			r := rng.Intn(routers)
-			inner := math.Round(at + dur*0.3)
+			inner := math.Round(at + float64(dur*0.3))
 			innerDur := dur
 			if inner+innerDur > duration {
 				innerDur = duration - inner
@@ -191,14 +191,14 @@ func Generate(seed uint64) fleet.ScenarioOptions {
 		const mu = 1 / (0.05 + 0.16) // service rate at the default RespBits
 		for i := range opts.AppMix {
 			s := &opts.AppMix[i]
-			ratio := 0.3 + 0.1*float64(ol.Intn(9))
+			ratio := 0.3 + float64(0.1*float64(ol.Intn(9)))
 			perUser := ratio * float64(s.Groups*s.ServersPerGroup) * mu / float64(users)
 			switch ol.Intn(3) {
 			case 0:
 				s.Arrivals = fleet.ArrivalSpec{Lambda: perUser}
 			case 1:
 				s.Arrivals = fleet.ArrivalSpec{Kind: fleet.ArrivalDiurnal,
-					Base: perUser, Swing: 0.2 + 0.1*float64(ol.Intn(4)), Period: duration / 2}
+					Base: perUser, Swing: 0.2 + float64(0.1*float64(ol.Intn(4))), Period: duration / 2}
 				if ol.Intn(2) == 0 {
 					s.Arrivals.BurstAt = math.Round(duration * 0.3)
 					s.Arrivals.BurstDuration = 60

@@ -18,9 +18,9 @@ import (
 func TestFleetKernelWorkIsFlatPerApp(t *testing.T) {
 	got := runBenchScript(t, 16).Fleet.K.Stats()
 	want := sim.Stats{
-		Scheduled: 162952, Fired: 162856, Reschedules: 737,
-		BucketsDrained: 34451, RunsMerged: 48610,
-		BottomInserts: 52296, BottomShifts: 20125,
+		Scheduled: 144690, Fired: 144594, Reschedules: 737,
+		BucketsDrained: 33071, RunsMerged: 44780,
+		BottomInserts: 42938, BottomShifts: 14560,
 		FarRescans: 178, Jumps: 9, PeakPending: 1104,
 	}
 	if got != want {

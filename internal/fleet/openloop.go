@@ -265,7 +265,7 @@ func (ol *openApp) scaledSlots() int {
 // appServiceRate returns μ, a server's request service rate under the
 // spec's median reply size.
 func appServiceRate(spec AppSpec) float64 {
-	return 1 / (operators.ServiceBase + operators.ServicePerBit*spec.RespBits)
+	return 1 / (operators.ServiceBase + float64(operators.ServicePerBit*spec.RespBits))
 }
 
 // startOpenLoop wires the engine into a freshly constructed fleet.
@@ -329,11 +329,11 @@ func (f *Fleet) openLoopOffered(now float64) (lambda, capacity float64) {
 		if !a.Live() || a.ol == nil {
 			continue
 		}
-		lambda += a.ol.users * a.ol.proc.Rate(now)
+		lambda += float64(a.ol.users * a.ol.proc.Rate(now))
 		mu := appServiceRate(a.Spec)
 		for _, g := range a.Sys.Groups() {
 			_, active := a.Sys.ActiveServers(g)
-			capacity += float64(active) * mu
+			capacity += float64(float64(active) * mu)
 		}
 	}
 	return lambda, capacity
@@ -343,8 +343,8 @@ func (f *Fleet) openLoopOffered(now float64) (lambda, capacity float64) {
 // utilization, candidate included, stay within maxUtilization?
 func (f *Fleet) openLoopAdmissible(spec AppSpec, proc arrivals.Process, users, now float64) bool {
 	lambda, capacity := f.openLoopOffered(now)
-	lambda += users * proc.Rate(now)
-	capacity += float64(spec.Groups*spec.ServersPerGroup) * appServiceRate(spec)
+	lambda += float64(users * proc.Rate(now))
+	capacity += float64(float64(spec.Groups*spec.ServersPerGroup) * appServiceRate(spec))
 	if capacity <= 0 {
 		return false
 	}
@@ -472,7 +472,7 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 			delta = d - fc.LastDelivered
 			fc.LastDelivered = d
 		}
-		fc.NetBacklog += fc.EmitRate*dt - delta
+		fc.NetBacklog += float64(fc.EmitRate*dt) - delta
 		if fc.NetBacklog < 1e-9 {
 			fc.NetBacklog = 0
 		}
@@ -492,7 +492,7 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 	ol.lam = ol.lam[:0]
 	clear(ol.glam)
 	for _, fc := range classes {
-		lam := float64(len(fc.Members)) * perMember
+		lam := float64(float64(len(fc.Members)) * perMember)
 		ol.lam = append(ol.lam, lam)
 		if fc.GroupPos >= 0 {
 			ol.glam[fc.GroupPos] += lam
@@ -509,7 +509,7 @@ func (f *Fleet) openLoopApp(a *App, now float64) {
 		if out > capG {
 			out = capG
 		}
-		b += (lamG - out) * dt
+		b += float64((lamG - out) * dt)
 		if b < 1e-9 {
 			b = 0
 		}

@@ -313,9 +313,9 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 	for i := 0; i < opts.Apps; i++ {
 		spec := opts.specFor(i)
 		spec.Name = ScenarioAppName(i)
-		admitAt := float64(i%appsPerWave) * opts.AdmitStagger
+		admitAt := float64(float64(i%appsPerWave) * opts.AdmitStagger)
 		if opts.AdmitWaves > 1 {
-			admitAt += float64(i/appsPerWave) * (opts.Duration / float64(opts.AdmitWaves))
+			admitAt += float64(float64(i/appsPerWave) * (opts.Duration / float64(opts.AdmitWaves)))
 		}
 		admit := func() {
 			// Rejections are recorded on the fleet; the run continues with
@@ -336,7 +336,7 @@ func StartScenario(opts ScenarioOptions) (*ScenarioRun, error) {
 			})
 		}
 		if opts.CrushStart >= 0 && (opts.CrushApps <= 0 || i < opts.CrushApps) {
-			crushAt := opts.CrushStart + float64(i)*opts.CrushStagger
+			crushAt := opts.CrushStart + float64(float64(i)*opts.CrushStagger)
 			if min := admitAt + 100; crushAt < min {
 				crushAt = min
 			}

@@ -220,7 +220,7 @@ func (g *LoadGauge) fold(v float64) {
 		g.seen = true
 		return
 	}
-	g.value = g.Smooth*v + (1-g.Smooth)*g.value
+	g.value = float64(g.Smooth*v) + float64((1-g.Smooth)*g.value)
 }
 
 func (g *LoadGauge) stop() { g.halt() }
@@ -267,7 +267,7 @@ func (g *BandwidthGauge) start() {
 		if g.inFlight {
 			// A lost query or reply must not wedge the gauge: give a cold
 			// collection ample time, then retry.
-			if now-g.sentAt < remos.ColdDelay+4*g.period {
+			if now-g.sentAt < remos.ColdDelay+float64(4*g.period) {
 				return
 			}
 			g.inFlight = false

@@ -78,7 +78,7 @@ func (f *Flow) SetDemand(demand float64) {
 		// Delivered() accounting stays exact across the change.
 		now := f.net.K.Now()
 		if dt := now - f.last; dt > 0 {
-			f.delivered += f.rate * dt
+			f.delivered += float64(f.rate * dt)
 		}
 		f.last = now
 		f.rate = demand
@@ -97,7 +97,7 @@ func (f *Flow) Delivered() float64 {
 	d := f.delivered
 	if f.net != nil && !f.cancelled {
 		if dt := f.net.K.Now() - f.last; dt > 0 {
-			d += f.rate * dt
+			d += float64(f.rate * dt)
 		}
 	}
 	return d

@@ -128,9 +128,9 @@ func (f *Flow) Cancel() {
 	now := f.net.K.Now()
 	if dt := now - f.last; dt > 0 {
 		if f.class {
-			f.delivered += f.rate * dt
+			f.delivered += float64(f.rate * dt)
 		} else {
-			f.remaining -= f.rate * dt
+			f.remaining -= float64(f.rate * dt)
 			if f.remaining < 0 {
 				f.remaining = 0
 			}

@@ -69,13 +69,25 @@ func callFn(fn any) { fn.(func())() }
 
 // SendMessageTo is SendMessage with a closure-free callback: fn is a static
 // function and arg its pre-bound receiver, so high-rate senders (the event
-// bus's dispatch) schedule deliveries without allocating. Every control
-// message is delayed, dropped and counted here.
+// bus's dispatch) schedule deliveries without allocating.
 func (n *Network) SendMessageTo(src, dst NodeID, bits float64, prio Priority, fn func(any), arg any) float64 {
-	delay := n.messageDelay(src, dst, bits, prio)
+	delay, delivered := n.Transmit(src, dst, bits, prio)
+	if delivered && fn != nil {
+		n.K.AtAnonArg(n.K.Now()+delay, fn, arg)
+	}
+	return delay
+}
+
+// Transmit sends a control message without scheduling its arrival: it
+// returns the modeled delay and whether the message arrives, so a sender
+// that acts on the arrival can fold it into a later event of its own (the
+// request pipeline's pull, which the server's service follows). Every control
+// message is delayed, dropped and counted here.
+func (n *Network) Transmit(src, dst NodeID, bits float64, prio Priority) (delay float64, delivered bool) {
+	delay = n.messageDelay(src, dst, bits, prio)
 	if n.dropRate > 0 && prio == BestEffort && n.dropRNG != nil && n.dropRNG.Float64() < n.dropRate {
 		n.msgStats.Dropped++
-		return delay
+		return delay, false
 	}
 	n.msgStats.Sent++
 	n.msgStats.Bits += bits
@@ -83,10 +95,7 @@ func (n *Network) SendMessageTo(src, dst NodeID, bits float64, prio Priority, fn
 	if delay > n.msgStats.MaxLag {
 		n.msgStats.MaxLag = delay
 	}
-	if fn != nil {
-		n.K.AtAnonArg(n.K.Now()+delay, fn, arg)
-	}
-	return delay
+	return delay, true
 }
 
 // messageDelay computes the current delivery delay for a control message

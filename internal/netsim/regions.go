@@ -295,9 +295,9 @@ func (n *Network) solveDirty() {
 		}
 		if dt := now - f.last; dt > 0 {
 			if f.class {
-				f.delivered += f.prevRate * dt
+				f.delivered += float64(f.prevRate * dt)
 			} else {
-				f.remaining -= f.prevRate * dt
+				f.remaining -= float64(f.prevRate * dt)
 				if f.remaining < 0 {
 					f.remaining = 0
 				}

@@ -84,7 +84,7 @@ func tidFor(k Kind) int {
 	}
 }
 
-func usec(t float64) int64 { return int64(t*1e6 + 0.5) }
+func usec(t float64) int64 { return int64(float64(t*1e6) + 0.5) }
 
 // WriteChromeTrace writes the span tree in Chrome trace_event JSON. Each
 // application becomes a process row with monitoring/repair/migration thread

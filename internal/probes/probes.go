@@ -44,7 +44,7 @@ func AttachResponseProbe(sh *bus.Shard, c *app.Client) (detach func()) {
 			Src:   c.Host,
 			Name:  c.Name,
 			V1:    r.Latency,
-			Group: r.Req.Group,
+			Group: r.Req.Group(),
 		})
 	})
 	return func() { attached = false }

@@ -83,7 +83,7 @@ func (q MMm) MeanWait() float64 {
 	if !q.Valid() {
 		return math.Inf(1)
 	}
-	return q.ErlangC() / (float64(q.M)*q.Mu - q.Lambda)
+	return q.ErlangC() / (float64(float64(q.M)*q.Mu) - q.Lambda)
 }
 
 // MeanResponse returns W = Wq + 1/μ, the mean end-to-end service latency

@@ -113,7 +113,7 @@ func batchMeasureFn(arg any) {
 			s.Prequery(q.srcs[i], q.dsts[i])
 		}
 	}
-	bits := queryBits + 64*float64(len(q.srcs))
+	bits := queryBits + float64(64*float64(len(q.srcs)))
 	s.Net.SendMessageTo(s.Host, q.caller, bits, netsim.BestEffort, batchReplyFn, q)
 }
 

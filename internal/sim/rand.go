@@ -74,7 +74,7 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 	}
 	u2 := r.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	return mean + float64(stddev*z)
 }
 
 // LogNormalAround returns a positive value whose median is m, with mild
