@@ -21,8 +21,8 @@
 //	    invariant latency on ClientT : averageLatency <= maxLatency;
 //	}
 //
-// Parse returns the model plus the declared invariants; Print renders a
-// canonical form such that Parse∘Print is the identity on models.
+// Parse returns the model plus the declared invariants; PrintSystem renders a
+// canonical form such that Parse∘PrintSystem is the identity on models.
 package acme
 
 import (
@@ -111,18 +111,6 @@ func Parse(src string) (*Description, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// MustParse is Parse that panics on error.
-func MustParse(src string) *Description {
-	d, err := Parse(src)
-	if err != nil {
-		// Invariant: only tests call MustParse, on literal ADL fixtures (it
-		// is allowlisted as a test helper in the root reach_test.go); input
-		// goes through Parse.
-		panic(err)
-	}
-	return d
 }
 
 type attSpec struct {

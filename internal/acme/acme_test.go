@@ -12,6 +12,24 @@ import (
 	"archadapt/internal/sim"
 )
 
+// MustParse is Parse that panics on error, for literal ADL fixtures.
+func MustParse(src string) *Description {
+	d, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// Print renders a description in canonical ADL form, invariants included.
+// Parse(Print(d)) yields a model Equal to d.System with the same invariants:
+// the print → parse fixpoint the round-trip tests and FuzzParse run over.
+func Print(d *Description) string {
+	var b strings.Builder
+	printSystem(&b, d.System, d.Invariants, 0, "system")
+	return b.String()
+}
+
 const paperADL = `
 // The Figure 2/3 architecture.
 system storage : ClientServerFam = {

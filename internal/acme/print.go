@@ -10,16 +10,8 @@ import (
 	"archadapt/internal/model"
 )
 
-// Print renders a description in canonical ADL form. Parse(Print(d)) yields
-// a model Equal to d.System with the same invariants, making the printer
-// usable for persistence and for diffing model snapshots in tests.
-func Print(d *Description) string {
-	var b strings.Builder
-	printSystem(&b, d.System, d.Invariants, 0, "system")
-	return b.String()
-}
-
-// PrintSystem renders just the architecture (no invariants).
+// PrintSystem renders the architecture in canonical ADL form, without
+// invariants: Parse(PrintSystem(sys)) yields a model Equal to sys.
 func PrintSystem(sys *model.System) string {
 	var b strings.Builder
 	printSystem(&b, sys, nil, 0, "system")

@@ -29,18 +29,6 @@ func ParsePrefix(toks []Token, i int) (Expr, int, error) {
 	return e, p.i, err
 }
 
-// MustParse is Parse that panics; for statically known expressions.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		// Invariant: only tests call MustParse, on literal sources (it is
-		// allowlisted as a test helper in the root reach_test.go); input
-		// goes through Parse.
-		panic(err)
-	}
-	return e
-}
-
 // keywords are the words of the expression grammar; none can name a
 // variable, a type or a property.
 var keywords = map[string]bool{

@@ -336,7 +336,11 @@ func TestAlertLogBytes(t *testing.T) {
 	r := newRig(t, Config{})
 	v := constraint.Violation{Subject: r.mgr.Model.Component("C1")}
 	const n = 10000
+	// MemStats are process-wide: one P, and a collection finished before the
+	// window opens, keep other goroutines' allocations out of it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
 		r.mgr.Engine.AlertFn(v)

@@ -1,45 +1,39 @@
 package netsim
 
 import (
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"archadapt/internal/sim"
 )
 
-// The incremental solver must be observationally equivalent to the retained
-// global one. The driver below builds two identical random networks on one
-// kernel — one incremental, one with globalReflow forced — and pushes the
-// same random event sequence (starts, cancels, background changes)
-// through both, comparing flow rates after every step against each other and
-// against ReferenceRates, the retained PR 1 algorithm.
+// The incremental solver must agree with ReferenceRates, the retained global
+// algorithm. The driver below builds a random network and pushes a random
+// event sequence (starts, cancels, background changes) through it, comparing
+// every live flow's rate against the reference after every step.
 
-type twinNets struct {
-	k         *sim.Kernel
-	inc, glob *Network
-	nodes     []NodeID
-	links     []LinkID
-	caps      []float64
-	live      map[uint64][2]*Flow // id → (incremental, global) handles
+type eqNet struct {
+	k     *sim.Kernel
+	n     *Network
+	nodes []NodeID
+	links []LinkID
+	caps  []float64
+	live  map[uint64]*Flow // id → in-flight handle
 }
 
-func buildTwins(rng *sim.Rand) *twinNets {
-	tw := &twinNets{k: sim.NewKernel(), live: map[uint64][2]*Flow{}}
-	tw.inc = New(tw.k)
-	tw.glob = New(tw.k)
-	tw.glob.globalReflow = true
+func buildEqNet(rng *sim.Rand) *eqNet {
+	k := sim.NewKernel()
+	en := &eqNet{k: k, n: New(k), live: map[uint64]*Flow{}}
 	nHosts := 3 + rng.Intn(6)
 	for i := 0; i < nHosts; i++ {
-		tw.nodes = append(tw.nodes, tw.inc.AddHost(string(rune('a'+i))))
-		tw.glob.AddHost(string(rune('a' + i)))
+		en.nodes = append(en.nodes, en.n.AddHost(string(rune('a'+i))))
 	}
 	connect := func(i, j int, c float64) {
-		tw.links = append(tw.links, tw.inc.Connect(tw.nodes[i], tw.nodes[j], c, 1e-3))
-		tw.glob.Connect(tw.nodes[i], tw.nodes[j], c, 1e-3)
-		tw.caps = append(tw.caps, c)
+		en.links = append(en.links, en.n.Connect(en.nodes[i], en.nodes[j], c, 1e-3))
+		en.caps = append(en.caps, c)
 	}
 	// Spanning chain plus random extra links: several disjoint-looking
 	// regions that merge and split as flows come and go.
@@ -51,22 +45,31 @@ func buildTwins(rng *sim.Rand) *twinNets {
 		if i == j {
 			continue
 		}
-		if linked(tw.inc, tw.nodes[i], tw.nodes[j]) {
+		if linked(en.n, en.nodes[i], en.nodes[j]) {
 			continue
 		}
 		connect(i, j, 1e6*float64(1+rng.Intn(10)))
 	}
-	return tw
+	return en
 }
 
-// liveIDs returns the ids of in-flight flows in deterministic order.
-func (tw *twinNets) liveIDs() []uint64 {
-	ids := make([]uint64, 0, len(tw.live))
-	for id := range tw.live {
-		ids = append(ids, id)
+// start begins a transfer and tracks it until it completes.
+func (en *eqNet) start(s, d int, bits float64) {
+	f := en.n.StartTransfer(en.nodes[s], en.nodes[d], bits, "eq", func(f *Flow) { delete(en.live, f.ID()) })
+	if s != d {
+		en.live[f.ID()] = f
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+}
+
+// cancel cancels the in-flight transfer pick selects, if any.
+func (en *eqNet) cancel(pick int) {
+	ids := slices.Sorted(maps.Keys(en.live))
+	if len(ids) == 0 {
+		return
+	}
+	id := ids[pick%len(ids)]
+	en.live[id].Cancel()
+	delete(en.live, id)
 }
 
 func relClose(a, b, tol float64) bool {
@@ -75,29 +78,19 @@ func relClose(a, b, tol float64) bool {
 	return d <= tol*math.Max(scale, 1)
 }
 
-// check compares the two networks' live-flow rates against each other and
-// the incremental network against the retained naive global solver.
-func (tw *twinNets) check(t testingT) bool {
-	if tw.inc.ActiveFlows() != tw.glob.ActiveFlows() ||
-		tw.inc.CompletedFlows() != tw.glob.CompletedFlows() {
-		t.Logf("flow accounting diverged: active %d vs %d, completed %d vs %d",
-			tw.inc.ActiveFlows(), tw.glob.ActiveFlows(),
-			tw.inc.CompletedFlows(), tw.glob.CompletedFlows())
+// check compares every live flow's incremental rate against the retained
+// global solver.
+func (en *eqNet) check(t testingT) bool {
+	if en.n.ActiveFlows() != len(en.live) {
+		t.Logf("flow accounting diverged: %d active, %d tracked", en.n.ActiveFlows(), len(en.live))
 		return false
 	}
-	ref := tw.inc.ReferenceRates()
-	for _, id := range tw.liveIDs() {
-		pair := tw.live[id]
-		fi, fg := pair[0], pair[1]
-		if !relClose(fi.Rate(), fg.Rate(), 1e-9) {
-			t.Logf("flow %d: incremental rate %v vs global %v", id, fi.Rate(), fg.Rate())
+	ref := en.n.ReferenceRates()
+	for _, id := range slices.Sorted(maps.Keys(en.live)) {
+		f := en.live[id]
+		if want, ok := ref[f]; !ok || !relClose(f.Rate(), want, 1e-9) {
+			t.Logf("flow %d: incremental rate %v vs reference %v", id, f.Rate(), want)
 			return false
-		}
-		if fi.index >= 0 {
-			if want, ok := ref[fi]; !ok || !relClose(fi.Rate(), want, 1e-9) {
-				t.Logf("flow %d: incremental rate %v vs reference %v", id, fi.Rate(), want)
-				return false
-			}
 		}
 	}
 	return true
@@ -107,61 +100,41 @@ type testingT interface{ Logf(string, ...any) }
 
 func solverEquivalence(t testingT, seed uint64) bool {
 	rng := sim.NewRand(seed)
-	tw := buildTwins(rng)
+	en := buildEqNet(rng)
 	ok := true
 	at := 0.0
-	nHosts := len(tw.nodes)
+	nHosts := len(en.nodes)
 	for step := 0; step < 40; step++ {
 		at += rng.Float64() * 0.4
 		switch rng.Intn(4) {
 		case 0, 1: // start a transfer (sized so some complete mid-run)
 			s, d := rng.Intn(nHosts), rng.Intn(nHosts)
 			bits := 1e4 * float64(1+rng.Intn(500))
-			tw.k.At(at, func() {
-				var pair [2]*Flow
-				retire := func(f *Flow) { delete(tw.live, f.ID()) }
-				pair[0] = tw.inc.StartTransfer(tw.nodes[s], tw.nodes[d], bits, "eq", retire)
-				pair[1] = tw.glob.StartTransfer(tw.nodes[s], tw.nodes[d], bits, "eq", retire)
-				if s != d {
-					tw.live[pair[0].ID()] = pair
-				}
-			})
+			en.k.At(at, func() { en.start(s, d, bits) })
 		case 2: // cancel a random in-flight transfer
 			pick := rng.Intn(64)
-			tw.k.At(at, func() {
-				ids := tw.liveIDs()
-				if len(ids) == 0 {
-					return
-				}
-				id := ids[pick%len(ids)]
-				pair := tw.live[id]
-				delete(tw.live, id)
-				pair[0].Cancel()
-				pair[1].Cancel()
-			})
+			en.k.At(at, func() { en.cancel(pick) })
 		case 3: // change background load on a random link/direction
-			li := rng.Intn(len(tw.links))
-			load := tw.caps[li] * rng.Float64()
+			li := rng.Intn(len(en.links))
+			load := en.caps[li] * rng.Float64()
 			both := rng.Intn(2) == 0
 			dir := Dir(rng.Intn(2))
-			tw.k.At(at, func() {
+			en.k.At(at, func() {
 				if both {
-					tw.inc.SetBackgroundBoth(tw.links[li], load)
-					tw.glob.SetBackgroundBoth(tw.links[li], load)
+					en.n.SetBackgroundBoth(en.links[li], load)
 				} else {
-					tw.inc.SetBackground(tw.links[li], dir, load)
-					tw.glob.SetBackground(tw.links[li], dir, load)
+					en.n.SetBackground(en.links[li], dir, load)
 				}
 			})
 		}
-		tw.k.At(at, func() {
-			if !tw.check(t) {
+		en.k.At(at, func() {
+			if !en.check(t) {
 				ok = false
 			}
 		})
 	}
-	tw.k.RunAll(0)
-	return ok && tw.check(t)
+	en.k.RunAll(0)
+	return ok && en.check(t)
 }
 
 func TestIncrementalSolverEquivalence(t *testing.T) {
@@ -176,60 +149,39 @@ func TestIncrementalSolverEquivalence(t *testing.T) {
 func TestIncrementalSolverEquivalenceLong(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRand(seed ^ 0x9e3779b97f4a7c15)
-		tw := buildTwins(rng)
+		en := buildEqNet(rng)
 		at := 0.0
 		for step := 0; step < 300; step++ {
 			at += rng.Float64() * 0.2
-			s, d := rng.Intn(len(tw.nodes)), rng.Intn(len(tw.nodes))
+			s, d := rng.Intn(len(en.nodes)), rng.Intn(len(en.nodes))
 			switch rng.Intn(3) {
 			case 0:
 				bits := 1e3 * float64(1+rng.Intn(2000))
-				tw.k.At(at, func() {
-					var pair [2]*Flow
-					retire := func(f *Flow) { delete(tw.live, f.ID()) }
-					pair[0] = tw.inc.StartTransfer(tw.nodes[s], tw.nodes[d], bits, "eq", retire)
-					pair[1] = tw.glob.StartTransfer(tw.nodes[s], tw.nodes[d], bits, "eq", retire)
-					if s != d {
-						tw.live[pair[0].ID()] = pair
-					}
-				})
+				en.k.At(at, func() { en.start(s, d, bits) })
 			case 1:
-				li := rng.Intn(len(tw.links))
+				li := rng.Intn(len(en.links))
 				// Occasionally saturate completely to exercise the floor.
-				load := tw.caps[li]
+				load := en.caps[li]
 				if rng.Intn(3) > 0 {
 					load *= rng.Float64()
 				}
-				tw.k.At(at, func() {
-					tw.inc.SetBackgroundBoth(tw.links[li], load)
-					tw.glob.SetBackgroundBoth(tw.links[li], load)
-				})
+				en.k.At(at, func() { en.n.SetBackgroundBoth(en.links[li], load) })
 			case 2:
 				pick := rng.Intn(64)
-				tw.k.At(at, func() {
-					ids := tw.liveIDs()
-					if len(ids) == 0 {
-						return
-					}
-					id := ids[pick%len(ids)]
-					pair := tw.live[id]
-					delete(tw.live, id)
-					pair[0].Cancel()
-					pair[1].Cancel()
-				})
+				en.k.At(at, func() { en.cancel(pick) })
 			}
 		}
 		checkAt := 0.0
 		for i := 0; i < 30; i++ {
 			checkAt += 2.1
-			tw.k.At(checkAt, func() {
-				if !tw.check(t) {
-					t.Fatalf("seed %d: solvers diverged at t=%.3f", seed, tw.k.Now())
+			en.k.At(checkAt, func() {
+				if !en.check(t) {
+					t.Fatalf("seed %d: solvers diverged at t=%.3f", seed, en.k.Now())
 				}
 			})
 		}
-		tw.k.RunAll(0)
-		if !tw.check(t) {
+		en.k.RunAll(0)
+		if !en.check(t) {
 			t.Fatalf("seed %d: solvers diverged at end", seed)
 		}
 	}

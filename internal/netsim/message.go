@@ -57,15 +57,12 @@ func (n *Network) SetDrop(rate float64, rng *sim.Rand) {
 // bandwidth actually rises and the time it is noticed" comes from exactly
 // this coupling.
 func (n *Network) SendMessage(src, dst NodeID, bits float64, prio Priority, fn func()) float64 {
-	if fn == nil {
-		return n.SendMessageTo(src, dst, bits, prio, nil, nil)
+	delay, delivered := n.Transmit(src, dst, bits, prio)
+	if delivered && fn != nil {
+		n.K.AtAnon(n.K.Now()+delay, fn)
 	}
-	return n.SendMessageTo(src, dst, bits, prio, callFn, fn)
+	return delay
 }
-
-// callFn is SendMessage's trampoline: a func value is pointer-shaped, so
-// passing it as arg costs no allocation.
-func callFn(fn any) { fn.(func())() }
 
 // SendMessageTo is SendMessage with a closure-free callback: fn is a static
 // function and arg its pre-bound receiver, so high-rate senders (the event

@@ -97,12 +97,6 @@ type Network struct {
 	compSpans   []compSpan
 	stats       SolveStats
 
-	// globalReflow disables region partitioning and recomputes every flow on
-	// every solve — the pre-incremental behaviour, retained as the reference
-	// the solver-equivalence tests compare against (set through
-	// ForceGlobalReflow in export_test.go).
-	globalReflow bool
-
 	// minFlowRate is this network's elastic-flow floor: MinFlowRate, except
 	// where a test zeroes it so a fully loaded link stalls its flows.
 	minFlowRate float64
@@ -158,48 +152,6 @@ type routeTo struct {
 	dst  NodeID
 	hops []int32
 }
-
-// walk iterates the hops of one route in dst→src order: the spliced link of
-// a degree-1 destination, the search's hops from relay at back to its root,
-// the spliced link of a degree-1 source (see splice).
-type walk struct {
-	row             []int32
-	res             []resource
-	at, first, last int32 // first/last: hops, -1 when absent or consumed
-}
-
-// next returns the next hop, or -1 when the walk is done.
-func (w *walk) next() int32 {
-	if ri := w.last; ri >= 0 {
-		w.last = -1
-		return ri
-	}
-	if ri := w.row[w.at]; ri >= 0 {
-		w.at = w.res[ri].from
-		return ri
-	}
-	ri := w.first
-	w.first = -1
-	return ri
-}
-
-// hops returns the walk's length, leaving it unconsumed.
-func (w walk) hops() int {
-	n := 0
-	if w.first >= 0 {
-		n++
-	}
-	if w.last >= 0 {
-		n++
-	}
-	for ri := w.row[w.at]; ri >= 0; ri = w.row[w.res[ri].from] {
-		n++
-	}
-	return n
-}
-
-// rootOnly is the row walked when a path has no relay-to-relay segment.
-var rootOnly = []int32{-1}
 
 // search is the one BFS over the relays in progress, kept warm for its root:
 // a later search from the same root resumes where it stopped, since BFS order
@@ -292,26 +244,27 @@ func (n *Network) dropRoutes() {
 // Link returns the link by id.
 func (n *Network) Link(id LinkID) *Link { return n.links[int(id)] }
 
-// splice resolves src→dst (src ≠ dst) into a walk with no tree yet, and the
-// relays ra, rb between which the route runs through the BFS tree rooted at ra;
-// ra is -1 where the route has no relay-to-relay segment. Routes are
+// splice resolves src→dst (src ≠ dst) into its spliced end hops first and
+// last, -1 where absent, and the relays ra, rb between which the route runs
+// through the BFS tree rooted at ra; ra is -1 where the route has no
+// relay-to-relay segment. Routes are
 // min-hop, found by BFS exploring neighbours in Connect order, which makes
 // the BFS tree rooted at src the route to every destination at once. Only
 // relay nodes (degree ≥ 2) can be interior to a path and a degree-1 node
 // changes nobody else's BFS parent, so trees span relays only: a degree-1
 // source prepends its one link to its neighbour's tree, a degree-1
 // destination appends its one link to the route to its neighbour.
-func (n *Network) splice(src, dst NodeID) (w walk, ra, rb int32) {
-	w = walk{row: rootOnly, res: n.res, first: -1, last: -1}
+func (n *Network) splice(src, dst NodeID) (first, last, ra, rb int32) {
+	first, last = -1, -1
 	a, b := src, dst
 	if adj := n.adj[a]; len(adj) == 1 {
-		w.first, a = adj[0].ri, adj[0].to
+		first, a = adj[0].ri, adj[0].to
 	}
 	if adj := n.adj[b]; len(adj) == 1 && a != dst {
-		w.last, b = adj[0].ri^1, adj[0].to
+		last, b = adj[0].ri^1, adj[0].to
 	}
 	if a == b {
-		return w, -1, -1
+		return first, last, -1, -1
 	}
 	if n.scr.row == nil {
 		n.indexRelays()
@@ -319,7 +272,7 @@ func (n *Network) splice(src, dst NodeID) (w walk, ra, rb int32) {
 	if ra, rb = n.relayOf(a), n.relayOf(b); ra < 0 || rb < 0 {
 		n.noRoute(src, dst)
 	}
-	return w, ra, rb
+	return first, last, ra, rb
 }
 
 // noRoute panics for an unroutable pair.
@@ -453,52 +406,70 @@ func find(from []routeTo, dst NodeID) int {
 // start over from another root, a memoised route that differs only in a
 // degree-1 end is spliced instead (see sibling).
 func (n *Network) materialise(src, dst NodeID) []int32 {
-	w, ra, rb := n.splice(src, dst)
+	first, last, ra, rb := n.splice(src, dst)
+	hops := 0
 	if ra >= 0 {
-		w.at = rb
-		if path := n.sibling(src, dst, w, ra); path != nil {
+		if path := n.sibling(src, dst, first, last, ra); path != nil {
 			return path
-		} else if n.searchTo(ra, rb) {
-			w.row = n.scr.row
-		} else {
+		} else if !n.searchTo(ra, rb) {
 			n.noRoute(src, dst)
 		}
+		// The search labels each relay with the hop into it, the root -1.
+		for ri := n.scr.row[rb]; ri >= 0; ri = n.scr.row[n.res[ri].from] {
+			hops++
+		}
 	}
-	path := make([]int32, w.hops())
-	for i := len(path) - 1; i >= 0; i-- {
-		path[i] = w.next()
+	if first >= 0 {
+		hops++
+	}
+	if last >= 0 {
+		hops++
+	}
+	path := make([]int32, hops)
+	if last >= 0 {
+		hops--
+		path[hops] = last
+	}
+	if ra >= 0 {
+		for ri := n.scr.row[rb]; ri >= 0; ri = n.scr.row[n.res[ri].from] {
+			hops--
+			path[hops] = ri
+		}
+	}
+	if first >= 0 {
+		path[0] = first
 	}
 	return path
 }
 
 // sibling returns src→dst copied from a memoised route through the same
 // tree segment: the route to dst from another degree-1 node on src's relay
-// with w's first hop in place of its own, or the route from src to another
-// degree-1 node on dst's relay with w's last hop in place of its own. It
+// with first in place of its first hop, or the route from src to another
+// degree-1 node on dst's relay with last in place of its last hop. It
 // returns nil where the search is already rooted at ra, which answers
 // without starting over, or where no such route is memoised.
-func (n *Network) sibling(src, dst NodeID, w walk, ra int32) []int32 {
+func (n *Network) sibling(src, dst NodeID, first, last, ra int32) []int32 {
 	if n.scr.root == ra {
 		return nil
 	}
-	if w.first >= 0 {
+	if first >= 0 {
 		for _, ht := range n.adj[n.adj[src][0].to] {
 			if from := n.paths[ht.to]; ht.to != src && len(n.adj[ht.to]) == 1 {
 				if i := find(from, dst); i < len(from) && from[i].dst == dst {
 					path := slices.Clone(from[i].hops)
-					path[0] = w.first
+					path[0] = first
 					return path
 				}
 			}
 		}
 	}
-	if w.last >= 0 {
+	if last >= 0 {
 		from := n.paths[src]
 		for _, ht := range n.adj[n.adj[dst][0].to] {
 			if ht.to != dst && len(n.adj[ht.to]) == 1 {
 				if i := find(from, ht.to); i < len(from) && from[i].dst == ht.to {
 					path := slices.Clone(from[i].hops)
-					path[len(path)-1] = w.last
+					path[len(path)-1] = last
 					return path
 				}
 			}
@@ -536,22 +507,13 @@ func (n *Network) SetBackground(id LinkID, d Dir, load float64) {
 	n.solve()
 }
 
-// SetBackgroundBoth sets the same background load on both directions.
+// SetBackgroundBoth sets the same background load on both directions, with
+// one reflow for the two.
 func (n *Network) SetBackgroundBoth(id LinkID, load float64) {
-	l := n.links[int(id)]
-	if !(load > 0) { // negative, zero or NaN
-		load = 0
-	}
-	if load > l.Capacity {
-		load = l.Capacity
-	}
-	if l.bg[Fwd] == load && l.bg[Rev] == load {
-		return
-	}
-	l.bg[Fwd] = load
-	l.bg[Rev] = load
-	n.markDirty(int32(id) * 2)
-	n.markDirty(int32(id)*2 + 1)
+	n.batching++
+	n.SetBackground(id, Fwd, load)
+	n.SetBackground(id, Rev, load)
+	n.batching--
 	n.solve()
 }
 

@@ -1,6 +1,7 @@
 package archadapt
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/importer"
@@ -15,23 +16,21 @@ import (
 	"testing"
 )
 
-// reachAllowed lists the declarations that nothing outside their own tests
-// reaches and that stay anyway, keyed "importpath.Name" or
-// "importpath.Recv.Name", each with its reason.
+// reachAllowed lists the declarations that no production code reaches and
+// that stay anyway, keyed "importpath.Name" or "importpath.Recv.Name", each
+// with its reason. An entry must still be reached by a test outside its own
+// package or by a root-package benchmark: what only its own package's tests
+// reach belongs in that package's _test.go files.
 var reachAllowed = map[string]string{
 	// Test helpers that live beside the code they wrap.
-	"archadapt/internal/acme.MustParse":       "test helper: parses a literal ADL fixture or fails",
-	"archadapt/internal/constraint.MustParse": "test helper: parses a literal constraint or fails",
-	"archadapt/internal/acme.Print":           "the full printer (invariants too) that FuzzParse's print → parse fixpoint runs over",
-	"archadapt/internal/fleet.RunScenario":    "StartScenario + Finish in one call, the form the fleet, chaos and netsim tests drive",
-	"archadapt/internal/repair.NewTxn":        "a standalone transaction, so operator tests drive Table 1 operators outside an engine",
+	"archadapt/internal/fleet.RunScenario": "StartScenario + Finish in one call, the form the fleet, chaos and netsim tests drive",
+	"archadapt/internal/repair.NewTxn":     "a standalone transaction, so operator tests drive Table 1 operators outside an engine",
 
 	// A series summary the experiment golden test prints beside Min and Max.
 	"archadapt/internal/metrics.Series.Mean": "metrics summary",
 
-	// References the equivalence tests compare against.
-	"archadapt/internal/netsim.Network.SetBackground": "one-direction load the solver equivalence tests apply to both solvers",
-	"archadapt/internal/repair.Strategy.Execute":      "runs a hand-coded strategy, the reference the operators tests compare compiled scripts against",
+	// A reference the equivalence tests compare against.
+	"archadapt/internal/repair.Strategy.Execute": "runs a hand-coded strategy, the reference the operators tests compare compiled scripts against",
 
 	// Message-loss injectors: the gauge protocol's retransmission and the
 	// control loop recover from the losses they cause, and the fault tests
@@ -55,45 +54,56 @@ var runtimeMethods = map[string]bool{
 
 // TestProductionCodeIsReached is the "pay or go" guard for non-test code: a
 // declaration earns its place only if a command, the benchmark, an Example or
-// the root package's exported surface reaches it. The module is type-checked
-// (the standard library from source), and a reached declaration reaches every
-// package-level declaration and method its identifiers denote. A call through
-// an interface method reaches that method on every module type that
-// implements the interface, so a report is never a false alarm. One-statement
-// accessors, methods the runtime calls and the reachAllowed entries are
-// exempt.
+// the root package's exported surface reaches it. The module is type-checked,
+// tests included (the standard library from source), and a reached
+// declaration reaches every package-level declaration and method its
+// identifiers denote. A call through an interface method reaches that method
+// on every module type that implements the interface, so a report is never a
+// false alarm. One-statement accessors and methods the runtime calls are
+// exempt. A reachAllowed entry is the one other way to stay, and only for a
+// declaration that a test outside its package or a root-package benchmark
+// reaches; what only its own package's tests reach moves into that package's
+// _test.go files, and what nothing reaches is deleted.
 func TestProductionCodeIsReached(t *testing.T) {
-	type decl struct {
-		key  string // importpath.Name or importpath.Recv.Name
-		node ast.Node
-		info *types.Info
-		pos  token.Pos
-		// exempt from the report: an accessor or a runtime-called method
-		exempt bool
-	}
 	fset, pkgs, paths := loadModule(t)
 
-	var all []*decl
-	byObj := map[types.Object]*decl{}
-	var roots []*decl
+	var all []*reachDecl
+	byObj := map[types.Object]*reachDecl{}
+	var prodRoots []*reachDecl
+	// testRoots holds the tests, benchmarks, fuzz targets and initialisers of
+	// the _test.go files, keyed by the directory they run from; the root
+	// package's benchmarks are keyed "", outside every package.
+	testRoots := map[string][]*reachDecl{}
 	var named []*types.Named // every module type that could implement an interface
+	testType := map[*types.Named]bool{}
 	for _, ip := range paths {
 		mp := pkgs[ip]
-		// A command's, the benchmark's and the Examples' declarations are
-		// roots, and so is the root package's exported surface.
-		allRoots := mp.pkg.Name() == "main" || strings.HasSuffix(ip, "_test")
-		add := func(id *ast.Ident, key string, node ast.Node, exempt, root bool) {
-			if id.Name == "_" {
-				return
-			}
-			d := &decl{key: key, node: node, info: mp.info, pos: id.Pos(), exempt: exempt}
-			all = append(all, d)
-			byObj[mp.info.Defs[id]] = d
-			if root || allRoots || (ip == module && ast.IsExported(id.Name)) {
-				roots = append(roots, d)
-			}
-		}
+		dir := strings.TrimSuffix(ip, "_test")
+		main := mp.pkg.Name() == "main"
 		for _, f := range mp.files {
+			test := mp.tests[f]
+			add := func(id *ast.Ident, key string, node ast.Node, exempt bool) *reachDecl {
+				d := &reachDecl{key: key, node: node, info: mp.info, pos: id.Pos(), dir: dir, test: test, exempt: exempt}
+				if id.Name != "_" {
+					all = append(all, d)
+					byObj[mp.info.Defs[id]] = d
+				}
+				return d
+			}
+			// root files d as a production root or as a test root.
+			root := func(d *reachDecl, name string, fn bool) {
+				switch {
+				case !test && (main || fn && name == "init" || ip == module && ast.IsExported(name)):
+					prodRoots = append(prodRoots, d)
+				case test && fn && strings.HasPrefix(name, "Example"):
+					prodRoots = append(prodRoots, d)
+				case test && fn && dir == module && strings.HasPrefix(name, "Benchmark"):
+					testRoots[""] = append(testRoots[""], d)
+				case test && (!fn || name == "init" || strings.HasPrefix(name, "Test") ||
+					strings.HasPrefix(name, "Benchmark") || strings.HasPrefix(name, "Fuzz")):
+					testRoots[dir] = append(testRoots[dir], d)
+				}
+			}
 			for _, gd := range f.Decls {
 				switch gd := gd.(type) {
 				case *ast.FuncDecl:
@@ -102,19 +112,29 @@ func TestProductionCodeIsReached(t *testing.T) {
 					if gd.Recv != nil {
 						key = ip + "." + recvName(gd.Recv.List[0].Type) + "." + name
 					}
-					exempt := gd.Recv != nil && (runtimeMethods[name] || isAccessor(gd))
-					add(gd.Name, key, gd, exempt, gd.Recv == nil && name == "init")
+					d := add(gd.Name, key, gd, gd.Recv != nil && (runtimeMethods[name] || isAccessor(gd)))
+					if gd.Recv == nil {
+						root(d, name, true)
+					}
 				case *ast.GenDecl:
 					for _, spec := range gd.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
-							add(s.Name, ip+"."+s.Name.Name, s, false, false)
+							d := add(s.Name, ip+"."+s.Name.Name, s, false)
+							if !test {
+								root(d, s.Name.Name, false)
+							}
 							if n, ok := mp.info.Defs[s.Name].Type().(*types.Named); ok && !types.IsInterface(n) {
 								named = append(named, n)
+								testType[n] = test
 							}
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
-								add(n, ip+"."+n.Name, s, false, false)
+								// A test file's initialised variable is
+								// set up before its package's tests run.
+								if d := add(n, ip+"."+n.Name, s, false); !test || len(s.Values) > 0 {
+									root(d, n.Name, false)
+								}
 							}
 						}
 					}
@@ -123,63 +143,116 @@ func TestProductionCodeIsReached(t *testing.T) {
 		}
 	}
 
-	reached := map[*decl]bool{}
-	work := slices.Clone(roots)
-	for _, d := range roots {
-		reached[d] = true
-	}
-	dispatched := map[*types.Func]bool{}
-	var reach func(obj types.Object)
-	reach = func(obj types.Object) {
-		switch o := obj.(type) {
-		case *types.Func:
-			obj = o.Origin()
-			recv := o.Signature().Recv()
-			if recv == nil || !types.IsInterface(recv.Type()) || dispatched[o] {
-				break
+	// implementations returns the methods a call through interface method o
+	// reaches: o on every module type that implements the interface.
+	implsOf := map[*types.Func][]reachImpl{}
+	implementations := func(o *types.Func) []reachImpl {
+		if got, ok := implsOf[o]; ok {
+			return got
+		}
+		var got []reachImpl
+		iface := o.Signature().Recv().Type().Underlying().(*types.Interface)
+		for _, n := range named {
+			if n.TypeParams().Len() == 0 && !types.Implements(n, iface) && !types.Implements(types.NewPointer(n), iface) {
+				continue
 			}
-			// A call through the interface reaches every implementation.
-			dispatched[o] = true
-			iface := recv.Type().Underlying().(*types.Interface)
-			for _, n := range named {
-				if n.TypeParams().Len() == 0 && !types.Implements(n, iface) && !types.Implements(types.NewPointer(n), iface) {
-					continue
-				}
-				if m, _, _ := types.LookupFieldOrMethod(types.NewPointer(n), false, o.Pkg(), o.Name()); m != nil {
-					reach(m)
+			if m, _, _ := types.LookupFieldOrMethod(types.NewPointer(n), false, o.Pkg(), o.Name()); m != nil {
+				if d := byObj[m.(*types.Func).Origin()]; d != nil {
+					got = append(got, reachImpl{d, testType[n]})
 				}
 			}
-		case *types.Var:
-			obj = o.Origin()
 		}
-		if d := byObj[obj]; d != nil && !reached[d] {
-			reached[d] = true
-			work = append(work, d)
-		}
+		implsOf[o] = got
+		return got
 	}
-	for len(work) > 0 {
-		d := work[len(work)-1]
-		work = work[:len(work)-1]
+	// edges fills what d's identifiers denote, once.
+	edges := func(d *reachDecl) {
+		if d.walked {
+			return
+		}
+		d.walked = true
 		ast.Inspect(d.node, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := d.info.Uses[id]; obj != nil {
-					reach(obj)
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := d.info.Uses[id]
+			switch o := obj.(type) {
+			case nil:
+				return true
+			case *types.Func:
+				obj = o.Origin()
+				if recv := o.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					d.impls = append(d.impls, implementations(o.Origin())...)
 				}
+			case *types.Var:
+				obj = o.Origin()
+			}
+			if u := byObj[obj]; u != nil {
+				d.uses = append(d.uses, u)
 			}
 			return true
 		})
 	}
+	// reachFrom returns what roots reach. Production reach takes no
+	// interface call into a type a _test.go file declares: a test fake
+	// pays for nothing its methods call.
+	reachFrom := func(roots []*reachDecl, production bool) map[*reachDecl]bool {
+		reached := map[*reachDecl]bool{}
+		var work []*reachDecl
+		visit := func(d *reachDecl) {
+			if !reached[d] {
+				reached[d] = true
+				work = append(work, d)
+			}
+		}
+		for _, d := range roots {
+			visit(d)
+		}
+		for len(work) > 0 {
+			d := work[len(work)-1]
+			work = work[:len(work)-1]
+			edges(d)
+			for _, u := range d.uses {
+				visit(u)
+			}
+			for _, m := range d.impls {
+				if !production || !m.testType {
+					visit(m.d)
+				}
+			}
+		}
+		return reached
+	}
+
+	pays := reachFrom(prodRoots, true)
+	outside := map[*reachDecl]bool{} // reached by a test outside its package or a root benchmark
+	for dir, roots := range testRoots {
+		for d := range reachFrom(roots, false) {
+			if d.dir != dir {
+				outside[d] = true
+			}
+		}
+	}
 
 	declared := map[string]bool{}
 	for _, d := range all {
+		if d.test {
+			continue
+		}
 		declared[d.key] = true
 		_, allowed := reachAllowed[d.key]
-		switch pays := reached[d] || d.exempt; {
-		case pays && allowed:
+		at, name := fset.Position(d.pos), strings.TrimPrefix(d.key, module+"/")
+		switch {
+		case (pays[d] || d.exempt) && allowed:
 			t.Errorf("reachAllowed lists %s, which pays its way now: drop the entry", d.key)
-		case !pays && !allowed:
-			t.Errorf("%s: %s is reached only from tests: delete it, or list it in reachAllowed with the reason it stays",
-				fset.Position(d.pos), strings.TrimPrefix(d.key, module+"/"))
+		case pays[d] || d.exempt:
+		case allowed && !outside[d]:
+			t.Errorf("%s: reachAllowed lists %s, which no test outside its package and no root benchmark reaches: move it into its package's _test.go files, or delete it", at, name)
+		case !allowed && outside[d]:
+			t.Errorf("%s: %s is reached only from tests: delete it, or list it in reachAllowed with the reason it stays", at, name)
+		case !allowed:
+			t.Errorf("%s: %s is reached by no command, benchmark, Example or test outside its package: move it into its package's _test.go files, or delete it", at, name)
 		}
 	}
 	for key := range reachAllowed {
@@ -187,6 +260,31 @@ func TestProductionCodeIsReached(t *testing.T) {
 			t.Errorf("reachAllowed lists %s, which is not declared: drop the entry", key)
 		}
 	}
+}
+
+// reachDecl is one package-level declaration or method as the reach guard
+// sees it.
+type reachDecl struct {
+	key    string // importpath.Name or importpath.Recv.Name
+	node   ast.Node
+	info   *types.Info
+	pos    token.Pos
+	dir    string // the declaring package's import path, without _test
+	test   bool   // declared in a _test.go file
+	exempt bool   // an accessor or a runtime-called method
+	// What the identifiers in node denote, filled on the first walk through
+	// it: the declarations they name, and the methods their interface calls
+	// reach.
+	walked bool
+	uses   []*reachDecl
+	impls  []reachImpl
+}
+
+// reachImpl is a method an interface call reaches, and whether a _test.go
+// file declares its type.
+type reachImpl struct {
+	d        *reachDecl
+	testType bool
 }
 
 // fieldsAllowed lists the exported fields of library types that no non-test
@@ -251,45 +349,51 @@ func TestExportedFieldsAreWritten(t *testing.T) {
 			return false
 		}
 		for _, f := range pkgs[ip].files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for i, l := range n.Lhs {
-						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && reset(n.Rhs[i]) {
-							continue
-						}
-						target(l)
-					}
-				case *ast.RangeStmt:
-					if n.Tok == token.ASSIGN {
-						target(n.Key)
-						target(n.Value)
-					}
-				case *ast.IncDecStmt:
-					target(n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						target(n.X)
-					}
-				case *ast.CompositeLit:
-					typ := info.Types[n].Type
-					if p, ok := typ.(*types.Pointer); ok {
-						typ = p.Elem()
-					}
-					st, ok := typ.Underlying().(*types.Struct)
-					if !ok {
-						return true
-					}
-					for i, el := range n.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							field(kv.Key.(*ast.Ident))
-						} else {
-							written[st.Field(i).Origin()] = true
-						}
-					}
+			for _, d := range f.Decls {
+				// Tests write what they like; an Example is a caller.
+				if fd, ok := d.(*ast.FuncDecl); pkgs[ip].tests[f] && !(ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example")) {
+					continue
 				}
-				return true
-			})
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for i, l := range n.Lhs {
+							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && reset(n.Rhs[i]) {
+								continue
+							}
+							target(l)
+						}
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							target(n.Key)
+							target(n.Value)
+						}
+					case *ast.IncDecStmt:
+						target(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							target(n.X)
+						}
+					case *ast.CompositeLit:
+						typ := info.Types[n].Type
+						if p, ok := typ.(*types.Pointer); ok {
+							typ = p.Elem()
+						}
+						st, ok := typ.Underlying().(*types.Struct)
+						if !ok {
+							return true
+						}
+						for i, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								field(kv.Key.(*ast.Ident))
+							} else {
+								written[st.Field(i).Origin()] = true
+							}
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
 
@@ -320,11 +424,12 @@ func TestExportedFieldsAreWritten(t *testing.T) {
 	}
 	for _, ip := range paths {
 		pkg := pkgs[ip].pkg
-		if pkg.Name() == "main" {
+		if pkg.Name() == "main" || strings.HasSuffix(ip, "_test") {
 			continue
 		}
 		for _, name := range pkg.Scope().Names() {
-			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if ok && !tn.IsAlias() && !strings.HasSuffix(fset.Position(tn.Pos()).Filename, "_test.go") {
 				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
 					check(ip+"."+name, st)
 				}
@@ -359,10 +464,10 @@ func unnamedStruct(typ types.Type) (*types.Struct, bool) {
 // module is the import path of the module's root package.
 const module = "archadapt"
 
-// loadModule parses the module's non-test files, plus example_test.go as
-// package archadapt_test, and type-checks every package (the standard
-// library from source). It returns the packages by import path and those
-// paths sorted.
+// loadModule parses every Go file of the module and type-checks each package
+// with its in-package _test.go files, and each external test package as
+// importpath_test (the standard library from source). It returns the packages
+// by import path and those paths sorted.
 func loadModule(t *testing.T) (*token.FileSet, map[string]*modulePkg, []string) {
 	fset := token.NewFileSet()
 	pkgs := map[string]*modulePkg{}
@@ -376,8 +481,7 @@ func loadModule(t *testing.T) (*token.FileSet, map[string]*modulePkg, []string) 
 			}
 			return nil
 		}
-		isExample := p == "example_test.go"
-		if !strings.HasSuffix(p, ".go") || (strings.HasSuffix(p, "_test.go") && !isExample) {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
@@ -389,13 +493,14 @@ func loadModule(t *testing.T) (*token.FileSet, map[string]*modulePkg, []string) 
 		if dir != "." {
 			ip = module + "/" + dir
 		}
-		if isExample {
+		if strings.HasSuffix(f.Name.Name, "_test") {
 			ip += "_test"
 		}
 		if pkgs[ip] == nil {
-			pkgs[ip] = &modulePkg{}
+			pkgs[ip] = &modulePkg{tests: map[*ast.File]bool{}}
 		}
 		pkgs[ip].files = append(pkgs[ip].files, f)
+		pkgs[ip].tests[f] = strings.HasSuffix(p, "_test.go")
 		return nil
 	})
 	if err != nil {
@@ -415,13 +520,15 @@ func loadModule(t *testing.T) (*token.FileSet, map[string]*modulePkg, []string) 
 	return fset, pkgs, paths
 }
 
-// modulePkg is one package of the module as the reach guard loads it: its
-// non-test files (or, for archadapt_test, example_test.go), type-checked on
-// first import.
+// modulePkg is one package of the module as the guards load it: its files,
+// in-package tests included (an external test package is one of its own),
+// type-checked on first import.
 type modulePkg struct {
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
+	files    []*ast.File
+	tests    map[*ast.File]bool // the _test.go files among them
+	checking bool
+	pkg      *types.Package
+	info     *types.Info
 }
 
 // moduleImporter type-checks the module's packages from the parsed files and
@@ -438,7 +545,12 @@ func (im *moduleImporter) Import(path string) (*types.Package, error) {
 	if mp == nil {
 		return im.std.ImportFrom(path, ".", 0)
 	}
+	if mp.checking {
+		return nil, fmt.Errorf("import cycle through %s with its tests", path)
+	}
 	if mp.pkg == nil {
+		mp.checking = true
+		defer func() { mp.checking = false }()
 		mp.info = &types.Info{
 			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
