@@ -24,7 +24,7 @@ type LatencyObserver struct {
 // every sample.
 type ClientLatency struct {
 	o   *LatencyObserver
-	win *metrics.Window
+	win metrics.Window
 	// head is the oldest outstanding request, tail the newest; both nil when
 	// nothing is outstanding.
 	head, tail *Request
@@ -45,7 +45,7 @@ func ObserveLatency(sys *System, clients []string, windowWidth float64) *Latency
 			// the application, each over its own client names.
 			panic("app: latency of client " + name + " is already observed")
 		}
-		w := &ClientLatency{o: o, win: metrics.NewWindow(windowWidth)}
+		w := &ClientLatency{o: o, win: metrics.Window{Width: windowWidth}}
 		o.clients[name], cli.watch = w, w
 		cli.OnSend = append(cli.OnSend, w.sent)
 		cli.OnResponse = append(cli.OnResponse, w.answered)

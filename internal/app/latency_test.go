@@ -93,7 +93,7 @@ func observeWithMaps(sys *System, clients []string, windowWidth float64, id func
 		outstanding: map[string]map[uint64]float64{},
 	}
 	for _, name := range clients {
-		win, out := metrics.NewWindow(windowWidth), map[uint64]float64{}
+		win, out := &metrics.Window{Width: windowWidth}, map[uint64]float64{}
 		o.windows[name], o.outstanding[name] = win, out
 		cli := sys.Client(name)
 		cli.OnSend = append(cli.OnSend, func(r *Request) {

@@ -53,6 +53,12 @@ type Message struct {
 	// the probe sample it last folded). Both stay zero — and cost nothing —
 	// when tracing is off.
 	Span, Parent obs.SpanID
+
+	// Tag is a small integer the consumer hands the publisher and the
+	// publisher stamps on every message: a gauge stamps the slot its
+	// architecture manager resolved the report's model target into, so
+	// applying a report needs no search. 0 is untagged.
+	Tag int32
 }
 
 // slot names one of a Message's string fields. Wire names are resolved to
@@ -109,8 +115,8 @@ func (m *Message) str(f slot) string {
 // matches nothing.
 type Filter struct {
 	topic string
-	field slot // slotNone: the topic alone decides
 	value string
+	field slot // slotNone: the topic alone decides
 	live  bool // false: matches nothing
 }
 
@@ -131,16 +137,25 @@ func (f *Filter) matches(m *Message) bool {
 	return f.live && m.Topic == f.topic && (f.field == slotNone || m.str(f.field) == f.value)
 }
 
-// Subscription is a registered consumer. Subscription structs are pooled
-// bus-wide: gen is bumped when a subscription is recycled so that in-flight
-// deliveries addressed to a previous tenant are discarded rather than handed
-// to the new one.
+// Subscription is a registered consumer: a handler, or a Folder. Subscription
+// structs are pooled bus-wide: gen is bumped when a subscription is recycled
+// so that in-flight deliveries addressed to a previous tenant are discarded
+// rather than handed to the new one.
 type Subscription struct {
 	Host    netsim.NodeID
 	filter  Filter
 	handler func(Message)
-	dead    bool
+	folder  Folder
 	gen     uint64
+}
+
+// Folder is a subscriber that only folds each sample into its own state,
+// keyed by the sample's arrival time: it publishes nothing and schedules
+// nothing in response, so it can take a sample before the sample's arrival
+// and count it only from then on. at is the arrival time; m is the message
+// as published.
+type Folder interface {
+	Fold(at sim.Time, m Message)
 }
 
 // msgBits is the on-wire size of one notification (2 KB).
@@ -275,7 +290,19 @@ func (sh *Shard) traceMsg(msg *Message) {
 // Subscribe registers a handler running on host for messages matching f.
 func (sh *Shard) Subscribe(host netsim.NodeID, f Filter, handler func(Message)) *Subscription {
 	s := sh.b.subPool.Get()
-	s.Host, s.filter, s.handler, s.dead = host, f, handler, false
+	s.Host, s.filter, s.handler = host, f, handler
+	sh.subs = append(sh.subs, s)
+	return s
+}
+
+// SubscribeFold registers a Folder running on host for messages matching f.
+// A message published on host is folded inside Publish, stamped with the
+// arrival time its delivery event would have carried, and costs no event;
+// one published elsewhere is delivered over the network as Subscribe's are,
+// and folded at its arrival.
+func (sh *Shard) SubscribeFold(host netsim.NodeID, f Filter, fd Folder) *Subscription {
+	s := sh.b.subPool.Get()
+	s.Host, s.filter, s.folder = host, f, fd
 	sh.subs = append(sh.subs, s)
 	return s
 }
@@ -309,34 +336,42 @@ type delivery struct {
 // deliverFn is the static delivery callback — no per-send closures. The
 // record is pooled before the handler runs (a handler may publish), which is
 // safe because the handler's by-value argument is copied out of the record
-// as the call is made: the one copy a delivery costs after the send.
+// as the call is made: the one copy a delivery costs after the send. A
+// recycled subscription has moved on to a later gen, so a delivery addressed
+// to its previous owner is stale.
 func deliverFn(arg any) {
 	d := arg.(*delivery)
 	sub, sh := d.sub, d.sh
-	stale := d.gen != sub.gen || sub.dead
+	stale := d.gen != sub.gen
 	d.sh, d.sub = nil, nil
 	sh.b.dlvPool.Put(d)
 	if stale {
 		return
 	}
 	sh.delivered++
+	if sub.folder != nil {
+		sub.folder.Fold(sh.b.K.Now(), d.msg)
+		return
+	}
 	sub.handler(d.msg)
 }
 
 // recycleSub invalidates in-flight deliveries and pools the subscription.
 func (b *Bus) recycleSub(s *Subscription) {
-	s.dead = true
 	s.gen++
-	s.filter, s.handler = Filter{}, nil
+	s.filter, s.handler, s.folder = Filter{}, nil, nil
 	b.subPool.Put(s)
 }
 
-// Publish routes msg to every matching subscriber on the shard. Delivery to
-// a subscriber on the same host is immediate (next event); remote deliveries
-// traverse the network with the bus priority. One publish is one dispatch
-// pass: matching, drop sampling and scheduling reuse pooled records, so the
+// Publish routes msg to every matching subscriber on the shard. A Folder on
+// the publishing host takes the message at once, stamped with its arrival
+// time; every other delivery is a network message with the bus priority
+// (one to the same host takes a fixed 10 µs), scheduled as an event. Each
+// delivery is delayed, dropped and counted by the network alike, so the
+// fold changes no draw and no statistic. One publish is one dispatch pass:
+// matching, drop sampling and scheduling reuse pooled records, so the
 // steady state allocates nothing. The message is copied once per delivery,
-// into the pooled record.
+// into the pooled record or the fold's argument.
 func (sh *Shard) Publish(msg Message) {
 	b := sh.b
 	msg.Time = b.K.Now()
@@ -345,7 +380,14 @@ func (sh *Shard) Publish(msg Message) {
 	}
 	sh.published++
 	for _, s := range sh.subs {
-		if s.dead || !s.filter.matches(&msg) || sh.lost() {
+		if !s.filter.matches(&msg) || sh.lost() {
+			continue
+		}
+		if s.folder != nil && s.Host == msg.Src {
+			if delay, ok := b.Net.Transmit(msg.Src, s.Host, msgBits, b.Priority); ok {
+				sh.delivered++
+				s.folder.Fold(msg.Time+delay, msg)
+			}
 			continue
 		}
 		d := b.dlvPool.Get()

@@ -401,3 +401,93 @@ func TestPublishDeliverAllocationFree(t *testing.T) {
 		t.Fatalf("delivered %d, want %d", delivered, 102*6)
 	}
 }
+
+// foldLog is a Folder recording each fold's arrival time and value.
+type foldLog [][2]float64
+
+func (l *foldLog) Fold(at sim.Time, m Message) { *l = append(*l, [2]float64{at, m.V1}) }
+
+// A Folder on the publishing host takes each sample inside Publish, stamped
+// with the time its delivery event would have carried, and costs no event:
+// it sees the (time, value) sequence a plain handler on that host sees,
+// reading the time from the kernel at delivery, under the same drop draws of
+// the shard and the network. A Folder on another host is still delivered by
+// an event, at the time a handler there would run.
+func TestFoldSeesWhatDeliverySees(t *testing.T) {
+	type outcome struct {
+		local, remote             foldLog
+		delivered, dropped, fired uint64
+		msgs                      netsim.MsgStats
+		shardDraw, netDraw        uint64
+	}
+	run := func(fold bool) outcome {
+		k, n, a, bHost, _ := rig()
+		b := New(k, n)
+		sh := b.Acquire()
+		shardRNG, netRNG := sim.NewRand(5), sim.NewRand(6)
+		sh.SetDrop(0.2, shardRNG)
+		n.SetDrop(0.2, netRNG)
+		var o outcome
+		if fold {
+			sh.SubscribeFold(a, TopicIs("x"), &o.local)
+			sh.SubscribeFold(bHost, TopicIs("x"), &o.remote)
+		} else {
+			sh.Subscribe(a, TopicIs("x"), func(m Message) { o.local = append(o.local, [2]float64{k.Now(), m.V1}) })
+			sh.Subscribe(bHost, TopicIs("x"), func(m Message) { o.remote = append(o.remote, [2]float64{k.Now(), m.V1}) })
+		}
+		for i := 0; i < 300; i++ {
+			// Samples 1e-5 s apart arrive after the next one is published.
+			at := float64(i/2) * 0.37
+			if i%2 == 1 {
+				at += 5e-6
+			}
+			k.At(at, func() { sh.Publish(Message{Topic: "x", Src: a, V1: float64(i)}) })
+		}
+		k.RunAll(0)
+		o.delivered, o.dropped, o.fired, o.msgs = sh.Delivered(), sh.Dropped(), k.Stats().Fired, n.MessageStats()
+		o.shardDraw, o.netDraw = shardRNG.Uint64(), netRNG.Uint64()
+		return o
+	}
+	fold, plain := run(true), run(false)
+	if len(plain.local) == 0 || len(plain.remote) == 0 || plain.dropped == 0 || plain.msgs.Dropped == 0 {
+		t.Fatalf("degenerate run: %d local, %d remote, %d shard drops, %d network drops",
+			len(plain.local), len(plain.remote), plain.dropped, plain.msgs.Dropped)
+	}
+	if !reflect.DeepEqual(fold.local, plain.local) {
+		t.Fatalf("same-host folds differ from deliveries:\nfold  %v\nplain %v", fold.local, plain.local)
+	}
+	if !reflect.DeepEqual(fold.remote, plain.remote) {
+		t.Fatalf("remote folds differ from deliveries:\nfold  %v\nplain %v", fold.remote, plain.remote)
+	}
+	if fold.delivered != plain.delivered || fold.dropped != plain.dropped || fold.msgs != plain.msgs {
+		t.Fatalf("counters differ: fold delivered %d dropped %d %+v, plain delivered %d dropped %d %+v",
+			fold.delivered, fold.dropped, fold.msgs, plain.delivered, plain.dropped, plain.msgs)
+	}
+	if fold.shardDraw != plain.shardDraw || fold.netDraw != plain.netDraw {
+		t.Fatal("the fold drew from the drop RNGs a different number of times than the deliveries")
+	}
+	if saved := plain.fired - fold.fired; saved != uint64(len(plain.local)) {
+		t.Fatalf("the fold saved %d events, want one per same-host sample (%d)", saved, len(plain.local))
+	}
+}
+
+// A fold allocates nothing, as a delivery does not.
+func TestPublishFoldAllocationFree(t *testing.T) {
+	k, n, a, _, _ := rig()
+	sh := New(k, n).Acquire()
+	var l foldLog
+	sh.SubscribeFold(a, TopicIs("q"), &l)
+	publish := func() {
+		if len(l) == cap(l) {
+			l = l[:0]
+		}
+		sh.Publish(Message{Topic: "q", Src: a, V1: 1})
+	}
+	l = make(foldLog, 0, 64)
+	if avg := testing.AllocsPerRun(100, publish); avg != 0 {
+		t.Fatalf("a publish to a same-host Folder allocates %v times", avg)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("%d events scheduled for same-host folds", k.Pending())
+	}
+}

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"archadapt/internal/app"
+	"archadapt/internal/bus"
 	"archadapt/internal/constraint"
+	"archadapt/internal/gauges"
+	"archadapt/internal/model"
 	"archadapt/internal/netsim"
 	"archadapt/internal/operators"
 	"archadapt/internal/remos"
@@ -360,5 +363,79 @@ func TestAlertLogBytes(t *testing.T) {
 	}
 	if a := r.mgr.Alerts(); len(a) != n || a[n-1] != (Alert{Subject: "C1", Reason: repair.AlertReason}) {
 		t.Fatalf("Alerts() holds %d, last %+v", len(a), a[len(a)-1])
+	}
+}
+
+// A gauge report lands on the element its slot resolved to, and the slot
+// follows the model's structure: after a MoveClient the client's bandwidth
+// reports write its new role, and after the move's transaction aborts they
+// write the restored original again.
+func TestReportTargetFollowsModelStructure(t *testing.T) {
+	r := newRig(t, Config{})
+	r.mgr.Deploy()
+	mdl := r.mgr.Model
+	cli := mdl.Component("C1")
+	roleNow := func() *model.Role {
+		t.Helper()
+		_, _, role, err := operators.GroupOf(mdl, cli)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return role
+	}
+	slot := func(gauge string) int32 {
+		switch g := r.mgr.GaugeMgr.Gauge(gauge).(type) {
+		case *gauges.BandwidthGauge:
+			return g.Slot
+		case *gauges.LatencyGauge:
+			return g.Slot
+		}
+		t.Fatalf("no gauge %s", gauge)
+		return 0
+	}
+	report := func(gauge, kind, prop string, v float64) {
+		r.mgr.consumeReport(bus.Message{Topic: gauges.TopicReport, Name: gauge, Target: "C1",
+			Kind: kind, Prop: prop, V1: v, Tag: slot(gauge)})
+	}
+	bandwidth := func(v float64) {
+		report("bandwidth:C1", gauges.KindClientRole, operators.PropBandwidth, v)
+	}
+	bwOf := func(role *model.Role) float64 { return role.Props().FloatOr(operators.PropBandwidth, -1) }
+
+	first := roleNow()
+	bandwidth(111)
+	if got := bwOf(first); got != 111 {
+		t.Fatalf("bandwidth on the client's role = %v, want 111", got)
+	}
+	report("latency:C1", gauges.KindClient, operators.PropAvgLatency, 0.5)
+	if got := cli.Props().FloatOr(operators.PropAvgLatency, -1); got != 0.5 {
+		t.Fatalf("averageLatency on the client = %v, want 0.5", got)
+	}
+
+	txn := repair.NewTxn(mdl)
+	if err := operators.MoveClient(txn, mdl, cli, mdl.Component("GB"), 0); err != nil {
+		t.Fatal(err)
+	}
+	moved := roleNow()
+	if moved == first {
+		t.Fatal("MoveClient kept the role")
+	}
+	bandwidth(222)
+	if bwOf(moved) != 222 || bwOf(first) != 111 {
+		t.Fatalf("after the move: new role %v, old role %v; want 222 on the new one only", bwOf(moved), bwOf(first))
+	}
+
+	if err := txn.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if roleNow() != first {
+		t.Fatal("the abort did not restore the original role")
+	}
+	bandwidth(333)
+	if bwOf(first) != 333 || bwOf(moved) != 222 {
+		t.Fatalf("after the abort: restored role %v, discarded role %v; want 333 on the restored one only", bwOf(first), bwOf(moved))
+	}
+	if r.mgr.Reports() != 4 {
+		t.Fatalf("reports consumed %d, want 4", r.mgr.Reports())
 	}
 }

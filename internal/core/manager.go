@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"archadapt/internal/app"
@@ -61,10 +62,20 @@ type Manager struct {
 	probeDetach []func()
 	reportSub   *bus.Subscription
 
-	// tr/trApp/trState attach the control loop to the observability plane;
-	// all nil/zero (and every hook a single nil check) when tracing is off.
+	// targets holds the property list each gauge report slot writes, slot
+	// s at index s-1 (reportSlot): for the i-th client, slot 2i+1 is its
+	// latency gauge's (the client's) and 2i+2 its bandwidth gauge's (the
+	// client role's); for the j-th group, slot 2·clients+j+1 is its load
+	// gauge's (the group's). nil marks an element the model lacks. It is
+	// resolved at the first report, at targetsRev, the model's structure
+	// revision, and again whenever that moves: a MoveClient repair moves a
+	// role, an aborted repair's restore moves it back.
+	targets    []*model.Props
+	targetsRev uint64
+
+	// tr/trState attach the control loop to the observability plane; both
+	// nil (and every hook a single nil check) when tracing is off.
 	tr      *obs.Tracer
-	trApp   string
 	trState *traceState
 
 	busy        bool
@@ -144,7 +155,7 @@ func NewAttached(cfg Config, k *sim.Kernel, net *netsim.Network, a *app.System, 
 	m.Engine.AlertFn = func(v constraint.Violation) {
 		m.alerts.add(k.Now(), m.Model, v)
 		if m.tr != nil {
-			m.tr.Instant(obs.KindAlert, m.trState.violSpan[v.SubjectName()], m.trApp,
+			m.tr.Instant(obs.KindAlert, m.trState.violSpan[v.SubjectName()], m.trState.app,
 				v.SubjectName()+": "+repair.AlertReason, 0, 0)
 		}
 	}
@@ -323,53 +334,113 @@ func (m *Manager) Reattach(host netsim.NodeID, plane Plane) {
 // newGauge builds the gauge named kind+target: kind "latency:" or
 // "bandwidth:" on a client, "load:" on a group. Deploy and churnGauges both
 // build through it; a client's host and group are read when its gauge is
-// built.
+// built, and the gauge stamps its reports with its slot in targets.
 func (m *Manager) newGauge(kind, target string) gauges.Gauge {
+	slot := m.reportSlot(kind, target)
 	if kind == "load:" {
 		lg := gauges.NewLoadGauge(m.K, m.ProbeBus, m.ReportBus, m.App.QueueHost, target, gaugePeriod)
 		lg.Smooth = m.Cfg.LoadSmoothing
+		lg.Slot = slot
 		return lg
 	}
 	cli := m.App.Client(target)
 	if kind == "latency:" {
-		return gauges.NewLatencyGauge(m.K, m.ProbeBus, m.ReportBus, cli.Host, target,
+		lg := gauges.NewLatencyGauge(m.K, m.ProbeBus, m.ReportBus, cli.Host, target,
 			latencyWindow, gaugePeriod)
+		lg.Slot = slot
+		return lg
 	}
-	return gauges.NewBandwidthGauge(m.K, m.ReportBus, m.Rm, cli.Host, target,
+	bg := gauges.NewBandwidthGauge(m.K, m.ReportBus, m.Rm, cli.Host, target,
 		func() (netsim.NodeID, bool) { return m.groupServerHost(cli.Group) },
 		gaugePeriod)
+	bg.Slot = slot
+	return bg
+}
+
+// reportSlot returns the slot in targets of the gauge kind+target, 0 for a
+// target the application does not name.
+func (m *Manager) reportSlot(kind, target string) int32 {
+	clients := m.App.Clients()
+	if kind == "load:" {
+		if j := slices.Index(m.App.Groups(), target); j >= 0 {
+			return int32(2*len(clients) + j + 1)
+		}
+		return 0
+	}
+	i := slices.Index(clients, target)
+	switch {
+	case i < 0:
+		return 0
+	case kind == "latency:":
+		return int32(2*i + 1)
+	}
+	return int32(2*i + 2)
+}
+
+// resolveTargets brings targets up to date with the model's structure and
+// the application's clients and groups.
+func (m *Manager) resolveTargets() {
+	rev, clients, groups := m.Model.StructRev(), m.App.Clients(), m.App.Groups()
+	n := 2*len(clients) + len(groups)
+	if m.targets != nil && rev == m.targetsRev && len(m.targets) == n {
+		return
+	}
+	if cap(m.targets) < n {
+		m.targets = make([]*model.Props, 0, n)
+	}
+	m.targets, m.targetsRev = m.targets[:0], rev
+	if m.trState != nil {
+		m.trState.subjects = m.trState.subjects[:0]
+	}
+	for _, name := range clients {
+		var cli, role model.Element
+		if c := m.Model.Component(name); c != nil {
+			cli = c
+			if _, _, r, err := operators.GroupOf(m.Model, c); err == nil {
+				role = r
+			}
+		}
+		m.addTarget(cli)
+		m.addTarget(role)
+	}
+	for _, name := range groups {
+		var grp model.Element
+		if c := m.Model.Component(name); c != nil {
+			grp = c
+		}
+		m.addTarget(grp)
+	}
+}
+
+// addTarget appends the next slot's target: el's property list, nil for no
+// element, and under tracing el's name as the slot's trace subject.
+func (m *Manager) addTarget(el model.Element) {
+	var props *model.Props
+	subject := ""
+	if el != nil {
+		props, subject = el.Props(), el.Name()
+	}
+	m.targets = append(m.targets, props)
+	if m.trState != nil {
+		m.trState.subjects = append(m.trState.subjects, subject)
+	}
 }
 
 // consumeReport applies one gauge report to the model (Figure 4's
-// "gauge consumers ... update an abstraction/model").
+// "gauge consumers ... update an abstraction/model"): the property the
+// report names, on the element its slot resolved to. A bandwidth report's
+// element is the client's role, so its update is traced under the role's
+// name, as bandwidth violations are.
 func (m *Manager) consumeReport(msg bus.Message) {
 	m.reports++
-	target := msg.Target
-	prop := msg.Prop
-	value := msg.V1
-	switch msg.Kind {
-	case gauges.KindClient, gauges.KindGroup:
-		if c := m.Model.Component(target); c != nil {
-			c.Props().SetFloat(prop, value)
-			if m.tr != nil {
-				m.traceModelUpdate(msg, c.Name())
-			}
-		}
-	case gauges.KindClientRole:
-		cli := m.Model.Component(target)
-		if cli == nil {
-			return
-		}
-		_, _, role, err := operators.GroupOf(m.Model, cli)
-		if err != nil {
-			return
-		}
-		role.Props().SetFloat(prop, value)
-		if m.tr != nil {
-			// Bandwidth violations subject the client's *role* element, so the
-			// update is remembered under the role's name to match.
-			m.traceModelUpdate(msg, role.Name())
-		}
+	m.resolveTargets()
+	i := int(msg.Tag) - 1
+	if i < 0 || i >= len(m.targets) || m.targets[i] == nil {
+		return
+	}
+	m.targets[i].SetFloat(msg.Prop, msg.V1)
+	if m.tr != nil {
+		m.traceModelUpdate(msg, m.trState.subjects[i])
 	}
 }
 

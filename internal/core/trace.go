@@ -29,19 +29,21 @@ import (
 // traceState is the manager's per-episode bookkeeping. Allocated only when a
 // tracer is configured.
 type traceState struct {
+	app            string                // the manager's application, every span's scope
 	lastReport     map[string]obs.SpanID // model subject -> newest model.update
 	violSpan       map[string]obs.SpanID // open episode -> violation span
 	pendingRecover map[string]obs.SpanID // repaired subject -> open recover span
 	lastDecision   obs.SpanID            // newest repair.decide (engine observer)
 	scratch        map[string]bool       // per-check violating-subject set
+	subjects       []string              // model element per report slot (Manager.targets)
 }
 
 // traceInit attaches the manager to cfg.Tracer: allocates episode state and
 // installs the repair-engine observer that emits decision spans.
 func (m *Manager) traceInit(app string) {
 	m.tr = m.Cfg.Tracer
-	m.trApp = app
 	m.trState = &traceState{
+		app:            app,
 		lastReport:     map[string]obs.SpanID{},
 		violSpan:       map[string]obs.SpanID{},
 		pendingRecover: map[string]obs.SpanID{},
@@ -53,13 +55,13 @@ func (m *Manager) traceInit(app string) {
 		if name == "" {
 			name = "none"
 		}
-		dec := m.tr.Instant(obs.KindRepairDecide, st.violSpan[rec.Subject], m.trApp,
+		dec := m.tr.Instant(obs.KindRepairDecide, st.violSpan[rec.Subject], st.app,
 			name+"/"+rec.Subject, float64(len(rec.Applied)), float64(len(rec.Ops)))
 		for _, tac := range rec.Applied {
-			m.tr.Instant(obs.KindTactic, dec, m.trApp, tac, 0, 0)
+			m.tr.Instant(obs.KindTactic, dec, st.app, tac, 0, 0)
 		}
 		for _, op := range rec.Ops {
-			m.tr.Instant(obs.KindOp, dec, m.trApp, op.String(), 0, 0)
+			m.tr.Instant(obs.KindOp, dec, st.app, op.String(), 0, 0)
 		}
 		st.lastDecision = dec
 	}
@@ -69,7 +71,7 @@ func (m *Manager) traceInit(app string) {
 // model.update span parented on the report's bus span, remembered per model
 // subject so the next violation on that subject can chain to it.
 func (m *Manager) traceModelUpdate(msg bus.Message, subject string) {
-	m.trState.lastReport[subject] = m.tr.Instant(obs.KindModelUpdate, msg.Span, m.trApp, subject+"/"+msg.Prop, msg.V1, 0)
+	m.trState.lastReport[subject] = m.tr.Instant(obs.KindModelUpdate, msg.Span, m.trState.app, subject+"/"+msg.Prop, msg.V1, 0)
 }
 
 // traceCheck reconciles episode state against one check's violation set:
@@ -92,9 +94,9 @@ func (m *Manager) traceCheck(vs []constraint.Violation, now float64) {
 		if v.Invariant != nil {
 			inv = v.Invariant.Name
 		}
-		st.violSpan[subj] = m.tr.Instant(obs.KindViolation, report, m.trApp, subj+"/"+inv, 0, 0)
+		st.violSpan[subj] = m.tr.Instant(obs.KindViolation, report, st.app, subj+"/"+inv, 0, 0)
 		if start, ok := m.tr.Origin(report); ok {
-			m.tr.RecordPhase(m.trApp, obs.PhaseDetect, now-start)
+			m.tr.RecordPhase(st.app, obs.PhaseDetect, now-start)
 		}
 	}
 	var closed []string
@@ -109,7 +111,7 @@ func (m *Manager) traceCheck(vs []constraint.Violation, now float64) {
 		if rc, ok := st.pendingRecover[subj]; ok {
 			delete(st.pendingRecover, subj)
 			m.tr.EndSpan(rc)
-			m.tr.RecordPhase(m.trApp, obs.PhaseRecover, now-m.tr.StartOf(rc))
+			m.tr.RecordPhase(st.app, obs.PhaseRecover, now-m.tr.StartOf(rc))
 		}
 	}
 }
@@ -120,9 +122,9 @@ func (m *Manager) traceCheck(vs []constraint.Violation, now float64) {
 func (m *Manager) traceRepairBegin(rec *repair.Record, now float64) obs.SpanID {
 	st := m.trState
 	if viol, ok := st.violSpan[rec.Subject]; ok {
-		m.tr.RecordPhase(m.trApp, obs.PhaseDecide, now-m.tr.StartOf(viol))
+		m.tr.RecordPhase(st.app, obs.PhaseDecide, now-m.tr.StartOf(viol))
 	}
-	return m.tr.Begin(obs.KindRepair, st.lastDecision, m.trApp, rec.Strategy+"/"+rec.Subject, 0, 0)
+	return m.tr.Begin(obs.KindRepair, st.lastDecision, st.app, rec.Strategy+"/"+rec.Subject, 0, 0)
 }
 
 // traceRepairDone closes the repair span at churn completion, records the
@@ -131,12 +133,12 @@ func (m *Manager) traceRepairBegin(rec *repair.Record, now float64) obs.SpanID {
 func (m *Manager) traceRepairDone(rec *repair.Record, span obs.SpanID) {
 	now := m.K.Now()
 	m.tr.EndSpan(span)
-	m.tr.RecordPhase(m.trApp, obs.PhaseDrain, now-m.tr.StartOf(span))
+	m.tr.RecordPhase(m.trState.app, obs.PhaseDrain, now-m.tr.StartOf(span))
 	st := m.trState
 	if old, ok := st.pendingRecover[rec.Subject]; ok {
 		// A repeat repair superseded an unresolved recovery: close the stale
 		// span at the new repair's completion.
 		m.tr.EndSpan(old)
 	}
-	st.pendingRecover[rec.Subject] = m.tr.Begin(obs.KindRecover, span, m.trApp, "recover/"+rec.Subject, 0, 0)
+	st.pendingRecover[rec.Subject] = m.tr.Begin(obs.KindRecover, span, st.app, "recover/"+rec.Subject, 0, 0)
 }

@@ -10,6 +10,15 @@
 // metrics.Window (the same sliding window the harness's ground truth
 // uses), the load gauge an EWMA, the bandwidth gauge a Remos query.
 //
+// The latency gauge runs on its client's host, where the response probe
+// publishes, so it takes each sample as a bus.Folder: inside the publish,
+// stamped with the arrival time the delivery would have had, at no kernel
+// event. Its window keys samples by arrival and a report averages only the
+// samples that have arrived, so its reports equal those of a gauge that
+// receives each sample by delivery. The load gauge's EWMA is read at its
+// tick, so its samples stay deliveries. Every report carries the gauge's Slot,
+// which the consumer that built the gauge resolved to a model element.
+//
 // The gauge *protocol* — creation, communication, deletion — is modeled with
 // explicit per-message costs, because the paper measured that repair time
 // ("averages 30 seconds") was dominated by "communicating to create and
@@ -26,6 +35,8 @@
 package gauges
 
 import (
+	"strings"
+
 	"archadapt/internal/bus"
 	"archadapt/internal/metrics"
 	"archadapt/internal/netsim"
@@ -68,14 +79,17 @@ type Gauge interface {
 // input and report shards, its reporting ticker and the report itself.
 // Each gauge embeds one and adds only its own measurement.
 type base struct {
-	name   string
-	host   netsim.NodeID
-	target string // the client or group the reports are about
+	name string // KIND:TARGET, TARGET the client or group reported on
+	host netsim.NodeID
 
 	k      *sim.Kernel
 	probe  *bus.Shard // probe input; nil for a gauge that queries instead
 	report *bus.Shard
 	period float64
+
+	// Slot is stamped on every report as its bus.Message.Tag: the consumer
+	// that built the gauge resolved the report's model target into it.
+	Slot int32
 
 	sub      *bus.Subscription
 	stopTick func()
@@ -90,14 +104,8 @@ func (b *base) Name() string { return b.name }
 // Host implements Gauge.
 func (b *base) Host() netsim.NodeID { return b.host }
 
-// listen feeds the probe samples f selects into g's fold, recording each
-// sample's gauge-update span first.
-func (b *base) listen(f bus.Filter, g interface{ fold(v float64) }) {
-	b.sub = b.probe.Subscribe(b.host, f, func(m bus.Message) {
-		b.updated(b.probe, m.Span, m.V1)
-		g.fold(m.V1)
-	})
-}
+// target returns the client or group the gauge's reports are about.
+func (b *base) target() string { return b.name[strings.IndexByte(b.name, ':')+1:] }
 
 // updated records one input value's gauge-update span on sh's tracer,
 // parented on the input's own span (zero for a gauge's own query).
@@ -132,11 +140,12 @@ func (b *base) publish(kind, prop string, value float64) {
 		Topic:  TopicReport,
 		Src:    b.host,
 		Name:   b.name,
-		Target: b.target,
+		Target: b.target(),
 		Kind:   kind,
 		Prop:   prop,
 		V1:     value,
 		Parent: b.lastUpd,
+		Tag:    b.Slot,
 	})
 }
 
@@ -144,10 +153,17 @@ func (b *base) publish(kind, prop string, value float64) {
 
 // LatencyGauge maintains a sliding-window average of one client's
 // request-response latency and reports it periodically as the
-// averageLatency property.
+// averageLatency property. It folds each probe sample as a bus.Folder:
+// the sample joins the window stamped with its arrival time, and a report
+// averages only the samples that have arrived.
 type LatencyGauge struct {
 	base
 	window metrics.Window
+	// pendUpd is the gauge-update span of the newest sample while that
+	// sample is still in flight (it arrives at pendAt); it becomes lastUpd
+	// once the sample has arrived. Zero when tracing is off.
+	pendUpd obs.SpanID
+	pendAt  sim.Time
 }
 
 // NewLatencyGauge creates (but does not start) a latency gauge for client,
@@ -155,27 +171,47 @@ type LatencyGauge struct {
 // seconds and reporting every period.
 func NewLatencyGauge(k *sim.Kernel, probeBus, reportBus *bus.Shard, host netsim.NodeID, client string, window, period float64) *LatencyGauge {
 	return &LatencyGauge{
-		base: base{name: "latency:" + client, host: host, target: client,
+		base: base{name: "latency:" + client, host: host,
 			k: k, probe: probeBus, report: reportBus, period: period},
 		window: metrics.Window{Width: window},
 	}
 }
 
 func (g *LatencyGauge) start() {
-	g.listen(bus.TopicAndField(probes.TopicResponse, "client", g.target), g)
+	g.sub = g.probe.SubscribeFold(g.host, bus.TopicAndField(probes.TopicResponse, "client", g.target()), g)
 	g.tick(func(now sim.Time) {
-		if avg, ok := g.window.Avg(now); ok {
+		g.arrived(now)
+		if avg, ok := g.window.AvgBefore(now); ok {
 			g.publish(KindClient, operators.PropAvgLatency, avg)
 		}
 	})
 }
 
-// fold adds one latency sample to the window.
-func (g *LatencyGauge) fold(v float64) { g.window.Add(g.k.Now(), v) }
+// Fold implements bus.Folder: one latency sample joins the window, counted
+// from its arrival time at on.
+func (g *LatencyGauge) Fold(at sim.Time, m bus.Message) {
+	if tr := g.probe.Tracer(); tr != nil {
+		g.arrived(g.k.Now())
+		g.pendUpd = tr.InstantAt(at, obs.KindGaugeUpdate, m.Span, g.probe.Label, g.name, m.V1, 0)
+		g.pendAt = at
+	}
+	g.window.Add(at, m.V1)
+}
+
+// arrived makes the in-flight sample's update span the one reports parent
+// on, once the sample has arrived by now. Of two samples in flight at once
+// only the newer is tracked, so a report between their arrivals parents on
+// the update before both: an older ancestor, never one from its future.
+func (g *LatencyGauge) arrived(now sim.Time) {
+	if g.pendUpd != 0 && g.pendAt < now {
+		g.lastUpd, g.pendUpd = g.pendUpd, 0
+	}
+}
 
 func (g *LatencyGauge) stop() {
 	g.halt()
 	g.window = metrics.Window{Width: g.window.Width}
+	g.pendUpd = 0
 }
 
 // --- Load gauge ---
@@ -195,7 +231,7 @@ type LoadGauge struct {
 // machine).
 func NewLoadGauge(k *sim.Kernel, probeBus, reportBus *bus.Shard, host netsim.NodeID, group string, period float64) *LoadGauge {
 	return &LoadGauge{
-		base: base{name: "load:" + group, host: host, target: group,
+		base: base{name: "load:" + group, host: host,
 			k: k, probe: probeBus, report: reportBus, period: period},
 		Smooth: 1.0,
 	}
@@ -205,7 +241,10 @@ func NewLoadGauge(k *sim.Kernel, probeBus, reportBus *bus.Shard, host netsim.Nod
 func (g *LoadGauge) Value() float64 { return g.value }
 
 func (g *LoadGauge) start() {
-	g.listen(bus.TopicAndField(probes.TopicQueue, "group", g.target), g)
+	g.sub = g.probe.Subscribe(g.host, bus.TopicAndField(probes.TopicQueue, "group", g.target()), func(m bus.Message) {
+		g.updated(g.probe, m.Span, m.V1)
+		g.fold(m.V1)
+	})
 	g.tick(func(sim.Time) {
 		if g.seen {
 			g.publish(KindGroup, operators.PropLoad, g.value)
@@ -252,7 +291,7 @@ type BandwidthGauge struct {
 // (the client's machine, which is also the measured path's client end).
 func NewBandwidthGauge(k *sim.Kernel, reportBus *bus.Shard, rm *remos.Service, host netsim.NodeID, client string, serverHost func() (netsim.NodeID, bool), period float64) *BandwidthGauge {
 	return &BandwidthGauge{
-		base: base{name: "bandwidth:" + client, host: host, target: client,
+		base: base{name: "bandwidth:" + client, host: host,
 			k: k, report: reportBus, period: period},
 		rm: rm, serverHost: serverHost,
 	}

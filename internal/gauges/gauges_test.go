@@ -2,6 +2,7 @@ package gauges
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"archadapt/internal/bus"
@@ -445,5 +446,132 @@ func BenchmarkGaugeLifecycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle()
+	}
+}
+
+// sampleArrivingAt returns the publish time whose same-host sample arrives at
+// exactly t: the float that, plus the 10 µs local hop, rounds to t.
+func sampleArrivingAt(t *testing.T, at float64) float64 {
+	t.Helper()
+	p := at - 1e-5
+	for i := 0; p+1e-5 != at && i < 8; i++ {
+		if p+1e-5 < at {
+			p = math.Nextafter(p, math.Inf(1))
+		} else {
+			p = math.Nextafter(p, math.Inf(-1))
+		}
+	}
+	if p+1e-5 != at {
+		t.Fatalf("no publish time arrives at exactly %v", at)
+	}
+	return p
+}
+
+// A sample arriving at exactly a tick's time is averaged by the next tick,
+// not by that one: on the event path its delivery was scheduled after the
+// tick was, so the tick fired first, and the fold keeps that order.
+func TestLatencyGaugeTickExcludesSampleArrivingAtIt(t *testing.T) {
+	r := newRig(t)
+	g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
+	g.start() // ticks at 5, 10, 15
+	r.k.At(1, func() { r.pubResponse("C1", 1) })
+	r.k.At(sampleArrivingAt(t, 10), func() { r.pubResponse("C1", 3) })
+	r.k.Run(16)
+	var got []float64
+	for _, m := range r.reports {
+		got = append(got, m.Time, m.V1)
+	}
+	if want := []float64{5, 1, 10, 1, 15, 2}; !slices.Equal(got, want) {
+		t.Fatalf("reports (time, value) %v, want %v", got, want)
+	}
+}
+
+// A gauge stopped while a sample is still in flight to it, less than 10 µs
+// after the publish, never counts that sample, as it never received it on
+// the event path.
+func TestLatencyGaugeStoppedInFlightDiscardsSample(t *testing.T) {
+	r := newRig(t)
+	g := NewLatencyGauge(r.k, r.probe, r.report, r.gHost, "C1", 20, 5)
+	g.start()
+	r.k.At(1, func() { r.pubResponse("C1", 7) })
+	r.k.At(1+5e-6, func() {
+		g.stop()
+		g.start() // ticks at 6+5e-6, 11+5e-6, ...
+	})
+	r.k.At(8, func() { r.pubResponse("C1", 2) })
+	r.k.Run(20)
+	var got []float64
+	for _, m := range r.reports {
+		got = append(got, m.V1)
+	}
+	if want := []float64{2, 2}; !slices.Equal(got, want) {
+		t.Fatalf("report values %v, want %v: the sample published just before the stop was averaged", got, want)
+	}
+}
+
+// Under injected loss on both the network and the probe shard, the gauge
+// draws exactly as a plain subscriber on its host draws, keeps the samples
+// that subscriber receives, and reports at each tick the average of those
+// that have arrived within the window.
+func TestLatencyGaugeFoldKeepsDropDraws(t *testing.T) {
+	type outcome struct {
+		samples            [][2]float64 // (arrival, value), the plain subscriber's
+		reports            []bus.Message
+		shardDraw, netDraw uint64
+		shardDrops         uint64
+		msgs               netsim.MsgStats
+	}
+	run := func(gauge bool) outcome {
+		r := newRig(t)
+		shardRNG, netRNG := sim.NewRand(11), sim.NewRand(12)
+		r.probe.SetDrop(0.25, shardRNG)
+		r.net.SetDrop(0.25, netRNG)
+		var o outcome
+		if gauge {
+			// Reports ride a prioritized bus, which the network's loss
+			// leaves alone, so every draw is a probe sample's.
+			rb := bus.New(r.k, r.net)
+			rb.Priority = netsim.Prioritized
+			report := rb.Default()
+			report.Subscribe(r.mHost, bus.TopicIs(TopicReport), func(m bus.Message) { o.reports = append(o.reports, m) })
+			g := NewLatencyGauge(r.k, r.probe, report, r.gHost, "C1", 20, 5)
+			g.start()
+		} else {
+			r.probe.Subscribe(r.gHost, bus.TopicAndField(probes.TopicResponse, "client", "C1"), func(m bus.Message) {
+				o.samples = append(o.samples, [2]float64{r.k.Now(), m.V1})
+			})
+		}
+		for i := 0; i < 400; i++ {
+			r.k.At(float64(i)*0.29, func() { r.pubResponse("C1", float64(i%17)) })
+		}
+		r.k.Run(130)
+		o.shardDraw, o.netDraw, o.shardDrops, o.msgs = shardRNG.Uint64(), netRNG.Uint64(), r.probe.Dropped(), r.net.MessageStats()
+		return o
+	}
+	folded, plain := run(true), run(false)
+	if folded.shardDraw != plain.shardDraw || folded.netDraw != plain.netDraw {
+		t.Fatal("the gauge drew from the drop RNGs differently than a plain subscriber")
+	}
+	if plain.shardDrops == 0 || plain.msgs.Dropped == 0 {
+		t.Fatalf("no loss injected: %d shard drops, %d network drops", plain.shardDrops, plain.msgs.Dropped)
+	}
+	if folded.shardDrops != plain.shardDrops {
+		t.Fatalf("shard drops %d, plain subscriber's %d", folded.shardDrops, plain.shardDrops)
+	}
+	if len(folded.reports) == 0 {
+		t.Fatal("no reports")
+	}
+	for _, rep := range folded.reports {
+		now := rep.Time
+		sum, n := 0.0, 0
+		for _, s := range plain.samples {
+			if s[0] >= now-20 && s[0] < now {
+				sum += s[1]
+				n++
+			}
+		}
+		if n == 0 || rep.V1 != sum/float64(n) {
+			t.Fatalf("report at %v = %v, want the average of the %d samples arrived in the window", now, rep.V1, n)
+		}
 	}
 }

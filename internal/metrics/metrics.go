@@ -136,41 +136,62 @@ func (s *Series) CSV() string {
 	return b.String()
 }
 
-// Window is a sliding-window average over (time, value) samples: the latency
-// gauge's averageLatency and the harness's ground-truth latency series are
-// both computed by it.
+// Window is a sliding-window average over (time, value) samples of Width
+// seconds: the latency gauge's averageLatency and the harness's ground-truth
+// latency series are both computed by it. A Window with only Width set is
+// ready for use. Samples are added in non-decreasing time order, so the ones
+// that have left the window are always a prefix: Avg steps past them by
+// index, and Add reclaims their slots only when the array is full, so the
+// array grows exactly when every slot holds a live sample.
 type Window struct {
 	Width   float64
-	samples []struct{ t, v float64 }
+	samples []sample
+	first   int // samples[:first] have left the window
 }
 
-// NewWindow creates a window of the given width in seconds.
-func NewWindow(width float64) *Window { return &Window{Width: width} }
+type sample struct{ t, v float64 }
 
-// Add appends a sample.
+// Add appends a sample; t must not be earlier than the last sample's.
 func (w *Window) Add(t, v float64) {
-	w.samples = append(w.samples, struct{ t, v float64 }{t, v})
+	if len(w.samples) == cap(w.samples) && w.first > 0 {
+		n := copy(w.samples, w.samples[w.first:])
+		w.samples, w.first = w.samples[:n], 0
+	}
+	w.samples = append(w.samples, sample{t, v})
 }
 
 // Avg returns the average of samples within [now-Width, now]; ok is false
 // when the window is empty.
 func (w *Window) Avg(now float64) (avg float64, ok bool) {
-	cutoff := now - w.Width
-	kept := w.samples[:0]
-	for _, s := range w.samples {
-		if s.t >= cutoff {
-			kept = append(kept, s)
-		}
+	return w.avg(now, len(w.samples))
+}
+
+// AvgBefore is Avg over the samples that have arrived by now: a sample
+// stamped now or later — one still in flight to the window's owner — is
+// left out, and kept for a later call.
+func (w *Window) AvgBefore(now float64) (avg float64, ok bool) {
+	end := len(w.samples)
+	for end > w.first && w.samples[end-1].t >= now {
+		end--
 	}
-	w.samples = kept
-	if len(w.samples) == 0 {
+	return w.avg(now, end)
+}
+
+// avg drops the samples older than now-Width and averages the rest of
+// samples[:end], oldest first.
+func (w *Window) avg(now float64, end int) (float64, bool) {
+	cutoff := now - w.Width
+	for w.first < end && w.samples[w.first].t < cutoff {
+		w.first++
+	}
+	if w.first == end {
 		return 0, false
 	}
 	sum := 0.0
-	for _, s := range w.samples {
+	for _, s := range w.samples[w.first:end] {
 		sum += s.v
 	}
-	return sum / float64(len(w.samples)), true
+	return sum / float64(end-w.first), true
 }
 
 // ASCIIPlot renders a crude log-scale plot of several series, one glyph per

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"archadapt/internal/sim"
 )
 
 func series(vals ...float64) *Series {
@@ -47,7 +49,7 @@ func TestCSV(t *testing.T) {
 }
 
 func TestWindow(t *testing.T) {
-	w := NewWindow(10)
+	w := &Window{Width: 10}
 	if _, ok := w.Avg(0); ok {
 		t.Fatal("empty window should not average")
 	}
@@ -172,5 +174,80 @@ func TestDistMerge(t *testing.T) {
 	a.Merge(&Dist{})
 	if a.N() != 3 || a.Percentile(50) != 2 || b.N() != 1 {
 		t.Fatalf("merge: aN=%d p50=%v bN=%d", a.N(), a.Percentile(50), b.N())
+	}
+}
+
+// oldWindow is the window as it was first written: every Avg filters the kept
+// samples onto the front of the array. Window must average exactly as it
+// does, in the same order, and grow its array exactly when it did.
+type oldWindow struct {
+	width   float64
+	samples []sample
+}
+
+func (w *oldWindow) avg(now float64) (float64, bool) {
+	cutoff := now - w.width
+	kept := w.samples[:0]
+	for _, s := range w.samples {
+		if s.t >= cutoff {
+			kept = append(kept, s)
+		}
+	}
+	w.samples = kept
+	if len(w.samples) == 0 {
+		return 0, false
+	}
+	sum := 0.0
+	for _, s := range w.samples {
+		sum += s.v
+	}
+	return sum / float64(len(w.samples)), true
+}
+
+func TestWindowMatchesFilteringWindow(t *testing.T) {
+	rng := sim.NewRand(7)
+	w, old := &Window{Width: 30}, &oldWindow{width: 30}
+	now := 0.0
+	for step := 0; step < 20000; step++ {
+		now += rng.Exp(0.4)
+		if rng.Intn(4) > 0 {
+			v := rng.Float64() * 5
+			w.Add(now, v)
+			old.samples = append(old.samples, sample{now, v})
+			if cap(w.samples) != cap(old.samples) {
+				t.Fatalf("step %d: array capacity %d, the filtering window's %d", step, cap(w.samples), cap(old.samples))
+			}
+			continue
+		}
+		got, ok := w.Avg(now)
+		want, wantOK := old.avg(now)
+		if got != want || ok != wantOK {
+			t.Fatalf("step %d: Avg(%v) = %v, %v; want %v, %v", step, now, got, ok, want, wantOK)
+		}
+	}
+}
+
+// AvgBefore leaves out the samples that arrive at now or later, and keeps
+// them for the calls after their arrival.
+func TestWindowAvgBefore(t *testing.T) {
+	w := &Window{Width: 10}
+	w.Add(1, 2)
+	w.Add(5, 4)
+	w.Add(5, 100) // in flight until 5
+	if avg, ok := w.AvgBefore(5); !ok || avg != 2 {
+		t.Fatalf("AvgBefore(5) = %v, %v; want 2 (the samples stamped 5 have not arrived)", avg, ok)
+	}
+	if avg, ok := w.AvgBefore(5.5); !ok || avg != 106.0/3 {
+		t.Fatalf("AvgBefore(5.5) = %v, %v; want %v", avg, ok, 106.0/3)
+	}
+	if avg, ok := w.AvgBefore(12); !ok || avg != 52 {
+		t.Fatalf("AvgBefore(12) = %v, %v; want 52 (the sample at 1 left the window)", avg, ok)
+	}
+	w.Add(20, 1)
+	if _, ok := w.AvgBefore(16); ok {
+		t.Fatal("AvgBefore(16) averaged: every arrived sample has left the window and the one at 20 has not arrived")
+	}
+	if avg, ok := w.AvgBefore(21); !ok || avg != 1 {
+		t.Fatalf("AvgBefore(21) = %v, %v; want 1", avg, ok)
 	}
 }

@@ -217,9 +217,17 @@ func (t *Tracer) Instant(kind Kind, parent SpanID, app, name string, v1, v2 floa
 	if t == nil {
 		return 0
 	}
-	now := t.clock()
+	return t.InstantAt(t.clock(), kind, parent, app, name, v1, v2)
+}
+
+// InstantAt is Instant at virtual time at, for an event recorded before it
+// happens: a probe sample a gauge folds at publish, which arrives later.
+func (t *Tracer) InstantAt(at float64, kind Kind, parent SpanID, app, name string, v1, v2 float64) SpanID {
+	if t == nil {
+		return 0
+	}
 	return t.push(Span{Parent: parent, Kind: kind, App: app, Name: name,
-		Start: now, End: now, V1: v1, V2: v2})
+		Start: at, End: at, V1: v1, V2: v2})
 }
 
 // Begin opens a duration span starting now; close it with EndSpan. An open
