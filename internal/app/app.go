@@ -95,12 +95,12 @@ type Client struct {
 	Host  netsim.NodeID
 	Group string // group its new requests are routed to
 
-	// Rate is the mean request rate (Poisson arrivals). ReqBits/RespBits
-	// sample the request/reply sizes; the workload layer re-points these at
-	// phase boundaries (Figure 7).
+	// Rate is the mean request rate (Poisson arrivals). ReqBits is the
+	// request size; RespBits draws each reply's. The workload layer re-sets
+	// them at phase boundaries (Figure 7).
 	Rate     float64
-	ReqBits  func() float64
-	RespBits func() float64
+	ReqBits  float64
+	RespBits Size
 
 	rng     *sim.Rand
 	stopped bool
@@ -128,6 +128,38 @@ type Client struct {
 
 // Responses returns the number of replies received.
 func (c *Client) Responses() uint64 { return c.responses }
+
+// Size is a message size in bits: a constant, or a log-normal draw around a
+// median from a stream of its own. It is data rather than a closure, so a
+// caller that needs no value can skip a draw and still leave the stream
+// where the draw would have.
+type Size struct {
+	median, sigma float64
+	rng           *sim.Rand // nil: the size is the constant median
+}
+
+// ConstSize is a size that is always bits.
+func ConstSize(bits float64) Size { return Size{median: bits} }
+
+// LogNormalSize draws sizes from r as r.LogNormalAround(median, sigma).
+func LogNormalSize(median, sigma float64, r *sim.Rand) Size {
+	return Size{median: median, sigma: sigma, rng: r}
+}
+
+// Draw returns the next size.
+func (z Size) Draw() float64 {
+	if z.rng == nil {
+		return z.median
+	}
+	return z.rng.LogNormalAround(z.median, z.sigma)
+}
+
+// Skip advances the stream as Draw would, without computing the size.
+func (z Size) Skip() {
+	if z.rng != nil {
+		z.rng.SkipNormal()
+	}
+}
 
 // queue is one group's record on the queue machine, made when a client or
 // CreateQueue first names the group and kept for the life of the system. Once
@@ -236,8 +268,8 @@ func (s *System) AddClient(name string, host netsim.NodeID, group string, rate f
 	}
 	c := &Client{
 		Name: name, Host: host, Group: group, Rate: rate,
-		ReqBits:  func() float64 { return 0.5 * 8192 }, // 0.5 KB
-		RespBits: func() float64 { return 20 * 8192 },  // 20 KB
+		ReqBits:  0.5 * 8192,           // 0.5 KB
+		RespBits: ConstSize(20 * 8192), // 20 KB
 		rng:      rng, sys: s, respTag: "resp:" + name, q: s.groupRecord(group),
 	}
 	s.clients[name] = c
@@ -430,12 +462,11 @@ func clientTickFn(arg any) {
 // is enqueued on arrival.
 func (s *System) sendRequest(c *Client) {
 	req := s.freeReqs.Get()
-	*req = Request{RespBits: c.RespBits(), SentAt: s.K.Now(), cli: c, q: c.q}
+	*req = Request{RespBits: c.RespBits.Draw(), SentAt: s.K.Now(), cli: c, q: c.q}
 	for _, fn := range c.OnSend {
 		fn(req)
 	}
-	bits := c.ReqBits()
-	s.Net.SendMessageTo(c.Host, s.QueueHost, bits, netsim.BestEffort, enqueueFn, req)
+	s.Net.SendMessageTo(c.Host, s.QueueHost, c.ReqBits, netsim.BestEffort, enqueueFn, req)
 }
 
 // enqueueFn fires when a request message reaches the queue machine.

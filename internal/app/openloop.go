@@ -151,14 +151,17 @@ func (s *System) groupAnchor(group string) netsim.NodeID {
 // latency, exactly as the closed-loop observer reports the age of the
 // oldest outstanding request. The synthetic Request is cached per client
 // (never sent), so it is never in the latency observer's outstanding
-// list and every delivery is a no-op for that bookkeeping.
+// list and every delivery is a no-op for that bookkeeping. No listener reads
+// the record's reply size, so none is computed, but the size stream still
+// advances past one draw: the client's later real requests must draw what
+// they would draw after a drawn synthetic size.
 func (c *Client) DeliverSynthetic(now float64, latency float64, count uint64) {
 	c.responses += count
 	if c.synth == nil {
 		c.synth = &Request{cli: c}
 	}
 	c.synth.q = c.q
-	c.synth.RespBits = c.RespBits()
+	c.RespBits.Skip()
 	done := Response{Req: c.synth, DoneAt: now, Latency: latency}
 	for _, fn := range c.OnResponse {
 		fn(done)

@@ -221,3 +221,28 @@ func TestFlowClassesSyncCarriesState(t *testing.T) {
 		t.Fatalf("%d flows on the network, want the held class's and (1,G3)'s", n)
 	}
 }
+
+// A synthetic delivery draws no reply size but leaves the client's size
+// stream where a draw would have: the real requests sent after it carry the
+// sizes they would carry had each delivery drawn one. A constant size
+// leaves no stream to advance.
+func TestDeliverSyntheticSkipsOneSizeDraw(t *testing.T) {
+	r := newClassRig(t)
+	cli := r.sys.Client("C1")
+	for seed := uint64(0); seed < 64; seed++ {
+		cli.RespBits = LogNormalSize(8*8192, 0.35, sim.NewRand(seed))
+		twin := LogNormalSize(8*8192, 0.35, sim.NewRand(seed))
+		for i := 0; i < int(seed%5); i++ {
+			cli.DeliverSynthetic(0, 1, 1)
+			twin.Draw()
+		}
+		if got, want := cli.RespBits.Draw(), twin.Draw(); got != want {
+			t.Fatalf("seed %d: size after the deliveries %v, want %v", seed, got, want)
+		}
+	}
+	cli.RespBits = ConstSize(20 * 8192)
+	cli.DeliverSynthetic(0, 1, 1)
+	if got := cli.RespBits.Draw(); got != 20*8192 {
+		t.Fatalf("constant size %v, want %v", got, 20*8192)
+	}
+}

@@ -153,9 +153,9 @@ type Subscription struct {
 // keyed by the sample's arrival time: it publishes nothing and schedules
 // nothing in response, so it can take a sample before the sample's arrival
 // and count it only from then on. at is the arrival time; m is the message
-// as published.
+// as published, stamped, and is the bus's to reuse once Fold returns.
 type Folder interface {
-	Fold(at sim.Time, m Message)
+	Fold(at sim.Time, m *Message)
 }
 
 // msgBits is the on-wire size of one notification (2 KB).
@@ -174,6 +174,11 @@ type Bus struct {
 	// observability plane's monitoring-level hook. Publish paths pay one nil
 	// check when it is off.
 	Tracer *obs.Tracer
+
+	// folded is the stamped copy of the message being published that a
+	// same-host Folder reads: Publish's own argument stays on its caller's
+	// stack.
+	folded Message
 
 	def      *Shard
 	free     sim.Pool[Shard]
@@ -275,16 +280,16 @@ func traceKind(topic string) obs.Kind {
 	return obs.KindMessage
 }
 
-// traceMsg stamps the message's own span: kind from the topic, parent from
+// traceMsg records the message's own span: kind from the topic, parent from
 // the publisher's pre-set Parent, scope from the shard label. The subject is
 // the message's Name (client, server, gauge) or its Group for group-keyed
 // probe samples.
-func (sh *Shard) traceMsg(msg *Message) {
+func (sh *Shard) traceMsg(msg *Message) obs.SpanID {
 	name := msg.Name
 	if name == "" {
 		name = msg.Group
 	}
-	msg.Span = sh.b.Tracer.Instant(traceKind(msg.Topic), msg.Parent, sh.Label, name, msg.V1, 0)
+	return sh.b.Tracer.Instant(traceKind(msg.Topic), msg.Parent, sh.Label, name, msg.V1, 0)
 }
 
 // Subscribe registers a handler running on host for messages matching f.
@@ -333,27 +338,35 @@ type delivery struct {
 	msg Message
 }
 
-// deliverFn is the static delivery callback — no per-send closures. The
-// record is pooled before the handler runs (a handler may publish), which is
-// safe because the handler's by-value argument is copied out of the record
-// as the call is made: the one copy a delivery costs after the send. A
-// recycled subscription has moved on to a later gen, so a delivery addressed
-// to its previous owner is stale.
+// deliverFn is the static delivery callback — no per-send closures. A
+// Folder reads the message in the record, which stays this delivery's
+// through the call because a Folder publishes nothing. For a handler the
+// record is pooled before it runs (a handler may publish), which is safe
+// because the handler's by-value argument is copied out of the record as the
+// call is made. A recycled subscription has moved on to a later gen, so a
+// delivery addressed to its previous owner is stale.
 func deliverFn(arg any) {
 	d := arg.(*delivery)
 	sub, sh := d.sub, d.sh
 	stale := d.gen != sub.gen
-	d.sh, d.sub = nil, nil
-	sh.b.dlvPool.Put(d)
+	if !stale && sub.folder != nil {
+		sh.delivered++
+		sub.folder.Fold(sh.b.K.Now(), &d.msg)
+		sh.b.putDelivery(d)
+		return
+	}
+	sh.b.putDelivery(d)
 	if stale {
 		return
 	}
 	sh.delivered++
-	if sub.folder != nil {
-		sub.folder.Fold(sh.b.K.Now(), d.msg)
-		return
-	}
 	sub.handler(d.msg)
+}
+
+// putDelivery pools a delivery record once its message has been handed on.
+func (b *Bus) putDelivery(d *delivery) {
+	d.sh, d.sub = nil, nil
+	b.dlvPool.Put(d)
 }
 
 // recycleSub invalidates in-flight deliveries and pools the subscription.
@@ -363,35 +376,47 @@ func (b *Bus) recycleSub(s *Subscription) {
 	b.subPool.Put(s)
 }
 
-// Publish routes msg to every matching subscriber on the shard. A Folder on
-// the publishing host takes the message at once, stamped with its arrival
-// time; every other delivery is a network message with the bus priority
-// (one to the same host takes a fixed 10 µs), scheduled as an event. Each
-// delivery is delayed, dropped and counted by the network alike, so the
-// fold changes no draw and no statistic. One publish is one dispatch pass:
-// matching, drop sampling and scheduling reuse pooled records, so the
-// steady state allocates nothing. The message is copied once per delivery,
-// into the pooled record or the fold's argument.
-func (sh *Shard) Publish(msg Message) {
+// Publish is Post for a message held by value.
+func (sh *Shard) Publish(msg Message) { sh.Post(&msg) }
+
+// Post routes msg to every matching subscriber on the shard, each receiving
+// a copy stamped with the publish time and, when tracing, the message's own
+// span; msg itself is only read. A Folder on the publishing host takes the
+// message at once, stamped with its arrival time; every other delivery is a
+// network message with the bus priority (one to the same host takes a fixed
+// 10 µs), scheduled as an event. Each delivery is delayed, dropped and
+// counted by the network alike, so the fold changes no draw and no
+// statistic. One publish is one dispatch pass: matching, drop sampling and
+// scheduling reuse pooled records, so the steady state allocates nothing.
+// The message is copied once per delivery into its pooled record, and once
+// per publish for the same-host Folders, which share one copy.
+func (sh *Shard) Post(msg *Message) {
 	b := sh.b
-	msg.Time = b.K.Now()
+	now, span := b.K.Now(), msg.Span
 	if b.Tracer != nil {
-		sh.traceMsg(&msg)
+		span = sh.traceMsg(msg)
 	}
 	sh.published++
+	var folded *Message
 	for _, s := range sh.subs {
-		if !s.filter.matches(&msg) || sh.lost() {
+		if !s.filter.matches(msg) || sh.lost() {
 			continue
 		}
 		if s.folder != nil && s.Host == msg.Src {
 			if delay, ok := b.Net.Transmit(msg.Src, s.Host, msgBits, b.Priority); ok {
 				sh.delivered++
-				s.folder.Fold(msg.Time+delay, msg)
+				if folded == nil {
+					folded = &b.folded
+					*folded = *msg
+					folded.Time, folded.Span = now, span
+				}
+				s.folder.Fold(now+delay, folded)
 			}
 			continue
 		}
 		d := b.dlvPool.Get()
-		d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, msg
+		d.sh, d.sub, d.gen, d.msg = sh, s, s.gen, *msg
+		d.msg.Time, d.msg.Span = now, span
 		b.Net.SendMessageTo(msg.Src, s.Host, msgBits, b.Priority, deliverFn, d)
 	}
 }
@@ -400,7 +425,7 @@ func (sh *Shard) Publish(msg Message) {
 // msgs itself is only read.
 func (sh *Shard) PublishBatch(msgs []Message) {
 	for i := range msgs {
-		sh.Publish(msgs[i])
+		sh.Post(&msgs[i])
 	}
 }
 

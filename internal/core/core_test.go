@@ -148,7 +148,7 @@ func TestOverloadTriggersAddServer(t *testing.T) {
 	// Overwhelm GA's single active server: 4 req/s of 20KB (≈0.45 s each).
 	cli := r.a.Client("C1")
 	cli.Rate = 4
-	cli.RespBits = func() float64 { return 20 * 8192 }
+	cli.RespBits = app.ConstSize(20 * 8192)
 	r.a.Start()
 	r.k.Run(400)
 	if !r.a.Server("A2").Active() {

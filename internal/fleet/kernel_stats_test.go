@@ -21,9 +21,9 @@ import (
 func TestFleetKernelWorkIsFlatPerApp(t *testing.T) {
 	got := runBenchScript(t, 16).Fleet.K.Stats()
 	want := sim.Stats{
-		Scheduled: 127290, Fired: 127194, Reschedules: 737,
-		BucketsDrained: 33070, RunsMerged: 44775,
-		BottomInserts: 25550, BottomShifts: 14354,
+		Scheduled: 119578, Fired: 119482, Reschedules: 737,
+		BucketsDrained: 32819, RunsMerged: 43505,
+		BottomInserts: 21560, BottomShifts: 7278,
 		FarRescans: 178, Jumps: 9, PeakPending: 1104,
 	}
 	if got != want {

@@ -11,13 +11,15 @@
 // uses), the load gauge an EWMA, the bandwidth gauge a Remos query.
 //
 // The latency gauge runs on its client's host, where the response probe
-// publishes, so it takes each sample as a bus.Folder: inside the publish,
+// publishes, and the load gauge on the queue host, where the queue probe
+// does, so both take each sample as a bus.Folder: inside the publish,
 // stamped with the arrival time the delivery would have had, at no kernel
-// event. Its window keys samples by arrival and a report averages only the
-// samples that have arrived, so its reports equal those of a gauge that
-// receives each sample by delivery. The load gauge's EWMA is read at its
-// tick, so its samples stay deliveries. Every report carries the gauge's Slot,
-// which the consumer that built the gauge resolved to a model element.
+// event. The latency gauge's window keys samples by arrival and a report
+// averages only the samples that have arrived; the load gauge holds a sample
+// still in flight and folds it into its EWMA at the first tick after its
+// arrival. So the reports of both equal those of a gauge that receives each
+// sample by delivery. Every report carries the gauge's Slot, which the
+// consumer that built the gauge resolved to a model element.
 //
 // The gauge *protocol* — creation, communication, deletion — is modeled with
 // explicit per-message costs, because the paper measured that repair time
@@ -107,12 +109,11 @@ func (b *base) Host() netsim.NodeID { return b.host }
 // target returns the client or group the gauge's reports are about.
 func (b *base) target() string { return b.name[strings.IndexByte(b.name, ':')+1:] }
 
-// updated records one input value's gauge-update span on sh's tracer,
-// parented on the input's own span (zero for a gauge's own query).
-func (b *base) updated(sh *bus.Shard, parent obs.SpanID, v float64) {
-	if tr := sh.Tracer(); tr != nil {
-		b.lastUpd = tr.Instant(obs.KindGaugeUpdate, parent, sh.Label, b.name, v, 0)
-	}
+// update records the gauge-update span of one input value v arriving at at
+// on sh's tracer, parented on the input's own span (zero for a gauge's own
+// query). It returns zero when tracing is off.
+func (b *base) update(sh *bus.Shard, at sim.Time, parent obs.SpanID, v float64) obs.SpanID {
+	return sh.Tracer().InstantAt(at, obs.KindGaugeUpdate, parent, sh.Label, b.name, v, 0)
 }
 
 // tick starts the reporting ticker: fn runs every period from one period
@@ -136,7 +137,7 @@ func (b *base) halt() {
 // publish sends one report of the target's prop, of the given kind, on the
 // app's reporting shard, parented on the last gauge update.
 func (b *base) publish(kind, prop string, value float64) {
-	b.report.Publish(bus.Message{
+	b.report.Post(&bus.Message{
 		Topic:  TopicReport,
 		Src:    b.host,
 		Name:   b.name,
@@ -189,11 +190,10 @@ func (g *LatencyGauge) start() {
 
 // Fold implements bus.Folder: one latency sample joins the window, counted
 // from its arrival time at on.
-func (g *LatencyGauge) Fold(at sim.Time, m bus.Message) {
-	if tr := g.probe.Tracer(); tr != nil {
+func (g *LatencyGauge) Fold(at sim.Time, m *bus.Message) {
+	if g.probe.Tracer() != nil {
 		g.arrived(g.k.Now())
-		g.pendUpd = tr.InstantAt(at, obs.KindGaugeUpdate, m.Span, g.probe.Label, g.name, m.V1, 0)
-		g.pendAt = at
+		g.pendUpd, g.pendAt = g.update(g.probe, at, m.Span, m.V1), at
 	}
 	g.window.Add(at, m.V1)
 }
@@ -217,14 +217,29 @@ func (g *LatencyGauge) stop() {
 // --- Load gauge ---
 
 // LoadGauge tracks one server group's queue length from probe samples and
-// reports it as the load property.
+// reports it as the load property. It folds each sample as a bus.Folder: a
+// sample that has arrived joins the EWMA at once, one still in flight waits
+// and joins it at the first tick after its arrival.
 type LoadGauge struct {
 	base
 	// Smooth is the EWMA coefficient in (0,1]; 1 reports raw samples.
 	Smooth float64
 
 	value float64
-	seen  bool
+	// inFlight is the earliest sample folded before its arrival (at 0: none).
+	// Later ones chain behind it, which a queue probe publishing once a
+	// period never makes: a same-host sample flies for only 10 µs.
+	inFlight loadSample
+	seen     bool
+}
+
+// loadSample is one queue sample on its way into a load gauge's EWMA: its
+// arrival time, its value, its own span and the sample arriving after it.
+type loadSample struct {
+	at   sim.Time
+	v    float64
+	span obs.SpanID
+	next *loadSample
 }
 
 // NewLoadGauge creates a load gauge for a group, running on host (the queue
@@ -237,32 +252,71 @@ func NewLoadGauge(k *sim.Kernel, probeBus, reportBus *bus.Shard, host netsim.Nod
 	}
 }
 
-// Value returns the current (smoothed) load.
-func (g *LoadGauge) Value() float64 { return g.value }
-
 func (g *LoadGauge) start() {
-	g.sub = g.probe.Subscribe(g.host, bus.TopicAndField(probes.TopicQueue, "group", g.target()), func(m bus.Message) {
-		g.updated(g.probe, m.Span, m.V1)
-		g.fold(m.V1)
-	})
-	g.tick(func(sim.Time) {
+	g.sub = g.probe.SubscribeFold(g.host, bus.TopicAndField(probes.TopicQueue, "group", g.target()), g)
+	g.tick(func(now sim.Time) {
+		g.arrived(now)
 		if g.seen {
 			g.publish(KindGroup, operators.PropLoad, g.value)
 		}
 	})
 }
 
-// fold folds one queue sample into the EWMA; the first sample seeds it.
-func (g *LoadGauge) fold(v float64) {
+// Fold implements bus.Folder: a queue sample that has arrived by now (a
+// delivery) joins the EWMA at once; one still in flight waits, behind the
+// samples that arrive before it, until arrived folds it.
+func (g *LoadGauge) Fold(at sim.Time, m *bus.Message) {
+	now := g.k.Now()
+	g.arrived(now)
+	s := loadSample{at: at, v: m.V1, span: m.Span}
+	switch {
+	case at <= now:
+		g.fold(s)
+	case g.inFlight.at == 0:
+		g.inFlight = s
+	default:
+		last := &g.inFlight
+		for last.next != nil {
+			last = last.next
+		}
+		last.next = &loadSample{at: at, v: m.V1, span: m.Span}
+	}
+}
+
+// arrived folds, in arrival order, the samples in flight that arrived
+// before now. A sample arriving exactly at a tick waits for the next one:
+// on the event path its delivery was scheduled after the tick was.
+func (g *LoadGauge) arrived(now sim.Time) {
+	for g.inFlight.at != 0 && g.inFlight.at < now {
+		s := g.inFlight
+		g.fold(s)
+		g.inFlight = loadSample{}
+		if s.next != nil {
+			g.inFlight = *s.next
+		}
+	}
+}
+
+// fold folds one arrived queue sample into the EWMA; the first sample seeds
+// it. Its update span, recorded at its arrival, is the one reports parent on.
+func (g *LoadGauge) fold(s loadSample) {
+	g.lastUpd = g.update(g.probe, s.at, s.span, s.v)
 	if !g.seen || g.Smooth >= 1 {
-		g.value = v
+		g.value = s.v
 		g.seen = true
 		return
 	}
-	g.value = float64(g.Smooth*v) + float64((1-g.Smooth)*g.value)
+	g.value = float64(g.Smooth*s.v) + float64((1-g.Smooth)*g.value)
 }
 
-func (g *LoadGauge) stop() { g.halt() }
+// stop folds the samples that have arrived and drops those still in flight,
+// which the gauge, unsubscribed, would never have received; the EWMA itself
+// survives, for a cached gauge's restart.
+func (g *LoadGauge) stop() {
+	g.arrived(g.k.Now())
+	g.inFlight = loadSample{}
+	g.halt()
+}
 
 // --- Bandwidth gauge ---
 
@@ -339,7 +393,7 @@ func bandwidthReplyFn(arg any, tag uint64, bw float64) {
 	g.last, g.seen = bw, true
 	// The bandwidth gauge's input is a Remos query, not a probe message, so
 	// its update span is a root (no probe parent).
-	g.updated(g.report, 0, bw)
+	g.lastUpd = g.update(g.report, g.k.Now(), 0, bw)
 	g.publish(KindClientRole, operators.PropBandwidth, bw)
 }
 

@@ -94,8 +94,7 @@ func Deploy(k *sim.Kernel, net *netsim.Network, spec Spec, pl Placement, rng *si
 			return nil, nil, fmt.Errorf("operators: no host for client %s", c.Name)
 		}
 		cli := a.AddClient(c.Name, host, c.Group, pl.ClientRate, rng.Fork(label+"client:"+c.Name))
-		r, median := rng.Fork(label+"resp:"+c.Name), pl.ClientRespBits
-		cli.RespBits = func() float64 { return r.LogNormalAround(median, 0.35) }
+		cli.RespBits = app.LogNormalSize(pl.ClientRespBits, 0.35, rng.Fork(label+"resp:"+c.Name))
 	}
 	return a, mdl, nil
 }

@@ -39,7 +39,7 @@ func AttachResponseProbe(sh *bus.Shard, c *app.Client) (detach func()) {
 		if !attached {
 			return
 		}
-		sh.Publish(bus.Message{
+		sh.Post(&bus.Message{
 			Topic: TopicResponse,
 			Src:   c.Host,
 			Name:  c.Name,
@@ -65,7 +65,7 @@ func StartQueueProbe(k *sim.Kernel, sh *bus.Shard, sys *app.System, period float
 	p := &QueueProbe{}
 	p.stop = k.Ticker(k.Now()+period, period, func(now sim.Time) {
 		for _, g := range sys.Groups() {
-			sh.Publish(bus.Message{
+			sh.Post(&bus.Message{
 				Topic: TopicQueue,
 				Src:   sys.QueueHost,
 				Group: g,

@@ -6,6 +6,12 @@
 // takes several minutes because Remos needs to collect and analyze data.
 // After this initial delay, the query is quite fast." Pre-querying
 // (Prequery/PrequeryAll) is the paper's mitigation.
+//
+// A query and its reply are real messages on the simulated network. Between
+// them the collector either waits on a cold pair's collection or, for a warm
+// pair, only waits warmDelay; a query that is warm when sent, and every
+// batch, needs no event at its arrival, so its measurement is scheduled at
+// the send, at the time the arrival would have scheduled it.
 package remos
 
 import (
@@ -48,7 +54,7 @@ type Service struct {
 
 // query is one in-flight remos_get_flow exchange, or one GetFlowBatch
 // exchange. Records are pooled: the warm path (every bandwidth gauge tick,
-// fleet-wide) runs query → serve → reply → callback without allocating.
+// fleet-wide) runs query → measure → reply → callback without allocating.
 type query struct {
 	s                *Service
 	caller, src, dst netsim.NodeID
@@ -96,12 +102,6 @@ func callbackFn(arg any) {
 // callFn adapts GetFlow's plain callback, carried as the arg.
 func callFn(arg any, _ uint64, bw float64) { arg.(func(float64))(bw) }
 
-func batchServeFn(arg any) {
-	q := arg.(*query)
-	q.s.queries++
-	q.s.K.AtAnonArg(q.s.K.Now()+warmDelay, batchMeasureFn, q)
-}
-
 func batchMeasureFn(arg any) {
 	q := arg.(*query)
 	s := q.s
@@ -133,7 +133,9 @@ func New(k *sim.Kernel, net *netsim.Network, host netsim.NodeID) *Service {
 	}
 }
 
-// Queries returns the total number of GetFlow calls served.
+// Queries returns the number of queries that reached the collector, single
+// and batched. A query about a warm pair, and every batch, counts when it is
+// sent (see GetFlowArg); a query about a cold pair counts at its arrival.
 func (s *Service) Queries() uint64 { return s.queries }
 
 // ColdQueries returns how many of them hit the collection path.
@@ -158,10 +160,34 @@ func (s *Service) GetFlow(caller, src, dst netsim.NodeID, cb func(bw float64)) {
 // GetFlowArg is GetFlow with a closure-free callback: fn is a static
 // function called as fn(arg, tag, bw), so a periodic caller passes itself as
 // arg and a sequence number as tag and a warm exchange allocates nothing.
+//
+// A pair that is warm at the send is warm at the query's arrival (a pair
+// never cools), and the collector then only waits warmDelay: the query's
+// arrival is no event, and the reply is measured at the arrival time plus
+// warmDelay, summed in that order, as serve would. A cold pair's query is
+// served at its arrival, because the pair may warm while it flies.
 func (s *Service) GetFlowArg(caller, src, dst netsim.NodeID, fn func(arg any, tag uint64, bw float64), arg any, tag uint64) {
 	q := s.getQuery()
 	q.caller, q.src, q.dst, q.fn, q.arg, q.tag = caller, src, dst, fn, arg, tag
-	s.Net.SendMessageTo(caller, s.Host, queryBits, netsim.BestEffort, serveFn, q)
+	if !s.warm[pairKey{src, dst}] {
+		s.Net.SendMessageTo(caller, s.Host, queryBits, netsim.BestEffort, serveFn, q)
+		return
+	}
+	s.sendWarm(caller, q, warmReplyFn)
+}
+
+// sendWarm sends a query that the collector answers after warmDelay
+// whatever the state at its arrival, and schedules then fn, the reply's
+// measurement. The query counts when it is sent; a lost one counts nowhere
+// and its record goes back to the pool.
+func (s *Service) sendWarm(caller netsim.NodeID, q *query, fn func(any)) {
+	delay, delivered := s.Net.Transmit(caller, s.Host, queryBits, netsim.BestEffort)
+	if !delivered {
+		s.putQuery(q)
+		return
+	}
+	s.queries++
+	s.K.AtAnonArg((s.K.Now()+delay)+warmDelay, fn, q)
 }
 
 func (s *Service) serve(q *query) {
@@ -239,7 +265,7 @@ func (s *Service) GetFlowBatch(caller netsim.NodeID, srcs, dsts []netsim.NodeID,
 	}
 	q := s.getQuery()
 	q.caller, q.srcs, q.dsts, q.out, q.batchCb = caller, srcs, dsts, out, cb
-	s.Net.SendMessageTo(caller, s.Host, queryBits, netsim.BestEffort, batchServeFn, q)
+	s.sendWarm(caller, q, batchMeasureFn)
 }
 
 // PrequeryAll warms every (src, dst) pair.

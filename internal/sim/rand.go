@@ -77,6 +77,14 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 	return mean + float64(stddev*z)
 }
 
+// SkipNormal advances the stream past one Normal draw without computing it:
+// the first uniform, retried while its 53 bits are all zero, then the second.
+func (r *Rand) SkipNormal() {
+	for r.Uint64()>>11 == 0 {
+	}
+	r.Uint64()
+}
+
 // LogNormalAround returns a positive value whose median is m, with mild
 // spread; used for request/response size jitter around the paper's averages
 // (0.5 KB requests, 20 KB replies).

@@ -98,10 +98,9 @@ func Paper(net *netsim.Network, sys *app.System, links Links, rng *sim.Rand) *Sc
 	baseline := func() {
 		for _, name := range sys.Clients() {
 			cli := sys.Client(name)
-			r := rng.Fork("resp:" + name)
 			cli.Rate = BaselineRate
-			cli.ReqBits = func() float64 { return RequestBits }
-			cli.RespBits = func() float64 { return r.LogNormalAround(BaselineResp, RespSizeSigma) }
+			cli.ReqBits = RequestBits
+			cli.RespBits = app.LogNormalSize(BaselineResp, RespSizeSigma, rng.Fork("resp:"+name))
 		}
 	}
 	s.Add(0, "baseline traffic; all paths idle", func() {
@@ -118,7 +117,7 @@ func Paper(net *netsim.Network, sys *app.System, links Links, rng *sim.Rand) *Sc
 		for _, name := range sys.Clients() {
 			cli := sys.Client(name)
 			cli.Rate = StressRate
-			cli.RespBits = func() float64 { return StressResp }
+			cli.RespBits = app.ConstSize(StressResp)
 		}
 		setAvail(net, links.SG1Path, ReducedAvail)
 		setAvail(net, links.SG2Path, ModerateAvail)

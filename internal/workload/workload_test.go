@@ -68,14 +68,14 @@ func TestPaperPhases(t *testing.T) {
 			t.Fatalf("t=%v rate=%v, want %v", at, cli.Rate, wantRate)
 		}
 		if stressSize {
-			if v := cli.RespBits(); v != StressResp {
+			if v := cli.RespBits.Draw(); v != StressResp {
 				t.Fatalf("t=%v respBits=%v, want fixed %v", at, v, StressResp)
 			}
 		} else {
 			// Baseline sizes jitter around the median.
 			sum := 0.0
 			for i := 0; i < 200; i++ {
-				sum += cli.RespBits()
+				sum += cli.RespBits.Draw()
 			}
 			if mean := sum / 200; mean < BaselineResp/2 || mean > BaselineResp*2 {
 				t.Fatalf("t=%v baseline mean resp %v", at, mean)
@@ -112,7 +112,7 @@ func TestMatchedSequences(t *testing.T) {
 		cli := a.Client("C1")
 		out := make([]float64, 50)
 		for i := range out {
-			out[i] = cli.RespBits()
+			out[i] = cli.RespBits.Draw()
 		}
 		return out
 	}
