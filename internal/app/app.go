@@ -207,6 +207,14 @@ func (q *queue) pop() *Request {
 	return req
 }
 
+// activeGroup is one group's ActiveServers answer: its record, its first
+// active server in registration order and how many are active.
+type activeGroup struct {
+	q     *queue
+	first *Server
+	n     int
+}
+
 // System is the running application.
 type System struct {
 	K   *sim.Kernel
@@ -238,6 +246,10 @@ type System struct {
 	// have changed: a process registered, re-pointed, re-hosted, activated
 	// or deactivated (MemberRev).
 	memberRev uint64
+	// active is the ActiveServers table as of MemberRev activeRev. Empty at
+	// revision 0 is right: no server is registered yet.
+	active    []activeGroup
+	activeRev uint64
 
 	// OnDrop listeners observe requests discarded by moves, missing queues
 	// and server crashes (harness instrumentation; the paper's clients simply
@@ -289,6 +301,9 @@ func (s *System) AddServer(name string, host netsim.NodeID, group string, servic
 		// fleet.AppSpec.Spec server name (S<g>_<j>) matches.
 		panic("app: duplicate server " + name)
 	}
+	// Every group a server names has a record, where ActiveServers keeps its
+	// answer.
+	s.groupRecord(group)
 	srv := &Server{
 		Name: name, Host: host, Group: group,
 		ServiceBase: serviceBase, ServicePerBit: servicePerBit,
@@ -384,17 +399,48 @@ func (s *System) ActiveServersOf(group string) []string {
 
 // ActiveServers returns the first active server pulling from a group, in
 // registration order, and how many there are: ActiveServersOf for callers
-// on a timer, which need no list.
+// on a timer, which need no list. It reads the answer off a table keyed by
+// the group's record, counted again only once MemberRev has moved:
+// registering or removing a server, and every change to its active flag or
+// its group, advances it.
 func (s *System) ActiveServers(group string) (first *Server, n int) {
-	for _, srv := range s.serverList {
-		if srv.active && srv.Group == group {
-			if n == 0 {
-				first = srv
-			}
-			n++
+	q := s.queues[group]
+	if q == nil {
+		return nil, 0 // no server names the group: AddServer makes its record
+	}
+	if s.activeRev != s.memberRev {
+		s.countActive()
+	}
+	for _, a := range s.active {
+		if a.q == q {
+			return a.first, a.n
 		}
 	}
-	return first, n
+	return nil, 0
+}
+
+// countActive rebuilds the ActiveServers table in one pass over the servers:
+// an entry per group with an active server, keyed by the group's record.
+func (s *System) countActive() {
+	if s.active == nil {
+		s.active = make([]activeGroup, 0, len(s.queues))
+	}
+	s.active = s.active[:0]
+next:
+	for _, srv := range s.serverList {
+		if !srv.active {
+			continue
+		}
+		q := s.queues[srv.Group]
+		for i := range s.active {
+			if s.active[i].q == q {
+				s.active[i].n++
+				continue next
+			}
+		}
+		s.active = append(s.active, activeGroup{q: q, first: srv, n: 1})
+	}
+	s.activeRev = s.memberRev
 }
 
 // Start begins request generation for every client.

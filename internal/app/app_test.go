@@ -1,7 +1,9 @@
 package app
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"archadapt/internal/netsim"
@@ -663,5 +665,96 @@ func TestQueueCreatedAfterItsProcesses(t *testing.T) {
 	r.k.RunAll(0)
 	if cli.Responses() != 2 || r.sys.DroppedRequests() != 1 {
 		t.Fatalf("responses=%d dropped=%d, want 2 and 1", cli.Responses(), r.sys.DroppedRequests())
+	}
+}
+
+// ActiveServers answers from its table for as long as MemberRev holds
+// still. Seeded runs register, remove, activate, deactivate (deferred
+// while a server is busy), crash, re-point and re-host servers, create
+// queues, move the client and let requests flow; after every step the answer
+// for every group name, one that no server names included, is a scan's.
+func TestActiveServersMatchesScan(t *testing.T) {
+	scan := func(sys *System, group string) (first *Server, n int) {
+		for _, srv := range sys.serverList {
+			if srv.active && srv.Group == group {
+				if n == 0 {
+					first = srv
+				}
+				n++
+			}
+		}
+		return first, n
+	}
+	groups := []string{"G1", "G2", "G3", "nobody"}
+	var hits, recounts int
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := newRig(t)
+		rng := sim.NewRand(seed)
+		cli := r.sys.AddClient("C1", r.cHost, "G1", 0, rng.Fork("client"))
+		var names []string
+		pick := func() string { return names[rng.Intn(len(names))] }
+		for step := 0; step < 300; step++ {
+			g := groups[rng.Intn(3)]
+			op := rng.Intn(9)
+			if len(names) == 0 {
+				op = 0
+			}
+			// Errors (activating an active server, re-pointing one, a
+			// group without a queue) leave the system as it was.
+			switch op {
+			case 0:
+				name := fmt.Sprintf("S%d", step)
+				r.sys.AddServer(name, r.sHost, g, 0.05, 0)
+				names = append(names, name)
+			case 1:
+				i := rng.Intn(len(names))
+				if err := r.sys.RemoveServer(names[i]); err != nil {
+					t.Fatal(err)
+				}
+				names = slices.Delete(names, i, i+1)
+			case 2:
+				_ = r.sys.Activate(pick())
+			case 3:
+				_ = r.sys.Deactivate(pick())
+			case 4:
+				_ = r.sys.ConnectServer(pick(), g)
+			case 5:
+				_ = r.sys.CrashServer(pick())
+			case 6:
+				if r.sys.queueOf(g) == nil {
+					_ = r.sys.CreateQueue(g)
+				} else {
+					_ = r.sys.MoveClient("C1", g)
+				}
+			case 7:
+				hosts := map[string]netsim.NodeID{}
+				for _, name := range names {
+					hosts[name] = r.sHost
+				}
+				if err := r.sys.Rehost(r.qHost, hosts, map[string]netsim.NodeID{"C1": r.cHost}); err != nil {
+					t.Fatal(err)
+				}
+			case 8:
+				for i := rng.Intn(4); i >= 0; i-- {
+					r.k.At(r.k.Now(), func() { r.sys.sendRequest(cli) })
+				}
+				r.k.Run(r.k.Now() + 0.2*rng.Float64())
+			}
+			for _, g := range groups {
+				if r.sys.activeRev == r.sys.memberRev {
+					hits++
+				} else {
+					recounts++
+				}
+				first, n := r.sys.ActiveServers(g)
+				if wf, wn := scan(r.sys, g); first != wf || n != wn {
+					t.Fatalf("seed %d step %d (op %d): ActiveServers(%s) = %v, %d; a scan finds %v, %d", seed, step, op, g, first, n, wf, wn)
+				}
+			}
+		}
+	}
+	t.Logf("%d answers from the table, %d recounts", hits, recounts)
+	if hits == 0 || recounts == 0 {
+		t.Fatal("the seeds no longer reach both a kept answer and a recount")
 	}
 }

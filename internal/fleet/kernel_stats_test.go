@@ -3,6 +3,7 @@ package fleet
 import (
 	"testing"
 
+	"archadapt/internal/netsim"
 	"archadapt/internal/sim"
 )
 
@@ -53,4 +54,17 @@ func TestFleetKernelWorkIsFlatPerApp(t *testing.T) {
 	}
 	t.Logf("N=16/64/256: shifts per event %.3f/%.3f/%.3f, runs per drained bucket %.2f/%.2f/%.2f",
 		perEvent(got), perEvent(big), perEvent(huge), perDrain(got), perDrain(big), perDrain(huge))
+}
+
+// TestFleetSolverWorkPinned pins the max–min solver's work counters on the
+// benchmark script at N=16. Solves and Components say what the solver did
+// and must not move unless the flows do; Lone counts the starts and finishes
+// that skipped the region solve (netsim regions.go), so a change that turns
+// the lone-flow path off, or narrows it, says so here.
+func TestFleetSolverWorkPinned(t *testing.T) {
+	got := runBenchScript(t, 16).Grid.Net.Stats()
+	want := netsim.SolveStats{Solves: 36556, Components: 19841, Lone: 33498}
+	if got != want {
+		t.Errorf("N=16 seed 1: solver stats\n got %+v\nwant %+v", got, want)
+	}
 }

@@ -8,7 +8,8 @@ import (
 
 // BenchmarkTransferCycle measures one warm fire-and-forget reply-sized
 // transfer on a three-host star, start to completion callback — the unit the
-// application's reply streaming repeats per request.
+// application's reply streaming repeats per request. Each transfer runs
+// alone, so its start and finish take the lone-flow path (regions.go).
 func BenchmarkTransferCycle(b *testing.B) {
 	k, n, hosts, _ := star(3)
 	i := 0
@@ -28,9 +29,10 @@ func BenchmarkTransferCycle(b *testing.B) {
 }
 
 // BenchmarkSolveLoneFlow measures a reply flow alone on its path while a
-// class flow holds another pair of the star: the start fills a one-flow
-// component, and the solve after the completion finds no flow on the path it
-// leaves, so it reads no link.
+// class flow holds another pair of the star. The class flow crosses none of
+// the reply's resources, so the start takes the lone-flow path: a minimum of
+// available capacity over two hops and one arm, with no region collected.
+// The completion's removal dirties nothing and its solve only counts.
 func BenchmarkSolveLoneFlow(b *testing.B) {
 	k, n, hosts, _ := star(4)
 	n.StartClassFlow(hosts[2], hosts[3], 2e6, "class")

@@ -51,6 +51,7 @@ func (n *Network) StartClassFlow(src, dst NodeID, demand float64, tag string) *F
 	f.index = len(n.flows)
 	n.flows = append(n.flows, f)
 	n.linkFlow(f)
+	n.dirtyPath(f.path)
 	n.solve()
 	return f
 }
@@ -84,9 +85,7 @@ func (f *Flow) SetDemand(demand float64) {
 		f.rate = demand
 		return
 	}
-	for _, ri := range f.path {
-		f.net.markDirty(ri)
-	}
+	f.net.dirtyPath(f.path)
 	f.net.solve()
 }
 

@@ -78,7 +78,8 @@ func (n *Network) StartTransferArg(src, dst NodeID, bits float64, tag string, fn
 }
 
 // start launches f, a zero Flow or one off the free list with its callbacks
-// already set.
+// already set. A flow alone on every resource of its path is settled on the
+// spot (startAlone); any other start dirties its path for a region solve.
 func (n *Network) start(f *Flow, src, dst NodeID, bits float64, tag string) {
 	if bits <= 0 {
 		bits = 1
@@ -101,7 +102,10 @@ func (n *Network) start(f *Flow, src, dst NodeID, bits float64, tag string) {
 	f.index = len(n.flows)
 	n.flows = append(n.flows, f)
 	n.linkFlow(f)
-	n.solve()
+	if !n.startAlone(f) {
+		n.dirtyPath(f.path)
+		n.solve()
+	}
 }
 
 // release returns a completed fire-and-forget flow to the free list, keeping
@@ -159,9 +163,12 @@ func (n *Network) arm(f *Flow, at sim.Time) {
 }
 
 // completeFlow fires when a flow's last bit arrives: unlink it (dirtying its
-// region), run the done callback, then re-solve — the callback commonly
-// starts follow-on transfers whose solve already covers the removal dirt.
-// The fired event stays on the flow for the next arm.
+// region, or owing one solve if it was alone on its path), run the done
+// callback, then re-solve. A callback that starts or cancels a flow solves
+// there, and that solve covers the removal too, so a completion adds up to
+// one solve either way. The application's callback starts none:
+// replyDoneFn frees the server, whose next reply starts at a later
+// servedFn. The fired event stays on the flow for the next arm.
 func (n *Network) completeFlow(f *Flow) {
 	n.removeFlow(f)
 	n.finish(f)

@@ -1,6 +1,10 @@
 package netsim
 
-import "slices"
+import (
+	"slices"
+
+	"archadapt/internal/sim"
+)
 
 // Incremental, region-partitioned max–min reflow.
 //
@@ -80,6 +84,37 @@ import "slices"
 // each dirty component separately, in discovery order; settlement and
 // completion rescheduling then run over all region flows in global index
 // order.
+//
+// # The lone-flow path
+//
+// Most reply flows run alone: no other flow, elastic or class, crosses any
+// resource of their path. Such a flow is a component of its own, and the
+// general solve would collect it, fill it and settle it. startAlone does the
+// same arithmetic without the collection. With one flow on each resource the
+// fill's first round takes the minimum of avail/1 = avail over the path,
+// raises it to the rate floor, and freezes the flow there, which ends the
+// fill. startAlone takes that minimum in path order with the same comparison
+// (one value in any order, as above) and raises it to the same floor. It then
+// settles the flow through settle, the same code the general settlement
+// runs. So the rate, the completion time and the kernel calls are those of
+// the general path, bit for bit. The path applies only when the network is
+// not batching and no dirt is pending: dirt could join the new flow's
+// component to others, and a batch settles later. Where the share is zero (a
+// zeroed floor on a saturated link) the general path runs: there the flow
+// stalls with no completion event.
+//
+// The lone finish is the other half. A removed flow that was alone on every
+// resource of its path leaves only empty resources behind. Dirtying them
+// would add no component and no settlement (a flow linked there later
+// dirties them itself, or starts alone), so removeFlow, outside a Batch,
+// dirties nothing and sets owedSolve. The next solve counts the one solve
+// that the dirty-but-empty solve would have counted, or a solveDirty or lone
+// start absorbs it, as the general solve would have absorbed that dirt. So a
+// completion whose callback starts or cancels a flow still adds up to one
+// solve. SolveStats.Solves and Components read as they would without the
+// path, and SolveStats.Lone counts the starts and finishes that took it.
+// TestSolverOpsDifferential and FuzzSolverOps hold it to a Batch-wrapped
+// twin network, which always takes the general path.
 
 // resource is the per-(link, direction) solver state. flows is maintained
 // incrementally as transfers start and finish; avail/count are scratch for
@@ -110,8 +145,15 @@ func (n *Network) markDirty(ri int32) {
 	}
 }
 
-// linkFlow inserts f into the crossing list of every resource on its path
-// and marks the path dirty.
+// dirtyPath queues every resource on path for the next solve.
+func (n *Network) dirtyPath(path []int32) {
+	for _, ri := range path {
+		n.markDirty(ri)
+	}
+}
+
+// linkFlow inserts f into the crossing list of every resource on its path.
+// It dirties nothing: a start that is not alone dirties the path itself.
 func (n *Network) linkFlow(f *Flow) {
 	if cap(f.hopIdx) < len(f.path) {
 		f.hopIdx = make([]int32, len(f.path))
@@ -121,14 +163,54 @@ func (n *Network) linkFlow(f *Flow) {
 		r := &n.res[ri]
 		f.hopIdx[i] = int32(len(r.flows))
 		r.flows = append(r.flows, flowRef{f: f, hop: int32(i)})
-		n.markDirty(ri)
 	}
+}
+
+// startAlone is the lone-flow start: a just-linked elastic flow that no other
+// flow crosses on any resource of its path, with no solve pending, is its
+// own component, and filling it gives what fillComponent gives a one-flow
+// component (see the header). It sets the rate and arms the completion,
+// counting the solve and the component the general path would count, and
+// reports true. It changes nothing and reports false where the general solve
+// must run: under Batch, with dirt pending, beside another flow, or where the
+// share is zero (a zeroed floor on a saturated link) and the flow stalls.
+func (n *Network) startAlone(f *Flow) bool {
+	if n.batching > 0 || len(n.dirtyRes) > 0 {
+		return false
+	}
+	share := -1.0
+	for _, ri := range f.path {
+		if len(n.res[ri].flows) != 1 {
+			return false
+		}
+		// avail/1 and a minimum taken in path order: fillComponent's
+		// arithmetic for one flow, bit for bit.
+		if a := n.links[ri>>1].availCap(Dir(ri & 1)); share < 0 || a < share {
+			share = a
+		}
+	}
+	if share < n.minFlowRate {
+		share = n.minFlowRate
+	}
+	if !(share > 0) {
+		return false
+	}
+	n.owedSolve = false // this solve covers a lone removal's
+	n.stats.Solves++
+	n.stats.Components++
+	n.stats.Lone++
+	f.prevRate, f.rate = f.rate, share
+	n.settle(f, n.K.Now())
+	return true
 }
 
 // removeFlow unlinks f from the active set: swap-remove from n.flows via the
 // stored index (previously an O(flows) linear scan on every completion) and
-// swap-remove from each crossing list, marking the path dirty. Removing a
-// flow that is already gone is a no-op.
+// swap-remove from each crossing list, marking the path dirty. A flow that
+// was alone on every resource of its path leaves no component behind, so,
+// outside a Batch, its removal dirties nothing and only owes the next solve
+// its count (the lone finish). Removing a flow that is already gone is a
+// no-op.
 func (n *Network) removeFlow(f *Flow) {
 	i := f.index
 	if i < 0 || i >= len(n.flows) || n.flows[i] != f {
@@ -140,6 +222,7 @@ func (n *Network) removeFlow(f *Flow) {
 	n.flows[last] = nil
 	n.flows = n.flows[:last]
 	f.index = -1
+	alone := n.batching == 0
 	for hi, ri := range f.path {
 		r := &n.res[ri]
 		j := int(f.hopIdx[hi])
@@ -149,8 +232,14 @@ func (n *Network) removeFlow(f *Flow) {
 		moved.f.hopIdx[moved.hop] = int32(j)
 		r.flows[lastj] = flowRef{}
 		r.flows = r.flows[:lastj]
-		n.markDirty(ri)
+		alone = alone && lastj == 0
 	}
+	if alone {
+		n.owedSolve = true
+		n.stats.Lone++
+		return
+	}
+	n.dirtyPath(f.path)
 }
 
 // Batch defers rate recomputation while fn runs, so a scenario step that
@@ -170,11 +259,18 @@ func (n *Network) Batch(fn func()) {
 }
 
 // solve recomputes rates for the dirtied regions (unless batched or clean).
+// With no dirt but a lone finish owed, it only counts the solve: the general
+// path would have solved the finished flow's path and found no flow there.
 func (n *Network) solve() {
-	if n.batching > 0 || len(n.dirtyRes) == 0 {
+	if n.batching > 0 {
 		return
 	}
-	n.solveDirty()
+	if len(n.dirtyRes) > 0 {
+		n.solveDirty()
+	} else if n.owedSolve {
+		n.owedSolve = false
+		n.stats.Solves++
+	}
 }
 
 // collectRegion expands the dirty set to its connected components, grouped
@@ -255,6 +351,7 @@ func (n *Network) settleOrder() []*Flow {
 // checked that there is dirt.
 func (n *Network) solveDirty() {
 	n.collectRegion()
+	n.owedSolve = false
 	n.stats.Solves++
 	n.stats.Components += uint64(len(n.compSpans))
 	for _, ri := range n.compRes {
@@ -276,30 +373,36 @@ func (n *Network) solveDirty() {
 	// changed; stable flows keep their event and their lazily-settled state.
 	now := n.K.Now()
 	for _, f := range flows {
-		if f.rate == f.prevRate {
-			continue
+		if f.rate != f.prevRate {
+			n.settle(f, now)
 		}
-		if dt := now - f.last; dt > 0 {
-			if f.class {
-				f.delivered += float64(f.prevRate * dt)
-			} else {
-				f.remaining -= float64(f.prevRate * dt)
-				if f.remaining < 0 {
-					f.remaining = 0
-				}
+	}
+}
+
+// settle moves f from prevRate to rate at now: it folds the progress made
+// at prevRate since f.last into remaining (delivered, for a class flow) and
+// aims the completion at the new rate.
+func (n *Network) settle(f *Flow, now sim.Time) {
+	if dt := now - f.last; dt > 0 {
+		if f.class {
+			f.delivered += float64(f.prevRate * dt)
+		} else {
+			f.remaining -= float64(f.prevRate * dt)
+			if f.remaining < 0 {
+				f.remaining = 0
 			}
 		}
-		f.last = now
-		switch {
-		case f.class:
-			// Class flows never complete; there is no event to move.
-		case f.rate <= 0:
-			// Fully stalled: a later solve that restores a rate re-arms the
-			// cancelled event.
-			n.K.Cancel(f.completion)
-		default:
-			n.arm(f, now+f.remaining/f.rate)
-		}
+	}
+	f.last = now
+	switch {
+	case f.class:
+		// Class flows never complete; there is no event to move.
+	case f.rate <= 0:
+		// Fully stalled: a later solve that restores a rate re-arms the
+		// cancelled event.
+		n.K.Cancel(f.completion)
+	default:
+		n.arm(f, now+f.remaining/f.rate)
 	}
 }
 

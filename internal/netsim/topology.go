@@ -96,6 +96,9 @@ type Network struct {
 	compRes     []int32
 	compSpans   []compSpan
 	stats       SolveStats
+	// owedSolve marks a lone finish (removeFlow) since the last solve: the
+	// next solve counts one even if it finds no dirt.
+	owedSolve bool
 
 	// minFlowRate is this network's elastic-flow floor: MinFlowRate, except
 	// where a test zeroes it so a fully loaded link stalls its flows.
@@ -122,6 +125,11 @@ type SolveStats struct {
 	Solves uint64
 	// Components is the total number of connected components filled.
 	Components uint64
+	// Lone counts the starts and finishes that took the lone-flow path
+	// (regions.go): a start settled without a region solve, a removal that
+	// dirtied nothing. Solves and Components count them as the general
+	// path would.
+	Lone uint64
 }
 
 // Stats returns a snapshot of the solver counters.
