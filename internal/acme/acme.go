@@ -43,74 +43,40 @@ type Description struct {
 // grammar (`system`, `property`, `to`, `on`, ...) and of the expression grammar
 // (`in`, `one`, ...) are reserved only where they are expected, so any of them
 // can also name an element.
-type parser struct {
-	toks  []constraint.Token
-	i     int
-	depth int // system bodies open around the current one
-}
-
-func (p *parser) peek() constraint.Token { return p.toks[p.i] }
-
-func (p *parser) accept(text string) bool {
-	if p.peek().Is(text) {
-		p.i++
-		return true
-	}
-	return false
-}
-
-// errorf reports a message at the line of the current token.
-func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("acme:%d: %s", p.peek().Line, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) expect(text string) error {
-	if !p.accept(text) {
-		return p.errorf("expected %q, found %s", text, p.peek())
-	}
-	return nil
-}
-
-func (p *parser) expectWord() (string, error) {
-	t := p.peek()
-	if t.Kind != constraint.Ident {
-		return "", p.errorf("expected identifier, found %s", t)
-	}
-	p.i++
-	return t.Text, nil
-}
+type parser struct{ constraint.Cursor }
 
 // Parse parses an ADL source text.
 func Parse(src string) (*Description, error) {
-	p := &parser{toks: constraint.Lex(src)}
-	if !p.accept("system") {
-		return nil, p.errorf("expected 'system', found %s", p.peek())
+	p := &parser{constraint.NewCursor("acme", src)}
+	if !p.Accept("system") {
+		return nil, p.Errorf("expected 'system', found %s", p.Peek())
 	}
-	name, err := p.expectWord()
+	name, style, err := p.decl()
 	if err != nil {
 		return nil, err
 	}
-	style := ""
-	if p.accept(":") {
-		style, err = p.expectWord()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := p.expect("="); err != nil {
+	if err := p.Expect("="); err != nil {
 		return nil, err
 	}
 	d := &Description{System: model.NewSystem(name, style)}
 	if err := p.parseSystemBody(d, d.System); err != nil {
 		return nil, err
 	}
-	if p.peek().Kind != constraint.EOF {
-		return nil, p.errorf("trailing input %s", p.peek())
+	if p.Peek().Kind != constraint.EOF {
+		return nil, p.Errorf("trailing input %s", p.Peek())
 	}
 	if err := d.System.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// decl consumes an element's `NAME [: TYPE]`.
+func (p *parser) decl() (name, typ string, err error) {
+	if name, err = p.Word("identifier"); err == nil && p.Accept(":") {
+		typ, err = p.Word("identifier")
+	}
+	return name, typ, err
 }
 
 type attSpec struct {
@@ -121,42 +87,42 @@ type attSpec struct {
 
 // parseSystemBody parses a system's or a representation's `{ ... }`. A
 // representation nests one inside a component, so this is where nesting is
-// bounded, at the depth the expression parser allows.
+// bounded, by the cursor's one guard.
 func (p *parser) parseSystemBody(d *Description, sys *model.System) error {
-	if p.depth++; p.depth > constraint.MaxNesting {
-		return p.errorf("representations nested deeper than %d", constraint.MaxNesting)
+	if err := p.Descend("representations"); err != nil {
+		return err
 	}
-	defer func() { p.depth-- }()
-	if err := p.expect("{"); err != nil {
+	defer p.Ascend()
+	if err := p.Expect("{"); err != nil {
 		return err
 	}
 	var atts []attSpec
-	for !p.accept("}") {
+	for !p.Accept("}") {
 		switch {
-		case p.accept("property"):
+		case p.Accept("property"):
 			if err := p.parseProperty(sys.Props()); err != nil {
 				return err
 			}
-		case p.accept("component"):
+		case p.Accept("component"):
 			if err := p.parseComponent(d, sys); err != nil {
 				return err
 			}
-		case p.accept("connector"):
+		case p.Accept("connector"):
 			if err := p.parseConnector(sys); err != nil {
 				return err
 			}
-		case p.accept("attachment"):
+		case p.Accept("attachment"):
 			a, err := p.parseAttachment()
 			if err != nil {
 				return err
 			}
 			atts = append(atts, a)
-		case p.accept("invariant"):
+		case p.Accept("invariant"):
 			if err := p.parseInvariant(d); err != nil {
 				return err
 			}
 		default:
-			return p.errorf("expected declaration, found %s", p.peek())
+			return p.Errorf("expected declaration, found %s", p.Peek())
 		}
 	}
 	// Resolve attachments after all declarations.
@@ -185,96 +151,66 @@ func (p *parser) parseSystemBody(d *Description, sys *model.System) error {
 }
 
 func (p *parser) parseProperty(props *model.Props) error {
-	name, err := p.expectWord()
+	name, err := p.Word("identifier")
 	if err != nil {
 		return err
 	}
-	if err := p.expect("="); err != nil {
+	if err := p.Expect("="); err != nil {
 		return err
 	}
 	var v any
-	switch t := p.peek(); {
+	switch t := p.Peek(); {
 	case t.Kind == constraint.Number:
 		v = t.Num
-	case t.Is("-") && p.toks[p.i+1].Kind == constraint.Number:
-		p.i++
-		v = -p.peek().Num
+	case t.Is("-") && p.Peek2().Kind == constraint.Number:
+		p.Next()
+		v = -p.Peek().Num
 	case t.Kind == constraint.String:
 		v = t.Text
 	case t.Is("true") || t.Is("false"):
 		v = t.Text == "true"
 	default:
-		return p.errorf("bad property value %s", t)
+		return p.Errorf("bad property value %s", t)
 	}
-	p.i++
+	p.Next()
 	props.Set(name, v)
-	return p.expect(";")
+	return p.Expect(";")
 }
 
 func (p *parser) parseComponent(d *Description, sys *model.System) error {
 	// The model panics on a duplicate name, so each declaration is checked
 	// against its scope before it is added.
-	if t := p.peek(); t.Kind == constraint.Ident && sys.Component(t.Text) != nil {
-		return p.errorf("duplicate component %q", t.Text)
+	if t := p.Peek(); t.Kind == constraint.Ident && sys.Component(t.Text) != nil {
+		return p.Errorf("duplicate component %q", t.Text)
 	}
-	name, err := p.expectWord()
+	name, typ, err := p.decl()
 	if err != nil {
 		return err
 	}
-	typ := ""
-	if p.accept(":") {
-		if typ, err = p.expectWord(); err != nil {
-			return err
-		}
-	}
 	c := sys.AddComponent(name, typ)
-	if p.accept(";") {
+	if p.Accept(";") {
 		return nil
 	}
-	if err := p.expect("="); err != nil {
+	if err := p.Expect("="); err != nil {
 		return err
 	}
-	if err := p.expect("{"); err != nil {
+	if err := p.Expect("{"); err != nil {
 		return err
 	}
-	for !p.accept("}") {
+	for !p.Accept("}") {
 		switch {
-		case p.accept("property"):
+		case p.Accept("property"):
 			if err := p.parseProperty(c.Props()); err != nil {
 				return err
 			}
-		case p.accept("port"):
-			if t := p.peek(); t.Kind == constraint.Ident && c.Port(t.Text) != nil {
-				return p.errorf("duplicate port %s.%s", name, t.Text)
-			}
-			pn, err := p.expectWord()
+		case p.Accept("port"):
+			err := p.parseEnd("port", name, func(n string) bool { return c.Port(n) != nil },
+				func(n, t string) model.Element { return c.AddPort(n, t) })
 			if err != nil {
 				return err
 			}
-			pt := ""
-			if p.accept(":") {
-				if pt, err = p.expectWord(); err != nil {
-					return err
-				}
-			}
-			port := c.AddPort(pn, pt)
-			if p.accept("=") {
-				if err := p.expect("{"); err != nil {
-					return err
-				}
-				for !p.accept("}") {
-					if !p.accept("property") {
-						return p.errorf("expected property in port body")
-					}
-					if err := p.parseProperty(port.Props()); err != nil {
-						return err
-					}
-				}
-			} else if err := p.expect(";"); err != nil {
-				return err
-			}
-		case p.accept("representation"):
-			if err := p.expect("="); err != nil {
+		case p.Accept("representation"):
+			if err := p.Expect("="); err != nil {
 				return err
 			}
 			rep := c.EnsureRep()
@@ -282,127 +218,121 @@ func (p *parser) parseComponent(d *Description, sys *model.System) error {
 				return err
 			}
 		default:
-			return p.errorf("unexpected %s in component body", p.peek())
+			return p.Errorf("unexpected %s in component body", p.Peek())
 		}
 	}
 	return nil
 }
 
 func (p *parser) parseConnector(sys *model.System) error {
-	if t := p.peek(); t.Kind == constraint.Ident && sys.Connector(t.Text) != nil {
-		return p.errorf("duplicate connector %q", t.Text)
+	if t := p.Peek(); t.Kind == constraint.Ident && sys.Connector(t.Text) != nil {
+		return p.Errorf("duplicate connector %q", t.Text)
 	}
-	name, err := p.expectWord()
+	name, typ, err := p.decl()
 	if err != nil {
 		return err
 	}
-	typ := ""
-	if p.accept(":") {
-		if typ, err = p.expectWord(); err != nil {
-			return err
-		}
-	}
 	c := sys.AddConnector(name, typ)
-	if p.accept(";") {
+	if p.Accept(";") {
 		return nil
 	}
-	if err := p.expect("="); err != nil {
+	if err := p.Expect("="); err != nil {
 		return err
 	}
-	if err := p.expect("{"); err != nil {
+	if err := p.Expect("{"); err != nil {
 		return err
 	}
-	for !p.accept("}") {
+	for !p.Accept("}") {
 		switch {
-		case p.accept("property"):
+		case p.Accept("property"):
 			if err := p.parseProperty(c.Props()); err != nil {
 				return err
 			}
-		case p.accept("role"):
-			if t := p.peek(); t.Kind == constraint.Ident && c.Role(t.Text) != nil {
-				return p.errorf("duplicate role %s.%s", name, t.Text)
-			}
-			rn, err := p.expectWord()
+		case p.Accept("role"):
+			err := p.parseEnd("role", name, func(n string) bool { return c.Role(n) != nil },
+				func(n, t string) model.Element { return c.AddRole(n, t) })
 			if err != nil {
 				return err
 			}
-			rt := ""
-			if p.accept(":") {
-				if rt, err = p.expectWord(); err != nil {
-					return err
-				}
-			}
-			role := c.AddRole(rn, rt)
-			if p.accept("=") {
-				if err := p.expect("{"); err != nil {
-					return err
-				}
-				for !p.accept("}") {
-					if !p.accept("property") {
-						return p.errorf("expected property in role body")
-					}
-					if err := p.parseProperty(role.Props()); err != nil {
-						return err
-					}
-				}
-			} else if err := p.expect(";"); err != nil {
-				return err
-			}
 		default:
-			return p.errorf("unexpected %s in connector body", p.peek())
+			return p.Errorf("unexpected %s in connector body", p.Peek())
 		}
 	}
 	return nil
 }
 
-func (p *parser) parseAttachment() (attSpec, error) {
-	var a attSpec
-	a.line = p.peek().Line
-	var err error
-	if a.compOrConn, err = p.expectWord(); err != nil {
+// parseEnd parses a port or role declaration, `NAME [: TYPE]` and then `;`
+// or a body of properties, into the component or connector called owner:
+// has reports whether it already has the name, add declares the element.
+func (p *parser) parseEnd(kind, owner string, has func(string) bool, add func(name, typ string) model.Element) error {
+	if t := p.Peek(); t.Kind == constraint.Ident && has(t.Text) {
+		return p.Errorf("duplicate %s %s.%s", kind, owner, t.Text)
+	}
+	name, typ, err := p.decl()
+	if err != nil {
+		return err
+	}
+	e := add(name, typ)
+	if !p.Accept("=") {
+		return p.Expect(";")
+	}
+	if err := p.Expect("{"); err != nil {
+		return err
+	}
+	for !p.Accept("}") {
+		if !p.Accept("property") {
+			return p.Errorf("expected property in %s body", kind)
+		}
+		if err := p.parseProperty(e.Props()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *parser) parseAttachment() (a attSpec, err error) {
+	a.line = p.Peek().Line
+	if a.compOrConn, a.portOrRole, err = p.qname(); err != nil {
 		return a, err
 	}
-	if err = p.expect("."); err != nil {
+	if !p.Accept("to") {
+		return a, p.Errorf("expected 'to' in attachment")
+	}
+	if a.toConn, a.toRole, err = p.qname(); err != nil {
 		return a, err
 	}
-	if a.portOrRole, err = p.expectWord(); err != nil {
-		return a, err
+	return a, p.Expect(";")
+}
+
+// qname consumes a port's or a role's `OWNER.NAME`.
+func (p *parser) qname() (owner, name string, err error) {
+	if owner, err = p.Word("identifier"); err == nil {
+		if err = p.Expect("."); err == nil {
+			name, err = p.Word("identifier")
+		}
 	}
-	if !p.accept("to") {
-		return a, p.errorf("expected 'to' in attachment")
-	}
-	if a.toConn, err = p.expectWord(); err != nil {
-		return a, err
-	}
-	if err = p.expect("."); err != nil {
-		return a, err
-	}
-	if a.toRole, err = p.expectWord(); err != nil {
-		return a, err
-	}
-	return a, p.expect(";")
+	return owner, name, err
 }
 
 // parseInvariant parses `invariant NAME [on TYPE] : expr;`.
 func (p *parser) parseInvariant(d *Description) error {
-	name, err := p.expectWord()
+	name, err := p.Word("identifier")
 	if err != nil {
 		return err
 	}
 	scope := ""
-	if p.accept("on") {
-		if scope, err = p.expectWord(); err != nil {
+	if p.Accept("on") {
+		if scope, err = p.Word("identifier"); err != nil {
 			return err
 		}
 	}
-	if err := p.expect(":"); err != nil {
+	if err := p.Expect(":"); err != nil {
 		return err
 	}
-	e, next, err := constraint.ParsePrefix(p.toks, p.i)
-	p.i = next
+	e, err := p.Expr()
 	if err != nil {
-		return p.errorf("invariant %s: %v", name, err)
+		return p.Errorf("invariant %s: %v", name, err)
 	}
 	d.Invariants = append(d.Invariants, &constraint.Invariant{Name: name, Scope: scope, Expr: e})
-	return p.expect(";")
+	return p.Expect(";")
 }

@@ -25,15 +25,11 @@ func indent(b *strings.Builder, n int) {
 }
 
 func printSystem(b *strings.Builder, sys *model.System, invs []*constraint.Invariant, depth int, keyword string) {
-	indent(b, depth)
 	if keyword == "system" {
-		b.WriteString("system ")
-		b.WriteString(sys.Name())
-		if sys.Type() != "" {
-			b.WriteString(" : " + sys.Type())
-		}
+		printHead(b, sys, depth)
 		b.WriteString(" = {\n")
 	} else {
+		indent(b, depth)
 		b.WriteString("representation = {\n")
 	}
 	printProps(b, sys.Props(), depth+1)
@@ -80,11 +76,7 @@ func printProps(b *strings.Builder, props *model.Props, depth int) {
 }
 
 func printComponent(b *strings.Builder, c *model.Component, depth int) {
-	indent(b, depth)
-	b.WriteString("component " + c.Name())
-	if c.Type() != "" {
-		b.WriteString(" : " + c.Type())
-	}
+	printHead(b, c, depth)
 	if c.Props().Len() == 0 && len(c.Ports()) == 0 && c.Rep == nil {
 		b.WriteString(";\n")
 		return
@@ -92,19 +84,7 @@ func printComponent(b *strings.Builder, c *model.Component, depth int) {
 	b.WriteString(" = {\n")
 	printProps(b, c.Props(), depth+1)
 	for _, p := range c.Ports() {
-		indent(b, depth+1)
-		b.WriteString("port " + p.Name())
-		if p.Type() != "" {
-			b.WriteString(" : " + p.Type())
-		}
-		if p.Props().Len() > 0 {
-			b.WriteString(" = {\n")
-			printProps(b, p.Props(), depth+2)
-			indent(b, depth+1)
-			b.WriteString("}\n")
-		} else {
-			b.WriteString(";\n")
-		}
+		printEnd(b, p, depth+1)
 	}
 	if c.Rep != nil {
 		printSystem(b, c.Rep, nil, depth+1, "representation")
@@ -114,11 +94,7 @@ func printComponent(b *strings.Builder, c *model.Component, depth int) {
 }
 
 func printConnector(b *strings.Builder, c *model.Connector, depth int) {
-	indent(b, depth)
-	b.WriteString("connector " + c.Name())
-	if c.Type() != "" {
-		b.WriteString(" : " + c.Type())
-	}
+	printHead(b, c, depth)
 	if c.Props().Len() == 0 && len(c.Roles()) == 0 {
 		b.WriteString(";\n")
 		return
@@ -126,20 +102,30 @@ func printConnector(b *strings.Builder, c *model.Connector, depth int) {
 	b.WriteString(" = {\n")
 	printProps(b, c.Props(), depth+1)
 	for _, r := range c.Roles() {
-		indent(b, depth+1)
-		b.WriteString("role " + r.Name())
-		if r.Type() != "" {
-			b.WriteString(" : " + r.Type())
-		}
-		if r.Props().Len() > 0 {
-			b.WriteString(" = {\n")
-			printProps(b, r.Props(), depth+2)
-			indent(b, depth+1)
-			b.WriteString("}\n")
-		} else {
-			b.WriteString(";\n")
-		}
+		printEnd(b, r, depth+1)
 	}
+	indent(b, depth)
+	b.WriteString("}\n")
+}
+
+// printHead starts an element's declaration: keyword, name and type.
+func printHead(b *strings.Builder, e model.Element, depth int) {
+	indent(b, depth)
+	b.WriteString(e.Kind().String() + " " + e.Name())
+	if e.Type() != "" {
+		b.WriteString(" : " + e.Type())
+	}
+}
+
+// printEnd prints a port or a role declaration.
+func printEnd(b *strings.Builder, e model.Element, depth int) {
+	printHead(b, e, depth)
+	if e.Props().Len() == 0 {
+		b.WriteString(";\n")
+		return
+	}
+	b.WriteString(" = {\n")
+	printProps(b, e.Props(), depth+1)
 	indent(b, depth)
 	b.WriteString("}\n")
 }

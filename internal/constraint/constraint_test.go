@@ -390,6 +390,18 @@ func TestPrintParseFixpoint(t *testing.T) {
 	}
 }
 
+// Parse allocates the token slice and the tree, nothing else: the cursor is
+// a value on the stack. core.NewAttached parses these three sources for
+// every admitted app.
+func TestParseAllocations(t *testing.T) {
+	for _, src := range []string{"averageLatency <= maxLatency", "load <= maxServerLoad", "bandwidth >= minBandwidth"} {
+		// One token slice, two Refs with their Parts, one Binary.
+		if got := testing.AllocsPerRun(100, func() { _, _ = Parse(src) }); got != 6 {
+			t.Errorf("Parse(%q): %v allocations, want 6", src, got)
+		}
+	}
+}
+
 // Property: randomly generated expressions either fail to parse, or print to
 // a form that reparses to the same canonical string.
 func TestRandomExprFixpoint(t *testing.T) {

@@ -149,3 +149,104 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // isLetter reports whether c may start a word: an ASCII letter or '_'.
 func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' }
+
+// Cursor walks the token stream of one source for the three grammars: the
+// expression grammar here, the script and the Acme grammars embed one in
+// their parser. Its errors name the surface and the line of the current
+// token (`script:3: …`); a cursor with no name, the expression grammar's,
+// gives bare messages that Parse places by byte offset.
+type Cursor struct {
+	name  string
+	toks  []Token
+	i     int
+	depth int // levels open around the current one
+}
+
+// NewCursor lexes src for the surface called name.
+func NewCursor(name, src string) Cursor { return Cursor{name: name, toks: Lex(src)} }
+
+// Peek returns the current token.
+func (c *Cursor) Peek() Token { return c.toks[c.i] }
+
+// Peek2 returns the token after the current one; past EOF it is EOF again.
+func (c *Cursor) Peek2() Token { return c.toks[min(c.i+1, len(c.toks)-1)] }
+
+// Next consumes any token but the closing EOF, so a parse that runs off the
+// end of the source keeps meeting it.
+func (c *Cursor) Next() Token {
+	t := c.toks[c.i]
+	if t.Kind != EOF {
+		c.i++
+	}
+	return t
+}
+
+// Accept consumes the current token if it is the word or punctuation text.
+func (c *Cursor) Accept(text string) bool {
+	if c.Peek().Is(text) {
+		c.i++
+		return true
+	}
+	return false
+}
+
+// Expect consumes the word or punctuation text or reports what stands there.
+func (c *Cursor) Expect(text string) error {
+	if !c.Accept(text) {
+		return c.Errorf("expected %q, found %s", text, c.Peek())
+	}
+	return nil
+}
+
+// Word consumes a word; what names the thing expected in the error.
+func (c *Cursor) Word(what string) (string, error) {
+	t := c.Peek()
+	if t.Kind != Ident {
+		return "", c.Errorf("expected %s, found %s", what, t)
+	}
+	c.i++
+	return t.Text, nil
+}
+
+// Errorf reports a message at the line of the current token.
+func (c *Cursor) Errorf(format string, args ...any) error {
+	if c.name == "" {
+		return fmt.Errorf(format, args...)
+	}
+	return fmt.Errorf("%s:%d: %s", c.name, c.Peek().Line, fmt.Sprintf(format, args...))
+}
+
+// MaxNesting bounds how deep any of the three grammars may nest, so that
+// text from outside the program cannot grow the stack until the runtime
+// kills the process: a megabyte of "(" did.
+const MaxNesting = 10000
+
+// Descend counts one level of nesting, which the caller defers Ascend to
+// take off again; what names the levels in the error.
+func (c *Cursor) Descend(what string) error {
+	if c.depth++; c.depth > MaxNesting {
+		return c.Errorf("%s nested deeper than %d", what, MaxNesting)
+	}
+	return nil
+}
+
+// Ascend takes off the level Descend counted.
+func (c *Cursor) Ascend() { c.depth-- }
+
+// List parses the rest of a comma-separated list whose opener the caller
+// consumed: at once the closer, or items with a comma between each two and
+// the closer after the last. It is the one list rule of the three grammars,
+// so a missing comma and a trailing one are errors wherever a list stands.
+func (c *Cursor) List(closer string, item func() error) error {
+	if c.Accept(closer) {
+		return nil
+	}
+	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if !c.Accept(",") {
+			return c.Expect(closer)
+		}
+	}
+}

@@ -4,29 +4,30 @@ import "fmt"
 
 // Parse parses a constraint expression that is the whole of src.
 func Parse(src string) (Expr, error) {
-	toks := Lex(src)
-	e, i, err := ParsePrefix(toks, 0)
-	if err == nil && toks[i].Is("=") {
+	c := NewCursor("", src)
+	e, err := c.parseOr()
+	if err == nil && c.Peek().Is("=") {
 		err = fmt.Errorf("single '=' (use '==')")
-	} else if err == nil && toks[i].Kind != EOF {
-		err = fmt.Errorf("trailing input at %s", toks[i])
+	} else if err == nil && c.Peek().Kind != EOF {
+		err = fmt.Errorf("trailing input at %s", c.Peek())
 	}
 	if err != nil {
-		return nil, fmt.Errorf("constraint: %v at %d in %q", err, toks[i].Pos, src)
+		return nil, fmt.Errorf("constraint: %v at %d in %q", err, c.Peek().Pos, src)
 	}
 	return e, nil
 }
 
-// ParsePrefix parses the one expression that starts at toks[i], which must
-// come from Lex, and returns it with the index of the first token it did not
-// consume. The grammar uses none of `; { } =`, so an expression embedded in a
-// script or an Acme description ends by itself at whatever closes the
-// statement around it. On error the index is that of the offending token,
-// whose Line and Pos place the message; the message itself carries neither.
-func ParsePrefix(toks []Token, i int) (Expr, int, error) {
-	p := parser{toks: toks, i: i}
-	e, err := p.parseOr()
-	return e, p.i, err
+// Expr parses the one expression that starts at the current token and
+// leaves the cursor on the first token it did not consume. The grammar uses
+// none of `; { } =`, so an expression embedded in a script or an Acme
+// description ends by itself at whatever closes the statement around it. On
+// error the cursor stands on the offending token and the message carries no
+// position: the caller's Errorf places it.
+func (c *Cursor) Expr() (Expr, error) {
+	sub := Cursor{toks: c.toks, i: c.i}
+	e, err := sub.parseOr()
+	c.i = sub.i
+	return e, err
 }
 
 // keywords are the words of the expression grammar; none can name a
@@ -37,47 +38,22 @@ var keywords = map[string]bool{
 	"in": true, "true": true, "false": true, "nil": true,
 }
 
-type parser struct {
-	toks  []Token
-	i     int
-	depth int
-}
-
-func (p *parser) peek() Token { return p.toks[p.i] }
-
-func (p *parser) accept(text string) bool {
-	if p.peek().Is(text) {
-		p.i++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expect(text string) error {
-	if !p.accept(text) {
-		return fmt.Errorf("expected %q, found %s", text, p.peek())
-	}
-	return nil
-}
-
-// ident consumes an identifier that is not a keyword; what names the thing
+// ident consumes a word that is not a keyword; what names the thing
 // expected in the error.
-func (p *parser) ident(what string) (string, error) {
-	t := p.peek()
-	if t.Kind != Ident || keywords[t.Text] {
-		return "", fmt.Errorf("expected %s, found %s", what, t)
+func (c *Cursor) ident(what string) (string, error) {
+	if t := c.Peek(); keywords[t.Text] {
+		return "", c.Errorf("expected %s, found %s", what, t)
 	}
-	p.i++
-	return t.Text, nil
+	return c.Word(what)
 }
 
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
+func (c *Cursor) parseOr() (Expr, error) {
+	l, err := c.parseAnd()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("or") {
-		r, err := p.parseAnd()
+	for c.Accept("or") {
+		r, err := c.parseAnd()
 		if err != nil {
 			return nil, err
 		}
@@ -86,13 +62,13 @@ func (p *parser) parseOr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+func (c *Cursor) parseAnd() (Expr, error) {
+	l, err := c.parseNot()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("and") {
-		r, err := p.parseNot()
+	for c.Accept("and") {
+		r, err := c.parseNot()
 		if err != nil {
 			return nil, err
 		}
@@ -101,50 +77,33 @@ func (p *parser) parseAnd() (Expr, error) {
 	return l, nil
 }
 
-// MaxNesting bounds how deep an expression may nest, so that text from
-// outside the program cannot grow the stack until the runtime kills the
-// process: a megabyte of "(" did. The script and ADL parsers bound their own
-// recursion (statement blocks, representations) at the same depth.
-const MaxNesting = 10000
-
-// descend counts one level of nesting, which the caller defers p.ascend to
-// take off again. Every cycle of the descent passes through parseNot, except
-// parseUnary's own.
-func (p *parser) descend() error {
-	if p.depth++; p.depth > MaxNesting {
-		return fmt.Errorf("expression nested deeper than %d", MaxNesting)
-	}
-	return nil
-}
-
-func (p *parser) ascend() { p.depth-- }
-
-func (p *parser) parseNot() (Expr, error) {
-	if err := p.descend(); err != nil {
+func (c *Cursor) parseNot() (Expr, error) {
+	// Every cycle of the descent passes through here, except parseUnary's own.
+	if err := c.Descend("expression"); err != nil {
 		return nil, err
 	}
-	defer p.ascend()
-	if p.accept("not") || p.accept("!") {
-		x, err := p.parseNot()
+	defer c.Ascend()
+	if c.Accept("not") || c.Accept("!") {
+		x, err := c.parseNot()
 		if err != nil {
 			return nil, err
 		}
 		return &Unary{Op: "!", X: x}, nil
 	}
-	return p.parseCmp()
+	return c.parseCmp()
 }
 
 var cmpOps = map[string]bool{"<": true, "<=": true, ">": true, ">=": true, "==": true, "!=": true}
 
-func (p *parser) parseCmp() (Expr, error) {
-	l, err := p.parseAdd()
+func (c *Cursor) parseCmp() (Expr, error) {
+	l, err := c.parseAdd()
 	if err != nil {
 		return nil, err
 	}
-	t := p.peek()
+	t := c.Peek()
 	if t.Kind == Punct && cmpOps[t.Text] {
-		p.i++
-		r, err := p.parseAdd()
+		c.i++
+		r, err := c.parseAdd()
 		if err != nil {
 			return nil, err
 		}
@@ -153,16 +112,16 @@ func (p *parser) parseCmp() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
+func (c *Cursor) parseAdd() (Expr, error) {
+	l, err := c.parseMul()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		t := p.peek()
+		t := c.Peek()
 		if t.Is("+") || t.Is("-") {
-			p.i++
-			r, err := p.parseMul()
+			c.i++
+			r, err := c.parseMul()
 			if err != nil {
 				return nil, err
 			}
@@ -173,16 +132,16 @@ func (p *parser) parseAdd() (Expr, error) {
 	}
 }
 
-func (p *parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
+func (c *Cursor) parseMul() (Expr, error) {
+	l, err := c.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		t := p.peek()
+		t := c.Peek()
 		if t.Is("*") || t.Is("/") {
-			p.i++
-			r, err := p.parseUnary()
+			c.i++
+			r, err := c.parseUnary()
 			if err != nil {
 				return nil, err
 			}
@@ -193,105 +152,97 @@ func (p *parser) parseMul() (Expr, error) {
 	}
 }
 
-func (p *parser) parseUnary() (Expr, error) {
-	if p.accept("-") {
-		if err := p.descend(); err != nil {
+func (c *Cursor) parseUnary() (Expr, error) {
+	if c.Accept("-") {
+		if err := c.Descend("expression"); err != nil {
 			return nil, err
 		}
-		defer p.ascend()
-		x, err := p.parseUnary()
+		defer c.Ascend()
+		x, err := c.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return &Unary{Op: "-", X: x}, nil
 	}
-	return p.parsePrimary()
+	return c.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
-	t := p.peek()
+func (c *Cursor) parsePrimary() (Expr, error) {
+	t := c.Peek()
 	switch {
 	case t.Kind == Number:
-		p.i++
+		c.i++
 		return &Lit{Val: Num(t.Num)}, nil
 	case t.Kind == String:
-		p.i++
+		c.i++
 		return &Lit{Val: Str(t.Text)}, nil
 	case t.Is("true") || t.Is("false"):
-		p.i++
+		c.i++
 		return &Lit{Val: Bool(t.Text == "true")}, nil
 	case t.Is("nil"):
-		p.i++
+		c.i++
 		return &Lit{Val: Nil()}, nil
 	case t.Is("exists") || t.Is("forall") || t.Is("select"):
-		return p.parseQuant()
+		return c.parseQuant()
 	case t.Is("("):
-		p.i++
-		e, err := p.parseOr()
+		c.i++
+		e, err := c.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		return e, p.expect(")")
+		return e, c.Expect(")")
 	case t.Kind == Ident && !keywords[t.Text]:
-		return p.parseRefOrCall()
+		return c.parseRefOrCall()
 	}
-	return nil, fmt.Errorf("unexpected %s", t)
+	return nil, c.Errorf("unexpected %s", t)
 }
 
-func (p *parser) parseQuant() (Expr, error) {
-	q := &Quant{Mode: p.peek().Text}
-	p.i++
-	q.One = q.Mode == "select" && p.accept("one")
+func (c *Cursor) parseQuant() (Expr, error) {
+	q := &Quant{Mode: c.Peek().Text}
+	c.i++
+	q.One = q.Mode == "select" && c.Accept("one")
 	var err error
-	if q.Var, err = p.ident("variable after " + q.Mode); err != nil {
+	if q.Var, err = c.ident("variable after " + q.Mode); err != nil {
 		return nil, err
 	}
-	if p.accept(":") {
-		if q.Type, err = p.ident("type after ':'"); err != nil {
+	if c.Accept(":") {
+		if q.Type, err = c.ident("type after ':'"); err != nil {
 			return nil, err
 		}
 	}
-	if err = p.expect("in"); err != nil {
+	if err = c.Expect("in"); err != nil {
 		return nil, err
 	}
-	if q.Dom, err = p.parseOr(); err != nil {
+	if q.Dom, err = c.parseOr(); err != nil {
 		return nil, err
 	}
-	if err = p.expect("|"); err != nil {
+	if err = c.Expect("|"); err != nil {
 		return nil, err
 	}
-	if q.Pred, err = p.parseOr(); err != nil {
+	if q.Pred, err = c.parseOr(); err != nil {
 		return nil, err
 	}
 	return q, nil
 }
 
-func (p *parser) parseRefOrCall() (Expr, error) {
-	name := p.peek().Text
-	p.i++
-	if p.accept("(") {
+func (c *Cursor) parseRefOrCall() (Expr, error) {
+	name := c.Peek().Text
+	c.i++
+	if c.Accept("(") {
 		var args []Expr
-		if !p.accept(")") {
-			for {
-				a, err := p.parseOr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if p.accept(",") {
-					continue
-				}
-				if err := p.expect(")"); err != nil {
-					return nil, err
-				}
-				break
-			}
+		err := c.List(")", func() error {
+			a, err := c.parseOr()
+			args = append(args, a)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		return &Call{Fn: name, Args: args}, nil
 	}
 	parts := []string{name}
-	for p.accept(".") {
-		part, err := p.ident("identifier after '.'")
+	for c.Accept(".") {
+		part, err := c.ident("identifier after '.'")
 		if err != nil {
 			return nil, err
 		}

@@ -36,6 +36,11 @@ func FuzzParseDefs(f *testing.F) {
 		`strategy f(a : = { let s : set{ = "open`,
 		`strategy réparer(c : ClientT) = { commit repair; }`, // a name is ASCII
 		operators.ShrinkScript,
+		// Annotations that are not type names.
+		`strategy s(x : 5) = { commit repair; }`,
+		`strategy s(x) : 7 = { commit repair; }`,
+		`strategy s(x) = { let v : 5 = 1; }`,
+		`strategy s(x : "str") = { commit repair; }`,
 	} {
 		f.Add(src)
 	}

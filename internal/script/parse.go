@@ -9,18 +9,16 @@ import (
 // parser walks the token stream of the constraint lexer; an embedded
 // expression is parsed where it stands, on the same tokens.
 type parser struct {
-	toks   []constraint.Token
-	i      int
-	depth  int      // statements open around the current one
+	constraint.Cursor
 	params []string // of the definition being parsed
 	calls  []call   // of the definition being parsed
 }
 
 // ParseDefs parses a script source into strategy/tactic definitions.
 func ParseDefs(src string) ([]*Def, error) {
-	p := &parser{toks: constraint.Lex(src)}
+	p := &parser{Cursor: constraint.NewCursor("script", src)}
 	var defs []*Def
-	for p.peek().Kind != constraint.EOF {
+	for p.Peek().Kind != constraint.EOF {
 		d, err := p.parseDef()
 		if err != nil {
 			return nil, err
@@ -33,71 +31,28 @@ func ParseDefs(src string) ([]*Def, error) {
 	return defs, nil
 }
 
-func (p *parser) peek() constraint.Token { return p.toks[p.i] }
-
-// next consumes any token but the closing EOF, so a parse that runs off the
-// end of the source keeps meeting it.
-func (p *parser) next() constraint.Token {
-	t := p.toks[p.i]
-	if t.Kind != constraint.EOF {
-		p.i++
-	}
-	return t
-}
-
-func (p *parser) accept(text string) bool {
-	if p.peek().Is(text) {
-		p.i++
-		return true
-	}
-	return false
-}
-
-// errorf reports a message at the line of the current token.
-func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("script:%d: %s", p.peek().Line, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) expect(text string) error {
-	if !p.accept(text) {
-		return p.errorf("expected %q, found %s", text, p.peek())
-	}
-	return nil
-}
-
-// word consumes an identifier; what names the thing expected in the error.
-func (p *parser) word(what string) (string, error) {
-	t := p.peek()
-	if t.Kind != constraint.Ident {
-		return "", p.errorf("expected %s, found %s", what, t)
-	}
-	p.i++
-	return t.Text, nil
-}
-
 // local consumes a let or foreach variable. A definition's variables share
 // one scope, so a variable named like a parameter or `it` would overwrite it
 // for the rest of the definition: that is refused.
 func (p *parser) local(what string) (string, error) {
-	t := p.peek()
+	t := p.Peek()
 	taken := t.Text == "it"
 	for _, pr := range p.params {
 		taken = taken || pr == t.Text
 	}
 	if t.Kind == constraint.Ident && taken {
-		return "", p.errorf("%s %s would rebind a parameter", what, t.Text)
+		return "", p.Errorf("%s %s would rebind a parameter", what, t.Text)
 	}
-	return p.word(what)
+	return p.Word(what)
 }
 
 // expr parses the constraint expression that starts at the current token
 // and stops at the first token that cannot continue it.
 func (p *parser) expr() (constraint.Expr, error) {
-	line := p.peek().Line
-	e, next, err := constraint.ParsePrefix(p.toks, p.i)
-	p.i = next
+	line := p.Peek().Line
+	e, err := p.Expr()
 	if err != nil {
-		return nil, p.errorf("%v", err)
+		return nil, p.Errorf("%v", err)
 	}
 	p.noteCalls(line, e)
 	return e, nil
@@ -128,40 +83,39 @@ func (p *parser) exprThen(closer string) (constraint.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e, p.expect(closer)
+	return e, p.Expect(closer)
 }
 
 func (p *parser) parseDef() (*Def, error) {
-	kind := p.peek()
+	kind := p.Peek()
 	line := kind.Line
 	if !kind.Is("strategy") && !kind.Is("tactic") {
-		return nil, p.errorf("expected 'strategy' or 'tactic', found %s", kind)
+		return nil, p.Errorf("expected 'strategy' or 'tactic', found %s", kind)
 	}
-	p.i++
-	name, err := p.word(kind.Text + " name")
+	p.Next()
+	name, err := p.Word(kind.Text + " name")
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect("("); err != nil {
+	if err := p.Expect("("); err != nil {
 		return nil, err
 	}
 	var params []string
-	for !p.accept(")") {
-		pn, err := p.word("parameter of " + name)
+	err = p.List(")", func() error {
+		pn, err := p.Word("parameter of " + name)
 		if err != nil {
-			return nil, err
-		}
-		if p.accept(":") {
-			p.next() // type name, ignored
+			return err
 		}
 		params = append(params, pn)
-		p.accept(",")
+		return p.annotation()
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Optional result-type annotation: `: boolean`.
-	if p.accept(":") {
-		p.next() // type name, ignored
+	if err := p.annotation(); err != nil { // the result type: `: boolean`
+		return nil, err
 	}
-	if err := p.expect("="); err != nil {
+	if err := p.Expect("="); err != nil {
 		return nil, err
 	}
 	p.params, p.calls = params, nil
@@ -172,12 +126,27 @@ func (p *parser) parseDef() (*Def, error) {
 	return &Def{Kind: kind.Text, Name: name, line: line, params: params, body: body, calls: p.calls}, nil
 }
 
+// annotation consumes an optional `: Type`, where a type is a word or a
+// set of one, `set{T}`. Types are parsed, not checked.
+func (p *parser) annotation() error {
+	if !p.Accept(":") {
+		return nil
+	}
+	if _, err := p.Word("type after ':'"); err != nil || !p.Accept("{") {
+		return err
+	}
+	if _, err := p.Word("type"); err != nil {
+		return err
+	}
+	return p.Expect("}")
+}
+
 func (p *parser) parseBlock() ([]stmt, error) {
-	if err := p.expect("{"); err != nil {
+	if err := p.Expect("{"); err != nil {
 		return nil, err
 	}
 	var out []stmt
-	for !p.accept("}") {
+	for !p.Accept("}") {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
@@ -189,28 +158,23 @@ func (p *parser) parseBlock() ([]stmt, error) {
 
 // parseStmt parses one statement. Every cycle of the descent — a block
 // inside `if` or `foreach`, an `else if` chain — passes through here, so this
-// is where nesting is bounded, at the depth the expression parser allows.
+// is where nesting is bounded, by the cursor's one guard.
 func (p *parser) parseStmt() (stmt, error) {
-	if p.depth++; p.depth > constraint.MaxNesting {
-		return nil, p.errorf("statements nested deeper than %d", constraint.MaxNesting)
+	if err := p.Descend("statements"); err != nil {
+		return nil, err
 	}
-	defer func() { p.depth-- }()
-	line := p.peek().Line
+	defer p.Ascend()
+	line := p.Peek().Line
 	switch {
-	case p.accept("let"):
+	case p.Accept("let"):
 		name, err := p.local("let variable")
 		if err != nil {
 			return nil, err
 		}
-		if p.accept(":") { // optional type annotation: a word or `set{T}`
-			p.next()
-			if p.accept("{") {
-				for !p.accept("}") && p.peek().Kind != constraint.EOF {
-					p.i++
-				}
-			}
+		if err := p.annotation(); err != nil {
+			return nil, err
 		}
-		if err := p.expect("="); err != nil {
+		if err := p.Expect("="); err != nil {
 			return nil, err
 		}
 		e, err := p.exprThen(";")
@@ -218,8 +182,8 @@ func (p *parser) parseStmt() (stmt, error) {
 			return nil, err
 		}
 		return &letStmt{name: name, expr: e}, nil
-	case p.accept("if"):
-		if err := p.expect("("); err != nil {
+	case p.Accept("if"):
+		if err := p.Expect("("); err != nil {
 			return nil, err
 		}
 		cond, err := p.exprThen(")")
@@ -231,8 +195,8 @@ func (p *parser) parseStmt() (stmt, error) {
 			return nil, err
 		}
 		var els []stmt
-		if p.accept("else") {
-			if p.peek().Is("if") {
+		if p.Accept("else") {
+			if p.Peek().Is("if") {
 				s, err := p.parseStmt()
 				if err != nil {
 					return nil, err
@@ -243,12 +207,12 @@ func (p *parser) parseStmt() (stmt, error) {
 			}
 		}
 		return &ifStmt{cond: cond, then: then, els: els}, nil
-	case p.accept("foreach"):
+	case p.Accept("foreach"):
 		v, err := p.local("foreach variable")
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect("in"); err != nil {
+		if err := p.Expect("in"); err != nil {
 			return nil, err
 		}
 		dom, err := p.expr()
@@ -260,49 +224,47 @@ func (p *parser) parseStmt() (stmt, error) {
 			return nil, err
 		}
 		return &foreachStmt{line: line, varName: v, domain: dom, body: body}, nil
-	case p.accept("return"):
+	case p.Accept("return"):
 		e, err := p.exprThen(";")
 		if err != nil {
 			return nil, err
 		}
 		return &returnStmt{expr: e}, nil
-	case p.accept("commit"):
-		p.accept("repair")
-		return &commitStmt{}, p.expect(";")
-	case p.accept("abort"):
-		reason, err := p.word("abort reason")
+	case p.Accept("commit"):
+		p.Accept("repair")
+		return &commitStmt{}, p.Expect(";")
+	case p.Accept("abort"):
+		reason, err := p.Word("abort reason")
 		if err != nil {
 			return nil, err
 		}
-		return &abortStmt{reason: reason, err: fmt.Errorf("script:%d: abort %s", line, reason)}, p.expect(";")
+		return &abortStmt{reason: reason, err: fmt.Errorf("script:%d: abort %s", line, reason)}, p.Expect(";")
 	}
 	// Method or procedure call: recv.method(args); or proc(args);
-	name, err := p.word("statement")
+	name, err := p.Word("statement")
 	if err != nil {
 		return nil, err
 	}
 	var recv *constraint.Ref
 	method := name
-	if p.accept(".") {
+	if p.Accept(".") {
 		recv = &constraint.Ref{Parts: []string{name}}
-		if method, err = p.word("method name"); err != nil {
+		if method, err = p.Word("method name"); err != nil {
 			return nil, err
 		}
 	}
-	if err := p.expect("("); err != nil {
+	if err := p.Expect("("); err != nil {
 		return nil, err
 	}
 	var args []constraint.Expr
-	for !p.accept(")") {
+	err = p.List(")", func() error {
 		a, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
 		args = append(args, a)
-		if !p.accept(",") && !p.peek().Is(")") {
-			return nil, p.errorf("expected \",\" or \")\", found %s", p.peek())
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	p.calls = append(p.calls, call{line: line, name: method, nargs: len(args), method: recv != nil, stmt: true})
-	return &callStmt{recv: recv, method: method, args: args}, p.expect(";")
+	return &callStmt{recv: recv, method: method, args: args}, p.Expect(";")
 }

@@ -22,7 +22,10 @@
 // move, remove) and queries (findGoodSGrp, hasSpare, ...) are supplied by an
 // OperatorSet. Variables live in one scope per definition: `let` and
 // `foreach` bind in place, a foreach variable keeps its last member, and
-// neither may rebind a parameter or `it`.
+// neither may rebind a parameter or `it`. A `: Type` annotation, on a
+// parameter, the result or a `let`, is a word or `set{T}`, parsed but not
+// checked; parameter and argument lists put one comma between two items and
+// none after the last.
 package script
 
 import "archadapt/internal/constraint"

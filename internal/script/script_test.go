@@ -228,6 +228,52 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// A type annotation, on a parameter, a result or a let, is a type name; it
+// is parsed, not checked, but a number or a string there is an error. A let
+// may also name a set type.
+func TestTypeAnnotationsAreTypeNames(t *testing.T) {
+	for src, want := range map[string]string{
+		"strategy s(x : 5) = { commit repair; }":         `script:1: expected type after ':', found "5"`,
+		"strategy s(x) : 7 = { commit repair; }":         `script:1: expected type after ':', found "7"`,
+		"strategy s(x) = {\n  let v : 5 = 1;\n}":         `script:2: expected type after ':', found "5"`,
+		`strategy s(x : "str") = { commit repair; }`:     `script:1: expected type after ':', found "str"`,
+		"strategy s(x) = { let v : set{5} = x; }":        `script:1: expected type, found "5"`,
+		"strategy s(x) = { let v : set{T U} = x; }":      `script:1: expected "}", found "U"`,
+		"strategy s(x) = { let v : set{} = x; }":         `script:1: expected type, found "}"`,
+		"strategy s(x : ClientT) : T = { let v : = 1; }": `script:1: expected type after ':', found "="`,
+	} {
+		if _, err := ParseDefs(src); err == nil || err.Error() != want {
+			t.Errorf("ParseDefs(%q): error %v, want %q", src, err, want)
+		}
+	}
+	if _, err := ParseDefs("tactic t(x : ClientT, n) : boolean = { let v : set{ClientT} = x; let w : float = 1; return true; }"); err != nil {
+		t.Error(err)
+	}
+}
+
+// Every list of the script grammar — parameters, the arguments of a call
+// statement and of a call inside an expression — follows one rule: items
+// separated by commas, no comma after the last.
+func TestOneListRule(t *testing.T) {
+	for src, want := range map[string]string{
+		"tactic t(a b) = { return true; }":       `script:1: expected ")", found "b"`,
+		"tactic t(a,) = { return true; }":        `script:1: expected parameter of t, found ")"`,
+		"tactic t(,) = { return true; }":         `script:1: expected parameter of t, found ","`,
+		"strategy f(c) = {\n  foo(1,);\n}":       `script:2: unexpected ")"`,
+		"strategy f(c) = {\n  x.foo(1,);\n}":     `script:2: unexpected ")"`,
+		"strategy f(c) = {\n  let y = f(1,);\n}": `script:2: unexpected ")"`,
+		"strategy f(c) = { foo(1 2); }":          `script:1: expected ")", found "2"`,
+		"strategy f(c) = { let y = f(1 2); }":    `script:1: expected ")", found "2"`,
+	} {
+		if _, err := ParseDefs(src); err == nil || err.Error() != want {
+			t.Errorf("ParseDefs(%q): error %v, want %q", src, err, want)
+		}
+	}
+	if _, err := ParseDefs("tactic t(a, b) = { foo(); x.foo(a, b); let y = f(a, g()); return true; }"); err != nil {
+		t.Error(err)
+	}
+}
+
 // An error names the line it was found on, whichever layer found it.
 func TestParseErrorsCarryTheLine(t *testing.T) {
 	for name, src := range map[string]string{
